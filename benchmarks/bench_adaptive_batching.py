@@ -149,7 +149,7 @@ def test_adaptive_batches_respect_the_epc_budget(capsys, quick):
     report = server.serve_trace(trace)
     snap = report.adaptive[0]
     assert snap is not None and snap["epc_budget_bytes"] is not None
-    policy = server.scheduler.shards[0].policy
+    policy = server.units[0].scheduler.policy
     for outcome in report.outcomes:
         assert outcome.batch_id is not None
     assert policy.window_working_set_bytes(server.darknight.virtual_batch_size) <= (
@@ -165,7 +165,7 @@ def test_adaptive_batches_respect_the_epc_budget(capsys, quick):
     clamped_report = clamped.serve_trace(trace)
     assert len(clamped_report.completed) == n
     clamped_snap = clamped_report.adaptive[0]
-    clamped_policy = clamped.scheduler.shards[0].policy
+    clamped_policy = clamped.units[0].scheduler.policy
     assert clamped_policy.window_working_set_bytes(
         clamped.darknight.virtual_batch_size
     ) <= clamped_snap["epc_budget_bytes"]

@@ -59,7 +59,6 @@ def _run(precompute: bool, n_requests: int):
             virtual_batch_size=K, integrity=True, seed=1
         ),
         coalesce=True,
-        n_workers=1,
         queue_capacity=2 * n_requests,
         max_batch_wait=0.01,
         stage_costs=StageCostModel(maskgen_bandwidth=MASKGEN_BANDWIDTH),

@@ -31,7 +31,6 @@ def _run(coalesce: bool, n_requests: int, integrity: bool, seed: int = 0):
             virtual_batch_size=K, integrity=integrity, seed=seed
         ),
         coalesce=coalesce,
-        n_workers=1,
         queue_capacity=2 * n_requests,
         max_batch_wait=0.01,
     )

@@ -140,7 +140,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="load a full ServingConfig from a JSON file"
              " (ServingConfig.to_dict layout) or a named preset"
              " (latency | throughput | audited); explicit per-field flags"
-             " still override it, with a deprecation warning",
+             " override it",
     )
     parser.add_argument(
         "--virtual-batch", type=int, default=None,
@@ -167,11 +167,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="usable EPC bytes each enclave models (default: the paper"
              " generation's ~93 MB); adaptive batching sizes K against it"
              " (requires --adaptive-batching)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated; overlap now comes from the staged pipeline"
-             " (use --pipeline-depth)",
     )
     parser.add_argument(
         "--pipeline-depth", type=int, default=None,
@@ -348,115 +343,59 @@ def _load_serving_config(spec: str):
     return ServingConfig.from_dict(data)
 
 
-# CLI flags a --config file supersedes, with the predicate telling
-# whether the flag was explicitly given on this invocation.
-_SUPERSEDED_FLAGS = (
-    ("--virtual-batch", "virtual_batch"),
-    ("--batch-wait", "batch_wait"),
-    ("--workers", "workers"),
-    ("--pipeline-depth", "pipeline_depth"),
-    ("--stage-ranker", "stage_ranker"),
-    ("--num-shards", "num_shards"),
-    ("--partition", "partition"),
-    ("--queue-capacity", "queue_capacity"),
-    ("--field-backend", "field_backend"),
-    ("--epc-budget", "epc_budget"),
-    ("--target-fill", "target_fill"),
-    ("--integrity", "integrity"),
-    ("--per-request", "per_request"),
-    ("--adaptive-batching", "adaptive_batching"),
-    ("--audit-log", "audit_log"),
-    ("--precompute", "precompute"),
-    ("--slo-budget", "slo_budget"),
-    ("--slo-class", "slo_class"),
-)
-
-
 def _serve(args) -> int:
     import dataclasses
-    import warnings
 
     from repro.errors import ConfigurationError
-    from repro.runtime.config import DarKnightConfig
     from repro.serving import (
+        AdaptiveBatchingConfig,
+        AuditConfig,
         AutoscaleConfig,
         PrivateInferenceServer,
         ServingConfig,
         synthetic_trace,
     )
 
-    # DeprecationWarning is hidden by default outside __main__; a CLI
-    # user should still see their flags are on the way out.
-    warnings.filterwarnings("default", category=DeprecationWarning, module=__name__)
-    if args.workers is not None:
-        warnings.warn(
-            "--workers is deprecated and changes nothing beyond the recorded"
-            " config: overlap comes from the staged pipeline"
-            " (--pipeline-depth) and parallel shard timelines (--num-shards)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    base = _load_serving_config(args.config) if args.config is not None else None
-    if base is not None:
-        used = sorted(
-            flag
-            for flag, dest in _SUPERSEDED_FLAGS
-            if getattr(args, dest) not in (None, False)
-        )
-        if used:
-            warnings.warn(
-                f"{', '.join(used)}: per-field serve flags are deprecated"
-                " when --config is given — move them into the config file"
-                " (explicit flags still override it for now)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-    base_dk = base.darknight if base is not None else DarKnightConfig()
+    # One precedence rule: start from the --config file/preset (or the
+    # dataclass defaults) and overlay exactly the flags that were given.
+    config = (
+        _load_serving_config(args.config)
+        if args.config is not None
+        else ServingConfig()
+    )
 
-    def pick(flag_value, config_value, default):
-        """Explicit flag > config file > legacy default."""
-        if flag_value is not None:
-            return flag_value
-        return config_value if base is not None else default
-
-    seed = pick(args.seed, base_dk.seed, 0)
-    if seed is None:
-        seed = 0
-    virtual_batch = pick(args.virtual_batch, base_dk.virtual_batch_size, 4)
-    pipeline_depth = pick(args.pipeline_depth, base_dk.pipeline_depth, 1)
-    num_shards = pick(args.num_shards, base_dk.num_shards, 1)
-    field_backend = pick(args.field_backend, base_dk.field_backend, "limb")
-    stage_ranker = pick(args.stage_ranker, base_dk.stage_ranker, "earliest")
-    epc_budget = pick(args.epc_budget, base_dk.epc_budget_bytes, None)
-    integrity = args.integrity or (base is not None and base_dk.integrity)
-    batch_wait = pick(
-        args.batch_wait, base.max_batch_wait if base else None, 0.01
-    )
-    queue_capacity = pick(
-        args.queue_capacity, base.queue_capacity if base else None, 256
-    )
-    n_workers = pick(args.workers, base.n_workers if base else None, 2)
-    coalesce = not args.per_request and (base.coalesce if base else True)
-    partition = pick(
-        args.partition, base.partition if base else None, "replicated"
-    )
-    precompute = args.precompute or (base is not None and base.precompute)
+    def given(**flags) -> dict:
+        return {name: value for name, value in flags.items() if value is not None}
 
     if args.rate <= 0:
         raise ConfigurationError(f"--rate must be > 0, got {args.rate}")
-    if pipeline_depth < 1:
+    if args.pipeline_depth is not None and args.pipeline_depth < 1:
         raise ConfigurationError(
-            f"--pipeline-depth must be >= 1, got {pipeline_depth}"
+            f"--pipeline-depth must be >= 1, got {args.pipeline_depth}"
         )
-    if num_shards < 1:
+    if args.num_shards is not None and args.num_shards < 1:
         raise ConfigurationError(
-            f"--num-shards must be >= 1, got {num_shards}"
+            f"--num-shards must be >= 1, got {args.num_shards}"
         )
+    dk = dataclasses.replace(
+        config.darknight,
+        **given(
+            virtual_batch_size=args.virtual_batch,
+            pipeline_depth=args.pipeline_depth,
+            num_shards=args.num_shards,
+            field_backend=args.field_backend,
+            stage_ranker=args.stage_ranker,
+            epc_budget_bytes=args.epc_budget,
+            integrity=args.integrity or None,
+            seed=args.seed,
+        ),
+    )
+    if dk.seed is None:
+        # The CLI is deterministic unless told otherwise.
+        dk = dataclasses.replace(dk, seed=0)
 
-    adaptive = base.adaptive if base is not None else None
+    adaptive = config.adaptive
     if args.adaptive_batching and adaptive is None:
-        from repro.serving import AdaptiveBatchingConfig
-
         adaptive = AdaptiveBatchingConfig()
     if args.target_fill is not None:
         if adaptive is None:
@@ -464,119 +403,95 @@ def _serve(args) -> int:
                 "--target-fill only applies with --adaptive-batching"
             )
         adaptive = dataclasses.replace(adaptive, target_fill=args.target_fill)
-    if adaptive is None and epc_budget is not None:
+    if adaptive is None and dk.epc_budget_bytes is not None:
         raise ConfigurationError(
             "--epc-budget only applies with --adaptive-batching"
         )
 
     slo = _build_slo(args)
-    if slo is None and base is not None:
-        slo = base.slo
-    if slo is None and stage_ranker == "deadline":
+    if slo is None:
+        slo = config.slo
+    if slo is None and dk.stage_ranker == "deadline":
         raise ConfigurationError(
             "--stage-ranker deadline needs SLO budgets to rank on"
             " (add --slo-budget class=ms)"
         )
 
-    autoscale = base.autoscale if base is not None else None
-    tuning = (
-        args.min_shards is not None
-        or args.max_shards is not None
-        or args.target_utilization is not None
+    autoscale = config.autoscale
+    knobs = given(
+        min_shards=args.min_shards,
+        max_shards=args.max_shards,
+        utilization_high=args.target_utilization,
     )
-    if tuning and not args.autoscale and autoscale is None:
+    if knobs and not args.autoscale and autoscale is None:
         raise ConfigurationError(
             "--min-shards/--max-shards/--target-utilization only apply with"
             " --autoscale (or a config file with an autoscale section)"
         )
-    if args.autoscale or tuning:
-        knobs = {}
-        if args.min_shards is not None:
-            knobs["min_shards"] = args.min_shards
-        if args.max_shards is not None:
-            knobs["max_shards"] = args.max_shards
-        if args.target_utilization is not None:
-            knobs["utilization_high"] = args.target_utilization
+    if args.autoscale or knobs:
         autoscale = (
             dataclasses.replace(autoscale, **knobs)
             if autoscale is not None
             else AutoscaleConfig(**knobs)
         )
 
-    audit = base.audit if base is not None else None
-    if args.audit_log is not None:
-        from repro.serving import AuditConfig
-
-        audit = AuditConfig(log_dir=args.audit_log, model=args.model)
-
-    dk = dataclasses.replace(
-        base_dk,
-        virtual_batch_size=virtual_batch,
-        integrity=integrity,
-        field_backend=field_backend,
-        pipeline_depth=pipeline_depth,
-        stage_ranker=stage_ranker,
-        num_shards=num_shards,
-        epc_budget_bytes=epc_budget,
-        seed=seed,
-    )
-    gpus_needed = num_shards * dk.n_gpus_required
+    gpus_needed = dk.num_shards * dk.n_gpus_required
     if args.gpus is not None and args.gpus < gpus_needed:
         raise ConfigurationError(
-            f"--gpus {args.gpus} cannot host {num_shards} shard(s): each"
-            f" shard needs K + M{' + 1 (integrity)' if integrity else ''}"
+            f"--gpus {args.gpus} cannot host {dk.num_shards} shard(s): each"
+            f" shard needs K + M{' + 1 (integrity)' if dk.integrity else ''}"
             f" = {dk.n_gpus_required} simulated GPUs, {gpus_needed} total;"
             " raise --gpus or lower --num-shards / --virtual-batch"
         )
-    network, input_shape = build_serving_model(args.model, seed=seed)
-    overrides = dict(
+    config = dataclasses.replace(
+        config,
         darknight=dk,
-        partition=partition,
-        max_batch_wait=batch_wait,
-        queue_capacity=queue_capacity,
-        n_workers=n_workers,
-        coalesce=coalesce,
         adaptive=adaptive,
         slo=slo,
-        audit=audit,
         autoscale=autoscale,
-        precompute=precompute,
+        **given(
+            partition=args.partition,
+            max_batch_wait=args.batch_wait,
+            queue_capacity=args.queue_capacity,
+            coalesce=False if args.per_request else None,
+            precompute=args.precompute or None,
+            audit=(
+                AuditConfig(log_dir=args.audit_log, model=args.model)
+                if args.audit_log is not None
+                else None
+            ),
+        ),
     )
-    config = (
-        dataclasses.replace(base, **overrides)
-        if base is not None
-        else ServingConfig(**overrides)
-    )
+    network, input_shape = build_serving_model(args.model, seed=dk.seed)
     trace = synthetic_trace(
         n_requests=args.requests,
         input_shape=input_shape,
         n_tenants=args.tenants,
         mean_interarrival=1.0 / args.rate,
-        seed=seed,
+        seed=dk.seed,
     )
     server = PrivateInferenceServer(network, config)
     report = server.serve_trace(trace)
-    if args.per_request:
+    if not config.coalesce:
         mode = "per-request"
     elif adaptive is not None:
         mode = (
             f"adaptive K={server.darknight.virtual_batch_size}"
-            f" (requested {virtual_batch})"
+            f" (requested {dk.virtual_batch_size})"
         )
     else:
-        mode = f"coalesced K={virtual_batch}"
+        mode = f"coalesced K={dk.virtual_batch_size}"
     if autoscale is not None:
-        initial = min(max(num_shards, autoscale.min_shards), autoscale.max_shards)
         shard_desc = (
             f"elastic {autoscale.min_shards}-{autoscale.max_shards} shard(s),"
-            f" started at {initial}"
+            f" started at {server.darknight.num_shards}"
         )
     else:
-        shard_desc = f"{num_shards} shard(s)"
+        shard_desc = f"{dk.num_shards} shard(s)"
     print(
         f"served {args.requests} requests from {args.tenants} tenants"
-        f" ({mode}, integrity={'on' if integrity else 'off'},"
-        f" pipeline depth {pipeline_depth},"
+        f" ({mode}, integrity={'on' if dk.integrity else 'off'},"
+        f" pipeline depth {dk.pipeline_depth},"
         f" {shard_desc})"
     )
     if slo is not None:
@@ -590,14 +505,14 @@ def _serve(args) -> int:
             + (f" <- {', '.join(row['tenants'])}" if row["tenants"] else "")
             for row in slo.class_table()
         )
-        print(f"SLO classes ({stage_ranker} ranker): {classes}")
+        print(f"SLO classes ({dk.stage_ranker} ranker): {classes}")
     print(report.render())
-    if audit is not None and audit.log_dir is not None:
+    if config.audit is not None and config.audit.log_dir is not None:
         print(
             f"audit: {server.metrics.audit_windows} windows"
             f" ({server.metrics.audit_leaves} leaves,"
             f" {server.metrics.audit_bytes:,} bytes) committed to"
-            f" {audit.log_dir}"
+            f" {config.audit.log_dir}"
         )
     return 0
 

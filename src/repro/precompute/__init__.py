@@ -23,6 +23,7 @@ from repro.precompute.scratch import (
     active_scratch,
     enable_scratch,
     scratch_enabled,
+    scratch_scope,
 )
 
 __all__ = [
@@ -34,4 +35,5 @@ __all__ = [
     "active_scratch",
     "enable_scratch",
     "scratch_enabled",
+    "scratch_scope",
 ]

@@ -14,13 +14,18 @@ kernel invocation — nothing returned to a caller may alias pool memory
 Reuse is therefore value-transparent: enabling the pool cannot change a
 single output bit, only where intermediates briefly live.
 
-The pool is process-global and off by default; the DarKnight backend
-enables it when ``precompute`` mode is on.  This module imports nothing
+The pool is process-global and off by default; a precompute-mode
+inference engine turns it on for exactly the windows it runs
+(:func:`scratch_scope`) and puts the previous state back afterwards, so
+one precompute server never moves its neighbours onto the pool.  This
+module imports nothing
 from the rest of the package so the lowest layers (``fieldmath.kernels``)
 can use it without cycles.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -90,6 +95,24 @@ def enable_scratch(on: bool = True) -> bool:
     if not _ENABLED:
         _POOL.clear()
     return previous
+
+
+@contextmanager
+def scratch_scope(on: bool):
+    """Route the enclosed work through the pool when ``on``, then restore.
+
+    ``on=False`` leaves the current state alone, so a caller can wrap its
+    work unconditionally.  Restoring only flips the switch back: pooled
+    buffers stay, which is what lets the next window (or an enclosing
+    scope) reuse them.
+    """
+    global _ENABLED
+    previous = _ENABLED
+    _ENABLED = previous or bool(on)
+    try:
+        yield
+    finally:
+        _ENABLED = previous
 
 
 def scratch_enabled() -> bool:

@@ -49,7 +49,7 @@ from repro.masking import (
 )
 from repro.masking.virtual_batch import VirtualBatch
 from repro.pipeline.stages import EncodeTicket, GpuFuture, StagedLinearOp
-from repro.precompute import MaskStreamPool, enable_scratch
+from repro.precompute import MaskStreamPool
 from repro.quantization import IDENTITY, DynamicNormalizer, Normalization, QuantizationConfig
 from repro.runtime.aggregation import LargeBatchAggregator
 from repro.runtime.config import DarKnightConfig
@@ -127,7 +127,6 @@ class DarKnightBackend:
                 else int(self.enclave.rng.generator.integers(0, 2**63))
             )
             self._mask_pool = MaskStreamPool(self.field, base_key)
-            enable_scratch(True)
         self._aggregator = (
             LargeBatchAggregator(self.enclave) if self.config.sealed_aggregation else None
         )

@@ -17,6 +17,8 @@ masking decodes exactly, so stage order never changes values.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -26,6 +28,7 @@ from repro.pipeline.executor import GroupResult, PipelineExecutor
 from repro.pipeline.ranker import build_ranker
 from repro.pipeline.stages import PipelineStats
 from repro.pipeline.timing import EnclaveTimeline, StageCostModel
+from repro.precompute import scratch_scope
 from repro.runtime.config import DarKnightConfig
 from repro.runtime.darknight import DarKnightBackend
 
@@ -83,6 +86,21 @@ class PrivateInferenceEngine:
             ranker=build_ranker(self.backend.config.stage_ranker),
         )
 
+    @contextmanager
+    def _released(self):
+        """One batch or window of masked work, cleaned up on every exit.
+
+        A precompute backend's hot path borrows the process-wide scratch
+        pool for exactly this long; the switch is back where it was when
+        the block ends, so the pool never leaks onto other backends.
+        """
+        with scratch_scope(self.backend.config.precompute):
+            try:
+                yield
+            finally:
+                self.backend.end_batch()
+                self.backend.assert_encodings_released()
+
     def run_batch(self, x: np.ndarray) -> np.ndarray:
         """Run one pre-formed batch through the masked pipeline.
 
@@ -94,13 +112,10 @@ class PrivateInferenceEngine:
         aborts mid-network — and the release is asserted, so a byzantine
         batch cannot wedge (or leak into) the next one.
         """
-        try:
+        with self._released():
             if self.pipeline_depth == 1:
                 return self.network.forward(x, self.backend, training=False)
             return self.executor.run(x).output
-        finally:
-            self.backend.end_batch()
-            self.backend.assert_encodings_released()
 
     def run_batch_timed(
         self, x: np.ndarray, release_time: float = 0.0
@@ -112,12 +127,9 @@ class PrivateInferenceEngine:
         simulated clock; the serving pool passes each batch's flush time
         so consecutive batches overlap on the shared timeline.
         """
-        try:
+        with self._released():
             result = self.executor.run(x, release_time=release_time)
             return result.output, result.stats
-        finally:
-            self.backend.end_batch()
-            self.backend.assert_encodings_released()
 
     def run_batch_window(
         self, items: list[tuple], step_range: tuple[int, int] | None = None
@@ -139,11 +151,8 @@ class PrivateInferenceEngine:
         the sealed hand-off (see
         :meth:`~repro.pipeline.PipelineExecutor.run_grouped`).
         """
-        try:
+        with self._released():
             return self.executor.run_grouped(items, step_range=step_range)
-        finally:
-            self.backend.end_batch()
-            self.backend.assert_encodings_released()
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """Logits for a batch of private inputs."""

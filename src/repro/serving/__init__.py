@@ -63,6 +63,7 @@ from repro.serving.trace import (
     synthetic_trace,
     trace_from_arrays,
 )
+from repro.serving.unit import ServingUnit
 from repro.serving.worker import InferenceWorkerPool
 
 __all__ = [
@@ -98,6 +99,7 @@ __all__ = [
     "SessionManager",
     "ShardedSessionManager",
     "InferenceWorkerPool",
+    "ServingUnit",
     "ServerMetrics",
     "PrivateInferenceServer",
     "ServingConfig",

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.enclave.epc import EPC_USABLE_BYTES
 from repro.errors import ConfigurationError
 
 #: Bounds for the fill-ratio controller's multiplicative stretch factor.
@@ -473,41 +472,3 @@ class AdaptiveFlushPolicy:
             "slot_bytes": self._slot_bytes,
             "epc_budget_bytes": self._budget,
         }
-
-
-def build_policies(
-    n_shards: int,
-    batch_size: int,
-    max_wait: float,
-    config: AdaptiveBatchingConfig,
-    network=None,
-    epc_budget_bytes: int | None = None,
-    collusion_tolerance: int = 1,
-    extra_shares: int = 0,
-    pipeline_depth: int = 1,
-    slo=None,
-) -> list[AdaptiveFlushPolicy]:
-    """One independent policy per shard (shards adapt separately).
-
-    ``slo`` (an :class:`~repro.serving.slo.SloPolicy`) clamps every
-    shard's deadline ceiling at the tightest class's flush budget —
-    tenants pin to shards at runtime, so no shard may learn a wait the
-    most demanding class could land on and violate.
-    """
-    slot_bytes = estimate_slot_bytes(network) if network is not None else None
-    budget = EPC_USABLE_BYTES if epc_budget_bytes is None else epc_budget_bytes
-    budget_ceiling = slo.tightest_flush_budget() if slo is not None else None
-    return [
-        AdaptiveFlushPolicy(
-            batch_size,
-            max_wait,
-            config=config,
-            slot_bytes=slot_bytes,
-            epc_budget_bytes=budget,
-            collusion_tolerance=collusion_tolerance,
-            extra_shares=extra_shares,
-            pipeline_depth=pipeline_depth,
-            budget_ceiling=budget_ceiling,
-        )
-        for _ in range(n_shards)
-    ]

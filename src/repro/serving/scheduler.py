@@ -193,156 +193,65 @@ class VirtualBatchScheduler:
 
 
 class ShardedBatchScheduler:
-    """One coalescing scheduler per enclave shard, behind one interface.
+    """Every serving unit's coalescing scheduler behind one interface.
 
-    Tenants are pinned to shards, so coalescing is *per shard*: a batch
-    only ever mixes requests destined for the same enclave.  Each shard
-    keeps its own size/deadline triggers (a hot shard flushing early never
-    forces a cold shard's partial out), while batch ids are drawn from one
-    shared counter so outcomes stay globally attributable.  With one shard
+    Tenants are pinned to units, so coalescing is *per unit*: a batch
+    only ever mixes requests destined for the same enclave.  Each unit
+    keeps its own size/deadline triggers (a hot unit flushing early never
+    forces a cold unit's partial out), while batch ids are drawn from one
+    shared counter so outcomes stay globally attributable.  With one unit
     this degenerates exactly to a single :class:`VirtualBatchScheduler`.
 
     Parameters
     ----------
-    queues:
-        One bounded :class:`~repro.serving.queue.RequestQueue` per shard.
-    batch_size / max_wait / slots:
-        As for :class:`VirtualBatchScheduler`, applied uniformly.
-    policies:
-        Optional per-shard :class:`~repro.serving.adaptive.
-        AdaptiveFlushPolicy` list (one per queue — every shard adapts
-        independently); ``None`` keeps every shard on the static knobs.
+    units:
+        The deployment's :class:`~repro.serving.unit.ServingUnit` list,
+        shared by reference with the server that owns membership: a unit
+        appended to it is collected from the next call on, a retired one
+        is skipped.
     """
 
-    def __init__(
-        self,
-        queues: list[RequestQueue],
-        batch_size: int,
-        max_wait: float = 0.01,
-        slots: int | None = None,
-        policies: "list[AdaptiveFlushPolicy] | None" = None,
-    ) -> None:
-        if not queues:
-            raise ConfigurationError("sharded scheduler needs >= 1 queue")
-        if policies is not None and len(policies) != len(queues):
-            raise ConfigurationError(
-                f"need one policy per shard: {len(policies)} policies"
-                f" for {len(queues)} queues"
-            )
-        self._ids = itertools.count()
-        self._batch_size = batch_size
-        self._max_wait = max_wait
-        self._slots = slots
-        self._retired: set[int] = set()
-        self.shards = [
-            VirtualBatchScheduler(
-                queue,
-                batch_size,
-                max_wait,
-                slots=slots,
-                shard_id=i,
-                id_source=self._ids,
-                policy=policies[i] if policies is not None else None,
-            )
-            for i, queue in enumerate(queues)
-        ]
-
-    # ------------------------------------------------------------------
-    # dynamic membership
-    # ------------------------------------------------------------------
-    def add_shard(
-        self, queue: RequestQueue, policy: AdaptiveFlushPolicy | None = None
-    ) -> int:
-        """Attach a per-shard scheduler for a newly provisioned shard.
-
-        The new scheduler shares the deployment's batch-id counter (ids
-        stay globally unique across any membership history) and inherits
-        the uniform coalescing knobs.  Returns the new shard id.
-        """
-        shard_id = len(self.shards)
-        scheduler = VirtualBatchScheduler(
-            queue,
-            self._batch_size,
-            self._max_wait,
-            slots=self._slots,
-            shard_id=shard_id,
-            id_source=self._ids,
-            policy=policy,
-        )
-        self.shards.append(scheduler)
-        return shard_id
-
-    def retire_shard(self, shard_id: int) -> None:
-        """Stop collecting from a retired shard's scheduler.
-
-        The shard's queue must already be empty (drained or re-homed);
-        retiring a shard with pending requests would silently strand
-        admitted work.
-        """
-        if not 0 <= shard_id < len(self.shards):
-            raise ConfigurationError(f"unknown scheduler shard id {shard_id}")
-        if self.shards[shard_id].queue.depth:
-            raise ConfigurationError(
-                f"scheduler shard {shard_id} still holds"
-                f" {self.shards[shard_id].queue.depth} pending requests;"
-                " drain or re-home before retiring"
-            )
-        self._retired.add(shard_id)
-
-    def set_batch_cap(self, cap: int | None) -> None:
-        """Apply an EPC-pool batch-size cap to every live shard."""
-        for shard in self._live():
-            shard.batch_cap = cap
+    def __init__(self, units: list) -> None:
+        self.units = units
 
     def _live(self):
-        return (
-            s for i, s in enumerate(self.shards) if i not in self._retired
-        )
+        return (u.scheduler for u in self.units if not u.executor.retired)
+
+    def set_batch_cap(self, cap: int | None) -> None:
+        """Apply an EPC-pool batch-size cap to every live unit."""
+        for scheduler in self._live():
+            scheduler.batch_cap = cap
 
     def collect_ready(self, now: float) -> list[ScheduledBatch]:
-        """Flush every full batch available on any shard (size trigger)."""
-        return [b for shard in self._live() for b in shard.collect_ready(now)]
+        """Flush every full batch available on any unit (size trigger)."""
+        return [b for s in self._live() for b in s.collect_ready(now)]
 
     def collect_expired(self, now: float) -> list[ScheduledBatch]:
-        """Flush deadline-expired partials on every shard, deadline order.
+        """Flush deadline-expired partials on every unit, deadline order.
 
-        Batches are merged across shards by flush time so the dispatch
+        Batches are merged across units by flush time so the dispatch
         window sees one globally time-ordered stream, exactly as a single
         deadline timer would have fired them.
         """
-        batches = [b for shard in self._live() for b in shard.collect_expired(now)]
+        batches = [b for s in self._live() for b in s.collect_expired(now)]
         batches.sort(key=lambda b: (b.flush_time, b.batch_id))
         return batches
 
-    def drain(self, now: float) -> list[ScheduledBatch]:
-        """Flush everything on every shard immediately (shutdown)."""
-        return [b for shard in self._live() for b in shard.drain(now)]
-
     # ------------------------------------------------------------------
-    # adaptive hooks (no-ops when no shard carries a policy)
+    # adaptive hooks (no-ops when no unit carries a policy)
     # ------------------------------------------------------------------
-    def observe_arrival(self, shard_id: int, now: float) -> None:
-        """Route one admitted arrival to its shard's policy."""
-        self.shards[shard_id].observe_arrival(now)
-
     def observe_feedback(self, feedback: WindowFeedback) -> None:
-        """Route one dispatched window's measured timings to its shard."""
-        if 0 <= feedback.shard_id < len(self.shards):
-            self.shards[feedback.shard_id].observe_feedback(feedback)
+        """Route one dispatched window's measured timings to its unit."""
+        self.units[feedback.shard_id].scheduler.observe_feedback(feedback)
 
     def policy_snapshots(self) -> list[dict | None]:
-        """Each shard's learned-policy telemetry (None for static shards)."""
+        """Each unit's learned-policy telemetry (None for static units)."""
         return [
-            shard.policy.snapshot() if shard.policy is not None else None
-            for shard in self.shards
+            u.scheduler.policy.snapshot() if u.scheduler.policy is not None else None
+            for u in self.units
         ]
 
     @property
-    def batches_scheduled(self) -> int:
-        """Total batches flushed across all shards."""
-        return sum(shard.batches_scheduled for shard in self.shards)
-
-    @property
     def queued(self) -> int:
-        """Pending requests across all shard queues."""
-        return sum(shard.queue.depth for shard in self.shards)
+        """Pending requests across all unit queues."""
+        return sum(u.queue.depth for u in self.units)

@@ -14,9 +14,12 @@ Composes the serving subsystem end to end::
 The deployment runs ``darknight.num_shards`` :class:`EnclaveShard` s —
 each its own enclave + GPU cluster + serialized timeline — behind one
 scheduler; an :class:`AttestationMesh` pairwise-verifies every shard at
-startup so sessions can migrate on failure.  Serving always uses
-per-sample normalization, so a request's logits are bit-identical at
-every shard count, pipeline depth, and coalescing mix.
+startup so sessions can migrate on failure.  Everything kept *per
+routing unit* (executor, queue, scheduler, sessions) lives in one
+:class:`~repro.serving.unit.ServingUnit`; the server owns the single
+list of them and is the only place membership changes.  Serving always
+uses per-sample normalization, so a request's logits are bit-identical
+at every shard count, pipeline depth, and coalescing mix.
 
 There is no network dependency: :meth:`PrivateInferenceServer.serve_trace`
 replays a time-stamped request trace against a simulated clock, firing
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -46,12 +50,11 @@ from repro.errors import (
 from repro.gpu import GpuCluster
 from repro.nn import Sequential
 from repro.pipeline.timing import StageCostModel
-from repro.precompute import active_scratch
 from repro.runtime.client import DEFAULT_CODE_IDENTITY
 from repro.runtime.config import DarKnightConfig
 from repro.serving.adaptive import (
     AdaptiveBatchingConfig,
-    build_policies,
+    AdaptiveFlushPolicy,
     epc_fitting_batch_size,
     estimate_slot_bytes,
 )
@@ -74,10 +77,11 @@ from repro.serving.requests import (
     PendingRequest,
     RequestOutcome,
 )
-from repro.serving.scheduler import ShardedBatchScheduler
-from repro.serving.session import ShardedSessionManager
+from repro.serving.scheduler import ShardedBatchScheduler, VirtualBatchScheduler
+from repro.serving.session import SessionManager, ShardedSessionManager
 from repro.serving.slo import SloClass, SloPolicy
 from repro.serving.trace import TraceRequest
+from repro.serving.unit import ServingUnit
 from repro.serving.worker import InferenceWorkerPool
 from repro.sharding import (
     AttestationMesh,
@@ -109,10 +113,6 @@ class ServingConfig:
         flight behind busy workers, summed over every shard; beyond it
         the server sheds load, so sustained overload surfaces as shed
         requests instead of unbounded latency.
-    n_workers:
-        Accepted for compatibility; concurrency comes from the staged
-        pipeline (``darknight.pipeline_depth``) and from parallel shard
-        timelines (``darknight.num_shards``).
     coalesce:
         ``False`` dispatches every request alone (the naive baseline the
         serving benchmark measures against); the enclave still pads each
@@ -194,7 +194,6 @@ class ServingConfig:
     darknight: DarKnightConfig = field(default_factory=DarKnightConfig)
     max_batch_wait: float = 0.01
     queue_capacity: int = 256
-    n_workers: int = 1
     coalesce: bool = True
     reuse_coefficients: bool = True
     encrypt_requests: bool = True
@@ -248,7 +247,6 @@ class ServingConfig:
             "darknight": dataclasses.asdict(self.darknight),
             "max_batch_wait": self.max_batch_wait,
             "queue_capacity": self.queue_capacity,
-            "n_workers": self.n_workers,
             "coalesce": self.coalesce,
             "reuse_coefficients": self.reuse_coefficients,
             "encrypt_requests": self.encrypt_requests,
@@ -456,6 +454,16 @@ class ServingReport:
         return "\n".join(lines)
 
 
+def _require_replicated(partition: PartitionSpec) -> None:
+    """The one refusal of elastic membership on a layered deployment."""
+    if partition.layered:
+        raise ConfigurationError(
+            "elastic shard membership (autoscale, provision_shard,"
+            " decommission_shard) requires partition='replicated'; a layered"
+            " deployment's stage pipelines are fixed at construction"
+        )
+
+
 class PrivateInferenceServer:
     """Serves masked inference to many tenants over sharded trusted stacks.
 
@@ -506,18 +514,14 @@ class PrivateInferenceServer:
         # loop below: a failed construction may never leak attested
         # enclaves (or their GPU clusters) it cannot hand back.
         partition = PartitionSpec.parse(self.config.partition)
-        if partition.layered:
-            if autoscale is not None:
-                raise ConfigurationError(
-                    "layered partitioning does not compose with autoscale;"
-                    " elastic shard membership is replicated-only"
-                )
-            if dk.num_shards % partition.n_stages != 0:
-                raise ConfigurationError(
-                    f"partition layered:{partition.n_stages} needs num_shards"
-                    f" divisible by {partition.n_stages},"
-                    f" got {dk.num_shards}"
-                )
+        if autoscale is not None:
+            _require_replicated(partition)
+        if dk.num_shards % partition.n_stages != 0:
+            raise ConfigurationError(
+                f"partition layered:{partition.n_stages} needs num_shards"
+                f" divisible by {partition.n_stages},"
+                f" got {dk.num_shards}"
+            )
         #: Routing units: pipeline groups under layered partitioning,
         #: individual shards otherwise.
         n_units = dk.num_shards // partition.n_stages
@@ -546,6 +550,7 @@ class PrivateInferenceServer:
                 f" {len(self.config.shard_weights)} weights for"
                 f" {n_units} units"
             )
+        self._slot_bytes = estimate_slot_bytes(network)
         if self.config.adaptive is not None:
             # Size K against the EPC budget *before* provisioning: the
             # enclave encodes (and pads) at the provisioned K, so only a
@@ -556,7 +561,7 @@ class PrivateInferenceServer:
             )
             fit = epc_fitting_batch_size(
                 dk.virtual_batch_size,
-                estimate_slot_bytes(network),
+                self._slot_bytes,
                 budget,
                 dk.collusion_tolerance,
                 dk.extra_shares,
@@ -571,106 +576,9 @@ class PrivateInferenceServer:
         self.network = network
         self.autoscale_config = autoscale
         self.autoscaler = ShardAutoscaler(autoscale)
-        self.shards = [
-            EnclaveShard.provision(
-                shard_id,
-                network,
-                dk,
-                code_identity=self.config.code_identity,
-                stage_costs=self.config.stage_costs,
-                cluster=cluster if shard_id == 0 else None,
-                enclave=enclave if shard_id == 0 else None,
-                link=self.link,
-            )
-            for shard_id in range(dk.num_shards)
-        ]
-        # Single-shard compatibility handles (shard 0 is the whole stack
-        # when num_shards=1).
-        self.enclave = self.shards[0].enclave
-        self.engine = self.shards[0].engine
-        self.mesh = AttestationMesh(
-            self.shards, expected_code_identity=self.config.code_identity
-        ).establish()
         #: The parsed partition mode and its plan cuts (layered only).
         self.partition = partition
         self.stage_ranges = stage_ranges
-        if partition.layered:
-            n = partition.n_stages
-            # Hop channels key against the *shard-level* mesh: every
-            # consecutive member pair was pairwise-attested above.
-            self.groups: list[PipelineGroup] | None = [
-                PipelineGroup(
-                    g,
-                    self.shards[g * n : (g + 1) * n],
-                    stage_ranges,
-                    self.mesh,
-                    link=self.link,
-                    seed=dk.seed if dk.seed is not None else 0,
-                )
-                for g in range(n_units)
-            ]
-            self.units: list = list(self.groups)
-            # Sessions route on *units*, so they need a unit-level mesh:
-            # each group's entry enclave re-attests under its group id.
-            self.unit_mesh = AttestationMesh(
-                self.units, expected_code_identity=self.config.code_identity
-            ).establish()
-        else:
-            self.groups = None
-            self.units = list(self.shards)
-            self.unit_mesh = self.mesh
-        self.router = ShardRouter(
-            n_units,
-            weights=(
-                list(self.config.shard_weights)
-                if self.config.shard_weights is not None
-                else None
-            ),
-            slo=self.config.slo,
-            group_members=(
-                {
-                    group.shard_id: tuple(m.shard_id for m in group.members)
-                    for group in self.groups
-                }
-                if self.groups is not None
-                else None
-            ),
-        )
-        self.sessions = ShardedSessionManager(
-            self.units,
-            router=self.router,
-            mesh=self.unit_mesh,
-            link=self.link,
-            expected_code_identity=self.config.code_identity,
-            seed=dk.seed,
-        )
-        self.queues = [
-            RequestQueue(self.config.queue_capacity, slo=self.config.slo)
-            for _ in self.units
-        ]
-        self.queue = self.queues[0]
-        batch_size = dk.virtual_batch_size if self.config.coalesce else 1
-        policies = None
-        if self.config.adaptive is not None:
-            policies = build_policies(
-                n_units,
-                batch_size,
-                self.config.max_batch_wait,
-                self.config.adaptive,
-                network=network,
-                epc_budget_bytes=dk.epc_budget_bytes or EPC_USABLE_BYTES,
-                collusion_tolerance=dk.collusion_tolerance,
-                extra_shares=dk.extra_shares,
-                pipeline_depth=dk.pipeline_depth,
-                slo=self.config.slo,
-            )
-        self.scheduler = ShardedBatchScheduler(
-            self.queues,
-            batch_size,
-            self.config.max_batch_wait,
-            slots=dk.virtual_batch_size,
-            policies=policies,
-        )
         self.metrics = ServerMetrics(slo=self.config.slo)
         #: The verifiable audit trail (``None`` unless ``config.audit``).
         self.audit: AuditTrail | None = None
@@ -681,13 +589,59 @@ class PrivateInferenceServer:
                 num_shards=dk.num_shards,
                 on_commit=self.metrics.record_commit,
             )
+        shards = [
+            self._provision(
+                shard_id,
+                cluster=cluster if shard_id == 0 else None,
+                enclave=enclave if shard_id == 0 else None,
+            )
+            for shard_id in range(dk.num_shards)
+        ]
+        self.mesh = AttestationMesh(
+            shards, expected_code_identity=self.config.code_identity
+        ).establish()
+        n = partition.n_stages
+        self.router = ShardRouter(
+            n_units,
+            weights=(
+                list(self.config.shard_weights)
+                if self.config.shard_weights is not None
+                else None
+            ),
+            slo=self.config.slo,
+            group_members=(
+                {g: tuple(range(g * n, (g + 1) * n)) for g in range(n_units)}
+                if partition.layered
+                else None
+            ),
+        )
+        #: Every routing unit ever deployed, indexed by unit id (retired
+        #: ones stay in place).  The scheduler, session manager and pool
+        #: below share this list; only :meth:`_add_unit` grows it.
+        self.units: list[ServingUnit] = []
+        self._batch_ids = itertools.count()
+        for unit_id in range(n_units):
+            self._add_unit(unit_id, shards[unit_id * n : (unit_id + 1) * n])
+        # Sessions route on *units*: under layered partitioning each
+        # group's entry enclave re-attests under its group id.
+        self.unit_mesh = (
+            AttestationMesh(
+                [unit.executor for unit in self.units],
+                expected_code_identity=self.config.code_identity,
+            ).establish()
+            if partition.layered
+            else self.mesh
+        )
+        self.sessions = ShardedSessionManager(self.units, self.router, self.unit_mesh)
+        self.scheduler = ShardedBatchScheduler(self.units)
         self.pool = InferenceWorkerPool(
-            n_workers=self.config.n_workers,
-            shards=self.units,
-            router=self.router,
+            self.units,
+            self.router,
             sessions=self.sessions,
             on_feedback=(
-                self.scheduler.observe_feedback if policies is not None else None
+                self.scheduler.observe_feedback
+                if self.config.adaptive is not None
+                else None
             ),
             slo=self.config.slo,
             audit=self.audit,
@@ -698,10 +652,12 @@ class PrivateInferenceServer:
         self._inflight: list[float] = []
         #: The trace replay's simulated clock (drives autoscale timing).
         self._clock = 0.0
-        self._slot_bytes = estimate_slot_bytes(network)
-        for shard in self.shards:
-            self.autoscaler.note_provisioned(shard.shard_id, 0.0)
         self._apply_epc_pool()
+
+    @property
+    def shards(self) -> list[EnclaveShard]:
+        """Every physical shard ever provisioned, in shard-id order."""
+        return [shard for unit in self.units for shard in unit.shards]
 
     # ------------------------------------------------------------------
     # the event loop
@@ -727,139 +683,200 @@ class PrivateInferenceServer:
         return self.report()
 
     # ------------------------------------------------------------------
-    # elastic membership
+    # membership: the one collection of units, and the one way to change it
     # ------------------------------------------------------------------
     def _live_shards(self) -> list[EnclaveShard]:
         """Shards currently serving traffic (draining included)."""
-        return [s for s in self.shards if s.healthy and not s.retired]
+        return [s for s in self.shards if s.healthy]
 
-    def _new_policy(self):
-        """One adaptive flush policy for a freshly provisioned shard."""
-        if self.config.adaptive is None:
-            return None
-        dk = self.darknight
-        return build_policies(
-            1,
-            dk.virtual_batch_size if self.config.coalesce else 1,
-            self.config.max_batch_wait,
-            self.config.adaptive,
-            network=self.network,
-            epc_budget_bytes=dk.epc_budget_bytes or EPC_USABLE_BYTES,
-            collusion_tolerance=dk.collusion_tolerance,
-            extra_shares=dk.extra_shares,
-            pipeline_depth=dk.pipeline_depth,
-            slo=self.config.slo,
-        )[0]
-
-    def provision_shard(self, now: float = 0.0) -> int:
-        """Scale out: bring one new enclave shard into the live deployment.
-
-        The join is end to end: provision the trusted stack, attest it
-        incrementally against the live mesh members, insert its virtual
-        nodes into the consistent-hash ring (bounded tenant re-pinning),
-        migrate the re-pinned tenants' attested sessions over the mesh,
-        re-home their already-queued requests, and open its audit log
-        when the trail is on.  Logits are unaffected by construction:
-        per-sample normalization makes every response independent of
-        which shard (and which co-batch) served it.
-        """
-        if self.partition.layered:
-            raise ConfigurationError(
-                "dynamic shard membership requires partition='replicated';"
-                " a layered deployment's stage pipelines are fixed at"
-                " construction"
-            )
-        shard_id = len(self.shards)
+    def _provision(
+        self,
+        shard_id: int,
+        now: float = 0.0,
+        cluster: GpuCluster | None = None,
+        enclave: Enclave | None = None,
+    ) -> EnclaveShard:
+        """Stand up one physical shard's trusted stack for this deployment."""
         shard = EnclaveShard.provision(
             shard_id,
             self.network,
             self.darknight,
             code_identity=self.config.code_identity,
             stage_costs=self.config.stage_costs,
+            cluster=cluster,
+            enclave=enclave,
             link=self.link,
         )
         shard.provisioned_at = now
-        self.shards.append(shard)
-        self.mesh.extend(shard)
-        max_migrations = (
-            self.autoscale_config.max_session_migrations
-            if self.autoscale_config is not None
-            else None
-        )
-        ring_id, remap = self.router.add_shard(max_migrations=max_migrations)
-        if ring_id != shard_id:
-            raise ShardError(
-                f"router shard id {ring_id} out of sync with deployment"
-                f" shard id {shard_id}"
+        return shard
+
+    def _add_unit(
+        self, unit_id: int, shards: list[EnclaveShard], now: float = 0.0
+    ) -> ServingUnit:
+        """Put one routing unit into service around mesh-attested shards.
+
+        The only place per-unit serving state is built — at construction
+        and at scale-out alike: the executor (the shard itself, or a
+        :class:`PipelineGroup` chaining ``shards`` under layered
+        partitioning), its queue, its scheduler with its own flush
+        policy, and its session manager.  ``unit_id`` is the id the
+        router pins tenants to; the handshake randomness is drawn from
+        ``seed + unit_id``, so a deployment that grew to ``n`` units
+        handshakes identically to one constructed with ``n``.
+        """
+        dk = self.darknight
+        if self.partition.layered:
+            # Hop channels key against the *shard-level* mesh: every
+            # consecutive member pair was pairwise-attested before this.
+            executor = PipelineGroup(
+                unit_id,
+                shards,
+                self.stage_ranges,
+                self.mesh,
+                link=self.link,
+                seed=dk.seed if dk.seed is not None else 0,
+            )
+        else:
+            (executor,) = shards
+        batch_size = dk.virtual_batch_size if self.config.coalesce else 1
+        policy = None
+        if self.config.adaptive is not None:
+            slo = self.config.slo
+            policy = AdaptiveFlushPolicy(
+                batch_size,
+                self.config.max_batch_wait,
+                config=self.config.adaptive,
+                slot_bytes=self._slot_bytes,
+                epc_budget_bytes=dk.epc_budget_bytes or EPC_USABLE_BYTES,
+                collusion_tolerance=dk.collusion_tolerance,
+                extra_shares=dk.extra_shares,
+                pipeline_depth=dk.pipeline_depth,
+                # Tenants pin to units at runtime, so no unit may learn a
+                # wait the most demanding class could land on and violate.
+                budget_ceiling=slo.tightest_flush_budget() if slo is not None else None,
             )
         queue = RequestQueue(self.config.queue_capacity, slo=self.config.slo)
-        self.queues.append(queue)
-        self.scheduler.add_shard(queue, policy=self._new_policy())
-        self.sessions.extend(shard)
-        self.sessions.migrate(remap, now)
+        unit = ServingUnit(
+            executor=executor,
+            shards=shards,
+            queue=queue,
+            scheduler=VirtualBatchScheduler(
+                queue,
+                batch_size,
+                self.config.max_batch_wait,
+                slots=dk.virtual_batch_size,
+                shard_id=unit_id,
+                id_source=self._batch_ids,
+                policy=policy,
+            ),
+            sessions=SessionManager(
+                executor.enclave,
+                link=self.link,
+                expected_code_identity=self.config.code_identity,
+                rng=np.random.default_rng(
+                    None if dk.seed is None else dk.seed + unit_id
+                ),
+                shard_id=unit_id,
+            ),
+        )
+        self.units.append(unit)
+        for shard in shards:
+            self.autoscaler.note_provisioned(shard.shard_id, now)
+        return unit
+
+    def provision_shard(self, now: float = 0.0) -> int:
+        """Scale out: bring one new enclave shard into the live deployment.
+
+        The join is end to end: insert the new unit's virtual nodes into
+        the consistent-hash ring (bounded tenant re-pinning; the router
+        allocates the id), provision the trusted stack under that id,
+        attest it incrementally against the live mesh members, build its
+        serving unit, migrate the re-pinned tenants' attested sessions
+        over the mesh, re-home their already-queued requests, and open
+        its audit log when the trail is on.  Logits are unaffected by
+        construction: per-sample normalization makes every response
+        independent of which shard (and which co-batch) served it.
+        """
+        _require_replicated(self.partition)
+        asc = self.autoscale_config
+        unit_id, remap = self.router.add_shard(
+            max_migrations=asc.max_session_migrations if asc is not None else None
+        )
+        shard = self._provision(unit_id, now)
+        self.mesh.extend(shard)
+        unit = self._add_unit(unit_id, [shard], now)
+        try:
+            self.sessions.migrate(remap, now)
+        except AttestationError:
+            # Refused: a re-pinned tenant's old shard died before the
+            # newcomer could attest against it.  Its stale session is
+            # dropped below and the tenant re-attests at next contact.
+            pass
         # Already-admitted requests follow their tenant's new pin so the
         # new shard takes load immediately (and the old shard's queue
         # stops aging work it no longer owns).
         for tenant in remap:
-            for source in self.queues[:-1]:
-                moved = source.extract_tenant(tenant)
+            for source in self.units[:-1]:
+                source.sessions.drop(tenant)
+                moved = source.queue.extract_tenant(tenant)
                 if moved:
-                    queue.absorb(moved)
-        self.pool.join(shard)
+                    unit.queue.absorb(moved)
         if self.audit is not None:
-            self.audit.add_shard(shard_id)
+            self.audit.add_shard(unit_id)
             # The join is chain-visible: the new shard's service life
             # opens with a first-class membership entry on its own log.
             self.audit.record_membership(
                 "provision",
-                shard_id,
+                unit_id,
                 now,
-                details={"num_shards": len(self.shards)},
+                details={"num_shards": len(self.units)},
             )
-        self.autoscaler.note_provisioned(shard_id, now)
         self.metrics.record_scale(ACTION_SCALE_OUT)
         self._apply_epc_pool()
         self._invalidate_precompute()
-        return shard_id
+        return unit_id
 
     def decommission_shard(
         self, shard_id: int | None = None, now: float = 0.0
     ) -> int:
-        """Scale in, drain-before-kill: flush, migrate, then retire.
+        """Scale in: retire the least-loaded live shard (or ``shard_id``).
 
-        The victim (the least-loaded live shard unless ``shard_id`` names
-        one) first stops receiving new tenants (router drain), then its
-        queued windows flush through its own pipeline — audit-committed
-        when the trail is on — then its tenants re-place through the ring
-        and their attested sessions migrate over the still-verified mesh
-        links, and only then is the shard decommissioned.  A refused
-        migration (unverified link) degrades safely: the victim's
-        sessions are dropped and each tenant re-attests on its new shard
-        at next contact.  Raises :class:`~repro.errors.ShardError` when
-        removal would leave no serving shard.
+        Raises :class:`~repro.errors.ShardError` when the named shard is
+        not live or removal would leave no serving shard.
         """
-        live = self._live_shards()
+        _require_replicated(self.partition)
+        live = [u for u in self.units if u.executor.healthy]
+        if len(live) <= 1:
+            # Judged on the executors, not the router: a shard that died
+            # unnoticed still looks routable to the ring.
+            raise ShardError("cannot remove the last serving shard")
         if shard_id is None:
+            loads = self.router.loads()
             victim = min(
-                live,
-                key=lambda s: (
-                    self.queues[s.shard_id].depth,
-                    self.router.loads()[s.shard_id],
-                    -s.shard_id,
-                ),
+                live, key=lambda u: (u.queue.depth, loads[u.unit_id], -u.unit_id)
             )
         else:
-            matches = [s for s in live if s.shard_id == shard_id]
-            if not matches:
+            victim = next((u for u in live if u.unit_id == shard_id), None)
+            if victim is None:
                 raise ShardError(f"shard {shard_id} is not live; cannot drain")
-            victim = matches[0]
-        if self.partition.layered:
-            raise ConfigurationError(
-                "dynamic shard membership requires partition='replicated';"
-                " a layered deployment's stage pipelines are fixed at"
-                " construction"
-            )
-        vid = victim.shard_id
+        self._retire_unit(victim, now)
+        return victim.unit_id
+
+    def _retire_unit(self, unit: ServingUnit, now: float) -> None:
+        """Drain-before-kill: flush, migrate, then retire one unit.
+
+        The unit first stops receiving new tenants (router drain), then
+        its queued windows flush through its own pipeline —
+        audit-committed when the trail is on — then its tenants re-place
+        through the ring and their attested sessions migrate over the
+        still-verified mesh links, and only then is the shard
+        decommissioned.  A refused migration (unverified link) degrades
+        safely: the unit's sessions are dropped and each tenant
+        re-attests on its new shard at next contact.  The unit stays in
+        :attr:`units` — its state reads ``retired`` from here on, which
+        is all the scheduler, sessions and pool look at.
+        """
+        vid, victim = unit.unit_id, unit.executor
         self.router.begin_drain(vid)
         victim.begin_drain()
         if self.audit is not None:
@@ -868,22 +885,21 @@ class PrivateInferenceServer:
             self.audit.record_membership("drain", vid, now)
         # Flush the victim's pending windows through its own pipeline
         # (these commit to its audit chain like any other window).
-        self._run_batches(self.scheduler.shards[vid].drain(now))
+        self._run_batches(unit.scheduler.drain(now))
         if not victim.healthy:
             # Died mid-flush: the failover path already migrated its
             # sessions and re-pinned its tenants; nothing left to drain.
-            return vid
+            return
         remap = self.router.remove_shard(vid)
         try:
             self.sessions.migrate(remap, now)
         except AttestationError:
-            # Refused migration: sessions stay put until retire() drops
-            # them below; tenants re-attest lazily on their new shard.
+            # Refused migration: tenants re-attest lazily on their new
+            # shard; the sessions left behind are dropped just below.
             pass
-        self.sessions.retire(vid)
-        self.pool.retire(vid)
+        for tenant in unit.sessions.active_tenants:
+            unit.sessions.drop(tenant)
         self.mesh.retire(vid)
-        self.scheduler.retire_shard(vid)
         victim.decommission(now)
         if self.audit is not None:
             # The chain's final word on the shard: retired, with its
@@ -898,7 +914,6 @@ class PrivateInferenceServer:
         self.metrics.record_scale(ACTION_SCALE_IN)
         self._apply_epc_pool()
         self._invalidate_precompute()
-        return vid
 
     def _invalidate_precompute(self) -> None:
         """Drop every live shard's cached weight encodings.
@@ -911,10 +926,7 @@ class PrivateInferenceServer:
         advancing for pooled/inline bit-identity.
         """
         for shard in self._live_shards():
-            backend = getattr(shard, "backend", None)
-            invalidate = getattr(backend, "invalidate_precompute", None)
-            if callable(invalidate):
-                invalidate()
+            shard.backend.invalidate_precompute()
 
     def _precompute_report(self) -> dict | None:
         """Aggregate pool/weight-cache telemetry across live shards.
@@ -924,13 +936,11 @@ class PrivateInferenceServer:
         occupancy averages over shards that have registered streams.
         ``None`` when no live backend runs in precompute mode.
         """
-        snaps = []
-        for shard in self._live_shards():
-            backend = getattr(shard, "backend", None)
-            snap_fn = getattr(backend, "precompute_snapshot", None)
-            snap = snap_fn() if callable(snap_fn) else None
-            if snap is not None:
-                snaps.append(snap)
+        snaps = [
+            snap
+            for shard in self._live_shards()
+            if (snap := shard.backend.precompute_snapshot()) is not None
+        ]
         if not snaps:
             return None
         agg = {
@@ -953,8 +963,6 @@ class PrivateInferenceServer:
         agg["occupancy"] = (
             None if not occupancies else sum(occupancies) / len(occupancies)
         )
-        scratch = active_scratch()
-        agg["scratch"] = None if scratch is None else scratch.snapshot()
         return agg
 
     def _apply_epc_pool(self) -> None:
@@ -995,11 +1003,11 @@ class PrivateInferenceServer:
         """Run one control-loop evaluation and execute its decision."""
         if self.autoscale_config is None:
             return
-        live = self._live_shards()
+        live = [u for u in self.units if u.executor.healthy]
         if not live:
             return
-        depths = {s.shard_id: self.queues[s.shard_id].depth for s in live}
-        busy = {s.shard_id: s.busy_time for s in live}
+        depths = {u.unit_id: u.queue.depth for u in live}
+        busy = {u.unit_id: u.executor.busy_time for u in live}
         attainment = self.metrics.slo_attainment()
         action, reason = self.autoscaler.evaluate(
             now,
@@ -1047,7 +1055,8 @@ class PrivateInferenceServer:
             self._next_request_id += 1
             self.metrics.record_outcome(self._outcomes[-1])
             return
-        session = self.sessions.connect(event.tenant, now)
+        unit = self.units[shard_id]
+        session = unit.sessions.connect(event.tenant, now)
         x = np.asarray(event.x, dtype=np.float64)
         if self.config.encrypt_requests:
             x = session.decrypt_request(session.encrypt_request(x))
@@ -1080,7 +1089,7 @@ class PrivateInferenceServer:
                         f" {request.request_id} from {request.tenant!r}"
                     )
                 self._record_eviction(victim, request)
-            evicted = self.queues[shard_id].push(request)
+            evicted = unit.queue.push(request)
             if evicted is not None:
                 # Unreachable today: per-queue capacity equals the
                 # deployment bound, so a full shard queue implies the
@@ -1089,7 +1098,7 @@ class PrivateInferenceServer:
                 # stays correct if per-shard bounds ever shrink below
                 # the deployment capacity.
                 self._record_eviction(evicted, request)
-            self.scheduler.observe_arrival(shard_id, now)
+            unit.scheduler.observe_arrival(now)
         except BackpressureError as exc:
             kind = SHED_QUOTA if isinstance(exc, QuotaExceededError) else SHED_ADMISSION
             self.metrics.record_shed(event.tenant, kind=kind)
@@ -1116,12 +1125,12 @@ class PrivateInferenceServer:
         priority = self.config.slo.priority_for(request.tenant)
         best_queue = None
         best_key = None
-        for queue in self.queues:
-            candidate = queue.peek_eviction_candidate(priority)
+        for unit in self.units:
+            candidate = unit.queue.peek_eviction_candidate(priority)
             if candidate is None:
                 continue
             if best_key is None or candidate[0] < best_key:
-                best_key, best_queue = candidate[0], queue
+                best_key, best_queue = candidate[0], unit.queue
         if best_queue is None:
             return None
         return best_queue.evict_newest_below(priority)

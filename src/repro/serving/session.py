@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.comm import Envelope, LinkModel, SecureChannel
 from repro.enclave import Enclave, measure_enclave
-from repro.errors import AttestationError, ConfigurationError
+from repro.errors import AttestationError, ShardError
 from repro.runtime.client import DEFAULT_CODE_IDENTITY
 
 
@@ -138,98 +138,58 @@ class SessionManager:
 
 
 class ShardedSessionManager:
-    """Shard-scoped attested sessions with mesh-verified failover.
+    """Unit-scoped attested sessions with mesh-verified failover.
 
-    Each shard keeps its own :class:`SessionManager` — a session is a
-    keyed channel into *one* enclave, so it cannot outlive its shard.
+    Each serving unit keeps its own :class:`SessionManager` — a session
+    is a keyed channel into *one* enclave, so it cannot outlive its unit.
     ``connect`` routes through the :class:`~repro.sharding.ShardRouter`'s
-    pinning; when a shard dies, :meth:`fail_over` re-attests every
-    displaced tenant on its new shard — but only after the attestation
-    mesh confirms the dead and surviving shards had mutually verified
+    pinning; when a unit dies, :meth:`fail_over` re-attests every
+    displaced tenant on its new unit — but only after the attestation
+    mesh confirms the dead and surviving units had mutually verified
     each other at startup, so a session can never land on an enclave the
     deployment did not vouch for.
 
     Parameters
     ----------
-    shards:
-        The deployment's :class:`~repro.sharding.EnclaveShard` s.
+    units:
+        The deployment's :class:`~repro.serving.unit.ServingUnit` list
+        (``units[i].unit_id == i``), shared by reference with the server
+        that owns membership.
     router:
-        Pins tenants to shards (and re-pins them on failure).
+        Pins tenants to units (and re-pins them on failure).
     mesh:
         Established :class:`~repro.sharding.AttestationMesh` gating
         migrations.
-    link / expected_code_identity:
-        As for :class:`SessionManager`, shared across shards.
-    seed:
-        Base seed for per-shard handshake randomness (shard ``i`` draws
-        from ``seed + i``), keeping multi-shard runs deterministic.
     """
 
-    def __init__(
-        self,
-        shards,
-        router,
-        mesh,
-        link: LinkModel | None = None,
-        expected_code_identity: str | bytes = DEFAULT_CODE_IDENTITY,
-        seed: int | None = None,
-    ) -> None:
+    def __init__(self, units: list, router, mesh) -> None:
+        self.units = units
         self.router = router
         self.mesh = mesh
-        self.link = link or LinkModel()
-        self._expected_code_identity = expected_code_identity
-        self._seed = seed
-        self._managers = {
-            shard.shard_id: self._manager_for(shard) for shard in shards
-        }
         self.migrations = 0
 
-    def _manager_for(self, shard) -> SessionManager:
-        """One shard's session manager with its deterministic randomness."""
-        seed = None if self._seed is None else self._seed + shard.shard_id
-        return SessionManager(
-            shard.enclave,
-            link=self.link,
-            expected_code_identity=self._expected_code_identity,
-            rng=np.random.default_rng(seed),
-            shard_id=shard.shard_id,
-        )
+    def _live(self):
+        """Managers of every unit still in service (failed ones included)."""
+        return (u.sessions for u in self.units if not u.executor.retired)
 
     def connect(self, tenant: str, now: float = 0.0) -> ServingSession:
-        """The tenant's session on its pinned shard (handshake on first use)."""
-        return self._managers[self.router.shard_for(tenant)].connect(tenant, now)
-
-    # ------------------------------------------------------------------
-    # dynamic membership
-    # ------------------------------------------------------------------
-    def extend(self, shard) -> None:
-        """Start managing sessions for a newly provisioned shard.
-
-        The new manager draws its handshake randomness from
-        ``seed + shard_id`` exactly as a startup manager would, so a
-        deployment that grew to ``n`` shards handshakes identically to
-        one constructed with ``n`` shards.
-        """
-        if shard.shard_id in self._managers:
-            raise ConfigurationError(
-                f"shard {shard.shard_id} already has a session manager"
-            )
-        self._managers[shard.shard_id] = self._manager_for(shard)
+        """The tenant's session on its pinned unit (handshake on first use)."""
+        return self.units[self.router.shard_for(tenant)].sessions.connect(tenant, now)
 
     def migrate(self, moves: dict[str, int], now: float = 0.0) -> dict[str, int]:
-        """Move live sessions between live shards (scale-out/scale-in).
+        """Move live sessions between live units (scale-out/scale-in).
 
         Unlike :meth:`fail_over`, both ends of each move are alive, so the
         mesh gate is checked for every (source, target) pair *before* any
         session is dropped — a refused migration leaves every session
         exactly where it was, and the caller can abort the membership
         change.  Tenants in ``moves`` without a live session are skipped
-        (they will handshake on their new shard at next contact).
+        (they will handshake on their new unit at next contact).
         Returns the subset of ``moves`` actually migrated.
         """
         planned: list[tuple[str, int, int]] = []
         for tenant, target in moves.items():
-            for manager in self._managers.values():
+            for manager in self._live():
                 if tenant in manager.active_tenants:
                     if manager.shard_id != target:
                         planned.append((tenant, manager.shard_id, target))
@@ -238,28 +198,13 @@ class ShardedSessionManager:
             self.mesh.assert_verified(source, target)
         migrated: dict[str, int] = {}
         for tenant, source, target in planned:
-            self._managers[source].drop(tenant)
-            # A migrated session re-attests on its new shard: trust is per
-            # shard, never copied across the mesh.
-            self._managers[target].connect(tenant, now)
+            self.units[source].sessions.drop(tenant)
+            # A migrated session re-attests on its new unit: trust is per
+            # unit, never copied across the mesh.
+            self.units[target].sessions.connect(tenant, now)
             self.migrations += 1
             migrated[tenant] = target
         return migrated
-
-    def retire(self, shard_id: int) -> list[str]:
-        """Forget a retired shard's manager, dropping any leftover sessions.
-
-        Returns the tenants whose sessions were still open (normally
-        empty — :meth:`migrate` runs first on the drain path); they
-        re-handshake wherever the router pins them next.
-        """
-        manager = self._managers.pop(shard_id, None)
-        if manager is None:
-            return []
-        leftovers = manager.active_tenants
-        for tenant in leftovers:
-            manager.drop(tenant)
-        return leftovers
 
     def fail_over(self, failed_shard: int, now: float = 0.0) -> dict[str, int]:
         """Migrate every session off a dead shard, re-attesting each tenant.
@@ -270,6 +215,9 @@ class ShardedSessionManager:
 
         Raises
         ------
+        ShardError
+            When no shard is left to re-pin onto (total outage); the dead
+            shard's sessions are dropped, as below.
         AttestationError
             When the mesh never verified the link between the dead shard
             and a migration target.  The gate is atomic — checked for
@@ -282,15 +230,14 @@ class ShardedSessionManager:
             (``migrations`` counts only mesh-gated moves, not those
             from-scratch reconnects).
         """
-        dead = self._managers[failed_shard]
-        targets = {
-            tenant: self.router.shard_for(tenant) for tenant in dead.active_tenants
-        }
+        dead = self.units[failed_shard].sessions
+        displaced = dead.active_tenants
         try:
+            targets = {tenant: self.router.shard_for(tenant) for tenant in displaced}
             for target in sorted(set(targets.values())):
                 self.mesh.assert_verified(failed_shard, target)
-        except AttestationError:
-            for tenant in targets:
+        except (ShardError, AttestationError):
+            for tenant in displaced:
                 dead.drop(tenant)
             raise
         for tenant, target in targets.items():
@@ -298,7 +245,7 @@ class ShardedSessionManager:
             # A migrated session re-runs the full attestation + key
             # exchange against the surviving enclave: trust is per shard,
             # never copied across the mesh.
-            self._managers[target].connect(tenant, now)
+            self.units[target].sessions.connect(tenant, now)
             self.migrations += 1
         return targets
 
@@ -308,13 +255,13 @@ class ShardedSessionManager:
     @property
     def handshakes_performed(self) -> int:
         """Attestation handshakes across all shards (incl. migrations)."""
-        return sum(m.handshakes_performed for m in self._managers.values())
+        return sum(m.handshakes_performed for m in self._live())
 
     @property
     def active_tenants(self) -> list[str]:
         """Tenants with an established session on any shard."""
-        return [t for m in self._managers.values() for t in m.active_tenants]
+        return [t for m in self._live() for t in m.active_tenants]
 
     def sessions_by_shard(self) -> dict[int, list[str]]:
         """Tenants per shard (for observability and tests)."""
-        return {m.shard_id: m.active_tenants for m in self._managers.values()}
+        return {m.shard_id: m.active_tenants for m in self._live()}

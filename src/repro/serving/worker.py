@@ -32,13 +32,11 @@ import numpy as np
 from repro.audit.commitment import STATUS_RETRIED
 from repro.errors import (
     AttestationError,
-    ConfigurationError,
     DecodingError,
     IntegrityError,
     ShardError,
     ShardFailedError,
 )
-from repro.runtime.inference import PrivateInferenceEngine
 from repro.serving.adaptive import WindowFeedback
 from repro.serving.requests import (
     STATUS_DECODE_FAILED,
@@ -56,21 +54,15 @@ class InferenceWorkerPool:
 
     Parameters
     ----------
-    engine:
-        Single-shard convenience: the engine is wrapped in an implicit
-        shard 0 (the pre-sharding deployment shape).  Mutually exclusive
-        with ``shards``.
-    n_workers:
-        Kept for interface compatibility (must be >= 1); concurrency
-        comes from the per-shard pipelines, not worker lanes.
-    shards:
-        The deployment's :class:`~repro.sharding.EnclaveShard` s.
+    units:
+        The deployment's :class:`~repro.serving.unit.ServingUnit` list
+        (``units[i].unit_id == i``), shared by reference with the server
+        that owns membership; batches address units by id.
     router:
-        Re-pins tenants when a shard fails (required for failover when
-        more than one shard is configured).
+        Re-pins tenants when a unit fails.
     sessions:
         The :class:`~repro.serving.session.ShardedSessionManager` whose
-        sessions must migrate on shard failure.
+        sessions must migrate on unit failure (``None`` skips migration).
     on_feedback:
         Optional callback receiving one
         :class:`~repro.serving.adaptive.WindowFeedback` per successfully
@@ -97,30 +89,19 @@ class InferenceWorkerPool:
 
     def __init__(
         self,
-        engine: PrivateInferenceEngine | None = None,
-        n_workers: int = 1,
-        shards: list[EnclaveShard] | None = None,
-        router=None,
+        units: list,
+        router,
         sessions=None,
         on_feedback=None,
         slo=None,
         audit=None,
     ) -> None:
-        if n_workers < 1:
-            raise ConfigurationError(f"worker pool needs >= 1 workers, got {n_workers}")
-        if shards is None:
-            if engine is None:
-                raise ConfigurationError("worker pool needs an engine or shards")
-            shards = [EnclaveShard(0, engine)]
-        elif engine is not None:
-            raise ConfigurationError("pass either an engine or shards, not both")
-        self.shards = {shard.shard_id: shard for shard in shards}
+        self.units = units
         self.router = router
         self.sessions = sessions
         self.on_feedback = on_feedback
         self.slo = slo
         self.audit = audit
-        self._n_workers = n_workers
         self.batches_run = 0
         #: Enclave-occupied simulated seconds summed over all shards.
         self.busy_time = 0.0
@@ -136,42 +117,7 @@ class InferenceWorkerPool:
         #: Minimum observed per-batch service span (dispatch to finish)
         #: across successful windows; the shed decision's lower bound.
         self._service_floor = math.inf
-        self._failed_shards: set[int] = set()
-        self._retired_shards: dict[int, EnclaveShard] = {}
         self._stage_totals: dict[str, float] = {}
-
-    # ------------------------------------------------------------------
-    # dynamic membership
-    # ------------------------------------------------------------------
-    def join(self, shard: EnclaveShard) -> None:
-        """Add a newly provisioned (and mesh-attested) shard to the pool."""
-        if shard.shard_id in self.shards or shard.shard_id in self._retired_shards:
-            raise ConfigurationError(
-                f"shard {shard.shard_id} is already pooled"
-            )
-        self.shards[shard.shard_id] = shard
-
-    def retire(self, shard_id: int) -> EnclaveShard:
-        """Remove a drained shard from dispatch, keeping its stats visible.
-
-        The shard must exist; retired shards stay out of the failover
-        survivor count and receive no further windows, but
-        :meth:`worker_stats` still reports their lifetime totals.
-        """
-        if shard_id not in self.shards:
-            raise ConfigurationError(f"unknown pool shard id {shard_id}")
-        shard = self.shards.pop(shard_id)
-        self._retired_shards[shard_id] = shard
-        return shard
-
-    @property
-    def engine(self) -> PrivateInferenceEngine:
-        """Shard 0's engine (single-shard compatibility accessor)."""
-        return self.shards[min(self.shards)].engine
-
-    def dispatch(self, batch: ScheduledBatch) -> list[RequestOutcome]:
-        """Run one batch through its shard's pipeline; never raises."""
-        return self.dispatch_window([batch])
 
     def dispatch_window(self, batches: list[ScheduledBatch]) -> list[RequestOutcome]:
         """Dispatch a window of flushed batches to their shards' pipelines.
@@ -215,32 +161,18 @@ class InferenceWorkerPool:
         """
         if self.audit is None or not batches:
             return
-        unit = self.shards.get(shard_id) or self._retired_shards.get(shard_id)
-        members = getattr(unit, "members", None)
-        if members is None:
+        unit = self.units[shard_id]
+        fan_out = len(unit.shards) > 1 and any(
+            out is not None for out in outputs_by_batch
+        )
+        for shard in unit.shards:
+            outs = outputs_by_batch
+            if fan_out:
+                outs = unit.executor.sub_outputs(
+                    shard.shard_id, len(batches), outputs_by_batch
+                )
             self.audit.commit_window(
-                shard_id,
-                batches,
-                outputs_by_batch,
-                status=status,
-                aborted=aborted,
-                error=error,
-            )
-            return
-        has_outputs = any(out is not None for out in outputs_by_batch)
-        for member in members:
-            outs = (
-                unit.sub_outputs(member.shard_id, len(batches), outputs_by_batch)
-                if has_outputs
-                else outputs_by_batch
-            )
-            self.audit.commit_window(
-                member.shard_id,
-                batches,
-                outs,
-                status=status,
-                aborted=aborted,
-                error=error,
+                shard.shard_id, batches, outs, status=status, aborted=aborted, error=error
             )
 
     def _batch_deadline(self, batch: ScheduledBatch) -> float:
@@ -263,7 +195,7 @@ class InferenceWorkerPool:
     def _dispatch_on(
         self, shard_id: int, batches: list[ScheduledBatch]
     ) -> list[RequestOutcome]:
-        shard = self.shards[shard_id]
+        shard = self.units[shard_id].executor
         items = [
             (
                 np.stack([req.x for req in batch.requests]),
@@ -372,14 +304,13 @@ class InferenceWorkerPool:
         remaining = batches[exc.remaining_from :]
         now = remaining[0].flush_time if remaining else batches[-1].flush_time
         outage: Exception | None = None
-        if shard.shard_id not in self._failed_shards:
+        if not self.router.is_failed(shard.shard_id):
             # One enclave failure is one failover, even when the dead
-            # shard's leftover queued batches flush in later windows.
-            self._failed_shards.add(shard.shard_id)
+            # shard's leftover queued batches flush in later windows:
+            # the router forgets a unit exactly once.
             self.failovers += 1
             try:
-                if self.router is not None:
-                    self.router.fail_shard(shard.shard_id)
+                self.router.fail_shard(shard.shard_id)
                 if self.sessions is not None:
                     self.sessions.fail_over(shard.shard_id, now)
             except (ShardError, AttestationError) as migration_exc:
@@ -411,7 +342,7 @@ class InferenceWorkerPool:
                 )
                 if batch is None:
                     continue
-            survivors = sum(1 for s in self.shards.values() if s.healthy)
+            survivors = sum(1 for u in self.units if u.executor.healthy)
             if batch.retries > survivors:
                 # Cascade cap: a batch cannot meaningfully retry more
                 # times than there are *surviving* shards to die under it
@@ -428,7 +359,7 @@ class InferenceWorkerPool:
                 )
                 continue
             try:
-                regrouped = self._reroute(batch, shard.shard_id, fallback)
+                regrouped = self._reroute(batch, fallback)
             except ShardError as routing_exc:
                 terminal.append((batch, str(routing_exc)))
                 outcomes.extend(
@@ -508,7 +439,7 @@ class InferenceWorkerPool:
         return dataclasses.replace(batch, requests=alive), expired_batch, floor_shed
 
     def _reroute(
-        self, batch: ScheduledBatch, failed_shard: int, not_before: float
+        self, batch: ScheduledBatch, not_before: float
     ) -> list[ScheduledBatch]:
         """Split a failed batch by each tenant's *new* pin and re-target it.
 
@@ -524,9 +455,7 @@ class InferenceWorkerPool:
         """
         groups: dict[int, list] = {}
         for request in batch.requests:
-            groups.setdefault(self._retry_target(request.tenant, failed_shard), []).append(
-                request
-            )
+            groups.setdefault(self.router.shard_for(request.tenant), []).append(request)
 
         def _remaining_deadline(requests: list) -> float | None:
             # The retry inherits the survivors' remaining SLO budget as
@@ -553,19 +482,6 @@ class InferenceWorkerPool:
             )
             for target, requests in sorted(groups.items())
         ]
-
-    def _retry_target(self, tenant: str, failed_shard: int) -> int:
-        """The surviving shard one tenant's failed work retries on."""
-        if self.router is not None:
-            return self.router.shard_for(tenant)
-        survivors = [
-            s for s in sorted(self.shards) if s != failed_shard and self.shards[s].healthy
-        ]
-        if not survivors:
-            raise ShardError(
-                f"shard {failed_shard} failed and no healthy shard remains"
-            )
-        return survivors[0]
 
     # ------------------------------------------------------------------
     # accounting
@@ -619,40 +535,6 @@ class InferenceWorkerPool:
             )
         return outcomes
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def n_workers(self) -> int:
-        """Configured worker count (compatibility; see class docstring)."""
-        return self._n_workers
-
-    @property
-    def n_shards(self) -> int:
-        """Enclave shards behind this pool."""
-        return len(self.shards)
-
-    @property
-    def pipeline_depth(self) -> int:
-        """Virtual batches each shard's engine keeps in flight."""
-        return self.engine.pipeline_depth
-
     def stage_totals(self) -> dict[str, float]:
         """Cumulative simulated seconds per stage across all shards."""
         return dict(self._stage_totals)
-
-    def worker_stats(self) -> list[dict]:
-        """Per-shard pipeline stats (active and retired shards alike)."""
-        rows = dict(self.shards)
-        rows.update(self._retired_shards)
-        return [
-            {
-                "worker_id": shard_id,
-                "shard_id": shard_id,
-                "healthy": shard.healthy,
-                "state": shard.state,
-                "batches_run": shard.batches_run,
-                "busy_time": shard.busy_time,
-            }
-            for shard_id, shard in sorted(rows.items())
-        ]

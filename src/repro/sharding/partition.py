@@ -370,11 +370,7 @@ class PipelineGroup:
         # stale; drop them before the first window (mask pools keep
         # their counters — bit-identity needs the draw order intact).
         for member in self.members:
-            invalidate = getattr(
-                getattr(member, "backend", None), "invalidate_precompute", None
-            )
-            if callable(invalidate):
-                invalidate()
+            member.backend.invalidate_precompute()
         # Key one verified channel per hop; the mesh gates every pair.
         self._hops: list[tuple[SecureChannel, SecureChannel]] = []
         for a, b in zip(self.members, self.members[1:]):
@@ -388,6 +384,9 @@ class PipelineGroup:
             self._hops.append((tx, rx))
 
     # -- EnclaveShard duck-type surface ---------------------------------
+    #: Layered membership is fixed at construction: a group never retires.
+    retired = False
+
     @property
     def enclave(self):
         """The entry member's trust anchor (session handshakes)."""

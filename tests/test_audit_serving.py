@@ -137,6 +137,8 @@ def test_shared_window_abort_leaves_a_retried_marker_then_terminal_leaves():
     from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
     from repro.audit import AuditTrail
+    from repro.sharding import EnclaveShard, ShardRouter
+    from serving_units import make_units
 
     class _TransientTamper:
         def __init__(self, field, fail_calls=1):
@@ -157,7 +159,9 @@ def test_shared_window_abort_leaves_a_retried_marker_then_terminal_leaves():
     )
     engine = PrivateInferenceEngine(net, backend=DarKnightBackend(dk, cluster=cluster))
     trail = AuditTrail(AuditConfig(), darknight=dk, num_shards=1)
-    pool = InferenceWorkerPool(engine, audit=trail)
+    pool = InferenceWorkerPool(
+        make_units([EnclaveShard(0, engine)]), ShardRouter(1), audit=trail
+    )
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(

@@ -366,25 +366,49 @@ def test_serve_config_rejects_unknown_preset_and_bad_file(tmp_path, capsys):
     assert "unknown serving config keys" in capsys.readouterr().err
 
 
-def test_serve_superseded_flags_warn_but_still_override(capsys):
-    with pytest.warns(DeprecationWarning, match="--virtual-batch"):
-        rc = main(
-            [
-                "serve",
-                "--config", "throughput",
-                "--virtual-batch", "2",
-                "--requests", "8",
-                "--seed", "0",
-            ]
-        )
+def test_serve_flags_override_the_config_they_are_given_with(capsys, recwarn):
+    rc = main(
+        [
+            "serve",
+            "--config", "throughput",
+            "--virtual-batch", "2",
+            "--requests", "8",
+            "--seed", "0",
+        ]
+    )
     assert rc == 0
-    assert "coalesced K=2" in capsys.readouterr().out  # flag beat the preset
+    out = capsys.readouterr().out
+    assert "coalesced K=2" in out  # the flag beat the preset's K=8 ...
+    assert "pipeline depth 2" in out  # ... and only the field it names
+    assert not recwarn.list  # a plain override, nothing deprecated about it
 
 
-def test_serve_workers_flag_is_deprecated(capsys):
-    with pytest.warns(DeprecationWarning, match="--workers"):
-        rc = main(["serve", "--requests", "8", "--workers", "3", "--seed", "0"])
+def test_serve_flags_not_given_leave_a_config_file_alone(tmp_path, capsys):
+    import json
+
+    from repro.runtime import DarKnightConfig
+    from repro.serving import ServingConfig
+
+    cfg = ServingConfig(
+        darknight=DarKnightConfig(virtual_batch_size=2, integrity=True, num_shards=2),
+        coalesce=False,
+        queue_capacity=32,
+    )
+    path = tmp_path / "serving.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    rc = main(["serve", "--config", str(path), "--requests", "8", "--num-shards", "1"])
     assert rc == 0
+    out = capsys.readouterr().out
+    # Every line of the file survives except the one field a flag named.
+    assert "per-request, integrity=on" in out
+    assert "1 shard(s)" in out
+    assert "completed requests  | 8" in out
+    # A file written before n_workers was dropped is refused like any typo.
+    path.write_text(json.dumps({**cfg.to_dict(), "n_workers": 2}))
+    assert main(["serve", "--config", str(path), "--requests", "8"]) == 2
+    assert "unknown serving config keys ['n_workers']" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["serve", "--requests", "8", "--workers", "3"])
 
 
 def test_serve_autoscale_smoke(capsys):

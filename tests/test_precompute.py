@@ -18,7 +18,13 @@ import pytest
 
 from repro.fieldmath import PrimeField
 from repro.nn import Dense, ReLU, Sequential
-from repro.precompute import MaskStreamPool, ScratchPool, enable_scratch
+from repro.precompute import (
+    MaskStreamPool,
+    ScratchPool,
+    active_scratch,
+    enable_scratch,
+    scratch_scope,
+)
 from repro.runtime import DarKnightConfig
 from repro.serving import PrivateInferenceServer, ServingConfig, synthetic_trace
 from repro.serving.requests import PendingRequest, ScheduledBatch
@@ -177,6 +183,51 @@ def test_scratch_path_is_value_transparent_for_encode_decode():
             enable_scratch(previous)
     assert np.array_equal(plain, pooled)
     assert np.array_equal(plain, again)
+
+
+def test_precompute_work_borrows_the_scratch_pool_and_gives_it_back():
+    """Regression: ``DarKnightBackend(precompute=True)`` used to flip the
+    process-global scratch switch on in ``__init__`` and nothing ever
+    flipped it back, so one precompute server moved every later backend
+    in the process onto the pool."""
+    from repro.runtime.darknight import DarKnightBackend
+
+    assert active_scratch() is None
+    DarKnightBackend(DarKnightConfig(precompute=True, seed=0))  # built, dropped
+    assert active_scratch() is None
+    trace = synthetic_trace(12, (16,), n_tenants=2, seed=2)
+    _, report = _serve(True, trace)
+    assert len(report.completed) == 12
+    assert active_scratch() is None  # ... and a served trace leaves no mark
+
+
+def test_scratch_scope_is_on_for_the_window_and_keeps_its_buffers(monkeypatch):
+    seen = []
+    real_get = ScratchPool.get
+
+    def spy(self, tag, shape, dtype):
+        seen.append(active_scratch() is self)
+        return real_get(self, tag, shape, dtype)
+
+    monkeypatch.setattr(ScratchPool, "get", spy)
+    trace = synthetic_trace(12, (16,), n_tenants=2, seed=2)
+    _serve(False, trace)
+    assert not seen  # a plain server never touches the pool
+    _serve(True, trace)
+    assert seen and all(seen)  # a precompute window runs on it throughout
+    # Scopes nest, restore what they found, and never drop pooled buffers:
+    # the next window reuses what this one allocated.
+    with scratch_scope(True):
+        pool = active_scratch()
+        buf = pool.get("t", (2,), np.int64)
+        with scratch_scope(False):
+            assert active_scratch() is pool
+        with pytest.raises(RuntimeError), scratch_scope(True):
+            raise RuntimeError("work failed mid-window")
+        assert active_scratch() is pool
+    assert active_scratch() is None
+    with scratch_scope(True):
+        assert active_scratch().get("t", (2,), np.int64) is buf
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +399,7 @@ def test_failover_retry_inherits_remaining_slo_budget():
         slots=4,
         shard_id=0,
     )
-    retries = server.pool._reroute(batch, failed_shard=0, not_before=0.030)
+    retries = server.pool._reroute(batch, not_before=0.030)
     assert retries  # at least one survivor batch
     for retry in retries:
         expected = min(
@@ -381,7 +432,7 @@ def test_reroute_without_slo_leaves_deadline_unset():
     batch = ScheduledBatch(
         batch_id=1, requests=[_pending(0, "t0", 0.0)], shard_id=0
     )
-    (retry,) = server.pool._reroute(batch, failed_shard=0, not_before=0.01)
+    (retry,) = server.pool._reroute(batch, not_before=0.01)
     assert retry.deadline is None
 
 

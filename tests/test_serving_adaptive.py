@@ -301,14 +301,6 @@ def test_scheduler_caps_batch_size_at_the_epc_fit():
     assert [b.n_requests for b in batches] == [2, 2, 2]
 
 
-def test_sharded_scheduler_rejects_mismatched_policies():
-    from repro.serving import ShardedBatchScheduler
-
-    queues = [RequestQueue(16), RequestQueue(16)]
-    with pytest.raises(ConfigurationError):
-        ShardedBatchScheduler(queues, 4, policies=[_policy()])
-
-
 def test_server_threads_feedback_into_per_shard_policies():
     """End to end: policies learn arrivals *and* measured window timings,
     shards independently."""

@@ -14,8 +14,13 @@ Covers the load-bearing properties of the elastic serving stack:
   membership changes that never cross the configured min/max.
 """
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ShardError
 from repro.nn import Dense, PlainBackend, ReLU, Sequential
@@ -256,8 +261,11 @@ def test_provision_shard_joins_every_subsystem():
     assert new_id == 2
     assert len(server.shards) == 3
     assert server.router.n_shards == 3
-    assert len(server.scheduler.shards) == 3
-    assert new_id in server.pool.shards
+    # One collection, shared by reference: every collaborator sees it.
+    assert [u.unit_id for u in server.units] == [0, 1, 2]
+    assert server.scheduler.units is server.units
+    assert server.pool.units is server.units
+    assert server.sessions.units is server.units
     assert new_id in server.sessions.sessions_by_shard()
     assert server.autoscaler.live_shards() == [0, 1, 2]
 
@@ -290,8 +298,8 @@ def test_decommission_mid_flush_completes_queued_work_and_commits_audit():
     events = synthetic_trace(16, (16,), n_tenants=6, mean_interarrival=1e-4, seed=9)
     for e in events:
         server._admit(e, e.time)
-    victim = max(range(2), key=lambda sid: server.queues[sid].depth)
-    queued = server.queues[victim].depth
+    victim = max(range(2), key=lambda sid: server.units[sid].queue.depth)
+    queued = server.units[victim].queue.depth
     assert queued > 0
     windows_before = server.audit.windows_committed
 
@@ -300,13 +308,14 @@ def test_decommission_mid_flush_completes_queued_work_and_commits_audit():
     assert vid == victim
     assert server.shards[victim].retired
     assert server.router.is_retired(victim)
-    assert server.queues[victim].depth == 0
+    assert server.units[victim].queue.depth == 0
+    assert server.units[victim].state == "retired"
     # Every request queued on the victim completed through the drain
     # flush; the survivor's own queue is untouched.
     completed = [o for o in server._outcomes if o.ok]
     assert len(completed) == queued
     survivor = 1 - victim
-    assert server.queues[survivor].depth == 16 - queued
+    assert server.units[survivor].queue.depth == 16 - queued
     assert server.audit.windows_committed > windows_before
     # The retired shard's chain head stays published.
     assert victim in server.audit.chain_roots()
@@ -445,10 +454,147 @@ def test_epc_pool_resizing_shrinks_k_without_changing_logits():
             min_shards=1, max_shards=2, epc_pool_bytes=1024
         ),
     )
-    cap = pooled.scheduler.shards[0].batch_cap
+    cap = pooled.units[0].scheduler.batch_cap
     assert cap is not None and cap < 4  # the shared pool binds K
     report = pooled.serve_trace(trace)
     assert all(o.ok for o in report.outcomes)
     static_logits = {o.request_id: o.logits for o in static.completed}
     for o in report.completed:
         assert np.array_equal(o.logits, static_logits[o.request_id])
+
+
+# ----------------------------------------------------------------------
+# membership schedules: one collection, one consistent view
+# ----------------------------------------------------------------------
+_MEMBERSHIP_TRACE = synthetic_trace(
+    24, (16,), n_tenants=6, mean_interarrival=1e-4, seed=21
+)
+
+
+@functools.cache
+def _static_logits():
+    report = _server(num_shards=1).serve_trace(_MEMBERSHIP_TRACE)
+    return {o.request_id: o.logits for o in report.completed}
+
+
+def _assert_one_membership_view(server):
+    """Every collaborator reads the same units, and agrees who is gone."""
+    units = server.units
+    assert server.scheduler.units is units
+    assert server.sessions.units is units
+    assert server.pool.units is units
+    ids = list(range(len(units)))
+    assert [u.unit_id for u in units] == ids
+    assert [s.shard_id for s in server.shards] == ids
+    assert server.router.n_shards == len(units)
+    assert sorted(server.audit.logs) == ids
+    assert len(server.scheduler.policy_snapshots()) == len(units)
+    retired = {u.unit_id for u in units if u.state == "retired"}
+    in_service = set(ids) - retired
+    assert {i for i in ids if server.router.is_retired(i)} == retired
+    by_unit = server.sessions.sessions_by_shard()
+    assert set(by_unit) == in_service
+    placed = [tenant for tenants in by_unit.values() for tenant in tenants]
+    assert len(placed) == len(set(placed))  # nobody holds two sessions
+    assert set(server.autoscaler.live_shards()) == in_service
+    assert {
+        sid
+        for sid, log in server.audit.logs.items()
+        if any(e["meta"]["status"] == "membership:retire" for e in log.entries)
+    } == retired
+    # The router only ever drops a unit the executor already reports gone,
+    # and never routes to a retired one.
+    serving = set(server.router.healthy_shards())
+    assert serving <= in_service
+    assert {u.unit_id for u in units if u.executor.healthy} <= serving
+    assert set(server.router.pins().values()) <= serving
+    assert all(u.queue.depth == 0 for u in units if u.unit_id in retired)
+
+
+def _run_membership_schedule(steps):
+    """Interleave arrivals with provision / decommission / kill steps."""
+    from repro.serving import AuditConfig
+
+    server = _server(num_shards=1, audit=AuditConfig())
+    arrivals = iter(sorted(_MEMBERSHIP_TRACE, key=lambda r: r.time))
+    now = 0.0
+
+    def admit(event):
+        # One turn of serve_trace's loop body.
+        nonlocal now
+        now = max(now, event.time)
+        server._run_batches(server.scheduler.collect_expired(now))
+        server._admit(event, now)
+        server._run_batches(server.scheduler.collect_ready(now))
+
+    for n_arrivals, action, pick in steps:
+        for event in itertools.islice(arrivals, n_arrivals):
+            admit(event)
+        if action == "provision" and len(server.units) < 5:
+            server.provision_shard(now)
+        elif action == "decommission":
+            try:
+                server.decommission_shard(now=now)
+            except ShardError:
+                pass  # the last serving shard refuses to leave
+        elif action == "kill":
+            live = [s for s in server.shards if s.healthy]
+            if live:  # the last one too: a total outage is a legal schedule
+                live[pick % len(live)].kill()
+        _assert_one_membership_view(server)
+    for event in arrivals:
+        admit(event)
+    server._run_batches(server.scheduler.collect_expired(float("inf")))
+    _assert_one_membership_view(server)
+    return server, server.report()
+
+
+def _assert_contract(server, report, static):
+    # Exactly one terminal outcome per admitted request id.
+    ids = [o.request_id for o in report.outcomes]
+    assert sorted(ids) == list(range(len(_MEMBERSHIP_TRACE)))
+    for o in report.completed:
+        assert np.array_equal(o.logits, static[o.request_id])
+    for shard in server.shards:
+        shard.backend.assert_encodings_released()
+    assert server.audit.verify() == server.audit.windows_committed
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from(["none", "provision", "decommission", "kill"]),
+        st.integers(0, 7),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=_STEPS)
+def test_property_membership_schedules_keep_one_consistent_deployment(steps):
+    server, report = _run_membership_schedule(steps)
+    _assert_contract(server, report, _static_logits())
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        # Scale-out while a peer lies dead unnoticed: the newcomer never
+        # attested against it, so migrating its re-pinned tenants is
+        # refused — provision_shard used to crash half-joined on that.
+        [(0, "provision", 0), (0, "kill", 1), (2, "provision", 0)],
+        # Scale-in judged by the router's stale view retired the only
+        # shard still alive; the next one then hit min() of nothing.
+        [(0, "provision", 0), (0, "kill", 0), (0, "decommission", 0),
+         (0, "decommission", 0)],
+        # Total outage: fail_over found nowhere to re-pin and left the
+        # dead shard's sessions behind, so recovery doubled them up.
+        [(0, "kill", 0), (4, "provision", 0)],
+    ],
+    ids=["scale-out-past-dead-peer", "scale-in-to-nothing", "outage-then-recover"],
+)
+def test_membership_schedules_the_property_test_shrank(steps):
+    server, report = _run_membership_schedule(steps)
+    _assert_contract(server, report, _static_logits())

@@ -100,9 +100,11 @@ def test_layered_builds_groups_as_routing_units():
         6,
         "layered:3",
     )
-    assert server.groups is not None and len(server.groups) == 2
-    assert len(server.shards) == 6
-    assert {m.shard_id for g in server.groups for m in g.members} == set(range(6))
+    assert len(server.units) == 2
+    assert [s.shard_id for s in server.shards] == list(range(6))
+    assert [[m.shard_id for m in u.executor.members] for u in server.units] == [
+        [0, 1, 2], [3, 4, 5]
+    ]
     assert len(report.completed) == 8
     assert "partition layered:3" in report.render()
 
@@ -130,8 +132,8 @@ def test_member_death_fails_over_the_whole_group_bit_identically():
     for o in report.completed:
         assert np.array_equal(o.logits, baseline[o.request_id])
     # The failed unit is group 0; group 1's members are untouched.
-    assert not server.groups[0].healthy
-    assert server.groups[1].healthy
+    assert server.units[0].state == "failed"
+    assert server.units[1].state == "active"
 
 
 # ----------------------------------------------------------------------

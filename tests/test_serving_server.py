@@ -105,7 +105,7 @@ def test_sustained_overload_sheds_instead_of_growing_latency():
         for i in range(n)
     ]
     server = PrivateInferenceServer(
-        net, _config(queue_capacity=16, max_batch_wait=0.01, n_workers=1)
+        net, _config(queue_capacity=16, max_batch_wait=0.01)
     )
     report = server.serve_trace(trace)
     # Offered load far exceeds one worker's service rate: the bounded
@@ -153,7 +153,7 @@ def test_serving_reuses_cached_coefficients():
     trace = synthetic_trace(32, (16,), n_tenants=2, seed=7)
     server = PrivateInferenceServer(net, _config())
     server.serve_trace(trace)
-    ledger = server.enclave.ledger
+    ledger = server.shards[0].enclave.ledger
     # Two Dense layers x 8 batches = 16 encodes, but only one generation.
     assert ledger.op_counts.get("generate_coefficients", 0) == 1
     assert ledger.op_counts.get("reuse_coefficients", 0) >= 15
@@ -167,7 +167,7 @@ def test_fresh_coefficients_escape_hatch_disables_the_cache():
         net, _config(darknight=dk, reuse_coefficients=False)
     )
     server.serve_trace(trace)
-    ledger = server.enclave.ledger
+    ledger = server.shards[0].enclave.ledger
     assert ledger.op_counts.get("generate_coefficients", 0) > 1
     assert ledger.op_counts.get("reuse_coefficients", 0) == 0
 
@@ -208,6 +208,8 @@ def test_window_abort_retries_batches_individually():
     from repro.runtime.darknight import DarKnightBackend
     from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
+    from repro.sharding import EnclaveShard, ShardRouter
+    from serving_units import make_units
 
     net = _tiny_net()
     dk = DarKnightConfig(
@@ -220,7 +222,7 @@ def test_window_abort_retries_batches_individually():
     engine = PrivateInferenceEngine(
         net, backend=DarKnightBackend(dk, cluster=cluster)
     )
-    pool = InferenceWorkerPool(engine)
+    pool = InferenceWorkerPool(make_units([EnclaveShard(0, engine)]), ShardRouter(1))
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -259,6 +261,8 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     from repro.runtime.darknight import DarKnightBackend
     from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
+    from repro.sharding import EnclaveShard, ShardRouter
+    from serving_units import make_units
 
     net = _tiny_net()
     dk = DarKnightConfig(
@@ -271,7 +275,7 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     engine = PrivateInferenceEngine(
         net, backend=DarKnightBackend(dk, cluster=cluster)
     )
-    pool = InferenceWorkerPool(engine)
+    pool = InferenceWorkerPool(make_units([EnclaveShard(0, engine)]), ShardRouter(1))
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -294,7 +298,7 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     ]
     outcomes = pool.dispatch_window(batches)
     assert all(o.ok for o in outcomes)
-    shard = pool.shards[0]
+    shard = pool.units[0].executor
     # Everything the enclave timeline was ever occupied with — the
     # aborted shared window plus the isolating re-runs — is accounted.
     assert pool.busy_time == pytest.approx(shard.engine.timeline.busy_time)
@@ -362,7 +366,7 @@ def test_premium_arrival_evicts_best_effort_backlog_end_to_end():
     premium = [o for o in report.completed if o.tenant == "tenant0"]
     assert len(premium) == 1
     assert len(report.completed) == 4
-    assert sum(q.evicted_count for q in server.queues) == 1
+    assert sum(u.queue.evicted_count for u in server.units) == 1
 
 
 def test_all_default_slo_policy_is_bit_identical_to_no_policy():

@@ -19,6 +19,8 @@ from repro.errors import ConfigurationError
 from repro.nn import Dense, PlainBackend, ReLU, Sequential
 from repro.runtime import DarKnightConfig
 from repro.serving import PrivateInferenceServer, ServingConfig, synthetic_trace
+from repro.sharding import ShardRouter
+from serving_units import make_units
 
 
 def _tiny_net(seed=0):
@@ -183,14 +185,15 @@ def test_failed_batch_splits_across_tenants_new_shards():
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
     mesh = AttestationMesh(shards).establish()
     router = ShardRouter(3, rebalance_margin=1)
-    sessions = ShardedSessionManager(shards, router=router, mesh=mesh, seed=0)
+    units = make_units(shards)
+    sessions = ShardedSessionManager(units, router, mesh)
     tenants = ["alice", "bob", "carol"]
     # White-box: pin all three tenants (and their sessions) to shard 0.
     router._pins = {t: 0 for t in tenants}
     router._load = [3, 0, 0]
     for t in tenants:
         sessions.connect(t)
-    pool = InferenceWorkerPool(shards=shards, router=router, sessions=sessions)
+    pool = InferenceWorkerPool(units, router, sessions=sessions)
 
     shards[0].kill()
     rng = np.random.default_rng(1)
@@ -283,7 +286,7 @@ def test_retries_release_after_the_failure_frontier():
 
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(shards=shards)
+    pool = InferenceWorkerPool(make_units(shards), ShardRouter(2))
     shards[0].fail_after(1)
     rng = np.random.default_rng(2)
     batches = [
@@ -343,9 +346,11 @@ def test_retry_cap_counts_surviving_shards_only():
 
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
-    pool = InferenceWorkerPool(shards=shards)
+    router = ShardRouter(3)
+    pool = InferenceWorkerPool(make_units(shards), router)
     shards[0].kill()
     shards[1].kill()
+    router.fail_shard(1)  # an earlier failover already took shard 1 out
 
     # retries already exceed the single survivor: capped, not bounced.
     (capped,) = pool.dispatch_window([_batch(retries=2)])
@@ -419,7 +424,7 @@ def test_budget_exhausted_retries_are_skipped_not_bounced():
     )
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(shards=shards, slo=slo)
+    pool = InferenceWorkerPool(make_units(shards), ShardRouter(2), slo=slo)
     shards[0].fail_after(1)
     rng = np.random.default_rng(4)
 
@@ -465,7 +470,7 @@ def test_infinite_budgets_never_skip_retries():
 
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(shards=shards)
+    pool = InferenceWorkerPool(make_units(shards), ShardRouter(2))
     shards[0].fail_after(1)
     rng = np.random.default_rng(5)
     batches = [
@@ -534,7 +539,7 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
     # Probe run on identical shards: measure the failure frontier and the
     # per-batch service floor the real pool will have observed.
     probe_shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    probe = InferenceWorkerPool(shards=probe_shards)
+    probe = InferenceWorkerPool(make_units(probe_shards), ShardRouter(2))
     probe_shards[0].fail_after(1)
     assert all(o.ok for o in probe.dispatch_window(_batches()))
     floor = probe.service_floor
@@ -550,7 +555,7 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
         assignments={"hurried": "tight"},
     )
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(shards=shards, slo=slo)
+    pool = InferenceWorkerPool(make_units(shards), ShardRouter(2), slo=slo)
     assert pool.service_floor == math.inf  # nothing observed yet
     shards[0].fail_after(1)
     outcomes = pool.dispatch_window(_batches())

@@ -1,6 +1,8 @@
 """Tests for per-tenant SLO classes across the whole request path."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.serving import (
     PendingRequest,
     RequestQueue,
     ServerMetrics,
+    ServingUnit,
     SloClass,
     SloPolicy,
     VirtualBatchScheduler,
@@ -204,7 +207,21 @@ def test_sharded_mixed_deadline_drain_interleaves_in_deadline_order():
     times) — asserted nowhere before this test."""
     slo = _policy()
     queues = [RequestQueue(16, slo=slo), RequestQueue(16, slo=slo)]
-    sched = ShardedBatchScheduler(queues, batch_size=1, max_wait=0.010)
+    ids = itertools.count()
+    sched = ShardedBatchScheduler(
+        [
+            ServingUnit(
+                executor=SimpleNamespace(shard_id=i, retired=False),
+                shards=[],
+                queue=queue,
+                scheduler=VirtualBatchScheduler(
+                    queue, batch_size=1, max_wait=0.010, shard_id=i, id_source=ids
+                ),
+                sessions=None,
+            )
+            for i, queue in enumerate(queues)
+        ]
+    )
     # Shard 0: default-class requests -> deadlines 0.010 and 0.014.
     queues[0].push(_req(0, tenant="s0a", t=0.000))
     queues[0].push(_req(1, tenant="s0b", t=0.004))
