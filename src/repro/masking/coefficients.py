@@ -21,11 +21,19 @@ where the property holds *by construction*.
 
 The enclave keeps ``A`` and ``Gamma`` secret; ``B`` is public (the paper:
 "we do not need to protect matrix B in the enclave").
+
+Everything derived from a share subset ``J`` — whether it decodes, its
+decode matrix ``A_J⁻¹``, the ``B`` it supports — is read off one memoized
+Gauss–Jordan inverse per subset, and the set caches its *verification
+plan* (:attr:`CoefficientSet.verification_plan`): the primary subset plus
+the alternates covering the redundant shares, which is all integrity
+detection decodes from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -37,7 +45,6 @@ from repro.fieldmath import (
     all_column_subsets_full_rank,
     field_matmul,
     inverse,
-    is_invertible,
 )
 
 
@@ -131,9 +138,13 @@ class CoefficientSet:
             a2 = rng.mds_matrix(m, n_shares) if mds_noise else rng.uniform((m, n_shares))
             a = np.vstack([a1, a2])
             # The primary decode uses the first s shares; resample until that
-            # submatrix is invertible (failure probability ~ s/p per draw).
-            if is_invertible(field, a[:, :s]):
-                break
+            # submatrix inverts (failure probability ~ s/p per draw).  The
+            # inverse is kept: it is the decode matrix and B's source.
+            try:
+                primary_inverse = inverse(field, a[:, :s])
+            except SingularMatrixError:
+                continue
+            break
         else:  # pragma: no cover - probability ~ (s/p)^64
             raise EncodingError("failed to sample an invertible encoding submatrix")
 
@@ -142,41 +153,33 @@ class CoefficientSet:
 
         gamma = rng.nonzero((n_shares,))
         primary = tuple(range(s))
-        b = cls._solve_b(field, a, gamma, k, m, primary)
-        return cls(field=field, k=k, m=m, a=a, gamma=gamma, b=b, primary_subset=primary)
+        b = cls._solve_b(field, primary_inverse, gamma, k, primary)
+        coeffs = cls(field=field, k=k, m=m, a=a, gamma=gamma, b=b, primary_subset=primary)
+        coeffs.__dict__["_decode_cache"] = {primary: primary_inverse}
+        return coeffs
 
     @staticmethod
     def _solve_b(
         field: PrimeField,
-        a: np.ndarray,
+        subset_inverse: np.ndarray,
         gamma: np.ndarray,
         k: int,
-        m: int,
         subset: tuple[int, ...],
     ) -> np.ndarray:
         """Solve ``Bᵀ·Γ·Aᵀ = [I | 0]`` with support restricted to ``subset``.
 
-        For the share indices in ``subset`` (``|subset| = k + m``, ``A``
-        columns invertible) we need
-        ``B_Jᵀ · Γ_J · A_Jᵀ = [I | 0]``, i.e.
-        ``B_Jᵀ = [I | 0] · (Γ_J · A_Jᵀ)^{-1}``.  Shares outside the subset
-        get zero columns in ``Bᵀ`` — they do not participate in the primary
-        gradient decode (the integrity share is redundant by design).
+        For the share indices ``J = subset`` (``|J| = k + m``, ``A_J``
+        invertible, ``subset_inverse = A_J⁻¹``) the constraint reads
+        ``B_Jᵀ·Γ_J·A_Jᵀ = [I | 0]``, whose unique solution is
+        ``B_J = Γ_J⁻¹·A_J⁻¹[:, :k]`` — i.e.
+        ``B[j, i] = A_J⁻¹[local(j), i]·γ_j⁻¹``, exact in the field, so the
+        decode matrix's one elimination serves the backward pass too.
+        Shares outside the subset get zero rows — they do not participate
+        in this gradient decode (the integrity share is redundant by design).
         """
-        n_shares = a.shape[1]
-        a_j = a[:, list(subset)]
-        gamma_j = np.diag(gamma[list(subset)])
-        target = _recovery_target(field, k, m)
-        try:
-            core = inverse(field, field_matmul(field, gamma_j, a_j.T))
-        except SingularMatrixError as exc:
-            raise EncodingError(
-                "selected share subset cannot support gradient decoding"
-            ) from exc
-        b_t_subset = field_matmul(field, target, core)  # (k, k+m)
-        b = field.zeros((n_shares, k))
-        for local, share in enumerate(subset):
-            b[share, :] = b_t_subset[:, local]
+        members = list(subset)
+        b = field.zeros((gamma.shape[0], k))
+        b[members] = field.mul(subset_inverse[:, :k], field.inv(gamma[members])[:, None])
         return b
 
     # ------------------------------------------------------------------
@@ -210,46 +213,94 @@ class CoefficientSet:
     # ------------------------------------------------------------------
     # decode-subset management
     # ------------------------------------------------------------------
+    def _subset_inverse(self, subset: tuple[int, ...]) -> np.ndarray | None:
+        """Memoized ``A[:, subset]⁻¹``, or ``None`` when the subset is singular.
+
+        ``A`` is frozen and the field inverse deterministic, so every
+        question this class answers about a subset — is it decodable,
+        what is its decode matrix, what ``B`` does it support — is read
+        off one Gauss–Jordan elimination per subset, ever.
+        """
+        cache = self.__dict__.setdefault("_decode_cache", {})
+        if subset not in cache:
+            try:
+                cache[subset] = inverse(self.field, self.a[:, list(subset)])
+            except SingularMatrixError:
+                cache[subset] = None
+        return cache[subset]
+
     def decoding_matrix(self, subset: tuple[int, ...] | None = None) -> np.ndarray:
         """``A[:, subset]^{-1}`` for a ``k+m``-sized invertible share subset.
 
-        Memoized per subset: the field inverse is deterministic and ``A``
-        is frozen, so serving windows that decode thousands of batches
-        under one cached coefficient set pay the Gauss–Jordan inversion
-        once — part of the offline/online split's "coefficient material".
+        Memoized per subset, so serving windows that decode thousands of
+        batches under one cached coefficient set pay the Gauss–Jordan
+        inversion once — part of the offline/online split's "coefficient
+        material".
         """
         subset = self.primary_subset if subset is None else tuple(subset)
         if len(subset) != self.n_sources:
             raise EncodingError(
                 f"decoding needs exactly {self.n_sources} shares, got {len(subset)}"
             )
-        cache = self.__dict__.get("_decode_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_decode_cache", cache)
-        cached = cache.get(subset)
-        if cached is not None:
-            return cached
-        sub = self.a[:, list(subset)]
-        try:
-            matrix = inverse(self.field, sub)
-        except SingularMatrixError as exc:
-            raise EncodingError(f"share subset {subset} is not decodable") from exc
-        cache[subset] = matrix
+        matrix = self._subset_inverse(subset)
+        if matrix is None:
+            raise EncodingError(f"share subset {subset} is not decodable")
         return matrix
+
+    @cached_property
+    def verification_plan(self) -> tuple[tuple[int, ...], ...]:
+        """The decode subsets whose agreement proves every share honest.
+
+        The primary subset first, then as few invertible alternates as
+        it takes for the union to cover every share: each alternate packs
+        in as many still-uncovered shares as an invertible subset allows
+        (filling up with already-covered ones), so the plan is exactly two
+        subsets whenever ``extra_shares <= k + m``.  Decodes that agree on
+        such a cover put the whole output in the row space of ``A`` —
+        exactly what "every invertible subset agrees" means — so comparing
+        the plan's decodes detects whatever comparing all
+        ``C(n_shares, k+m)`` would.  A share that sits in no invertible
+        subset influences no decode and is left out; a plan of one subset
+        means the set cannot be verified.  Computed once: the plan depends
+        on the frozen ``A`` only, and its subset inverses land in the
+        decode memo.
+        """
+        s = self.n_sources
+        plan = [self.primary_subset]
+        covered = sorted(self.primary_subset)
+        uncovered = [j for j in range(self.n_shares) if j not in self.primary_subset]
+
+        def next_alternate() -> tuple[int, ...] | None:
+            for take in range(min(len(uncovered), s), 0, -1):
+                for fresh in combinations(uncovered, take):
+                    for fill in combinations(covered, s - take):
+                        subset = tuple(sorted(fill + fresh))
+                        if self._subset_inverse(subset) is not None:
+                            return subset
+            return None
+
+        while uncovered:
+            alternate = next_alternate()
+            if alternate is None:
+                break  # the rest sit in no invertible subset
+            plan.append(alternate)
+            covered = sorted(set(covered) | set(alternate))
+            uncovered = [j for j in uncovered if j not in alternate]
+        return tuple(plan)
 
     def iter_decoding_subsets(self, limit: int | None = None):
         """Yield invertible ``k+m``-sized share subsets (primary first).
 
-        Integrity verification decodes from at least two of these and
-        compares.  ``limit`` caps the enumeration for wide share sets.
+        The exhaustive enumeration behind fault *localisation*; detection
+        needs only :attr:`verification_plan`.  ``limit`` caps it for wide
+        share sets.
         """
         yielded = 0
         seen_primary = False
         for subset in combinations(range(self.n_shares), self.n_sources):
             if subset == self.primary_subset:
                 seen_primary = True
-            if is_invertible(self.field, self.a[:, list(subset)]):
+            if self._subset_inverse(subset) is not None:
                 yield subset
                 yielded += 1
                 if limit is not None and yielded >= limit:
@@ -265,7 +316,10 @@ class CoefficientSet:
         Lets the integrity path decode the aggregate gradient twice from
         disjoint-enough share subsets and cross-check.
         """
-        b = self._solve_b(self.field, self.a, self.gamma, self.k, self.m, tuple(subset))
+        subset = tuple(subset)
+        b = self._solve_b(
+            self.field, self.decoding_matrix(subset), self.gamma, self.k, subset
+        )
         return b, self.gamma
 
     # ------------------------------------------------------------------

@@ -8,10 +8,19 @@ the paper's ``(K'-1)``-security: *detection* succeeds even if all but one GPU
 lies (the decodes cannot all agree unless the lies are consistent with the
 secret ``A``, which the adversary cannot know).
 
+Detection costs what the paper says it costs — one redundant equation and a
+comparison: the verifier decodes from the coefficient set's cached
+:attr:`~repro.masking.coefficients.CoefficientSet.verification_plan` (the
+primary subset plus the alternate(s) that cover the remaining shares — two
+decodes with one redundant share) and the primary decode *is* the result
+handed back to the caller.  Decodes that agree on a cover of all shares lie
+in the row space of ``A``, so every other subset would agree too.
+
 Beyond detection, with enough redundancy the verifier can *localise* faults:
 a share whose exclusion restores consistency across every remaining subset is
-the culprit.  The paper leaves corrective action out of scope; we expose the
-suspect list so callers can re-dispatch work.
+the culprit.  That enumeration runs only after a mismatch.  The paper leaves
+corrective action out of scope; we expose the suspect list so callers can
+re-dispatch work.
 """
 
 from __future__ import annotations
@@ -27,11 +36,17 @@ from repro.masking.forward import ForwardDecoder
 
 @dataclass(frozen=True)
 class IntegrityReport:
-    """Outcome of a redundant-decode verification."""
+    """Outcome of a redundant-decode verification.
+
+    ``decoded`` is the verified primary decode (the ``K`` true results) of
+    a consistent forward check — callers serve it instead of decoding
+    again; ``None`` on failure and for backward checks.
+    """
 
     consistent: bool
     subsets_checked: int
     suspected_shares: tuple[int, ...] = dataclass_field(default=())
+    decoded: np.ndarray | None = dataclass_field(default=None, compare=False, repr=False)
 
     def raise_on_failure(self) -> None:
         """Raise :class:`IntegrityError` when verification failed."""
@@ -42,8 +57,13 @@ class IntegrityReport:
             )
 
 
+def _agree(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Two ``(Y, W·r)`` decodes are identical."""
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
 class IntegrityVerifier:
-    """Cross-checks GPU results by decoding from multiple share subsets.
+    """Cross-checks GPU results by decoding from covering share subsets.
 
     Parameters
     ----------
@@ -52,8 +72,10 @@ class IntegrityVerifier:
         otherwise only a single decode subset may exist and tampering on the
         unique subset is undetectable.
     max_subsets:
-        Upper bound on how many invertible subsets to compare.  Two already
-        provide detection; more improve localisation.
+        Localisation budget: how many invertible subsets to enumerate and
+        decode *after a mismatch* to name suspects (more subsets, better
+        localisation).  Detection does not depend on it — the verification
+        plan covers every share regardless.
     """
 
     def __init__(self, coefficients: CoefficientSet, max_subsets: int = 8) -> None:
@@ -69,46 +91,63 @@ class IntegrityVerifier:
         self.max_subsets = max_subsets
         self._decoder = ForwardDecoder(coefficients)
 
-    # ------------------------------------------------------------------
-    # forward-pass verification
-    # ------------------------------------------------------------------
-    def verify_forward(self, gpu_outputs: np.ndarray) -> IntegrityReport:
-        """Decode ``gpu_outputs`` from several subsets and compare everything.
+    def verification_plan(self) -> tuple[tuple[int, ...], ...]:
+        """The coefficient set's plan (primary subset first, alternates after).
 
-        Comparison covers the recovered ``Y`` *and* the ``W·r`` noise
-        products — a tamper that only perturbs the noise coordinate of one
-        subset would otherwise slip through.
+        Fails closed: a set whose alternates are all singular has nothing
+        to cross-check against and cannot be verified, forward or backward.
         """
-        subsets = list(
-            self.coefficients.iter_decoding_subsets(limit=self.max_subsets)
-        )
-        if len(subsets) < 2:
+        plan = self.coefficients.verification_plan
+        if len(plan) < 2:
             raise IntegrityError(
                 "coefficient set admits fewer than two decode subsets;"
                 " cannot verify"
             )
-        decoded = {}
-        for subset in subsets:
-            y, noise_product = self._decoder.decode(
-                gpu_outputs, subset=subset, return_noise_product=True
+        return plan
+
+    # ------------------------------------------------------------------
+    # forward-pass verification
+    # ------------------------------------------------------------------
+    def verify_forward(self, gpu_outputs: np.ndarray) -> IntegrityReport:
+        """Decode ``gpu_outputs`` from the plan's subsets and compare everything.
+
+        Comparison covers the recovered ``Y`` *and* the ``W·r`` noise
+        products — a tamper that only perturbs the noise coordinate of one
+        subset would otherwise slip through.  A consistent report carries
+        the primary decode as ``decoded``.
+        """
+        plan = self.verification_plan()
+        decoded = {subset: self._decode(gpu_outputs, subset) for subset in plan}
+        primary = decoded[plan[0]]
+        if all(_agree(decoded[subset], primary) for subset in plan[1:]):
+            return IntegrityReport(
+                consistent=True, subsets_checked=len(plan), decoded=primary[0]
             )
-            decoded[subset] = np.concatenate(
-                [y.reshape(y.shape[0], -1), noise_product.reshape(noise_product.shape[0], -1)]
-            )
-        reference_subset = subsets[0]
-        reference = decoded[reference_subset]
-        mismatching = [
-            subset
-            for subset in subsets[1:]
-            if not np.array_equal(decoded[subset], reference)
-        ]
-        if not mismatching:
-            return IntegrityReport(consistent=True, subsets_checked=len(subsets))
-        suspects = self._localise(decoded)
+        return self._localise_mismatch(gpu_outputs, decoded)
+
+    def _decode(self, gpu_outputs: np.ndarray, subset: tuple[int, ...]):
+        # Each decode is a fresh array (the field GEMM's result never
+        # aliases scratch memory), so decodes can be held side by side.
+        return self._decoder.decode(gpu_outputs, subset=subset, return_noise_product=True)
+
+    def _localise_mismatch(self, gpu_outputs: np.ndarray, plan_decodes: dict) -> IntegrityReport:
+        """Name suspects after the plan's decodes disagreed.
+
+        Enumerates up to ``max_subsets`` invertible subsets, decodes from
+        each (reusing the plan's decodes) and asks :meth:`_localise`.  When
+        that budget happens not to reach the tampered share the decodes it
+        sees all agree, and the culprit stays undetermined.
+        """
+        decoded = {
+            subset: plan_decodes.get(subset) or self._decode(gpu_outputs, subset)
+            for subset in self.coefficients.iter_decoding_subsets(limit=self.max_subsets)
+        }
+        reference, *others = decoded.values()
+        localisable = not all(_agree(other, reference) for other in others)
         return IntegrityReport(
             consistent=False,
-            subsets_checked=len(subsets),
-            suspected_shares=suspects,
+            subsets_checked=len(decoded),
+            suspected_shares=self._localise(decoded) if localisable else (),
         )
 
     def _localise(self, decoded: dict) -> tuple[int, ...]:
@@ -124,7 +163,7 @@ class IntegrityVerifier:
             if len(excluding) < 2:
                 continue
             reference = decoded[excluding[0]]
-            if all(np.array_equal(decoded[s], reference) for s in excluding[1:]):
+            if all(_agree(decoded[s], reference) for s in excluding[1:]):
                 suspects.append(share)
         return tuple(suspects)
 

@@ -189,12 +189,15 @@ class DarKnightBackend:
             self.link.transfer(f"gpu{j}", "enclave", per_out)
         self.enclave.ecall("gather_outputs", int(outputs.nbytes))
 
-    def _verify_forward(self, coeffs: CoefficientSet, outputs: np.ndarray) -> None:
+    def _verified_decode(self, coeffs: CoefficientSet, outputs: np.ndarray) -> np.ndarray:
+        """Unmask ``outputs``; with integrity on, the verifier's own primary
+        decode is the result (no further decode of checked outputs)."""
         if not self.config.integrity:
-            return
+            return ForwardDecoder(coeffs).decode(outputs)
         report = IntegrityVerifier(coeffs).verify_forward(outputs)
         report.raise_on_failure()
         self.enclave.record_compute("integrity_check", int(outputs.nbytes))
+        return report.decoded
 
     # ------------------------------------------------------------------
     # staged forward ops: stage_linear -> encode -> dispatch -> decode
@@ -349,8 +352,7 @@ class DarKnightBackend:
         """
         ticket = future.ticket
         self._gather(future.outputs)
-        self._verify_forward(ticket.coefficients, future.outputs)
-        decoded = ForwardDecoder(ticket.coefficients).decode(future.outputs)
+        decoded = self._verified_decode(ticket.coefficients, future.outputs)
         self.enclave.record_compute("decode_forward", int(decoded.nbytes))
         y = self.quantizer.dequantize_product(decoded)
         y = y * (ticket.x_norm.factor * ticket.op.w_norm.factor)
@@ -478,14 +480,11 @@ class DarKnightBackend:
         return total
 
     def _verify_backward(self, coeffs, d_q, primary_aggregate, gpu_op, record) -> None:
-        """Re-decode the aggregate under a ``B`` supported on an alternate subset."""
-        alt_subset = None
-        for subset in coeffs.iter_decoding_subsets(limit=4):
-            if subset != coeffs.primary_subset:
-                alt_subset = subset
-                break
-        if alt_subset is None:
-            return
+        """Re-decode the aggregate under a ``B`` supported on the verification
+        plan's alternate subset (its inverse is already cached by the forward
+        check, so ``B`` costs no elimination)."""
+        verifier = IntegrityVerifier(coeffs)
+        alt_subset = verifier.verification_plan()[1]
         b_alt, gamma = coeffs.backward_matrices_for_subset(alt_subset)
         equations = self.cluster.map_shares(
             coeffs.n_shares,
@@ -498,7 +497,6 @@ class DarKnightBackend:
         alt_aggregate = BackwardDecoder(coeffs).decode_with_matrices(
             equations, b_alt, gamma
         )
-        verifier = IntegrityVerifier(coeffs)
         report = verifier.verify_backward(
             {coeffs.primary_subset: primary_aggregate, alt_subset: alt_aggregate}
         )

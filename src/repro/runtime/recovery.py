@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import IntegrityError
 from repro.gpu import GpuCluster
-from repro.masking import CoefficientSet, ForwardDecoder, ForwardEncoder, IntegrityVerifier
+from repro.masking import CoefficientSet, ForwardEncoder, IntegrityVerifier
 
 
 @dataclass
@@ -82,7 +82,8 @@ class RecoveringExecutor:
         key: str,
         report: RecoveryReport,
     ):
-        """One masked execution on ``lineup``; returns (verdict, decode-or-None)."""
+        """One masked execution on ``lineup``; returns the verifier's verdict
+        (a consistent one carries the verified decode)."""
         report.attempts += 1
         coeffs = CoefficientSet.generate(self.rng, k=k, m=m, extra_shares=1)
         encoded = ForwardEncoder(coeffs, self.rng).encode(inputs_q)
@@ -91,9 +92,7 @@ class RecoveringExecutor:
         outputs = np.stack([gpu_op(self.cluster[d], key) for d in lineup])
         for device_id in lineup:
             self.cluster[device_id].drop_share(key)
-        verdict = IntegrityVerifier(coeffs).verify_forward(outputs)
-        decoded = ForwardDecoder(coeffs).decode(outputs) if verdict.consistent else None
-        return verdict, decoded
+        return IntegrityVerifier(coeffs).verify_forward(outputs)
 
     def execute_forward(
         self,
@@ -131,12 +130,10 @@ class RecoveringExecutor:
                 )
             lineup = devices[:n_shares]
             key = f"{share_key}/round{round_index}"
-            verdict, decoded = self._run_once(
-                inputs_q, k, m, gpu_op, lineup, key, report
-            )
-            if decoded is not None:
+            verdict = self._run_once(inputs_q, k, m, gpu_op, lineup, key, report)
+            if verdict.consistent:
                 report.recovered = True
-                return decoded, report
+                return verdict.decoded, report
             if verdict.suspected_shares:
                 for share_index in verdict.suspected_shares:
                     self._bench(lineup[share_index], report)
@@ -152,13 +149,13 @@ class RecoveringExecutor:
             for swap_index, suspect in enumerate(lineup):
                 trial_lineup = [d for d in lineup if d != suspect] + [spares[0]]
                 trial_key = f"{key}/swap{swap_index}"
-                verdict, decoded = self._run_once(
+                verdict = self._run_once(
                     inputs_q, k, m, gpu_op, trial_lineup, trial_key, report
                 )
-                if decoded is not None:
+                if verdict.consistent:
                     self._bench(suspect, report)
                     report.recovered = True
-                    return decoded, report
+                    return verdict.decoded, report
                 convicted = convicted or bool(verdict.suspected_shares)
             if not convicted:
                 # Multiple colluding liars: bench the whole lineup and use

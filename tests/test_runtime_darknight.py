@@ -265,3 +265,98 @@ def test_cached_coefficients_keep_noise_fresh(nprng):
     share_b = backend.cluster[0].stored_shares["d/step1/vb0"].copy()
     backend.end_batch()
     assert not np.array_equal(share_a, share_b)
+
+
+# ----------------------------------------------------------------------
+# integrity at the paper's price: eliminations and decodes are counted
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def counts(monkeypatch):
+    """Live counters of Gauss–Jordan eliminations and forward decodes."""
+    from repro.fieldmath import linalg
+    from repro.masking import ForwardDecoder
+
+    tally = {"eliminations": 0, "decodes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_eliminate", counted("eliminations", linalg._eliminate))
+    monkeypatch.setattr(ForwardDecoder, "decode", counted("decodes", ForwardDecoder.decode))
+    return tally
+
+
+@pytest.mark.parametrize("integrity, decodes_per_call", [(True, 2), (False, 1)])
+def test_reused_coefficients_decode_without_eliminating(
+    nprng, counts, integrity, decodes_per_call
+):
+    backend = _backend(k=2, integrity=integrity, fresh_coefficients=False)
+    x = nprng.normal(size=(2, 8))
+    w = nprng.normal(size=(8, 3))
+    backend.dense_forward(x, w, None, key="d")  # generates, inverts, plans
+    backend.end_batch()
+    counts.update(eliminations=0, decodes=0)
+    n_calls = 5
+    for _ in range(n_calls):
+        backend.dense_forward(x, w, None, key="d")  # one backend.decode each
+        backend.end_batch()
+    assert counts == {"eliminations": 0, "decodes": decodes_per_call * n_calls}
+
+
+def test_fresh_coefficients_eliminate_at_most_twice_per_set(net, nprng, counts):
+    """generate + forward verify + backward verify share two inverses."""
+    backend = _backend(k=2, integrity=True)
+    x = nprng.normal(size=(4, 1, 6, 6))
+    net.forward(x, backend)
+    net.backward(nprng.normal(size=(4, 4)) * 0.1, backend)
+    backend.end_batch()
+    ledger = backend.enclave.ledger.op_counts
+    n_sets = ledger["generate_coefficients"]
+    assert n_sets == 4 and ledger["integrity_check_backward"] == 4
+    assert 0 < counts["eliminations"] <= 2 * n_sets
+
+
+@pytest.mark.parametrize("victim", [0, -1])  # a primary share, the redundant share
+def test_tamper_still_detected_on_the_scratch_pool(nprng, victim):
+    """The two compared decodes are held side by side; were either one a
+    view of pooled memory the second would overwrite the first and the
+    comparison would pass."""
+    from repro.fieldmath import PrimeField
+    from repro.precompute import scratch_scope
+
+    field = PrimeField()
+    cfg = DarKnightConfig(virtual_batch_size=2, integrity=True, seed=3)
+    x = nprng.normal(size=(2, 8))
+    w = nprng.normal(size=(8, 3))
+    honest = DarKnightBackend(cfg).dense_forward(x, w, None, key="d")
+    gpu = victim % cfg.n_gpus_required
+    cluster = GpuCluster(
+        field,
+        cfg.n_gpus_required,
+        fault_injectors={gpu: RandomTamper(field, probability=1.0, seed=0)},
+    )
+    with scratch_scope(True):
+        pooled = DarKnightBackend(cfg).dense_forward(x, w, None, key="d")
+        with pytest.raises(IntegrityError):
+            DarKnightBackend(cfg, cluster=cluster).dense_forward(x, w, None, key="d")
+    assert np.array_equal(pooled, honest)
+
+
+def test_backward_verification_fails_closed_without_an_alternate(nprng):
+    """All alternates singular: the backward check must refuse, not skip."""
+    import dataclasses
+
+    backend = _backend(k=2, integrity=True)
+    x = nprng.normal(size=(2, 8))
+    w = nprng.normal(size=(8, 3))
+    backend.dense_forward(x, w, None, key="d")
+    (record,) = backend._forward_store["d"]
+    a = record.coefficients.a.copy()
+    a[:, record.coefficients.n_sources :] = 0  # the redundant share decodes nothing
+    record.coefficients = dataclasses.replace(record.coefficients, a=a)
+    with pytest.raises(IntegrityError, match="fewer than two"):
+        backend.dense_grad_w(x, nprng.normal(size=(2, 3)) * 0.1, key="d")
