@@ -200,27 +200,28 @@ def _serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--partition", default=None, metavar="MODE",
-        help="shard topology: 'replicated' (every shard runs the whole"
-             " model, the default) or 'layered:N' (cut the execution plan"
-             " into N contiguous stages; shards chain into pipeline groups"
-             " of N, handing sealed activations over attested channels;"
-             " logits stay bit-identical to replicated)",
+        help="shard topology: 'layered:N' cuts the execution plan into N"
+             " contiguous stages and chains every N shards into one serving"
+             " unit, handing sealed activations over attested channels;"
+             " 'replicated' (the default: every shard runs the whole model)"
+             " is layered:1; logits are bit-identical in every mode",
     )
     parser.add_argument(
         "--autoscale", action="store_true",
-        help="elastically provision/decommission shards at runtime from"
-             " queue-depth and utilization signals (drain-before-kill;"
-             " logits stay bit-identical at any membership history)",
+        help="elastically provision/decommission serving units (N shards"
+             " each under --partition layered:N) at runtime from queue-depth"
+             " and utilization signals (drain-before-kill; logits stay"
+             " bit-identical at any membership history)",
     )
     parser.add_argument(
         "--min-shards", type=int, default=None,
         help="autoscaler floor on live shards (requires --autoscale;"
-             " default 1)",
+             " default 1; a multiple of N under --partition layered:N)",
     )
     parser.add_argument(
         "--max-shards", type=int, default=None,
         help="autoscaler ceiling on live shards (requires --autoscale;"
-             " default 4)",
+             " default 4; a multiple of N under --partition layered:N)",
     )
     parser.add_argument(
         "--target-utilization", type=float, default=None,
@@ -236,13 +237,6 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--queue-capacity", type=int, default=None,
         help="bounded queue size (default 256)",
-    )
-    parser.add_argument(
-        "--field-backend", default=None, choices=["limb", "generic"],
-        help="field-op backend for every masked GEMM: 'limb' (float64 BLAS"
-             " GEMMs over 13-bit limbs with Barrett reduction, the fast"
-             " default) or 'generic' (chunked int64 oracle); results are"
-             " bit-identical either way",
     )
     parser.add_argument(
         "--integrity", action="store_true",
@@ -383,7 +377,6 @@ def _serve(args) -> int:
             virtual_batch_size=args.virtual_batch,
             pipeline_depth=args.pipeline_depth,
             num_shards=args.num_shards,
-            field_backend=args.field_backend,
             stage_ranker=args.stage_ranker,
             epc_budget_bytes=args.epc_budget,
             integrity=args.integrity or None,

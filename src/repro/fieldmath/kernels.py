@@ -33,9 +33,9 @@ conditional-correction forms for add/sub/mul instead.)
 
 The generic backend is kept as the oracle: every fast kernel is
 property-tested bit-identical against it (``tests/test_fieldmath_kernels``).
-Select a backend globally (:func:`set_default_backend`, wired to
-``DarKnightConfig.field_backend`` / ``serve --field-backend``), per call
-(``field_matmul(..., backend=...)``), or lexically (:func:`use_backend`).
+Select a backend per call (``field_matmul(..., backend=...)``) or
+lexically (:func:`use_backend`); nothing in the runtime moves the process
+default (:func:`set_default_backend`) off ``"limb"``.
 """
 
 from __future__ import annotations

@@ -52,8 +52,7 @@ def field_matmul(
     Accepts any ``a`` of shape ``(..., n)`` against ``b`` of shape
     ``(n, ...)`` the way ``np.matmul`` of 2-D operands does; the common case
     is plain 2-D x 2-D.  ``backend=None`` uses the process default
-    (:func:`repro.fieldmath.kernels.set_default_backend`, wired to
-    ``DarKnightConfig.field_backend``).
+    (``"limb"`` unless inside :func:`repro.fieldmath.kernels.use_backend`).
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)

@@ -160,11 +160,6 @@ class PipelineExecutor:
         self.costs = costs or DEFAULT_STAGE_COSTS
         self.timeline = timeline or EnclaveTimeline()
         self.ranker = ranker or EarliestStartRanker()
-        # Backends exposing the precompute interface get their mask pools
-        # refilled during enclave idle gaps (the ``stage_precompute`` op).
-        self._can_refill = callable(
-            getattr(backend, "precompute_pending", None)
-        ) and callable(getattr(backend, "precompute_refill", None))
 
     # ------------------------------------------------------------------
     # plan preparation
@@ -298,8 +293,7 @@ class PipelineExecutor:
             while waiting and len(active) < self.pipeline_depth:
                 active.append(waiting.pop(0))
             job = min(active, key=self._task_rank)
-            if self._can_refill:
-                self._fill_idle_gap(job, spans, stage_totals)
+            self._fill_idle_gap(job, spans, stage_totals)
             if job.transfer_bytes:
                 self._run_transfer(job, spans, stage_totals)
             elif job.future is not None:
@@ -409,16 +403,16 @@ class PipelineExecutor:
         and idle); with no ``maskgen_bandwidth`` they are free on the
         simulated clock but still fill the pool for real.
         """
+        nbytes = self.backend.precompute_pending()
+        if not nbytes:
+            return  # saturated, or the pool is off: nothing to place
         if job.future is not None and not job.transfer_bytes:
             next_start = job.future.ready_at
         else:
             next_start = job.ready_at
         gap_end = max(self.timeline.free_at, next_start)
         bw = self.costs.maskgen_bandwidth
-        while True:
-            nbytes = self.backend.precompute_pending()
-            if not nbytes:
-                return
+        while nbytes:
             duration = 0.0 if bw is None else nbytes / bw
             if self.timeline.free_at + duration > gap_end:
                 return
@@ -428,6 +422,7 @@ class PipelineExecutor:
                 self._account(
                     spans, totals, -1, "mask_pool", "precompute", "enclave", start, end
                 )
+            nbytes = self.backend.precompute_pending()
 
     def _run_encode(
         self,

@@ -91,13 +91,6 @@ class DarKnightBackend:
         link: LinkModel | None = None,
     ) -> None:
         self.config = config or DarKnightConfig()
-        # Every masked GEMM in this session (enclave encode/decode and the
-        # simulated GPUs' kernels) funnels through field_matmul, so the
-        # config's backend choice is applied as the process default here —
-        # the single construction point both sides share.
-        from repro.fieldmath.kernels import set_default_backend
-
-        set_default_backend(self.config.field_backend)
         self.enclave = enclave or Enclave(seed=self.config.seed)
         self.field = self.enclave.field
         if self.field.p != self.config.prime:

@@ -117,20 +117,6 @@ class PrivateInferenceEngine:
                 return self.network.forward(x, self.backend, training=False)
             return self.executor.run(x).output
 
-    def run_batch_timed(
-        self, x: np.ndarray, release_time: float = 0.0
-    ) -> tuple[np.ndarray, PipelineStats]:
-        """Like :meth:`run_batch` but through the staged executor at every
-        depth, returning per-stage simulated timings.
-
-        ``release_time`` is when the batch became available on the
-        simulated clock; the serving pool passes each batch's flush time
-        so consecutive batches overlap on the shared timeline.
-        """
-        with self._released():
-            result = self.executor.run(x, release_time=release_time)
-            return result.output, result.stats
-
     def run_batch_window(
         self, items: list[tuple], step_range: tuple[int, int] | None = None
     ) -> tuple[list[GroupResult], PipelineStats]:

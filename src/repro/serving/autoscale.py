@@ -30,7 +30,7 @@ loses on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -46,8 +46,11 @@ class AutoscaleConfig:
     Parameters
     ----------
     min_shards / max_shards:
-        Hard membership bounds; the loop never decommissions below
-        ``min_shards`` nor provisions above ``max_shards``.
+        Hard membership bounds in *physical shards*; the loop never
+        decommissions below ``min_shards`` nor provisions above
+        ``max_shards``.  A scale step moves one whole serving unit
+        (``N`` shards under ``partition="layered:N"``), so the server
+        requires both to be multiples of ``N``.
     eval_interval:
         Simulated seconds between control-loop evaluations; pressure
         signals are folded once per interval.
@@ -158,11 +161,16 @@ class ShardAutoscaler:
     action is *advice* — the server executes it (provision + attest +
     re-ring, or drain + migrate + kill) and confirms with
     :meth:`note_provisioned` / :meth:`note_retired` so the shard-seconds
-    ledger matches what actually happened.
+    ledger matches what actually happened.  Pressure is read per serving
+    unit; ``shards_per_unit`` converts unit counts into the physical
+    shards the bounds, utilization and ledger are stated in.
     """
 
-    def __init__(self, config: AutoscaleConfig | None = None) -> None:
+    def __init__(
+        self, config: AutoscaleConfig | None = None, shards_per_unit: int = 1
+    ) -> None:
         self.config = config or AutoscaleConfig()
+        self.shards_per_unit = shards_per_unit
         self._depth_ewma: dict[int, float] = {}
         self._busy_seen: dict[int, float] = {}
         self._last_eval: float | None = None
@@ -190,11 +198,11 @@ class ShardAutoscaler:
         now:
             Simulated clock.
         depths:
-            Per-live-shard queue depth right now.
+            Per-live-unit queue depth right now.
         busy:
-            Per-live-shard *cumulative* enclave-busy seconds; utilization
-            is the delta since the previous evaluation divided by the
-            live-shard wall.
+            Per-live-unit *cumulative* enclave-busy seconds (summed over
+            the unit's shards); utilization is the delta since the
+            previous evaluation divided by the live-shard wall.
         attainment:
             Optional overall SLO attainment in ``[0, 1]``.
 
@@ -208,8 +216,9 @@ class ShardAutoscaler:
         self._last_eval = now
         self.evaluations += 1
         n_live = max(1, len(depths))
+        live_shards = len(depths) * self.shards_per_unit
 
-        # Per-shard queue-depth EWMA; shards that left take their state.
+        # Per-unit queue-depth EWMA; units that left take their state.
         for shard_id in list(self._depth_ewma):
             if shard_id not in depths:
                 del self._depth_ewma[shard_id]
@@ -226,7 +235,7 @@ class ShardAutoscaler:
             for shard_id, b in busy.items()
         )
         self._busy_seen = dict(busy)
-        utilization = busy_delta / (wall * n_live) if wall > 0 else 0.0
+        utilization = busy_delta / (wall * max(1, live_shards)) if wall > 0 else 0.0
 
         attain_low = (
             cfg.attainment_floor is not None
@@ -253,7 +262,7 @@ class ShardAutoscaler:
         )
         if (
             self._high_streak >= cfg.breaches_to_scale_out
-            and len(depths) < cfg.max_shards
+            and live_shards < cfg.max_shards
             and (since_action is None or since_action >= cfg.scale_out_cooldown)
         ):
             reason = (
@@ -265,7 +274,7 @@ class ShardAutoscaler:
             return ACTION_SCALE_OUT, reason
         if (
             self._low_streak >= cfg.breaches_to_scale_in
-            and len(depths) > cfg.min_shards
+            and live_shards > cfg.min_shards
             and (since_action is None or since_action >= cfg.scale_in_cooldown)
         ):
             reason = (

@@ -14,10 +14,13 @@ Composes the serving subsystem end to end::
 The deployment runs ``darknight.num_shards`` :class:`EnclaveShard` s —
 each its own enclave + GPU cluster + serialized timeline — behind one
 scheduler; an :class:`AttestationMesh` pairwise-verifies every shard at
-startup so sessions can migrate on failure.  Everything kept *per
-routing unit* (executor, queue, scheduler, sessions) lives in one
+startup so sessions can migrate on failure.  Every ``N`` consecutive
+shards (``N = 1`` unless ``partition="layered:N"``) form one routing
+unit, and everything kept *per unit* (its :class:`PipelineGroup`
+executor, queue, scheduler, sessions) lives in one
 :class:`~repro.serving.unit.ServingUnit`; the server owns the single
-list of them and is the only place membership changes.  Serving always
+list of them and is the only place membership changes — a whole unit at
+a time.  Serving always
 uses per-sample normalization, so a request's logits are bit-identical
 at every shard count, pipeline depth, and coalescing mix.
 
@@ -161,12 +164,14 @@ class ServingConfig:
         default — commits nothing and leaves dispatch bit-identical.
     autoscale:
         Optional :class:`~repro.serving.autoscale.AutoscaleConfig`
-        enabling elastic shard membership: the server provisions and
-        decommissions enclave shards at runtime from queue-depth,
+        enabling elastic membership: the server provisions and
+        decommissions whole serving units (one shard each, or ``N``
+        under ``partition="layered:N"``) at runtime from queue-depth,
         utilization, and SLO-attainment pressure, between
-        ``min_shards`` and ``max_shards``.  ``darknight.num_shards``
-        becomes the *initial* count (clamped into the bounds).  ``None``
-        — the default — keeps the static deployment.
+        ``min_shards`` and ``max_shards`` physical shards (both must be
+        multiples of ``N``).  ``darknight.num_shards`` becomes the
+        *initial* count (clamped into the bounds).  ``None`` — the
+        default — keeps the static deployment.
     precompute:
         Enable the offline/online split on every shard's backend:
         pregenerated mask streams (drawn from counter-based per-shard
@@ -179,16 +184,16 @@ class ServingConfig:
         of any response.
     partition:
         How the model maps onto the deployment's shards.
-        ``"replicated"`` (the default) gives every shard the full model;
         ``"layered:N"`` cuts the execution plan into ``N`` balanced
         stage ranges and chains every ``N`` consecutive shards into one
         :class:`~repro.sharding.partition.PipelineGroup`
         (``num_shards`` must be a multiple of ``N``), with activations
-        handed between members as sealed, mesh-verified envelopes.
-        Logits are bit-identical in every mode — per-sample
-        normalization and exact masking make them independent of cut
-        placement.  Layered partitioning composes with everything except
-        ``autoscale`` (elastic membership is replicated-only).
+        handed between members as sealed, mesh-verified envelopes;
+        ``"replicated"`` (the default, every shard runs the full model)
+        is ``layered:1``.  Logits are bit-identical in every mode —
+        per-sample normalization and exact masking make them
+        independent of cut placement — and every mode composes with
+        every other option, ``autoscale`` included.
     """
 
     darknight: DarKnightConfig = field(default_factory=DarKnightConfig)
@@ -454,16 +459,6 @@ class ServingReport:
         return "\n".join(lines)
 
 
-def _require_replicated(partition: PartitionSpec) -> None:
-    """The one refusal of elastic membership on a layered deployment."""
-    if partition.layered:
-        raise ConfigurationError(
-            "elastic shard membership (autoscale, provision_shard,"
-            " decommission_shard) requires partition='replicated'; a layered"
-            " deployment's stage pipelines are fixed at construction"
-        )
-
-
 class PrivateInferenceServer:
     """Serves masked inference to many tenants over sharded trusted stacks.
 
@@ -514,23 +509,23 @@ class PrivateInferenceServer:
         # loop below: a failed construction may never leak attested
         # enclaves (or their GPU clusters) it cannot hand back.
         partition = PartitionSpec.parse(self.config.partition)
+        n = partition.n_stages
+        # Membership only ever changes by whole units of ``n`` shards, so
+        # every shard count the deployment can be told to hold must be one.
+        counts = {"num_shards": dk.num_shards}
         if autoscale is not None:
-            _require_replicated(partition)
-        if dk.num_shards % partition.n_stages != 0:
-            raise ConfigurationError(
-                f"partition layered:{partition.n_stages} needs num_shards"
-                f" divisible by {partition.n_stages},"
-                f" got {dk.num_shards}"
-            )
-        #: Routing units: pipeline groups under layered partitioning,
-        #: individual shards otherwise.
-        n_units = dk.num_shards // partition.n_stages
-        stage_ranges = None
-        if partition.layered:
-            # Planning needs only the network, so an impossible cut count
-            # (more stages than plan steps) fails before provisioning.
-            planner = LayerPartitionPlanner(network, self.config.stage_costs)
-            stage_ranges = planner.plan(partition.n_stages)
+            counts["autoscale.min_shards"] = autoscale.min_shards
+            counts["autoscale.max_shards"] = autoscale.max_shards
+        for name, count in counts.items():
+            if count % n != 0:
+                raise ConfigurationError(
+                    f"partition {partition} serves in units of {n} shards:"
+                    f" {name} must be divisible by {n}, got {count}"
+                )
+        n_units = dk.num_shards // n
+        # Planning needs only the network, so an impossible cut count
+        # (more stages than plan steps) fails before provisioning.
+        stage_ranges = LayerPartitionPlanner(network, self.config.stage_costs).plan(n)
         elastic_max = autoscale.max_shards if autoscale is not None else dk.num_shards
         if max(dk.num_shards, elastic_max) > 1 and (
             cluster is not None or enclave is not None
@@ -575,8 +570,8 @@ class PrivateInferenceServer:
         #: Kept for elastic scale-out: new shards provision the same model.
         self.network = network
         self.autoscale_config = autoscale
-        self.autoscaler = ShardAutoscaler(autoscale)
-        #: The parsed partition mode and its plan cuts (layered only).
+        self.autoscaler = ShardAutoscaler(autoscale, shards_per_unit=n)
+        #: The parsed partition mode and each member's plan range.
         self.partition = partition
         self.stage_ranges = stage_ranges
         self.metrics = ServerMetrics(slo=self.config.slo)
@@ -600,7 +595,6 @@ class PrivateInferenceServer:
         self.mesh = AttestationMesh(
             shards, expected_code_identity=self.config.code_identity
         ).establish()
-        n = partition.n_stages
         self.router = ShardRouter(
             n_units,
             weights=(
@@ -609,11 +603,6 @@ class PrivateInferenceServer:
                 else None
             ),
             slo=self.config.slo,
-            group_members=(
-                {g: tuple(range(g * n, (g + 1) * n)) for g in range(n_units)}
-                if partition.layered
-                else None
-            ),
         )
         #: Every routing unit ever deployed, indexed by unit id (retired
         #: ones stay in place).  The scheduler, session manager and pool
@@ -622,17 +611,7 @@ class PrivateInferenceServer:
         self._batch_ids = itertools.count()
         for unit_id in range(n_units):
             self._add_unit(unit_id, shards[unit_id * n : (unit_id + 1) * n])
-        # Sessions route on *units*: under layered partitioning each
-        # group's entry enclave re-attests under its group id.
-        self.unit_mesh = (
-            AttestationMesh(
-                [unit.executor for unit in self.units],
-                expected_code_identity=self.config.code_identity,
-            ).establish()
-            if partition.layered
-            else self.mesh
-        )
-        self.sessions = ShardedSessionManager(self.units, self.router, self.unit_mesh)
+        self.sessions = ShardedSessionManager(self.units, self.router, self.mesh)
         self.scheduler = ShardedBatchScheduler(self.units)
         self.pool = InferenceWorkerPool(
             self.units,
@@ -716,28 +695,25 @@ class PrivateInferenceServer:
         """Put one routing unit into service around mesh-attested shards.
 
         The only place per-unit serving state is built — at construction
-        and at scale-out alike: the executor (the shard itself, or a
-        :class:`PipelineGroup` chaining ``shards`` under layered
-        partitioning), its queue, its scheduler with its own flush
-        policy, and its session manager.  ``unit_id`` is the id the
+        and at scale-out alike: the executor (a :class:`PipelineGroup`
+        chaining ``shards``, one per stage range), its queue, its
+        scheduler with its own flush policy, and its session manager.
+        ``unit_id`` is the id the
         router pins tenants to; the handshake randomness is drawn from
         ``seed + unit_id``, so a deployment that grew to ``n`` units
         handshakes identically to one constructed with ``n``.
         """
         dk = self.darknight
-        if self.partition.layered:
-            # Hop channels key against the *shard-level* mesh: every
-            # consecutive member pair was pairwise-attested before this.
-            executor = PipelineGroup(
-                unit_id,
-                shards,
-                self.stage_ranges,
-                self.mesh,
-                link=self.link,
-                seed=dk.seed if dk.seed is not None else 0,
-            )
-        else:
-            (executor,) = shards
+        # Hop channels key against the mesh: every consecutive member
+        # pair was pairwise-attested before this.
+        executor = PipelineGroup(
+            unit_id,
+            shards,
+            self.stage_ranges,
+            self.mesh,
+            link=self.link,
+            seed=dk.seed if dk.seed is not None else 0,
+        )
         batch_size = dk.virtual_batch_size if self.config.coalesce else 1
         policy = None
         if self.config.adaptive is not None:
@@ -758,7 +734,6 @@ class PrivateInferenceServer:
         queue = RequestQueue(self.config.queue_capacity, slo=self.config.slo)
         unit = ServingUnit(
             executor=executor,
-            shards=shards,
             queue=queue,
             scheduler=VirtualBatchScheduler(
                 queue,
@@ -785,35 +760,38 @@ class PrivateInferenceServer:
         return unit
 
     def provision_shard(self, now: float = 0.0) -> int:
-        """Scale out: bring one new enclave shard into the live deployment.
+        """Scale out: bring one new serving unit into the live deployment.
 
-        The join is end to end: insert the new unit's virtual nodes into
-        the consistent-hash ring (bounded tenant re-pinning; the router
-        allocates the id), provision the trusted stack under that id,
-        attest it incrementally against the live mesh members, build its
-        serving unit, migrate the re-pinned tenants' attested sessions
-        over the mesh, re-home their already-queued requests, and open
-        its audit log when the trail is on.  Logits are unaffected by
-        construction: per-sample normalization makes every response
-        independent of which shard (and which co-batch) served it.
+        A unit is ``partition.n_stages`` enclave shards (one, unless
+        layered).  The join is end to end: insert the new unit's virtual
+        nodes into the consistent-hash ring (bounded tenant re-pinning;
+        the router allocates the unit id), provision its shards' trusted
+        stacks, attest each incrementally against the live mesh members,
+        build the serving unit, migrate the re-pinned tenants' attested
+        sessions over the mesh, re-home their already-queued requests,
+        and open every member's audit log when the trail is on.  Logits
+        are unaffected by construction: per-sample normalization makes
+        every response independent of which unit (and which co-batch)
+        served it.  Returns the new unit's id.
         """
-        _require_replicated(self.partition)
         asc = self.autoscale_config
         unit_id, remap = self.router.add_shard(
             max_migrations=asc.max_session_migrations if asc is not None else None
         )
-        shard = self._provision(unit_id, now)
-        self.mesh.extend(shard)
-        unit = self._add_unit(unit_id, [shard], now)
+        n = self.partition.n_stages
+        shards = [self._provision(unit_id * n + k, now) for k in range(n)]
+        for shard in shards:
+            self.mesh.extend(shard)
+        unit = self._add_unit(unit_id, shards, now)
         try:
             self.sessions.migrate(remap, now)
         except AttestationError:
-            # Refused: a re-pinned tenant's old shard died before the
+            # Refused: a re-pinned tenant's old unit died before the
             # newcomer could attest against it.  Its stale session is
             # dropped below and the tenant re-attests at next contact.
             pass
         # Already-admitted requests follow their tenant's new pin so the
-        # new shard takes load immediately (and the old shard's queue
+        # new unit takes load immediately (and the old unit's queue
         # stops aging work it no longer owns).
         for tenant in remap:
             for source in self.units[:-1]:
@@ -822,15 +800,14 @@ class PrivateInferenceServer:
                 if moved:
                     unit.queue.absorb(moved)
         if self.audit is not None:
-            self.audit.add_shard(unit_id)
-            # The join is chain-visible: the new shard's service life
+            # The join is chain-visible: each new shard's service life
             # opens with a first-class membership entry on its own log.
-            self.audit.record_membership(
-                "provision",
-                unit_id,
-                now,
-                details={"num_shards": len(self.units)},
-            )
+            details = {"num_shards": len(self.shards)}
+            for shard in shards:
+                self.audit.add_shard(shard.shard_id)
+                self.audit.record_membership(
+                    "provision", shard.shard_id, now, details=details
+                )
         self.metrics.record_scale(ACTION_SCALE_OUT)
         self._apply_epc_pool()
         self._invalidate_precompute()
@@ -839,12 +816,11 @@ class PrivateInferenceServer:
     def decommission_shard(
         self, shard_id: int | None = None, now: float = 0.0
     ) -> int:
-        """Scale in: retire the least-loaded live shard (or ``shard_id``).
+        """Scale in: retire the least-loaded live unit (or unit ``shard_id``).
 
-        Raises :class:`~repro.errors.ShardError` when the named shard is
-        not live or removal would leave no serving shard.
+        Raises :class:`~repro.errors.ShardError` when the named unit is
+        not live or removal would leave no serving unit.
         """
-        _require_replicated(self.partition)
         live = [u for u in self.units if u.executor.healthy]
         if len(live) <= 1:
             # Judged on the executors, not the router: a shard that died
@@ -869,12 +845,13 @@ class PrivateInferenceServer:
         its queued windows flush through its own pipeline —
         audit-committed when the trail is on — then its tenants re-place
         through the ring and their attested sessions migrate over the
-        still-verified mesh links, and only then is the shard
-        decommissioned.  A refused migration (unverified link) degrades
-        safely: the unit's sessions are dropped and each tenant
-        re-attests on its new shard at next contact.  The unit stays in
-        :attr:`units` — its state reads ``retired`` from here on, which
-        is all the scheduler, sessions and pool look at.
+        still-verified mesh links, and only then is every member shard
+        decommissioned (mesh, audit chain, shard-seconds ledger).  A
+        refused migration (unverified link) degrades safely: the unit's
+        sessions are dropped and each tenant re-attests on its new unit
+        at next contact.  The unit stays in :attr:`units` — its state
+        reads ``retired`` from here on, which is all the scheduler,
+        sessions and pool look at.
         """
         vid, victim = unit.unit_id, unit.executor
         self.router.begin_drain(vid)
@@ -882,9 +859,10 @@ class PrivateInferenceServer:
         if self.audit is not None:
             # Chain the wind-down *before* the final flush: every window
             # after this entry is the drain itself.
-            self.audit.record_membership("drain", vid, now)
+            for shard in unit.shards:
+                self.audit.record_membership("drain", shard.shard_id, now)
         # Flush the victim's pending windows through its own pipeline
-        # (these commit to its audit chain like any other window).
+        # (these commit to its audit chains like any other window).
         self._run_batches(unit.scheduler.drain(now))
         if not victim.healthy:
             # Died mid-flush: the failover path already migrated its
@@ -895,22 +873,23 @@ class PrivateInferenceServer:
             self.sessions.migrate(remap, now)
         except AttestationError:
             # Refused migration: tenants re-attest lazily on their new
-            # shard; the sessions left behind are dropped just below.
+            # unit; the sessions left behind are dropped just below.
             pass
         for tenant in unit.sessions.active_tenants:
             unit.sessions.drop(tenant)
-        self.mesh.retire(vid)
         victim.decommission(now)
-        if self.audit is not None:
-            # The chain's final word on the shard: retired, with its
-            # lifetime dispatch count frozen into the event leaf.
-            self.audit.record_membership(
-                "retire",
-                vid,
-                now,
-                details={"batches_run": int(victim.batches_run)},
-            )
-        self.autoscaler.note_retired(vid, now)
+        for shard in unit.shards:
+            self.mesh.retire(shard.shard_id)
+            self.autoscaler.note_retired(shard.shard_id, now)
+            if self.audit is not None:
+                # The chain's final word on the shard: retired, with its
+                # lifetime dispatch count frozen into the event leaf.
+                self.audit.record_membership(
+                    "retire",
+                    shard.shard_id,
+                    now,
+                    details={"batches_run": int(shard.batches_run)},
+                )
         self.metrics.record_scale(ACTION_SCALE_IN)
         self._apply_epc_pool()
         self._invalidate_precompute()

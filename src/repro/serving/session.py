@@ -158,8 +158,10 @@ class ShardedSessionManager:
     router:
         Pins tenants to units (and re-pins them on failure).
     mesh:
-        Established :class:`~repro.sharding.AttestationMesh` gating
-        migrations.
+        Established shard-level :class:`~repro.sharding.AttestationMesh`
+        gating migrations: sessions terminate on a unit's *entry*
+        enclave, so a move needs the verified link between the two
+        units' entry shards.
     """
 
     def __init__(self, units: list, router, mesh) -> None:
@@ -171,6 +173,13 @@ class ShardedSessionManager:
     def _live(self):
         """Managers of every unit still in service (failed ones included)."""
         return (u.sessions for u in self.units if not u.executor.retired)
+
+    def _assert_verified(self, source: int, target: int) -> None:
+        """Refuse a session move between units the mesh never linked."""
+        self.mesh.assert_verified(
+            self.units[source].shards[0].shard_id,
+            self.units[target].shards[0].shard_id,
+        )
 
     def connect(self, tenant: str, now: float = 0.0) -> ServingSession:
         """The tenant's session on its pinned unit (handshake on first use)."""
@@ -195,7 +204,7 @@ class ShardedSessionManager:
                         planned.append((tenant, manager.shard_id, target))
                     break
         for tenant, source, target in planned:
-            self.mesh.assert_verified(source, target)
+            self._assert_verified(source, target)
         migrated: dict[str, int] = {}
         for tenant, source, target in planned:
             self.units[source].sessions.drop(tenant)
@@ -235,7 +244,7 @@ class ShardedSessionManager:
         try:
             targets = {tenant: self.router.shard_for(tenant) for tenant in displaced}
             for target in sorted(set(targets.values())):
-                self.mesh.assert_verified(failed_shard, target)
+                self._assert_verified(failed_shard, target)
         except (ShardError, AttestationError):
             for tenant in displaced:
                 dead.drop(tenant)
@@ -254,8 +263,9 @@ class ShardedSessionManager:
     # ------------------------------------------------------------------
     @property
     def handshakes_performed(self) -> int:
-        """Attestation handshakes across all shards (incl. migrations)."""
-        return sum(m.handshakes_performed for m in self._live())
+        """Attestation handshakes over every unit's lifetime (incl.
+        migrations) — a retired unit's handshakes still happened."""
+        return sum(u.sessions.handshakes_performed for u in self.units)
 
     @property
     def active_tenants(self) -> list[str]:

@@ -2,11 +2,11 @@
 
 DarKnight's unit of trust, attestation and scheduling is one TEE with its
 ``K + M (+1)`` non-colluding GPUs.  A :class:`ServingUnit` is that unit as
-the serving layer sees it: the executor tenants are routed to (an
-:class:`~repro.sharding.EnclaveShard`, or a
-:class:`~repro.sharding.PipelineGroup` chaining several under layered
-partitioning) together with the queue, coalescing scheduler and attested
-sessions that exist only because that executor does.
+the serving layer sees it: the executor tenants are routed to (a
+:class:`~repro.sharding.PipelineGroup` of ``N >= 1`` chained shards —
+one under ``replicated``, ``N`` under ``layered:N``) together with the
+queue, coalescing scheduler and attested sessions that exist only because
+that executor does.
 
 :class:`~repro.serving.server.PrivateInferenceServer` holds the one
 ordered collection of units — ``units[i].unit_id == i``, ids are never
@@ -31,9 +31,7 @@ class ServingUnit:
 
     #: What runs this unit's flush windows; its ``shard_id`` is the id the
     #: router pins tenants to.
-    executor: EnclaveShard | PipelineGroup
-    #: The physical shards behind the executor, entry to exit.
-    shards: list[EnclaveShard]
+    executor: PipelineGroup
     queue: RequestQueue
     #: Coalesces ``queue`` (and carries the unit's flush policy, if any).
     scheduler: VirtualBatchScheduler
@@ -43,6 +41,11 @@ class ServingUnit:
     @property
     def unit_id(self) -> int:
         return self.executor.shard_id
+
+    @property
+    def shards(self) -> list[EnclaveShard]:
+        """The physical shards behind the executor, entry to exit."""
+        return self.executor.members
 
     @property
     def state(self) -> str:

@@ -46,7 +46,7 @@ from repro.serving.requests import (
     RequestOutcome,
     ScheduledBatch,
 )
-from repro.sharding import EnclaveShard
+from repro.sharding import PipelineGroup
 
 
 class InferenceWorkerPool:
@@ -152,27 +152,23 @@ class InferenceWorkerPool:
     ) -> None:
         """Commit one window to the audit trail (no-op when audit is off).
 
-        A layer-partitioned unit (a :class:`~repro.sharding.partition.
-        PipelineGroup`) fans the commit out: every member shard's chained
-        log records its *own* sub-window — the exit member the response
-        logits, interior members the flattened live activations their
-        stage produced — so each physical enclave's chain stays a
+        The commit fans out over the unit's member shards: each one's
+        chained log records its *own* sub-window — the exit member the
+        response logits, interior members the flattened live activations
+        their stage produced — so each physical enclave's chain stays a
         complete, independently verifiable account of what it computed.
         """
         if self.audit is None or not batches:
             return
         unit = self.units[shard_id]
-        fan_out = len(unit.shards) > 1 and any(
-            out is not None for out in outputs_by_batch
-        )
         for shard in unit.shards:
-            outs = outputs_by_batch
-            if fan_out:
-                outs = unit.executor.sub_outputs(
-                    shard.shard_id, len(batches), outputs_by_batch
-                )
             self.audit.commit_window(
-                shard.shard_id, batches, outs, status=status, aborted=aborted, error=error
+                shard.shard_id,
+                batches,
+                unit.executor.sub_outputs(shard.shard_id, outputs_by_batch),
+                status=status,
+                aborted=aborted,
+                error=error,
             )
 
     def _batch_deadline(self, batch: ScheduledBatch) -> float:
@@ -211,12 +207,11 @@ class InferenceWorkerPool:
             return self._fail_over(shard, batches, exc)
         except (IntegrityError, DecodingError) as exc:
             # The aborted run still occupied the enclave up to the failure
-            # point; charge that occupancy to the pool (and the shard) no
-            # matter how many batches shared the window — the isolating
-            # single-batch re-runs below account only their *own* time.
-            aborted_busy = shard.timeline.busy_time - busy_before
-            self.busy_time += aborted_busy
-            shard.busy_time += aborted_busy
+            # point; charge that occupancy to the pool (the shards charge
+            # their own) no matter how many batches shared the window —
+            # the isolating single-batch re-runs below account only their
+            # *own* time.
+            self.busy_time += shard.timeline.busy_time - busy_before
             if len(batches) > 1:
                 # One bad batch aborted the shared schedule; isolate it by
                 # running every batch in its own single-batch window.  The
@@ -273,7 +268,7 @@ class InferenceWorkerPool:
 
     def _fail_over(
         self,
-        shard: EnclaveShard,
+        shard: PipelineGroup,
         batches: list[ScheduledBatch],
         exc: ShardFailedError,
     ) -> list[RequestOutcome]:

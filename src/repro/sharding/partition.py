@@ -17,22 +17,23 @@ logits are bit-identical for *every* legal cut placement.
 Three pieces live here:
 
 * :class:`PartitionSpec` — the serving-config surface
-  (``replicated`` / ``layered:N``).
+  (``replicated`` / ``layered:N``; ``replicated`` *is* ``layered:1``).
 * :class:`LayerPartitionPlanner` — balances contiguous ranges by
   per-step enclave cost (priced from :meth:`plan_shapes` symbolic
   shapes via :class:`~repro.pipeline.timing.StageCostModel`) with a
   bottleneck-minimizing DP, and reports per-range EPC footprint.
-* :class:`PipelineGroup` — one pipeline of member shards that
-  duck-types :class:`EnclaveShard` for the router/worker-pool layers:
-  a window dispatched to the group chains stage-major through the
-  members, and a member failure surfaces as a *group* failure carrying
-  the completed batch prefix, so per-batch retry semantics upstream
-  are preserved unchanged.
+* :class:`PipelineGroup` — the executor of every serving unit: ``N >= 1``
+  member shards chained over the plan.  A window dispatched to the
+  group chains stage-major through the members, and a member failure
+  surfaces as a *group* failure carrying the completed batch prefix, so
+  per-batch retry semantics upstream are the same at every ``N``.  A
+  one-member group has no hops and runs the whole plan on its shard.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -56,9 +57,11 @@ _ELEM_BYTES = 8
 class PartitionSpec:
     """Parsed ``partition`` serving-config value.
 
-    ``replicated`` is the classic full-model-per-shard deployment;
     ``layered:N`` cuts the plan into ``N`` stage ranges and groups every
-    ``N`` consecutive shards into one :class:`PipelineGroup`.
+    ``N`` consecutive shards into one :class:`PipelineGroup`;
+    ``replicated`` — the classic full-model-per-shard deployment — is the
+    same thing with ``N = 1`` (``mode`` only remembers which spelling to
+    print).
     """
 
     mode: str
@@ -87,11 +90,6 @@ class PartitionSpec:
         raise ConfigurationError(
             f"unknown partition mode {text!r}; expected 'replicated' or 'layered:N'"
         )
-
-    @property
-    def layered(self) -> bool:
-        """True when serving should build pipeline groups."""
-        return self.mode == "layered"
 
     def __str__(self) -> str:
         if self.mode == "replicated":
@@ -125,9 +123,14 @@ class LayerPartitionPlanner:
         self._plan = network.execution_plan()
         if not self._plan:
             raise ConfigurationError("cannot partition an empty network")
-        self._shapes = network.plan_shapes()
 
     # -- per-step pricing ------------------------------------------------
+    @functools.cached_property
+    def _shapes(self) -> list[tuple[int, ...]]:
+        # Priced lazily: the one-range plan every replicated deployment
+        # asks for needs no costs, so it never walks the shapes.
+        return self.network.plan_shapes()
+
     def _shape_of(self, producer: int) -> tuple[int, ...]:
         if producer == PLAN_INPUT:
             return self.network.input_shape
@@ -307,14 +310,13 @@ def _flat_rows(output) -> np.ndarray:
 
 
 class PipelineGroup:
-    """``N`` member shards chained over one partitioned plan.
+    """``N >= 1`` member shards chained over one partitioned plan.
 
-    Duck-types :class:`~repro.sharding.shard.EnclaveShard` for every
-    upstream consumer: exposes ``shard_id`` (the *group* id the router
-    and sessions pin to), ``run_window``, ``timeline``, ``healthy`` /
-    ``state``, ``busy_time`` / ``batches_run``, and ``enclave`` /
-    ``engine`` (the entry member's — sessions handshake and slot-size
-    estimates run against the stage that actually ingests requests).
+    The one executor type behind every
+    :class:`~repro.serving.unit.ServingUnit`: ``shard_id`` is the *unit*
+    id the router and sessions pin to, ``run_window`` chains a flush
+    window through the members, and health, lifecycle and occupancy are
+    whatever the members say — the group keeps no second copy.
 
     Parameters
     ----------
@@ -325,8 +327,9 @@ class PipelineGroup:
     ranges:
         Contiguous ``[lo, hi)`` plan ranges, aligned with ``members``.
     mesh:
-        The *shard-level* attestation mesh; every consecutive member
-        pair must hold a verified link before a channel is keyed.
+        The shard-level attestation mesh; every consecutive member pair
+        must hold a verified link before a channel is keyed (a one-member
+        group has no hop and never consults it).
     link:
         Host relay the sealed envelopes traverse.
     seed:
@@ -358,10 +361,6 @@ class PipelineGroup:
         self.ranges = [tuple(r) for r in ranges]
         self.link = link or LinkModel()
         self._timeline = _GroupTimeline(self.members)
-        self._failed = False
-        #: Group-level dispatch counters (members keep their own too).
-        self.batches_run = 0
-        self.busy_time = 0.0
         #: Per-member canonical rows from the last window, for audit
         #: fan-out onto each member shard's own chain.
         self.last_sub_outputs: dict[int, list] = {}
@@ -383,48 +382,64 @@ class PipelineGroup:
             )
             self._hops.append((tx, rx))
 
-    # -- EnclaveShard duck-type surface ---------------------------------
-    #: Layered membership is fixed at construction: a group never retires.
-    retired = False
-
     @property
     def enclave(self):
         """The entry member's trust anchor (session handshakes)."""
         return self.members[0].enclave
 
     @property
-    def engine(self):
-        """The entry member's engine (slot-size estimation)."""
-        return self.members[0].engine
-
-    @property
     def timeline(self) -> _GroupTimeline:
         return self._timeline
 
     @property
+    def busy_time(self) -> float:
+        """Enclave-occupied simulated seconds summed over the members."""
+        return sum(m.busy_time for m in self.members)
+
+    @property
+    def batches_run(self) -> int:
+        """Batches that cleared the whole chain (the exit member's count)."""
+        return self.members[-1].batches_run
+
+    # -- lifecycle: the members', read and driven as one -----------------
+    @property
     def healthy(self) -> bool:
-        return not self._failed and all(m.healthy for m in self.members)
-
-    @property
-    def state(self) -> str:
-        if not self.healthy:
-            return "failed"
-        if any(m.draining for m in self.members):
-            return "draining"
-        return "active"
-
-    @property
-    def n_gpus(self) -> int:
-        return sum(m.n_gpus for m in self.members)
+        """A pipeline with a dead stage cannot serve."""
+        return all(m.healthy for m in self.members)
 
     @property
     def draining(self) -> bool:
         return any(m.draining for m in self.members)
 
+    @property
+    def retired(self) -> bool:
+        return all(m.retired for m in self.members)
+
+    @property
+    def state(self) -> str:
+        """``active`` / ``draining`` / ``retired`` / ``failed``."""
+        if self.retired:
+            return "retired"
+        if not self.healthy:
+            return "failed"
+        if self.draining:
+            return "draining"
+        return "active"
+
+    def begin_drain(self) -> None:
+        """Mark every member as winding down; pinned work still runs."""
+        for member in self.members:
+            member.begin_drain()
+
+    def decommission(self, now: float = 0.0) -> None:
+        """Planned retirement of the whole unit at ``now``."""
+        for member in self.members:
+            member.decommission(now)
+
     def kill(self) -> None:
-        """Take the whole pipeline down (a pipeline with a dead stage
-        cannot serve)."""
-        self._failed = True
+        """Take the whole pipeline down."""
+        for member in self.members:
+            member.kill()
 
     # -- dispatch --------------------------------------------------------
     def run_window(self, items: list[tuple]):
@@ -439,7 +454,8 @@ class PipelineGroup:
         Raises
         ------
         ShardFailedError
-            With ``shard_id`` set to the *group* id when any member dies
+            With ``shard_id`` set to the *group* id and the failing
+            member's own message when any member is down or dies
             mid-window.  The completed prefix — batches that cleared the
             failing member — continues through the remaining stages so
             their responses survive, and the error carries them as
@@ -447,10 +463,13 @@ class PipelineGroup:
             per-batch failover then re-runs only the lost suffix on a
             replacement group.
         """
-        if not self.healthy:
-            raise ShardFailedError(
-                f"pipeline group {self.shard_id} is down", shard_id=self.shard_id
-            )
+        for member in self.members:
+            if not member.healthy:
+                # Before any stage runs: a dead stage anywhere means the
+                # window would only burn the stages ahead of it.
+                raise ShardFailedError(
+                    f"shard {member.shard_id} is down", shard_id=self.shard_id
+                )
         n_items = len(items)
         self.last_sub_outputs = {m.shard_id: [] for m in self.members}
         current = [
@@ -464,7 +483,7 @@ class PipelineGroup:
         transfer = [0] * n_items  # sealed bytes feeding each batch's next hop
         starts: list[float] = []
         finals: list = []
-        failure: tuple[int, str] | None = None
+        failure: str | None = None
         agg_start = math.inf
         agg_finish = 0.0
         agg_jobs = 0
@@ -495,8 +514,7 @@ class PipelineGroup:
                 # The member finished a prefix one batch at a time; keep
                 # those moving through the rest of the chain and fail the
                 # suffix at group granularity.
-                self._failed = True
-                failure = (member.shard_id, str(exc))
+                failure = str(exc)
                 groups = [g[0] for g, _ in exc.completed]
                 for _, s in exc.completed:
                     absorb(s)
@@ -537,10 +555,7 @@ class PipelineGroup:
             stage_totals=agg_stages,
             spans=[],
         )
-        self.batches_run += len(finals)
-        self.busy_time += agg_enclave
         if failure is not None:
-            member_id, message = failure
             completed = []
             for i, g in enumerate(finals):
                 per = (
@@ -556,23 +571,26 @@ class PipelineGroup:
                 )
                 completed.append(([g], per))
             raise ShardFailedError(
-                f"pipeline group {self.shard_id} lost member shard"
-                f" {member_id}: {message}",
+                failure,
                 shard_id=self.shard_id,
                 completed=completed,
                 remaining_from=len(finals),
             )
         return finals, stats
 
-    def sub_outputs(self, member_id: int, n_batches: int, final_outputs: list):
+    def sub_outputs(self, member_id: int, final_outputs: list):
         """Per-batch canonical rows for one member's audit chain.
 
         The exit member commits the actual response logits; interior
         members commit the flattened live values their stage produced.
-        Missing entries (batches that never reached the member) are
-        ``None`` so the caller can skip them.
+        A batch with no final output (an aborted or re-routed window's
+        marker) or that never reached the member is ``None`` on every
+        chain, so the caller can skip it.
         """
-        if self.members and member_id == self.members[-1].shard_id:
+        if member_id == self.members[-1].shard_id:
             return list(final_outputs)
         outs = self.last_sub_outputs.get(member_id, [])
-        return [outs[i] if i < len(outs) else None for i in range(n_batches)]
+        return [
+            outs[i] if i < len(outs) and final is not None else None
+            for i, final in enumerate(final_outputs)
+        ]

@@ -81,15 +81,6 @@ class ShardRouter:
         class priority exceeds the default class's pin to the lightest
         healthy shard instead of walking the ring (counted in
         :attr:`slo_pins`).  ``None`` keeps placement priority-blind.
-    group_members:
-        Optional ``{routing id: (member shard ids, ...)}`` for
-        layer-partitioned deployments, where each routing unit is a
-        :class:`~repro.sharding.partition.PipelineGroup` spanning several
-        enclave shards.  The router still pins tenants to *units*; the
-        mapping lets callers resolve which physical shards a pinned unit
-        spans (:meth:`members_of`), and a member-shard failure fails the
-        whole unit — re-pinning re-runs the displaced tenants' windows on
-        a replacement group, preserving per-batch retry semantics.
     """
 
     def __init__(
@@ -99,7 +90,6 @@ class ShardRouter:
         rebalance_margin: int = 2,
         weights: list[float] | None = None,
         slo=None,
-        group_members: dict[int, tuple[int, ...]] | None = None,
     ) -> None:
         if n_shards < 1:
             raise ConfigurationError(f"router needs >= 1 shards, got {n_shards}")
@@ -117,22 +107,9 @@ class ShardRouter:
                 )
             if any(w <= 0 for w in weights):
                 raise ConfigurationError(f"shard weights must be > 0, got {weights}")
-        if group_members is not None:
-            for unit, members in group_members.items():
-                if unit not in range(n_shards):
-                    raise ConfigurationError(
-                        f"group id {unit} outside routing range 0..{n_shards - 1}"
-                    )
-                if not members:
-                    raise ConfigurationError(f"group {unit} has no member shards")
         self.n_shards = n_shards
         self.replicas = replicas
         self.rebalance_margin = rebalance_margin
-        #: Routing-unit -> physical member shards (layer partitioning).
-        self.group_members = {
-            int(unit): tuple(members)
-            for unit, members in (group_members or {}).items()
-        }
         self.weights = [1.0] * n_shards if weights is None else [float(w) for w in weights]
         self.slo = slo
         ring = [
@@ -285,15 +262,6 @@ class ShardRouter:
     def is_failed(self, shard_id: int) -> bool:
         """True when the shard has been removed from rotation."""
         return shard_id in self._failed
-
-    def members_of(self, unit_id: int) -> tuple[int, ...]:
-        """Physical shard ids behind one routing unit.
-
-        A replicated deployment routes directly on shards, so the unit is
-        its own (only) member; a layer-partitioned deployment resolves to
-        the pipeline group's member shards.
-        """
-        return self.group_members.get(unit_id, (unit_id,))
 
     # ------------------------------------------------------------------
     # dynamic membership

@@ -22,7 +22,7 @@ import dataclasses
 
 from repro.comm import LinkModel
 from repro.enclave import Enclave, EpcModel
-from repro.errors import ShardFailedError
+from repro.errors import DecodingError, IntegrityError, ShardFailedError
 from repro.gpu import GpuCluster
 from repro.pipeline.timing import StageCostModel
 from repro.runtime.config import DarKnightConfig
@@ -53,7 +53,6 @@ class EnclaveShard:
         self._fail_after: int | None = None
         #: Lifecycle marks for elastic membership (simulated seconds).
         self.draining = False
-        self.retired = False
         self.provisioned_at = 0.0
         self.retired_at: float | None = None
 
@@ -124,6 +123,11 @@ class EnclaveShard:
     # lifecycle
     # ------------------------------------------------------------------
     @property
+    def retired(self) -> bool:
+        """True once :meth:`decommission` closed the shard's service life."""
+        return self.retired_at is not None
+
+    @property
     def state(self) -> str:
         """``active`` / ``draining`` / ``retired`` / ``failed``."""
         if self.retired:
@@ -144,7 +148,6 @@ class EnclaveShard:
         Unlike :meth:`kill`, this is the graceful end of the lifecycle —
         the autoscaler's shard-seconds accounting closes at ``now``.
         """
-        self.retired = True
         self.draining = False
         self.healthy = False
         self.retired_at = now
@@ -193,12 +196,7 @@ class EnclaveShard:
         if budget is not None and budget < len(items):
             completed = []
             for item in items[:budget]:
-                groups, stats = self.engine.run_batch_window(
-                    [item], step_range=step_range
-                )
-                self.batches_run += 1
-                self.busy_time += stats.enclave_busy
-                completed.append((groups, stats))
+                completed.append(self._run([item], step_range))
             self.healthy = False
             raise ShardFailedError(
                 f"shard {self.shard_id} failed mid-window after"
@@ -207,7 +205,21 @@ class EnclaveShard:
                 completed=completed,
                 remaining_from=budget,
             )
-        groups, stats = self.engine.run_batch_window(items, step_range=step_range)
+        return self._run(items, step_range)
+
+    def _run(self, items: list[tuple], step_range: tuple[int, int] | None):
+        """One engine window, with its enclave occupancy on the shard's books.
+
+        A window aborted by an integrity/decode failure still occupied the
+        enclave up to the failure point; that occupancy is charged here,
+        where the timeline is, before the error travels on.
+        """
+        busy_before = self.timeline.busy_time
+        try:
+            groups, stats = self.engine.run_batch_window(items, step_range=step_range)
+        except (IntegrityError, DecodingError):
+            self.busy_time += self.timeline.busy_time - busy_before
+            raise
         self.batches_run += len(items)
         self.busy_time += stats.enclave_busy
         return groups, stats

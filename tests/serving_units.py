@@ -17,18 +17,21 @@ from repro.serving import (
     SessionManager,
     VirtualBatchScheduler,
 )
+from repro.sharding import PipelineGroup
 
 
 def make_units(shards):
-    """One replicated unit per shard, sharing a batch-id counter."""
+    """One replicated unit (a one-member group) per shard, sharing a
+    batch-id counter."""
     ids = itertools.count()
     units = []
     for shard in shards:
         queue = RequestQueue(64)
+        whole_plan = (0, len(shard.engine.network.execution_plan()))
         units.append(
             ServingUnit(
-                executor=shard,
-                shards=[shard],
+                # No hops, so no mesh to consult.
+                executor=PipelineGroup(shard.shard_id, [shard], [whole_plan], mesh=None),
                 queue=queue,
                 scheduler=VirtualBatchScheduler(
                     queue, 4, shard_id=shard.shard_id, id_source=ids

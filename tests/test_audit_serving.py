@@ -94,6 +94,13 @@ def test_audit_logs_persist_with_a_replayable_manifest(tmp_path):
         loaded = AuditLog.load(tmp_path / f"shard{sid}.audit.jsonl")
         assert loaded.chain_root == report.audit_roots[sid]
         loaded.verify_chain()
+    # A manifest written before ``field_backend`` left the config names a
+    # key that no longer exists: a clean AuditError, not a bare TypeError.
+    from repro.errors import AuditError
+
+    stale = {**manifest, "darknight": {**manifest["darknight"], "field_backend": "limb"}}
+    with pytest.raises(AuditError, match="field_backend"):
+        manifest_config(stale)
 
 
 def test_integrity_failure_commits_an_aborted_window():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, FieldError
+from repro.errors import FieldError
 from repro.fieldmath import (
     BarrettReducer,
     FieldRng,
@@ -239,24 +239,19 @@ def test_field_matmul_still_validates_before_dispatch():
         field_matmul(FIELD, a, b, chunk=0)
 
 
-def test_config_validates_field_backend():
-    from repro.runtime.config import DarKnightConfig
-
-    assert DarKnightConfig().field_backend == "limb"
-    assert DarKnightConfig(field_backend="generic").field_backend == "generic"
-    with pytest.raises(ConfigurationError):
-        DarKnightConfig(field_backend="nope")
-
-
-def test_backend_construction_applies_config_choice():
+def test_backend_construction_leaves_the_process_default_alone():
+    """Two live backends must not share whichever was built last: the
+    kernel selection is lexically scoped, never set by construction."""
     from repro.runtime.config import DarKnightConfig
     from repro.runtime.darknight import DarKnightBackend
 
-    try:
-        DarKnightBackend(DarKnightConfig(field_backend="generic"))
+    assert default_backend_name() == "limb"
+    DarKnightBackend(DarKnightConfig())
+    assert default_backend_name() == "limb"
+    with use_backend("generic"):
+        DarKnightBackend(DarKnightConfig())
         assert default_backend_name() == "generic"
-    finally:
-        set_default_backend("limb")
+    assert default_backend_name() == "limb"
 
 
 # ----------------------------------------------------------------------

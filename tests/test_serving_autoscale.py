@@ -34,9 +34,9 @@ from repro.serving import (
     phased_trace,
     synthetic_trace,
 )
-from repro.serving.autoscale import ACTION_SCALE_IN, ACTION_SCALE_OUT
+from repro.serving.autoscale import ACTION_SCALE_OUT
 from repro.serving.requests import PendingRequest
-from repro.sharding import ShardRouter
+from repro.sharding import PartitionSpec, ShardRouter
 
 
 def _tiny_net(seed=0):
@@ -485,9 +485,15 @@ def _assert_one_membership_view(server):
     assert server.pool.units is units
     ids = list(range(len(units)))
     assert [u.unit_id for u in units] == ids
-    assert [s.shard_id for s in server.shards] == ids
+    n = server.partition.n_stages
+    shard_ids = list(range(n * len(units)))
+    assert [s.shard_id for s in server.shards] == shard_ids
+    assert all(
+        [s.shard_id for s in u.shards] == shard_ids[u.unit_id * n : (u.unit_id + 1) * n]
+        for u in units
+    )
     assert server.router.n_shards == len(units)
-    assert sorted(server.audit.logs) == ids
+    assert sorted(server.audit.logs) == shard_ids
     assert len(server.scheduler.policy_snapshots()) == len(units)
     retired = {u.unit_id for u in units if u.state == "retired"}
     in_service = set(ids) - retired
@@ -496,12 +502,14 @@ def _assert_one_membership_view(server):
     assert set(by_unit) == in_service
     placed = [tenant for tenants in by_unit.values() for tenant in tenants]
     assert len(placed) == len(set(placed))  # nobody holds two sessions
-    assert set(server.autoscaler.live_shards()) == in_service
+    # Units leave whole: the ledger and every member's chain agree.
+    retired_shards = {s.shard_id for u in units if u.unit_id in retired for s in u.shards}
+    assert set(server.autoscaler.live_shards()) == set(shard_ids) - retired_shards
     assert {
         sid
         for sid, log in server.audit.logs.items()
         if any(e["meta"]["status"] == "membership:retire" for e in log.entries)
-    } == retired
+    } == retired_shards
     # The router only ever drops a unit the executor already reports gone,
     # and never routes to a retired one.
     serving = set(server.router.healthy_shards())
@@ -511,11 +519,15 @@ def _assert_one_membership_view(server):
     assert all(u.queue.depth == 0 for u in units if u.unit_id in retired)
 
 
-def _run_membership_schedule(steps):
+def _run_membership_schedule(steps, partition="replicated"):
     """Interleave arrivals with provision / decommission / kill steps."""
     from repro.serving import AuditConfig
 
-    server = _server(num_shards=1, audit=AuditConfig())
+    server = _server(
+        num_shards=PartitionSpec.parse(partition).n_stages,
+        audit=AuditConfig(),
+        partition=partition,
+    )
     arrivals = iter(sorted(_MEMBERSHIP_TRACE, key=lambda r: r.time))
     now = 0.0
 
@@ -572,9 +584,11 @@ _STEPS = st.lists(
 
 
 @settings(max_examples=25, deadline=None)
-@given(steps=_STEPS)
-def test_property_membership_schedules_keep_one_consistent_deployment(steps):
-    server, report = _run_membership_schedule(steps)
+@given(steps=_STEPS, partition=st.sampled_from(["replicated", "layered:2"]))
+def test_property_membership_schedules_keep_one_consistent_deployment(
+    steps, partition
+):
+    server, report = _run_membership_schedule(steps, partition)
     _assert_contract(server, report, _static_logits())
 
 

@@ -51,23 +51,24 @@ def test_layered_requires_divisible_shard_count():
         _serve([], 4, "layered:3")
 
 
-def test_layered_does_not_compose_with_autoscale():
+@pytest.mark.parametrize(
+    "bounds, culprit",
+    [
+        ({}, "autoscale.min_shards must be divisible by 2, got 1"),  # the default
+        ({"min_shards": 2, "max_shards": 5}, "autoscale.max_shards"),
+    ],
+)
+def test_autoscale_bounds_must_be_whole_units(bounds, culprit):
+    """A scale step is one unit of ``N`` shards, so the shard bounds fall
+    under the same divisibility rule as ``num_shards``."""
     from repro.serving import AutoscaleConfig
 
     dk = DarKnightConfig(virtual_batch_size=4, seed=0, num_shards=2)
     config = ServingConfig(
-        darknight=dk, partition="layered:2", autoscale=AutoscaleConfig()
+        darknight=dk, partition="layered:2", autoscale=AutoscaleConfig(**bounds)
     )
-    with pytest.raises(ConfigurationError, match="autoscale"):
+    with pytest.raises(ConfigurationError, match=culprit):
         PrivateInferenceServer(_tiny_net(), config)
-
-
-def test_layered_refuses_dynamic_membership():
-    server, _ = _serve([], 2, "layered:2")
-    with pytest.raises(ConfigurationError, match="replicated"):
-        server.provision_shard()
-    with pytest.raises(ConfigurationError, match="replicated"):
-        server.decommission_shard(0)
 
 
 # ----------------------------------------------------------------------
@@ -107,6 +108,126 @@ def test_layered_builds_groups_as_routing_units():
     ]
     assert len(report.completed) == 8
     assert "partition layered:3" in report.render()
+
+
+@pytest.mark.parametrize("fail_after", [None, 2], ids=["healthy", "fail-mid-window"])
+@pytest.mark.parametrize("num_shards", [1, 3])
+def test_replicated_is_layered_1(num_shards, fail_after):
+    """One executor type: ``replicated`` and ``layered:1`` are the same
+    deployment down to the simulated clock and the audit chain bytes —
+    with integrity, audit, precompute and a 2-deep pipeline all on, healthy
+    or with a shard dying mid-window."""
+    from repro.audit import AuditConfig
+
+    trace = synthetic_trace(48, (16,), n_tenants=6, mean_interarrival=2e-5, seed=11)
+
+    def run(partition):
+        dk = DarKnightConfig(
+            virtual_batch_size=4, seed=0, num_shards=num_shards,
+            integrity=True, pipeline_depth=2,
+        )
+        config = ServingConfig(
+            darknight=dk, partition=partition, queue_capacity=512,
+            audit=AuditConfig(), precompute=True,
+        )
+        server = PrivateInferenceServer(_tiny_net(), config)
+        if fail_after is not None:
+            server.shards[-1].fail_after(fail_after)
+        report = server.serve_trace(trace)
+        return server, report
+
+    (rep_server, rep), (lay_server, lay) = run("replicated"), run("layered:1")
+    assert (rep.partition, lay.partition) == ("replicated", "layered:1")
+    if fail_after is not None:
+        assert rep.failovers == 1 or num_shards == 1  # the fault did land
+        assert rep_server.units[-1].state == "failed"
+    assert len(rep.outcomes) == len(lay.outcomes) == len(trace)
+    for a, b in zip(rep.outcomes, lay.outcomes):
+        assert (a.request_id, a.status, a.error) == (b.request_id, b.status, b.error)
+        assert (a.dispatch_time, a.completion_time) == (b.dispatch_time, b.completion_time)
+        assert (a.logits is None) == (b.logits is None)
+        if a.logits is not None:
+            assert np.array_equal(a.logits, b.logits)
+    assert rep_server.pool.stage_totals() == lay_server.pool.stage_totals()
+    assert (rep.handshakes, rep.link_bytes) == (lay.handshakes, lay.link_bytes)
+    assert (rep.failovers, rep.migrations) == (lay.failovers, lay.migrations)
+    assert rep.precompute == lay.precompute
+    assert rep_server.mesh.handshakes == lay_server.mesh.handshakes
+    # Byte-for-byte the same audit chains: same windows, same error text.
+    assert rep.audit_roots == lay.audit_roots
+    assert rep_server.audit.verify() == lay_server.audit.verify() > 0
+
+
+# ----------------------------------------------------------------------
+# layered x autoscale: membership moves whole units
+# ----------------------------------------------------------------------
+def test_layered_autoscale_grows_and_shrinks_by_whole_units():
+    """``layered:2`` under the autoscaler: every scale step provisions or
+    retires one two-shard pipeline, and the serving contract holds across
+    the membership history."""
+    from repro.audit import AuditConfig
+    from repro.serving import AutoscaleConfig, phased_trace
+
+    trace = phased_trace(
+        [(60, 2e-5), (30, 2e-2), (60, 2e-5)], (16,), n_tenants=8, seed=11
+    )
+    autoscale = AutoscaleConfig(
+        min_shards=2, max_shards=8, eval_interval=5e-4,
+        scale_out_cooldown=1e-3, scale_in_cooldown=5e-3,
+        queue_high=3.0, queue_low=0.5,
+        breaches_to_scale_out=2, breaches_to_scale_in=4,
+    )
+    server, report = _serve(
+        trace, 2, "layered:2", autoscale=autoscale, audit=AuditConfig()
+    )
+    assert report.partition == "layered:2"
+    assert report.autoscale["scale_outs"] >= 1
+    assert report.autoscale["scale_ins"] >= 1
+    assert 2 <= report.autoscale["peak_shards"] <= 8
+    for event in server.autoscaler.events:
+        assert 2 <= event.n_live <= 8 and event.n_live % 2 == 0
+
+    # Exactly one terminal outcome per admitted request, all of them OK,
+    # bit-identical to a static replicated deployment.
+    assert sorted(o.request_id for o in report.outcomes) == list(range(len(trace)))
+    assert all(o.ok for o in report.outcomes)
+    _, static = _serve(trace, 1, "replicated")
+    static_logits = {o.request_id: o.logits for o in static.completed}
+    for o in report.completed:
+        assert np.array_equal(o.logits, static_logits[o.request_id])
+
+    # Units are pairs of consecutive shards, attested pairwise on joining.
+    assert len(server.shards) == 2 * len(server.units) > 2
+    assert [s.shard_id for s in server.shards] == list(range(len(server.shards)))
+    for unit in server.units:
+        assert [s.shard_id for s in unit.shards] == [
+            2 * unit.unit_id, 2 * unit.unit_id + 1
+        ]
+    retired = [u for u in server.units if u.state == "retired"]
+    assert retired and all(s.retired for u in retired for s in u.shards)
+
+    # Every member's chain verifies and tells its own membership story.
+    audit = server.audit
+    assert audit.verify() == audit.windows_committed
+    assert sorted(audit.logs) == [s.shard_id for s in server.shards]
+
+    def events(shard):
+        return [
+            e["meta"]["status"].split(":", 1)[1]
+            for e in audit.logs[shard.shard_id].entries
+            if e["meta"]["status"].startswith("membership:")
+        ]
+
+    for unit in server.units:
+        joined = [] if unit.unit_id == 0 else ["provision"]
+        left = ["drain", "retire"] if unit.state == "retired" else []
+        for shard in unit.shards:
+            assert events(shard) == joined + left
+    # ... and the shard-seconds ledger closed every retired member's span.
+    in_service = {s.shard_id for u in server.units if u.state != "retired" for s in u.shards}
+    assert set(server.autoscaler.live_shards()) == in_service
+    for shard in server.shards:
+        shard.backend.assert_encodings_released()
 
 
 # ----------------------------------------------------------------------

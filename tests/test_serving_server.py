@@ -298,11 +298,13 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     ]
     outcomes = pool.dispatch_window(batches)
     assert all(o.ok for o in outcomes)
-    shard = pool.units[0].executor
+    (shard,) = pool.units[0].shards
     # Everything the enclave timeline was ever occupied with — the
-    # aborted shared window plus the isolating re-runs — is accounted.
+    # aborted shared window plus the isolating re-runs — is accounted,
+    # by the pool, the shard and the unit's executor alike.
     assert pool.busy_time == pytest.approx(shard.engine.timeline.busy_time)
     assert pool.busy_time == pytest.approx(shard.busy_time)
+    assert pool.units[0].executor.busy_time == shard.busy_time
 
 
 def test_report_renders_metrics_and_session_facts():

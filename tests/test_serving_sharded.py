@@ -131,6 +131,23 @@ def test_shard_killed_mid_window_fails_over_without_losing_responses():
     assert len(set(batch_ids)) == report.metrics.batches
 
 
+def test_scale_in_keeps_the_retired_units_handshakes_in_the_report():
+    """Regression: the report summed handshakes over non-retired units
+    only, so decommissioning a shard made its lifetime handshakes vanish
+    (8 tenants, 4 migrated off the victim: 12 performed, 8 reported)."""
+    trace = synthetic_trace(32, (16,), n_tenants=8, mean_interarrival=2e-5, seed=5)
+    server, report = _serve(trace, 2)
+    assert (report.handshakes, report.migrations) == (8, 0)
+
+    server.decommission_shard()
+    report = server.report()
+    assert report.migrations >= 1
+    assert report.handshakes == 8 + report.migrations
+    assert report.handshakes == sum(
+        u.sessions.handshakes_performed for u in server.units
+    )
+
+
 def test_failover_logits_match_unfailed_run_bit_for_bit():
     """Migration must not perturb values: the run with a mid-trace shard
     death serves the exact logits of the same trace with no failure."""

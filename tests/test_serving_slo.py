@@ -212,7 +212,6 @@ def test_sharded_mixed_deadline_drain_interleaves_in_deadline_order():
         [
             ServingUnit(
                 executor=SimpleNamespace(shard_id=i, retired=False),
-                shards=[],
                 queue=queue,
                 scheduler=VirtualBatchScheduler(
                     queue, batch_size=1, max_wait=0.010, shard_id=i, id_source=ids

@@ -75,9 +75,12 @@ def _reference(net, cfg, xs, shard_id=9):
 # ----------------------------------------------------------------------
 def test_partition_spec_parses_and_round_trips():
     rep = PartitionSpec.parse("replicated")
-    assert not rep.layered and rep.n_stages == 1 and str(rep) == "replicated"
+    assert rep.n_stages == 1 and str(rep) == "replicated"
     lay = PartitionSpec.parse("layered:3")
-    assert lay.layered and lay.n_stages == 3 and str(lay) == "layered:3"
+    assert lay.n_stages == 3 and str(lay) == "layered:3"
+    # ``replicated`` is ``layered:1`` under another name.
+    one = PartitionSpec.parse("layered:1")
+    assert one.n_stages == rep.n_stages and str(one) == "layered:1"
     assert PartitionSpec.parse(str(lay)) == lay
 
 
@@ -196,16 +199,57 @@ def test_group_refuses_unattested_hops():
 
 
 def test_group_duck_types_the_shard_surface():
+    """The group's health and lifecycle are its members', driven as one."""
     group, shards = _group(_dense_net(), _cfg(), 2)
     assert group.shard_id == 100
     assert group.enclave is shards[0].enclave
-    assert group.engine is shards[0].engine
-    assert group.n_gpus == sum(s.n_gpus for s in shards)
     assert group.healthy and group.state == "active" and not group.draining
+    group.begin_drain()
+    assert all(s.draining for s in shards) and group.state == "draining"
+    group.decommission(now=2.5)
+    assert group.retired and group.state == "retired" and not group.healthy
+    assert [s.state for s in shards] == ["retired", "retired"]
+    assert [s.retired_at for s in shards] == [2.5, 2.5]
+
+    group, shards = _group(_dense_net(), _cfg(), 2)
     group.kill()
-    assert not group.healthy and group.state == "failed"
-    with pytest.raises(ShardFailedError):
+    assert not any(s.healthy for s in shards)
+    assert not group.healthy and group.state == "failed" and not group.retired
+    with pytest.raises(ShardFailedError, match="shard 0 is down") as excinfo:
         group.run_window([(np.zeros((K, 16)), 0.0)])
+    assert excinfo.value.shard_id == 100
+
+
+def test_one_member_group_is_the_shard_itself():
+    """``N = 1``: no hops, no mesh, and a window identical to the bare
+    shard's — values, clock, stage totals, and the failure text."""
+    net, cfg = _resnet(), _cfg()
+    rng = np.random.default_rng(5)
+    xs = [rng.standard_normal((K, 3, 8, 8)) for _ in range(3)]
+    whole = LayerPartitionPlanner(net).plan(1)
+    assert whole == [(0, len(net.execution_plan()))]
+
+    bare = EnclaveShard.provision(0, net, cfg)
+    want, want_stats = bare.run_window([(x, 0.0) for x in xs])
+    member = EnclaveShard.provision(0, net, cfg)
+    group = PipelineGroup(7, [member], whole, mesh=None)
+    got, got_stats = group.run_window([(x, 0.0) for x in xs])
+    for g, w in zip(got, want):
+        assert np.array_equal(g.output, w.output)
+        assert (g.start, g.finish) == (w.start, w.finish)
+    assert got_stats.stage_totals == want_stats.stage_totals
+    assert got_stats.enclave_busy == want_stats.enclave_busy
+    assert (group.busy_time, group.batches_run) == (bare.busy_time, 3)
+
+    bare.fail_after(4)
+    member.fail_after(4)
+    with pytest.raises(ShardFailedError) as bare_exc:
+        bare.run_window([(x, 1.0) for x in xs])
+    with pytest.raises(ShardFailedError) as group_exc:
+        group.run_window([(x, 1.0) for x in xs])
+    assert str(group_exc.value) == str(bare_exc.value)
+    assert group_exc.value.shard_id == 7
+    assert group_exc.value.remaining_from == bare_exc.value.remaining_from == 1
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +285,8 @@ def test_member_failure_mid_window_fails_the_group_with_a_prefix():
     exc = excinfo.value
     # Group-granular failure: the router sees the unit id, not a member.
     assert exc.shard_id == 100
-    assert "lost member shard 1" in str(exc)
+    # ... under the failing member's own words, not a re-wrapped text.
+    assert str(exc) == "shard 1 failed mid-window after 1 batches"
     assert exc.remaining_from == 1
     assert len(exc.completed) == 1
     (done_groups, _), = exc.completed
@@ -257,11 +302,11 @@ def test_sub_outputs_fan_out_per_member():
     finals, _ = group.run_window([(x, 0.0) for x in xs])
     final_rows = [np.asarray(g.output) for g in finals]
     # The exit member commits the response logits themselves.
-    exit_rows = group.sub_outputs(shards[-1].shard_id, 2, final_rows)
+    exit_rows = group.sub_outputs(shards[-1].shard_id, final_rows)
     for got, want in zip(exit_rows, final_rows):
         assert np.array_equal(got, want)
     # Interior members commit the flattened live values of their stage.
-    entry_rows = group.sub_outputs(shards[0].shard_id, 2, final_rows)
+    entry_rows = group.sub_outputs(shards[0].shard_id, final_rows)
     assert len(entry_rows) == 2
     for row in entry_rows:
         assert row is not None and row.shape[0] == K
