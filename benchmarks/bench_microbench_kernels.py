@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
+from repro.gpu import GpuCluster, ShareLaunch
 from repro.masking import (
     BackwardDecoder,
     CoefficientSet,
@@ -28,7 +29,7 @@ from repro.masking import (
     ForwardEncoder,
     reference_aggregate,
 )
-from repro.nn.functional import conv2d_via_matmul
+from repro.nn.functional import conv2d_grad_w, conv2d_via_matmul
 from repro.precompute import enable_scratch
 from repro.quantization import QuantizationConfig
 
@@ -236,3 +237,58 @@ def test_conv2d_batched_gemm_speed(benchmark):
     w = rng.standard_normal((16, 3, 3, 3))
     out = benchmark(lambda: conv2d_via_matmul(x, w, np.matmul, stride=1, pad=1))
     assert out.shape == (8, 16, 16, 16)
+
+
+# ----------------------------------------------------------------------
+# one launch per op: a layer's K+M+1 shares as one stacked field GEMM
+# ----------------------------------------------------------------------
+N_SHARES = 6  # K=4, M=1, +1 integrity share
+
+
+@pytest.fixture(scope="module")
+def resnet_conv_cluster():
+    """A mini-resnet residual-block conv (16->16 channels, 3x3, pad 1, on
+    16x16 maps) with one share resident on each of 6 devices."""
+    cluster = GpuCluster(FIELD, N_SHARES)
+    cluster.broadcast_weights("w", RNG.uniform((16, 16, 3, 3)))
+    cluster.scatter_shares("s", RNG.uniform((N_SHARES, 16, 16, 16)))
+    return cluster
+
+
+def _oracle_matmul(a, b):
+    return field_matmul(FIELD, a, b, backend="generic")
+
+
+def test_cluster_forward_launch_speed(benchmark, resnet_conv_cluster):
+    cluster = resnet_conv_cluster
+    launch = ShareLaunch("conv2d", "s", weight_name="w", stride=1, pad=1)
+    outputs, _ = benchmark(lambda: cluster.map_shares(launch, range(N_SHARES)))
+    per_device = np.stack(
+        [
+            conv2d_via_matmul(
+                dev.stored_share("s")[None], dev.weights["w"], _oracle_matmul, 1, 1
+            )[0]
+            for dev in cluster.devices
+        ]
+    )
+    assert np.array_equal(outputs, per_device)
+
+
+def test_cluster_backward_launch_speed(benchmark, resnet_conv_cluster):
+    """``Σβ·δ`` combine + ``Eq_j`` for every share: two GEMMs per launch."""
+    cluster = resnet_conv_cluster
+    deltas, b_rows = RNG.uniform((4, 16, 16, 16)), RNG.uniform((N_SHARES, 4))
+    launch = ShareLaunch(
+        "conv2d", "s", deltas=deltas, b_rows=b_rows, kh=3, kw=3, stride=1, pad=1
+    )
+    equations, _ = benchmark(lambda: cluster.map_shares(launch, range(N_SHARES)))
+    per_device = []
+    for j, dev in enumerate(cluster.devices):
+        combined = _oracle_matmul(b_rows[j : j + 1], deltas.reshape(4, -1))
+        per_device.append(
+            conv2d_grad_w(
+                dev.stored_share("s")[None], combined.reshape(1, 16, 16, 16),
+                3, 3, _oracle_matmul, 1, 1,
+            )
+        )
+    assert np.array_equal(equations, np.stack(per_device))

@@ -61,6 +61,8 @@ TRACKED = (
     "test_dequantize_product_speed",
     "test_forward_encode_hot_path_speed[scratch]",
     "test_forward_decode_hot_path_speed[scratch]",
+    "test_cluster_forward_launch_speed",
+    "test_cluster_backward_launch_speed",
 )
 
 #: The in-run normalizer: a plain float64 GEMM at the same N=256 size.

@@ -21,7 +21,7 @@ from repro.data import cifar_like
 from repro.enclave import Enclave
 from repro.errors import AttestationError
 from repro.fieldmath import PrimeField
-from repro.gpu import GpuCluster, RandomTamper
+from repro.gpu import GpuCluster, RandomTamper, ShareLaunch
 from repro.models import build_mini_vgg
 from repro.quantization import QuantizationConfig
 from repro.runtime import (
@@ -73,7 +73,7 @@ def main() -> None:
     quantizer = QuantizationConfig(field=field)
     probe = quantizer.quantize(x_train[:2].reshape(2, -1) / 4.0)
     _, report = executor.execute_forward(
-        probe, k=2, m=1, gpu_op=lambda dev, key: dev.dense_forward(key, "probe_w")
+        probe, k=2, m=1, launch=ShareLaunch("dense", "probe", weight_name="probe_w")
     )
     print(
         f"probe computation took {report.attempts} attempt(s);"

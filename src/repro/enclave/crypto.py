@@ -45,6 +45,13 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return b"".join(blocks)[:length]
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data ^ stream`` over the whole buffer at once (equal lengths)."""
+    return np.bitwise_xor(
+        np.frombuffer(data, dtype=np.uint8), np.frombuffer(stream, dtype=np.uint8)
+    ).tobytes()
+
+
 def _mac(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
     h = hashlib.blake2b(key=key, digest_size=16, person=b"repro-mac")
     for part in (nonce, aad, ciphertext):
@@ -83,7 +90,7 @@ class StreamAead:
         """Encrypt and authenticate ``plaintext`` binding optional ``aad``."""
         nonce = self._rng.bytes(self.NONCE_BYTES)
         stream = _keystream(self._key, nonce, len(plaintext))
-        data = bytes(a ^ b for a, b in zip(plaintext, stream))
+        data = _xor(plaintext, stream)
         tag = _mac(self._key, nonce, aad, data)
         return Ciphertext(nonce=nonce, data=data, tag=tag, aad=aad)
 
@@ -93,7 +100,7 @@ class StreamAead:
         if expected != ct.tag:
             raise CommunicationError("authentication tag mismatch (tampered blob)")
         stream = _keystream(self._key, ct.nonce, len(ct.data))
-        return bytes(a ^ b for a, b in zip(ct.data, stream))
+        return _xor(ct.data, stream)
 
 
 class DiffieHellman:

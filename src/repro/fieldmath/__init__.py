@@ -3,8 +3,9 @@
 The public surface of this subpackage is:
 
 * :class:`~repro.fieldmath.prime.PrimeField` — element-wise field ops;
-* :func:`~repro.fieldmath.linalg.field_matmul` and friends — overflow-safe
-  matrix algebra mod ``p``;
+* :func:`~repro.fieldmath.linalg.field_matmul`,
+  :func:`~repro.fieldmath.linalg.field_matmul_stacked` and friends —
+  overflow-safe matrix algebra mod ``p``;
 * :class:`~repro.fieldmath.random.FieldRng` — seeded mask/coefficient sampling;
 * :mod:`~repro.fieldmath.kernels` — pluggable field-op backends (the default
   ``"limb"`` backend runs ``field_matmul`` as float64 BLAS GEMMs over 13-bit
@@ -23,6 +24,7 @@ from repro.fieldmath.linalg import (
     determinant,
     field_dot,
     field_matmul,
+    field_matmul_stacked,
     inverse,
     is_invertible,
     rank,
@@ -38,6 +40,7 @@ __all__ = [
     "PrimeField",
     "FieldRng",
     "field_matmul",
+    "field_matmul_stacked",
     "field_dot",
     "inverse",
     "solve",

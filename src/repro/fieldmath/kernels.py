@@ -172,6 +172,15 @@ class GenericBackend:
             result += np.mod(partial, field.p)
         return np.mod(result, field.p)
 
+    def matmul_stacked(
+        self, field, a: np.ndarray, b: np.ndarray, chunk: int
+    ) -> np.ndarray:
+        """Per-slice oracle: ``out[s] = (a[s] @ b[s]) mod p``."""
+        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+        for s in range(a.shape[0]):
+            out[s] = self.matmul(field, a[s], b[s], chunk)
+        return out
+
 
 class LimbBackend:
     """13-bit-limb float64 GEMMs: exact ``(a @ b) mod p`` at BLAS speed.
@@ -182,7 +191,13 @@ class LimbBackend:
 
     * ``K <= two_gemm_limit(p)`` — split-B, 2 GEMMs;
     * ``K <= karatsuba_limit(p)`` — both operands split, 3 GEMMs;
-    * otherwise, or ``p >= 2**26``, or stacked (>2-D) ``b`` — generic.
+    * otherwise, or ``p >= 2**26``, or a >2-D ``b`` in :meth:`matmul` —
+      generic.
+
+    :meth:`matmul_stacked` runs ``S`` independent products as one batched
+    GEMM per limb plane (``np.matmul`` over a leading axis) through the
+    same two kernels, so the bounds — which depend only on ``K`` and
+    ``p`` — and the exactness argument are unchanged.
     """
 
     name = "limb"
@@ -196,13 +211,12 @@ class LimbBackend:
         self._karatsuba_cap = karatsuba_cap
         self._generic = GenericBackend()
 
-    def matmul(self, field, a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
-        p = field.p
-        k = a.shape[-1]
-        if p >= 1 << (2 * LIMB_BITS) or b.ndim > 2 or k == 0:
-            # Limbs no longer fit 13 bits / stacked-matmul semantics /
-            # empty contraction: the oracle handles all of them.
-            return self._generic.matmul(field, a, b, chunk)
+    def _kernel_for(self, p: int, k: int):
+        """The exact limb kernel for contraction length ``k``, or ``None``
+        when only the oracle is exact (limbs no longer fit 13 bits, empty
+        contraction, or ``k`` beyond the Karatsuba bound)."""
+        if p >= 1 << (2 * LIMB_BITS) or k == 0:
+            return None
         two_gemm_max = (
             self._two_gemm_cap if self._two_gemm_cap is not None else two_gemm_limit(p)
         )
@@ -211,25 +225,44 @@ class LimbBackend:
             if self._karatsuba_cap is not None
             else karatsuba_limit(p)
         )
-        out_shape = a.shape[:-1] + b.shape[1:]
         if k <= two_gemm_max:
-            flat = self._two_gemm(barrett(p), a.reshape(-1, k), b.reshape(k, -1))
-        elif k <= kara_max:
-            flat = self._karatsuba(barrett(p), a.reshape(-1, k), b.reshape(k, -1))
-        else:
+            return self._two_gemm
+        if k <= kara_max:
+            return self._karatsuba
+        return None
+
+    def matmul(self, field, a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
+        k = a.shape[-1]
+        kernel = None if b.ndim > 2 else self._kernel_for(field.p, k)
+        if kernel is None:
             return self._generic.matmul(field, a, b, chunk)
+        out_shape = a.shape[:-1] + b.shape[1:]
+        flat = kernel(barrett(field.p), a.reshape(-1, k), b.reshape(k, -1))
         return flat.astype(np.int64).reshape(out_shape)
+
+    def matmul_stacked(
+        self, field, a: np.ndarray, b: np.ndarray, chunk: int
+    ) -> np.ndarray:
+        """``out[s] = (a[s] @ b[s]) mod p`` for ``(S,m,k) @ (S,k,n)``."""
+        kernel = self._kernel_for(field.p, a.shape[-1])
+        if kernel is None:
+            return self._generic.matmul_stacked(field, a, b, chunk)
+        return kernel(barrett(field.p), a, b).astype(np.int64)
 
     @staticmethod
     def _two_gemm(red: BarrettReducer, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Split-B path: products <= (p-1)*LIMB_MASK, 2 GEMMs, 2 reductions.
 
+        ``a``/``b`` are ``(m,k)``/``(k,n)`` or the same with one leading
+        stack axis; every step is element-wise or ``np.matmul``, which
+        batches over it.
+
         With the precompute scratch pool enabled every intermediate —
         limb planes and both GEMM outputs — lives in recycled per-shape
         buffers (``out=`` GEMM variants); the ``beta=0`` BLAS call and
         in-place ufuncs make the result bit-identical either way.  The
-        returned array may alias pool memory: the sole caller copies it
-        out via ``astype(np.int64)`` immediately.
+        returned array may alias pool memory: both callers copy it out
+        via ``astype(np.int64)`` immediately.
         """
         scratch = active_scratch()
         if scratch is None:
@@ -240,8 +273,9 @@ class LimbBackend:
             af = scratch.cast("2g_a", a, np.float64)
             b_int = scratch.get("2g_bi", b.shape, np.int64)
             b_f = scratch.get("2g_bf", b.shape, np.float64)
-            low = scratch.get("2g_lo", (a.shape[0], b.shape[1]), np.float64)
-            high = scratch.get("2g_hi", (a.shape[0], b.shape[1]), np.float64)
+            out_shape = a.shape[:-1] + b.shape[-1:]
+            low = scratch.get("2g_lo", out_shape, np.float64)
+            high = scratch.get("2g_hi", out_shape, np.float64)
             np.bitwise_and(b, LIMB_MASK, out=b_int)
             np.copyto(b_f, b_int, casting="unsafe")
             np.matmul(af, b_f, out=low)

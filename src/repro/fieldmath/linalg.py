@@ -4,8 +4,9 @@ Everything DarKnight offloads to GPUs is a bilinear form over the field, and
 everything the enclave does to decode is small dense linear algebra over the
 same field.  This module provides both:
 
-* :func:`field_matmul` — matrix product with chunked reduction so int64 never
-  overflows, used by the simulated GPU kernels;
+* :func:`field_matmul` / :func:`field_matmul_stacked` — matrix product (one,
+  or a stack of independent ones) that never overflows int64, used by the
+  simulated GPU kernels;
 * Gauss-Jordan :func:`inverse` / :func:`solve` / :func:`rank` used when
   generating and applying DarKnight coefficient matrices;
 * :func:`vandermonde` — the MDS construction guaranteeing that *every*
@@ -62,6 +63,34 @@ def field_matmul(
         raise FieldError(f"chunk must be positive, got {chunk}")
     ops = kernels.default_backend() if backend is None else kernels.get_backend(backend)
     return ops.matmul(field, a, b, chunk)
+
+
+def field_matmul_stacked(
+    field: PrimeField,
+    a: np.ndarray,
+    b: np.ndarray,
+    chunk: int = SAFE_ACCUMULATION,
+    backend: str | None = None,
+) -> np.ndarray:
+    """``S`` independent products at once: ``out[s] = (a[s] @ b[s]) mod p``.
+
+    ``a`` is ``(S, m, n)`` and ``b`` is ``(S, n, q)``; the result is
+    ``(S, m, q)``, slice for slice what :func:`field_matmul` returns.  The
+    ``"limb"`` backend runs each limb plane as one batched float64 GEMM,
+    exact under the same ``two_gemm_limit``/``karatsuba_limit`` bounds on
+    ``n`` as the 2-D product, and hands anything beyond them to the
+    ``"generic"`` per-slice oracle.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.ndim != 3 or b.ndim != 3:
+        raise FieldError(f"expected 3-D stacks, got {a.shape} @ {b.shape}")
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise FieldError(f"stack or inner dimensions differ: {a.shape} @ {b.shape}")
+    if chunk < 1:
+        raise FieldError(f"chunk must be positive, got {chunk}")
+    ops = kernels.default_backend() if backend is None else kernels.get_backend(backend)
+    return ops.matmul_stacked(field, a, b, chunk)
 
 
 def field_dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:

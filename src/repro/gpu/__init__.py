@@ -1,6 +1,6 @@
 """Simulated untrusted accelerators: kernels, devices, faults, collusion."""
 
-from repro.gpu.cluster import GpuCluster
+from repro.gpu.cluster import GpuCluster, ShareLaunch
 from repro.gpu.collusion import CollusionPool, ReconstructionResult
 from repro.gpu.device import GpuLedger, SimulatedGpu
 from repro.gpu.faults import HONEST, FaultInjector, RandomTamper, TargetedTamper
@@ -8,6 +8,7 @@ from repro.gpu.kernels import FieldKernels, FloatKernels
 
 __all__ = [
     "GpuCluster",
+    "ShareLaunch",
     "SimulatedGpu",
     "GpuLedger",
     "FieldKernels",

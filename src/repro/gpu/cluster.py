@@ -1,14 +1,18 @@
-"""Multi-GPU dispatch: one share per device, gather results by share id.
+"""Multi-GPU dispatch: one share per device, one launch per op.
 
 The cluster is deliberately thin — DarKnight's orchestration logic lives in
-:mod:`repro.runtime`; this class only owns the device pool, enforces the
-"each GPU receives at most one encoded data" rule, and stacks results in
-share order for the decoders.
+:mod:`repro.runtime`.  Devices own storage, fault injectors and ledgers;
+the cluster owns the device pool, enforces the "each GPU receives at most
+one encoded data" rule, and owns the *launch*: the ``K'`` GPUs run the same
+bilinear kernel on their own share in parallel (paper §3.1), which the
+simulator executes as one stacked field GEMM over the line-up's resident
+shares and then accounts device by device.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -16,10 +20,50 @@ from repro.errors import ConfigurationError, GpuError
 from repro.fieldmath import PrimeField
 from repro.gpu.device import SimulatedGpu
 from repro.gpu.faults import HONEST, FaultInjector
+from repro.gpu.kernels import FieldKernels
+
+
+@dataclass(frozen=True)
+class ShareLaunch:
+    """One bilinear op on the share every line-up device holds under ``share_key``.
+
+    A *forward* launch names the public weights (``weight_name``): device
+    ``j`` returns ``x̄(j) · W``.  A *backward* launch carries the quantized
+    gradients instead (``deltas`` of shape ``(K, ...)`` plus ``b_rows``, the
+    public ``B`` row for each line-up position): device ``j`` first combines
+    ``δ̄(j) = Σ_i b_rows[j, i]·δ(i)`` and then returns ``Eq_j = <δ̄(j), x̄(j)>``.
+    """
+
+    kind: str  #: ``"dense"`` or ``"conv2d"``.
+    share_key: str
+    weight_name: str | None = None
+    deltas: np.ndarray | None = None
+    b_rows: np.ndarray | None = None
+    #: Conv kernel height/width — backward only; forward reads them off the weights.
+    kh: int = 0
+    kw: int = 0
+    stride: int = 1
+    pad: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("dense", "conv2d"):
+            raise GpuError(f"unknown launch kind {self.kind!r}")
+        forward = self.weight_name is not None
+        backward = self.deltas is not None and self.b_rows is not None
+        if forward == backward:
+            raise GpuError(
+                "a launch is either forward (weight_name) or backward"
+                " (deltas and b_rows)"
+            )
 
 
 class GpuCluster:
-    """A pool of ``K'`` simulated accelerators.
+    """A pool of ``K'`` simulated accelerators and the one way to run them.
+
+    :meth:`scatter_shares` / :meth:`broadcast_weights` move data onto the
+    devices; :meth:`map_shares` launches one op over a line-up's resident
+    shares (one stacked kernel, then per-device faults and accounting).
+    ``kernels`` is the field kernel set every launch uses.
 
     Parameters
     ----------
@@ -46,6 +90,7 @@ class GpuCluster:
         if unknown:
             raise ConfigurationError(f"fault injectors for unknown devices: {unknown}")
         self.field = field
+        self.kernels = FieldKernels(field)
         self.devices = [
             SimulatedGpu(i, field, injectors.get(i, HONEST)) for i in range(n_devices)
         ]
@@ -84,27 +129,98 @@ class GpuCluster:
     # fan-out execution
     # ------------------------------------------------------------------
     def map_shares(
-        self, n_shares: int, op: Callable[[SimulatedGpu], np.ndarray]
-    ) -> np.ndarray:
-        """Run ``op`` on devices ``0..n_shares-1`` and stack by share id."""
-        if n_shares > len(self.devices):
-            raise GpuError(
-                f"need {n_shares} devices, cluster has {len(self.devices)}"
-            )
-        return np.stack([op(self.devices[j]) for j in range(n_shares)])
+        self, launch: ShareLaunch, lineup: Sequence[int]
+    ) -> tuple[np.ndarray, int]:
+        """Run ``launch`` on the ``lineup`` devices.
 
-    def map_with_rows(
-        self,
-        n_shares: int,
-        rows: Sequence[np.ndarray],
-        op: Callable[[SimulatedGpu, np.ndarray], np.ndarray],
+        Returns ``(outputs, macs_per_share)``: the results stacked in
+        line-up order, and the multiply-accumulates each device was charged
+        for the launch.
+
+        The only fan-out entry point.  The line-up's resident shares are
+        stacked and the kernel runs once for all of them; slice ``j`` then
+        goes through device ``lineup[j]``'s :meth:`SimulatedGpu.emit`, so
+        each device's fault injector, ledger entry and op order are those
+        of a device that ran its own share alone.  A line-up may skip
+        devices (recovery benches suspects).
+        """
+        devices = [self._device(device_id) for device_id in lineup]
+        if not devices:
+            raise GpuError("a launch needs at least one device")
+        shares = np.stack([dev.stored_share(launch.share_key) for dev in devices])
+        if launch.weight_name is not None:
+            return self._forward(launch, devices, shares)
+        return self._backward(launch, devices, shares)
+
+    def _device(self, device_id: int) -> SimulatedGpu:
+        if not 0 <= device_id < len(self.devices):
+            raise GpuError(
+                f"line-up names device {device_id}, cluster has {len(self.devices)}"
+            )
+        return self.devices[device_id]
+
+    @staticmethod
+    def _shared_weights(devices: list[SimulatedGpu], name: str) -> np.ndarray:
+        """The one weight array every line-up device holds under ``name``.
+
+        One GEMM can only use one ``W``: a line-up whose devices disagree
+        is refused rather than silently computed with the first device's.
+        """
+        try:
+            held = [dev.weights[name] for dev in devices]
+        except KeyError as exc:
+            raise GpuError(f"a line-up device holds no weights {name!r}") from exc
+        w = held[0]
+        if any(other is not w and not np.array_equal(other, w) for other in held[1:]):
+            raise GpuError(
+                f"line-up devices hold different weights under {name!r};"
+                " broadcast_weights installs one array on every device"
+            )
+        return w
+
+    @staticmethod
+    def _emit_each(
+        devices: list[SimulatedGpu], op_name: str, stack: np.ndarray, macs: int
     ) -> np.ndarray:
-        """Like :meth:`map_shares` but hands device ``j`` its row (e.g. ``B[j]``)."""
-        if len(rows) < n_shares:
-            raise GpuError(f"need {n_shares} rows, got {len(rows)}")
-        return np.stack(
-            [op(self.devices[j], rows[j]) for j in range(n_shares)]
+        """Pass slice ``j`` through device ``j``; keep whatever it emits."""
+        for j, dev in enumerate(devices):
+            honest = stack[j]
+            emitted = dev.emit(op_name, honest, macs)
+            if emitted is not honest:
+                stack[j] = emitted
+        return stack
+
+    def _forward(self, launch, devices, shares) -> tuple[np.ndarray, int]:
+        w = self._shared_weights(devices, launch.weight_name)
+        if launch.kind == "conv2d":
+            out = self.kernels.conv2d(shares, w, launch.stride, launch.pad)
+            macs = int(out[0].size) * int(w.shape[1] * w.shape[2] * w.shape[3])
+        else:
+            out = self.kernels.dense(shares, w)
+            macs = int(shares[0].size) * int(w.shape[1])
+        return self._emit_each(devices, f"{launch.kind}_forward", out, macs), macs
+
+    def _backward(self, launch, devices, shares) -> tuple[np.ndarray, int]:
+        if len(launch.b_rows) < len(devices):
+            raise GpuError(f"need {len(devices)} B rows, got {len(launch.b_rows)}")
+        combined = self.kernels.scale_accumulate(
+            launch.deltas, launch.b_rows[: len(devices)]
         )
+        # What a device feeds its Eq kernel is what it *emitted* as δ̄(j):
+        # a tampered combine propagates, exactly as on a lone device.
+        combine_macs = int(launch.deltas.size)
+        combined = self._emit_each(devices, "combine_deltas", combined, combine_macs)
+        if launch.kind == "conv2d":
+            out = self.kernels.conv2d_grad_w(
+                shares, combined, launch.kh, launch.kw, launch.stride, launch.pad
+            )
+            macs = int(combined[0].size) * int(launch.kh * launch.kw * shares.shape[1])
+            op_name = "backward_equation_conv"
+        else:
+            out = self.kernels.dense_grad_w(shares, combined)
+            macs = int(shares[0].size) * int(combined[0].size)
+            op_name = "backward_equation_dense"
+        return self._emit_each(devices, op_name, out, macs), combine_macs + macs
 
     # ------------------------------------------------------------------
     # simulated completion model

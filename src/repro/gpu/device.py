@@ -1,11 +1,13 @@
 """A single simulated accelerator holding exactly one masked share.
 
-The device executes field bilinear kernels on whatever the enclave sends it,
-keeps the encoded forward activations resident for the backward pass (the
-paper's "Encoded Data Storage During Forward Pass" optimisation in
-Section 6), counts bytes and multiply-accumulate operations for the
-performance model, and routes every output through its fault injector so a
-malicious device can be simulated without touching honest code paths.
+The device owns what is *per device*: it keeps whatever share the enclave
+sends it — the encoded forward activations stay resident for the backward
+pass (the paper's "Encoded Data Storage During Forward Pass" optimisation
+in Section 6) — counts bytes and multiply-accumulate operations for the
+performance model, and routes every masked-kernel output through its fault
+injector so a malicious device can be simulated without touching honest
+code paths.  The masked kernels themselves run once per line-up in
+:meth:`repro.gpu.GpuCluster.map_shares`, which hands each device its slice.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from repro.errors import GpuError
 from repro.fieldmath import PrimeField
 from repro.gpu.faults import HONEST, FaultInjector
-from repro.gpu.kernels import FieldKernels, FloatKernels
+from repro.gpu.kernels import FloatKernels
 
 
 @dataclass
@@ -59,7 +61,6 @@ class SimulatedGpu:
     ) -> None:
         self.device_id = device_id
         self.field = field
-        self.kernels = FieldKernels(field)
         self.float_kernels = FloatKernels()
         self.faults = fault_injector
         self.ledger = GpuLedger()
@@ -119,59 +120,20 @@ class SimulatedGpu:
         return start, end
 
     # ------------------------------------------------------------------
-    # masked kernels
+    # masked kernel outputs
     # ------------------------------------------------------------------
-    def _emit(self, op_name: str, result: np.ndarray, macs: int) -> np.ndarray:
+    def emit(self, op_name: str, result: np.ndarray, macs: int) -> np.ndarray:
+        """Release this device's result of one masked kernel.
+
+        The math itself runs in the cluster's launch
+        (:meth:`repro.gpu.GpuCluster.map_shares`) for the whole line-up at
+        once; everything that makes the result *this device's* happens
+        here: the fault injector sees it under ``op_name`` and the ledger
+        is charged ``macs`` and the emitted bytes.
+        """
         result = self.faults.corrupt(result, self.device_id, op_name)
         self.ledger.record(op_name, macs, int(np.asarray(result).nbytes))
         return result
-
-    def dense_forward(self, share_key: str, weight_name: str) -> np.ndarray:
-        """``x̄ @ W`` on the stored share."""
-        x = self.stored_share(share_key)
-        w = self.weights[weight_name]
-        out = self.kernels.dense(x, w)
-        return self._emit("dense_forward", out, macs=int(x.size) * int(w.shape[1]))
-
-    def conv2d_forward(
-        self, share_key: str, weight_name: str, stride: int = 1, pad: int = 0
-    ) -> np.ndarray:
-        """Convolution of the stored share with public weights."""
-        x = self.stored_share(share_key)
-        w = self.weights[weight_name]
-        out = self.kernels.conv2d(x, w, stride, pad)
-        macs = int(out.size) * int(w.shape[1] * w.shape[2] * w.shape[3])
-        return self._emit("conv2d_forward", out, macs=macs)
-
-    def backward_equation_dense(
-        self, share_key: str, combined_delta: np.ndarray
-    ) -> np.ndarray:
-        """``Eq_j = x̄(j) ⊗ δ̄(j)`` for a dense layer."""
-        x = self.stored_share(share_key)
-        out = self.kernels.dense_grad_w(x, combined_delta)
-        return self._emit(
-            "backward_equation_dense", out, macs=int(x.size) * int(combined_delta.size)
-        )
-
-    def backward_equation_conv(
-        self,
-        share_key: str,
-        combined_delta: np.ndarray,
-        kh: int,
-        kw: int,
-        stride: int = 1,
-        pad: int = 0,
-    ) -> np.ndarray:
-        """``Eq_j = <δ̄(j), x̄(j)>`` for conv weights."""
-        x = self.stored_share(share_key)
-        out = self.kernels.conv2d_grad_w(x, combined_delta, kh, kw, stride, pad)
-        macs = int(combined_delta.size) * int(kh * kw * x.shape[0])
-        return self._emit("backward_equation_conv", out, macs=macs)
-
-    def combine_deltas(self, deltas: np.ndarray, beta_row: np.ndarray) -> np.ndarray:
-        """``δ̄(j) = Σ_i B[j, i]·δ(i)`` — done GPU-side with the public ``B``."""
-        out = self.kernels.scale_accumulate(deltas, beta_row)
-        return self._emit("combine_deltas", out, macs=int(deltas.size))
 
     # ------------------------------------------------------------------
     # non-private kernels (δ propagation / GPU-only baseline)

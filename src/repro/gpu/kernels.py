@@ -9,20 +9,27 @@ Two kernel sets share all shape logic with :mod:`repro.nn.functional`:
   baseline and by gradient-of-loss ops that the paper offloads unencoded
   (``δ`` back-propagation carries no input information).
 
-Share tensors are per-sample (no batch axis): each GPU holds exactly one
-masked share.
+Field share tensors carry a leading share axis ``S``: slice ``j`` is the one
+masked share device ``j`` holds, and every kernel computes all ``S`` slices
+with a single (stacked or batched) field GEMM.  ``S = 1`` is the
+single-device case; slices never mix, so the stack is a property of the
+simulator, not of the protocol.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fieldmath import PrimeField, field_matmul
+from repro.fieldmath import PrimeField, field_matmul, field_matmul_stacked
 from repro.nn import functional as F
 
 
 class FieldKernels:
-    """Bilinear ops over ``F_p`` on single-share tensors.
+    """Bilinear ops over ``F_p`` on stacks of shares.
+
+    Every method takes share tensors with a leading share axis and returns
+    a result with the same leading axis; slice ``j`` of the output depends
+    only on slice ``j`` of the share operands (and the public operands).
 
     Parameters
     ----------
@@ -39,25 +46,34 @@ class FieldKernels:
         self.field = field
         self.backend = backend
         self._matmul = lambda a, b: field_matmul(field, a, b, backend=backend)
+        self._matmul_stacked = lambda a, b: field_matmul_stacked(
+            field, a, b, backend=backend
+        )
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Plain field matrix product."""
         return self._matmul(a, b)
 
     def dense(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``x @ w`` for a single share row ``x`` of shape ``(in_features,)``."""
-        return self._matmul(x.reshape(1, -1), w).reshape(-1)
+        """``x @ w`` for share rows ``x`` of shape ``(S, in_features)``."""
+        return self._matmul(x, w)
 
     def dense_grad_w(self, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Outer product ``x ⊗ delta`` — the dense-layer ``<δ, x>`` bilinear."""
-        return self._matmul(x.reshape(-1, 1), delta.reshape(1, -1))
+        """Outer products ``x[j] ⊗ delta[j]`` — the dense ``<δ, x>`` bilinear.
+
+        ``(S, in) , (S, out) -> (S, in, out)`` as one batched GEMM.
+        """
+        return self._matmul_stacked(x[:, :, None], delta[:, None, :])
 
     def conv2d(
         self, x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0
     ) -> np.ndarray:
-        """Convolution of one share ``(C, H, W)`` with weights ``(F, C, KH, KW)``."""
-        out = F.conv2d_via_matmul(x[None], w, self._matmul, stride, pad)
-        return out[0]
+        """Convolution of shares ``(S, C, H, W)`` with weights ``(F, C, KH, KW)``.
+
+        One ``W_flat @ [cols_0|…|cols_{S-1}]`` GEMM: the public weights are
+        prepared once for the whole stack, not once per share.
+        """
+        return F.conv2d_via_matmul(x, w, self._matmul, stride, pad)
 
     def conv2d_grad_w(
         self,
@@ -68,27 +84,20 @@ class FieldKernels:
         stride: int = 1,
         pad: int = 0,
     ) -> np.ndarray:
-        """``<δ, x>`` for conv weights on one share; result ``(F, C, KH, KW)``."""
-        raw = F.conv2d_grad_w(x[None], delta[None], kh, kw, self._matmul, stride, pad)
-        return self.field.element(raw)
+        """``<δ[j], x[j]>`` for conv weights per share; ``(S, F, C, KH, KW)``."""
+        return F.conv2d_grad_w_per_sample(
+            x, delta, kh, kw, self._matmul_stacked, stride, pad
+        )
 
-    def conv2d_grad_x(
-        self,
-        w: np.ndarray,
-        delta: np.ndarray,
-        x_shape: tuple[int, int, int],
-        stride: int = 1,
-        pad: int = 0,
-    ) -> np.ndarray:
-        """Input gradient of conv on one share (field path, rarely needed)."""
-        out = F.conv2d_grad_x(w, delta[None], (1,) + tuple(x_shape), self._matmul, stride, pad)
-        return self.field.element(out[0])
+    def scale_accumulate(self, tensors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``out[j] = Σ_i rows[j, i]·tensors[i]`` (the ``Σ β·δ`` combine).
 
-    def scale_accumulate(self, tensors: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-        """``Σ_i scalars[i]·tensors[i]`` over the field (the ``Σ β·δ`` combine)."""
+        ``rows`` is ``(S, K)`` — one row of ``B`` per share — against
+        ``tensors`` of shape ``(K, ...)``; one ``rows @ tensors_flat`` GEMM.
+        """
         flat = np.asarray(tensors, dtype=np.int64).reshape(tensors.shape[0], -1)
-        row = np.asarray(scalars, dtype=np.int64).reshape(1, -1)
-        return self._matmul(row, flat).reshape(tensors.shape[1:])
+        rows = np.asarray(rows, dtype=np.int64)
+        return self._matmul(rows, flat).reshape(rows.shape[:1] + tensors.shape[1:])
 
 
 class FloatKernels:

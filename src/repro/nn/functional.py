@@ -45,7 +45,11 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0) -> np
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        # One zero buffer + one slice assignment: np.pad's generic
+        # machinery costs more than the copy on these small tensors.
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
     strides = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
@@ -135,6 +139,24 @@ def conv2d_grad_w(
     stacked = cols.transpose(0, 2, 1).reshape(-1, c * kh * kw)  # (N*Q, C*KH*KW)
     total = matmul(g, stacked)  # (F, C*KH*KW), summed over batch and positions
     return total.reshape(f, c, kh, kw)
+
+
+def conv2d_grad_w_per_sample(
+    x, grad_out, kh: int, kw: int, stacked_matmul, stride: int = 1, pad: int = 0
+) -> np.ndarray:
+    """Weight gradients ``(N, F, C, KH, KW)`` of conv2d, one per sample.
+
+    :func:`conv2d_grad_w` without the batch sum: sample ``i``'s
+    ``g[i] @ cols[i].T`` stays its own product, and all ``N`` of them run
+    as one ``(N, F, Q) @ (N, Q, P)`` call of the injected
+    ``stacked_matmul``.  This is DarKnight's ``Eq_j`` for every share of a
+    virtual batch at once — the shares must not be summed before decoding.
+    """
+    n, c = x.shape[0], x.shape[1]
+    f = grad_out.shape[1]
+    cols = im2col(x, kh, kw, stride, pad)  # (N, C*KH*KW, OH*OW)
+    out = stacked_matmul(grad_out.reshape(n, f, -1), cols.transpose(0, 2, 1))
+    return out.reshape(n, f, c, kh, kw)
 
 
 def conv2d_grad_x(

@@ -33,16 +33,21 @@ class StagedLinearOp:
     """A linear layer readied for staged execution.
 
     Created once per (layer, batch) by ``DarKnightBackend.stage_linear``:
-    weights are normalised, quantized, and broadcast to every device, so
-    each virtual batch only pays for its own encode/dispatch/decode.
+    weights are normalised, quantized, and broadcast to every device under
+    ``key``, so each virtual batch only pays for its own
+    encode/dispatch/decode.  The op *describes* the kernel (kind, weight
+    name, conv geometry); ``DarKnightBackend.dispatch`` turns it into one
+    cluster launch per virtual batch.
     """
 
     kind: str  #: ``"conv2d"`` or ``"dense"``.
-    key: str  #: Layer identity — pairs forward encodings with backward reuse.
+    #: Layer identity — names the broadcast weights on the devices and
+    #: pairs forward encodings with backward reuse.
+    key: str
     w_norm: Normalization
     bias: np.ndarray | None
-    #: ``gpu_op(device, share_key) -> field tensor``: the share's kernel.
-    gpu_op: Callable[[object, str], np.ndarray]
+    stride: int = 1  #: Conv geometry (ignored by dense ops).
+    pad: int = 0
     #: Optional float reference over real rows (``validate_decode`` mode).
     validate: Callable[[np.ndarray, np.ndarray], None] | None = None
     #: Quantized-weight bytes freshly broadcast by this staging call; 0 when

@@ -31,14 +31,14 @@ its linear layers private without touching model code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.comm import LinkModel
 from repro.enclave import Enclave
 from repro.errors import ConfigurationError, DecodingError
-from repro.gpu import GpuCluster
+from repro.gpu import GpuCluster, ShareLaunch
 from repro.masking import (
     BackwardDecoder,
     CoefficientSet,
@@ -245,10 +245,6 @@ class DarKnightBackend:
         w_scaled, w_norm = self._normalize(w)
         w_q = self.quantizer.quantize(w_scaled)
         self.cluster.broadcast_weights(key, w_q)
-        if kind == "conv2d":
-            gpu_op = lambda dev, share_key: dev.conv2d_forward(share_key, key, stride, pad)
-        else:
-            gpu_op = lambda dev, share_key: dev.dense_forward(share_key, key)
         validate = None
         if self.config.validate_decode:
             if kind == "conv2d":
@@ -257,7 +253,13 @@ class DarKnightBackend:
                 reference = lambda rows: rows @ w
             validate = lambda got, rows: self._validate(got, reference(rows), key)
         op = StagedLinearOp(
-            kind=kind, key=key, w_norm=w_norm, bias=b, gpu_op=gpu_op, validate=validate
+            kind=kind,
+            key=key,
+            w_norm=w_norm,
+            bias=b,
+            stride=stride,
+            pad=pad,
+            validate=validate,
         )
         op.staged_bytes = int(w_q.nbytes)
         if self._mask_pool is not None:
@@ -318,22 +320,23 @@ class DarKnightBackend:
         )
 
     def dispatch(self, ticket: EncodeTicket) -> GpuFuture:
-        """Stage 2 — run the bilinear kernel on every device holding a share.
+        """Stage 2 — one launch of the bilinear kernel over every share.
 
         Compute happens eagerly (the simulation has no real asynchrony);
         the future carries the real per-share MAC count so a scheduler can
         price when the result *would* be ready on the simulated clock.
         """
-        coeffs = ticket.coefficients
-        macs_before = self.cluster.total_mac_ops()
-        outputs = self.cluster.map_shares(
-            coeffs.n_shares, lambda dev: ticket.op.gpu_op(dev, ticket.share_key)
+        op = ticket.op
+        launch = ShareLaunch(
+            op.kind, ticket.share_key, weight_name=op.key, stride=op.stride, pad=op.pad
         )
-        macs = self.cluster.total_mac_ops() - macs_before
+        outputs, macs_per_share = self.cluster.map_shares(
+            launch, range(ticket.coefficients.n_shares)
+        )
         return GpuFuture(
             ticket=ticket,
             outputs=outputs,
-            macs_per_share=macs // max(1, coeffs.n_shares),
+            macs_per_share=macs_per_share,
             output_bytes=int(outputs.nbytes),
         )
 
@@ -385,11 +388,14 @@ class DarKnightBackend:
     # ------------------------------------------------------------------
     # backward weight gradients (the Eq_j protocol)
     # ------------------------------------------------------------------
-    def _masked_grad_w(self, delta: np.ndarray, key: str, gpu_op) -> np.ndarray:
+    def _masked_grad_w(
+        self, delta: np.ndarray, key: str, kind: str, **geometry: int
+    ) -> np.ndarray:
         """Shared backward path: returns ``Σ_i <δ(i), x(i)>`` in float.
 
-        ``gpu_op(device, share_key, combined_delta) -> field tensor``
-        computes one ``Eq_j``.
+        ``kind`` and the conv ``geometry`` (``kh``/``kw``/``stride``/``pad``)
+        describe the ``Eq_j`` kernel; each virtual batch is one backward
+        launch over its stored shares.
         """
         if self.config.per_sample_normalization:
             raise ConfigurationError(
@@ -407,7 +413,7 @@ class DarKnightBackend:
         # Pipelined forwards may register records out of virtual-batch order;
         # sum in vb order so gradients are bit-identical to the sync path.
         records = sorted(records, key=lambda r: r.vb_index)
-        staged: list[tuple] = []  # (record, d_q, d_norm, field equations)
+        staged: list[tuple] = []  # (record, launch, d_norm, field equations)
         for record in records:
             rows = delta[list(record.indices)]
             if rows.shape[0] < cfg.virtual_batch_size:
@@ -425,16 +431,12 @@ class DarKnightBackend:
             # "δ(i)s are multiplied with the β_{j,i} in the GPUs").
             for j in range(coeffs.n_shares):
                 self.link.transfer("enclave", f"gpu{j}", int(d_q.nbytes))
-            equations = self.cluster.map_shares(
-                coeffs.n_shares,
-                lambda dev: gpu_op(
-                    dev,
-                    record.share_key,
-                    dev.combine_deltas(d_q, coeffs.b[dev.device_id]),
-                ),
+            launch = ShareLaunch(
+                kind, record.share_key, deltas=d_q, b_rows=coeffs.b, **geometry
             )
+            equations, _ = self.cluster.map_shares(launch, range(coeffs.n_shares))
             self._gather(equations)
-            staged.append((record, d_q, d_norm, np.asarray(equations, np.int64)))
+            staged.append((record, launch, d_norm, equations))
         # All virtual batches share one coefficient set unless
         # fresh_coefficients re-draws per encode; in the shared case every
         # per-record gamma decode collapses into one batched GEMM
@@ -453,11 +455,10 @@ class DarKnightBackend:
                 BackwardDecoder(record.coefficients).decode(eq)
                 for record, _, _, eq in staged
             ]
-        for (record, d_q, d_norm, _), aggregate in zip(staged, aggregates):
-            coeffs = record.coefficients
+        for (record, launch, d_norm, _), aggregate in zip(staged, aggregates):
             self.enclave.record_compute("decode_backward", int(aggregate.nbytes))
             if cfg.integrity:
-                self._verify_backward(coeffs, d_q, aggregate, gpu_op, record)
+                self._verify_backward(record.coefficients, aggregate, launch)
             # The decode yields Σ<δ', x'> of the *normalised* operands; the
             # weight factor never enters a (δ, x) pairing, so only the input
             # and gradient factors multiply back.
@@ -472,20 +473,16 @@ class DarKnightBackend:
             return self._aggregator.aggregate(keys)
         return total
 
-    def _verify_backward(self, coeffs, d_q, primary_aggregate, gpu_op, record) -> None:
+    def _verify_backward(self, coeffs, primary_aggregate, launch: ShareLaunch) -> None:
         """Re-decode the aggregate under a ``B`` supported on the verification
         plan's alternate subset (its inverse is already cached by the forward
-        check, so ``B`` costs no elimination)."""
+        check, so ``B`` costs no elimination): the primary ``launch`` again,
+        with the alternate ``B`` rows."""
         verifier = IntegrityVerifier(coeffs)
         alt_subset = verifier.verification_plan()[1]
         b_alt, gamma = coeffs.backward_matrices_for_subset(alt_subset)
-        equations = self.cluster.map_shares(
-            coeffs.n_shares,
-            lambda dev: gpu_op(
-                dev,
-                record.share_key,
-                dev.combine_deltas(d_q, b_alt[dev.device_id]),
-            ),
+        equations, _ = self.cluster.map_shares(
+            replace(launch, b_rows=b_alt), range(coeffs.n_shares)
         )
         alt_aggregate = BackwardDecoder(coeffs).decode_with_matrices(
             equations, b_alt, gamma
@@ -494,16 +491,14 @@ class DarKnightBackend:
             {coeffs.primary_subset: primary_aggregate, alt_subset: alt_aggregate}
         )
         report.raise_on_failure()
-        self.enclave.record_compute("integrity_check_backward", int(d_q.nbytes))
+        self.enclave.record_compute(
+            "integrity_check_backward", int(launch.deltas.nbytes)
+        )
 
     def conv2d_grad_w(self, x, delta, kh, kw, stride, pad, key):
         """Masked batch-aggregate conv weight gradient."""
         grad = self._masked_grad_w(
-            delta,
-            key,
-            lambda dev, share_key, combined: dev.backward_equation_conv(
-                share_key, combined, kh, kw, stride, pad
-            ),
+            delta, key, "conv2d", kh=kh, kw=kw, stride=stride, pad=pad
         )
         if self.config.validate_decode:
             from repro.nn import functional as F
@@ -515,13 +510,7 @@ class DarKnightBackend:
 
     def dense_grad_w(self, x, delta, key):
         """Masked batch-aggregate dense weight gradient (``x^T @ δ``)."""
-        grad = self._masked_grad_w(
-            delta,
-            key,
-            lambda dev, share_key, combined: dev.backward_equation_dense(
-                share_key, combined
-            ),
-        )
+        grad = self._masked_grad_w(delta, key, "dense")
         if self.config.validate_decode:
             self._validate(grad, x.T @ delta, key)
         return grad

@@ -19,13 +19,12 @@ requires ``K + M + 1 + f`` GPUs in the pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from repro.errors import IntegrityError
-from repro.gpu import GpuCluster
+from repro.gpu import GpuCluster, ShareLaunch
 from repro.masking import CoefficientSet, ForwardEncoder, IntegrityVerifier
 
 
@@ -77,21 +76,25 @@ class RecoveringExecutor:
         inputs_q: np.ndarray,
         k: int,
         m: int,
-        gpu_op: Callable,
+        launch: ShareLaunch,
         lineup: list[int],
-        key: str,
         report: RecoveryReport,
     ):
         """One masked execution on ``lineup``; returns the verifier's verdict
-        (a consistent one carries the verified decode)."""
+        (a consistent one carries the verified decode).  The attempt's
+        shares are released even when a kernel raises mid-line-up."""
         report.attempts += 1
         coeffs = CoefficientSet.generate(self.rng, k=k, m=m, extra_shares=1)
         encoded = ForwardEncoder(coeffs, self.rng).encode(inputs_q)
-        for share_index, device_id in enumerate(lineup):
-            self.cluster[device_id].receive_share(key, encoded.shares[share_index])
-        outputs = np.stack([gpu_op(self.cluster[d], key) for d in lineup])
-        for device_id in lineup:
-            self.cluster[device_id].drop_share(key)
+        try:
+            for share_index, device_id in enumerate(lineup):
+                self.cluster[device_id].receive_share(
+                    launch.share_key, encoded.shares[share_index]
+                )
+            outputs, _ = self.cluster.map_shares(launch, lineup)
+        finally:
+            for device_id in lineup:
+                self.cluster[device_id].drop_share(launch.share_key)
         return IntegrityVerifier(coeffs).verify_forward(outputs)
 
     def execute_forward(
@@ -99,13 +102,14 @@ class RecoveringExecutor:
         inputs_q: np.ndarray,
         k: int,
         m: int,
-        gpu_op: Callable,
-        share_key: str = "recovery",
+        launch: ShareLaunch,
     ) -> tuple[np.ndarray, RecoveryReport]:
-        """Run ``gpu_op(device, share_key) -> field tensor`` with verification.
+        """Run the forward ``launch`` with verification.
 
-        ``inputs_q`` is the quantized virtual batch ``(k, *features)``.
-        Returns the decoded true results and a :class:`RecoveryReport`.
+        ``inputs_q`` is the quantized virtual batch ``(k, *features)``;
+        ``launch.share_key`` prefixes the key each attempt's shares live
+        under.  Returns the decoded true results and a
+        :class:`RecoveryReport`.
 
         When verification fails without localisation, the executor performs
         *swap-and-test*: it re-runs with each lineup member replaced by a
@@ -129,8 +133,8 @@ class RecoveringExecutor:
                     f" need {n_shares} (quarantined: {self.quarantined_devices})"
                 )
             lineup = devices[:n_shares]
-            key = f"{share_key}/round{round_index}"
-            verdict = self._run_once(inputs_q, k, m, gpu_op, lineup, key, report)
+            attempt = replace(launch, share_key=f"{launch.share_key}/round{round_index}")
+            verdict = self._run_once(inputs_q, k, m, attempt, lineup, report)
             if verdict.consistent:
                 report.recovered = True
                 return verdict.decoded, report
@@ -148,10 +152,8 @@ class RecoveringExecutor:
             convicted = False
             for swap_index, suspect in enumerate(lineup):
                 trial_lineup = [d for d in lineup if d != suspect] + [spares[0]]
-                trial_key = f"{key}/swap{swap_index}"
-                verdict = self._run_once(
-                    inputs_q, k, m, gpu_op, trial_lineup, trial_key, report
-                )
+                trial = replace(attempt, share_key=f"{attempt.share_key}/swap{swap_index}")
+                verdict = self._run_once(inputs_q, k, m, trial, trial_lineup, report)
                 if verdict.consistent:
                     self._bench(suspect, report)
                     report.recovered = True

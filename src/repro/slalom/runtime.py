@@ -138,7 +138,7 @@ class SlalomBackend:
         out_c = w.shape[0]
 
         def field_op(sample, w_q):
-            return self.cluster[0].kernels.conv2d(sample, w_q, stride, pad)
+            return self.cluster.kernels.conv2d(sample[None], w_q, stride, pad)[0]
 
         def verify(w_q, blinded, y_blinded):
             cols = F.im2col(blinded[None], kh, kw, stride, pad)[0]
@@ -159,7 +159,7 @@ class SlalomBackend:
         """Blinded dense layer."""
 
         def field_op(sample, w_q):
-            return self.cluster[0].kernels.dense(sample, w_q)
+            return self.cluster.kernels.dense(sample[None], w_q)[0]
 
         def verify(w_q, blinded, y_blinded):
             return freivalds_check(

@@ -1,5 +1,8 @@
 """Tests for the toy AEAD, key exchange and serialisation helpers."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,63 @@ def test_aead_detects_aad_tamper(nprng):
     bad = type(ct)(nonce=ct.nonce, data=ct.data, tag=ct.tag, aad=b"v2")
     with pytest.raises(CommunicationError):
         aead.decrypt(bad)
+
+
+#: length -> (nonce, data or sha256(data) for the long one, tag), recorded from
+#: the byte-at-a-time XOR this replaced: key ``bytes(range(32))``, rng seed
+#: 20260930, messages encrypted in this order on one ``StreamAead``.
+_GOLDEN = {
+    0: ("af1a699519a7d86a5ff75677", "", "a3e697e0cc452072a8b065d56bb80438"),
+    1: ("e51cd95d0b3ce0c1c4ed914d", "8c", "fc022f0117b515eb27c4afa10da306fe"),
+    63: (
+        "6e891bcbdb286454d793015f",
+        "8d2d701df8a15064c734cb58281ae1b4955db0ac205ffeb86dd1fd0f6941f0c2"
+        "db78fad277410fbb859a1036134fee05322d758a27cc89d25ad477fa72da7e",
+        "783098cdab3cf48acf7d2477895e2a80",
+    ),
+    64: (
+        "732b4228f334267903f22f63",
+        "4535b3d5a0b96942bfe86f6595e30f91e5371e4881fd174c40984065e5386a36"
+        "be8d2036f4fc0ad481654ae48b5c360863484a0a0fa1227c1195dee12ed4b26b",
+        "264ae4555cece44a33502cb77ff776e9",
+    ),
+    65: (
+        "7b02fb8b710d2ab16edcdbb2",
+        "c3eb275a46ff16ba789497a26acd2d6345b285097f91e6991e51bd6604c3645f"
+        "aa290f230169487c4d66fdfe0236fc7e2ca7ab2622b65022629ef04c9c5c5761"
+        "28",
+        "39c665421f4297e87289ecec80bd0188",
+    ),
+    1000: (
+        "7d545ebf88e5cfbd8d3125d0",
+        "sha256:86619b3ac49909545b028b183b61804c166f756bc6bedc8007fd22b60cc6e70a",
+        "0af65fe5e01078d30d79d3fd46861df6",
+    ),
+}
+
+
+def test_aead_golden_vectors_roundtrip_and_tamper():
+    """Whole-buffer XOR: every ciphertext byte and tag is what the per-byte
+    loop produced (block boundaries at 63/64/65), and the tag check still
+    guards data, tag and aad."""
+    aead = StreamAead(bytes(range(32)), np.random.default_rng(20260930))
+    for length, (nonce, data, tag) in _GOLDEN.items():
+        plaintext = bytes((7 * i + 3) % 256 for i in range(length))
+        ct = aead.encrypt(plaintext, aad=b"hdr-%d" % length)
+        got = ct.data.hex()
+        if data.startswith("sha256:"):
+            got = "sha256:" + hashlib.sha256(ct.data).hexdigest()
+        assert (ct.nonce.hex(), got, ct.tag.hex()) == (nonce, data, tag)
+        assert aead.decrypt(ct) == plaintext
+        flipped = {
+            "tag": bytes([ct.tag[0] ^ 1]) + ct.tag[1:],
+            "aad": bytes([ct.aad[0] ^ 1]) + ct.aad[1:],
+        }
+        if length:
+            flipped["data"] = ct.data[:-1] + bytes([ct.data[-1] ^ 0x80])
+        for field_name, value in flipped.items():
+            with pytest.raises(CommunicationError):
+                aead.decrypt(dataclasses.replace(ct, **{field_name: value}))
 
 
 def test_aead_nonces_fresh_per_message(nprng):

@@ -20,6 +20,7 @@ from repro.fieldmath import (
     PrimeField,
     default_backend_name,
     field_matmul,
+    field_matmul_stacked,
     get_backend,
     set_default_backend,
     use_backend,
@@ -137,6 +138,80 @@ def test_limb_matmul_one_dimensional_operands():
     assert np.array_equal(
         LIMB.matmul(FIELD, am, bv, 4096), GENERIC.matmul(FIELD, am, bv, 4096)
     )
+
+
+# ----------------------------------------------------------------------
+# stacked (batched) limb GEMM == big-int reference, slice by slice
+# ----------------------------------------------------------------------
+
+
+def _bigint_stacked(a, b, p):
+    return np.stack([_bigint_matmul(a[s], b[s], p) for s in range(a.shape[0])])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    stack=st.integers(1, 6),
+    rows=st.integers(1, 5),
+    k=st.integers(1, 40),
+    cols=st.integers(1, 5),
+    extreme=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_stacked_matmul_matches_bigint_per_slice(stack, rows, k, cols, extreme, seed):
+    """Every dispatch branch (2-GEMM, Karatsuba, per-slice oracle — forced by
+    small caps straddling ``k``) and the generic backend agree with big ints."""
+    if extreme:
+        a = np.full((stack, rows, k), FIELD.p - 1, dtype=np.int64)
+        b = np.full((stack, k, cols), FIELD.p - 1, dtype=np.int64)
+    else:
+        rng = FieldRng(FIELD, seed)
+        a, b = rng.uniform((stack, rows, k)), rng.uniform((stack, k, cols))
+    expected = _bigint_stacked(a, b, FIELD.p)
+    for backend in (
+        LIMB,
+        GENERIC,
+        LimbBackend(two_gemm_cap=k),  # k sits exactly on the 2-GEMM bound
+        LimbBackend(two_gemm_cap=k - 1, karatsuba_cap=k),  # first Karatsuba k
+        LimbBackend(two_gemm_cap=0, karatsuba_cap=k - 1),  # first fallback k
+    ):
+        got = backend.matmul_stacked(FIELD, a, b, 4096)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert np.array_equal(field_matmul_stacked(FIELD, a, b), expected)
+    assert np.array_equal(field_matmul_stacked(FIELD, a, b, backend="generic"), expected)
+
+
+def test_stacked_matmul_at_the_real_two_gemm_bound():
+    """All-(p-1) operands at and just past ``two_gemm_limit``: the last exact
+    2-GEMM contraction and the first Karatsuba one, on a 2-slice stack."""
+    for k in (two_gemm_limit(FIELD.p), two_gemm_limit(FIELD.p) + 1):
+        a = np.full((2, 1, k), FIELD.p - 1, dtype=np.int64)
+        b = np.full((2, k, 1), FIELD.p - 1, dtype=np.int64)
+        expected = pow(FIELD.p - 1, 2, FIELD.p) * k % FIELD.p
+        assert field_matmul_stacked(FIELD, a, b).tolist() == [[[expected]]] * 2
+
+
+def test_stacked_matmul_degenerate_shapes_and_validation():
+    rng = FieldRng(FIELD, 5)
+    a, b = rng.uniform((1, 3, 4)), rng.uniform((1, 4, 2))  # S = 1
+    assert np.array_equal(
+        field_matmul_stacked(FIELD, a, b)[0], field_matmul(FIELD, a[0], b[0])
+    )
+    empty = field_matmul_stacked(  # empty contraction: all zeros
+        FIELD, np.zeros((2, 3, 0), dtype=np.int64), np.zeros((2, 0, 4), dtype=np.int64)
+    )
+    assert empty.shape == (2, 3, 4) and not empty.any()
+    big = PrimeField(67108879)  # p >= 2**26: the oracle, silently
+    ab, bb = FieldRng(big, 3).uniform((2, 3, 5)), FieldRng(big, 4).uniform((2, 5, 2))
+    assert np.array_equal(field_matmul_stacked(big, ab, bb), _bigint_stacked(ab, bb, big.p))
+    with pytest.raises(FieldError):
+        field_matmul_stacked(FIELD, a[0], b)  # not a stack
+    with pytest.raises(FieldError):
+        field_matmul_stacked(FIELD, a, rng.uniform((2, 4, 2)))  # stack sizes differ
+    with pytest.raises(FieldError):
+        field_matmul_stacked(FIELD, a, rng.uniform((1, 3, 2)))  # inner dims differ
+    with pytest.raises(FieldError):
+        field_matmul_stacked(FIELD, a, b, chunk=0)
 
 
 # ----------------------------------------------------------------------

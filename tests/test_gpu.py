@@ -1,18 +1,24 @@
 """Tests for the simulated accelerators: kernels, devices, faults, cluster."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, GpuError
-from repro.fieldmath import field_matmul
+from repro.fieldmath import FieldRng, PrimeField, field_matmul, use_backend
 from repro.gpu import (
     FieldKernels,
     GpuCluster,
     RandomTamper,
+    ShareLaunch,
     SimulatedGpu,
     TargetedTamper,
 )
 from repro.nn import functional as F
+from repro.precompute import scratch
 
 
 # ----------------------------------------------------------------------
@@ -21,35 +27,40 @@ from repro.nn import functional as F
 def test_field_conv_matches_float_conv_on_small_values(field, frng):
     """Field conv on signed-lifted ints equals integer conv."""
     kernels = FieldKernels(field)
-    x_int = frng.generator.integers(-5, 6, size=(2, 6, 6))
+    x_int = frng.generator.integers(-5, 6, size=(3, 2, 6, 6))  # 3 shares
     w_int = frng.generator.integers(-3, 4, size=(4, 2, 3, 3))
     out = kernels.conv2d(field.from_signed(x_int), field.from_signed(w_int), 1, 1)
     expected = F.conv2d_via_matmul(
-        x_int[None].astype(np.int64), w_int.astype(np.int64), np.matmul, 1, 1
-    )[0]
+        x_int.astype(np.int64), w_int.astype(np.int64), np.matmul, 1, 1
+    )
     assert np.array_equal(field.to_signed(out), expected)
 
 
 def test_field_dense_and_grad(field, frng):
     kernels = FieldKernels(field)
-    x = frng.uniform((8,))
+    x = frng.uniform((2, 8))  # 2 shares
     w = frng.uniform((8, 3))
     y = kernels.dense(x, w)
-    assert np.array_equal(y, field_matmul(field, x.reshape(1, -1), w).ravel())
-    delta = frng.uniform((3,))
+    delta = frng.uniform((2, 3))
     gw = kernels.dense_grad_w(x, delta)
-    assert np.array_equal(gw, field_matmul(field, x.reshape(-1, 1), delta.reshape(1, -1)))
+    for j in range(2):
+        assert np.array_equal(y[j], field_matmul(field, x[j].reshape(1, -1), w).ravel())
+        assert np.array_equal(
+            gw[j], field_matmul(field, x[j].reshape(-1, 1), delta[j].reshape(1, -1))
+        )
 
 
 def test_scale_accumulate(field, frng):
     kernels = FieldKernels(field)
     tensors = frng.uniform((3, 4, 4))
-    scalars = frng.uniform((3,))
-    out = kernels.scale_accumulate(tensors, scalars)
-    expected = field.zeros((4, 4))
-    for t, s in zip(tensors, scalars):
-        expected = field.add(expected, field.mul(t, s))
-    assert np.array_equal(out, expected)
+    rows = frng.uniform((2, 3))  # one row of B per share
+    out = kernels.scale_accumulate(tensors, rows)
+    assert out.shape == (2, 4, 4)
+    for j in range(2):
+        expected = field.zeros((4, 4))
+        for t, s in zip(tensors, rows[j]):
+            expected = field.add(expected, field.mul(t, s))
+        assert np.array_equal(out[j], expected)
 
 
 # ----------------------------------------------------------------------
@@ -67,24 +78,43 @@ def test_device_share_storage_and_ledger(field, frng):
 
 
 def test_device_conv_forward_records_ops(field, frng):
-    gpu = SimulatedGpu(0, field)
+    """A one-device line-up is the ``S = 1`` case of the launch."""
+    cluster = GpuCluster(field, 2)
+    gpu = cluster[0]
     gpu.load_weights("w", frng.uniform((4, 3, 3, 3)))
     gpu.receive_share("s", frng.uniform((3, 8, 8)))
-    out = gpu.conv2d_forward("s", "w", stride=1, pad=1)
-    assert out.shape == (4, 8, 8)
-    assert gpu.ledger.mac_ops > 0
+    out, macs = cluster.map_shares(
+        ShareLaunch("conv2d", "s", weight_name="w", stride=1, pad=1), [0]
+    )
+    assert out.shape == (1, 4, 8, 8)
+    assert gpu.ledger.mac_ops == macs == 4 * 8 * 8 * 27
     assert gpu.ledger.kernel_calls == 1
     assert "conv2d_forward" in gpu.ledger.ops_by_name
+    assert cluster[1].ledger.kernel_calls == 0
 
 
 def test_device_backward_equations(field, frng):
-    gpu = SimulatedGpu(1, field)
+    cluster = GpuCluster(field, 2)
+    gpu = cluster[1]
     gpu.receive_share("s", frng.uniform((6,)))
-    eq = gpu.backward_equation_dense("s", frng.uniform((3,)))
-    assert eq.shape == (6, 3)
+    one_hot = np.array([[1, 0]])  # B row picking δ(0) unchanged
+    eq, _ = cluster.map_shares(
+        ShareLaunch("dense", "s", deltas=frng.uniform((2, 3)), b_rows=one_hot), [1]
+    )
+    assert eq.shape == (1, 6, 3)
     gpu.receive_share("c", frng.uniform((2, 5, 5)))
-    eq2 = gpu.backward_equation_conv("c", frng.uniform((4, 3, 3)), 3, 3)
-    assert eq2.shape == (4, 2, 3, 3)
+    eq2, _ = cluster.map_shares(
+        ShareLaunch(
+            "conv2d", "c", deltas=frng.uniform((2, 4, 3, 3)), b_rows=one_hot, kh=3, kw=3
+        ),
+        [1],
+    )
+    assert eq2.shape == (1, 4, 2, 3, 3)
+    assert gpu.ledger.ops_by_name == {
+        "combine_deltas": 2,
+        "backward_equation_dense": 1,
+        "backward_equation_conv": 1,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -149,21 +179,78 @@ def test_cluster_broadcast_and_map(field, frng):
     cluster.broadcast_weights("w", w)
     shares = frng.uniform((3, 6))
     cluster.scatter_shares("s", shares)
-    outs = cluster.map_shares(3, lambda dev: dev.dense_forward("s", "w"))
+    outs, macs = cluster.map_shares(ShareLaunch("dense", "s", weight_name="w"), range(3))
+    assert macs == 6 * 4
     for j in range(3):
         assert np.array_equal(
             outs[j], field_matmul(field, shares[j].reshape(1, -1), w).ravel()
         )
 
 
-def test_cluster_map_with_rows(field, frng):
+def test_cluster_combine_deltas_launch(field, frng):
+    """Every device combines ``Σ_i B[j, i]·δ(i)`` with its own row of ``B``
+    before its ``Eq_j`` — one GEMM for the line-up, one ledger entry each."""
     cluster = GpuCluster(field, 3)
+    shares = frng.uniform((3, 5))
+    cluster.scatter_shares("s", shares)
     deltas = frng.uniform((2, 4))
-    rows = [frng.uniform((2,)) for _ in range(3)]
-    outs = cluster.map_with_rows(
-        3, rows, lambda dev, row: dev.combine_deltas(deltas, row)
+    rows = frng.uniform((3, 2))
+    outs, macs = cluster.map_shares(
+        ShareLaunch("dense", "s", deltas=deltas, b_rows=rows), range(3)
     )
-    assert outs.shape == (3, 4)
+    assert outs.shape == (3, 5, 4)
+    assert macs == deltas.size + 5 * 4
+    for j in range(3):
+        combined = field_matmul(field, rows[j].reshape(1, -1), deltas)
+        assert np.array_equal(
+            outs[j], field_matmul(field, shares[j].reshape(-1, 1), combined)
+        )
+        assert cluster[j].ledger.ops_by_name["combine_deltas"] == 1
+        assert cluster[j].ledger.mac_ops == macs
+
+
+def test_cluster_launch_validation(field, frng):
+    cluster = GpuCluster(field, 3)
+    cluster.scatter_shares("s", frng.uniform((2, 6)))
+    cluster.broadcast_weights("w", frng.uniform((6, 4)))
+    forward = ShareLaunch("dense", "s", weight_name="w")
+    with pytest.raises(GpuError, match="no share"):
+        cluster.map_shares(forward, range(3))  # device 2 holds nothing
+    with pytest.raises(GpuError, match="device 3"):
+        cluster.map_shares(forward, [0, 3])
+    with pytest.raises(GpuError, match="at least one"):
+        cluster.map_shares(forward, [])
+    with pytest.raises(GpuError, match="no weights"):
+        cluster.map_shares(ShareLaunch("dense", "s", weight_name="nope"), range(2))
+    with pytest.raises(GpuError, match="B rows"):
+        cluster.map_shares(
+            ShareLaunch("dense", "s", deltas=frng.uniform((2, 4)), b_rows=np.ones((1, 2))),
+            range(2),
+        )
+    with pytest.raises(GpuError):
+        ShareLaunch("pool", "s", weight_name="w")
+    with pytest.raises(GpuError):
+        ShareLaunch("dense", "s")  # neither forward nor backward
+    with pytest.raises(GpuError):
+        ShareLaunch("dense", "s", weight_name="w", deltas=np.ones((2, 4)), b_rows=np.eye(2))
+
+
+def test_cluster_refuses_a_lineup_with_mismatched_weights(field, frng):
+    """One GEMM uses one ``W``: devices that disagree are refused instead of
+    silently computed with device 0's weights."""
+    cluster = GpuCluster(field, 3)
+    w = frng.uniform((6, 4))
+    cluster.broadcast_weights("w", w)
+    cluster.scatter_shares("s", frng.uniform((3, 6)))
+    stale = w.copy()
+    stale[0, 0] = field.add(stale[0, 0], 1)
+    cluster[2].load_weights("w", stale)
+    launch = ShareLaunch("dense", "s", weight_name="w")
+    with pytest.raises(GpuError, match="different weights"):
+        cluster.map_shares(launch, range(3))
+    cluster.map_shares(launch, range(2))  # the agreeing devices still run
+    cluster[2].load_weights("w", w.copy())  # equal values, another array: fine
+    cluster.map_shares(launch, range(3))
 
 
 def test_cluster_validation(field):
@@ -177,9 +264,172 @@ def test_cluster_accounting(field, frng):
     cluster = GpuCluster(field, 2)
     cluster.broadcast_weights("w", frng.uniform((6, 4)))
     cluster.scatter_shares("s", frng.uniform((2, 6)))
-    cluster.map_shares(2, lambda dev: dev.dense_forward("s", "w"))
-    assert cluster.total_mac_ops() > 0
+    cluster.map_shares(ShareLaunch("dense", "s", weight_name="w"), range(2))
+    assert cluster.total_mac_ops() == 2 * 6 * 4
     assert cluster.total_bytes_moved() > 0
     cluster.drop_shares("s")
     with pytest.raises(GpuError):
         cluster[0].stored_share("s")
+
+
+# ----------------------------------------------------------------------
+# the stacked launch == a per-device loop (the pre-launch implementation)
+# ----------------------------------------------------------------------
+_FIELD = PrimeField()
+
+
+def _oracle_matmul(a, b):
+    return field_matmul(_FIELD, a, b, backend="generic")
+
+
+def _per_device_oracle(cluster, launch, lineup):
+    """One single-share kernel per device, in device order: every device
+    runs (combine,) kernel, fault injector and ledger on its own share."""
+    outs = []
+    for position, device_id in enumerate(lineup):
+        dev = cluster[device_id]
+        x = dev.stored_share(launch.share_key)
+        if launch.weight_name is not None:
+            w = dev.weights[launch.weight_name]
+            if launch.kind == "dense":
+                out = _oracle_matmul(x.reshape(1, -1), w).reshape(-1)
+                macs = x.size * w.shape[1]
+            else:
+                out = F.conv2d_via_matmul(
+                    x[None], w, _oracle_matmul, launch.stride, launch.pad
+                )[0]
+                macs = out.size * w.shape[1] * w.shape[2] * w.shape[3]
+            outs.append(dev.emit(f"{launch.kind}_forward", out, int(macs)))
+            continue
+        deltas = launch.deltas
+        row = launch.b_rows[position]
+        combined = _oracle_matmul(
+            row.reshape(1, -1), deltas.reshape(deltas.shape[0], -1)
+        ).reshape(deltas.shape[1:])
+        combined = dev.emit("combine_deltas", combined, int(deltas.size))
+        if launch.kind == "dense":
+            out = _oracle_matmul(x.reshape(-1, 1), combined.reshape(1, -1))
+            macs = x.size * combined.size
+            name = "backward_equation_dense"
+        else:
+            out = _FIELD.element(
+                F.conv2d_grad_w(
+                    x[None], combined[None], launch.kh, launch.kw,
+                    _oracle_matmul, launch.stride, launch.pad,
+                )
+            )
+            macs = combined.size * launch.kh * launch.kw * x.shape[0]
+            name = "backward_equation_conv"
+        outs.append(dev.emit(name, out, int(macs)))
+    return np.stack(outs)
+
+
+@st.composite
+def _launch_cases(draw):
+    kind = draw(st.sampled_from(["dense", "conv2d"]))
+    backward = draw(st.booleans())
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    n_shares = k + m + draw(st.integers(0, 1))  # integrity share on/off
+    spare = draw(st.integers(0, 2))
+    lineup = sorted(
+        draw(st.permutations(range(n_shares + spare)))[:n_shares]
+    )  # may skip devices
+    extreme = draw(st.booleans())
+    seed = draw(st.integers(0, 10_000))
+    rng = FieldRng(_FIELD, seed)
+    sample = (
+        (lambda shape: np.full(shape, _FIELD.p - 1, dtype=np.int64))
+        if extreme
+        else rng.uniform
+    )
+    geometry = {}
+    if kind == "dense":
+        n_in, n_out = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+        share_shape, w_shape, out_shape = (n_in,), (n_in, n_out), (n_out,)
+    else:
+        c, f = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        h, w_in = draw(st.integers(kh, 7)), draw(st.integers(kw, 6))
+        share_shape, w_shape = (c, h, w_in), (f, c, kh, kw)
+        out_shape = (
+            f,
+            F.conv_output_size(h, kh, stride, pad),
+            F.conv_output_size(w_in, kw, stride, pad),
+        )
+        geometry = {"stride": stride, "pad": pad}
+        if backward:
+            geometry.update(kh=kh, kw=kw)
+    shares = sample((n_shares,) + share_shape)
+    if backward:
+        launch = ShareLaunch(
+            kind, "s", deltas=sample((k,) + out_shape),
+            b_rows=sample((n_shares, k)), **geometry,
+        )
+        weights = None
+    else:
+        launch = ShareLaunch(kind, "s", weight_name="w", **geometry)
+        weights = sample(w_shape)
+    tamper = draw(st.sampled_from(["honest", "random", "targeted"]))
+    tamper_op = draw(
+        st.sampled_from(
+            ["combine_deltas", f"backward_equation_{'dense' if kind == 'dense' else 'conv'}"]
+            if backward
+            else [f"{kind}_forward"]
+        )
+    )
+    return {
+        "launch": launch, "lineup": lineup, "shares": shares, "weights": weights,
+        "n_devices": max(2, n_shares + spare), "tamper": tamper,
+        "tamper_op": tamper_op, "tamper_position": draw(st.integers(0, n_shares - 1)),
+        "tamper_seed": seed + 1,
+    }
+
+
+def _cluster_for(case):
+    injectors = {}
+    if case["tamper"] != "honest":
+        inner = RandomTamper(_FIELD, probability=0.6, n_entries=2, seed=case["tamper_seed"])
+        if case["tamper"] == "targeted":
+            inner = TargetedTamper(inner, case["tamper_op"])
+        injectors[case["lineup"][case["tamper_position"]]] = inner
+    cluster = GpuCluster(_FIELD, case["n_devices"], fault_injectors=injectors)
+    if case["weights"] is not None:
+        cluster.broadcast_weights("w", case["weights"])
+    for position, device_id in enumerate(case["lineup"]):
+        cluster[device_id].receive_share("s", case["shares"][position])
+    return cluster
+
+
+def _injector_state(cluster):
+    """(tamper_count, next rng draw) per device — the adversary's whole state."""
+    states = []
+    for dev in cluster.devices:
+        inner = getattr(dev.faults, "inner", dev.faults)
+        rng = getattr(inner, "_rng", None)
+        states.append(
+            (dev.faults.tamper_count, None if rng is None else copy.deepcopy(rng).random())
+        )
+    return states
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_launch_cases(), backend=st.sampled_from(["limb", "generic"]), pooled=st.booleans())
+def test_stacked_launch_matches_per_device_loop(case, backend, pooled):
+    launch, lineup = case["launch"], case["lineup"]
+    reference = _cluster_for(case)
+    expected = _per_device_oracle(reference, launch, lineup)
+
+    cluster = _cluster_for(case)
+    with use_backend(backend), scratch.scratch_scope(pooled):
+        got, macs = cluster.map_shares(launch, lineup)
+        pool = scratch.active_scratch()
+        if pool is not None:
+            # Nothing returned may alias pool memory.
+            for buf in pool._buffers.values():
+                buf.fill(-7)
+    # Same outputs corrupted in the same way, same books, same adversary state.
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert [d.ledger for d in cluster.devices] == [d.ledger for d in reference.devices]
+    assert _injector_state(cluster) == _injector_state(reference)
+    assert macs == cluster[lineup[0]].ledger.mac_ops

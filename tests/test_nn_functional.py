@@ -65,6 +65,43 @@ def test_im2col_preserves_dtype(nprng):
     assert cols.dtype == np.int64
 
 
+def _im2col_via_np_pad(x, kh, kw, stride, pad):
+    """The np.pad form im2col used before padding by slice assignment."""
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    n, c, h, w = padded.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = padded[
+                :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
+            ]
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.float32])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_im2col_padding_is_bit_identical_to_np_pad(dtype, pad, stride, nprng):
+    x = nprng.integers(-50, 50, size=(2, 3, 7, 5)).astype(dtype)  # odd H != W
+    cols = F.im2col(x, 3, 2, stride, pad)
+    assert cols.dtype == dtype
+    assert np.array_equal(cols, _im2col_via_np_pad(x, 3, 2, stride, pad))
+
+
+def test_conv2d_grad_w_per_sample_is_the_unsummed_grad_w(nprng):
+    """Each sample's slice equals conv2d_grad_w of that sample alone, and
+    the slices sum to the batch gradient."""
+    x = nprng.integers(-9, 9, size=(3, 2, 6, 5)).astype(np.int64)
+    delta = nprng.integers(-9, 9, size=(3, 4, 3, 3)).astype(np.int64)
+    per = F.conv2d_grad_w_per_sample(x, delta, 3, 2, np.matmul, 2, 1)
+    assert per.shape == (3, 4, 2, 3, 2)
+    for i in range(3):
+        alone = F.conv2d_grad_w(x[i : i + 1], delta[i : i + 1], 3, 2, np.matmul, 2, 1)
+        assert np.array_equal(per[i], alone)
+    assert np.array_equal(per.sum(axis=0), F.conv2d_grad_w(x, delta, 3, 2, np.matmul, 2, 1))
+
+
 def test_conv2d_grad_w_matches_numeric(nprng):
     x = nprng.normal(size=(2, 2, 5, 5))
     w = nprng.normal(size=(3, 2, 3, 3))

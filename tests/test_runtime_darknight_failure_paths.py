@@ -89,3 +89,43 @@ def test_backward_integrity_catches_eq_only_tamper(nprng):
     backend.dense_forward(x, w, None, key="d")  # forward is honest -> passes
     with pytest.raises(IntegrityError):
         backend.dense_grad_w(x, nprng.normal(size=(2, 3)) * 0.1, key="d")
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv2d"])
+@pytest.mark.parametrize("stage", ["forward", "backward_equation", "combine_deltas"])
+def test_one_launch_per_op_still_catches_a_byzantine_device(kind, stage, nprng):
+    """All shares of an op run as one stacked GEMM, yet a device lying on
+    exactly one op — forward only, ``Eq_j`` only, or the ``Σβ·δ`` combine
+    only — is caught where that op is verified, and nowhere earlier."""
+    from repro.errors import IntegrityError
+    from repro.gpu import TargetedTamper
+
+    target_op = {
+        "forward": f"{kind}_forward",
+        "backward_equation": "backward_equation_" + ("dense" if kind == "dense" else "conv"),
+        "combine_deltas": "combine_deltas",
+    }[stage]
+    field = PrimeField()
+    cfg = DarKnightConfig(virtual_batch_size=2, integrity=True, seed=0)
+    tamper = TargetedTamper(RandomTamper(field, probability=1.0, seed=2), target_op)
+    cluster = GpuCluster(field, cfg.n_gpus_required, fault_injectors={1: tamper})
+    backend = DarKnightBackend(cfg, cluster=cluster)
+    if kind == "dense":
+        x, w = nprng.normal(size=(2, 8)), nprng.normal(size=(8, 3))
+        delta = nprng.normal(size=(2, 3)) * 0.1
+        forward = lambda: backend.dense_forward(x, w, None, key="layer")
+        backward = lambda: backend.dense_grad_w(x, delta, key="layer")
+    else:
+        x, w = nprng.normal(size=(2, 2, 5, 5)), nprng.normal(size=(3, 2, 3, 3))
+        delta = nprng.normal(size=(2, 3, 5, 5)) * 0.1
+        forward = lambda: backend.conv2d_forward(x, w, None, 1, 1, key="layer")
+        backward = lambda: backend.conv2d_grad_w(x, delta, 3, 3, 1, 1, key="layer")
+    if stage == "forward":
+        with pytest.raises(IntegrityError):
+            forward()
+        return
+    forward()  # honest on this op: verification passes
+    assert tamper.tamper_count == 0
+    with pytest.raises(IntegrityError):
+        backward()
+    assert tamper.tamper_count >= 1

@@ -3,23 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.errors import IntegrityError
+from repro.errors import GpuError, IntegrityError
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
-from repro.gpu import GpuCluster, RandomTamper
+from repro.gpu import FaultInjector, GpuCluster, RandomTamper, ShareLaunch
 from repro.runtime import RecoveringExecutor
 
 K, M = 2, 1
 N_SHARES = K + M + 1  # one redundant share for detection
 
 
-def _gpu_op(cluster, w):
-    """Dense op via the device method (so fault injectors apply)."""
+def _launch(cluster, w):
+    """Dense forward launch over broadcast weights (fault injectors apply)."""
     cluster.broadcast_weights("w", w)
-
-    def op(device, key):
-        return device.dense_forward(key, "w")
-
-    return op
+    return ShareLaunch("dense", "recovery", weight_name="w")
 
 
 @pytest.fixture()
@@ -51,7 +47,7 @@ def _expected(field, inputs, weights):
 def test_honest_cluster_needs_one_attempt(field, rng, inputs, weights):
     cluster = GpuCluster(field, N_SHARES)
     executor = RecoveringExecutor(cluster, rng)
-    result, report = executor.execute_forward(inputs, K, M, _gpu_op(cluster, weights))
+    result, report = executor.execute_forward(inputs, K, M, _launch(cluster, weights))
     assert np.array_equal(result, _expected(field, inputs, weights))
     assert report.attempts == 1
     assert not report.was_attacked
@@ -66,7 +62,7 @@ def test_byzantine_device_is_benched_and_computation_recovers(field, rng, inputs
         fault_injectors={1: RandomTamper(field, probability=1.0, seed=3)},
     )
     executor = RecoveringExecutor(cluster, rng)
-    result, report = executor.execute_forward(inputs, K, M, _gpu_op(cluster, weights))
+    result, report = executor.execute_forward(inputs, K, M, _launch(cluster, weights))
     assert np.array_equal(result, _expected(field, inputs, weights))
     assert report.was_attacked
     assert 1 in executor.quarantined_devices
@@ -81,7 +77,7 @@ def test_no_spare_capacity_raises(field, rng, inputs, weights):
     )
     executor = RecoveringExecutor(cluster, rng)
     with pytest.raises(IntegrityError):
-        executor.execute_forward(inputs, K, M, _gpu_op(cluster, weights))
+        executor.execute_forward(inputs, K, M, _launch(cluster, weights))
 
 
 def test_fully_byzantine_pool_exhausts_retries(field, rng, inputs, weights):
@@ -94,7 +90,7 @@ def test_fully_byzantine_pool_exhausts_retries(field, rng, inputs, weights):
     )
     executor = RecoveringExecutor(cluster, rng, max_retries=3)
     with pytest.raises(IntegrityError):
-        executor.execute_forward(inputs, K, M, _gpu_op(cluster, weights))
+        executor.execute_forward(inputs, K, M, _launch(cluster, weights))
 
 
 def test_pardon_returns_device_to_pool(field, rng, inputs, weights):
@@ -104,7 +100,7 @@ def test_pardon_returns_device_to_pool(field, rng, inputs, weights):
         fault_injectors={0: RandomTamper(field, probability=1.0, seed=2)},
     )
     executor = RecoveringExecutor(cluster, rng)
-    executor.execute_forward(inputs, K, M, _gpu_op(cluster, weights))
+    executor.execute_forward(inputs, K, M, _launch(cluster, weights))
     benched = executor.quarantined_devices
     assert benched
     executor.pardon(benched[0])
@@ -125,5 +121,22 @@ def test_intermittent_attacker_eventually_benched(field, rng, inputs, weights):
     )
     executor = RecoveringExecutor(cluster, rng, max_retries=8)
     for _ in range(4):
-        result, _ = executor.execute_forward(inputs, K, M, _gpu_op(cluster, weights))
+        result, _ = executor.execute_forward(inputs, K, M, _launch(cluster, weights))
         assert np.array_equal(result, _expected(field, inputs, weights))
+
+
+class _DeadKernel(FaultInjector):
+    """A device whose kernel dies (driver fault) instead of lying."""
+
+    def corrupt(self, tensor, device_id, op_name):
+        raise GpuError(f"GPU {device_id} fell off the bus during {op_name}")
+
+
+def test_shares_are_released_when_a_kernel_raises(field, rng, inputs, weights):
+    """Regression: a kernel raising on the 2nd line-up device used to leave
+    the attempt's shares resident on every device."""
+    cluster = GpuCluster(field, N_SHARES + 1, fault_injectors={1: _DeadKernel()})
+    executor = RecoveringExecutor(cluster, rng)
+    with pytest.raises(GpuError, match="fell off the bus"):
+        executor.execute_forward(inputs, K, M, _launch(cluster, weights))
+    assert all(not device.stored_shares for device in cluster.devices)
