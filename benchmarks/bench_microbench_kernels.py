@@ -4,8 +4,9 @@ Unlike the exhibit benches (which assert *modeled* shapes), these time the
 actual numpy implementations that every experiment runs on: the prime-field
 GEMM in both backends (the generic chunked oracle vs the limb-decomposed
 BLAS path) against plain float matmul, the encode/decode primitives at a
-realistic layer size, Vandermonde/elimination coefficient generation, and
-the batched conv-as-GEMM lowering.  Useful for regression-tracking the
+realistic layer size, Vandermonde/elimination coefficient generation (and
+a virtual batch's whole coefficient material), and the batched conv-as-GEMM
+lowering.  Useful for regression-tracking the
 simulator's own performance: CI appends the ``--benchmark-json`` output of
 this file to ``BENCH_kernels.json`` via ``benchmarks/check_regression.py``,
 which fails the build when a tracked kernel regresses.
@@ -164,6 +165,20 @@ def test_coefficient_generation_speed(benchmark):
         lambda: CoefficientSet.generate(RNG, k=4, m=2, extra_shares=1)
     )
     assert result.verify()
+
+
+def test_coefficient_material_speed(benchmark):
+    """Everything a fresh-coefficient training batch derives from its set:
+    generation, the verification plan and the alternate subset's ``B`` —
+    one stacked elimination in all."""
+
+    def material():
+        coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
+        plan = coeffs.verification_plan
+        return coeffs, plan, coeffs.backward_matrices_for_subset(plan[1])
+
+    coeffs, plan, _ = benchmark(material)
+    assert coeffs.verify() and len(plan) == 2
 
 
 def test_quantize_speed(benchmark):

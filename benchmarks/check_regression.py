@@ -56,6 +56,7 @@ TRACKED = (
     "test_backward_decode_many_speed[limb]",
     "test_backward_reference_aggregate_speed",
     "test_coefficient_generation_speed",
+    "test_coefficient_material_speed",
     "test_conv2d_batched_gemm_speed",
     "test_quantize_speed",
     "test_dequantize_product_speed",

@@ -17,7 +17,15 @@ class FieldError(ReproError):
 
 
 class SingularMatrixError(FieldError):
-    """A matrix expected to be invertible over F_p is singular."""
+    """A matrix expected to be invertible over F_p is singular.
+
+    ``singular`` is set by stacked inversions: a boolean mask over the
+    leading stack axes naming the slices that have no inverse.
+    """
+
+    def __init__(self, message: str, singular=None) -> None:
+        super().__init__(message)
+        self.singular = singular
 
 
 class QuantizationError(ReproError):

@@ -8,7 +8,10 @@ same field.  This module provides both:
   or a stack of independent ones) that never overflows int64, used by the
   simulated GPU kernels;
 * Gauss-Jordan :func:`inverse` / :func:`solve` / :func:`rank` used when
-  generating and applying DarKnight coefficient matrices;
+  generating and applying DarKnight coefficient matrices — :func:`inverse`
+  takes a stack ``(..., n, n)`` like ``np.linalg.inv`` and eliminates every
+  slice in lockstep, so a coefficient set's primary and alternate decode
+  matrices cost one call;
 * :func:`vandermonde` — the MDS construction guaranteeing that *every*
   ``<= M``-column subset of the noise-coefficient block ``A2`` is full rank
   (Section 4.5's collusion requirement, which random matrices only satisfy
@@ -16,6 +19,8 @@ same field.  This module provides both:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -116,21 +121,15 @@ def field_dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     return int(partials.sum() % field.p)
 
 
-def _eliminate(field: PrimeField, matrix: np.ndarray, augment: np.ndarray | None):
-    """Gauss-Jordan elimination mod p.
+def rank(field: PrimeField, matrix: np.ndarray) -> int:
+    """Rank of ``matrix`` (any shape) over ``F_p``, by row reduction.
 
-    Returns ``(reduced, augment_reduced, pivot_columns)``.  ``augment`` may be
-    ``None`` when only rank information is needed.
-
-    The inner loop eliminates *all* non-pivot rows at once with one
-    outer-product update per pivot column — ``m -= factors ⊗ pivot_row``
-    over the field — instead of a per-row Python loop.  Field arithmetic
-    is exact, so the result is bit-identical to row-at-a-time elimination.
+    Each pivot column clears *all* other rows at once with one
+    outer-product update — ``m -= factors ⊗ pivot_row`` over the field —
+    instead of a per-row Python loop.
     """
-    m = field.element(matrix).copy()
-    aug = None if augment is None else field.element(augment).copy()
+    m = field.element(_as_matrix(matrix)).copy()
     rows, cols = m.shape
-    pivots: list[int] = []
     row = 0
     for col in range(cols):
         if row >= rows:
@@ -141,27 +140,13 @@ def _eliminate(field: PrimeField, matrix: np.ndarray, augment: np.ndarray | None
         pivot_row = row + int(pivot_candidates[0])
         if pivot_row != row:
             m[[row, pivot_row]] = m[[pivot_row, row]]
-            if aug is not None:
-                aug[[row, pivot_row]] = aug[[pivot_row, row]]
-        inv_pivot = field.scalar_inv(int(m[row, col]))
-        m[row] = field.mul(m[row], inv_pivot)
-        if aug is not None:
-            aug[row] = field.mul(aug[row], inv_pivot)
+        m[row] = field.mul(m[row], field.scalar_inv(int(m[row, col])))
         factors = m[:, col].copy()
         factors[row] = 0  # the pivot row eliminates everyone but itself
         if np.any(factors):
             m = field.sub(m, field.mul(factors[:, None], m[row][None, :]))
-            if aug is not None:
-                aug = field.sub(aug, field.mul(factors[:, None], aug[row][None, :]))
-        pivots.append(col)
         row += 1
-    return m, aug, pivots
-
-
-def rank(field: PrimeField, matrix: np.ndarray) -> int:
-    """Rank of ``matrix`` over ``F_p``."""
-    _, _, pivots = _eliminate(field, _as_matrix(matrix), None)
-    return len(pivots)
+    return row
 
 
 def is_invertible(field: PrimeField, matrix: np.ndarray) -> bool:
@@ -172,23 +157,77 @@ def is_invertible(field: PrimeField, matrix: np.ndarray) -> bool:
     return rank(field, m) == m.shape[0]
 
 
+def _invert_stack(field: PrimeField, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan inverses of an ``(S, n, n)`` stack, all slices in lockstep.
+
+    Returns ``(inverses, singular)``: ``singular[s]`` marks a slice with no
+    inverse, whose ``inverses[s]`` is then meaningless.  One augmented
+    ``[M | I]`` int64 array per slice; per column, every slice finds its own
+    first non-zero pivot at or below the diagonal and swaps it up, the pivot
+    row is scaled by the pivot's inverse (a scalar ``pow`` per slice) and
+    one outer-product update clears the column from every other row of
+    every slice.  The interpreter pays per *column*, not per slice and
+    column, which is what makes a handful of small inversions cost about
+    what one does.  A slice whose column has no pivot is singular; it
+    rides along under a zero scale, its entries still canonical and its
+    output discarded.
+
+    Exact for any ``p < 2**31``: entries stay canonical, so a product is
+    below ``2**62`` and ``entry - product`` cannot leave int64.
+    """
+    p = field.p
+    n_slices, n, _ = stack.shape
+    work = np.empty((n_slices, n, 2 * n), dtype=np.int64)
+    np.mod(stack, p, out=work[:, :, :n])
+    work[:, :, n:] = np.eye(n, dtype=np.int64)
+    slices = np.arange(n_slices)
+    singular = np.zeros(n_slices, dtype=bool)
+    for col in range(n):
+        offsets = (work[:, col:, col] != 0).argmax(axis=1)
+        if offsets.any():  # some slice has a zero on the diagonal: swap rows
+            pivot_rows = offsets + col
+            swapped = work[slices, pivot_rows]
+            work[slices, pivot_rows] = work[:, col]
+            work[:, col] = swapped
+        scales = np.array(
+            [pow(pivot, -1, p) if pivot else 0 for pivot in work[:, col, col].tolist()],
+            dtype=np.int64,
+        )
+        singular |= scales == 0
+        pivot_row = work[:, col] * scales[:, None] % p
+        factors = work[:, :, col].copy()
+        factors[:, col] = 0  # the pivot row eliminates everyone but itself
+        work -= factors[:, :, None] * pivot_row[:, None, :]
+        work %= p
+        work[:, col] = pivot_row
+    return work[:, :, n:].copy(), singular
+
+
 def inverse(field: PrimeField, matrix: np.ndarray) -> np.ndarray:
-    """Matrix inverse over ``F_p`` via Gauss-Jordan.
+    """Matrix inverse over ``F_p`` via Gauss-Jordan, broadcasting like
+    ``np.linalg.inv``: ``(..., n, n)`` in, the inverse of every ``n x n``
+    slice out, all computed by one stacked elimination (a single matrix is
+    the one-slice stack).
 
     Raises
     ------
     SingularMatrixError
-        If the matrix is not square or not full rank.
+        If the matrices are not square or any of them is not full rank;
+        its ``singular`` mask, of the leading stack shape, names which.
     """
-    m = _as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(matrix, dtype=np.int64)
+    if m.ndim < 2:
+        raise FieldError(f"expected (..., n, n) matrices, got shape {m.shape}")
+    if m.shape[-2] != m.shape[-1]:
         raise SingularMatrixError(f"cannot invert non-square matrix {m.shape}")
-    n = m.shape[0]
-    reduced, aug, pivots = _eliminate(field, m, field.eye(n))
-    if len(pivots) != n:
-        raise SingularMatrixError(f"matrix of shape {m.shape} is singular mod {field.p}")
-    del reduced
-    return aug
+    n = m.shape[-1]
+    inverses, singular = _invert_stack(field, m.reshape(math.prod(m.shape[:-2]), n, n))
+    if singular.any():
+        raise SingularMatrixError(
+            f"matrix of shape {m.shape} is singular mod {field.p}",
+            singular=singular.reshape(m.shape[:-2]),
+        )
+    return inverses.reshape(m.shape)
 
 
 def solve(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:

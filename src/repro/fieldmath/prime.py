@@ -223,7 +223,7 @@ class PrimeField:
         a = int(a) % self.p
         if a == 0:
             raise FieldError("zero has no multiplicative inverse in F_p")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     # ------------------------------------------------------------------
     # signed lift (two's-complement-style centering)

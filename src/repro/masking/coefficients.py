@@ -28,13 +28,21 @@ Gauss–Jordan inverse per subset, and the set caches its *verification
 plan* (:attr:`CoefficientSet.verification_plan`): the primary subset plus
 the alternates covering the redundant shares, which is all integrity
 detection decodes from.
+
+A set's whole coefficient material costs one elimination:
+:meth:`CoefficientSet.generate` inverts the primary subset and the plan's
+first alternate candidate as one stacked :func:`~repro.fieldmath.inverse`
+call and seeds the memo with both, so the plan and the forward and backward
+checks eliminate nothing further (only a singular candidate or
+``extra_shares > k + m`` sends the plan back to the lazy per-subset
+search), and ``Γ⁻¹`` is computed once per set for every ``B`` solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -53,6 +61,23 @@ def _recovery_target(field: PrimeField, k: int, m: int) -> np.ndarray:
     target = field.zeros((k, k + m))
     target[:k, :k] = field.eye(k)
     return target
+
+
+def _alternate_candidates(covered, uncovered, size: int):
+    """Alternate decode subsets in the order the verification plan tries them.
+
+    As many still-uncovered shares as fit first, lowest indices first,
+    filled up to ``size`` with the lowest already-covered shares.
+    """
+    for take in range(min(len(uncovered), size), 0, -1):
+        for fresh in combinations(uncovered, take):
+            for fill in combinations(covered, size - take):
+                yield tuple(sorted(fill + fresh))
+
+
+def _scalar_inverses(field: PrimeField, values: np.ndarray) -> np.ndarray:
+    """Element-wise inverse of a short vector, one scalar ``pow`` each."""
+    return np.array([field.scalar_inv(v) for v in values.tolist()], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -133,17 +158,25 @@ class CoefficientSet:
             raise EncodingError("share count exceeds field size")
 
         s = k + m
+        # The primary decode uses the first s shares, and the verification
+        # plan's first alternate candidate rides in the same elimination.
+        primary = tuple(range(s))
+        subsets = [primary, *islice(_alternate_candidates(primary, range(s, n_shares), s), 1)]
         for _ in range(FieldRng.MAX_REJECTIONS):
             a1 = rng.uniform((k, n_shares))
             a2 = rng.mds_matrix(m, n_shares) if mds_noise else rng.uniform((m, n_shares))
             a = np.vstack([a1, a2])
-            # The primary decode uses the first s shares; resample until that
-            # submatrix inverts (failure probability ~ s/p per draw).  The
-            # inverse is kept: it is the decode matrix and B's source.
+            # Resample until the primary submatrix inverts (failure
+            # probability ~ s/p per draw).  The inverses are kept: they are
+            # the decode matrices and B's source.
             try:
-                primary_inverse = inverse(field, a[:, :s])
-            except SingularMatrixError:
-                continue
+                inverses = inverse(field, a.T[subsets].transpose(0, 2, 1))
+            except SingularMatrixError as err:
+                if err.singular[0]:
+                    continue
+                # Only the alternate candidate is singular: remember that,
+                # and leave finding another to the verification plan.
+                inverses = [inverse(field, a[:, :s]), None]
             break
         else:  # pragma: no cover - probability ~ (s/p)^64
             raise EncodingError("failed to sample an invertible encoding submatrix")
@@ -152,17 +185,17 @@ class CoefficientSet:
             raise EncodingError("noise block A2 violates the collusion rank condition")
 
         gamma = rng.nonzero((n_shares,))
-        primary = tuple(range(s))
-        b = cls._solve_b(field, primary_inverse, gamma, k, primary)
+        gamma_inv = _scalar_inverses(field, gamma)
+        b = cls._solve_b(field, inverses[0], gamma_inv, k, primary)
         coeffs = cls(field=field, k=k, m=m, a=a, gamma=gamma, b=b, primary_subset=primary)
-        coeffs.__dict__["_decode_cache"] = {primary: primary_inverse}
+        coeffs.__dict__.update(_decode_cache=dict(zip(subsets, inverses)), gamma_inv=gamma_inv)
         return coeffs
 
     @staticmethod
     def _solve_b(
         field: PrimeField,
         subset_inverse: np.ndarray,
-        gamma: np.ndarray,
+        gamma_inv: np.ndarray,
         k: int,
         subset: tuple[int, ...],
     ) -> np.ndarray:
@@ -178,8 +211,8 @@ class CoefficientSet:
         in this gradient decode (the integrity share is redundant by design).
         """
         members = list(subset)
-        b = field.zeros((gamma.shape[0], k))
-        b[members] = field.mul(subset_inverse[:, :k], field.inv(gamma[members])[:, None])
+        b = field.zeros((gamma_inv.shape[0], k))
+        b[members] = field.mul(subset_inverse[:, :k], gamma_inv[members, None])
         return b
 
     # ------------------------------------------------------------------
@@ -210,6 +243,11 @@ class CoefficientSet:
         """Noise-coefficient block (paper's ``A2``), shape ``(m, n_shares)``."""
         return self.a[self.k :]
 
+    @cached_property
+    def gamma_inv(self) -> np.ndarray:
+        """``γ_j⁻¹`` per share — what every ``B`` solve scales by.  **Secret.**"""
+        return _scalar_inverses(self.field, self.gamma)
+
     # ------------------------------------------------------------------
     # decode-subset management
     # ------------------------------------------------------------------
@@ -219,7 +257,9 @@ class CoefficientSet:
         ``A`` is frozen and the field inverse deterministic, so every
         question this class answers about a subset — is it decodable,
         what is its decode matrix, what ``B`` does it support — is read
-        off one Gauss–Jordan elimination per subset, ever.
+        off one inverse per subset, ever.  :meth:`generate` seeds the memo
+        with the primary subset and the first alternate candidate; only
+        subsets beyond those are eliminated here, one at a time.
         """
         cache = self.__dict__.setdefault("_decode_cache", {})
         if subset not in cache:
@@ -270,17 +310,15 @@ class CoefficientSet:
         covered = sorted(self.primary_subset)
         uncovered = [j for j in range(self.n_shares) if j not in self.primary_subset]
 
-        def next_alternate() -> tuple[int, ...] | None:
-            for take in range(min(len(uncovered), s), 0, -1):
-                for fresh in combinations(uncovered, take):
-                    for fill in combinations(covered, s - take):
-                        subset = tuple(sorted(fill + fresh))
-                        if self._subset_inverse(subset) is not None:
-                            return subset
-            return None
-
         while uncovered:
-            alternate = next_alternate()
+            alternate = next(
+                (
+                    subset
+                    for subset in _alternate_candidates(covered, uncovered, s)
+                    if self._subset_inverse(subset) is not None
+                ),
+                None,
+            )
             if alternate is None:
                 break  # the rest sit in no invertible subset
             plan.append(alternate)
@@ -318,7 +356,7 @@ class CoefficientSet:
         """
         subset = tuple(subset)
         b = self._solve_b(
-            self.field, self.decoding_matrix(subset), self.gamma, self.k, subset
+            self.field, self.decoding_matrix(subset), self.gamma_inv, self.k, subset
         )
         return b, self.gamma
 

@@ -475,8 +475,8 @@ class DarKnightBackend:
 
     def _verify_backward(self, coeffs, primary_aggregate, launch: ShareLaunch) -> None:
         """Re-decode the aggregate under a ``B`` supported on the verification
-        plan's alternate subset (its inverse is already cached by the forward
-        check, so ``B`` costs no elimination): the primary ``launch`` again,
+        plan's alternate subset (its inverse is already cached on the set,
+        so ``B`` costs no elimination): the primary ``launch`` again,
         with the alternate ``B`` rows."""
         verifier = IntegrityVerifier(coeffs)
         alt_subset = verifier.verification_plan()[1]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_oracle import oracle_inverse
 from repro.errors import FieldError, SingularMatrixError
 from repro.fieldmath import (
     FieldRng,
@@ -86,6 +87,74 @@ def test_inverse_of_singular_raises(field):
         inverse(field, singular)
     with pytest.raises(SingularMatrixError):
         inverse(field, field.ones((2, 3)))
+
+
+_ORACLE_PRIMES = (5, 7, 11, 2**25 - 39)
+
+
+@st.composite
+def _matrix_stacks(draw):
+    """``(p, (S, n, n) stack)`` mixing invertible, singular, swap-forcing
+    and all-``(p-1)`` slices."""
+    p = draw(st.sampled_from(_ORACLE_PRIMES))
+    n = draw(st.integers(1, 6))
+    n_slices = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, p, size=(n_slices, n, n), dtype=np.int64)
+    for s, kind in enumerate(
+        draw(st.lists(st.sampled_from("rrdzlm"), min_size=n_slices, max_size=n_slices))
+    ):
+        if kind == "d" and n > 1:  # dependent rows: singular at any p
+            stack[s, -1] = stack[s, 0]
+        elif kind == "z":  # zero column: singular, no pivot to swap up
+            stack[s, :, rng.integers(n)] = 0
+        elif kind == "l":  # zero leading pivots: every column swaps
+            stack[s] = np.roll(np.triu(stack[s]) + np.eye(n, dtype=np.int64), 1, axis=0)
+        elif kind == "m":  # the largest products the kernel can form
+            stack[s] = p - 1
+    return p, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_stacks())
+def test_stacked_inverse_matches_per_slice_bigint_oracle(case):
+    p, stack = case
+    field = PrimeField(p)
+    expected = [oracle_inverse(p, m.tolist()) for m in stack]
+    singular = [inv is None for inv in expected]
+    if any(singular):
+        with pytest.raises(SingularMatrixError) as err:
+            inverse(field, stack)
+        assert err.value.singular.tolist() == singular
+        stack = stack[~np.array(singular)]
+        expected = [inv for inv in expected if inv is not None]
+    result = inverse(field, stack)
+    assert result.dtype == np.int64 and result.shape == stack.shape
+    assert result.tolist() == expected
+    # The 2-D call is the one-slice stack.
+    for m, inv in zip(stack, expected):
+        assert inverse(field, m).tolist() == inv
+
+
+def test_inverse_broadcasts_over_leading_axes(field, frng):
+    stack = np.stack([frng.invertible_matrix(3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    result = inverse(field, stack)
+    assert result.shape == stack.shape
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(result[index], inverse(field, stack[index]))
+    stack[1, 2] = 0
+    with pytest.raises(SingularMatrixError) as err:
+        inverse(field, stack)
+    assert err.value.singular.shape == (2, 3)
+    assert np.argwhere(err.value.singular).tolist() == [[1, 2]]
+    assert inverse(field, np.zeros((0, 3, 3), dtype=np.int64)).shape == (0, 3, 3)
+    with pytest.raises(FieldError):
+        inverse(field, np.arange(3))
+
+
+def test_inverse_reduces_non_canonical_entries(field, frng):
+    m = frng.invertible_matrix(4)
+    assert np.array_equal(inverse(field, m - field.p), inverse(field, m))
 
 
 def test_solve_matches_inverse(field, frng):

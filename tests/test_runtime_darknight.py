@@ -285,7 +285,9 @@ def counts(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(linalg, "_eliminate", counted("eliminations", linalg._eliminate))
+    # Every elimination in linalg: the stacked inverse kernel and rank's own.
+    for kernel in ("_invert_stack", "rank"):
+        monkeypatch.setattr(linalg, kernel, counted("eliminations", getattr(linalg, kernel)))
     monkeypatch.setattr(ForwardDecoder, "decode", counted("decodes", ForwardDecoder.decode))
     return tally
 
@@ -307,17 +309,20 @@ def test_reused_coefficients_decode_without_eliminating(
     assert counts == {"eliminations": 0, "decodes": decodes_per_call * n_calls}
 
 
-def test_fresh_coefficients_eliminate_at_most_twice_per_set(net, nprng, counts):
-    """generate + forward verify + backward verify share two inverses."""
+def test_fresh_coefficients_eliminate_exactly_once_per_set(net, nprng, counts):
+    """generate inverts the primary and the alternate in one stacked call;
+    forward verify, the plan and backward verify add none."""
     backend = _backend(k=2, integrity=True)
     x = nprng.normal(size=(4, 1, 6, 6))
+    ledger = backend.enclave.ledger.op_counts
     net.forward(x, backend)
+    n_sets = ledger["generate_coefficients"]
+    assert n_sets == 4 and counts["eliminations"] == n_sets
     net.backward(nprng.normal(size=(4, 4)) * 0.1, backend)
     backend.end_batch()
-    ledger = backend.enclave.ledger.op_counts
-    n_sets = ledger["generate_coefficients"]
-    assert n_sets == 4 and ledger["integrity_check_backward"] == 4
-    assert 0 < counts["eliminations"] <= 2 * n_sets
+    assert ledger["generate_coefficients"] == n_sets
+    assert ledger["integrity_check_backward"] == 4
+    assert counts["eliminations"] == n_sets
 
 
 @pytest.mark.parametrize("victim", [0, -1])  # a primary share, the redundant share
