@@ -5,8 +5,10 @@ actual numpy implementations that every experiment runs on: the prime-field
 GEMM in both backends (the generic chunked oracle vs the limb-decomposed
 BLAS path) against plain float matmul, the encode/decode primitives at a
 realistic layer size, Vandermonde/elimination coefficient generation (and
-a virtual batch's whole coefficient material), and the batched conv-as-GEMM
-lowering.  Useful for regression-tracking the
+a virtual batch's whole coefficient material), the batched conv-as-GEMM
+lowering, the cluster's stacked launches, and a whole masked layer step
+(forward and backward) over a batch's stack of virtual batches.  Useful for
+regression-tracking the
 simulator's own performance: CI appends the ``--benchmark-json`` output of
 this file to ``BENCH_kernels.json`` via ``benchmarks/check_regression.py``,
 which fails the build when a tracked kernel regresses.
@@ -16,6 +18,7 @@ timed call also cross-checks its result; the speedup acceptance test lives
 here (not in tier-1) because wall-clock ratios belong in the bench lane.
 """
 
+import resource
 import time
 
 import numpy as np
@@ -33,6 +36,7 @@ from repro.masking import (
 from repro.nn.functional import conv2d_grad_w, conv2d_via_matmul
 from repro.precompute import enable_scratch
 from repro.quantization import QuantizationConfig
+from repro.runtime import DarKnightBackend, DarKnightConfig
 
 FIELD = PrimeField()
 RNG = FieldRng(FIELD, seed=0)
@@ -81,6 +85,14 @@ def test_float_matmul_reference_speed_n256(benchmark, big_operands):
     af, bf = a.astype(np.float64), b.astype(np.float64)
     result = benchmark(lambda: af @ bf)
     assert result.shape == (N_BIG, N_BIG)
+
+
+def test_small_contraction_matmul_speed(benchmark):
+    """A masking-sized contraction — ``K + M = 5`` terms, as in every encode,
+    decode, ``Σβ·δ`` combine and ``γ``-decode: one unsplit float64 GEMM."""
+    a, b = RNG.uniform((5, 5)), RNG.uniform((5, 512))
+    result = benchmark(lambda: field_matmul(FIELD, a, b))
+    assert np.array_equal(result, field_matmul(FIELD, a, b, backend="generic"))
 
 
 def _best_of(fn, reps):
@@ -307,3 +319,76 @@ def test_cluster_backward_launch_speed(benchmark, resnet_conv_cluster):
             )
         )
     assert np.array_equal(equations, np.stack(per_device))
+
+
+# ----------------------------------------------------------------------
+# one launch per op per layer step: a batch's V virtual batches as one stack
+# ----------------------------------------------------------------------
+STEP_K, STEP_V = 4, 4
+
+
+@pytest.fixture(scope="module")
+def vgg_conv_step():
+    """mini-vgg's 8->8 3x3 conv on 8x8 maps, ``B = V·K = 16`` (K=4, M=1, the
+    integrity share, fresh coefficients), plus what a per-virtual-batch loop
+    makes of the same step: the same backend fed one virtual batch at a
+    time draws coefficients and noise in the same order, so outputs and the
+    summed gradient must match bit for bit."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((STEP_K * STEP_V, 8, 8, 8))
+    w = rng.standard_normal((8, 8, 3, 3)) * 0.2
+    bias = rng.standard_normal(8)
+    delta = rng.standard_normal((STEP_K * STEP_V, 8, 8, 8)) * 0.1
+    config = DarKnightConfig(virtual_batch_size=STEP_K, integrity=True, seed=0)
+    loop = DarKnightBackend(config)
+    outs, grad = [], None
+    for v in range(STEP_V):
+        rows = slice(v * STEP_K, (v + 1) * STEP_K)
+        outs.append(loop.conv2d_forward(x[rows], w, bias, 1, 1, f"conv/vb{v}"))
+    for v in range(STEP_V):
+        rows = slice(v * STEP_K, (v + 1) * STEP_K)
+        part = loop.conv2d_grad_w(x[rows], delta[rows], 3, 3, 1, 1, f"conv/vb{v}")
+        grad = part if grad is None else grad + part
+    loop.end_batch()
+    return {"config": config, "x": x, "w": w, "bias": bias, "delta": delta,
+            "loop_out": np.concatenate(outs), "loop_grad": grad}
+
+
+def _minor_faults_per_call(fn, calls=50):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+def test_layer_step_forward_speed(benchmark, vgg_conv_step):
+    """Quantize, encode, launch, verify and decode all ``V`` virtual batches
+    of the layer: one stacked field GEMM per op (coefficient generation,
+    still one call per virtual batch, included)."""
+    step = vgg_conv_step
+    backend = DarKnightBackend(step["config"])
+
+    def forward():
+        out = backend.conv2d_forward(step["x"], step["w"], step["bias"], 1, 1, "conv")
+        backend.end_batch()
+        return out
+
+    assert np.array_equal(forward(), step["loop_out"])  # the first step, same seed
+    benchmark(forward)
+    print(f"\nlayer-step forward: {_minor_faults_per_call(forward):.1f} ru_minflt per iteration")
+
+
+def test_layer_step_backward_speed(benchmark, vgg_conv_step):
+    """``Σβ·δ`` combine, ``Eq_j`` under the primary and the alternate ``B``,
+    ``γ``-decode and compare for all ``V`` virtual batches: one launch."""
+    step = vgg_conv_step
+    backend = DarKnightBackend(step["config"])
+    backend.conv2d_forward(step["x"], step["w"], step["bias"], 1, 1, "conv")
+
+    def backward():
+        return backend.conv2d_grad_w(step["x"], step["delta"], 3, 3, 1, 1, "conv")
+
+    grad = benchmark(backward)
+    assert np.array_equal(grad, step["loop_grad"])
+    print(f"\nlayer-step backward: {_minor_faults_per_call(backward):.1f} ru_minflt per iteration")
+    backend.end_batch()

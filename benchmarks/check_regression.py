@@ -64,6 +64,9 @@ TRACKED = (
     "test_forward_decode_hot_path_speed[scratch]",
     "test_cluster_forward_launch_speed",
     "test_cluster_backward_launch_speed",
+    "test_small_contraction_matmul_speed",
+    "test_layer_step_forward_speed",
+    "test_layer_step_backward_speed",
 )
 
 #: The in-run normalizer: a plain float64 GEMM at the same N=256 size.

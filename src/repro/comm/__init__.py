@@ -4,13 +4,11 @@ from repro.comm.link import (
     INFINIBAND_40G_BYTES_PER_S,
     INFINIBAND_LATENCY_S,
     LinkModel,
-    TransferRecord,
 )
 from repro.comm.secure_channel import Envelope, SecureChannel
 
 __all__ = [
     "LinkModel",
-    "TransferRecord",
     "SecureChannel",
     "Envelope",
     "INFINIBAND_40G_BYTES_PER_S",

@@ -3,13 +3,13 @@
 The paper emulates communication over a 40 Gbps Infiniband switch and finds
 ~20% of DarKnight's training time goes to moving encoded data (Table 3).
 This model converts byte counts into transfer times with a simple
-``latency + bytes/bandwidth`` law and keeps a per-endpoint ledger the
-timeline builder consumes.
+``latency + bytes/bandwidth`` law and keeps running totals of what crossed
+the link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -17,16 +17,6 @@ from repro.errors import ConfigurationError
 INFINIBAND_40G_BYTES_PER_S = 40e9 / 8
 #: Typical small-message switch latency.
 INFINIBAND_LATENCY_S = 2e-6
-
-
-@dataclass
-class TransferRecord:
-    """One logged transfer."""
-
-    src: str
-    dst: str
-    nbytes: int
-    seconds: float
 
 
 @dataclass
@@ -43,7 +33,10 @@ class LinkModel:
 
     bandwidth_bytes_per_s: float = INFINIBAND_40G_BYTES_PER_S
     latency_s: float = INFINIBAND_LATENCY_S
-    records: list = dataclass_field(default_factory=list)
+    #: All bytes that crossed this link.
+    total_bytes: int = 0
+    #: Serialised total transfer time (no overlap assumed).
+    total_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:
@@ -58,21 +51,13 @@ class LinkModel:
         return self.latency_s + nbytes / self.bandwidth_bytes_per_s
 
     def transfer(self, src: str, dst: str, nbytes: int) -> float:
-        """Log a transfer and return its modeled duration."""
+        """Charge one ``src -> dst`` transfer and return its modeled duration."""
         seconds = self.transfer_time(nbytes)
-        self.records.append(TransferRecord(src=src, dst=dst, nbytes=nbytes, seconds=seconds))
+        self.total_bytes += nbytes
+        self.total_seconds += seconds
         return seconds
 
-    @property
-    def total_bytes(self) -> int:
-        """All bytes that crossed this link."""
-        return sum(r.nbytes for r in self.records)
-
-    @property
-    def total_seconds(self) -> float:
-        """Serialised total transfer time (no overlap assumed)."""
-        return sum(r.seconds for r in self.records)
-
     def reset(self) -> None:
-        """Clear the transfer log."""
-        self.records.clear()
+        """Zero the running totals."""
+        self.total_bytes = 0
+        self.total_seconds = 0.0

@@ -35,11 +35,15 @@ def derive_key(*parts: bytes, context: bytes = b"repro-kdf") -> bytes:
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Counter-mode keystream: BLAKE2b(key, nonce || counter) blocks."""
+    """Counter-mode keystream: BLAKE2b(key, nonce || counter) blocks.
+
+    The hash is keyed and fed the nonce once per message; each block is a
+    copy of that state finished with its counter.
+    """
+    keyed = hashlib.blake2b(nonce, key=key, digest_size=_BLOCK)
     blocks = []
     for counter in range((length + _BLOCK - 1) // _BLOCK):
-        h = hashlib.blake2b(key=key, digest_size=_BLOCK)
-        h.update(nonce)
+        h = keyed.copy()
         h.update(counter.to_bytes(8, "little"))
         blocks.append(h.digest())
     return b"".join(blocks)[:length]

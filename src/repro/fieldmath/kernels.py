@@ -12,9 +12,18 @@ every integer below ``2**53`` exactly, so as long as the contraction stays
 under that bound the BLAS result is the *exact* integer product — order of
 accumulation (and therefore BLAS blocking) cannot change a single bit.
 
-* ``K <= two_gemm_limit(p)`` (32 770 for the paper's ``p = 2**25 - 39``):
-  split only ``b``.  ``a @ b0`` and ``a @ b1`` are two GEMMs with products
-  ``<= (p-1) * 8191 < 2**39``; recombine as ``low + 8192 * high  (mod p)``.
+* ``K <= one_gemm_limit(p)`` (8 for the paper's ``p = 2**25 - 39``): no
+  split at all.  ``K`` products ``<= (p-1)**2`` already sum below ``2**53``,
+  so ``a @ b`` is one float64 GEMM and one Barrett reduction.  Every
+  contraction over a virtual batch's ``K + M (+1)`` sources or shares —
+  encode, decode, the ``Σβ·δ`` combine, the γ-decode, a dense outer
+  product — lands here.
+* ``K <= two_gemm_limit(p)`` (32 770): split the *smaller* operand only
+  (the exactness argument is symmetric).  Its low and high limb planes
+  ride on a leading axis that ``np.matmul`` broadcasts over, so both
+  partial products — each with products ``<= (p-1) * 8191 < 2**39`` — come
+  out of one call, and the larger operand is converted to float64 once;
+  recombine as ``low + 8192 * high  (mod p)``.
 * ``K <= karatsuba_limit(p)`` (~3.4e7): split both operands and use the
   Karatsuba identity ``a1b0 + a0b1 = (a0+a1)(b0+b1) - a0b0 - a1b1`` — three
   GEMMs whose products stay ``<= 16382**2 < 2**28``.
@@ -31,6 +40,10 @@ lowers to a libdivide multiply+shift, i.e. Barrett; the explicit int64
 :class:`repro.fieldmath.prime.PrimeField` uses the division-free
 conditional-correction forms for add/sub/mul instead.)
 
+**Allocation.**  The limb backend's float64 temporaries live in one
+grow-only workspace it owns, so a product allocates nothing but its int64
+result (see :class:`LimbBackend` for why that matters at stacked sizes).
+
 The generic backend is kept as the oracle: every fast kernel is
 property-tested bit-identical against it (``tests/test_fieldmath_kernels``).
 Select a backend per call (``field_matmul(..., backend=...)``) or
@@ -40,13 +53,13 @@ default (:func:`set_default_backend`) off ``"limb"``.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import FieldError
-from repro.precompute.scratch import active_scratch
 
 #: Limb geometry: 13-bit limbs cover any modulus below 2**26.
 LIMB_BITS = 13
@@ -57,11 +70,17 @@ LIMB_MASK = LIMB_BASE - 1
 _F64_EXACT = 2**53
 
 
-def two_gemm_limit(p: int) -> int:
-    """Longest contraction the 2-GEMM split-B path computes exactly.
+def one_gemm_limit(p: int) -> int:
+    """Longest contraction a single unsplit float64 GEMM computes exactly:
+    ``K`` products ``<= (p-1)**2`` must sum below ``2**53``."""
+    return (_F64_EXACT - 1) // ((p - 1) ** 2)
 
-    ``a @ b0`` accumulates ``K`` products ``<= (p-1) * LIMB_MASK``; the
-    recombination adds ``LIMB_BASE * high`` with ``high < 2p`` (lazy
+
+def two_gemm_limit(p: int) -> int:
+    """Longest contraction the one-operand-split path computes exactly.
+
+    A limb plane's GEMM accumulates ``K`` products ``<= (p-1) * LIMB_MASK``;
+    the recombination adds ``LIMB_BASE * high`` with ``high < 2p`` (lazy
     reduction), so exactness needs
     ``K * (p-1) * LIMB_MASK + 2 * LIMB_BASE * p < 2**53``.
     """
@@ -110,16 +129,20 @@ class BarrettReducer:
             self.multiplier = None
 
     # -- float64 ------------------------------------------------------
-    def reduce_f64_lazy(self, x: np.ndarray) -> np.ndarray:
-        """In-place Barrett step on exact-integer float64: result in [0, 2p)."""
-        q = np.floor(x * self.invp)
+    def reduce_f64_lazy(self, x: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+        """In-place Barrett step on exact-integer float64: result in [0, 2p).
+
+        ``q`` is an optional same-shape buffer for the quotient estimate
+        (allocated when absent)."""
+        q = np.multiply(x, self.invp, out=q)
+        np.floor(q, out=q)
         q *= self.pf
         x -= q
         return x
 
-    def reduce_f64(self, x: np.ndarray) -> np.ndarray:
+    def reduce_f64(self, x: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
         """In-place full reduction of exact-integer float64 into [0, p)."""
-        self.reduce_f64_lazy(x)
+        self.reduce_f64_lazy(x, q)
         np.subtract(x, self.pf, out=x, where=x >= self.pf)
         return x
 
@@ -183,53 +206,78 @@ class GenericBackend:
 
 
 class LimbBackend:
-    """13-bit-limb float64 GEMMs: exact ``(a @ b) mod p`` at BLAS speed.
+    """Float64 BLAS GEMMs, limb-split only as far as exactness needs.
 
     Dispatch by contraction length ``K`` (bounds proven in the module
     docstring; overridable caps exist purely so tests can force each
     branch on small operands):
 
-    * ``K <= two_gemm_limit(p)`` — split-B, 2 GEMMs;
+    * ``K <= one_gemm_limit(p)`` — no split, 1 GEMM, 1 reduction;
+    * ``K <= two_gemm_limit(p)`` — the smaller operand split into two
+      13-bit limb planes, 1 GEMM call over both;
     * ``K <= karatsuba_limit(p)`` — both operands split, 3 GEMMs;
     * otherwise, or ``p >= 2**26``, or a >2-D ``b`` in :meth:`matmul` —
       generic.
 
-    :meth:`matmul_stacked` runs ``S`` independent products as one batched
-    GEMM per limb plane (``np.matmul`` over a leading axis) through the
-    same two kernels, so the bounds — which depend only on ``K`` and
-    ``p`` — and the exactness argument are unchanged.
+    :meth:`matmul_stacked` runs ``S`` independent products as batched
+    GEMMs (``np.matmul`` over a leading axis) through the same kernels, so
+    the bounds — which depend only on ``K`` and ``p`` — and the exactness
+    argument are unchanged.
+
+    The kernels' float64 temporaries — operand copies, limb planes, GEMM
+    outputs, Barrett quotients — are views of one grow-only workspace this
+    backend owns, and every ufunc runs in place in it: a call allocates
+    only its int64 result.  That is a performance property, not a nicety —
+    a layer step's stacked products have ~1 MB temporaries, which sit
+    above glibc's mmap threshold, so allocating them per call means
+    mapping, zero-filling and unmapping fresh pages every time
+    (``(24,8,64) @ (24,64,72)``: 1.5 ms and 800 minor faults per call
+    that way, 0.4 ms and none this way).  The views are remembered per
+    operand geometry, so small products pay a dictionary lookup for them,
+    not a round of slicing.
     """
 
     name = "limb"
+
+    #: Operand geometries whose workspace views are remembered before the
+    #: memo starts over (shape churn past this is not a steady state).
+    MAX_REMEMBERED_GEOMETRIES = 256
 
     def __init__(
         self,
         two_gemm_cap: int | None = None,
         karatsuba_cap: int | None = None,
+        one_gemm_cap: int | None = None,
     ) -> None:
-        self._two_gemm_cap = two_gemm_cap
-        self._karatsuba_cap = karatsuba_cap
+        self._caps = (one_gemm_cap, two_gemm_cap, karatsuba_cap)
         self._generic = GenericBackend()
+        self._tiers: dict[int, tuple] = {}
+        self._workspace = np.empty(0, dtype=np.float64)
+        self._views: dict[tuple, tuple] = {}
 
+    # -- dispatch --------------------------------------------------------
     def _kernel_for(self, p: int, k: int):
-        """The exact limb kernel for contraction length ``k``, or ``None``
-        when only the oracle is exact (limbs no longer fit 13 bits, empty
-        contraction, or ``k`` beyond the Karatsuba bound)."""
-        if p >= 1 << (2 * LIMB_BITS) or k == 0:
-            return None
-        two_gemm_max = (
-            self._two_gemm_cap if self._two_gemm_cap is not None else two_gemm_limit(p)
-        )
-        kara_max = (
-            self._karatsuba_cap
-            if self._karatsuba_cap is not None
-            else karatsuba_limit(p)
-        )
-        if k <= two_gemm_max:
-            return self._two_gemm
-        if k <= kara_max:
-            return self._karatsuba
+        """The cheapest exact kernel for contraction length ``k``, or
+        ``None`` when only the oracle is exact (empty contraction, or
+        ``k`` beyond what the modulus's limbs allow)."""
+        tiers = self._tiers.get(p)
+        if tiers is None:
+            tiers = self._tiers[p] = self._tiers_for(p)
+        if k:
+            for longest, kernel in tiers:
+                if k <= longest:
+                    return kernel
         return None
+
+    def _tiers_for(self, p: int) -> tuple:
+        """``(longest exact contraction, kernel)`` per tier, cheapest first."""
+        kernels = [(one_gemm_limit, self._one_gemm)]
+        if p < 1 << (2 * LIMB_BITS):  # beyond that, limbs no longer fit 13 bits
+            kernels += [(two_gemm_limit, self._two_gemm), (karatsuba_limit, self._karatsuba)]
+        return tuple(
+            (bound(p) if cap is None else cap, kernel)
+            for cap, (bound, kernel) in zip(self._caps, kernels)
+        )
 
     def matmul(self, field, a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
         k = a.shape[-1]
@@ -249,43 +297,94 @@ class LimbBackend:
             return self._generic.matmul_stacked(field, a, b, chunk)
         return kernel(barrett(field.p), a, b).astype(np.int64)
 
-    @staticmethod
-    def _two_gemm(red: BarrettReducer, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Split-B path: products <= (p-1)*LIMB_MASK, 2 GEMMs, 2 reductions.
+    # -- workspace -------------------------------------------------------
+    def _carve(self, *operands_and_shapes) -> list[np.ndarray]:
+        """Float64 arrays (contents undefined) carved side by side from the
+        workspace, one per argument: a shape gives a C-ordered array; an
+        operand gives one of its shape laid out as the operand is — a
+        transposed view (an unfolded conv operand, say) stays transposed,
+        so converting into it is one straight pass and BLAS takes the
+        transposition as a flag instead of a strided copy."""
+        shapes = [getattr(arg, "shape", arg) for arg in operands_and_shapes]
+        sizes = [math.prod(shape) for shape in shapes]
+        if self._workspace.size < sum(sizes):
+            self._workspace = np.empty(sum(sizes), dtype=np.float64)
+            self._views.clear()  # they point into the buffer just dropped
+        carved, start = [], 0
+        for arg, shape, size in zip(operands_and_shapes, shapes, sizes):
+            flat = self._workspace[start : start + size]
+            strides = getattr(arg, "strides", ())
+            if len(shape) >= 2 and strides and strides[-2] < strides[-1]:
+                carved.append(flat.reshape(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2))
+            else:
+                carved.append(flat.reshape(shape))
+            start += size
+        return carved
+
+    def _remember(self, key: tuple, views: tuple) -> tuple:
+        """Keep freshly carved ``views`` for the next call of this geometry."""
+        if len(self._views) >= self.MAX_REMEMBERED_GEOMETRIES:
+            self._views.clear()
+        self._views[key] = views
+        return views
+
+    # -- kernels ---------------------------------------------------------
+    def _one_gemm(self, red: BarrettReducer, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Unsplit path: ``k * (p-1)**2 < 2**53``, so the float64 product
+        is the exact integer product; one GEMM, one reduction.
+
+        The returned array aliases the workspace: both callers copy it
+        out via ``astype(np.int64)`` immediately.
+        """
+        key = (1, a.shape, b.shape, a.strides, b.strides)
+        views = self._views.get(key)
+        if views is None:
+            out_shape = a.shape[:-1] + b.shape[-1:]
+            views = self._remember(key, tuple(self._carve(a, b, out_shape, out_shape)))
+        a_f, b_f, out, q = views
+        np.copyto(a_f, a)
+        np.copyto(b_f, b)
+        return red.reduce_f64(np.matmul(a_f, b_f, out=out), q)
+
+    def _two_gemm(self, red: BarrettReducer, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One operand split: products <= (p-1)*LIMB_MASK, 2 reductions.
 
         ``a``/``b`` are ``(m,k)``/``(k,n)`` or the same with one leading
         stack axis; every step is element-wise or ``np.matmul``, which
-        batches over it.
-
-        With the precompute scratch pool enabled every intermediate —
-        limb planes and both GEMM outputs — lives in recycled per-shape
-        buffers (``out=`` GEMM variants); the ``beta=0`` BLAS call and
-        in-place ufuncs make the result bit-identical either way.  The
-        returned array may alias pool memory: both callers copy it out
-        via ``astype(np.int64)`` immediately.
+        batches over it.  The smaller operand is the one split — its two
+        limb planes ride on a new leading axis that ``np.matmul``
+        broadcasts over, so both partial products come out of one call as
+        contiguous planes — and the larger operand is only converted to
+        float64, once.  Aliases the workspace like :meth:`_one_gemm`.
         """
-        scratch = active_scratch()
-        if scratch is None:
-            af = a.astype(np.float64)
-            low = np.matmul(af, (b & LIMB_MASK).astype(np.float64))
-            high = np.matmul(af, (b >> LIMB_BITS).astype(np.float64))
-        else:
-            af = scratch.cast("2g_a", a, np.float64)
-            b_int = scratch.get("2g_bi", b.shape, np.int64)
-            b_f = scratch.get("2g_bf", b.shape, np.float64)
+        split_a = a.size <= b.size
+        small, large = (a, b) if split_a else (b, a)
+        key = (2, a.shape, b.shape, a.strides, b.strides)
+        views = self._views.get(key)
+        if views is None:
             out_shape = a.shape[:-1] + b.shape[-1:]
-            low = scratch.get("2g_lo", out_shape, np.float64)
-            high = scratch.get("2g_hi", out_shape, np.float64)
-            np.bitwise_and(b, LIMB_MASK, out=b_int)
-            np.copyto(b_f, b_int, casting="unsafe")
-            np.matmul(af, b_f, out=low)
-            np.right_shift(b, LIMB_BITS, out=b_int)
-            np.copyto(b_f, b_int, casting="unsafe")
-            np.matmul(af, b_f, out=high)
-        red.reduce_f64_lazy(high)  # [0, 2p): keeps the recombination < 2**53
+            planes, large_f, out, q = self._carve(
+                (2,) + small.shape, large, (2,) + out_shape, out_shape
+            )
+            views = self._remember(
+                key, (planes[0], planes[1], planes, large_f, out, out[0], out[1], q)
+            )
+        lo, hi, planes, large_f, out, low, high, q = views
+        # floor(x / 2**13) and the remainder are exact in float64, so the
+        # planes need no integer temporaries.
+        np.multiply(small, 1.0 / LIMB_BASE, out=hi)
+        np.floor(hi, out=hi)
+        np.multiply(hi, -float(LIMB_BASE), out=lo)
+        lo += small
+        np.copyto(large_f, large)
+        if split_a:
+            np.matmul(planes, large_f, out=out)
+        else:
+            np.matmul(large_f, planes, out=out)
+        red.reduce_f64_lazy(high, q)  # [0, 2p): keeps the recombination < 2**53
         high *= float(LIMB_BASE)
         low += high
-        return red.reduce_f64(low)
+        return red.reduce_f64(low, q)
 
     @staticmethod
     def _karatsuba(red: BarrettReducer, a: np.ndarray, b: np.ndarray) -> np.ndarray:

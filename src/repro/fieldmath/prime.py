@@ -126,7 +126,8 @@ class PrimeField:
         arr = np.asarray(values)
         if arr.dtype.kind not in "iu":
             return False
-        return bool(np.all(arr >= 0) and np.all(arr < self.p))
+        # Two reductions, no boolean temporaries.
+        return arr.size == 0 or bool(arr.min() >= 0 and arr.max() < self.p)
 
     # ------------------------------------------------------------------
     # ring operations

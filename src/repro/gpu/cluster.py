@@ -4,9 +4,11 @@ The cluster is deliberately thin — DarKnight's orchestration logic lives in
 :mod:`repro.runtime`.  Devices own storage, fault injectors and ledgers;
 the cluster owns the device pool, enforces the "each GPU receives at most
 one encoded data" rule, and owns the *launch*: the ``K'`` GPUs run the same
-bilinear kernel on their own share in parallel (paper §3.1), which the
-simulator executes as one stacked field GEMM over the line-up's resident
-shares and then accounts device by device.
+bilinear kernel on their own share in parallel (paper §3.1), and a training
+batch's ``V`` virtual batches are independent of one another, so the
+simulator executes one op of a layer step as one stacked field GEMM over
+all ``V·K'`` resident shares and then accounts it device by device, virtual
+batch by virtual batch.
 """
 
 from __future__ import annotations
@@ -32,10 +34,19 @@ class ShareLaunch:
     gradients instead (``deltas`` of shape ``(K, ...)`` plus ``b_rows``, the
     public ``B`` row for each line-up position): device ``j`` first combines
     ``δ̄(j) = Σ_i b_rows[j, i]·δ(i)`` and then returns ``Eq_j = <δ̄(j), x̄(j)>``.
+
+    A tuple of ``V`` share keys launches a layer step's whole stack of
+    virtual batches at once: every tensor then carries a leading ``V`` axis
+    (outputs too), and ``b_rows`` is ``(V, S, R, K)`` — for each virtual
+    batch and line-up position the ``R`` public ``B`` rows that device
+    combines under (its primary row, then any verification alternates),
+    which share the one pass over its resident share; equations come back
+    as ``(V, S, R, ...)``.  A single key is the ``V = 1``, ``R = 1`` stack
+    without those axes.
     """
 
     kind: str  #: ``"dense"`` or ``"conv2d"``.
-    share_key: str
+    share_key: str | tuple[str, ...]
     weight_name: str | None = None
     deltas: np.ndarray | None = None
     b_rows: np.ndarray | None = None
@@ -55,6 +66,13 @@ class ShareLaunch:
                 "a launch is either forward (weight_name) or backward"
                 " (deltas and b_rows)"
             )
+        if not self.share_key:
+            raise GpuError("a launch needs at least one share key")
+
+    @property
+    def stacked(self) -> bool:
+        """Whether tensors carry the leading virtual-batch axis."""
+        return not isinstance(self.share_key, str)
 
 
 class GpuCluster:
@@ -62,7 +80,8 @@ class GpuCluster:
 
     :meth:`scatter_shares` / :meth:`broadcast_weights` move data onto the
     devices; :meth:`map_shares` launches one op over a line-up's resident
-    shares (one stacked kernel, then per-device faults and accounting).
+    shares — of one virtual batch or of a layer step's whole stack (one
+    stacked kernel, then per-device faults and accounting).
     ``kernels`` is the field kernel set every launch uses.
 
     Parameters
@@ -134,23 +153,31 @@ class GpuCluster:
         """Run ``launch`` on the ``lineup`` devices.
 
         Returns ``(outputs, macs_per_share)``: the results stacked in
-        line-up order, and the multiply-accumulates each device was charged
-        for the launch.
+        line-up order (under the virtual-batch axis when the launch is
+        stacked), and the multiply-accumulates each device was charged for
+        one share of the launch.
 
-        The only fan-out entry point.  The line-up's resident shares are
-        stacked and the kernel runs once for all of them; slice ``j`` then
-        goes through device ``lineup[j]``'s :meth:`SimulatedGpu.emit`, so
-        each device's fault injector, ledger entry and op order are those
-        of a device that ran its own share alone.  A line-up may skip
-        devices (recovery benches suspects).
+        The only fan-out entry point.  The line-up's resident shares — of
+        every virtual batch the launch names — are stacked and the kernel
+        runs once for all of them; slice ``(v, j)`` then goes through
+        device ``lineup[j]``'s :meth:`SimulatedGpu.emit`, so each device's
+        fault injector, ledger entries and op order are those of a device
+        that ran its own shares alone, one virtual batch after another.  A
+        line-up may skip devices (recovery benches suspects).
         """
         devices = [self._device(device_id) for device_id in lineup]
         if not devices:
             raise GpuError("a launch needs at least one device")
-        shares = np.stack([dev.stored_share(launch.share_key) for dev in devices])
+        stacked = launch.stacked
+        keys = launch.share_key if stacked else (launch.share_key,)
+        shares = np.stack([dev.stored_share(key) for key in keys for dev in devices])
         if launch.weight_name is not None:
-            return self._forward(launch, devices, shares)
-        return self._backward(launch, devices, shares)
+            flat, macs = self._forward(launch, devices, shares)  # (V·S, ...)
+            if stacked:
+                flat = flat.reshape((len(keys), len(devices)) + flat.shape[1:])
+            return flat, macs
+        equations, macs = self._backward(launch, devices, shares, stacked)
+        return (equations if stacked else equations[0, :, 0]), macs
 
     def _device(self, device_id: int) -> SimulatedGpu:
         if not 0 <= device_id < len(self.devices):
@@ -180,17 +207,24 @@ class GpuCluster:
 
     @staticmethod
     def _emit_each(
-        devices: list[SimulatedGpu], op_name: str, stack: np.ndarray, macs: int
+        devices: list[SimulatedGpu],
+        op_name: str,
+        flat: np.ndarray,
+        macs: int,
+        n_rows: int = 1,
     ) -> np.ndarray:
-        """Pass slice ``j`` through device ``j``; keep whatever it emits."""
-        for j, dev in enumerate(devices):
-            honest = stack[j]
-            emitted = dev.emit(op_name, honest, macs)
+        """Pass every slice of a kernel's output through its device; keep
+        whatever it emits.  ``flat`` is ``(V·S·R, ...)``: virtual batch
+        outermost, then line-up position, then that device's ``R`` rows."""
+        n_devices = len(devices)
+        for i, honest in enumerate(flat):
+            emitted = devices[i // n_rows % n_devices].emit(op_name, honest, macs)
             if emitted is not honest:
-                stack[j] = emitted
-        return stack
+                flat[i] = emitted
+        return flat
 
     def _forward(self, launch, devices, shares) -> tuple[np.ndarray, int]:
+        """``(V·S, ...)`` forward outputs of the ``(V·S, ...)`` share stack."""
         w = self._shared_weights(devices, launch.weight_name)
         if launch.kind == "conv2d":
             out = self.kernels.conv2d(shares, w, launch.stride, launch.pad)
@@ -200,27 +234,49 @@ class GpuCluster:
             macs = int(shares[0].size) * int(w.shape[1])
         return self._emit_each(devices, f"{launch.kind}_forward", out, macs), macs
 
-    def _backward(self, launch, devices, shares) -> tuple[np.ndarray, int]:
-        if len(launch.b_rows) < len(devices):
-            raise GpuError(f"need {len(devices)} B rows, got {len(launch.b_rows)}")
+    def _backward(self, launch, devices, shares, stacked) -> tuple[np.ndarray, int]:
+        """``(V, S, R, ...)`` equations of the ``(V·S, ...)`` share stack.
+
+        The ``R`` rows a device combines under ride through its conv ``Eq``
+        kernel as extra left-operand rows (more "output channels"), so the
+        unfolded share — the expensive operand — is built and read once.
+        """
+        deltas = np.asarray(launch.deltas)
+        b_rows = np.asarray(launch.b_rows)
+        if not stacked:
+            deltas, b_rows = deltas[None], b_rows[None, :, None, :]
+        n_batches, n_devices = deltas.shape[0], len(devices)
+        if b_rows.shape[1] < n_devices:
+            raise GpuError(f"need {n_devices} B rows, got {b_rows.shape[1]}")
+        n_rows = b_rows.shape[2]
+        grad_shape = deltas.shape[2:]
         combined = self.kernels.scale_accumulate(
-            launch.deltas, launch.b_rows[: len(devices)]
-        )
+            deltas, b_rows[:, :n_devices].reshape(n_batches, n_devices * n_rows, -1)
+        ).reshape((-1,) + grad_shape)  # (V·S·R, ...)
         # What a device feeds its Eq kernel is what it *emitted* as δ̄(j):
         # a tampered combine propagates, exactly as on a lone device.
-        combine_macs = int(launch.deltas.size)
-        combined = self._emit_each(devices, "combine_deltas", combined, combine_macs)
+        combine_macs = int(deltas[0].size)
+        combined = self._emit_each(devices, "combine_deltas", combined, combine_macs, n_rows)
         if launch.kind == "conv2d":
             out = self.kernels.conv2d_grad_w(
-                shares, combined, launch.kh, launch.kw, launch.stride, launch.pad
+                shares,
+                combined.reshape((len(shares), n_rows * grad_shape[0]) + grad_shape[1:]),
+                launch.kh, launch.kw, launch.stride, launch.pad,
             )
+            out = out.reshape((-1, grad_shape[0]) + out.shape[2:])  # (V·S·R, F, C, KH, KW)
             macs = int(combined[0].size) * int(launch.kh * launch.kw * shares.shape[1])
             op_name = "backward_equation_conv"
         else:
-            out = self.kernels.dense_grad_w(shares, combined)
+            # A dense share is one row, cheap to repeat; its outer products
+            # then come out row by row, already in (V·S·R, in, out) order.
+            out = self.kernels.dense_grad_w(np.repeat(shares, n_rows, axis=0), combined)
             macs = int(shares[0].size) * int(combined[0].size)
             op_name = "backward_equation_dense"
-        return self._emit_each(devices, op_name, out, macs), combine_macs + macs
+        out = self._emit_each(devices, op_name, out, macs, n_rows)
+        return (
+            out.reshape((n_batches, n_devices, n_rows) + out.shape[1:]),
+            combine_macs + macs,
+        )
 
     # ------------------------------------------------------------------
     # simulated completion model

@@ -94,10 +94,18 @@ class FieldKernels:
 
         ``rows`` is ``(S, K)`` — one row of ``B`` per share — against
         ``tensors`` of shape ``(K, ...)``; one ``rows @ tensors_flat`` GEMM.
+        Both may carry a leading stack axis (``(V, S, K)`` against
+        ``(V, K, ...)``): virtual batch ``v`` combines its own gradients
+        under its own rows, all in one stacked GEMM.
         """
-        flat = np.asarray(tensors, dtype=np.int64).reshape(tensors.shape[0], -1)
         rows = np.asarray(rows, dtype=np.int64)
-        return self._matmul(rows, flat).reshape(rows.shape[:1] + tensors.shape[1:])
+        lead, (n_rows, k) = rows.shape[:-2], rows.shape[-2:]
+        feature_shape = tensors.shape[len(lead) + 1 :]
+        combined = self._matmul_stacked(
+            rows.reshape(-1, n_rows, k),
+            np.asarray(tensors, dtype=np.int64).reshape(rows.size // (n_rows * k), k, -1),
+        )
+        return combined.reshape(lead + (n_rows,) + feature_shape)
 
 
 class FloatKernels:

@@ -14,10 +14,12 @@ materialised anywhere, which doubles as secure aggregation.
 ``B`` is public: combining public gradients ``δ(i)`` with public scalars has
 no privacy implication (the sensitive factor is ``x̄(j)``, already masked).
 
-Every product here funnels through :func:`repro.fieldmath.field_matmul`, so
-the combine/decode GEMMs run on the configured field-op backend (the default
-``"limb"`` backend executes them as float64 BLAS GEMMs, bit-identical to the
-generic chunked path).
+Every product here funnels through :func:`repro.fieldmath.field_matmul` (a
+stack of virtual batches through
+:func:`~repro.masking.forward.stack_matmul`), so the combine/decode GEMMs
+run on the configured field-op backend (the default ``"limb"`` backend
+executes them as float64 BLAS GEMMs, bit-identical to the generic chunked
+path).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from repro.errors import DecodingError, EncodingError
 from repro.fieldmath import field_matmul
-from repro.masking.coefficients import CoefficientSet
+from repro.masking.coefficients import CoefficientSet, as_stack
+from repro.masking.forward import stack_arrays, stack_matmul
 
 #: A bilinear operator ``(delta, x) -> grad_w`` in the field, e.g. the
 #: outer product for dense layers or a correlation for convolutions.
@@ -75,9 +78,16 @@ class BackwardEncoder:
 
 
 class BackwardDecoder:
-    """Recovers the aggregate weight update from the GPUs' ``Eq_j`` values."""
+    """Recovers the aggregate weight update from the GPUs' ``Eq_j`` values.
 
-    def __init__(self, coefficients: CoefficientSet) -> None:
+    Built over a sequence of ``V`` coefficient sets it decodes a stack:
+    equations carry a leading ``V`` axis and virtual batch ``v``'s share
+    axis is contracted against set ``v``'s own ``γ``, all in one stacked
+    field GEMM.
+    """
+
+    def __init__(self, coefficients) -> None:
+        self._sets, self._stacked = as_stack(coefficients)
         self.coefficients = coefficients
 
     def decode(self, equations: np.ndarray) -> np.ndarray:
@@ -86,7 +96,7 @@ class BackwardDecoder:
         Parameters
         ----------
         equations:
-            Field array ``(n_shares, *grad_shape)`` of per-GPU ``Eq_j``
+            Field array ``([V,] n_shares, *grad_shape)`` of per-GPU ``Eq_j``
             results, indexed by share id.  Shares outside the coefficient
             set's primary subset have zero ``B`` rows, so they contribute
             nothing (their ``Eq_j`` is redundancy for integrity).
@@ -96,52 +106,38 @@ class BackwardDecoder:
         The field-encoded ``Σ_i <δ(i), x(i)>``; divide by ``K`` *after*
         dequantization (the ``1/K`` average lives outside the field).
         """
-        coeffs = self.coefficients
-        equations = np.asarray(equations, dtype=np.int64)
-        if equations.shape[0] != coeffs.n_shares:
-            raise DecodingError(
-                f"expected {coeffs.n_shares} equations, got {equations.shape[0]}"
-            )
-        flat = equations.reshape(coeffs.n_shares, -1)
-        gamma_row = coeffs.gamma.reshape(1, coeffs.n_shares)
-        aggregate = field_matmul(coeffs.field, gamma_row, flat)
-        return aggregate.reshape(equations.shape[1:])
+        return self._weighted_sum(
+            equations, stack_arrays([coeffs.gamma for coeffs in self._sets])
+        )
 
     def decode_many(self, equations: np.ndarray) -> np.ndarray:
-        """Decode ``R`` independent equation sets in one gamma GEMM.
+        """Decode ``R`` independent equation sets under this one set.
 
         Parameters
         ----------
         equations:
             Field array ``(R, n_shares, *grad_shape)`` — one ``Eq_j`` set
-            per virtual batch (or per layer, when shapes match).  The
-            share axis of every set is contracted against the same
-            ``gamma`` row in a single ``(1, S) @ (S, R*F)`` product, so
-            the per-set decode loop disappears; each slice of the result
-            is bit-identical to :meth:`decode` of the matching set (field
-            arithmetic is exact, so batching cannot change any value).
+            per virtual batch (or per layer, when shapes match) encoded
+            under the *same* coefficients.  The stack of ``R`` copies of
+            this set's ``γ``: each slice of the result is bit-identical to
+            :meth:`decode` of the matching set.
 
         Returns
         -------
         Field array ``(R, *grad_shape)`` of aggregates, one per set.
         """
-        coeffs = self.coefficients
+        if self._stacked:
+            raise DecodingError("decode_many repeats one set; a stack has its own sets")
+        (coeffs,) = self._sets
         equations = np.asarray(equations, dtype=np.int64)
         if equations.ndim < 2 or equations.shape[1] != coeffs.n_shares:
             raise DecodingError(
                 f"expected (R, {coeffs.n_shares}, *grad_shape) equations,"
                 f" got shape {equations.shape}"
             )
-        r = equations.shape[0]
-        if r == 0:
+        if equations.shape[0] == 0:
             return np.zeros((0,) + equations.shape[2:], dtype=np.int64)
-        # (R, S, F) -> (S, R*F): the share axis leads, every set's
-        # payload flattens side by side under one contraction.
-        flat = equations.reshape(r, coeffs.n_shares, -1)
-        stacked = flat.transpose(1, 0, 2).reshape(coeffs.n_shares, -1)
-        gamma_row = coeffs.gamma.reshape(1, coeffs.n_shares)
-        aggregate = field_matmul(coeffs.field, gamma_row, stacked)
-        return aggregate.reshape((r,) + equations.shape[2:])
+        return BackwardDecoder([coeffs] * equations.shape[0]).decode(equations)
 
     def decode_with_matrices(
         self, equations: np.ndarray, b: np.ndarray, gamma: np.ndarray
@@ -150,19 +146,31 @@ class BackwardDecoder:
 
         The ``B`` argument is accepted for interface symmetry with
         :meth:`CoefficientSet.backward_matrices_for_subset`; only ``gamma``
-        weights enter the decode (``B`` acted GPU-side).
+        (``([V,] n_shares)``) weights enter the decode (``B`` acted
+        GPU-side).
         """
         del b  # combination already happened GPU-side under this B
-        coeffs = self.coefficients
+        gamma = np.asarray(gamma, dtype=np.int64)
+        return self._weighted_sum(equations, gamma if self._stacked else gamma[None])
+
+    def _weighted_sum(self, equations: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+        """``out[v] = Σ_j gammas[v, j]·equations[v, j]``, one stacked GEMM."""
+        first = self._sets[0]
         equations = np.asarray(equations, dtype=np.int64)
-        if equations.shape[0] != coeffs.n_shares:
+        if not self._stacked:
+            equations = equations[None]
+        n_sets = len(self._sets)
+        if equations.ndim < 2 or equations.shape[:2] != (n_sets, first.n_shares):
             raise DecodingError(
-                f"expected {coeffs.n_shares} equations, got {equations.shape[0]}"
+                f"expected {first.n_shares} equations for each of {n_sets}"
+                f" virtual batches, got shape {equations.shape}"
             )
-        flat = equations.reshape(coeffs.n_shares, -1)
-        gamma_row = np.asarray(gamma, dtype=np.int64).reshape(1, coeffs.n_shares)
-        aggregate = field_matmul(coeffs.field, gamma_row, flat)
-        return aggregate.reshape(equations.shape[1:])
+        aggregate = stack_matmul(
+            first.field,
+            gammas.reshape(n_sets, 1, first.n_shares),
+            equations.reshape(n_sets, first.n_shares, -1),
+        ).reshape((n_sets,) + equations.shape[2:])
+        return aggregate if self._stacked else aggregate[0]
 
 
 def reference_aggregate(

@@ -75,6 +75,31 @@ def _alternate_candidates(covered, uncovered, size: int):
                 yield tuple(sorted(fill + fresh))
 
 
+def as_stack(coefficients) -> tuple[tuple["CoefficientSet", ...], bool]:
+    """``(sets, stacked)`` for what a masking class was constructed with.
+
+    The encoder, decoders and verifier all work on a *stack* of virtual
+    batches — one coefficient set each, tensors carrying a leading ``V``
+    axis.  Handing them a single :class:`CoefficientSet` means the
+    one-slice stack: ``stacked`` is ``False`` and their tensors come and
+    go without the axis.
+    """
+    if isinstance(coefficients, CoefficientSet):
+        return (coefficients,), False
+    sets = tuple(coefficients)
+    if not sets:
+        raise EncodingError("a coefficient stack needs at least one set")
+    first = sets[0]
+    for other in sets[1:]:
+        if (other.field.p, other.k, other.m, other.n_shares) != (
+            first.field.p, first.k, first.m, first.n_shares
+        ):
+            raise EncodingError(
+                "stacked coefficient sets must share one field and one (K, M, shares) shape"
+            )
+    return sets, True
+
+
 def _scalar_inverses(field: PrimeField, values: np.ndarray) -> np.ndarray:
     """Element-wise inverse of a short vector, one scalar ``pow`` each."""
     return np.array([field.scalar_inv(v) for v in values.tolist()], dtype=np.int64)

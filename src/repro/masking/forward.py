@@ -20,14 +20,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DecodingError, EncodingError
-from repro.fieldmath import FieldRng, field_matmul
-from repro.masking.coefficients import CoefficientSet
+from repro.fieldmath import FieldRng, PrimeField, field_matmul, field_matmul_stacked
+from repro.masking.coefficients import CoefficientSet, as_stack
 from repro.precompute.scratch import active_scratch
+
+
+def stack_matmul(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[v] = (a[v] @ b[v]) mod p`` for a stack of virtual batches.
+
+    Every masking product — encode, decode, ``γ``-decode — is this
+    ``(V, m, n) @ (V, n, q)``; the one-slice stack (a staged op's single
+    virtual batch) *is* the plain 2-D product and runs as one.
+    """
+    if a.shape[0] == 1:
+        return field_matmul(field, a[0], b[0])[None]
+    return field_matmul_stacked(field, a, b)
+
+
+def stack_arrays(arrays) -> np.ndarray:
+    """``np.stack`` whose one-slice stack is a view, not a copy — what a
+    staged op's single virtual batch pays for riding the stacked code."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(frozen=True)
 class EncodedBatch:
-    """The masked shares for one virtual batch.
+    """The masked shares for one virtual batch (or a stack of them).
 
     Attributes
     ----------
@@ -40,16 +58,21 @@ class EncodedBatch:
         inside the enclave; exposed here for tests and analysis.
     coefficients:
         The secret coefficient set that produced the shares.
+
+    An encoder built over a sequence of ``V`` sets returns the stack:
+    ``shares`` and ``noise`` carry a leading ``V`` axis and
+    ``coefficients`` is that sequence.
     """
 
     shares: np.ndarray
     noise: np.ndarray
-    coefficients: CoefficientSet
+    coefficients: CoefficientSet | tuple[CoefficientSet, ...]
 
     @property
     def feature_shape(self) -> tuple[int, ...]:
         """Per-sample tensor shape (whatever the layer consumes)."""
-        return tuple(self.shares.shape[1:])
+        lead = 1 if isinstance(self.coefficients, CoefficientSet) else 2
+        return tuple(self.shares.shape[lead:])
 
     def share_for_gpu(self, gpu_index: int) -> np.ndarray:
         """The single share GPU ``gpu_index`` is allowed to see."""
@@ -57,49 +80,62 @@ class EncodedBatch:
 
 
 class ForwardEncoder:
-    """Encodes virtual batches under a given coefficient set."""
+    """Encodes virtual batches under a given coefficient set.
 
-    def __init__(self, coefficients: CoefficientSet, rng: FieldRng) -> None:
-        if coefficients.field is not rng.field and coefficients.field.p != rng.field.p:
+    ``coefficients`` is one :class:`CoefficientSet`, or a sequence of ``V``
+    of them — one per virtual batch of a layer step, each with its own
+    secret ``A`` — in which case :meth:`encode` takes inputs with a leading
+    ``V`` axis and masks every virtual batch in one stacked field GEMM.
+    """
+
+    def __init__(self, coefficients, rng: FieldRng) -> None:
+        self._sets, self._stacked = as_stack(coefficients)
+        field = self._sets[0].field
+        if field is not rng.field and field.p != rng.field.p:
             raise EncodingError("coefficient set and RNG use different fields")
         self.coefficients = coefficients
         self._rng = rng
 
     def encode(self, inputs: np.ndarray, noise: np.ndarray | None = None) -> EncodedBatch:
-        """Mask ``inputs`` of shape ``(K, *feature_shape)``.
+        """Mask ``inputs`` of shape ``([V,] K, *feature_shape)``.
 
         Parameters
         ----------
         inputs:
             Canonical field elements, one row per real input.
         noise:
-            Optional pre-drawn noise ``(M, *feature_shape)`` — used by tests
-            for determinism; normally drawn fresh per batch as the paper
-            requires.
+            Optional pre-drawn noise ``([V,] M, *feature_shape)`` — the
+            runtime draws it between coefficient sets, the precompute pool
+            ahead of time, tests for determinism; otherwise drawn fresh
+            here, one draw per set in order, as the paper requires.
         """
-        coeffs = self.coefficients
-        field = coeffs.field
+        first = self._sets[0]
+        field = first.field
         inputs = np.asarray(inputs, dtype=np.int64)
-        if inputs.shape[0] != coeffs.k:
-            raise EncodingError(
-                f"expected {coeffs.k} inputs per virtual batch, got {inputs.shape[0]}"
-            )
-        if not field.is_canonical(inputs):
-            raise EncodingError("inputs must be canonical field elements; quantize first")
-        feature_shape = inputs.shape[1:]
-        if noise is None:
-            noise = self._rng.uniform((coeffs.m,) + feature_shape)
-        else:
+        if noise is not None:
             noise = np.asarray(noise, dtype=np.int64)
-            if noise.shape != (coeffs.m,) + feature_shape:
-                raise EncodingError(
-                    f"noise shape {noise.shape} does not match ({coeffs.m},"
-                    f" *{feature_shape})"
-                )
-            if not field.is_canonical(noise):
-                raise EncodingError("noise must be canonical field elements")
+        if not self._stacked:
+            inputs = inputs[None]
+            noise = None if noise is None else noise[None]
+        n_sets = len(self._sets)
+        if inputs.ndim < 2 or inputs.shape[:2] != (n_sets, first.k):
+            raise EncodingError(
+                f"expected {first.k} inputs per virtual batch"
+                f" ({n_sets} virtual batches), got shape {inputs.shape}"
+            )
+        feature_shape = inputs.shape[2:]
+        noise_shape = (n_sets, first.m) + feature_shape
+        if noise is None:
+            noise = stack_arrays(
+                [self._rng.uniform(noise_shape[1:]) for _ in self._sets]
+            )
+        elif noise.shape != noise_shape:
+            raise EncodingError(
+                f"noise shape {noise.shape} does not match"
+                f" ({n_sets}, {first.m}, *{feature_shape})"
+            )
 
-        # One GEMM in the transposed form shares = A^T @ [X R]: the
+        # One stacked GEMM in the transposed form shares = A^T @ [X R]: the
         # (n_sources, features) source block stays contiguous and no
         # (features, n_shares) intermediate needs re-transposing — same
         # exact field sums as (flat^T @ A)^T, so bit-identical shares.
@@ -109,21 +145,35 @@ class ForwardEncoder:
         scratch = active_scratch()
         if scratch is not None:
             sources = scratch.get(
-                "fwd_sources", (coeffs.n_sources,) + feature_shape, np.int64
+                "fwd_sources", (n_sets, first.n_sources) + feature_shape, np.int64
             )
-            np.concatenate([inputs, noise], axis=0, out=sources)
+            np.concatenate([inputs, noise], axis=1, out=sources)
         else:
-            sources = np.concatenate([inputs, noise], axis=0)
-        flat = sources.reshape(coeffs.n_sources, -1)  # (k+m, features)
-        shares_flat = field_matmul(field, coeffs.a.T, flat)  # (n_shares, features)
-        shares = shares_flat.reshape((coeffs.n_shares,) + feature_shape)
-        return EncodedBatch(shares=shares, noise=noise, coefficients=coeffs)
+            sources = np.concatenate([inputs, noise], axis=1)
+        # One canonical check covers the whole source block of the stack.
+        if not field.is_canonical(sources):
+            raise EncodingError(
+                "inputs and noise must be canonical field elements; quantize first"
+            )
+        a_t = stack_arrays([coeffs.a.T for coeffs in self._sets])  # (V, n_shares, k+m)
+        shares = stack_matmul(
+            field, a_t, sources.reshape(n_sets, first.n_sources, -1)
+        ).reshape((n_sets, first.n_shares) + feature_shape)
+        if not self._stacked:
+            shares, noise = shares[0], noise[0]
+        return EncodedBatch(shares=shares, noise=noise, coefficients=self.coefficients)
 
 
 class ForwardDecoder:
-    """Recovers true linear-op outputs from masked GPU results."""
+    """Recovers true linear-op outputs from masked GPU results.
 
-    def __init__(self, coefficients: CoefficientSet) -> None:
+    Built over a sequence of ``V`` coefficient sets it decodes a stack:
+    ``gpu_outputs`` carries a leading ``V`` axis and virtual batch ``v`` is
+    unmasked with set ``v``'s own ``A_J⁻¹``, all in one stacked field GEMM.
+    """
+
+    def __init__(self, coefficients) -> None:
+        self._sets, self._stacked = as_stack(coefficients)
         self.coefficients = coefficients
 
     def decode(
@@ -137,42 +187,55 @@ class ForwardDecoder:
         Parameters
         ----------
         gpu_outputs:
-            Field array ``(n_shares, *out_shape)`` — ``gpu_outputs[j]`` is
-            GPU ``j``'s result on share ``j``.  When a subset is given, rows
-            must still be indexed by absolute share id (the decoder picks the
-            subset's rows itself).
+            Field array ``([V,] n_shares, *out_shape)`` — ``gpu_outputs[j]``
+            is GPU ``j``'s result on share ``j``.  When a subset is given,
+            rows must still be indexed by absolute share id (the decoder
+            picks the subset's rows itself).
         subset:
-            Which ``k+m`` shares to decode from (default: primary subset).
+            Which ``k+m`` shares to decode from (default: the primary
+            subset, which every set of a stack must then share).
         return_noise_product:
             Also return the recovered ``<W, r>`` columns; integrity checks
             compare these across subsets too.
         """
-        coeffs = self.coefficients
-        field = coeffs.field
+        first = self._sets[0]
         outputs = np.asarray(gpu_outputs, dtype=np.int64)
-        if outputs.shape[0] != coeffs.n_shares:
+        if not self._stacked:
+            outputs = outputs[None]
+        n_sets = len(self._sets)
+        if outputs.ndim < 2 or outputs.shape[:2] != (n_sets, first.n_shares):
             raise DecodingError(
-                f"expected outputs from all {coeffs.n_shares} shares (indexed by"
-                f" share id), got {outputs.shape[0]} rows"
+                f"expected outputs from all {first.n_shares} shares (indexed by"
+                f" share id) of {n_sets} virtual batches, got shape {outputs.shape}"
             )
-        subset = coeffs.primary_subset if subset is None else tuple(subset)
-        decode_matrix = coeffs.decoding_matrix(subset)
-        out_shape = outputs.shape[1:]
-        # Transposed decode [Y | WR] = D^T @ Ȳ_J: one GEMM on contiguous
-        # rows, no feature-major intermediate (bit-identical sums).  The
-        # gathered subset rows are kernel-local, so they may reuse scratch.
-        flat_outputs = outputs.reshape(coeffs.n_shares, -1)
+        if subset is None:
+            subset = first.primary_subset
+            if any(coeffs.primary_subset != subset for coeffs in self._sets[1:]):
+                raise DecodingError(
+                    "stacked sets have different primary subsets; name one"
+                )
+        subset = tuple(subset)
+        out_shape = outputs.shape[2:]
+        # Transposed decode [Y | WR] = D^T @ Ȳ_J: one stacked GEMM on
+        # contiguous rows, no feature-major intermediate (bit-identical
+        # sums).  The gathered subset rows are kernel-local, so they may
+        # reuse scratch.
+        decode_t = stack_arrays(
+            [coeffs.decoding_matrix(subset).T for coeffs in self._sets]
+        )
+        flat_outputs = outputs.reshape(n_sets, first.n_shares, -1)
         scratch = active_scratch()
+        selected = None
         if scratch is not None:
             selected = scratch.get(
-                "dec_selected", (len(subset), flat_outputs.shape[1]), np.int64
+                "dec_selected", (n_sets, len(subset), flat_outputs.shape[2]), np.int64
             )
-            np.take(flat_outputs, list(subset), axis=0, out=selected)
-        else:
-            selected = flat_outputs[list(subset)]
-        recovered = field_matmul(field, decode_matrix.T, selected)  # (k+m, features)
-        recovered = recovered.reshape((coeffs.n_sources,) + out_shape)
-        results = recovered[: coeffs.k]
+        selected = np.take(flat_outputs, subset, axis=1, out=selected)
+        recovered = stack_matmul(first.field, decode_t, selected)
+        recovered = recovered.reshape((n_sets, first.n_sources) + out_shape)
+        results, noise_product = recovered[:, : first.k], recovered[:, first.k :]
+        if not self._stacked:
+            results, noise_product = results[0], noise_product[0]
         if return_noise_product:
-            return results, recovered[coeffs.k :]
+            return results, noise_product
         return results

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from repro.errors import IntegrityError
-from repro.masking.coefficients import CoefficientSet
+from repro.masking.coefficients import as_stack
 from repro.masking.forward import ForwardDecoder
 
 
@@ -48,11 +48,13 @@ class IntegrityReport:
     suspected_shares: tuple[int, ...] = dataclass_field(default=())
     decoded: np.ndarray | None = dataclass_field(default=None, compare=False, repr=False)
 
-    def raise_on_failure(self) -> None:
-        """Raise :class:`IntegrityError` when verification failed."""
+    def raise_on_failure(self, where: str = "") -> None:
+        """Raise :class:`IntegrityError` when verification failed; ``where``
+        (e.g. the layer and virtual batch) leads the message."""
         if not self.consistent:
             raise IntegrityError(
-                "GPU results are inconsistent across decode subsets; suspected"
+                (f"{where}: " if where else "")
+                + "GPU results are inconsistent across decode subsets; suspected"
                 f" shares: {list(self.suspected_shares) or 'undetermined'}"
             )
 
@@ -70,7 +72,10 @@ class IntegrityVerifier:
     coefficients:
         Must carry at least one extra share (``extra_shares >= 1``);
         otherwise only a single decode subset may exist and tampering on the
-        unique subset is undetectable.
+        unique subset is undetectable.  A sequence of ``V`` sets verifies a
+        stack: tensors carry a leading ``V`` axis, each plan subset is
+        decoded once for the whole stack, and the verdict is one
+        :class:`IntegrityReport` per virtual batch.
     max_subsets:
         Localisation budget: how many invertible subsets to enumerate and
         decode *after a mismatch* to name suspects (more subsets, better
@@ -78,69 +83,106 @@ class IntegrityVerifier:
         plan covers every share regardless.
     """
 
-    def __init__(self, coefficients: CoefficientSet, max_subsets: int = 8) -> None:
-        if coefficients.extra_shares < 1:
+    def __init__(self, coefficients, max_subsets: int = 8) -> None:
+        self._sets, self._stacked = as_stack(coefficients)
+        first = self._sets[0]
+        if first.extra_shares < 1:
             raise IntegrityError(
                 "integrity verification requires at least one redundant share"
-                f" (K+M+1 GPUs); got {coefficients.n_shares} shares for"
-                f" {coefficients.n_sources} sources"
+                f" (K+M+1 GPUs); got {first.n_shares} shares for"
+                f" {first.n_sources} sources"
             )
         if max_subsets < 2:
             raise IntegrityError(f"need at least 2 subsets to compare, got {max_subsets}")
         self.coefficients = coefficients
         self.max_subsets = max_subsets
-        self._decoder = ForwardDecoder(coefficients)
 
-    def verification_plan(self) -> tuple[tuple[int, ...], ...]:
-        """The coefficient set's plan (primary subset first, alternates after).
+    def verification_plans(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Each set's plan (primary subset first, alternates after).
 
         Fails closed: a set whose alternates are all singular has nothing
         to cross-check against and cannot be verified, forward or backward.
         """
-        plan = self.coefficients.verification_plan
-        if len(plan) < 2:
+        plans = [coeffs.verification_plan for coeffs in self._sets]
+        if any(len(plan) < 2 for plan in plans):
             raise IntegrityError(
                 "coefficient set admits fewer than two decode subsets;"
                 " cannot verify"
             )
+        return plans
+
+    def verification_plan(self) -> tuple[tuple[int, ...], ...]:
+        """The one plan this verifier decodes from (see :meth:`verification_plans`)."""
+        plan, *others = self.verification_plans()
+        if any(other != plan for other in others):
+            raise IntegrityError("stacked coefficient sets follow different plans")
         return plan
 
     # ------------------------------------------------------------------
     # forward-pass verification
     # ------------------------------------------------------------------
-    def verify_forward(self, gpu_outputs: np.ndarray) -> IntegrityReport:
+    def verify_forward(self, gpu_outputs: np.ndarray):
         """Decode ``gpu_outputs`` from the plan's subsets and compare everything.
 
         Comparison covers the recovered ``Y`` *and* the ``W·r`` noise
         products — a tamper that only perturbs the noise coordinate of one
         subset would otherwise slip through.  A consistent report carries
-        the primary decode as ``decoded``.
+        the primary decode as ``decoded``.  A stack returns one report per
+        virtual batch, each from that batch's own slices.
         """
-        plan = self.verification_plan()
-        decoded = {subset: self._decode(gpu_outputs, subset) for subset in plan}
-        primary = decoded[plan[0]]
-        if all(_agree(decoded[subset], primary) for subset in plan[1:]):
-            return IntegrityReport(
-                consistent=True, subsets_checked=len(plan), decoded=primary[0]
-            )
-        return self._localise_mismatch(gpu_outputs, decoded)
+        plans = self.verification_plans()
+        if any(plan != plans[0] for plan in plans[1:]):
+            # A singular alternate candidate (probability ~ (K+M)/p per
+            # set) sent some set to another plan: no subset is shared, so
+            # each set is verified as its own one-slice stack.
+            return [
+                IntegrityVerifier(coeffs, self.max_subsets).verify_forward(outputs)
+                for coeffs, outputs in zip(self._sets, gpu_outputs)
+            ]
+        outputs = np.asarray(gpu_outputs)
+        reports = self._verify_stack(outputs if self._stacked else outputs[None], plans[0])
+        return reports if self._stacked else reports[0]
 
-    def _decode(self, gpu_outputs: np.ndarray, subset: tuple[int, ...]):
+    def _verify_stack(self, gpu_outputs: np.ndarray, plan) -> list[IntegrityReport]:
         # Each decode is a fresh array (the field GEMM's result never
-        # aliases scratch memory), so decodes can be held side by side.
-        return self._decoder.decode(gpu_outputs, subset=subset, return_noise_product=True)
+        # aliases scratch or kernel-workspace memory), so decodes can be
+        # held side by side.
+        decoder = ForwardDecoder(self._sets)
+        decoded = {
+            subset: decoder.decode(gpu_outputs, subset=subset, return_noise_product=True)
+            for subset in plan
+        }
+        primary = decoded[plan[0]]
+        honest = all(_agree(decoded[subset], primary) for subset in plan[1:])
+        reports = []
+        for v, coeffs in enumerate(self._sets):
+            if not honest:  # somewhere in the stack: find which virtual batches
+                mine = {subset: (y[v], wr[v]) for subset, (y, wr) in decoded.items()}
+                if not all(_agree(mine[subset], mine[plan[0]]) for subset in plan[1:]):
+                    reports.append(self._localise_mismatch(coeffs, gpu_outputs[v], mine))
+                    continue
+            reports.append(
+                IntegrityReport(
+                    consistent=True, subsets_checked=len(plan), decoded=primary[0][v]
+                )
+            )
+        return reports
 
-    def _localise_mismatch(self, gpu_outputs: np.ndarray, plan_decodes: dict) -> IntegrityReport:
-        """Name suspects after the plan's decodes disagreed.
+    def _localise_mismatch(
+        self, coeffs, gpu_outputs: np.ndarray, plan_decodes: dict
+    ) -> IntegrityReport:
+        """Name suspects after one virtual batch's plan decodes disagreed.
 
         Enumerates up to ``max_subsets`` invertible subsets, decodes from
         each (reusing the plan's decodes) and asks :meth:`_localise`.  When
         that budget happens not to reach the tampered share the decodes it
         sees all agree, and the culprit stays undetermined.
         """
+        decoder = ForwardDecoder(coeffs)
         decoded = {
-            subset: plan_decodes.get(subset) or self._decode(gpu_outputs, subset)
-            for subset in self.coefficients.iter_decoding_subsets(limit=self.max_subsets)
+            subset: plan_decodes.get(subset)
+            or decoder.decode(gpu_outputs, subset=subset, return_noise_product=True)
+            for subset in coeffs.iter_decoding_subsets(limit=self.max_subsets)
         }
         reference, *others = decoded.values()
         localisable = not all(_agree(other, reference) for other in others)
@@ -158,7 +200,7 @@ class IntegrityVerifier:
         explains the corruption.
         """
         suspects: list[int] = []
-        for share in range(self.coefficients.n_shares):
+        for share in range(self._sets[0].n_shares):
             excluding = [s for s in decoded if share not in s]
             if len(excluding) < 2:
                 continue
@@ -170,9 +212,7 @@ class IntegrityVerifier:
     # ------------------------------------------------------------------
     # backward-pass verification
     # ------------------------------------------------------------------
-    def verify_backward(
-        self, equations_by_bset: dict[tuple[int, ...], np.ndarray]
-    ) -> IntegrityReport:
+    def verify_backward(self, equations_by_bset):
         """Compare aggregate-gradient decodes computed under different ``B``s.
 
         The trainer asks the GPUs to evaluate ``Eq_j`` under two (or more)
@@ -184,8 +224,18 @@ class IntegrityVerifier:
         equations_by_bset:
             Maps the share subset that defined each ``B`` to the decoded
             aggregate (field array).  Values must already be decoded — this
-            method only cross-compares.
+            method only cross-compares.  A stack takes one such mapping per
+            virtual batch (each set may follow its own alternate subset)
+            and returns one report per virtual batch.
         """
+        if self._stacked:
+            return [self._compare_aggregates(by_bset) for by_bset in equations_by_bset]
+        return self._compare_aggregates(equations_by_bset)
+
+    @staticmethod
+    def _compare_aggregates(
+        equations_by_bset: dict[tuple[int, ...], np.ndarray]
+    ) -> IntegrityReport:
         if len(equations_by_bset) < 2:
             raise IntegrityError(
                 "backward verification needs decodes under >= 2 B-matrices"

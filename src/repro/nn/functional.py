@@ -35,8 +35,9 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Unfold ``(N, C, H, W)`` into ``(N, C*KH*KW, OH*OW)`` patches.
+def _patch_windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Every receptive field of ``(N, C, H, W)`` as a read-only strided
+    ``(N, C, KH, KW, OH, OW)`` view (of a zero-padded copy when ``pad > 0``).
 
     Preserves dtype, so it serves int64 field tensors and float tensors
     alike.  Padding uses zeros, which is the field's zero too.
@@ -51,7 +52,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0) -> np
         padded[:, :, pad : pad + h, pad : pad + w] = x
         x = padded
     strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
         shape=(n, c, kh, kw, oh, ow),
         strides=(
@@ -64,6 +65,13 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0) -> np
         ),
         writeable=False,
     )
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Unfold ``(N, C, H, W)`` into ``(N, C*KH*KW, OH*OW)`` patches (dtype
+    preserved; one copy out of the strided window view)."""
+    windows = _patch_windows(x, kh, kw, stride, pad)
+    n, c, _, _, oh, ow = windows.shape
     return windows.reshape(n, c * kh * kw, oh * ow)
 
 
@@ -112,11 +120,12 @@ def conv2d_via_matmul(x, w, matmul, stride: int = 1, pad: int = 0) -> np.ndarray
     f, c, kh, kw = w.shape
     if x.shape[1] != c:
         raise ConfigurationError(f"channel mismatch: input {x.shape[1]}, weight {c}")
-    oh = conv_output_size(x.shape[2], kh, stride, pad)
-    ow = conv_output_size(x.shape[3], kw, stride, pad)
-    cols = im2col(x, kh, kw, stride, pad)  # (N, C*KH*KW, OH*OW)
+    windows = _patch_windows(x, kh, kw, stride, pad)
+    oh, ow = windows.shape[4:]
     w_flat = w.reshape(f, c * kh * kw)
-    stacked = cols.transpose(1, 0, 2).reshape(c * kh * kw, n * oh * ow)
+    # Patch-major straight out of the window view: one copy, not an
+    # (N, P, Q) unfold followed by a transposing second one.
+    stacked = windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * oh * ow)
     out = matmul(w_flat, stacked)  # (F, N*OH*OW)
     return np.ascontiguousarray(out.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
 

@@ -20,7 +20,7 @@ SGX + GPU hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class StagedLinearOp:
     ``key``, so each virtual batch only pays for its own
     encode/dispatch/decode.  The op *describes* the kernel (kind, weight
     name, conv geometry); ``DarKnightBackend.dispatch`` turns it into one
-    cluster launch per virtual batch.
+    cluster launch per virtual batch — or per stack of them.
     """
 
     kind: str  #: ``"conv2d"`` or ``"dense"``.
@@ -86,10 +86,13 @@ class GpuFuture:
 
     The cluster computes eagerly (simulation has no real asynchrony) but
     the result is not *observable* until ``ready_at`` on the simulated
-    clock — the decode stage serializes behind it.
+    clock — the decode stage serializes behind it.  The synchronous path
+    dispatches a layer's whole stack at once: ``ticket`` is then the
+    sequence of its tickets and ``outputs`` carries a leading
+    virtual-batch axis.
     """
 
-    ticket: EncodeTicket
+    ticket: EncodeTicket | Sequence[EncodeTicket]
     outputs: np.ndarray  #: Stacked per-share field results.
     macs_per_share: int  #: Real MAC count one device performed.
     output_bytes: int  #: Bytes the gather/decode stage must touch.

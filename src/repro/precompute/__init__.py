@@ -9,7 +9,7 @@ runs nothing but GEMMs.  Three cooperating pieces:
 - A static weight-encoding cache lives on ``DarKnightBackend`` and is
   invalidated through ``invalidate_precompute()`` on membership change.
 - :class:`ScratchPool` — per-shape reusable buffers for the encode/
-  decode/limb-GEMM hot path (``scratch``).
+  decode staging steps (``scratch``).
 """
 
 from repro.precompute.pool import (

@@ -1,26 +1,25 @@
 """Per-shape scratch buffers for the steady-state masking hot path.
 
-Every flush window re-runs the same encode/decode GEMMs on the same
-shapes, yet each call allocates fresh float64 limb planes, GEMM outputs,
-and gather/concat staging — allocator traffic that is pure overhead once
-shapes stabilise.  A :class:`ScratchPool` keeps exactly one buffer per
-``(tag, shape, dtype)`` and hands it back on every request, so the limb
-kernels' ``out=`` GEMM variants and the encoder/decoder staging steps
-write into recycled memory instead.
+Every flush window re-runs the same encode/decode steps on the same
+shapes, yet each call allocates fresh gather/concat staging — allocator
+traffic that is pure overhead once shapes stabilise.  A
+:class:`ScratchPool` keeps exactly one buffer per ``(tag, shape, dtype)``
+and hands it back on every request, so the encoder/decoder staging steps
+write into recycled memory instead.  (The field kernels' own float64
+temporaries live in a workspace their backend owns —
+:class:`repro.fieldmath.kernels.LimbBackend` — pool or no pool.)
 
 Safety contract: a scratch buffer may only hold values *within* one
-kernel invocation — nothing returned to a caller may alias pool memory
-(the limb path's final ``astype(np.int64)`` copy is the escape hatch).
-Reuse is therefore value-transparent: enabling the pool cannot change a
-single output bit, only where intermediates briefly live.
+encode or decode call — nothing returned to a caller may alias pool
+memory.  Reuse is therefore value-transparent: enabling the pool cannot
+change a single output bit, only where intermediates briefly live.
 
 The pool is process-global and off by default; a precompute-mode
 inference engine turns it on for exactly the windows it runs
 (:func:`scratch_scope`) and puts the previous state back afterwards, so
 one precompute server never moves its neighbours onto the pool.  This
-module imports nothing
-from the rest of the package so the lowest layers (``fieldmath.kernels``)
-can use it without cycles.
+module imports nothing from the rest of the package, so any layer can use
+it without cycles.
 """
 
 from __future__ import annotations

@@ -84,7 +84,9 @@ class DynamicNormalizer:
         norm = Normalization(max_abs / self.ceiling)
         return norm.apply(arr), norm
 
-    def normalize_rows(self, values: np.ndarray) -> tuple[np.ndarray, Normalization]:
+    def normalize_rows(
+        self, values: np.ndarray, lead: int = 1
+    ) -> tuple[np.ndarray, Normalization]:
         """Per-sample variant: one independent factor per leading row.
 
         Each row (sample slot) is scaled by *its own* max-abs, so a sample's
@@ -96,13 +98,19 @@ class DynamicNormalizer:
         co-batched tenant's low-order logit bits.  Inference-only: the
         backward pass needs a scalar batch factor to unscale aggregated
         gradients.
+
+        ``lead`` is how many leading axes index the rows: a stack of
+        virtual batches ``(V, K, ...)`` is normalised per virtual batch
+        with ``lead=1`` (each slice exactly as :meth:`normalize` would
+        treat it alone) and per sample slot with ``lead=2``.  The factors
+        keep those axes and broadcast over the rest.
         """
         arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim < 2 or arr.size == 0:
+        if arr.ndim <= lead or arr.size == 0:
             # A sample with no feature axes has no meaningful per-row
             # factor shape; fall back to the scalar whole-tensor rule.
             return self.normalize(arr)
-        axes = tuple(range(1, arr.ndim))
+        axes = tuple(range(lead, arr.ndim))
         max_abs = np.max(np.abs(arr), axis=axes, keepdims=True)
         factors = np.where(max_abs > self.ceiling, max_abs / self.ceiling, 1.0)
         if np.all(factors == 1.0):

@@ -82,7 +82,7 @@ class DarKnightConfig:
         are drawn from a pregenerated counter-based pool refilled during
         enclave idle gaps, weight encodings are cached per layer across
         flush windows (invalidated on membership change / model swap),
-        and hot-path kernels reuse per-shape scratch buffers.  Off (the
+        and the encode/decode staging reuses per-shape scratch buffers.  Off (the
         default) keeps the legacy always-inline behaviour; outputs are
         bit-identical either way.
     epc_budget_bytes:

@@ -14,16 +14,28 @@ This is the paper's Section 3.1 flow as a :class:`~repro.nn.backends.LinearBacke
 7. ``δ``-propagation (input gradients) is offloaded unencoded — it carries
    no input data (Section 4.2).
 
+A batch is ``V = B/K`` *independent* virtual batches, each with its own
+coefficients and noise, and the unit of execution here is the **stack** of
+them: one quantize and range check over ``(V, K, ...)``, one stacked encode
+GEMM, one cluster launch over the ``V·(K+M+1)`` resident shares per op, one
+stacked decode per verification-plan subset, one stacked ``γ``-decode.  What
+stays per virtual batch is what the protocol makes per virtual batch —
+normalisation factors, the coefficient and noise draws (one
+``CoefficientSet.generate`` and one noise draw each, in virtual-batch
+order), share keys, link and ledger entries, and the integrity verdict,
+which names the virtual batch it convicts.
+
 The forward flow is exposed two ways.  The classic blocking entry points
 (:meth:`DarKnightBackend.conv2d_forward` / :meth:`~DarKnightBackend.dense_forward`)
-serve training and ``pipeline_depth=1`` inference.  Underneath, the flow is
-split into three explicitly schedulable stage ops —
+serve training and ``pipeline_depth=1`` inference and run a layer's whole
+stack at once.  The three explicitly schedulable stage ops —
 :meth:`~DarKnightBackend.encode` → :meth:`~DarKnightBackend.dispatch` →
-:meth:`~DarKnightBackend.decode` — which
-:class:`repro.pipeline.PipelineExecutor` interleaves across virtual batches
-so the enclave encodes batch ``n+1`` while GPUs compute batch ``n`` (the
-paper's Fig. 7 threading argument).  Both paths share the same code and are
-bit-identical: masking decodes exactly, so stage order never changes values.
+:meth:`~DarKnightBackend.decode` — are the ``V = 1`` stack of the same
+code, which :class:`repro.pipeline.PipelineExecutor` interleaves across
+virtual batches so the enclave encodes batch ``n+1`` while GPUs compute
+batch ``n`` (the paper's Fig. 7 threading argument).  Both paths are
+bit-identical: masking decodes exactly, so neither stage order nor stack
+height changes values.
 
 Plugging this backend into any :class:`~repro.nn.network.Sequential` makes
 its linear layers private without touching model code.
@@ -31,7 +43,8 @@ its linear layers private without touching model code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +60,7 @@ from repro.masking import (
     IntegrityVerifier,
     iter_virtual_batches,
 )
+from repro.masking.forward import stack_arrays
 from repro.masking.virtual_batch import VirtualBatch
 from repro.pipeline.stages import EncodeTicket, GpuFuture, StagedLinearOp
 from repro.precompute import MaskStreamPool
@@ -133,19 +147,29 @@ class DarKnightBackend:
             return np.asarray(values, dtype=np.float64), IDENTITY
         return self._normalizer.normalize(values)
 
-    def _normalize_inputs(self, values: np.ndarray) -> tuple[np.ndarray, Normalization]:
-        """Normalise one virtual batch of layer inputs before quantization.
+    def _normalize_stack(
+        self, normalizer: DynamicNormalizer | None, stack: np.ndarray, lead: int = 1
+    ) -> tuple[np.ndarray, list[Normalization]]:
+        """Normalise a ``(V, K, ...)`` stack before quantization; returns the
+        scaled stack and each virtual batch's own :class:`Normalization`.
 
-        In ``per_sample_normalization`` mode every sample slot gets its own
-        factor, so a slot's decoded output is invariant to what else shares
-        the batch — the property shard routing relies on for bit-identical
-        logits at every shard count.
+        ``lead=1`` gives every virtual batch its scalar max-abs factor;
+        ``lead=2`` (``per_sample_normalization``) gives every sample slot
+        its own, so a slot's decoded output is invariant to what else
+        shares the batch — the property shard routing relies on for
+        bit-identical logits at every shard count.
         """
-        if self._normalizer is None:
-            return np.asarray(values, dtype=np.float64), IDENTITY
-        if self.config.per_sample_normalization:
-            return self._normalizer.normalize_rows(values)
-        return self._normalizer.normalize(values)
+        n_batches = stack.shape[0]
+        if normalizer is None:
+            return np.asarray(stack, dtype=np.float64), [IDENTITY] * n_batches
+        scaled, norm = normalizer.normalize_rows(stack, lead=lead)
+        if norm is IDENTITY:
+            return scaled, [IDENTITY] * n_batches
+        if np.ndim(norm.factor) == 0:  # featureless rows: one scalar for all
+            return scaled, [norm] * n_batches
+        if lead == 1:
+            return scaled, [Normalization(float(f)) for f in norm.factor.ravel()]
+        return scaled, [Normalization(f) for f in norm.factor]
 
     def _fresh_coefficients(self) -> CoefficientSet:
         # Coefficient shapes depend only on the (frozen) config's
@@ -182,15 +206,22 @@ class DarKnightBackend:
             self.link.transfer(f"gpu{j}", "enclave", per_out)
         self.enclave.ecall("gather_outputs", int(outputs.nbytes))
 
-    def _verified_decode(self, coeffs: CoefficientSet, outputs: np.ndarray) -> np.ndarray:
-        """Unmask ``outputs``; with integrity on, the verifier's own primary
-        decode is the result (no further decode of checked outputs)."""
+    def _verified_decode(
+        self, tickets: Sequence[EncodeTicket], outputs: np.ndarray
+    ) -> np.ndarray:
+        """Unmask the ``(V, S, ...)`` ``outputs`` of a stack; with integrity
+        on, the verifier's own primary decode is the result (no further
+        decode of checked outputs) and a failure names its virtual batch."""
+        sets = [ticket.coefficients for ticket in tickets]
         if not self.config.integrity:
-            return ForwardDecoder(coeffs).decode(outputs)
-        report = IntegrityVerifier(coeffs).verify_forward(outputs)
-        report.raise_on_failure()
-        self.enclave.record_compute("integrity_check", int(outputs.nbytes))
-        return report.decoded
+            return ForwardDecoder(sets).decode(outputs)
+        reports = IntegrityVerifier(sets).verify_forward(outputs)
+        for ticket, report, batch_outputs in zip(tickets, reports, outputs):
+            report.raise_on_failure(
+                f"layer {ticket.op.key!r}, virtual batch {ticket.vb_index}"
+            )
+            self.enclave.record_compute("integrity_check", int(batch_outputs.nbytes))
+        return stack_arrays([report.decoded for report in reports])
 
     # ------------------------------------------------------------------
     # staged forward ops: stage_linear -> encode -> dispatch -> decode
@@ -267,71 +298,111 @@ class DarKnightBackend:
             self._weight_cache[key] = (fingerprint, op)
         return op
 
-    def encode(self, op: StagedLinearOp, vb: VirtualBatch, vb_index: int) -> EncodeTicket:
+    def encode(
+        self,
+        op: StagedLinearOp,
+        vb: VirtualBatch | Sequence[VirtualBatch],
+        vb_index: int | Sequence[int],
+    ) -> EncodeTicket | list[EncodeTicket]:
         """Stage 1 — mask one virtual batch and scatter its shares.
 
-        The forward record is registered *before* returning, so the shares
-        now resident on the devices are always released by
-        :meth:`end_batch`, even if the pipeline aborts before this ticket
-        is ever dispatched or decoded.
-        """
-        data, x_norm = self._normalize_inputs(vb.data)
-        x_q = self.quantizer.quantize(data)
-        self.enclave.record_compute("quantize_inputs", int(x_q.nbytes))
-        coeffs = self._fresh_coefficients()
-        encoder = ForwardEncoder(coeffs, self.enclave.rng)
-        inline_noise_bytes = int(coeffs.m) * int(x_q[0].nbytes)
-        if self._mask_pool is not None and coeffs.m > 0:
-            noise, pooled = self._mask_pool.draw(
-                x_q.shape[1:], coeffs.k, coeffs.m
-            )
-            if pooled:
-                self.enclave.record_compute("mask_pool_hit", int(noise.nbytes))
-                inline_noise_bytes = 0
-            else:
-                self.enclave.record_compute("mask_inline", int(noise.nbytes))
-            encoded = encoder.encode(x_q, noise=noise)
-        else:
-            encoded = encoder.encode(x_q)
-        self.enclave.record_compute("encode_forward", int(encoded.shares.nbytes))
-        share_key = f"{op.key}/step{self._step}/vb{vb_index}"
-        self._scatter(share_key, encoded.shares)
-        self._forward_store.setdefault(op.key, []).append(
-            _ForwardRecord(
-                coefficients=coeffs,
-                share_key=share_key,
-                indices=vb.indices,
-                n_real=vb.n_real,
-                x_norm=x_norm,
-                w_norm=op.w_norm,
-                vb_index=vb_index,
-            )
-        )
-        return EncodeTicket(
-            op=op,
-            share_key=share_key,
-            coefficients=coeffs,
-            vb_index=vb_index,
-            indices=vb.indices,
-            n_real=vb.n_real,
-            x_norm=x_norm,
-            encode_bytes=int(encoded.shares.nbytes),
-            inline_noise_bytes=inline_noise_bytes,
-        )
+        ``vb`` and ``vb_index`` may be sequences — a layer step's stack of
+        virtual batches, masked in one encode GEMM — in which case one
+        ticket per virtual batch comes back.  Coefficients and noise are
+        drawn one virtual batch at a time, in order (``coeff₀, noise₀,
+        coeff₁, ...``), so the enclave's random stream — and with it every
+        share — is that of encoding them one after another.
 
-    def dispatch(self, ticket: EncodeTicket) -> GpuFuture:
+        The forward records are registered *before* returning, so the
+        shares now resident on the devices are always released by
+        :meth:`end_batch`, even if the pipeline aborts before a ticket is
+        ever dispatched or decoded.
+        """
+        stacked = not isinstance(vb, VirtualBatch)
+        vbs, vb_indices = (vb, vb_index) if stacked else ([vb], [vb_index])
+        data, x_norms = self._normalize_stack(
+            self._normalizer,
+            stack_arrays([batch.data for batch in vbs]),
+            lead=2 if self.config.per_sample_normalization else 1,
+        )
+        x_q = self.quantizer.quantize(data)
+        feature_shape = x_q.shape[2:]
+        batch_bytes = int(x_q[0].nbytes)
+        sets, noises, inline_noise_bytes = [], [], []
+        for _ in vbs:
+            self.enclave.record_compute("quantize_inputs", batch_bytes)
+            coeffs = self._fresh_coefficients()
+            inline = int(coeffs.m) * (batch_bytes // coeffs.k)
+            if self._mask_pool is not None:
+                noise, pooled = self._mask_pool.draw(feature_shape, coeffs.k, coeffs.m)
+                if pooled:
+                    self.enclave.record_compute("mask_pool_hit", int(noise.nbytes))
+                    inline = 0
+                else:
+                    self.enclave.record_compute("mask_inline", int(noise.nbytes))
+            else:
+                noise = self.enclave.rng.uniform((coeffs.m,) + feature_shape)
+            sets.append(coeffs)
+            noises.append(noise)
+            inline_noise_bytes.append(inline)
+        shares = ForwardEncoder(sets, self.enclave.rng).encode(
+            x_q, noise=stack_arrays(noises)
+        ).shares
+        share_bytes = int(shares[0].nbytes)
+        tickets = []
+        for v, (batch, index) in enumerate(zip(vbs, vb_indices)):
+            self.enclave.record_compute("encode_forward", share_bytes)
+            share_key = f"{op.key}/step{self._step}/vb{index}"
+            self._scatter(share_key, shares[v])
+            self._forward_store.setdefault(op.key, []).append(
+                _ForwardRecord(
+                    coefficients=sets[v],
+                    share_key=share_key,
+                    indices=batch.indices,
+                    n_real=batch.n_real,
+                    x_norm=x_norms[v],
+                    w_norm=op.w_norm,
+                    vb_index=index,
+                )
+            )
+            tickets.append(
+                EncodeTicket(
+                    op=op,
+                    share_key=share_key,
+                    coefficients=sets[v],
+                    vb_index=index,
+                    indices=batch.indices,
+                    n_real=batch.n_real,
+                    x_norm=x_norms[v],
+                    encode_bytes=share_bytes,
+                    inline_noise_bytes=inline_noise_bytes[v],
+                )
+            )
+        return tickets if stacked else tickets[0]
+
+    def dispatch(self, ticket: EncodeTicket | Sequence[EncodeTicket]) -> GpuFuture:
         """Stage 2 — one launch of the bilinear kernel over every share.
+
+        A sequence of tickets (one layer's) is one launch over every share
+        of the whole stack; the future then carries them all, its outputs
+        under a leading virtual-batch axis.
 
         Compute happens eagerly (the simulation has no real asynchrony);
         the future carries the real per-share MAC count so a scheduler can
         price when the result *would* be ready on the simulated clock.
         """
-        op = ticket.op
+        stacked = not isinstance(ticket, EncodeTicket)
+        first = ticket[0] if stacked else ticket
+        op = first.op
         launch = ShareLaunch(
-            op.kind, ticket.share_key, weight_name=op.key, stride=op.stride, pad=op.pad
+            op.kind,
+            tuple(t.share_key for t in ticket) if stacked else ticket.share_key,
+            weight_name=op.key,
+            stride=op.stride,
+            pad=op.pad,
         )
         outputs, macs_per_share = self.cluster.map_shares(
-            launch, range(ticket.coefficients.n_shares)
+            launch, range(first.coefficients.n_shares)
         )
         return GpuFuture(
             ticket=ticket,
@@ -340,30 +411,34 @@ class DarKnightBackend:
             output_bytes=int(outputs.nbytes),
         )
 
-    def decode(self, future: GpuFuture) -> np.ndarray:
+    def decode(self, future: GpuFuture) -> np.ndarray | list[np.ndarray]:
         """Stage 3 — gather, verify, unmask, dequantize; real rows only.
 
-        Bias is *not* applied here (callers add it after concatenation,
-        exactly like the synchronous path).
+        A stack's future decodes in one stacked GEMM per verification-plan
+        subset and yields one array per virtual batch.  Bias is *not*
+        applied here (callers add it after concatenation).
         """
-        ticket = future.ticket
-        self._gather(future.outputs)
-        decoded = self._verified_decode(ticket.coefficients, future.outputs)
-        self.enclave.record_compute("decode_forward", int(decoded.nbytes))
+        stacked = not isinstance(future.ticket, EncodeTicket)
+        tickets = future.ticket if stacked else [future.ticket]
+        outputs = future.outputs if stacked else future.outputs[None]
+        for batch_outputs in outputs:
+            self._gather(batch_outputs)
+        decoded = self._verified_decode(tickets, outputs)
+        for batch_decoded in decoded:
+            self.enclave.record_compute("decode_forward", int(batch_decoded.nbytes))
         y = self.quantizer.dequantize_product(decoded)
-        y = y * (ticket.x_norm.factor * ticket.op.w_norm.factor)
-        return y[: ticket.n_real]
+        for batch_y, ticket in zip(y, tickets):
+            batch_y *= ticket.x_norm.factor * ticket.op.w_norm.factor
+        real = [batch_y[: ticket.n_real] for batch_y, ticket in zip(y, tickets)]
+        return real if stacked else real[0]
 
     def _masked_forward(self, x: np.ndarray, op: StagedLinearOp) -> np.ndarray:
-        """Synchronous forward: drive the three stages back to back per
-        virtual batch (the ``pipeline_depth=1`` execution order)."""
-        outputs = [
-            self.decode(self.dispatch(self.encode(op, vb, vb_index)))
-            for vb_index, vb in enumerate(
-                iter_virtual_batches(x, self.config.virtual_batch_size)
-            )
-        ]
-        return np.concatenate(outputs, axis=0)
+        """Synchronous forward: the three stages back to back, each once
+        for the layer's whole stack of virtual batches."""
+        vbs = list(iter_virtual_batches(x, self.config.virtual_batch_size))
+        return np.concatenate(
+            self.decode(self.dispatch(self.encode(op, vbs, range(len(vbs))))), axis=0
+        )
 
     def conv2d_forward(self, x, w, b, stride, pad, key):
         """Masked convolution over the virtual-batched input."""
@@ -394,8 +469,8 @@ class DarKnightBackend:
         """Shared backward path: returns ``Σ_i <δ(i), x(i)>`` in float.
 
         ``kind`` and the conv ``geometry`` (``kh``/``kw``/``stride``/``pad``)
-        describe the ``Eq_j`` kernel; each virtual batch is one backward
-        launch over its stored shares.
+        describe the ``Eq_j`` kernel; the layer's virtual batches are one
+        backward launch over all their stored shares.
         """
         if self.config.per_sample_normalization:
             raise ConfigurationError(
@@ -409,61 +484,70 @@ class DarKnightBackend:
                 f"no stored forward encodings for layer {key!r}; run forward first"
             )
         cfg = self.config
-        total: np.ndarray | None = None
         # Pipelined forwards may register records out of virtual-batch order;
         # sum in vb order so gradients are bit-identical to the sync path.
         records = sorted(records, key=lambda r: r.vb_index)
-        staged: list[tuple] = []  # (record, launch, d_norm, field equations)
-        for record in records:
-            rows = delta[list(record.indices)]
-            if rows.shape[0] < cfg.virtual_batch_size:
-                pad_rows = np.zeros(
-                    (cfg.virtual_batch_size - rows.shape[0],) + rows.shape[1:],
-                    dtype=rows.dtype,
-                )
-                rows = np.concatenate([rows, pad_rows], axis=0)
-            d_scaled, d_norm = self._grad_normalizer.normalize(rows)
-            d_q = self.quantizer.quantize(d_scaled)
-            self.enclave.record_compute("quantize_deltas", int(d_q.nbytes))
-            coeffs = record.coefficients
-            # Quantized deltas and the public B rows ship to every GPU; the
-            # combination Σ_i B[j,i]·δ(i) is GPU-side work (Section 4.2:
-            # "δ(i)s are multiplied with the β_{j,i} in the GPUs").
-            for j in range(coeffs.n_shares):
-                self.link.transfer("enclave", f"gpu{j}", int(d_q.nbytes))
-            launch = ShareLaunch(
-                kind, record.share_key, deltas=d_q, b_rows=coeffs.b, **geometry
+        sets = [record.coefficients for record in records]
+        n_shares = sets[0].n_shares
+        rows = np.zeros(
+            (len(records), cfg.virtual_batch_size) + delta.shape[1:], dtype=delta.dtype
+        )
+        for batch_rows, record in zip(rows, records):
+            batch_rows[: len(record.indices)] = delta[list(record.indices)]
+        d_scaled, d_norms = self._normalize_stack(self._grad_normalizer, rows)
+        d_q = self.quantizer.quantize(d_scaled)
+        # Quantized deltas and the public B rows ship to every GPU; the
+        # combination Σ_i B[j,i]·δ(i) is GPU-side work (Section 4.2:
+        # "δ(i)s are multiplied with the β_{j,i} in the GPUs").  With
+        # integrity on, each device also combines under a second B,
+        # supported on its set's alternate plan subset (whose inverse is
+        # already cached, so that B costs no elimination), in the same
+        # launch: both equations share the one pass over its share.
+        b_rows = [[coeffs.b] for coeffs in sets]
+        if cfg.integrity:
+            verifier = IntegrityVerifier(sets)
+            plans = verifier.verification_plans()
+            for per_batch, coeffs, plan in zip(b_rows, sets, plans):
+                per_batch.append(coeffs.backward_matrices_for_subset(plan[1])[0])
+        for batch_q in d_q:
+            self.enclave.record_compute("quantize_deltas", int(batch_q.nbytes))
+            for j in range(n_shares):
+                self.link.transfer("enclave", f"gpu{j}", int(batch_q.nbytes))
+        launch = ShareLaunch(
+            kind,
+            tuple(record.share_key for record in records),
+            deltas=d_q,
+            b_rows=np.array(b_rows).transpose(0, 2, 1, 3),  # (V, R, S, K) -> (V, S, R, K)
+            **geometry,
+        )
+        equations, _ = self.cluster.map_shares(launch, range(n_shares))  # (V, S, R, ...)
+        for batch_equations in equations:
+            self._gather(batch_equations[:, 0])
+        # One γ-decode for the stack: each virtual batch under its own γ,
+        # the alternate-B equations riding along its feature axis.
+        aggregates = BackwardDecoder(sets).decode(equations)  # (V, R, ...)
+        if cfg.integrity:
+            reports = verifier.verify_backward(
+                [
+                    {coeffs.primary_subset: primary, plan[1]: alternate}
+                    for coeffs, plan, (primary, alternate) in zip(sets, plans, aggregates)
+                ]
             )
-            equations, _ = self.cluster.map_shares(launch, range(coeffs.n_shares))
-            self._gather(equations)
-            staged.append((record, launch, d_norm, equations))
-        # All virtual batches share one coefficient set unless
-        # fresh_coefficients re-draws per encode; in the shared case every
-        # per-record gamma decode collapses into one batched GEMM
-        # (bit-identical: field arithmetic is exact, order-free).
-        coeffs0 = records[0].coefficients
-        if len(staged) > 1 and all(
-            r.coefficients is coeffs0 for r in records
-        ) and len({eq.shape for _, _, _, eq in staged}) == 1:
-            aggregates = list(
-                BackwardDecoder(coeffs0).decode_many(
-                    np.stack([eq for _, _, _, eq in staged])
-                )
-            )
-        else:
-            aggregates = [
-                BackwardDecoder(record.coefficients).decode(eq)
-                for record, _, _, eq in staged
-            ]
-        for (record, launch, d_norm, _), aggregate in zip(staged, aggregates):
-            self.enclave.record_compute("decode_backward", int(aggregate.nbytes))
+        grads = self.quantizer.dequantize_product(aggregates[:, 0])
+        total: np.ndarray | None = None
+        for v, record in enumerate(records):
+            self.enclave.record_compute("decode_backward", int(aggregates[v, 0].nbytes))
             if cfg.integrity:
-                self._verify_backward(record.coefficients, aggregate, launch)
+                reports[v].raise_on_failure(
+                    f"layer {key!r}, virtual batch {record.vb_index}"
+                )
+                self.enclave.record_compute(
+                    "integrity_check_backward", int(d_q[v].nbytes)
+                )
             # The decode yields Σ<δ', x'> of the *normalised* operands; the
             # weight factor never enters a (δ, x) pairing, so only the input
             # and gradient factors multiply back.
-            grad = self.quantizer.dequantize_product(aggregate)
-            contribution = grad * (record.x_norm.factor * d_norm.factor)
+            contribution = grads[v] * (record.x_norm.factor * d_norms[v].factor)
             if self._aggregator is not None:
                 self._aggregator.add_update(f"{key}/{record.share_key}", contribution)
             else:
@@ -472,28 +556,6 @@ class DarKnightBackend:
             keys = [f"{key}/{r.share_key}" for r in records]
             return self._aggregator.aggregate(keys)
         return total
-
-    def _verify_backward(self, coeffs, primary_aggregate, launch: ShareLaunch) -> None:
-        """Re-decode the aggregate under a ``B`` supported on the verification
-        plan's alternate subset (its inverse is already cached on the set,
-        so ``B`` costs no elimination): the primary ``launch`` again,
-        with the alternate ``B`` rows."""
-        verifier = IntegrityVerifier(coeffs)
-        alt_subset = verifier.verification_plan()[1]
-        b_alt, gamma = coeffs.backward_matrices_for_subset(alt_subset)
-        equations, _ = self.cluster.map_shares(
-            replace(launch, b_rows=b_alt), range(coeffs.n_shares)
-        )
-        alt_aggregate = BackwardDecoder(coeffs).decode_with_matrices(
-            equations, b_alt, gamma
-        )
-        report = verifier.verify_backward(
-            {coeffs.primary_subset: primary_aggregate, alt_subset: alt_aggregate}
-        )
-        report.raise_on_failure()
-        self.enclave.record_compute(
-            "integrity_check_backward", int(launch.deltas.nbytes)
-        )
 
     def conv2d_grad_w(self, x, delta, kh, kw, stride, pad, key):
         """Masked batch-aggregate conv weight gradient."""

@@ -60,13 +60,21 @@ class Trainer:
     # steps and epochs
     # ------------------------------------------------------------------
     def train_step(self, x: np.ndarray, y: np.ndarray) -> float:
-        """One SGD step; returns the batch loss."""
-        logits = self.network.forward(x, self.backend, training=True)
-        loss_value = self.loss.forward(logits, y)
-        self.network.backward(self.loss.backward(), self.backend)
-        self.optimizer.step()
-        self.optimizer.zero_grad()
-        self.backend.end_batch()
+        """One SGD step; returns the batch loss.
+
+        The step's stored encodings are released and its gradients zeroed
+        on every exit path: a step that raises (an integrity failure on a
+        byzantine GPU, a range overflow) applies no update and leaves
+        neither shares on the devices nor a partial gradient behind.
+        """
+        try:
+            logits = self.network.forward(x, self.backend, training=True)
+            loss_value = self.loss.forward(logits, y)
+            self.network.backward(self.loss.backward(), self.backend)
+            self.optimizer.step()
+        finally:
+            self.optimizer.zero_grad()
+            self.backend.end_batch()
         return loss_value
 
     def fit(

@@ -79,6 +79,13 @@ _GOLDEN = {
         "sha256:86619b3ac49909545b028b183b61804c166f756bc6bedc8007fd22b60cc6e70a",
         "0af65fe5e01078d30d79d3fd46861df6",
     ),
+    # A serve-tiny-plain request's size (96 blocks), recorded from the
+    # hash-rekeyed-per-block keystream the keyed-once one replaced.
+    6144: (
+        "3f04c4aae264cb97a857b5af",
+        "sha256:989f13fc9a9f332681eb2ad5aabeba4983870b41a5b1c90a065932b3a5a1ce2d",
+        "8b63006c10fd0cd362088b902a351b84",
+    ),
 }
 
 

@@ -4,8 +4,8 @@ The limb backend's exactness argument (13-bit limb products accumulated in
 float64 below 2**53) is proved in :mod:`repro.fieldmath.kernels`; these
 tests attack it empirically — randomized shapes and values, all-zero and
 all-``p-1`` adversarial operands, contractions straddling every dispatch
-boundary (2-GEMM -> Karatsuba -> generic fallback) — and pin the backend
-registry / config / CLI plumbing.
+boundary (1-GEMM -> 2-GEMM -> Karatsuba -> generic fallback) — and pin the
+backend registry / config / CLI plumbing.
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from repro.fieldmath.kernels import (
     GenericBackend,
     LimbBackend,
     karatsuba_limit,
+    one_gemm_limit,
     two_gemm_limit,
 )
 
@@ -94,14 +95,16 @@ def test_limb_matmul_karatsuba_branch_past_two_gemm_bound():
 @settings(max_examples=15, deadline=None)
 @given(k=st.integers(1, 60), seed=st.integers(0, 1000))
 def test_forced_dispatch_branches_agree(k, seed):
-    """Tiny caps force each branch (2-GEMM / Karatsuba / generic) on the
-    same operands; all three must agree bit-for-bit."""
+    """Tiny caps force each branch (1-GEMM where exact / 2-GEMM / Karatsuba /
+    generic) on the same operands; all must agree bit-for-bit."""
     rng = FieldRng(FIELD, seed)
     a, b = rng.uniform((4, k)), rng.uniform((k, 3))
     expected = GENERIC.matmul(FIELD, a, b, 4096)
-    forced_kara = LimbBackend(two_gemm_cap=0)
-    forced_fallback = LimbBackend(two_gemm_cap=0, karatsuba_cap=0)
+    forced_two = LimbBackend(one_gemm_cap=0)
+    forced_kara = LimbBackend(one_gemm_cap=0, two_gemm_cap=0)
+    forced_fallback = LimbBackend(one_gemm_cap=0, two_gemm_cap=0, karatsuba_cap=0)
     assert np.array_equal(LIMB.matmul(FIELD, a, b, 4096), expected)
+    assert np.array_equal(forced_two.matmul(FIELD, a, b, 4096), expected)
     assert np.array_equal(forced_kara.matmul(FIELD, a, b, 4096), expected)
     assert np.array_equal(forced_fallback.matmul(FIELD, a, b, 4096), expected)
 
@@ -109,7 +112,7 @@ def test_forced_dispatch_branches_agree(k, seed):
 def test_limb_matmul_falls_back_past_exactness_bound():
     """Regression: contractions beyond the Karatsuba bound (modeled with a
     tiny cap) must take the generic path and stay exact, not overflow."""
-    capped = LimbBackend(two_gemm_cap=8, karatsuba_cap=16)
+    capped = LimbBackend(one_gemm_cap=0, two_gemm_cap=8, karatsuba_cap=16)
     rng = FieldRng(FIELD, 7)
     a, b = rng.uniform((3, 40)), rng.uniform((40, 3))
     assert np.array_equal(
@@ -159,8 +162,9 @@ def _bigint_stacked(a, b, p):
     seed=st.integers(0, 10_000),
 )
 def test_stacked_matmul_matches_bigint_per_slice(stack, rows, k, cols, extreme, seed):
-    """Every dispatch branch (2-GEMM, Karatsuba, per-slice oracle — forced by
-    small caps straddling ``k``) and the generic backend agree with big ints."""
+    """Every dispatch branch (the default's, then 2-GEMM, Karatsuba, per-slice
+    oracle — forced by small caps straddling ``k``) and the generic backend
+    agree with big ints."""
     if extreme:
         a = np.full((stack, rows, k), FIELD.p - 1, dtype=np.int64)
         b = np.full((stack, k, cols), FIELD.p - 1, dtype=np.int64)
@@ -171,9 +175,9 @@ def test_stacked_matmul_matches_bigint_per_slice(stack, rows, k, cols, extreme, 
     for backend in (
         LIMB,
         GENERIC,
-        LimbBackend(two_gemm_cap=k),  # k sits exactly on the 2-GEMM bound
-        LimbBackend(two_gemm_cap=k - 1, karatsuba_cap=k),  # first Karatsuba k
-        LimbBackend(two_gemm_cap=0, karatsuba_cap=k - 1),  # first fallback k
+        LimbBackend(one_gemm_cap=0, two_gemm_cap=k),  # k exactly on the 2-GEMM bound
+        LimbBackend(one_gemm_cap=0, two_gemm_cap=k - 1, karatsuba_cap=k),  # first Karatsuba k
+        LimbBackend(one_gemm_cap=0, two_gemm_cap=0, karatsuba_cap=k - 1),  # first fallback k
     ):
         got = backend.matmul_stacked(FIELD, a, b, 4096)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
@@ -212,6 +216,89 @@ def test_stacked_matmul_degenerate_shapes_and_validation():
         field_matmul_stacked(FIELD, a, rng.uniform((1, 3, 2)))  # inner dims differ
     with pytest.raises(FieldError):
         field_matmul_stacked(FIELD, a, b, chunk=0)
+
+
+# ----------------------------------------------------------------------
+# the unsplit tier: k * (p-1)**2 < 2**53 needs no limbs
+# ----------------------------------------------------------------------
+SMALL = PrimeField(16777213)  # largest prime below 2**24: the tier reaches k = 32
+
+
+def test_one_gemm_limit_is_where_the_worst_case_sum_leaves_float64():
+    assert one_gemm_limit(FIELD.p) == 8  # every K+M(+1)-term masking contraction
+    assert one_gemm_limit(SMALL.p) == 32
+    for p in (FIELD.p, SMALL.p):
+        k = one_gemm_limit(p)
+        assert k * (p - 1) ** 2 < 2**53 <= (k + 1) * (p - 1) ** 2
+    assert one_gemm_limit(2**31 - 1) == 0  # a single product already too wide
+
+
+@pytest.mark.parametrize("field", [FIELD, SMALL], ids=["paper-prime", "small-prime"])
+@pytest.mark.parametrize("past", [0, 1], ids=["last-unsplit-k", "first-split-k"])
+@pytest.mark.parametrize("extreme", [True, False], ids=["all-p-1", "random"])
+def test_one_gemm_tier_boundary_matches_bigint(field, past, extreme):
+    """At ``one_gemm_limit`` (the unsplit GEMM's last exact contraction) and
+    one past it (the first limb-split one), 2-D and stacked, all-``(p-1)``
+    and random operands equal the big-int product."""
+    k = one_gemm_limit(field.p) + past
+    kernel = LIMB._kernel_for(field.p, k)
+    assert kernel == (LIMB._two_gemm if past else LIMB._one_gemm)
+    if extreme:
+        a = np.full((3, 2, k), field.p - 1, dtype=np.int64)
+        b = np.full((3, k, 4), field.p - 1, dtype=np.int64)
+    else:
+        rng = FieldRng(field, 17 + k)
+        a, b = rng.uniform((3, 2, k)), rng.uniform((3, k, 4))
+    expected = _bigint_stacked(a, b, field.p)
+    assert np.array_equal(field_matmul_stacked(field, a, b), expected)
+    assert np.array_equal(field_matmul(field, a[0], b[0]), expected[0])
+    with use_backend("generic"):  # the oracle never takes the tier
+        assert np.array_equal(field_matmul_stacked(field, a, b), expected)
+        assert np.array_equal(field_matmul(field, a[0], b[0]), expected[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    stack=st.integers(1, 5),
+    rows=st.integers(1, 6),
+    k=st.integers(1, 8),
+    cols=st.integers(1, 9),
+    transposed=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_one_gemm_tier_matches_the_split_kernels(stack, rows, k, cols, transposed, seed):
+    """Masking-sized contractions: the unsplit tier, the forced 2-GEMM split
+    and the generic oracle agree, on contiguous and transposed operands."""
+    rng = FieldRng(FIELD, seed)
+    a = rng.uniform((stack, rows, k))
+    b = rng.uniform((stack, cols, k)).transpose(0, 2, 1) if transposed else rng.uniform((stack, k, cols))
+    expected = GENERIC.matmul_stacked(FIELD, a, b, 4096)
+    assert np.array_equal(LIMB.matmul_stacked(FIELD, a, b, 4096), expected)
+    assert np.array_equal(LimbBackend(one_gemm_cap=0).matmul_stacked(FIELD, a, b, 4096), expected)
+    assert np.array_equal(LIMB.matmul(FIELD, a[0], b[0], 4096), expected[0])
+
+
+def test_limb_results_never_alias_the_kernel_workspace():
+    """Temporaries live in the backend's grow-only workspace; what a call
+    returns must survive the next call (and a scribble over the workspace)."""
+    backend = LimbBackend()
+    rng = FieldRng(FIELD, 23)
+    cases = [  # unsplit 2-D, split 2-D (a smaller / b smaller), split stacked
+        (rng.uniform((6, 5)), rng.uniform((5, 40))),
+        (rng.uniform((4, 30)), rng.uniform((30, 50))),
+        (rng.uniform((50, 30)), rng.uniform((30, 4))),
+        (rng.uniform((3, 4, 30)), rng.uniform((3, 30, 7))),
+    ]
+    for a, b in cases:
+        run = backend.matmul_stacked if a.ndim == 3 else backend.matmul
+        first = run(FIELD, a, b, 4096)
+        kept = first.copy()
+        grown = backend._workspace
+        run(FIELD, a, b, 4096)
+        assert backend._workspace is grown  # same shapes: nothing reallocated
+        backend._workspace.fill(-1.0)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, backend._workspace)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the simulated accelerators: kernels, devices, faults, cluster."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -433,3 +434,96 @@ def test_stacked_launch_matches_per_device_loop(case, backend, pooled):
     assert [d.ledger for d in cluster.devices] == [d.ledger for d in reference.devices]
     assert _injector_state(cluster) == _injector_state(reference)
     assert macs == cluster[lineup[0]].ledger.mac_ops
+
+
+# ----------------------------------------------------------------------
+# a tuple of share keys: a layer step's stack of virtual batches, one launch
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_launch_cases(),
+    n_batches=st.integers(1, 3),
+    n_rows=st.integers(1, 2),
+    backend=st.sampled_from(["limb", "generic"]),
+)
+def test_virtual_batch_stack_launch_matches_one_launch_per_batch(
+    case, n_batches, n_rows, backend
+):
+    """``V`` keys (and ``R`` ``B`` rows per device) in one launch produce what
+    ``V`` (x ``R``) single-key launches produce, slice for slice, and charge
+    every device the same; each slice passes through its own device's
+    injector."""
+    single, lineup = case["launch"], case["lineup"]
+    rng = FieldRng(_FIELD, case["tamper_seed"])
+    keys = tuple(f"s/vb{v}" for v in range(n_batches))
+    backward = single.weight_name is None
+    byzantine = lineup[case["tamper_position"]]
+
+    def cluster_with(injectors):
+        cluster = GpuCluster(_FIELD, case["n_devices"], fault_injectors=injectors)
+        if case["weights"] is not None:
+            cluster.broadcast_weights("w", case["weights"])
+        share_rng = FieldRng(_FIELD, case["tamper_seed"] + 1)
+        for key in keys:
+            for device_id in lineup:
+                cluster[device_id].receive_share(key, share_rng.uniform(case["shares"].shape[1:]))
+        return cluster
+
+    if backward:
+        deltas = rng.uniform((n_batches,) + single.deltas.shape)
+        b_rows = rng.uniform((n_batches, len(lineup), n_rows, single.deltas.shape[0]))
+        stack = dataclasses.replace(single, share_key=keys, deltas=deltas, b_rows=b_rows)
+        singles = [
+            [
+                dataclasses.replace(single, share_key=key, deltas=deltas[v], b_rows=b_rows[v, :, r])
+                for r in range(n_rows)
+            ]
+            for v, key in enumerate(keys)
+        ]
+    else:
+        stack = dataclasses.replace(single, share_key=keys)
+        singles = [[dataclasses.replace(single, share_key=key)] for key in keys]
+
+    reference, cluster = cluster_with({}), cluster_with({})
+    with use_backend(backend):
+        expected = np.stack(
+            [
+                np.stack([reference.map_shares(one, lineup)[0] for one in per_batch], axis=1)
+                for per_batch in singles
+            ]
+        )  # (V, S, R, ...)
+        got, macs = cluster.map_shares(stack, lineup)
+        if not backward:
+            expected = expected[:, :, 0]
+        assert got.dtype == np.int64 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert [d.ledger for d in cluster.devices] == [d.ledger for d in reference.devices]
+        assert macs * n_batches * (n_rows if backward else 1) == cluster[lineup[0]].ledger.mac_ops
+
+        # One byzantine device corrupting its last op: exactly its slices change.
+        liar = cluster_with({byzantine: TargetedTamper(RandomTamper(_FIELD, seed=3), case["tamper_op"])})
+        tampered, _ = liar.map_shares(stack, lineup)
+    differs = (tampered != got).reshape(n_batches, len(lineup), -1).any(axis=2)
+    if case["tamper_op"] == "combine_deltas":
+        # a corrupted δ̄ entry may meet only zero padding (or zero shares) downstream
+        assert not np.delete(differs, case["tamper_position"], axis=1).any()
+    else:
+        assert differs[:, case["tamper_position"]].all()
+        assert differs.sum() == n_batches
+    assert liar[byzantine].faults.tamper_count == n_batches * (n_rows if backward else 1)
+
+
+def test_stack_launch_validation(field, frng):
+    cluster = GpuCluster(field, 2)
+    cluster.scatter_shares("a", frng.uniform((2, 6)))
+    cluster.scatter_shares("b", frng.uniform((2, 6)))
+    with pytest.raises(GpuError, match="share key"):
+        ShareLaunch("dense", (), weight_name="w")
+    launch = ShareLaunch(
+        "dense", ("a", "b"), deltas=frng.uniform((2, 3, 4)), b_rows=frng.uniform((2, 1, 2, 3))
+    )
+    assert launch.stacked and not ShareLaunch("dense", "a", weight_name="w").stacked
+    with pytest.raises(GpuError, match="B rows"):
+        cluster.map_shares(launch, range(2))  # one row set, two devices
+    with pytest.raises(GpuError, match="no share"):
+        cluster.map_shares(dataclasses.replace(launch, share_key=("a", "c")), [0])
