@@ -4,8 +4,9 @@ Unlike the exhibit benches (which assert *modeled* shapes), these time the
 actual numpy implementations that every experiment runs on: the prime-field
 GEMM in both backends (the generic chunked oracle vs the limb-decomposed
 BLAS path) against plain float matmul, the encode/decode primitives at a
-realistic layer size, Vandermonde/elimination coefficient generation (and
-a virtual batch's whole coefficient material), the batched conv-as-GEMM
+realistic layer size, Vandermonde/elimination coefficient generation (a
+virtual batch's whole coefficient material, and a layer step's as one
+stack), the batched conv-as-GEMM
 lowering, the cluster's stacked launches, and a whole masked layer step
 (forward and backward) over a batch's stack of virtual batches.  Useful for
 regression-tracking the
@@ -193,6 +194,65 @@ def test_coefficient_material_speed(benchmark):
     assert coeffs.verify() and len(plan) == 2
 
 
+def _step_material(sets):
+    """Each set's verification plan and alternate-subset ``B`` — what a
+    training layer step reads off its coefficient sets."""
+    return [
+        (coeffs.verification_plan, coeffs.backward_matrices_for_subset(coeffs.verification_plan[1]))
+        for coeffs in sets
+    ]
+
+
+def test_coefficient_stack_speed(benchmark):
+    """A layer step's coefficient material in one call: ``V = 4`` sets with
+    their noise, verification plans and alternate ``B``s from one stacked
+    elimination — bit for bit what four single calls draw and derive."""
+    spec = dict(k=4, m=1, extra_shares=1)
+    noise_shape = (3, 8, 8)
+
+    def stack(rng=RNG):
+        sets, noise = CoefficientSet.generate(rng, **spec, count=4, noise_shape=noise_shape)
+        return sets, noise, _step_material(sets)
+
+    rng, loop_rng = FieldRng(FIELD, seed=5), FieldRng(FIELD, seed=5)
+    sets, noise, material = stack(rng)
+    for v, coeffs in enumerate(sets):
+        single = CoefficientSet.generate(loop_rng, **spec)
+        assert np.array_equal(noise[v], loop_rng.uniform((1,) + noise_shape))
+        for name in ("a", "gamma", "b"):
+            assert np.array_equal(getattr(coeffs, name), getattr(single, name)), name
+        plan, (b_alt, _) = material[v]
+        ((single_plan, (single_b_alt, _)),) = _step_material([single])
+        assert plan == single_plan and np.array_equal(b_alt, single_b_alt)
+    assert np.array_equal(rng.uniform((4,)), loop_rng.uniform((4,)))
+
+    sets, _, material = benchmark(stack)
+    assert all(coeffs.verify() for coeffs in sets) and len(material) == 4
+
+
+def test_interpreter_reference_speed(benchmark):
+    """The normalizer for the interpreter-bound kernels: a fixed loop of
+    Python big-int field arithmetic and small-array ufunc calls — no BLAS,
+    nothing that leaves cache — which is what coefficient generation and
+    the quantize chains spend their time on.  It speeds up and slows down
+    with the interpreter where the float GEMM follows the BLAS."""
+    p = FIELD.p
+    small = np.arange(48, dtype=np.int64).reshape(6, 8)
+
+    def loop():
+        acc = 1
+        for i in range(1, 151):
+            acc = (acc * i + pow(i, -1, p)) % p
+        out = small
+        for _ in range(40):
+            out = (out * 3 + 1) % p
+        return acc, out
+
+    acc, out = benchmark(loop)
+    again, out_again = loop()
+    assert acc == again and 0 < acc < p and np.array_equal(out, out_again)
+
+
 def test_quantize_speed(benchmark):
     """Float -> field lift as one in-place ufunc chain (no Python loops)."""
     q = QuantizationConfig()
@@ -364,7 +424,7 @@ def _minor_faults_per_call(fn, calls=50):
 def test_layer_step_forward_speed(benchmark, vgg_conv_step):
     """Quantize, encode, launch, verify and decode all ``V`` virtual batches
     of the layer: one stacked field GEMM per op (coefficient generation,
-    still one call per virtual batch, included)."""
+    one stacked call for the step, included)."""
     step = vgg_conv_step
     backend = DarKnightBackend(step["config"])
 

@@ -2,19 +2,26 @@
 
 Reads one pytest-benchmark JSON artifact (the ``--benchmark-json`` output
 of ``bench_microbench_kernels.py``), normalizes each tracked kernel's
-best-of-run (``min``) time by the plain float GEMM reference measured in
-the *same* run, and compares those machine-independent ratios against the
-median of the last few entries in the repo's trajectory file
-(``BENCH_kernels.json``).  A tracked kernel whose ratio grew by more than
-``--threshold`` (default 25%) fails the build: the limb backend quietly
-losing its BLAS speedup is a regression even while every correctness test
-stays green.
+best-of-run (``min``) time by a reference measured in the *same* run, and
+compares those machine-independent ratios against the median of the last
+few entries in the repo's trajectory file (``BENCH_kernels.json``).  A
+tracked kernel whose ratio grew by more than ``--threshold`` (default 25%)
+fails the build: the limb backend quietly losing its BLAS speedup is a
+regression even while every correctness test stays green.
 
-Normalizing by the in-run float GEMM cancels the host's BLAS speed, CPU
-frequency, and noisy-neighbour load — the ratio asks "how many float
-matmuls does this field kernel cost?", which is stable across machines
-where raw seconds are not.  ``min`` (not mean) is compared because the
-best rep is the least contaminated by scheduling noise.
+Normalizing by an in-run reference cancels the host's speed, CPU
+frequency, and noisy-neighbour load — but only against a reference that
+wanders the way the kernel does.  The BLAS-bound kernels are divided by a
+plain float GEMM ("how many float matmuls does this field kernel cost?");
+the interpreter-bound ones (coefficient material, the quantize chains)
+by a fixed loop of Python integer arithmetic and small-array ufunc calls,
+because on a shared box the interpreter's speed and the GEMM's move
+independently and a ratio across the two flaps on unchanged code.  Each
+trajectory entry records which reference every ratio used, and a baseline
+only pools ratios taken against the kernel's current reference (an entry
+without the record predates the split: all float GEMM).  ``min`` (not
+mean) is compared because the best rep is the least contaminated by
+scheduling noise.
 
 Usage::
 
@@ -57,6 +64,7 @@ TRACKED = (
     "test_backward_reference_aggregate_speed",
     "test_coefficient_generation_speed",
     "test_coefficient_material_speed",
+    "test_coefficient_stack_speed",
     "test_conv2d_batched_gemm_speed",
     "test_quantize_speed",
     "test_dequantize_product_speed",
@@ -69,8 +77,21 @@ TRACKED = (
     "test_layer_step_backward_speed",
 )
 
-#: The in-run normalizer: a plain float64 GEMM at the same N=256 size.
+#: The default in-run normalizer: a plain float64 GEMM at the same N=256 size.
 REFERENCE = "test_float_matmul_reference_speed_n256"
+
+#: The normalizer of kernels that never reach the BLAS: Python-level field
+#: arithmetic and small-array ufunc dispatch.
+INTERPRETER_REFERENCE = "test_interpreter_reference_speed"
+INTERPRETER_BOUND = frozenset(
+    {
+        "test_coefficient_generation_speed",
+        "test_coefficient_material_speed",
+        "test_coefficient_stack_speed",
+        "test_quantize_speed",
+        "test_dequantize_product_speed",
+    }
+)
 
 #: Trajectory entries consulted for the baseline median.
 HISTORY_WINDOW = 5
@@ -104,28 +125,41 @@ def _load_strict(path: Path):
     return json.loads(path.read_text(), parse_constant=_reject)
 
 
+def reference_for(name: str) -> str:
+    """The in-run benchmark a tracked kernel's time is divided by."""
+    return INTERPRETER_REFERENCE if name in INTERPRETER_BOUND else REFERENCE
+
+
+def _min_seconds(bench_json: dict) -> dict:
+    return {b["name"]: float(b["stats"]["min"]) for b in bench_json["benchmarks"]}
+
+
 def extract_ratios(bench_json: dict) -> dict:
-    """``{kernel name: min_seconds / reference_min_seconds}`` for one run."""
-    mins = {
-        b["name"]: float(b["stats"]["min"]) for b in bench_json["benchmarks"]
-    }
-    if REFERENCE not in mins:
-        raise SystemExit(f"reference benchmark {REFERENCE!r} missing from run")
-    ref = mins[REFERENCE]
-    if not ref > 0:
-        raise SystemExit(f"reference time must be > 0, got {ref}")
+    """``{kernel name: min_seconds / its reference's min_seconds}`` for one run."""
+    mins = _min_seconds(bench_json)
+    for reference in (REFERENCE, INTERPRETER_REFERENCE):
+        if reference not in mins:
+            raise SystemExit(f"reference benchmark {reference!r} missing from run")
+        if not mins[reference] > 0:
+            raise SystemExit(f"reference time must be > 0, got {mins[reference]}")
     missing = [name for name in TRACKED if name not in mins]
     if missing:
         raise SystemExit(f"tracked benchmarks missing from run: {missing}")
-    return {name: mins[name] / ref for name in TRACKED}
+    return {name: mins[name] / mins[reference_for(name)] for name in TRACKED}
 
 
 def baseline_ratios(history: dict) -> dict:
-    """Median ratio per kernel over the last ``HISTORY_WINDOW`` entries."""
+    """Median ratio per kernel over the last ``HISTORY_WINDOW`` entries,
+    counting only ratios taken against the kernel's current reference."""
     window = history.get("entries", [])[-HISTORY_WINDOW:]
     out = {}
     for name in TRACKED:
-        samples = [e["ratios"][name] for e in window if name in e.get("ratios", {})]
+        samples = [
+            e["ratios"][name]
+            for e in window
+            if name in e.get("ratios", {})
+            and e.get("references", {}).get(name, REFERENCE) == reference_for(name)
+        ]
         if samples:
             out[name] = statistics.median(samples)
     return out
@@ -291,7 +325,8 @@ def main(argv: list[str]) -> int:
 
     for name in TRACKED:
         base_txt = f"{baseline[name]:.3f}" if name in baseline else "none"
-        print(f"{name}: ratio {ratios[name]:.3f} (baseline median {base_txt})")
+        versus = "interpreter" if name in INTERPRETER_BOUND else "GEMM"
+        print(f"{name}: ratio {ratios[name]:.3f} vs {versus} (baseline median {base_txt})")
 
     failures = check(ratios, baseline, args.threshold)
     if args.autoscale is not None:
@@ -306,17 +341,14 @@ def main(argv: list[str]) -> int:
         return 1
 
     if args.append:
+        mins = _min_seconds(bench_json)
         history["entries"].append(
             {
                 "datetime": bench_json.get("datetime"),
-                "reference_seconds": float(
-                    next(
-                        b["stats"]["min"]
-                        for b in bench_json["benchmarks"]
-                        if b["name"] == REFERENCE
-                    )
-                ),
+                "reference_seconds": mins[REFERENCE],
+                "interpreter_reference_seconds": mins[INTERPRETER_REFERENCE],
                 "ratios": ratios,
+                "references": {name: reference_for(name) for name in TRACKED},
             }
         )
         args.history.write_text(

@@ -64,6 +64,19 @@ def manual_masking_walkthrough() -> None:
     print("float reference:", np.round(x @ w, 3))
     assert np.max(np.abs(y - x @ w)) < 0.05
 
+    # A batch is several virtual batches, each under its own coefficients and
+    # noise: one call draws a layer step's worth (here two sets, with the
+    # integrity share) and inverts all their decode matrices together.
+    stack, noise = CoefficientSet.generate(
+        rng, k=2, m=1, extra_shares=1, count=2, noise_shape=x.shape[1:]
+    )
+    for v, fresh in enumerate(stack):
+        print(
+            f"stacked set {v}: A {fresh.a.shape}, B {fresh.b.shape}, noise {noise[v].shape},"
+            f" verification plan {fresh.verification_plan}, verify() = {fresh.verify()}"
+        )
+        assert fresh.verify()
+
 
 def end_to_end_model() -> None:
     """Step 4: the same protocol, driven by a real model + backend."""

@@ -21,11 +21,15 @@ class SingularMatrixError(FieldError):
 
     ``singular`` is set by stacked inversions: a boolean mask over the
     leading stack axes naming the slices that have no inverse.
+    ``inverses`` is the elimination's whole output, of the input's shape —
+    the inverse of every slice ``singular`` does not mark — so one singular
+    slice does not cost its neighbours a second elimination.
     """
 
-    def __init__(self, message: str, singular=None) -> None:
+    def __init__(self, message: str, singular=None, inverses=None) -> None:
         super().__init__(message)
         self.singular = singular
+        self.inverses = inverses
 
 
 class QuantizationError(ReproError):

@@ -213,7 +213,8 @@ def inverse(field: PrimeField, matrix: np.ndarray) -> np.ndarray:
     ------
     SingularMatrixError
         If the matrices are not square or any of them is not full rank;
-        its ``singular`` mask, of the leading stack shape, names which.
+        its ``singular`` mask, of the leading stack shape, names which, and
+        its ``inverses`` carries the elimination's output for the rest.
     """
     m = np.asarray(matrix, dtype=np.int64)
     if m.ndim < 2:
@@ -226,6 +227,7 @@ def inverse(field: PrimeField, matrix: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(
             f"matrix of shape {m.shape} is singular mod {field.p}",
             singular=singular.reshape(m.shape[:-2]),
+            inverses=inverses.reshape(m.shape),
         )
     return inverses.reshape(m.shape)
 

@@ -29,13 +29,30 @@ plan* (:attr:`CoefficientSet.verification_plan`): the primary subset plus
 the alternates covering the redundant shares, which is all integrity
 detection decodes from.
 
-A set's whole coefficient material costs one elimination:
-:meth:`CoefficientSet.generate` inverts the primary subset and the plan's
-first alternate candidate as one stacked :func:`~repro.fieldmath.inverse`
-call and seeds the memo with both, so the plan and the forward and backward
-checks eliminate nothing further (only a singular candidate or
-``extra_shares > k + m`` sends the plan back to the lazy per-subset
-search), and ``Γ⁻¹`` is computed once per set for every ``B`` solve.
+One elimination per layer step.  :meth:`CoefficientSet.generate` takes a
+stack axis: ``generate(count=V, noise_shape=...)`` returns the ``V`` sets of
+a layer step's virtual batches (and their noise), having inverted every
+set's primary subset **and** the verification plan's first alternate
+candidate — ``2V`` small matrices — in one stacked
+:func:`~repro.fieldmath.inverse` call, and derived ``Γ⁻¹``, ``B``, the
+alternate subset's ``B``, the decode memo and the plan for the whole stack
+in vectorised passes.  Afterwards the plan and the forward and backward
+checks eliminate nothing (only a singular candidate or
+``extra_shares > k + m`` sends a plan back to the lazy per-subset search).
+A single set is the one-slice stack of the same code.
+
+What stays per virtual batch is the *draw*: the stream order is that of
+generating the sets one after another, ``A₀, γ₀, noise₀, A₁, γ₁, ...``, so
+a stack's material is byte for byte what a per-virtual-batch loop draws.
+That makes the stack's draws speculative — a set whose primary submatrix
+turns out singular is resampled *before* its ``γ`` is drawn, and whether
+it is singular is only known after the elimination that follows the last
+draw.  So the generator's state is captured before the first draw
+(:meth:`~repro.fieldmath.FieldRng.snapshot`), and when any primary is
+singular (probability ``≈ V·(K+M)/p``, about ``6·10⁻⁷`` per layer step at
+the paper's prime) the state is restored and the stack is regenerated one
+set at a time by the same code, each set rejecting its own ``A`` in
+stream order.  The sets of a stack are read-only slices of shared arrays.
 """
 
 from __future__ import annotations
@@ -105,6 +122,15 @@ def _scalar_inverses(field: PrimeField, values: np.ndarray) -> np.ndarray:
     return np.array([field.scalar_inv(v) for v in values.tolist()], dtype=np.int64)
 
 
+def _freeze(array: np.ndarray) -> np.ndarray:
+    """Make ``array`` and the buffer it views read-only, for good: a slice
+    of a read-only buffer cannot be made writable again."""
+    array.setflags(write=False)
+    if array.base is not None:
+        array.base.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Per-virtual-batch masking coefficients (enclave-secret unless noted).
@@ -148,8 +174,10 @@ class CoefficientSet:
         extra_shares: int = 0,
         mds_noise: bool = True,
         certify_collusion: bool = False,
-    ) -> "CoefficientSet":
-        """Sample a fresh coefficient set.
+        count: int | None = None,
+        noise_shape: tuple[int, ...] | None = None,
+    ):
+        """Sample fresh coefficient sets: one, or a layer step's stack of them.
 
         Parameters
         ----------
@@ -168,6 +196,19 @@ class CoefficientSet:
         certify_collusion:
             Exhaustively check the ``<= m``-column-subset rank condition
             (slow for wide matrices; tests use it, production trusts MDS).
+        count:
+            ``None`` for one :class:`CoefficientSet`; ``V >= 1`` for a tuple
+            of ``V`` independent sets — draw for draw the sets ``V`` calls in
+            a row return, for one elimination instead of ``V``.
+        noise_shape:
+            When given, each set's ``m`` noise tensors are drawn from
+            ``rng`` right after the set (as an encoder drawing its own
+            would), and the call returns ``(sets, noise)`` with ``noise``
+            of shape ``(V, m) + noise_shape`` — ``(m,) + noise_shape`` for
+            the single set.
+
+        The arrays of the returned sets are read-only (the sets of a stack
+        are slices of shared arrays); the noise is the caller's to write.
         """
         if k < 1:
             raise EncodingError(f"virtual batch size must be >= 1, got {k}")
@@ -177,44 +218,121 @@ class CoefficientSet:
             )
         if extra_shares < 0:
             raise EncodingError(f"extra_shares must be >= 0, got {extra_shares}")
-        field = rng.field
-        n_shares = k + m + extra_shares
-        if n_shares >= field.p:
+        if count is not None and count < 1:
+            raise EncodingError(f"a coefficient stack needs at least one set, got {count}")
+        if k + m + extra_shares >= rng.field.p:
             raise EncodingError("share count exceeds field size")
+        sets, noise = cls._generate_stack(
+            rng, k, m, extra_shares, mds_noise, certify_collusion,
+            1 if count is None else count,
+            None if noise_shape is None else tuple(noise_shape),
+        )
+        if count is None:  # the one-slice stack, handed back without the axis
+            sets, noise = sets[0], noise[0]
+        return sets if noise_shape is None else (sets, noise)
 
+    @classmethod
+    def _generate_stack(
+        cls,
+        rng: FieldRng,
+        k: int,
+        m: int,
+        extra_shares: int,
+        mds_noise: bool,
+        certify_collusion: bool,
+        count: int,
+        noise_shape: tuple[int, ...] | None,
+    ) -> tuple[tuple["CoefficientSet", ...], np.ndarray]:
+        """``count`` sets (and their noise) drawn in stream order, inverted together."""
+        field = rng.field
         s = k + m
+        n_shares = s + extra_shares
         # The primary decode uses the first s shares, and the verification
         # plan's first alternate candidate rides in the same elimination.
         primary = tuple(range(s))
         subsets = [primary, *islice(_alternate_candidates(primary, range(s, n_shares), s), 1)]
+
+        def draw_a(out: np.ndarray) -> None:
+            out[:k] = rng.uniform((k, n_shares))
+            out[k:] = rng.mds_matrix(m, n_shares) if mds_noise else rng.uniform((m, n_shares))
+
+        a = np.empty((count, s, n_shares), dtype=np.int64)
+        gamma = np.empty((count, n_shares), dtype=np.int64)
+        # Nothing to hold when the caller brings its own noise.
+        noise = np.empty(
+            (count, m, 0) if noise_shape is None else (count, m) + noise_shape, dtype=np.int64
+        )
         for _ in range(FieldRng.MAX_REJECTIONS):
-            a1 = rng.uniform((k, n_shares))
-            a2 = rng.mds_matrix(m, n_shares) if mds_noise else rng.uniform((m, n_shares))
-            a = np.vstack([a1, a2])
-            # Resample until the primary submatrix inverts (failure
-            # probability ~ s/p per draw).  The inverses are kept: they are
-            # the decode matrices and B's source.
+            # A set's γ and noise follow its *accepted* A in the stream, and
+            # whether an A is accepted is only known after the elimination:
+            # draw the whole stack as if every A will be, and take the draws
+            # back when one is not (~ count·s/p per stack).
+            start = rng.snapshot()
+            for v in range(count):
+                draw_a(a[v])
+                gamma[v] = rng.nonzero((n_shares,))
+                if noise_shape is not None:
+                    noise[v] = rng.uniform((m,) + noise_shape)
+            # (count, subsets, s, s): the inverses are kept, they are the
+            # decode matrices and the source of every B.
             try:
-                inverses = inverse(field, a.T[subsets].transpose(0, 2, 1))
+                inverses = inverse(field, a[:, :, subsets].transpose(0, 2, 1, 3))
+                singular = np.zeros((count, len(subsets)), dtype=bool)
             except SingularMatrixError as err:
-                if err.singular[0]:
-                    continue
-                # Only the alternate candidate is singular: remember that,
-                # and leave finding another to the verification plan.
-                inverses = [inverse(field, a[:, :s]), None]
-            break
+                inverses, singular = err.inverses, err.singular
+            if not singular[:, 0].any():
+                break  # a singular alternate is only remembered as such
+            rng.restore(start)
+            if count > 1:
+                # One set at a time, each resampling its own A before its γ.
+                parts = [
+                    cls._generate_stack(
+                        rng, k, m, extra_shares, mds_noise, certify_collusion, 1, noise_shape
+                    )
+                    for _ in range(count)
+                ]
+                return (
+                    tuple(sets[0] for sets, _ in parts),
+                    np.concatenate([part_noise for _, part_noise in parts]),
+                )
+            draw_a(a[0])  # the stream moves past the rejected A and nothing else
         else:  # pragma: no cover - probability ~ (s/p)^64
             raise EncodingError("failed to sample an invertible encoding submatrix")
 
-        if certify_collusion and not all_column_subsets_full_rank(field, a2, min(m, n_shares)):
+        if certify_collusion and not all(
+            all_column_subsets_full_rank(field, a2, min(m, n_shares)) for a2 in a[:, k:]
+        ):
             raise EncodingError("noise block A2 violates the collusion rank condition")
 
-        gamma = rng.nonzero((n_shares,))
-        gamma_inv = _scalar_inverses(field, gamma)
-        b = cls._solve_b(field, inverses[0], gamma_inv, k, primary)
-        coeffs = cls(field=field, k=k, m=m, a=a, gamma=gamma, b=b, primary_subset=primary)
-        coeffs.__dict__.update(_decode_cache=dict(zip(subsets, inverses)), gamma_inv=gamma_inv)
-        return coeffs
+        gamma_inv = _scalar_inverses(field, gamma.ravel()).reshape(gamma.shape)
+        b = [
+            cls._solve_b(field, inverses[:, i], gamma_inv, k, subset)
+            for i, subset in enumerate(subsets)
+        ]
+        # The sets are slices of the stack's arrays: read-only, so that no
+        # caller's write can reach a neighbouring set through a shared base.
+        for array in (a, gamma, gamma_inv, inverses, *b):
+            _freeze(array)
+        # With the alternate invertible and every redundant share in it, the
+        # verification plan is known here; otherwise it stays a lazy search.
+        plan = tuple(subsets) if extra_shares <= s else None
+        sets = []
+        for v, lost in enumerate(singular.tolist()):
+            coeffs = cls(
+                field=field, k=k, m=m, a=a[v], gamma=gamma[v], b=b[0][v], primary_subset=primary
+            )
+            decode_cache, b_cache = {}, {}
+            for i, (subset, gone) in enumerate(zip(subsets, lost)):
+                decode_cache[subset] = None if gone else inverses[v, i]
+                if not gone:
+                    b_cache[subset] = b[i][v]
+            coeffs.__dict__.update(
+                gamma_inv=gamma_inv[v], _decode_cache=decode_cache, _b_cache=b_cache
+            )
+            if plan is not None and not any(lost):
+                coeffs.__dict__["verification_plan"] = plan
+            sets.append(coeffs)
+        return tuple(sets), noise
 
     @staticmethod
     def _solve_b(
@@ -234,10 +352,12 @@ class CoefficientSet:
         decode matrix's one elimination serves the backward pass too.
         Shares outside the subset get zero rows — they do not participate
         in this gradient decode (the integrity share is redundant by design).
+        Leading axes broadcast: a stack of inverses against a stack of
+        ``γ⁻¹`` solves every set's ``B`` in the one pass.
         """
         members = list(subset)
-        b = field.zeros((gamma_inv.shape[0], k))
-        b[members] = field.mul(subset_inverse[:, :k], gamma_inv[members, None])
+        b = field.zeros(gamma_inv.shape + (k,))
+        b[..., members, :] = field.mul(subset_inverse[..., :k], gamma_inv[..., members, None])
         return b
 
     # ------------------------------------------------------------------
@@ -289,7 +409,7 @@ class CoefficientSet:
         cache = self.__dict__.setdefault("_decode_cache", {})
         if subset not in cache:
             try:
-                cache[subset] = inverse(self.field, self.a[:, list(subset)])
+                cache[subset] = _freeze(inverse(self.field, self.a[:, list(subset)]))
             except SingularMatrixError:
                 cache[subset] = None
         return cache[subset]
@@ -377,13 +497,18 @@ class CoefficientSet:
         """``(B, Gamma)`` pair supported on an alternative share subset.
 
         Lets the integrity path decode the aggregate gradient twice from
-        disjoint-enough share subsets and cross-check.
+        disjoint-enough share subsets and cross-check.  Memoized per subset
+        (read-only); :meth:`generate` seeds the primary's and the first
+        alternate's, so a verified backward pass solves nothing.
         """
         subset = tuple(subset)
-        b = self._solve_b(
-            self.field, self.decoding_matrix(subset), self.gamma_inv, self.k, subset
-        )
-        return b, self.gamma
+        solved = self.__dict__.setdefault("_b_cache", {})
+        if subset not in solved:
+            b = self._solve_b(
+                self.field, self.decoding_matrix(subset), self.gamma_inv, self.k, subset
+            )
+            solved[subset] = _freeze(b)  # handed out again on every later call
+        return solved[subset], self.gamma
 
     # ------------------------------------------------------------------
     # invariants

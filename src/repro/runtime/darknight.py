@@ -18,12 +18,15 @@ A batch is ``V = B/K`` *independent* virtual batches, each with its own
 coefficients and noise, and the unit of execution here is the **stack** of
 them: one quantize and range check over ``(V, K, ...)``, one stacked encode
 GEMM, one cluster launch over the ``V·(K+M+1)`` resident shares per op, one
-stacked decode per verification-plan subset, one stacked ``γ``-decode.  What
+stacked decode per verification-plan subset, one stacked ``γ``-decode — and,
+with fresh coefficients, one ``CoefficientSet.generate(count=V)``: the
+step's ``V`` sets and their noise from one call and one elimination.  What
 stays per virtual batch is what the protocol makes per virtual batch —
-normalisation factors, the coefficient and noise draws (one
-``CoefficientSet.generate`` and one noise draw each, in virtual-batch
-order), share keys, link and ledger entries, and the integrity verdict,
-which names the virtual batch it convicts.
+normalisation factors, the coefficient set and noise themselves (drawn in
+virtual-batch order, ``coeff₀, noise₀, coeff₁, ...``, exactly the stream a
+per-virtual-batch loop consumes), share keys, link and ledger entries (one
+``generate_coefficients`` per set), and the integrity verdict, which names
+the virtual batch it convicts.
 
 The forward flow is exposed two ways.  The classic blocking entry points
 (:meth:`DarKnightBackend.conv2d_forward` / :meth:`~DarKnightBackend.dense_forward`)
@@ -171,27 +174,50 @@ class DarKnightBackend:
             return scaled, [Normalization(float(f)) for f in norm.factor.ravel()]
         return scaled, [Normalization(f) for f in norm.factor]
 
-    def _fresh_coefficients(self) -> CoefficientSet:
-        # Coefficient shapes depend only on the (frozen) config's
-        # (K, M, extra, mds) — the batch's feature shape never enters
-        # because A/B/Gamma weight whole sample slots — so one cached set
-        # serves every batch.  Reuse skips only the resample/inversion;
-        # the per-encode noise vectors are still drawn fresh by the encoder.
+    def _generate_coefficients(self, **stack):
+        """``CoefficientSet.generate`` under this session's (K, M, extra, mds)."""
         cfg = self.config
-        if not cfg.fresh_coefficients and self._cached_coefficients is not None:
-            self.enclave.record_compute("reuse_coefficients", 0)
-            return self._cached_coefficients
-        coeffs = CoefficientSet.generate(
+        return CoefficientSet.generate(
             self.enclave.rng,
             k=cfg.virtual_batch_size,
             m=cfg.collusion_tolerance,
             extra_shares=cfg.extra_shares,
             mds_noise=cfg.mds_noise,
+            **stack,
         )
-        self.enclave.record_compute("generate_coefficients", coeffs.a.nbytes)
-        if not cfg.fresh_coefficients:
-            self._cached_coefficients = coeffs
-        return coeffs
+
+    def _coefficient_stack(
+        self, n_batches: int, noise_shape: tuple[int, ...] | None
+    ) -> tuple[Sequence[CoefficientSet], np.ndarray | None]:
+        """One coefficient set per virtual batch of a layer step.
+
+        Fresh coefficients come from one stacked ``generate``: the step's
+        sets — and, when ``noise_shape`` is given, the ``(V, M, ...)`` noise
+        drawn between them — in the stream order of drawing them one
+        virtual batch at a time, for one elimination.  Otherwise the one
+        cached set serves every virtual batch and no noise comes back (the
+        encoder draws its own, per virtual batch).
+        """
+        if self.config.fresh_coefficients:
+            drawn = self._generate_coefficients(count=n_batches, noise_shape=noise_shape)
+            sets, noise = (drawn, None) if noise_shape is None else drawn
+            for coeffs in sets:
+                self.enclave.record_compute("generate_coefficients", coeffs.a.nbytes)
+            return sets, noise
+        # Coefficient shapes depend only on the (frozen) config's
+        # (K, M, extra, mds) — the batch's feature shape never enters
+        # because A/B/Gamma weight whole sample slots — so one cached set
+        # serves every batch.  Reuse skips only the resample/inversion.
+        n_reused = n_batches
+        if self._cached_coefficients is None:
+            self._cached_coefficients = self._generate_coefficients()
+            self.enclave.record_compute(
+                "generate_coefficients", self._cached_coefficients.a.nbytes
+            )
+            n_reused -= 1
+        for _ in range(n_reused):
+            self.enclave.record_compute("reuse_coefficients", 0)
+        return [self._cached_coefficients] * n_batches, None
 
     def _scatter(self, share_key: str, shares: np.ndarray) -> None:
         self.cluster.scatter_shares(share_key, shares)
@@ -308,8 +334,8 @@ class DarKnightBackend:
 
         ``vb`` and ``vb_index`` may be sequences — a layer step's stack of
         virtual batches, masked in one encode GEMM — in which case one
-        ticket per virtual batch comes back.  Coefficients and noise are
-        drawn one virtual batch at a time, in order (``coeff₀, noise₀,
+        ticket per virtual batch comes back.  Coefficients and noise come
+        from one stacked draw in virtual-batch order (``coeff₀, noise₀,
         coeff₁, ...``), so the enclave's random stream — and with it every
         share — is that of encoding them one after another.
 
@@ -328,26 +354,26 @@ class DarKnightBackend:
         x_q = self.quantizer.quantize(data)
         feature_shape = x_q.shape[2:]
         batch_bytes = int(x_q[0].nbytes)
-        sets, noises, inline_noise_bytes = [], [], []
         for _ in vbs:
             self.enclave.record_compute("quantize_inputs", batch_bytes)
-            coeffs = self._fresh_coefficients()
-            inline = int(coeffs.m) * (batch_bytes // coeffs.k)
-            if self._mask_pool is not None:
-                noise, pooled = self._mask_pool.draw(feature_shape, coeffs.k, coeffs.m)
+        cfg = self.config
+        k, m = cfg.virtual_batch_size, cfg.collusion_tolerance
+        sets, noise = self._coefficient_stack(
+            len(vbs), feature_shape if self._mask_pool is None else None
+        )
+        inline_noise_bytes = [m * (batch_bytes // k)] * len(vbs)
+        if self._mask_pool is not None:
+            pooled_noise = []
+            for v in range(len(vbs)):
+                tensor, pooled = self._mask_pool.draw(feature_shape, k, m)
                 if pooled:
-                    self.enclave.record_compute("mask_pool_hit", int(noise.nbytes))
-                    inline = 0
+                    self.enclave.record_compute("mask_pool_hit", int(tensor.nbytes))
+                    inline_noise_bytes[v] = 0
                 else:
-                    self.enclave.record_compute("mask_inline", int(noise.nbytes))
-            else:
-                noise = self.enclave.rng.uniform((coeffs.m,) + feature_shape)
-            sets.append(coeffs)
-            noises.append(noise)
-            inline_noise_bytes.append(inline)
-        shares = ForwardEncoder(sets, self.enclave.rng).encode(
-            x_q, noise=stack_arrays(noises)
-        ).shares
+                    self.enclave.record_compute("mask_inline", int(tensor.nbytes))
+                pooled_noise.append(tensor)
+            noise = stack_arrays(pooled_noise)
+        shares = ForwardEncoder(sets, self.enclave.rng).encode(x_q, noise=noise).shares
         share_bytes = int(shares[0].nbytes)
         tickets = []
         for v, (batch, index) in enumerate(zip(vbs, vb_indices)):
@@ -483,6 +509,12 @@ class DarKnightBackend:
             raise DecodingError(
                 f"no stored forward encodings for layer {key!r}; run forward first"
             )
+        n_rows = sum(len(record.indices) for record in records)
+        if delta.shape[0] != n_rows:
+            raise DecodingError(
+                f"layer {key!r}: the stored forward has {n_rows} rows,"
+                f" delta has {delta.shape[0]}"
+            )
         cfg = self.config
         # Pipelined forwards may register records out of virtual-batch order;
         # sum in vb order so gradients are bit-identical to the sync path.
@@ -500,9 +532,9 @@ class DarKnightBackend:
         # combination Σ_i B[j,i]·δ(i) is GPU-side work (Section 4.2:
         # "δ(i)s are multiplied with the β_{j,i} in the GPUs").  With
         # integrity on, each device also combines under a second B,
-        # supported on its set's alternate plan subset (whose inverse is
-        # already cached, so that B costs no elimination), in the same
-        # launch: both equations share the one pass over its share.
+        # supported on its set's alternate plan subset (solved with the
+        # set, so reading it costs nothing here), in the same launch:
+        # both equations share the one pass over its share.
         b_rows = [[coeffs.b] for coeffs in sets]
         if cfg.integrity:
             verifier = IntegrityVerifier(sets)

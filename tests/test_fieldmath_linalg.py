@@ -126,6 +126,11 @@ def test_stacked_inverse_matches_per_slice_bigint_oracle(case):
         with pytest.raises(SingularMatrixError) as err:
             inverse(field, stack)
         assert err.value.singular.tolist() == singular
+        # The rest of the stack is not lost with the singular slice.
+        assert err.value.inverses.shape == stack.shape
+        assert [
+            inv.tolist() for inv, lost in zip(err.value.inverses, singular) if not lost
+        ] == [inv for inv in expected if inv is not None]
         stack = stack[~np.array(singular)]
         expected = [inv for inv in expected if inv is not None]
     result = inverse(field, stack)
@@ -147,6 +152,8 @@ def test_inverse_broadcasts_over_leading_axes(field, frng):
         inverse(field, stack)
     assert err.value.singular.shape == (2, 3)
     assert np.argwhere(err.value.singular).tolist() == [[1, 2]]
+    assert err.value.inverses.shape == stack.shape
+    assert np.array_equal(err.value.inverses[0], result[0])
     assert inverse(field, np.zeros((0, 3, 3), dtype=np.int64)).shape == (0, 3, 3)
     with pytest.raises(FieldError):
         inverse(field, np.arange(3))

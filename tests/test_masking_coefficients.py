@@ -241,3 +241,195 @@ def test_mds_noise_block_always_subset_full_rank(frng, field):
 def test_non_mds_generation_still_verifies(frng):
     coeffs = CoefficientSet.generate(frng, k=3, m=2, mds_noise=False)
     assert coeffs.verify()
+
+
+# ----------------------------------------------------------------------
+# generate(count=V): a layer step's sets from one elimination == the loop
+# ----------------------------------------------------------------------
+def _sequential(rng, count, noise_shape, k, m, extra, mds_noise):
+    """The loop the stack replaces: one set, then its noise, ``count`` times."""
+    sets, noise = [], []
+    for _ in range(count):
+        sets.append(CoefficientSet.generate(rng, k, m, extra, mds_noise))
+        if noise_shape is not None:
+            noise.append(rng.uniform((m,) + noise_shape))
+    return sets, noise
+
+
+def _memo(coeffs):
+    """The decode memo as comparable data, ``None`` entries included."""
+    return [
+        (subset, None if matrix is None else matrix.tolist())
+        for subset, matrix in coeffs._decode_cache.items()
+    ]
+
+
+def _assert_same_material(stacked, looped):
+    for name in ("a", "gamma", "b", "gamma_inv"):
+        got, want = getattr(stacked, name), getattr(looped, name)
+        assert got.dtype == np.int64 and np.array_equal(got, want), name
+    assert stacked.primary_subset == looped.primary_subset
+    assert _memo(stacked) == _memo(looped)  # as seeded: before any lazy search
+    assert stacked.verification_plan == looped.verification_plan
+    assert _memo(stacked) == _memo(looped)  # and with whatever the plan looked up
+    if len(stacked.verification_plan) > 1:
+        alternate = stacked.verification_plan[1]
+        b_stacked, gamma = stacked.backward_matrices_for_subset(alternate)
+        assert np.array_equal(b_stacked, looped.backward_matrices_for_subset(alternate)[0])
+        assert gamma is stacked.gamma
+    assert stacked.verify()
+
+
+def _assert_stack_is_loop(p, seed, count, noise_shape, **spec):
+    """``generate(count=V)`` against ``V`` calls from an equally seeded rng;
+    returns the stacked sets (``None`` when both refuse)."""
+    rng, loop_rng = FieldRng(PrimeField(p), seed), FieldRng(PrimeField(p), seed)
+
+    def stacked_generate():
+        return CoefficientSet.generate(
+            rng, spec["k"], spec["m"], spec["extra"], spec["mds_noise"],
+            count=count, noise_shape=noise_shape,
+        )
+
+    try:
+        loop_sets, loop_noise = _sequential(loop_rng, count, noise_shape, **spec)
+    except Exception as refusal:
+        with pytest.raises(type(refusal)):
+            stacked_generate()
+        return None
+    drawn = stacked_generate()
+    if noise_shape is None:
+        sets = drawn
+    else:
+        sets, noise = drawn
+        assert noise.dtype == np.int64
+        assert noise.shape == (count, spec["m"]) + tuple(noise_shape)
+        assert np.array_equal(noise, np.stack(loop_noise))
+    assert isinstance(sets, tuple) and len(sets) == count
+    for stacked, looped in zip(sets, loop_sets):
+        _assert_same_material(stacked, looped)
+    assert np.array_equal(rng.uniform((5,)), loop_rng.uniform((5,)))
+    return sets
+
+
+@st.composite
+def _stack_cases(draw):
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    return {
+        "p": draw(st.sampled_from([7, 11, 10007, 2**25 - 39])),
+        "k": k,
+        "m": m,
+        # 0..3 redundant shares, or more than one alternate subset can hold.
+        "extra": draw(st.integers(0, 3) | st.just(k + m + 1)),
+        "mds_noise": draw(st.booleans()),
+        "count": draw(st.integers(1, 5)),
+        "noise_shape": draw(st.sampled_from([None, (), (3,), (2, 3, 3)])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stack_cases())
+def test_stacked_generation_matches_the_per_set_loop(case):
+    _assert_stack_is_loop(**case)
+
+
+@pytest.fixture()
+def tally(monkeypatch):
+    """Live counts of stacked eliminations and of stream rewinds."""
+    from repro.fieldmath import linalg
+
+    counts = {"eliminations": 0, "rewinds": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        linalg, "_invert_stack", counted("eliminations", linalg._invert_stack)
+    )
+    monkeypatch.setattr(FieldRng, "restore", counted("rewinds", FieldRng.restore))
+    return counts
+
+
+def test_tiny_fields_take_the_rollback_and_the_singular_alternate(tally):
+    """Where a stack's speculative draws are regularly wrong: the stream is
+    rewound and the stack regenerated set by set, and an alternate that is
+    singular on its own is remembered as such — both observed, not assumed."""
+    rolled_back = lone_singular_alternates = 0
+    for p, k in ((7, 1), (11, 2)):
+        for seed in range(60):
+            tally.update(rewinds=0)
+            sets = _assert_stack_is_loop(
+                p, seed, count=3, noise_shape=(2,), k=k, m=1, extra=1, mds_noise=False
+            )
+            rolled_back += tally["rewinds"] > 0
+            # The memo's second entry is the candidate that rode the elimination.
+            lone_singular_alternates += sum(
+                list(coeffs._decode_cache.values())[1] is None for coeffs in sets
+            )
+    assert rolled_back > 10 and lone_singular_alternates > 10
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (11, 2)])
+def test_a_lone_singular_alternate_costs_no_second_elimination(tally, p, k):
+    """Both verdicts are read off the one stacked elimination: a primary's
+    inverse is not recomputed because its neighbour had none.  Every set
+    costs one elimination per ``A`` drawn — each rejected one is one rewind."""
+    lone_singular_alternates = 0
+    for seed in range(60):
+        tally.update(eliminations=0, rewinds=0)
+        coeffs = CoefficientSet.generate(
+            FieldRng(PrimeField(p), seed), k, 1, extra_shares=1, mds_noise=False
+        )
+        assert tally["eliminations"] == 1 + tally["rewinds"], seed
+        primary, alternate = coeffs._decode_cache
+        lone_singular_alternates += coeffs._decode_cache[alternate] is None
+        assert coeffs.decoding_matrix(primary).tolist() == oracle_inverse(
+            p, coeffs.a[:, list(primary)].tolist()
+        )
+    assert lone_singular_alternates > 3
+
+
+def test_stacked_sets_cannot_be_written_through(frng):
+    """The sets of a stack are slices of shared arrays: every array a set
+    hands out is read-only and stays so, so no write crosses into a
+    neighbour; the noise is the caller's own."""
+    sets, noise = CoefficientSet.generate(
+        frng, k=2, m=1, extra_shares=1, count=3, noise_shape=(4,)
+    )
+    single = CoefficientSet.generate(frng, k=2, m=1, extra_shares=1)
+    for coeffs in (*sets, single):
+        plan = coeffs.verification_plan
+        handed_out = [
+            coeffs.a, coeffs.a1, coeffs.a2, coeffs.gamma, coeffs.b, coeffs.gamma_inv,
+            # Seeded by generate (the plan's subsets) or inverted on demand.
+            *(coeffs.decoding_matrix(subset) for subset in coeffs.iter_decoding_subsets()),
+            *(coeffs.backward_matrices_for_subset(subset)[0] for subset in plan),
+        ]
+        for array in handed_out:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+            assert not np.shares_memory(array, noise)
+    assert noise.flags.writeable and noise.base is None
+
+
+def test_stack_shapes_and_validation(frng):
+    assert isinstance(CoefficientSet.generate(frng, k=2), CoefficientSet)
+    single, noise = CoefficientSet.generate(frng, k=2, m=2, noise_shape=(3,))
+    assert isinstance(single, CoefficientSet) and noise.shape == (2, 3)
+    (only,) = CoefficientSet.generate(frng, k=2, count=1)
+    assert isinstance(only, CoefficientSet)
+    with pytest.raises(EncodingError, match="at least one set"):
+        CoefficientSet.generate(frng, k=2, count=0)
+    with pytest.raises(EncodingError, match="collusion rank"):
+        CoefficientSet.generate(
+            FieldRng(PrimeField(7), 0), k=1, m=2, mds_noise=False,
+            certify_collusion=True, count=5,
+        )

@@ -309,20 +309,22 @@ def test_reused_coefficients_decode_without_eliminating(
     assert counts == {"eliminations": 0, "decodes": decodes_per_call * n_calls}
 
 
-def test_fresh_coefficients_eliminate_exactly_once_per_set(net, nprng, counts):
-    """generate inverts the primary and the alternate in one stacked call;
-    forward verify, the plan and backward verify add none."""
+def test_fresh_coefficients_eliminate_exactly_once_per_layer_step(net, nprng, counts):
+    """A layer step's sets are generated by one call that inverts every
+    primary and alternate in one stacked elimination; forward verify, the
+    plan and backward verify add none."""
     backend = _backend(k=2, integrity=True)
     x = nprng.normal(size=(4, 1, 6, 6))
     ledger = backend.enclave.ledger.op_counts
     net.forward(x, backend)
-    n_sets = ledger["generate_coefficients"]
-    assert n_sets == 4 and counts["eliminations"] == n_sets
+    n_sets, n_layer_steps = 4, 2  # two masked layers, two virtual batches each
+    assert ledger["generate_coefficients"] == n_sets
+    assert counts["eliminations"] == n_layer_steps
     net.backward(nprng.normal(size=(4, 4)) * 0.1, backend)
     backend.end_batch()
     assert ledger["generate_coefficients"] == n_sets
     assert ledger["integrity_check_backward"] == 4
-    assert counts["eliminations"] == n_sets
+    assert counts["eliminations"] == n_layer_steps
 
 
 @pytest.mark.parametrize("victim", [0, -1])  # a primary share, the redundant share

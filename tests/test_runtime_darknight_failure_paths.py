@@ -129,3 +129,35 @@ def test_one_launch_per_op_still_catches_a_byzantine_device(kind, stage, nprng):
     with pytest.raises(IntegrityError):
         backward()
     assert tamper.tamper_count >= 1
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv2d"])
+@pytest.mark.parametrize("delta_rows", [9, 5])  # more rows than the forward, fewer
+def test_grad_w_refuses_a_delta_that_does_not_match_its_forward(nprng, kind, delta_rows):
+    """A 9-row delta used to be accepted with rows 6-8 silently dropped, a
+    5-row one died in a bare IndexError; both are refused up front, naming
+    the layer and the two row counts, with nothing quantized or launched."""
+    backend = DarKnightBackend(DarKnightConfig(virtual_batch_size=4, integrity=True, seed=0))
+    if kind == "dense":
+        x, w = nprng.normal(size=(6, 8)), nprng.normal(size=(8, 3))
+        backend.dense_forward(x, w, None, key="layer")
+        grad_w = lambda rows: backend.dense_grad_w(
+            x, nprng.normal(size=(rows, 3)) * 0.1, key="layer"
+        )
+    else:
+        x, w = nprng.normal(size=(6, 2, 5, 5)), nprng.normal(size=(3, 2, 3, 3))
+        backend.conv2d_forward(x, w, None, 1, 1, key="layer")
+        grad_w = lambda rows: backend.conv2d_grad_w(
+            x, nprng.normal(size=(rows, 3, 5, 5)) * 0.1, 3, 3, 1, 1, key="layer"
+        )
+    ledger = dict(backend.enclave.ledger.op_counts)
+    kernel_calls = [dev.ledger.kernel_calls for dev in backend.cluster.devices]
+    with pytest.raises(
+        DecodingError, match=rf"'layer'.*forward has 6 rows.*delta has {delta_rows}"
+    ):
+        grad_w(delta_rows)
+    assert backend.enclave.ledger.op_counts == ledger
+    assert [dev.ledger.kernel_calls for dev in backend.cluster.devices] == kernel_calls
+    assert grad_w(6).shape == w.shape  # the forward is still there for the right delta
+    backend.end_batch()
+    backend.assert_encodings_released()
