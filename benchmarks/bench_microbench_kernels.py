@@ -7,8 +7,10 @@ BLAS path) against plain float matmul, the encode/decode primitives at a
 realistic layer size, Vandermonde/elimination coefficient generation (a
 virtual batch's whole coefficient material, and a layer step's as one
 stack), the batched conv-as-GEMM
-lowering, the cluster's stacked launches, and a whole masked layer step
-(forward and backward) over a batch's stack of virtual batches.  Useful for
+lowering, the cluster's stacked launches, a whole masked layer step
+(forward and backward) over a batch's stack of virtual batches, and the
+per-request floor of serving (a session's AEAD round trip, a window's
+re-staging of unchanged weights).  Useful for
 regression-tracking the
 simulator's own performance: CI appends the ``--benchmark-json`` output of
 this file to ``BENCH_kernels.json`` via ``benchmarks/check_regression.py``,
@@ -25,6 +27,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import build_serving_model
+from repro.enclave import ByteStream, Enclave
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
 from repro.gpu import GpuCluster, ShareLaunch
 from repro.masking import (
@@ -35,9 +39,11 @@ from repro.masking import (
     reference_aggregate,
 )
 from repro.nn.functional import conv2d_grad_w, conv2d_via_matmul
+from repro.pipeline import PipelineExecutor
 from repro.precompute import enable_scratch
 from repro.quantization import QuantizationConfig
 from repro.runtime import DarKnightBackend, DarKnightConfig
+from repro.serving import SessionManager
 
 FIELD = PrimeField()
 RNG = FieldRng(FIELD, seed=0)
@@ -379,6 +385,58 @@ def test_cluster_backward_launch_speed(benchmark, resnet_conv_cluster):
             )
         )
     assert np.array_equal(equations, np.stack(per_device))
+
+
+# ----------------------------------------------------------------------
+# the per-request floor: session AEAD and per-window weight staging
+# ----------------------------------------------------------------------
+def _keyed_session(rng):
+    manager = SessionManager(Enclave(seed=0), rng=rng)
+    return manager.connect("tenant")
+
+
+def test_session_roundtrip_speed(benchmark):
+    """What one served request pays in session crypto — seal and open the
+    request, seal and open the response — at an 80 B payload (the big-int
+    XOR side) and a 1,536 B one (the numpy side).  Nonces come off the
+    manager's byte stream a block at a time; the envelopes are those of an
+    equally seeded session drawing ``Generator.bytes`` once per take."""
+    payloads = [np.arange(n, dtype=np.float64) / 7 for n in (10, 192)]
+
+    def round_trips(session):
+        envelopes = []
+        for x in payloads:
+            request = session.encrypt_request(x)
+            assert session.decrypt_request(request).shape == x.shape
+            response = session.encrypt_response(x[:10])
+            assert session.decrypt_response(response).shape == (10,)
+            envelopes += [request.ciphertext, response.ciphertext]
+        return envelopes
+
+    session = _keyed_session(np.random.default_rng(4))
+    per_call = _keyed_session(ByteStream(np.random.default_rng(4), block_bytes=0))
+    for _ in range(200):  # well past the first block refill
+        assert round_trips(session) == round_trips(per_call)
+    benchmark(round_trips, session)
+
+
+def test_restage_linear_speed(benchmark):
+    """The executor's once-per-window staging of an *unchanged* mini-resnet:
+    every offloaded layer's kept encoding validated by value and re-broadcast
+    (plain mode), no normalise and no quantize."""
+    network, _ = build_serving_model("mini-resnet", seed=0)
+
+    config = DarKnightConfig(virtual_batch_size=4, seed=0)
+    warm, fresh = DarKnightBackend(config), DarKnightBackend(config)
+    stage_all = PipelineExecutor(network, warm)._stage_ops
+    stage_all()
+    PipelineExecutor(network, fresh)._stage_ops()
+    weights, reference = warm.cluster.devices[0].weights, fresh.cluster.devices[0].weights
+    first = dict(weights)
+    assert len(benchmark(stage_all)) == len(first) == 7
+    for name in first:
+        assert weights[name] is first[name]
+        assert np.array_equal(weights[name], reference[name])
 
 
 # ----------------------------------------------------------------------

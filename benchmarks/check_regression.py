@@ -13,8 +13,9 @@ Normalizing by an in-run reference cancels the host's speed, CPU
 frequency, and noisy-neighbour load — but only against a reference that
 wanders the way the kernel does.  The BLAS-bound kernels are divided by a
 plain float GEMM ("how many float matmuls does this field kernel cost?");
-the interpreter-bound ones (coefficient material, the quantize chains)
-by a fixed loop of Python integer arithmetic and small-array ufunc calls,
+the interpreter-bound ones (coefficient material, the quantize chains,
+the session AEAD round trip, weight re-staging) by a fixed loop of Python
+integer arithmetic and small-array ufunc calls,
 because on a shared box the interpreter's speed and the GEMM's move
 independently and a ratio across the two flaps on unchanged code.  Each
 trajectory entry records which reference every ratio used, and a baseline
@@ -75,6 +76,8 @@ TRACKED = (
     "test_small_contraction_matmul_speed",
     "test_layer_step_forward_speed",
     "test_layer_step_backward_speed",
+    "test_session_roundtrip_speed",
+    "test_restage_linear_speed",
 )
 
 #: The default in-run normalizer: a plain float64 GEMM at the same N=256 size.
@@ -90,6 +93,8 @@ INTERPRETER_BOUND = frozenset(
         "test_coefficient_stack_speed",
         "test_quantize_speed",
         "test_dequantize_product_speed",
+        "test_session_roundtrip_speed",
+        "test_restage_linear_speed",
     }
 )
 

@@ -10,6 +10,14 @@ AEAD from :mod:`repro.enclave.crypto` and charges every message to a
 Note the masked shares themselves do not *need* encryption for privacy (they
 are one-time-pad uniform); the channel protects protocol metadata and
 matches the deployed system's defence in depth.
+
+Randomness: a handshake's two DH secrets and both ends' nonces come from
+*one* :class:`~repro.enclave.crypto.ByteStream`, in the order they are
+used — the stream reads its generator ahead by the block, so two consumers
+each wrapping the same generator would skip each other's bytes.  Callers
+keying several pairs from one generator (a session manager: one pair per
+tenant) build the stream once and pass it to every ``establish_pair``; a
+bare generator is wrapped here and is the stream's from then on.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 
 from repro.comm.link import LinkModel
 from repro.enclave.crypto import (
+    ByteStream,
     Ciphertext,
     DiffieHellman,
     StreamAead,
@@ -52,7 +61,7 @@ class SecureChannel:
         peer_name: str,
         session_key: bytes,
         link: LinkModel,
-        rng: np.random.Generator | None = None,
+        rng: ByteStream | np.random.Generator | None = None,
     ) -> None:
         self.local_name = local_name
         self.peer_name = peer_name
@@ -65,12 +74,16 @@ class SecureChannel:
         name_a: str,
         name_b: str,
         link: LinkModel,
-        rng: np.random.Generator | None = None,
+        rng: ByteStream | np.random.Generator | None = None,
     ) -> tuple["SecureChannel", "SecureChannel"]:
-        """Run the DH handshake and return both endpoints' channels."""
-        rng = rng or np.random.default_rng()
-        kx_a = DiffieHellman(rng)
-        kx_b = DiffieHellman(rng)
+        """Run the DH handshake and return both endpoints' channels.
+
+        Both secrets and both ends' nonces share one byte stream: ``rng``
+        itself when it is one, else a new stream over it.
+        """
+        stream = ByteStream.over(rng)
+        kx_a = DiffieHellman(stream)
+        kx_b = DiffieHellman(stream)
         # Public values cross the wire once each.
         link.transfer(name_a, name_b, 32)
         link.transfer(name_b, name_a, 32)
@@ -79,8 +92,8 @@ class SecureChannel:
         if key_a != key_b:  # pragma: no cover - DH algebra guarantees equality
             raise CommunicationError("key agreement failed")
         return (
-            cls(name_a, name_b, key_a, link, rng),
-            cls(name_b, name_a, key_b, link, rng),
+            cls(name_a, name_b, key_a, link, stream),
+            cls(name_b, name_a, key_b, link, stream),
         )
 
     def send_array(self, array: np.ndarray) -> Envelope:

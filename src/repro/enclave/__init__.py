@@ -2,6 +2,7 @@
 
 from repro.enclave.attestation import AttestationService, Quote, measure_enclave
 from repro.enclave.crypto import (
+    ByteStream,
     Ciphertext,
     DiffieHellman,
     StreamAead,
@@ -27,6 +28,7 @@ __all__ = [
     "Quote",
     "measure_enclave",
     "StreamAead",
+    "ByteStream",
     "Ciphertext",
     "DiffieHellman",
     "derive_key",

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from repro.enclave.attestation import AttestationService, Quote, measure_enclave
+from repro.enclave.crypto import ByteStream
 from repro.enclave.epc import EpcModel
 from repro.enclave.sealing import SealedBlob, Sealer, UntrustedStore
 from repro.errors import EnclaveError
@@ -78,7 +79,11 @@ class Enclave:
         self.ledger = EnclaveLedger()
         self.rng = FieldRng(self.field, seed)
         self._attestation = AttestationService(platform_key)
-        self._sealer = Sealer(platform_key, self.measurement, self.rng.generator)
+        # Sealing nonces interleave with coefficient and noise draws on the
+        # one enclave generator, so this stream must not read ahead.
+        self._sealer = Sealer(
+            platform_key, self.measurement, ByteStream(self.rng.generator, block_bytes=0)
+        )
         self.untrusted_store = UntrustedStore()
 
     # ------------------------------------------------------------------

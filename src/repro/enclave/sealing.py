@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.enclave.crypto import (
+    ByteStream,
     Ciphertext,
     StreamAead,
     array_to_bytes,
@@ -47,11 +48,15 @@ class Sealer:
     measurement:
         The enclave identity the blobs are bound to (MRENCLAVE analogue).
     rng:
-        Nonce source.
+        Nonce source: a :class:`~repro.enclave.crypto.ByteStream`, or a
+        generator the sealer then owns (it is read ahead by the block).
     """
 
     def __init__(
-        self, root_key: bytes, measurement: bytes, rng: np.random.Generator | None = None
+        self,
+        root_key: bytes,
+        measurement: bytes,
+        rng: ByteStream | np.random.Generator | None = None,
     ) -> None:
         key = derive_key(root_key, measurement, context=b"repro-seal")
         self._aead = StreamAead(key, rng)

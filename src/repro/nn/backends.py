@@ -90,7 +90,9 @@ class StagedLinearBackend(LinearBackend, Protocol):
         self, kind: str, w: np.ndarray, b: np.ndarray | None, key: str,
         stride: int = 1, pad: int = 0,
     ):
-        """Per-layer preparation: quantize + broadcast weights, pick kernel."""
+        """Per-layer, per-window preparation: weights quantized (an
+        implementation may keep the encoding while the weights read the
+        same) and broadcast, kernel picked.  Inference only."""
         ...
 
     def encode(self, op, vb, vb_index: int):

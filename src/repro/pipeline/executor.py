@@ -165,8 +165,9 @@ class PipelineExecutor:
     # plan preparation
     # ------------------------------------------------------------------
     def _stage_ops(self, start: int = 0, end: int | None = None) -> dict[int, StagedLinearOp]:
-        """Prepare every offloaded layer in the range once (weights
-        broadcast per batch)."""
+        """Stage every offloaded layer in the range for this window (the
+        backend keeps encodings of unchanged weights; only the broadcast
+        is per window)."""
         plan = self.network.execution_plan()
         ops: dict[int, StagedLinearOp] = {}
         for step in plan[start : end if end is not None else len(plan)]:

@@ -32,12 +32,16 @@ from repro.quantization import Normalization
 class StagedLinearOp:
     """A linear layer readied for staged execution.
 
-    Created once per (layer, batch) by ``DarKnightBackend.stage_linear``:
-    weights are normalised, quantized, and broadcast to every device under
-    ``key``, so each virtual batch only pays for its own
-    encode/dispatch/decode.  The op *describes* the kernel (kind, weight
-    name, conv geometry); ``DarKnightBackend.dispatch`` turns it into one
-    cluster launch per virtual batch — or per stack of them.
+    Handed out by ``DarKnightBackend.stage_linear`` once per (layer,
+    window) — with the layer's weights normalised, quantized and resident
+    on every device under ``key``, so each virtual batch only pays for its
+    own encode/dispatch/decode.  For inference the op (and the encoding
+    behind it) is *kept*: as long as the layer's weight array still reads
+    the same, later windows get this same object back with ``bias`` and
+    ``staged_bytes`` refreshed, so hold an op for one window only.  The op
+    *describes* the kernel (kind, weight name, conv geometry);
+    ``DarKnightBackend.dispatch`` turns it into one cluster launch per
+    virtual batch — or per stack of them.
     """
 
     kind: str  #: ``"conv2d"`` or ``"dense"``.
@@ -50,8 +54,9 @@ class StagedLinearOp:
     pad: int = 0
     #: Optional float reference over real rows (``validate_decode`` mode).
     validate: Callable[[np.ndarray, np.ndarray], None] | None = None
-    #: Quantized-weight bytes freshly broadcast by this staging call; 0 when
-    #: the encoding came from the precompute cache (prices weight staging).
+    #: Quantized-weight bytes broadcast by this staging call (a kept encoding
+    #: re-broadcast counts); 0 when precompute mode left it resident on the
+    #: devices.  Prices weight staging; the executor zeroes it once priced.
     staged_bytes: int = 0
 
     def apply_bias(self, y: np.ndarray) -> np.ndarray:

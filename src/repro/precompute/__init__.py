@@ -6,8 +6,11 @@ runs nothing but GEMMs.  Three cooperating pieces:
 
 - :class:`MaskStreamPool` — counter-based pregenerated noise tensors,
   bit-identical between pooled and inline generation (``pool``).
-- A static weight-encoding cache lives on ``DarKnightBackend`` and is
-  invalidated through ``invalidate_precompute()`` on membership change.
+- Weight encodings are kept on ``DarKnightBackend`` — validated by value
+  against the weights on every staging, in precompute mode or not — and
+  dropped through ``invalidate_precompute()`` on membership change; what
+  precompute mode adds is leaving them resident on the devices instead of
+  re-broadcasting every window.
 - :class:`ScratchPool` — per-shape reusable buffers for the encode/
   decode staging steps (``scratch``).
 """

@@ -78,7 +78,7 @@ class DynamicNormalizer:
         fixed-point resolution.
         """
         arr = np.asarray(values, dtype=np.float64)
-        max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
+        max_abs = float(np.abs(arr).max()) if arr.size else 0.0
         if max_abs <= self.ceiling or max_abs == 0.0:
             return arr, IDENTITY
         norm = Normalization(max_abs / self.ceiling)
@@ -111,9 +111,9 @@ class DynamicNormalizer:
             # factor shape; fall back to the scalar whole-tensor rule.
             return self.normalize(arr)
         axes = tuple(range(lead, arr.ndim))
-        max_abs = np.max(np.abs(arr), axis=axes, keepdims=True)
+        max_abs = np.abs(arr).max(axis=axes, keepdims=True)
         factors = np.where(max_abs > self.ceiling, max_abs / self.ceiling, 1.0)
-        if np.all(factors == 1.0):
+        if (factors == 1.0).all():
             return arr, IDENTITY
         norm = Normalization(factors)
         return arr / factors, norm

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm import Envelope, LinkModel, SecureChannel
-from repro.enclave import Enclave, measure_enclave
+from repro.enclave import ByteStream, Enclave, measure_enclave
 from repro.errors import CommunicationError
 
 #: The enclave code identity clients are expected to have audited.
@@ -78,7 +78,7 @@ class ClientSession:
         enclave: Enclave,
         expected_code_identity: str | bytes = DEFAULT_CODE_IDENTITY,
         link: LinkModel | None = None,
-        rng: np.random.Generator | None = None,
+        rng: ByteStream | np.random.Generator | None = None,
     ) -> "ClientSession":
         """Attest the enclave and open an encrypted channel to it.
 
@@ -89,7 +89,6 @@ class ClientSession:
             client audited — the client refuses to provision data.
         """
         link = link or LinkModel()
-        rng = rng or np.random.default_rng()
         quote = enclave.quote(report_data=b"client-session")
         expected = measure_enclave(expected_code_identity)
         enclave.verify_peer_quote(quote, expected)  # raises on mismatch

@@ -85,6 +85,31 @@ class _ForwardRecord:
     vb_index: int = 0
 
 
+@dataclass
+class _StagedWeights:
+    """One layer's staged encoding, and the weights it was staged from.
+
+    The encoding is reusable exactly while ``w`` — the same array object —
+    still reads what it read then.  Identity alone is not enough: weights
+    are updated in place (an optimiser step, ``Sequential.load_state_dict``),
+    so the contents are compared against a private copy.
+    """
+
+    w: np.ndarray  #: The array that was staged ...
+    snapshot: np.ndarray  #: ... and what it held.
+    w_q: np.ndarray  #: Its normalised + quantized encoding (read-only).
+    op: StagedLinearOp  #: The op handed out for it (kind and geometry).
+
+    def still_holds(self, kind: str, stride: int, pad: int, w: np.ndarray) -> bool:
+        op = self.op
+        return (
+            (op.kind, op.stride, op.pad) == (kind, stride, pad)
+            and self.w is w
+            and self.snapshot.shape == w.shape
+            and bool((self.snapshot == w).all())
+        )
+
+
 class DarKnightBackend:
     """Masked TEE+GPU backend for conv/dense forward and weight gradients.
 
@@ -125,11 +150,12 @@ class DarKnightBackend:
         self._grad_normalizer = DynamicNormalizer()
         self._forward_store: dict[str, list[_ForwardRecord]] = {}
         self._cached_coefficients: CoefficientSet | None = None
-        # Offline/online split: a counter-based mask pool plus a static
-        # weight-encoding cache (precompute mode only — training mutates
-        # weight arrays in place, so caching by identity is serving-only).
+        # Per-layer weight encodings the staged (inference) path reuses
+        # while the weights read the same; the synchronous path consults
+        # them only in precompute mode, so a training step keeps nothing.
+        self._staged_weights: dict[str, _StagedWeights] = {}
+        # Offline/online split: a counter-based mask pool (precompute mode).
         self._mask_pool: MaskStreamPool | None = None
-        self._weight_cache: dict[str, tuple[tuple, StagedLinearOp]] = {}
         if self.config.precompute:
             base_key = (
                 self.config.seed
@@ -260,13 +286,30 @@ class DarKnightBackend:
         key: str,
         stride: int = 1,
         pad: int = 0,
+        *,
+        reuse: bool = True,
     ) -> StagedLinearOp:
         """Prepare one linear layer for staged execution.
 
-        Pays the per-layer costs exactly once — weight normalisation,
-        quantization, and broadcast to every device — so each virtual batch
-        afterwards only pays encode/dispatch/decode.  ``kind`` is
-        ``"conv2d"`` or ``"dense"``.
+        Called once per layer per window by the staged path (the pipeline
+        executor — inference only), so each virtual batch afterwards only
+        pays encode/dispatch/decode.  ``kind`` is ``"conv2d"`` or
+        ``"dense"``.
+
+        Weight normalisation and quantization are paid once per
+        *deployment*, not per window: a layer's encoding is kept and reused
+        for as long as the same weight array still holds the same values
+        (checked by value on every call, so an in-place update, a
+        ``load_state_dict`` or a swapped array re-stages on the next window).
+        What a reuse books is each mode's own: precompute mode leaves the
+        encoding resident on the devices (``reuse_weights``,
+        ``staged_bytes`` 0); otherwise the kept encoding is re-broadcast
+        and priced every window, exactly as a fresh one.
+
+        ``reuse=False`` neither consults nor keeps an encoding.  The
+        blocking forwards, which training shares, pass it outside precompute
+        mode (serving-only): a training step changes every weight before
+        the next staging, so a copy and a compare per layer would buy nothing.
         """
         if kind not in ("conv2d", "dense"):
             raise ConfigurationError(f"unknown staged linear op kind {kind!r}")
@@ -278,27 +321,20 @@ class DarKnightBackend:
         if stale:
             for record in stale:
                 self.cluster.drop_shares(record.share_key)
-        if self._mask_pool is not None:
-            # Offline phase: the quantized encoding and its broadcast
-            # payload are static across flush windows.  The fingerprint is
-            # by array identity — serving weights are never mutated in
-            # place, and a model swap hands in new arrays.
-            w_arr = np.asarray(w)
-            fingerprint = (
-                kind,
-                id(w_arr),
-                w_arr.shape,
-                None if b is None else id(np.asarray(b)),
-                stride,
-                pad,
-                self.config.validate_decode,
-            )
-            cached = self._weight_cache.get(key)
-            if cached is not None and cached[0] == fingerprint:
-                op = cached[1]
+        precompute = self.config.precompute
+        w = np.asarray(w)
+        kept = self._staged_weights.get(key) if reuse else None
+        if kept is not None and kept.still_holds(kind, stride, pad, w):
+            op = kept.op
+            op.bias = b
+            if precompute:
+                # Offline phase: the encoding is still on the devices.
                 op.staged_bytes = 0
                 self.enclave.record_compute("reuse_weights", 0)
-                return op
+            else:
+                self.cluster.broadcast_weights(key, kept.w_q)
+                op.staged_bytes = int(kept.w_q.nbytes)
+            return op
         w_scaled, w_norm = self._normalize(w)
         w_q = self.quantizer.quantize(w_scaled)
         self.cluster.broadcast_weights(key, w_q)
@@ -319,9 +355,11 @@ class DarKnightBackend:
             validate=validate,
         )
         op.staged_bytes = int(w_q.nbytes)
-        if self._mask_pool is not None:
+        if precompute:
             self.enclave.record_compute("stage_weights", int(w_q.nbytes))
-            self._weight_cache[key] = (fingerprint, op)
+        if reuse:
+            w_q.setflags(write=False)
+            self._staged_weights[key] = _StagedWeights(w, w.copy(), w_q, op)
         return op
 
     def encode(
@@ -468,7 +506,9 @@ class DarKnightBackend:
 
     def conv2d_forward(self, x, w, b, stride, pad, key):
         """Masked convolution over the virtual-batched input."""
-        op = self.stage_linear("conv2d", w, b, key, stride, pad)
+        op = self.stage_linear(
+            "conv2d", w, b, key, stride, pad, reuse=self.config.precompute
+        )
         out = self._masked_forward(x, op)
         if self.config.validate_decode:
             self._validate(out, self._float_conv(x, w, stride, pad), key)
@@ -478,7 +518,7 @@ class DarKnightBackend:
 
     def dense_forward(self, x, w, b, key):
         """Masked dense layer over the virtual-batched input."""
-        op = self.stage_linear("dense", w, b, key)
+        op = self.stage_linear("dense", w, b, key, reuse=self.config.precompute)
         out = self._masked_forward(x, op)
         if self.config.validate_decode:
             self._validate(out, x @ w, key)
@@ -648,14 +688,14 @@ class DarKnightBackend:
     # offline precompute (mask pool + weight-encoding cache)
     # ------------------------------------------------------------------
     def invalidate_precompute(self) -> None:
-        """Drop cached weight encodings (membership change / model swap).
+        """Drop kept weight encodings (membership change / model swap).
 
         The next :meth:`stage_linear` per layer re-quantizes and
         re-broadcasts from scratch.  The mask pool is untouched — its
         streams are keyed by shape, not by model identity, and its
         counters must keep advancing for bit-identity.
         """
-        self._weight_cache.clear()
+        self._staged_weights.clear()
 
     def precompute_pending(self) -> int:
         """Bytes of the next mask-pool refill unit (0 = saturated or off).
@@ -682,7 +722,7 @@ class DarKnightBackend:
         counts = self.enclave.ledger.op_counts
         snap["weights_staged"] = counts.get("stage_weights", 0)
         snap["weights_reused"] = counts.get("reuse_weights", 0)
-        snap["cached_layers"] = len(self._weight_cache)
+        snap["cached_layers"] = len(self._staged_weights)
         return snap
 
     def assert_encodings_released(self) -> None:

@@ -7,6 +7,14 @@ channel.  :class:`SessionManager` enforces exactly that — the first
 ``connect`` for a tenant performs the full attestation handshake via
 :mod:`repro.enclave.attestation` + :mod:`repro.comm.secure_channel`; later
 calls return the cached session with zero additional handshake traffic.
+
+Randomness is per manager too: every tenant's key exchange and both ends of
+every channel it keys draw from the manager's one
+:class:`~repro.enclave.ByteStream`, in the order the trace uses them — a
+tenant whose handshake lands mid-trace takes its 64 secret bytes from
+between two other tenants' nonces.  The stream draws its generator a block
+ahead (a nonce per ``Generator.bytes`` call cost more than a third of the
+AEAD it fed), so nothing else may draw from that generator.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm import Envelope, LinkModel, SecureChannel
-from repro.enclave import Enclave, measure_enclave
+from repro.enclave import ByteStream, Enclave, measure_enclave
 from repro.errors import AttestationError, ShardError
 from repro.runtime.client import DEFAULT_CODE_IDENTITY
 
@@ -75,7 +83,8 @@ class SessionManager:
         What the tenants' auditors expect the enclave to run; a mismatch
         raises :class:`~repro.errors.AttestationError` at first connect.
     rng:
-        Randomness for key exchange and AEAD nonces.
+        Randomness for key exchange and AEAD nonces: a generator (owned
+        by the manager's byte stream from here on) or the stream itself.
     shard_id:
         The enclave shard this manager's sessions are scoped to.
     """
@@ -85,13 +94,13 @@ class SessionManager:
         enclave: Enclave,
         link: LinkModel | None = None,
         expected_code_identity: str | bytes = DEFAULT_CODE_IDENTITY,
-        rng: np.random.Generator | None = None,
+        rng: ByteStream | np.random.Generator | None = None,
         shard_id: int = 0,
     ) -> None:
         self.enclave = enclave
         self.link = link or LinkModel()
         self.expected_measurement = measure_enclave(expected_code_identity)
-        self._rng = rng or np.random.default_rng()
+        self._stream = ByteStream.over(rng)
         self._sessions: dict[str, ServingSession] = {}
         self.handshakes_performed = 0
         self.shard_id = shard_id
@@ -113,7 +122,7 @@ class SessionManager:
         # The tenant's verification logic, run against the platform service.
         self.enclave.verify_peer_quote(quote, self.expected_measurement)
         client_end, enclave_end = SecureChannel.establish_pair(
-            tenant, "enclave", self.link, self._rng
+            tenant, "enclave", self.link, self._stream
         )
         session = ServingSession(
             tenant=tenant,

@@ -5,14 +5,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.enclave import (
+    ByteStream,
     DiffieHellman,
     StreamAead,
     array_to_bytes,
     bytes_to_array,
     derive_key,
 )
+from repro.enclave.crypto import _XOR_BIGINT_MAX, _xor
 from repro.errors import CommunicationError
 
 
@@ -102,15 +106,98 @@ def test_aead_golden_vectors_roundtrip_and_tamper():
             got = "sha256:" + hashlib.sha256(ct.data).hexdigest()
         assert (ct.nonce.hex(), got, ct.tag.hex()) == (nonce, data, tag)
         assert aead.decrypt(ct) == plaintext
-        flipped = {
-            "tag": bytes([ct.tag[0] ^ 1]) + ct.tag[1:],
-            "aad": bytes([ct.aad[0] ^ 1]) + ct.aad[1:],
-        }
+        flipped = [
+            ("tag", bytes([ct.tag[0] ^ 1]) + ct.tag[1:]),
+            ("tag", ct.tag[:8]),
+            ("aad", bytes([ct.aad[0] ^ 1]) + ct.aad[1:]),
+            ("nonce", ct.nonce[:-1] + bytes([ct.nonce[-1] ^ 1])),
+        ]
         if length:
-            flipped["data"] = ct.data[:-1] + bytes([ct.data[-1] ^ 0x80])
-        for field_name, value in flipped.items():
+            flipped.append(("data", ct.data[:-1] + bytes([ct.data[-1] ^ 0x80])))
+        for field_name, value in flipped:
             with pytest.raises(CommunicationError):
                 aead.decrypt(dataclasses.replace(ct, **{field_name: value}))
+
+
+def test_xor_matches_the_bytewise_loop_on_both_sides_of_the_crossover():
+    """``_xor`` goes through big ints up to ``_XOR_BIGINT_MAX`` bytes and
+    through numpy above; every length 0..1024 (so the crossover and its
+    neighbours) equals the per-byte loop."""
+    assert 0 < _XOR_BIGINT_MAX < 1024
+    rng = np.random.default_rng(0)
+    data, stream = rng.bytes(1024), rng.bytes(1024)
+    for length in range(1025):
+        want = bytes(a ^ b for a, b in zip(data[:length], stream[:length]))
+        assert _xor(data[:length], stream[:length]) == want, length
+    # Leading zero bytes survive the integer round trip.
+    assert _xor(b"\x00\x00\x07", b"\x00\x00\x07") == b"\x00\x00\x00"
+
+
+# ----------------------------------------------------------------------
+# ByteStream: the generator's bytes, drawn by the block
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    takes=st.lists(st.integers(1, 40), min_size=1, max_size=80),
+    block_bytes=st.sampled_from([0, 4, 16, 64, 256, ByteStream.BLOCK_BYTES]),
+)
+def test_byte_stream_takes_are_generator_bytes_calls(seed, takes, block_bytes):
+    """Any sequence of ``take(n)`` is the same sequence of
+    ``Generator.bytes(n)`` on an equally seeded generator — across refills
+    (small blocks force one every few takes) and for takes that are not a
+    multiple of the 4-byte word ``bytes`` draws in."""
+    stream = ByteStream(np.random.default_rng(seed), block_bytes=block_bytes)
+    reference = np.random.default_rng(seed)
+    for n in takes:
+        assert stream.take(n) == reference.bytes(n)
+    assert stream.take(0) == b""
+    assert stream.take(13) == reference.bytes(13)
+
+
+def test_byte_stream_default_block_refills_mid_nonce_stream():
+    """12- and 32-byte takes (nonces and DH secrets) across three refills
+    of the default block."""
+    stream, reference = ByteStream(np.random.default_rng(5)), np.random.default_rng(5)
+    sizes = [32, 32] + [12] * 1100
+    assert sum(sizes) > 3 * ByteStream.BLOCK_BYTES
+    assert all(stream.take(n) == reference.bytes(n) for n in sizes)
+
+
+def test_byte_stream_without_look_ahead_leaves_the_generator_in_step():
+    """``block_bytes=0`` draws exactly each take's words, so a generator
+    with other consumers (an enclave's: coefficients and noise) stays
+    where per-call ``bytes`` would have left it."""
+    shared, reference = np.random.default_rng(8), np.random.default_rng(8)
+    stream = ByteStream(shared, block_bytes=0)
+    for n in (12, 7, 32, 12):
+        assert stream.take(n) == reference.bytes(n)
+        assert np.array_equal(shared.integers(0, 2**25, size=5), reference.integers(0, 2**25, size=5))
+        assert shared.uniform() == reference.uniform()
+
+
+def test_byte_stream_rejects_bad_sizes():
+    for block_bytes in (-4, 6):
+        with pytest.raises(CommunicationError):
+            ByteStream(np.random.default_rng(0), block_bytes=block_bytes)
+    with pytest.raises(CommunicationError):
+        ByteStream(np.random.default_rng(0)).take(-1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.lists(st.booleans(), min_size=1, max_size=50))
+def test_ciphers_sharing_a_stream_interleave_like_ciphers_sharing_a_generator(seed, order):
+    """Two ciphers on one stream draw their nonces, in whatever order they
+    encrypt, exactly as two ciphers calling ``bytes(12)`` on one shared
+    generator did."""
+    stream = ByteStream(np.random.default_rng(seed))
+    ciphers = {
+        False: StreamAead(derive_key(b"tenant a"), stream),
+        True: StreamAead(derive_key(b"tenant b"), stream),
+    }
+    reference = np.random.default_rng(seed)
+    for which in order:
+        assert ciphers[which].encrypt(b"payload").nonce == reference.bytes(12)
 
 
 def test_aead_nonces_fresh_per_message(nprng):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.fieldmath import PrimeField
-from repro.nn import Dense, ReLU, Sequential
+from repro.nn import Dense, PlainBackend, ReLU, Sequential
 from repro.precompute import (
     MaskStreamPool,
     ScratchPool,
@@ -25,7 +25,13 @@ from repro.precompute import (
     enable_scratch,
     scratch_scope,
 )
-from repro.runtime import DarKnightConfig
+from repro.quantization import QuantizationConfig
+from repro.runtime import (
+    DarKnightBackend,
+    DarKnightConfig,
+    PrivateInferenceEngine,
+    Trainer,
+)
 from repro.serving import PrivateInferenceServer, ServingConfig, synthetic_trace
 from repro.serving.requests import PendingRequest, ScheduledBatch
 from repro.serving.slo import build_slo_policy
@@ -369,6 +375,122 @@ def test_steady_state_windows_do_no_offline_work():
     counts = server.shards[0].enclave.ledger.op_counts
     assert counts.get("mask_inline", 0) == before_inline
     assert counts["stage_weights"] == before_staged
+
+
+# ----------------------------------------------------------------------
+# kept weight encodings are validated by value (both modes, both paths)
+# ----------------------------------------------------------------------
+def _update_weights(net, how):
+    """Double every parameter the way a caller might."""
+    if how == "load_state_dict":
+        net.load_state_dict({k: 2.0 * v for k, v in net.state_dict().items()})
+        return
+    for layer, name, param in list(net.parameters()):
+        if how == "in_place":
+            param *= 2.0
+        else:  # a new array object under the same name
+            layer.params[name] = param * 2.0
+
+
+def _run(engine, x, path):
+    """``sync``: ``run_batch`` at depth 1 (the blocking forwards);
+    ``staged``: a one-batch executor window (``stage_linear``)."""
+    if path == "sync":
+        return engine.run_batch(x)
+    (group,), _ = engine.run_batch_window([(x, 0.0)])
+    return group.output
+
+
+@pytest.mark.parametrize("how", ["in_place", "load_state_dict", "new_array"])
+@pytest.mark.parametrize("path", ["sync", "staged"])
+@pytest.mark.parametrize("precompute", [False, True])
+def test_updated_weights_are_restaged_never_served_stale(precompute, path, how):
+    """Weights changed under a warm engine — in place, through
+    ``load_state_dict`` or by swapping the array — are re-staged once on
+    the next batch; an unchanged model keeps reusing.  (An identity-keyed
+    cache kept serving the old encodings: max |masked - plain| 3.7 on this
+    net after doubling, against 0.03 of quantization error.)"""
+    net = _tiny_net()
+    engine = PrivateInferenceEngine(
+        net, DarKnightConfig(virtual_batch_size=4, seed=3, precompute=precompute)
+    )
+    backend = engine.backend
+    counts = backend.enclave.ledger.op_counts
+    device = backend.cluster.devices[0]
+    x = np.random.default_rng(1).normal(size=(8, 16))
+    tolerance = 0.08
+    n_layers = 2
+    # Reuse is on for the staged path always, for the blocking forwards
+    # only in precompute mode (training shares them and must pay nothing).
+    reuses = precompute or path == "staged"
+
+    def check(staged, reused):
+        assert np.max(np.abs(_run(engine, x, path) - net.predict(x, PlainBackend()))) < tolerance
+        if precompute:
+            assert counts.get("stage_weights", 0) == staged * n_layers
+            assert counts.get("reuse_weights", 0) == reused * n_layers
+        else:
+            assert "stage_weights" not in counts and "reuse_weights" not in counts
+
+    check(staged=1, reused=0)
+    encodings = dict(device.weights)
+    check(staged=1, reused=1)
+    # An unchanged model's encodings are the kept arrays, re-installed.
+    assert all((device.weights[k] is encodings[k]) == reuses for k in encodings)
+
+    _update_weights(net, how)
+    check(staged=2, reused=1)
+    assert all(not np.array_equal(device.weights[k], encodings[k]) for k in encodings)
+    check(staged=2, reused=2)
+
+    backend.invalidate_precompute()
+    encodings = dict(device.weights)
+    check(staged=3, reused=2)
+    assert all(device.weights[k] is not encodings[k] for k in encodings)
+    assert all(np.array_equal(device.weights[k], encodings[k]) for k in encodings)
+
+
+def _count_quantize_calls(monkeypatch):
+    """Record the shape of every ``QuantizationConfig.quantize`` operand."""
+    shapes = []
+    quantize = QuantizationConfig.quantize
+
+    def counted(self, values, **kwargs):
+        shapes.append(np.shape(values))
+        return quantize(self, values, **kwargs)
+
+    monkeypatch.setattr(QuantizationConfig, "quantize", counted)
+    return shapes
+
+
+def test_serving_quantizes_weights_in_the_first_window_only(monkeypatch):
+    """Plain-mode serving: every window still re-broadcasts and prices its
+    weights, but normalises + quantizes them once per deployment."""
+    shapes = _count_quantize_calls(monkeypatch)
+    trace = synthetic_trace(40, (16,), n_tenants=3, seed=3)
+    server, report = _serve(False, trace)
+    assert len(report.completed) == 40
+    windows = server.shards[0].batches_run
+    weight_shapes = {(16, 12), (12, 4)}
+    assert windows > 2
+    assert sum(shape in weight_shapes for shape in shapes) == 2
+    assert len(shapes) == 2 + 2 * windows  # one input quantize per layer per window
+    received = server.shards[0].backend.cluster.devices[0].ledger.bytes_received
+    # ... while the devices were sent both encodings in every window.
+    assert received >= windows * 8 * (16 * 12 + 12 * 4)
+
+
+def test_training_quantizes_weights_every_step_and_keeps_no_snapshot(monkeypatch):
+    shapes = _count_quantize_calls(monkeypatch)
+    net = _tiny_net()
+    backend = DarKnightBackend(DarKnightConfig(virtual_batch_size=4, seed=3))
+    trainer = Trainer(net, backend)
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(8, 16)), rng.integers(0, 4, size=8)
+    for _ in range(3):
+        trainer.train_step(x, y)
+    assert sum(shape in {(16, 12), (12, 4)} for shape in shapes) == 3 * 2
+    assert backend._staged_weights == {}
 
 
 # ----------------------------------------------------------------------
