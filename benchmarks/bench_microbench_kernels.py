@@ -7,8 +7,8 @@ BLAS path) against plain float matmul, the encode/decode primitives at a
 realistic layer size, Vandermonde/elimination coefficient generation (a
 virtual batch's whole coefficient material, and a layer step's as one
 stack), the batched conv-as-GEMM
-lowering, the cluster's stacked launches, a whole masked layer step
-(forward and backward) over a batch's stack of virtual batches, and the
+lowering, the cluster's stacked launches and their ledger accounting, a
+whole masked layer step (forward and backward) over a batch's stack of virtual batches, and the
 per-request floor of serving (a session's AEAD round trip, a window's
 re-staging of unchanged weights).  Useful for
 regression-tracking the
@@ -31,6 +31,7 @@ from repro.cli import build_serving_model
 from repro.enclave import ByteStream, Enclave
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
 from repro.gpu import GpuCluster, ShareLaunch
+from repro.gpu.faults import FaultInjector
 from repro.masking import (
     BackwardDecoder,
     CoefficientSet,
@@ -211,29 +212,32 @@ def _step_material(sets):
 
 def test_coefficient_stack_speed(benchmark):
     """A layer step's coefficient material in one call: ``V = 4`` sets with
-    their noise, verification plans and alternate ``B``s from one stacked
-    elimination — bit for bit what four single calls draw and derive."""
+    their noise, verification plans and alternate ``B``s from four block
+    draws (``A1``, MDS points, ``γ``, noise) and one stacked elimination.
+    The one-slice stack is bit for bit the single call."""
     spec = dict(k=4, m=1, extra_shares=1)
     noise_shape = (3, 8, 8)
 
-    def stack(rng=RNG):
-        sets, noise = CoefficientSet.generate(rng, **spec, count=4, noise_shape=noise_shape)
+    def stack(rng=RNG, count=4):
+        sets, noise = CoefficientSet.generate(
+            rng, **spec, count=count, noise_shape=noise_shape
+        )
         return sets, noise, _step_material(sets)
 
-    rng, loop_rng = FieldRng(FIELD, seed=5), FieldRng(FIELD, seed=5)
-    sets, noise, material = stack(rng)
-    for v, coeffs in enumerate(sets):
-        single = CoefficientSet.generate(loop_rng, **spec)
-        assert np.array_equal(noise[v], loop_rng.uniform((1,) + noise_shape))
-        for name in ("a", "gamma", "b"):
-            assert np.array_equal(getattr(coeffs, name), getattr(single, name)), name
-        plan, (b_alt, _) = material[v]
-        ((single_plan, (single_b_alt, _)),) = _step_material([single])
-        assert plan == single_plan and np.array_equal(b_alt, single_b_alt)
-    assert np.array_equal(rng.uniform((4,)), loop_rng.uniform((4,)))
+    rng, single_rng = FieldRng(FIELD, seed=5), FieldRng(FIELD, seed=5)
+    (only,), noise, ((plan, (b_alt, _)),) = stack(rng, count=1)
+    single, single_noise = CoefficientSet.generate(single_rng, **spec, noise_shape=noise_shape)
+    assert np.array_equal(noise[0], single_noise)
+    for name in ("a", "gamma", "b"):
+        assert np.array_equal(getattr(only, name), getattr(single, name)), name
+    ((single_plan, (single_b_alt, _)),) = _step_material([single])
+    assert plan == single_plan and np.array_equal(b_alt, single_b_alt)
+    assert np.array_equal(rng.uniform((4,)), single_rng.uniform((4,)))
 
-    sets, _, material = benchmark(stack)
+    sets, noise, material = benchmark(stack)
     assert all(coeffs.verify() for coeffs in sets) and len(material) == 4
+    assert noise.shape == (4, 1) + noise_shape
+    assert all(len(plan) == 2 for plan, _ in material)
 
 
 def test_interpreter_reference_speed(benchmark):
@@ -387,6 +391,32 @@ def test_cluster_backward_launch_speed(benchmark, resnet_conv_cluster):
     assert np.array_equal(equations, np.stack(per_device))
 
 
+def test_launch_accounting_speed(benchmark):
+    """What a stacked launch pays to book one op's ``V·S = 24`` output
+    slices (``V = 4`` virtual batches on 6 honest devices): one ledger
+    entry per device.  The totals are those of walking every slice through
+    its device's ``emit``, which is what a device with an injector gets."""
+
+    class Passthrough(FaultInjector):
+        """Honest, but not the base class: walked slice by slice."""
+
+    n_batches = 4
+    flat = RNG.uniform((n_batches * N_SHARES, 8, 8, 8))
+    macs = 8 * 8 * 8 * 72
+    aggregated = GpuCluster(FIELD, N_SHARES)
+    walked = GpuCluster(
+        FIELD, N_SHARES, fault_injectors={j: Passthrough() for j in range(N_SHARES)}
+    )
+
+    def account(cluster=aggregated):
+        return GpuCluster._emit_each(cluster.devices, "conv2d_forward", flat, macs)
+
+    assert account() is flat and account(walked) is flat
+    for mine, theirs in zip(aggregated.devices, walked.devices):
+        assert mine.ledger == theirs.ledger and mine.ledger.kernel_calls == n_batches
+    benchmark(account)
+
+
 # ----------------------------------------------------------------------
 # the per-request floor: session AEAD and per-window weight staging
 # ----------------------------------------------------------------------
@@ -450,8 +480,9 @@ def vgg_conv_step():
     """mini-vgg's 8->8 3x3 conv on 8x8 maps, ``B = V·K = 16`` (K=4, M=1, the
     integrity share, fresh coefficients), plus what a per-virtual-batch loop
     makes of the same step: the same backend fed one virtual batch at a
-    time draws coefficients and noise in the same order, so outputs and the
-    summed gradient must match bit for bit."""
+    time draws its coefficients and noise set by set where the stack draws
+    them by the block, and decoding is exact under either, so outputs and
+    the summed gradient must match bit for bit."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((STEP_K * STEP_V, 8, 8, 8))
     w = rng.standard_normal((8, 8, 3, 3)) * 0.2

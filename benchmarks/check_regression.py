@@ -13,9 +13,9 @@ Normalizing by an in-run reference cancels the host's speed, CPU
 frequency, and noisy-neighbour load — but only against a reference that
 wanders the way the kernel does.  The BLAS-bound kernels are divided by a
 plain float GEMM ("how many float matmuls does this field kernel cost?");
-the interpreter-bound ones (coefficient material, the quantize chains,
-the session AEAD round trip, weight re-staging) by a fixed loop of Python
-integer arithmetic and small-array ufunc calls,
+the interpreter-bound ones (coefficient material, launch accounting, the
+quantize chains, the session AEAD round trip, weight re-staging) by a fixed
+loop of Python integer arithmetic and small-array ufunc calls,
 because on a shared box the interpreter's speed and the GEMM's move
 independently and a ratio across the two flaps on unchanged code.  Each
 trajectory entry records which reference every ratio used, and a baseline
@@ -73,6 +73,7 @@ TRACKED = (
     "test_forward_decode_hot_path_speed[scratch]",
     "test_cluster_forward_launch_speed",
     "test_cluster_backward_launch_speed",
+    "test_launch_accounting_speed",
     "test_small_contraction_matmul_speed",
     "test_layer_step_forward_speed",
     "test_layer_step_backward_speed",
@@ -91,6 +92,7 @@ INTERPRETER_BOUND = frozenset(
         "test_coefficient_generation_speed",
         "test_coefficient_material_speed",
         "test_coefficient_stack_speed",
+        "test_launch_accounting_speed",
         "test_quantize_speed",
         "test_dequantize_product_speed",
         "test_session_roundtrip_speed",

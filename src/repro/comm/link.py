@@ -51,11 +51,27 @@ class LinkModel:
         return self.latency_s + nbytes / self.bandwidth_bytes_per_s
 
     def transfer(self, src: str, dst: str, nbytes: int) -> float:
-        """Charge one ``src -> dst`` transfer and return its modeled duration."""
+        """Charge one ``src -> dst`` transfer and return its modeled duration.
+
+        The endpoints document the call site; they are not recorded (the
+        model keeps totals, no log).
+        """
         seconds = self.transfer_time(nbytes)
         self.total_bytes += nbytes
         self.total_seconds += seconds
         return seconds
+
+    def transfer_many(self, count: int, nbytes: int) -> None:
+        """Charge ``count`` transfers of ``nbytes`` each — a launch's shares,
+        one message per device.  The totals are those of ``count``
+        :meth:`transfer` calls, the float one by the same repeated addition,
+        bit for bit."""
+        seconds = self.transfer_time(nbytes)
+        self.total_bytes += count * nbytes
+        total = self.total_seconds
+        for _ in range(count):
+            total += seconds
+        self.total_seconds = total
 
     def reset(self) -> None:
         """Zero the running totals."""

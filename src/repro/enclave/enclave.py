@@ -42,10 +42,10 @@ class EnclaveLedger:
     op_counts: dict = dataclass_field(default_factory=dict)
     op_bytes: dict = dataclass_field(default_factory=dict)
 
-    def record_op(self, name: str, nbytes: int = 0) -> None:
-        """Count one enclave-internal operation touching ``nbytes``."""
-        self.op_counts[name] = self.op_counts.get(name, 0) + 1
-        self.op_bytes[name] = self.op_bytes.get(name, 0) + nbytes
+    def record_op(self, name: str, nbytes: int = 0, count: int = 1) -> None:
+        """Count ``count`` enclave-internal operations touching ``nbytes`` each."""
+        self.op_counts[name] = self.op_counts.get(name, 0) + count
+        self.op_bytes[name] = self.op_bytes.get(name, 0) + count * nbytes
 
 
 class Enclave:
@@ -121,17 +121,17 @@ class Enclave:
     # ------------------------------------------------------------------
     # boundary crossings
     # ------------------------------------------------------------------
-    def ecall(self, name: str, nbytes_in: int = 0) -> None:
-        """Record an enclave entry carrying ``nbytes_in`` of data."""
-        self.ledger.ecalls += 1
-        self.ledger.bytes_in += nbytes_in
-        self.ledger.record_op(f"ecall:{name}", nbytes_in)
+    def ecall(self, name: str, nbytes_in: int = 0, count: int = 1) -> None:
+        """Record ``count`` enclave entries carrying ``nbytes_in`` of data each."""
+        self.ledger.ecalls += count
+        self.ledger.bytes_in += count * nbytes_in
+        self.ledger.record_op(f"ecall:{name}", nbytes_in, count)
 
-    def ocall(self, name: str, nbytes_out: int = 0) -> None:
-        """Record an enclave exit carrying ``nbytes_out`` of data."""
-        self.ledger.ocalls += 1
-        self.ledger.bytes_out += nbytes_out
-        self.ledger.record_op(f"ocall:{name}", nbytes_out)
+    def ocall(self, name: str, nbytes_out: int = 0, count: int = 1) -> None:
+        """Record ``count`` enclave exits carrying ``nbytes_out`` of data each."""
+        self.ledger.ocalls += count
+        self.ledger.bytes_out += count * nbytes_out
+        self.ledger.record_op(f"ocall:{name}", nbytes_out, count)
 
     # ------------------------------------------------------------------
     # sealing / eviction (Algorithm 2 building blocks)
@@ -161,9 +161,10 @@ class Enclave:
     # ------------------------------------------------------------------
     # in-enclave compute accounting
     # ------------------------------------------------------------------
-    def record_compute(self, op_name: str, nbytes: int) -> None:
-        """Account a TEE-internal computation (encode/decode/non-linear)."""
-        self.ledger.record_op(op_name, nbytes)
+    def record_compute(self, op_name: str, nbytes: int, count: int = 1) -> None:
+        """Account ``count`` TEE-internal computations (encode/decode/non-linear)
+        of ``nbytes`` each — a layer step's virtual batches in one entry."""
+        self.ledger.record_op(op_name, nbytes, count)
 
     def require_fits(self, nbytes: int, what: str) -> None:
         """Fail fast when a single object cannot even fit in usable EPC.

@@ -46,19 +46,6 @@ class FieldRng:
         """Independent child stream (deterministic given the parent's state)."""
         return FieldRng(self.field, self._rng.spawn(1)[0])
 
-    def snapshot(self) -> dict:
-        """The stream's position, for :meth:`restore` to come back to.
-
-        What lets a caller draw speculatively — ahead of a check that
-        decides whether the draws were the right ones — and take them
-        back: after ``restore`` the stream replays exactly.
-        """
-        return self._rng.bit_generator.state
-
-    def restore(self, state: dict) -> None:
-        """Rewind (or advance) the stream to a :meth:`snapshot`."""
-        self._rng.bit_generator.state = state
-
     # ------------------------------------------------------------------
     # elements and vectors
     # ------------------------------------------------------------------

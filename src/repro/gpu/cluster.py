@@ -7,8 +7,9 @@ one encoded data" rule, and owns the *launch*: the ``K'`` GPUs run the same
 bilinear kernel on their own share in parallel (paper §3.1), and a training
 batch's ``V`` virtual batches are independent of one another, so the
 simulator executes one op of a layer step as one stacked field GEMM over
-all ``V·K'`` resident shares and then accounts it device by device, virtual
-batch by virtual batch.
+all ``V·K'`` resident shares and then accounts it device by device: an
+honest device's slices as one ledger entry, a fault-injecting device's one
+by one through its injector.
 """
 
 from __future__ import annotations
@@ -159,11 +160,12 @@ class GpuCluster:
 
         The only fan-out entry point.  The line-up's resident shares — of
         every virtual batch the launch names — are stacked and the kernel
-        runs once for all of them; slice ``(v, j)`` then goes through
-        device ``lineup[j]``'s :meth:`SimulatedGpu.emit`, so each device's
-        fault injector, ledger entries and op order are those of a device
-        that ran its own shares alone, one virtual batch after another.  A
-        line-up may skip devices (recovery benches suspects).
+        runs once for all of them; slice ``(v, j)`` is then device
+        ``lineup[j]``'s: a device with a fault injector sees it through
+        :meth:`SimulatedGpu.emit`, and every device's ledger totals and op
+        order are those of a device that ran its own shares alone, one
+        virtual batch after another.  A line-up may skip devices (recovery
+        benches suspects).
         """
         devices = [self._device(device_id) for device_id in lineup]
         if not devices:
@@ -213,14 +215,33 @@ class GpuCluster:
         macs: int,
         n_rows: int = 1,
     ) -> np.ndarray:
-        """Pass every slice of a kernel's output through its device; keep
-        whatever it emits.  ``flat`` is ``(V·S·R, ...)``: virtual batch
-        outermost, then line-up position, then that device's ``R`` rows."""
+        """Account every slice of a kernel's output to its device; keep
+        whatever a device with a fault injector emits instead.  ``flat`` is
+        ``(V·S·R, ...)``: virtual batch outermost, then line-up position,
+        then that device's ``R`` rows.
+
+        An honest device takes its ``V·R`` slices as one ledger entry.  The
+        others are walked through :meth:`SimulatedGpu.emit` slice by slice,
+        in ``flat`` order (so injectors shared between devices see the
+        order of the per-slice walk).
+        """
         n_devices = len(devices)
-        for i, honest in enumerate(flat):
-            emitted = devices[i // n_rows % n_devices].emit(op_name, honest, macs)
-            if emitted is not honest:
-                flat[i] = emitted
+        n_batches = len(flat) // (n_devices * n_rows)
+        slice_bytes = int(flat[0].nbytes)
+        walked = []
+        for position, device in enumerate(devices):
+            if device.honest:
+                device.ledger.record(op_name, macs, slice_bytes, n_batches * n_rows)
+            else:
+                walked.append(position)
+        for v in range(n_batches):
+            for position in walked:
+                first = (v * n_devices + position) * n_rows
+                for i in range(first, first + n_rows):
+                    honest = flat[i]
+                    emitted = devices[position].emit(op_name, honest, macs)
+                    if emitted is not honest:
+                        flat[i] = emitted
         return flat
 
     def _forward(self, launch, devices, shares) -> tuple[np.ndarray, int]:

@@ -7,7 +7,8 @@ in Section 6) — counts bytes and multiply-accumulate operations for the
 performance model, and routes every masked-kernel output through its fault
 injector so a malicious device can be simulated without touching honest
 code paths.  The masked kernels themselves run once per line-up in
-:meth:`repro.gpu.GpuCluster.map_shares`, which hands each device its slice.
+:meth:`repro.gpu.GpuCluster.map_shares`, which hands a device with an
+injector its slices one by one and books an honest device's in one entry.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ class GpuLedger:
     kernel_calls: int = 0
     ops_by_name: dict = dataclass_field(default_factory=dict)
 
-    def record(self, op_name: str, macs: int, bytes_out: int) -> None:
-        """Account one kernel invocation."""
-        self.kernel_calls += 1
-        self.mac_ops += macs
-        self.bytes_sent += bytes_out
-        self.ops_by_name[op_name] = self.ops_by_name.get(op_name, 0) + 1
+    def record(self, op_name: str, macs: int, bytes_out: int, count: int = 1) -> None:
+        """Account ``count`` kernel invocations of ``macs`` and ``bytes_out`` each."""
+        self.kernel_calls += count
+        self.mac_ops += count * macs
+        self.bytes_sent += count * bytes_out
+        self.ops_by_name[op_name] = self.ops_by_name.get(op_name, 0) + count
 
 
 class SimulatedGpu:
@@ -122,6 +123,14 @@ class SimulatedGpu:
     # ------------------------------------------------------------------
     # masked kernel outputs
     # ------------------------------------------------------------------
+    @property
+    def honest(self) -> bool:
+        """Whether this device's injector is the honest base class itself,
+        which hands every output back untouched: the launch then books the
+        device's slices in one ledger entry instead of walking them through
+        :meth:`emit`.  Any subclass, however it behaves, is walked."""
+        return type(self.faults) is FaultInjector
+
     def emit(self, op_name: str, result: np.ndarray, macs: int) -> np.ndarray:
         """Release this device's result of one masked kernel.
 

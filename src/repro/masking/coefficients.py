@@ -41,18 +41,22 @@ checks eliminate nothing (only a singular candidate or
 ``extra_shares > k + m`` sends a plan back to the lazy per-subset search).
 A single set is the one-slice stack of the same code.
 
-What stays per virtual batch is the *draw*: the stream order is that of
-generating the sets one after another, ``A₀, γ₀, noise₀, A₁, γ₁, ...``, so
-a stack's material is byte for byte what a per-virtual-batch loop draws.
-That makes the stack's draws speculative — a set whose primary submatrix
-turns out singular is resampled *before* its ``γ`` is drawn, and whether
-it is singular is only known after the elimination that follows the last
-draw.  So the generator's state is captured before the first draw
-(:meth:`~repro.fieldmath.FieldRng.snapshot`), and when any primary is
-singular (probability ``≈ V·(K+M)/p``, about ``6·10⁻⁷`` per layer step at
-the paper's prime) the state is restored and the stack is regenerated one
-set at a time by the same code, each set rejecting its own ``A`` in
-stream order.  The sets of a stack are read-only slices of shared arrays.
+Draws by the block.  A stack's random material is four draws, whatever
+``V`` is: the ``V`` input blocks ``A1`` from one ``uniform((V, K, n))``, the
+MDS evaluation points of every ``A2`` from one ``distinct_nonzero(V·n)``
+(distinct across the whole stack — more than MDS needs — and per set only in
+a field too small to hold ``V·n`` distinct points), then, **after** the one
+stacked elimination has accepted every primary, ``γ`` from one
+``nonzero((V, n))`` and the noise from one ``uniform((V, M) + shape)``.  A
+singular primary (probability ``≈ V·(K+M)/p``, about ``6·10⁻⁷`` per layer
+step at the paper's prime) redraws the ``A`` block and nothing else, so
+nothing is ever drawn ahead of the check that decides whether it is used:
+the stream only moves forward.  At ``V = 1`` the four draws are exactly the
+single set's — ``A1``, points, ``γ``, noise — so a set generated on its own
+is byte for byte what it always was; for ``V > 1`` the order differs from
+generating the sets one after another (decoding is exact, so nothing
+decoded depends on it).  The sets of a stack are read-only slices of shared
+arrays.
 """
 
 from __future__ import annotations
@@ -120,6 +124,20 @@ def as_stack(coefficients) -> tuple[tuple["CoefficientSet", ...], bool]:
 def _scalar_inverses(field: PrimeField, values: np.ndarray) -> np.ndarray:
     """Element-wise inverse of a short vector, one scalar ``pow`` each."""
     return np.array([field.scalar_inv(v) for v in values.tolist()], dtype=np.int64)
+
+
+def _vandermonde_rows(field: PrimeField, points: np.ndarray, n_rows: int) -> np.ndarray:
+    """``out[v, i, j] = points[v, j]**i`` — a stack of Vandermonde blocks.
+
+    ``points`` is ``(V, n)``, each row distinct and non-zero (the caller's
+    draw guarantees it), which makes every block MDS; the powers are built
+    for the whole stack, one field multiply per row.
+    """
+    out = np.empty((points.shape[0], n_rows, points.shape[1]), dtype=np.int64)
+    out[:, 0] = 1
+    for i in range(1, n_rows):
+        out[:, i] = field.mul(out[:, i - 1], points)
+    return out
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -192,20 +210,28 @@ class CoefficientSet:
             Redundant equations for integrity (Section 4.4 uses 1).
         mds_noise:
             Build ``A2`` as a Vandermonde matrix so the collusion-privacy
-            rank condition holds by construction rather than w.h.p.
+            rank condition holds by construction rather than w.h.p.  Its
+            ``n_shares`` evaluation points are drawn even at ``m=1``, where
+            the block is the all-ones row and uses none of them: the draw is
+            part of the single set's stream, which serving shares and audit
+            roots are pinned to.
         certify_collusion:
             Exhaustively check the ``<= m``-column-subset rank condition
             (slow for wide matrices; tests use it, production trusts MDS).
         count:
             ``None`` for one :class:`CoefficientSet`; ``V >= 1`` for a tuple
-            of ``V`` independent sets — draw for draw the sets ``V`` calls in
-            a row return, for one elimination instead of ``V``.
+            of ``V`` independent sets from four block draws (``A1``, MDS
+            points, ``γ``, noise) and one elimination, whatever ``V`` is.
+            ``count=1`` draws exactly what ``count=None`` does; a larger
+            stack's sets are as valid and as independent as ``V`` calls in
+            a row would return, but not the same bytes.
         noise_shape:
-            When given, each set's ``m`` noise tensors are drawn from
-            ``rng`` right after the set (as an encoder drawing its own
-            would), and the call returns ``(sets, noise)`` with ``noise``
-            of shape ``(V, m) + noise_shape`` — ``(m,) + noise_shape`` for
-            the single set.
+            When given, the sets' ``m`` noise tensors each are drawn from
+            ``rng`` after the last ``γ`` (for the single set: right after
+            it, as an encoder drawing its own would), and the call returns
+            ``(sets, noise)`` with ``noise`` of shape
+            ``(V, m) + noise_shape`` — ``(m,) + noise_shape`` for the
+            single set.
 
         The arrays of the returned sets are read-only (the sets of a stack
         are slices of shared arrays); the noise is the caller's to write.
@@ -243,7 +269,7 @@ class CoefficientSet:
         count: int,
         noise_shape: tuple[int, ...] | None,
     ) -> tuple[tuple["CoefficientSet", ...], np.ndarray]:
-        """``count`` sets (and their noise) drawn in stream order, inverted together."""
+        """``count`` sets (and their noise) from four block draws, inverted together."""
         field = rng.field
         s = k + m
         n_shares = s + extra_shares
@@ -252,27 +278,21 @@ class CoefficientSet:
         primary = tuple(range(s))
         subsets = [primary, *islice(_alternate_candidates(primary, range(s, n_shares), s), 1)]
 
-        def draw_a(out: np.ndarray) -> None:
-            out[:k] = rng.uniform((k, n_shares))
-            out[k:] = rng.mds_matrix(m, n_shares) if mds_noise else rng.uniform((m, n_shares))
-
         a = np.empty((count, s, n_shares), dtype=np.int64)
-        gamma = np.empty((count, n_shares), dtype=np.int64)
-        # Nothing to hold when the caller brings its own noise.
-        noise = np.empty(
-            (count, m, 0) if noise_shape is None else (count, m) + noise_shape, dtype=np.int64
-        )
         for _ in range(FieldRng.MAX_REJECTIONS):
-            # A set's γ and noise follow its *accepted* A in the stream, and
-            # whether an A is accepted is only known after the elimination:
-            # draw the whole stack as if every A will be, and take the draws
-            # back when one is not (~ count·s/p per stack).
-            start = rng.snapshot()
-            for v in range(count):
-                draw_a(a[v])
-                gamma[v] = rng.nonzero((n_shares,))
-                if noise_shape is not None:
-                    noise[v] = rng.uniform((m,) + noise_shape)
+            a[:, :k] = rng.uniform((count, k, n_shares))
+            if not mds_noise:
+                a[:, k:] = rng.uniform((count, m, n_shares))
+            else:
+                # One draw, distinct across the whole stack (more than each
+                # set's MDS needs); a field too small to hold that many
+                # points gets them per set, distinct within each.
+                points = (
+                    rng.distinct_nonzero(count * n_shares).reshape(count, n_shares)
+                    if count * n_shares < field.p
+                    else np.stack([rng.distinct_nonzero(n_shares) for _ in range(count)])
+                )
+                a[:, k:] = _vandermonde_rows(field, points, m)
             # (count, subsets, s, s): the inverses are kept, they are the
             # decode matrices and the source of every B.
             try:
@@ -282,27 +302,22 @@ class CoefficientSet:
                 inverses, singular = err.inverses, err.singular
             if not singular[:, 0].any():
                 break  # a singular alternate is only remembered as such
-            rng.restore(start)
-            if count > 1:
-                # One set at a time, each resampling its own A before its γ.
-                parts = [
-                    cls._generate_stack(
-                        rng, k, m, extra_shares, mds_noise, certify_collusion, 1, noise_shape
-                    )
-                    for _ in range(count)
-                ]
-                return (
-                    tuple(sets[0] for sets, _ in parts),
-                    np.concatenate([part_noise for _, part_noise in parts]),
-                )
-            draw_a(a[0])  # the stream moves past the rejected A and nothing else
+            # Only the A block is drawn again (~ count·s/p per stack).
         else:  # pragma: no cover - probability ~ (s/p)^64
             raise EncodingError("failed to sample an invertible encoding submatrix")
-
         if certify_collusion and not all(
             all_column_subsets_full_rank(field, a2, min(m, n_shares)) for a2 in a[:, k:]
         ):
             raise EncodingError("noise block A2 violates the collusion rank condition")
+        # γ and the noise follow the *accepted* A block in the stream: nothing
+        # is drawn before the check that decides whether it will be used.
+        gamma = rng.nonzero((count, n_shares))
+        # Nothing to hold when the caller brings its own noise.
+        noise = (
+            np.empty((count, m, 0), dtype=np.int64)
+            if noise_shape is None
+            else rng.uniform((count, m) + noise_shape)
+        )
 
         gamma_inv = _scalar_inverses(field, gamma.ravel()).reshape(gamma.shape)
         b = [

@@ -17,8 +17,8 @@ handed back to the caller.  Decodes that agree on a cover of all shares lie
 in the row space of ``A``, so every other subset would agree too.
 
 Beyond detection, with enough redundancy the verifier can *localise* faults:
-a share whose exclusion restores consistency across every remaining subset is
-the culprit.  That enumeration runs only after a mismatch.  The paper leaves
+a share whose exclusion leaves every remaining subset consistent is the
+culprit.  That enumeration runs only after a mismatch.  The paper leaves
 corrective action out of scope; we expose the suspect list so callers can
 re-dispatch work.
 """
@@ -193,7 +193,7 @@ class IntegrityVerifier:
         )
 
     def _localise(self, decoded: dict) -> tuple[int, ...]:
-        """Find shares whose exclusion restores cross-subset consistency.
+        """Find shares whose exclusion makes the remaining subsets consistent.
 
         For each candidate share, consider only decode subsets that avoid
         it; if all those agree (and at least two exist), the candidate

@@ -218,17 +218,15 @@ class DarKnightBackend:
         """One coefficient set per virtual batch of a layer step.
 
         Fresh coefficients come from one stacked ``generate``: the step's
-        sets — and, when ``noise_shape`` is given, the ``(V, M, ...)`` noise
-        drawn between them — in the stream order of drawing them one
-        virtual batch at a time, for one elimination.  Otherwise the one
-        cached set serves every virtual batch and no noise comes back (the
-        encoder draws its own, per virtual batch).
+        sets — and, when ``noise_shape`` is given, their ``(V, M, ...)``
+        noise — from four block draws and one elimination, whatever ``V``
+        is.  Otherwise the one cached set serves every virtual batch and no
+        noise comes back (the encoder draws its own, per virtual batch).
         """
         if self.config.fresh_coefficients:
             drawn = self._generate_coefficients(count=n_batches, noise_shape=noise_shape)
             sets, noise = (drawn, None) if noise_shape is None else drawn
-            for coeffs in sets:
-                self.enclave.record_compute("generate_coefficients", coeffs.a.nbytes)
+            self.enclave.record_compute("generate_coefficients", sets[0].a.nbytes, n_batches)
             return sets, noise
         # Coefficient shapes depend only on the (frozen) config's
         # (K, M, extra, mds) — the batch's feature shape never enters
@@ -241,22 +239,26 @@ class DarKnightBackend:
                 "generate_coefficients", self._cached_coefficients.a.nbytes
             )
             n_reused -= 1
-        for _ in range(n_reused):
-            self.enclave.record_compute("reuse_coefficients", 0)
+        if n_reused:
+            self.enclave.record_compute("reuse_coefficients", 0, n_reused)
         return [self._cached_coefficients] * n_batches, None
 
-    def _scatter(self, share_key: str, shares: np.ndarray) -> None:
-        self.cluster.scatter_shares(share_key, shares)
-        per_share = int(shares[0].nbytes)
-        for j in range(shares.shape[0]):
-            self.link.transfer("enclave", f"gpu{j}", per_share)
-        self.enclave.ocall("scatter_shares", int(shares.nbytes))
+    def _scatter(self, share_keys: Sequence[str], shares: np.ndarray) -> None:
+        """Send a stack's ``(V, S, ...)`` shares out: share ``(v, j)`` to
+        device ``j`` under ``share_keys[v]``, one message each, one enclave
+        exit per virtual batch."""
+        for share_key, batch_shares in zip(share_keys, shares):
+            self.cluster.scatter_shares(share_key, batch_shares)
+        n_batches, n_shares = shares.shape[:2]
+        self.link.transfer_many(n_batches * n_shares, int(shares[0, 0].nbytes))
+        self.enclave.ocall("scatter_shares", int(shares[0].nbytes), n_batches)
 
     def _gather(self, outputs: np.ndarray) -> None:
-        per_out = int(outputs[0].nbytes)
-        for j in range(outputs.shape[0]):
-            self.link.transfer(f"gpu{j}", "enclave", per_out)
-        self.enclave.ecall("gather_outputs", int(outputs.nbytes))
+        """Take a stack's ``(V, S, ...)`` device outputs in: one message per
+        device and virtual batch, one enclave entry per virtual batch."""
+        n_batches, n_shares = outputs.shape[:2]
+        self.link.transfer_many(n_batches * n_shares, int(outputs[0, 0].nbytes))
+        self.enclave.ecall("gather_outputs", int(outputs[0].nbytes), n_batches)
 
     def _verified_decode(
         self, tickets: Sequence[EncodeTicket], outputs: np.ndarray
@@ -268,11 +270,11 @@ class DarKnightBackend:
         if not self.config.integrity:
             return ForwardDecoder(sets).decode(outputs)
         reports = IntegrityVerifier(sets).verify_forward(outputs)
-        for ticket, report, batch_outputs in zip(tickets, reports, outputs):
+        for ticket, report in zip(tickets, reports):
             report.raise_on_failure(
                 f"layer {ticket.op.key!r}, virtual batch {ticket.vb_index}"
             )
-            self.enclave.record_compute("integrity_check", int(batch_outputs.nbytes))
+        self.enclave.record_compute("integrity_check", int(outputs[0].nbytes), len(tickets))
         return stack_arrays([report.decoded for report in reports])
 
     # ------------------------------------------------------------------
@@ -372,10 +374,12 @@ class DarKnightBackend:
 
         ``vb`` and ``vb_index`` may be sequences — a layer step's stack of
         virtual batches, masked in one encode GEMM — in which case one
-        ticket per virtual batch comes back.  Coefficients and noise come
-        from one stacked draw in virtual-batch order (``coeff₀, noise₀,
-        coeff₁, ...``), so the enclave's random stream — and with it every
-        share — is that of encoding them one after another.
+        ticket per virtual batch comes back.  Fresh coefficients and noise
+        come from one stacked draw (by the block: every ``A``, then every
+        ``γ``, then the noise), so a stack's shares are not the bytes of
+        encoding its virtual batches one after another — what decodes from
+        them is, exactly.  A single virtual batch draws the single set's
+        stream.
 
         The forward records are registered *before* returning, so the
         shares now resident on the devices are always released by
@@ -392,8 +396,7 @@ class DarKnightBackend:
         x_q = self.quantizer.quantize(data)
         feature_shape = x_q.shape[2:]
         batch_bytes = int(x_q[0].nbytes)
-        for _ in vbs:
-            self.enclave.record_compute("quantize_inputs", batch_bytes)
+        self.enclave.record_compute("quantize_inputs", batch_bytes, len(vbs))
         cfg = self.config
         k, m = cfg.virtual_batch_size, cfg.collusion_tolerance
         sets, noise = self._coefficient_stack(
@@ -413,11 +416,11 @@ class DarKnightBackend:
             noise = stack_arrays(pooled_noise)
         shares = ForwardEncoder(sets, self.enclave.rng).encode(x_q, noise=noise).shares
         share_bytes = int(shares[0].nbytes)
+        self.enclave.record_compute("encode_forward", share_bytes, len(vbs))
+        share_keys = [f"{op.key}/step{self._step}/vb{index}" for index in vb_indices]
+        self._scatter(share_keys, shares)
         tickets = []
-        for v, (batch, index) in enumerate(zip(vbs, vb_indices)):
-            self.enclave.record_compute("encode_forward", share_bytes)
-            share_key = f"{op.key}/step{self._step}/vb{index}"
-            self._scatter(share_key, shares[v])
+        for v, (batch, index, share_key) in enumerate(zip(vbs, vb_indices, share_keys)):
             self._forward_store.setdefault(op.key, []).append(
                 _ForwardRecord(
                     coefficients=sets[v],
@@ -485,11 +488,9 @@ class DarKnightBackend:
         stacked = not isinstance(future.ticket, EncodeTicket)
         tickets = future.ticket if stacked else [future.ticket]
         outputs = future.outputs if stacked else future.outputs[None]
-        for batch_outputs in outputs:
-            self._gather(batch_outputs)
+        self._gather(outputs)
         decoded = self._verified_decode(tickets, outputs)
-        for batch_decoded in decoded:
-            self.enclave.record_compute("decode_forward", int(batch_decoded.nbytes))
+        self.enclave.record_compute("decode_forward", int(decoded[0].nbytes), len(tickets))
         y = self.quantizer.dequantize_product(decoded)
         for batch_y, ticket in zip(y, tickets):
             batch_y *= ticket.x_norm.factor * ticket.op.w_norm.factor
@@ -581,10 +582,10 @@ class DarKnightBackend:
             plans = verifier.verification_plans()
             for per_batch, coeffs, plan in zip(b_rows, sets, plans):
                 per_batch.append(coeffs.backward_matrices_for_subset(plan[1])[0])
-        for batch_q in d_q:
-            self.enclave.record_compute("quantize_deltas", int(batch_q.nbytes))
-            for j in range(n_shares):
-                self.link.transfer("enclave", f"gpu{j}", int(batch_q.nbytes))
+        # Every device receives every virtual batch's quantized δ.
+        delta_bytes = int(d_q[0].nbytes)
+        self.enclave.record_compute("quantize_deltas", delta_bytes, len(records))
+        self.link.transfer_many(len(records) * n_shares, delta_bytes)
         launch = ShareLaunch(
             kind,
             tuple(record.share_key for record in records),
@@ -593,8 +594,7 @@ class DarKnightBackend:
             **geometry,
         )
         equations, _ = self.cluster.map_shares(launch, range(n_shares))  # (V, S, R, ...)
-        for batch_equations in equations:
-            self._gather(batch_equations[:, 0])
+        self._gather(equations[:, :, 0])
         # One γ-decode for the stack: each virtual batch under its own γ,
         # the alternate-B equations riding along its feature axis.
         aggregates = BackwardDecoder(sets).decode(equations)  # (V, R, ...)

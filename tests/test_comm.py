@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import (
     INFINIBAND_40G_BYTES_PER_S,
@@ -32,6 +34,25 @@ def test_transfer_logging_and_totals():
     assert not hasattr(link, "records")  # running totals, no per-transfer log
     link.reset()
     assert (link.total_bytes, link.total_seconds) == (0, 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    warm_up=st.lists(st.integers(0, 10**7), max_size=3),
+    count=st.integers(0, 40),
+    nbytes=st.integers(0, 10**8),
+)
+def test_transfer_many_is_count_transfers_bit_for_bit(warm_up, count, nbytes):
+    many, one_by_one = LinkModel(), LinkModel()
+    for link in (many, one_by_one):
+        for n in warm_up:
+            link.transfer("enclave", "gpu0", n)
+    many.transfer_many(count, nbytes)
+    for j in range(count):
+        one_by_one.transfer("enclave", f"gpu{j}", nbytes)
+    assert many == one_by_one  # the float total too: == on the exact bits
+    with pytest.raises(ConfigurationError):
+        many.transfer_many(2, -1)
 
 
 def test_link_validation():

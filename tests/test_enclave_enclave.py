@@ -37,6 +37,22 @@ def test_record_compute(enclave):
     assert enclave.ledger.op_bytes["encode"] == 1500
 
 
+def test_count_forms_book_what_repeated_calls_book(enclave):
+    """A layer step's virtual batches in one entry: ``count`` calls' worth."""
+    looped = Enclave(code_identity="test-enclave", seed=1)
+    enclave.record_compute("encode", 1000, 3)
+    enclave.ecall("gather_outputs", 64, count=4)
+    enclave.ocall("scatter_shares", 32, count=2)
+    for _ in range(3):
+        looped.record_compute("encode", 1000)
+    for _ in range(4):
+        looped.ecall("gather_outputs", 64)
+    for _ in range(2):
+        looped.ocall("scatter_shares", 32)
+    assert enclave.ledger == looped.ledger
+    assert (enclave.ledger.ecalls, enclave.ledger.bytes_out) == (4, 64)
+
+
 def test_allocated_context_manager(enclave):
     with enclave.allocated("buf", 2 * MB):
         assert enclave.epc.resident_bytes == 2 * MB

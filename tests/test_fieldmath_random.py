@@ -63,25 +63,3 @@ def test_invertible_diagonal(frng):
 
 def test_generator_exposed(frng):
     assert isinstance(frng.generator, np.random.Generator)
-
-
-def test_snapshot_and_restore_replay_the_stream(field):
-    """Every sampler reads the one bit generator, so one snapshot rewinds
-    them all — including the buffered half-word 32-bit draws leave behind."""
-    rng = FieldRng(field, seed=7)
-    rng.uniform((3,))
-    state = rng.snapshot()
-
-    def draws():
-        return [
-            rng.uniform((2, 3)).tolist(),
-            rng.mds_matrix(2, 5).tolist(),
-            rng.nonzero((5,)).tolist(),
-            rng.generator.integers(0, 7, size=3, dtype=np.int32).tolist(),
-        ]
-
-    first = draws()
-    after = rng.snapshot()
-    rng.restore(state)
-    assert draws() == first and rng.snapshot() == after
-    assert rng.snapshot() != state

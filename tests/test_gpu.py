@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, GpuError
 from repro.fieldmath import FieldRng, PrimeField, field_matmul, use_backend
 from repro.gpu import (
+    FaultInjector,
     FieldKernels,
     GpuCluster,
     RandomTamper,
@@ -439,6 +440,41 @@ def test_stacked_launch_matches_per_device_loop(case, backend, pooled):
 # ----------------------------------------------------------------------
 # a tuple of share keys: a layer step's stack of virtual batches, one launch
 # ----------------------------------------------------------------------
+def _stack_case(case, n_batches, n_rows):
+    """``case``'s launch over ``V`` share keys (``R`` ``B`` rows per device):
+    the stacked launch, the ``V`` x ``R`` single-key launches it stands for,
+    and a builder of identically loaded clusters."""
+    single, lineup = case["launch"], case["lineup"]
+    rng = FieldRng(_FIELD, case["tamper_seed"])
+    keys = tuple(f"s/vb{v}" for v in range(n_batches))
+
+    def cluster_with(injectors):
+        cluster = GpuCluster(_FIELD, case["n_devices"], fault_injectors=injectors)
+        if case["weights"] is not None:
+            cluster.broadcast_weights("w", case["weights"])
+        share_rng = FieldRng(_FIELD, case["tamper_seed"] + 1)
+        for key in keys:
+            for device_id in lineup:
+                cluster[device_id].receive_share(key, share_rng.uniform(case["shares"].shape[1:]))
+        return cluster
+
+    if single.weight_name is None:
+        deltas = rng.uniform((n_batches,) + single.deltas.shape)
+        b_rows = rng.uniform((n_batches, len(lineup), n_rows, single.deltas.shape[0]))
+        stack = dataclasses.replace(single, share_key=keys, deltas=deltas, b_rows=b_rows)
+        singles = [
+            [
+                dataclasses.replace(single, share_key=key, deltas=deltas[v], b_rows=b_rows[v, :, r])
+                for r in range(n_rows)
+            ]
+            for v, key in enumerate(keys)
+        ]
+    else:
+        stack = dataclasses.replace(single, share_key=keys)
+        singles = [[dataclasses.replace(single, share_key=key)] for key in keys]
+    return stack, singles, cluster_with
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     case=_launch_cases(),
@@ -453,36 +489,10 @@ def test_virtual_batch_stack_launch_matches_one_launch_per_batch(
     ``V`` (x ``R``) single-key launches produce, slice for slice, and charge
     every device the same; each slice passes through its own device's
     injector."""
-    single, lineup = case["launch"], case["lineup"]
-    rng = FieldRng(_FIELD, case["tamper_seed"])
-    keys = tuple(f"s/vb{v}" for v in range(n_batches))
-    backward = single.weight_name is None
+    lineup = case["lineup"]
+    backward = case["launch"].weight_name is None
     byzantine = lineup[case["tamper_position"]]
-
-    def cluster_with(injectors):
-        cluster = GpuCluster(_FIELD, case["n_devices"], fault_injectors=injectors)
-        if case["weights"] is not None:
-            cluster.broadcast_weights("w", case["weights"])
-        share_rng = FieldRng(_FIELD, case["tamper_seed"] + 1)
-        for key in keys:
-            for device_id in lineup:
-                cluster[device_id].receive_share(key, share_rng.uniform(case["shares"].shape[1:]))
-        return cluster
-
-    if backward:
-        deltas = rng.uniform((n_batches,) + single.deltas.shape)
-        b_rows = rng.uniform((n_batches, len(lineup), n_rows, single.deltas.shape[0]))
-        stack = dataclasses.replace(single, share_key=keys, deltas=deltas, b_rows=b_rows)
-        singles = [
-            [
-                dataclasses.replace(single, share_key=key, deltas=deltas[v], b_rows=b_rows[v, :, r])
-                for r in range(n_rows)
-            ]
-            for v, key in enumerate(keys)
-        ]
-    else:
-        stack = dataclasses.replace(single, share_key=keys)
-        singles = [[dataclasses.replace(single, share_key=key)] for key in keys]
+    stack, singles, cluster_with = _stack_case(case, n_batches, n_rows)
 
     reference, cluster = cluster_with({}), cluster_with({})
     with use_backend(backend):
@@ -511,6 +521,58 @@ def test_virtual_batch_stack_launch_matches_one_launch_per_batch(
         assert differs[:, case["tamper_position"]].all()
         assert differs.sum() == n_batches
     assert liar[byzantine].faults.tamper_count == n_batches * (n_rows if backward else 1)
+
+
+# ----------------------------------------------------------------------
+# ledgers by the launch: honest devices book their slices in one entry
+# ----------------------------------------------------------------------
+class Watching(FaultInjector):
+    """Corrupts nothing and keeps every output it is shown — a subclass, so
+    its device is walked slice by slice like any adversary's."""
+
+    def __init__(self):
+        self.seen = []
+
+    def corrupt(self, tensor, device_id, op_name):
+        self.seen.append((op_name, tensor.copy()))
+        return tensor
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_launch_cases(), n_batches=st.integers(1, 4), n_rows=st.integers(1, 2))
+def test_ledger_by_the_launch_equals_the_per_slice_walk(case, n_batches, n_rows):
+    """Honest devices take a launch's ``V·R`` slices as one ledger entry;
+    walking every slice through ``emit`` (any injector, even one that
+    corrupts nothing) books the same totals.  An injector on one device
+    still sees each of that device's slices exactly once, in order, while
+    its neighbours aggregate."""
+    lineup, position = case["lineup"], case["tamper_position"]
+    stack, _, cluster_with = _stack_case(case, n_batches, n_rows)
+    by_the_launch = cluster_with({})
+    by_the_slice = cluster_with({device_id: Watching() for device_id in lineup})
+    watcher = Watching()
+    one_watched = cluster_with({lineup[position]: TargetedTamper(watcher, case["tamper_op"])})
+    assert all(dev.honest for dev in by_the_launch.devices)
+    assert not any(by_the_slice[device_id].honest for device_id in lineup)
+
+    outputs, macs = by_the_launch.map_shares(stack, lineup)
+    for cluster in (by_the_slice, one_watched):
+        walked_outputs, walked_macs = cluster.map_shares(stack, lineup)
+        assert np.array_equal(walked_outputs, outputs) and walked_macs == macs
+        assert [d.ledger for d in cluster.devices] == [d.ledger for d in by_the_launch.devices]
+
+    backward = stack.weight_name is None
+    n_slices = n_batches * (n_rows if backward else 1)
+    walk = [
+        seen for op_name, seen in by_the_slice[lineup[position]].faults.seen
+        if op_name == case["tamper_op"]
+    ]
+    assert len(watcher.seen) == len(walk) == n_slices
+    for (op_name, seen), reference in zip(watcher.seen, walk):
+        assert op_name == case["tamper_op"] and np.array_equal(seen, reference)
+    if case["tamper_op"] != "combine_deltas":  # the op whose slices are the outputs
+        own = outputs[:, position].reshape((n_slices,) + outputs.shape[(3 if backward else 2):])
+        assert all(np.array_equal(seen, out) for (_, seen), out in zip(watcher.seen, own))
 
 
 def test_stack_launch_validation(field, frng):

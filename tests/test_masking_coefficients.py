@@ -1,5 +1,6 @@
 """Tests for coefficient generation (the Equation 5/13 machinery)."""
 
+import copy
 import json
 from itertools import combinations
 from pathlib import Path
@@ -244,8 +245,30 @@ def test_non_mds_generation_still_verifies(frng):
 
 
 # ----------------------------------------------------------------------
-# generate(count=V): a layer step's sets from one elimination == the loop
+# generate(count=V): a layer step's sets from four block draws, one elimination
 # ----------------------------------------------------------------------
+class RecordingRng(FieldRng):
+    """A :class:`FieldRng` that keeps every front-end call it serves: the
+    sampler's name and the elements it handed out — a draw ledger."""
+
+    def __init__(self, field, seed=None):
+        super().__init__(field, seed)
+        self.draws: list[tuple[str, np.ndarray]] = []
+
+    def _kept(self, name, values):
+        self.draws.append((name, values.copy()))
+        return values
+
+    def uniform(self, shape=()):
+        return self._kept("uniform", super().uniform(shape))
+
+    def nonzero(self, shape=()):
+        return self._kept("nonzero", super().nonzero(shape))
+
+    def distinct_nonzero(self, count):
+        return self._kept("distinct_nonzero", super().distinct_nonzero(count))
+
+
 def _sequential(rng, count, noise_shape, k, m, extra, mds_noise):
     """The loop the stack replaces: one set, then its noise, ``count`` times."""
     sets, noise = [], []
@@ -280,41 +303,86 @@ def _assert_same_material(stacked, looped):
     assert stacked.verify()
 
 
-def _assert_stack_is_loop(p, seed, count, noise_shape, **spec):
-    """``generate(count=V)`` against ``V`` calls from an equally seeded rng;
-    returns the stacked sets (``None`` when both refuse)."""
-    rng, loop_rng = FieldRng(PrimeField(p), seed), FieldRng(PrimeField(p), seed)
-
-    def stacked_generate():
-        return CoefficientSet.generate(
-            rng, spec["k"], spec["m"], spec["extra"], spec["mds_noise"],
-            count=count, noise_shape=noise_shape,
+def _assert_valid_set(coeffs, k, m, extra, mds_noise):
+    """One set of a stack, on its own terms: shapes, ranges, an MDS noise
+    block, Equation 5/13, and everything ``generate`` seeded — the decode
+    memo, the plan, the alternate ``B`` — equal to what a bare set holding
+    the same ``A`` and ``γ`` works out one subset at a time."""
+    p, s, n_shares = coeffs.field.p, k + m, k + m + extra
+    assert (coeffs.k, coeffs.m, coeffs.a.shape) == (k, m, (s, n_shares))
+    assert coeffs.primary_subset == tuple(range(s))
+    for name in ("a", "gamma", "b", "gamma_inv"):
+        value = getattr(coeffs, name)
+        assert value.dtype == np.int64 and (0 <= value).all() and (value < p).all(), name
+    assert coeffs.gamma.all()
+    if mds_noise:  # Vandermonde rows over distinct non-zero points
+        assert (coeffs.a2[0] == 1).all()
+        if m > 1:
+            points = coeffs.a2[1].tolist()
+            assert all(points) and len(set(points)) == n_shares
+            for i in range(2, m):
+                assert coeffs.a2[i].tolist() == [pow(x, i, p) for x in points]
+    assert coeffs.verify() and not coeffs.b[s:].any()
+    bare = CoefficientSet(
+        field=coeffs.field, k=k, m=m, a=coeffs.a, gamma=coeffs.gamma, b=coeffs.b,
+        primary_subset=coeffs.primary_subset,
+    )
+    for subset, matrix in coeffs._decode_cache.items():
+        assert (None if matrix is None else matrix.tolist()) == oracle_inverse(
+            p, coeffs.a[:, list(subset)].tolist()
+        )
+    assert coeffs.verification_plan == bare.verification_plan
+    assert np.array_equal(coeffs.gamma_inv, bare.gamma_inv)
+    for subset in coeffs.verification_plan:
+        assert np.array_equal(
+            coeffs.backward_matrices_for_subset(subset)[0],
+            bare.backward_matrices_for_subset(subset)[0],
         )
 
+
+def _stacked_generate(rng, count, noise_shape, k, m, extra, mds_noise):
+    return CoefficientSet.generate(
+        rng, k, m, extra, mds_noise, count=count, noise_shape=noise_shape
+    )
+
+
+def _assert_stack_is_valid(p, seed, count, noise_shape, **spec):
+    """``generate(count=V)``: every set valid, the noise well formed, the
+    one-slice stack byte for byte the single call; returns the stacked sets,
+    the recording rng and the sets' decode memos as seeded (``None`` when a
+    single call refuses too)."""
+    rng, loop_rng = RecordingRng(PrimeField(p), seed), FieldRng(PrimeField(p), seed)
     try:
-        loop_sets, loop_noise = _sequential(loop_rng, count, noise_shape, **spec)
+        loop_sets, loop_noise = _sequential(loop_rng, 1, noise_shape, **spec)
     except Exception as refusal:
         with pytest.raises(type(refusal)):
-            stacked_generate()
+            _stacked_generate(rng, count, noise_shape, **spec)
         return None
-    drawn = stacked_generate()
+    drawn = _stacked_generate(rng, count, noise_shape, **spec)
     if noise_shape is None:
         sets = drawn
     else:
         sets, noise = drawn
         assert noise.dtype == np.int64
         assert noise.shape == (count, spec["m"]) + tuple(noise_shape)
-        assert np.array_equal(noise, np.stack(loop_noise))
+        assert (0 <= noise).all() and (noise < p).all()
     assert isinstance(sets, tuple) and len(sets) == count
-    for stacked, looped in zip(sets, loop_sets):
-        _assert_same_material(stacked, looped)
-    assert np.array_equal(rng.uniform((5,)), loop_rng.uniform((5,)))
-    return sets
+    memos = [_memo(coeffs) for coeffs in sets]  # as seeded, before any lazy search
+    if count == 1:  # the single set's stream, draw for draw
+        _assert_same_material(sets[0], loop_sets[0])
+        if noise_shape is not None:
+            assert np.array_equal(noise, np.stack(loop_noise))
+        assert np.array_equal(
+            copy.deepcopy(rng.generator).integers(0, p, 5), loop_rng.uniform((5,))
+        )
+    for coeffs in sets:
+        _assert_valid_set(coeffs, **spec)
+    return sets, rng, memos
 
 
 @st.composite
 def _stack_cases(draw):
-    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     return {
         "p": draw(st.sampled_from([7, 11, 10007, 2**25 - 39])),
         "k": k,
@@ -330,62 +398,131 @@ def _stack_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_stack_cases())
-def test_stacked_generation_matches_the_per_set_loop(case):
-    _assert_stack_is_loop(**case)
+def test_stacked_generation_yields_valid_sets_and_the_single_set_stream(case):
+    _assert_stack_is_valid(**case)
+
+
+def _a_block_draws(rng, mds_noise):
+    """How many ``A`` blocks the recorded stream drew before its one ``γ``
+    draw: an ``A1`` draw each, plus an ``A2`` draw when that is uniform too."""
+    names = [name for name, _ in rng.draws]
+    return names[: names.index("nonzero")].count("uniform") // (1 if mds_noise else 2)
+
+
+def test_every_element_drawn_lands_in_one_place_of_one_set():
+    """The first slice of the draw ledger: ``generate(count=4)`` is four
+    front-end calls where the loop makes sixteen, and what they hand out is
+    exactly the sets' ``A1`` blocks, MDS points and ``γ`` and the noise —
+    each element once, nothing left over."""
+    spec = dict(k=4, m=2, extra=1, mds_noise=True)
+    count, noise_shape, n_shares = 4, (3, 2, 2), 7
+    rng, loop_rng = RecordingRng(PrimeField(), 21), RecordingRng(PrimeField(), 21)
+    sets, noise = _stacked_generate(rng, count, noise_shape, **spec)
+    _sequential(loop_rng, count, noise_shape, **spec)
+    assert len(loop_rng.draws) == 4 * count and len(rng.draws) == 4
+    (a1_kind, a1), (point_kind, points), (gamma_kind, gamma), (noise_kind, drawn_noise) = rng.draws
+    assert [a1_kind, point_kind, gamma_kind, noise_kind] == [
+        "uniform", "distinct_nonzero", "nonzero", "uniform",
+    ]
+    assert a1.shape == (count, 4, n_shares) and gamma.shape == (count, n_shares)
+    assert points.shape == (count * n_shares,) and drawn_noise.shape == noise.shape
+    # Distinct across the whole stack, which is more than each set's MDS needs.
+    assert len(set(points.tolist())) == count * n_shares
+    for v, coeffs in enumerate(sets):
+        assert np.array_equal(coeffs.a1, a1[v])
+        assert np.array_equal(coeffs.a2[1], points[v * n_shares : (v + 1) * n_shares])
+        assert np.array_equal(coeffs.gamma, gamma[v])
+        assert np.array_equal(noise[v], drawn_noise[v])
+    # Same number of elements either way: the loop drew nothing the stack does not.
+    assert sum(v.size for _, v in rng.draws) == sum(v.size for _, v in loop_rng.draws)
+
+
+def test_unused_mds_points_are_still_drawn_at_m_1():
+    """``m = 1``: the Vandermonde block is the all-ones row, so the points
+    reach no set — and are drawn all the same, because the single set's
+    stream (every serving share is pinned to it) contains them."""
+    rng = RecordingRng(PrimeField(), 3)
+    sets, _ = _stacked_generate(rng, 3, (2,), k=2, m=1, extra=1, mds_noise=True)
+    assert [name for name, _ in rng.draws] == ["uniform", "distinct_nonzero", "nonzero", "uniform"]
+    assert rng.draws[1][1].size == 3 * 4
+    assert all((coeffs.a2 == 1).all() for coeffs in sets)
+
+
+@pytest.mark.parametrize(
+    "p, k, count, mds_noise", [(7, 1, 3, False), (11, 2, 2, True), (7, 1, 3, True)],
+    ids=["uniform-A2", "stack-wide-points", "per-set-points"],
+)
+def test_singular_primary_redraws_the_a_block_and_nothing_else(p, k, count, mds_noise):
+    """In a small field a primary is singular often enough to watch: the
+    ``A`` block is drawn again, ``γ`` and the noise only once — after the
+    accepted block, never before — and only the accepted block reaches a
+    set.  (``V·n >= p`` draws points per set: 9 of F_7's 6 cannot be distinct.)"""
+    redrawn = 0
+    for seed in range(60):
+        sets, rng, _ = _assert_stack_is_valid(
+            p, seed, count=count, noise_shape=(2,), k=k, m=1, extra=1, mds_noise=mds_noise
+        )
+        names = [name for name, _ in rng.draws]
+        n_shares = k + 2
+        per_set_points = mds_noise and count * n_shares >= p
+        block = (
+            ["uniform"] + ["distinct_nonzero"] * (count if per_set_points else 1)
+            if mds_noise
+            else ["uniform", "uniform"]
+        )
+        blocks = _a_block_draws(rng, mds_noise)
+        assert names == block * blocks + ["nonzero", "uniform"], seed
+        accepted = rng.draws[len(block) * (blocks - 1)][1]
+        assert all(np.array_equal(c.a1, accepted[v]) for v, c in enumerate(sets))
+        assert np.array_equal(np.stack([c.gamma for c in sets]), rng.draws[-2][1])
+        redrawn += blocks > 1
+    assert redrawn > 10
 
 
 @pytest.fixture()
 def tally(monkeypatch):
-    """Live counts of stacked eliminations and of stream rewinds."""
+    """Live count of stacked eliminations."""
     from repro.fieldmath import linalg
 
-    counts = {"eliminations": 0, "rewinds": 0}
+    counts = {"eliminations": 0}
+    invert_stack = linalg._invert_stack
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
+    def counted(*args):
+        counts["eliminations"] += 1
+        return invert_stack(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(
-        linalg, "_invert_stack", counted("eliminations", linalg._invert_stack)
-    )
-    monkeypatch.setattr(FieldRng, "restore", counted("rewinds", FieldRng.restore))
+    monkeypatch.setattr(linalg, "_invert_stack", counted)
     return counts
 
 
-def test_tiny_fields_take_the_rollback_and_the_singular_alternate(tally):
-    """Where a stack's speculative draws are regularly wrong: the stream is
-    rewound and the stack regenerated set by set, and an alternate that is
-    singular on its own is remembered as such — both observed, not assumed."""
-    rolled_back = lone_singular_alternates = 0
+def test_tiny_fields_take_the_redraw_and_the_singular_alternate(tally):
+    """Where a stack's ``A`` block is regularly rejected: it is drawn again,
+    one elimination per block drawn, and an alternate that is singular on
+    its own is remembered as such — both observed, not assumed."""
+    redrawn = lone_singular_alternates = 0
     for p, k in ((7, 1), (11, 2)):
         for seed in range(60):
-            tally.update(rewinds=0)
-            sets = _assert_stack_is_loop(
+            tally.update(eliminations=0)
+            sets, rng, memos = _assert_stack_is_valid(
                 p, seed, count=3, noise_shape=(2,), k=k, m=1, extra=1, mds_noise=False
             )
-            rolled_back += tally["rewinds"] > 0
+            redrawn += _a_block_draws(rng, mds_noise=False) > 1
             # The memo's second entry is the candidate that rode the elimination.
-            lone_singular_alternates += sum(
-                list(coeffs._decode_cache.values())[1] is None for coeffs in sets
-            )
-    assert rolled_back > 10 and lone_singular_alternates > 10
+            lone_singular_alternates += sum(memo[1][1] is None for memo in memos)
+    assert redrawn > 10 and lone_singular_alternates > 10
 
 
 @pytest.mark.parametrize("p, k", [(7, 1), (11, 2)])
 def test_a_lone_singular_alternate_costs_no_second_elimination(tally, p, k):
     """Both verdicts are read off the one stacked elimination: a primary's
     inverse is not recomputed because its neighbour had none.  Every set
-    costs one elimination per ``A`` drawn — each rejected one is one rewind."""
+    costs one elimination per ``A`` block drawn."""
     lone_singular_alternates = 0
     for seed in range(60):
-        tally.update(eliminations=0, rewinds=0)
-        coeffs = CoefficientSet.generate(
-            FieldRng(PrimeField(p), seed), k, 1, extra_shares=1, mds_noise=False
-        )
-        assert tally["eliminations"] == 1 + tally["rewinds"], seed
+        tally.update(eliminations=0)
+        rng = RecordingRng(PrimeField(p), seed)
+        coeffs = CoefficientSet.generate(rng, k, 1, extra_shares=1, mds_noise=False)
+        assert tally["eliminations"] == _a_block_draws(rng, mds_noise=False), seed
         primary, alternate = coeffs._decode_cache
         lone_singular_alternates += coeffs._decode_cache[alternate] is None
         assert coeffs.decoding_matrix(primary).tolist() == oracle_inverse(
