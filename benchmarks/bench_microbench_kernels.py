@@ -10,7 +10,7 @@ stack), the batched conv-as-GEMM
 lowering, the cluster's stacked launches and their ledger accounting, a
 whole masked layer step (forward and backward) over a batch's stack of virtual batches, and the
 per-request floor of serving (a session's AEAD round trip, a window's
-re-staging of unchanged weights).  Useful for
+re-staging of unchanged weights), and the mask pool's refill/draw cycle.  Useful for
 regression-tracking the
 simulator's own performance: CI appends the ``--benchmark-json`` output of
 this file to ``BENCH_kernels.json`` via ``benchmarks/check_regression.py``,
@@ -41,7 +41,7 @@ from repro.masking import (
 )
 from repro.nn.functional import conv2d_grad_w, conv2d_via_matmul
 from repro.pipeline import PipelineExecutor
-from repro.precompute import enable_scratch
+from repro.precompute import MaskStreamPool, enable_scratch
 from repro.quantization import QuantizationConfig
 from repro.runtime import DarKnightBackend, DarKnightConfig
 from repro.serving import SessionManager
@@ -467,6 +467,37 @@ def test_restage_linear_speed(benchmark):
     for name in first:
         assert weights[name] is first[name]
         assert np.array_equal(weights[name], reference[name])
+
+
+def test_mask_pool_refill_speed(benchmark):
+    """A mini-resnet stream's idle-gap refills and the draws that use them:
+    32 ``refill_one`` + 32 ``draw`` of a ``(1, 8, 8, 8)`` tensor.  The pool
+    seats one Philox per block of draws; the per-tensor reference it is
+    timed against seats one per tensor, as the pool did before."""
+    key = ((8, 8, 8), 4, 1)  # feature shape, K, M
+    pool = MaskStreamPool(FIELD, base_key=1)
+    all_miss = MaskStreamPool(FIELD, base_key=1)
+
+    def cycle():
+        for _ in range(32):
+            pool.refill_one()
+        return [pool.draw(*key) for _ in range(32)]
+
+    pool.draw(*key)  # registers the stream
+    all_miss.draw(*key)
+    for tensor, pooled in cycle():
+        assert pooled and np.array_equal(tensor, all_miss.draw(*key)[0])
+
+    def per_tensor():
+        for c in range(32):
+            seat = np.random.Philox(key=[1, 2], counter=[0, 0, 0, c])
+            FIELD.uniform((1, 8, 8, 8), np.random.Generator(seat))
+
+    benchmark(cycle)
+    pool_s, reference_s = _best_of(cycle, 50), _best_of(per_tensor, 50)
+    print(f"\nmask pool: 32 refills + 32 draws {pool_s * 1e6:.0f} us,"
+          f" 32 per-tensor generations alone {reference_s * 1e6:.0f} us")
+    assert pool_s < reference_s
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ frequency, and noisy-neighbour load — but only against a reference that
 wanders the way the kernel does.  The BLAS-bound kernels are divided by a
 plain float GEMM ("how many float matmuls does this field kernel cost?");
 the interpreter-bound ones (coefficient material, launch accounting, the
-quantize chains, the session AEAD round trip, weight re-staging) by a fixed
+quantize chains, the session AEAD round trip, weight re-staging, the mask
+pool's refill/draw cycle) by a fixed
 loop of Python integer arithmetic and small-array ufunc calls,
 because on a shared box the interpreter's speed and the GEMM's move
 independently and a ratio across the two flaps on unchanged code.  Each
@@ -79,6 +80,7 @@ TRACKED = (
     "test_layer_step_backward_speed",
     "test_session_roundtrip_speed",
     "test_restage_linear_speed",
+    "test_mask_pool_refill_speed",
 )
 
 #: The default in-run normalizer: a plain float64 GEMM at the same N=256 size.
@@ -97,6 +99,7 @@ INTERPRETER_BOUND = frozenset(
         "test_dequantize_product_speed",
         "test_session_roundtrip_speed",
         "test_restage_linear_speed",
+        "test_mask_pool_refill_speed",
     }
 )
 

@@ -24,10 +24,8 @@ accumulation (and therefore BLAS blocking) cannot change a single bit.
   partial products — each with products ``<= (p-1) * 8191 < 2**39`` — come
   out of one call, and the larger operand is converted to float64 once;
   recombine as ``low + 8192 * high  (mod p)``.
-* ``K <= karatsuba_limit(p)`` (~3.4e7): split both operands and use the
-  Karatsuba identity ``a1b0 + a0b1 = (a0+a1)(b0+b1) - a0b0 - a1b1`` — three
-  GEMMs whose products stay ``<= 16382**2 < 2**28``.
 * beyond that (or ``p >= 2**26``): fall back to the generic chunked path.
+  Nothing in ``models/`` contracts over more than 25 088 (VGG16's fc6).
 
 **Barrett reduction.**  The reductions between GEMMs run entirely in
 float64: ``q = floor(x * invp); r = x - q * p`` with a deliberately
@@ -85,16 +83,6 @@ def two_gemm_limit(p: int) -> int:
     ``K * (p-1) * LIMB_MASK + 2 * LIMB_BASE * p < 2**53``.
     """
     return (_F64_EXACT - 2 * LIMB_BASE * p) // ((p - 1) * LIMB_MASK)
-
-
-def karatsuba_limit(p: int) -> int:
-    """Longest contraction the 3-GEMM Karatsuba path computes exactly.
-
-    The binding term is the middle GEMM ``(a0+a1) @ (b0+b1)`` whose
-    products reach ``(2 * LIMB_MASK)**2``; its ``K``-term accumulation
-    must stay below ``2**53``.
-    """
-    return _F64_EXACT // ((2 * LIMB_MASK) ** 2)
 
 
 class BarrettReducer:
@@ -215,7 +203,6 @@ class LimbBackend:
     * ``K <= one_gemm_limit(p)`` — no split, 1 GEMM, 1 reduction;
     * ``K <= two_gemm_limit(p)`` — the smaller operand split into two
       13-bit limb planes, 1 GEMM call over both;
-    * ``K <= karatsuba_limit(p)`` — both operands split, 3 GEMMs;
     * otherwise, or ``p >= 2**26``, or a >2-D ``b`` in :meth:`matmul` —
       generic.
 
@@ -246,10 +233,9 @@ class LimbBackend:
     def __init__(
         self,
         two_gemm_cap: int | None = None,
-        karatsuba_cap: int | None = None,
         one_gemm_cap: int | None = None,
     ) -> None:
-        self._caps = (one_gemm_cap, two_gemm_cap, karatsuba_cap)
+        self._caps = (one_gemm_cap, two_gemm_cap)
         self._generic = GenericBackend()
         self._tiers: dict[int, tuple] = {}
         self._workspace = np.empty(0, dtype=np.float64)
@@ -273,7 +259,7 @@ class LimbBackend:
         """``(longest exact contraction, kernel)`` per tier, cheapest first."""
         kernels = [(one_gemm_limit, self._one_gemm)]
         if p < 1 << (2 * LIMB_BITS):  # beyond that, limbs no longer fit 13 bits
-            kernels += [(two_gemm_limit, self._two_gemm), (karatsuba_limit, self._karatsuba)]
+            kernels.append((two_gemm_limit, self._two_gemm))
         return tuple(
             (bound(p) if cap is None else cap, kernel)
             for cap, (bound, kernel) in zip(self._caps, kernels)
@@ -385,35 +371,6 @@ class LimbBackend:
         high *= float(LIMB_BASE)
         low += high
         return red.reduce_f64(low, q)
-
-    @staticmethod
-    def _karatsuba(red: BarrettReducer, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Both operands split; 3 GEMMs via the Karatsuba middle term."""
-        a0 = (a & LIMB_MASK).astype(np.float64)
-        a1 = (a >> LIMB_BITS).astype(np.float64)
-        b0 = (b & LIMB_MASK).astype(np.float64)
-        b1 = (b >> LIMB_BITS).astype(np.float64)
-        c00 = np.matmul(a0, b0)
-        c11 = np.matmul(a1, b1)
-        a0 += a1
-        b0 += b1
-        mid = np.matmul(a0, b0)
-        mid -= c00
-        mid -= c11  # exact: a0b1 + a1b0, still an integer < 2**53
-        # x = c00 + 2**13 * mid + 2**26 * c11 (mod p), recombined in two
-        # lazy steps so every float64 intermediate stays an exact integer:
-        # c00, mid reduced to [0, 2p) keep c00 + 2**13*mid < 2**15 * p,
-        # and (2**26 mod p) * c11_r < 2p**2 < 2**53 for p < 2**26.
-        red.reduce_f64_lazy(mid)
-        mid *= float(LIMB_BASE)
-        red.reduce_f64_lazy(c00)
-        c00 += mid
-        red.reduce_f64_lazy(c00)
-        red.reduce_f64_lazy(c11)
-        c11 *= float((1 << (2 * LIMB_BITS)) % red.p)
-        red.reduce_f64_lazy(c11)
-        c00 += c11
-        return red.reduce_f64(c00)
 
 
 #: Registry consulted by name lookups (config validation imports this).

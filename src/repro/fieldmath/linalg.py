@@ -82,9 +82,9 @@ def field_matmul_stacked(
     ``a`` is ``(S, m, n)`` and ``b`` is ``(S, n, q)``; the result is
     ``(S, m, q)``, slice for slice what :func:`field_matmul` returns.  The
     ``"limb"`` backend runs each limb plane as one batched float64 GEMM,
-    exact under the same ``one_gemm_limit``/``two_gemm_limit``/
-    ``karatsuba_limit`` bounds on ``n`` as the 2-D product, and hands
-    anything beyond them to the ``"generic"`` per-slice oracle.
+    exact under the same ``one_gemm_limit``/``two_gemm_limit`` bounds on
+    ``n`` as the 2-D product, and hands anything beyond them to the
+    ``"generic"`` per-slice oracle.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)

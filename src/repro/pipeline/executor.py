@@ -288,13 +288,16 @@ class PipelineExecutor:
                     )
                     op.staged_bytes = 0
 
+        # Only a precompute backend has a pool whose refills can fill gaps.
+        fill_gaps = self.backend.config.precompute
         waiting = list(jobs)
         active: list[_Job] = []
         while waiting or active:
             while waiting and len(active) < self.pipeline_depth:
                 active.append(waiting.pop(0))
             job = min(active, key=self._task_rank)
-            self._fill_idle_gap(job, spans, stage_totals)
+            if fill_gaps:
+                self._fill_idle_gap(job, spans, stage_totals)
             if job.transfer_bytes:
                 self._run_transfer(job, spans, stage_totals)
             elif job.future is not None:
@@ -406,7 +409,7 @@ class PipelineExecutor:
         """
         nbytes = self.backend.precompute_pending()
         if not nbytes:
-            return  # saturated, or the pool is off: nothing to place
+            return  # saturated: nothing to place
         if job.future is not None and not job.transfer_bytes:
             next_start = job.future.ready_at
         else:

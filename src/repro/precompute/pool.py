@@ -11,19 +11,26 @@ Bit-identity is the load-bearing property: pooled and inline generation
 must produce the *same* tensor for the same logical draw.  Sequential
 enclave RNG cannot provide that (pooling reorders draws), so every
 stream here is **counter-based**: draw number ``c`` of the stream keyed
-by ``(feature_shape, K, M, p)`` is a pure function of
-``(base_key, stream_id, c)`` via a dedicated Philox generator.  A pool
-hit pops the pregenerated tensor for counter ``c``; a pool miss
-generates the very same counter inline — identical bits, no double
-draw, no deadlock, regardless of refill timing.
+by ``(feature_shape, K, M, p)`` is slot ``c mod BLOCK_DRAWS`` of block
+``c div BLOCK_DRAWS``, and a block is a pure function of
+``(base_key, stream_id, block)`` via a dedicated Philox generator —
+seated once per block, not once per tensor (constructing the bit
+generator costs more than filling a serving-sized tensor from it).  A
+pool hit pops the pregenerated tensor for counter ``c``; a pool miss
+reads the very same slot inline — identical bits, no double draw, no
+deadlock, regardless of refill timing.  The pool still *accounts* in
+single tensors: a refill unit, a hit, a miss and ``max_bytes`` all count
+one draw.
 """
 
 from __future__ import annotations
 
-import zlib
+import hashlib
 from collections import deque
 
 import numpy as np
+
+from repro.errors import ConfigurationError
 
 _MASK64 = (1 << 64) - 1
 #: Domain-separation constant mixed into every Philox key so mask
@@ -32,14 +39,24 @@ _DOMAIN_TAG = 0xDA2C_0DE5_0FF1_1E00
 
 #: Pregenerated tensors kept per stream before refills stop.
 DEFAULT_STREAM_CAPACITY = 32
+#: Draws generated per Philox seat (one ``Generator.integers`` call).
+BLOCK_DRAWS = 8
 #: Total bytes the pool may pin across all streams.
 DEFAULT_POOL_BYTES = 1 << 24
 
 
 class _MaskStream:
-    """One counter-based stream: pregenerated counters ``[drawn, filled)``."""
+    """One counter-based stream: pregenerated counters ``[drawn, filled)``.
 
-    __slots__ = ("key", "stream_id", "shape", "nbytes", "drawn", "filled", "ready")
+    ``block`` holds the draws of block ``block_index``; the refill and
+    miss counters only move forward, so the one kept block serves
+    ``BLOCK_DRAWS`` consecutive generations.
+    """
+
+    __slots__ = (
+        "key", "stream_id", "shape", "nbytes", "drawn", "filled", "ready",
+        "block_index", "block",
+    )
 
     def __init__(self, key: tuple, stream_id: int, shape: tuple[int, ...]) -> None:
         self.key = key
@@ -49,6 +66,8 @@ class _MaskStream:
         self.drawn = 0
         self.filled = 0
         self.ready: deque[np.ndarray] = deque()
+        self.block_index = -1
+        self.block: np.ndarray | None = None
 
 
 class MaskStreamPool:
@@ -81,10 +100,19 @@ class MaskStreamPool:
         key = (tuple(int(s) for s in feature_shape), int(k), int(m))
         stream = self._streams.get(key)
         if stream is None:
-            # Stable id derived from the full (feature_shape, K, M, p) key
-            # so streams are independent of registration order.
+            # A function of the (feature_shape, K, M, p) key alone, so a
+            # pool rebuilt under the same base key reproduces every
+            # stream whatever order it meets its layers in.
             text = repr((key, int(self.field.p))).encode("utf-8")
-            stream_id = zlib.crc32(text) | (len(self._streams) << 32)
+            stream_id = int.from_bytes(
+                hashlib.blake2b(text, digest_size=8).digest(), "big"
+            )
+            for other in self._streams.values():
+                if other.stream_id == stream_id:
+                    raise ConfigurationError(
+                        f"mask streams {other.key} and {key} share id"
+                        f" {stream_id:#x}: their noise would repeat"
+                    )
             stream = _MaskStream(key, stream_id, (key[2],) + key[0])
             self._streams[key] = stream
         return stream
@@ -92,15 +120,23 @@ class MaskStreamPool:
     def _generate(self, stream: _MaskStream, counter: int) -> np.ndarray:
         """The tensor for draw ``counter`` — pure function of the key material.
 
-        The logical draw counter sits in the *high* word of Philox's
-        256-bit block counter; generation advances the low words, so
-        distinct draws can never overlap block ranges.
+        The block number sits in the *high* word of Philox's 256-bit
+        counter; generation advances the low words, so distinct blocks
+        can never overlap.  The tensor is a read-only view of its block:
+        a caller's write must not reach a neighbouring draw.
         """
-        bit_gen = np.random.Philox(
-            key=[self.base_key ^ _DOMAIN_TAG, stream.stream_id & _MASK64],
-            counter=[0, 0, 0, counter & _MASK64],
-        )
-        return self.field.uniform(stream.shape, np.random.Generator(bit_gen))
+        index, slot = divmod(counter, BLOCK_DRAWS)
+        if index != stream.block_index:
+            bit_gen = np.random.Philox(
+                key=[self.base_key ^ _DOMAIN_TAG, stream.stream_id],
+                counter=[0, 0, 0, index],
+            )
+            stream.block = self.field.uniform(
+                (BLOCK_DRAWS,) + stream.shape, np.random.Generator(bit_gen)
+            )
+            stream.block.flags.writeable = False
+            stream.block_index = index
+        return stream.block[slot]
 
     def draw(self, feature_shape: tuple[int, ...], k: int, m: int) -> tuple[np.ndarray, bool]:
         """The next noise tensor for this key; ``(tensor, was_pooled)``.

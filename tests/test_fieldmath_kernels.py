@@ -4,7 +4,7 @@ The limb backend's exactness argument (13-bit limb products accumulated in
 float64 below 2**53) is proved in :mod:`repro.fieldmath.kernels`; these
 tests attack it empirically — randomized shapes and values, all-zero and
 all-``p-1`` adversarial operands, contractions straddling every dispatch
-boundary (1-GEMM -> 2-GEMM -> Karatsuba -> generic fallback) — and pin the
+boundary (1-GEMM -> 2-GEMM -> generic fallback) — and pin the
 backend registry / config / CLI plumbing.
 """
 
@@ -29,7 +29,6 @@ from repro.fieldmath.kernels import (
     BACKENDS,
     GenericBackend,
     LimbBackend,
-    karatsuba_limit,
     one_gemm_limit,
     two_gemm_limit,
 )
@@ -83,9 +82,12 @@ def test_limb_matmul_max_k_accumulation_edge():
         assert LIMB.matmul(FIELD, a, b, 4096)[0, 0] == expected
 
 
-def test_limb_matmul_karatsuba_branch_past_two_gemm_bound():
-    """Contractions just past the 2-GEMM bound switch to the 3-GEMM path."""
+def test_limb_matmul_past_two_gemm_bound_uses_the_oracle():
+    """Contractions just past the 2-GEMM bound have no exact limb kernel:
+    the oracle takes them (nothing in ``models/`` contracts that far)."""
     k = two_gemm_limit(FIELD.p) + 1
+    assert LIMB._kernel_for(FIELD.p, k - 1) is not None
+    assert LIMB._kernel_for(FIELD.p, k) is None
     a = np.full((1, k), FIELD.p - 1, dtype=np.int64)
     b = np.full((k, 1), FIELD.p - 1, dtype=np.int64)
     expected = pow(FIELD.p - 1, 2, FIELD.p) * k % FIELD.p
@@ -95,24 +97,22 @@ def test_limb_matmul_karatsuba_branch_past_two_gemm_bound():
 @settings(max_examples=15, deadline=None)
 @given(k=st.integers(1, 60), seed=st.integers(0, 1000))
 def test_forced_dispatch_branches_agree(k, seed):
-    """Tiny caps force each branch (1-GEMM where exact / 2-GEMM / Karatsuba /
-    generic) on the same operands; all must agree bit-for-bit."""
+    """Tiny caps force each branch (1-GEMM where exact / 2-GEMM / generic)
+    on the same operands; all must agree bit-for-bit."""
     rng = FieldRng(FIELD, seed)
     a, b = rng.uniform((4, k)), rng.uniform((k, 3))
     expected = GENERIC.matmul(FIELD, a, b, 4096)
     forced_two = LimbBackend(one_gemm_cap=0)
-    forced_kara = LimbBackend(one_gemm_cap=0, two_gemm_cap=0)
-    forced_fallback = LimbBackend(one_gemm_cap=0, two_gemm_cap=0, karatsuba_cap=0)
+    forced_fallback = LimbBackend(one_gemm_cap=0, two_gemm_cap=0)
     assert np.array_equal(LIMB.matmul(FIELD, a, b, 4096), expected)
     assert np.array_equal(forced_two.matmul(FIELD, a, b, 4096), expected)
-    assert np.array_equal(forced_kara.matmul(FIELD, a, b, 4096), expected)
     assert np.array_equal(forced_fallback.matmul(FIELD, a, b, 4096), expected)
 
 
 def test_limb_matmul_falls_back_past_exactness_bound():
-    """Regression: contractions beyond the Karatsuba bound (modeled with a
+    """Regression: contractions beyond the 2-GEMM bound (modeled with a
     tiny cap) must take the generic path and stay exact, not overflow."""
-    capped = LimbBackend(one_gemm_cap=0, two_gemm_cap=8, karatsuba_cap=16)
+    capped = LimbBackend(one_gemm_cap=0, two_gemm_cap=8)
     rng = FieldRng(FIELD, 7)
     a, b = rng.uniform((3, 40)), rng.uniform((40, 3))
     assert np.array_equal(
@@ -162,9 +162,9 @@ def _bigint_stacked(a, b, p):
     seed=st.integers(0, 10_000),
 )
 def test_stacked_matmul_matches_bigint_per_slice(stack, rows, k, cols, extreme, seed):
-    """Every dispatch branch (the default's, then 2-GEMM, Karatsuba, per-slice
-    oracle — forced by small caps straddling ``k``) and the generic backend
-    agree with big ints."""
+    """Every dispatch branch (the default's, then 2-GEMM, per-slice oracle —
+    forced by small caps straddling ``k``) and the generic backend agree
+    with big ints."""
     if extreme:
         a = np.full((stack, rows, k), FIELD.p - 1, dtype=np.int64)
         b = np.full((stack, k, cols), FIELD.p - 1, dtype=np.int64)
@@ -176,8 +176,7 @@ def test_stacked_matmul_matches_bigint_per_slice(stack, rows, k, cols, extreme, 
         LIMB,
         GENERIC,
         LimbBackend(one_gemm_cap=0, two_gemm_cap=k),  # k exactly on the 2-GEMM bound
-        LimbBackend(one_gemm_cap=0, two_gemm_cap=k - 1, karatsuba_cap=k),  # first Karatsuba k
-        LimbBackend(one_gemm_cap=0, two_gemm_cap=0, karatsuba_cap=k - 1),  # first fallback k
+        LimbBackend(one_gemm_cap=0, two_gemm_cap=k - 1),  # first fallback k
     ):
         got = backend.matmul_stacked(FIELD, a, b, 4096)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
@@ -187,7 +186,7 @@ def test_stacked_matmul_matches_bigint_per_slice(stack, rows, k, cols, extreme, 
 
 def test_stacked_matmul_at_the_real_two_gemm_bound():
     """All-(p-1) operands at and just past ``two_gemm_limit``: the last exact
-    2-GEMM contraction and the first Karatsuba one, on a 2-slice stack."""
+    2-GEMM contraction and the first the oracle takes, on a 2-slice stack."""
     for k in (two_gemm_limit(FIELD.p), two_gemm_limit(FIELD.p) + 1):
         a = np.full((2, 1, k), FIELD.p - 1, dtype=np.int64)
         b = np.full((2, k, 1), FIELD.p - 1, dtype=np.int64)
@@ -346,7 +345,7 @@ def test_barrett_int64_refuses_wide_moduli():
 
 def test_dispatch_limits_are_sane():
     assert two_gemm_limit(FIELD.p) == 32770
-    assert karatsuba_limit(FIELD.p) > 30_000_000
+    assert two_gemm_limit(FIELD.p) > 25_088  # VGG16 fc6, the longest in models/
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.fieldmath import PrimeField
 from repro.nn import Dense, PlainBackend, ReLU, Sequential
+from repro.precompute import pool as pool_module
 from repro.precompute import (
     MaskStreamPool,
     ScratchPool,
@@ -38,6 +42,7 @@ from repro.serving.slo import build_slo_policy
 
 FIELD = PrimeField()
 SHAPE = (3, 8, 8)
+BLOCK_DRAWS = pool_module.BLOCK_DRAWS
 
 
 def _tiny_net(seed=0):
@@ -140,6 +145,131 @@ def test_distinct_keys_use_independent_streams():
     b = pool.draw(SHAPE, 4, 2)[0]
     assert a.shape == (1,) + SHAPE and b.shape == (2,) + SHAPE
     assert pool.snapshot()["streams"] == 2
+
+
+# Draw ledger (ROADMAP's randomness item, the ``MaskStreamPool.draw`` slice):
+# whatever the schedule, draw ``c`` of a stream is the tensor a pool that
+# only ever misses returns for it, and no block slot leaves the pool twice.
+LEDGER_KEYS = ((SHAPE, 4, 1), (SHAPE, 4, 2), ((5,), 2, 1))
+_TENSOR_BYTES = 8 * int(np.prod(SHAPE))  # the (1,) + SHAPE stream's unit
+
+
+def _all_miss_draws(base_key, key, count):
+    reference = MaskStreamPool(FIELD, base_key)
+    return [reference.draw(*key)[0] for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    schedule=st.lists(st.integers(-1, len(LEDGER_KEYS) - 1), max_size=90),
+    stream_capacity=st.sampled_from([1, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 32]),
+    max_bytes=st.sampled_from([1, _TENSOR_BYTES, 3 * _TENSOR_BYTES, 1 << 24]),
+    base_key=st.integers(0, 2**64 - 1),
+)
+@example(  # refill to the brim, drain, draw on: every block edge both ways
+    schedule=[0] + [-1] * (BLOCK_DRAWS + 1) + [0] * (2 * BLOCK_DRAWS + 2),
+    stream_capacity=BLOCK_DRAWS + 1, max_bytes=1 << 24, base_key=0,
+)
+def test_draw_ledger_under_generated_schedules(
+    schedule, stream_capacity, max_bytes, base_key
+):
+    """``schedule`` interleaves draws (a stream's index) with refill units (-1)."""
+    pool = MaskStreamPool(
+        FIELD, base_key, stream_capacity=stream_capacity, max_bytes=max_bytes
+    )
+    drawn = {key: [] for key in LEDGER_KEYS}
+    draws = refills = 0
+    for step in schedule:
+        if step < 0:
+            pending = pool.pending_bytes()
+            assert pool.refill_one() == pending  # one tensor, or 0 when saturated
+            refills += bool(pending)
+        else:
+            key = LEDGER_KEYS[step]
+            tensor, _ = pool.draw(*key)
+            assert tensor.shape == (key[2],) + key[0]
+            drawn[key].append(tensor)
+            draws += 1
+        assert pool.pooled_bytes <= max_bytes
+        assert all(len(s.ready) <= stream_capacity for s in pool._streams.values())
+    assert (pool.hits + pool.misses, pool.refills) == (draws, refills)
+    for key, tensors in drawn.items():
+        for c, (got, want) in enumerate(zip(tensors, _all_miss_draws(base_key, key, len(tensors)))):
+            assert np.array_equal(got, want), (key, c)
+    # Every tensor is still alive here, so equal addresses would be one
+    # block slot handed to two draws.
+    handed_out = [t.__array_interface__["data"][0] for ts in drawn.values() for t in ts]
+    assert len(set(handed_out)) == len(handed_out)
+
+
+def test_block_edges_and_access_order_do_not_change_a_draw():
+    """Counters ``B-1, B, B+1`` straddle a block whether they are missed,
+    pooled, or generated out of order (a counter outside the kept block
+    regenerates that block)."""
+    edge = (BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1)
+    want = _all_miss_draws(77, LEDGER_KEYS[0], BLOCK_DRAWS + 2)
+    assert len({want[c].tobytes() for c in edge}) == 3
+    pooled = MaskStreamPool(FIELD, 77)
+    got = [pooled.draw(*LEDGER_KEYS[0])[0]]
+    for _ in range(BLOCK_DRAWS + 1):
+        assert pooled.refill_one()
+    got += [pooled.draw(*LEDGER_KEYS[0])[0] for _ in range(BLOCK_DRAWS + 1)]
+    assert pooled.hits == BLOCK_DRAWS + 1
+    stream = pooled._stream_for(*LEDGER_KEYS[0])
+    for c in edge + edge[::-1] + (0,):
+        assert np.array_equal(got[c], want[c])
+        assert np.array_equal(pooled._generate(stream, c), want[c])
+
+
+def test_stream_is_a_function_of_its_key_not_of_registration_order():
+    """A pool rebuilt under the same base key may meet its layers in
+    another order (a ``layered:N`` regroup moves stage ranges)."""
+    forward, backward = MaskStreamPool(FIELD, 11), MaskStreamPool(FIELD, 11)
+    first = {key: forward.draw(*key)[0] for key in LEDGER_KEYS}
+    for key in reversed(LEDGER_KEYS):
+        assert np.array_equal(backward.draw(*key)[0], first[key]), key
+    ids = [s.stream_id for s in forward._streams.values()]
+    assert len(set(ids)) == len(ids) and all(0 <= i < 2**64 for i in ids)
+
+
+def test_colliding_stream_ids_are_refused(monkeypatch):
+    real = pool_module.hashlib.blake2b
+    monkeypatch.setattr(
+        pool_module.hashlib, "blake2b", lambda data, **kw: real(b"same", **kw)
+    )
+    pool = MaskStreamPool(FIELD, 3)
+    pool.draw(*LEDGER_KEYS[0])
+    pool.draw(*LEDGER_KEYS[0])  # the same stream again is not a collision
+    with pytest.raises(ConfigurationError, match="share id"):
+        pool.draw(*LEDGER_KEYS[1])
+
+
+def test_handed_out_tensors_are_read_only():
+    """A draw is a view of its block: a write through it would reach
+    draws that have not been handed out yet."""
+    pool = MaskStreamPool(FIELD, 4)
+    missed, _ = pool.draw(*LEDGER_KEYS[0])
+    assert pool.refill_one()
+    hit, was_pooled = pool.draw(*LEDGER_KEYS[0])
+    assert was_pooled
+    for tensor in (missed, hit):
+        with pytest.raises(ValueError, match="read-only"):
+            tensor[0, 0, 0, 0] = 0
+
+
+def test_one_bit_generator_per_block_of_refills(monkeypatch):
+    """32 refills of one stream seat Philox once per block (4 blocks of 8),
+    not once per tensor."""
+    seats = []
+    real = np.random.Philox
+    monkeypatch.setattr(
+        np.random, "Philox", lambda **kw: seats.append(kw["counter"][3]) or real(**kw)
+    )
+    pool = MaskStreamPool(FIELD, 6)
+    pool.draw(*LEDGER_KEYS[0])  # registers the stream; seats block 0
+    for _ in range(32):
+        assert pool.refill_one()
+    assert seats == list(range(32 // BLOCK_DRAWS + 1))
 
 
 def test_pool_snapshot_is_strict_json_before_first_draw():
@@ -375,6 +505,23 @@ def test_steady_state_windows_do_no_offline_work():
     counts = server.shards[0].enclave.ledger.op_counts
     assert counts.get("mask_inline", 0) == before_inline
     assert counts["stage_weights"] == before_staged
+
+
+@pytest.mark.parametrize("precompute", [False, True])
+def test_gap_filler_only_polls_a_backend_that_has_a_pool(precompute, monkeypatch):
+    """Without precompute there is no pool to refill: the executor must
+    not ask for pending work on every scheduling decision."""
+    polls = []
+    real = DarKnightBackend.precompute_pending
+
+    def counting(self):
+        polls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DarKnightBackend, "precompute_pending", counting)
+    _, report = _serve(precompute, synthetic_trace(12, (16,), n_tenants=2, seed=3))
+    assert len(report.completed) == 12
+    assert bool(polls) == precompute
 
 
 # ----------------------------------------------------------------------
