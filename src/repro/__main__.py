@@ -2,9 +2,10 @@
 
 * ``python -m repro`` / ``python -m repro report`` — regenerate the
   paper's evaluation as a text report;
-* ``python -m repro serve --model tiny --requests 64 ...`` — replay a
-  synthetic multi-tenant trace through the private-inference server and
-  print the serving metrics (see :mod:`repro.cli`).
+* ``python -m repro serve --model tiny --requests 64 [--config
+  FILE_OR_PRESET] [--set PATH=VALUE ...]`` — replay a synthetic
+  multi-tenant trace through the private-inference server and print the
+  serving metrics (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations

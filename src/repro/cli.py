@@ -5,11 +5,9 @@ Three subcommands:
 * ``report`` (the default) — regenerate the paper's evaluation tables;
 * ``serve`` — drive the multi-tenant private-inference server over a
   synthetic offline request trace (no network dependency) and print the
-  serving metrics; ``--audit-log DIR`` additionally commits every flush
-  window to the verifiable audit trail, ``--config FILE_OR_PRESET``
-  loads a whole :class:`~repro.serving.ServingConfig` (JSON file or
-  named preset) in one flag, and ``--autoscale`` serves elastically
-  (live shard provision/decommission with drain-before-kill);
+  serving metrics.  Its flags describe the *trace*; the deployment is a
+  :class:`~repro.serving.ServingConfig`, read with ``--config
+  FILE_OR_PRESET`` and edited with ``--set PATH=VALUE``;
 * ``audit`` — query a recorded trail: ``prove`` a request's inclusion,
   ``verify`` a proof offline against a published chain head, ``replay``
   a disputed window deterministically, ``check-chain`` walk the logs.
@@ -22,11 +20,15 @@ test imports and runs it with pytest's own flags still in ``argv``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import runpy
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from repro.errors import ConfigurationError, ReproError
 
 
 def parse_seed_flag(argv: list[str] | None = None, default: int = 0) -> int:
@@ -61,7 +63,6 @@ def build_serving_model(name: str, seed: int = 0):
     ``mini-vgg`` exercises the full conv path; ``mini-resnet`` adds
     residual blocks — the deep plan layered partitioning wants.
     """
-    from repro.errors import ConfigurationError
     from repro.models import build_mini_resnet, build_mini_vgg
     from repro.nn import Sequential
     from repro.nn.layers import Dense, ReLU
@@ -125,151 +126,45 @@ def run_report() -> int:
 def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
-        description="Serve a synthetic multi-tenant inference trace privately.",
+        description="Serve a synthetic multi-tenant inference trace privately. The"
+                    " deployment is a repro.serving.ServingConfig (its docstring"
+                    " explains every field): --config picks one, --set edits it.",
     )
-    parser.add_argument(
-        "--model", default="tiny", help="tiny | mini-vgg | mini-resnet"
-    )
+    parser.add_argument("--model", default="tiny", help="tiny | mini-vgg | mini-resnet")
     parser.add_argument("--requests", type=int, default=64, help="trace length")
     parser.add_argument("--tenants", type=int, default=4, help="distinct tenants")
+    parser.add_argument("--rate", type=float, default=1000.0, help="offered load, requests/s")
     parser.add_argument(
-        "--rate", type=float, default=1000.0, help="offered load, requests/second"
+        "--seed", type=int, default=None,
+        help="seeds model, trace and enclaves (default: darknight.seed, else 0)",
     )
     parser.add_argument(
         "--config", default=None, metavar="FILE_OR_PRESET",
-        help="load a full ServingConfig from a JSON file"
-             " (ServingConfig.to_dict layout) or a named preset"
-             " (latency | throughput | audited); explicit per-field flags"
-             " override it",
+        help="start from a JSON file in ServingConfig.to_dict() layout or a"
+             " preset (latency | throughput | audited) instead of the defaults",
     )
     parser.add_argument(
-        "--virtual-batch", type=int, default=None,
-        help="K — coalescing target (default 4)",
+        "--set", action="append", default=[], metavar="PATH=VALUE",
+        help="set one field by its dotted path in that layout (repeatable, in"
+             " order); VALUE is JSON, else a bare string: darknight.integrity=true,"
+             " partition=layered:2. Setting a field of an absent section creates"
+             " it (adaptive={} takes its defaults); adaptive=null removes one",
     )
     parser.add_argument(
-        "--batch-wait", type=float, default=None,
-        help="max seconds a request waits before a partial batch flushes"
-             " (default 0.01)",
+        "--slo-budget", action="append", default=[], metavar="CLASS=MS",
+        help="define an SLO class by its end-to-end latency budget in ms"
+             " (repeatable); tighter budgets get higher admission priority",
     )
     parser.add_argument(
-        "--adaptive-batching", action="store_true",
-        help="learn each shard's flush deadline from observed arrivals and"
-             " pipeline timings, and cap K against the enclave's EPC budget"
-             " (--batch-wait becomes the deadline ceiling)",
-    )
-    parser.add_argument(
-        "--target-fill", type=float, default=None,
-        help="fill ratio adaptive deadline flushes aim for, default 0.85"
-             " (requires --adaptive-batching)",
-    )
-    parser.add_argument(
-        "--epc-budget", type=int, default=None,
-        help="usable EPC bytes each enclave models (default: the paper"
-             " generation's ~93 MB); adaptive batching sizes K against it"
-             " (requires --adaptive-batching)",
-    )
-    parser.add_argument(
-        "--pipeline-depth", type=int, default=None,
-        help="virtual batches kept in flight by the staged executor"
-             " (1 = synchronous, the default; >= 2 overlaps enclave encode"
-             " with GPU compute)",
-    )
-    parser.add_argument(
-        "--slo-budget", action="append", default=None, metavar="CLASS=MS",
-        help="define an SLO class with an end-to-end latency budget in"
-             " milliseconds (repeatable, e.g. --slo-budget premium=5);"
-             " tighter budgets get higher admission priority",
-    )
-    parser.add_argument(
-        "--slo-class", action="append", default=None, metavar="TENANT=CLASS",
-        help="assign a tenant to an SLO class defined with --slo-budget"
-             " (repeatable, e.g. --slo-class tenant0=premium); unassigned"
-             " tenants keep the budget-less default class",
-    )
-    parser.add_argument(
-        "--stage-ranker", default=None, choices=["earliest", "deadline"],
-        help="pipeline executor task-selection policy: 'earliest' (classic"
-             " earliest-start/decode-first) or 'deadline' (tightest remaining"
-             " SLO budget first); decoded values are bit-identical either way",
-    )
-    parser.add_argument(
-        "--num-shards", type=int, default=None,
-        help="enclave shards tenants are partitioned across (each shard is"
-             " its own enclave + GPU cluster on a parallel timeline;"
-             " default 1 — with --autoscale this is only the initial count)",
-    )
-    parser.add_argument(
-        "--partition", default=None, metavar="MODE",
-        help="shard topology: 'layered:N' cuts the execution plan into N"
-             " contiguous stages and chains every N shards into one serving"
-             " unit, handing sealed activations over attested channels;"
-             " 'replicated' (the default: every shard runs the whole model)"
-             " is layered:1; logits are bit-identical in every mode",
-    )
-    parser.add_argument(
-        "--autoscale", action="store_true",
-        help="elastically provision/decommission serving units (N shards"
-             " each under --partition layered:N) at runtime from queue-depth"
-             " and utilization signals (drain-before-kill; logits stay"
-             " bit-identical at any membership history)",
-    )
-    parser.add_argument(
-        "--min-shards", type=int, default=None,
-        help="autoscaler floor on live shards (requires --autoscale;"
-             " default 1; a multiple of N under --partition layered:N)",
-    )
-    parser.add_argument(
-        "--max-shards", type=int, default=None,
-        help="autoscaler ceiling on live shards (requires --autoscale;"
-             " default 4; a multiple of N under --partition layered:N)",
-    )
-    parser.add_argument(
-        "--target-utilization", type=float, default=None,
-        help="utilization above which the autoscaler scales out"
-             " (requires --autoscale; default 0.85)",
-    )
-    parser.add_argument(
-        "--gpus", type=int, default=None,
-        help="total simulated-GPU budget across all shards (default: exactly"
-             " what the configuration needs); serving refuses to start when"
-             " the shards would not fit",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=None,
-        help="bounded queue size (default 256)",
-    )
-    parser.add_argument(
-        "--integrity", action="store_true",
-        help="add the redundant share and verify every GPU result",
-    )
-    parser.add_argument(
-        "--per-request", action="store_true",
-        help="disable coalescing (dispatch each request alone; baseline)",
-    )
-    parser.add_argument(
-        "--audit-log", default=None, metavar="DIR",
-        help="enable the verifiable audit trail: commit every flush window"
-             " to per-shard hash-chained Merkle logs under DIR (plus a"
-             " manifest for deterministic replay); query them afterwards"
-             " with 'python -m repro audit'",
-    )
-    parser.add_argument(
-        "--precompute", action="store_true",
-        help="offline/online split: pregenerate mask streams in enclave"
-             " idle gaps, cache weight encodings across flush windows, and"
-             " recycle hot-path buffers; responses stay bit-identical to a"
-             " run without the flag",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="determinism seed (default 0)"
+        "--slo-class", action="append", default=[], metavar="TENANT=CLASS",
+        help="put a tenant in a class defined with --slo-budget (repeatable);"
+             " other tenants keep the budget-less default class",
     )
     return parser
 
 
 def run_serve(argv: list[str]) -> int:
     """``python -m repro serve ...`` — offline trace driver."""
-    from repro.errors import ReproError
-
     args = _serve_parser().parse_args(argv)
     try:
         return _serve(args)
@@ -278,183 +173,77 @@ def run_serve(argv: list[str]) -> int:
         return 2
 
 
-def _parse_kv_flags(pairs: list[str] | None, flag: str) -> dict[str, str]:
-    """Parse repeated ``key=value`` flag occurrences into a dict."""
-    from repro.errors import ConfigurationError
-
-    out: dict[str, str] = {}
-    for pair in pairs or []:
+def _parse_kv_flags(pairs: list[str], flag: str) -> list[tuple[str, str]]:
+    """Split repeated ``key=value`` flag occurrences, keeping their order."""
+    out = []
+    for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key or not value:
-            raise ConfigurationError(
-                f"{flag} expects key=value, got {pair!r}"
-            )
-        out[key] = value
+            raise ConfigurationError(f"{flag} expects key=value, got {pair!r}")
+        out.append((key, value))
     return out
 
 
-def _build_slo(args):
-    """Build the SLO policy from --slo-budget / --slo-class flags."""
-    from repro.errors import ConfigurationError
-    from repro.serving import build_slo_policy
+def _serving_config(args):
+    """The deployment: ``--config`` overlaid with ``--set`` and the SLO flags."""
+    from repro.serving import PRESETS, ServingConfig, build_slo_policy
 
-    if args.slo_budget is None and args.slo_class is None:
-        return None
-    budgets = {}
-    for name, ms in _parse_kv_flags(args.slo_budget, "--slo-budget").items():
+    data = {}
+    if args.config in PRESETS:
+        data = ServingConfig.preset(args.config).to_dict()
+    elif args.config is not None:
         try:
-            budgets[name] = float(ms) / 1e3
-        except ValueError:
+            data = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
             raise ConfigurationError(
-                f"--slo-budget {name}={ms!r}: budget must be a number of"
-                " milliseconds"
+                f"--config {args.config!r} is neither a preset"
+                f" ({', '.join(PRESETS)}) nor a readable JSON file ({exc})"
+            ) from exc
+    if not isinstance(data, dict):
+        return ServingConfig.from_dict(data)  # refuses it
+    # The overlay edits the to_dict form and knows nothing of its layout:
+    # from_dict accepts or refuses whatever comes out.
+    for path, raw in _parse_kv_flags(args.set, "--set"):
+        *sections, leaf = path.split(".")
+        node = data
+        for key in sections:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        try:
+            node[leaf] = json.loads(raw)
+        except ValueError:
+            node[leaf] = raw
+    if args.slo_budget or args.slo_class:
+        # Which tenant is in which class is what no file can know; it joins
+        # the dict so a deadline ranker set beside it finds its policy.
+        budgets = _parse_kv_flags(args.slo_budget, "--slo-budget")
+        try:
+            budgets = {name: float(ms) / 1e3 for name, ms in budgets}
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"--slo-budget: a budget is a number of milliseconds ({exc})"
             ) from None
-    assignments = _parse_kv_flags(args.slo_class, "--slo-class")
-    return build_slo_policy(budgets, assignments)
-
-
-def _load_serving_config(spec: str):
-    """Resolve ``--config``: a preset name or a ServingConfig JSON file."""
-    import json
-
-    from repro.errors import ConfigurationError
-    from repro.serving import PRESETS, ServingConfig
-
-    if spec in PRESETS:
-        return ServingConfig.preset(spec)
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigurationError(
-            f"--config {spec!r} is neither a preset"
-            f" ({', '.join(PRESETS)}) nor an existing JSON file"
-        )
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"--config {spec}: not valid JSON ({exc})"
-        ) from exc
+        tenants = dict(_parse_kv_flags(args.slo_class, "--slo-class"))
+        data["slo"] = ServingConfig(slo=build_slo_policy(budgets, tenants)).to_dict()["slo"]
     return ServingConfig.from_dict(data)
 
 
 def _serve(args) -> int:
-    import dataclasses
-
-    from repro.errors import ConfigurationError
-    from repro.serving import (
-        AdaptiveBatchingConfig,
-        AuditConfig,
-        AutoscaleConfig,
-        PrivateInferenceServer,
-        ServingConfig,
-        synthetic_trace,
-    )
-
-    # One precedence rule: start from the --config file/preset (or the
-    # dataclass defaults) and overlay exactly the flags that were given.
-    config = (
-        _load_serving_config(args.config)
-        if args.config is not None
-        else ServingConfig()
-    )
-
-    def given(**flags) -> dict:
-        return {name: value for name, value in flags.items() if value is not None}
+    from repro.serving import PrivateInferenceServer, synthetic_trace
 
     if args.rate <= 0:
         raise ConfigurationError(f"--rate must be > 0, got {args.rate}")
-    if args.pipeline_depth is not None and args.pipeline_depth < 1:
-        raise ConfigurationError(
-            f"--pipeline-depth must be >= 1, got {args.pipeline_depth}"
-        )
-    if args.num_shards is not None and args.num_shards < 1:
-        raise ConfigurationError(
-            f"--num-shards must be >= 1, got {args.num_shards}"
-        )
-    dk = dataclasses.replace(
-        config.darknight,
-        **given(
-            virtual_batch_size=args.virtual_batch,
-            pipeline_depth=args.pipeline_depth,
-            num_shards=args.num_shards,
-            stage_ranker=args.stage_ranker,
-            epc_budget_bytes=args.epc_budget,
-            integrity=args.integrity or None,
-            seed=args.seed,
-        ),
-    )
-    if dk.seed is None:
+    config = _serving_config(args)
+    dk, audit = config.darknight, config.audit
+    if args.seed is not None or dk.seed is None:
         # The CLI is deterministic unless told otherwise.
-        dk = dataclasses.replace(dk, seed=0)
-
-    adaptive = config.adaptive
-    if args.adaptive_batching and adaptive is None:
-        adaptive = AdaptiveBatchingConfig()
-    if args.target_fill is not None:
-        if adaptive is None:
-            raise ConfigurationError(
-                "--target-fill only applies with --adaptive-batching"
-            )
-        adaptive = dataclasses.replace(adaptive, target_fill=args.target_fill)
-    if adaptive is None and dk.epc_budget_bytes is not None:
-        raise ConfigurationError(
-            "--epc-budget only applies with --adaptive-batching"
-        )
-
-    slo = _build_slo(args)
-    if slo is None:
-        slo = config.slo
-    if slo is None and dk.stage_ranker == "deadline":
-        raise ConfigurationError(
-            "--stage-ranker deadline needs SLO budgets to rank on"
-            " (add --slo-budget class=ms)"
-        )
-
-    autoscale = config.autoscale
-    knobs = given(
-        min_shards=args.min_shards,
-        max_shards=args.max_shards,
-        utilization_high=args.target_utilization,
-    )
-    if knobs and not args.autoscale and autoscale is None:
-        raise ConfigurationError(
-            "--min-shards/--max-shards/--target-utilization only apply with"
-            " --autoscale (or a config file with an autoscale section)"
-        )
-    if args.autoscale or knobs:
-        autoscale = (
-            dataclasses.replace(autoscale, **knobs)
-            if autoscale is not None
-            else AutoscaleConfig(**knobs)
-        )
-
-    gpus_needed = dk.num_shards * dk.n_gpus_required
-    if args.gpus is not None and args.gpus < gpus_needed:
-        raise ConfigurationError(
-            f"--gpus {args.gpus} cannot host {dk.num_shards} shard(s): each"
-            f" shard needs K + M{' + 1 (integrity)' if dk.integrity else ''}"
-            f" = {dk.n_gpus_required} simulated GPUs, {gpus_needed} total;"
-            " raise --gpus or lower --num-shards / --virtual-batch"
-        )
-    config = dataclasses.replace(
-        config,
-        darknight=dk,
-        adaptive=adaptive,
-        slo=slo,
-        autoscale=autoscale,
-        **given(
-            partition=args.partition,
-            max_batch_wait=args.batch_wait,
-            queue_capacity=args.queue_capacity,
-            coalesce=False if args.per_request else None,
-            precompute=args.precompute or None,
-            audit=(
-                AuditConfig(log_dir=args.audit_log, model=args.model)
-                if args.audit_log is not None
-                else None
-            ),
-        ),
-    )
+        dk = dataclasses.replace(dk, seed=args.seed or 0)
+    if audit is not None and audit.model is None:
+        # ``audit replay`` rebuilds the network the manifest names.
+        audit = dataclasses.replace(audit, model=args.model)
+    config = dataclasses.replace(config, darknight=dk, audit=audit)
+    adaptive, slo, autoscale = config.adaptive, config.slo, config.autoscale
     network, input_shape = build_serving_model(args.model, seed=dk.seed)
     trace = synthetic_trace(
         n_requests=args.requests,
@@ -500,12 +289,12 @@ def _serve(args) -> int:
         )
         print(f"SLO classes ({dk.stage_ranker} ranker): {classes}")
     print(report.render())
-    if config.audit is not None and config.audit.log_dir is not None:
+    if audit is not None and audit.log_dir is not None:
         print(
             f"audit: {server.metrics.audit_windows} windows"
             f" ({server.metrics.audit_leaves} leaves,"
             f" {server.metrics.audit_bytes:,} bytes) committed to"
-            f" {config.audit.log_dir}"
+            f" {audit.log_dir}"
         )
     return 0
 
@@ -563,7 +352,6 @@ def _audit_parser() -> argparse.ArgumentParser:
 def _audit_logs(log_dir: str, recover: bool = False):
     """Load every per-shard log in an audit directory."""
     from repro.audit import AuditLog
-    from repro.errors import ConfigurationError
 
     paths = sorted(Path(log_dir).glob("shard*.audit.jsonl"))
     if not paths:
@@ -601,8 +389,6 @@ def _audit_find(logs, request_id: int):
 
 def run_audit(argv: list[str]) -> int:
     """``python -m repro audit <prove|verify|replay|check-chain> ...``."""
-    import json
-
     from repro.audit import (
         InclusionProof,
         load_manifest,
@@ -610,7 +396,6 @@ def run_audit(argv: list[str]) -> int:
         replay_window,
         verify_proof,
     )
-    from repro.errors import ConfigurationError, ReproError
 
     args = _audit_parser().parse_args(argv)
     try:

@@ -24,6 +24,7 @@ from repro.serving.autoscale import (
     AutoscaleEvent,
     ShardAutoscaler,
 )
+from repro.serving.config import PRESETS, ServingConfig
 from repro.serving.metrics import ServerMetrics
 from repro.serving.queue import RequestQueue
 from repro.serving.requests import (
@@ -37,12 +38,7 @@ from repro.serving.requests import (
     ScheduledBatch,
 )
 from repro.serving.scheduler import ShardedBatchScheduler, VirtualBatchScheduler
-from repro.serving.server import (
-    PRESETS,
-    PrivateInferenceServer,
-    ServingConfig,
-    ServingReport,
-)
+from repro.serving.server import PrivateInferenceServer, ServingReport
 from repro.serving.slo import (
     DEFAULT_SLO_CLASS,
     FLUSH_BUDGET_FRACTION,

@@ -35,12 +35,12 @@ import dataclasses
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from repro.audit import AuditConfig, AuditTrail
+from repro.audit import AuditTrail
 from repro.comm import LinkModel
 from repro.enclave import EPC_USABLE_BYTES, Enclave
 from repro.errors import (
@@ -52,11 +52,7 @@ from repro.errors import (
 )
 from repro.gpu import GpuCluster
 from repro.nn import Sequential
-from repro.pipeline.timing import StageCostModel
-from repro.runtime.client import DEFAULT_CODE_IDENTITY
-from repro.runtime.config import DarKnightConfig
 from repro.serving.adaptive import (
-    AdaptiveBatchingConfig,
     AdaptiveFlushPolicy,
     epc_fitting_batch_size,
     estimate_slot_bytes,
@@ -64,9 +60,9 @@ from repro.serving.adaptive import (
 from repro.serving.autoscale import (
     ACTION_SCALE_IN,
     ACTION_SCALE_OUT,
-    AutoscaleConfig,
     ShardAutoscaler,
 )
+from repro.serving.config import ServingConfig
 from repro.serving.metrics import (
     SHED_ADMISSION,
     SHED_EVICTED,
@@ -82,7 +78,6 @@ from repro.serving.requests import (
 )
 from repro.serving.scheduler import ShardedBatchScheduler, VirtualBatchScheduler
 from repro.serving.session import SessionManager, ShardedSessionManager
-from repro.serving.slo import SloClass, SloPolicy
 from repro.serving.trace import TraceRequest
 from repro.serving.unit import ServingUnit
 from repro.serving.worker import InferenceWorkerPool
@@ -97,273 +92,6 @@ from repro.sharding import (
 
 #: Sentinel meaning "run until every queued request has drained".
 _DRAIN = float("inf")
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Everything that parameterises a serving deployment.
-
-    Parameters
-    ----------
-    darknight:
-        The masking/session parameters shared by all tenants (the
-        virtual-batch size ``K`` doubles as the coalescing target, and
-        ``num_shards`` sets how many enclave shards the deployment runs).
-    max_batch_wait:
-        Deadline (simulated seconds) before a partial batch is forced out.
-    queue_capacity:
-        Bound on *admitted-but-incomplete* requests — queued plus in
-        flight behind busy workers, summed over every shard; beyond it
-        the server sheds load, so sustained overload surfaces as shed
-        requests instead of unbounded latency.
-    coalesce:
-        ``False`` dispatches every request alone (the naive baseline the
-        serving benchmark measures against); the enclave still pads each
-        lone sample to ``K`` slots, which is exactly the waste coalescing
-        recovers.
-    reuse_coefficients:
-        Serve from the backend's coefficient cache (inference never needs
-        the training escape hatch of fresh per-step coefficients).
-    encrypt_requests:
-        Run every sample and response through the tenant's AEAD channel.
-    stage_costs:
-        Simulated-time pricing for the pipeline stages.  Batch service
-        times come from each shard's staged executor's real per-stage
-        timings (bytes masked, MACs run) on that shard's persistent
-        enclave/GPU timeline.
-    adaptive:
-        When set, each shard's flush deadline is *learned* (EWMA of
-        inter-arrival gaps, steered by fill-ratio feedback, floored by
-        the measured per-batch enclave occupancy) and the virtual-batch
-        size is clamped to what fits the enclave's EPC budget
-        (:mod:`repro.serving.adaptive`).  ``None`` — the default — keeps
-        the static ``max_batch_wait``/``virtual_batch_size`` knobs and a
-        flush path bit-identical to previous releases.
-    slo:
-        Optional :class:`~repro.serving.slo.SloPolicy` threading
-        per-tenant service classes through the whole request path:
-        class-aware eviction at admission, minimum-remaining-budget
-        flush deadlines, deadline-carrying dispatch windows (pair with
-        ``darknight.stage_ranker="deadline"`` to rank on them),
-        SLO-aware shard placement, and per-class latency metrics.
-        ``None`` — or a policy whose every class is the default — keeps
-        the server bit-identical to previous releases.
-    shard_weights:
-        Optional per-shard capacity weights for heterogeneous
-        deployments (forwarded to the
-        :class:`~repro.sharding.ShardRouter`'s hash ring); ``None``
-        weighs every shard equally.
-    audit:
-        Optional :class:`~repro.audit.AuditConfig` enabling the
-        verifiable serving audit trail: every flush window's requests,
-        integrity posture, and decoded-output digests are committed to a
-        per-shard hash-chained Merkle log
-        (:attr:`PrivateInferenceServer.audit`), from which tenants can
-        extract offline-verifiable inclusion proofs and auditors can
-        deterministically replay disputed windows.  ``None`` — the
-        default — commits nothing and leaves dispatch bit-identical.
-    autoscale:
-        Optional :class:`~repro.serving.autoscale.AutoscaleConfig`
-        enabling elastic membership: the server provisions and
-        decommissions whole serving units (one shard each, or ``N``
-        under ``partition="layered:N"``) at runtime from queue-depth,
-        utilization, and SLO-attainment pressure, between
-        ``min_shards`` and ``max_shards`` physical shards (both must be
-        multiples of ``N``).  ``darknight.num_shards`` becomes the
-        *initial* count (clamped into the bounds).  ``None`` — the
-        default — keeps the static deployment.
-    precompute:
-        Enable the offline/online split on every shard's backend:
-        pregenerated mask streams (drawn from counter-based per-shard
-        RNG streams, so pooled and inline generation are bit-identical),
-        a static per-``(shard, layer)`` weight-encoding cache reused
-        across flush windows, and recycled hot-path scratch buffers.
-        Refills run only in enclave-timeline idle gaps.  ``False`` — the
-        default — keeps the serving path bit-identical to previous
-        releases; ``True`` changes *when* work happens, never the bits
-        of any response.
-    partition:
-        How the model maps onto the deployment's shards.
-        ``"layered:N"`` cuts the execution plan into ``N`` balanced
-        stage ranges and chains every ``N`` consecutive shards into one
-        :class:`~repro.sharding.partition.PipelineGroup`
-        (``num_shards`` must be a multiple of ``N``), with activations
-        handed between members as sealed, mesh-verified envelopes;
-        ``"replicated"`` (the default, every shard runs the full model)
-        is ``layered:1``.  Logits are bit-identical in every mode —
-        per-sample normalization and exact masking make them
-        independent of cut placement — and every mode composes with
-        every other option, ``autoscale`` included.
-    """
-
-    darknight: DarKnightConfig = field(default_factory=DarKnightConfig)
-    max_batch_wait: float = 0.01
-    queue_capacity: int = 256
-    coalesce: bool = True
-    reuse_coefficients: bool = True
-    encrypt_requests: bool = True
-    stage_costs: StageCostModel | None = None
-    code_identity: str = DEFAULT_CODE_IDENTITY
-    adaptive: AdaptiveBatchingConfig | None = None
-    slo: SloPolicy | None = None
-    shard_weights: tuple[float, ...] | None = None
-    audit: AuditConfig | None = None
-    autoscale: AutoscaleConfig | None = None
-    precompute: bool = False
-    partition: str = "replicated"
-
-    # ------------------------------------------------------------------
-    # the unified config surface: dict round-trip + named presets
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Strict-JSON-safe dict covering every sub-config.
-
-        Round-trips through :meth:`from_dict`; infinite SLO budgets are
-        encoded as ``null`` so ``json.dumps(cfg.to_dict(),
-        allow_nan=False)`` always succeeds.
-        """
-
-        def _slo_dict(slo: SloPolicy | None) -> dict | None:
-            if slo is None:
-                return None
-            return {
-                "classes": {
-                    name: {
-                        "name": cls.name,
-                        "latency_budget": (
-                            cls.latency_budget
-                            if math.isfinite(cls.latency_budget)
-                            else None
-                        ),
-                        "priority": cls.priority,
-                        "shed_weight": cls.shed_weight,
-                        "drain_weight": cls.drain_weight,
-                        "admission_share": cls.admission_share,
-                    }
-                    for name, cls in sorted(slo.classes.items())
-                },
-                "assignments": dict(slo.assignments),
-            }
-
-        def _opt_asdict(value) -> dict | None:
-            return None if value is None else dataclasses.asdict(value)
-
-        return {
-            "darknight": dataclasses.asdict(self.darknight),
-            "max_batch_wait": self.max_batch_wait,
-            "queue_capacity": self.queue_capacity,
-            "coalesce": self.coalesce,
-            "reuse_coefficients": self.reuse_coefficients,
-            "encrypt_requests": self.encrypt_requests,
-            "stage_costs": _opt_asdict(self.stage_costs),
-            "code_identity": self.code_identity,
-            "adaptive": _opt_asdict(self.adaptive),
-            "slo": _slo_dict(self.slo),
-            "shard_weights": (
-                None if self.shard_weights is None else list(self.shard_weights)
-            ),
-            "audit": _opt_asdict(self.audit),
-            "autoscale": _opt_asdict(self.autoscale),
-            "precompute": self.precompute,
-            "partition": self.partition,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingConfig":
-        """Rebuild a config (all five sub-configs) from :meth:`to_dict`.
-
-        Unknown keys raise :class:`~repro.errors.ConfigurationError`
-        rather than being silently dropped — a typo in a ``--config``
-        file must not quietly serve with defaults.
-        """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"serving config must be a dict, got {type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown serving config keys {unknown} (known: {sorted(known)})"
-            )
-        kwargs = dict(data)
-
-        def _build(key, factory):
-            value = kwargs.get(key)
-            if isinstance(value, dict):
-                try:
-                    kwargs[key] = factory(value)
-                except TypeError as exc:
-                    raise ConfigurationError(
-                        f"bad serving config: {key}: {exc}"
-                    ) from exc
-
-        _build("darknight", lambda d: DarKnightConfig(**d))
-        _build("stage_costs", lambda d: StageCostModel(**d))
-        _build("adaptive", lambda d: AdaptiveBatchingConfig(**d))
-        _build("audit", lambda d: AuditConfig(**d))
-        _build("autoscale", lambda d: AutoscaleConfig(**d))
-
-        slo = kwargs.get("slo")
-        if isinstance(slo, dict):
-            classes = {}
-            for name, spec in slo.get("classes", {}).items():
-                spec = dict(spec)
-                spec.setdefault("name", name)
-                if spec.get("latency_budget") is None:
-                    spec["latency_budget"] = math.inf
-                try:
-                    classes[name] = SloClass(**spec)
-                except TypeError as exc:
-                    raise ConfigurationError(
-                        f"bad serving config: slo class {name!r}: {exc}"
-                    ) from exc
-            kwargs["slo"] = SloPolicy(
-                classes=classes, assignments=dict(slo.get("assignments", {}))
-            )
-        weights = kwargs.get("shard_weights")
-        if weights is not None:
-            kwargs["shard_weights"] = tuple(float(w) for w in weights)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad serving config: {exc}") from exc
-
-    @classmethod
-    def preset(cls, name: str, **overrides) -> "ServingConfig":
-        """A named starting point: ``latency``, ``throughput``, ``audited``.
-
-        ``latency`` learns per-shard flush deadlines with a tight static
-        ceiling and a 2-deep pipeline; ``throughput`` doubles ``K`` and
-        relaxes the deadline so size triggers dominate; ``audited`` turns
-        on integrity shares plus the verifiable audit trail.  Keyword
-        ``overrides`` replace any top-level field after the preset.
-        """
-        if name == "latency":
-            base = cls(
-                darknight=DarKnightConfig(pipeline_depth=2),
-                max_batch_wait=2e-3,
-                adaptive=AdaptiveBatchingConfig(),
-            )
-        elif name == "throughput":
-            base = cls(
-                darknight=DarKnightConfig(virtual_batch_size=8, pipeline_depth=2),
-                max_batch_wait=2e-2,
-            )
-        elif name == "audited":
-            base = cls(
-                darknight=DarKnightConfig(integrity=True),
-                audit=AuditConfig(),
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown serving preset {name!r} (available: {list(PRESETS)})"
-            )
-        return dataclasses.replace(base, **overrides) if overrides else base
-
-
-#: Names :meth:`ServingConfig.preset` accepts.
-PRESETS = ("latency", "throughput", "audited")
 
 
 @dataclass

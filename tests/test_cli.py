@@ -1,10 +1,25 @@
-"""Smoke tests for the ``python -m repro`` command-line entry points."""
+"""Smoke tests for the ``python -m repro`` command-line entry points.
 
+``serve`` takes trace flags plus ``--config``/``--set``: the deployment is
+a :class:`~repro.serving.ServingConfig`, and nothing about its layout (or
+its rules) may live in the CLI.
+"""
+
+import dataclasses
+import json
 import runpy
 
 import pytest
 
-from repro.cli import main, parse_seed_flag
+from repro.cli import _serve_parser, _serving_config, main, parse_seed_flag
+from repro.pipeline.timing import StageCostModel
+from repro.runtime import DarKnightConfig
+from repro.serving import (
+    AdaptiveBatchingConfig,
+    AuditConfig,
+    AutoscaleConfig,
+    ServingConfig,
+)
 
 
 def test_module_entry_point_prints_report(capsys):
@@ -25,7 +40,7 @@ def test_serve_subcommand_smoke(capsys):
             "--model", "tiny",
             "--requests", "16",
             "--tenants", "2",
-            "--virtual-batch", "4",
+            "--set", "darknight.virtual_batch_size=4",
             "--seed", "0",
         ]
     )
@@ -39,7 +54,10 @@ def test_serve_subcommand_smoke(capsys):
 
 def test_serve_subcommand_with_integrity(capsys):
     rc = main(
-        ["serve", "--model", "tiny", "--requests", "8", "--integrity", "--seed", "1"]
+        [
+            "serve", "--model", "tiny", "--requests", "8",
+            "--set", "darknight.integrity=true", "--seed", "1",
+        ]
     )
     assert rc == 0
     out = capsys.readouterr().out
@@ -48,14 +66,14 @@ def test_serve_subcommand_with_integrity(capsys):
 
 
 def test_serve_subcommand_with_pipeline_depth(capsys):
-    """--pipeline-depth threads to the staged executor and serves cleanly."""
+    """darknight.pipeline_depth threads to the staged executor and serves cleanly."""
     rc = main(
         [
             "serve",
             "--model", "tiny",
             "--requests", "16",
             "--tenants", "2",
-            "--pipeline-depth", "3",
+            "--set", "darknight.pipeline_depth=3",
             "--seed", "0",
         ]
     )
@@ -66,10 +84,10 @@ def test_serve_subcommand_with_pipeline_depth(capsys):
 
 
 def test_serve_rejects_pipeline_depth_below_one(capsys):
-    rc = main(["serve", "--model", "tiny", "--pipeline-depth", "0"])
+    rc = main(["serve", "--model", "tiny", "--set", "darknight.pipeline_depth=0"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "--pipeline-depth must be >= 1" in err
+    assert "pipeline depth must be >= 1" in err
 
 
 def test_pipelined_serve_completes_the_same_trace(capsys):
@@ -87,7 +105,7 @@ def test_pipelined_serve_completes_the_same_trace(capsys):
                 "serve",
                 "--model", "tiny",
                 "--requests", "12",
-                "--pipeline-depth", depth,
+                "--set", f"darknight.pipeline_depth={depth}",
                 "--seed", "4",
             ]
         )
@@ -100,14 +118,14 @@ def test_pipelined_serve_completes_the_same_trace(capsys):
 
 
 def test_serve_subcommand_with_shards(capsys):
-    """--num-shards provisions parallel enclave shards and serves cleanly."""
+    """darknight.num_shards provisions parallel enclave shards and serves cleanly."""
     rc = main(
         [
             "serve",
             "--model", "tiny",
             "--requests", "16",
             "--tenants", "4",
-            "--num-shards", "2",
+            "--set", "darknight.num_shards=2",
             "--seed", "0",
         ]
     )
@@ -119,49 +137,14 @@ def test_serve_subcommand_with_shards(capsys):
 
 
 def test_serve_rejects_num_shards_below_one(capsys):
-    rc = main(["serve", "--model", "tiny", "--num-shards", "0"])
+    rc = main(["serve", "--model", "tiny", "--set", "darknight.num_shards=0"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "--num-shards must be >= 1" in err
-
-
-def test_serve_rejects_gpu_budget_too_small_for_shards(capsys):
-    """K=4, M=1 -> 5 GPUs/shard; 2 shards need 10, a budget of 8 must fail
-    with a clear error instead of a deep traceback."""
-    rc = main(
-        [
-            "serve",
-            "--model", "tiny",
-            "--num-shards", "2",
-            "--virtual-batch", "4",
-            "--gpus", "8",
-        ]
-    )
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
-    assert "--gpus 8 cannot host 2 shard(s)" in err
-    assert "10 total" in err
-
-
-def test_serve_accepts_sufficient_gpu_budget(capsys):
-    rc = main(
-        [
-            "serve",
-            "--model", "tiny",
-            "--requests", "8",
-            "--num-shards", "2",
-            "--virtual-batch", "4",
-            "--gpus", "10",
-            "--seed", "0",
-        ]
-    )
-    assert rc == 0
-    assert "completed requests  | 8" in capsys.readouterr().out
+    assert "num shards must be >= 1" in err
 
 
 def test_serve_rejects_bad_virtual_batch_cleanly(capsys):
-    rc = main(["serve", "--model", "tiny", "--virtual-batch", "0"])
+    rc = main(["serve", "--model", "tiny", "--set", "darknight.virtual_batch_size=0"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -193,7 +176,7 @@ def test_serve_subcommand_with_slo_classes(capsys):
             "serve", "--model", "tiny", "--requests", "24",
             "--slo-budget", "premium=5",
             "--slo-class", "tenant0=premium",
-            "--stage-ranker", "deadline",
+            "--set", "darknight.stage_ranker=deadline",
         ]
     )
     assert rc == 0
@@ -219,9 +202,11 @@ def test_serve_rejects_malformed_slo_flags(capsys):
 
 
 def test_serve_rejects_deadline_ranker_without_slo(capsys):
-    rc = main(["serve", "--model", "tiny", "--stage-ranker", "deadline"])
+    """A ServingConfig rule, worded in field names — not a CLI refusal."""
+    rc = main(["serve", "--model", "tiny", "--set", "darknight.stage_ranker=deadline"])
     assert rc == 2
-    assert "--slo-budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "darknight.stage_ranker='deadline'" in err and "slo" in err
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +219,10 @@ def _audited_serve(tmp_path, capsys, n=12):
             "--model", "tiny",
             "--requests", str(n),
             "--tenants", "3",
-            "--virtual-batch", "4",
-            "--num-shards", "2",
+            "--set", "darknight.virtual_batch_size=4",
+            "--set", "darknight.num_shards=2",
             "--seed", "0",
-            "--audit-log", str(tmp_path),
+            "--set", f"audit.log_dir={tmp_path}",
         ]
     )
     assert rc == 0
@@ -289,6 +274,8 @@ def test_prove_then_verify_roundtrip_and_tamper(tmp_path, capsys):
 
 def test_audit_replay_matches_committed_digests(tmp_path, capsys):
     _audited_serve(tmp_path, capsys)
+    # No audit.model was set: the manifest names the model --model served.
+    assert json.loads((tmp_path / "manifest.json").read_text())["model"] == "tiny"
     rc = main(
         ["audit", "replay", "--log-dir", str(tmp_path), "--request-id", "3"]
     )
@@ -329,22 +316,18 @@ def test_audit_empty_dir_errors_cleanly(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# the unified config surface (--config) and elastic serving (--autoscale)
+# the unified config surface: --config, --set, and what from_dict refuses
 # ----------------------------------------------------------------------
 def test_serve_with_config_preset(capsys):
     rc = main(["serve", "--config", "throughput", "--requests", "16", "--seed", "0"])
     assert rc == 0
     out = capsys.readouterr().out
-    # The preset's K=8 took effect without any per-field flag.
+    # The preset's K=8 took effect with nothing else said.
     assert "coalesced K=8" in out
     assert "completed requests  | 16" in out
 
 
 def test_serve_with_config_file_round_trips(tmp_path, capsys):
-    import json
-
-    from repro.serving import ServingConfig
-
     cfg = ServingConfig.preset("latency")
     path = tmp_path / "serving.json"
     path.write_text(json.dumps(cfg.to_dict()))
@@ -371,24 +354,19 @@ def test_serve_flags_override_the_config_they_are_given_with(capsys, recwarn):
         [
             "serve",
             "--config", "throughput",
-            "--virtual-batch", "2",
+            "--set", "darknight.virtual_batch_size=2",
             "--requests", "8",
             "--seed", "0",
         ]
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "coalesced K=2" in out  # the flag beat the preset's K=8 ...
+    assert "coalesced K=2" in out  # --set beat the preset's K=8 ...
     assert "pipeline depth 2" in out  # ... and only the field it names
     assert not recwarn.list  # a plain override, nothing deprecated about it
 
 
 def test_serve_flags_not_given_leave_a_config_file_alone(tmp_path, capsys):
-    import json
-
-    from repro.runtime import DarKnightConfig
-    from repro.serving import ServingConfig
-
     cfg = ServingConfig(
         darknight=DarKnightConfig(virtual_batch_size=2, integrity=True, num_shards=2),
         coalesce=False,
@@ -396,10 +374,12 @@ def test_serve_flags_not_given_leave_a_config_file_alone(tmp_path, capsys):
     )
     path = tmp_path / "serving.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    rc = main(["serve", "--config", str(path), "--requests", "8", "--num-shards", "1"])
+    rc = main(
+        ["serve", "--config", str(path), "--requests", "8", "--set", "darknight.num_shards=1"]
+    )
     assert rc == 0
     out = capsys.readouterr().out
-    # Every line of the file survives except the one field a flag named.
+    # Every line of the file survives except the one field --set named.
     assert "per-request, integrity=on" in out
     assert "1 shard(s)" in out
     assert "completed requests  | 8" in out
@@ -409,6 +389,10 @@ def test_serve_flags_not_given_leave_a_config_file_alone(tmp_path, capsys):
     assert "unknown serving config keys ['n_workers']" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["serve", "--requests", "8", "--workers", "3"])
+    # The flags that used to mirror config fields are gone, not deprecated.
+    for flag in (["--integrity"], ["--num-shards", "2"], ["--gpus", "8"], ["--audit-log", "x"]):
+        with pytest.raises(SystemExit):
+            main(["serve", "--requests", "8", *flag])
 
 
 def test_serve_autoscale_smoke(capsys):
@@ -417,8 +401,7 @@ def test_serve_autoscale_smoke(capsys):
             "serve",
             "--requests", "48",
             "--rate", "20000",
-            "--autoscale",
-            "--max-shards", "3",
+            "--set", "autoscale.max_shards=3",
             "--seed", "0",
         ]
     )
@@ -430,7 +413,146 @@ def test_serve_autoscale_smoke(capsys):
     assert "shard-seconds" in out
 
 
-def test_serve_autoscale_knobs_require_autoscale(capsys):
-    rc = main(["serve", "--requests", "4", "--min-shards", "2"])
-    assert rc == 2
-    assert "--autoscale" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "section",
+    [
+        '{"darknight": null}',
+        '{"adaptive": [1]}',
+        '{"audit": true}',
+        '{"slo": "premium"}',
+        '{"shard_weights": "ab"}',
+        '{"partition": 2}',
+        '["not", "an", "object"]',
+    ],
+)
+def test_serve_refuses_a_mistyped_section_at_the_door(tmp_path, capsys, section):
+    """Exit 2 with one ``error:`` line — never a traceback, never served."""
+    path = tmp_path / "bad.json"
+    path.write_text(section)
+    for extra in ([], ["--set", "queue_capacity=8"]):
+        assert main(["serve", "--config", str(path), "--requests", "4", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad serving config: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_serve_config_serves_what_the_library_serves(tmp_path, capsys):
+    """An EPC budget sizes every enclave's EPC model, adaptive or not."""
+    path = tmp_path / "epc.json"
+    path.write_text('{"darknight": {"epc_budget_bytes": 50000000}}')
+    assert main(["serve", "--config", str(path), "--requests", "8"]) == 0
+    assert "completed requests  | 8" in capsys.readouterr().out
+
+
+def _configured(*argv) -> ServingConfig:
+    return _serving_config(_serve_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize(
+    "section,cls,name,value",
+    [
+        ("darknight", DarKnightConfig, "virtual_batch_size", 6),
+        ("darknight", DarKnightConfig, "integrity", True),
+        ("darknight", DarKnightConfig, "epc_budget_bytes", 4096),
+        ("stage_costs", StageCostModel, "stage_overhead", 0.5),
+        ("adaptive", AdaptiveBatchingConfig, "target_fill", 0.9),
+        ("audit", AuditConfig, "log_dir", "some/dir"),
+        ("autoscale", AutoscaleConfig, "max_shards", 6),
+        (None, ServingConfig, "partition", "layered:2"),
+        (None, ServingConfig, "coalesce", False),
+        (None, ServingConfig, "shard_weights", (2.0, 1.0)),
+    ],
+)
+def test_set_is_dataclasses_replace_on_the_same_field(section, cls, name, value):
+    base = ServingConfig.preset("latency")
+    spelled = value if isinstance(value, str) else json.dumps(value)
+    path = name if section is None else f"{section}.{name}"
+    if section is None:
+        expected = dataclasses.replace(base, **{name: value})
+    else:
+        # Setting a field of an absent section creates the section.
+        current = getattr(base, section) or cls()
+        expected = dataclasses.replace(
+            base, **{section: dataclasses.replace(current, **{name: value})}
+        )
+    assert _configured("--config", "latency", "--set", f"{path}={spelled}") == expected
+
+
+def test_set_applies_in_order_and_null_removes_a_section():
+    assert _configured("--set", "adaptive={}").adaptive == AdaptiveBatchingConfig()
+    assert _configured("--config", "latency", "--set", "adaptive=null").adaptive is None
+    cfg = _configured(
+        "--set", "adaptive.target_fill=0.5", "--set", "adaptive=null",
+        "--set", "adaptive.min_wait=0.001",
+    )
+    assert cfg.adaptive == AdaptiveBatchingConfig(min_wait=0.001)
+
+
+def test_presets_can_be_switched_off(capsys):
+    rc = main(
+        ["serve", "--config", "audited", "--requests", "8", "--set", "darknight.integrity=false"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0 and "integrity=off" in out and "audit chain heads" in out
+    rc = main(["serve", "--config", "latency", "--requests", "8", "--set", "adaptive=null"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "coalesced K=4" in out and "adaptive" not in out
+
+
+@pytest.mark.parametrize(
+    "assignment,needle",
+    [
+        ("darknight.typo=1", "['typo'] in darknight"),
+        ("adaptive.target_fill.x=1", "adaptive.target_fill: expected"),
+        ("no_such_section.field=1", "['no_such_section']"),
+        ("darknight.integrity=yes", "darknight.integrity: expected"),
+        ("darknight.integrity", "expects key=value"),
+    ],
+)
+def test_set_cannot_reach_what_the_layout_does_not_have(capsys, assignment, needle):
+    assert main(["serve", "--requests", "4", "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+
+
+def test_serve_parser_mirrors_no_config_field():
+    """The mirror cannot grow back: a deployment field is reached by --set.
+
+    ``--model`` and ``--seed`` name the *trace* (which network the requests
+    are for, which stream they are drawn from); ``audit.model`` and
+    ``darknight.seed`` default from them, not the other way round.
+    """
+    sections = (
+        ServingConfig, DarKnightConfig, AdaptiveBatchingConfig,
+        AutoscaleConfig, AuditConfig, StageCostModel,
+    )
+    fields = {
+        "--" + f.name.replace("_", "-") for cls in sections for f in dataclasses.fields(cls)
+    }
+    options = {
+        opt for action in _serve_parser()._actions for opt in action.option_strings
+    } - {"-h", "--help"}
+    assert options & fields == {"--model", "--seed"}
+    assert len(options) <= 9
+
+
+def test_the_composed_example_is_the_deployment_the_ruler_measures(capsys):
+    """examples/configs/composed.json == bench-e2e's serve-resnet-composed."""
+    from pathlib import Path
+
+    path = Path(__file__).parent.parent / "examples" / "configs" / "composed.json"
+    assert _configured("--config", str(path)) == ServingConfig(
+        darknight=DarKnightConfig(
+            virtual_batch_size=4, integrity=True, num_shards=4, pipeline_depth=2
+        ),
+        partition="layered:2",
+        precompute=True,
+        audit=AuditConfig(),
+    )
+    rc = main(
+        ["serve", "--model", "mini-resnet", "--config", str(path), "--requests", "16"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "partition layered:2" in out and "precompute:" in out and "audit chain heads" in out

@@ -361,27 +361,18 @@ def test_server_clamps_provisioned_k_to_the_epc_budget():
 def test_cli_adaptive_flags():
     from repro.cli import main
 
-    assert main(["serve", "--requests", "16", "--adaptive-batching"]) == 0
+    assert main(["serve", "--requests", "16", "--set", "adaptive={}"]) == 0
     assert (
         main(
             [
-                "serve", "--requests", "16", "--adaptive-batching",
-                "--target-fill", "0.9", "--epc-budget", "4096",
+                "serve", "--requests", "16", "--set", "adaptive.target_fill=0.9",
+                "--set", "darknight.epc_budget_bytes=4096",
             ]
         )
         == 0
     )
-    # Adaptive-only flags without --adaptive-batching are config errors —
-    # even at their default values.
-    assert main(["serve", "--requests", "8", "--target-fill", "0.85"]) == 2
-    assert main(["serve", "--requests", "8", "--epc-budget", "4096"]) == 2
-    # Invalid EPC budget surfaces as a clean error, not a traceback.
-    assert (
-        main(
-            [
-                "serve", "--requests", "8", "--adaptive-batching",
-                "--epc-budget", "-1",
-            ]
-        )
-        == 2
-    )
+    # The EPC budget is the enclave's, with or without adaptive batching.
+    assert main(["serve", "--requests", "8", "--set", "darknight.epc_budget_bytes=4096"]) == 0
+    # Invalid values surface as a clean error, not a traceback.
+    assert main(["serve", "--requests", "8", "--set", "darknight.epc_budget_bytes=-1"]) == 2
+    assert main(["serve", "--requests", "8", "--set", "adaptive.target_fill=1.5"]) == 2
