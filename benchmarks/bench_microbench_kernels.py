@@ -31,7 +31,15 @@ import pytest
 
 from repro.cli import build_serving_model
 from repro.enclave import ByteStream, Enclave
-from repro.fieldmath import FieldRng, PrimeField, PublicOperand, field_matmul
+from repro.fieldmath import (
+    FieldRng,
+    GenericBackend,
+    LimbBackend,
+    PrimeField,
+    PublicOperand,
+    field_matmul,
+    linalg,
+)
 from repro.gpu import FieldKernels, GpuCluster, ShareLaunch
 from repro.gpu.faults import FaultInjector
 from repro.masking import (
@@ -51,6 +59,12 @@ from repro.serving import SessionManager
 
 FIELD = PrimeField()
 RNG = FieldRng(FIELD, seed=0)
+GENERIC = GenericBackend()
+#: The enclave-side products (encode, decode) timed on either backend.
+EACH_BACKEND = [
+    pytest.param(GenericBackend, id="generic"),
+    pytest.param(LimbBackend, id="limb"),
+]
 N = 96
 N_BIG = 256
 
@@ -80,15 +94,16 @@ def test_float_matmul_reference_speed(benchmark, operands):
 
 def test_field_matmul_generic_speed_n256(benchmark, big_operands):
     a, b = big_operands
-    result = benchmark(lambda: field_matmul(FIELD, a, b, backend="generic"))
+    result = benchmark(lambda: field_matmul(FIELD, a, b, backend=GENERIC))
     assert result.shape == (N_BIG, N_BIG)
 
 
 def test_field_matmul_limb_speed_n256(benchmark, big_operands):
     a, b = big_operands
-    result = benchmark(lambda: field_matmul(FIELD, a, b, backend="limb"))
+    limb = LimbBackend()
+    result = benchmark(lambda: field_matmul(FIELD, a, b, backend=limb))
     assert result.shape == (N_BIG, N_BIG)
-    assert np.array_equal(result, field_matmul(FIELD, a, b, backend="generic"))
+    assert np.array_equal(result, field_matmul(FIELD, a, b, backend=GENERIC))
 
 
 def test_float_matmul_reference_speed_n256(benchmark, big_operands):
@@ -103,7 +118,7 @@ def test_small_contraction_matmul_speed(benchmark):
     decode, ``Σβ·δ`` combine and ``γ``-decode: one unsplit float64 GEMM."""
     a, b = RNG.uniform((5, 5)), RNG.uniform((5, 512))
     result = benchmark(lambda: field_matmul(FIELD, a, b))
-    assert np.array_equal(result, field_matmul(FIELD, a, b, backend="generic"))
+    assert np.array_equal(result, field_matmul(FIELD, a, b, backend=GENERIC))
 
 
 def _best_of(fn, reps):
@@ -124,48 +139,43 @@ def test_limb_backend_speedup_acceptance(big_operands, quick):
     """
     a, b = big_operands
     reps = 3 if quick else 5
-    generic = _best_of(lambda: field_matmul(FIELD, a, b, backend="generic"), reps)
-    limb = _best_of(lambda: field_matmul(FIELD, a, b, backend="limb"), reps)
+    generic = _best_of(lambda: field_matmul(FIELD, a, b, backend=GENERIC), reps)
+    backend = LimbBackend()
+    limb = _best_of(lambda: field_matmul(FIELD, a, b, backend=backend), reps)
     speedup = generic / limb
     print(f"\nfield_matmul N={N_BIG}: generic {generic * 1e3:.2f}ms,"
           f" limb {limb * 1e3:.2f}ms, speedup {speedup:.1f}x")
     assert speedup >= 3.0
 
 
-@pytest.mark.parametrize("backend", ["generic", "limb"])
-def test_forward_encode_speed(benchmark, backend):
-    from repro.fieldmath import use_backend
-
+@pytest.mark.parametrize("backend", EACH_BACKEND)
+def test_forward_encode_speed(benchmark, backend, monkeypatch):
     coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
     encoder = ForwardEncoder(coeffs, RNG)
     x = RNG.uniform((4, 3, 32, 32))
-    with use_backend(backend):
-        batch = benchmark(lambda: encoder.encode(x))
+    monkeypatch.setattr(linalg, "_ENCLAVE_BACKEND", backend())
+    batch = benchmark(lambda: encoder.encode(x))
     assert batch.shares.shape[0] == 6
 
 
-@pytest.mark.parametrize("backend", ["generic", "limb"])
-def test_forward_decode_speed(benchmark, backend):
-    from repro.fieldmath import use_backend
-
+@pytest.mark.parametrize("backend", EACH_BACKEND)
+def test_forward_decode_speed(benchmark, backend, monkeypatch):
     coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
     decoder = ForwardDecoder(coeffs)
     outputs = RNG.uniform((6, 3, 32, 32))
-    with use_backend(backend):
-        decoded = benchmark(lambda: decoder.decode(outputs))
+    monkeypatch.setattr(linalg, "_ENCLAVE_BACKEND", backend())
+    decoded = benchmark(lambda: decoder.decode(outputs))
     assert decoded.shape == (4, 3, 32, 32)
 
 
-@pytest.mark.parametrize("backend", ["generic", "limb"])
-def test_backward_decode_many_speed(benchmark, backend):
+@pytest.mark.parametrize("backend", EACH_BACKEND)
+def test_backward_decode_many_speed(benchmark, backend, monkeypatch):
     """Batched gamma decode: R equation sets in one GEMM (bit-checked)."""
-    from repro.fieldmath import use_backend
-
     coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
     decoder = BackwardDecoder(coeffs)
     equations = RNG.uniform((16, coeffs.n_shares, 64, 64))
-    with use_backend(backend):
-        decoded = benchmark(lambda: decoder.decode_many(equations))
+    monkeypatch.setattr(linalg, "_ENCLAVE_BACKEND", backend())
+    decoded = benchmark(lambda: decoder.decode_many(equations))
     assert decoded.shape == (16, 64, 64)
     loop = np.stack([decoder.decode(eq) for eq in equations])
     assert np.array_equal(decoded, loop)
@@ -297,15 +307,12 @@ def test_forward_encode_hot_path_speed(benchmark, scratch):
     cost more than the (freelist-cheap) small allocations they avoid;
     at layer sizes the reuse wins (~1.2x encode, ~1.8x decode).
     """
-    from repro.fieldmath import use_backend
-
     coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
     encoder = ForwardEncoder(coeffs, RNG)
     x = RNG.uniform((4, 3, 64, 64))
     previous = enable_scratch(scratch == "scratch")
     try:
-        with use_backend("limb"):
-            batch = benchmark(lambda: encoder.encode(x))
+        batch = benchmark(lambda: encoder.encode(x))
     finally:
         enable_scratch(previous)
     assert batch.shares.shape[0] == 6
@@ -314,16 +321,13 @@ def test_forward_encode_hot_path_speed(benchmark, scratch):
 @pytest.mark.parametrize("scratch", ["alloc", "scratch"])
 def test_forward_decode_hot_path_speed(benchmark, scratch):
     """Decode at serving steady state: scratch reuse vs fresh allocation."""
-    from repro.fieldmath import use_backend
-
     coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
     decoder = ForwardDecoder(coeffs)
     outputs = RNG.uniform((6, 3, 64, 64))
     previous = enable_scratch(scratch == "scratch")
     try:
-        with use_backend("limb"):
-            reference = decoder.decode(outputs)
-            decoded = benchmark(lambda: decoder.decode(outputs))
+        reference = decoder.decode(outputs)
+        decoded = benchmark(lambda: decoder.decode(outputs))
     finally:
         enable_scratch(previous)
     assert decoded.shape == (4, 3, 64, 64)
@@ -365,7 +369,7 @@ def resnet_conv_cluster():
 
 
 def _oracle_matmul(a, b):
-    return field_matmul(FIELD, a, b, backend="generic")
+    return field_matmul(FIELD, a, b, backend=GENERIC)
 
 
 def test_cluster_forward_launch_speed(benchmark, resnet_conv_cluster):
@@ -467,7 +471,7 @@ def test_public_gemm_speed(benchmark, public_gemm_cases):
     for kind, x, w, public, stride, pad in cases:
         assert np.array_equal(
             _public_tier(kernels, kind, x, w, public, stride, pad),
-            _limb_tier(FieldKernels(FIELD, backend="generic"), kind, x, w, stride, pad),
+            _limb_tier(FieldKernels(FIELD, GENERIC), kind, x, w, stride, pad),
         )
 
     def launches():

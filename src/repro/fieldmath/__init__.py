@@ -8,20 +8,22 @@ The public surface of this subpackage is:
   :func:`~repro.fieldmath.linalg.field_matmul_public` and friends —
   overflow-safe matrix algebra mod ``p``;
 * :class:`~repro.fieldmath.random.FieldRng` — seeded mask/coefficient sampling;
-* :mod:`~repro.fieldmath.kernels` — pluggable field-op backends (the default
-  ``"limb"`` backend runs ``field_matmul`` as float64 BLAS GEMMs over 13-bit
-  limbs with Barrett reduction, bit-identical to the ``"generic"`` oracle;
-  a :class:`~repro.fieldmath.kernels.PublicOperand` of small centred
-  magnitude contracts in one GEMM).
+* :mod:`~repro.fieldmath.kernels` — the field-op backends, objects their
+  owner holds: :class:`LimbBackend` runs ``field_matmul`` as float64 BLAS
+  GEMMs over 13-bit limbs with Barrett reduction, bit-identical to the
+  :class:`GenericBackend` oracle, and a
+  :class:`~repro.fieldmath.kernels.PublicOperand` of small centred
+  magnitude contracts in one GEMM.  Each GPU cluster owns a limb backend;
+  a product called without one runs on the enclave's; pass
+  ``GenericBackend()`` for the oracle.
 """
 
 from repro.fieldmath.kernels import (
+    SAFE_ACCUMULATION,
     BarrettReducer,
+    GenericBackend,
+    LimbBackend,
     PublicOperand,
-    default_backend_name,
-    get_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.fieldmath.linalg import (
     all_column_subsets_full_rank,
@@ -36,7 +38,7 @@ from repro.fieldmath.linalg import (
     solve,
     vandermonde,
 )
-from repro.fieldmath.prime import DEFAULT_PRIME, SAFE_ACCUMULATION, PrimeField
+from repro.fieldmath.prime import DEFAULT_PRIME, PrimeField
 from repro.fieldmath.random import FieldRng
 
 __all__ = [
@@ -56,9 +58,7 @@ __all__ = [
     "vandermonde",
     "all_column_subsets_full_rank",
     "BarrettReducer",
+    "GenericBackend",
+    "LimbBackend",
     "PublicOperand",
-    "default_backend_name",
-    "get_backend",
-    "set_default_backend",
-    "use_backend",
 ]

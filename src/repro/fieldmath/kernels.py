@@ -1,4 +1,4 @@
-"""Pluggable field-op backends: BLAS-backed limb GEMM + Barrett reduction.
+"""Field-op backends: BLAS-backed limb GEMM + Barrett reduction.
 
 ``np.matmul`` on ``int64`` never dispatches to BLAS — numpy runs a generic
 C loop — so the chunked reduction in :func:`repro.fieldmath.linalg.field_matmul`
@@ -56,24 +56,30 @@ uses the division-free conditional-correction forms for add/sub/mul.)
 grow-only workspace it owns, so a product allocates nothing but its int64
 result (see :class:`LimbBackend` for why that matters at stacked sizes).
 
-The generic backend is kept as the oracle: every fast kernel is
-property-tested bit-identical against it (``tests/test_fieldmath_kernels``),
-and it has no float tier at all — under it no product takes a float path.
-Select a backend per call (``field_matmul(..., backend=...)``) or
-lexically (:func:`use_backend`); nothing in the runtime moves the process
-default (:func:`set_default_backend`) off ``"limb"``.
+**Ownership.**  A backend is an object its owner holds, never a name or
+a process setting: each :class:`repro.gpu.FieldKernels` (so each GPU
+cluster) builds its own :class:`LimbBackend`, and the enclave-side
+products share one private to :mod:`repro.fieldmath.linalg`, so no two
+owners write one workspace.  :class:`GenericBackend` is the oracle: every
+fast kernel is property-tested bit-identical against it
+(``tests/test_fieldmath_kernels``), and it has no float tier at all — pass
+``GenericBackend()`` where a backend is taken and no product takes a float
+path.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import FieldError
+
+#: Maximum number of p^2-bounded products that can be summed in int64
+#: without overflow: floor(2**63 / p**2) with a 2x safety margin.
+SAFE_ACCUMULATION = 4096
 
 #: Limb geometry: 13-bit limbs cover any modulus below 2**26.
 LIMB_BITS = 13
@@ -213,34 +219,31 @@ class GenericBackend:
 
     A single field product is below ``p**2 < 2**62``; summing more than
     ``floor(2**63 / p**2)`` of them can overflow int64, so the contraction
-    axis is split into ``chunk``-sized blocks, each partial reduced mod
-    ``p`` and the (now ``< p``) partials accumulated and reduced again.
-    Exact for any ``p < 2**31``, any shape — and therefore the reference
-    every fast path is property-tested against.  It has no float path:
-    ``a_float`` is ignored and :meth:`matmul_public` declines every product.
+    axis is split into :data:`SAFE_ACCUMULATION`-sized blocks, each partial
+    reduced mod ``p`` and the (now ``< p``) partials accumulated and
+    reduced again.  Exact for any ``p < 2**31``, any shape — and therefore
+    the reference every fast path is property-tested against.  It has no
+    float path: ``a_float`` is ignored and :meth:`matmul_public` declines
+    every product.
     """
 
-    name = "generic"
-
-    def matmul(
-        self, field, a: np.ndarray, b: np.ndarray, chunk: int, a_float=None
-    ) -> np.ndarray:
+    def matmul(self, field, a: np.ndarray, b: np.ndarray, a_float=None) -> np.ndarray:
         n = a.shape[-1]
         out_shape = a.shape[:-1] + b.shape[1:]
         result = np.zeros(out_shape, dtype=np.int64)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
+        for start in range(0, n, SAFE_ACCUMULATION):
+            stop = min(start + SAFE_ACCUMULATION, n)
             partial = np.matmul(a[..., start:stop], b[start:stop])
             result += np.mod(partial, field.p)
         return np.mod(result, field.p)
 
     def matmul_stacked(
-        self, field, a: np.ndarray, b: np.ndarray, chunk: int, a_float=None
+        self, field, a: np.ndarray, b: np.ndarray, a_float=None
     ) -> np.ndarray:
         """Per-slice oracle: ``out[s] = (a[s] @ b[s]) mod p``."""
         out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
         for s in range(a.shape[0]):
-            out[s] = self.matmul(field, a[s], b[s], chunk)
+            out[s] = self.matmul(field, a[s], b[s])
         return out
 
     def matmul_public(
@@ -284,8 +287,6 @@ class LimbBackend:
     not a round of slicing.
     """
 
-    name = "limb"
-
     #: Operand geometries whose workspace views are remembered before the
     #: memo starts over (shape churn past this is not a steady state).
     MAX_REMEMBERED_GEOMETRIES = 256
@@ -325,16 +326,14 @@ class LimbBackend:
             for cap, (bound, kernel) in zip(self._caps, kernels)
         )
 
-    def matmul(
-        self, field, a: np.ndarray, b: np.ndarray, chunk: int, a_float=None
-    ) -> np.ndarray:
+    def matmul(self, field, a: np.ndarray, b: np.ndarray, a_float=None) -> np.ndarray:
         """``(a @ b) mod p``; ``a_float``, when given, is ``a`` as float64
         (equal values, any layout), which the unsplit tier reads instead of
         converting ``a`` — the other tiers split integers and ignore it."""
         k = a.shape[-1]
         kernel = None if b.ndim > 2 else self._kernel_for(field.p, k)
         if kernel is None:
-            return self._generic.matmul(field, a, b, chunk)
+            return self._generic.matmul(field, a, b)
         out_shape = a.shape[:-1] + b.shape[1:]
         if a_float is not None:
             a_float = a_float.reshape(-1, k)
@@ -342,13 +341,13 @@ class LimbBackend:
         return flat.astype(np.int64).reshape(out_shape)
 
     def matmul_stacked(
-        self, field, a: np.ndarray, b: np.ndarray, chunk: int, a_float=None
+        self, field, a: np.ndarray, b: np.ndarray, a_float=None
     ) -> np.ndarray:
         """``out[s] = (a[s] @ b[s]) mod p`` for ``(S,m,k) @ (S,k,n)``
         (``a_float`` as in :meth:`matmul`)."""
         kernel = self._kernel_for(field.p, a.shape[-1])
         if kernel is None:
-            return self._generic.matmul_stacked(field, a, b, chunk)
+            return self._generic.matmul_stacked(field, a, b)
         return kernel(barrett(field.p), a, b, a_float).astype(np.int64)
 
     def matmul_public(
@@ -507,51 +506,3 @@ class LimbBackend:
         high *= float(LIMB_BASE)
         low += high
         return red.reduce_f64(low, q)
-
-
-#: Registry consulted by name lookups (config validation imports this).
-BACKENDS: dict[str, object] = {
-    "generic": GenericBackend(),
-    "limb": LimbBackend(),
-}
-
-_default_name = "limb"
-
-
-def get_backend(name: str):
-    """Backend instance by registry name."""
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise FieldError(
-            f"unknown field backend {name!r} (available: {sorted(BACKENDS)})"
-        ) from None
-
-
-def default_backend():
-    """The backend ``field_matmul`` uses when none is passed explicitly."""
-    return BACKENDS[_default_name]
-
-
-def default_backend_name() -> str:
-    """Registry name of the current default backend."""
-    return _default_name
-
-
-def set_default_backend(name: str) -> str:
-    """Switch the process-wide default backend; returns the previous name."""
-    global _default_name
-    get_backend(name)  # validate before committing
-    previous = _default_name
-    _default_name = name
-    return previous
-
-
-@contextmanager
-def use_backend(name: str):
-    """Lexically scoped default-backend override (tests and benchmarks)."""
-    previous = set_default_backend(name)
-    try:
-        yield get_backend(name)
-    finally:
-        set_default_backend(previous)

@@ -8,7 +8,11 @@ same field.  This module provides both:
   or a stack of independent ones) that never overflows int64, used by the
   simulated GPU kernels and the enclave's masking, and
   :func:`field_matmul_public` — the product against a public operand's
-  centred lift that the GPU forward kernels try first;
+  centred lift that the GPU forward kernels try first.  Each takes the
+  backend object to run on; without one it runs on this module's own
+  :class:`~repro.fieldmath.kernels.LimbBackend`, which only the
+  enclave-side callers (masking, Freivalds, collusion, :func:`solve`)
+  reach — every GPU cluster passes the one its kernel set owns;
 * Gauss-Jordan :func:`inverse` / :func:`solve` / :func:`rank` used when
   generating and applying DarKnight coefficient matrices — :func:`inverse`
   takes a stack ``(..., n, n)`` like ``np.linalg.inv`` and eliminates every
@@ -28,7 +32,11 @@ import numpy as np
 
 from repro.errors import FieldError, SingularMatrixError
 from repro.fieldmath import kernels
-from repro.fieldmath.prime import SAFE_ACCUMULATION, PrimeField
+from repro.fieldmath.kernels import SAFE_ACCUMULATION
+from repro.fieldmath.prime import PrimeField
+
+#: The backend of every product called without one: the enclave's own.
+_ENCLAVE_BACKEND = kernels.LimbBackend()
 
 
 def _as_matrix(a: np.ndarray) -> np.ndarray:
@@ -42,26 +50,25 @@ def field_matmul(
     field: PrimeField,
     a: np.ndarray,
     b: np.ndarray,
-    chunk: int = SAFE_ACCUMULATION,
-    backend: str | None = None,
+    backend=None,
     a_float: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``(a @ b) mod p``, dispatched to the selected field-op backend.
+    """``(a @ b) mod p`` on ``backend``, a field-op backend object.
 
-    The ``"generic"`` backend is the original chunked reduction: a single
-    field product is below ``p**2 < 2**50``, summing more than ``~2**13``
-    of them overflows int64, so the shared axis is split into
-    ``chunk``-sized blocks, each partial reduced mod ``p`` and the (now
-    ``< p``) partials reduced again at the end.  The default ``"limb"``
-    backend (:mod:`repro.fieldmath.kernels`) computes the same product —
-    bit-identical, property-tested — as float64 BLAS GEMMs over 13-bit
-    limbs, roughly an order of magnitude faster, falling back to the
-    generic path beyond its exactness bound.
+    :class:`~repro.fieldmath.kernels.GenericBackend` is the original
+    chunked reduction: a single field product is below ``p**2 < 2**50``,
+    summing more than ``~2**13`` of them overflows int64, so the shared
+    axis is split into blocks, each partial reduced mod ``p`` and the (now
+    ``< p``) partials reduced again at the end.
+    :class:`~repro.fieldmath.kernels.LimbBackend` computes the same
+    product — bit-identical, property-tested — as float64 BLAS GEMMs over
+    13-bit limbs, roughly an order of magnitude faster, falling back to
+    the generic path beyond its exactness bound.
 
     Accepts any ``a`` of shape ``(..., n)`` against ``b`` of shape
     ``(n, ...)`` the way ``np.matmul`` of 2-D operands does; the common case
-    is plain 2-D x 2-D.  ``backend=None`` uses the process default
-    (``"limb"`` unless inside :func:`repro.fieldmath.kernels.use_backend`).
+    is plain 2-D x 2-D.  ``backend=None`` runs on this module's enclave-side
+    limb backend.
 
     ``a_float`` is ``a`` already converted to float64 (equal values, same
     shape): an operand used in product after product — a coefficient set's
@@ -73,27 +80,25 @@ def field_matmul(
     b = np.asarray(b, dtype=np.int64)
     if a.shape[-1] != b.shape[0]:
         raise FieldError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    if chunk < 1:
-        raise FieldError(f"chunk must be positive, got {chunk}")
-    return _backend(backend).matmul(field, a, b, chunk, a_float)
+    return _backend(backend).matmul(field, a, b, a_float)
 
 
 def field_matmul_stacked(
     field: PrimeField,
     a: np.ndarray,
     b: np.ndarray,
-    chunk: int = SAFE_ACCUMULATION,
-    backend: str | None = None,
+    backend=None,
     a_float: np.ndarray | None = None,
 ) -> np.ndarray:
     """``S`` independent products at once: ``out[s] = (a[s] @ b[s]) mod p``.
 
     ``a`` is ``(S, m, n)`` and ``b`` is ``(S, n, q)``; the result is
     ``(S, m, q)``, slice for slice what :func:`field_matmul` returns.  The
-    ``"limb"`` backend runs each limb plane as one batched float64 GEMM,
-    exact under the same ``one_gemm_limit``/``two_gemm_limit`` bounds on
-    ``n`` as the 2-D product, and hands anything beyond them to the
-    ``"generic"`` per-slice oracle.  ``a_float`` as in :func:`field_matmul`.
+    limb backend runs each limb plane as one batched float64 GEMM, exact
+    under the same ``one_gemm_limit``/``two_gemm_limit`` bounds on ``n`` as
+    the 2-D product, and hands anything beyond them to the generic
+    per-slice oracle.  ``backend`` and ``a_float`` as in
+    :func:`field_matmul`.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -101,9 +106,7 @@ def field_matmul_stacked(
         raise FieldError(f"expected 3-D stacks, got {a.shape} @ {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise FieldError(f"stack or inner dimensions differ: {a.shape} @ {b.shape}")
-    if chunk < 1:
-        raise FieldError(f"chunk must be positive, got {chunk}")
-    return _backend(backend).matmul_stacked(field, a, b, chunk, a_float)
+    return _backend(backend).matmul_stacked(field, a, b, a_float)
 
 
 def field_matmul_public(
@@ -115,7 +118,7 @@ def field_matmul_public(
     scratch_shapes: tuple[tuple[int, ...], ...] = (),
     public_left: bool = True,
     into: np.ndarray | None = None,
-    backend: str | None = None,
+    backend=None,
 ) -> np.ndarray | None:
     """``public @ private`` (or ``private @ public``) mod ``p`` as one float64
     GEMM against the public operand's centred lift, or ``None``.
@@ -126,16 +129,17 @@ def field_matmul_public(
     the oracle, which has no float path — and the caller computes it with
     :func:`field_matmul` instead.  The private operand is written by
     ``fill`` into the backend's float64 workspace; see
-    :meth:`~repro.fieldmath.kernels.LimbBackend.matmul_public`.
+    :meth:`~repro.fieldmath.kernels.LimbBackend.matmul_public`.  ``backend``
+    as in :func:`field_matmul`.
     """
     return _backend(backend).matmul_public(
         field, public, tuple(private_shape), fill, tuple(scratch_shapes), public_left, into
     )
 
 
-def _backend(name: str | None):
-    """The named backend, or the process default for ``None``."""
-    return kernels.default_backend() if name is None else kernels.get_backend(name)
+def _backend(backend):
+    """``backend``, or the enclave-side one for ``None``."""
+    return _ENCLAVE_BACKEND if backend is None else backend
 
 
 def field_dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:

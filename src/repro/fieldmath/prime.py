@@ -17,26 +17,14 @@ raw ``np.dot`` on field elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import FieldError
+from repro.fieldmath.kernels import barrett
 
 #: Largest 25-bit prime, the modulus used throughout the paper.
 DEFAULT_PRIME: int = 2**25 - 39
-
-#: Maximum number of p^2-bounded products that can be summed in int64
-#: without overflow: floor(2**63 / p**2) with a 2x safety margin.
-SAFE_ACCUMULATION = 4096
-
-
-@lru_cache(maxsize=64)
-def _reducer(p: int):
-    """Cached Barrett reducer for ``p`` (import deferred to avoid a cycle)."""
-    from repro.fieldmath.kernels import barrett
-
-    return barrett(p)
 
 
 #: Element-count band where the float64 Barrett product reduction beats
@@ -180,7 +168,7 @@ class PrimeField:
             self.p < (1 << 26)
             and _F64_MUL_BAND[0] <= prod.size <= _F64_MUL_BAND[1]
         ):
-            reduced = _reducer(self.p).reduce_f64(prod.astype(np.float64))
+            reduced = barrett(self.p).reduce_f64(prod.astype(np.float64))
             return reduced.astype(np.int64)
         return np.mod(prod, self.p)
 

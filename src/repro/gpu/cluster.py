@@ -83,7 +83,8 @@ class GpuCluster:
     devices; :meth:`map_shares` launches one op over a line-up's resident
     shares — of one virtual batch or of a layer step's whole stack (one
     stacked kernel, then per-device faults and accounting).
-    ``kernels`` is the field kernel set every launch uses.
+    ``kernels`` is the field kernel set every launch uses; it owns this
+    cluster's field-op backend, shared with no other owner.
 
     Parameters
     ----------

@@ -8,7 +8,9 @@ Two kernel sets share all shape logic with :mod:`repro.nn.functional`:
   weights are public and small once centre-lifted, so it runs as one
   float64 GEMM against that lift whenever the exactness bound allows
   (:func:`repro.fieldmath.field_matmul_public`), and on the limb tiers
-  otherwise.
+  otherwise.  A kernel set owns its field-op backend — each
+  :class:`~repro.gpu.GpuCluster` builds one, so its workspace is never
+  the enclave's or another cluster's.
 * :class:`FloatKernels` — the raw float path used by the non-private GPU
   baseline and by gradient-of-loss ops that the paper offloads unencoded
   (``δ`` back-propagation carries no input information).
@@ -26,6 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fieldmath import (
+    LimbBackend,
     PrimeField,
     PublicOperand,
     field_matmul,
@@ -47,13 +50,14 @@ class FieldKernels:
     field:
         The prime field shares live in.
     backend:
-        Field-op backend name (:mod:`repro.fieldmath.kernels`): ``None``
-        follows the process default (normally ``"limb"`` — float64 BLAS
-        GEMMs over 13-bit limbs, bit-identical to ``"generic"``), a name
-        pins this kernel set regardless of the global default.
+        The field-op backend object every op runs on
+        (:mod:`repro.fieldmath.kernels`); ``None`` builds this kernel set
+        its own :class:`~repro.fieldmath.LimbBackend`.  Pass
+        ``GenericBackend()`` for the oracle.
     """
 
-    def __init__(self, field: PrimeField, backend: str | None = None) -> None:
+    def __init__(self, field: PrimeField, backend=None) -> None:
+        backend = LimbBackend() if backend is None else backend
         self.field = field
         self.backend = backend
         self._matmul = lambda a, b: field_matmul(field, a, b, backend=backend)

@@ -17,9 +17,8 @@ no privacy implication (the sensitive factor is ``x̄(j)``, already masked).
 Every product here funnels through :func:`repro.fieldmath.field_matmul` (a
 stack of virtual batches through
 :func:`~repro.masking.forward.stack_matmul`), so the combine/decode GEMMs
-run on the configured field-op backend (the default ``"limb"`` backend
-executes them as float64 BLAS GEMMs, bit-identical to the generic chunked
-path).
+run on the enclave-side limb backend, which executes them as float64 BLAS
+GEMMs, bit-identical to the generic chunked path.
 """
 
 from __future__ import annotations

@@ -19,19 +19,17 @@ from repro.nn import functional as F
 from repro.nn.backends import LinearBackend
 from repro.nn.initializers import he_normal, xavier_uniform, zeros
 
-_LAYER_COUNTER: dict[str, int] = {}
-
-
-def _auto_name(kind: str) -> str:
-    _LAYER_COUNTER[kind] = _LAYER_COUNTER.get(kind, 0) + 1
-    return f"{kind}_{_LAYER_COUNTER[kind]}"
-
 
 class Layer:
-    """Base layer: parameter/grad dicts plus the forward/backward contract."""
+    """Base layer: parameter/grad dicts plus the forward/backward contract.
+
+    A layer built without a ``name`` is named by the model it joins
+    (:class:`~repro.nn.network.Sequential`), so two identically built
+    models carry identical names.
+    """
 
     def __init__(self, name: str | None = None) -> None:
-        self.name = name or _auto_name(type(self).__name__.lower())
+        self.name = name
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 

@@ -61,6 +61,11 @@ class Sequential:
     input_shape:
         Per-sample input shape, e.g. ``(3, 32, 32)``; used to validate the
         stack eagerly so shape bugs surface at construction.
+
+    Every layer built without a name is named here ``{kind}_{n}``, ``n``
+    counting that kind's unnamed layers from 1 in :meth:`_walk_layers`
+    order — the names, hence the :meth:`state_dict` keys, are the model's
+    own and repeat in every identically built model.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...]) -> None:
@@ -69,6 +74,12 @@ class Sequential:
         self.layers = layers
         self.input_shape = tuple(input_shape)
         self._plan_cache: list[PlanStep] | None = None
+        counts: dict[str, int] = {}
+        for layer in self._walk_layers():
+            if not layer.name:
+                kind = type(layer).__name__.lower()
+                counts[kind] = counts.get(kind, 0) + 1
+                layer.name = f"{kind}_{counts[kind]}"
         shape = self.input_shape
         self._shapes = [shape]
         for layer in layers:

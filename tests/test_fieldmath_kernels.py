@@ -5,7 +5,7 @@ float64 below 2**53) is proved in :mod:`repro.fieldmath.kernels`; these
 tests attack it empirically — randomized shapes and values, all-zero and
 all-``p-1`` adversarial operands, contractions straddling every dispatch
 boundary (public 1-GEMM, 1-GEMM -> 2-GEMM -> generic fallback) — and pin
-the backend registry / config / CLI plumbing.
+how a backend object reaches a product.
 """
 
 import numpy as np
@@ -18,15 +18,10 @@ from repro.fieldmath import (
     BarrettReducer,
     FieldRng,
     PrimeField,
-    default_backend_name,
     field_matmul,
     field_matmul_stacked,
-    get_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.fieldmath.kernels import (
-    BACKENDS,
     GenericBackend,
     LimbBackend,
     PublicOperand,
@@ -60,9 +55,9 @@ def _bigint_matmul(a, b, p):
 def test_limb_matmul_matches_oracle_random(rows, k, cols, seed):
     rng = FieldRng(FIELD, seed)
     a, b = rng.uniform((rows, k)), rng.uniform((k, cols))
-    expected = GENERIC.matmul(FIELD, a, b, 4096)
+    expected = GENERIC.matmul(FIELD, a, b)
     assert np.array_equal(expected, _bigint_matmul(a, b, FIELD.p))
-    assert np.array_equal(LIMB.matmul(FIELD, a, b, 4096), expected)
+    assert np.array_equal(LIMB.matmul(FIELD, a, b), expected)
 
 
 @pytest.mark.parametrize("value", [0, 1, PrimeField().p - 1])
@@ -71,7 +66,7 @@ def test_limb_matmul_extreme_values(value, k):
     a = np.full((3, k), value, dtype=np.int64)
     b = np.full((k, 2), value, dtype=np.int64)
     assert np.array_equal(
-        LIMB.matmul(FIELD, a, b, 4096), GENERIC.matmul(FIELD, a, b, 4096)
+        LIMB.matmul(FIELD, a, b), GENERIC.matmul(FIELD, a, b)
     )
 
 
@@ -81,7 +76,7 @@ def test_limb_matmul_max_k_accumulation_edge():
         a = np.full((1, k), FIELD.p - 1, dtype=np.int64)
         b = np.full((k, 1), FIELD.p - 1, dtype=np.int64)
         expected = pow(FIELD.p - 1, 2, FIELD.p) * k % FIELD.p
-        assert LIMB.matmul(FIELD, a, b, 4096)[0, 0] == expected
+        assert LIMB.matmul(FIELD, a, b)[0, 0] == expected
 
 
 def test_limb_matmul_past_two_gemm_bound_uses_the_oracle():
@@ -93,7 +88,7 @@ def test_limb_matmul_past_two_gemm_bound_uses_the_oracle():
     a = np.full((1, k), FIELD.p - 1, dtype=np.int64)
     b = np.full((k, 1), FIELD.p - 1, dtype=np.int64)
     expected = pow(FIELD.p - 1, 2, FIELD.p) * k % FIELD.p
-    assert LIMB.matmul(FIELD, a, b, 4096)[0, 0] == expected
+    assert LIMB.matmul(FIELD, a, b)[0, 0] == expected
 
 
 @settings(max_examples=15, deadline=None)
@@ -103,12 +98,12 @@ def test_forced_dispatch_branches_agree(k, seed):
     on the same operands; all must agree bit-for-bit."""
     rng = FieldRng(FIELD, seed)
     a, b = rng.uniform((4, k)), rng.uniform((k, 3))
-    expected = GENERIC.matmul(FIELD, a, b, 4096)
+    expected = GENERIC.matmul(FIELD, a, b)
     forced_two = LimbBackend(one_gemm_cap=0)
     forced_fallback = LimbBackend(one_gemm_cap=0, two_gemm_cap=0)
-    assert np.array_equal(LIMB.matmul(FIELD, a, b, 4096), expected)
-    assert np.array_equal(forced_two.matmul(FIELD, a, b, 4096), expected)
-    assert np.array_equal(forced_fallback.matmul(FIELD, a, b, 4096), expected)
+    assert np.array_equal(LIMB.matmul(FIELD, a, b), expected)
+    assert np.array_equal(forced_two.matmul(FIELD, a, b), expected)
+    assert np.array_equal(forced_fallback.matmul(FIELD, a, b), expected)
 
 
 def test_limb_matmul_falls_back_past_exactness_bound():
@@ -118,7 +113,7 @@ def test_limb_matmul_falls_back_past_exactness_bound():
     rng = FieldRng(FIELD, 7)
     a, b = rng.uniform((3, 40)), rng.uniform((40, 3))
     assert np.array_equal(
-        capped.matmul(FIELD, a, b, 4096), _bigint_matmul(a, b, FIELD.p)
+        capped.matmul(FIELD, a, b), _bigint_matmul(a, b, FIELD.p)
     )
 
 
@@ -128,7 +123,7 @@ def test_limb_backend_rejects_nothing_it_cannot_handle():
     rng = FieldRng(big, 3)
     a, b = rng.uniform((4, 9)), rng.uniform((9, 4))
     assert np.array_equal(
-        LIMB.matmul(big, a, b, 4096), _bigint_matmul(a, b, big.p)
+        LIMB.matmul(big, a, b), _bigint_matmul(a, b, big.p)
     )
 
 
@@ -136,12 +131,12 @@ def test_limb_matmul_one_dimensional_operands():
     rng = FieldRng(FIELD, 11)
     a, b = rng.uniform(17), rng.uniform((17, 3))
     assert np.array_equal(
-        LIMB.matmul(FIELD, a, b, 4096), GENERIC.matmul(FIELD, a, b, 4096)
+        LIMB.matmul(FIELD, a, b), GENERIC.matmul(FIELD, a, b)
     )
     bv = rng.uniform(17)
     am = rng.uniform((3, 17))
     assert np.array_equal(
-        LIMB.matmul(FIELD, am, bv, 4096), GENERIC.matmul(FIELD, am, bv, 4096)
+        LIMB.matmul(FIELD, am, bv), GENERIC.matmul(FIELD, am, bv)
     )
 
 
@@ -180,10 +175,10 @@ def test_stacked_matmul_matches_bigint_per_slice(stack, rows, k, cols, extreme, 
         LimbBackend(one_gemm_cap=0, two_gemm_cap=k),  # k exactly on the 2-GEMM bound
         LimbBackend(one_gemm_cap=0, two_gemm_cap=k - 1),  # first fallback k
     ):
-        got = backend.matmul_stacked(FIELD, a, b, 4096)
+        got = backend.matmul_stacked(FIELD, a, b)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
     assert np.array_equal(field_matmul_stacked(FIELD, a, b), expected)
-    assert np.array_equal(field_matmul_stacked(FIELD, a, b, backend="generic"), expected)
+    assert np.array_equal(field_matmul_stacked(FIELD, a, b, backend=GENERIC), expected)
 
 
 def test_stacked_matmul_at_the_real_two_gemm_bound():
@@ -215,8 +210,6 @@ def test_stacked_matmul_degenerate_shapes_and_validation():
         field_matmul_stacked(FIELD, a, rng.uniform((2, 4, 2)))  # stack sizes differ
     with pytest.raises(FieldError):
         field_matmul_stacked(FIELD, a, rng.uniform((1, 3, 2)))  # inner dims differ
-    with pytest.raises(FieldError):
-        field_matmul_stacked(FIELD, a, b, chunk=0)
 
 
 # ----------------------------------------------------------------------
@@ -253,9 +246,9 @@ def test_one_gemm_tier_boundary_matches_bigint(field, past, extreme):
     expected = _bigint_stacked(a, b, field.p)
     assert np.array_equal(field_matmul_stacked(field, a, b), expected)
     assert np.array_equal(field_matmul(field, a[0], b[0]), expected[0])
-    with use_backend("generic"):  # the oracle never takes the tier
-        assert np.array_equal(field_matmul_stacked(field, a, b), expected)
-        assert np.array_equal(field_matmul(field, a[0], b[0]), expected[0])
+    # the oracle never takes the tier
+    assert np.array_equal(field_matmul_stacked(field, a, b, backend=GENERIC), expected)
+    assert np.array_equal(field_matmul(field, a[0], b[0], backend=GENERIC), expected[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,10 +266,10 @@ def test_one_gemm_tier_matches_the_split_kernels(stack, rows, k, cols, transpose
     rng = FieldRng(FIELD, seed)
     a = rng.uniform((stack, rows, k))
     b = rng.uniform((stack, cols, k)).transpose(0, 2, 1) if transposed else rng.uniform((stack, k, cols))
-    expected = GENERIC.matmul_stacked(FIELD, a, b, 4096)
-    assert np.array_equal(LIMB.matmul_stacked(FIELD, a, b, 4096), expected)
-    assert np.array_equal(LimbBackend(one_gemm_cap=0).matmul_stacked(FIELD, a, b, 4096), expected)
-    assert np.array_equal(LIMB.matmul(FIELD, a[0], b[0], 4096), expected[0])
+    expected = GENERIC.matmul_stacked(FIELD, a, b)
+    assert np.array_equal(LIMB.matmul_stacked(FIELD, a, b), expected)
+    assert np.array_equal(LimbBackend(one_gemm_cap=0).matmul_stacked(FIELD, a, b), expected)
+    assert np.array_equal(LIMB.matmul(FIELD, a[0], b[0]), expected[0])
 
 
 def test_limb_results_never_alias_the_kernel_workspace():
@@ -292,10 +285,10 @@ def test_limb_results_never_alias_the_kernel_workspace():
     ]
     for a, b in cases:
         run = backend.matmul_stacked if a.ndim == 3 else backend.matmul
-        first = run(FIELD, a, b, 4096)
+        first = run(FIELD, a, b)
         kept = first.copy()
         grown = backend._workspace
-        run(FIELD, a, b, 4096)
+        run(FIELD, a, b)
         assert backend._workspace is grown  # same shapes: nothing reallocated
         backend._workspace.fill(-1.0)
         assert np.array_equal(first, kept)
@@ -408,7 +401,7 @@ def test_public_gemm_matches_the_oracle_wherever_it_applies(rows, k, cols, bound
     got = _public_product(LIMB, public, private, True)
     assert (got is not None) == public_gemm_exact(FIELD.p, k, public.bound)
     if got is not None:
-        assert np.array_equal(got, GENERIC.matmul(FIELD, weights, private, 4096))
+        assert np.array_equal(got, GENERIC.matmul(FIELD, weights, private))
 
 
 def test_public_operand_lift_is_centred_and_read_only():
@@ -465,70 +458,38 @@ def test_dispatch_limits_are_sane():
 
 
 # ----------------------------------------------------------------------
-# backend registry / selection plumbing
+# a backend is an object the caller passes
 # ----------------------------------------------------------------------
 
 
-def test_backend_registry_and_default_switch():
-    assert set(BACKENDS) == {"generic", "limb"}
-    assert default_backend_name() == "limb"
-    previous = set_default_backend("generic")
-    try:
-        assert previous == "limb"
-        assert default_backend_name() == "generic"
-    finally:
-        set_default_backend(previous)
-    with pytest.raises(FieldError):
-        get_backend("nope")
-    with pytest.raises(FieldError):
-        set_default_backend("nope")
+def test_field_matmul_backend_argument_overrides_default(monkeypatch):
+    """A passed backend runs the product; without one it runs on the
+    enclave-side limb backend private to ``linalg``."""
+    from repro.fieldmath import linalg
 
-
-def test_use_backend_scopes_and_restores():
-    rng = FieldRng(FIELD, 5)
-    a, b = rng.uniform((6, 20)), rng.uniform((20, 6))
-    results = {}
-    for name in ("generic", "limb"):
-        with use_backend(name):
-            assert default_backend_name() == name
-            results[name] = field_matmul(FIELD, a, b)
-    assert default_backend_name() == "limb"
-    assert np.array_equal(results["generic"], results["limb"])
-
-
-def test_field_matmul_backend_argument_overrides_default():
     rng = FieldRng(FIELD, 9)
     a, b = rng.uniform((5, 13)), rng.uniform((13, 5))
-    assert np.array_equal(
-        field_matmul(FIELD, a, b, backend="generic"),
-        field_matmul(FIELD, a, b, backend="limb"),
-    )
-    with pytest.raises(FieldError):
-        field_matmul(FIELD, a, b, backend="nope")
+    expected = _bigint_matmul(a, b, FIELD.p)
+    assert isinstance(linalg._ENCLAVE_BACKEND, LimbBackend)
+    assert np.array_equal(field_matmul(FIELD, a, b), expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enclave-side backend ran")
+
+    monkeypatch.setattr(linalg._ENCLAVE_BACKEND, "matmul", refuse)
+    for backend in (GenericBackend(), LimbBackend()):
+        assert np.array_equal(field_matmul(FIELD, a, b, backend=backend), expected)
+    with pytest.raises(AssertionError, match="enclave-side"):
+        field_matmul(FIELD, a, b)
 
 
 def test_field_matmul_still_validates_before_dispatch():
     rng = FieldRng(FIELD, 1)
-    a, b = rng.uniform((3, 4)), rng.uniform((4, 3))
+    a = rng.uniform((3, 4))
     with pytest.raises(FieldError):
         field_matmul(FIELD, a, rng.uniform((5, 3)))
     with pytest.raises(FieldError):
-        field_matmul(FIELD, a, b, chunk=0)
-
-
-def test_backend_construction_leaves_the_process_default_alone():
-    """Two live backends must not share whichever was built last: the
-    kernel selection is lexically scoped, never set by construction."""
-    from repro.runtime.config import DarKnightConfig
-    from repro.runtime.darknight import DarKnightBackend
-
-    assert default_backend_name() == "limb"
-    DarKnightBackend(DarKnightConfig())
-    assert default_backend_name() == "limb"
-    with use_backend("generic"):
-        DarKnightBackend(DarKnightConfig())
-        assert default_backend_name() == "generic"
-    assert default_backend_name() == "limb"
+        field_matmul(FIELD, a, rng.uniform((5, 3)), backend=GenericBackend())
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from field_oracle import oracle_inverse
 from repro.errors import FieldError, SingularMatrixError
 from repro.fieldmath import (
+    SAFE_ACCUMULATION,
     FieldRng,
+    GenericBackend,
     PrimeField,
     all_column_subsets_full_rank,
     determinant,
@@ -45,20 +47,20 @@ def test_field_matmul_matches_bigint_reference(n, m, k, seed):
 
 
 def test_field_matmul_chunking_handles_long_contractions(field, frng):
-    # Contraction far beyond the safe accumulation bound must stay exact.
+    # Contraction far beyond the safe accumulation bound must stay exact,
+    # on the oracle's chunks as on the limb tiers.
     n = 20_000
     a = frng.uniform((1, n))
     b = frng.uniform((n, 1))
     expected = _bigint_matmul(a, b, field.p)
-    assert np.array_equal(field_matmul(field, a, b, chunk=1024), expected)
+    assert n > 4 * SAFE_ACCUMULATION
+    assert np.array_equal(field_matmul(field, a, b, backend=GenericBackend()), expected)
     assert np.array_equal(field_matmul(field, a, b), expected)
 
 
 def test_field_matmul_rejects_bad_shapes(field, frng):
     with pytest.raises(FieldError):
         field_matmul(field, frng.uniform((2, 3)), frng.uniform((4, 2)))
-    with pytest.raises(FieldError):
-        field_matmul(field, frng.uniform((2, 3)), frng.uniform((3, 2)), chunk=0)
 
 
 def test_field_dot(field, frng):

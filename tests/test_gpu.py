@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, GpuError
-from repro.fieldmath import FieldRng, PrimeField, PublicOperand, field_matmul, use_backend
+from repro.fieldmath import (
+    FieldRng,
+    GenericBackend,
+    LimbBackend,
+    PrimeField,
+    PublicOperand,
+    field_matmul,
+    linalg,
+)
 from repro.gpu import (
     FaultInjector,
     FieldKernels,
@@ -281,7 +289,7 @@ _FIELD = PrimeField()
 
 
 def _oracle_matmul(a, b):
-    return field_matmul(_FIELD, a, b, backend="generic")
+    return field_matmul(_FIELD, a, b, backend=GenericBackend())
 
 
 def _per_device_oracle(cluster, launch, lineup):
@@ -416,14 +424,15 @@ def _injector_state(cluster):
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=_launch_cases(), backend=st.sampled_from(["limb", "generic"]), pooled=st.booleans())
+@given(case=_launch_cases(), backend=st.sampled_from([LimbBackend, GenericBackend]), pooled=st.booleans())
 def test_stacked_launch_matches_per_device_loop(case, backend, pooled):
     launch, lineup = case["launch"], case["lineup"]
     reference = _cluster_for(case)
     expected = _per_device_oracle(reference, launch, lineup)
 
     cluster = _cluster_for(case)
-    with use_backend(backend), scratch.scratch_scope(pooled):
+    cluster.kernels = FieldKernels(_FIELD, backend())
+    with scratch.scratch_scope(pooled):
         got, macs = cluster.map_shares(launch, lineup)
         pool = scratch.active_scratch()
         if pool is not None:
@@ -480,7 +489,7 @@ def _stack_case(case, n_batches, n_rows):
     case=_launch_cases(),
     n_batches=st.integers(1, 3),
     n_rows=st.integers(1, 2),
-    backend=st.sampled_from(["limb", "generic"]),
+    backend=st.sampled_from([LimbBackend, GenericBackend]),
 )
 def test_virtual_batch_stack_launch_matches_one_launch_per_batch(
     case, n_batches, n_rows, backend
@@ -495,24 +504,25 @@ def test_virtual_batch_stack_launch_matches_one_launch_per_batch(
     stack, singles, cluster_with = _stack_case(case, n_batches, n_rows)
 
     reference, cluster = cluster_with({}), cluster_with({})
-    with use_backend(backend):
-        expected = np.stack(
-            [
-                np.stack([reference.map_shares(one, lineup)[0] for one in per_batch], axis=1)
-                for per_batch in singles
-            ]
-        )  # (V, S, R, ...)
-        got, macs = cluster.map_shares(stack, lineup)
-        if not backward:
-            expected = expected[:, :, 0]
-        assert got.dtype == np.int64 and got.shape == expected.shape
-        assert np.array_equal(got, expected)
-        assert [d.ledger for d in cluster.devices] == [d.ledger for d in reference.devices]
-        assert macs * n_batches * (n_rows if backward else 1) == cluster[lineup[0]].ledger.mac_ops
+    liar = cluster_with({byzantine: TargetedTamper(RandomTamper(_FIELD, seed=3), case["tamper_op"])})
+    for each in (reference, cluster, liar):
+        each.kernels = FieldKernels(_FIELD, backend())
+    expected = np.stack(
+        [
+            np.stack([reference.map_shares(one, lineup)[0] for one in per_batch], axis=1)
+            for per_batch in singles
+        ]
+    )  # (V, S, R, ...)
+    got, macs = cluster.map_shares(stack, lineup)
+    if not backward:
+        expected = expected[:, :, 0]
+    assert got.dtype == np.int64 and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert [d.ledger for d in cluster.devices] == [d.ledger for d in reference.devices]
+    assert macs * n_batches * (n_rows if backward else 1) == cluster[lineup[0]].ledger.mac_ops
 
-        # One byzantine device corrupting its last op: exactly its slices change.
-        liar = cluster_with({byzantine: TargetedTamper(RandomTamper(_FIELD, seed=3), case["tamper_op"])})
-        tampered, _ = liar.map_shares(stack, lineup)
+    # One byzantine device corrupting its last op: exactly its slices change.
+    tampered, _ = liar.map_shares(stack, lineup)
     differs = (tampered != got).reshape(n_batches, len(lineup), -1).any(axis=2)
     if case["tamper_op"] == "combine_deltas":
         # a corrupted δ̄ entry may meet only zero padding (or zero shares) downstream
@@ -631,7 +641,7 @@ def test_forward_ops_on_the_public_lift_match_the_oracle(case):
     a forward op equals the generic oracle's, and a kept lift gives what
     lifting on the spot gives."""
     kind, shares, w, geometry = case
-    limb, oracle = FieldKernels(_FIELD), FieldKernels(_FIELD, backend="generic")
+    limb, oracle = FieldKernels(_FIELD), FieldKernels(_FIELD, GenericBackend())
     op = "dense" if kind == "dense" else "conv2d"
     expected = getattr(oracle, op)(shares, w, **geometry)
     got = getattr(limb, op)(shares, w, **geometry)
@@ -647,7 +657,6 @@ def test_forward_ops_on_the_public_lift_match_the_oracle(case):
 def test_quantized_layers_take_the_public_gemm(field, frng, monkeypatch):
     """A quantized conv or dense layer contracts in the public tier; the
     limb tiers (what a full-range operand still needs) are not called."""
-    from repro.fieldmath.kernels import LimbBackend
     from repro.quantization import QuantizationConfig
 
     q = QuantizationConfig()
@@ -672,11 +681,11 @@ def test_quantized_layers_take_the_public_gemm(field, frng, monkeypatch):
 
 
 def test_the_oracle_backend_takes_no_float_path(monkeypatch):
-    """Under ``use_backend("generic")`` a whole masked layer — encode, GPU
-    launch, verified decode, and the backward ``Eq_j`` launch — runs on the
-    oracle: no limb kernel and no public GEMM is ever entered, and every
-    value equals the default backend's."""
-    from repro.fieldmath.kernels import LimbBackend
+    """With ``GenericBackend()`` as the enclave's backend and the cluster's,
+    a whole masked layer — encode, GPU launch, verified decode, and the
+    backward ``Eq_j`` launch — runs on the oracle: no limb kernel and no
+    public GEMM is ever entered, and every value equals the limb
+    backends'."""
     from repro.runtime import DarKnightBackend, DarKnightConfig
 
     rng = np.random.default_rng(3)
@@ -685,8 +694,10 @@ def test_the_oracle_backend_takes_no_float_path(monkeypatch):
     delta = rng.standard_normal((8, 4, 6, 6)) * 0.1
     dense_x, dense_w = rng.standard_normal((8, 10)), rng.standard_normal((10, 5)) * 0.3
 
-    def layer():
+    def layer(oracle=False):
         backend = DarKnightBackend(DarKnightConfig(virtual_batch_size=4, integrity=True, seed=0))
+        if oracle:
+            backend.cluster.kernels = FieldKernels(backend.field, GenericBackend())
         out = backend.conv2d_forward(x, w, b, 1, 1, "conv")
         grad = backend.conv2d_grad_w(x, delta, 3, 3, 1, 1, "conv")
         dense = backend.dense_forward(dense_x, dense_w, None, "dense")
@@ -700,8 +711,8 @@ def test_the_oracle_backend_takes_no_float_path(monkeypatch):
 
     for name in ("matmul", "matmul_stacked", "matmul_public", "_one_gemm", "_two_gemm"):
         monkeypatch.setattr(LimbBackend, name, refuse)
-    with use_backend("generic"):
-        got = layer()
+    monkeypatch.setattr(linalg, "_ENCLAVE_BACKEND", GenericBackend())
+    got = layer(oracle=True)
     for mine, theirs in zip(got, expected):
         assert np.array_equal(mine, theirs)
 
@@ -736,3 +747,40 @@ def test_cluster_keeps_the_lift_of_read_only_weights_only(field, frng):
     cluster.broadcast_weights("w", view)
     cluster.map_shares(launch, range(3))
     assert cluster._lifts["w"] is kept
+
+
+def test_each_cluster_owns_its_backend_and_never_enters_the_enclaves(field, frng, monkeypatch):
+    """Every cluster's kernel set builds its own limb backend, so two
+    clusters — or a cluster and the enclave — never write one workspace,
+    and no launch, on any tier, enters ``linalg``'s enclave-side backend."""
+    clusters = [GpuCluster(field, 3), GpuCluster(field, 3)]
+    backends = [cluster.kernels.backend for cluster in clusters]
+    assert all(isinstance(backend, LimbBackend) for backend in backends)
+    assert backends[0] is not backends[1]
+    assert all(backend is not linalg._ENCLAVE_BACKEND for backend in backends)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a launch entered the enclave-side backend")
+
+    for name in ("matmul", "matmul_stacked", "matmul_public"):
+        monkeypatch.setattr(linalg._ENCLAVE_BACKEND, name, refuse)
+    small = field.element(np.arange(-18, 18).reshape(2, 2, 3, 3))  # the public tier
+    full = frng.uniform((2, 2, 3, 3))  # k = 18 at full range: the limb tiers
+    launches = [
+        ShareLaunch("conv2d", "s", weight_name="small", pad=1),
+        ShareLaunch("conv2d", "s", weight_name="full", pad=1),
+        ShareLaunch(
+            "conv2d", "s", deltas=frng.uniform((2, 2, 4, 4)), b_rows=frng.uniform((3, 2)),
+            kh=3, kw=3, pad=1,
+        ),
+    ]
+    shares = frng.uniform((3, 2, 4, 4))
+    for cluster in clusters:
+        cluster.broadcast_weights("small", small)
+        cluster.broadcast_weights("full", full)
+        cluster.scatter_shares("s", shares)
+        outputs = [cluster.map_shares(launch, range(3))[0] for launch in launches]
+        for out, w in zip(outputs, (small, full)):
+            assert np.array_equal(out, F.conv2d_via_matmul(shares, w, _oracle_matmul, 1, 1))
+    first, second = (backend._workspace for backend in backends)
+    assert first.size and second.size and not np.shares_memory(first, second)

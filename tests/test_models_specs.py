@@ -102,3 +102,47 @@ def test_mini_models_run_forward_backward(builder, nprng):
     net.backward(loss.backward())
     grads = [g for layer, _, _ in net.parameters() for g in layer.grads.values()]
     assert grads and all(np.all(np.isfinite(g)) for g in grads)
+
+
+#: Every layer's name, in walk order, of each builder's model: the names a
+#: first build in a fresh process has always carried, and so the keys of
+#: state dicts saved from one.
+_FIRST_BUILD_NAMES = {
+    "build_mini_vgg": [
+        "conv2d_1", "relu_1", "conv2d_2", "relu_2", "maxpool2d_1", "conv2d_3", "relu_3",
+        "maxpool2d_2", "flatten_1", "dense_1", "relu_4", "dense_2",
+    ],
+    "build_mini_resnet": [
+        "conv2d_1", "batchnorm2d_1", "relu_1", "residualblock_1", "conv2d_2", "batchnorm2d_2",
+        "relu_2", "conv2d_3", "batchnorm2d_3", "maxpool2d_1", "conv2d_4", "batchnorm2d_4",
+        "relu_3", "residualblock_2", "conv2d_5", "batchnorm2d_5", "relu_4", "conv2d_6",
+        "batchnorm2d_6", "globalavgpool_1", "dense_1",
+    ],
+    "build_mini_mobilenet": [
+        "conv2d_1", "batchnorm2d_1", "relu_1", "depthwiseconv2d_1", "batchnorm2d_2", "relu_2",
+        "conv2d_2", "batchnorm2d_3", "relu_3", "depthwiseconv2d_2", "batchnorm2d_4", "relu_4",
+        "conv2d_3", "batchnorm2d_5", "relu_5", "globalavgpool_1", "dense_1",
+    ],
+}
+_BUILDERS = [build_mini_vgg, build_mini_resnet, build_mini_mobilenet]
+
+
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
+def test_identically_built_models_load_each_others_state(builder):
+    """A layer's name comes from its model, so a second build has the same
+    state-dict keys as the first, and each loads the other's state."""
+    first, second = (builder(rng=np.random.default_rng(seed)) for seed in (0, 1))
+    state = first.state_dict()
+    assert list(second.state_dict()) == list(state)
+    second.load_state_dict(state)
+    for key, value in second.state_dict().items():
+        assert np.array_equal(value, state[key]), key
+
+
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
+def test_every_build_keeps_the_first_builds_names(builder):
+    """However many models the process built before, a build is named as
+    the first one in a fresh process was, so saved state dicts still load."""
+    for seed in range(2):
+        net = builder(rng=np.random.default_rng(seed))
+        assert [layer.name for layer in net._walk_layers()] == _FIRST_BUILD_NAMES[builder.__name__]

@@ -16,6 +16,7 @@ from repro.nn import (
     PlainBackend,
     ReLU,
     ResidualBlock,
+    Sequential,
 )
 
 BACKEND = PlainBackend()
@@ -196,10 +197,18 @@ def test_geometry_validation(nprng):
 
 
 def test_unique_auto_names(nprng):
-    a = Conv2D(1, 1, rng=nprng)
-    b = Conv2D(1, 1, rng=nprng)
-    assert a.name != b.name
-    assert Dense(2, 2, rng=nprng, name="head").name == "head"
+    """The model names its unnamed layers, per kind in walk order; a given
+    name is kept and takes no number."""
+    a, b = Conv2D(1, 1, rng=nprng), Conv2D(1, 1, rng=nprng)
+    assert a.name is None  # nothing is named outside a model
+    head = Dense(4, 2, rng=nprng, name="head")
+    block = ResidualBlock(body=[Conv2D(1, 1, rng=nprng), ReLU()])
+    Sequential([a, block, b, Flatten(), Dense(4, 4, rng=nprng), head], (1, 2, 2))
+    assert (a.name, block.name, block.body[0].name, block.body[1].name, b.name) == (
+        "conv2d_1", "residualblock_1", "conv2d_2", "relu_1", "conv2d_3",
+    )
+    assert head.name == "head"
+    assert block.join_layer.name == "residualblock_1/join"
 
 
 def test_n_params(nprng):

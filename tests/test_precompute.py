@@ -302,21 +302,20 @@ def test_scratch_pool_resets_on_shape_churn():
 
 
 def test_scratch_path_is_value_transparent_for_encode_decode():
-    from repro.fieldmath import FieldRng, use_backend
+    from repro.fieldmath import FieldRng
     from repro.masking import CoefficientSet, ForwardDecoder
 
     rng = FieldRng(FIELD, seed=3)
     coeffs = CoefficientSet.generate(rng, k=4, m=1, extra_shares=1)
     decoder = ForwardDecoder(coeffs)
     outputs = rng.uniform((6, 3, 16, 16))
-    with use_backend("limb"):
-        plain = decoder.decode(outputs)
-        previous = enable_scratch(True)
-        try:
-            pooled = decoder.decode(outputs)
-            again = decoder.decode(outputs)  # second pass hits warm buffers
-        finally:
-            enable_scratch(previous)
+    plain = decoder.decode(outputs)
+    previous = enable_scratch(True)
+    try:
+        pooled = decoder.decode(outputs)
+        again = decoder.decode(outputs)  # second pass hits warm buffers
+    finally:
+        enable_scratch(previous)
     assert np.array_equal(plain, pooled)
     assert np.array_equal(plain, again)
 
