@@ -9,7 +9,8 @@ virtual batch's whole coefficient material, and a layer step's as one
 stack), the batched conv-as-GEMM
 lowering, the cluster's stacked launches and their ledger accounting, the
 forward GPU product against the public weights' centred lift (one GEMM)
-beside the two-limb tier it replaced, a
+beside the two-limb tier it replaced, a paper-width (VGG16 ``conv1_2``)
+forward launch's traced peak with its unfold taken by the block, a
 whole masked layer step (forward and backward) over a batch's stack of virtual batches, and the
 per-request floor of serving (a session's AEAD round trip, a window's
 re-staging of unchanged weights), and the mask pool's refill/draw cycle.  Useful for
@@ -25,6 +26,7 @@ here (not in tier-1) because wall-clock ratios belong in the bench lane.
 
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ from repro.masking import (
     reference_aggregate,
 )
 from repro.models import build_mini_mobilenet
-from repro.nn.functional import conv2d_grad_w, conv2d_via_matmul
+from repro.nn.functional import conv2d_grad_w, conv2d_via_matmul, unfold_blocks
 from repro.pipeline import PipelineExecutor
 from repro.precompute import MaskStreamPool, enable_scratch
 from repro.quantization import QuantizationConfig
@@ -538,6 +540,38 @@ def test_public_gemm_is_not_slower_at_any_model_forward_shape(quick):
     assert len(rows) >= 20
     slower = [row for row in rows if row[4] > 1.1 * row[5]]
     assert not slower, slower
+
+
+def test_paper_width_conv_launch_peak(quick):
+    """The 6-share (K=4, M=1, integrity) forward launch of VGG16's conv1_2 —
+    64->64 channels, 3x3, pad 1 — on 224x224 maps: one share's float64
+    unfold is 221 MiB, so every share is a block of its own and the launch
+    peaks at the output plus one share's workspace (about 660 MiB traced;
+    the whole-stack unfold alone was 1.39 GB).  The traced peak must stay
+    under 800 MiB — scaled by area under ``--quick``, whose 56x56 maps
+    still split — and the launch time is printed."""
+    size = 56 if quick else 224
+    shares = RNG.uniform((N_SHARES, 64, size, size))
+    w = _staged_weights((64, 64, 3, 3))
+    public = PublicOperand.lift(FIELD, w)
+    sample_bytes = 64 * 9 * size * size * 8
+    assert len(unfold_blocks(N_SHARES, sample_bytes)) > 1
+    kernels = FieldKernels(FIELD)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        out = kernels.conv2d(shares, w, 1, 1, public)
+        cold = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (N_SHARES, 64, size, size)
+    del out
+    warm = _best_of(lambda: kernels.conv2d(shares, w, 1, 1, public), 2)
+    bound = 800 * 2**20 * (size / 224) ** 2
+    print(f"\nconv1_2 at {size}x{size}, {N_SHARES} shares: traced peak {peak / 2**20:.0f} MiB"
+          f" (bound {bound / 2**20:.0f}), first launch {cold:.2f} s, warm {warm:.2f} s")
+    assert peak <= bound
 
 
 # ----------------------------------------------------------------------

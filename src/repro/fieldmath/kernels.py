@@ -414,11 +414,16 @@ class LimbBackend:
         operand gives one of its shape laid out as the operand is — a
         transposed view (an unfolded conv operand, say) stays transposed,
         so converting into it is one straight pass and BLAS takes the
-        transposition as a flag instead of a strided copy."""
+        transposition as a flag instead of a strided copy.
+
+        The workspace grows to the next power of two of the elements
+        needed, so a backend that meets ever larger geometries (a fresh
+        cluster's first layer step) replaces its buffer a few times, not
+        once per new size."""
         shapes = [getattr(arg, "shape", arg) for arg in operands_and_shapes]
         sizes = [math.prod(shape) for shape in shapes]
         if self._workspace.size < sum(sizes):
-            self._workspace = np.empty(sum(sizes), dtype=np.float64)
+            self._workspace = np.empty(1 << (sum(sizes) - 1).bit_length(), dtype=np.float64)
             self._views.clear()  # they point into the buffer just dropped
         carved, start = [], 0
         for arg, shape, size in zip(operands_and_shapes, shapes, sizes):

@@ -103,13 +103,15 @@ class FieldKernels:
         """Convolution of shares ``(S, C, H, W)`` with weights ``(F, C, KH, KW)``.
 
         Within the bound, one GEMM of the weights' centred lift (``public``
-        as in :meth:`dense`) against every share's patches, padded and
-        unfolded straight into float64 with the share axis innermost (the
-        layout in which the unfold moves long runs), the product cast back
-        into ``(S, F, OH, OW)`` order; otherwise one
-        ``W_flat @ [cols_0|…|cols_{S-1}]`` limb-tier GEMM.  Either way the
-        public weights are prepared once for the whole stack, not once per
-        share.
+        as in :meth:`dense`) per block of shares
+        (:func:`~repro.nn.functional.unfold_blocks`: every share while
+        their unfold fits ``UNFOLD_BLOCK_BYTES``) against the block's
+        patches, padded and unfolded straight into float64 with the share
+        axis innermost (the layout in which the unfold moves long runs),
+        the product cast into the block's rows of one ``(S, F, OH, OW)``
+        output; otherwise ``W_flat @ [cols_0|…|cols_{B-1}]`` limb-tier
+        GEMMs, blocked the same way.  Either way the public weights are
+        prepared once for the whole stack, not once per share or block.
         """
         public = PublicOperand.lift(self.field, w) if public is None else public
         n, c, h, width = x.shape
@@ -119,17 +121,22 @@ class FieldKernels:
         oh = F.conv_output_size(h, kh, stride, pad)
         ow = F.conv_output_size(width, kw, stride, pad)
         out = np.empty((n, f, oh, ow), dtype=np.int64)
-        done = field_matmul_public(
-            self.field,
-            public,
-            (c * kh * kw, oh * ow * n),
-            lambda cols, staging: F.im2col_batch_last_into(x, kh, kw, stride, pad, cols, staging),
-            scratch_shapes=((c, h + 2 * pad, width + 2 * pad, n),),
-            into=out.reshape(n, f, oh * ow).transpose(1, 2, 0),
-            backend=self.backend,
-        )
-        if done is None:
-            return F.conv2d_via_matmul(x, w, self._matmul, stride, pad)
+        for rows in F.unfold_blocks(n, c * kh * kw * oh * ow * 8):  # float64 unfold
+            block = x[rows]
+            b = len(block)
+            done = field_matmul_public(
+                self.field,
+                public,
+                (c * kh * kw, oh * ow * b),
+                lambda cols, staging: F.im2col_batch_last_into(
+                    block, kh, kw, stride, pad, cols, staging
+                ),
+                scratch_shapes=((c, h + 2 * pad, width + 2 * pad, b),),
+                into=out[rows].reshape(b, f, oh * ow).transpose(1, 2, 0),
+                backend=self.backend,
+            )
+            if done is None:  # the bound reads k, p and W alone: the first block decides
+                return F.conv2d_via_matmul(x, w, self._matmul, stride, pad)
         return out
 
     def conv2d_grad_w(
@@ -141,7 +148,9 @@ class FieldKernels:
         stride: int = 1,
         pad: int = 0,
     ) -> np.ndarray:
-        """``<δ[j], x[j]>`` for conv weights per share; ``(S, F, C, KH, KW)``."""
+        """``<δ[j], x[j]>`` for conv weights per share; ``(S, F, C, KH, KW)``,
+        unfolded by the block of shares
+        (:func:`~repro.nn.functional.conv2d_grad_w_per_sample`)."""
         return F.conv2d_grad_w_per_sample(
             x, delta, kh, kw, self._matmul_stacked, stride, pad
         )

@@ -11,6 +11,17 @@ shape logic backs:
 
 Layout conventions: activations are ``(N, C, H, W)``, conv weights are
 ``(F, C, KH, KW)``, dense weights are ``(in_features, out_features)``.
+
+A convolution's unfolded patches are the largest temporary it makes —
+``C*KH*KW`` times its input — so every per-sample convolution kernel walks
+its sample (or share) axis in blocks of whole samples whose unfold fits
+:data:`UNFOLD_BLOCK_BYTES` (:func:`unfold_blocks`), each block's product
+written into its rows of one output.  A batch that fits is one block.
+Samples never mix, so a field kernel is exact block by block and a float
+one computes each element from the same terms.  Not bounded: the
+batch-summing weight gradients (:func:`conv2d_grad_w`,
+:func:`depthwise_conv2d_grad_w`), whose one contraction over every sample
+a split would reorder; the input and output themselves; and the weights.
 """
 
 from __future__ import annotations
@@ -18,6 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: Largest unfold, in bytes, one block of a per-sample convolution kernel
+#: makes (a single sample larger than this is a block of its own).
+UNFOLD_BLOCK_BYTES = 4 << 20
 
 # ----------------------------------------------------------------------
 # im2col / col2im
@@ -32,6 +47,31 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
             f"convolution collapses: input {size}, kernel {kernel}, stride"
             f" {stride}, pad {pad}"
         )
+    return out
+
+
+def unfold_blocks(n: int, sample_bytes: int) -> list[slice]:
+    """``range(n)`` in consecutive blocks of whole samples, each as many as
+    fit :data:`UNFOLD_BLOCK_BYTES` at ``sample_bytes`` of unfold per sample
+    (at least one; the last block takes what is left; an empty batch is one
+    empty block)."""
+    per_block = max(1, UNFOLD_BLOCK_BYTES // max(1, sample_bytes))
+    return [slice(start, min(start + per_block, n)) for start in range(0, max(n, 1), per_block)]
+
+
+def _by_blocks(n: int, sample_bytes: int, block_result):
+    """``block_result(rows)`` for every block of :func:`unfold_blocks`,
+    stacked along the sample axis: one block's result is returned as it
+    is; several are written into their rows of one output."""
+    blocks = unfold_blocks(n, sample_bytes)
+    if len(blocks) == 1:
+        return block_result(blocks[0])
+    out = None
+    for rows in blocks:
+        part = block_result(rows)
+        if out is None:
+            out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+        out[rows] = part
     return out
 
 
@@ -147,24 +187,33 @@ def col2im(
 def conv2d_via_matmul(x, w, matmul, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Forward convolution: ``(N,C,H,W) * (F,C,KH,KW) -> (N,F,OH,OW)``.
 
-    The whole batch runs as *one* stacked GEMM: the per-sample patch
-    matrices are laid side by side into ``(C*KH*KW, N*OH*OW)`` so the
-    injected ``matmul`` (float BLAS or the field's limb kernels) sees a
-    single large product instead of ``N`` small ones.  Each output element
-    is the same patch-dot-filter contraction as the per-sample form.
+    Each block of samples (:func:`unfold_blocks`; the whole batch when its
+    unfold fits :data:`UNFOLD_BLOCK_BYTES`) runs as *one* stacked GEMM: the
+    per-sample patch matrices are laid side by side into
+    ``(C*KH*KW, B*OH*OW)`` so the injected ``matmul`` (float BLAS or the
+    field's limb kernels) sees a single large product instead of ``B``
+    small ones.  Each output element is the same patch-dot-filter
+    contraction as the per-sample form.
     """
-    n = x.shape[0]
+    n, _, h, width = x.shape
     f, c, kh, kw = w.shape
     if x.shape[1] != c:
         raise ConfigurationError(f"channel mismatch: input {x.shape[1]}, weight {c}")
-    windows = _patch_windows(x, kh, kw, stride, pad)
-    oh, ow = windows.shape[4:]
+    oh = conv_output_size(h, kh, stride, pad)
+    ow = conv_output_size(width, kw, stride, pad)
     w_flat = w.reshape(f, c * kh * kw)
-    # Patch-major straight out of the window view: one copy, not an
-    # (N, P, Q) unfold followed by a transposing second one.
-    stacked = windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * oh * ow)
-    out = matmul(w_flat, stacked)  # (F, N*OH*OW)
-    return np.ascontiguousarray(out.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+
+    def block(rows):
+        windows = _patch_windows(x[rows], kh, kw, stride, pad)
+        b = windows.shape[0]
+        # Patch-major straight out of the window view: one copy, not a
+        # (B, P, Q) unfold followed by a transposing second one.
+        stacked = windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, b * oh * ow)
+        out = matmul(w_flat, stacked)  # (F, B*OH*OW)
+        return out.reshape(f, b, oh, ow).transpose(1, 0, 2, 3)
+
+    sample_bytes = c * kh * kw * oh * ow * x.itemsize
+    return np.ascontiguousarray(_by_blocks(n, sample_bytes, block))
 
 
 def conv2d_grad_w(
@@ -176,7 +225,9 @@ def conv2d_grad_w(
     collapse into one ``(F, N*Q) @ (N*Q, P)`` GEMM — the contraction axis
     runs over samples and positions at once.  Over the field this is
     bit-identical (exact integer arithmetic is order-independent); on
-    floats it only reorders the accumulation.
+    floats it only reorders the accumulation.  Unfolds the whole batch at
+    once — not bounded by :data:`UNFOLD_BLOCK_BYTES`: splitting the one
+    contraction would reorder its float sums.
     """
     n, c = x.shape[0], x.shape[1]
     f = grad_out.shape[1]
@@ -193,16 +244,22 @@ def conv2d_grad_w_per_sample(
     """Weight gradients ``(N, F, C, KH, KW)`` of conv2d, one per sample.
 
     :func:`conv2d_grad_w` without the batch sum: sample ``i``'s
-    ``g[i] @ cols[i].T`` stays its own product, and all ``N`` of them run
-    as one ``(N, F, Q) @ (N, Q, P)`` call of the injected
-    ``stacked_matmul``.  This is DarKnight's ``Eq_j`` for every share of a
-    virtual batch at once — the shares must not be summed before decoding.
+    ``g[i] @ cols[i].T`` stays its own product, and a block of ``B`` of
+    them (:func:`unfold_blocks`; all ``N`` when their unfold fits) runs as
+    one ``(B, F, Q) @ (B, Q, P)`` call of the injected ``stacked_matmul``.
+    This is DarKnight's ``Eq_j`` for every share of a virtual batch at
+    once — the shares must not be summed before decoding.
     """
     n, c = x.shape[0], x.shape[1]
     f = grad_out.shape[1]
-    cols = im2col(x, kh, kw, stride, pad)  # (N, C*KH*KW, OH*OW)
-    out = stacked_matmul(grad_out.reshape(n, f, -1), cols.transpose(0, 2, 1))
-    return out.reshape(n, f, c, kh, kw)
+    q = grad_out.shape[2] * grad_out.shape[3]
+
+    def block(rows):
+        cols = im2col(x[rows], kh, kw, stride, pad)  # (B, C*KH*KW, OH*OW)
+        out = stacked_matmul(grad_out[rows].reshape(-1, f, q), cols.transpose(0, 2, 1))
+        return out.reshape(-1, f, c, kh, kw)
+
+    return _by_blocks(n, c * kh * kw * q * x.itemsize, block)
 
 
 def conv2d_grad_x(
@@ -210,23 +267,31 @@ def conv2d_grad_x(
 ) -> np.ndarray:
     """Input gradient of conv2d: ``W^T``-correlation of the output gradient.
 
-    Batched like the forward pass: one ``(P, F) @ (F, N*Q)`` GEMM produces
-    every sample's patch gradients, which ``col2im`` scatters back.
+    Blocked like the forward pass: one ``(P, F) @ (F, B*Q)`` GEMM produces
+    a block's patch gradients, which ``col2im`` scatters back.
     """
     n = grad_out.shape[0]
     f, c, kh, kw = w.shape
-    w_flat = w.reshape(f, c * kh * kw)
-    g = grad_out.reshape(n, f, -1).transpose(1, 0, 2).reshape(f, -1)  # (F, N*Q)
-    cols = matmul(w_flat.T, g)  # (C*KH*KW, N*Q)
-    cols = cols.reshape(c * kh * kw, n, -1).transpose(1, 0, 2)  # (N, C*KH*KW, Q)
-    return col2im(np.ascontiguousarray(cols), x_shape, kh, kw, stride, pad)
+    q = grad_out.shape[2] * grad_out.shape[3]
+    w_flat_t = w.reshape(f, c * kh * kw).T
+
+    def block(rows):
+        b = rows.stop - rows.start
+        g = grad_out[rows].reshape(b, f, q).transpose(1, 0, 2).reshape(f, b * q)
+        cols = matmul(w_flat_t, g)  # (C*KH*KW, B*Q)
+        cols = cols.reshape(c * kh * kw, b, q).transpose(1, 0, 2)  # (B, C*KH*KW, Q)
+        return col2im(np.ascontiguousarray(cols), (b,) + tuple(x_shape[1:]), kh, kw, stride, pad)
+
+    sample_bytes = c * kh * kw * q * np.result_type(w, grad_out).itemsize
+    return _by_blocks(n, sample_bytes, block)
 
 
 def depthwise_conv2d(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Depthwise convolution: ``(N,C,H,W) * (C,KH,KW) -> (N,C,OH,OW)``.
 
     Float-only (MobileNet's depthwise stage); kernel fan-in ``KH*KW`` is tiny
-    so einsum accumulation is numerically trivial.
+    so einsum accumulation is numerically trivial.  Unfolds by the block
+    (:func:`unfold_blocks`).
     """
     n, c, h, w_in = x.shape
     cw, kh, kw = w.shape
@@ -234,13 +299,18 @@ def depthwise_conv2d(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
         raise ConfigurationError(f"depthwise channel mismatch: {c} vs {cw}")
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w_in, kw, stride, pad)
-    cols = im2col(x, kh, kw, stride, pad).reshape(n, c, kh * kw, oh * ow)
-    out = np.einsum("nckp,ck->ncp", cols, w.reshape(c, kh * kw))
-    return out.reshape(n, c, oh, ow)
+    w_flat = w.reshape(c, kh * kw)
+
+    def block(rows):
+        cols = im2col(x[rows], kh, kw, stride, pad).reshape(-1, c, kh * kw, oh * ow)
+        return np.einsum("nckp,ck->ncp", cols, w_flat).reshape(-1, c, oh, ow)
+
+    return _by_blocks(n, c * kh * kw * oh * ow * x.itemsize, block)
 
 
 def depthwise_conv2d_grad_w(x, grad_out, kh: int, kw: int, stride: int = 1, pad: int = 0):
-    """Weight gradient ``(C, KH, KW)`` of depthwise conv, summed over batch."""
+    """Weight gradient ``(C, KH, KW)`` of depthwise conv, summed over batch
+    (whole-batch unfold, like :func:`conv2d_grad_w`)."""
     n, c = x.shape[:2]
     cols = im2col(x, kh, kw, stride, pad).reshape(n, c, kh * kw, -1)
     g = grad_out.reshape(n, c, 1, -1)
@@ -248,13 +318,20 @@ def depthwise_conv2d_grad_w(x, grad_out, kh: int, kw: int, stride: int = 1, pad:
 
 
 def depthwise_conv2d_grad_x(w, grad_out, x_shape, stride: int = 1, pad: int = 0):
-    """Input gradient of depthwise conv."""
+    """Input gradient of depthwise conv, by the block (:func:`unfold_blocks`)."""
     n = grad_out.shape[0]
     c, kh, kw = w.shape
-    g = grad_out.reshape(n, c, 1, -1)
-    cols = np.einsum("ck,ncjp->nckp", w.reshape(c, kh * kw), g)
-    cols = cols.reshape(n, c * kh * kw, -1)
-    return col2im(cols, x_shape, kh, kw, stride, pad)
+    q = grad_out.shape[2] * grad_out.shape[3]
+    w_flat = w.reshape(c, kh * kw)
+
+    def block(rows):
+        b = rows.stop - rows.start
+        cols = np.einsum("ck,ncjp->nckp", w_flat, grad_out[rows].reshape(b, c, 1, q))
+        cols = cols.reshape(b, c * kh * kw, q)
+        return col2im(cols, (b,) + tuple(x_shape[1:]), kh, kw, stride, pad)
+
+    sample_bytes = c * kh * kw * q * np.result_type(w, grad_out).itemsize
+    return _by_blocks(n, sample_bytes, block)
 
 
 # ----------------------------------------------------------------------
