@@ -11,6 +11,7 @@ lowering, the cluster's stacked launches and their ledger accounting, the
 forward GPU product against the public weights' centred lift (one GEMM)
 beside the two-limb tier it replaced, a paper-width (VGG16 ``conv1_2``)
 forward launch's traced peak with its unfold taken by the block, a
+width-64 inference forward's traced peak with its plan walked by the block, a
 whole masked layer step (forward and backward) over a batch's stack of virtual batches, and the
 per-request floor of serving (a session's AEAD round trip, a window's
 re-staging of unchanged weights), and the mask pool's refill/draw cycle.  Useful for
@@ -51,7 +52,8 @@ from repro.masking import (
     ForwardEncoder,
     reference_aggregate,
 )
-from repro.models import build_mini_mobilenet
+from repro.models import build_mini_mobilenet, build_mini_vgg
+from repro.nn import PlainBackend, functional
 from repro.nn.functional import conv2d_grad_w, conv2d_via_matmul, unfold_blocks
 from repro.pipeline import PipelineExecutor
 from repro.precompute import MaskStreamPool, enable_scratch
@@ -572,6 +574,35 @@ def test_paper_width_conv_launch_peak(quick):
     print(f"\nconv1_2 at {size}x{size}, {N_SHARES} shares: traced peak {peak / 2**20:.0f} MiB"
           f" (bound {bound / 2**20:.0f}), first launch {cold:.2f} s, warm {warm:.2f} s")
     assert peak <= bound
+
+
+def test_wide_inference_forward_peak(quick, monkeypatch):
+    """A ``PlainBackend`` inference forward of mini-VGG at width 64 on 32x32
+    inputs, batch 512: the 64->64 conv unfolds 4.5 MiB per sample, so every
+    sample is a block of its own and the forward peaks near one sample's
+    footprint (about 6 MiB traced; the whole-batch walk held 832 MiB).  The
+    traced peak must stay at or under 16 MiB — ``--quick`` runs 32 samples,
+    still 32 blocks — and the forward's time is printed.  The first 8
+    samples' logits are ``allclose`` to the one-block path's."""
+    batch = 32 if quick else 512
+    rng = np.random.default_rng(0)
+    network = build_mini_vgg(input_shape=(3, 32, 32), n_classes=10, rng=rng, width=64)
+    x = rng.standard_normal((batch,) + network.input_shape)
+    assert len(unfold_blocks(batch, network.widest_sample_bytes())) > 1
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        logits = network.forward(x, PlainBackend(), training=False)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(functional, "UNFOLD_BLOCK_BYTES", 1 << 40)
+    whole = network.forward(x[:8], PlainBackend(), training=False)
+    assert np.allclose(logits[:8], whole, rtol=1e-12, atol=1e-12)
+    print(f"\nmini-vgg width 64, 32x32, batch {batch}: traced peak {peak / 2**20:.1f} MiB"
+          f" (bound 16), forward {elapsed:.2f} s")
+    assert peak <= 16 * 2**20
 
 
 # ----------------------------------------------------------------------

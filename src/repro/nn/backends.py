@@ -28,7 +28,13 @@ from repro.nn import functional as F
 
 
 class LinearBackend(Protocol):
-    """What a layer needs from its execution substrate."""
+    """What a layer needs from its execution substrate.
+
+    A backend that masks samples in groups may say how many with a
+    ``virtual_batch_size`` attribute: an inference-mode
+    :meth:`~repro.nn.network.Sequential.forward` never splits a group
+    across two of its blocks (one sample when absent).
+    """
 
     def conv2d_forward(
         self, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,

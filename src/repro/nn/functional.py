@@ -16,7 +16,9 @@ A convolution's unfolded patches are the largest temporary it makes —
 ``C*KH*KW`` times its input — so every per-sample convolution kernel walks
 its sample (or share) axis in blocks of whole samples whose unfold fits
 :data:`UNFOLD_BLOCK_BYTES` (:func:`unfold_blocks`), each block's product
-written into its rows of one output.  A batch that fits is one block.
+written into its rows of one output (:func:`by_blocks`).  A batch that fits
+is one block.  An inference-mode :meth:`~repro.nn.network.Sequential.forward`
+walks its whole plan by the same blocks and budget.
 Samples never mix, so a field kernel is exact block by block and a float
 one computes each element from the same terms.  Not bounded: the
 batch-summing weight gradients (:func:`conv2d_grad_w`,
@@ -59,18 +61,17 @@ def unfold_blocks(n: int, sample_bytes: int) -> list[slice]:
     return [slice(start, min(start + per_block, n)) for start in range(0, max(n, 1), per_block)]
 
 
-def _by_blocks(n: int, sample_bytes: int, block_result):
-    """``block_result(rows)`` for every block of :func:`unfold_blocks`,
-    stacked along the sample axis: one block's result is returned as it
-    is; several are written into their rows of one output."""
-    blocks = unfold_blocks(n, sample_bytes)
+def by_blocks(blocks: list[slice], block_result):
+    """``block_result(rows)`` for every block of ``blocks`` (consecutive,
+    from 0), stacked along the sample axis: one block's result is returned
+    as it is; several are written into their rows of one output."""
     if len(blocks) == 1:
         return block_result(blocks[0])
     out = None
     for rows in blocks:
         part = block_result(rows)
         if out is None:
-            out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+            out = np.empty((blocks[-1].stop,) + part.shape[1:], dtype=part.dtype)
         out[rows] = part
     return out
 
@@ -213,7 +214,7 @@ def conv2d_via_matmul(x, w, matmul, stride: int = 1, pad: int = 0) -> np.ndarray
         return out.reshape(f, b, oh, ow).transpose(1, 0, 2, 3)
 
     sample_bytes = c * kh * kw * oh * ow * x.itemsize
-    return np.ascontiguousarray(_by_blocks(n, sample_bytes, block))
+    return np.ascontiguousarray(by_blocks(unfold_blocks(n, sample_bytes), block))
 
 
 def conv2d_grad_w(
@@ -259,7 +260,7 @@ def conv2d_grad_w_per_sample(
         out = stacked_matmul(grad_out[rows].reshape(-1, f, q), cols.transpose(0, 2, 1))
         return out.reshape(-1, f, c, kh, kw)
 
-    return _by_blocks(n, c * kh * kw * q * x.itemsize, block)
+    return by_blocks(unfold_blocks(n, c * kh * kw * q * x.itemsize), block)
 
 
 def conv2d_grad_x(
@@ -283,7 +284,7 @@ def conv2d_grad_x(
         return col2im(np.ascontiguousarray(cols), (b,) + tuple(x_shape[1:]), kh, kw, stride, pad)
 
     sample_bytes = c * kh * kw * q * np.result_type(w, grad_out).itemsize
-    return _by_blocks(n, sample_bytes, block)
+    return by_blocks(unfold_blocks(n, sample_bytes), block)
 
 
 def depthwise_conv2d(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -305,7 +306,7 @@ def depthwise_conv2d(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
         cols = im2col(x[rows], kh, kw, stride, pad).reshape(-1, c, kh * kw, oh * ow)
         return np.einsum("nckp,ck->ncp", cols, w_flat).reshape(-1, c, oh, ow)
 
-    return _by_blocks(n, c * kh * kw * oh * ow * x.itemsize, block)
+    return by_blocks(unfold_blocks(n, c * kh * kw * oh * ow * x.itemsize), block)
 
 
 def depthwise_conv2d_grad_w(x, grad_out, kh: int, kw: int, stride: int = 1, pad: int = 0):
@@ -331,7 +332,7 @@ def depthwise_conv2d_grad_x(w, grad_out, x_shape, stride: int = 1, pad: int = 0)
         return col2im(cols, (b,) + tuple(x_shape[1:]), kh, kw, stride, pad)
 
     sample_bytes = c * kh * kw * q * np.result_type(w, grad_out).itemsize
-    return _by_blocks(n, sample_bytes, block)
+    return by_blocks(unfold_blocks(n, sample_bytes), block)
 
 
 # ----------------------------------------------------------------------

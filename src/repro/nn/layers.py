@@ -380,20 +380,24 @@ class BatchNorm2D(Layer):
         self._cache = None
 
     def forward(self, x, backend, training=True):
-        if training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean, var = self.running_mean, self.running_var
+        gamma = self.params["gamma"].reshape(1, -1, 1, 1)
+        beta = self.params["beta"].reshape(1, -1, 1, 1)
+        if not training:
+            # The same elementwise ops in the same order, into one buffer.
+            std = np.sqrt(self.running_var + self.eps)
+            out = x - self.running_mean.reshape(1, -1, 1, 1)
+            out /= std.reshape(1, -1, 1, 1)
+            out *= gamma
+            out += beta
+            return out
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
+        self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         std = np.sqrt(var + self.eps)
         x_hat = (x - mean.reshape(1, -1, 1, 1)) / std.reshape(1, -1, 1, 1)
-        if training:
-            self._cache = (x_hat, std)
-        return self.params["gamma"].reshape(1, -1, 1, 1) * x_hat + self.params[
-            "beta"
-        ].reshape(1, -1, 1, 1)
+        self._cache = (x_hat, std)
+        return gamma * x_hat + beta
 
     def backward(self, grad_out, backend):
         if self._cache is None:

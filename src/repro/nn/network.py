@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.nn import functional as F
 from repro.nn.backends import LinearBackend, PlainBackend
-from repro.nn.layers import BranchJoin, Conv2D, Dense, Layer, ResidualBlock
+from repro.nn.layers import (
+    BranchJoin,
+    Conv2D,
+    Dense,
+    DepthwiseConv2D,
+    Layer,
+    ResidualBlock,
+)
 
 #: Dependency index denoting the network's input batch.
 PLAN_INPUT = -1
@@ -163,18 +172,57 @@ class Sequential:
             shapes[step.index] = step.layer.output_shape(shapes[step.deps[0]])
         return [shapes[step.index] for step in plan]
 
+    def widest_sample_bytes(self) -> int:
+        """The plan's widest per-sample float64 footprint: its largest step
+        output or convolution unfold (``C_in*KH*KW*OH*OW``), in bytes."""
+        plan = self.execution_plan()
+        shapes = self.plan_shapes()
+        widest = max(math.prod(shape) for shape in shapes)
+        for step, shape in zip(plan, shapes):
+            layer = step.layer
+            if isinstance(layer, (Conv2D, DepthwiseConv2D)):
+                dep = step.deps[0]
+                c_in = (self.input_shape if dep == PLAN_INPUT else shapes[dep])[0]
+                widest = max(widest, c_in * layer.kernel_size**2 * math.prod(shape[1:]))
+        return 8 * widest
+
     def forward(
         self,
         x: np.ndarray,
         backend: LinearBackend | None = None,
         training: bool = True,
     ) -> np.ndarray:
-        """Run the network synchronously; ``backend`` defaults to plain float."""
+        """Run the network synchronously; ``backend`` defaults to plain float.
+
+        In inference mode (``training=False``) the plan runs one block of
+        whole samples at a time, each block's output rows written into one
+        result: a block holds as many samples as fit
+        :data:`~repro.nn.functional.UNFOLD_BLOCK_BYTES` at
+        :meth:`widest_sample_bytes` (cut by
+        :func:`~repro.nn.functional.unfold_blocks`), so the forward's memory
+        follows the block, not the batch.  A backend that masks samples
+        together exposes ``virtual_batch_size``; its virtual batches are
+        never split (a block is a whole number of them).  A batch that fits
+        is one block — the whole-batch walk.  A training forward keeps every
+        layer's cache for the backward pass and always runs whole.
+        """
         backend = backend or PlainBackend()
         if tuple(x.shape[1:]) != self.input_shape:
             raise ConfigurationError(
                 f"input shape {tuple(x.shape[1:])} != expected {self.input_shape}"
             )
+        if training:
+            return self._run_plan(x, backend, training)
+        n, unit = x.shape[0], getattr(backend, "virtual_batch_size", 1)
+        units = F.unfold_blocks(-(-n // unit), unit * self.widest_sample_bytes())
+        blocks = [slice(b.start * unit, min(b.stop * unit, n)) for b in units]
+        return F.by_blocks(blocks, lambda rows: self._run_plan(x[rows], backend, training))
+
+    def _run_plan(
+        self, x: np.ndarray, backend: LinearBackend, training: bool
+    ) -> np.ndarray:
+        """Replay every plan step on ``x``, dropping each value after its
+        last use."""
         plan = self.execution_plan()
         last_use: dict[int, int] = {}
         for step in plan:

@@ -26,6 +26,10 @@ class SgxOnlyBackend(PlainBackend):
     enclave:
         Where ops/bytes are charged; EPC pressure from activations is
         tracked per call so the perf model can price paging.
+
+    An inference-mode ``Sequential.forward`` calls once per block of samples
+    (``nn.functional.UNFOLD_BLOCK_BYTES``), so for a batch over one block
+    the EPC working set charged is one block's, not the whole batch's.
     """
 
     def __init__(self, enclave: Enclave | None = None) -> None:

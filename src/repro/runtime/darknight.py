@@ -168,6 +168,12 @@ class DarKnightBackend:
         )
         self._step = 0
 
+    @property
+    def virtual_batch_size(self) -> int:
+        """``K``, the samples masked together: an inference-mode
+        ``Sequential.forward`` cuts its blocks in whole multiples of it."""
+        return self.config.virtual_batch_size
+
     # ------------------------------------------------------------------
     # small helpers
     # ------------------------------------------------------------------

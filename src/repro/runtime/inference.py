@@ -105,8 +105,10 @@ class PrivateInferenceEngine:
         """Run one pre-formed batch through the masked pipeline.
 
         The reusable single-batch entry point serving workers call.  At
-        ``pipeline_depth=1`` this is the classic synchronous forward; at
-        deeper settings the staged executor interleaves virtual batches.
+        ``pipeline_depth=1`` this is the classic synchronous forward (it
+        holds one block of whole virtual batches at a time, see
+        :meth:`~repro.nn.network.Sequential.forward`); at deeper settings
+        the staged executor interleaves virtual batches.
         Either way the backend's stored encodings are released on every
         exit path — including decode/integrity failures and pipeline
         aborts mid-network — and the release is asserted, so a byzantine

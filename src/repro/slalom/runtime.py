@@ -47,6 +47,11 @@ class SlalomBackend:
         Fixed-point precision (Slalom also uses ~8-bit fixed point).
     pool_size:
         Blinding pairs precomputed per layer whenever the pool runs dry.
+
+    Inputs are normalised by one scalar max-abs factor per call.  An
+    inference-mode ``Sequential.forward`` calls once per block of samples
+    (``nn.functional.UNFOLD_BLOCK_BYTES``), so a batch over one block is
+    normalised block by block.
     """
 
     def __init__(

@@ -107,6 +107,41 @@ def test_batchnorm_inference_uses_running_stats(nprng, x_img):
     assert abs(out_eval.mean()) < 0.5
 
 
+def _bn_expression(x, mean, var, gamma, beta, eps):
+    """``γ·((x − μ)/σ) + β`` as whole-batch temporaries, per channel."""
+    c = (1, -1, 1, 1)
+    x_hat = (x - mean.reshape(c)) / np.sqrt(var + eps).reshape(c)
+    return gamma.reshape(c) * x_hat + beta.reshape(c)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 1, 1), (5, 3, 7, 4), (2, 3, 16, 16)])
+def test_batchnorm_forward_is_the_whole_expression_bit_for_bit(shape):
+    """Eval writes ``x − μ``, then ``/σ``, ``·γ`` and ``+β`` into one
+    buffer — the expression's elementwise ops in its order, so the same
+    bits; the input is left alone.  Training's forward is the expression
+    under the batch statistics, with the running stats updated as before."""
+    rng = np.random.default_rng(sum(shape))
+    layer = BatchNorm2D(3, momentum=0.7)
+    layer.params["gamma"][:] = rng.normal(size=3)
+    layer.params["beta"][:] = rng.normal(size=3)
+    layer.running_mean = rng.normal(size=3)
+    layer.running_var = rng.uniform(0.1, 4.0, size=3)
+    x = rng.normal(size=shape) * 10
+    kept = x.copy()
+    params = (layer.params["gamma"], layer.params["beta"], layer.eps)
+    expected = _bn_expression(x, layer.running_mean, layer.running_var, *params)
+    assert np.array_equal(layer.forward(x, BACKEND, training=False), expected)
+    assert np.array_equal(x, kept)
+
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    keep, take = 0.7, 1 - 0.7
+    running = keep * layer.running_mean + take * mean, keep * layer.running_var + take * var
+    out = layer.forward(x, BACKEND, training=True)
+    assert np.array_equal(out, _bn_expression(x, mean, var, *params))
+    assert np.array_equal(layer.running_mean, running[0])
+    assert np.array_equal(layer.running_var, running[1])
+
+
 def test_relu_maxpool_flatten_gap(nprng, x_img):
     for layer in [ReLU(), MaxPool2D(2), AvgPool2D(2), Flatten(), GlobalAvgPool()]:
         _check_input_grad(layer, x_img)
