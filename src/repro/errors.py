@@ -108,20 +108,20 @@ class ShardFailedError(ShardError):
     shard_id:
         The shard that failed.
     completed:
-        ``(groups, stats)`` pairs for the window batches that finished
-        before the failure, in window order.
-    remaining_from:
-        Index into the window of the first batch that did *not* complete.
+        The window's completed prefix as one account, ``(groups, stats)``
+        exactly as a finished window returns it: one group per batch that
+        finished, in window order, and one
+        :class:`~repro.pipeline.stages.PipelineStats` for all of them.
+        ``None`` when no batch finished.  Batch ``len(groups)`` of the
+        window is the first that did not.
     """
 
     def __init__(
         self,
         message: str,
         shard_id: int = -1,
-        completed: list | None = None,
-        remaining_from: int = 0,
+        completed: tuple | None = None,
     ) -> None:
         super().__init__(message)
         self.shard_id = shard_id
-        self.completed = completed or []
-        self.remaining_from = remaining_from
+        self.completed = completed

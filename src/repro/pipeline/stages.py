@@ -128,6 +128,28 @@ class PipelineStats:
     stage_totals: dict[str, float] = field(default_factory=dict)
     spans: list[StageSpan] = field(default_factory=list)
 
+    @classmethod
+    def merge(cls, parts: Sequence["PipelineStats"]) -> "PipelineStats":
+        """One account for several runs, e.g. a pipeline's member windows.
+
+        The merged clock runs from the earliest start to the latest
+        finish; jobs, occupancy and every stage total are summed in
+        ``parts`` order.  Spans stay with their parts (their job indices
+        are per run).
+        """
+        stage_totals: dict[str, float] = {}
+        for part in parts:
+            for name, secs in part.stage_totals.items():
+                stage_totals[name] = stage_totals.get(name, 0.0) + secs
+        return cls(
+            start=min((p.start for p in parts), default=0.0),
+            finish=max((p.finish for p in parts), default=0.0),
+            n_jobs=sum(p.n_jobs for p in parts),
+            enclave_busy=sum(p.enclave_busy for p in parts),
+            gpu_busy=sum(p.gpu_busy for p in parts),
+            stage_totals=stage_totals,
+        )
+
     @property
     def makespan(self) -> float:
         """End-to-end simulated seconds for the run."""

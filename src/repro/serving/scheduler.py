@@ -78,7 +78,6 @@ class VirtualBatchScheduler:
         self.shard_id = shard_id
         self.policy = policy
         self._ids = id_source if id_source is not None else itertools.count()
-        self.batches_scheduled = 0
         #: Optional elastic cap on the coalescing target — the EPC-pool
         #: re-size applied between windows as shards join or leave.
         self.batch_cap: int | None = None
@@ -98,7 +97,6 @@ class VirtualBatchScheduler:
             slots=self.slots,
             shard_id=self.shard_id,
         )
-        self.batches_scheduled += 1
         if self.policy is not None:
             self.policy.observe_flush(
                 trigger, batch.n_requests, wait_used, flush_time=flush_time

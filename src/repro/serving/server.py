@@ -400,12 +400,11 @@ class PrivateInferenceServer:
     def _provision(
         self,
         shard_id: int,
-        now: float = 0.0,
         cluster: GpuCluster | None = None,
         enclave: Enclave | None = None,
     ) -> EnclaveShard:
         """Stand up one physical shard's trusted stack for this deployment."""
-        shard = EnclaveShard.provision(
+        return EnclaveShard.provision(
             shard_id,
             self.network,
             self.darknight,
@@ -415,8 +414,6 @@ class PrivateInferenceServer:
             enclave=enclave,
             link=self.link,
         )
-        shard.provisioned_at = now
-        return shard
 
     def _add_unit(
         self, unit_id: int, shards: list[EnclaveShard], now: float = 0.0
@@ -508,7 +505,7 @@ class PrivateInferenceServer:
             max_migrations=asc.max_session_migrations if asc is not None else None
         )
         n = self.partition.n_stages
-        shards = [self._provision(unit_id * n + k, now) for k in range(n)]
+        shards = [self._provision(unit_id * n + k) for k in range(n)]
         for shard in shards:
             self.mesh.extend(shard)
         unit = self._add_unit(unit_id, shards, now)
@@ -637,37 +634,40 @@ class PrivateInferenceServer:
             shard.backend.invalidate_precompute()
 
     def _precompute_report(self) -> dict | None:
-        """Aggregate pool/weight-cache telemetry across live shards.
+        """Aggregate pool/weight-cache telemetry across the deployment.
 
-        Counts sum; the hit rate is recomputed from the summed draws
-        (``None`` before any draw — strict-JSON, never ``NaN``); the
-        occupancy averages over shards that have registered streams.
-        ``None`` when no live backend runs in precompute mode.
+        Counters sum over every shard ever provisioned, so a scale-in
+        never takes them backwards; what the pools hold now (streams,
+        pooled bytes, cached layers) sums over live shards.  The hit rate
+        is recomputed from the summed draws (``None`` before any draw —
+        strict-JSON, never ``NaN``); the occupancy averages over live
+        shards that have registered streams.  ``None`` when no backend
+        runs in precompute mode.
         """
         snaps = [
-            snap
-            for shard in self._live_shards()
+            (shard.healthy, snap)
+            for shard in self.shards
             if (snap := shard.backend.precompute_snapshot()) is not None
         ]
         if not snaps:
             return None
         agg = {
-            key: sum(s[key] for s in snaps)
+            key: sum(s[key] for _, s in snaps)
             for key in (
-                "streams",
                 "hits",
                 "misses",
                 "refills",
-                "pooled_bytes",
                 "pooled_bytes_peak",
                 "weights_staged",
                 "weights_reused",
-                "cached_layers",
             )
         }
+        live = [s for healthy, s in snaps if healthy]
+        for key in ("streams", "pooled_bytes", "cached_layers"):
+            agg[key] = sum(s[key] for s in live)
         draws = agg["hits"] + agg["misses"]
         agg["hit_rate"] = None if draws == 0 else agg["hits"] / draws
-        occupancies = [s["occupancy"] for s in snaps if s["occupancy"] is not None]
+        occupancies = [s["occupancy"] for s in live if s["occupancy"] is not None]
         agg["occupancy"] = (
             None if not occupancies else sum(occupancies) / len(occupancies)
         )

@@ -102,9 +102,6 @@ class InferenceWorkerPool:
         self.on_feedback = on_feedback
         self.slo = slo
         self.audit = audit
-        self.batches_run = 0
-        #: Enclave-occupied simulated seconds summed over all shards.
-        self.busy_time = 0.0
         self.failovers = 0
         #: Failover retries skipped because the class SLO budget was
         #: already exhausted at the failure frontier.
@@ -200,18 +197,11 @@ class InferenceWorkerPool:
             )
             for batch in batches
         ]
-        busy_before = shard.timeline.busy_time
         try:
             groups, stats = shard.run_window(items)
         except ShardFailedError as exc:
             return self._fail_over(shard, batches, exc)
         except (IntegrityError, DecodingError) as exc:
-            # The aborted run still occupied the enclave up to the failure
-            # point; charge that occupancy to the pool (the shards charge
-            # their own) no matter how many batches shared the window —
-            # the isolating single-batch re-runs below account only their
-            # *own* time.
-            self.busy_time += shard.timeline.busy_time - busy_before
             if len(batches) > 1:
                 # One bad batch aborted the shared schedule; isolate it by
                 # running every batch in its own single-batch window.  The
@@ -235,18 +225,12 @@ class InferenceWorkerPool:
                 else STATUS_DECODE_FAILED
             )
             # Completion falls back to the clock's failure frontier.
-            fallback = max(shard.timeline.free_at, batches[0].flush_time)
-            self.batches_run += 1
+            fallback = max(shard.free_at, batches[0].flush_time)
             self._commit(
                 shard_id, batches, [None], status=status, aborted=True, error=str(exc)
             )
             return self._outcomes(batches[0], None, status, str(exc), fallback)
-        self._account(stats)
-        self.batches_run += len(batches)
-        self._observe_service_spans(groups)
-        self._commit(
-            shard_id, batches, [group.output for group in groups], status=STATUS_OK
-        )
+        outcomes = self._settle(shard_id, batches, groups, stats)
         if self.on_feedback is not None:
             self.on_feedback(
                 WindowFeedback(
@@ -260,11 +244,7 @@ class InferenceWorkerPool:
                     ),
                 )
             )
-        return [
-            o
-            for batch, group in zip(batches, groups)
-            for o in self._outcomes(batch, group, STATUS_OK, None, 0.0)
-        ]
+        return outcomes
 
     def _fail_over(
         self,
@@ -283,20 +263,12 @@ class InferenceWorkerPool:
         arrival re-attests from scratch on the re-pinned shard.
         """
         outcomes: list[RequestOutcome] = []
-        completed_outputs = []
-        for batch, (groups, stats) in zip(batches, exc.completed):
-            self._account(stats)
-            self.batches_run += 1
-            self._observe_service_spans(groups)
-            completed_outputs.append(groups[0].output)
-            outcomes.extend(self._outcomes(batch, groups[0], STATUS_OK, None, 0.0))
-        self._commit(
-            shard.shard_id,
-            batches[: exc.remaining_from],
-            completed_outputs,
-            status=STATUS_OK,
-        )
-        remaining = batches[exc.remaining_from :]
+        done = 0
+        if exc.completed is not None:
+            groups, stats = exc.completed
+            done = len(groups)
+            outcomes = self._settle(shard.shard_id, batches[:done], groups, stats)
+        remaining = batches[done:]
         now = remaining[0].flush_time if remaining else batches[-1].flush_time
         outage: Exception | None = None
         if not self.router.is_failed(shard.shard_id):
@@ -314,7 +286,7 @@ class InferenceWorkerPool:
         terminal: list[tuple[ScheduledBatch, str]] = []
         rerouted: list[ScheduledBatch] = []
         for batch in remaining:
-            fallback = max(shard.timeline.free_at, batch.flush_time)
+            fallback = max(shard.free_at, batch.flush_time)
             if outage is not None:
                 terminal.append((batch, str(outage)))
                 outcomes.extend(
@@ -494,10 +466,19 @@ class InferenceWorkerPool:
         successful window)."""
         return self._service_floor
 
-    def _account(self, stats) -> None:
+    def _settle(
+        self, shard_id: int, batches: list[ScheduledBatch], groups, stats
+    ) -> list[RequestOutcome]:
+        """Book, audit and answer one account of completed batches."""
         for stage, seconds in stats.stage_totals.items():
             self._stage_totals[stage] = self._stage_totals.get(stage, 0.0) + seconds
-        self.busy_time += stats.enclave_busy
+        self._observe_service_spans(groups)
+        self._commit(shard_id, batches, [g.output for g in groups], status=STATUS_OK)
+        return [
+            o
+            for batch, group in zip(batches, groups)
+            for o in self._outcomes(batch, group, STATUS_OK, None, 0.0)
+        ]
 
     def _outcomes(
         self,

@@ -277,27 +277,6 @@ def open_activations(
 # ----------------------------------------------------------------------
 # pipeline group
 # ----------------------------------------------------------------------
-class _GroupTimeline:
-    """Read-only timeline facade over a group's member enclaves.
-
-    The worker pool reads ``free_at`` (failover fallback clock) and
-    ``busy_time`` (utilization report); for a pipeline the honest
-    answers are the *latest* member clock and the *summed* enclave
-    occupancy.
-    """
-
-    def __init__(self, members: list) -> None:
-        self._members = members
-
-    @property
-    def free_at(self) -> float:
-        return max(m.timeline.free_at for m in self._members)
-
-    @property
-    def busy_time(self) -> float:
-        return sum(m.timeline.busy_time for m in self._members)
-
-
 def _flat_rows(output) -> np.ndarray:
     """Canonical per-batch rows for audit leaves: final logits pass
     through; a mid-cut live dict flattens to ``(n, total)`` in step
@@ -360,7 +339,6 @@ class PipelineGroup:
         self.members = list(members)
         self.ranges = [tuple(r) for r in ranges]
         self.link = link or LinkModel()
-        self._timeline = _GroupTimeline(self.members)
         #: Per-member canonical rows from the last window, for audit
         #: fan-out onto each member shard's own chain.
         self.last_sub_outputs: dict[int, list] = {}
@@ -388,8 +366,9 @@ class PipelineGroup:
         return self.members[0].enclave
 
     @property
-    def timeline(self) -> _GroupTimeline:
-        return self._timeline
+    def free_at(self) -> float:
+        """The latest member clock: where a failed window's work stops."""
+        return max(m.timeline.free_at for m in self.members)
 
     @property
     def busy_time(self) -> float:
@@ -458,9 +437,9 @@ class PipelineGroup:
             member's own message when any member is down or dies
             mid-window.  The completed prefix — batches that cleared the
             failing member — continues through the remaining stages so
-            their responses survive, and the error carries them as
-            finished ``(groups, stats)`` entries; the worker pool's
-            per-batch failover then re-runs only the lost suffix on a
+            their responses survive, and the error carries it as one
+            ``(groups, stats)`` account (``None`` when it is empty); the
+            worker pool's failover then re-runs only the lost suffix on a
             replacement group.
         """
         for member in self.members:
@@ -470,111 +449,49 @@ class PipelineGroup:
                 raise ShardFailedError(
                     f"shard {member.shard_id} is down", shard_id=self.shard_id
                 )
-        n_items = len(items)
         self.last_sub_outputs = {m.shard_id: [] for m in self.members}
+        # (payload, release, deadline, sealed bytes feeding this hop)
         current = [
-            (
-                item[0],
-                item[1],
-                item[2] if len(item) > 2 else math.inf,
-            )
+            (item[0], item[1], item[2] if len(item) > 2 else math.inf, 0)
             for item in items
         ]
-        transfer = [0] * n_items  # sealed bytes feeding each batch's next hop
+        groups: list = []
         starts: list[float] = []
-        finals: list = []
+        parts: list[PipelineStats] = []
         failure: str | None = None
-        agg_start = math.inf
-        agg_finish = 0.0
-        agg_jobs = 0
-        agg_enclave = 0.0
-        agg_gpu = 0.0
-        agg_stages: dict[str, float] = {}
-
-        def absorb(stats: PipelineStats) -> None:
-            nonlocal agg_start, agg_finish, agg_jobs, agg_enclave, agg_gpu
-            agg_start = min(agg_start, stats.start)
-            agg_finish = max(agg_finish, stats.finish)
-            agg_jobs += stats.n_jobs
-            agg_enclave += stats.enclave_busy
-            agg_gpu += stats.gpu_busy
-            for name, secs in stats.stage_totals.items():
-                agg_stages[name] = agg_stages.get(name, 0.0) + secs
-
         for hop, (member, (lo, hi)) in enumerate(zip(self.members, self.ranges)):
             if not current:
                 break
-            stage_items = [
-                (payload, release, deadline, transfer[i])
-                for i, (payload, release, deadline) in enumerate(current)
-            ]
             try:
-                groups, stats = member.run_window(stage_items, step_range=(lo, hi))
+                groups, stats = member.run_window(current, step_range=(lo, hi))
             except ShardFailedError as exc:
-                # The member finished a prefix one batch at a time; keep
-                # those moving through the rest of the chain and fail the
-                # suffix at group granularity.
+                # Keep the member's completed prefix moving through the
+                # rest of the chain; the suffix fails at group granularity.
                 failure = str(exc)
-                groups = [g[0] for g, _ in exc.completed]
-                for _, s in exc.completed:
-                    absorb(s)
-                current = current[: exc.remaining_from]
-                transfer = transfer[: exc.remaining_from]
-            else:
-                absorb(stats)
+                groups, stats = exc.completed or ([], None)
+            if stats is not None:
+                parts.append(stats)
             if hop == 0:
                 starts = [g.start for g in groups]
             self.last_sub_outputs[member.shard_id] = [
                 _flat_rows(g.output) for g in groups
             ]
-            if hop == len(self.members) - 1:
-                finals = list(groups)
-            else:
+            if hop < len(self.members) - 1:
                 tx, rx = self._hops[hop]
                 handed = []
-                bytes_next = []
-                for g, (_, _, deadline) in zip(groups, current):
+                for g, (_, _, deadline, _) in zip(groups, current):
                     sealed = seal_activations(tx, g.output)
                     values = open_activations(rx, sealed)
-                    handed.append((values, g.finish, deadline))
-                    bytes_next.append(sealed.nbytes)
+                    handed.append((values, g.finish, deadline, sealed.nbytes))
                 current = handed
-                transfer = bytes_next
 
-        finals = [
-            dataclasses.replace(g, start=starts[i]) for i, g in enumerate(finals)
-        ]
-        if agg_jobs == 0:
-            agg_start = 0.0
-        stats = PipelineStats(
-            start=agg_start,
-            finish=agg_finish,
-            n_jobs=agg_jobs,
-            enclave_busy=agg_enclave,
-            gpu_busy=agg_gpu,
-            stage_totals=agg_stages,
-            spans=[],
-        )
+        finals = [dataclasses.replace(g, start=s) for g, s in zip(groups, starts)]
+        stats = PipelineStats.merge(parts)
         if failure is not None:
-            completed = []
-            for i, g in enumerate(finals):
-                per = (
-                    stats
-                    if i == 0
-                    else PipelineStats(
-                        start=g.start,
-                        finish=g.finish,
-                        n_jobs=0,
-                        enclave_busy=0.0,
-                        gpu_busy=0.0,
-                    )
-                )
-                completed.append(([g], per))
             raise ShardFailedError(
                 failure,
                 shard_id=self.shard_id,
-                completed=completed,
-                remaining_from=len(finals),
+                completed=(finals, stats) if finals else None,
             )
         return finals, stats
 

@@ -11,9 +11,11 @@ which tenants ride which timeline.
 
 Failure is a first-class event: :meth:`EnclaveShard.kill` (or the
 test-facing :meth:`EnclaveShard.fail_after`) makes subsequent dispatch
-raise :class:`~repro.errors.ShardFailedError` carrying the window batches
-that did complete, so the worker pool can fail the remainder over to a
-surviving shard without dropping a response.
+raise :class:`~repro.errors.ShardFailedError` carrying one ``(groups,
+stats)`` account of the window batches that did complete, so the worker
+pool can fail the remainder over to a surviving shard without dropping a
+response.  The shard keeps no occupancy of its own: :attr:`busy_time` is
+its timeline's.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import dataclasses
 
 from repro.comm import LinkModel
 from repro.enclave import Enclave, EpcModel
-from repro.errors import DecodingError, IntegrityError, ShardFailedError
+from repro.errors import ShardFailedError
 from repro.gpu import GpuCluster
 from repro.pipeline.timing import StageCostModel
 from repro.runtime.config import DarKnightConfig
@@ -48,12 +50,9 @@ class EnclaveShard:
         self.engine = engine
         self.healthy = True
         self.batches_run = 0
-        #: Enclave-occupied simulated seconds across dispatched windows.
-        self.busy_time = 0.0
         self._fail_after: int | None = None
         #: Lifecycle marks for elastic membership (simulated seconds).
         self.draining = False
-        self.provisioned_at = 0.0
         self.retired_at: float | None = None
 
     @classmethod
@@ -115,6 +114,12 @@ class EnclaveShard:
         return self.engine.timeline
 
     @property
+    def busy_time(self) -> float:
+        """Enclave-occupied simulated seconds, aborted windows included —
+        read from the timeline that books them."""
+        return self.timeline.busy_time
+
+    @property
     def n_gpus(self) -> int:
         """Simulated devices this shard occupies."""
         return len(self.cluster)
@@ -163,8 +168,8 @@ class EnclaveShard:
         """Arrange for the shard to die after ``n_batches`` total batches.
 
         When the threshold lands inside a dispatched window the shard
-        completes the batches it still owes, then fails *mid-window* —
-        exactly the scenario session failover must survive.
+        runs the batches it still owes as one window, then fails
+        *mid-window* — exactly the scenario session failover must survive.
         """
         self._fail_after = n_batches
 
@@ -184,42 +189,27 @@ class EnclaveShard:
         ------
         ShardFailedError
             When the shard is dead (nothing ran) or dies mid-window (the
-            error carries the completed prefix so no response is lost).
+            error carries the completed prefix, run as one window, so no
+            response is lost).
         """
         if not self.healthy:
             raise ShardFailedError(
                 f"shard {self.shard_id} is down", shard_id=self.shard_id
             )
-        budget = None
         if self._fail_after is not None:
             budget = max(0, self._fail_after - self.batches_run)
-        if budget is not None and budget < len(items):
-            completed = []
-            for item in items[:budget]:
-                completed.append(self._run([item], step_range))
-            self.healthy = False
-            raise ShardFailedError(
-                f"shard {self.shard_id} failed mid-window after"
-                f" {self.batches_run} batches",
-                shard_id=self.shard_id,
-                completed=completed,
-                remaining_from=budget,
-            )
+            if budget < len(items):
+                completed = self._run(items[:budget], step_range) if budget else None
+                self.healthy = False
+                raise ShardFailedError(
+                    f"shard {self.shard_id} failed mid-window after"
+                    f" {self.batches_run} batches",
+                    shard_id=self.shard_id,
+                    completed=completed,
+                )
         return self._run(items, step_range)
 
     def _run(self, items: list[tuple], step_range: tuple[int, int] | None):
-        """One engine window, with its enclave occupancy on the shard's books.
-
-        A window aborted by an integrity/decode failure still occupied the
-        enclave up to the failure point; that occupancy is charged here,
-        where the timeline is, before the error travels on.
-        """
-        busy_before = self.timeline.busy_time
-        try:
-            groups, stats = self.engine.run_batch_window(items, step_range=step_range)
-        except (IntegrityError, DecodingError):
-            self.busy_time += self.timeline.busy_time - busy_before
-            raise
+        groups, stats = self.engine.run_batch_window(items, step_range=step_range)
         self.batches_run += len(items)
-        self.busy_time += stats.enclave_busy
         return groups, stats

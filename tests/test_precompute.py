@@ -506,6 +506,37 @@ def test_steady_state_windows_do_no_offline_work():
     assert counts["stage_weights"] == before_staged
 
 
+def test_precompute_counters_survive_a_scale_in():
+    """Counters are cumulative over every shard ever provisioned: retiring
+    one must not take ``hits``/``refills``/... backwards, and the draws
+    the report counts are the draws the enclaves' ledgers booked."""
+    dk = DarKnightConfig(seed=1, num_shards=2)
+    server = PrivateInferenceServer(
+        _tiny_net(seed=1), ServingConfig(darknight=dk, precompute=True)
+    )
+    server.serve_trace(
+        synthetic_trace(80, (16,), n_tenants=4, mean_interarrival=1e-3, seed=1)
+    )
+    before = server.report().precompute
+    server.decommission_shard()
+    after = server.report().precompute
+    counters = (
+        "hits", "misses", "refills", "pooled_bytes_peak", "weights_staged", "weights_reused",
+    )
+    for key in counters:
+        assert after[key] >= before[key] > 0, key
+    assert after["hit_rate"] == before["hit_rate"]
+    ledger_draws = sum(
+        shard.enclave.ledger.op_counts.get(op, 0)
+        for shard in server.shards
+        for op in ("mask_pool_hit", "mask_inline")
+    )
+    assert after["hits"] + after["misses"] == ledger_draws == 46
+    # What the pools hold now is the survivor's alone.
+    (live,) = [s for s in server.shards if s.healthy]
+    assert after["streams"] == live.backend.precompute_snapshot()["streams"]
+
+
 @pytest.mark.parametrize("precompute", [False, True])
 def test_gap_filler_only_polls_a_backend_that_has_a_pool(precompute, monkeypatch):
     """Without precompute there is no pool to refill: the executor must

@@ -102,9 +102,9 @@ def test_batch_ids_are_monotonic(queue):
     sched = VirtualBatchScheduler(queue, batch_size=2, max_wait=0.01)
     for i in range(6):
         _push(queue, i)
-    ids = [b.batch_id for b in sched.collect_ready(now=0.0)]
-    assert ids == [0, 1, 2]
-    assert sched.batches_scheduled == 3
+    batches = sched.collect_ready(now=0.0)
+    assert [b.batch_id for b in batches] == [0, 1, 2]
+    assert [b.n_requests for b in batches] == [2, 2, 2]
 
 
 def test_invalid_parameters_rejected(queue):

@@ -252,12 +252,9 @@ def test_window_abort_retries_batches_individually():
 
 
 def test_aborted_window_occupancy_is_charged_to_busy_time():
-    """Regression: a multi-batch window aborted by an integrity fault
-    used to drop the aborted attempt's enclave occupancy from
-    ``busy_time`` — the pool's accounting must cover *all* timeline
-    occupancy, aborted attempts included."""
-    import pytest
-
+    """A multi-batch window aborted by an integrity fault still occupied
+    the enclave: ``busy_time`` is the timeline's, so it covers the
+    aborted attempt that no successful window's stats account for."""
     from repro.runtime.darknight import DarKnightBackend
     from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
@@ -275,7 +272,10 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     engine = PrivateInferenceEngine(
         net, backend=DarKnightBackend(dk, cluster=cluster)
     )
-    pool = InferenceWorkerPool(make_units([EnclaveShard(0, engine)]), ShardRouter(1))
+    windows = []
+    pool = InferenceWorkerPool(
+        make_units([EnclaveShard(0, engine)]), ShardRouter(1), on_feedback=windows.append
+    )
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -298,13 +298,12 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     ]
     outcomes = pool.dispatch_window(batches)
     assert all(o.ok for o in outcomes)
-    (shard,) = pool.units[0].shards
+    assert len(windows) == 3  # the isolating re-runs; the aborted window reports none
     # Everything the enclave timeline was ever occupied with — the
-    # aborted shared window plus the isolating re-runs — is accounted,
-    # by the pool, the shard and the unit's executor alike.
-    assert pool.busy_time == pytest.approx(shard.engine.timeline.busy_time)
-    assert pool.busy_time == pytest.approx(shard.busy_time)
-    assert pool.units[0].executor.busy_time == shard.busy_time
+    # aborted shared window plus the isolating re-runs — is busy time.
+    executor = pool.units[0].executor
+    assert executor.busy_time == engine.timeline.busy_time
+    assert executor.busy_time > sum(w.enclave_busy for w in windows)
 
 
 def test_report_renders_metrics_and_session_facts():

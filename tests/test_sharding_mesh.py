@@ -82,11 +82,12 @@ def test_fail_after_dies_mid_window_with_completed_prefix():
         shard.run_window(items)
     err = excinfo.value
     assert err.shard_id == 0
-    assert err.remaining_from == 2
-    assert len(err.completed) == 2
-    # The completed prefix carries real results: nothing is dropped.
-    for groups, stats in err.completed:
-        assert groups[0].output.shape == (2, 4)
-        assert stats.n_jobs == 1
+    # The completed prefix is one window's account carrying real results:
+    # nothing is dropped.
+    groups, stats = err.completed
+    assert len(groups) == 2
+    for group in groups:
+        assert group.output.shape == (2, 4)
+    assert stats.n_jobs == 2
     assert not shard.healthy
     assert shard.batches_run == 2

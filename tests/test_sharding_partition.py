@@ -14,6 +14,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import LinkModel
 from repro.comm.secure_channel import SecureChannel
@@ -249,7 +251,10 @@ def test_one_member_group_is_the_shard_itself():
         group.run_window([(x, 1.0) for x in xs])
     assert str(group_exc.value) == str(bare_exc.value)
     assert group_exc.value.shard_id == 7
-    assert group_exc.value.remaining_from == bare_exc.value.remaining_from == 1
+    (got, got_stats), (want, want_stats) = group_exc.value.completed, bare_exc.value.completed
+    assert len(got) == len(want) == 1
+    assert np.array_equal(got[0].output, want[0].output)
+    assert got_stats.stage_totals == want_stats.stage_totals
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +274,7 @@ def test_group_window_is_bit_identical_to_single_enclave(n_stages):
         assert np.array_equal(np.asarray(g.output), ref)
     assert stats.n_jobs > 0 and stats.finish > stats.start
     assert group.batches_run == 3
-    assert group.timeline.free_at > 0.0
+    assert group.free_at > 0.0
 
 
 def test_member_failure_mid_window_fails_the_group_with_a_prefix():
@@ -287,11 +292,49 @@ def test_member_failure_mid_window_fails_the_group_with_a_prefix():
     assert exc.shard_id == 100
     # ... under the failing member's own words, not a re-wrapped text.
     assert str(exc) == "shard 1 failed mid-window after 1 batches"
-    assert exc.remaining_from == 1
-    assert len(exc.completed) == 1
-    (done_groups, _), = exc.completed
+    done_groups, done_stats = exc.completed
+    assert len(done_groups) == 1
     assert np.array_equal(np.asarray(done_groups[0].output), reference[0])
+    # One account: the entry member's whole window plus the exit member's prefix.
+    assert done_stats.n_jobs == 3 + 1
     assert not group.healthy and group.state == "failed"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_stages=st.integers(1, 3),
+    data=st.data(),
+    fail_after=st.integers(0, 3),
+    depth=st.sampled_from([1, 2]),
+)
+def test_failed_window_account_is_the_healthy_prefix(n_stages, data, fail_after, depth):
+    """Whichever member dies and wherever, the error hands back one
+    ``(groups, stats)`` for the completed prefix — the healthy window's
+    first batches bit for bit — or ``None`` when nothing finished."""
+    victim = data.draw(st.integers(0, n_stages - 1), label="victim")
+    net, cfg = _dense_net(), _cfg(pipeline_depth=depth)
+    rng = np.random.default_rng(6)
+    items = [(rng.standard_normal((K, 16)), 0.0) for _ in range(3)]
+    want, _ = _group(net, cfg, n_stages)[0].run_window(items)
+
+    group, shards = _group(net, cfg, n_stages)
+    shards[victim].fail_after(fail_after)
+    try:
+        got, stats = group.run_window(items)
+    except ShardFailedError as exc:
+        assert fail_after < len(items)
+        assert (exc.completed is None) == (fail_after == 0)
+        got, stats = exc.completed or ([], None)
+    else:
+        assert fail_after == len(items)
+    assert len(got) == fail_after
+    for g, w in zip(got, want):
+        assert np.array_equal(g.output, w.output)
+    for shard in shards:
+        assert shard.busy_time == shard.timeline.busy_time
+    if got:
+        # Every member ran, each once: the account is all their timelines booked.
+        assert stats.enclave_busy == group.busy_time
 
 
 def test_sub_outputs_fan_out_per_member():
