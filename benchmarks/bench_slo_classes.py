@@ -6,7 +6,9 @@ policy: its tail latency was whatever the backlog allowed.  With
 :mod:`repro.serving.slo` the premium class's budget drives the flush
 deadline (minimum remaining budget among queued requests), admission
 evicts best-effort work instead of shedding premium arrivals, and the
-deadline-aware stage ranker spends the enclave on premium windows first.
+pipeline executor's rank order spends the enclave on premium windows
+first (the policy alone turns it on: budget-less windows carry no
+deadline).
 
 Acceptance (asserted below):
 
@@ -15,9 +17,9 @@ Acceptance (asserted below):
   completions (no served request lost to the feature);
 * under backpressure, premium arrivals evict best-effort backlog —
   premium sheds zero while the shed/evicted split is reported;
-* an all-default SLO policy (and the deadline-aware ranker fed
-  budget-less jobs) is bit-identical to the SLO-free server — the
-  default path is untouched.
+* an all-default SLO policy (at depth 1, and at depth 3 where the
+  executor ranks its budget-less jobs) is bit-identical to the SLO-free
+  server — the default path is untouched.
 """
 
 import numpy as np
@@ -103,9 +105,7 @@ def test_premium_p99_meets_budget_under_mixed_load(benchmark, capsys, quick):
 
     def run_both():
         slo_free = _server(slo=None, n_requests=n).serve_trace(trace)
-        slo_on = _server(
-            slo=_slo_policy(), n_requests=n, stage_ranker="deadline"
-        ).serve_trace(trace)
+        slo_on = _server(slo=_slo_policy(), n_requests=n).serve_trace(trace)
         return slo_free, slo_on
 
     slo_free, slo_on = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -210,14 +210,14 @@ def test_eviction_shields_premium_from_backpressure(capsys, quick):
 
 def test_default_slo_and_deadline_ranker_are_bit_identical(quick):
     """The default class is today's behavior: an all-default policy —
-    even with the deadline-aware ranker scheduling its (budget-less)
-    windows — serves bit-identical outcomes to the SLO-free server."""
+    even with a deep pipeline ranking its (budget-less) windows — serves
+    bit-identical outcomes to the SLO-free server."""
     n = 48 if quick else 96
     trace = synthetic_trace(n, INPUT_SHAPE, n_tenants=4, seed=5)
     baseline = _server(slo=None, n_requests=n).serve_trace(trace)
     defaulted = _server(slo=SloPolicy(), n_requests=n).serve_trace(trace)
     ranked = _server(
-        slo=SloPolicy(), n_requests=n, stage_ranker="deadline", pipeline_depth=3
+        slo=SloPolicy(), n_requests=n, pipeline_depth=3
     ).serve_trace(trace)
     deep_baseline = _server(
         slo=None, n_requests=n, pipeline_depth=3
@@ -234,8 +234,8 @@ def test_default_slo_and_deadline_ranker_are_bit_identical(quick):
             assert np.array_equal(a[rid].logits, b[rid].logits)
             assert a[rid].completion_time == b[rid].completion_time
             assert a[rid].batch_id == b[rid].batch_id
-    # Deadline-aware ranking of budget-less jobs: identical values AND
-    # identical schedule to the default ranker at the same depth.
+    # Ranking budget-less jobs: identical values AND identical schedule
+    # to the SLO-free server at the same depth.
     c, d = outcomes(deep_baseline), outcomes(ranked)
     assert sorted(c) == sorted(d) == list(range(n))
     for rid in c:

@@ -216,7 +216,7 @@ def _serving_config(args):
             node[leaf] = raw
     if args.slo_budget or args.slo_class:
         # Which tenant is in which class is what no file can know; it joins
-        # the dict so a deadline ranker set beside it finds its policy.
+        # the dict, replacing any slo section the file or --set gave.
         budgets = _parse_kv_flags(args.slo_budget, "--slo-budget")
         try:
             budgets = {name: float(ms) / 1e3 for name, ms in budgets}
@@ -287,7 +287,7 @@ def _serve(args) -> int:
             + (f" <- {', '.join(row['tenants'])}" if row["tenants"] else "")
             for row in slo.class_table()
         )
-        print(f"SLO classes ({dk.stage_ranker} ranker): {classes}")
+        print(f"SLO classes: {classes}")
     print(report.render())
     if audit is not None and audit.log_dir is not None:
         print(

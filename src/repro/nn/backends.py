@@ -20,7 +20,7 @@ Data Storage During Forward Pass").
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -87,8 +87,11 @@ class StagedLinearBackend(LinearBackend, Protocol):
     remain available and MUST be bit-identical to driving the stages
     back-to-back (``pipeline_depth=1``).
 
-    The ``vb``/ticket/future types are duck-typed here to keep the layer
-    package free of pipeline imports; the canonical implementations live in
+    The staged ops take and return *stacks* only — a list of virtual
+    batches in, a list of tickets out, one future for the list, a list of
+    outputs back — and the executor passes its one job as a stack of one.
+    The ticket/future types are duck-typed here to keep the layer package
+    free of pipeline imports; the canonical implementations live in
     :mod:`repro.pipeline.stages`.
     """
 
@@ -101,16 +104,19 @@ class StagedLinearBackend(LinearBackend, Protocol):
         same) and broadcast, kernel picked.  Inference only."""
         ...
 
-    def encode(self, op, vb, vb_index: int):
-        """Mask one virtual batch and scatter shares; returns a ticket."""
+    def encode(self, op, vbs: Sequence, vb_indices: Sequence[int]) -> list:
+        """Mask a stack of virtual batches and scatter shares; returns one
+        ticket per virtual batch."""
         ...
 
-    def dispatch(self, ticket):
-        """Run the bilinear kernel per share; returns a GPU future."""
+    def dispatch(self, tickets: Sequence):
+        """Run the bilinear kernel over every share of the stack; returns
+        one GPU future."""
         ...
 
-    def decode(self, future) -> np.ndarray:
-        """Gather/verify/unmask a completed future; real rows only."""
+    def decode(self, future) -> list[np.ndarray]:
+        """Gather/verify/unmask a completed future; one array of real rows
+        per virtual batch."""
         ...
 
 

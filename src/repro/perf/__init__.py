@@ -30,19 +30,7 @@ from repro.perf.experiments import (
     table3_rows,
     table4_rows,
 )
-from repro.perf.simulator import (
-    SimulationResult,
-    Stage,
-    darknight_stage_chain,
-    simulate,
-    simulate_darknight_training,
-)
-from repro.perf.timeline import (
-    TimelineSummary,
-    build_timeline,
-    non_pipelined_linear_time,
-    pipelined_linear_time,
-)
+from repro.perf.timeline import TimelineSummary, build_timeline
 
 __all__ = [
     "CostModel",
@@ -60,13 +48,6 @@ __all__ = [
     "kernel_efficiency",
     "TimelineSummary",
     "build_timeline",
-    "pipelined_linear_time",
-    "non_pipelined_linear_time",
-    "Stage",
-    "SimulationResult",
-    "simulate",
-    "simulate_darknight_training",
-    "darknight_stage_chain",
     "table1_rows",
     "table2_rows",
     "TABLE2_HEADERS",

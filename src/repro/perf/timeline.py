@@ -49,16 +49,3 @@ def build_timeline(breakdown: PhaseBreakdown) -> TimelineSummary:
         pipelined=max(tee, gpu, link),
     )
 
-
-def pipelined_linear_time(breakdown: PhaseBreakdown) -> float:
-    """The paper's "total linear operation time" under pipelining.
-
-    Non-pipelined linear time includes communication (Section 7.1's
-    definition); pipelining hides the transfers, leaving pure GPU compute.
-    """
-    return breakdown.linear
-
-
-def non_pipelined_linear_time(breakdown: PhaseBreakdown) -> float:
-    """Linear + communication, the paper's non-pipelined linear category."""
-    return breakdown.linear + breakdown.communication

@@ -8,9 +8,10 @@ cost model and the serialized enclave clock (:mod:`repro.pipeline.timing`),
 and the event-driven :class:`~repro.pipeline.executor.PipelineExecutor`
 that interleaves stages across in-flight virtual batches.
 
-Scheduling policy is pluggable by construction — adaptive batching and
-multi-enclave sharding slot in as alternative stage schedulers rather than
-rewrites of the execution path.
+The executor is the one stage scheduler, with one rank order: batching,
+sharding, layer partitioning and SLO classes all reach it as windows of
+:class:`~repro.pipeline.stages.WindowItem` s, never as alternative
+schedulers.
 
 Relationship to :mod:`repro.perf`: that package *predicts* schedules from
 analytical architecture specs (the paper's tables/figures); this package
@@ -19,19 +20,13 @@ The two answer different questions and deliberately do not share state.
 """
 
 from repro.pipeline.executor import GroupResult, PipelineExecutor, PipelineResult
-from repro.pipeline.ranker import (
-    STAGE_RANKERS,
-    DeadlineAwareRanker,
-    EarliestStartRanker,
-    StageRanker,
-    build_ranker,
-)
 from repro.pipeline.stages import (
     EncodeTicket,
     GpuFuture,
     PipelineStats,
     StagedLinearOp,
     StageSpan,
+    WindowItem,
 )
 from repro.pipeline.timing import DEFAULT_STAGE_COSTS, EnclaveTimeline, StageCostModel
 
@@ -39,11 +34,7 @@ __all__ = [
     "PipelineExecutor",
     "PipelineResult",
     "GroupResult",
-    "StageRanker",
-    "EarliestStartRanker",
-    "DeadlineAwareRanker",
-    "STAGE_RANKERS",
-    "build_ranker",
+    "WindowItem",
     "StagedLinearOp",
     "EncodeTicket",
     "GpuFuture",

@@ -8,14 +8,14 @@ the enclave encodes job ``n+1``'s next layer (or decodes whichever future
 completed first), so enclave and accelerator time overlap instead of
 serializing.
 
-Scheduling policy: pluggable (:mod:`repro.pipeline.ranker`).  The default
-:class:`~repro.pipeline.ranker.EarliestStartRanker` runs, among all
-runnable enclave tasks, the one that can start earliest on the simulated
-clock; ties break toward decodes (freeing GPU results keeps the pipe
-draining) and then toward older jobs.  The deadline-aware ranker instead
-runs the job carrying the tightest remaining SLO deadline first.  With
-``pipeline_depth=1`` exactly one job is in flight and every ranker
-collapses to the classic synchronous order.
+Scheduling policy: one rank order.  Among all in-flight jobs the enclave
+runs the task that can start earliest on the simulated clock; among
+equally early ones, the job carrying the tightest SLO deadline, then
+decodes before encodes (freeing GPU results keeps the pipe draining), then
+the older job.  Feasibility stays primary, so a premium job whose shares
+are still on the GPUs never parks the enclave idle; without a finite
+deadline the order is plain earliest start.  With ``pipeline_depth=1``
+exactly one job is in flight and the order is the synchronous one.
 
 Real values and simulated time are deliberately decoupled: kernels execute
 eagerly in program order, but every stage *reserves* simulated intervals on
@@ -37,8 +37,7 @@ from repro.masking import iter_virtual_batches
 from repro.masking.virtual_batch import VirtualBatch
 from repro.nn.layers import BranchJoin
 from repro.nn.network import PLAN_INPUT
-from repro.pipeline.ranker import EarliestStartRanker, StageRanker
-from repro.pipeline.stages import GpuFuture, PipelineStats, StagedLinearOp, StageSpan
+from repro.pipeline.stages import GpuFuture, PipelineStats, StagedLinearOp, StageSpan, WindowItem
 from repro.pipeline.timing import DEFAULT_STAGE_COSTS, EnclaveTimeline, StageCostModel
 
 
@@ -110,6 +109,10 @@ class PipelineExecutor:
     """Walks a :class:`~repro.nn.network.Sequential`'s execution plan with
     up to ``pipeline_depth`` virtual batches in flight.
 
+    The repo's one stage scheduler: every flush window, partition member
+    and benchmark that overlaps enclave and GPU work runs through it, in
+    the one rank order the module docstring gives.
+
     Parameters
     ----------
     network:
@@ -129,10 +132,6 @@ class PipelineExecutor:
         The enclave's serialized clock.  Pass a shared instance to overlap
         consecutive engine batches (the serving pool does); defaults to a
         fresh clock at zero.
-    ranker:
-        The stage-scheduling policy (:mod:`repro.pipeline.ranker`).
-        Defaults to :class:`~repro.pipeline.ranker.EarliestStartRanker`,
-        the pre-refactor order; every ranker is bit-identical in values.
     """
 
     def __init__(
@@ -142,7 +141,6 @@ class PipelineExecutor:
         pipeline_depth: int = 1,
         costs: StageCostModel | None = None,
         timeline: EnclaveTimeline | None = None,
-        ranker: StageRanker | None = None,
     ) -> None:
         if pipeline_depth < 1:
             raise ConfigurationError(
@@ -159,7 +157,6 @@ class PipelineExecutor:
         self.pipeline_depth = pipeline_depth
         self.costs = costs or DEFAULT_STAGE_COSTS
         self.timeline = timeline or EnclaveTimeline()
-        self.ranker = ranker or EarliestStartRanker()
 
     # ------------------------------------------------------------------
     # plan preparation
@@ -199,33 +196,28 @@ class PipelineExecutor:
         simulated clock (a serving batch's flush time); no stage is
         scheduled before it.
         """
-        groups, stats = self.run_grouped([(x, release_time)])
+        groups, stats = self.run_grouped([WindowItem(x, release_time)])
         return PipelineResult(output=groups[0].output, stats=stats)
 
     def run_grouped(
-        self, items: list[tuple], step_range: tuple[int, int] | None = None
+        self, items: list[WindowItem], step_range: tuple[int, int] | None = None
     ) -> tuple[list[GroupResult], PipelineStats]:
         """Pipeline several input groups through one event loop.
 
-        Each item is ``(batch, release_time)``, ``(batch, release_time,
-        deadline)``, or ``(batch, release_time, deadline,
-        transfer_bytes)``; a group's rows split into virtual batches
-        (jobs) released at the group's time and carrying the group's SLO
-        deadline (``inf`` when omitted — only the deadline-aware ranker
-        reads it).  All jobs — across groups — share the in-flight
-        window, so the enclave encodes group ``n+1``'s first layer while
-        group ``n``'s shares are still on the GPUs: this is the serving
-        pool's cross-batch overlap.  Returns per-group outputs with their
-        own start/finish times, plus the window-wide stats.
+        Each :class:`~repro.pipeline.stages.WindowItem` is one group; its
+        rows split into virtual batches (jobs) released at the item's
+        ``release`` and carrying its ``deadline``.  All jobs — across
+        groups — share the in-flight window, so the enclave encodes group
+        ``n+1``'s first layer while group ``n``'s shares are still on the
+        GPUs: this is the serving pool's cross-batch overlap.  Returns
+        per-group outputs with their own start/finish times, plus the
+        window-wide stats.
 
         ``step_range`` restricts execution to the plan slice ``[start,
-        end)`` — one partition shard's stage range.  A mid-plan entry's
-        ``batch`` is then the producer's live value dict (``{step index:
-        rows}``); a positive ``transfer_bytes`` prices the sealed
-        activation hand-off as a *transfer op* on this shard's enclave
-        timeline before the first compute stage — it competes for the
-        enclave through the same :class:`~repro.pipeline.ranker
-        .StageRanker` as every other stage.
+        end)`` — one partition shard's stage range, entered with live value
+        dicts; an item's ``transfer_bytes`` is then priced as a *transfer
+        op* on this shard's enclave timeline before its first compute
+        stage, ranked like every other stage.
         """
         k = self.backend.config.virtual_batch_size
         plan = self.network.execution_plan()
@@ -245,10 +237,7 @@ class PipelineExecutor:
         jobs: list[_Job] = []
         group_of: dict[int, int] = {}
         for g, item in enumerate(items):
-            x, release_time = item[0], item[1]
-            deadline = item[2] if len(item) > 2 else math.inf
-            transfer_bytes = int(item[3]) if len(item) > 3 else 0
-            for values in self._iter_payload(x, k):
+            for values in self._iter_payload(item.payload, k):
                 rows = next(iter(values.values()))
                 job = _Job(
                     index=len(jobs),
@@ -259,9 +248,9 @@ class PipelineExecutor:
                         key: vb.data[: vb.n_real] for key, vb in values.items()
                     },
                     step_idx=start_idx,
-                    ready_at=release_time,
-                    deadline=deadline,
-                    transfer_bytes=transfer_bytes,
+                    ready_at=item.release,
+                    deadline=item.deadline,
+                    transfer_bytes=item.transfer_bytes,
                 )
                 group_of[job.index] = g
                 jobs.append(job)
@@ -272,7 +261,7 @@ class PipelineExecutor:
         stage_totals: dict[str, float] = {}
         outputs: dict[int, np.ndarray | dict] = {}
 
-        first_release = min((item[1] for item in items), default=0.0)
+        first_release = min((item.release for item in items), default=0.0)
         # Freshly staged weight encodings (quantize + broadcast) occupy the
         # enclave before the window's first compute stage; a precompute
         # cache hit leaves ``staged_bytes`` at 0 and costs nothing here.
@@ -329,7 +318,6 @@ class PipelineExecutor:
         )
         groups: list[GroupResult] = []
         for g, item in enumerate(items):
-            release_time = item[1]
             members = [j for j in range(len(jobs)) if group_of[j] == g]
             # ``.get``: precompute/staging spans carry job=-1 (no group).
             group_spans = [s for s in spans if group_of.get(s.job) == g]
@@ -343,8 +331,8 @@ class PipelineExecutor:
             groups.append(
                 GroupResult(
                     output=output,
-                    start=min((s.start for s in group_spans), default=release_time),
-                    finish=max((s.end for s in group_spans), default=release_time),
+                    start=min((s.start for s in group_spans), default=item.release),
+                    finish=max((s.end for s in group_spans), default=item.release),
                 )
             )
         return groups, stats
@@ -369,9 +357,11 @@ class PipelineExecutor:
     # task selection and execution
     # ------------------------------------------------------------------
     def _task_rank(self, job: _Job) -> tuple:
-        """Order enclave candidates through the pluggable ranker —
-        deterministic keys, so schedules are reproducible."""
-        return self.ranker.rank(job, self.timeline)
+        """The job's key in the one rank order (lowest runs first):
+        feasible start, deadline, decode before any other stage, job index."""
+        decode = job.future is not None
+        ready = job.future.ready_at if decode else job.ready_at
+        return (max(self.timeline.free_at, ready), job.deadline, not decode, job.index)
 
     def _account(
         self,
@@ -437,7 +427,7 @@ class PipelineExecutor:
         totals: dict[str, float],
     ) -> None:
         """Encode the job's next layer and put its shares in flight."""
-        ticket = self.backend.encode(op, job.padded(k), job.index)
+        (ticket,) = tickets = self.backend.encode(op, [job.padded(k)], [job.index])
         duration = self.costs.encode_time(ticket.encode_bytes)
         if self.costs.maskgen_bandwidth is not None and ticket.inline_noise_bytes:
             # Inline noise generation (pool miss or precompute off) rides
@@ -445,7 +435,7 @@ class PipelineExecutor:
             duration += ticket.inline_noise_bytes / self.costs.maskgen_bandwidth
         start, end = self.timeline.reserve(job.ready_at, duration)
         self._account(spans, totals, job.index, op.key, "encode", "enclave", start, end)
-        future = self.backend.dispatch(ticket)
+        future = self.backend.dispatch(tickets)
         gpu_start, ready_at = self.backend.cluster.reserve_shares(
             ticket.coefficients.n_shares,
             self.costs.gpu_time(future.macs_per_share),
@@ -501,8 +491,8 @@ class PipelineExecutor:
     ) -> None:
         """Decode a completed future and advance the job one layer."""
         future = job.future
-        op = future.ticket.op
-        y = self.backend.decode(future)
+        op = future.tickets[0].op
+        (y,) = self.backend.decode(future)
         if op.validate is not None:
             op.validate(y, job.activation)
         start, end = self.timeline.reserve(

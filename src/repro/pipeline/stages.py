@@ -4,12 +4,15 @@ The synchronous backend hid the paper's three-phase structure inside one
 blocking call; these dataclasses make each phase's hand-off explicit so a
 scheduler can hold, reorder, and overlap them:
 
+* :class:`WindowItem` — one batch entering a flush window, with its release
+  time, SLO deadline and any sealed hand-off bytes;
 * :class:`StagedLinearOp` — one linear layer prepared for offload (weights
   quantized and broadcast, kernel chosen);
 * :class:`EncodeTicket` — one virtual batch masked and scattered, waiting
   to be dispatched;
-* :class:`GpuFuture` — shares in flight on the cluster; carries the real
-  outputs plus the simulated completion time the decode stage must wait for.
+* :class:`GpuFuture` — a stack of tickets' shares in flight on the cluster;
+  carries the real outputs plus the simulated completion time the decode
+  stage must wait for.
 
 The objects deliberately carry *both* worlds: the real tensors (masked
 compute always runs for real) and the simulated-clock bookkeeping
@@ -19,6 +22,7 @@ SGX + GPU hardware.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,6 +30,25 @@ import numpy as np
 
 from repro.masking import CoefficientSet
 from repro.quantization import Normalization
+
+
+@dataclass(frozen=True)
+class WindowItem:
+    """One batch of a flush window, from the worker pool to the executor.
+
+    ``payload`` is the batch's rows — the network input, or, entering a
+    layer-partition shard mid-plan, the producer's live value dict
+    (``{step index: rows}``).  No stage of it runs before ``release``.
+    ``deadline`` is the tightest absolute SLO deadline among its requests
+    (``inf`` without a contract), which ranks its jobs among equally early
+    ones.  A positive ``transfer_bytes`` is the sealed hand-off the
+    consuming enclave unseals before the first compute stage.
+    """
+
+    payload: np.ndarray | dict
+    release: float
+    deadline: float = math.inf
+    transfer_bytes: int = 0
 
 
 @dataclass
@@ -41,7 +64,7 @@ class StagedLinearOp:
     ``staged_bytes`` refreshed, so hold an op for one window only.  The op
     *describes* the kernel (kind, weight name, conv geometry);
     ``DarKnightBackend.dispatch`` turns it into one cluster launch per
-    virtual batch — or per stack of them.
+    stack of virtual batches.
     """
 
     kind: str  #: ``"conv2d"`` or ``"dense"``.
@@ -87,18 +110,16 @@ class EncodeTicket:
 
 @dataclass
 class GpuFuture:
-    """Shares in flight: real outputs now, simulated completion later.
+    """A stack's shares in flight: real outputs now, simulated completion later.
 
     The cluster computes eagerly (simulation has no real asynchrony) but
     the result is not *observable* until ``ready_at`` on the simulated
     clock — the decode stage serializes behind it.  The synchronous path
-    dispatches a layer's whole stack at once: ``ticket`` is then the
-    sequence of its tickets and ``outputs`` carries a leading
-    virtual-batch axis.
+    dispatches a layer's whole stack at once, the executor a stack of one.
     """
 
-    ticket: EncodeTicket | Sequence[EncodeTicket]
-    outputs: np.ndarray  #: Stacked per-share field results.
+    tickets: Sequence[EncodeTicket]
+    outputs: np.ndarray  #: ``(V, S, ...)`` per-share field results.
     macs_per_share: int  #: Real MAC count one device performed.
     output_bytes: int  #: Bytes the gather/decode stage must touch.
     ready_at: float = 0.0  #: Simulated completion (set by the scheduler).

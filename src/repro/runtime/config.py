@@ -53,13 +53,6 @@ class DarKnightConfig:
         per batch); ``>= 2`` lets the enclave encode batch ``n+1`` while
         GPUs compute batch ``n`` (the paper's Fig. 7 overlap).  Outputs
         are bit-identical at every depth.
-    stage_ranker:
-        The pipeline executor's task-selection policy
-        (:mod:`repro.pipeline.ranker`): ``"earliest"`` (the default —
-        earliest feasible start, decode-first tie-break) or
-        ``"deadline"`` (jobs carrying the tightest remaining SLO budget
-        run first).  Every ranker decodes bit-identical values; only the
-        simulated schedule changes.
     num_shards:
         Enclave shards the serving layer partitions tenants across.  Each
         shard owns its own enclave + GPU cluster + serialized timeline, so
@@ -107,7 +100,6 @@ class DarKnightConfig:
     fresh_coefficients: bool = True
     validate_decode: bool = False
     pipeline_depth: int = 1
-    stage_ranker: str = "earliest"
     num_shards: int = 1
     per_sample_normalization: bool = False
     precompute: bool = False
@@ -130,15 +122,6 @@ class DarKnightConfig:
         if self.pipeline_depth < 1:
             raise ConfigurationError(
                 f"pipeline depth must be >= 1, got {self.pipeline_depth}"
-            )
-        # Validated here (not just at executor construction) so a bad
-        # name fails before any enclave/GPU provisioning happens.
-        from repro.pipeline.ranker import STAGE_RANKERS
-
-        if self.stage_ranker not in STAGE_RANKERS:
-            raise ConfigurationError(
-                f"unknown stage ranker {self.stage_ranker!r}"
-                f" (available: {sorted(STAGE_RANKERS)})"
             )
         if self.num_shards < 1:
             raise ConfigurationError(

@@ -373,27 +373,24 @@ class DarKnightBackend:
     def encode(
         self,
         op: StagedLinearOp,
-        vb: VirtualBatch | Sequence[VirtualBatch],
-        vb_index: int | Sequence[int],
-    ) -> EncodeTicket | list[EncodeTicket]:
-        """Stage 1 — mask one virtual batch and scatter its shares.
+        vbs: Sequence[VirtualBatch],
+        vb_indices: Sequence[int],
+    ) -> list[EncodeTicket]:
+        """Stage 1 — mask a stack of virtual batches and scatter their shares.
 
-        ``vb`` and ``vb_index`` may be sequences — a layer step's stack of
-        virtual batches, masked in one encode GEMM — in which case one
-        ticket per virtual batch comes back.  Fresh coefficients and noise
-        come from one stacked draw (by the block: every ``A``, then every
-        ``γ``, then the noise), so a stack's shares are not the bytes of
-        encoding its virtual batches one after another — what decodes from
-        them is, exactly.  A single virtual batch draws the single set's
-        stream.
+        The stack — a layer step's virtual batches, or the executor's one —
+        is masked in one encode GEMM and one ticket per virtual batch comes
+        back.  Fresh coefficients and noise come from one stacked draw (by
+        the block: every ``A``, then every ``γ``, then the noise), so a
+        stack's shares are not the bytes of encoding its virtual batches
+        one after another — what decodes from them is, exactly.  A stack of
+        one draws the single set's stream.
 
         The forward records are registered *before* returning, so the
         shares now resident on the devices are always released by
         :meth:`end_batch`, even if the pipeline aborts before a ticket is
         ever dispatched or decoded.
         """
-        stacked = not isinstance(vb, VirtualBatch)
-        vbs, vb_indices = (vb, vb_index) if stacked else ([vb], [vb_index])
         data, x_norms = self._normalize_stack(
             self._normalizer,
             stack_arrays([batch.data for batch in vbs]),
@@ -451,57 +448,52 @@ class DarKnightBackend:
                     inline_noise_bytes=inline_noise_bytes[v],
                 )
             )
-        return tickets if stacked else tickets[0]
+        return tickets
 
-    def dispatch(self, ticket: EncodeTicket | Sequence[EncodeTicket]) -> GpuFuture:
+    def dispatch(self, tickets: Sequence[EncodeTicket]) -> GpuFuture:
         """Stage 2 — one launch of the bilinear kernel over every share.
 
-        A sequence of tickets (one layer's) is one launch over every share
-        of the whole stack; the future then carries them all, its outputs
+        The stack's tickets (one layer's) are one launch over every share
+        of every virtual batch; the future carries them all, its outputs
         under a leading virtual-batch axis.
 
         Compute happens eagerly (the simulation has no real asynchrony);
         the future carries the real per-share MAC count so a scheduler can
         price when the result *would* be ready on the simulated clock.
         """
-        stacked = not isinstance(ticket, EncodeTicket)
-        first = ticket[0] if stacked else ticket
-        op = first.op
+        op = tickets[0].op
         launch = ShareLaunch(
             op.kind,
-            tuple(t.share_key for t in ticket) if stacked else ticket.share_key,
+            tuple(t.share_key for t in tickets),
             weight_name=op.key,
             stride=op.stride,
             pad=op.pad,
         )
         outputs, macs_per_share = self.cluster.map_shares(
-            launch, range(first.coefficients.n_shares)
+            launch, range(tickets[0].coefficients.n_shares)
         )
         return GpuFuture(
-            ticket=ticket,
+            tickets=tickets,
             outputs=outputs,
             macs_per_share=macs_per_share,
             output_bytes=int(outputs.nbytes),
         )
 
-    def decode(self, future: GpuFuture) -> np.ndarray | list[np.ndarray]:
+    def decode(self, future: GpuFuture) -> list[np.ndarray]:
         """Stage 3 — gather, verify, unmask, dequantize; real rows only.
 
-        A stack's future decodes in one stacked GEMM per verification-plan
-        subset and yields one array per virtual batch.  Bias is *not*
-        applied here (callers add it after concatenation).
+        The future decodes in one stacked GEMM per verification-plan subset
+        and yields one array per virtual batch.  Bias is *not* applied here
+        (callers add it after concatenation).
         """
-        stacked = not isinstance(future.ticket, EncodeTicket)
-        tickets = future.ticket if stacked else [future.ticket]
-        outputs = future.outputs if stacked else future.outputs[None]
-        self._gather(outputs)
-        decoded = self._verified_decode(tickets, outputs)
+        tickets = future.tickets
+        self._gather(future.outputs)
+        decoded = self._verified_decode(tickets, future.outputs)
         self.enclave.record_compute("decode_forward", int(decoded[0].nbytes), len(tickets))
         y = self.quantizer.dequantize_product(decoded)
         for batch_y, ticket in zip(y, tickets):
             batch_y *= ticket.x_norm.factor * ticket.op.w_norm.factor
-        real = [batch_y[: ticket.n_real] for batch_y, ticket in zip(y, tickets)]
-        return real if stacked else real[0]
+        return [batch_y[: ticket.n_real] for batch_y, ticket in zip(y, tickets)]
 
     def _masked_forward(self, x: np.ndarray, op: StagedLinearOp) -> np.ndarray:
         """Synchronous forward: the three stages back to back, each once

@@ -25,8 +25,7 @@ from repro.errors import ConfigurationError
 from repro.nn import Sequential
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.pipeline.executor import GroupResult, PipelineExecutor
-from repro.pipeline.ranker import build_ranker
-from repro.pipeline.stages import PipelineStats
+from repro.pipeline.stages import PipelineStats, WindowItem
 from repro.pipeline.timing import EnclaveTimeline, StageCostModel
 from repro.precompute import scratch_scope
 from repro.runtime.config import DarKnightConfig
@@ -83,7 +82,6 @@ class PrivateInferenceEngine:
             pipeline_depth=depth,
             costs=stage_costs,
             timeline=self.timeline,
-            ranker=build_ranker(self.backend.config.stage_ranker),
         )
 
     @contextmanager
@@ -120,23 +118,18 @@ class PrivateInferenceEngine:
             return self.executor.run(x).output
 
     def run_batch_window(
-        self, items: list[tuple], step_range: tuple[int, int] | None = None
+        self, items: list[WindowItem], step_range: tuple[int, int] | None = None
     ) -> tuple[list[GroupResult], PipelineStats]:
         """Pipeline a *window* of batches through one executor event loop.
 
-        ``items`` is ``(batch, release_time)`` — optionally ``(batch,
-        release_time, deadline)`` for SLO-ranked windows — per scheduled
-        batch.  This
-        is where cross-batch overlap actually happens: the enclave encodes
-        batch ``n+1``'s first layer while batch ``n``'s shares are still on
-        the GPUs.  Returns one :class:`~repro.pipeline.executor.GroupResult`
-        per input batch (its logits plus its own start/finish on the
-        simulated clock) and the window-wide stats.
-
-        ``step_range`` runs only that slice of the execution plan — one
-        layer-partition shard's stage range; mid-plan items are live value
-        dicts and may carry a fourth ``transfer_bytes`` element pricing
-        the sealed hand-off (see
+        One :class:`~repro.pipeline.stages.WindowItem` per scheduled batch.
+        This is where cross-batch overlap actually happens: the enclave
+        encodes batch ``n+1``'s first layer while batch ``n``'s shares are
+        still on the GPUs.  Returns one
+        :class:`~repro.pipeline.executor.GroupResult` per input batch (its
+        logits plus its own start/finish on the simulated clock) and the
+        window-wide stats.  ``step_range`` runs only that slice of the
+        execution plan (see
         :meth:`~repro.pipeline.PipelineExecutor.run_grouped`).
         """
         with self._released():

@@ -140,10 +140,10 @@ class ServingConfig:
         Optional :class:`~repro.serving.slo.SloPolicy` threading
         per-tenant service classes through the whole request path:
         class-aware eviction at admission, minimum-remaining-budget
-        flush deadlines, deadline-carrying dispatch windows (pair with
-        ``darknight.stage_ranker="deadline"`` to rank on them; that
-        ranker without a policy is refused), SLO-aware shard placement,
-        and per-class latency metrics.
+        flush deadlines, deadline-carrying dispatch windows (the pipeline
+        executor runs the tightest-budget window first among equally
+        early stages), SLO-aware shard placement, and per-class latency
+        metrics.
         ``None`` — or a policy whose every class is the default — keeps
         the server bit-identical to previous releases.
     shard_weights:
@@ -209,13 +209,6 @@ class ServingConfig:
     autoscale: AutoscaleConfig | None = None
     precompute: bool = False
     partition: str = "replicated"
-
-    def __post_init__(self) -> None:
-        if self.slo is None and self.darknight.stage_ranker == "deadline":
-            raise ConfigurationError(
-                "darknight.stage_ranker='deadline' ranks on SLO budgets:"
-                " it needs an slo policy, and slo is None"
-            )
 
     def to_dict(self) -> dict:
         """The whole tree as a strict-JSON-safe dict.

@@ -843,15 +843,18 @@ class PrivateInferenceServer:
     def _malformed(self, x: np.ndarray) -> str | None:
         """Why the model cannot take sample ``x``, or ``None`` when it can.
 
-        A shape compare and one dot product — well under a microsecond:
+        A shape compare and one dot product — about a microsecond:
         ``x·x`` is finite unless an entry is NaN or infinite (or the sum
-        overflows, which the exact check then tells apart).
+        overflows, which is no error here: the exact check then tells it
+        apart).
         """
         expected = self.network.input_shape
         if x.shape != expected:
             return f"sample shape {x.shape} != model input shape {expected}"
         flat = x.ravel()
-        if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+        with np.errstate(over="ignore"):
+            energy = flat.dot(flat)
+        if not math.isfinite(energy) and not np.isfinite(flat).all():
             return "sample holds NaN or infinite values"
         return None
 

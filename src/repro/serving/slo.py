@@ -13,9 +13,10 @@ layers consume it:
 * **flush** — the scheduler's deadline becomes the *minimum remaining
   budget* among queued requests instead of one global ``max_batch_wait``,
   and the adaptive policy takes the tightest class budget as its ceiling;
-* **pipeline ranking** — the executor's deadline-aware
-  :class:`~repro.pipeline.ranker.DeadlineAwareRanker` runs the window
-  carrying the tightest remaining budget first;
+* **pipeline ranking** — each dispatched batch carries its tightest
+  deadline, and the :class:`~repro.pipeline.PipelineExecutor`'s one rank
+  order runs the window carrying the tightest remaining budget first
+  among equally early stages (no separate switch: the policy is enough);
 * **placement** — the router pins premium tenants onto lightly-loaded
   shards instead of walking the hash ring.
 

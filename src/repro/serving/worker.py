@@ -37,6 +37,7 @@ from repro.errors import (
     ShardError,
     ShardFailedError,
 )
+from repro.pipeline import WindowItem
 from repro.serving.adaptive import WindowFeedback
 from repro.serving.requests import (
     STATUS_DECODE_FAILED,
@@ -72,8 +73,8 @@ class InferenceWorkerPool:
         Optional :class:`~repro.serving.slo.SloPolicy`.  When set, each
         dispatched batch carries the tightest remaining end-to-end
         deadline among its requests (``arrival + budget``), which the
-        deadline-aware stage ranker uses to spend the serialized enclave
-        on premium windows first.  ``None`` dispatches without
+        executor's rank order uses to spend the serialized enclave on
+        premium windows first.  ``None`` dispatches without
         deadlines — the classic schedule.  Failover also becomes
         budget-aware: requests whose class budget is already exhausted at
         the failure frontier are failed immediately (and counted in
@@ -190,7 +191,7 @@ class InferenceWorkerPool:
     ) -> list[RequestOutcome]:
         shard = self.units[shard_id].executor
         items = [
-            (
+            WindowItem(
                 np.stack([req.x for req in batch.requests]),
                 batch.flush_time,
                 self._batch_deadline(batch),
@@ -240,7 +241,8 @@ class InferenceWorkerPool:
                     makespan=stats.makespan,
                     stage_totals=dict(stats.stage_totals),
                     slot_bytes_observed=max(
-                        int(x.nbytes // max(1, x.shape[0])) for x, *_ in items
+                        int(item.payload.nbytes // max(1, item.payload.shape[0]))
+                        for item in items
                     ),
                 )
             )

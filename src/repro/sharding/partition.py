@@ -43,7 +43,7 @@ from repro.comm.secure_channel import Envelope, SecureChannel
 from repro.errors import ConfigurationError, ShardFailedError
 from repro.nn import PLAN_INPUT, Sequential
 from repro.pipeline.executor import plan_live_out
-from repro.pipeline.stages import PipelineStats
+from repro.pipeline.stages import PipelineStats, WindowItem
 from repro.pipeline.timing import DEFAULT_STAGE_COSTS, StageCostModel
 
 #: Bytes per activation element (float64 everywhere in the repro).
@@ -421,14 +421,15 @@ class PipelineGroup:
             member.kill()
 
     # -- dispatch --------------------------------------------------------
-    def run_window(self, items: list[tuple]):
+    def run_window(self, items: list[WindowItem]):
         """Chain one flush window stage-major through the members.
 
         Each member runs its stage range for the *whole* window, then
         every batch's live value set is sealed and handed to the next
-        member; the consumer prices the unseal as a transfer op on its
-        own timeline.  Returns ``(groups, stats)`` shaped exactly like a
-        single shard's window.
+        member as the item's payload, released at the batch's finish and
+        carrying its sealed bytes, which the consumer prices as a transfer
+        op on its own timeline.  Returns ``(groups, stats)`` shaped exactly
+        like a single shard's window.
 
         Raises
         ------
@@ -450,11 +451,7 @@ class PipelineGroup:
                     f"shard {member.shard_id} is down", shard_id=self.shard_id
                 )
         self.last_sub_outputs = {m.shard_id: [] for m in self.members}
-        # (payload, release, deadline, sealed bytes feeding this hop)
-        current = [
-            (item[0], item[1], item[2] if len(item) > 2 else math.inf, 0)
-            for item in items
-        ]
+        current = list(items)
         groups: list = []
         starts: list[float] = []
         parts: list[PipelineStats] = []
@@ -479,10 +476,10 @@ class PipelineGroup:
             if hop < len(self.members) - 1:
                 tx, rx = self._hops[hop]
                 handed = []
-                for g, (_, _, deadline, _) in zip(groups, current):
+                for g, item in zip(groups, current):
                     sealed = seal_activations(tx, g.output)
                     values = open_activations(rx, sealed)
-                    handed.append((values, g.finish, deadline, sealed.nbytes))
+                    handed.append(WindowItem(values, g.finish, item.deadline, sealed.nbytes))
                 current = handed
 
         finals = [dataclasses.replace(g, start=s) for g, s in zip(groups, starts)]

@@ -26,6 +26,7 @@ from repro.comm import LinkModel
 from repro.enclave import Enclave, EpcModel
 from repro.errors import ShardFailedError
 from repro.gpu import GpuCluster
+from repro.pipeline.stages import WindowItem
 from repro.pipeline.timing import StageCostModel
 from repro.runtime.config import DarKnightConfig
 from repro.runtime.darknight import DarKnightBackend
@@ -176,11 +177,11 @@ class EnclaveShard:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def run_window(self, items: list[tuple], step_range: tuple[int, int] | None = None):
+    def run_window(self, items: list[WindowItem], step_range: tuple[int, int] | None = None):
         """Run one flush window on this shard's timeline.
 
-        ``items`` entries are ``(batch, release_time)`` or ``(batch,
-        release_time, deadline)``; returns ``(groups, stats)`` exactly like
+        One :class:`~repro.pipeline.stages.WindowItem` per batch; returns
+        ``(groups, stats)`` exactly like
         :meth:`~repro.runtime.inference.PrivateInferenceEngine.run_batch_window`.
         ``step_range`` restricts the run to one layer-partition stage range
         (this shard's slice of the plan).
@@ -209,7 +210,7 @@ class EnclaveShard:
                 )
         return self._run(items, step_range)
 
-    def _run(self, items: list[tuple], step_range: tuple[int, int] | None):
+    def _run(self, items: list[WindowItem], step_range: tuple[int, int] | None):
         groups, stats = self.engine.run_batch_window(items, step_range=step_range)
         self.batches_run += len(items)
         return groups, stats

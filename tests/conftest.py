@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.fieldmath import FieldRng, PrimeField
+
+_TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """Every test under ``tests/`` runs with warnings as errors.
+
+    The hook sees the whole session, so ``benchmarks/`` items collected in
+    the same run are left alone.  Prepended, so a test's own
+    ``filterwarnings`` mark still overrides it.
+    """
+    for item in items:
+        if _TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 @pytest.fixture(scope="session")

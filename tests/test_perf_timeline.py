@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.perf import (
-    PhaseBreakdown,
-    build_timeline,
-    non_pipelined_linear_time,
-    pipelined_linear_time,
-)
+from repro.perf import PhaseBreakdown, build_timeline
 
 
 @pytest.fixture()
@@ -38,12 +33,6 @@ def test_pipelined_is_slowest_stream(breakdown):
 def test_pipeline_gain_handles_zero():
     tl = build_timeline(PhaseBreakdown(linear=0, nonlinear=0))
     assert tl.pipeline_gain == float("inf")
-
-
-def test_linear_time_definitions(breakdown):
-    # The paper's Section 7.1 category definitions.
-    assert non_pipelined_linear_time(breakdown) == 5.0  # linear + comm
-    assert pipelined_linear_time(breakdown) == 2.0  # pure GPU compute
 
 
 def test_gpu_bound_workload_pipelines_to_gpu_stream():

@@ -10,6 +10,9 @@ Covers the three load-bearing claims of the refactor:
    — and ``end_batch`` is idempotent.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from repro.fieldmath import PrimeField
 from repro.gpu import GpuCluster, RandomTamper, TargetedTamper
 from repro.masking import iter_virtual_batches
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
-from repro.pipeline import EnclaveTimeline, PipelineExecutor, StageCostModel
+from repro.pipeline import EnclaveTimeline, PipelineExecutor, StageCostModel, WindowItem
 from repro.runtime import DarKnightBackend, DarKnightConfig
 from repro.runtime.inference import PrivateInferenceEngine
 
@@ -149,7 +152,7 @@ def test_batch_window_overlaps_consecutive_batches(nprng):
     )
     x1 = nprng.normal(size=(4, 4, 12, 12))
     x2 = nprng.normal(size=(4, 4, 12, 12))
-    groups, stats = engine.run_batch_window([(x1, 0.0), (x2, 0.0)])
+    groups, stats = engine.run_batch_window([WindowItem(x1, 0.0), WindowItem(x2, 0.0)])
     first, second = groups
     assert second.start < first.finish  # cross-batch overlap
     assert second.finish > first.finish
@@ -192,9 +195,9 @@ def test_staged_dense_forward_backward_bit_identical_on_padded_batch(nprng):
     vbs = list(iter_virtual_batches(x, 4))
     # Encode everything up front, then dispatch and decode out of order —
     # the freedoms a pipeline scheduler actually exercises.
-    tickets = [staged.encode(op, vb, i) for i, vb in enumerate(vbs)]
+    tickets = [staged.encode(op, [vb], [i]) for i, vb in enumerate(vbs)]
     futures = [staged.dispatch(t) for t in reversed(tickets)]
-    decoded = {f.ticket.vb_index: staged.decode(f) for f in futures}
+    decoded = {f.tickets[0].vb_index: staged.decode(f)[0] for f in futures}
     out_staged = np.concatenate([decoded[i] for i in range(len(vbs))], axis=0)
     assert np.array_equal(out_staged, out_sync)
 
@@ -217,9 +220,9 @@ def test_staged_conv_forward_backward_bit_identical_on_padded_batch(nprng):
     staged = _backend(seed=31)
     op = staged.stage_linear("conv2d", w, None, "c", stride=1, pad=1)
     vbs = list(iter_virtual_batches(x, 4))
-    tickets = [staged.encode(op, vb, i) for i, vb in enumerate(vbs)]
+    tickets = [staged.encode(op, [vb], [i]) for i, vb in enumerate(vbs)]
     futures = [staged.dispatch(t) for t in tickets]
-    decoded = [staged.decode(f) for f in reversed(futures)]
+    decoded = [staged.decode(f)[0] for f in reversed(futures)]
     out_staged = np.concatenate(list(reversed(decoded)), axis=0)
     assert np.array_equal(out_staged, out_sync)
 
@@ -236,7 +239,7 @@ def test_padded_rows_never_leak_into_outputs(nprng):
     op = backend.stage_linear("dense", w, None, "p")
     (vb,) = iter_virtual_batches(x, 4)
     assert vb.is_padded
-    y = backend.decode(backend.dispatch(backend.encode(op, vb, 0)))
+    (y,) = backend.decode(backend.dispatch(backend.encode(op, [vb], [0])))
     backend.end_batch()
     assert y.shape == (3, 5)
     assert np.max(np.abs(y - x @ w)) < 0.05
@@ -358,7 +361,7 @@ def test_assert_encodings_released_detects_leaks(nprng):
     backend = _backend(seed=61)
     op = backend.stage_linear("dense", nprng.normal(size=(8, 3)), None, "d")
     (vb,) = iter_virtual_batches(nprng.normal(size=(4, 8)), 4)
-    backend.encode(op, vb, 0)  # never dispatched or decoded
+    backend.encode(op, [vb], [0])  # never dispatched or decoded
     assert backend.open_encodings() == 1
     with pytest.raises(Exception, match="not released"):
         backend.assert_encodings_released()
@@ -376,86 +379,62 @@ def test_enclave_timeline_is_serialized():
 
 
 # ----------------------------------------------------------------------
-# pluggable stage rankers
+# the one rank order: feasible start, deadline, decode first, job index
 # ----------------------------------------------------------------------
 def test_deadline_ranker_bit_identical_and_reorders_the_schedule(nprng):
-    """The deadline-aware ranker runs the tightest-budget group's stages
-    first, yet decodes the exact same values as the default ranker."""
-    from repro.pipeline import DeadlineAwareRanker, build_ranker
-
+    """A group carrying a tight deadline has its stages run first, yet
+    decodes the exact same values as the same window without one."""
     net = _conv_heavy_net()
     costs = StageCostModel(gpu_mac_throughput=7e8)
     x1 = nprng.normal(size=(4, 4, 12, 12))
     x2 = nprng.normal(size=(4, 4, 12, 12))
 
-    def run(ranker):
+    def run(deadline):
         backend = _backend(seed=7)
-        executor = PipelineExecutor(
-            net, backend, pipeline_depth=4, costs=costs, ranker=ranker
-        )
-        # Group 0 released first but budget-less; group 1 carries a
+        executor = PipelineExecutor(net, backend, pipeline_depth=4, costs=costs)
+        # Group 0 released first but budget-less; group 1 maybe carries a
         # tight deadline.
         groups, stats = executor.run_grouped(
-            [(x1, 0.0), (x2, 0.0, 0.001)]
+            [WindowItem(x1, 0.0), WindowItem(x2, 0.0, deadline)]
         )
         backend.end_batch()
         return groups, stats
 
-    default_groups, _ = run(None)
-    deadline_groups, _ = run(build_ranker("deadline"))
+    default_groups, _ = run(math.inf)
+    deadline_groups, _ = run(0.001)
     # Bit-identical decoded outputs, whatever the schedule did.
     for a, b in zip(default_groups, deadline_groups):
         assert np.array_equal(a.output, b.output)
-    # The deadline-carrying group finishes no later than under the
-    # default order (here strictly earlier: it runs first).
+    # The deadline-carrying group finishes no later than without its
+    # deadline (here strictly earlier: it runs first).
     assert deadline_groups[1].finish <= default_groups[1].finish
     assert deadline_groups[1].finish < deadline_groups[0].finish
-    assert isinstance(build_ranker("deadline"), DeadlineAwareRanker)
+    assert default_groups[0].finish < default_groups[1].finish
 
 
 def test_default_ranker_without_deadlines_matches_legacy_schedule(nprng):
-    """2-tuple items and 3-tuple items with inf deadlines schedule the
-    same spans under both shipped rankers."""
-    import math
-
-    from repro.pipeline import build_ranker
-
+    """The deadline only orders jobs whose deadlines differ: a window whose
+    groups all carry the same finite deadline schedules the same spans as
+    the budget-less window."""
     net = _mixed_net()
-    x = nprng.normal(size=(8, 2, 8, 8))
+    x1 = nprng.normal(size=(8, 2, 8, 8))
+    x2 = nprng.normal(size=(6, 2, 8, 8))
 
-    def spans(ranker, with_inf):
+    def spans(deadline):
         backend = _backend(seed=5)
-        executor = PipelineExecutor(
-            net, backend, pipeline_depth=2, ranker=ranker
-        )
-        items = [(x, 0.0, math.inf)] if with_inf else [(x, 0.0)]
+        executor = PipelineExecutor(net, backend, pipeline_depth=2)
+        items = [WindowItem(x1, 0.0, deadline), WindowItem(x2, 1e-4, deadline)]
         _, stats = executor.run_grouped(items)
         backend.end_batch()
         return [(s.job, s.layer, s.stage, s.start, s.end) for s in stats.spans]
 
-    legacy = spans(None, with_inf=False)
-    assert spans(build_ranker("earliest"), with_inf=True) == legacy
-    assert spans(build_ranker("deadline"), with_inf=True) == legacy
-
-
-def test_unknown_ranker_names_are_rejected():
-    from repro.pipeline import build_ranker
-
-    with pytest.raises(ConfigurationError):
-        build_ranker("fifo")
-    with pytest.raises(ConfigurationError):
-        DarKnightConfig(stage_ranker="fifo")
+    assert spans(0.5) == spans(math.inf)
 
 
 def test_deadline_ranker_keeps_feasibility_primary():
     """A blocked tight-deadline job must not outrank runnable work — the
     serialized enclave never idles waiting for a premium GPU future."""
-    import math
-    from types import SimpleNamespace
-
-    from repro.pipeline import DeadlineAwareRanker
-
-    tl = EnclaveTimeline()  # free_at = 0
+    executor = PipelineExecutor(_mixed_net(), _backend())  # free_at = 0
     blocked_premium = SimpleNamespace(
         future=SimpleNamespace(ready_at=5.0), ready_at=0.0, index=0, deadline=0.001
     )
@@ -465,8 +444,8 @@ def test_deadline_ranker_keeps_feasibility_primary():
     runnable_premium = SimpleNamespace(
         future=None, ready_at=0.0, index=2, deadline=0.001
     )
-    ranker = DeadlineAwareRanker()
+    rank = executor._task_rank
     # Runnable work beats the blocked premium job...
-    assert ranker.rank(runnable_bulk, tl) < ranker.rank(blocked_premium, tl)
+    assert rank(runnable_bulk) < rank(blocked_premium)
     # ...and among equally-runnable tasks the tightest deadline wins.
-    assert ranker.rank(runnable_premium, tl) < ranker.rank(runnable_bulk, tl)
+    assert rank(runnable_premium) < rank(runnable_bulk)

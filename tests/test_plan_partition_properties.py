@@ -19,6 +19,7 @@ import pytest
 
 from repro.models import build_mini_mobilenet, build_mini_resnet, build_mini_vgg
 from repro.nn import PLAN_INPUT, Dense, PlainBackend, ReLU, Sequential
+from repro.pipeline import WindowItem
 from repro.runtime import DarKnightConfig
 from repro.sharding import (
     AttestationMesh,
@@ -91,13 +92,13 @@ def test_planner_cuts_are_valid_for_every_model(name):
 
 def _masked_reference(net, cfg, x, shard_id=9):
     shard = EnclaveShard.provision(shard_id, net, cfg)
-    groups, _ = shard.run_window([(x, 0.0)])
+    groups, _ = shard.run_window([WindowItem(x, 0.0)])
     return np.asarray(groups[0].output)
 
 
 def _run_cut(net, cfg, shards, mesh, ranges, x, group_id):
     group = PipelineGroup(group_id, shards[: len(ranges)], ranges, mesh)
-    finals, _ = group.run_window([(x, 0.0)])
+    finals, _ = group.run_window([WindowItem(x, 0.0)])
     return np.asarray(finals[0].output)
 
 

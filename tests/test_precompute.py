@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.fieldmath import PrimeField
 from repro.nn import Dense, PlainBackend, ReLU, Sequential
+from repro.pipeline import WindowItem
 from repro.precompute import pool as pool_module
 from repro.precompute import (
     MaskStreamPool,
@@ -574,7 +575,7 @@ def _run(engine, x, path):
     ``staged``: a one-batch executor window (``stage_linear``)."""
     if path == "sync":
         return engine.run_batch(x)
-    (group,), _ = engine.run_batch_window([(x, 0.0)])
+    (group,), _ = engine.run_batch_window([WindowItem(x, 0.0)])
     return group.output
 
 

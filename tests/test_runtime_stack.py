@@ -52,7 +52,7 @@ class LoopBackend(DarKnightBackend):
 
     def _masked_forward(self, x, op):
         outputs = [
-            self.decode(self.dispatch(self.encode(op, vb, vb_index)))
+            self.decode(self.dispatch(self.encode(op, [vb], [vb_index])))[0]
             for vb_index, vb in enumerate(
                 iter_virtual_batches(x, self.config.virtual_batch_size)
             )
@@ -207,7 +207,7 @@ def _forward(backend, case, x, w, bias):
     )
     vbs = list(iter_virtual_batches(x, case["k"]))
     decoded = {
-        i: backend.decode(backend.dispatch(backend.encode(op, vbs[i], i)))
+        i: backend.decode(backend.dispatch(backend.encode(op, [vbs[i]], [i])))[0]
         for i in case["staged_order"]
     }
     return op.apply_bias(np.concatenate([decoded[i] for i in range(len(vbs))], axis=0))

@@ -93,6 +93,9 @@ def test_from_dict_rejects_unknown_keys_and_non_dicts():
         ServingConfig.from_dict(
             {"adaptive": {"target_fill": 0.8, "typo_knob": 1}}
         )
+    # The executor has one rank order; a config naming another is a typo.
+    with pytest.raises(ConfigurationError, match=r"\['stage_ranker'\] in darknight"):
+        ServingConfig.from_dict({"darknight": {"stage_ranker": "deadline"}})
 
 
 def test_from_dict_validates_sub_config_values():
@@ -187,15 +190,6 @@ def test_from_dict_fills_what_a_hand_written_file_leaves_out():
     assert cfg.darknight == DarKnightConfig()
 
 
-def test_deadline_ranker_needs_an_slo_policy():
-    deadline = DarKnightConfig(stage_ranker="deadline")
-    with pytest.raises(ConfigurationError, match="darknight.stage_ranker.*slo"):
-        ServingConfig(darknight=deadline)
-    with pytest.raises(ConfigurationError, match="darknight.stage_ranker.*slo"):
-        ServingConfig.from_dict({"darknight": {"stage_ranker": "deadline"}})
-    assert ServingConfig(darknight=deadline, slo=SloPolicy()).slo is not None
-
-
 # ----------------------------------------------------------------------
 # the config surface, by generator
 # ----------------------------------------------------------------------
@@ -236,7 +230,6 @@ def serving_configs(draw):
             integrity=draw(st.booleans()),
             pipeline_depth=draw(st.integers(1, 4)),
             num_shards=draw(st.integers(1, 4)),
-            stage_ranker=draw(st.sampled_from(["earliest", "deadline"] if slo else ["earliest"])),
             epc_budget_bytes=optional(st.integers(1, 10**8)),
             seed=optional(st.integers(0, 2**31)),
         ),

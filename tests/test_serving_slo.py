@@ -7,12 +7,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.cli import build_serving_model
 from repro.errors import BackpressureError, ConfigurationError
+from repro.runtime import DarKnightConfig
 from repro.serving import (
     FLUSH_BUDGET_FRACTION,
     PendingRequest,
+    PrivateInferenceServer,
     RequestQueue,
     ServerMetrics,
+    ServingConfig,
     ServingUnit,
     SloClass,
     SloPolicy,
@@ -21,7 +25,7 @@ from repro.serving import (
 )
 from repro.serving.adaptive import AdaptiveFlushPolicy
 from repro.serving.metrics import SHED_EVICTED
-from repro.serving.requests import STATUS_OK, RequestOutcome
+from repro.serving.requests import STATUS_OK, RequestOutcome, ScheduledBatch
 from repro.serving.scheduler import ShardedBatchScheduler
 from repro.sharding import ShardRouter
 
@@ -269,6 +273,45 @@ def test_premium_tenants_spread_across_lightly_loaded_shards():
     # Pins stay sticky on re-lookup (no double counting).
     router.shard_for("vip0")
     assert router.slo_pins == 4
+
+
+# ----------------------------------------------------------------------
+# pipeline ranking: the policy alone orders a window
+# ----------------------------------------------------------------------
+def test_an_slo_policy_alone_encodes_the_premium_batch_first(monkeypatch):
+    """Only ``ServingConfig.slo`` is set: a premium batch flushed in the
+    same window behind a best-effort batch is encoded, and served, first."""
+    network, input_shape = build_serving_model("tiny")
+    server = PrivateInferenceServer(
+        network,
+        ServingConfig(
+            darknight=DarKnightConfig(virtual_batch_size=4, seed=0, pipeline_depth=2),
+            slo=build_slo_policy({"premium": 0.008}, {"p0": "premium"}),
+        ),
+    )
+    backend = server.units[0].shards[0].engine.backend
+    encoded = []
+
+    def encode(op, vbs, vb_indices):
+        encoded.append(list(vb_indices))
+        return type(backend).encode(backend, op, vbs, vb_indices)
+
+    monkeypatch.setattr(backend, "encode", encode)
+    rng = np.random.default_rng(0)
+
+    def batch(batch_id, tenant):
+        requests = [
+            PendingRequest(4 * batch_id + i, tenant, rng.normal(size=input_shape), 0.0, 0.0)
+            for i in range(4)
+        ]
+        return ScheduledBatch(batch_id, requests, flush_time=0.001, slots=4)
+
+    outcomes = server.pool.dispatch_window([batch(0, "b0"), batch(1, "p0")])
+    assert all(o.ok for o in outcomes)
+    # Jobs are numbered in window order: job 0 is best-effort, job 1 premium.
+    assert encoded[0] == [1]
+    done = {o.tenant: o.completion_time for o in outcomes}
+    assert done["p0"] < done["b0"]
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import AttestationError, ShardFailedError
 from repro.nn import Dense, Sequential
+from repro.pipeline import WindowItem
 from repro.runtime.config import DarKnightConfig
 from repro.sharding import AttestationMesh, EnclaveShard
 
@@ -70,14 +71,14 @@ def test_dead_shard_refuses_dispatch():
     shard = _shards(1)[0]
     shard.kill()
     with pytest.raises(ShardFailedError):
-        shard.run_window([(np.zeros((2, 8)), 0.0)])
+        shard.run_window([WindowItem(np.zeros((2, 8)), 0.0)])
 
 
 def test_fail_after_dies_mid_window_with_completed_prefix():
     shard = _shards(1)[0]
     shard.fail_after(2)
     x = np.random.default_rng(0).normal(size=(2, 8))
-    items = [(x, 0.0), (x, 0.0), (x, 0.0)]
+    items = [WindowItem(x, 0.0)] * 3
     with pytest.raises(ShardFailedError) as excinfo:
         shard.run_window(items)
     err = excinfo.value

@@ -27,6 +27,7 @@ from repro.errors import (
 )
 from repro.models import build_mini_resnet
 from repro.nn import Dense, ReLU, Sequential
+from repro.pipeline import WindowItem
 from repro.runtime import DarKnightConfig
 from repro.sharding import (
     AttestationMesh,
@@ -68,7 +69,7 @@ def _group(net, cfg, n_stages, ranges=None, base_id=0, group_id=100):
 def _reference(net, cfg, xs, shard_id=9):
     """Masked single-enclave logits — the whole-model baseline."""
     shard = EnclaveShard.provision(shard_id, net, cfg)
-    groups, _ = shard.run_window([(x, 0.0) for x in xs])
+    groups, _ = shard.run_window([WindowItem(x, 0.0) for x in xs])
     return [np.asarray(g.output) for g in groups]
 
 
@@ -218,7 +219,7 @@ def test_group_duck_types_the_shard_surface():
     assert not any(s.healthy for s in shards)
     assert not group.healthy and group.state == "failed" and not group.retired
     with pytest.raises(ShardFailedError, match="shard 0 is down") as excinfo:
-        group.run_window([(np.zeros((K, 16)), 0.0)])
+        group.run_window([WindowItem(np.zeros((K, 16)), 0.0)])
     assert excinfo.value.shard_id == 100
 
 
@@ -232,10 +233,10 @@ def test_one_member_group_is_the_shard_itself():
     assert whole == [(0, len(net.execution_plan()))]
 
     bare = EnclaveShard.provision(0, net, cfg)
-    want, want_stats = bare.run_window([(x, 0.0) for x in xs])
+    want, want_stats = bare.run_window([WindowItem(x, 0.0) for x in xs])
     member = EnclaveShard.provision(0, net, cfg)
     group = PipelineGroup(7, [member], whole, mesh=None)
-    got, got_stats = group.run_window([(x, 0.0) for x in xs])
+    got, got_stats = group.run_window([WindowItem(x, 0.0) for x in xs])
     for g, w in zip(got, want):
         assert np.array_equal(g.output, w.output)
         assert (g.start, g.finish) == (w.start, w.finish)
@@ -246,9 +247,9 @@ def test_one_member_group_is_the_shard_itself():
     bare.fail_after(4)
     member.fail_after(4)
     with pytest.raises(ShardFailedError) as bare_exc:
-        bare.run_window([(x, 1.0) for x in xs])
+        bare.run_window([WindowItem(x, 1.0) for x in xs])
     with pytest.raises(ShardFailedError) as group_exc:
-        group.run_window([(x, 1.0) for x in xs])
+        group.run_window([WindowItem(x, 1.0) for x in xs])
     assert str(group_exc.value) == str(bare_exc.value)
     assert group_exc.value.shard_id == 7
     (got, got_stats), (want, want_stats) = group_exc.value.completed, bare_exc.value.completed
@@ -268,7 +269,7 @@ def test_group_window_is_bit_identical_to_single_enclave(n_stages):
     xs = [rng.standard_normal((K, 3, 8, 8)) for _ in range(3)]
     reference = _reference(net, cfg, xs)
     group, _ = _group(net, cfg, n_stages)
-    finals, stats = group.run_window([(x, 0.0) for x in xs])
+    finals, stats = group.run_window([WindowItem(x, 0.0) for x in xs])
     assert len(finals) == 3
     for g, ref in zip(finals, reference):
         assert np.array_equal(np.asarray(g.output), ref)
@@ -286,7 +287,7 @@ def test_member_failure_mid_window_fails_the_group_with_a_prefix():
     group, shards = _group(net, cfg, 2)
     shards[1].fail_after(1)  # second stage dies after one batch
     with pytest.raises(ShardFailedError) as excinfo:
-        group.run_window([(x, 0.0) for x in xs])
+        group.run_window([WindowItem(x, 0.0) for x in xs])
     exc = excinfo.value
     # Group-granular failure: the router sees the unit id, not a member.
     assert exc.shard_id == 100
@@ -314,7 +315,7 @@ def test_failed_window_account_is_the_healthy_prefix(n_stages, data, fail_after,
     victim = data.draw(st.integers(0, n_stages - 1), label="victim")
     net, cfg = _dense_net(), _cfg(pipeline_depth=depth)
     rng = np.random.default_rng(6)
-    items = [(rng.standard_normal((K, 16)), 0.0) for _ in range(3)]
+    items = [WindowItem(rng.standard_normal((K, 16)), 0.0) for _ in range(3)]
     want, _ = _group(net, cfg, n_stages)[0].run_window(items)
 
     group, shards = _group(net, cfg, n_stages)
@@ -342,7 +343,7 @@ def test_sub_outputs_fan_out_per_member():
     group, shards = _group(net, _cfg(), 2)
     rng = np.random.default_rng(4)
     xs = [rng.standard_normal((K, 16)) for _ in range(2)]
-    finals, _ = group.run_window([(x, 0.0) for x in xs])
+    finals, _ = group.run_window([WindowItem(x, 0.0) for x in xs])
     final_rows = [np.asarray(g.output) for g in finals]
     # The exit member commits the response logits themselves.
     exit_rows = group.sub_outputs(shards[-1].shard_id, final_rows)
