@@ -22,34 +22,18 @@ bare generator is wrapped here and is the stream's from then on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.comm.link import LinkModel
 from repro.enclave.crypto import (
     ByteStream,
-    Ciphertext,
     DiffieHellman,
+    Envelope,
     StreamAead,
     array_to_bytes,
     bytes_to_array,
 )
 from repro.errors import CommunicationError
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A sealed message plus the array metadata needed to rebuild it."""
-
-    ciphertext: Ciphertext
-    dtype: str
-    shape: tuple[int, ...]
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size."""
-        return self.ciphertext.nbytes
 
 
 class SecureChannel:
@@ -65,6 +49,7 @@ class SecureChannel:
     ) -> None:
         self.local_name = local_name
         self.peer_name = peer_name
+        self._aad = peer_name.encode()  #: Binds every message to its recipient.
         self._aead = StreamAead(session_key, rng)
         self._link = link
 
@@ -98,9 +83,8 @@ class SecureChannel:
 
     def send_array(self, array: np.ndarray) -> Envelope:
         """Encrypt an array for the peer and charge the link."""
-        data, meta = array_to_bytes(np.asarray(array))
-        ct = self._aead.encrypt(data, aad=self.peer_name.encode())
-        env = Envelope(ciphertext=ct, dtype=meta["dtype"], shape=tuple(meta["shape"]))
+        data, dtype, shape = array_to_bytes(array)
+        env = Envelope(self._aead.encrypt(data, self._aad), dtype, shape)
         self._link.transfer(self.local_name, self.peer_name, env.nbytes)
         return env
 
@@ -112,4 +96,4 @@ class SecureChannel:
             raise CommunicationError(
                 f"channel {self.peer_name}->{self.local_name}: {exc}"
             ) from exc
-        return bytes_to_array(data, {"dtype": envelope.dtype, "shape": envelope.shape})
+        return bytes_to_array(data, envelope.dtype, envelope.shape)

@@ -5,6 +5,7 @@ from repro.enclave.crypto import (
     ByteStream,
     Ciphertext,
     DiffieHellman,
+    Envelope,
     StreamAead,
     array_to_bytes,
     bytes_to_array,
@@ -12,7 +13,7 @@ from repro.enclave.crypto import (
 )
 from repro.enclave.enclave import Enclave, EnclaveLedger
 from repro.enclave.epc import EPC_TOTAL_BYTES, EPC_USABLE_BYTES, EpcModel, PagingStats
-from repro.enclave.sealing import SealedBlob, Sealer, UntrustedStore
+from repro.enclave.sealing import Sealer, UntrustedStore
 
 __all__ = [
     "Enclave",
@@ -22,7 +23,6 @@ __all__ = [
     "EPC_TOTAL_BYTES",
     "EPC_USABLE_BYTES",
     "Sealer",
-    "SealedBlob",
     "UntrustedStore",
     "AttestationService",
     "Quote",
@@ -30,6 +30,7 @@ __all__ = [
     "StreamAead",
     "ByteStream",
     "Ciphertext",
+    "Envelope",
     "DiffieHellman",
     "derive_key",
     "array_to_bytes",

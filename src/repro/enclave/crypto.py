@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,9 +141,14 @@ def _mac(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
     return h.digest()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ciphertext:
-    """An encrypted, authenticated blob."""
+    """An encrypted, authenticated blob.
+
+    Not frozen: the tag, not immutability, is what guards the bytes — a
+    relay that rewrites a field builds a new record, and a forged one fails
+    :meth:`StreamAead.decrypt`.
+    """
 
     nonce: bytes
     data: bytes
@@ -154,6 +159,25 @@ class Ciphertext:
     def nbytes(self) -> int:
         """Wire size (what the link model charges)."""
         return len(self.nonce) + len(self.data) + len(self.tag) + len(self.aad)
+
+
+@dataclass(slots=True)
+class Envelope:
+    """A sealed array: its ciphertext plus the metadata to rebuild it.
+
+    One record serves every sealed array — a channel message, a hop's
+    activation, a blob evicted to untrusted memory.  ``nbytes`` is counted
+    once, at construction, since the link charge and the enclave crossing
+    both read it.
+    """
+
+    ciphertext: Ciphertext
+    dtype: str
+    shape: tuple[int, ...]
+    nbytes: int = field(init=False)  #: Wire/storage size.
+
+    def __post_init__(self) -> None:
+        self.nbytes = self.ciphertext.nbytes
 
 
 class StreamAead:
@@ -219,13 +243,12 @@ class DiffieHellman:
 # ----------------------------------------------------------------------
 
 
-def array_to_bytes(arr: np.ndarray) -> tuple[bytes, dict]:
-    """Serialise an array to raw bytes plus the metadata to rebuild it."""
+def array_to_bytes(arr: np.ndarray) -> tuple[bytes, str, tuple[int, ...]]:
+    """Serialise an array to ``(raw bytes, dtype, shape)``."""
     arr = np.ascontiguousarray(arr)
-    meta = {"dtype": arr.dtype.str, "shape": arr.shape}
-    return arr.tobytes(), meta
+    return arr.tobytes(), arr.dtype.str, arr.shape
 
 
-def bytes_to_array(data: bytes, meta: dict) -> np.ndarray:
+def bytes_to_array(data: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     """Rebuild an array serialised by :func:`array_to_bytes`."""
-    return np.frombuffer(data, dtype=np.dtype(meta["dtype"])).reshape(meta["shape"]).copy()
+    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()

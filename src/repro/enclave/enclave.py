@@ -22,9 +22,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from repro.enclave.attestation import AttestationService, Quote, measure_enclave
-from repro.enclave.crypto import ByteStream
+from repro.enclave.crypto import ByteStream, Envelope
 from repro.enclave.epc import EpcModel
-from repro.enclave.sealing import SealedBlob, Sealer, UntrustedStore
+from repro.enclave.sealing import Sealer, UntrustedStore
 from repro.errors import EnclaveError
 from repro.fieldmath import FieldRng, PrimeField
 
@@ -136,7 +136,7 @@ class Enclave:
     # ------------------------------------------------------------------
     # sealing / eviction (Algorithm 2 building blocks)
     # ------------------------------------------------------------------
-    def seal_and_evict(self, key: str, array: np.ndarray, label: bytes = b"") -> SealedBlob:
+    def seal_and_evict(self, key: str, array: np.ndarray, label: bytes = b"") -> Envelope:
         """Encrypt an array and push it to untrusted memory."""
         blob = self._sealer.seal(array, label)
         self.untrusted_store.evict(key, blob)

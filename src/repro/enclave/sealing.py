@@ -9,33 +9,18 @@ the measurement into the sealing key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.enclave.crypto import (
     ByteStream,
     Ciphertext,
+    Envelope,
     StreamAead,
     array_to_bytes,
     bytes_to_array,
     derive_key,
 )
 from repro.errors import SealingError
-
-
-@dataclass(frozen=True)
-class SealedBlob:
-    """An array sealed for untrusted storage."""
-
-    ciphertext: Ciphertext
-    dtype: str
-    shape: tuple[int, ...]
-
-    @property
-    def nbytes(self) -> int:
-        """Wire/storage size of the sealed blob."""
-        return self.ciphertext.nbytes
 
 
 class Sealer:
@@ -62,13 +47,12 @@ class Sealer:
         self._aead = StreamAead(key, rng)
         self.measurement = measurement
 
-    def seal(self, array: np.ndarray, label: bytes = b"") -> SealedBlob:
+    def seal(self, array: np.ndarray, label: bytes = b"") -> Envelope:
         """Seal an array; ``label`` is bound as associated data."""
-        data, meta = array_to_bytes(np.asarray(array))
-        ct = self._aead.encrypt(data, aad=label)
-        return SealedBlob(ciphertext=ct, dtype=meta["dtype"], shape=tuple(meta["shape"]))
+        data, dtype, shape = array_to_bytes(array)
+        return Envelope(self._aead.encrypt(data, label), dtype, shape)
 
-    def unseal(self, blob: SealedBlob) -> np.ndarray:
+    def unseal(self, blob: Envelope) -> np.ndarray:
         """Authenticate and decrypt a sealed array.
 
         Raises
@@ -80,7 +64,7 @@ class Sealer:
             data = self._aead.decrypt(blob.ciphertext)
         except Exception as exc:
             raise SealingError("sealed blob failed authentication") from exc
-        return bytes_to_array(data, {"dtype": blob.dtype, "shape": blob.shape})
+        return bytes_to_array(data, blob.dtype, blob.shape)
 
 
 class UntrustedStore:
@@ -91,16 +75,16 @@ class UntrustedStore:
     """
 
     def __init__(self) -> None:
-        self._blobs: dict[str, SealedBlob] = {}
+        self._blobs: dict[str, Envelope] = {}
         self.bytes_written = 0
         self.bytes_read = 0
 
-    def evict(self, key: str, blob: SealedBlob) -> None:
+    def evict(self, key: str, blob: Envelope) -> None:
         """Store a sealed blob under ``key``."""
         self._blobs[key] = blob
         self.bytes_written += blob.nbytes
 
-    def reload(self, key: str) -> SealedBlob:
+    def reload(self, key: str) -> Envelope:
         """Fetch a sealed blob back."""
         if key not in self._blobs:
             raise SealingError(f"no sealed blob under key {key!r}")
@@ -121,7 +105,7 @@ class UntrustedStore:
         blob = self._blobs[key]
         data = bytearray(blob.ciphertext.data)
         data[position % len(data)] ^= 0xFF
-        self._blobs[key] = SealedBlob(
+        self._blobs[key] = Envelope(
             ciphertext=Ciphertext(
                 nonce=blob.ciphertext.nonce,
                 data=bytes(data),

@@ -57,7 +57,7 @@ def stack_operands(pairs) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([a for a, _ in pairs]), np.stack([a_float for _, a_float in pairs])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EncodedBatch:
     """The masked shares for one virtual batch (or a stack of them).
 

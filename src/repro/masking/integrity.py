@@ -34,7 +34,7 @@ from repro.masking.coefficients import as_stack
 from repro.masking.forward import ForwardDecoder
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntegrityReport:
     """Outcome of a redundant-decode verification.
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VirtualBatch:
     """One ``K``-sized slice of a larger batch.
 

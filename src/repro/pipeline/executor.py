@@ -58,7 +58,7 @@ def plan_live_out(plan, end: int) -> tuple[int, ...]:
     return tuple(sorted(live))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Job:
     """One virtual batch in flight through the (sub-)plan DAG."""
 
@@ -82,7 +82,7 @@ class _Job:
         return VirtualBatch(data=data, indices=self.indices, n_real=self.n_real)
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupResult:
     """One input group's (e.g. one scheduled batch's) pipelined outcome.
 
@@ -284,7 +284,7 @@ class PipelineExecutor:
         while waiting or active:
             while waiting and len(active) < self.pipeline_depth:
                 active.append(waiting.pop(0))
-            job = min(active, key=self._task_rank)
+            job = active[0] if len(active) == 1 else min(active, key=self._task_rank)
             if fill_gaps:
                 self._fill_idle_gap(job, spans, stage_totals)
             if job.transfer_bytes:
@@ -374,12 +374,7 @@ class PipelineExecutor:
         start: float,
         end: float,
     ) -> None:
-        spans.append(
-            StageSpan(
-                job=job, layer=layer, stage=stage, resource=resource,
-                start=start, end=end,
-            )
-        )
+        spans.append(StageSpan(job, layer, stage, resource, start, end))
         totals[stage] = totals.get(stage, 0.0) + (end - start)
 
     def _fill_idle_gap(

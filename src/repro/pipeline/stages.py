@@ -18,6 +18,12 @@ The objects deliberately carry *both* worlds: the real tensors (masked
 compute always runs for real) and the simulated-clock bookkeeping
 (:mod:`repro.pipeline.timing`) that models where the time would go on
 SGX + GPU hardware.
+
+Every window builds dozens of these, so each is a ``slots=True``
+dataclass and none is frozen — a slotted record builds in less than half
+a frozen one's time.  On the request path only
+:class:`~repro.quantization.Normalization` stays frozen, because
+``quantization.IDENTITY`` is one instance every caller shares.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from repro.masking import CoefficientSet
 from repro.quantization import Normalization
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WindowItem:
     """One batch of a flush window, from the worker pool to the executor.
 
@@ -91,7 +97,7 @@ class StagedLinearOp:
         return y + self.bias
 
 
-@dataclass
+@dataclass(slots=True)
 class EncodeTicket:
     """One virtual batch encoded and scattered, ready for GPU dispatch."""
 
@@ -108,7 +114,7 @@ class EncodeTicket:
     inline_noise_bytes: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class GpuFuture:
     """A stack's shares in flight: real outputs now, simulated completion later.
 
@@ -125,7 +131,7 @@ class GpuFuture:
     ready_at: float = 0.0  #: Simulated completion (set by the scheduler).
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StageSpan:
     """One scheduled interval — the unit of the stage-timeline diagram."""
 
@@ -137,7 +143,7 @@ class StageSpan:
     end: float
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineStats:
     """What one pipelined run cost on the simulated clock."""
 

@@ -29,6 +29,8 @@ class Normalization:
     ``factor`` is a scalar for whole-tensor normalisation, or a broadcast
     array of shape ``(n, 1, ...)`` for per-sample normalisation (one factor
     per leading row; see :meth:`DynamicNormalizer.normalize_rows`).
+    Frozen, unlike the other request-path records: :data:`IDENTITY` is one
+    instance every caller shares.
     """
 
     factor: float | np.ndarray
@@ -86,7 +88,7 @@ class DynamicNormalizer:
 
     def normalize_rows(
         self, values: np.ndarray, lead: int = 1
-    ) -> tuple[np.ndarray, Normalization]:
+    ) -> tuple[np.ndarray, float | np.ndarray | None]:
         """Per-sample variant: one independent factor per leading row.
 
         Each row (sample slot) is scaled by *its own* max-abs, so a sample's
@@ -102,18 +104,24 @@ class DynamicNormalizer:
         ``lead`` is how many leading axes index the rows: a stack of
         virtual batches ``(V, K, ...)`` is normalised per virtual batch
         with ``lead=1`` (each slice exactly as :meth:`normalize` would
-        treat it alone) and per sample slot with ``lead=2``.  The factors
-        keep those axes and broadcast over the rest.
+        treat it alone) and per sample slot with ``lead=2``.
+
+        Returns the scaled values and the raw factors, not a
+        :class:`Normalization`: the factors keep the ``lead`` axes and
+        broadcast over the rest, so a caller builds one record per slice it
+        hands out.  ``None`` means no row needed scaling; a scalar is the
+        whole-tensor rule's factor, applied when the rows have no feature
+        axes.
         """
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim <= lead or arr.size == 0:
             # A sample with no feature axes has no meaningful per-row
             # factor shape; fall back to the scalar whole-tensor rule.
-            return self.normalize(arr)
+            scaled, norm = self.normalize(arr)
+            return scaled, None if norm is IDENTITY else norm.factor
         axes = tuple(range(lead, arr.ndim))
         max_abs = np.abs(arr).max(axis=axes, keepdims=True)
         factors = np.where(max_abs > self.ceiling, max_abs / self.ceiling, 1.0)
         if (factors == 1.0).all():
-            return arr, IDENTITY
-        norm = Normalization(factors)
-        return arr / factors, norm
+            return arr, None
+        return arr / factors, factors

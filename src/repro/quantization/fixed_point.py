@@ -161,25 +161,30 @@ class QuantizationConfig:
     # ------------------------------------------------------------------
     # field -> float
     # ------------------------------------------------------------------
-    def _signed_inplace(self, elements: np.ndarray) -> np.ndarray:
-        """Centre-lift into a fresh int64 buffer, then fix it up in place.
+    def _signed_float(self, elements: np.ndarray) -> np.ndarray:
+        """Centre-lift canonical elements into a fresh float64 buffer.
 
-        Equivalent to :meth:`~repro.fieldmath.PrimeField.to_signed` bit
-        for bit, but the ``arr - p`` branch writes into the modulus
-        result instead of materialising a ``np.where`` triple.
+        One copy (the cast) and one conditional subtract of ``p`` above
+        ``p/2`` — :meth:`~repro.fieldmath.PrimeField.to_signed` bit for bit
+        on canonical input, since ``p < 2**31`` keeps every value exact in
+        float64.  Nothing is reduced mod ``p`` first: every caller already
+        holds canonical elements (decode output, ``γ``-decode aggregates,
+        an unblind, :meth:`quantize` output).
         """
-        signed = np.asarray(self.field.element(elements))
-        np.subtract(signed, self.field.p, out=signed, where=signed > self.field.half)
-        return signed
+        out = np.asarray(elements).astype(np.float64)
+        np.subtract(out, self.field.p, out=out, where=out > self.field.half)
+        return out
 
     def dequantize(self, elements: np.ndarray) -> np.ndarray:
-        """Field elements at input scale back to floats (in-place chain)."""
-        out = self._signed_inplace(elements).astype(np.float64)
+        """Canonical field elements (``[0, p)``) at input scale back to
+        floats (in-place chain); non-canonical input is not reduced first."""
+        out = self._signed_float(elements)
         out /= self.scale
         return out
 
     def dequantize_product(self, elements: np.ndarray) -> np.ndarray:
-        """Field elements at product scale (``2**2l``) back to floats.
+        """Canonical field elements (``[0, p)``) at product scale
+        (``2**2l``) back to floats; non-canonical input is not reduced first.
 
         Implements Algorithm 1 line 9: ``Round(Y_q * 2**-l) * 2**-l`` — one
         rounding division by ``2**l`` followed by a float division, which
@@ -188,7 +193,7 @@ class QuantizationConfig:
         floor, divide — ``2**l`` divisions are exact in float64, so the
         in-place form changes no bits.
         """
-        out = self._signed_inplace(elements).astype(np.float64)
+        out = self._signed_float(elements)
         out /= self.scale
         np.add(out, 0.5, out=out)
         np.floor(out, out=out)

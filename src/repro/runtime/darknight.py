@@ -73,19 +73,6 @@ from repro.runtime.config import DarKnightConfig
 
 
 @dataclass
-class _ForwardRecord:
-    """State kept per (layer, virtual batch) from forward for backward reuse."""
-
-    coefficients: CoefficientSet
-    share_key: str
-    indices: tuple[int, ...]
-    n_real: int
-    x_norm: Normalization
-    w_norm: Normalization
-    vb_index: int = 0
-
-
-@dataclass
 class _StagedWeights:
     """One layer's staged encoding, and the weights it was staged from.
 
@@ -148,7 +135,9 @@ class DarKnightBackend:
             DynamicNormalizer() if self.config.dynamic_normalization else None
         )
         self._grad_normalizer = DynamicNormalizer()
-        self._forward_store: dict[str, list[_ForwardRecord]] = {}
+        # Every encode's tickets, per layer, until end_batch: backward reuses
+        # their shares and coefficients, and cleanup releases their shares.
+        self._forward_store: dict[str, list[EncodeTicket]] = {}
         self._cached_coefficients: CoefficientSet | None = None
         # Per-layer weight encodings the staged (inference) path reuses
         # while the weights read the same; the synchronous path consults
@@ -197,14 +186,14 @@ class DarKnightBackend:
         n_batches = stack.shape[0]
         if normalizer is None:
             return np.asarray(stack, dtype=np.float64), [IDENTITY] * n_batches
-        scaled, norm = normalizer.normalize_rows(stack, lead=lead)
-        if norm is IDENTITY:
+        scaled, factors = normalizer.normalize_rows(stack, lead=lead)
+        if factors is None:
             return scaled, [IDENTITY] * n_batches
-        if np.ndim(norm.factor) == 0:  # featureless rows: one scalar for all
-            return scaled, [norm] * n_batches
+        if not isinstance(factors, np.ndarray):  # featureless rows: one scalar for all
+            return scaled, [Normalization(factors)] * n_batches
         if lead == 1:
-            return scaled, [Normalization(float(f)) for f in norm.factor.ravel()]
-        return scaled, [Normalization(f) for f in norm.factor]
+            return scaled, [Normalization(float(f)) for f in factors.ravel()]
+        return scaled, [Normalization(f) for f in factors]
 
     def _generate_coefficients(self, **stack):
         """``CoefficientSet.generate`` under this session's (K, M, extra, mds)."""
@@ -321,14 +310,14 @@ class DarKnightBackend:
         """
         if kind not in ("conv2d", "dense"):
             raise ConfigurationError(f"unknown staged linear op kind {kind!r}")
-        # Re-staging a layer starts a fresh forward for it: stale records
+        # Re-staging a layer starts a fresh forward for it: stale tickets
         # (e.g. a re-forward with fewer virtual batches before end_batch)
         # are dropped wholesale, shares included, so backward never mixes
         # encodings from two different forward passes.
         stale = self._forward_store.pop(key, None)
         if stale:
-            for record in stale:
-                self.cluster.drop_shares(record.share_key)
+            for ticket in stale:
+                self.cluster.drop_shares(ticket.share_key)
         precompute = self.config.precompute
         w = np.asarray(w)
         kept = self._staged_weights.get(key) if reuse else None
@@ -386,10 +375,10 @@ class DarKnightBackend:
         one after another — what decodes from them is, exactly.  A stack of
         one draws the single set's stream.
 
-        The forward records are registered *before* returning, so the
-        shares now resident on the devices are always released by
-        :meth:`end_batch`, even if the pipeline aborts before a ticket is
-        ever dispatched or decoded.
+        The tickets are registered in the forward store *before*
+        returning — backward reads them — so the shares now resident on the
+        devices are always released by :meth:`end_batch`, even if the
+        pipeline aborts before a ticket is ever dispatched or decoded.
         """
         data, x_norms = self._normalize_stack(
             self._normalizer,
@@ -422,32 +411,21 @@ class DarKnightBackend:
         self.enclave.record_compute("encode_forward", share_bytes, len(vbs))
         share_keys = [f"{op.key}/step{self._step}/vb{index}" for index in vb_indices]
         self._scatter(share_keys, shares)
-        tickets = []
-        for v, (batch, index, share_key) in enumerate(zip(vbs, vb_indices, share_keys)):
-            self._forward_store.setdefault(op.key, []).append(
-                _ForwardRecord(
-                    coefficients=sets[v],
-                    share_key=share_key,
-                    indices=batch.indices,
-                    n_real=batch.n_real,
-                    x_norm=x_norms[v],
-                    w_norm=op.w_norm,
-                    vb_index=index,
-                )
+        tickets = [
+            EncodeTicket(
+                op=op,
+                share_key=share_key,
+                coefficients=sets[v],
+                vb_index=index,
+                indices=batch.indices,
+                n_real=batch.n_real,
+                x_norm=x_norms[v],
+                encode_bytes=share_bytes,
+                inline_noise_bytes=inline_noise_bytes[v],
             )
-            tickets.append(
-                EncodeTicket(
-                    op=op,
-                    share_key=share_key,
-                    coefficients=sets[v],
-                    vb_index=index,
-                    indices=batch.indices,
-                    n_real=batch.n_real,
-                    x_norm=x_norms[v],
-                    encode_bytes=share_bytes,
-                    inline_noise_bytes=inline_noise_bytes[v],
-                )
-            )
+            for v, (batch, index, share_key) in enumerate(zip(vbs, vb_indices, share_keys))
+        ]
+        self._forward_store.setdefault(op.key, []).extend(tickets)
         return tickets
 
     def dispatch(self, tickets: Sequence[EncodeTicket]) -> GpuFuture:
@@ -543,28 +521,28 @@ class DarKnightBackend:
                 " decode recovers a batch-aggregated gradient, which only a"
                 " scalar batch factor can unscale"
             )
-        records = self._forward_store.get(key)
-        if not records:
+        tickets = self._forward_store.get(key)
+        if not tickets:
             raise DecodingError(
                 f"no stored forward encodings for layer {key!r}; run forward first"
             )
-        n_rows = sum(len(record.indices) for record in records)
+        n_rows = sum(len(ticket.indices) for ticket in tickets)
         if delta.shape[0] != n_rows:
             raise DecodingError(
                 f"layer {key!r}: the stored forward has {n_rows} rows,"
                 f" delta has {delta.shape[0]}"
             )
         cfg = self.config
-        # Pipelined forwards may register records out of virtual-batch order;
+        # Pipelined forwards may register tickets out of virtual-batch order;
         # sum in vb order so gradients are bit-identical to the sync path.
-        records = sorted(records, key=lambda r: r.vb_index)
-        sets = [record.coefficients for record in records]
+        tickets = sorted(tickets, key=lambda t: t.vb_index)
+        sets = [ticket.coefficients for ticket in tickets]
         n_shares = sets[0].n_shares
         rows = np.zeros(
-            (len(records), cfg.virtual_batch_size) + delta.shape[1:], dtype=delta.dtype
+            (len(tickets), cfg.virtual_batch_size) + delta.shape[1:], dtype=delta.dtype
         )
-        for batch_rows, record in zip(rows, records):
-            batch_rows[: len(record.indices)] = delta[list(record.indices)]
+        for batch_rows, ticket in zip(rows, tickets):
+            batch_rows[: len(ticket.indices)] = delta[list(ticket.indices)]
         d_scaled, d_norms = self._normalize_stack(self._grad_normalizer, rows)
         d_q = self.quantizer.quantize(d_scaled)
         # Quantized deltas and the public B rows ship to every GPU; the
@@ -582,11 +560,11 @@ class DarKnightBackend:
                 per_batch.append(coeffs.backward_matrices_for_subset(plan[1])[0])
         # Every device receives every virtual batch's quantized δ.
         delta_bytes = int(d_q[0].nbytes)
-        self.enclave.record_compute("quantize_deltas", delta_bytes, len(records))
-        self.link.transfer_many(len(records) * n_shares, delta_bytes)
+        self.enclave.record_compute("quantize_deltas", delta_bytes, len(tickets))
+        self.link.transfer_many(len(tickets) * n_shares, delta_bytes)
         launch = ShareLaunch(
             kind,
-            tuple(record.share_key for record in records),
+            tuple(ticket.share_key for ticket in tickets),
             deltas=d_q,
             b_rows=np.array(b_rows).transpose(0, 2, 1, 3),  # (V, R, S, K) -> (V, S, R, K)
             **geometry,
@@ -605,11 +583,11 @@ class DarKnightBackend:
             )
         grads = self.quantizer.dequantize_product(aggregates[:, 0])
         total: np.ndarray | None = None
-        for v, record in enumerate(records):
+        for v, ticket in enumerate(tickets):
             self.enclave.record_compute("decode_backward", int(aggregates[v, 0].nbytes))
             if cfg.integrity:
                 reports[v].raise_on_failure(
-                    f"layer {key!r}, virtual batch {record.vb_index}"
+                    f"layer {key!r}, virtual batch {ticket.vb_index}"
                 )
                 self.enclave.record_compute(
                     "integrity_check_backward", int(d_q[v].nbytes)
@@ -617,13 +595,13 @@ class DarKnightBackend:
             # The decode yields Σ<δ', x'> of the *normalised* operands; the
             # weight factor never enters a (δ, x) pairing, so only the input
             # and gradient factors multiply back.
-            contribution = grads[v] * (record.x_norm.factor * d_norms[v].factor)
+            contribution = grads[v] * (ticket.x_norm.factor * d_norms[v].factor)
             if self._aggregator is not None:
-                self._aggregator.add_update(f"{key}/{record.share_key}", contribution)
+                self._aggregator.add_update(f"{key}/{ticket.share_key}", contribution)
             else:
                 total = contribution if total is None else total + contribution
         if self._aggregator is not None:
-            keys = [f"{key}/{r.share_key}" for r in records]
+            keys = [f"{key}/{t.share_key}" for t in tickets]
             return self._aggregator.aggregate(keys)
         return total
 
@@ -672,15 +650,15 @@ class DarKnightBackend:
         """
         if not self._forward_store:
             return
-        for records in self._forward_store.values():
-            for record in records:
-                self.cluster.drop_shares(record.share_key)
+        for tickets in self._forward_store.values():
+            for ticket in tickets:
+                self.cluster.drop_shares(ticket.share_key)
         self._forward_store.clear()
         self._step += 1
 
     def open_encodings(self) -> int:
         """Stored (layer, virtual-batch) encodings not yet released."""
-        return sum(len(records) for records in self._forward_store.values())
+        return sum(len(tickets) for tickets in self._forward_store.values())
 
     # ------------------------------------------------------------------
     # offline precompute (mask pool + weight-encoding cache)
@@ -729,7 +707,7 @@ class DarKnightBackend:
         Checks both sides of the scatter: the enclave's forward store and
         the shares resident on every device.  Called after
         :meth:`end_batch` on inference exit paths so a leak (e.g. an abort
-        path that skipped a record) surfaces as an error, not as unbounded
+        path that skipped a ticket) surfaces as an error, not as unbounded
         simulated-GPU memory growth.
         """
         leaked = sorted(
@@ -737,7 +715,7 @@ class DarKnightBackend:
         )
         if self._forward_store or leaked:
             raise DecodingError(
-                f"encodings not released: {self.open_encodings()} forward records"
+                f"encodings not released: {self.open_encodings()} forward tickets"
                 f" ({sorted(self._forward_store)}), device shares {leaked[:8]}"
             )
 

@@ -21,7 +21,7 @@ STATUS_DECODE_FAILED = "decode_failed"
 STATUS_SHARD_FAILED = "shard_failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
     """One decrypted single-sample request waiting for a virtual batch.
 
@@ -46,7 +46,7 @@ class PendingRequest:
     enqueue_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
     """The terminal record of one request's trip through the server."""
 
@@ -74,7 +74,7 @@ class RequestOutcome:
         return self.completion_time - self.arrival_time
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledBatch:
     """A coalesced virtual batch handed from the scheduler to a worker.
 

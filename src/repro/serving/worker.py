@@ -192,7 +192,7 @@ class InferenceWorkerPool:
         shard = self.units[shard_id].executor
         items = [
             WindowItem(
-                np.stack([req.x for req in batch.requests]),
+                np.array([req.x for req in batch.requests]),  # np.stack's checks cost more
                 batch.flush_time,
                 self._batch_deadline(batch),
             )
@@ -490,28 +490,22 @@ class InferenceWorkerPool:
         error: str | None,
         fallback: float,
     ) -> list[RequestOutcome]:
-        outcomes = []
-        for i, req in enumerate(batch.requests):
-            row = group.output[i] if group is not None else None
-            outcomes.append(
+        if group is None:
+            return [
                 RequestOutcome(
-                    request_id=req.request_id,
-                    tenant=req.tenant,
-                    status=status,
-                    arrival_time=req.arrival_time,
-                    dispatch_time=(
-                        group.start if group is not None else batch.flush_time
-                    ),
-                    completion_time=(
-                        group.finish if group is not None else fallback
-                    ),
-                    batch_id=batch.batch_id,
-                    logits=row,
-                    prediction=int(np.argmax(row)) if row is not None else None,
-                    error=error,
+                    req.request_id, req.tenant, status, req.arrival_time,
+                    batch.flush_time, fallback, batch.batch_id, error=error,
                 )
+                for req in batch.requests
+            ]
+        return [
+            RequestOutcome(
+                req.request_id, req.tenant, status, req.arrival_time,
+                group.start, group.finish, batch.batch_id,
+                logits=row, prediction=int(row.argmax()), error=error,
             )
-        return outcomes
+            for req, row in zip(batch.requests, group.output)
+        ]
 
     def stage_totals(self) -> dict[str, float]:
         """Cumulative simulated seconds per stage across all shards."""

@@ -42,7 +42,7 @@ from repro.comm import LinkModel
 from repro.comm.secure_channel import Envelope, SecureChannel
 from repro.errors import ConfigurationError, ShardFailedError
 from repro.nn import PLAN_INPUT, Sequential
-from repro.pipeline.executor import plan_live_out
+from repro.pipeline.executor import GroupResult, plan_live_out
 from repro.pipeline.stages import PipelineStats, WindowItem
 from repro.pipeline.timing import DEFAULT_STAGE_COSTS, StageCostModel
 
@@ -339,8 +339,9 @@ class PipelineGroup:
         self.members = list(members)
         self.ranges = [tuple(r) for r in ranges]
         self.link = link or LinkModel()
-        #: Per-member canonical rows from the last window, for audit
-        #: fan-out onto each member shard's own chain.
+        #: Each interior member's canonical rows from the last window, for
+        #: audit fan-out onto its own chain (the exit member's are the
+        #: final outputs, see :meth:`sub_outputs`).
         self.last_sub_outputs: dict[int, list] = {}
         # A (re)built group re-maps stage ranges onto members, so any
         # weight encodings a member cached for its *previous* range are
@@ -470,10 +471,10 @@ class PipelineGroup:
                 parts.append(stats)
             if hop == 0:
                 starts = [g.start for g in groups]
-            self.last_sub_outputs[member.shard_id] = [
-                _flat_rows(g.output) for g in groups
-            ]
             if hop < len(self.members) - 1:
+                self.last_sub_outputs[member.shard_id] = [
+                    _flat_rows(g.output) for g in groups
+                ]
                 tx, rx = self._hops[hop]
                 handed = []
                 for g, item in zip(groups, current):
@@ -482,7 +483,7 @@ class PipelineGroup:
                     handed.append(WindowItem(values, g.finish, item.deadline, sealed.nbytes))
                 current = handed
 
-        finals = [dataclasses.replace(g, start=s) for g, s in zip(groups, starts)]
+        finals = [GroupResult(g.output, s, g.finish) for g, s in zip(groups, starts)]
         stats = PipelineStats.merge(parts)
         if failure is not None:
             raise ShardFailedError(

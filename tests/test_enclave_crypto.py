@@ -239,7 +239,8 @@ def test_dh_rejects_bad_public(nprng):
 @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.int32])
 def test_array_serialisation_roundtrip(dtype, nprng):
     arr = (nprng.normal(size=(3, 4, 5)) * 100).astype(dtype)
-    data, meta = array_to_bytes(arr)
-    back = bytes_to_array(data, meta)
+    data, dtype_str, shape = array_to_bytes(arr)
+    assert shape == arr.shape
+    back = bytes_to_array(data, dtype_str, shape)
     assert back.dtype == arr.dtype
     assert np.array_equal(back, arr)

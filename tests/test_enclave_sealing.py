@@ -72,10 +72,9 @@ def test_label_binding(sealer, nprng):
     arr = nprng.normal(size=(4,))
     blob = sealer.seal(arr, label=b"vb0")
     # Re-wrapping with a different label must fail authentication.
-    from repro.enclave.crypto import Ciphertext
-    from repro.enclave.sealing import SealedBlob
+    from repro.enclave.crypto import Ciphertext, Envelope
 
-    forged = SealedBlob(
+    forged = Envelope(
         ciphertext=Ciphertext(
             nonce=blob.ciphertext.nonce,
             data=blob.ciphertext.data,

@@ -68,6 +68,26 @@ def test_product_dequantization_matches_reference():
     assert np.all(np.abs(back - x * w) < 0.01)
 
 
+def test_dequantize_matches_the_to_signed_reference_on_canonical_input():
+    """Both dequantizers centre-lift without reducing first: on canonical
+    elements they equal Algorithm 1 over ``field.to_signed`` bit for bit,
+    the lift's boundary values included."""
+    q = QuantizationConfig()
+    p, half = q.field.p, q.field.half
+    rng = np.random.default_rng(7)
+    edges = np.array([0, 1, half - 1, half, half + 1, p - 2, p - 1], dtype=np.int64)
+    for elements in (edges, rng.integers(0, p, size=(3, 5, 7), dtype=np.int64)):
+        signed = q.field.to_signed(elements).astype(np.float64)
+        assert np.array_equal(q.dequantize(elements), signed / q.scale)
+        want = np.floor(signed / q.scale + 0.5) / q.scale
+        got = q.dequantize_product(elements)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert q.dequantize(edges)[3] > 0 > q.dequantize(edges)[4]  # half stays positive
+    before = edges.copy()
+    q.dequantize_product(edges)
+    assert np.array_equal(edges, before)  # the input is never written
+
+
 def test_overflow_raises_with_context():
     q = QuantizationConfig()
     with pytest.raises(QuantizationError, match="fractional_bits"):
