@@ -14,12 +14,10 @@ from repro.analysis.mutual_information import (
     chi_square_uniformity,
     empirical_mutual_information,
     max_abs_correlation,
-    mi_gap_vs_independent,
 )
 
 __all__ = [
     "empirical_mutual_information",
-    "mi_gap_vs_independent",
     "chi_square_uniformity",
     "max_abs_correlation",
     "run_collusion_attack",

@@ -41,23 +41,6 @@ def empirical_mutual_information(
     return float(np.sum(joint[mask] * np.log(joint[mask] / (pa @ pb)[mask])))
 
 
-def mi_gap_vs_independent(
-    inputs: np.ndarray, shares: np.ndarray, bins: int = 16, seed: int = 0
-) -> tuple[float, float]:
-    """MI(input, share) alongside MI(input, shuffled share).
-
-    The shuffled pairing destroys any dependence while preserving both
-    marginals, giving the finite-sample bias floor.  A masked share should
-    produce an MI within noise of that floor; a leaky encoding exceeds it.
-    """
-    rng = np.random.default_rng(seed)
-    inputs = np.asarray(inputs, dtype=np.float64).ravel()
-    shares = np.asarray(shares, dtype=np.float64).ravel()
-    mi = empirical_mutual_information(inputs, shares, bins)
-    mi_floor = empirical_mutual_information(inputs, rng.permutation(shares), bins)
-    return mi, mi_floor
-
-
 def chi_square_uniformity(values: np.ndarray, p: int, bins: int = 64) -> tuple[float, int]:
     """Chi-square statistic and dof of ``values`` against Uniform([0, p))."""
     values = np.asarray(values).ravel()

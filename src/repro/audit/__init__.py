@@ -16,7 +16,6 @@ from repro.audit.commitment import (
     WindowCommitment,
     array_digest,
     array_from_canonical,
-    canonical_array,
     canonical_json_bytes,
     digest_json,
 )
@@ -27,7 +26,6 @@ from repro.audit.merkle import (
     MerkleTree,
     ProofStep,
     leaf_digest,
-    verify_inclusion,
 )
 from repro.audit.query import InclusionProof, prove, verify_proof
 from repro.audit.replay import ReplayResult, replay_window
@@ -55,7 +53,6 @@ __all__ = [
     "WindowCommitment",
     "array_digest",
     "array_from_canonical",
-    "canonical_array",
     "canonical_json_bytes",
     "chain_hash",
     "digest_json",
@@ -66,6 +63,5 @@ __all__ = [
     "manifest_config",
     "prove",
     "replay_window",
-    "verify_inclusion",
     "verify_proof",
 ]

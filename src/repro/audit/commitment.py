@@ -81,18 +81,8 @@ def _header_bytes(a: np.ndarray) -> bytes:
     return header
 
 
-def canonical_array(arr: np.ndarray) -> dict:
-    """Serialize an array as a platform-stable JSON-safe record."""
-    a = _widen(arr)
-    return {
-        "dtype": a.dtype.str,
-        "shape": [int(s) for s in a.shape],
-        "data": base64.b64encode(a.tobytes(order="C")).decode("ascii"),
-    }
-
-
 def array_from_canonical(record: dict) -> np.ndarray:
-    """Reconstruct the exact array a :func:`canonical_array` record froze."""
+    """Reconstruct the exact array a leaf's ``input`` record froze."""
     raw = base64.b64decode(record["data"])
     return np.frombuffer(raw, dtype=np.dtype(record["dtype"])).reshape(
         tuple(record["shape"])
@@ -119,7 +109,7 @@ def array_digest(arr: np.ndarray) -> str:
 
 
 def _canonical_with_digest(arr: np.ndarray) -> tuple[dict, str]:
-    """One-pass :func:`canonical_array` + :func:`array_digest`.
+    """An array's canonical record and its :func:`array_digest`, in one pass.
 
     The commit hot path needs both; widening and ``tobytes`` happen once
     here instead of twice.

@@ -166,53 +166,62 @@ class AuditLog:
         """
         prev = genesis_root(self.shard_id)
         for i, entry in enumerate(self.entries):
-            meta = entry["meta"]
-            if meta.get("window_id") != i or meta.get("shard_id") != self.shard_id:
-                raise AuditError(
-                    f"window {i}: metadata claims window"
-                    f" {meta.get('window_id')} of shard {meta.get('shard_id')}"
-                )
-            status = meta.get("status")
-            if isinstance(status, str) and status.startswith(
-                MEMBERSHIP_STATUS_PREFIX
-            ):
-                kind = status[len(MEMBERSHIP_STATUS_PREFIX) :]
-                leaves = entry["leaves"]
-                if kind not in MEMBERSHIP_KINDS:
-                    raise AuditError(
-                        f"window {i}: unknown membership event kind {kind!r}"
-                    )
-                if len(leaves) != 1 or leaves[0].get("event") != kind:
-                    raise AuditError(
-                        f"window {i}: membership window must hold exactly one"
-                        f" {kind!r} event leaf"
-                    )
-                if leaves[0].get("shard_id") != self.shard_id:
-                    raise AuditError(
-                        f"window {i}: membership event names shard"
-                        f" {leaves[0].get('shard_id')}, not {self.shard_id}"
-                    )
-            recomputed = MerkleTree(
-                [leaf_digest(canonical_json_bytes(leaf)) for leaf in entry["leaves"]]
-            ).root
-            if recomputed != entry["merkle_root"]:
-                raise AuditError(
-                    f"window {i}: leaves do not hash to the committed Merkle"
-                    f" root (committed {entry['merkle_root'][:12]}…,"
-                    f" recomputed {recomputed[:12]}…)"
-                )
-            if entry["prev_root"] != prev:
-                raise AuditError(
-                    f"window {i}: chain does not extend window {i - 1}"
-                )
-            expected = chain_hash(prev, recomputed, digest_json(meta))
-            if expected != entry["chain_root"]:
-                raise AuditError(
-                    f"window {i}: chain root mismatch (committed"
-                    f" {entry['chain_root'][:12]}…, recomputed {expected[:12]}…)"
-                )
-            prev = entry["chain_root"]
+            prev = self._verify_entry(i, entry, prev)
         return len(self.entries)
+
+    def _verify_entry(self, i: int, entry: dict, prev: str) -> str:
+        """Check window ``i`` against the chain value before it; returns
+        its own chain value (the next window's ``prev``).
+
+        Recomputes this one window's Merkle root and chain link only, so
+        walking a log costs one tree per window.
+        """
+        meta = entry["meta"]
+        if meta.get("window_id") != i or meta.get("shard_id") != self.shard_id:
+            raise AuditError(
+                f"window {i}: metadata claims window"
+                f" {meta.get('window_id')} of shard {meta.get('shard_id')}"
+            )
+        status = meta.get("status")
+        if isinstance(status, str) and status.startswith(
+            MEMBERSHIP_STATUS_PREFIX
+        ):
+            kind = status[len(MEMBERSHIP_STATUS_PREFIX) :]
+            leaves = entry["leaves"]
+            if kind not in MEMBERSHIP_KINDS:
+                raise AuditError(
+                    f"window {i}: unknown membership event kind {kind!r}"
+                )
+            if len(leaves) != 1 or leaves[0].get("event") != kind:
+                raise AuditError(
+                    f"window {i}: membership window must hold exactly one"
+                    f" {kind!r} event leaf"
+                )
+            if leaves[0].get("shard_id") != self.shard_id:
+                raise AuditError(
+                    f"window {i}: membership event names shard"
+                    f" {leaves[0].get('shard_id')}, not {self.shard_id}"
+                )
+        recomputed = MerkleTree(
+            [leaf_digest(canonical_json_bytes(leaf)) for leaf in entry["leaves"]]
+        ).root
+        if recomputed != entry["merkle_root"]:
+            raise AuditError(
+                f"window {i}: leaves do not hash to the committed Merkle"
+                f" root (committed {entry['merkle_root'][:12]}…,"
+                f" recomputed {recomputed[:12]}…)"
+            )
+        if entry["prev_root"] != prev:
+            raise AuditError(
+                f"window {i}: chain does not extend window {i - 1}"
+            )
+        expected = chain_hash(prev, recomputed, digest_json(meta))
+        if expected != entry["chain_root"]:
+            raise AuditError(
+                f"window {i}: chain root mismatch (committed"
+                f" {entry['chain_root'][:12]}…, recomputed {expected[:12]}…)"
+            )
+        return entry["chain_root"]
 
     def membership_events(self) -> list[dict]:
         """The chain's membership-change events, oldest first.
@@ -247,9 +256,7 @@ class AuditLog:
     @classmethod
     def load(cls, path: str | Path, shard_id: int | None = None) -> "AuditLog":
         """Read a persisted log strictly (any malformed line raises)."""
-        log, dropped = cls._read(Path(path), shard_id=shard_id, strict=True)
-        assert dropped == 0
-        return log
+        return cls._read(Path(path), shard_id=shard_id, strict=True)[0]
 
     @classmethod
     def recover(
@@ -277,18 +284,15 @@ class AuditLog:
         log.entries = []
         log.bytes_written = 0
         log.shard_id = -1 if shard_id is None else int(shard_id)
+        prev = None
         for i, line in enumerate(lines):
             try:
                 entry = json.loads(line)
-                meta = entry["meta"]
                 if log.shard_id < 0:
-                    log.shard_id = int(meta["shard_id"])
-                probe = cls.__new__(cls)
-                probe.shard_id = log.shard_id
-                probe.entries = log.entries + [entry]
-                probe.path = None
-                probe.bytes_written = 0
-                probe.verify_chain()
+                    log.shard_id = int(entry["meta"]["shard_id"])
+                if prev is None:
+                    prev = genesis_root(log.shard_id)
+                prev = log._verify_entry(i, entry, prev)
             except (AuditError, KeyError, TypeError, ValueError) as exc:
                 if strict:
                     raise AuditError(f"{path}:{i + 1}: invalid entry ({exc})") from exc

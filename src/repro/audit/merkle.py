@@ -153,11 +153,3 @@ class MerkleTree:
             n_leaves=len(self.leaves),
             path=tuple(path),
         )
-
-
-def verify_inclusion(proof: MerkleProof, root: str) -> bool:
-    """True when ``proof`` authenticates its leaf against ``root``."""
-    try:
-        return proof.root() == root
-    except (AuditError, ValueError):
-        return False

@@ -1,12 +1,9 @@
-"""Synthetic datasets and loaders (CIFAR/ImageNet substitution per DESIGN.md)."""
+"""Synthetic datasets (the CIFAR/ImageNet substitution per DESIGN.md)."""
 
-from repro.data.loaders import BatchIterator
-from repro.data.synthetic import Dataset, cifar_like, imagenet_like, make_image_dataset
+from repro.data.synthetic import Dataset, cifar_like, make_image_dataset
 
 __all__ = [
     "Dataset",
     "make_image_dataset",
     "cifar_like",
-    "imagenet_like",
-    "BatchIterator",
 ]

@@ -112,12 +112,3 @@ def cifar_like(
     return make_image_dataset(
         n_train, n_test, n_classes=10, shape=(3, size, size), seed=seed
     )
-
-
-def imagenet_like(
-    n_train: int = 8, n_test: int = 4, seed: int = 0, n_classes: int = 1000
-) -> Dataset:
-    """ImageNet-shaped synthetic data (224x224); for shape/pipeline tests only."""
-    return make_image_dataset(
-        n_train, n_test, n_classes=n_classes, shape=(3, 224, 224), seed=seed
-    )

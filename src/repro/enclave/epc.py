@@ -122,13 +122,3 @@ class EpcModel:
     # ------------------------------------------------------------------
     # planning helpers (used by the perf model)
     # ------------------------------------------------------------------
-    def working_set_paging_bytes(self, working_set_bytes: int, passes: int = 1) -> int:
-        """Paging traffic for streaming a working set of the given size.
-
-        Each pass over a working set larger than EPC forces the excess to
-        round-trip through encrypted DRAM.
-        """
-        if working_set_bytes <= self.usable_bytes:
-            return 0
-        excess = working_set_bytes - self.usable_bytes
-        return 2 * excess * max(1, passes)

@@ -28,7 +28,6 @@ from repro.fieldmath.kernels import (
 from repro.fieldmath.linalg import (
     all_column_subsets_full_rank,
     determinant,
-    field_dot,
     field_matmul,
     field_matmul_public,
     field_matmul_stacked,
@@ -49,7 +48,6 @@ __all__ = [
     "field_matmul",
     "field_matmul_stacked",
     "field_matmul_public",
-    "field_dot",
     "inverse",
     "solve",
     "rank",

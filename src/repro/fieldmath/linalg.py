@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.errors import FieldError, SingularMatrixError
 from repro.fieldmath import kernels
-from repro.fieldmath.kernels import SAFE_ACCUMULATION
 from repro.fieldmath.prime import PrimeField
 
 #: The backend of every product called without one: the enclave's own.
@@ -140,29 +139,6 @@ def field_matmul_public(
 def _backend(backend):
     """``backend``, or the enclave-side one for ``None``."""
     return _ENCLAVE_BACKEND if backend is None else backend
-
-
-def field_dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
-    """Inner product of two 1-D field vectors, reduced safely.
-
-    Vectorized: the element-wise products (each ``< p**2``) are reduced in
-    one reshaped chunked sum — ``SAFE_ACCUMULATION`` terms per chunk keeps
-    every partial below int64 overflow — instead of a Python loop of
-    ``np.dot`` calls.
-    """
-    a = np.asarray(a, dtype=np.int64).ravel()
-    b = np.asarray(b, dtype=np.int64).ravel()
-    if a.shape != b.shape:
-        raise FieldError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0
-    prods = a * b
-    pad = (-prods.size) % SAFE_ACCUMULATION
-    if pad:
-        prods = np.concatenate([prods, np.zeros(pad, dtype=np.int64)])
-    partials = np.mod(prods.reshape(-1, SAFE_ACCUMULATION).sum(axis=1), field.p)
-    # n_chunks partials each < p: the final sum stays far below int64.
-    return int(partials.sum() % field.p)
 
 
 def rank(field: PrimeField, matrix: np.ndarray) -> int:

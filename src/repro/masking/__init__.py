@@ -1,22 +1,20 @@
 """DarKnight's core: matrix-masking encode/decode, integrity, virtual batches."""
 
-from repro.masking.backward import BackwardDecoder, BackwardEncoder, reference_aggregate
+from repro.masking.backward import BackwardDecoder, reference_aggregate
 from repro.masking.coefficients import CoefficientSet
 from repro.masking.forward import EncodedBatch, ForwardDecoder, ForwardEncoder
 from repro.masking.integrity import IntegrityReport, IntegrityVerifier
-from repro.masking.virtual_batch import VirtualBatch, iter_virtual_batches, n_virtual_batches
+from repro.masking.virtual_batch import VirtualBatch, iter_virtual_batches
 
 __all__ = [
     "CoefficientSet",
     "ForwardEncoder",
     "ForwardDecoder",
     "EncodedBatch",
-    "BackwardEncoder",
     "BackwardDecoder",
     "reference_aggregate",
     "IntegrityVerifier",
     "IntegrityReport",
     "VirtualBatch",
     "iter_virtual_batches",
-    "n_virtual_batches",
 ]

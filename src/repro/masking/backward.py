@@ -28,52 +28,12 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import DecodingError, EncodingError
-from repro.fieldmath import field_matmul
-from repro.masking.coefficients import CoefficientSet, as_stack
+from repro.masking.coefficients import as_stack
 from repro.masking.forward import stack_arrays, stack_matmul
 
 #: A bilinear operator ``(delta, x) -> grad_w`` in the field, e.g. the
 #: outer product for dense layers or a correlation for convolutions.
 BilinearOp = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-class BackwardEncoder:
-    """Combines per-input gradients with the public ``B`` coefficients.
-
-    In the real system the GPUs perform this combination themselves (``B`` is
-    shipped to them); the simulator centralises it here so both the GPU
-    device and tests share one implementation.
-    """
-
-    def __init__(self, coefficients: CoefficientSet) -> None:
-        self.coefficients = coefficients
-
-    def combine_deltas(self, deltas: np.ndarray, share_index: int) -> np.ndarray:
-        """``δ̄(j) = Σ_i B[j, i]·δ(i)`` for one share ``j``."""
-        coeffs = self.coefficients
-        deltas = np.asarray(deltas, dtype=np.int64)
-        if deltas.shape[0] != coeffs.k:
-            raise EncodingError(
-                f"expected {coeffs.k} per-input gradients, got {deltas.shape[0]}"
-            )
-        if not (0 <= share_index < coeffs.n_shares):
-            raise EncodingError(f"share index {share_index} out of range")
-        flat = deltas.reshape(coeffs.k, -1)
-        row = coeffs.b[share_index].reshape(1, coeffs.k)
-        combined = field_matmul(coeffs.field, row, flat)
-        return combined.reshape(deltas.shape[1:])
-
-    def combine_all(self, deltas: np.ndarray) -> np.ndarray:
-        """All combined gradients at once, shape ``(n_shares, *delta_shape)``."""
-        coeffs = self.coefficients
-        deltas = np.asarray(deltas, dtype=np.int64)
-        if deltas.shape[0] != coeffs.k:
-            raise EncodingError(
-                f"expected {coeffs.k} per-input gradients, got {deltas.shape[0]}"
-            )
-        flat = deltas.reshape(coeffs.k, -1)
-        combined = field_matmul(coeffs.field, coeffs.b, flat)
-        return combined.reshape((coeffs.n_shares,) + deltas.shape[1:])
 
 
 class BackwardDecoder:

@@ -66,12 +66,3 @@ def iter_virtual_batches(batch: np.ndarray, k: int) -> Iterator[VirtualBatch]:
             indices=tuple(range(start, stop)),
             n_real=n_real,
         )
-
-
-def n_virtual_batches(batch_size: int, k: int) -> int:
-    """How many virtual batches a batch of ``batch_size`` splits into."""
-    if k < 1:
-        raise ConfigurationError(f"virtual batch size must be >= 1, got {k}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
-    return -(-batch_size // k)

@@ -2,11 +2,10 @@
 
 from repro.models.mobilenet import (
     build_mini_mobilenet,
-    mini_mobilenet_spec,
     mobilenet_v1_spec,
     mobilenet_v2_spec,
 )
-from repro.models.resnet import build_mini_resnet, mini_resnet_spec, resnet50_spec
+from repro.models.resnet import build_mini_resnet, resnet50_spec
 from repro.models.specs import (
     LINEAR_KINDS,
     NONLINEAR_KINDS,
@@ -15,7 +14,7 @@ from repro.models.specs import (
     ModelSpec,
     SpecBuilder,
 )
-from repro.models.vgg import build_mini_vgg, mini_vgg_spec, vgg16_spec
+from repro.models.vgg import build_mini_vgg, vgg16_spec
 
 __all__ = [
     "ModelSpec",
@@ -26,12 +25,9 @@ __all__ = [
     "NONLINEAR_KINDS",
     "vgg16_spec",
     "build_mini_vgg",
-    "mini_vgg_spec",
     "resnet50_spec",
     "build_mini_resnet",
-    "mini_resnet_spec",
     "mobilenet_v1_spec",
     "mobilenet_v2_spec",
     "build_mini_mobilenet",
-    "mini_mobilenet_spec",
 ]

@@ -113,19 +113,3 @@ def build_mini_mobilenet(
         Dense(4 * width, n_classes, rng=rng),
     ]
     return Sequential(layers, input_shape)
-
-
-def mini_mobilenet_spec(
-    input_shape: tuple[int, int, int] = (3, 16, 16),
-    n_classes: int = 10,
-    width: int = 16,
-) -> ModelSpec:
-    """Counted spec of :func:`build_mini_mobilenet`."""
-    b = SpecBuilder("MiniMobileNet", input_shape)
-    b.conv(width).batchnorm().relu()
-    b.depthwise_conv(stride=2).batchnorm().relu()
-    b.conv(2 * width, kernel=1, pad=0).batchnorm().relu()
-    b.depthwise_conv(stride=2).batchnorm().relu()
-    b.conv(4 * width, kernel=1, pad=0).batchnorm().relu()
-    b.global_avgpool().dense(n_classes).softmax()
-    return b.build()

@@ -119,19 +119,3 @@ def build_mini_resnet(
         Dense(2 * width, n_classes, rng=rng),
     ]
     return Sequential(layers, input_shape)
-
-
-def mini_resnet_spec(
-    input_shape: tuple[int, int, int] = (3, 16, 16),
-    n_classes: int = 10,
-    width: int = 16,
-) -> ModelSpec:
-    """Counted spec of :func:`build_mini_resnet`."""
-    b = SpecBuilder("MiniResNet", input_shape)
-    b.conv(width).batchnorm().relu()
-    b.conv(width).batchnorm().relu().conv(width).batchnorm().add().relu()
-    b.maxpool(2)
-    b.conv(2 * width).batchnorm().relu()
-    b.conv(2 * width).batchnorm().relu().conv(2 * width).batchnorm().add().relu()
-    b.global_avgpool().dense(n_classes).softmax()
-    return b.build()

@@ -22,7 +22,7 @@ from repro.nn.functional import conv_output_size
 #: Operator classes the cost model prices separately.
 LINEAR_KINDS = frozenset({"conv", "dense", "depthwise_conv"})
 NONLINEAR_KINDS = frozenset(
-    {"relu", "maxpool", "avgpool", "global_avgpool", "batchnorm", "add", "softmax", "flatten"}
+    {"relu", "maxpool", "global_avgpool", "batchnorm", "add", "softmax", "flatten"}
 )
 
 
@@ -243,14 +243,6 @@ class SpecBuilder:
         oh = conv_output_size(h, size, stride, 0)
         ow = conv_output_size(w, size, stride, 0)
         return self._elementwise("maxpool", (c, oh, ow), float(size * size), label)
-
-    def avgpool(self, size: int = 2, stride: int | None = None, label=None) -> "SpecBuilder":
-        """Average pooling."""
-        stride = stride or size
-        c, h, w = self.shape
-        oh = conv_output_size(h, size, stride, 0)
-        ow = conv_output_size(w, size, stride, 0)
-        return self._elementwise("avgpool", (c, oh, ow), float(size * size), label)
 
     def global_avgpool(self, label=None) -> "SpecBuilder":
         """Spatial mean per channel."""

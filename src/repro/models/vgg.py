@@ -65,18 +65,3 @@ def build_mini_vgg(
         Dense(4 * width, n_classes, rng=rng),
     ]
     return Sequential(layers, input_shape)
-
-
-def mini_vgg_spec(
-    input_shape: tuple[int, int, int] = (3, 16, 16),
-    n_classes: int = 10,
-    width: int = 16,
-) -> ModelSpec:
-    """Counted spec of :func:`build_mini_vgg` (keeps perf + runnable in sync)."""
-    c, h, w = input_shape
-    b = SpecBuilder("MiniVGG", input_shape)
-    b.conv(width).relu().conv(width).relu().maxpool(2)
-    b.conv(2 * width).relu().maxpool(2)
-    b.dense(4 * width).relu().dense(n_classes).softmax()
-    del c, h, w
-    return b.build()

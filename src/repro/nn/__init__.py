@@ -3,7 +3,6 @@
 from repro.nn import functional
 from repro.nn.backends import LinearBackend, PlainBackend
 from repro.nn.layers import (
-    AvgPool2D,
     BatchNorm2D,
     BranchJoin,
     Conv2D,
@@ -18,8 +17,7 @@ from repro.nn.layers import (
 )
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.network import PLAN_INPUT, PlanStep, Sequential
-from repro.nn.optimizer import SGD, StepDecaySchedule
-from repro.nn.serialization import load_checkpoint, save_checkpoint
+from repro.nn.optimizer import SGD
 
 __all__ = [
     "functional",
@@ -31,7 +29,6 @@ __all__ = [
     "Dense",
     "ReLU",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool",
     "Flatten",
     "BatchNorm2D",
@@ -42,7 +39,4 @@ __all__ = [
     "Sequential",
     "SoftmaxCrossEntropy",
     "SGD",
-    "StepDecaySchedule",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

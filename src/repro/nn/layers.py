@@ -276,34 +276,6 @@ class MaxPool2D(Layer):
         return (c, oh, ow)
 
 
-class AvgPool2D(Layer):
-    """Average pooling — TEE-resident."""
-
-    def __init__(self, size: int = 2, stride: int | None = None, name: str | None = None):
-        super().__init__(name)
-        if size < 1:
-            raise ConfigurationError(f"pool size must be >= 1, got {size}")
-        self.size = size
-        self.stride = stride or size
-        self._x_shape = None
-
-    def forward(self, x, backend, training=True):
-        if training:
-            self._x_shape = x.shape
-        return F.avgpool2d(x, self.size, self.stride)
-
-    def backward(self, grad_out, backend):
-        if self._x_shape is None:
-            raise ConfigurationError(f"{self.name}: backward before training forward")
-        return F.avgpool2d_grad(grad_out, self._x_shape, self.size, self.stride)
-
-    def output_shape(self, input_shape):
-        c, h, w = input_shape
-        oh = F.conv_output_size(h, self.size, self.stride, 0)
-        ow = F.conv_output_size(w, self.size, self.stride, 0)
-        return (c, oh, ow)
-
-
 class GlobalAvgPool(Layer):
     """Spatial mean over each channel — TEE-resident."""
 

@@ -54,23 +54,3 @@ class SGD:
         """Clear all stored gradients."""
         for layer, name, _ in self.network.parameters():
             layer.grads.pop(name, None)
-
-
-class StepDecaySchedule:
-    """Multiply the learning rate by ``factor`` every ``every`` epochs."""
-
-    def __init__(self, optimizer: SGD, every: int, factor: float = 0.5) -> None:
-        if every < 1:
-            raise ConfigurationError(f"'every' must be >= 1, got {every}")
-        if not 0 < factor <= 1:
-            raise ConfigurationError(f"factor must be in (0, 1], got {factor}")
-        self.optimizer = optimizer
-        self.every = every
-        self.factor = factor
-        self._epochs_seen = 0
-
-    def epoch_end(self) -> None:
-        """Advance one epoch, decaying when due."""
-        self._epochs_seen += 1
-        if self._epochs_seen % self.every == 0:
-            self.optimizer.lr *= self.factor

@@ -1,10 +1,5 @@
 """Performance model: device profiles, cost model, timelines, experiments."""
 
-from repro.perf.calibration import (
-    Table1Targets,
-    calibrate_sgx_from_table1,
-    verify_calibration,
-)
 from repro.perf.costs import EPC_KNEE_SAMPLES, CostModel, PhaseBreakdown
 from repro.perf.devices import (
     DEFAULT_SYSTEM,
@@ -35,9 +30,6 @@ from repro.perf.timeline import TimelineSummary, build_timeline
 __all__ = [
     "CostModel",
     "PhaseBreakdown",
-    "Table1Targets",
-    "calibrate_sgx_from_table1",
-    "verify_calibration",
     "EPC_KNEE_SAMPLES",
     "SystemProfile",
     "SgxProfile",

@@ -155,7 +155,7 @@ class CostModel:
         pool = spec.elementwise_ops(frozenset({"maxpool"})) / sgx.pool_rate(pool_resident)
         bn = spec.elementwise_ops(frozenset({"batchnorm"})) / sgx.bn_rate(resident)
         other = (
-            spec.elementwise_ops(frozenset({"avgpool", "global_avgpool", "add", "softmax"}))
+            spec.elementwise_ops(frozenset({"global_avgpool", "add", "softmax"}))
             / sgx.other_ops_per_s
         )
         total = relu + pool + bn + other

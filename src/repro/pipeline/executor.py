@@ -35,6 +35,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.masking import iter_virtual_batches
 from repro.masking.virtual_batch import VirtualBatch
+from repro.nn.backends import StagedLinearBackend
 from repro.nn.layers import BranchJoin
 from repro.nn.network import PLAN_INPUT
 from repro.pipeline.stages import GpuFuture, PipelineStats, StagedLinearOp, StageSpan, WindowItem
@@ -137,7 +138,7 @@ class PipelineExecutor:
     def __init__(
         self,
         network,
-        backend,
+        backend: StagedLinearBackend,
         pipeline_depth: int = 1,
         costs: StageCostModel | None = None,
         timeline: EnclaveTimeline | None = None,

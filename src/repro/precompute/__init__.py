@@ -25,7 +25,6 @@ from repro.precompute.scratch import (
     ScratchPool,
     active_scratch,
     enable_scratch,
-    scratch_enabled,
     scratch_scope,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "ScratchPool",
     "active_scratch",
     "enable_scratch",
-    "scratch_enabled",
     "scratch_scope",
 ]

@@ -114,11 +114,6 @@ def scratch_scope(on: bool):
         _ENABLED = previous
 
 
-def scratch_enabled() -> bool:
-    """Whether hot paths should route intermediates through the pool."""
-    return _ENABLED
-
-
 def active_scratch() -> ScratchPool | None:
     """The global pool when enabled, else ``None`` (callers allocate)."""
     return _POOL if _ENABLED else None

@@ -1,11 +1,10 @@
 """Fixed-point quantization into the field (Algorithm 1) + dynamic scaling."""
 
 from repro.quantization.dynamic import IDENTITY, DynamicNormalizer, Normalization
-from repro.quantization.fixed_point import QuantizationConfig, round_half_up
+from repro.quantization.fixed_point import QuantizationConfig
 
 __all__ = [
     "QuantizationConfig",
-    "round_half_up",
     "DynamicNormalizer",
     "Normalization",
     "IDENTITY",

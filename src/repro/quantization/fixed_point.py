@@ -34,22 +34,6 @@ from repro.errors import QuantizationError
 from repro.fieldmath import PrimeField
 
 
-def round_half_up(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The paper's Round procedure: fractional part < 0.5 floors, else ceils.
-
-    Note this differs from numpy's banker's rounding (``np.rint``); ties go
-    *up* exactly as in Algorithm 1 lines 12-17.  The whole pass is one
-    fused ``add``/``floor`` ufunc chain over a single float64 buffer
-    (``out`` when given), never a per-element Python loop.
-    """
-    if out is None:
-        out = np.array(values, dtype=np.float64)
-    else:
-        np.copyto(out, values, casting="unsafe")
-    out += 0.5
-    return np.floor(out, out=out)
-
-
 @dataclass(frozen=True)
 class QuantizationConfig:
     """Parameters of the fixed-point <-> field mapping.

@@ -1,26 +1,21 @@
-"""DarKnight orchestration: config, backend, trainer, inference, baselines."""
+"""DarKnight orchestration: config, backend, trainer, inference."""
 
 from repro.runtime.aggregation import LargeBatchAggregator
-from repro.runtime.async_sgd import StalenessAwareSGD
-from repro.runtime.baselines import GpuOnlyBackend, SgxOnlyBackend
 from repro.runtime.client import ClientSession, EnclaveReceiver, ProvisionedBatch
 from repro.runtime.config import DarKnightConfig
 from repro.runtime.darknight import DarKnightBackend
 from repro.runtime.dp import DpConfig, GradientPrivatizer, PrivacyLedger
 from repro.runtime.inference import PrivateInferenceEngine
 from repro.runtime.recovery import RecoveringExecutor, RecoveryReport
-from repro.runtime.trainer import Trainer, TrainingHistory, make_darknight_trainer
+from repro.runtime.trainer import Trainer, TrainingHistory
 
 __all__ = [
     "DarKnightConfig",
     "DarKnightBackend",
     "Trainer",
     "TrainingHistory",
-    "make_darknight_trainer",
     "PrivateInferenceEngine",
     "LargeBatchAggregator",
-    "SgxOnlyBackend",
-    "GpuOnlyBackend",
     "ClientSession",
     "EnclaveReceiver",
     "ProvisionedBatch",
@@ -29,5 +24,4 @@ __all__ = [
     "DpConfig",
     "GradientPrivatizer",
     "PrivacyLedger",
-    "StalenessAwareSGD",
 ]

@@ -16,8 +16,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nn import SGD, PlainBackend, Sequential, SoftmaxCrossEntropy
 from repro.nn.backends import LinearBackend
-from repro.runtime.config import DarKnightConfig
-from repro.runtime.darknight import DarKnightBackend
 
 
 @dataclass
@@ -118,18 +116,3 @@ class Trainer:
         :mod:`repro.runtime.inference` for private predictions)."""
         logits = self.network.predict(x, PlainBackend())
         return SoftmaxCrossEntropy.accuracy(logits, y)
-
-
-def make_darknight_trainer(
-    network: Sequential,
-    config: DarKnightConfig | None = None,
-    lr: float = 0.05,
-    momentum: float = 0.9,
-    weight_decay: float = 0.0,
-) -> tuple[Trainer, DarKnightBackend]:
-    """Convenience: build a trainer wired to a fresh DarKnight backend."""
-    backend = DarKnightBackend(config or DarKnightConfig())
-    trainer = Trainer(
-        network, backend, lr=lr, momentum=momentum, weight_decay=weight_decay
-    )
-    return trainer, backend

@@ -7,7 +7,6 @@ from repro.analysis import (
     chi_square_uniformity,
     empirical_mutual_information,
     max_abs_correlation,
-    mi_gap_vs_independent,
     run_collusion_attack,
     share_input_dependence,
 )
@@ -27,12 +26,6 @@ def test_mi_validation(nprng):
         empirical_mutual_information(np.zeros(10), np.zeros(11))
     with pytest.raises(ConfigurationError):
         empirical_mutual_information(np.zeros(10), np.zeros(10), bins=16)
-
-
-def test_mi_gap_helper(nprng):
-    a = nprng.normal(size=2000)
-    mi, floor = mi_gap_vs_independent(a, a.copy())
-    assert mi > floor
 
 
 def test_chi_square_uniform_near_dof(field, nprng):

@@ -27,12 +27,10 @@ from repro.audit import (
     WindowCommitment,
     array_digest,
     array_from_canonical,
-    canonical_array,
     genesis_root,
     leaf_digest,
     prove,
     replay_window,
-    verify_inclusion,
     verify_proof,
 )
 from repro.errors import AuditError
@@ -71,7 +69,7 @@ def test_every_leaf_proves_and_verifies(n):
     tree = MerkleTree(_leaves(n))
     for i in range(n):
         proof = tree.prove(i)
-        assert verify_inclusion(proof, tree.root)
+        assert proof.root() == tree.root
         assert len(proof.path) <= math.ceil(math.log2(n)) if n > 1 else not proof.path
 
 
@@ -87,17 +85,20 @@ def test_empty_tree_has_the_distinguished_empty_root():
         tree.prove(0)
 
 
-def test_flipped_root_or_leaf_breaks_verification():
-    tree = MerkleTree(_leaves(5))
-    proof = tree.prove(2)
-    assert not verify_inclusion(proof, _flip_hex(tree.root))
-    forged = MerkleProof(
-        leaf=_flip_hex(proof.leaf),
-        index=proof.index,
-        n_leaves=proof.n_leaves,
-        path=proof.path,
+def test_flipped_root_or_forged_path_breaks_the_proof():
+    log = AuditLog(0)
+    log.append(
+        WindowCommitment.build(0, [_batch(0, range(5))], [np.ones((5, 3))], status="ok")
     )
-    assert not verify_inclusion(forged, tree.root)
+    record = prove(log, 2).to_record()
+    assert verify_proof(InclusionProof.from_record(record), log.chain_root)
+    assert not verify_proof(InclusionProof.from_record(record), _flip_hex(log.chain_root))
+    forged = json.loads(json.dumps(record))
+    forged["merkle"]["leaf"] = _flip_hex(forged["merkle"]["leaf"])
+    assert not verify_proof(InclusionProof.from_record(forged), log.chain_root)
+    forged = json.loads(json.dumps(record))
+    forged["merkle"]["path"][0]["sibling"] = _flip_hex(forged["merkle"]["path"][0]["sibling"])
+    assert not verify_proof(InclusionProof.from_record(forged), log.chain_root)
 
 
 def test_odd_promotion_is_not_duplicate_hashing():
@@ -118,14 +119,14 @@ def test_proof_round_trips_through_records():
     proof = tree.prove(4)
     again = MerkleProof.from_record(json.loads(json.dumps(proof.to_record())))
     assert again == proof
-    assert verify_inclusion(again, tree.root)
+    assert again.root() == tree.root
 
 
 def test_malformed_proof_step_side_fails_closed():
-    tree = MerkleTree(_leaves(4))
-    record = tree.prove(1).to_record()
-    record["path"][0]["side"] = "up"
-    assert not verify_inclusion(MerkleProof.from_record(record), tree.root)
+    log = _filled_log(n_windows=2)
+    record = prove(log, 1).to_record()
+    record["merkle"]["path"][0]["side"] = "up"
+    assert not verify_proof(InclusionProof.from_record(record), log.chain_root)
 
 
 def test_out_of_range_proof_index_raises():
@@ -136,23 +137,33 @@ def test_out_of_range_proof_index_raises():
 # ----------------------------------------------------------------------
 # canonical serialization
 # ----------------------------------------------------------------------
-def test_canonical_array_round_trips_and_widens():
+def _window_of(x):
+    """A one-request window committing ``x`` as the request's input."""
+    request = SimpleNamespace(request_id=0, tenant="t0", x=x, arrival_time=0.0)
+    batch = SimpleNamespace(batch_id=0, requests=[request], flush_time=1.0, retries=0)
+    return WindowCommitment.build(0, [batch], [None], status="ok")
+
+
+def test_committed_inputs_round_trip_and_widen():
     for arr in [
         np.arange(6, dtype=np.float32).reshape(2, 3),
         np.arange(4, dtype=np.int32),
         np.array([True, False]),
         np.float64(3.5) * np.ones((1,)),
     ]:
-        record = canonical_array(arr)
-        assert record["dtype"] in ("<f8", "<i8")
-        back = array_from_canonical(record)
+        (leaf,) = _window_of(arr).leaves
+        assert leaf["input"]["dtype"] in ("<f8", "<i8")
+        assert leaf["input_digest"] == array_digest(arr)
+        back = array_from_canonical(leaf["input"])
         assert back.shape == arr.shape
         assert np.array_equal(back, arr.astype(back.dtype))
 
 
-def test_canonical_array_rejects_exotic_dtypes():
+def test_exotic_dtypes_are_refused():
     with pytest.raises(AuditError):
-        canonical_array(np.array(["a", "b"]))
+        array_digest(np.array(["a", "b"]))
+    with pytest.raises(AuditError):
+        _window_of(np.array(["a", "b"]))
 
 
 def test_array_digest_separates_shape_and_value():
@@ -305,13 +316,37 @@ def test_recover_stops_at_corruption_not_just_malformed_json(tmp_path):
     """A syntactically valid but chain-breaking line (tampered leaf) must
     also end recovery — damage cannot resurrect as a different history."""
     path = tmp_path / "evil.jsonl"
-    _filled_log(path=path, n_windows=3)
+    full = _filled_log(path=path, n_windows=3)
     lines = path.read_text().splitlines()
     lines[1] = lines[1].replace('"tenant":"t0"', '"tenant":"mallory"', 1)
     path.write_text("\n".join(lines) + "\n")
     log, dropped = AuditLog.recover(path)
     assert (log.n_windows, dropped) == (1, 2)
     assert log.verify_chain() == 1
+    assert log.entries == full.entries[:1]
+
+
+def test_reading_a_log_recomputes_one_merkle_root_per_window(tmp_path, monkeypatch):
+    """Each line is checked against the chain value before it, once: an
+    n-window log costs n trees to load, not the n(n+1)/2 of re-verifying
+    every prefix."""
+    from repro.audit import log as log_module
+
+    path = tmp_path / "long.jsonl"
+    _filled_log(path=path, n_windows=12)
+    built = []
+
+    class CountingTree(MerkleTree):
+        def __init__(self, leaves):
+            built.append(len(leaves))
+            super().__init__(leaves)
+
+    monkeypatch.setattr(log_module, "MerkleTree", CountingTree)
+    assert AuditLog.load(path).n_windows == 12
+    assert len(built) == 12
+    built.clear()
+    assert AuditLog.recover(path)[1] == 0
+    assert len(built) == 12
 
 
 def test_recover_of_empty_file_is_an_empty_log(tmp_path):
@@ -515,7 +550,8 @@ def test_hand_spliced_leaf_blob_matches_the_generic_encoder():
     exotic tenants, repr-edge floats, missing outputs."""
     from repro.audit.commitment import _leaf_blob, canonical_json_bytes
 
-    record = canonical_array(np.arange(6, dtype=np.float32).reshape(2, 3))
+    (committed,) = _window_of(np.arange(6, dtype=np.float32).reshape(2, 3)).leaves
+    record = committed["input"]
     for tenant, arrival, output in [
         ("t0", 0.0, "ab" * 32),
         ('we"ird\\ten\nant', 0.1 + 0.2, None),
@@ -546,3 +582,57 @@ def test_entry_lines_on_disk_match_a_generic_json_dump(tmp_path):
     for line, entry in zip(lines, log.entries):
         assert json.loads(line) == entry
         assert line == json.dumps(entry, sort_keys=True, separators=(",", ":"))
+
+
+# ----------------------------------------------------------------------
+# the chain's building blocks
+# ----------------------------------------------------------------------
+def test_every_entry_links_its_predecessor_by_chain_hash():
+    import hashlib
+
+    from repro.audit import canonical_json_bytes, chain_hash
+
+    log = _filled_log(n_windows=3)
+    prev = genesis_root(0)
+    for entry in log.entries:
+        assert entry["prev_root"] == prev
+        meta_digest = hashlib.sha256(canonical_json_bytes(entry["meta"])).hexdigest()
+        assert entry["chain_root"] == chain_hash(prev, entry["merkle_root"], meta_digest)
+        prev = entry["chain_root"]
+    assert prev == log.chain_root
+
+
+def test_chain_hash_binds_each_of_its_three_inputs():
+    from repro.audit import chain_hash
+
+    a, b, c = _leaves(3)
+    link = chain_hash(a, b, c)
+    assert link == chain_hash(a, b, c)
+    others = {chain_hash(b, a, c), chain_hash(a, c, b), chain_hash(_flip_hex(a), b, c)}
+    assert link not in others and len(others) == 3
+
+
+def test_digest_json_ignores_key_order_but_not_values():
+    from repro.audit import digest_json
+
+    assert digest_json({"a": 1, "b": [1, 2]}) == digest_json({"b": [1, 2], "a": 1})
+    assert digest_json({"a": 1}) != digest_json({"a": 2})
+    assert digest_json([1, 2]) != digest_json([2, 1])
+    assert len(digest_json({})) == 64
+
+
+def test_commitment_leaf_digests_are_the_merkle_leaves():
+    batch = _batch(0, range(5))
+    c = WindowCommitment.build(0, [batch], [np.ones((5, 3))], status="ok")
+    tree = MerkleTree(c.leaf_digests)
+    assert tree.n_leaves == len(c.leaves) == 5
+    assert c.leaf_digests == [leaf_digest(blob) for blob in c.canonical_leaf_blobs()]
+    assert tree.root == c.merkle_root
+
+
+def test_each_shard_persists_to_its_own_log_file():
+    from repro.audit import log_filename
+
+    names = {log_filename(s) for s in range(4)}
+    assert len(names) == 4
+    assert log_filename(3) == "shard3.audit.jsonl"

@@ -1,9 +1,9 @@
-"""Tests for synthetic datasets and batch loading."""
+"""Tests for synthetic datasets."""
 
 import numpy as np
 import pytest
 
-from repro.data import BatchIterator, cifar_like, imagenet_like, make_image_dataset
+from repro.data import cifar_like, make_image_dataset
 from repro.errors import ConfigurationError
 
 
@@ -52,40 +52,8 @@ def test_cifar_like_defaults():
     assert cifar_like(16, 8, size=32).input_shape == (3, 32, 32)
 
 
-def test_imagenet_like_shape():
-    data = imagenet_like(n_train=2, n_test=1, n_classes=50)
-    assert data.input_shape == (3, 224, 224)
-
-
-def test_batch_iterator_covers_everything(nprng):
-    x = np.arange(10).reshape(10, 1)
-    y = np.arange(10)
-    seen = []
-    for bx, by in BatchIterator(x, y, batch_size=3, shuffle=True, seed=0):
-        assert bx.shape[0] == by.shape[0]
-        seen.extend(by.tolist())
-    assert sorted(seen) == list(range(10))
-
-
-def test_batch_iterator_drop_last():
-    x = np.zeros((10, 1))
-    y = np.zeros(10)
-    it = BatchIterator(x, y, batch_size=3, drop_last=True)
-    assert len(it) == 3
-    assert sum(1 for _ in it) == 3
-    it2 = BatchIterator(x, y, batch_size=3)
-    assert len(it2) == 4
-
-
-def test_batch_iterator_no_shuffle_is_ordered():
-    x = np.arange(6).reshape(6, 1)
-    y = np.arange(6)
-    batches = list(BatchIterator(x, y, batch_size=2, shuffle=False))
-    assert batches[0][1].tolist() == [0, 1]
-
-
-def test_batch_iterator_validation():
-    with pytest.raises(ConfigurationError):
-        BatchIterator(np.zeros((3, 1)), np.zeros(2), batch_size=1)
-    with pytest.raises(ConfigurationError):
-        BatchIterator(np.zeros((3, 1)), np.zeros(3), batch_size=0)
+def test_every_class_appears_and_the_input_shape_is_per_sample():
+    data = make_image_dataset(n_train=40, n_test=20, n_classes=4, shape=(2, 5, 7), seed=3)
+    assert data.input_shape == (2, 5, 7)
+    assert set(data.y_train.tolist()) == set(data.y_test.tolist()) == {0, 1, 2, 3}
+    assert data.x_train.shape == (40, 2, 5, 7) and data.x_test.shape == (20, 2, 5, 7)

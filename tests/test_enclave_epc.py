@@ -67,10 +67,3 @@ def test_reset_stats():
     epc.reset_stats()
     assert epc.stats.total_paged_bytes == 0
     assert epc.resident_bytes == 2 * MB  # allocations survive
-
-
-def test_working_set_paging_bytes():
-    epc = EpcModel(usable_bytes=10 * MB)
-    assert epc.working_set_paging_bytes(5 * MB) == 0
-    assert epc.working_set_paging_bytes(12 * MB) == 2 * 2 * MB
-    assert epc.working_set_paging_bytes(12 * MB, passes=3) == 2 * 2 * MB * 3

@@ -531,3 +531,17 @@ def test_prime_field_mul_f64_band_is_bit_identical():
         assert np.array_equal(FIELD.mul(a, b), a * b % p)
     worst = np.full(2048, p - 1, dtype=np.int64)
     assert np.array_equal(FIELD.mul(worst, worst), worst * worst % p)
+
+
+def test_barrett_reducers_are_shared_per_modulus():
+    from repro.fieldmath.kernels import barrett
+
+    assert barrett(FIELD.p) is barrett(FIELD.p)
+    assert barrett(10007) is not barrett(FIELD.p)
+    assert barrett(10007).reduce_f64(np.array([10007.0 * 5 + 3])).tolist() == [3.0]
+
+
+@pytest.mark.parametrize("p", [2, 1, 10008])
+def test_barrett_refuses_moduli_it_cannot_reduce(p):
+    with pytest.raises(FieldError):
+        BarrettReducer(p)

@@ -14,7 +14,6 @@ from repro.fieldmath import (
     PrimeField,
     all_column_subsets_full_rank,
     determinant,
-    field_dot,
     field_matmul,
     inverse,
     is_invertible,
@@ -61,15 +60,6 @@ def test_field_matmul_chunking_handles_long_contractions(field, frng):
 def test_field_matmul_rejects_bad_shapes(field, frng):
     with pytest.raises(FieldError):
         field_matmul(field, frng.uniform((2, 3)), frng.uniform((4, 2)))
-
-
-def test_field_dot(field, frng):
-    a = frng.uniform((5000,))
-    b = frng.uniform((5000,))
-    expected = int(np.mod(np.dot(a.astype(object), b.astype(object)), field.p))
-    assert field_dot(field, a, b) == expected
-    with pytest.raises(FieldError):
-        field_dot(field, a, b[:10])
 
 
 @settings(max_examples=20, deadline=None)

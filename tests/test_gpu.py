@@ -784,3 +784,57 @@ def test_each_cluster_owns_its_backend_and_never_enters_the_enclaves(field, frng
             assert np.array_equal(out, F.conv2d_via_matmul(shares, w, _oracle_matmul, 1, 1))
     first, second = (backend._workspace for backend in backends)
     assert first.size and second.size and not np.shares_memory(first, second)
+
+
+# ----------------------------------------------------------------------
+# the simulated device clocks
+# ----------------------------------------------------------------------
+def test_a_device_serialises_its_reservations(field):
+    gpu = SimulatedGpu(0, field)
+    assert gpu.reserve(not_before=1.0, duration=2.0) == (1.0, 3.0)
+    # Dispatched earlier than the device frees up: it waits for the device.
+    assert gpu.reserve(not_before=0.5, duration=1.0) == (3.0, 4.0)
+    # Dispatched after an idle gap: the gap is not busy time.
+    assert gpu.reserve(not_before=10.0, duration=0.5) == (10.0, 10.5)
+    assert gpu.busy_time == pytest.approx(3.5)
+    assert gpu.free_at == 10.5
+    with pytest.raises(GpuError):
+        gpu.reserve(0.0, -1.0)
+
+
+def test_reserve_shares_waits_for_the_last_share(field):
+    cluster = GpuCluster(field, 3)
+    cluster[2].reserve(0.0, 5.0)  # device 2 still busy with an earlier batch
+    assert cluster.reserve_shares(3, duration=1.0, not_before=1.0) == (1.0, 6.0)
+    # Devices beyond the lineup are untouched.
+    assert cluster.reserve_shares(2, duration=1.0) == (2.0, 3.0)
+    assert cluster[2].free_at == 6.0
+    assert cluster.max_busy_time() == pytest.approx(6.0)
+    with pytest.raises(GpuError):
+        cluster.reserve_shares(4, duration=1.0)
+
+
+# ----------------------------------------------------------------------
+# the unencoded delta-propagation kernels
+# ----------------------------------------------------------------------
+def test_float_matmul_matches_numpy_and_is_charged(field, nprng):
+    gpu = SimulatedGpu(0, field)
+    a, b = nprng.normal(size=(3, 5)), nprng.normal(size=(5, 4))
+    assert np.allclose(gpu.float_matmul(a, b), a @ b)
+    assert gpu.ledger.ops_by_name == {"float_matmul": 1}
+    assert gpu.ledger.mac_ops == 3 * 5 * 4
+    assert gpu.ledger.bytes_sent == 3 * 4 * 8
+
+
+def test_float_conv2d_grad_x_is_the_transposed_convolution(field, nprng):
+    """<conv(x, w), delta> == <x, grad_x(w, delta)> for every x."""
+    gpu = SimulatedGpu(0, field)
+    x = nprng.normal(size=(2, 3, 6, 6))
+    w = nprng.normal(size=(4, 3, 3, 3))
+    delta = nprng.normal(size=(2, 4, 6, 6))
+    grad_x = gpu.float_conv2d_grad_x(w, delta, x.shape, stride=1, pad=1)
+    y = F.conv2d_via_matmul(x, w, np.matmul, 1, 1)
+    assert grad_x.shape == x.shape
+    assert np.vdot(y, delta) == pytest.approx(np.vdot(x, grad_x))
+    assert gpu.ledger.ops_by_name == {"float_conv2d_grad_x": 1}
+    assert gpu.ledger.mac_ops == delta.size * 3

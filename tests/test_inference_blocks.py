@@ -19,13 +19,7 @@ from repro.models import build_mini_mobilenet, build_mini_vgg
 from repro.nn import PlainBackend
 from repro.nn import functional as F
 from repro.nn.layers import BranchJoin
-from repro.runtime import (
-    DarKnightBackend,
-    DarKnightConfig,
-    GpuOnlyBackend,
-    PrivateInferenceEngine,
-    SgxOnlyBackend,
-)
+from repro.runtime import DarKnightBackend, DarKnightConfig, PrivateInferenceEngine
 from repro.slalom import SlalomBackend
 
 MODELS = ["tiny", "mini-vgg", "mini-resnet", "mini-mobilenet"]
@@ -137,11 +131,13 @@ def _whole_batch_walk(net, x, backend):
 
 BACKENDS = {
     "plain": PlainBackend,
-    "sgx-only": SgxOnlyBackend,
-    "gpu-only": GpuOnlyBackend,
     "slalom": lambda: SlalomBackend(integrity=True),
+    "slalom-no-integrity": lambda: SlalomBackend(integrity=False),
     "darknight": lambda: DarKnightBackend(
         DarKnightConfig(virtual_batch_size=4, integrity=True, seed=3)
+    ),
+    "darknight-no-integrity": lambda: DarKnightBackend(
+        DarKnightConfig(virtual_batch_size=4, seed=3)
     ),
 }
 

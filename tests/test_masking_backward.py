@@ -10,7 +10,6 @@ from repro.errors import DecodingError, EncodingError
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
 from repro.masking import (
     BackwardDecoder,
-    BackwardEncoder,
     CoefficientSet,
     ForwardEncoder,
     reference_aggregate,
@@ -20,6 +19,13 @@ from repro.masking import (
 def _grad_op(field):
     """The dense-layer bilinear <delta, x> -> delta ⊗ x^T."""
     return lambda d, x: field_matmul(field, d.reshape(-1, 1), x.reshape(1, -1))
+
+
+def _combine(coeffs, deltas):
+    """``δ̄(j) = Σ_i B[j, i]·δ(i)`` for every share ``j`` at once."""
+    flat = deltas.reshape(coeffs.k, -1)
+    combined = field_matmul(coeffs.field, coeffs.b, flat)
+    return combined.reshape((coeffs.n_shares,) + deltas.shape[1:])
 
 
 @settings(max_examples=15, deadline=None)
@@ -36,26 +42,12 @@ def test_aggregate_gradient_decodes_exactly(k, m, extra, seed):
     x = rng.uniform((k, 6))
     batch = ForwardEncoder(coeffs, rng).encode(x)
     deltas = rng.uniform((k, 3))
-    encoder = BackwardEncoder(coeffs)
     op = _grad_op(field)
-    equations = np.stack(
-        [
-            op(encoder.combine_deltas(deltas, j), batch.shares[j])
-            for j in range(coeffs.n_shares)
-        ]
-    )
+    combined = _combine(coeffs, deltas)
+    equations = np.stack([op(combined[j], batch.shares[j]) for j in range(coeffs.n_shares)])
     aggregate = BackwardDecoder(coeffs).decode(equations)
     expected = reference_aggregate(field, deltas, x, op)
     assert np.array_equal(aggregate, expected)
-
-
-def test_combine_all_matches_per_share(frng, field):
-    coeffs = CoefficientSet.generate(frng, k=3, m=1, extra_shares=1)
-    deltas = frng.uniform((3, 4))
-    encoder = BackwardEncoder(coeffs)
-    combined = encoder.combine_all(deltas)
-    for j in range(coeffs.n_shares):
-        assert np.array_equal(combined[j], encoder.combine_deltas(deltas, j))
 
 
 def test_alternate_b_matrix_decode(frng, field):
@@ -80,17 +72,6 @@ def test_alternate_b_matrix_decode(frng, field):
     )
     aggregate = BackwardDecoder(coeffs).decode_with_matrices(equations, b_alt, gamma)
     assert np.array_equal(aggregate, expected)
-
-
-def test_combine_validation(frng):
-    coeffs = CoefficientSet.generate(frng, k=2, m=1)
-    encoder = BackwardEncoder(coeffs)
-    with pytest.raises(EncodingError):
-        encoder.combine_deltas(frng.uniform((3, 4)), 0)  # wrong K
-    with pytest.raises(EncodingError):
-        encoder.combine_deltas(frng.uniform((2, 4)), 99)  # bad share
-    with pytest.raises(EncodingError):
-        encoder.combine_all(frng.uniform((1, 4)))
 
 
 def test_decode_validation(frng):
@@ -127,13 +108,8 @@ def test_conv_shaped_bilinear_aggregate(frng, field):
             F.conv2d_grad_w(xi[None], d[None], 3, 3, matmul, stride=1, pad=0)
         )
 
-    encoder = BackwardEncoder(coeffs)
-    equations = np.stack(
-        [
-            op(encoder.combine_deltas(deltas, j), batch.shares[j])
-            for j in range(coeffs.n_shares)
-        ]
-    )
+    combined = _combine(coeffs, deltas)
+    equations = np.stack([op(combined[j], batch.shares[j]) for j in range(coeffs.n_shares)])
     aggregate = BackwardDecoder(coeffs).decode(equations)
     expected = reference_aggregate(field, deltas, x, op)
     assert np.array_equal(aggregate, expected)

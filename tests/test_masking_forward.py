@@ -101,3 +101,32 @@ def test_shares_differ_from_inputs(frng):
     for share in batch.shares:
         for xi in x:
             assert not np.array_equal(share, xi)
+
+
+# ----------------------------------------------------------------------
+# the stacked-product helpers every masking product runs on
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("v", [1, 3])
+def test_stack_matmul_is_one_product_per_slice(field, frng, v):
+    from repro.masking.forward import stack_matmul
+
+    a, b = frng.uniform((v, 3, 4)), frng.uniform((v, 4, 5))
+    out = stack_matmul(field, a, b, a_float=a.astype(np.float64))
+    assert out.shape == (v, 3, 5)
+    for i in range(v):
+        assert np.array_equal(out[i], field_matmul(field, a[i], b[i]))
+
+
+def test_a_one_slice_stack_is_a_view_not_a_copy(frng):
+    from repro.masking.forward import stack_arrays, stack_operands
+
+    a = frng.uniform((2, 3))
+    one = stack_arrays([a])
+    assert one.shape == (1, 2, 3) and np.shares_memory(one, a)
+    two = stack_arrays([a, a])
+    assert two.shape == (2, 2, 3) and not np.shares_memory(two, a)
+    ints, floats = stack_operands([(a, a.astype(np.float64))])
+    assert np.shares_memory(ints, a) and floats.dtype == np.float64
+    ints, floats = stack_operands([(a, a + 0.0), (a + 1, a + 1.0)])
+    assert ints.shape == floats.shape == (2, 2, 3)
+    assert np.array_equal(ints[1], a + 1) and np.array_equal(floats[1], a + 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.masking import iter_virtual_batches, n_virtual_batches
+from repro.masking import iter_virtual_batches
 
 
 def test_even_split():
@@ -45,13 +45,8 @@ def test_validation():
         list(iter_virtual_batches(np.arange(4), 0))
     with pytest.raises(ConfigurationError):
         list(iter_virtual_batches(np.empty((0, 2)), 2))
-    with pytest.raises(ConfigurationError):
-        n_virtual_batches(0, 2)
-    with pytest.raises(ConfigurationError):
-        n_virtual_batches(4, 0)
 
 
-def test_n_virtual_batches():
-    assert n_virtual_batches(128, 4) == 32
-    assert n_virtual_batches(5, 2) == 3
-    assert n_virtual_batches(1, 8) == 1
+def test_virtual_batch_count_is_the_ceiling():
+    for batch_size, k, count in [(128, 4, 32), (5, 2, 3), (1, 8, 1)]:
+        assert len(list(iter_virtual_batches(np.zeros((batch_size, 1)), k))) == count

@@ -9,9 +9,6 @@ from repro.models import (
     build_mini_mobilenet,
     build_mini_resnet,
     build_mini_vgg,
-    mini_mobilenet_spec,
-    mini_resnet_spec,
-    mini_vgg_spec,
     mobilenet_v1_spec,
     mobilenet_v2_spec,
     resnet50_spec,
@@ -70,21 +67,6 @@ def test_input_resolution_scales_macs():
 def test_empty_spec_rejected():
     with pytest.raises(ConfigurationError):
         SpecBuilder("empty", (3, 8, 8)).build()
-
-
-@pytest.mark.parametrize(
-    "builder,spec_fn",
-    [
-        (build_mini_vgg, mini_vgg_spec),
-        (build_mini_resnet, mini_resnet_spec),
-        (build_mini_mobilenet, mini_mobilenet_spec),
-    ],
-)
-def test_mini_spec_matches_runnable_params(builder, spec_fn, nprng):
-    """The counted spec and the runnable network agree on parameter counts."""
-    net = builder(input_shape=(3, 16, 16), n_classes=10, rng=nprng, width=16)
-    spec = spec_fn(input_shape=(3, 16, 16), n_classes=10, width=16)
-    assert net.n_params == spec.n_params
 
 
 @pytest.mark.parametrize(

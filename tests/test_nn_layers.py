@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn import (
-    AvgPool2D,
     BatchNorm2D,
     Conv2D,
     Dense,
@@ -143,18 +142,8 @@ def test_batchnorm_forward_is_the_whole_expression_bit_for_bit(shape):
 
 
 def test_relu_maxpool_flatten_gap(nprng, x_img):
-    for layer in [ReLU(), MaxPool2D(2), AvgPool2D(2), Flatten(), GlobalAvgPool()]:
+    for layer in [ReLU(), MaxPool2D(2), Flatten(), GlobalAvgPool()]:
         _check_input_grad(layer, x_img)
-
-
-def test_avgpool_shapes_and_values(nprng, x_img):
-    layer = AvgPool2D(2)
-    out = layer.forward(x_img, BACKEND)
-    assert out.shape == (3, 2, 3, 3)
-    assert out[0, 0, 0, 0] == pytest.approx(x_img[0, 0, :2, :2].mean())
-    assert layer.output_shape((2, 6, 6)) == (2, 3, 3)
-    with pytest.raises(ConfigurationError):
-        AvgPool2D(0)
 
 
 def test_residual_block_grads(nprng, x_img):
@@ -188,7 +177,6 @@ def test_backward_before_forward_raises(nprng, x_img):
         Dense(3, 2, rng=nprng),
         ReLU(),
         MaxPool2D(2),
-        AvgPool2D(2),
         Flatten(),
         GlobalAvgPool(),
         BatchNorm2D(2),
@@ -249,3 +237,30 @@ def test_unique_auto_names(nprng):
 def test_n_params(nprng):
     layer = Conv2D(2, 4, 3, rng=nprng)
     assert layer.n_params == 4 * 2 * 9 + 4
+
+
+# ----------------------------------------------------------------------
+# initialisers
+# ----------------------------------------------------------------------
+def test_he_normal_has_the_relu_scale():
+    from repro.nn.initializers import he_normal
+
+    w = he_normal((200, 200), fan_in=50, rng=np.random.default_rng(0))
+    assert w.shape == (200, 200)
+    assert abs(w.mean()) < 0.01
+    assert w.std() == pytest.approx(np.sqrt(2.0 / 50), rel=0.02)
+    with pytest.raises(ConfigurationError):
+        he_normal((2, 2), fan_in=0, rng=np.random.default_rng(0))
+
+
+def test_xavier_uniform_stays_inside_the_glorot_limit():
+    from repro.nn.initializers import xavier_uniform
+
+    limit = np.sqrt(6.0 / (30 + 10))
+    w = xavier_uniform((30, 10), fan_in=30, fan_out=10, rng=np.random.default_rng(0))
+    assert w.shape == (30, 10)
+    assert np.abs(w).max() <= limit
+    assert np.abs(w).max() > 0.9 * limit  # the whole range is used
+    for fans in ((0, 10), (30, 0)):
+        with pytest.raises(ConfigurationError):
+            xavier_uniform((30, 10), *fans, rng=np.random.default_rng(0))

@@ -15,7 +15,6 @@ from repro.nn import (
     ResidualBlock,
     Sequential,
     SoftmaxCrossEntropy,
-    StepDecaySchedule,
 )
 
 
@@ -129,20 +128,6 @@ def test_sgd_validation(nprng):
         SGD(net, lr=0.1, weight_decay=-1)
 
 
-def test_step_decay_schedule(nprng):
-    net = _tiny_net(nprng)
-    opt = SGD(net, lr=1.0)
-    sched = StepDecaySchedule(opt, every=2, factor=0.5)
-    sched.epoch_end()
-    assert opt.lr == 1.0
-    sched.epoch_end()
-    assert opt.lr == 0.5
-    with pytest.raises(ConfigurationError):
-        StepDecaySchedule(opt, every=0)
-    with pytest.raises(ConfigurationError):
-        StepDecaySchedule(opt, every=1, factor=0.0)
-
-
 def test_loss_validation(nprng):
     loss = SoftmaxCrossEntropy()
     with pytest.raises(ConfigurationError):
@@ -179,3 +164,36 @@ def test_predict_inference_mode(nprng):
     # Inference must not populate caches: backward should fail.
     with pytest.raises(ConfigurationError):
         net.backward(np.ones((2, 3)), PlainBackend())
+
+
+def test_state_dict_is_a_copy(nprng):
+    net = _tiny_net(nprng)
+    state = net.state_dict()
+    for value in state.values():
+        value += 1.0
+    for key, value in net.state_dict().items():
+        assert np.array_equal(value + 1.0, state[key])
+
+
+def test_a_trained_state_reproduces_predictions_in_a_second_build():
+    """mini-VGG has no BatchNorm, so its weights are all of its inference
+    state: a second build that loads a trained first build's state dict
+    predicts exactly what the first does."""
+    from repro.data import cifar_like
+    from repro.models import build_mini_vgg
+    from repro.runtime import Trainer
+
+    data = cifar_like(n_train=32, n_test=8, seed=0, size=8)
+    trained = build_mini_vgg(input_shape=(3, 8, 8), rng=np.random.default_rng(0), width=8)
+    Trainer(trained, lr=0.05).fit(data.x_train, data.y_train, epochs=1, batch_size=16)
+    expected = trained.predict(data.x_test)
+    fresh = build_mini_vgg(input_shape=(3, 8, 8), rng=np.random.default_rng(1), width=8)
+    assert not np.allclose(fresh.predict(data.x_test), expected)
+    fresh.load_state_dict(trained.state_dict())
+    assert np.array_equal(fresh.predict(data.x_test), expected)
+
+
+def test_plan_shapes_follow_every_step(nprng):
+    net = _tiny_net(nprng)
+    assert net.plan_shapes() == [(4, 8, 8), (4, 8, 8), (4, 4, 4), (64,), (3,)]
+    assert net.plan_shapes()[-1] == net.output_shape

@@ -4,7 +4,15 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.models import mobilenet_v2_spec, resnet50_spec, vgg16_spec
-from repro.perf import CostModel, PhaseBreakdown, kernel_efficiency
+from repro.perf import (
+    CostModel,
+    GpuProfile,
+    LinkProfile,
+    PhaseBreakdown,
+    SgxProfile,
+    SystemProfile,
+    kernel_efficiency,
+)
 from repro.runtime import DarKnightConfig
 
 
@@ -147,3 +155,117 @@ def test_kernel_efficiency_inference():
 def test_phase_breakdown_zero_total_rejected():
     with pytest.raises(ConfigurationError):
         PhaseBreakdown(linear=0, nonlinear=0).fractions()
+
+
+# ----------------------------------------------------------------------
+# the baselines, phase by phase
+# ----------------------------------------------------------------------
+def test_sgx_baseline_training_runs_everything_in_the_enclave(cm, vgg):
+    """Nothing is masked and nothing crosses a link: the baseline's time is
+    its in-enclave linear and (paged) non-linear work, both directions."""
+    bl = cm.sgx_baseline_training(vgg)
+    assert bl.encode_decode == 0.0 and bl.communication == 0.0
+    assert bl.linear == pytest.approx(
+        cm.sgx_linear_time(vgg) + cm.sgx_linear_time(vgg, backward=True)
+    )
+    assert bl.nonlinear == pytest.approx(
+        cm.sgx_nonlinear_time(vgg, resident=False)
+        + cm.sgx_nonlinear_time(vgg, resident=False, backward=True)
+    )
+
+
+def test_sgx_baseline_inference_is_the_forward_half(cm, vgg):
+    inf = cm.sgx_baseline_inference(vgg)
+    train = cm.sgx_baseline_training(vgg)
+    assert inf.linear == pytest.approx(cm.sgx_linear_time(vgg))
+    assert inf.nonlinear == pytest.approx(cm.sgx_nonlinear_time(vgg, resident=False))
+    assert inf.encode_decode == inf.communication == 0.0
+    assert inf.total < train.total
+
+
+def test_gpu_only_training_one_gpu_has_no_allreduce(cm, vgg):
+    compute = (
+        cm.gpu_linear_time(vgg)
+        + cm.gpu_linear_time(vgg, backward=True)
+        + 2 * cm.gpu_nonlinear_time(vgg)
+    )
+    assert cm.gpu_only_training(vgg, n_gpus=1) == pytest.approx(compute)
+    three = cm.gpu_only_training(vgg, n_gpus=3)
+    assert compute / 3 < three < compute  # split three ways, plus the all-reduce
+    # A bigger batch amortises the same all-reduce over more samples.
+    assert cm.gpu_only_training(vgg, 3, batch_size=256) < three
+
+
+# ----------------------------------------------------------------------
+# non-linear, masking and transfer terms
+# ----------------------------------------------------------------------
+def test_gpu_nonlinear_beats_the_enclave_in_either_regime(cm, vgg):
+    gpu = cm.gpu_nonlinear_time(vgg)
+    resident = cm.sgx_nonlinear_time(vgg, resident=True)
+    paged = cm.sgx_nonlinear_time(vgg, resident=False)
+    assert 0 < gpu < resident < paged
+
+
+def test_per_virtual_batch_overhead_shrinks_with_k(cm, vgg):
+    base = cm.sgx_nonlinear_time(vgg, resident=True)
+    for k in (1, 2, 4, 8):
+        scaled = cm.sgx_nonlinear_time(vgg, resident=True, virtual_batch=k)
+        assert scaled == pytest.approx(base * (1 + 0.25 / k))
+
+
+def test_inference_masking_skips_the_backward_decode(cm, vgg):
+    cfg = DarKnightConfig(virtual_batch_size=2)
+    assert 0 < cm.masking_time(vgg, cfg, training=False) < cm.masking_time(vgg, cfg)
+
+
+def test_masking_grows_with_collusion_tolerance(cm, vgg):
+    one = cm.masking_time(vgg, DarKnightConfig(virtual_batch_size=2))
+    two = cm.masking_time(vgg, DarKnightConfig(virtual_batch_size=2, collusion_tolerance=2))
+    assert two > one
+
+
+def test_integrity_adds_link_time_to_training_only(cm, vgg):
+    plain = DarKnightConfig(virtual_batch_size=2)
+    verified = DarKnightConfig(virtual_batch_size=2, integrity=True)
+    assert cm.darknight_comm_time(vgg, verified) > cm.darknight_comm_time(vgg, plain)
+    assert cm.darknight_comm_time(vgg, verified, training=False) == pytest.approx(
+        cm.darknight_comm_time(vgg, plain, training=False)
+    )
+    assert cm.darknight_comm_time(vgg, plain, training=False) < cm.darknight_comm_time(
+        vgg, plain
+    )
+
+
+# ----------------------------------------------------------------------
+# profiles
+# ----------------------------------------------------------------------
+def test_link_time_is_latency_plus_bandwidth_and_rejects_negative_bytes():
+    link = LinkProfile()
+    assert link.time(0) == link.latency_s
+    assert link.time(5e9) == pytest.approx(link.latency_s + 1.0)
+    with pytest.raises(ConfigurationError):
+        link.time(-1)
+
+
+def test_profile_rate_selectors_pick_their_regime():
+    gpu, sgx = GpuProfile(), SgxProfile()
+    assert gpu.linear_rate() == gpu.linear_macs_per_s_forward
+    assert gpu.linear_rate(backward=True) == gpu.linear_macs_per_s_backward
+    assert sgx.bn_rate(resident=True) == sgx.bn_ops_per_s_resident
+    assert sgx.bn_rate(resident=False) == sgx.bn_ops_per_s_paged
+    assert sgx.relu_rate(True) > sgx.relu_rate(False)
+    assert sgx.pool_rate(True) > sgx.pool_rate(False)
+
+
+def test_a_faster_link_shrinks_only_the_transfer_phase(vgg):
+    cfg = DarKnightConfig(virtual_batch_size=2)
+    slow = CostModel().darknight_training(vgg, cfg)
+    fast = CostModel(SystemProfile(link=LinkProfile(bytes_per_s=1e10))).darknight_training(
+        vgg, cfg
+    )
+    assert fast.communication == pytest.approx(slow.communication / 2)
+    assert (fast.linear, fast.nonlinear, fast.encode_decode) == (
+        slow.linear,
+        slow.nonlinear,
+        slow.encode_decode,
+    )

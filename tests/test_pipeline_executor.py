@@ -378,6 +378,45 @@ def test_enclave_timeline_is_serialized():
     assert tl.busy_time == 2.0
 
 
+def test_each_stage_costs_its_overhead_plus_bytes_over_bandwidth():
+    costs = StageCostModel(
+        encode_bandwidth=1e3,
+        decode_bandwidth=2e3,
+        tee_bandwidth=4e3,
+        transfer_bandwidth=8e3,
+        gpu_mac_throughput=1e6,
+        gpu_launch_overhead=0.5,
+        stage_overhead=0.25,
+    )
+    assert costs.encode_time(1000) == 1.25
+    assert costs.decode_time(1000) == 0.75
+    assert costs.local_time(1000) == 0.5
+    assert costs.transfer_time(8000) == 1.25
+    assert costs.gpu_time(2_000_000) == 2.5
+    assert costs.maskgen_time(10**9) == 0.0  # free unless a bandwidth is set
+    priced = StageCostModel(maskgen_bandwidth=1e3, stage_overhead=0.25)
+    assert priced.maskgen_time(500) == 0.75
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"encode_bandwidth": 0},
+        {"decode_bandwidth": -1.0},
+        {"tee_bandwidth": 0},
+        {"gpu_mac_throughput": 0},
+        {"transfer_bandwidth": 0},
+        {"gpu_launch_overhead": -1e-6},
+        {"stage_overhead": -1e-6},
+        {"maskgen_bandwidth": 0},
+    ],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_stage_cost_model_refuses_non_positive_rates(bad):
+    with pytest.raises(ConfigurationError):
+        StageCostModel(**bad)
+
+
 # ----------------------------------------------------------------------
 # the one rank order: feasible start, deadline, decode first, job index
 # ----------------------------------------------------------------------

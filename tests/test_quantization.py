@@ -11,13 +11,16 @@ from repro.quantization import (
     DynamicNormalizer,
     Normalization,
     QuantizationConfig,
-    round_half_up,
 )
 
 
-def test_round_half_up_ties_go_up():
-    values = np.array([0.5, 1.5, -0.5, -1.5, 2.4, -2.4])
-    assert round_half_up(values).tolist() == [1.0, 2.0, 0.0, -1.0, 2.0, -2.0]
+def test_quantize_rounds_ties_up():
+    """Algorithm 1's Round: a fraction < 0.5 floors, else ceils — ties go
+    up, unlike numpy's banker's rounding."""
+    q = QuantizationConfig(fractional_bits=1)
+    values = np.array([0.5, 1.5, -0.5, -1.5, 2.4, -2.4]) / q.scale
+    quantized = q.quantize(values)
+    assert q.field.to_signed(quantized).tolist() == [1, 2, 0, -1, 2, -2]
 
 
 def test_config_validation():
@@ -206,3 +209,52 @@ def test_normalized_quantized_linear_op_roundtrip():
     prod_field = q.field.mul(q.quantize(xs), q.quantize(ws))
     recovered = q.dequantize_product(prod_field) * (xn.factor * wn.factor)
     assert np.all(np.abs(recovered - x * w) < np.abs(x * w) * 0.1 + 0.5)
+
+
+def test_normalize_rows_scales_each_virtual_batch_as_normalize_would_alone():
+    norm = DynamicNormalizer()
+    rng = np.random.default_rng(0)
+    stack = rng.normal(size=(3, 4, 5)) * np.array([0.1, 3.0, 7.0]).reshape(3, 1, 1)
+    scaled, factors = norm.normalize_rows(stack, lead=1)
+    assert factors.shape == (3, 1, 1)
+    for v in range(3):
+        alone, n = norm.normalize(stack[v])
+        assert np.array_equal(scaled[v], alone)
+        assert factors[v].item() == (1.0 if n is IDENTITY else n.factor)
+
+
+def test_normalize_rows_per_sample_slot_ignores_its_neighbours():
+    """``lead=2`` gives every sample slot its own factor, so a sample's
+    scaled values do not depend on what shares its virtual batch."""
+    norm = DynamicNormalizer()
+    rng = np.random.default_rng(1)
+    stack = rng.normal(size=(2, 3, 6))
+    scaled, factors = norm.normalize_rows(stack, lead=2)
+    assert factors.shape == (2, 3, 1)
+    loud = stack.copy()
+    loud[0, 1] *= 100.0
+    loud_scaled, _ = norm.normalize_rows(loud, lead=2)
+    untouched = np.ones((2, 3), dtype=bool)
+    untouched[0, 1] = False
+    assert np.array_equal(loud_scaled[untouched], scaled[untouched])
+    assert np.abs(loud_scaled).max() <= 1.0
+
+
+def test_normalize_rows_reports_none_when_nothing_needs_scaling():
+    norm = DynamicNormalizer()
+    small = np.full((2, 3), 0.5)
+    scaled, factors = norm.normalize_rows(small)
+    assert factors is None
+    assert np.array_equal(scaled, small)
+    # Rows without feature axes fall back to the whole-tensor rule.
+    scaled, factor = norm.normalize_rows(np.array([2.0, -4.0]))
+    assert factor == 4.0
+    assert np.array_equal(scaled, [0.5, -1.0])
+
+
+def test_only_the_scalar_one_is_the_identity():
+    assert IDENTITY.is_identity
+    assert not Normalization(2.0).is_identity
+    assert not Normalization(np.ones((2, 1))).is_identity
+    rows = Normalization(np.array([[2.0], [4.0]]))
+    assert np.array_equal(rows.apply(np.full((2, 3), 8.0)), [[4.0] * 3, [2.0] * 3])

@@ -7,10 +7,10 @@ from repro.data import cifar_like
 from repro.errors import ConfigurationError
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, PlainBackend, ReLU, Sequential
 from repro.runtime import (
+    DarKnightBackend,
     DarKnightConfig,
     PrivateInferenceEngine,
     Trainer,
-    make_darknight_trainer,
 )
 
 
@@ -44,9 +44,8 @@ def test_plain_training_learns(nprng):
 def test_darknight_training_learns(nprng):
     data = cifar_like(n_train=24, n_test=12, seed=1, size=8)
     net = _net(nprng, n_classes=10)
-    trainer, backend = make_darknight_trainer(
-        net, DarKnightConfig(virtual_batch_size=2, seed=2), lr=0.08
-    )
+    backend = DarKnightBackend(DarKnightConfig(virtual_batch_size=2, seed=2))
+    trainer = Trainer(net, backend, lr=0.08, momentum=0.9)
     history = trainer.fit(data.x_train, data.y_train, epochs=3, batch_size=8)
     assert history.loss[-1] < history.loss[0]
     assert backend.cluster.total_mac_ops() > 0
@@ -63,9 +62,8 @@ def test_histories_comparable_between_backends(nprng):
         if mode == "raw":
             trainer = Trainer(net, lr=0.08, momentum=0.9)
         else:
-            trainer, _ = make_darknight_trainer(
-                net, DarKnightConfig(virtual_batch_size=2, seed=7), lr=0.08
-            )
+            backend = DarKnightBackend(DarKnightConfig(virtual_batch_size=2, seed=7))
+            trainer = Trainer(net, backend, lr=0.08, momentum=0.9)
         history = trainer.fit(
             data.x_train, data.y_train, epochs=3, batch_size=8, shuffle_seed=7
         )

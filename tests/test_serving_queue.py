@@ -302,3 +302,34 @@ def test_full_share_class_never_hits_the_quota_path():
     with pytest.raises(BackpressureError):
         q.push(_req(9, tenant="std"))
     assert q.quota_shed_count == 0
+
+
+# ----------------------------------------------------------------------
+# eviction candidates
+# ----------------------------------------------------------------------
+def test_peek_eviction_candidate_names_the_victim_without_taking_it():
+    policy = _quota_policy(
+        {"bulk": 1.0, "std": 1.0, "prem": 1.0},
+        priorities={"bulk": 0, "std": 1, "prem": 2},
+    )
+    q = RequestQueue(capacity=8, slo=policy)
+    q.push(_req(0, tenant="bulk", t=0.0))
+    q.push(_req(1, tenant="bulk", t=1.0))
+    q.push(_req(2, tenant="std", t=2.0))
+    key, tenant = q.peek_eviction_candidate(priority=2)
+    assert tenant == "bulk" and key[0] == 0  # the lowest class goes first
+    assert q.depth == 3 and q.evicted_count == 0
+    assert q.peek_eviction_candidate(priority=0) is None  # nothing strictly below
+    victim = q.evict_newest_below(priority=2)
+    assert (victim.request_id, victim.tenant) == (1, "bulk")  # its newest request
+    assert q.depth == 2 and q.evicted_count == 1
+
+
+def test_without_a_policy_nobody_is_below_anybody():
+    q = RequestQueue(capacity=4)
+    q.push(_req(0))
+    assert q.peek_eviction_candidate(priority=0) is None
+    assert q.evict_newest_below(priority=0) is None
+    # Any higher standing outranks the policy-free default of zero.
+    assert q.evict_newest_below(priority=1).request_id == 0
+    assert q.depth == 0

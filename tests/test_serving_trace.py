@@ -128,3 +128,25 @@ def test_samples_come_in_blocks_under_the_mmap_threshold():
     bases = {id(request.x.base): request.x.base for request in trace}
     assert len(bases) > 1
     assert all(base.nbytes <= trace_module.SAMPLE_BLOCK_BYTES for base in bases.values())
+
+
+def test_trace_from_arrays_deals_rows_round_robin_in_time_order():
+    x = np.arange(10 * 3, dtype=np.float64).reshape(10, 3)
+    trace = trace_module.trace_from_arrays(x, tenants=["a", "b", "c"], seed=4)
+    assert [r.tenant for r in trace] == ["a", "b", "c"] * 3 + ["a"]
+    for i, request in enumerate(trace):
+        assert np.array_equal(request.x, x[i])
+    times = [r.time for r in trace]
+    assert all(0 < t0 < t1 for t0, t1 in zip(times, times[1:]))
+    again = trace_module.trace_from_arrays(x, tenants=["a", "b", "c"], seed=4)
+    assert [r.time for r in again] == times
+
+
+def test_trace_from_arrays_defaults_and_validation():
+    from repro.errors import ConfigurationError
+
+    trace = trace_module.trace_from_arrays(np.zeros((2, 4)))
+    assert [r.tenant for r in trace] == ["tenant0", "tenant0"]
+    for bad in (np.zeros(4), np.zeros((0, 4))):
+        with pytest.raises(ConfigurationError):
+            trace_module.trace_from_arrays(bad)

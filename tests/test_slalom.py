@@ -155,3 +155,32 @@ def test_blinding_validation(nprng):
         store.blind(np.zeros(5, dtype=np.int64), pair)
     with pytest.raises(EncodingError):
         store.unblind(np.zeros(5, dtype=np.int64), pair)
+
+
+def test_pool_accounting_counts_down_as_pairs_are_used(nprng):
+    enclave = Enclave(seed=0)
+    store = BlindingStore(enclave)
+    assert store.pairs_available("l") == 0
+    assert store.pool_version("l") is None
+    store.precompute("l", 3, (4,), lambda r: r, macs_per_op=4, weight_version=2)
+    assert store.pairs_available("l") == 3
+    assert store.pool_version("l") == 2
+    assert store.offline_macs == 12
+    store.next_pair("l", weight_version=2)
+    assert store.pairs_available("l") == 2
+
+
+def test_invalidate_drops_the_unused_sealed_pairs(nprng):
+    enclave = Enclave(seed=0)
+    store = BlindingStore(enclave)
+    store.precompute("l", 3, (4,), lambda r: r, macs_per_op=4)
+    store.precompute("m", 1, (4,), lambda r: r, macs_per_op=4)
+    store.next_pair("l")
+    store.invalidate("l")
+    assert store.pairs_available("l") == 0
+    assert store.pool_version("l") is None
+    keys = set(enclave.untrusted_store.keys())
+    assert not keys & {"slalom/l/r1", "slalom/l/u1", "slalom/l/r2", "slalom/l/u2"}
+    assert {"slalom/m/r0", "slalom/m/u0"} <= keys  # other layers keep their pools
+    store.precompute("l", 1, (4,), lambda r: r, macs_per_op=4, weight_version=1)
+    assert store.next_pair("l", weight_version=1).weight_version == 1
