@@ -25,7 +25,6 @@ from repro.cli import build_serving_model
 from repro.reporting import render_table
 from repro.runtime import DarKnightConfig
 from repro.serving import (
-    AdaptiveBatchingConfig,
     PrivateInferenceServer,
     ServingConfig,
     bursty_trace,
@@ -45,7 +44,7 @@ def _server(adaptive: bool, n_requests: int, seed: int = 0, epc_budget=None):
     )
     config = ServingConfig(
         darknight=dk,
-        adaptive=AdaptiveBatchingConfig() if adaptive else None,
+        adaptive=adaptive,
         max_batch_wait=MAX_WAIT,
         queue_capacity=2 * n_requests,
     )
@@ -181,7 +180,7 @@ def test_adaptive_batches_respect_the_epc_budget(capsys, quick):
 
 def test_adaptive_off_is_bit_identical_to_static_serving(quick):
     """The default (static) path must be untouched by this feature: a
-    ServingConfig with ``adaptive=None`` and one never constructed with
+    ServingConfig with ``adaptive=False`` and one never constructed with
     the field serve identical bits on the same trace."""
     n = 48 if quick else 96
     trace = _traces(n, seed=5)["bursty"]

@@ -148,7 +148,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="set one field by its dotted path in that layout (repeatable, in"
              " order); VALUE is JSON, else a bare string: darknight.integrity=true,"
              " partition=layered:2. Setting a field of an absent section creates"
-             " it (adaptive={} takes its defaults); adaptive=null removes one",
+             " it (audit={} takes its defaults); audit=null removes one",
     )
     parser.add_argument(
         "--slo-budget", action="append", default=[], metavar="CLASS=MS",
@@ -256,7 +256,7 @@ def _serve(args) -> int:
     report = server.serve_trace(trace)
     if not config.coalesce:
         mode = "per-request"
-    elif adaptive is not None:
+    elif adaptive:
         mode = (
             f"adaptive K={server.darknight.virtual_batch_size}"
             f" (requested {dk.virtual_batch_size})"

@@ -80,10 +80,6 @@ class BackpressureError(ServingError):
     """The server's bounded request queue is full; the request was shed."""
 
 
-class QuotaExceededError(BackpressureError):
-    """A class hit its admission quota (share of the queue); arrival shed."""
-
-
 class AuditError(ReproError):
     """The verifiable serving audit trail detected tampering or misuse.
 

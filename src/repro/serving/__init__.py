@@ -12,7 +12,6 @@ when a shard dies.
 
 from repro.audit import AuditConfig, AuditTrail
 from repro.serving.adaptive import (
-    AdaptiveBatchingConfig,
     AdaptiveFlushPolicy,
     WindowFeedback,
     epc_fitting_batch_size,
@@ -65,7 +64,6 @@ from repro.serving.worker import InferenceWorkerPool
 __all__ = [
     "AuditConfig",
     "AuditTrail",
-    "AdaptiveBatchingConfig",
     "AdaptiveFlushPolicy",
     "WindowFeedback",
     "epc_fitting_batch_size",

@@ -14,8 +14,8 @@ enclave's EPC.  This module replaces both knobs with observed facts:
   trades fill ratio against deadline misses: partial deadline flushes
   below the target fill stretch the prediction, full ones shrink it back
   toward the raw estimate.  The deadline never leaves
-  ``[min_wait, max_wait]`` — the static deadline is the *ceiling*, so
-  adaptive mode can only ship earlier than the static server, never
+  ``[MIN_WAIT, max_batch_wait]`` — the static deadline is the *ceiling*,
+  so adaptive mode can only ship earlier than the static server, never
   later.
 * **Service-aware floor** — the worker pool feeds back the staged
   executor's *real* per-stage timings (:class:`WindowFeedback`); the
@@ -56,67 +56,20 @@ _STRETCH_DOWN = 0.9
 #: Fraction of the observed per-batch enclave occupancy used as the
 #: deadline floor (flushing faster than this just queues on the enclave).
 _SERVICE_FLOOR_FRACTION = 0.5
-
-
-@dataclass(frozen=True)
-class AdaptiveBatchingConfig:
-    """Knobs for the adaptive flush policy (all optional, all bounded).
-
-    Parameters
-    ----------
-    target_fill:
-        Fill ratio deadline flushes aim for; partial flushes below it
-        relax the learned deadline, fuller ones tighten it.
-    min_wait:
-        Hard floor (simulated seconds) for the learned deadline — the
-        policy never flushes a partial faster than this.
-    max_wait:
-        Hard ceiling; ``None`` uses the deployment's static
-        ``max_batch_wait``, so adaptive mode never waits *longer* than
-        the static server would have.
-    ewma_alpha:
-        Smoothing factor for the inter-arrival and service-time EWMAs
-        (higher adapts faster, noisier).
-    epc_headroom:
-        Fraction of usable EPC one in-flight window may claim; the rest
-        is slack for enclave code/stack and SGX metadata drift.
-    warmup_arrivals:
-        Admitted arrivals a shard must observe before its learned
-        deadline takes over from the static one — a cold EWMA built on a
-        couple of gaps is overconfident and shreds the first burst into
-        partial flushes.
-    """
-
-    target_fill: float = 0.85
-    min_wait: float = 1e-4
-    max_wait: float | None = None
-    ewma_alpha: float = 0.25
-    epc_headroom: float = 0.9
-    warmup_arrivals: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target_fill <= 1.0:
-            raise ConfigurationError(
-                f"target fill must be in (0, 1], got {self.target_fill}"
-            )
-        if self.min_wait <= 0:
-            raise ConfigurationError(f"min wait must be > 0, got {self.min_wait}")
-        if self.max_wait is not None and self.max_wait < self.min_wait:
-            raise ConfigurationError(
-                f"max wait {self.max_wait} must be >= min wait {self.min_wait}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"ewma alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if not 0.0 < self.epc_headroom <= 1.0:
-            raise ConfigurationError(
-                f"EPC headroom must be in (0, 1], got {self.epc_headroom}"
-            )
-        if self.warmup_arrivals < 0:
-            raise ConfigurationError(
-                f"warmup arrivals must be >= 0, got {self.warmup_arrivals}"
-            )
+#: Fill ratio deadline flushes aim for: partial flushes below it relax the
+#: learned deadline, fuller ones tighten it.
+TARGET_FILL = 0.85
+#: Hard floor (simulated seconds) of the learned deadline.
+MIN_WAIT = 1e-4
+#: Smoothing factor of the inter-arrival and service-time EWMAs.
+EWMA_ALPHA = 0.25
+#: Fraction of usable EPC one in-flight window may claim; the rest is
+#: slack for enclave code, stack and SGX metadata.
+EPC_HEADROOM = 0.9
+#: Admitted arrivals a shard observes before its learned deadline takes
+#: over from the static one: a cold EWMA built on a couple of gaps is
+#: overconfident and shreds the first burst into partial flushes.
+WARMUP_ARRIVALS = 8
 
 
 @dataclass(frozen=True)
@@ -224,18 +177,15 @@ class AdaptiveFlushPolicy:
         The provisioned virtual-batch size ``K`` (already EPC-clamped by
         the server when a budget is known).
     max_wait:
-        The deployment's static flush deadline; used as the ceiling when
-        :attr:`AdaptiveBatchingConfig.max_wait` is unset, and as the
-        deadline until enough arrivals have been observed to predict.
-    config:
-        Adaptive knobs; defaults are sensible for the repo's traces.
+        The deployment's static flush deadline: the learned deadline's
+        ceiling, and the deadline until :data:`WARMUP_ARRIVALS` arrivals
+        have been observed.
     slot_bytes:
         Analytic per-slot working-set estimate
         (:func:`estimate_slot_bytes`); refined upward by observation.
     epc_budget_bytes:
-        Usable EPC available to one in-flight window (headroom already
-        applied by the caller, or pass raw and let the policy apply
-        ``config.epc_headroom``).  ``None`` disables the cap.
+        Usable EPC available to one in-flight window; the policy keeps
+        :data:`EPC_HEADROOM` of it.  ``None`` disables the cap.
     collusion_tolerance / extra_shares / pipeline_depth:
         Masking shape facts the working-set model needs.
     budget_ceiling:
@@ -249,7 +199,6 @@ class AdaptiveFlushPolicy:
         self,
         batch_size: int,
         max_wait: float,
-        config: AdaptiveBatchingConfig | None = None,
         slot_bytes: int | None = None,
         epc_budget_bytes: int | None = None,
         collusion_tolerance: int = 1,
@@ -265,20 +214,17 @@ class AdaptiveFlushPolicy:
             raise ConfigurationError(
                 f"budget ceiling must be > 0, got {budget_ceiling}"
             )
-        self.config = config or AdaptiveBatchingConfig()
         self.base_batch_size = batch_size
-        self.ceiling = (
-            self.config.max_wait if self.config.max_wait is not None else max_wait
-        )
+        self.ceiling = max_wait
         if budget_ceiling is not None:
             self.ceiling = min(self.ceiling, budget_ceiling)
-        self.floor = min(self.config.min_wait, self.ceiling)
+        self.floor = min(MIN_WAIT, self.ceiling)
         self._collusion = collusion_tolerance
         self._extra = extra_shares
         self._depth = pipeline_depth
         self._slot_bytes = int(slot_bytes or 0)
         self._budget = (
-            int(epc_budget_bytes * self.config.epc_headroom)
+            int(epc_budget_bytes * EPC_HEADROOM)
             if epc_budget_bytes is not None
             else None
         )
@@ -312,11 +258,10 @@ class AdaptiveFlushPolicy:
         self.arrivals += 1
         if self._last_arrival is not None:
             gap = min(max(0.0, now - self._last_arrival), self.ceiling)
-            alpha = self.config.ewma_alpha
             self._gap_ewma = (
                 gap
                 if self._gap_ewma is None
-                else alpha * gap + (1.0 - alpha) * self._gap_ewma
+                else EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * self._gap_ewma
             )
         self._last_arrival = now
         self._resolve_probes(now)
@@ -361,7 +306,7 @@ class AdaptiveFlushPolicy:
             return
         self.deadline_flushes += 1
         fill = n_requests / max(1, self.batch_size)
-        if fill < self.config.target_fill:
+        if fill < TARGET_FILL:
             self.partial_deadline_flushes += 1
             if (
                 wait_used is not None
@@ -378,11 +323,10 @@ class AdaptiveFlushPolicy:
         """Fold one dispatched window's measured timings into the policy."""
         if feedback.n_batches > 0:
             per_batch = feedback.enclave_busy / feedback.n_batches
-            alpha = self.config.ewma_alpha
             self._service_ewma = (
                 per_batch
                 if self._service_ewma is None
-                else alpha * per_batch + (1.0 - alpha) * self._service_ewma
+                else EWMA_ALPHA * per_batch + (1.0 - EWMA_ALPHA) * self._service_ewma
             )
         if feedback.slot_bytes_observed > self._slot_bytes:
             self._slot_bytes = int(feedback.slot_bytes_observed)
@@ -422,7 +366,7 @@ class AdaptiveFlushPolicy:
                 floor,
                 min(self.ceiling, _SERVICE_FLOOR_FRACTION * self._service_ewma),
             )
-        if self._gap_ewma is None or self.arrivals < self.config.warmup_arrivals:
+        if self._gap_ewma is None or self.arrivals < WARMUP_ARRIVALS:
             return self.ceiling
         # Never predict below two gaps: arrival jitter around the EWMA
         # would otherwise fire the deadline between back-to-back arrivals
@@ -438,11 +382,6 @@ class AdaptiveFlushPolicy:
         return working_set_bytes(
             max(1, slots), self._slot_bytes, self._collusion, self._extra, self._depth
         )
-
-    @property
-    def epc_budget_bytes(self) -> int | None:
-        """Headroom-adjusted EPC budget the cap enforces (None = uncapped)."""
-        return self._budget
 
     # ------------------------------------------------------------------
     # telemetry

@@ -1,16 +1,15 @@
 """Elastic shard autoscaling: hysteresis-gated scale decisions.
 
 The serving stack already records every signal an autoscaler needs —
-per-shard queue depth (the admission queues), per-shard enclave occupancy
-(:attr:`~repro.sharding.EnclaveShard.busy_time`), and SLO attainment
-(:meth:`~repro.serving.metrics.ServerMetrics.slo_attainment`).  The
+per-shard queue depth (the admission queues) and per-shard enclave
+occupancy (:attr:`~repro.sharding.EnclaveShard.busy_time`).  The
 :class:`ShardAutoscaler` folds those into two smoothed pressure signals —
 a queue-depth EWMA and a busy-time utilization over the evaluation wall —
 and turns them into *rare, deliberate* membership changes:
 
 * **Hysteresis**: scale-out and scale-in trigger on *different*
-  thresholds (``queue_high``/``utilization_high`` vs ``queue_low``/
-  ``utilization_low``) and only after the pressure persists for
+  thresholds (``queue_high``/:data:`UTILIZATION_HIGH` vs ``queue_low``/
+  :data:`UTILIZATION_LOW`) and only after the pressure persists for
   ``breaches_to_scale_out`` / ``breaches_to_scale_in`` consecutive
   evaluations, so a single bursty window never flaps the membership.
 * **Cooldown**: after any action the loop holds for
@@ -37,6 +36,12 @@ from repro.errors import ConfigurationError
 #: Decision labels recorded in :class:`AutoscaleEvent`.
 ACTION_SCALE_OUT = "scale_out"
 ACTION_SCALE_IN = "scale_in"
+#: Busy-time utilization (enclave-busy seconds per live-shard second)
+#: above which the deployment counts as overloaded / below which as idle.
+UTILIZATION_HIGH = 0.85
+UTILIZATION_LOW = 0.25
+#: Smoothing factor of the per-unit queue-depth EWMA.
+EWMA_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -60,25 +65,9 @@ class AutoscaleConfig:
     queue_high / queue_low:
         Mean per-shard queue-depth EWMA above which the deployment is
         considered overloaded / below which it is considered idle.
-    utilization_high / utilization_low:
-        Busy-time utilization (enclave-busy seconds per live-shard
-        second) bounds, same roles as the queue thresholds.
     breaches_to_scale_out / breaches_to_scale_in:
         Consecutive overloaded / idle evaluations required before the
         corresponding action fires (the hysteresis streak).
-    ewma_alpha:
-        Smoothing factor for the per-shard queue-depth EWMA.
-    attainment_floor:
-        Optional SLO-attainment fraction; dropping below it counts as
-        overload pressure even when the queues look healthy.
-    max_session_migrations:
-        Optional cap forwarded to
-        :meth:`~repro.sharding.ShardRouter.add_shard` bounding how many
-        pinned tenants one scale-out may move.
-    epc_pool_bytes:
-        Optional total EPC budget shared by the deployment; when set,
-        each membership change re-fits the virtual-batch size ``K``
-        against ``epc_pool_bytes / n_live`` between windows.
     """
 
     min_shards: int = 1
@@ -88,14 +77,8 @@ class AutoscaleConfig:
     scale_in_cooldown: float = 2e-2
     queue_high: float = 4.0
     queue_low: float = 0.5
-    utilization_high: float = 0.85
-    utilization_low: float = 0.25
     breaches_to_scale_out: int = 2
     breaches_to_scale_in: int = 4
-    ewma_alpha: float = 0.5
-    attainment_floor: float | None = None
-    max_session_migrations: int | None = None
-    epc_pool_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.min_shards < 1:
@@ -118,21 +101,8 @@ class AutoscaleConfig:
                 f"queue_low ({self.queue_low}) must be <="
                 f" queue_high ({self.queue_high})"
             )
-        if self.utilization_low > self.utilization_high:
-            raise ConfigurationError(
-                f"utilization_low ({self.utilization_low}) must be <="
-                f" utilization_high ({self.utilization_high})"
-            )
         if self.breaches_to_scale_out < 1 or self.breaches_to_scale_in < 1:
             raise ConfigurationError("breach streaks must be >= 1")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ConfigurationError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.attainment_floor is not None and not 0 < self.attainment_floor <= 1:
-            raise ConfigurationError(
-                f"attainment_floor must be in (0, 1], got {self.attainment_floor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -189,7 +159,6 @@ class ShardAutoscaler:
         now: float,
         depths: dict[int, int],
         busy: dict[int, float],
-        attainment: float | None = None,
     ) -> tuple[str | None, str]:
         """Fold one snapshot of the pressure signals into a decision.
 
@@ -203,8 +172,6 @@ class ShardAutoscaler:
             Per-live-unit *cumulative* enclave-busy seconds (summed over
             the unit's shards); utilization is the delta since the
             previous evaluation divided by the live-shard wall.
-        attainment:
-            Optional overall SLO attainment in ``[0, 1]``.
 
         Returns ``(action, reason)`` where action is ``"scale_out"``,
         ``"scale_in"``, or ``None``.
@@ -224,9 +191,7 @@ class ShardAutoscaler:
                 del self._depth_ewma[shard_id]
         for shard_id, depth in depths.items():
             prev = self._depth_ewma.get(shard_id, float(depth))
-            self._depth_ewma[shard_id] = (
-                cfg.ewma_alpha * depth + (1 - cfg.ewma_alpha) * prev
-            )
+            self._depth_ewma[shard_id] = EWMA_ALPHA * depth + (1 - EWMA_ALPHA) * prev
         mean_depth = sum(self._depth_ewma.values()) / n_live
 
         # Utilization: enclave-busy seconds gained per live-shard second.
@@ -237,21 +202,8 @@ class ShardAutoscaler:
         self._busy_seen = dict(busy)
         utilization = busy_delta / (wall * max(1, live_shards)) if wall > 0 else 0.0
 
-        attain_low = (
-            cfg.attainment_floor is not None
-            and attainment is not None
-            and attainment < cfg.attainment_floor
-        )
-        high = (
-            mean_depth >= cfg.queue_high
-            or utilization >= cfg.utilization_high
-            or attain_low
-        )
-        low = (
-            mean_depth <= cfg.queue_low
-            and utilization <= cfg.utilization_low
-            and not attain_low
-        )
+        high = mean_depth >= cfg.queue_high or utilization >= UTILIZATION_HIGH
+        low = mean_depth <= cfg.queue_low and utilization <= UTILIZATION_LOW
         self._high_streak = self._high_streak + 1 if high else 0
         self._low_streak = self._low_streak + 1 if low else 0
 
@@ -268,8 +220,7 @@ class ShardAutoscaler:
             reason = (
                 f"overloaded: mean depth EWMA {mean_depth:.2f}"
                 f" (high {cfg.queue_high}), utilization {utilization:.2f}"
-                f" (high {cfg.utilization_high})"
-                + (", SLO attainment below floor" if attain_low else "")
+                f" (high {UTILIZATION_HIGH})"
             )
             return ACTION_SCALE_OUT, reason
         if (
@@ -280,7 +231,7 @@ class ShardAutoscaler:
             reason = (
                 f"idle: mean depth EWMA {mean_depth:.2f}"
                 f" (low {cfg.queue_low}), utilization {utilization:.2f}"
-                f" (low {cfg.utilization_low})"
+                f" (low {UTILIZATION_LOW})"
             )
             return ACTION_SCALE_IN, reason
         return None, "steady"

@@ -6,8 +6,8 @@ the field) plus every serving section — and only this module knows how
 that tree is written down.  The dict form (what ``serve --config`` reads
 and ``--set`` edits) is derived from the dataclass fields and their type
 hints, so a new field needs no edit here or in the CLI.  It is strict
-JSON: a section is an object (``null`` where optional), a tuple a list,
-and an infinite float — an SLO class without a contract — ``null``.
+JSON: a section is an object (``null`` where optional), and an infinite
+float — an SLO class without a contract — ``null``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError
 from repro.pipeline.timing import StageCostModel
 from repro.runtime.client import DEFAULT_CODE_IDENTITY
 from repro.runtime.config import DarKnightConfig
-from repro.serving.adaptive import AdaptiveBatchingConfig
 from repro.serving.autoscale import AutoscaleConfig
 from repro.serving.slo import SloPolicy
 
@@ -34,8 +33,6 @@ def _to_json(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {key: _to_json(value[key]) for key in sorted(value)}
-    if isinstance(value, tuple):
-        return [_to_json(item) for item in value]
     if isinstance(value, float) and math.isinf(value):
         return None
     return value
@@ -87,9 +84,6 @@ def _from_json(hint, value, path: str):
             )
             for key, spec in value.items()
         }
-    if origin is tuple:
-        _expect(value, list, "a list", path)
-        return tuple(_from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if hint is float and value is None:
         return math.inf
     _expect(value, (int, float) if hint is float else hint, f"a JSON {hint.__name__}", path)
@@ -106,6 +100,12 @@ class ServingConfig:
         The masking/session parameters shared by all tenants (the
         virtual-batch size ``K`` doubles as the coalescing target, and
         ``num_shards`` sets how many enclave shards the deployment runs).
+        The server owns three of its fields and derives them in one
+        place: serving always reuses coefficients
+        (``fresh_coefficients=False``), normalizes per sample whenever
+        normalization is dynamic, and precomputes exactly when the
+        top-level ``precompute`` says so — ``darknight.precompute`` is
+        not read.
     max_batch_wait:
         Deadline (simulated seconds) before a partial batch is forced out.
     queue_capacity:
@@ -118,24 +118,20 @@ class ServingConfig:
         serving benchmark measures against); the enclave still pads each
         lone sample to ``K`` slots, which is exactly the waste coalescing
         recovers.
-    reuse_coefficients:
-        Serve from the backend's coefficient cache (inference never needs
-        the training escape hatch of fresh per-step coefficients).
-    encrypt_requests:
-        Run every sample and response through the tenant's AEAD channel.
     stage_costs:
         Simulated-time pricing for the pipeline stages.  Batch service
         times come from each shard's staged executor's real per-stage
         timings (bytes masked, MACs run) on that shard's persistent
         enclave/GPU timeline.
     adaptive:
-        When set, each shard's flush deadline is *learned* (EWMA of
+        ``True`` learns each shard's flush deadline (EWMA of
         inter-arrival gaps, steered by fill-ratio feedback, floored by
-        the measured per-batch enclave occupancy) and the virtual-batch
-        size is clamped to what fits the enclave's EPC budget
-        (:mod:`repro.serving.adaptive`).  ``None`` — the default — keeps
-        the static ``max_batch_wait``/``virtual_batch_size`` knobs and a
-        flush path bit-identical to previous releases.
+        the measured per-batch enclave occupancy, never above
+        ``max_batch_wait``) and clamps the virtual-batch size to what fits
+        the enclave's EPC budget (:mod:`repro.serving.adaptive`, whose
+        module constants are the controller's settings).  ``False`` — the
+        default — keeps the static ``max_batch_wait``/``virtual_batch_size``
+        knobs.
     slo:
         Optional :class:`~repro.serving.slo.SloPolicy` threading
         per-tenant service classes through the whole request path:
@@ -146,11 +142,6 @@ class ServingConfig:
         metrics.
         ``None`` — or a policy whose every class is the default — keeps
         the server bit-identical to previous releases.
-    shard_weights:
-        Optional per-shard capacity weights for heterogeneous
-        deployments (forwarded to the
-        :class:`~repro.sharding.ShardRouter`'s hash ring); ``None``
-        weighs every shard equally.
     audit:
         Optional :class:`~repro.audit.AuditConfig` enabling the
         verifiable serving audit trail: every flush window's requests,
@@ -164,8 +155,8 @@ class ServingConfig:
         Optional :class:`~repro.serving.autoscale.AutoscaleConfig`
         enabling elastic membership: the server provisions and
         decommissions whole serving units (one shard each, or ``N``
-        under ``partition="layered:N"``) at runtime from queue-depth,
-        utilization, and SLO-attainment pressure, between
+        under ``partition="layered:N"``) at runtime from queue-depth and
+        utilization pressure, between
         ``min_shards`` and ``max_shards`` physical shards (both must be
         multiples of ``N``).  ``darknight.num_shards`` becomes the
         *initial* count (clamped into the bounds).  ``None`` — the
@@ -176,10 +167,10 @@ class ServingConfig:
         RNG streams, so pooled and inline generation are bit-identical),
         a static per-``(shard, layer)`` weight-encoding cache reused
         across flush windows, and recycled hot-path scratch buffers.
-        Refills run only in enclave-timeline idle gaps.  ``False`` — the
-        default — keeps the serving path bit-identical to previous
-        releases; ``True`` changes *when* work happens, never the bits
-        of any response.
+        Refills run only in enclave-timeline idle gaps.  ``True``
+        changes *when* work happens, never the bits of any response.
+        This is the one precompute switch of a deployment: the server
+        sets ``darknight.precompute`` from it.
     partition:
         How the model maps onto the deployment's shards.
         ``"layered:N"`` cuts the execution plan into ``N`` balanced
@@ -198,13 +189,10 @@ class ServingConfig:
     max_batch_wait: float = 0.01
     queue_capacity: int = 256
     coalesce: bool = True
-    reuse_coefficients: bool = True
-    encrypt_requests: bool = True
     stage_costs: StageCostModel | None = None
     code_identity: str = DEFAULT_CODE_IDENTITY
-    adaptive: AdaptiveBatchingConfig | None = None
+    adaptive: bool = False
     slo: SloPolicy | None = None
-    shard_weights: tuple[float, ...] | None = None
     audit: AuditConfig | None = None
     autoscale: AutoscaleConfig | None = None
     precompute: bool = False
@@ -251,7 +239,7 @@ PRESETS = {
     "latency": lambda: ServingConfig(
         darknight=DarKnightConfig(pipeline_depth=2),
         max_batch_wait=2e-3,
-        adaptive=AdaptiveBatchingConfig(),
+        adaptive=True,
     ),
     "throughput": lambda: ServingConfig(
         darknight=DarKnightConfig(virtual_batch_size=8, pipeline_depth=2),

@@ -28,12 +28,11 @@ from repro.serving.requests import (
 )
 from repro.serving.slo import SloPolicy
 
-#: ``record_shed`` kinds: refused at admission, evicted from the queue,
-#: refused because the class hit its admission quota, or refused because
-#: the sample itself cannot be served (wrong shape, NaN or inf).
+#: ``record_shed`` kinds: refused at admission, evicted from the queue, or
+#: refused because the sample itself cannot be served (wrong shape, NaN or
+#: inf).
 SHED_ADMISSION = "admission"
 SHED_EVICTED = "evicted"
-SHED_QUOTA = "quota"
 SHED_MALFORMED = "malformed"
 
 
@@ -60,12 +59,10 @@ class ServerMetrics:
         self.completed = 0
         self.shed = 0
         #: ``shed`` split by who paid: the arrival (refused at admission),
-        #: the backlog (evicted for a higher-priority arrival), the
-        #: arrival's class (over its admission quota), or a malformed
-        #: arrival.  The four always sum to ``shed``.
+        #: the backlog (evicted for a higher-priority arrival), or a
+        #: malformed arrival.  The three always sum to ``shed``.
         self.shed_at_admission = 0
         self.shed_evicted = 0
-        self.shed_quota = 0
         self.shed_malformed = 0
         self.integrity_failures = 0
         self.decode_errors = 0
@@ -171,17 +168,14 @@ class ServerMetrics:
         ``kind`` says who paid: :data:`SHED_ADMISSION` (the arrival was
         refused for a full queue — the classic, and default, case),
         :data:`SHED_EVICTED` (a pending request was evicted to admit a
-        higher-priority arrival), :data:`SHED_QUOTA` (the arrival's class
-        already held its admission share of the queue), or
-        :data:`SHED_MALFORMED` (the arrival's sample cannot be served).
+        higher-priority arrival), or :data:`SHED_MALFORMED` (the arrival's
+        sample cannot be served).
         """
-        if kind not in (SHED_ADMISSION, SHED_EVICTED, SHED_QUOTA, SHED_MALFORMED):
+        if kind not in (SHED_ADMISSION, SHED_EVICTED, SHED_MALFORMED):
             raise ValueError(f"unknown shed kind {kind!r}")
         self.shed += 1
         if kind == SHED_EVICTED:
             self.shed_evicted += 1
-        elif kind == SHED_QUOTA:
-            self.shed_quota += 1
         elif kind == SHED_MALFORMED:
             self.shed_malformed += 1
         else:
@@ -302,7 +296,6 @@ class ServerMetrics:
             "shed": self.shed,
             "shed_at_admission": self.shed_at_admission,
             "shed_evicted": self.shed_evicted,
-            "shed_quota": self.shed_quota,
             "shed_malformed": self.shed_malformed,
             "integrity_failures": self.integrity_failures,
             "decode_errors": self.decode_errors,
@@ -384,7 +377,6 @@ class ServerMetrics:
         if snap["slo_classes"]:
             rows.append(["shed at admission", snap["shed_at_admission"]])
             rows.append(["evicted by class", snap["shed_evicted"]])
-            rows.append(["shed over quota", snap["shed_quota"]])
             rows.append(["SLO attainment", _fmt(snap["slo_attainment"], digits=3)])
             for name, cls_snap in snap["slo_classes"].items():
                 budget = cls_snap["latency_budget"]

@@ -12,14 +12,6 @@ so a best-effort backlog can no longer block premium traffic.  Equal
 priorities never evict each other — without a policy (or with every
 tenant in the default class) the arrival is shed exactly as before.
 
-Admission is also *quota*-aware: a class with ``admission_share < 1``
-may occupy at most that share of the queue's capacity, so a premium
-flood can no longer evict every best-effort request (and vice versa a
-best-effort backlog cannot monopolise the queue).  Quota sheds raise
-:class:`~repro.errors.QuotaExceededError` and are counted separately
-(``quota_shed_count``) so telemetry distinguishes "queue full" from
-"class over its share".
-
 The queue is also the flush timer's source of truth: with per-class
 budgets, the scheduler's deadline is the *minimum remaining budget* among
 pending requests (:meth:`RequestQueue.earliest_deadline`), not one global
@@ -31,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from repro.errors import BackpressureError, ConfigurationError, QuotaExceededError
+from repro.errors import BackpressureError, ConfigurationError
 from repro.serving.requests import PendingRequest
 from repro.serving.slo import SloPolicy
 
@@ -64,14 +56,7 @@ class RequestQueue:
         #: by an index into an ever-growing list, and a new tenant can
         #: never skip or double-serve an existing tenant's turn.
         self._rotation: deque[str] = deque()
-        #: Deficit round-robin carry: fractional drain credit a tenant
-        #: banked from earlier turns (bounded by its class weight).
-        self._drain_credit: dict[str, float] = {}
         self._depth = 0
-        #: Pending requests per SLO class (admission-quota accounting).
-        self._class_depth: dict[str, int] = {}
-        #: Arrivals refused because their class hit its admission quota.
-        self.quota_shed_count = 0
         #: Arrivals refused outright at admission (no eviction possible).
         self.shed_count = 0
         #: Pending requests evicted to admit a higher-priority arrival.
@@ -87,33 +72,17 @@ class RequestQueue:
         """Admit one request; returns the pending request evicted for it.
 
         When the queue is full, a strictly lower-priority pending request
-        (newest first, highest shed weight first) is evicted to make room
-        and returned so the caller can record its outcome.  With no
-        eligible victim the *arrival* is shed, exactly as before.
+        (lowest priority, then newest) is evicted to make room and
+        returned so the caller can record its outcome.  With no eligible
+        victim the *arrival* is shed, exactly as before.
 
         Raises
         ------
-        QuotaExceededError
-            When the arrival's class already occupies its configured
-            ``admission_share`` of the queue (checked first: a class over
-            quota may not evict anybody to grow further).
         BackpressureError
             When ``capacity`` pending requests are already queued and no
             lower-priority victim exists.
         """
         evicted = None
-        cls = self.slo.class_for(request.tenant) if self.slo else None
-        if cls is not None and cls.admission_share < 1.0:
-            if self._class_depth.get(cls.name, 0) >= cls.admission_cap(self.capacity):
-                self.quota_shed_count += 1
-                self.shed_count += 1
-                raise QuotaExceededError(
-                    f"class {cls.name!r} holds {self._class_depth[cls.name]} of"
-                    f" its {cls.admission_cap(self.capacity)}-slot admission"
-                    f" quota (share {cls.admission_share} of {self.capacity});"
-                    f" shedding request {request.request_id}"
-                    f" from {request.tenant!r}"
-                )
         if self._depth >= self.capacity:
             priority = self.slo.priority_for(request.tenant) if self.slo else 0
             evicted = self.evict_newest_below(priority)
@@ -133,26 +102,19 @@ class RequestQueue:
             self._rotation.append(request.tenant)
         tenant_queue.append(request)
         self._depth += 1
-        if cls is not None:
-            self._class_depth[cls.name] = self._class_depth.get(cls.name, 0) + 1
         self.pushed_count += 1
         return evicted
 
     def _eviction_key(self, tenant: str) -> tuple:
         """Victim ordering for one tenant's newest pending request.
 
-        Lowest class priority first, then highest shed weight, then the
-        newest request overall (it has waited least, so evicting it
-        wastes the least standing work); request id breaks exact ties
-        deterministically.
+        Lowest class priority first, then the newest request overall (it
+        has waited least, so evicting it wastes the least standing work);
+        request id breaks exact ties deterministically.
         """
         tail = self._queues[tenant][-1]
-        if self.slo is not None:
-            cls = self.slo.class_for(tenant)
-            priority, weight = cls.priority, cls.shed_weight
-        else:
-            priority, weight = 0, 1.0
-        return (priority, -weight, -tail.enqueue_time, -tail.request_id)
+        priority = self.slo.priority_for(tenant) if self.slo is not None else 0
+        return (priority, -tail.enqueue_time, -tail.request_id)
 
     def peek_eviction_candidate(self, priority: int) -> tuple[tuple, str] | None:
         """The best eviction victim strictly below ``priority``, if any.
@@ -185,50 +147,31 @@ class RequestQueue:
         tenant = candidate[1]
         victim = self._queues[tenant].pop()
         self._depth -= 1
-        self._note_removed(tenant, 1)
         self.evicted_count += 1
         if not self._queues[tenant]:
             self._rotation.remove(tenant)
-            self._drain_credit.pop(tenant, None)
         return victim
 
     # ------------------------------------------------------------------
     # fair draining
     # ------------------------------------------------------------------
     def pop_fair(self, max_n: int) -> list[PendingRequest]:
-        """Pop up to ``max_n`` requests, class-weighted round-robin.
+        """Pop up to ``max_n`` requests, one per tenant turn, round-robin.
 
         Tenants are visited round-robin starting where the previous call
-        stopped; each turn is worth the tenant's class ``drain_weight``
-        slots (deficit round-robin: fractional weights accumulate as
-        credit, bounded by the weight, and a drained tenant forfeits its
-        carry).  Without an SLO policy — or with every class at the
-        default weight 1 — each turn pops exactly one request, so over
-        consecutive batches every active tenant gets an equal share of
-        slots regardless of individual queue depth, bit-identical to the
-        classic rotation.  The rotation holds only tenants with pending
-        work and is keyed by tenant, so tenants draining or arriving
-        mid-rotation never shift whose turn is next.
+        stopped, and each turn pops one request, so over consecutive
+        batches every active tenant gets an equal share of slots
+        regardless of individual queue depth.  The rotation holds only
+        tenants with pending work and is keyed by tenant, so tenants
+        draining or arriving mid-rotation never shift whose turn is next.
         """
         out: list[PendingRequest] = []
         while len(out) < max_n and self._rotation:
             tenant = self._rotation.popleft()
             tenant_queue = self._queues[tenant]
-            weight = (
-                self.slo.class_for(tenant).drain_weight if self.slo else 1.0
-            )
-            credit = self._drain_credit.pop(tenant, 0.0) + weight
-            take = min(max(1, int(credit)), len(tenant_queue), max_n - len(out))
-            for _ in range(take):
-                out.append(tenant_queue.popleft())
-            self._depth -= take
-            self._note_removed(tenant, take)
+            out.append(tenant_queue.popleft())
+            self._depth -= 1
             if tenant_queue:
-                leftover = credit - take
-                if leftover > 0:
-                    # Cap the carry at one turn's weight so an idle spell
-                    # can never bank an unbounded burst.
-                    self._drain_credit[tenant] = min(leftover, weight)
                 self._rotation.append(tenant)
         return out
 
@@ -249,15 +192,13 @@ class RequestQueue:
         requests = list(tenant_queue)
         tenant_queue.clear()
         self._depth -= len(requests)
-        self._note_removed(tenant, len(requests))
         self._rotation.remove(tenant)
-        self._drain_credit.pop(tenant, None)
         return requests
 
     def absorb(self, requests: list[PendingRequest]) -> None:
         """Re-home already-admitted requests onto this queue.
 
-        Unlike :meth:`push` this performs no capacity or quota check and
+        Unlike :meth:`push` this performs no capacity check and
         bumps no admission counter: the requests were admitted once at
         their original shard, and a membership change must never turn an
         admitted request into a shed.  Per-tenant FIFO order and enqueue
@@ -273,20 +214,6 @@ class RequestQueue:
                 self._rotation.append(request.tenant)
             tenant_queue.append(request)
             self._depth += 1
-            if self.slo is not None:
-                name = self.slo.class_for(request.tenant).name
-                self._class_depth[name] = self._class_depth.get(name, 0) + 1
-
-    def _note_removed(self, tenant: str, count: int) -> None:
-        """Release ``count`` admission-quota slots held by ``tenant``."""
-        if self.slo is None or count == 0:
-            return
-        name = self.slo.class_for(tenant).name
-        remaining = self._class_depth.get(name, 0) - count
-        if remaining > 0:
-            self._class_depth[name] = remaining
-        else:
-            self._class_depth.pop(name, None)
 
     # ------------------------------------------------------------------
     # introspection
@@ -295,10 +222,6 @@ class RequestQueue:
     def depth(self) -> int:
         """Pending requests across all tenants."""
         return self._depth
-
-    def depth_by_class(self) -> dict[str, int]:
-        """Pending requests per SLO class (empty without a policy)."""
-        return dict(self._class_depth)
 
     @property
     def tenants(self) -> list[str]:

@@ -78,9 +78,6 @@ class VirtualBatchScheduler:
         self.shard_id = shard_id
         self.policy = policy
         self._ids = id_source if id_source is not None else itertools.count()
-        #: Optional elastic cap on the coalescing target — the EPC-pool
-        #: re-size applied between windows as shards join or leave.
-        self.batch_cap: int | None = None
 
     def _make(
         self,
@@ -108,12 +105,10 @@ class VirtualBatchScheduler:
     # ------------------------------------------------------------------
     @property
     def effective_batch_size(self) -> int:
-        """The coalescing target in force: static ``K``, policy, or pool cap."""
+        """The coalescing target in force: static ``K`` or the policy's."""
         size = self.batch_size
         if self.policy is not None:
             size = min(size, self.policy.batch_size)
-        if self.batch_cap is not None:
-            size = min(size, self.batch_cap)
         return max(1, size)
 
     def current_wait(self) -> float:
@@ -214,11 +209,6 @@ class ShardedBatchScheduler:
 
     def _live(self):
         return (u.scheduler for u in self.units if not u.executor.retired)
-
-    def set_batch_cap(self, cap: int | None) -> None:
-        """Apply an EPC-pool batch-size cap to every live unit."""
-        for scheduler in self._live():
-            scheduler.batch_cap = cap
 
     def collect_ready(self, now: float) -> list[ScheduledBatch]:
         """Flush every full batch available on any unit (size trigger)."""

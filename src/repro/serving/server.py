@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,12 +46,12 @@ from repro.errors import (
     AttestationError,
     BackpressureError,
     ConfigurationError,
-    QuotaExceededError,
     ShardError,
 )
 from repro.gpu import GpuCluster
 from repro.nn import Sequential
 from repro.serving.adaptive import (
+    EPC_HEADROOM,
     AdaptiveFlushPolicy,
     epc_fitting_batch_size,
     estimate_slot_bytes,
@@ -67,7 +66,6 @@ from repro.serving.metrics import (
     SHED_ADMISSION,
     SHED_EVICTED,
     SHED_MALFORMED,
-    SHED_QUOTA,
     ServerMetrics,
 )
 from repro.serving.queue import RequestQueue
@@ -217,14 +215,19 @@ class PrivateInferenceServer:
     ) -> None:
         self.config = config or ServingConfig()
         dk = self.config.darknight
-        if self.config.reuse_coefficients and dk.fresh_coefficients:
-            dk = dataclasses.replace(dk, fresh_coefficients=False)
-        if not dk.per_sample_normalization and dk.dynamic_normalization:
-            # Served logits must not depend on batch composition (and so
-            # not on coalescing, pipelining, or shard routing choices).
-            dk = dataclasses.replace(dk, per_sample_normalization=True)
-        if self.config.precompute and not dk.precompute:
-            dk = dataclasses.replace(dk, precompute=True)
+        # The three backend fields the server owns.  Inference never needs
+        # training's fresh per-step coefficients; served logits must not
+        # depend on batch composition (and so not on coalescing,
+        # pipelining, or shard routing choices); and the deployment has one
+        # precompute switch, the top-level one.
+        dk = dataclasses.replace(
+            dk,
+            fresh_coefficients=False,
+            per_sample_normalization=(
+                dk.per_sample_normalization or dk.dynamic_normalization
+            ),
+            precompute=self.config.precompute,
+        )
         autoscale = self.config.autoscale
         if autoscale is not None:
             # num_shards becomes the *initial* count, clamped into the
@@ -265,24 +268,12 @@ class PrivateInferenceServer:
                 f" elastic max {elastic_max} — provision per-shard hardware"
                 " through DarKnightConfig instead"
             )
-        if (
-            self.config.shard_weights is not None
-            and len(self.config.shard_weights) != n_units
-        ):
-            raise ConfigurationError(
-                f"need one shard weight per routing unit:"
-                f" {len(self.config.shard_weights)} weights for"
-                f" {n_units} units"
-            )
         self._slot_bytes = estimate_slot_bytes(network)
-        if self.config.adaptive is not None:
+        if self.config.adaptive:
             # Size K against the EPC budget *before* provisioning: the
             # enclave encodes (and pads) at the provisioned K, so only a
             # construction-time clamp actually shrinks the working set.
-            budget = int(
-                (dk.epc_budget_bytes or EPC_USABLE_BYTES)
-                * self.config.adaptive.epc_headroom
-            )
+            budget = int((dk.epc_budget_bytes or EPC_USABLE_BYTES) * EPC_HEADROOM)
             fit = epc_fitting_batch_size(
                 dk.virtual_batch_size,
                 self._slot_bytes,
@@ -324,15 +315,7 @@ class PrivateInferenceServer:
         self.mesh = AttestationMesh(
             shards, expected_code_identity=self.config.code_identity
         ).establish()
-        self.router = ShardRouter(
-            n_units,
-            weights=(
-                list(self.config.shard_weights)
-                if self.config.shard_weights is not None
-                else None
-            ),
-            slo=self.config.slo,
-        )
+        self.router = ShardRouter(n_units, slo=self.config.slo)
         #: Every routing unit ever deployed, indexed by unit id (retired
         #: ones stay in place).  The scheduler, session manager and pool
         #: below share this list; only :meth:`_add_unit` grows it.
@@ -347,9 +330,7 @@ class PrivateInferenceServer:
             self.router,
             sessions=self.sessions,
             on_feedback=(
-                self.scheduler.observe_feedback
-                if self.config.adaptive is not None
-                else None
+                self.scheduler.observe_feedback if self.config.adaptive else None
             ),
             slo=self.config.slo,
             audit=self.audit,
@@ -360,7 +341,6 @@ class PrivateInferenceServer:
         self._inflight: list[float] = []
         #: The trace replay's simulated clock (drives autoscale timing).
         self._clock = 0.0
-        self._apply_epc_pool()
 
     @property
     def shards(self) -> list[EnclaveShard]:
@@ -442,12 +422,11 @@ class PrivateInferenceServer:
         )
         batch_size = dk.virtual_batch_size if self.config.coalesce else 1
         policy = None
-        if self.config.adaptive is not None:
+        if self.config.adaptive:
             slo = self.config.slo
             policy = AdaptiveFlushPolicy(
                 batch_size,
                 self.config.max_batch_wait,
-                config=self.config.adaptive,
                 slot_bytes=self._slot_bytes,
                 epc_budget_bytes=dk.epc_budget_bytes or EPC_USABLE_BYTES,
                 collusion_tolerance=dk.collusion_tolerance,
@@ -500,10 +479,7 @@ class PrivateInferenceServer:
         every response independent of which unit (and which co-batch)
         served it.  Returns the new unit's id.
         """
-        asc = self.autoscale_config
-        unit_id, remap = self.router.add_shard(
-            max_migrations=asc.max_session_migrations if asc is not None else None
-        )
+        unit_id, remap = self.router.add_shard()
         n = self.partition.n_stages
         shards = [self._provision(unit_id * n + k) for k in range(n)]
         for shard in shards:
@@ -535,7 +511,6 @@ class PrivateInferenceServer:
                     "provision", shard.shard_id, now, details=details
                 )
         self.metrics.record_scale(ACTION_SCALE_OUT)
-        self._apply_epc_pool()
         self._invalidate_precompute()
         return unit_id
 
@@ -617,16 +592,15 @@ class PrivateInferenceServer:
                     details={"batches_run": int(shard.batches_run)},
                 )
         self.metrics.record_scale(ACTION_SCALE_IN)
-        self._apply_epc_pool()
         self._invalidate_precompute()
 
     def _invalidate_precompute(self) -> None:
         """Drop every live shard's cached weight encodings.
 
         Called after each membership change: a provision or retire
-        re-shapes routing and (under a shared EPC pool) the coalescing
-        target, so cached per-layer encodings must be re-validated by
-        the next window rather than trusted across the topology change.
+        re-shapes routing, so cached per-layer encodings must be
+        re-validated by the next window rather than trusted across the
+        topology change.
         Mask pools are deliberately untouched — their counters must keep
         advancing for pooled/inline bit-identity.
         """
@@ -673,40 +647,6 @@ class PrivateInferenceServer:
         )
         return agg
 
-    def _apply_epc_pool(self) -> None:
-        """Re-size ``K`` between windows against the shared EPC pool.
-
-        With ``autoscale.epc_pool_bytes`` set, the deployment's EPC is a
-        shared budget: fewer live shards each get a larger slice (larger
-        coalescing target), more shards a smaller one.  The cap only ever
-        *shrinks* batches below the provisioned ``K`` — the enclaves
-        encode at the provisioned size, so per-sample normalization keeps
-        logits bit-identical at every cap.
-        """
-        asc = self.autoscale_config
-        if asc is None or asc.epc_pool_bytes is None:
-            return
-        headroom = (
-            self.config.adaptive.epc_headroom
-            if self.config.adaptive is not None
-            else 0.9
-        )
-        per_shard = int(
-            asc.epc_pool_bytes / max(1, len(self._live_shards())) * headroom
-        )
-        dk = self.darknight
-        fit = epc_fitting_batch_size(
-            dk.virtual_batch_size,
-            self._slot_bytes,
-            per_shard,
-            dk.collusion_tolerance,
-            dk.extra_shares,
-            dk.pipeline_depth,
-        )
-        self.scheduler.set_batch_cap(
-            fit if fit < dk.virtual_batch_size else None
-        )
-
     def _autoscale_tick(self, now: float) -> None:
         """Run one control-loop evaluation and execute its decision."""
         if self.autoscale_config is None:
@@ -716,13 +656,7 @@ class PrivateInferenceServer:
             return
         depths = {u.unit_id: u.queue.depth for u in live}
         busy = {u.unit_id: u.executor.busy_time for u in live}
-        attainment = self.metrics.slo_attainment()
-        action, reason = self.autoscaler.evaluate(
-            now,
-            depths,
-            busy,
-            attainment=attainment if math.isfinite(attainment) else None,
-        )
+        action, reason = self.autoscaler.evaluate(now, depths, busy)
         if action == ACTION_SCALE_OUT:
             shard_id = self.provision_shard(now)
         elif action == ACTION_SCALE_IN:
@@ -786,8 +720,7 @@ class PrivateInferenceServer:
             return
         unit = self.units[shard_id]
         session = unit.sessions.connect(event.tenant, now)
-        if self.config.encrypt_requests:
-            x = session.decrypt_request(session.encrypt_request(x))
+        x = session.decrypt_request(session.encrypt_request(x))
         request = PendingRequest(
             request_id=self._next_request_id,
             tenant=event.tenant,
@@ -828,8 +761,7 @@ class PrivateInferenceServer:
                 self._record_eviction(evicted, request)
             unit.scheduler.observe_arrival(now)
         except BackpressureError as exc:
-            kind = SHED_QUOTA if isinstance(exc, QuotaExceededError) else SHED_ADMISSION
-            self.metrics.record_shed(event.tenant, kind=kind)
+            self.metrics.record_shed(event.tenant, kind=SHED_ADMISSION)
             self._outcomes.append(
                 RequestOutcome(
                     request_id=request.request_id,
@@ -859,7 +791,7 @@ class PrivateInferenceServer:
         """Evict the best lower-priority victim across every shard queue.
 
         Candidates are compared with the queue's own ordering (lowest
-        class priority, highest shed weight, newest), so the deployment
+        class priority, then newest), so the deployment
         sheds the globally least-defensible pending request.  ``None``
         when no pending request ranks strictly below the arrival.
         """
@@ -912,7 +844,7 @@ class PrivateInferenceServer:
         for outcome in outcomes:
             heapq.heappush(self._inflight, outcome.completion_time)
             self.metrics.record_outcome(outcome)
-            if outcome.ok and self.config.encrypt_requests:
+            if outcome.ok:
                 session = self.sessions.connect(outcome.tenant)
                 envelope = session.encrypt_response(outcome.logits)
                 session.decrypt_response(envelope)

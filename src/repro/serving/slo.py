@@ -3,8 +3,8 @@
 Until now every tenant shared one global flush deadline, one
 priority-blind shed policy, and a decode-first executor tie-break.  This
 module introduces the vocabulary the whole request path speaks instead:
-an :class:`SloClass` names a latency budget, a priority, and a shed
-weight, and an :class:`SloPolicy` assigns tenants to classes.  Four
+an :class:`SloClass` names a latency budget and a priority, and an
+:class:`SloPolicy` assigns tenants to classes.  Four
 layers consume it:
 
 * **admission** — a full queue evicts the newest lowest-priority pending
@@ -20,7 +20,7 @@ layers consume it:
 * **placement** — the router pins premium tenants onto lightly-loaded
   shards instead of walking the hash ring.
 
-The default :class:`SloClass` (infinite budget, priority 0, weight 1) is
+The default :class:`SloClass` (infinite budget, priority 0) is
 *exactly* today's behavior: a policy whose every class is default — or no
 policy at all — serves bit-identical outcomes to previous releases
 (asserted in ``benchmarks/bench_slo_classes.py``).
@@ -66,31 +66,11 @@ class SloClass:
         strictly lower-priority class instead of being shed.  Equal
         priorities never evict each other (the default class at
         priority 0 therefore sheds arrivals exactly as before).
-    shed_weight:
-        Relative willingness to be evicted among equally-low-priority
-        victims (higher sheds first); a tie-break, not a rate.
-    drain_weight:
-        Virtual-batch slots the tenant's turn is worth when the queue
-        drains round-robin: a class with weight ``w`` pops up to ``w``
-        requests per rotation (fractions accumulate as deficit credit),
-        so premium tenants drain proportionally under contention instead
-        of strictly one-per-turn.  The default ``1.0`` is bit-identical
-        to the classic rotation.
-    admission_share:
-        Maximum fraction of the queue's capacity this class's pending
-        requests may occupy at admission (at least one slot is always
-        allowed).  Caps floods in *both* directions: a premium burst can
-        no longer evict every best-effort request out of the queue, and a
-        best-effort backlog cannot monopolise it either.  The default
-        ``1.0`` (no cap) is exactly the previous behavior.
     """
 
     name: str = DEFAULT_CLASS_NAME
     latency_budget: float = math.inf
     priority: int = 0
-    shed_weight: float = 1.0
-    drain_weight: float = 1.0
-    admission_share: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -99,23 +79,6 @@ class SloClass:
             raise ConfigurationError(
                 f"latency budget must be > 0 seconds, got {self.latency_budget}"
             )
-        if self.shed_weight < 0:
-            raise ConfigurationError(
-                f"shed weight must be >= 0, got {self.shed_weight}"
-            )
-        if self.drain_weight < 1.0:
-            raise ConfigurationError(
-                f"drain weight must be >= 1 (a turn cannot shrink below one"
-                f" slot), got {self.drain_weight}"
-            )
-        if not 0.0 < self.admission_share <= 1.0:
-            raise ConfigurationError(
-                f"admission share must be in (0, 1], got {self.admission_share}"
-            )
-
-    def admission_cap(self, capacity: int) -> int:
-        """Queue slots this class may occupy out of ``capacity`` (>= 1)."""
-        return max(1, int(self.admission_share * capacity))
 
     @property
     def flush_budget(self) -> float:
@@ -215,9 +178,6 @@ class SloPolicy:
                     cls.latency_budget if math.isfinite(cls.latency_budget) else None
                 ),
                 "priority": cls.priority,
-                "shed_weight": cls.shed_weight,
-                "drain_weight": cls.drain_weight,
-                "admission_share": cls.admission_share,
                 "tenants": sorted(
                     t for t, n in self.assignments.items() if n == cls.name
                 ),

@@ -10,14 +10,9 @@ materially more tenants than the lightest shard, the new tenant is pinned
 to the lightest shard instead.  Hashing is keyed (BLAKE2b), not Python's
 randomized ``hash``, so placements are reproducible across runs.
 
-Heterogeneous deployments weight the ring: a shard with weight ``w``
-contributes ``w`` times the virtual nodes and its pin count is compared
-*normalized by weight*, so a double-capacity shard legitimately carries
-about twice the tenants before the balancer diverts anyone.
-
 With an :class:`~repro.serving.slo.SloPolicy`, placement is additionally
 SLO-aware: tenants of above-default priority skip the hash walk and pin
-straight to the lightest (weight-normalized) healthy shard, spreading
+straight to the lightest healthy shard, spreading
 premium traffic across the least-contended enclaves instead of wherever
 the ring happens to land them.
 
@@ -28,14 +23,14 @@ each displaced tenant's attested session.
 
 Membership is *dynamic*: :meth:`ShardRouter.add_shard` inserts a new
 shard's virtual nodes into the live ring and re-pins only the bounded
-set of tenants consistent hashing says now belong to it (about
-``pins / n_live``, optionally capped), and :meth:`ShardRouter.
+set of tenants consistent hashing says now belong to it (at most
+``ceil(pins / n_live)``), and :meth:`ShardRouter.
 remove_shard` retires a shard gracefully — its tenants re-place through
 the normal rule, with :meth:`ShardRouter.begin_drain` available first so
 a draining shard stops receiving *new* tenants while its existing pins
 keep routing until the migration completes.  Constructing with
-``n_shards`` remains exactly equivalent to adding that many unit-weight
-shards up front, so every pre-elastic call site behaves unchanged.
+``n_shards`` puts exactly the virtual nodes on the ring that adding that
+many shards one by one would.
 """
 
 from __future__ import annotations
@@ -61,21 +56,14 @@ class ShardRouter:
     n_shards:
         Shards in the deployment (ids ``0..n_shards-1``).
     replicas:
-        Virtual nodes per *unit of weight* on the hash ring; more
-        replicas smooth the hash distribution at slightly more setup
-        cost.
+        Virtual nodes per shard on the hash ring; more replicas smooth
+        the hash distribution at slightly more setup cost.
     rebalance_margin:
-        How many more pinned tenants (per unit of weight) the ring's
+        How many more pinned tenants the ring's
         candidate may carry than the least-loaded shard before a *new*
         tenant is diverted to the latter.  ``1`` balances aggressively
         (hash placement only breaks ties); larger values preserve hash
         affinity under skew.
-    weights:
-        Optional per-shard capacity weights for heterogeneous
-        deployments; a weight-2 shard gets twice the virtual nodes and
-        is expected to carry about twice the pins.  ``None`` (the
-        default) weighs every shard 1.0 — ring and balancing identical
-        to the homogeneous router.
     slo:
         Optional :class:`~repro.serving.slo.SloPolicy`.  Tenants whose
         class priority exceeds the default class's pin to the lightest
@@ -88,7 +76,6 @@ class ShardRouter:
         n_shards: int,
         replicas: int = 48,
         rebalance_margin: int = 2,
-        weights: list[float] | None = None,
         slo=None,
     ) -> None:
         if n_shards < 1:
@@ -99,23 +86,14 @@ class ShardRouter:
             raise ConfigurationError(
                 f"rebalance margin must be >= 1, got {rebalance_margin}"
             )
-        if weights is not None:
-            if len(weights) != n_shards:
-                raise ConfigurationError(
-                    f"need one weight per shard: {len(weights)} weights"
-                    f" for {n_shards} shards"
-                )
-            if any(w <= 0 for w in weights):
-                raise ConfigurationError(f"shard weights must be > 0, got {weights}")
         self.n_shards = n_shards
         self.replicas = replicas
         self.rebalance_margin = rebalance_margin
-        self.weights = [1.0] * n_shards if weights is None else [float(w) for w in weights]
         self.slo = slo
         ring = [
             (_stable_hash(f"shard{shard}/vnode{replica}"), shard)
             for shard in range(n_shards)
-            for replica in range(max(1, round(replicas * self.weights[shard])))
+            for replica in range(replicas)
         ]
         ring.sort()
         self._ring_keys = [h for h, _ in ring]
@@ -154,15 +132,9 @@ class ShardRouter:
         """Shard ids eligible for *new* pins (healthy and not draining)."""
         return [s for s in self.healthy_shards() if s not in self._draining]
 
-    def _normalized_load(self, shard: int) -> float:
-        """Pinned tenants per unit of shard weight."""
-        return self._load[shard] / self.weights[shard]
-
     def _lightest_shard(self) -> int:
-        """The placeable shard with the lowest weight-normalized load."""
-        return min(
-            self.placeable_shards(), key=lambda s: (self._normalized_load(s), s)
-        )
+        """The placeable shard with the fewest pinned tenants."""
+        return min(self.placeable_shards(), key=lambda s: (self._load[s], s))
 
     def ring_candidate(self, tenant: str) -> int:
         """The consistent-hashing placement, skipping unplaceable shards."""
@@ -187,8 +159,8 @@ class ShardRouter:
         """The tenant's pinned shard, placing (and pinning) on first sight.
 
         New default-class tenants take the ring candidate unless it is
-        already carrying ``rebalance_margin`` more pinned tenants (per
-        unit of weight) than the lightest healthy shard, in which case
+        already carrying ``rebalance_margin`` more pinned tenants than
+        the lightest healthy shard, in which case
         the lightest shard wins (deterministic tie break toward the
         lowest shard id).  New above-default-priority tenants pin
         straight to the lightest shard.
@@ -218,10 +190,7 @@ class ShardRouter:
         else:
             candidate = self.ring_candidate(tenant)
             lightest = self._lightest_shard()
-            if (
-                self._normalized_load(candidate) - self._normalized_load(lightest)
-                >= self.rebalance_margin
-            ):
+            if self._load[candidate] - self._load[lightest] >= self.rebalance_margin:
                 candidate = lightest
                 if count_as_rebalance:
                     self.rebalanced += 1
@@ -266,39 +235,32 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # dynamic membership
     # ------------------------------------------------------------------
-    def add_shard(
-        self, weight: float = 1.0, max_migrations: int | None = None
-    ) -> tuple[int, dict[str, int]]:
+    def add_shard(self) -> tuple[int, dict[str, int]]:
         """Insert a new shard into the live ring with bounded re-pinning.
 
         The new shard gets the next monotonic id (failed and retired ids
         are never reused, so router ids stay aligned with the server's
-        shard list), ``weight`` virtual-node share on the ring, and an
-        empty load slot.  Existing pinned tenants move only when the
-        updated ring says the new shard is now their candidate — about
-        ``pins / n_placeable`` tenants for unit weight — topped up from
-        the heaviest shard while the load gap exceeds
-        ``rebalance_margin``, with the total move count capped by
-        ``max_migrations`` (default: ``ceil(pins / n_placeable)``).
+        shard list), ``replicas`` virtual nodes on the ring, and an empty
+        load slot.  Existing pinned tenants move only when the updated
+        ring says the new shard is now their candidate — about
+        ``pins / n_placeable`` tenants — topped up from the heaviest
+        shard while the load gap exceeds ``rebalance_margin``, with the
+        total move count capped at ``ceil(pins / n_placeable)``.
 
         Returns ``(shard_id, remap)`` where ``remap`` maps each moved
         tenant to the new shard, in deterministic first-pinned order, so
         the session layer can migrate attested sessions in lockstep.
         """
-        if weight <= 0:
-            raise ConfigurationError(f"shard weight must be > 0, got {weight}")
         shard_id = self.n_shards
         self.n_shards += 1
-        self.weights.append(float(weight))
         self._load.append(0)
-        for replica in range(max(1, round(self.replicas * weight))):
+        for replica in range(self.replicas):
             key = _stable_hash(f"shard{shard_id}/vnode{replica}")
             at = bisect.bisect_left(self._ring_keys, key)
             self._ring_keys.insert(at, key)
             self._ring_shards.insert(at, shard_id)
         n_placeable = len(self.placeable_shards())
-        if max_migrations is None:
-            max_migrations = math.ceil(len(self._pins) / max(1, n_placeable))
+        max_migrations = math.ceil(len(self._pins) / max(1, n_placeable))
         remap: dict[str, int] = {}
         # Pass 1: tenants whose ring candidate the new shard now is.
         for tenant, pinned in list(self._pins.items()):
@@ -314,14 +276,9 @@ class ShardRouter:
         # Pass 2: drain the heaviest shard while the imbalance the new
         # shard was provisioned to fix still exceeds the margin.
         while len(remap) < max_migrations:
-            heaviest = max(
-                self.placeable_shards(),
-                key=lambda s: (self._normalized_load(s), -s),
-            )
+            heaviest = max(self.placeable_shards(), key=lambda s: (self._load[s], -s))
             if heaviest == shard_id or (
-                self._normalized_load(heaviest)
-                - self._normalized_load(shard_id)
-                < self.rebalance_margin
+                self._load[heaviest] - self._load[shard_id] < self.rebalance_margin
             ):
                 break
             movable = [

@@ -495,7 +495,6 @@ def test_replay_of_adaptive_k_window_uses_the_effective_config():
     config keeps provisioning well-formed."""
     from repro.runtime import DarKnightConfig
     from repro.serving import (
-        AdaptiveBatchingConfig,
         AuditConfig,
         PrivateInferenceServer,
         ServingConfig,
@@ -508,7 +507,7 @@ def test_replay_of_adaptive_k_window_uses_the_effective_config():
     config = ServingConfig(
         darknight=dk,
         audit=AuditConfig(),
-        adaptive=AdaptiveBatchingConfig(),
+        adaptive=True,
     )
     server = PrivateInferenceServer(_net(), config)
     assert server.darknight.virtual_batch_size < 8  # the clamp happened

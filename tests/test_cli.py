@@ -14,12 +14,7 @@ import pytest
 from repro.cli import _serve_parser, _serving_config, main, parse_seed_flag
 from repro.pipeline.timing import StageCostModel
 from repro.runtime import DarKnightConfig
-from repro.serving import (
-    AdaptiveBatchingConfig,
-    AuditConfig,
-    AutoscaleConfig,
-    ServingConfig,
-)
+from repro.serving import AuditConfig, AutoscaleConfig, ServingConfig
 
 
 def test_module_entry_point_prints_report(capsys):
@@ -326,7 +321,7 @@ def test_serve_with_config_file_round_trips(tmp_path, capsys):
     rc = main(["serve", "--config", str(path), "--requests", "16", "--seed", "0"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "adaptive K=" in out  # the file's adaptive section took effect
+    assert "adaptive K=" in out  # the file's adaptive switch took effect
     assert "completed requests  | 16" in out
 
 
@@ -412,7 +407,7 @@ def test_serve_autoscale_smoke(capsys):
         '{"adaptive": [1]}',
         '{"audit": true}',
         '{"slo": "premium"}',
-        '{"shard_weights": "ab"}',
+        '{"autoscale": 3}',
         '{"partition": 2}',
         '["not", "an", "object"]',
     ],
@@ -448,12 +443,12 @@ def _configured(*argv) -> ServingConfig:
         ("darknight", DarKnightConfig, "integrity", True),
         ("darknight", DarKnightConfig, "epc_budget_bytes", 4096),
         ("stage_costs", StageCostModel, "stage_overhead", 0.5),
-        ("adaptive", AdaptiveBatchingConfig, "target_fill", 0.9),
+        ("autoscale", AutoscaleConfig, "queue_high", 8.0),
         ("audit", AuditConfig, "log_dir", "some/dir"),
         ("autoscale", AutoscaleConfig, "max_shards", 6),
         (None, ServingConfig, "partition", "layered:2"),
         (None, ServingConfig, "coalesce", False),
-        (None, ServingConfig, "shard_weights", (2.0, 1.0)),
+        (None, ServingConfig, "adaptive", False),
     ],
 )
 def test_set_is_dataclasses_replace_on_the_same_field(section, cls, name, value):
@@ -472,13 +467,13 @@ def test_set_is_dataclasses_replace_on_the_same_field(section, cls, name, value)
 
 
 def test_set_applies_in_order_and_null_removes_a_section():
-    assert _configured("--set", "adaptive={}").adaptive == AdaptiveBatchingConfig()
-    assert _configured("--config", "latency", "--set", "adaptive=null").adaptive is None
+    assert _configured("--set", "audit={}").audit == AuditConfig()
+    assert _configured("--config", "audited", "--set", "audit=null").audit is None
     cfg = _configured(
-        "--set", "adaptive.target_fill=0.5", "--set", "adaptive=null",
-        "--set", "adaptive.min_wait=0.001",
+        "--set", "audit.log_dir=trail", "--set", "audit=null",
+        "--set", "audit.model=tiny",
     )
-    assert cfg.adaptive == AdaptiveBatchingConfig(min_wait=0.001)
+    assert cfg.audit == AuditConfig(model="tiny")
 
 
 def test_presets_can_be_switched_off(capsys):
@@ -487,7 +482,7 @@ def test_presets_can_be_switched_off(capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0 and "integrity=off" in out and "audit chain heads" in out
-    rc = main(["serve", "--config", "latency", "--requests", "8", "--set", "adaptive=null"])
+    rc = main(["serve", "--config", "latency", "--requests", "8", "--set", "adaptive=false"])
     out = capsys.readouterr().out
     assert rc == 0 and "coalesced K=4" in out and "adaptive" not in out
 
@@ -496,7 +491,7 @@ def test_presets_can_be_switched_off(capsys):
     "assignment,needle",
     [
         ("darknight.typo=1", "['typo'] in darknight"),
-        ("adaptive.target_fill.x=1", "adaptive.target_fill: expected"),
+        ("autoscale.queue_high.x=1", "autoscale.queue_high: expected"),
         ("no_such_section.field=1", "['no_such_section']"),
         ("darknight.integrity=yes", "darknight.integrity: expected"),
         ("darknight.integrity", "expects key=value"),
@@ -516,8 +511,8 @@ def test_serve_parser_mirrors_no_config_field():
     ``darknight.seed`` default from them, not the other way round.
     """
     sections = (
-        ServingConfig, DarKnightConfig, AdaptiveBatchingConfig,
-        AutoscaleConfig, AuditConfig, StageCostModel,
+        ServingConfig, DarKnightConfig, AutoscaleConfig, AuditConfig,
+        StageCostModel,
     )
     fields = {
         "--" + f.name.replace("_", "-") for cls in sections for f in dataclasses.fields(cls)

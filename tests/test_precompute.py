@@ -10,7 +10,6 @@ rebuild) — plus the steady-state acceptance bar: a warmed-up flush
 window generates no inline masks and re-stages no weights.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -58,9 +57,10 @@ def _serve(precompute, trace, *, num_shards=1, partition="replicated",
         seed=seed,
         num_shards=num_shards,
         pipeline_depth=pipeline_depth,
-        precompute=precompute,
     )
-    config = ServingConfig(darknight=dk, partition=partition, queue_capacity=512)
+    config = ServingConfig(
+        darknight=dk, partition=partition, queue_capacity=512, precompute=precompute
+    )
     server = PrivateInferenceServer(_tiny_net(), config)
     return server, server.serve_trace(trace)
 
@@ -415,10 +415,7 @@ def test_weight_cache_invalidates_on_membership_change():
     dk = DarKnightConfig(virtual_batch_size=4, seed=7, num_shards=2)
     on = PrivateInferenceServer(
         _tiny_net(),
-        ServingConfig(
-            darknight=dataclasses.replace(dk, precompute=True),
-            queue_capacity=512,
-        ),
+        ServingConfig(darknight=dk, queue_capacity=512, precompute=True),
     )
     trace = synthetic_trace(16, (16,), n_tenants=3, seed=11)
     on.serve_trace(trace)
@@ -435,10 +432,7 @@ def test_weight_cache_invalidates_on_membership_change():
     fresh = {
         precompute: PrivateInferenceServer(
             _tiny_net(),
-            ServingConfig(
-                darknight=dataclasses.replace(dk, precompute=precompute),
-                queue_capacity=512,
-            ),
+            ServingConfig(darknight=dk, queue_capacity=512, precompute=precompute),
         )
         for precompute in (False, True)
     }
@@ -742,9 +736,9 @@ def test_reroute_without_slo_leaves_deadline_unset():
 def test_metrics_snapshot_is_strict_json_when_pool_never_drawn():
     """A precompute server that served nothing must still snapshot to
     strict JSON — no ``inf``/``NaN`` from empty pool or cache stats."""
-    dk = DarKnightConfig(virtual_batch_size=4, seed=0, precompute=True)
+    dk = DarKnightConfig(virtual_batch_size=4, seed=0)
     server = PrivateInferenceServer(
-        _tiny_net(), ServingConfig(darknight=dk, queue_capacity=16)
+        _tiny_net(), ServingConfig(darknight=dk, queue_capacity=16, precompute=True)
     )
     report = server.serve_trace([])
     snap = report.metrics.snapshot()
@@ -761,6 +755,19 @@ def test_precompute_report_line_renders_after_serving():
     assert report.precompute["hit_rate"] is not None
     assert "precompute: pool hit rate" in report.render()
     json.dumps(report.metrics.snapshot(), allow_nan=False)
+
+
+def test_the_serving_config_is_the_one_precompute_switch():
+    """The server derives ``darknight.precompute`` from the top-level field:
+    a backend flag the deployment did not ask for is not served."""
+    dk = DarKnightConfig(virtual_batch_size=4, seed=0, precompute=True)
+    server = PrivateInferenceServer(
+        _tiny_net(), ServingConfig(darknight=dk, precompute=False, queue_capacity=16)
+    )
+    assert server.darknight.precompute is False
+    report = server.serve_trace(synthetic_trace(8, (16,), n_tenants=2, seed=1))
+    assert len(report.completed) == 8
+    assert report.precompute is None
 
 
 def test_serving_config_round_trips_precompute():

@@ -1,4 +1,4 @@
-"""Structural check: every public symbol of ``repro`` has a caller.
+"""Structural checks: every public symbol and every serving option has a caller.
 
 A public function, class or export that no module of the package, no
 benchmark and no example names is not part of the reproduction: it is code
@@ -12,10 +12,22 @@ A symbol's own definition, its ``import`` lines and its ``__all__`` entry
 are not uses (none of them is a ``Name`` or an ``Attribute``); any other use
 in its own module is.  String constants count under ``benchmarks/`` only,
 where the end-to-end benchmark wraps some callables by name.
+
+The same rule holds for options: a field of the serving configuration that
+only a test sets is a knob nobody turns (see
+:func:`test_every_serving_option_is_set_outside_the_tests`).
 """
 
 import ast
+import dataclasses
+import inspect
+import re
+import typing
 from pathlib import Path
+
+from repro.pipeline.timing import StageCostModel
+from repro.runtime.config import DarKnightConfig
+from repro.serving.config import ServingConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -76,3 +88,87 @@ def test_every_public_symbol_is_reached_outside_the_tests():
     used = _used_names()
     unreached = sorted({f"{where} {name}" for where, name in symbols if name not in used})
     assert not unreached, "\n".join(unreached)
+
+
+# ----------------------------------------------------------------------
+# every serving option is set by a caller
+# ----------------------------------------------------------------------
+#: Sections the option walk does not enter.  ``DarKnightConfig`` is the
+#: paper's parameter set (``K``, ``M``, the integrity share and the field
+#: ``p``, Algorithm 2's sealed aggregation, the normalisation mode whose
+#: failure the paper demonstrates, and ``validate_decode``, the float
+#: reference the tests compare against): its fields state the protocol,
+#: not a serving policy.  ``StageCostModel`` is the simulated clock's price
+#: list, whose rates are to be fitted from measured stage spans (ROADMAP's
+#: exhibits item), not chosen per deployment.
+_NOT_SERVING_POLICY = (DarKnightConfig, StageCostModel)
+
+
+def _sections(hint):
+    """Yield the dataclasses a field annotated ``hint`` can hold."""
+    if typing.get_origin(hint) is dict:
+        hint = typing.get_args(hint)[1]
+    for arg in typing.get_args(hint) or (hint,):
+        if dataclasses.is_dataclass(arg) and arg not in _NOT_SERVING_POLICY:
+            yield arg
+
+
+def _serving_options():
+    """Yield ``(section, field name)`` for every option of the config tree."""
+    todo, seen = [ServingConfig], set()
+    while todo:
+        section = todo.pop()
+        if section in seen:
+            continue
+        seen.add(section)
+        hints = typing.get_type_hints(section)
+        for f in dataclasses.fields(section):
+            yield section, f.name
+            todo.extend(_sections(hints[f.name]))
+
+
+def _settings() -> dict[str, set[Path]]:
+    """Each name a caller sets, with the files that set it.
+
+    A keyword argument in a call sets its name; so does ``name=`` inside
+    a string constant (a ``--set path=value`` edit or a ``field=value``
+    spec).
+    """
+    assigned = re.compile(r"(?<![\w])(\w+)=")
+    found: dict[str, set[Path]] = {}
+    for directory in CALLER_DIRS:
+        for path, tree in _trees(directory):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.keyword) and node.arg is not None:
+                    found.setdefault(node.arg, set()).add(path)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    for name in assigned.findall(node.value):
+                        found.setdefault(name, set()).add(path)
+    return found
+
+
+def test_every_serving_option_is_set_outside_the_tests():
+    """A field of the ``ServingConfig`` tree that only tests set goes.
+
+    Each field must be set by a call or a ``--set``-style string somewhere
+    under ``src/``, ``benchmarks/`` or ``examples/`` other than the module
+    that defines it.  A field whose default carries live behaviour becomes
+    a constant; one whose default is the off value goes with the code path
+    it alone switches on.
+    """
+    settings = _settings()
+    unset = sorted(
+        f"{section.__name__}.{name}"
+        for section, name in _serving_options()
+        if not settings.get(name, set()) - {Path(inspect.getsourcefile(section))}
+    )
+    assert not unset, "\n".join(unset)
+
+
+def test_the_option_walk_stops_at_the_paper_and_the_clock():
+    """The walk covers every serving section and neither excluded one."""
+    sections = {section for section, _ in _serving_options()}
+    assert {s.__name__ for s in sections} == {
+        "ServingConfig", "AutoscaleConfig", "SloPolicy", "SloClass", "AuditConfig",
+    }
+    assert not sections & set(_NOT_SERVING_POLICY)

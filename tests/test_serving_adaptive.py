@@ -8,6 +8,8 @@ static mode stays bit-identical to a server that has never heard of the
 feature.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from repro.errors import ConfigurationError
 from repro.nn import Dense, ReLU, Sequential
 from repro.runtime import DarKnightConfig
 from repro.serving import (
-    AdaptiveBatchingConfig,
     AdaptiveFlushPolicy,
     PendingRequest,
     PrivateInferenceServer,
@@ -28,6 +29,13 @@ from repro.serving import (
     estimate_slot_bytes,
     synthetic_trace,
     working_set_bytes,
+)
+from repro.serving.adaptive import (
+    EPC_HEADROOM,
+    EWMA_ALPHA,
+    MIN_WAIT,
+    TARGET_FILL,
+    WARMUP_ARRIVALS,
 )
 
 
@@ -46,17 +54,17 @@ def _policy(**kwargs):
 # policy unit behaviour
 # ----------------------------------------------------------------------
 def test_static_deadline_until_warmup_completes():
-    policy = _policy(config=AdaptiveBatchingConfig(warmup_arrivals=5))
-    for i in range(4):
+    policy = _policy()
+    for i in range(WARMUP_ARRIVALS - 1):
         policy.observe_arrival(i * 1e-4)
         assert policy.current_wait() == policy.ceiling
-    policy.observe_arrival(5e-4)
+    policy.observe_arrival(WARMUP_ARRIVALS * 1e-4)
     assert policy.current_wait() < policy.ceiling
 
 
 def test_deadline_tracks_the_arrival_rate():
-    fast = _policy(config=AdaptiveBatchingConfig(warmup_arrivals=0))
-    slow = _policy(config=AdaptiveBatchingConfig(warmup_arrivals=0))
+    fast = _policy()
+    slow = _policy()
     for i in range(20):
         fast.observe_arrival(i * 1e-4)
         slow.observe_arrival(i * 3e-3)
@@ -65,7 +73,7 @@ def test_deadline_tracks_the_arrival_rate():
 
 def test_gaps_are_winsorized_at_the_ceiling():
     """A burst boundary (gap >> ceiling) must not blind the EWMA."""
-    policy = _policy(config=AdaptiveBatchingConfig(warmup_arrivals=0))
+    policy = _policy()
     t = 0.0
     for _ in range(20):
         t += 2e-4
@@ -77,8 +85,7 @@ def test_gaps_are_winsorized_at_the_ceiling():
 
 
 def test_premature_flush_probe_relaxes_and_free_flush_tightens():
-    cfg = AdaptiveBatchingConfig(warmup_arrivals=0)
-    relax = _policy(config=cfg)
+    relax = _policy()
     for i in range(10):
         relax.observe_arrival(i * 1e-3)
     stretch_before = relax._stretch
@@ -89,7 +96,7 @@ def test_premature_flush_probe_relaxes_and_free_flush_tightens():
     assert relax.premature_flushes == 1
     assert relax._stretch > stretch_before
 
-    tighten = _policy(config=cfg)
+    tighten = _policy()
     for i in range(10):
         tighten.observe_arrival(i * 1e-3)
     stretch_before = tighten._stretch
@@ -101,7 +108,7 @@ def test_premature_flush_probe_relaxes_and_free_flush_tightens():
 
 
 def test_ceiling_bound_partials_carry_no_relax_signal():
-    policy = _policy(config=AdaptiveBatchingConfig(warmup_arrivals=0))
+    policy = _policy()
     for i in range(10):
         policy.observe_arrival(i * 1e-3)
     policy.observe_flush("deadline", 1, wait_used=policy.ceiling, flush_time=0.02)
@@ -110,7 +117,7 @@ def test_ceiling_bound_partials_carry_no_relax_signal():
 
 
 def test_service_feedback_raises_the_floor():
-    policy = _policy(config=AdaptiveBatchingConfig(warmup_arrivals=0))
+    policy = _policy()
     for i in range(20):
         policy.observe_arrival(i * 1e-5)  # very fast arrivals -> tiny wait
     lean = policy.current_wait()
@@ -126,19 +133,27 @@ def test_service_feedback_raises_the_floor():
     assert policy.current_wait() > lean
 
 
+def test_gap_ewma_folds_at_the_module_alpha():
+    policy = _policy()
+    for t in (0.0, 1e-3, 3e-3):
+        policy.observe_arrival(t)
+    snap = policy.snapshot()
+    assert snap["gap_ewma"] == pytest.approx(EWMA_ALPHA * 2e-3 + (1 - EWMA_ALPHA) * 1e-3)
+    assert snap["wait_floor"] == MIN_WAIT and snap["wait_ceiling"] == 0.01
+
+
+def test_a_flush_at_the_target_fill_tightens_and_below_it_probes():
+    policy = _policy()
+    full = math.ceil(TARGET_FILL * policy.batch_size)
+    stretch = policy._stretch
+    policy.observe_flush("deadline", full, wait_used=1e-3, flush_time=0.01)
+    assert policy._stretch < stretch and policy.partial_deadline_flushes == 0
+    policy.observe_flush("deadline", full - 1, wait_used=1e-3, flush_time=0.02)
+    assert policy.partial_deadline_flushes == 1
+    assert list(policy._probes) == [(0.02, 0.02 - 1e-3 + policy.ceiling)]
+
+
 def test_invalid_adaptive_config_rejected():
-    with pytest.raises(ConfigurationError):
-        AdaptiveBatchingConfig(target_fill=0.0)
-    with pytest.raises(ConfigurationError):
-        AdaptiveBatchingConfig(min_wait=0.0)
-    with pytest.raises(ConfigurationError):
-        AdaptiveBatchingConfig(min_wait=1e-3, max_wait=1e-4)
-    with pytest.raises(ConfigurationError):
-        AdaptiveBatchingConfig(ewma_alpha=1.5)
-    with pytest.raises(ConfigurationError):
-        AdaptiveBatchingConfig(epc_headroom=0.0)
-    with pytest.raises(ConfigurationError):
-        AdaptiveBatchingConfig(warmup_arrivals=-1)
     with pytest.raises(ConfigurationError):
         AdaptiveFlushPolicy(batch_size=0, max_wait=0.01)
     with pytest.raises(ConfigurationError):
@@ -156,9 +171,7 @@ def test_property_deadline_stays_within_floor_and_ceiling():
     """Whatever the policy observes, the wait stays in [floor, ceiling]."""
     rng = np.random.default_rng(7)
     for trial in range(20):
-        policy = _policy(
-            config=AdaptiveBatchingConfig(warmup_arrivals=int(rng.integers(0, 6)))
-        )
+        policy = _policy()
         t = 0.0
         for _ in range(200):
             action = rng.integers(0, 4)
@@ -197,16 +210,17 @@ def test_property_k_never_exceeds_the_epc_fitting_size():
         slot_bytes = int(rng.integers(1, 10**6))
         budget = int(rng.integers(1, 10**8))
         depth = int(rng.integers(1, 4))
-        fit = epc_fitting_batch_size(base_k, slot_bytes, budget, pipeline_depth=depth)
+        # The policy keeps EPC_HEADROOM of the budget it is given.
+        kept = int(budget * EPC_HEADROOM)
+        fit = epc_fitting_batch_size(base_k, slot_bytes, kept, pipeline_depth=depth)
         assert 1 <= fit <= base_k
         if fit > 1:
             assert (
-                working_set_bytes(fit, slot_bytes, pipeline_depth=depth) <= budget
+                working_set_bytes(fit, slot_bytes, pipeline_depth=depth) <= kept
             )
         policy = AdaptiveFlushPolicy(
             base_k,
             0.01,
-            config=AdaptiveBatchingConfig(epc_headroom=1.0),
             slot_bytes=slot_bytes,
             epc_budget_bytes=budget,
             pipeline_depth=depth,
@@ -227,7 +241,7 @@ def test_property_k_never_exceeds_the_epc_fitting_size():
 
 
 def test_property_static_mode_is_bit_identical():
-    """adaptive=None serves the same bits, times, and batch ids as a
+    """adaptive=False serves the same bits, times, and batch ids as a
     pre-feature server on the same trace."""
     trace = synthetic_trace(40, (16,), n_tenants=4, mean_interarrival=5e-4, seed=9)
     reports = []
@@ -268,7 +282,7 @@ def _push(queue, request_id, tenant="t0", t=0.0):
 
 def test_scheduler_uses_the_learned_deadline():
     queue = RequestQueue(capacity=64)
-    policy = _policy(config=AdaptiveBatchingConfig(warmup_arrivals=0))
+    policy = _policy()
     sched = VirtualBatchScheduler(queue, batch_size=4, max_wait=0.01, policy=policy)
     # Teach a ~0.1ms arrival process.
     for i in range(20):
@@ -288,10 +302,9 @@ def test_scheduler_caps_batch_size_at_the_epc_fit():
     policy = AdaptiveFlushPolicy(
         8,
         0.01,
-        config=AdaptiveBatchingConfig(epc_headroom=1.0),
         slot_bytes=128,
-        # Budget fits K=2: (2 + 2*(2+1)) * 128 = 1024.
-        epc_budget_bytes=1024,
+        # What the headroom keeps fits K=2: (2 + 2*(2+1)) * 128 = 1024.
+        epc_budget_bytes=math.ceil(1024 / EPC_HEADROOM),
     )
     sched = VirtualBatchScheduler(queue, batch_size=8, max_wait=0.01, policy=policy)
     assert sched.effective_batch_size == 2
@@ -309,7 +322,7 @@ def test_server_threads_feedback_into_per_shard_policies():
     )
     config = ServingConfig(
         darknight=DarKnightConfig(virtual_batch_size=4, seed=0, num_shards=2),
-        adaptive=AdaptiveBatchingConfig(),
+        adaptive=True,
         max_batch_wait=0.01,
         queue_capacity=256,
     )
@@ -340,12 +353,14 @@ def test_server_clamps_provisioned_k_to_the_epc_budget():
     net = _tiny_net()
     slot = estimate_slot_bytes(net)
     assert slot == 16 * 8  # widest activation of the tiny dense net
-    budget = working_set_bytes(2, slot) + slot  # fits K=2, not K=3
+    # What the headroom keeps fits K=2, not K=3.
+    budget = working_set_bytes(2, slot) + slot
+    assert working_set_bytes(2, slot) <= int(budget * EPC_HEADROOM) < working_set_bytes(3, slot)
     config = ServingConfig(
         darknight=DarKnightConfig(
             virtual_batch_size=4, seed=0, epc_budget_bytes=budget
         ),
-        adaptive=AdaptiveBatchingConfig(epc_headroom=1.0),
+        adaptive=True,
         queue_capacity=64,
     )
     server = PrivateInferenceServer(net, config)
@@ -361,11 +376,11 @@ def test_server_clamps_provisioned_k_to_the_epc_budget():
 def test_cli_adaptive_flags():
     from repro.cli import main
 
-    assert main(["serve", "--requests", "16", "--set", "adaptive={}"]) == 0
+    assert main(["serve", "--requests", "16", "--set", "adaptive=true"]) == 0
     assert (
         main(
             [
-                "serve", "--requests", "16", "--set", "adaptive.target_fill=0.9",
+                "serve", "--requests", "16", "--set", "adaptive=true",
                 "--set", "darknight.epc_budget_bytes=4096",
             ]
         )
@@ -375,4 +390,4 @@ def test_cli_adaptive_flags():
     assert main(["serve", "--requests", "8", "--set", "darknight.epc_budget_bytes=4096"]) == 0
     # Invalid values surface as a clean error, not a traceback.
     assert main(["serve", "--requests", "8", "--set", "darknight.epc_budget_bytes=-1"]) == 2
-    assert main(["serve", "--requests", "8", "--set", "adaptive.target_fill=1.5"]) == 2
+    assert main(["serve", "--requests", "8", "--set", "adaptive=1"]) == 2

@@ -34,7 +34,12 @@ from repro.serving import (
     phased_trace,
     synthetic_trace,
 )
-from repro.serving.autoscale import ACTION_SCALE_OUT
+from repro.serving.autoscale import (
+    ACTION_SCALE_IN,
+    ACTION_SCALE_OUT,
+    UTILIZATION_HIGH,
+    UTILIZATION_LOW,
+)
 from repro.serving.requests import PendingRequest
 from repro.sharding import PartitionSpec, ShardRouter
 
@@ -211,6 +216,34 @@ def test_autoscaler_single_shard_never_scales_below_min():
         assert action is None
 
 
+def test_utilization_alone_counts_as_overload():
+    """Empty queues, but the enclave busy UTILIZATION_HIGH of the wall."""
+    asc = ShardAutoscaler(_cfg())
+    asc.evaluate(0.0, {0: 0}, {0: 0.0})
+    busy = UTILIZATION_HIGH
+    action, _ = asc.evaluate(1.0, {0: 0}, {0: busy})
+    assert action is None  # a streak of one
+    action, reason = asc.evaluate(2.0, {0: 0}, {0: 2 * busy})
+    assert action == ACTION_SCALE_OUT
+    assert f"utilization {busy:.2f} (high {UTILIZATION_HIGH})" in reason
+
+
+def test_utilization_between_the_bounds_holds_the_membership():
+    """Idle queues do not scale in while the enclaves stay busy."""
+    asc = ShardAutoscaler(_cfg(min_shards=1))
+    mid = (UTILIZATION_LOW + UTILIZATION_HIGH) / 2
+    busy = {0: 0.0, 1: 0.0}
+    for t in range(10):
+        action, reason = asc.evaluate(float(t), {0: 0, 1: 0}, busy)
+        assert action is None and reason == "steady"
+        busy = {k: v + mid for k, v in busy.items()}
+    # The same idle queues with idle enclaves do scale in.
+    for t in range(10, 13):
+        action, reason = asc.evaluate(float(t), {0: 0, 1: 0}, busy)
+    assert action == ACTION_SCALE_IN
+    assert f"(low {UTILIZATION_LOW})" in reason
+
+
 def test_autoscaler_respects_max_shards():
     asc = ShardAutoscaler(_cfg(max_shards=2))
     depths = {0: 50, 1: 50}
@@ -241,10 +274,7 @@ def test_autoscaler_shard_seconds_and_peak_ledger():
         dict(min_shards=3, max_shards=2),
         dict(eval_interval=0.0),
         dict(queue_low=5.0, queue_high=4.0),
-        dict(utilization_low=0.9, utilization_high=0.8),
         dict(breaches_to_scale_out=0),
-        dict(ewma_alpha=0.0),
-        dict(attainment_floor=1.5),
     ],
 )
 def test_autoscale_config_rejects_invalid_combinations(kwargs):
@@ -356,11 +386,6 @@ def test_construction_errors_fire_before_any_shard_is_provisioned(monkeypatch):
             ServingConfig(darknight=dk1, autoscale=AutoscaleConfig(max_shards=2)),
             cluster=sentinel,
         )
-    with pytest.raises(ConfigurationError):
-        PrivateInferenceServer(
-            _tiny_net(),
-            ServingConfig(darknight=dk, shard_weights=(1.0,)),
-        )
     assert calls == []
 
 
@@ -443,24 +468,6 @@ def test_scale_out_while_failover_retry_is_in_flight():
     by_id = {o.request_id: o for o in report.completed}
     for i in range(n):
         assert np.max(np.abs(by_id[i].logits - reference[i])) < 0.1
-
-
-def test_epc_pool_resizing_shrinks_k_without_changing_logits():
-    trace = synthetic_trace(24, (16,), n_tenants=6, mean_interarrival=1e-4, seed=3)
-    static = _server(num_shards=1).serve_trace(trace)
-    pooled = _server(
-        num_shards=1,
-        autoscale=_elastic_autoscale(
-            min_shards=1, max_shards=2, epc_pool_bytes=1024
-        ),
-    )
-    cap = pooled.units[0].scheduler.batch_cap
-    assert cap is not None and cap < 4  # the shared pool binds K
-    report = pooled.serve_trace(trace)
-    assert all(o.ok for o in report.outcomes)
-    static_logits = {o.request_id: o.logits for o in static.completed}
-    for o in report.completed:
-        assert np.array_equal(o.logits, static_logits[o.request_id])
 
 
 # ----------------------------------------------------------------------

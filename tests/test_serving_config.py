@@ -1,7 +1,7 @@
 """The unified serving-config surface: dict round-trip and presets.
 
-``ServingConfig`` threads its sub-configs (DarKnight, stage costs,
-adaptive batching, SLO policy, audit trail, autoscale) behind one
+``ServingConfig`` threads its sub-configs (DarKnight, stage costs, SLO
+policy, audit trail, autoscale) behind one
 strict-JSON surface derived from the dataclass fields
 (``repro.serving.config``): ``to_dict``/``from_dict`` must round-trip
 every combination, refuse typos and mistyped sections with the offending
@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.pipeline.timing import StageCostModel
 from repro.runtime import DarKnightConfig
 from repro.serving import (
     PRESETS,
-    AdaptiveBatchingConfig,
     AuditConfig,
     AutoscaleConfig,
     ServingConfig,
@@ -47,9 +47,8 @@ def _full_config():
         queue_capacity=128,
         coalesce=True,
         stage_costs=StageCostModel(),
-        adaptive=AdaptiveBatchingConfig(target_fill=0.7),
+        adaptive=True,
         slo=build_slo_policy({"premium": 5e-3}, {"tenant0": "premium"}),
-        shard_weights=(2.0, 1.0),
         audit=AuditConfig(log_dir="/tmp/audit", model="tiny"),
         autoscale=AutoscaleConfig(min_shards=1, max_shards=3),
     )
@@ -70,7 +69,6 @@ def test_full_config_round_trips_every_sub_config():
     assert rebuilt.autoscale == cfg.autoscale
     assert rebuilt.slo.classes == cfg.slo.classes
     assert rebuilt.slo.assignments == cfg.slo.assignments
-    assert rebuilt.shard_weights == cfg.shard_weights
 
 
 def test_to_dict_is_strict_json_safe_with_infinite_budgets():
@@ -84,18 +82,57 @@ def test_to_dict_is_strict_json_safe_with_infinite_budgets():
     assert rebuilt == cfg
 
 
-def test_from_dict_rejects_unknown_keys_and_non_dicts():
+#: Every option a test alone used to set, by its dotted path in the layout.
+#: ``adaptive`` is now a switch, so its six former fields sit under a bool.
+DELETED_OPTIONS = [
+    "reuse_coefficients",
+    "encrypt_requests",
+    "shard_weights",
+    *(
+        f"adaptive.{name}"
+        for name in (
+            "target_fill", "min_wait", "max_wait", "ewma_alpha", "epc_headroom",
+            "warmup_arrivals",
+        )
+    ),
+    *(
+        f"autoscale.{name}"
+        for name in (
+            "utilization_high", "utilization_low", "ewma_alpha", "attainment_floor",
+            "max_session_migrations", "epc_pool_bytes",
+        )
+    ),
+    *(f"slo.classes.x.{name}" for name in ("shed_weight", "drain_weight", "admission_share")),
+]
+
+
+def _nested(path: str, value) -> dict:
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+@pytest.mark.parametrize("deleted", DELETED_OPTIONS)
+def test_from_dict_rejects_unknown_keys_and_non_dicts(deleted, capsys):
     with pytest.raises(ConfigurationError, match="unknown serving config"):
         ServingConfig.from_dict({"batch_wait": 0.01})
     with pytest.raises(ConfigurationError):
         ServingConfig.from_dict(["not", "a", "dict"])
-    with pytest.raises(ConfigurationError, match=r"\['typo_knob'\] in adaptive"):
-        ServingConfig.from_dict(
-            {"adaptive": {"target_fill": 0.8, "typo_knob": 1}}
-        )
+    with pytest.raises(ConfigurationError, match=r"\['typo_knob'\] in autoscale"):
+        ServingConfig.from_dict({"autoscale": {"min_shards": 1, "typo_knob": 1}})
     # The executor has one rank order; a config naming another is a typo.
     with pytest.raises(ConfigurationError, match=r"\['stage_ranker'\] in darknight"):
         ServingConfig.from_dict({"darknight": {"stage_ranker": "deadline"}})
+    # An old config naming a deleted option fails loudly, naming where it is,
+    # whether it comes from a file or from ``serve --set``.
+    *parents, leaf = deleted.split(".")
+    with pytest.raises(ConfigurationError) as raised:
+        ServingConfig.from_dict(_nested(deleted, 1))
+    assert f"'{leaf}'" in str(raised.value) and ".".join(parents) in str(raised.value)
+    assert main(["serve", "--requests", "4", "--set", f"{deleted}=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {raised.value}\n"
 
 
 def test_from_dict_validates_sub_config_values():
@@ -112,7 +149,7 @@ def test_every_preset_builds_and_round_trips(name):
 
 
 def test_presets_carry_their_posture():
-    assert ServingConfig.preset("latency").adaptive is not None
+    assert ServingConfig.preset("latency").adaptive is True
     assert ServingConfig.preset("latency").darknight.pipeline_depth == 2
     assert ServingConfig.preset("throughput").darknight.virtual_batch_size == 8
     audited = ServingConfig.preset("audited")
@@ -154,7 +191,7 @@ def test_every_field_of_every_section_is_dumped():
     cfg = _full_config()
     dumped = cfg.to_dict()
     sections = [f.name for f in dataclasses.fields(cfg) if dataclasses.is_dataclass(getattr(cfg, f.name))]
-    assert sections == ["darknight", "stage_costs", "adaptive", "slo", "audit", "autoscale"]
+    assert sections == ["darknight", "stage_costs", "slo", "audit", "autoscale"]
     _assert_every_field_dumped(cfg, dumped)
     for name, cls in cfg.slo.classes.items():
         _assert_every_field_dumped(cls, dumped["slo"]["classes"][name], f"slo.classes.{name}")
@@ -167,13 +204,13 @@ def test_every_field_of_every_section_is_dumped():
         ({"adaptive": [1]}, "adaptive"),
         ({"audit": True}, "audit"),
         ({"slo": "premium"}, "slo"),
-        ({"shard_weights": "ab"}, "shard_weights"),
+        ({"autoscale": 3}, "autoscale"),
         ({"partition": 2}, "partition"),
         ({"queue_capacity": True}, "queue_capacity"),
-        ({"shard_weights": [1.0, "x"]}, r"shard_weights\[1\]"),
+        ({"max_batch_wait": "soon"}, "max_batch_wait"),
         ({"slo": {"classes": {"gold": 5}}}, r"slo\.classes\.gold"),
         ({"slo": {"classes": {"gold": {"priority": 1.5}}}}, r"slo\.classes\.gold\.priority"),
-        ({"adaptive": {"target_fill": {"x": 1}}}, r"adaptive\.target_fill"),
+        ({"autoscale": {"queue_high": {"x": 1}}}, r"autoscale\.queue_high"),
     ],
 )
 def test_from_dict_refuses_a_mistyped_value_naming_its_path(data, path):
@@ -193,7 +230,6 @@ def test_from_dict_fills_what_a_hand_written_file_leaves_out():
 # ----------------------------------------------------------------------
 # the config surface, by generator
 # ----------------------------------------------------------------------
-_unit = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
 _seconds = st.floats(min_value=1e-4, max_value=10.0, allow_nan=False)
 _names = st.text("abcdefgh", min_size=1, max_size=6)
 
@@ -207,9 +243,6 @@ def slo_policies(draw):
             # An infinite budget (no contract) is the case JSON cannot spell.
             latency_budget=draw(st.one_of(st.just(math.inf), _seconds)),
             priority=draw(st.integers(0, 3)),
-            shed_weight=draw(st.floats(0.0, 4.0)),
-            drain_weight=draw(st.floats(1.0, 4.0)),
-            admission_share=draw(_unit),
         )
     assignments = {}
     if classes:
@@ -237,9 +270,8 @@ def serving_configs(draw):
         queue_capacity=draw(st.integers(1, 1024)),
         coalesce=draw(st.booleans()),
         stage_costs=optional(st.builds(StageCostModel, stage_overhead=_seconds)),
-        adaptive=optional(st.builds(AdaptiveBatchingConfig, target_fill=_unit)),
+        adaptive=draw(st.booleans()),
         slo=slo,
-        shard_weights=optional(st.lists(_seconds, min_size=1, max_size=4).map(tuple)),
         audit=optional(st.builds(AuditConfig, log_dir=st.one_of(st.none(), _names))),
         autoscale=optional(
             st.builds(AutoscaleConfig, min_shards=st.integers(1, 2), max_shards=st.integers(2, 6))

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.serving import ServerMetrics
 from repro.serving.requests import (
     STATUS_INTEGRITY_FAILED,
@@ -142,21 +144,16 @@ def test_snapshot_is_strict_json_everywhere():
     json.loads(json.dumps(busy.snapshot()), parse_constant=_reject)
 
 
-def test_quota_sheds_are_counted_separately():
-    import pytest
+def test_the_three_shed_kinds_sum_to_shed():
+    from repro.serving.metrics import SHED_EVICTED, SHED_MALFORMED
 
-    from repro.serving.metrics import SHED_EVICTED, SHED_QUOTA
-    from repro.serving.slo import SloPolicy
-
-    metrics = ServerMetrics(slo=SloPolicy())
-    metrics.record_outcome(_ok(0, "a", 0.0, 0.01))
-    metrics.record_shed("b0", kind=SHED_QUOTA)
-    metrics.record_shed("b1", kind=SHED_EVICTED)
-    metrics.record_shed("b2")
-    assert metrics.shed == 3
-    assert metrics.shed_quota == 1
+    metrics = ServerMetrics()
+    metrics.record_shed("a")
+    metrics.record_shed("b", kind=SHED_EVICTED)
+    metrics.record_shed("b", kind=SHED_MALFORMED)
     snap = metrics.snapshot()
-    assert snap["shed_quota"] == 1
-    assert "shed over quota" in metrics.render()
+    assert (snap["shed_at_admission"], snap["shed_evicted"], snap["shed_malformed"]) == (1, 1, 1)
+    assert snap["shed"] == 3
+    assert "refused malformed" in metrics.render()
     with pytest.raises(ValueError):
-        metrics.record_shed("b0", kind="bogus")
+        metrics.record_shed("a", kind="quota")

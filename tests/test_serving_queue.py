@@ -111,207 +111,36 @@ def test_idle_tenants_are_pruned_from_the_rotation():
 
 
 # ----------------------------------------------------------------------
-# class-weighted fair draining (deficit round-robin)
+# draining under an SLO policy
 # ----------------------------------------------------------------------
-def _weighted_policy(weights):
+def _priority_policy(priorities):
     from repro.serving import SloClass, SloPolicy
 
-    classes = {
-        name: SloClass(name=name, drain_weight=w) for name, w in weights.items()
-    }
-    return SloPolicy(
-        classes=classes, assignments={name: name for name in weights}
-    )
+    classes = {name: SloClass(name=name, priority=p) for name, p in priorities.items()}
+    return SloPolicy(classes=classes, assignments={name: name for name in priorities})
 
 
 def test_default_weight_is_bit_identical_to_classic_rotation():
-    """With every class at drain_weight=1 (or no policy), the deficit
-    round-robin must pop the exact same sequence as the old
-    one-request-per-turn rotation."""
+    """A queue under an SLO policy pops the exact same sequence as one
+    without: every class drains one request per turn."""
     plain = RequestQueue(capacity=64)
-    weighted = RequestQueue(capacity=64, slo=_weighted_policy({"a": 1.0, "b": 1.0}))
-    for q in (plain, weighted):
+    classed = RequestQueue(capacity=64, slo=_priority_policy({"a": 0, "b": 1}))
+    for q in (plain, classed):
         for i in range(6):
             q.push(_req(i, tenant="a"))
         for i in range(3):
             q.push(_req(100 + i, tenant="b"))
     for n in (4, 3, 2):
         assert [r.request_id for r in plain.pop_fair(n)] == [
-            r.request_id for r in weighted.pop_fair(n)
+            r.request_id for r in classed.pop_fair(n)
         ]
-
-
-def test_premium_tenant_drains_proportionally_under_contention():
-    q = RequestQueue(capacity=64, slo=_weighted_policy({"prem": 3.0, "std": 1.0}))
-    for i in range(12):
-        q.push(_req(i, tenant="prem"))
-        q.push(_req(100 + i, tenant="std"))
-    out = q.pop_fair(8)
-    by_tenant = {}
-    for r in out:
-        by_tenant[r.tenant] = by_tenant.get(r.tenant, 0) + 1
-    # 3:1 split of an 8-slot window, both backlogs deep enough.
-    assert by_tenant == {"prem": 6, "std": 2}
-    # FIFO within each tenant survives the weighting.
-    assert [r.request_id for r in out if r.tenant == "prem"] == list(range(6))
-
-
-def test_fractional_weights_accumulate_as_deficit_credit():
-    q = RequestQueue(capacity=64, slo=_weighted_policy({"fast": 1.5, "slow": 1.0}))
-    for i in range(12):
-        q.push(_req(i, tenant="fast"))
-        q.push(_req(100 + i, tenant="slow"))
-    counts = {"fast": 0, "slow": 0}
-    for _ in range(4):
-        for r in q.pop_fair(3):
-            counts[r.tenant] += 1
-    # 1.5 credit/turn: fast's turns alternate 1 and 2 pops as the 0.5
-    # fractions bank up, landing at 7:5 over twelve slots — within one
-    # turn of the ideal 1.5:1 split, which a one-per-turn rotation
-    # (6:6) can never reach.
-    assert counts == {"fast": 7, "slow": 5}
-
-
-def test_drained_tenant_forfeits_banked_credit():
-    q = RequestQueue(capacity=64, slo=_weighted_policy({"fast": 1.5}))
-    q.push(_req(0, tenant="fast"))
-    q.push(_req(100, tenant="other"))
-    q.push(_req(1, tenant="fast"))
-    # fast's turn pops 1 (credit 1.5 -> leftover 0.5 banked)...
-    assert [r.request_id for r in q.pop_fair(2)] == [0, 100]
-    # ...then pops the last one and drains; its 0.5 carry must die with
-    # the rotation entry rather than resurrect on re-activation.
-    assert [r.request_id for r in q.pop_fair(2)] == [1]
-    q.push(_req(2, tenant="fast"))
-    q.push(_req(3, tenant="fast"))
-    q.push(_req(4, tenant="fast"))
-    # Fresh activation: 1.5 credit again -> one pop, not two.
-    q.push(_req(101, tenant="other"))
-    popped = q.pop_fair(2)
-    assert [r.request_id for r in popped] == [2, 101]
-
-
-def test_weight_below_one_is_rejected():
-    from repro.serving import SloClass
-
-    with pytest.raises(ConfigurationError):
-        SloClass(name="thin", drain_weight=0.5)
-
-
-# ----------------------------------------------------------------------
-# per-class admission quotas
-# ----------------------------------------------------------------------
-def _quota_policy(shares, priorities=None):
-    from repro.serving import SloClass, SloPolicy
-
-    priorities = priorities or {}
-    classes = {
-        name: SloClass(
-            name=name, admission_share=s, priority=priorities.get(name, 0)
-        )
-        for name, s in shares.items()
-    }
-    return SloPolicy(classes=classes, assignments={name: name for name in shares})
-
-
-def test_quota_caps_a_class_at_its_share_of_capacity():
-    from repro.errors import QuotaExceededError
-
-    q = RequestQueue(capacity=8, slo=_quota_policy({"bulk": 0.25, "prem": 1.0}))
-    q.push(_req(0, tenant="bulk"))
-    q.push(_req(1, tenant="bulk"))
-    # 0.25 * 8 = 2 slots: the third bulk arrival is refused even though
-    # the queue itself has plenty of room.
-    with pytest.raises(QuotaExceededError):
-        q.push(_req(2, tenant="bulk"))
-    assert q.quota_shed_count == 1
-    assert q.shed_count == 1
-    assert q.depth == 2
-    # Other classes are unaffected.
-    for i in range(6):
-        q.push(_req(100 + i, tenant="prem"))
-    assert q.depth == 8
-
-
-def test_quota_slots_are_released_on_drain():
-    from repro.errors import QuotaExceededError
-
-    q = RequestQueue(capacity=8, slo=_quota_policy({"bulk": 0.25}))
-    q.push(_req(0, tenant="bulk"))
-    q.push(_req(1, tenant="bulk"))
-    with pytest.raises(QuotaExceededError):
-        q.push(_req(2, tenant="bulk"))
-    q.pop_fair(1)
-    q.push(_req(3, tenant="bulk"))  # freed slot admits again
-    assert q.depth_by_class() == {"bulk": 2}
-
-
-def test_quota_slots_are_released_on_eviction():
-    from repro.errors import QuotaExceededError
-
-    policy = _quota_policy(
-        {"bulk": 0.5, "prem": 1.0}, priorities={"bulk": 0, "prem": 1}
-    )
-    q = RequestQueue(capacity=4, slo=policy)
-    q.push(_req(0, tenant="bulk"))
-    q.push(_req(1, tenant="bulk"))
-    with pytest.raises(QuotaExceededError):
-        q.push(_req(2, tenant="bulk"))
-    for i in range(2):
-        q.push(_req(100 + i, tenant="prem"))
-    # Full queue: premium evicts the newest bulk request, and the quota
-    # accounting must follow the victim out of the queue.
-    evicted = q.push(_req(102, tenant="prem"))
-    assert evicted is not None and evicted.tenant == "bulk"
-    assert q.depth_by_class() == {"bulk": 1, "prem": 3}
-    q.pop_fair(1)  # bulk is first in rotation
-    q.push(_req(3, tenant="bulk"))  # back under its 2-slot cap
-
-
-def test_over_quota_class_cannot_evict_to_grow():
-    """The quota check runs before eviction: a premium flood with a
-    share cap cannot push every best-effort request out of the queue."""
-    from repro.errors import QuotaExceededError
-
-    policy = _quota_policy(
-        {"bulk": 1.0, "prem": 0.5}, priorities={"bulk": 0, "prem": 1}
-    )
-    q = RequestQueue(capacity=4, slo=policy)
-    for i in range(2):
-        q.push(_req(i, tenant="bulk"))
-    q.push(_req(100, tenant="prem"))
-    q.push(_req(101, tenant="prem"))
-    # Queue full AND prem at its 2-slot cap: without the quota this
-    # arrival would evict bulk request 1; with it, the arrival sheds.
-    with pytest.raises(QuotaExceededError):
-        q.push(_req(102, tenant="prem"))
-    assert q.evicted_count == 0
-    assert q.depth_by_class() == {"bulk": 2, "prem": 2}
-
-
-def test_quota_always_grants_at_least_one_slot():
-    q = RequestQueue(capacity=4, slo=_quota_policy({"tiny": 0.01}))
-    q.push(_req(0, tenant="tiny"))  # int(0.01 * 4) == 0, floored to 1
-    assert q.depth == 1
-
-
-def test_full_share_class_never_hits_the_quota_path():
-    q = RequestQueue(capacity=4, slo=_quota_policy({"std": 1.0}))
-    for i in range(4):
-        q.push(_req(i, tenant="std"))
-    with pytest.raises(BackpressureError):
-        q.push(_req(9, tenant="std"))
-    assert q.quota_shed_count == 0
 
 
 # ----------------------------------------------------------------------
 # eviction candidates
 # ----------------------------------------------------------------------
 def test_peek_eviction_candidate_names_the_victim_without_taking_it():
-    policy = _quota_policy(
-        {"bulk": 1.0, "std": 1.0, "prem": 1.0},
-        priorities={"bulk": 0, "std": 1, "prem": 2},
-    )
+    policy = _priority_policy({"bulk": 0, "std": 1, "prem": 2})
     q = RequestQueue(capacity=8, slo=policy)
     q.push(_req(0, tenant="bulk", t=0.0))
     q.push(_req(1, tenant="bulk", t=1.0))
@@ -323,6 +152,18 @@ def test_peek_eviction_candidate_names_the_victim_without_taking_it():
     victim = q.evict_newest_below(priority=2)
     assert (victim.request_id, victim.tenant) == (1, "bulk")  # its newest request
     assert q.depth == 2 and q.evicted_count == 1
+
+
+def test_newest_request_breaks_ties_within_a_priority():
+    q = RequestQueue(capacity=8, slo=_priority_policy({"a": 0, "b": 0}))
+    q.push(_req(0, tenant="a", t=0.0))
+    q.push(_req(1, tenant="b", t=2.0))
+    q.push(_req(2, tenant="a", t=1.0))
+    # Across tenants of one priority the newest pending request goes first...
+    assert q.evict_newest_below(priority=1).request_id == 1
+    # ...and at one enqueue time the later request id does.
+    q.push(_req(3, tenant="b", t=1.0))
+    assert q.evict_newest_below(priority=1).request_id == 3
 
 
 def test_without_a_policy_nobody_is_below_anybody():

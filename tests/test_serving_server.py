@@ -159,17 +159,19 @@ def test_serving_reuses_cached_coefficients():
     assert ledger.op_counts.get("reuse_coefficients", 0) >= 15
 
 
-def test_fresh_coefficients_escape_hatch_disables_the_cache():
+def test_serving_always_reuses_coefficients():
+    """The server owns ``fresh_coefficients``: a backend config asking for
+    training's fresh per-step coefficients still serves from the cache."""
     net = _tiny_net()
     dk = DarKnightConfig(virtual_batch_size=4, seed=8, fresh_coefficients=True)
     trace = synthetic_trace(8, (16,), n_tenants=1, seed=8)
-    server = PrivateInferenceServer(
-        net, _config(darknight=dk, reuse_coefficients=False)
-    )
+    server = PrivateInferenceServer(net, _config(darknight=dk))
+    assert server.darknight.fresh_coefficients is False
+    assert server.darknight.per_sample_normalization is True
     server.serve_trace(trace)
     ledger = server.shards[0].enclave.ledger
-    assert ledger.op_counts.get("generate_coefficients", 0) > 1
-    assert ledger.op_counts.get("reuse_coefficients", 0) == 0
+    assert ledger.op_counts.get("generate_coefficients", 0) == 1
+    assert ledger.op_counts.get("reuse_coefficients", 0) > 0
 
 
 def test_pipelined_server_logits_bit_identical_to_synchronous():
@@ -315,15 +317,16 @@ def test_report_renders_metrics_and_session_facts():
     assert "attestation handshakes" in text
 
 
-def test_plaintext_mode_skips_channel_crypto():
+def test_every_request_and_response_crosses_the_tenant_channel():
     net = _tiny_net()
-    trace = synthetic_trace(8, (16,), n_tenants=2, seed=10)
-    encrypted = PrivateInferenceServer(net, _config())
-    encrypted_report = encrypted.serve_trace(trace)
-    plain = PrivateInferenceServer(_tiny_net(), _config(encrypt_requests=False))
-    plain_report = plain.serve_trace(trace)
-    assert len(plain_report.completed) == len(encrypted_report.completed) == 8
-    assert plain_report.link_bytes < encrypted_report.link_bytes
+    trace = synthetic_trace(12, (16,), n_tenants=3, seed=10)
+    server = PrivateInferenceServer(net, _config())
+    report = server.serve_trace(trace)
+    assert len(report.completed) == 12
+    ops = server.shards[0].enclave.ledger.op_counts
+    assert ops["ecall:serve_request"] == ops["ocall:serve_response"] == 12
+    sessions = server.units[0].sessions
+    assert sum(sessions.connect(t).requests_served for t in report.tenants) == 12
 
 
 def test_premium_arrival_evicts_best_effort_backlog_end_to_end():
@@ -388,31 +391,6 @@ def test_all_default_slo_policy_is_bit_identical_to_no_policy():
         assert np.array_equal(a[rid].logits, b[rid].logits)
         assert a[rid].completion_time == b[rid].completion_time
         assert a[rid].batch_id == b[rid].batch_id
-
-
-def test_quota_shed_surfaces_in_server_metrics():
-    """An over-quota arrival is shed with the quota-specific counter, not
-    lumped in with plain queue-full sheds."""
-    from repro.serving import SloClass, SloPolicy
-
-    net = _tiny_net()
-    policy = SloPolicy(
-        classes={"bulk": SloClass(name="bulk", admission_share=0.25)},
-        assignments={"tenant0": "bulk"},
-    )
-    # capacity 8, share 0.25 -> 2 bulk slots; 6 simultaneous bulk arrivals.
-    trace = [
-        TraceRequest(time=0.0, tenant="tenant0", x=np.zeros(16)) for _ in range(6)
-    ]
-    server = PrivateInferenceServer(
-        net, _config(queue_capacity=8, max_batch_wait=1.0, slo=policy)
-    )
-    report = server.serve_trace(trace)
-    assert report.metrics.shed_quota == 4
-    assert report.metrics.shed == 4
-    assert len(report.completed) == 2
-    shed = [o for o in report.outcomes if o.status == STATUS_SHED]
-    assert len(shed) == 4 and all("quota" in o.error for o in shed)
 
 
 def test_malformed_samples_are_shed_and_the_rest_of_the_trace_is_untouched():

@@ -30,7 +30,7 @@ from repro.serving.scheduler import ShardedBatchScheduler
 from repro.sharding import ShardRouter
 
 PREMIUM = SloClass(name="premium", latency_budget=0.004, priority=2)
-BULK = SloClass(name="bulk", latency_budget=math.inf, priority=-1, shed_weight=2.0)
+BULK = SloClass(name="bulk", latency_budget=math.inf, priority=-1)
 
 
 def _policy(assignments=None):
@@ -78,13 +78,18 @@ def test_policy_lookups_and_class_table():
     assert table["standard"]["priority"] == 0
 
 
+def test_class_table_rows_carry_the_class_fields_and_tenants():
+    rows = _policy().class_table()
+    assert [row["name"] for row in rows] == ["bulk", "premium", "standard"]
+    assert all(set(row) == {"name", "latency_budget", "priority", "tenants"} for row in rows)
+    assert rows[0]["tenants"] == ["b0", "b1"]
+
+
 def test_invalid_classes_and_assignments_rejected():
     with pytest.raises(ConfigurationError):
         SloClass(name="", latency_budget=1.0)
     with pytest.raises(ConfigurationError):
         SloClass(name="x", latency_budget=0.0)
-    with pytest.raises(ConfigurationError):
-        SloClass(name="x", shed_weight=-1.0)
     with pytest.raises(ConfigurationError):
         SloPolicy(classes={"a": SloClass(name="b")})
     with pytest.raises(ConfigurationError):
@@ -152,20 +157,6 @@ def test_eviction_prunes_drained_tenant_from_rotation():
     # b0 drained by eviction: rotation must not hold a phantom turn.
     assert [r.tenant for r in q.pop_fair(2)] == ["stranger", "p0"]
     assert q.depth == 0
-
-
-def test_shed_weight_breaks_ties_within_a_priority():
-    heavy = SloClass(name="heavy", priority=-1, shed_weight=5.0)
-    light = SloClass(name="light", priority=-1, shed_weight=1.0)
-    policy = SloPolicy(
-        classes={"heavy": heavy, "light": light},
-        assignments={"h": "heavy", "l": "light"},
-    )
-    q = RequestQueue(capacity=2, slo=policy)
-    q.push(_req(0, tenant="l", t=0.0))
-    q.push(_req(1, tenant="h", t=0.0))
-    victim = q.push(_req(2, tenant="anyone", t=0.001))
-    assert victim.tenant == "h"  # heavier shed weight goes first
 
 
 def test_queue_without_policy_is_unchanged():
@@ -380,20 +371,3 @@ def test_equal_budgets_share_a_priority_rank():
     )
     assert gold.priority == silver.priority
     assert gold.priority > bulk.priority > 0
-
-
-def test_admission_share_validation_and_cap():
-    with pytest.raises(ConfigurationError):
-        SloClass(name="bad", admission_share=0.0)
-    with pytest.raises(ConfigurationError):
-        SloClass(name="bad", admission_share=1.5)
-    cls = SloClass(name="bulk", admission_share=0.25)
-    assert cls.admission_cap(8) == 2
-    assert cls.admission_cap(100) == 25
-    # The floor: any valid share always gets at least one slot.
-    assert SloClass(name="tiny", admission_share=0.01).admission_cap(4) == 1
-    # class_table rows carry the knob for telemetry.
-    table = SloPolicy(classes={"bulk": cls}).class_table()
-    by_name = {row["name"]: row for row in table}
-    assert by_name["bulk"]["admission_share"] == pytest.approx(0.25)
-    assert by_name["standard"]["admission_share"] == pytest.approx(1.0)

@@ -1,5 +1,7 @@
 """Tests for consistent-hashing tenant routing with load-aware pinning."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, ShardError
@@ -85,33 +87,27 @@ def test_invalid_parameters_are_rejected():
         ShardRouter(2).fail_shard(5)
 
 
-def test_hash_ring_weights_skew_pins_toward_heavy_shards():
-    """A weight-2 shard should receive ~2x the tenant pins of weight-1
-    shards: twice the virtual nodes, and load compared per unit weight."""
-    router = ShardRouter(3, weights=[2.0, 1.0, 1.0], rebalance_margin=2)
-    for i in range(120):
-        router.shard_for(f"tenant{i}")
-    heavy, light_a, light_b = router.loads()
-    assert heavy + light_a + light_b == 120
-    # Expected split 60/30/30; allow hash + margin slack.
-    for light in (light_a, light_b):
-        assert 1.5 <= heavy / light <= 2.7, router.loads()
-    # Weight-normalized loads stay within the rebalance margin.
-    norms = [load / w for load, w in zip(router.loads(), router.weights)]
-    assert max(norms) - min(norms) <= router.rebalance_margin
-
-
-def test_default_weights_reproduce_the_unweighted_ring():
+def test_a_grown_ring_places_like_a_constructed_one():
+    """``ShardRouter(n)`` puts exactly the virtual nodes on the ring that
+    adding shards one by one does, so both place every tenant alike."""
     plain = ShardRouter(4)
-    weighted = ShardRouter(4, weights=[1.0, 1.0, 1.0, 1.0])
+    grown = ShardRouter(1)
+    for _ in range(3):
+        assert grown.add_shard()[1] == {}  # nobody pinned yet, nobody moves
+    assert grown._ring_keys == plain._ring_keys
+    assert grown._ring_shards == plain._ring_shards
     tenants = [f"tenant{i}" for i in range(30)]
     assert {t: plain.shard_for(t) for t in tenants} == {
-        t: weighted.shard_for(t) for t in tenants
+        t: grown.shard_for(t) for t in tenants
     }
 
 
-def test_invalid_weights_are_rejected():
-    with pytest.raises(ConfigurationError):
-        ShardRouter(2, weights=[1.0])  # wrong arity
-    with pytest.raises(ConfigurationError):
-        ShardRouter(2, weights=[1.0, 0.0])  # non-positive
+def test_add_shard_moves_at_most_a_fair_share_of_the_pins():
+    router = ShardRouter(3, rebalance_margin=1)
+    for i in range(30):
+        router.shard_for(f"tenant{i}")
+    new_id, remap = router.add_shard()
+    assert 0 < len(remap) <= math.ceil(30 / 4)
+    assert set(remap.values()) == {new_id}
+    assert sum(router.loads()) == 30
+    assert router.loads()[new_id] == len(remap)
