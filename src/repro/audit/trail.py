@@ -22,7 +22,6 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from repro.audit.commitment import WindowCommitment, digest_json
 from repro.audit.log import AuditLog
@@ -64,12 +63,10 @@ class AuditTrail:
         config: AuditConfig,
         darknight: DarKnightConfig,
         num_shards: int,
-        on_commit: Callable[[int, int, float], None] | None = None,
     ) -> None:
         self.config = config
         self.darknight = darknight
         self.num_shards = int(num_shards)
-        self.on_commit = on_commit
         self.config_digest = digest_json(dataclasses.asdict(darknight))
         self.log_dir = Path(config.log_dir) if config.log_dir else None
         self.logs: dict[int, AuditLog] = {
@@ -167,14 +164,10 @@ class AuditTrail:
         log = self.logs[shard_id]
         before = log.bytes_written
         entry = log.append(commitment)
-        elapsed = time.perf_counter() - start + extra_seconds
-        nbytes = log.bytes_written - before
         self.windows_committed += 1
         self.leaves_committed += len(commitment.leaves)
-        self.bytes_written += nbytes
-        self.commit_seconds += elapsed
-        if self.on_commit is not None:
-            self.on_commit(len(commitment.leaves), nbytes, elapsed)
+        self.bytes_written += log.bytes_written - before
+        self.commit_seconds += time.perf_counter() - start + extra_seconds
         return entry
 
     # ------------------------------------------------------------------

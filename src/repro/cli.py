@@ -291,9 +291,9 @@ def _serve(args) -> int:
     print(report.render())
     if audit is not None and audit.log_dir is not None:
         print(
-            f"audit: {server.metrics.audit_windows} windows"
-            f" ({server.metrics.audit_leaves} leaves,"
-            f" {server.metrics.audit_bytes:,} bytes) committed to"
+            f"audit: {server.audit.windows_committed} windows"
+            f" ({server.audit.leaves_committed} leaves,"
+            f" {server.audit.bytes_written:,} bytes) committed to"
             f" {audit.log_dir}"
         )
     return 0

@@ -28,7 +28,9 @@ from repro.serving.metrics import ServerMetrics
 from repro.serving.queue import RequestQueue
 from repro.serving.requests import (
     STATUS_DECODE_FAILED,
+    STATUS_EVICTED,
     STATUS_INTEGRITY_FAILED,
+    STATUS_MALFORMED,
     STATUS_OK,
     STATUS_SHARD_FAILED,
     STATUS_SHED,
@@ -74,6 +76,8 @@ __all__ = [
     "ScheduledBatch",
     "STATUS_OK",
     "STATUS_SHED",
+    "STATUS_EVICTED",
+    "STATUS_MALFORMED",
     "STATUS_INTEGRITY_FAILED",
     "STATUS_DECODE_FAILED",
     "STATUS_SHARD_FAILED",

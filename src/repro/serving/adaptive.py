@@ -74,19 +74,16 @@ WARMUP_ARRIVALS = 8
 
 @dataclass(frozen=True)
 class WindowFeedback:
-    """What one dispatched flush window cost, fed back to the scheduler.
+    """What one dispatched flush window cost, fed back to the flush policy.
 
-    The worker pool builds one per successfully dispatched per-shard
-    window from the staged executor's :class:`~repro.pipeline.stages.
+    The worker pool builds one per successfully dispatched window of an
+    adaptive unit from the staged executor's :class:`~repro.pipeline.stages.
     PipelineStats` — these are the *measured* simulated timings of the
     run (bytes masked, MACs executed), not a synthetic service model.
     """
 
-    shard_id: int
     n_batches: int  #: Virtual batches the window carried.
     enclave_busy: float  #: Enclave-occupied seconds within the window.
-    makespan: float  #: End-to-end seconds for the window.
-    stage_totals: dict  #: Seconds per stage kind (encode/gpu/decode/tee).
     slot_bytes_observed: int = 0  #: Largest per-request input payload seen.
 
 

@@ -1,202 +1,199 @@
 """Server-side observability: latency percentiles, fill ratio, failures.
 
-Collects per-request and per-batch facts during a serving run and renders
-them through :mod:`repro.reporting` so server output lines up with the
-rest of the repo's exhibits.  All times are simulated-clock seconds.
+:class:`ServerMetrics` is a view, not a second ledger.  Every number it
+reports is read, when asked, off records the deployment already owns:
 
-With an :class:`~repro.serving.slo.SloPolicy` attached, the collector
-also keys latency by service class — per-class p50/p99 plus an
-SLO-attainment ratio (the fraction of completed requests that finished
-inside their class's budget) — and splits shed accounting into requests
-refused *at admission* versus pending requests *evicted* to admit
-higher-priority arrivals, so overload telemetry says who actually paid.
+* the server's outcome list — one terminal
+  :class:`~repro.serving.requests.RequestOutcome` per request, in the
+  order the requests ended — gives the counts, latencies, per-tenant and
+  per-class rows, attainment and the throughput span;
+* the audit trail's own counters give the audit rows;
+* the unit list gives membership changes: scale-outs are the units added
+  after the view was built, scale-ins the units whose state reads
+  ``retired``;
+* the shards' backends give the precompute telemetry.
+
+The one fact it keeps itself is each flushed batch's fill and trigger
+(:meth:`ServerMetrics.record_batch`): a flushed batch is not an outcome.
+All times are simulated-clock seconds.
+
+With an :class:`~repro.serving.slo.SloPolicy` attached, latency is also
+keyed by service class — per-class p50/p99 plus an SLO-attainment ratio
+(the fraction of completed requests that finished inside their class's
+budget).  The shed split is the outcome status: ``shed`` (refused at
+admission), ``evicted`` (a pending request evicted to admit a
+higher-priority arrival) or ``malformed``, so overload telemetry says who
+actually paid.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from repro.reporting import render_table
 from repro.serving.requests import (
     STATUS_DECODE_FAILED,
+    STATUS_EVICTED,
     STATUS_INTEGRITY_FAILED,
+    STATUS_MALFORMED,
+    STATUS_OK,
     STATUS_SHARD_FAILED,
+    STATUS_SHED,
     RequestOutcome,
     ScheduledBatch,
 )
 from repro.serving.slo import SloPolicy
 
-#: ``record_shed`` kinds: refused at admission, evicted from the queue, or
-#: refused because the sample itself cannot be served (wrong shape, NaN or
-#: inf).
-SHED_ADMISSION = "admission"
-SHED_EVICTED = "evicted"
-SHED_MALFORMED = "malformed"
+#: Every way a request is turned away before it is served.
+_SHED = (STATUS_SHED, STATUS_EVICTED, STATUS_MALFORMED)
+
+
+def _finite(value: float) -> float | None:
+    """``value`` as a float, or ``None`` when it is ``inf``/``NaN``."""
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 class ServerMetrics:
-    """Accumulates serving statistics; cheap to query mid-run.
+    """Serving statistics read off the deployment's own records.
 
     Parameters
     ----------
+    outcomes:
+        The server's terminal-outcome list, shared by reference.
     slo:
         Optional per-tenant class assignment; enables the per-class
         latency breakdown and attainment ratio.  ``None`` reports the
         classic aggregate numbers only.
+    audit:
+        The deployment's :class:`~repro.audit.AuditTrail` (``None`` when
+        auditing is off).
+    units:
+        The deployment's :class:`~repro.serving.unit.ServingUnit` list,
+        shared by reference; its length now is the constructed count.
     """
 
-    def __init__(self, slo: SloPolicy | None = None) -> None:
+    def __init__(
+        self,
+        outcomes: list[RequestOutcome],
+        slo: SloPolicy | None = None,
+        audit=None,
+        units: list | None = None,
+    ) -> None:
         self.slo = slo
-        self._latencies: list[float] = []
+        self._outcomes = outcomes
+        self._audit = audit
+        self._units = units if units is not None else []
+        self._initial_units = len(self._units)
         self._fill_ratios: list[float] = []
         self._trigger_counts: dict[str, int] = {}
-        self._completed_by_tenant: dict[str, int] = {}
-        self._shed_by_tenant: dict[str, int] = {}
-        self._latencies_by_class: dict[str, list[float]] = {}
-        self._attained_by_class: dict[str, int] = {}
-        self.completed = 0
-        self.shed = 0
-        #: ``shed`` split by who paid: the arrival (refused at admission),
-        #: the backlog (evicted for a higher-priority arrival), or a
-        #: malformed arrival.  The three always sum to ``shed``.
-        self.shed_at_admission = 0
-        self.shed_evicted = 0
-        self.shed_malformed = 0
-        self.integrity_failures = 0
-        self.decode_errors = 0
-        self.shard_failures = 0
-        self.batches = 0
-        #: Audit-trail cost counters (zero when auditing is disabled).
-        self.audit_windows = 0
-        self.audit_leaves = 0
-        self.audit_bytes = 0
-        self.audit_commit_seconds = 0.0
-        #: Executed elastic membership changes (zero when autoscale off).
-        self.scale_outs = 0
-        self.scale_ins = 0
-        #: Aggregated mask-pool / weight-cache telemetry (``None`` when
-        #: the offline precompute split is off).
-        self._precompute: dict | None = None
-        self._first_arrival: float | None = None
-        self._last_completion: float | None = None
 
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
     def record_batch(self, batch: ScheduledBatch) -> None:
         """Account one flushed virtual batch."""
-        self.batches += 1
         self._fill_ratios.append(batch.fill_ratio)
         self._trigger_counts[batch.trigger] = (
             self._trigger_counts.get(batch.trigger, 0) + 1
         )
 
-    def record_outcome(self, outcome: RequestOutcome) -> None:
-        """Account one finished (ok or failed) request.
+    # ------------------------------------------------------------------
+    # counts
+    # ------------------------------------------------------------------
+    def _count(self, *statuses: str) -> int:
+        return sum(1 for o in self._outcomes if o.status in statuses)
 
-        Only *completed* requests move the throughput span: shed and
-        failed requests produce no served response, so letting their
-        arrivals stretch the span start deflated throughput on mixed
-        traces.
-        """
-        if outcome.status == STATUS_INTEGRITY_FAILED:
-            self.integrity_failures += 1
-            return
-        if outcome.status == STATUS_DECODE_FAILED:
-            self.decode_errors += 1
-            return
-        if outcome.status == STATUS_SHARD_FAILED:
-            self.shard_failures += 1
-            return
-        if not outcome.ok:
-            return
-        self.completed += 1
-        self._completed_by_tenant[outcome.tenant] = (
-            self._completed_by_tenant.get(outcome.tenant, 0) + 1
-        )
-        self._latencies.append(outcome.latency)
-        if self.slo is not None:
-            cls = self.slo.class_for(outcome.tenant)
-            self._latencies_by_class.setdefault(cls.name, []).append(outcome.latency)
-            if outcome.latency <= cls.latency_budget:
-                self._attained_by_class[cls.name] = (
-                    self._attained_by_class.get(cls.name, 0) + 1
-                )
-        if self._first_arrival is None or outcome.arrival_time < self._first_arrival:
-            self._first_arrival = outcome.arrival_time
-        if self._last_completion is None or outcome.completion_time > self._last_completion:
-            self._last_completion = outcome.completion_time
+    @property
+    def completed(self) -> int:
+        """Requests that produced a verified prediction."""
+        return self._count(STATUS_OK)
 
-    def record_commit(self, leaves: int, nbytes: int, seconds: float) -> None:
-        """Account one audit-window commitment (leaves, bytes, wall cost).
+    @property
+    def shed(self) -> int:
+        """Requests turned away unserved: the three kinds below summed."""
+        return self._count(*_SHED)
 
-        ``seconds`` is *host* wall time, not simulated time: committing
-        happens outside the simulated enclave clock, so its cost is
-        reported as real overhead per run rather than folded into the
-        simulated latency percentiles.
-        """
-        self.audit_windows += 1
-        self.audit_leaves += int(leaves)
-        self.audit_bytes += int(nbytes)
-        self.audit_commit_seconds += float(seconds)
+    @property
+    def shed_at_admission(self) -> int:
+        """Arrivals refused for a full deployment."""
+        return self._count(STATUS_SHED)
 
-    def record_scale(self, action: str) -> None:
-        """Account one executed membership change (scale_out / scale_in)."""
-        if action == "scale_out":
-            self.scale_outs += 1
-        elif action == "scale_in":
-            self.scale_ins += 1
-        else:
-            raise ValueError(f"unknown scale action {action!r}")
+    @property
+    def shed_evicted(self) -> int:
+        """Pending requests evicted for a higher-priority arrival."""
+        return self._count(STATUS_EVICTED)
 
-    def record_precompute(self, snapshot: dict | None) -> None:
-        """Attach the deployment's precompute telemetry (or ``None``).
+    @property
+    def shed_malformed(self) -> int:
+        """Arrivals whose sample the model cannot take."""
+        return self._count(STATUS_MALFORMED)
 
-        The server pushes its aggregated mask-pool / weight-cache
-        snapshot here at report time so :meth:`snapshot` carries it.
-        Rate fields that are undefined (a pool never drawn from, no
-        registered streams) must already be ``None`` — never ``inf`` or
-        ``NaN`` — so the snapshot stays strict-JSON.
-        """
-        self._precompute = snapshot
+    @property
+    def integrity_failures(self) -> int:
+        return self._count(STATUS_INTEGRITY_FAILED)
 
-    def record_shed(self, tenant: str, kind: str = SHED_ADMISSION) -> None:
-        """Account one request refused or dropped before it was served.
+    @property
+    def decode_errors(self) -> int:
+        return self._count(STATUS_DECODE_FAILED)
 
-        ``kind`` says who paid: :data:`SHED_ADMISSION` (the arrival was
-        refused for a full queue — the classic, and default, case),
-        :data:`SHED_EVICTED` (a pending request was evicted to admit a
-        higher-priority arrival), or :data:`SHED_MALFORMED` (the arrival's
-        sample cannot be served).
-        """
-        if kind not in (SHED_ADMISSION, SHED_EVICTED, SHED_MALFORMED):
-            raise ValueError(f"unknown shed kind {kind!r}")
-        self.shed += 1
-        if kind == SHED_EVICTED:
-            self.shed_evicted += 1
-        elif kind == SHED_MALFORMED:
-            self.shed_malformed += 1
-        else:
-            self.shed_at_admission += 1
-        self._shed_by_tenant[tenant] = self._shed_by_tenant.get(tenant, 0) + 1
+    @property
+    def shard_failures(self) -> int:
+        return self._count(STATUS_SHARD_FAILED)
+
+    @property
+    def batches(self) -> int:
+        """Flushed virtual batches."""
+        return len(self._fill_ratios)
+
+    @property
+    def audit_windows(self) -> int:
+        """Windows chained by the audit trail (0 when auditing is off)."""
+        return self._audit.windows_committed if self._audit is not None else 0
+
+    @property
+    def audit_leaves(self) -> int:
+        return self._audit.leaves_committed if self._audit is not None else 0
+
+    @property
+    def audit_bytes(self) -> int:
+        return self._audit.bytes_written if self._audit is not None else 0
+
+    def completed_by_tenant(self) -> dict[str, int]:
+        """Completed request counts per tenant."""
+        return dict(Counter(o.tenant for o in self._served()))
+
+    def shed_by_tenant(self) -> dict[str, int]:
+        """Shed request counts per tenant."""
+        return dict(Counter(o.tenant for o in self._outcomes if o.status in _SHED))
+
+    def flush_triggers(self) -> dict[str, int]:
+        """How many batches flushed per trigger kind."""
+        return dict(self._trigger_counts)
 
     # ------------------------------------------------------------------
-    # derived statistics
+    # latency and throughput
     # ------------------------------------------------------------------
+    def _served(self, class_name: str | None = None) -> list[RequestOutcome]:
+        """Completed outcomes (of one service class when named)."""
+        return [
+            o
+            for o in self._outcomes
+            if o.ok
+            and (class_name is None or self.slo.class_for(o.tenant).name == class_name)
+        ]
+
     def latency_percentile(self, p: float) -> float:
         """``p``-th percentile of completed-request latency (seconds)."""
-        if not self._latencies:
-            return float("nan")
-        return float(np.percentile(self._latencies, p))
+        latencies = [o.latency for o in self._served()]
+        return float(np.percentile(latencies, p)) if latencies else float("nan")
 
     def class_latency_percentile(self, class_name: str, p: float) -> float:
         """``p``-th latency percentile for one service class (seconds)."""
-        latencies = self._latencies_by_class.get(class_name)
-        if not latencies:
+        if self.slo is None:
             return float("nan")
-        return float(np.percentile(latencies, p))
+        latencies = [o.latency for o in self._served(class_name)]
+        return float(np.percentile(latencies, p)) if latencies else float("nan")
 
     def slo_attainment(self, class_name: str | None = None) -> float:
         """Fraction of completed requests that met their class budget.
@@ -205,19 +202,21 @@ class ServerMetrics:
         budget-less classes always attain).  ``nan`` with no completions
         (or no completions in the named class).
         """
-        if class_name is not None:
-            total = len(self._latencies_by_class.get(class_name, []))
-            if total == 0:
-                return float("nan")
-            return self._attained_by_class.get(class_name, 0) / total
-        if self.slo is None or self.completed == 0:
+        if self.slo is None:
             return float("nan")
-        return sum(self._attained_by_class.values()) / self.completed
+        served = self._served(class_name)
+        if not served:
+            return float("nan")
+        attained = sum(
+            1 for o in served if o.latency <= self.slo.budget_for(o.tenant)
+        )
+        return attained / len(served)
 
     @property
     def mean_latency(self) -> float:
         """Mean completed-request latency (seconds)."""
-        return float(np.mean(self._latencies)) if self._latencies else float("nan")
+        latencies = [o.latency for o in self._served()]
+        return float(np.mean(latencies)) if latencies else float("nan")
 
     @property
     def batch_fill_ratio(self) -> float:
@@ -234,24 +233,57 @@ class ServerMetrics:
         ``0.0`` rather than leaking ``inf`` into snapshots and benchmark
         JSON artifacts.
         """
-        if self.completed == 0 or self._first_arrival is None:
+        served = self._served()
+        if not served:
             return 0.0
-        span = (self._last_completion or 0.0) - self._first_arrival
-        if span <= 0:
-            return 0.0
-        return self.completed / span
+        span = max(o.completion_time for o in served) - min(
+            o.arrival_time for o in served
+        )
+        return len(served) / span if span > 0 else 0.0
 
-    def completed_by_tenant(self) -> dict[str, int]:
-        """Completed request counts per tenant."""
-        return dict(self._completed_by_tenant)
+    # ------------------------------------------------------------------
+    # precompute
+    # ------------------------------------------------------------------
+    def precompute(self) -> dict | None:
+        """Aggregate pool/weight-cache telemetry across the deployment.
 
-    def shed_by_tenant(self) -> dict[str, int]:
-        """Shed request counts per tenant."""
-        return dict(self._shed_by_tenant)
-
-    def flush_triggers(self) -> dict[str, int]:
-        """How many batches flushed per trigger kind."""
-        return dict(self._trigger_counts)
+        Counters sum over every shard ever provisioned, so a scale-in
+        never takes them backwards; what the pools hold now (streams,
+        pooled bytes, cached layers) sums over live shards.  The hit rate
+        is recomputed from the summed draws (``None`` before any draw —
+        strict-JSON, never ``NaN``); the occupancy averages over live
+        shards that have registered streams.  ``None`` when no backend
+        runs in precompute mode.
+        """
+        snaps = [
+            (shard.healthy, snap)
+            for unit in self._units
+            for shard in unit.shards
+            if (snap := shard.backend.precompute_snapshot()) is not None
+        ]
+        if not snaps:
+            return None
+        agg = {
+            key: sum(s[key] for _, s in snaps)
+            for key in (
+                "hits",
+                "misses",
+                "refills",
+                "pooled_bytes_peak",
+                "weights_staged",
+                "weights_reused",
+            )
+        }
+        live = [s for healthy, s in snaps if healthy]
+        for key in ("streams", "pooled_bytes", "cached_layers"):
+            agg[key] = sum(s[key] for s in live)
+        draws = agg["hits"] + agg["misses"]
+        agg["hit_rate"] = None if draws == 0 else agg["hits"] / draws
+        occupancies = [s["occupancy"] for s in live if s["occupancy"] is not None]
+        agg["occupancy"] = (
+            None if not occupancies else sum(occupancies) / len(occupancies)
+        )
+        return agg
 
     # ------------------------------------------------------------------
     # reporting
@@ -260,17 +292,12 @@ class ServerMetrics:
         """Per-class latency/attainment rows (empty without an SLO policy)."""
         if self.slo is None:
             return {}
-
-        def _finite(value: float) -> float | None:
-            value = float(value)
-            return value if math.isfinite(value) else None
-
+        names = {self.slo.class_for(o.tenant).name for o in self._served()}
         out = {}
-        for name in sorted(self._latencies_by_class):
-            cls = self.slo.classes.get(name)
-            budget = cls.latency_budget if cls is not None else math.inf
+        for name in sorted(names):
+            budget = self.slo.classes[name].latency_budget
             out[name] = {
-                "completed": len(self._latencies_by_class[name]),
+                "completed": len(self._served(name)),
                 "latency_p50": _finite(self.class_latency_percentile(name, 50)),
                 "latency_p99": _finite(self.class_latency_percentile(name, 99)),
                 "latency_budget": budget if math.isfinite(budget) else None,
@@ -286,11 +313,6 @@ class ServerMetrics:
         never as the ``Infinity``/``NaN`` literals ``json.dumps`` would
         otherwise emit into benchmark artifacts.
         """
-
-        def _finite(value: float) -> float | None:
-            value = float(value)
-            return value if math.isfinite(value) else None
-
         return {
             "completed": self.completed,
             "shed": self.shed,
@@ -311,28 +333,13 @@ class ServerMetrics:
             "audit_windows": self.audit_windows,
             "audit_leaves": self.audit_leaves,
             "audit_bytes": self.audit_bytes,
-            "audit_commit_seconds": _finite(self.audit_commit_seconds),
-            "scale_outs": self.scale_outs,
-            "scale_ins": self.scale_ins,
-            "precompute": self._precompute_snapshot(_finite),
+            "audit_commit_seconds": (
+                self._audit.commit_seconds if self._audit is not None else 0.0
+            ),
+            "scale_outs": len(self._units) - self._initial_units,
+            "scale_ins": sum(1 for u in self._units if u.state == "retired"),
+            "precompute": self.precompute(),
         }
-
-    def _precompute_snapshot(self, _finite) -> dict | None:
-        """Strict-JSON copy of the attached precompute telemetry.
-
-        Every float rate passes through the ``_finite`` filter so a pool
-        that was never drawn from (or a shard set with no registered
-        streams) reports ``null`` rather than ``inf``/``NaN`` — the same
-        contract the latency fields keep, enforced by
-        ``benchmarks/validate_artifacts.py``.
-        """
-        if self._precompute is None:
-            return None
-        out = dict(self._precompute)
-        for key in ("hit_rate", "occupancy"):
-            if out.get(key) is not None:
-                out[key] = _finite(out[key])
-        return out
 
     def render(self, title: str = "Serving metrics") -> str:
         """ASCII table of the snapshot (plus per-class rows under SLO)."""

@@ -47,8 +47,8 @@ class RequestQueue:
             raise ConfigurationError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.slo = slo
+        #: Tenant FIFOs, keyed in first-arrival order.
         self._queues: dict[str, deque[PendingRequest]] = {}
-        self._seen: list[str] = []
         #: Tenants with pending requests, in rotation order.  The head is
         #: always the next tenant to serve; serving rotates it to the
         #: back, draining a tenant drops it, and a (re-)activating tenant
@@ -57,13 +57,6 @@ class RequestQueue:
         #: never skip or double-serve an existing tenant's turn.
         self._rotation: deque[str] = deque()
         self._depth = 0
-        #: Arrivals refused outright at admission (no eviction possible).
-        self.shed_count = 0
-        #: Pending requests evicted to admit a higher-priority arrival.
-        #: Kept separate from ``shed_count`` so telemetry distinguishes
-        #: who paid for a full queue: the arrival or the backlog.
-        self.evicted_count = 0
-        self.pushed_count = 0
 
     # ------------------------------------------------------------------
     # admission
@@ -87,22 +80,17 @@ class RequestQueue:
             priority = self.slo.priority_for(request.tenant) if self.slo else 0
             evicted = self.evict_newest_below(priority)
             if evicted is None:
-                self.shed_count += 1
                 raise BackpressureError(
                     f"request queue full ({self.capacity} pending);"
                     f" shedding request {request.request_id} from {request.tenant!r}"
                 )
-        tenant_queue = self._queues.get(request.tenant)
-        if tenant_queue is None:
-            tenant_queue = self._queues[request.tenant] = deque()
-            self._seen.append(request.tenant)
+        tenant_queue = self._queues.setdefault(request.tenant, deque())
         if not tenant_queue:
             # Newly active (or re-activating after a drain): take the
             # back of the rotation — never the middle of someone's turn.
             self._rotation.append(request.tenant)
         tenant_queue.append(request)
         self._depth += 1
-        self.pushed_count += 1
         return evicted
 
     def _eviction_key(self, tenant: str) -> tuple:
@@ -147,7 +135,6 @@ class RequestQueue:
         tenant = candidate[1]
         victim = self._queues[tenant].pop()
         self._depth -= 1
-        self.evicted_count += 1
         if not self._queues[tenant]:
             self._rotation.remove(tenant)
         return victim
@@ -184,7 +171,7 @@ class RequestQueue:
         Used when the router re-pins a tenant to another shard: the
         already-admitted requests follow the pin via
         :meth:`absorb` on the target queue, preserving enqueue times and
-        order.  Extraction is not a shed — no counter moves.
+        order.  Extraction is not a shed.
         """
         tenant_queue = self._queues.get(tenant)
         if not tenant_queue:
@@ -198,18 +185,14 @@ class RequestQueue:
     def absorb(self, requests: list[PendingRequest]) -> None:
         """Re-home already-admitted requests onto this queue.
 
-        Unlike :meth:`push` this performs no capacity check and
-        bumps no admission counter: the requests were admitted once at
-        their original shard, and a membership change must never turn an
-        admitted request into a shed.  Per-tenant FIFO order and enqueue
+        Unlike :meth:`push` this performs no capacity check: the requests
+        were admitted once at their original shard, and a membership change
+        must never turn an admitted request into a shed.  Per-tenant FIFO order and enqueue
         times are preserved; re-homed tenants join the back of the
         rotation like any newly active tenant.
         """
         for request in requests:
-            tenant_queue = self._queues.get(request.tenant)
-            if tenant_queue is None:
-                tenant_queue = self._queues[request.tenant] = deque()
-                self._seen.append(request.tenant)
+            tenant_queue = self._queues.setdefault(request.tenant, deque())
             if not tenant_queue:
                 self._rotation.append(request.tenant)
             tenant_queue.append(request)
@@ -226,7 +209,7 @@ class RequestQueue:
     @property
     def tenants(self) -> list[str]:
         """Tenants seen so far, in first-arrival order."""
-        return list(self._seen)
+        return list(self._queues)
 
     def depth_by_tenant(self) -> dict[str, int]:
         """Pending requests per tenant."""

@@ -13,9 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Outcome states a request can end in.
+#: Outcome states a request can end in.  Three of them are sheds: an
+#: arrival refused for a full deployment (``shed``), a pending request
+#: evicted for a higher-priority arrival, and a sample the model cannot take.
 STATUS_OK = "ok"
 STATUS_SHED = "shed"
+STATUS_EVICTED = "evicted"
+STATUS_MALFORMED = "malformed"
 STATUS_INTEGRITY_FAILED = "integrity_failed"
 STATUS_DECODE_FAILED = "decode_failed"
 STATUS_SHARD_FAILED = "shard_failed"

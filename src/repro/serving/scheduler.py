@@ -22,7 +22,7 @@ import itertools
 import math
 
 from repro.errors import ConfigurationError
-from repro.serving.adaptive import AdaptiveFlushPolicy, WindowFeedback
+from repro.serving.adaptive import AdaptiveFlushPolicy
 from repro.serving.queue import RequestQueue
 from repro.serving.requests import ScheduledBatch
 
@@ -122,11 +122,6 @@ class VirtualBatchScheduler:
         if self.policy is not None:
             self.policy.observe_arrival(now)
 
-    def observe_feedback(self, feedback: WindowFeedback) -> None:
-        """Fold one dispatched window's measured timings into the policy."""
-        if self.policy is not None:
-            self.policy.observe_window(feedback)
-
     # ------------------------------------------------------------------
     # flush triggers
     # ------------------------------------------------------------------
@@ -224,13 +219,6 @@ class ShardedBatchScheduler:
         batches = [b for s in self._live() for b in s.collect_expired(now)]
         batches.sort(key=lambda b: (b.flush_time, b.batch_id))
         return batches
-
-    # ------------------------------------------------------------------
-    # adaptive hooks (no-ops when no unit carries a policy)
-    # ------------------------------------------------------------------
-    def observe_feedback(self, feedback: WindowFeedback) -> None:
-        """Route one dispatched window's measured timings to its unit."""
-        self.units[feedback.shard_id].scheduler.observe_feedback(feedback)
 
     def policy_snapshots(self) -> list[dict | None]:
         """Each unit's learned-policy telemetry (None for static units)."""

@@ -62,14 +62,11 @@ from repro.serving.autoscale import (
     ShardAutoscaler,
 )
 from repro.serving.config import ServingConfig
-from repro.serving.metrics import (
-    SHED_ADMISSION,
-    SHED_EVICTED,
-    SHED_MALFORMED,
-    ServerMetrics,
-)
+from repro.serving.metrics import ServerMetrics
 from repro.serving.queue import RequestQueue
 from repro.serving.requests import (
+    STATUS_EVICTED,
+    STATUS_MALFORMED,
     STATUS_SHARD_FAILED,
     STATUS_SHED,
     PendingRequest,
@@ -289,20 +286,15 @@ class PrivateInferenceServer:
         self.darknight = dk
         #: Kept for elastic scale-out: new shards provision the same model.
         self.network = network
-        self.autoscale_config = autoscale
         self.autoscaler = ShardAutoscaler(autoscale, shards_per_unit=n)
         #: The parsed partition mode and each member's plan range.
         self.partition = partition
         self.stage_ranges = stage_ranges
-        self.metrics = ServerMetrics(slo=self.config.slo)
         #: The verifiable audit trail (``None`` unless ``config.audit``).
         self.audit: AuditTrail | None = None
         if self.config.audit is not None:
             self.audit = AuditTrail(
-                self.config.audit,
-                darknight=dk,
-                num_shards=dk.num_shards,
-                on_commit=self.metrics.record_commit,
+                self.config.audit, darknight=dk, num_shards=dk.num_shards
             )
         shards = [
             self._provision(
@@ -329,13 +321,15 @@ class PrivateInferenceServer:
             self.units,
             self.router,
             sessions=self.sessions,
-            on_feedback=(
-                self.scheduler.observe_feedback if self.config.adaptive else None
-            ),
             slo=self.config.slo,
             audit=self.audit,
         )
+        #: Every request's terminal outcome, in the order requests ended:
+        #: the one account :attr:`metrics` reads.
         self._outcomes: list[RequestOutcome] = []
+        self.metrics = ServerMetrics(
+            self._outcomes, slo=self.config.slo, audit=self.audit, units=self.units
+        )
         self._next_request_id = 0
         # Completion times of dispatched requests, for in-flight accounting.
         self._inflight: list[float] = []
@@ -363,11 +357,11 @@ class PrivateInferenceServer:
         for event in events:
             now = max(now, event.time)
             self._clock = max(self._clock, now)
-            self._run_batches(self.scheduler.collect_expired(now))
+            self._run_batches(self.scheduler.collect_expired(now), now)
             self._autoscale_tick(now)
             self._admit(event, now)
-            self._run_batches(self.scheduler.collect_ready(now))
-        self._run_batches(self.scheduler.collect_expired(_DRAIN))
+            self._run_batches(self.scheduler.collect_ready(now), now)
+        self._run_batches(self.scheduler.collect_expired(_DRAIN), now)
         return self.report()
 
     # ------------------------------------------------------------------
@@ -510,7 +504,6 @@ class PrivateInferenceServer:
                 self.audit.record_membership(
                     "provision", shard.shard_id, now, details=details
                 )
-        self.metrics.record_scale(ACTION_SCALE_OUT)
         self._invalidate_precompute()
         return unit_id
 
@@ -564,7 +557,7 @@ class PrivateInferenceServer:
                 self.audit.record_membership("drain", shard.shard_id, now)
         # Flush the victim's pending windows through its own pipeline
         # (these commit to its audit chains like any other window).
-        self._run_batches(unit.scheduler.drain(now))
+        self._run_batches(unit.scheduler.drain(now), now)
         if not victim.healthy:
             # Died mid-flush: the failover path already migrated its
             # sessions and re-pinned its tenants; nothing left to drain.
@@ -591,7 +584,6 @@ class PrivateInferenceServer:
                     now,
                     details={"batches_run": int(shard.batches_run)},
                 )
-        self.metrics.record_scale(ACTION_SCALE_IN)
         self._invalidate_precompute()
 
     def _invalidate_precompute(self) -> None:
@@ -607,49 +599,9 @@ class PrivateInferenceServer:
         for shard in self._live_shards():
             shard.backend.invalidate_precompute()
 
-    def _precompute_report(self) -> dict | None:
-        """Aggregate pool/weight-cache telemetry across the deployment.
-
-        Counters sum over every shard ever provisioned, so a scale-in
-        never takes them backwards; what the pools hold now (streams,
-        pooled bytes, cached layers) sums over live shards.  The hit rate
-        is recomputed from the summed draws (``None`` before any draw —
-        strict-JSON, never ``NaN``); the occupancy averages over live
-        shards that have registered streams.  ``None`` when no backend
-        runs in precompute mode.
-        """
-        snaps = [
-            (shard.healthy, snap)
-            for shard in self.shards
-            if (snap := shard.backend.precompute_snapshot()) is not None
-        ]
-        if not snaps:
-            return None
-        agg = {
-            key: sum(s[key] for _, s in snaps)
-            for key in (
-                "hits",
-                "misses",
-                "refills",
-                "pooled_bytes_peak",
-                "weights_staged",
-                "weights_reused",
-            )
-        }
-        live = [s for healthy, s in snaps if healthy]
-        for key in ("streams", "pooled_bytes", "cached_layers"):
-            agg[key] = sum(s[key] for s in live)
-        draws = agg["hits"] + agg["misses"]
-        agg["hit_rate"] = None if draws == 0 else agg["hits"] / draws
-        occupancies = [s["occupancy"] for s in live if s["occupancy"] is not None]
-        agg["occupancy"] = (
-            None if not occupancies else sum(occupancies) / len(occupancies)
-        )
-        return agg
-
     def _autoscale_tick(self, now: float) -> None:
         """Run one control-loop evaluation and execute its decision."""
-        if self.autoscale_config is None:
+        if self.config.autoscale is None:
             return
         live = [u for u in self.units if u.executor.healthy]
         if not live:
@@ -684,6 +636,8 @@ class PrivateInferenceServer:
         a sample the model cannot take (:meth:`_malformed`) is shed at the
         door — before it could fail the virtual batch it would share.
         """
+        request_id = self._next_request_id
+        self._next_request_id += 1
         try:
             x = np.asarray(event.x, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -691,44 +645,29 @@ class PrivateInferenceServer:
         else:
             problem = self._malformed(x)
         if problem is not None:
-            self.metrics.record_shed(event.tenant, kind=SHED_MALFORMED)
-            self._outcomes.append(
-                RequestOutcome(
-                    request_id=self._next_request_id,
-                    tenant=event.tenant,
-                    status=STATUS_SHED,
-                    arrival_time=now,
-                    error=f"malformed request: {problem}",
-                )
+            self._end_unserved(
+                request_id,
+                event.tenant,
+                now,
+                STATUS_MALFORMED,
+                f"malformed request: {problem}",
             )
-            self._next_request_id += 1
             return
         try:
             shard_id = self.router.shard_for(event.tenant)
         except ShardError as exc:
-            self._outcomes.append(
-                RequestOutcome(
-                    request_id=self._next_request_id,
-                    tenant=event.tenant,
-                    status=STATUS_SHARD_FAILED,
-                    arrival_time=now,
-                    error=str(exc),
-                )
-            )
-            self._next_request_id += 1
-            self.metrics.record_outcome(self._outcomes[-1])
+            self._end_unserved(request_id, event.tenant, now, STATUS_SHARD_FAILED, str(exc))
             return
         unit = self.units[shard_id]
         session = unit.sessions.connect(event.tenant, now)
         x = session.decrypt_request(session.encrypt_request(x))
         request = PendingRequest(
-            request_id=self._next_request_id,
+            request_id=request_id,
             tenant=event.tenant,
             x=x,
             arrival_time=now,
             enqueue_time=now,
         )
-        self._next_request_id += 1
         try:
             # Admitted-but-incomplete = queued (all shards) + in flight
             # behind busy workers; bounding their sum is what keeps
@@ -761,16 +700,15 @@ class PrivateInferenceServer:
                 self._record_eviction(evicted, request)
             unit.scheduler.observe_arrival(now)
         except BackpressureError as exc:
-            self.metrics.record_shed(event.tenant, kind=SHED_ADMISSION)
-            self._outcomes.append(
-                RequestOutcome(
-                    request_id=request.request_id,
-                    tenant=event.tenant,
-                    status=STATUS_SHED,
-                    arrival_time=now,
-                    error=str(exc),
-                )
-            )
+            self._end_unserved(request_id, event.tenant, now, STATUS_SHED, str(exc))
+
+    def _end_unserved(
+        self, request_id: int, tenant: str, arrival: float, status: str, error: str
+    ) -> None:
+        """Record the terminal outcome of a request that reached no batch."""
+        self._outcomes.append(
+            RequestOutcome(request_id, tenant, status, arrival, error=error)
+        )
 
     def _malformed(self, x: np.ndarray) -> str | None:
         """Why the model cannot take sample ``x``, or ``None`` when it can.
@@ -814,38 +752,45 @@ class PrivateInferenceServer:
         self, victim: PendingRequest, arrival: PendingRequest
     ) -> None:
         """Account one pending request evicted for a premium arrival."""
-        self.metrics.record_shed(victim.tenant, kind=SHED_EVICTED)
-        self._outcomes.append(
-            RequestOutcome(
-                request_id=victim.request_id,
-                tenant=victim.tenant,
-                status=STATUS_SHED,
-                arrival_time=victim.arrival_time,
-                error=(
-                    f"evicted for higher-priority request"
-                    f" {arrival.request_id} from {arrival.tenant!r}"
-                ),
-            )
+        self._end_unserved(
+            victim.request_id,
+            victim.tenant,
+            victim.arrival_time,
+            STATUS_EVICTED,
+            f"evicted for higher-priority request {arrival.request_id}"
+            f" from {arrival.tenant!r}",
         )
 
-    def _run_batches(self, batches) -> None:
+    def _run_batches(self, batches, now: float) -> None:
         """Dispatch a window of flushed batches and account their outcomes.
 
         The whole window goes to the pool in one call so each shard's
         batches overlap inside that shard's staged pipeline (encode
         ``n+1`` while ``n`` computes), with different shards progressing
-        on parallel timelines.
+        on parallel timelines.  A response no live session can carry —
+        the last healthy unit died later in the same window — ends
+        ``shard_failed`` with the routing error: it never reaches its
+        tenant.
         """
         if not batches:
             return
         for batch in batches:
             self.metrics.record_batch(batch)
         outcomes = self.pool.dispatch_window(list(batches))
-        for outcome in outcomes:
+        for i, outcome in enumerate(outcomes):
             heapq.heappush(self._inflight, outcome.completion_time)
-            self.metrics.record_outcome(outcome)
             if outcome.ok:
-                session = self.sessions.connect(outcome.tenant)
+                try:
+                    session = self.sessions.connect(outcome.tenant, now)
+                except ShardError as exc:
+                    outcomes[i] = dataclasses.replace(
+                        outcome,
+                        status=STATUS_SHARD_FAILED,
+                        logits=None,
+                        prediction=None,
+                        error=str(exc),
+                    )
+                    continue
                 envelope = session.encrypt_response(outcome.logits)
                 session.decrypt_response(envelope)
         self._outcomes.extend(outcomes)
@@ -859,8 +804,6 @@ class PrivateInferenceServer:
         for outcome in self._outcomes:
             if outcome.completion_time is not None:
                 end = max(end, outcome.completion_time)
-        precompute = self._precompute_report()
-        self.metrics.record_precompute(precompute)
         return ServingReport(
             outcomes=list(self._outcomes),
             metrics=self.metrics,
@@ -877,8 +820,8 @@ class PrivateInferenceServer:
             audit_roots=self.audit.chain_roots() if self.audit is not None else None,
             autoscale=(
                 self.autoscaler.snapshot(end)
-                if self.autoscale_config is not None
+                if self.config.autoscale is not None
                 else None
             ),
-            precompute=precompute,
+            precompute=self.metrics.precompute(),
         )

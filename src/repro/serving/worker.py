@@ -64,11 +64,6 @@ class InferenceWorkerPool:
     sessions:
         The :class:`~repro.serving.session.ShardedSessionManager` whose
         sessions must migrate on unit failure (``None`` skips migration).
-    on_feedback:
-        Optional callback receiving one
-        :class:`~repro.serving.adaptive.WindowFeedback` per successfully
-        dispatched per-shard window — the timing feedback loop the
-        adaptive flush policy learns from.
     slo:
         Optional :class:`~repro.serving.slo.SloPolicy`.  When set, each
         dispatched batch carries the tightest remaining end-to-end
@@ -93,14 +88,12 @@ class InferenceWorkerPool:
         units: list,
         router,
         sessions=None,
-        on_feedback=None,
         slo=None,
         audit=None,
     ) -> None:
         self.units = units
         self.router = router
         self.sessions = sessions
-        self.on_feedback = on_feedback
         self.slo = slo
         self.audit = audit
         self.failovers = 0
@@ -232,14 +225,13 @@ class InferenceWorkerPool:
             )
             return self._outcomes(batches[0], None, status, str(exc), fallback)
         outcomes = self._settle(shard_id, batches, groups, stats)
-        if self.on_feedback is not None:
-            self.on_feedback(
+        # The timing feedback an adaptive unit's flush policy learns from.
+        policy = self.units[shard_id].scheduler.policy
+        if policy is not None:
+            policy.observe_window(
                 WindowFeedback(
-                    shard_id=shard_id,
                     n_batches=len(batches),
                     enclave_busy=stats.enclave_busy,
-                    makespan=stats.makespan,
-                    stage_totals=dict(stats.stage_totals),
                     slot_bytes_observed=max(
                         int(item.payload.nbytes // max(1, item.payload.shape[0]))
                         for item in items

@@ -123,11 +123,8 @@ def test_service_feedback_raises_the_floor():
     lean = policy.current_wait()
     policy.observe_window(
         WindowFeedback(
-            shard_id=0,
             n_batches=1,
             enclave_busy=8e-3,
-            makespan=8e-3,
-            stage_totals={"encode": 8e-3},
         )
     )
     assert policy.current_wait() > lean
@@ -190,11 +187,8 @@ def test_property_deadline_stays_within_floor_and_ceiling():
             else:
                 policy.observe_window(
                     WindowFeedback(
-                        shard_id=0,
                         n_batches=int(rng.integers(1, 4)),
                         enclave_busy=float(rng.exponential(1e-3)),
-                        makespan=float(rng.exponential(1e-2)),
-                        stage_totals={},
                     )
                 )
             wait = policy.current_wait(pending=int(rng.integers(0, 8)))
@@ -229,11 +223,8 @@ def test_property_k_never_exceeds_the_epc_fitting_size():
         # Runtime observations can only tighten the cap, never widen it.
         policy.observe_window(
             WindowFeedback(
-                shard_id=0,
                 n_batches=1,
                 enclave_busy=1e-3,
-                makespan=1e-3,
-                stage_totals={},
                 slot_bytes_observed=slot_bytes * 2,
             )
         )

@@ -164,8 +164,11 @@ def test_queue_extract_and_absorb_move_admitted_work_without_shedding():
     dst.absorb(moved)
     assert dst.depth == 2
     assert [r.request_id for r in dst.pop_fair(4)] == [0, 2]
-    # Re-homing is not admission: nothing was shed or counted as pushed.
-    assert dst.shed_count == 0
+    # Re-homing is not admission: a queue already at capacity still absorbs.
+    full = RequestQueue(1)
+    full.push(PendingRequest(9, "c", np.zeros(4), 9.0, 9.0))
+    full.absorb(src.extract_tenant("b"))
+    assert full.depth == 3
     assert src.extract_tenant("ghost") == []
 
 
@@ -542,9 +545,9 @@ def _run_membership_schedule(steps, partition="replicated"):
         # One turn of serve_trace's loop body.
         nonlocal now
         now = max(now, event.time)
-        server._run_batches(server.scheduler.collect_expired(now))
+        server._run_batches(server.scheduler.collect_expired(now), now)
         server._admit(event, now)
-        server._run_batches(server.scheduler.collect_ready(now))
+        server._run_batches(server.scheduler.collect_ready(now), now)
 
     for n_arrivals, action, pick in steps:
         for event in itertools.islice(arrivals, n_arrivals):
@@ -563,7 +566,7 @@ def _run_membership_schedule(steps, partition="replicated"):
         _assert_one_membership_view(server)
     for event in arrivals:
         admit(event)
-    server._run_batches(server.scheduler.collect_expired(float("inf")))
+    server._run_batches(server.scheduler.collect_expired(float("inf")), now)
     _assert_one_membership_view(server)
     return server, server.report()
 

@@ -1,13 +1,14 @@
-"""Tests for the serving metrics collector."""
+"""Tests for the serving metrics view over an outcome list."""
 
 import math
 
-import pytest
-
 from repro.serving import ServerMetrics
 from repro.serving.requests import (
+    STATUS_EVICTED,
     STATUS_INTEGRITY_FAILED,
+    STATUS_MALFORMED,
     STATUS_OK,
+    STATUS_SHED,
     RequestOutcome,
     ScheduledBatch,
 )
@@ -25,10 +26,16 @@ def _ok(request_id, tenant, arrival, completion):
     )
 
 
+def _shed(request_id, tenant, status=STATUS_SHED):
+    return RequestOutcome(
+        request_id=request_id, tenant=tenant, status=status, arrival_time=0.0
+    )
+
+
 def test_latency_percentiles_and_throughput():
-    metrics = ServerMetrics()
-    for i in range(100):
-        metrics.record_outcome(_ok(i, "t0", arrival=float(i), completion=i + 0.010))
+    metrics = ServerMetrics(
+        [_ok(i, "t0", arrival=float(i), completion=i + 0.010) for i in range(100)]
+    )
     assert metrics.completed == 100
     assert math.isclose(metrics.latency_percentile(50), 0.010)
     assert math.isclose(metrics.latency_percentile(99), 0.010)
@@ -38,7 +45,7 @@ def test_latency_percentiles_and_throughput():
 
 
 def test_batch_fill_and_trigger_accounting():
-    metrics = ServerMetrics()
+    metrics = ServerMetrics([])
     metrics.record_batch(ScheduledBatch(batch_id=0, requests=[1, 2, 3, 4], slots=4))
     metrics.record_batch(
         ScheduledBatch(batch_id=1, requests=[5], trigger="deadline", slots=4)
@@ -49,17 +56,18 @@ def test_batch_fill_and_trigger_accounting():
 
 
 def test_failures_and_shed_are_counted_not_completed():
-    metrics = ServerMetrics()
-    metrics.record_outcome(_ok(0, "a", 0.0, 0.01))
-    metrics.record_outcome(
-        RequestOutcome(
-            request_id=1,
-            tenant="b",
-            status=STATUS_INTEGRITY_FAILED,
-            arrival_time=0.0,
-        )
+    metrics = ServerMetrics(
+        [
+            _ok(0, "a", 0.0, 0.01),
+            RequestOutcome(
+                request_id=1,
+                tenant="b",
+                status=STATUS_INTEGRITY_FAILED,
+                arrival_time=0.0,
+            ),
+            _shed(2, "b"),
+        ]
     )
-    metrics.record_shed("b")
     snap = metrics.snapshot()
     assert snap["completed"] == 1
     assert snap["integrity_failures"] == 1
@@ -69,8 +77,7 @@ def test_failures_and_shed_are_counted_not_completed():
 
 
 def test_render_is_a_table_with_headline_metrics():
-    metrics = ServerMetrics()
-    metrics.record_outcome(_ok(0, "a", 0.0, 0.02))
+    metrics = ServerMetrics([_ok(0, "a", 0.0, 0.02)])
     text = metrics.render()
     assert "latency p99" in text
     assert "throughput" in text
@@ -78,7 +85,7 @@ def test_render_is_a_table_with_headline_metrics():
 
 
 def test_empty_metrics_do_not_crash():
-    metrics = ServerMetrics()
+    metrics = ServerMetrics([])
     assert metrics.throughput == 0.0
     assert math.isnan(metrics.latency_percentile(50))
     assert metrics.batch_fill_ratio == 0.0
@@ -86,8 +93,7 @@ def test_empty_metrics_do_not_crash():
 
 def test_degenerate_span_reports_zero_not_infinity():
     """Regression: one instantaneous completion used to yield inf req/s."""
-    metrics = ServerMetrics()
-    metrics.record_outcome(_ok(0, "a", arrival=1.0, completion=1.0))
+    metrics = ServerMetrics([_ok(0, "a", arrival=1.0, completion=1.0)])
     assert metrics.throughput == 0.0
     assert math.isfinite(metrics.snapshot()["throughput_rps"])
 
@@ -98,30 +104,26 @@ def test_shed_and_failed_arrivals_do_not_stretch_the_span():
     on mixed traces."""
     from repro.serving.requests import STATUS_SHARD_FAILED
 
-    clean = ServerMetrics()
-    mixed = ServerMetrics()
     # Noise at t=0 that produced no served response...
-    mixed.record_shed("noisy")
-    mixed.record_outcome(
+    noise = [
+        _shed(97, "noisy"),
         RequestOutcome(
             request_id=99,
             tenant="noisy",
             status=STATUS_INTEGRITY_FAILED,
             arrival_time=0.0,
-        )
-    )
-    mixed.record_outcome(
+        ),
         RequestOutcome(
             request_id=98,
             tenant="noisy",
             status=STATUS_SHARD_FAILED,
             arrival_time=0.0,
-        )
-    )
+        ),
+    ]
     # ...then identical completed traffic starting at t=100.
-    for m in (clean, mixed):
-        for i in range(10):
-            m.record_outcome(_ok(i, "a", arrival=100.0 + i, completion=100.5 + i))
+    served = [_ok(i, "a", arrival=100.0 + i, completion=100.5 + i) for i in range(10)]
+    clean = ServerMetrics(list(served))
+    mixed = ServerMetrics(noise + served)
     assert mixed.throughput == clean.throughput
     assert math.isclose(clean.throughput, 10 / 9.5)
 
@@ -134,26 +136,20 @@ def test_snapshot_is_strict_json_everywhere():
     def _reject(_):
         raise AssertionError("non-finite constant leaked into snapshot JSON")
 
-    empty = ServerMetrics()
+    empty = ServerMetrics([])
     json.loads(json.dumps(empty.snapshot()), parse_constant=_reject)
     assert empty.snapshot()["latency_p99"] is None
     assert "n/a" in empty.render()
 
-    busy = ServerMetrics()
-    busy.record_outcome(_ok(0, "a", arrival=2.0, completion=2.0))  # zero span
+    busy = ServerMetrics([_ok(0, "a", arrival=2.0, completion=2.0)])  # zero span
     json.loads(json.dumps(busy.snapshot()), parse_constant=_reject)
 
 
 def test_the_three_shed_kinds_sum_to_shed():
-    from repro.serving.metrics import SHED_EVICTED, SHED_MALFORMED
-
-    metrics = ServerMetrics()
-    metrics.record_shed("a")
-    metrics.record_shed("b", kind=SHED_EVICTED)
-    metrics.record_shed("b", kind=SHED_MALFORMED)
+    metrics = ServerMetrics(
+        [_shed(0, "a"), _shed(1, "b", STATUS_EVICTED), _shed(2, "b", STATUS_MALFORMED)]
+    )
     snap = metrics.snapshot()
     assert (snap["shed_at_admission"], snap["shed_evicted"], snap["shed_malformed"]) == (1, 1, 1)
     assert snap["shed"] == 3
     assert "refused malformed" in metrics.render()
-    with pytest.raises(ValueError):
-        metrics.record_shed("a", kind="quota")

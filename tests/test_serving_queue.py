@@ -51,9 +51,8 @@ def test_backpressure_sheds_beyond_capacity():
     q = RequestQueue(capacity=3)
     for i in range(3):
         q.push(_req(i))
-    with pytest.raises(BackpressureError):
+    with pytest.raises(BackpressureError, match="queue full"):
         q.push(_req(99))
-    assert q.shed_count == 1
     assert q.depth == 3
     # Draining frees capacity again.
     q.pop_fair(1)
@@ -147,11 +146,11 @@ def test_peek_eviction_candidate_names_the_victim_without_taking_it():
     q.push(_req(2, tenant="std", t=2.0))
     key, tenant = q.peek_eviction_candidate(priority=2)
     assert tenant == "bulk" and key[0] == 0  # the lowest class goes first
-    assert q.depth == 3 and q.evicted_count == 0
+    assert q.depth == 3
     assert q.peek_eviction_candidate(priority=0) is None  # nothing strictly below
     victim = q.evict_newest_below(priority=2)
     assert (victim.request_id, victim.tenant) == (1, "bulk")  # its newest request
-    assert q.depth == 2 and q.evicted_count == 1
+    assert q.depth == 2
 
 
 def test_newest_request_breaks_ties_within_a_priority():

@@ -1,5 +1,7 @@
 """End-to-end tests for the multi-tenant private-inference server."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.fieldmath import PrimeField
@@ -7,7 +9,9 @@ from repro.gpu import GpuCluster, RandomTamper
 from repro.nn import Dense, PlainBackend, ReLU, Sequential
 from repro.runtime import DarKnightConfig
 from repro.serving import (
+    STATUS_EVICTED,
     STATUS_INTEGRITY_FAILED,
+    STATUS_MALFORMED,
     STATUS_SHED,
     PrivateInferenceServer,
     ServingConfig,
@@ -275,9 +279,10 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
         net, backend=DarKnightBackend(dk, cluster=cluster)
     )
     windows = []
-    pool = InferenceWorkerPool(
-        make_units([EnclaveShard(0, engine)]), ShardRouter(1), on_feedback=windows.append
-    )
+    units = make_units([EnclaveShard(0, engine)])
+    # A flush policy that only records the window feedback it is fed.
+    units[0].scheduler.policy = SimpleNamespace(observe_window=windows.append)
+    pool = InferenceWorkerPool(units, ShardRouter(1))
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -370,7 +375,7 @@ def test_premium_arrival_evicts_best_effort_backlog_end_to_end():
     premium = [o for o in report.completed if o.tenant == "tenant0"]
     assert len(premium) == 1
     assert len(report.completed) == 4
-    assert sum(u.queue.evicted_count for u in server.units) == 1
+    assert [o.tenant for o in report.outcomes if o.status == STATUS_EVICTED] == ["tenant1"]
 
 
 def test_all_default_slo_policy_is_bit_identical_to_no_policy():
@@ -412,7 +417,7 @@ def test_malformed_samples_are_shed_and_the_rest_of_the_trace_is_untouched():
     assert len(reports[1].outcomes) == len(outcomes) == 24
     for request_id, reason in ((5, "NaN or infinite"), (11, "shape (15,)")):
         outcome = outcomes.pop(request_id)
-        assert outcome.status == STATUS_SHED and "malformed request" in outcome.error
+        assert outcome.status == STATUS_MALFORMED and "malformed request" in outcome.error
         assert reason in outcome.error
     assert all(outcome.ok for outcome in outcomes.values())
     for request_id, outcome in outcomes.items():
@@ -434,4 +439,4 @@ def test_unconvertible_sample_is_shed_not_raised():
     assert "not a numeric array" in by_id[0].error
     assert "NaN or infinite" in by_id[1].error
     assert report.metrics.shed_malformed == 2
-    assert 2 not in {o.request_id for o in report.outcomes if o.status == STATUS_SHED}
+    assert 2 not in {o.request_id for o in report.outcomes if o.status == STATUS_MALFORMED}

@@ -191,6 +191,31 @@ def test_total_outage_fails_requests_without_crashing_the_server():
     assert "1 failovers" in report.render()
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_cascading_total_outage_still_ends_every_request_once(depth):
+    """Regression: responses computed before the last healthy unit died
+    later in the same window had no live session to carry them, and the
+    routing error escaped ``serve_trace``.  They now end ``shard_failed``."""
+    from repro.serving import STATUS_SHARD_FAILED
+
+    trace = synthetic_trace(40, (16,), n_tenants=6, mean_interarrival=2e-5, seed=0)
+    dk = DarKnightConfig(
+        virtual_batch_size=4, seed=0, num_shards=2, pipeline_depth=depth
+    )
+    server = PrivateInferenceServer(
+        _tiny_net(), ServingConfig(darknight=dk, queue_capacity=512)
+    )
+    server.shards[0].fail_after(3)
+    server.shards[1].fail_after(7)
+    report = server.serve_trace(trace)
+
+    assert sorted(o.request_id for o in report.outcomes) == list(range(40))
+    failed = [o for o in report.outcomes if not o.ok]
+    assert any("no healthy shards" in o.error for o in failed)
+    assert all(o.status == STATUS_SHARD_FAILED and o.logits is None for o in failed)
+    assert report.metrics.shard_failures + report.metrics.completed == 40
+
+
 def test_failed_batch_splits_across_tenants_new_shards():
     """A mixed-tenant batch whose shard dies retries each request on the
     shard its *migrated* session now lives on — one sub-batch per target."""

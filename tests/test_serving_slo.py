@@ -24,8 +24,13 @@ from repro.serving import (
     build_slo_policy,
 )
 from repro.serving.adaptive import AdaptiveFlushPolicy
-from repro.serving.metrics import SHED_EVICTED
-from repro.serving.requests import STATUS_OK, RequestOutcome, ScheduledBatch
+from repro.serving.requests import (
+    STATUS_EVICTED,
+    STATUS_OK,
+    STATUS_SHED,
+    RequestOutcome,
+    ScheduledBatch,
+)
 from repro.serving.scheduler import ShardedBatchScheduler
 from repro.sharding import ShardRouter
 
@@ -122,8 +127,6 @@ def test_premium_arrival_evicts_newest_lowest_priority_pending():
     # before the default-class stranger, newest bulk request first.
     assert victim is not None and victim.request_id == 1
     assert q.depth == 3
-    assert q.evicted_count == 1
-    assert q.shed_count == 0
     # The premium request is queued, the stranger survived.
     tenants = {r.tenant for r in q.pop_fair(3)}
     assert tenants == {"b0", "stranger", "p0"}
@@ -135,8 +138,7 @@ def test_equal_priority_sheds_the_arrival_exactly_as_before():
     q.push(_req(1, tenant="other"))
     with pytest.raises(BackpressureError):
         q.push(_req(2, tenant="third"))  # default class cannot evict default
-    assert q.shed_count == 1
-    assert q.evicted_count == 0
+    assert q.depth == 2
 
 
 def test_full_queue_of_premium_sheds_bulk_arrival():
@@ -145,7 +147,6 @@ def test_full_queue_of_premium_sheds_bulk_arrival():
     with pytest.raises(BackpressureError):
         q.push(_req(1, tenant="b0"))
     assert q.depth == 1
-    assert q.evicted_count == 0
 
 
 def test_eviction_prunes_drained_tenant_from_rotation():
@@ -164,7 +165,7 @@ def test_queue_without_policy_is_unchanged():
     q.push(_req(0))
     with pytest.raises(BackpressureError):
         q.push(_req(1))
-    assert q.evicted_count == 0
+    assert q.depth == 1
     assert q.earliest_deadline(0.01) == pytest.approx(0.01)
 
 
@@ -321,10 +322,14 @@ def _ok(request_id, tenant, arrival, completion):
 
 
 def test_per_class_percentiles_and_attainment():
-    metrics = ServerMetrics(slo=_policy())
-    metrics.record_outcome(_ok(0, "p0", 0.0, 0.003))   # inside 4ms budget
-    metrics.record_outcome(_ok(1, "p0", 0.0, 0.009))   # violates it
-    metrics.record_outcome(_ok(2, "b0", 0.0, 0.500))   # bulk: no budget
+    metrics = ServerMetrics(
+        [
+            _ok(0, "p0", 0.0, 0.003),  # inside 4ms budget
+            _ok(1, "p0", 0.0, 0.009),  # violates it
+            _ok(2, "b0", 0.0, 0.500),  # bulk: no budget
+        ],
+        slo=_policy(),
+    )
     assert metrics.class_latency_percentile("premium", 50) == pytest.approx(0.006)
     assert metrics.slo_attainment("premium") == pytest.approx(0.5)
     assert metrics.slo_attainment("bulk") == pytest.approx(1.0)
@@ -338,24 +343,25 @@ def test_per_class_percentiles_and_attainment():
 
 
 def test_shed_accounting_distinguishes_eviction_from_admission():
-    metrics = ServerMetrics(slo=_policy())
-    metrics.record_shed("b0")  # default kind: refused at admission
-    metrics.record_shed("b1", kind=SHED_EVICTED)
+    metrics = ServerMetrics(
+        [
+            RequestOutcome(0, "b0", STATUS_SHED, 0.0),  # refused at admission
+            RequestOutcome(1, "b1", STATUS_EVICTED, 0.0),
+        ],
+        slo=_policy(),
+    )
     assert metrics.shed == 2
     assert metrics.shed_at_admission == 1
     assert metrics.shed_evicted == 1
     snap = metrics.snapshot()
     assert snap["shed_at_admission"] == 1
     assert snap["shed_evicted"] == 1
-    with pytest.raises(ValueError):
-        metrics.record_shed("b0", kind="nonsense")
 
 
 def test_metrics_without_policy_keep_stable_snapshot_shape():
     import json
 
-    metrics = ServerMetrics()
-    metrics.record_outcome(_ok(0, "a", 0.0, 0.01))
+    metrics = ServerMetrics([_ok(0, "a", 0.0, 0.01)])
     snap = metrics.snapshot()
     assert snap["slo_attainment"] is None
     assert snap["slo_classes"] == {}
