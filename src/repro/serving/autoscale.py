@@ -18,13 +18,13 @@ and turns them into *rare, deliberate* membership changes:
   expensive mistake (drain, migration, and a likely re-provision).
 
 The autoscaler is pure decision logic on the simulated clock: it never
-touches shards itself.  The server executes decisions through its
-dynamic-membership APIs (``provision_shard`` / ``decommission_shard``)
-and reports them back via :meth:`ShardAutoscaler.note_provisioned` /
-:meth:`ShardAutoscaler.note_retired`, which also power the shard-seconds
-accounting the autoscale benchmark gates on (provisioned capacity
-integrated over simulated time — the cost axis static max provisioning
-loses on).
+touches shards itself, and it keeps no membership of its own.  The server
+executes decisions through its dynamic-membership APIs
+(``provision_shard`` / ``decommission_shard``) and logs them with
+:meth:`ShardAutoscaler.record`.  The shard-seconds accounting the
+autoscale benchmark gates on (provisioned capacity integrated over
+simulated time — the cost axis static max provisioning loses on) is
+:func:`shard_ledger`, read off the shards' own lifecycle stamps.
 """
 
 from __future__ import annotations
@@ -116,30 +116,19 @@ class AutoscaleEvent:
     reason: str
 
 
-@dataclass
-class _ShardSpan:
-    """One shard's provisioned interval on the simulated clock."""
-
-    provisioned_at: float
-    retired_at: float | None = None
-
-
 class ShardAutoscaler:
     """Decides when the deployment should grow or shrink.
 
     The server drives :meth:`evaluate` from its event loop; a returned
     action is *advice* — the server executes it (provision + attest +
-    re-ring, or drain + migrate + kill) and confirms with
-    :meth:`note_provisioned` / :meth:`note_retired` so the shard-seconds
-    ledger matches what actually happened.  Pressure is read per serving
-    unit; ``shards_per_unit`` converts unit counts into the physical
-    shards the bounds, utilization and ledger are stated in.
+    re-ring, or drain + migrate + kill) and logs it with :meth:`record`.
+    Pressure is read per serving unit; ``shards_per_unit`` converts unit
+    counts into the physical shards the bounds and utilization are
+    stated in.
     """
 
-    def __init__(
-        self, config: AutoscaleConfig | None = None, shards_per_unit: int = 1
-    ) -> None:
-        self.config = config or AutoscaleConfig()
+    def __init__(self, config: AutoscaleConfig, shards_per_unit: int = 1) -> None:
+        self.config = config
         self.shards_per_unit = shards_per_unit
         self._depth_ewma: dict[int, float] = {}
         self._busy_seen: dict[int, float] = {}
@@ -149,7 +138,6 @@ class ShardAutoscaler:
         self._low_streak = 0
         self.evaluations = 0
         self.events: list[AutoscaleEvent] = []
-        self._spans: dict[int, list[_ShardSpan]] = {}
 
     # ------------------------------------------------------------------
     # decision logic
@@ -236,19 +224,6 @@ class ShardAutoscaler:
             return ACTION_SCALE_IN, reason
         return None, "steady"
 
-    # ------------------------------------------------------------------
-    # executed-change ledger
-    # ------------------------------------------------------------------
-    def note_provisioned(self, shard_id: int, now: float) -> None:
-        """Record that a shard went live at ``now``."""
-        self._spans.setdefault(shard_id, []).append(_ShardSpan(now))
-
-    def note_retired(self, shard_id: int, now: float) -> None:
-        """Record that a shard left the deployment at ``now``."""
-        spans = self._spans.get(shard_id)
-        if spans and spans[-1].retired_at is None:
-            spans[-1].retired_at = now
-
     def record(self, action: str, shard_id: int, n_live: int, now: float, reason: str) -> None:
         """Log one executed membership change and start its cooldown."""
         self._last_action_time = now
@@ -264,69 +239,34 @@ class ShardAutoscaler:
             )
         )
 
-    def shard_seconds(self, end: float) -> float:
-        """Provisioned capacity integrated over simulated time.
 
-        Each shard contributes its live interval ``[provisioned_at,
-        retired_at or end]`` — the "shard-hours" cost axis on which
-        autoscaling beats static max provisioning.
-        """
-        total = 0.0
-        for spans in self._spans.values():
-            for span in spans:
-                closed = span.retired_at if span.retired_at is not None else end
-                total += max(0.0, closed - span.provisioned_at)
-        return total
+def shard_ledger(shards, end: float) -> dict:
+    """Live shards, peak and shard-seconds, read off the shards themselves.
 
-    @property
-    def scale_outs(self) -> int:
-        """Executed scale-out events."""
-        return sum(1 for e in self.events if e.action == ACTION_SCALE_OUT)
-
-    @property
-    def scale_ins(self) -> int:
-        """Executed scale-in events."""
-        return sum(1 for e in self.events if e.action == ACTION_SCALE_IN)
-
-    def live_shards(self) -> list[int]:
-        """Shard ids currently inside an open provisioned span."""
-        return sorted(
-            shard_id
-            for shard_id, spans in self._spans.items()
-            if spans and spans[-1].retired_at is None
-        )
-
-    def peak_shards(self) -> int:
-        """Largest simultaneous live-shard count over the run."""
-        edges: list[tuple[float, int]] = []
-        for spans in self._spans.values():
-            for span in spans:
-                edges.append((span.provisioned_at, 1))
-                if span.retired_at is not None:
-                    edges.append((span.retired_at, -1))
-        peak = live = 0
-        for _, delta in sorted(edges, key=lambda e: (e[0], -e[1])):
-            live += delta
-            peak = max(peak, live)
-        return peak
-
-    def snapshot(self, end: float) -> dict:
-        """Strict-JSON-safe telemetry for the serving report."""
-        return {
-            "evaluations": self.evaluations,
-            "scale_outs": self.scale_outs,
-            "scale_ins": self.scale_ins,
-            "live_shards": self.live_shards(),
-            "peak_shards": self.peak_shards(),
-            "shard_seconds": self.shard_seconds(end),
-            "events": [
-                {
-                    "time": e.time,
-                    "action": e.action,
-                    "shard_id": e.shard_id,
-                    "n_live": e.n_live,
-                    "reason": e.reason,
-                }
-                for e in self.events
-            ],
-        }
+    Each :class:`~repro.sharding.EnclaveShard` is in service from its
+    ``provisioned_at`` until it is retired or failed over (``retired_at``
+    / ``failed_at``), or until ``end`` while it still serves.
+    ``shard_seconds`` integrates that provisioned capacity over simulated
+    time — the "shard-hours" cost axis on which autoscaling beats static
+    max provisioning; ``peak_shards`` is the largest simultaneous count,
+    counting a join before a leave at the same instant (the conservative
+    reading).
+    """
+    spans = [
+        (s.provisioned_at, s.retired_at if s.retired_at is not None else s.failed_at)
+        for s in shards
+    ]
+    edges = [(start, 1) for start, _ in spans]
+    edges += [(stop, -1) for _, stop in spans if stop is not None]
+    peak = live = 0
+    for _, delta in sorted(edges, key=lambda e: (e[0], -e[1])):
+        live += delta
+        peak = max(peak, live)
+    total = 0.0
+    for start, stop in spans:
+        total += max(0.0, (end if stop is None else stop) - start)
+    return {
+        "live_shards": [s.shard_id for s, (_, stop) in zip(shards, spans) if stop is None],
+        "peak_shards": peak,
+        "shard_seconds": total,
+    }

@@ -147,6 +147,16 @@ class ServerMetrics:
         return len(self._fill_ratios)
 
     @property
+    def scale_outs(self) -> int:
+        """Units added after the deployment was constructed."""
+        return len(self._units) - self._initial_units
+
+    @property
+    def scale_ins(self) -> int:
+        """Units decommissioned (state ``retired``)."""
+        return sum(1 for u in self._units if u.state == "retired")
+
+    @property
     def audit_windows(self) -> int:
         """Windows chained by the audit trail (0 when auditing is off)."""
         return self._audit.windows_committed if self._audit is not None else 0
@@ -336,8 +346,8 @@ class ServerMetrics:
             "audit_commit_seconds": (
                 self._audit.commit_seconds if self._audit is not None else 0.0
             ),
-            "scale_outs": len(self._units) - self._initial_units,
-            "scale_ins": sum(1 for u in self._units if u.state == "retired"),
+            "scale_outs": self.scale_outs,
+            "scale_ins": self.scale_ins,
             "precompute": self.precompute(),
         }
 

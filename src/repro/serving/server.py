@@ -20,7 +20,10 @@ unit, and everything kept *per unit* (its :class:`PipelineGroup`
 executor, queue, scheduler, sessions) lives in one
 :class:`~repro.serving.unit.ServingUnit`; the server owns the single
 list of them and is the only place membership changes — a whole unit at
-a time.  Serving always
+a time.  A shard's service life is stamped on the shard itself
+(``provisioned_at``, ``retired_at``, ``failed_at``): the mesh keeps only
+links, the router only routing, the autoscaler only its decisions, and
+the report's shard-seconds are read off the shards.  Serving always
 uses per-sample normalization, so a request's logits are bit-identical
 at every shard count, pipeline depth, and coalescing mix.
 
@@ -60,6 +63,7 @@ from repro.serving.autoscale import (
     ACTION_SCALE_IN,
     ACTION_SCALE_OUT,
     ShardAutoscaler,
+    shard_ledger,
 )
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import ServerMetrics
@@ -286,7 +290,12 @@ class PrivateInferenceServer:
         self.darknight = dk
         #: Kept for elastic scale-out: new shards provision the same model.
         self.network = network
-        self.autoscaler = ShardAutoscaler(autoscale, shards_per_unit=n)
+        #: The elastic control loop (``None`` unless ``config.autoscale``).
+        self.autoscaler = (
+            ShardAutoscaler(autoscale, shards_per_unit=n)
+            if autoscale is not None
+            else None
+        )
         #: The parsed partition mode and each member's plan range.
         self.partition = partition
         self.stage_ranges = stage_ranges
@@ -306,7 +315,7 @@ class PrivateInferenceServer:
         ]
         self.mesh = AttestationMesh(
             shards, expected_code_identity=self.config.code_identity
-        ).establish()
+        )
         self.router = ShardRouter(n_units, slo=self.config.slo)
         #: Every routing unit ever deployed, indexed by unit id (retired
         #: ones stay in place).  The scheduler, session manager and pool
@@ -368,12 +377,13 @@ class PrivateInferenceServer:
     # membership: the one collection of units, and the one way to change it
     # ------------------------------------------------------------------
     def _live_shards(self) -> list[EnclaveShard]:
-        """Shards currently serving traffic (draining included)."""
+        """Shards currently serving traffic (a draining unit's included)."""
         return [s for s in self.shards if s.healthy]
 
     def _provision(
         self,
         shard_id: int,
+        now: float = 0.0,
         cluster: GpuCluster | None = None,
         enclave: Enclave | None = None,
     ) -> EnclaveShard:
@@ -387,11 +397,10 @@ class PrivateInferenceServer:
             cluster=cluster,
             enclave=enclave,
             link=self.link,
+            provisioned_at=now,
         )
 
-    def _add_unit(
-        self, unit_id: int, shards: list[EnclaveShard], now: float = 0.0
-    ) -> ServingUnit:
+    def _add_unit(self, unit_id: int, shards: list[EnclaveShard]) -> ServingUnit:
         """Put one routing unit into service around mesh-attested shards.
 
         The only place per-unit serving state is built — at construction
@@ -454,8 +463,6 @@ class PrivateInferenceServer:
             ),
         )
         self.units.append(unit)
-        for shard in shards:
-            self.autoscaler.note_provisioned(shard.shard_id, now)
         return unit
 
     def provision_shard(self, now: float = 0.0) -> int:
@@ -465,20 +472,23 @@ class PrivateInferenceServer:
         layered).  The join is end to end: insert the new unit's virtual
         nodes into the consistent-hash ring (bounded tenant re-pinning;
         the router allocates the unit id), provision its shards' trusted
-        stacks, attest each incrementally against the live mesh members,
-        build the serving unit, migrate the re-pinned tenants' attested
-        sessions over the mesh, re-home their already-queued requests,
-        and open every member's audit log when the trail is on.  Logits
+        stacks, attest each incrementally against the live shards (and
+        the unit's members attested before it), build the serving unit,
+        migrate the re-pinned tenants' attested sessions over the mesh,
+        re-home their already-queued requests, and open every member's
+        audit log when the trail is on.  Logits
         are unaffected by construction: per-sample normalization makes
         every response independent of which unit (and which co-batch)
         served it.  Returns the new unit's id.
         """
         unit_id, remap = self.router.add_shard()
         n = self.partition.n_stages
-        shards = [self._provision(unit_id * n + k) for k in range(n)]
+        shards = [self._provision(unit_id * n + k, now) for k in range(n)]
+        peers = self._live_shards()
         for shard in shards:
-            self.mesh.extend(shard)
-        unit = self._add_unit(unit_id, shards, now)
+            self.mesh.extend(shard, peers)
+            peers.append(shard)
+        unit = self._add_unit(unit_id, shards)
         try:
             self.sessions.migrate(remap, now)
         except AttestationError:
@@ -540,7 +550,7 @@ class PrivateInferenceServer:
         audit-committed when the trail is on — then its tenants re-place
         through the ring and their attested sessions migrate over the
         still-verified mesh links, and only then is every member shard
-        decommissioned (mesh, audit chain, shard-seconds ledger).  A
+        decommissioned: stamped retired, its audit chain closed.  A
         refused migration (unverified link) degrades safely: the unit's
         sessions are dropped and each tenant re-attests on its new unit
         at next contact.  The unit stays in :attr:`units` — its state
@@ -549,7 +559,6 @@ class PrivateInferenceServer:
         """
         vid, victim = unit.unit_id, unit.executor
         self.router.begin_drain(vid)
-        victim.begin_drain()
         if self.audit is not None:
             # Chain the wind-down *before* the final flush: every window
             # after this entry is the drain itself.
@@ -572,10 +581,8 @@ class PrivateInferenceServer:
         for tenant in unit.sessions.active_tenants:
             unit.sessions.drop(tenant)
         victim.decommission(now)
-        for shard in unit.shards:
-            self.mesh.retire(shard.shard_id)
-            self.autoscaler.note_retired(shard.shard_id, now)
-            if self.audit is not None:
+        if self.audit is not None:
+            for shard in unit.shards:
                 # The chain's final word on the shard: retired, with its
                 # lifetime dispatch count frozen into the event leaf.
                 self.audit.record_membership(
@@ -601,7 +608,7 @@ class PrivateInferenceServer:
 
     def _autoscale_tick(self, now: float) -> None:
         """Run one control-loop evaluation and execute its decision."""
-        if self.config.autoscale is None:
+        if self.autoscaler is None:
             return
         live = [u for u in self.units if u.executor.healthy]
         if not live:
@@ -819,8 +826,14 @@ class PrivateInferenceServer:
             adaptive=self.scheduler.policy_snapshots(),
             audit_roots=self.audit.chain_roots() if self.audit is not None else None,
             autoscale=(
-                self.autoscaler.snapshot(end)
-                if self.config.autoscale is not None
+                {
+                    "evaluations": self.autoscaler.evaluations,
+                    "scale_outs": self.metrics.scale_outs,
+                    "scale_ins": self.metrics.scale_ins,
+                    **shard_ledger(self.shards, end),
+                    "events": [dataclasses.asdict(e) for e in self.autoscaler.events],
+                }
+                if self.autoscaler is not None
                 else None
             ),
             precompute=self.metrics.precompute(),

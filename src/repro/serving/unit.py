@@ -49,5 +49,5 @@ class ServingUnit:
 
     @property
     def state(self) -> str:
-        """``active`` / ``draining`` / ``failed`` / ``retired``."""
+        """``active`` / ``failed`` / ``retired``."""
         return self.executor.state

@@ -270,6 +270,9 @@ class InferenceWorkerPool:
             # shard's leftover queued batches flush in later windows:
             # the router forgets a unit exactly once.
             self.failovers += 1
+            for member in shard.members:
+                # Out of rotation: the unit's shards stop serving here.
+                member.failed_at = now
             try:
                 self.router.fail_shard(shard.shard_id)
                 if self.sessions is not None:

@@ -12,11 +12,11 @@ the link before any session moves; an unverified (or impostor) shard can
 never inherit a session.
 
 Membership is dynamic: :meth:`AttestationMesh.extend` attests a joining
-shard *incrementally* — pairwise handshakes only against the current live
-members, ``2 * n_live`` instead of re-running the full ``n * (n - 1)``
-startup mesh — and :meth:`AttestationMesh.retire` removes a shard from
-future handshakes while keeping its verified links, so sessions draining
-*off* a retiring shard still cross an attested channel.
+shard *incrementally* — pairwise handshakes only against the live peers
+the caller names, ``2 * n_live`` instead of re-running the full
+``n * (n - 1)`` startup mesh.  The mesh keeps links, not members: who is
+live is the shards' own state, and a retired shard's verified links stay,
+so sessions draining *off* it still cross an attested channel.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ class AttestationMesh:
     Parameters
     ----------
     shards:
-        The deployment's :class:`~repro.sharding.shard.EnclaveShard` s.
+        The deployment's initial
+        :class:`~repro.sharding.shard.EnclaveShard` s, attested pairwise
+        here.
     expected_code_identity:
         The code identity every shard must measure to; any deviation
-        fails the startup handshake with
-        :class:`~repro.errors.AttestationError`.
+        fails the handshake with :class:`~repro.errors.AttestationError`.
     """
 
     def __init__(
@@ -45,74 +46,37 @@ class AttestationMesh:
     ) -> None:
         if not shards:
             raise ConfigurationError("attestation mesh needs >= 1 shard")
-        self.shards = list(shards)
         self.expected_measurement = measure_enclave(expected_code_identity)
         self._links: set[tuple[int, int]] = set()
         self.handshakes = 0
-        self.established = False
+        # ``n * (n - 1)`` handshakes: every ordered (verifier, prover) pair.
+        for verifier in shards:
+            for prover in shards:
+                if verifier.shard_id != prover.shard_id:
+                    self._handshake(verifier, prover)
 
-    def establish(self) -> "AttestationMesh":
-        """Run the full pairwise handshake; idempotent.
+    def _handshake(self, verifier, prover) -> None:
+        """The prover quotes toward the verifier, bound to the link
+        (``report_data`` names both ends); the verifier checks it against
+        the expected measurement."""
+        quote = prover.enclave.quote(
+            report_data=f"mesh:{prover.shard_id}->{verifier.shard_id}".encode()
+        )
+        verifier.enclave.verify_peer_quote(quote, self.expected_measurement)
+        self._links.add((verifier.shard_id, prover.shard_id))
+        self.handshakes += 1
 
-        For every ordered pair ``(verifier, prover)`` the prover's enclave
-        produces a quote bound to the link (``report_data`` names both
-        ends) and the verifier checks it against the expected measurement.
-        ``n * (n - 1)`` handshakes for ``n`` shards.
-        """
-        if self.established:
-            return self
-        for verifier in self.shards:
-            for prover in self.shards:
-                if verifier.shard_id == prover.shard_id:
-                    continue
-                quote = prover.enclave.quote(
-                    report_data=f"mesh:{prover.shard_id}->{verifier.shard_id}".encode()
-                )
-                verifier.enclave.verify_peer_quote(quote, self.expected_measurement)
-                self._links.add((verifier.shard_id, prover.shard_id))
-                self.handshakes += 1
-        self.established = True
-        return self
-
-    # ------------------------------------------------------------------
-    # dynamic membership
-    # ------------------------------------------------------------------
-    def extend(self, shard) -> "AttestationMesh":
-        """Attest a joining shard against the live members, incrementally.
+    def extend(self, shard, peers) -> None:
+        """Attest a joining shard against its live ``peers``, incrementally.
 
         Runs both handshake directions between the new shard and every
-        live existing member — ``2 * n_live`` quotes instead of the full
+        peer — ``2 * len(peers)`` quotes instead of the full
         ``n * (n - 1)`` startup mesh — so scale-out cost stays linear in
-        the deployment size.  If the mesh has not been established yet,
-        the shard simply joins the roster and :meth:`establish` covers it.
+        the deployment size.
         """
-        if any(s.shard_id == shard.shard_id for s in self.shards):
-            raise ConfigurationError(
-                f"shard {shard.shard_id} is already a mesh member"
-            )
-        peers = [s for s in self.shards if s.healthy]
-        self.shards.append(shard)
-        if not self.established:
-            return self
         for peer in peers:
-            for verifier, prover in ((peer, shard), (shard, peer)):
-                quote = prover.enclave.quote(
-                    report_data=f"mesh:{prover.shard_id}->{verifier.shard_id}".encode()
-                )
-                verifier.enclave.verify_peer_quote(quote, self.expected_measurement)
-                self._links.add((verifier.shard_id, prover.shard_id))
-                self.handshakes += 1
-        return self
-
-    def retire(self, shard_id: int) -> None:
-        """Drop a shard from future handshakes, keeping existing links.
-
-        Verified links survive retirement on purpose: the drain path
-        migrates the retiring shard's sessions *after* calling this, and
-        those migrations still :meth:`assert_verified` against the links
-        established while the shard was live.
-        """
-        self.shards = [s for s in self.shards if s.shard_id != shard_id]
+            self._handshake(peer, shard)
+            self._handshake(shard, peer)
 
     # ------------------------------------------------------------------
     # queries

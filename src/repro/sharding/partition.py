@@ -388,28 +388,17 @@ class PipelineGroup:
         return all(m.healthy for m in self.members)
 
     @property
-    def draining(self) -> bool:
-        return any(m.draining for m in self.members)
-
-    @property
     def retired(self) -> bool:
         return all(m.retired for m in self.members)
 
     @property
     def state(self) -> str:
-        """``active`` / ``draining`` / ``retired`` / ``failed``."""
+        """``active`` / ``retired`` / ``failed``."""
         if self.retired:
             return "retired"
         if not self.healthy:
             return "failed"
-        if self.draining:
-            return "draining"
         return "active"
-
-    def begin_drain(self) -> None:
-        """Mark every member as winding down; pinned work still runs."""
-        for member in self.members:
-            member.begin_drain()
 
     def decommission(self, now: float = 0.0) -> None:
         """Planned retirement of the whole unit at ``now``."""

@@ -112,10 +112,6 @@ class ShardRouter:
         #: Above-default-priority tenants placed by SLO spreading rather
         #: than the hash ring.
         self.slo_pins = 0
-        #: Tenants re-pinned onto a newly provisioned shard (scale-out).
-        self.scale_repins = 0
-        #: Tenants re-pinned off a gracefully retired shard (scale-in).
-        self.drain_repins = 0
 
     # ------------------------------------------------------------------
     # placement
@@ -293,7 +289,6 @@ class ShardRouter:
             self._pins[tenant] = shard_id
             self._load[shard_id] += 1
             remap[tenant] = shard_id
-        self.scale_repins += len(remap)
         return shard_id, remap
 
     def begin_drain(self, shard_id: int) -> None:
@@ -320,10 +315,10 @@ class ShardRouter:
 
         Unlike :meth:`fail_shard` this is a *planned* removal: the
         shard's virtual nodes leave the ring, its tenants re-place
-        through the normal rule (counted in :attr:`drain_repins`, not
-        :attr:`failover_repins`), and the returned remap lets the
-        session layer migrate each displaced tenant's attested session
-        over the still-verified mesh links.
+        through the normal rule (not counted in :attr:`failover_repins`),
+        and the returned remap lets the session layer migrate each
+        displaced tenant's attested session over the still-verified mesh
+        links.
         """
         if shard_id not in range(self.n_shards):
             raise ConfigurationError(f"unknown shard id {shard_id}")
@@ -348,12 +343,10 @@ class ShardRouter:
         for tenant in displaced:
             del self._pins[tenant]
         self._load[shard_id] = 0
-        remap = {
+        return {
             tenant: self._place(tenant, count_as_rebalance=False)
             for tenant in displaced
         }
-        self.drain_repins += len(remap)
-        return remap
 
     def is_retired(self, shard_id: int) -> bool:
         """True when the shard was gracefully removed from the ring."""

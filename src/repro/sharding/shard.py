@@ -46,15 +46,20 @@ class EnclaveShard:
         Build one from scratch with :meth:`provision`.
     """
 
-    def __init__(self, shard_id: int, engine: PrivateInferenceEngine) -> None:
+    def __init__(
+        self, shard_id: int, engine: PrivateInferenceEngine, provisioned_at: float = 0.0
+    ) -> None:
         self.shard_id = shard_id
         self.engine = engine
         self.healthy = True
         self.batches_run = 0
         self._fail_after: int | None = None
-        #: Lifecycle marks for elastic membership (simulated seconds).
-        self.draining = False
+        #: The shard's service life on the simulated clock: from
+        #: ``provisioned_at`` until it is decommissioned (``retired_at``)
+        #: or taken out of rotation by failover (``failed_at``).
+        self.provisioned_at = provisioned_at
         self.retired_at: float | None = None
+        self.failed_at: float | None = None
 
     @classmethod
     def provision(
@@ -67,6 +72,7 @@ class EnclaveShard:
         cluster: GpuCluster | None = None,
         enclave: Enclave | None = None,
         link: LinkModel | None = None,
+        provisioned_at: float = 0.0,
     ) -> "EnclaveShard":
         """Build a shard's full trusted stack from a DarKnight config.
 
@@ -89,7 +95,7 @@ class EnclaveShard:
         engine = PrivateInferenceEngine(
             network, backend=backend, stage_costs=stage_costs
         )
-        return cls(shard_id, engine)
+        return cls(shard_id, engine, provisioned_at)
 
     # ------------------------------------------------------------------
     # convenience accessors
@@ -135,26 +141,19 @@ class EnclaveShard:
 
     @property
     def state(self) -> str:
-        """``active`` / ``draining`` / ``retired`` / ``failed``."""
+        """``active`` / ``retired`` / ``failed``."""
         if self.retired:
             return "retired"
         if not self.healthy:
             return "failed"
-        if self.draining:
-            return "draining"
         return "active"
-
-    def begin_drain(self) -> None:
-        """Mark the shard as winding down; it still serves pinned work."""
-        self.draining = True
 
     def decommission(self, now: float = 0.0) -> None:
         """Planned retirement: drained, flushed, sessions migrated, done.
 
         Unlike :meth:`kill`, this is the graceful end of the lifecycle —
-        the autoscaler's shard-seconds accounting closes at ``now``.
+        the shard's shard-seconds close at ``now``.
         """
-        self.draining = False
         self.healthy = False
         self.retired_at = now
 

@@ -112,7 +112,7 @@ def test_every_legal_two_stage_cut_serves_bit_identical_logits(name):
     reference = _masked_reference(net, cfg, x)
     n_steps = len(net.execution_plan())
     shards = [EnclaveShard.provision(i, net, cfg) for i in range(3)]
-    mesh = AttestationMesh(shards).establish()
+    mesh = AttestationMesh(shards)
     for cut in range(1, n_steps):
         got = _run_cut(
             net, cfg, shards, mesh, [(0, cut), (cut, n_steps)], x, 100 + cut
@@ -134,7 +134,7 @@ def test_every_partition_count_of_a_dense_plan_is_bit_identical():
     x = rng.standard_normal((2, 16))
     reference = _masked_reference(net, cfg, x)
     shards = [EnclaveShard.provision(i, net, cfg) for i in range(3)]
-    mesh = AttestationMesh(shards).establish()
+    mesh = AttestationMesh(shards)
     cuts = [
         [(0, 1), (1, 3)],
         [(0, 2), (2, 3)],

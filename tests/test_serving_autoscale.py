@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ShardError
+from repro.errors import AttestationError, ConfigurationError, ShardError
 from repro.nn import Dense, PlainBackend, ReLU, Sequential
 from repro.runtime import DarKnightConfig
 from repro.serving import (
@@ -39,6 +39,7 @@ from repro.serving.autoscale import (
     ACTION_SCALE_OUT,
     UTILIZATION_HIGH,
     UTILIZATION_LOW,
+    shard_ledger,
 )
 from repro.serving.requests import PendingRequest
 from repro.sharding import PartitionSpec, ShardRouter
@@ -142,12 +143,17 @@ def test_mesh_extend_attests_only_the_new_links():
 def test_mesh_retire_keeps_links_so_drains_can_still_migrate():
     server = _server(num_shards=3)
     server.decommission_shard(shard_id=1, now=0.0)
-    assert all(s.shard_id != 1 for s in server.mesh.shards)
+    assert server.shards[1].retired
     # The retired shard's links survive: inclusion proofs and any
     # in-flight drain migration still verify.
     assert server.mesh.verified(0, 1)
-    with pytest.raises(ConfigurationError):
-        server.mesh.extend(server.shards[0])  # duplicate member
+    # A newcomer attests against the live shards only, so a hand-off
+    # between it and the retired shard is refused.
+    new_id = server.provision_shard(now=0.0)
+    assert server.mesh.verified(new_id, 0) and server.mesh.verified(new_id, 2)
+    assert not server.mesh.verified(new_id, 1)
+    with pytest.raises(AttestationError):
+        server.mesh.assert_verified(new_id, 1)
 
 
 # ----------------------------------------------------------------------
@@ -256,18 +262,20 @@ def test_autoscaler_respects_max_shards():
 
 
 def test_autoscaler_shard_seconds_and_peak_ledger():
-    asc = ShardAutoscaler()
-    asc.note_provisioned(0, 0.0)
-    asc.note_provisioned(1, 2.0)
-    asc.note_retired(1, 5.0)
-    asc.note_provisioned(2, 5.0)
-    assert asc.shard_seconds(10.0) == pytest.approx(10.0 + 3.0 + 5.0)
+    server = _server(num_shards=1)
+    server.provision_shard(now=2.0)
+    server.decommission_shard(shard_id=1, now=5.0)
+    server.provision_shard(now=5.0)
+    shards = server.shards
+    assert [(s.provisioned_at, s.retired_at) for s in shards] == [
+        (0.0, None), (2.0, 5.0), (5.0, None)
+    ]
+    ledger = shard_ledger(shards, 10.0)
+    assert ledger["shard_seconds"] == pytest.approx(10.0 + 3.0 + 5.0)
     # A retire and a provision at the same instant overlap: the peak
     # counts the join before the leave (the conservative reading).
-    assert asc.peak_shards() == 3
-    assert asc.live_shards() == [0, 2]
-    snap = asc.snapshot(10.0)
-    assert snap["peak_shards"] == 3 and snap["scale_outs"] == 0
+    assert ledger["peak_shards"] == 3
+    assert ledger["live_shards"] == [0, 2]
 
 
 @pytest.mark.parametrize(
@@ -300,7 +308,6 @@ def test_provision_shard_joins_every_subsystem():
     assert server.pool.units is server.units
     assert server.sessions.units is server.units
     assert new_id in server.sessions.sessions_by_shard()
-    assert server.autoscaler.live_shards() == [0, 1, 2]
 
 
 def test_scripted_membership_history_serves_bit_identical_logits():
@@ -473,6 +480,32 @@ def test_scale_out_while_failover_retry_is_in_flight():
         assert np.max(np.abs(by_id[i].logits - reference[i])) < 0.1
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_a_failed_over_shard_stops_counting_as_live(seed):
+    """A dead shard leaves the ledger at the failover that takes its unit
+    out of rotation: it was once billed to the end of the run, counted
+    live, and pushed the peak past ``max_shards``."""
+    dk = DarKnightConfig(virtual_batch_size=4, seed=seed, num_shards=2)
+    config = ServingConfig(
+        darknight=dk,
+        queue_capacity=512,
+        autoscale=_elastic_autoscale(min_shards=1, max_shards=2),
+    )
+    server = PrivateInferenceServer(_tiny_net(), config)
+    server.shards[0].fail_after(3)
+    trace = phased_trace(
+        [(80, 2e-5), (30, 2e-2), (80, 2e-5)], (16,), n_tenants=8, seed=seed
+    )
+    report = server.serve_trace(trace)
+    assert report.failovers == 1
+    assert report.autoscale["peak_shards"] <= 2
+    assert report.autoscale["live_shards"] == [
+        s.shard_id for s in server.shards if s.healthy
+    ]
+    dead = server.shards[0]
+    assert dead.state == "failed" and dead.failed_at is not None
+
+
 # ----------------------------------------------------------------------
 # membership schedules: one collection, one consistent view
 # ----------------------------------------------------------------------
@@ -512,9 +545,9 @@ def _assert_one_membership_view(server):
     assert set(by_unit) == in_service
     placed = [tenant for tenants in by_unit.values() for tenant in tenants]
     assert len(placed) == len(set(placed))  # nobody holds two sessions
-    # Units leave whole: the ledger and every member's chain agree.
+    # Units leave whole: every member's own stamp and chain agree.
     retired_shards = {s.shard_id for u in units if u.unit_id in retired for s in u.shards}
-    assert set(server.autoscaler.live_shards()) == set(shard_ids) - retired_shards
+    assert {s.shard_id for s in server.shards if s.retired} == retired_shards
     assert {
         sid
         for sid, log in server.audit.logs.items()

@@ -225,7 +225,7 @@ def test_layered_autoscale_grows_and_shrinks_by_whole_units():
             assert events(shard) == joined + left
     # ... and the shard-seconds ledger closed every retired member's span.
     in_service = {s.shard_id for u in server.units if u.state != "retired" for s in u.shards}
-    assert set(server.autoscaler.live_shards()) == in_service
+    assert set(report.autoscale["live_shards"]) == in_service
     for shard in server.shards:
         shard.backend.assert_encodings_released()
 

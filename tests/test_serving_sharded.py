@@ -225,7 +225,7 @@ def test_failed_batch_splits_across_tenants_new_shards():
 
     dk = DarKnightConfig(virtual_batch_size=4, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
-    mesh = AttestationMesh(shards).establish()
+    mesh = AttestationMesh(shards)
     router = ShardRouter(3, rebalance_margin=1)
     units = make_units(shards)
     sessions = ShardedSessionManager(units, router, mesh)

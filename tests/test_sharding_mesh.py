@@ -26,15 +26,12 @@ def _shards(n, code_identity="darknight-enclave-v1"):
 
 def test_mesh_establishes_all_pairwise_links():
     shards = _shards(3)
-    mesh = AttestationMesh(shards).establish()
+    mesh = AttestationMesh(shards)
     assert mesh.handshakes == 3 * 2
     assert mesh.n_links == 6
     for a in range(3):
         for b in range(3):
             assert mesh.verified(a, b)
-    # establish() is idempotent: no re-handshaking on a second call.
-    mesh.establish()
-    assert mesh.handshakes == 6
 
 
 def test_mesh_refuses_an_impostor_shard():
@@ -43,14 +40,13 @@ def test_mesh_refuses_an_impostor_shard():
         2, _net(), DarKnightConfig(virtual_batch_size=2, seed=0),
         code_identity="trojaned-enclave",
     )
-    mesh = AttestationMesh(shards + [rogue])
     with pytest.raises(AttestationError):
-        mesh.establish()
+        AttestationMesh(shards + [rogue])
 
 
 def test_unverified_link_blocks_migration():
     shards = _shards(2)
-    mesh = AttestationMesh(shards)  # never established
+    mesh = AttestationMesh(shards[:1])  # shard 1 never attested
     assert not mesh.verified(0, 1)
     with pytest.raises(AttestationError):
         mesh.assert_verified(0, 1)

@@ -60,7 +60,7 @@ def _cfg(**kwargs):
 
 def _group(net, cfg, n_stages, ranges=None, base_id=0, group_id=100):
     shards = [EnclaveShard.provision(base_id + i, net, cfg) for i in range(n_stages)]
-    mesh = AttestationMesh(shards).establish()
+    mesh = AttestationMesh(shards)
     if ranges is None:
         ranges = LayerPartitionPlanner(net).plan(n_stages)
     return PipelineGroup(group_id, shards, ranges, mesh), shards
@@ -182,7 +182,7 @@ def test_group_rejects_bad_member_range_combinations():
     net = _dense_net()
     cfg = _cfg()
     shards = [EnclaveShard.provision(i, net, cfg) for i in range(2)]
-    mesh = AttestationMesh(shards).establish()
+    mesh = AttestationMesh(shards)
     with pytest.raises(ConfigurationError):
         PipelineGroup(0, [], [], mesh)
     with pytest.raises(ConfigurationError):
@@ -196,7 +196,7 @@ def test_group_refuses_unattested_hops():
     net = _dense_net()
     cfg = _cfg()
     shards = [EnclaveShard.provision(i, net, cfg) for i in range(2)]
-    mesh = AttestationMesh(shards)  # never established
+    mesh = AttestationMesh(shards[:1])  # shard 1 never attested
     with pytest.raises(AttestationError):
         PipelineGroup(0, shards, [(0, 1), (1, 3)], mesh)
 
@@ -206,9 +206,7 @@ def test_group_duck_types_the_shard_surface():
     group, shards = _group(_dense_net(), _cfg(), 2)
     assert group.shard_id == 100
     assert group.enclave is shards[0].enclave
-    assert group.healthy and group.state == "active" and not group.draining
-    group.begin_drain()
-    assert all(s.draining for s in shards) and group.state == "draining"
+    assert group.healthy and group.state == "active"
     group.decommission(now=2.5)
     assert group.retired and group.state == "retired" and not group.healthy
     assert [s.state for s in shards] == ["retired", "retired"]
