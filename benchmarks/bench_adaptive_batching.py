@@ -22,16 +22,19 @@ import numpy as np
 from conftest import show
 
 from repro.cli import build_serving_model
+from repro.enclave import EPC_USABLE_BYTES
 from repro.reporting import render_table
 from repro.runtime import DarKnightConfig
 from repro.serving import (
     PrivateInferenceServer,
     ServingConfig,
     bursty_trace,
+    estimate_slot_bytes,
     ramping_trace,
     synthetic_trace,
     working_set_bytes,
 )
+from repro.serving.adaptive import EPC_HEADROOM
 
 INPUT_SHAPE = (16,)
 K = 4
@@ -143,33 +146,34 @@ def test_adaptive_batches_respect_the_epc_budget(capsys, quick):
     n = 48 if quick else 96
     trace = _traces(n)["bursty"]
 
+    def fits(server) -> bool:
+        """The provisioned K's working set is within the budget's headroom."""
+        dk = server.darknight
+        budget = dk.epc_budget_bytes or EPC_USABLE_BYTES
+        return working_set_bytes(
+            dk.virtual_batch_size, slot, dk.collusion_tolerance, dk.extra_shares,
+            dk.pipeline_depth,
+        ) <= int(budget * EPC_HEADROOM)
+
     # Default budget: the tiny model fits at the configured K.
     server = _server(adaptive=True, n_requests=n)
+    slot = estimate_slot_bytes(server.network)
     report = server.serve_trace(trace)
-    snap = report.adaptive[0]
-    assert snap is not None and snap["epc_budget_bytes"] is not None
-    policy = server.units[0].scheduler.policy
+    assert report.adaptive[0] is not None
     for outcome in report.outcomes:
         assert outcome.batch_id is not None
-    assert policy.window_working_set_bytes(server.darknight.virtual_batch_size) <= (
-        snap["epc_budget_bytes"]
-    ), "provisioned K's working set must fit the EPC budget"
+    assert server.darknight.virtual_batch_size == K
+    assert fits(server), "provisioned K's working set must fit the EPC budget"
 
     # Shrunken budget: K gets clamped, the working set still fits, and
     # every request is still served.
-    slot = snap["slot_bytes"]
     tight_budget = working_set_bytes(2, slot, collusion_tolerance=1) + slot
     clamped = _server(adaptive=True, n_requests=n, epc_budget=tight_budget)
     assert clamped.darknight.virtual_batch_size < K
     clamped_report = clamped.serve_trace(trace)
     assert len(clamped_report.completed) == n
-    clamped_snap = clamped_report.adaptive[0]
-    clamped_policy = clamped.units[0].scheduler.policy
-    assert clamped_policy.window_working_set_bytes(
-        clamped.darknight.virtual_batch_size
-    ) <= clamped_snap["epc_budget_bytes"]
-    # The enclave model itself never overflowed into paging.
-    assert not clamped.shards[0].enclave.epc.is_overflowing
+    assert clamped_report.adaptive[0]["batch_size"] == clamped.darknight.virtual_batch_size
+    assert fits(clamped)
     show(
         capsys,
         f"EPC-aware K: budget {tight_budget}B clamps K {K} ->"

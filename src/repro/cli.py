@@ -254,15 +254,14 @@ def _serve(args) -> int:
     )
     server = PrivateInferenceServer(network, config)
     report = server.serve_trace(trace)
+    # K as provisioned: the server fits the requested K to the EPC budget.
+    k, requested = server.darknight.virtual_batch_size, dk.virtual_batch_size
     if not config.coalesce:
         mode = "per-request"
     elif adaptive:
-        mode = (
-            f"adaptive K={server.darknight.virtual_batch_size}"
-            f" (requested {dk.virtual_batch_size})"
-        )
+        mode = f"adaptive K={k} (requested {requested})"
     else:
-        mode = f"coalesced K={dk.virtual_batch_size}"
+        mode = f"coalesced K={k}" + (f" (requested {requested})" if k < requested else "")
     if autoscale is not None:
         shard_desc = (
             f"elastic {autoscale.min_shards}-{autoscale.max_shards} shard(s),"

@@ -1,4 +1,4 @@
-"""SGX enclave simulator: EPC model, sealing, attestation, toy crypto."""
+"""SGX enclave simulator: the EPC limit, sealing, attestation, toy crypto."""
 
 from repro.enclave.attestation import AttestationService, Quote, measure_enclave
 from repro.enclave.crypto import (
@@ -12,15 +12,12 @@ from repro.enclave.crypto import (
     derive_key,
 )
 from repro.enclave.enclave import Enclave, EnclaveLedger
-from repro.enclave.epc import EPC_TOTAL_BYTES, EPC_USABLE_BYTES, EpcModel, PagingStats
+from repro.enclave.epc import EPC_USABLE_BYTES
 from repro.enclave.sealing import Sealer, UntrustedStore
 
 __all__ = [
     "Enclave",
     "EnclaveLedger",
-    "EpcModel",
-    "PagingStats",
-    "EPC_TOTAL_BYTES",
     "EPC_USABLE_BYTES",
     "Sealer",
     "UntrustedStore",

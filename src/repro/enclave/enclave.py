@@ -1,11 +1,9 @@
-"""The simulated SGX enclave: identity, protected memory, ledgers.
+"""The simulated SGX enclave: identity, sealing, ledgers.
 
 The :class:`Enclave` is the trust anchor the DarKnight runtime builds on.
 It owns:
 
 * an identity (measurement) and a sealing facility bound to it;
-* the EPC model that makes memory pressure — the paper's recurring villain —
-  observable;
 * an operation ledger that records what ran inside the TEE (encode, decode,
   non-linear ops, crypto) with byte counts for the performance model;
 * the field RNG whose coefficients/noise never leave protected memory.
@@ -16,29 +14,24 @@ enclave facilities with the masking and nn packages.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from repro.enclave.attestation import AttestationService, Quote, measure_enclave
 from repro.enclave.crypto import ByteStream, Envelope
-from repro.enclave.epc import EpcModel
 from repro.enclave.sealing import Sealer, UntrustedStore
-from repro.errors import EnclaveError
 from repro.fieldmath import FieldRng, PrimeField
 
 
 @dataclass
 class EnclaveLedger:
-    """What happened inside the TEE, for the cost model."""
+    """What happened inside the TEE, for the cost model.
 
-    ecalls: int = 0
-    ocalls: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
-    sealed_bytes: int = 0
-    unsealed_bytes: int = 0
+    One entry per operation name: boundary crossings book as
+    ``ecall:<name>`` / ``ocall:<name>``, sealing as ``seal`` / ``unseal``.
+    """
+
     op_counts: dict = dataclass_field(default_factory=dict)
     op_bytes: dict = dataclass_field(default_factory=dict)
 
@@ -59,8 +52,6 @@ class Enclave:
         Prime field for masking material.
     seed:
         Seed for the in-enclave RNG (coefficients + noise).
-    epc:
-        EPC model; defaults to the paper's 128 MB-generation limits.
     platform_key:
         The simulated CPU's fused secret (shared by sealing + quoting).
     """
@@ -70,12 +61,10 @@ class Enclave:
         code_identity: bytes | str = "darknight-enclave-v1",
         field: PrimeField | None = None,
         seed=None,
-        epc: EpcModel | None = None,
         platform_key: bytes = b"repro-platform-fuse-key",
     ) -> None:
         self.field = field or PrimeField()
         self.measurement = measure_enclave(code_identity)
-        self.epc = epc or EpcModel()
         self.ledger = EnclaveLedger()
         self.rng = FieldRng(self.field, seed)
         self._attestation = AttestationService(platform_key)
@@ -99,38 +88,14 @@ class Enclave:
         return self._attestation.verify(quote, expected_measurement)
 
     # ------------------------------------------------------------------
-    # protected memory
-    # ------------------------------------------------------------------
-    @contextmanager
-    def allocated(self, tag: str, nbytes: int):
-        """Scope an EPC allocation to a ``with`` block."""
-        self.epc.allocate(tag, nbytes)
-        try:
-            yield
-        finally:
-            self.epc.free(tag)
-
-    def track_array(self, tag: str, array: np.ndarray) -> None:
-        """Register an array as resident enclave state."""
-        self.epc.allocate(tag, int(np.asarray(array).nbytes))
-
-    def release(self, tag: str) -> None:
-        """Release a tracked array."""
-        self.epc.free(tag)
-
-    # ------------------------------------------------------------------
     # boundary crossings
     # ------------------------------------------------------------------
     def ecall(self, name: str, nbytes_in: int = 0, count: int = 1) -> None:
         """Record ``count`` enclave entries carrying ``nbytes_in`` of data each."""
-        self.ledger.ecalls += count
-        self.ledger.bytes_in += count * nbytes_in
         self.ledger.record_op(f"ecall:{name}", nbytes_in, count)
 
     def ocall(self, name: str, nbytes_out: int = 0, count: int = 1) -> None:
         """Record ``count`` enclave exits carrying ``nbytes_out`` of data each."""
-        self.ledger.ocalls += count
-        self.ledger.bytes_out += count * nbytes_out
         self.ledger.record_op(f"ocall:{name}", nbytes_out, count)
 
     # ------------------------------------------------------------------
@@ -140,7 +105,6 @@ class Enclave:
         """Encrypt an array and push it to untrusted memory."""
         blob = self._sealer.seal(array, label)
         self.untrusted_store.evict(key, blob)
-        self.ledger.sealed_bytes += blob.nbytes
         self.ledger.record_op("seal", blob.nbytes)
         self.ocall("evict", blob.nbytes)
         return blob
@@ -150,7 +114,6 @@ class Enclave:
         blob = self.untrusted_store.reload(key)
         self.ecall("reload", blob.nbytes)
         array = self._sealer.unseal(blob)
-        self.ledger.unsealed_bytes += blob.nbytes
         self.ledger.record_op("unseal", blob.nbytes)
         return array
 
@@ -165,16 +128,3 @@ class Enclave:
         """Account ``count`` TEE-internal computations (encode/decode/non-linear)
         of ``nbytes`` each — a layer step's virtual batches in one entry."""
         self.ledger.record_op(op_name, nbytes, count)
-
-    def require_fits(self, nbytes: int, what: str) -> None:
-        """Fail fast when a single object cannot even fit in usable EPC.
-
-        Real SGX would thrash rather than fail; the simulator treats a
-        single allocation larger than the whole EPC as a configuration
-        error because the paper sizes virtual batches to avoid it.
-        """
-        if nbytes > self.epc.usable_bytes:
-            raise EnclaveError(
-                f"{what} needs {nbytes} bytes, exceeding usable EPC"
-                f" ({self.epc.usable_bytes}); shrink the virtual batch"
-            )

@@ -70,27 +70,22 @@ class Sealer:
 class UntrustedStore:
     """Untrusted DRAM region holding sealed blobs (Algorithm 2's eviction).
 
-    Byte counters feed the perf model's encryption/eviction cost; the
-    adversary-visible surface is ciphertext only.
+    The adversary-visible surface is ciphertext only; the enclave's ledger
+    books the bytes each eviction and reload moves.
     """
 
     def __init__(self) -> None:
         self._blobs: dict[str, Envelope] = {}
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     def evict(self, key: str, blob: Envelope) -> None:
         """Store a sealed blob under ``key``."""
         self._blobs[key] = blob
-        self.bytes_written += blob.nbytes
 
     def reload(self, key: str) -> Envelope:
         """Fetch a sealed blob back."""
         if key not in self._blobs:
             raise SealingError(f"no sealed blob under key {key!r}")
-        blob = self._blobs[key]
-        self.bytes_read += blob.nbytes
-        return blob
+        return self._blobs[key]
 
     def drop(self, key: str) -> None:
         """Delete a blob (after aggregation consumed it)."""

@@ -44,7 +44,6 @@ class IntegrityReport:
     """
 
     consistent: bool
-    subsets_checked: int
     suspected_shares: tuple[int, ...] = dataclass_field(default=())
     decoded: np.ndarray | None = dataclass_field(default=None, compare=False, repr=False)
 
@@ -162,9 +161,7 @@ class IntegrityVerifier:
                     reports.append(self._localise_mismatch(coeffs, gpu_outputs[v], mine))
                     continue
             reports.append(
-                IntegrityReport(
-                    consistent=True, subsets_checked=len(plan), decoded=primary[0][v]
-                )
+                IntegrityReport(consistent=True, decoded=primary[0][v])
             )
         return reports
 
@@ -188,7 +185,6 @@ class IntegrityVerifier:
         localisable = not all(_agree(other, reference) for other in others)
         return IntegrityReport(
             consistent=False,
-            subsets_checked=len(decoded),
             suspected_shares=self._localise(decoded) if localisable else (),
         )
 
@@ -246,7 +242,7 @@ class IntegrityVerifier:
             subset for subset, agg in items[1:] if not np.array_equal(agg, reference)
         ]
         if not mismatch:
-            return IntegrityReport(consistent=True, subsets_checked=len(items))
+            return IntegrityReport(consistent=True)
         all_subsets = [s for s, _ in items]
         shared = set(all_subsets[0])
         for s in all_subsets[1:]:
@@ -258,8 +254,4 @@ class IntegrityVerifier:
             if mismatch and shared != set(mismatch[0])
             else set().union(*[set(s) for s in mismatch])
         )
-        return IntegrityReport(
-            consistent=False,
-            subsets_checked=len(items),
-            suspected_shares=tuple(suspects),
-        )
+        return IntegrityReport(consistent=False, suspected_shares=tuple(suspects))

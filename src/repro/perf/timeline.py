@@ -19,9 +19,6 @@ from repro.perf.costs import PhaseBreakdown
 class TimelineSummary:
     """Per-sample wall times under both execution disciplines."""
 
-    tee_stream: float
-    gpu_stream: float
-    link_stream: float
     non_pipelined: float
     pipelined: float
 
@@ -41,11 +38,5 @@ def build_timeline(breakdown: PhaseBreakdown) -> TimelineSummary:
     tee = breakdown.nonlinear + breakdown.encode_decode
     gpu = breakdown.linear
     link = breakdown.communication
-    return TimelineSummary(
-        tee_stream=tee,
-        gpu_stream=gpu,
-        link_stream=link,
-        non_pipelined=tee + gpu + link,
-        pipelined=max(tee, gpu, link),
-    )
+    return TimelineSummary(non_pipelined=tee + gpu + link, pipelined=max(tee, gpu, link))
 

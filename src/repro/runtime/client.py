@@ -70,7 +70,6 @@ class ClientSession:
         self._channel = channel
         self.receiver = receiver
         self.link = link
-        self.batches_sent = 0
 
     @classmethod
     def connect(
@@ -114,7 +113,6 @@ class ClientSession:
             data=self._channel.send_array(x),
             labels=self._channel.send_array(y),
         )
-        self.batches_sent += 1
         return batch
 
     def provision(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

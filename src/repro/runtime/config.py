@@ -79,12 +79,12 @@ class DarKnightConfig:
         default) keeps the legacy always-inline behaviour; outputs are
         bit-identical either way.
     epc_budget_bytes:
-        Usable EPC bytes each provisioned enclave models (``None`` keeps
-        the paper generation's ~93 MB).  The serving layer's adaptive
-        batching sizes the virtual batch against this budget so one
-        batch's masking working set never silently pages; tests and
-        benchmarks shrink it to exercise the paper's Fig. 3/6b memory
-        knee without 93 MB tensors.
+        Usable EPC bytes per enclave (``None`` keeps the paper
+        generation's ~93 MB).  The server fits the virtual batch to this
+        budget once, when it provisions a deployment, so one batch's
+        masking working set never silently pages; tests and benchmarks
+        shrink it to exercise the paper's Fig. 3/6b memory knee without
+        93 MB tensors.
     seed:
         Seed for all enclave randomness.
     """

@@ -1,11 +1,12 @@
-"""Adaptive coalescing: learned flush deadlines and EPC-aware batch sizing.
+"""Adaptive coalescing: learned flush deadlines; the EPC fit of ``K``.
 
 The static knobs — ``DarKnightConfig.virtual_batch_size`` (``K``) and
 ``ServingConfig.max_batch_wait`` — are right for exactly one traffic
 regime.  Bursty traces either ship half-empty batches (deadline too
 tight) or blow the latency budget (deadline too loose), and a hand-tuned
 ``K`` silently pages once the virtual batch's working set outgrows the
-enclave's EPC.  This module replaces both knobs with observed facts:
+enclave's EPC.  This module learns the deadline from observed facts and
+fits ``K`` to the budget:
 
 * **Learned flush deadline** — each shard's
   :class:`AdaptiveFlushPolicy` keeps an EWMA of inter-arrival gaps and
@@ -23,15 +24,15 @@ enclave's EPC.  This module replaces both knobs with observed facts:
   occupancy so partial batches are never flushed faster than the
   serialized enclave could absorb them (each partial still pays a full
   ``K``-slot encode).
-* **EPC-aware K** — :func:`epc_fitting_batch_size` sizes the virtual
-  batch against the :class:`~repro.enclave.epc.EpcModel` budget instead
-  of trusting the configured ``K``: one batch's masking working set
-  (inputs + ``K + M (+1)`` shares + gathered outputs, times the pipeline
-  depth kept in flight) must stay inside usable EPC, echoing the paper's
-  Fig. 3/6b "memory overflow past K=4" knee.  The serving layer clamps
-  the provisioned ``K`` to the fit at startup and the policy enforces the
-  cap at every flush; runtime observations of per-slot bytes can only
-  tighten it further.
+* **EPC-fitted K** — :func:`epc_fitting_batch_size` sizes the virtual
+  batch against ``DarKnightConfig.epc_budget_bytes`` (default: usable
+  EPC) instead of trusting the configured ``K``: one batch's masking
+  working set (inputs + ``K + M (+1)`` shares + gathered outputs, times
+  the pipeline depth kept in flight) must stay inside
+  :data:`EPC_HEADROOM` of the budget, echoing the paper's Fig. 3/6b
+  "memory overflow past K=4" knee.  The server fits ``K`` once, when it
+  provisions the deployment, adaptive or not; the policy coalesces to
+  that ``K``.
 
 Static deployments never construct a policy, so with adaptive batching
 off the flush path is bit-identical to the fixed-knob server.
@@ -84,7 +85,6 @@ class WindowFeedback:
 
     n_batches: int  #: Virtual batches the window carried.
     enclave_busy: float  #: Enclave-occupied seconds within the window.
-    slot_bytes_observed: int = 0  #: Largest per-request input payload seen.
 
 
 def estimate_slot_bytes(network) -> int:
@@ -159,7 +159,7 @@ def epc_fitting_batch_size(
 
 
 class AdaptiveFlushPolicy:
-    """Per-shard learned flush deadline plus EPC-capped batch size.
+    """Per-shard learned flush deadline.
 
     One instance per shard scheduler — shards see different tenant mixes,
     so each learns its own arrival process and service times
@@ -171,20 +171,12 @@ class AdaptiveFlushPolicy:
     Parameters
     ----------
     batch_size:
-        The provisioned virtual-batch size ``K`` (already EPC-clamped by
-        the server when a budget is known).
+        The coalescing target: the provisioned virtual-batch size ``K``
+        (already fitted to the EPC budget by the server).
     max_wait:
         The deployment's static flush deadline: the learned deadline's
         ceiling, and the deadline until :data:`WARMUP_ARRIVALS` arrivals
         have been observed.
-    slot_bytes:
-        Analytic per-slot working-set estimate
-        (:func:`estimate_slot_bytes`); refined upward by observation.
-    epc_budget_bytes:
-        Usable EPC available to one in-flight window; the policy keeps
-        :data:`EPC_HEADROOM` of it.  ``None`` disables the cap.
-    collusion_tolerance / extra_shares / pipeline_depth:
-        Masking shape facts the working-set model needs.
     budget_ceiling:
         Optional extra deadline ceiling from the deployment's SLO policy
         (the tightest class's flush budget).  The learned wait — and the
@@ -196,11 +188,6 @@ class AdaptiveFlushPolicy:
         self,
         batch_size: int,
         max_wait: float,
-        slot_bytes: int | None = None,
-        epc_budget_bytes: int | None = None,
-        collusion_tolerance: int = 1,
-        extra_shares: int = 0,
-        pipeline_depth: int = 1,
         budget_ceiling: float | None = None,
     ) -> None:
         if batch_size < 1:
@@ -211,20 +198,11 @@ class AdaptiveFlushPolicy:
             raise ConfigurationError(
                 f"budget ceiling must be > 0, got {budget_ceiling}"
             )
-        self.base_batch_size = batch_size
+        self.batch_size = batch_size
         self.ceiling = max_wait
         if budget_ceiling is not None:
             self.ceiling = min(self.ceiling, budget_ceiling)
         self.floor = min(MIN_WAIT, self.ceiling)
-        self._collusion = collusion_tolerance
-        self._extra = extra_shares
-        self._depth = pipeline_depth
-        self._slot_bytes = int(slot_bytes or 0)
-        self._budget = (
-            int(epc_budget_bytes * EPC_HEADROOM)
-            if epc_budget_bytes is not None
-            else None
-        )
         # Learned state.
         self._gap_ewma: float | None = None
         self._last_arrival: float | None = None
@@ -325,29 +303,10 @@ class AdaptiveFlushPolicy:
                 if self._service_ewma is None
                 else EWMA_ALPHA * per_batch + (1.0 - EWMA_ALPHA) * self._service_ewma
             )
-        if feedback.slot_bytes_observed > self._slot_bytes:
-            self._slot_bytes = int(feedback.slot_bytes_observed)
 
     # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
-    @property
-    def batch_size(self) -> int:
-        """The EPC-capped coalescing target ``K``."""
-        if self._budget is None or self._slot_bytes <= 0:
-            return self.base_batch_size
-        return min(
-            self.base_batch_size,
-            epc_fitting_batch_size(
-                self.base_batch_size,
-                self._slot_bytes,
-                self._budget,
-                self._collusion,
-                self._extra,
-                self._depth,
-            ),
-        )
-
     def current_wait(self, pending: int = 0) -> float:
         """The learned flush deadline for the oldest queued request.
 
@@ -374,12 +333,6 @@ class AdaptiveFlushPolicy:
             return self.ceiling
         return min(self.ceiling, max(floor, predicted))
 
-    def window_working_set_bytes(self, slots: int) -> int:
-        """Working-set bytes a flushed batch of ``slots`` slots occupies."""
-        return working_set_bytes(
-            max(1, slots), self._slot_bytes, self._collusion, self._extra, self._depth
-        )
-
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
@@ -394,7 +347,7 @@ class AdaptiveFlushPolicy:
 
         return {
             "batch_size": self.batch_size,
-            "base_batch_size": self.base_batch_size,
+            "base_batch_size": self.batch_size,
             "current_wait": _safe(self.current_wait()),
             "wait_floor": _safe(self.floor),
             "wait_ceiling": _safe(self.ceiling),
@@ -405,6 +358,4 @@ class AdaptiveFlushPolicy:
             "deadline_flushes": self.deadline_flushes,
             "partial_deadline_flushes": self.partial_deadline_flushes,
             "premature_flushes": self.premature_flushes,
-            "slot_bytes": self._slot_bytes,
-            "epc_budget_bytes": self._budget,
         }

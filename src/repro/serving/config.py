@@ -127,11 +127,11 @@ class ServingConfig:
         ``True`` learns each shard's flush deadline (EWMA of
         inter-arrival gaps, steered by fill-ratio feedback, floored by
         the measured per-batch enclave occupancy, never above
-        ``max_batch_wait``) and clamps the virtual-batch size to what fits
-        the enclave's EPC budget (:mod:`repro.serving.adaptive`, whose
-        module constants are the controller's settings).  ``False`` — the
-        default — keeps the static ``max_batch_wait``/``virtual_batch_size``
-        knobs.
+        ``max_batch_wait``; :mod:`repro.serving.adaptive`, whose module
+        constants are the controller's settings).  ``False`` — the
+        default — keeps the static ``max_batch_wait``.  Either way the
+        virtual-batch size is the one fitted to the EPC budget at
+        provisioning.
     slo:
         Optional :class:`~repro.serving.slo.SloPolicy` threading
         per-tenant service classes through the whole request path:

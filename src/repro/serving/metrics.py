@@ -29,7 +29,6 @@ actually paid.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -168,14 +167,6 @@ class ServerMetrics:
     @property
     def audit_bytes(self) -> int:
         return self._audit.bytes_written if self._audit is not None else 0
-
-    def completed_by_tenant(self) -> dict[str, int]:
-        """Completed request counts per tenant."""
-        return dict(Counter(o.tenant for o in self._served()))
-
-    def shed_by_tenant(self) -> dict[str, int]:
-        """Shed request counts per tenant."""
-        return dict(Counter(o.tenant for o in self._outcomes if o.status in _SHED))
 
     def flush_triggers(self) -> dict[str, int]:
         """How many batches flushed per trigger kind."""

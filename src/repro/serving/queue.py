@@ -211,10 +211,6 @@ class RequestQueue:
         """Tenants seen so far, in first-arrival order."""
         return list(self._queues)
 
-    def depth_by_tenant(self) -> dict[str, int]:
-        """Pending requests per tenant."""
-        return {t: len(q) for t, q in self._queues.items() if q}
-
     def oldest_enqueue_time(self) -> float | None:
         """Enqueue time of the longest-waiting request, or None when empty."""
         heads = [q[0].enqueue_time for q in self._queues.values() if q]

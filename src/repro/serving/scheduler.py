@@ -51,10 +51,8 @@ class VirtualBatchScheduler:
         to every per-shard scheduler so batch ids stay globally unique.
     policy:
         Optional :class:`~repro.serving.adaptive.AdaptiveFlushPolicy`.
-        When set, the flush deadline is the policy's learned wait and the
-        coalescing target is its EPC-capped batch size; when ``None``
-        (the default) the static ``batch_size``/``max_wait`` knobs apply
-        unchanged.
+        When set, the flush deadline is the policy's learned wait; when
+        ``None`` (the default) the static ``max_wait`` applies unchanged.
     """
 
     def __init__(
@@ -103,14 +101,6 @@ class VirtualBatchScheduler:
     # ------------------------------------------------------------------
     # adaptive hooks (no-ops in static mode)
     # ------------------------------------------------------------------
-    @property
-    def effective_batch_size(self) -> int:
-        """The coalescing target in force: static ``K`` or the policy's."""
-        size = self.batch_size
-        if self.policy is not None:
-            size = min(size, self.policy.batch_size)
-        return max(1, size)
-
     def current_wait(self) -> float:
         """The flush deadline in force for the oldest queued request."""
         if self.policy is None:
@@ -128,9 +118,9 @@ class VirtualBatchScheduler:
     def collect_ready(self, now: float) -> list[ScheduledBatch]:
         """Flush every *full* batch available at ``now`` (size trigger)."""
         batches = []
-        while self.queue.depth >= self.effective_batch_size:
+        while self.queue.depth >= self.batch_size:
             batches.append(
-                self._make(self.queue.pop_fair(self.effective_batch_size), now, "size")
+                self._make(self.queue.pop_fair(self.batch_size), now, "size")
             )
         return batches
 
@@ -160,7 +150,7 @@ class VirtualBatchScheduler:
             flush_at = deadline if math.isfinite(deadline) else oldest
             batches.append(
                 self._make(
-                    self.queue.pop_fair(self.effective_batch_size),
+                    self.queue.pop_fair(self.batch_size),
                     flush_at,
                     "deadline",
                     wait_used=flush_at - oldest,
@@ -174,7 +164,7 @@ class VirtualBatchScheduler:
         while self.queue.depth:
             batches.append(
                 self._make(
-                    self.queue.pop_fair(self.effective_batch_size), now, "drain"
+                    self.queue.pop_fair(self.batch_size), now, "drain"
                 )
             )
         return batches

@@ -269,22 +269,19 @@ class PrivateInferenceServer:
                 f" elastic max {elastic_max} — provision per-shard hardware"
                 " through DarKnightConfig instead"
             )
-        self._slot_bytes = estimate_slot_bytes(network)
-        if self.config.adaptive:
-            # Size K against the EPC budget *before* provisioning: the
-            # enclave encodes (and pads) at the provisioned K, so only a
-            # construction-time clamp actually shrinks the working set.
-            budget = int((dk.epc_budget_bytes or EPC_USABLE_BYTES) * EPC_HEADROOM)
-            fit = epc_fitting_batch_size(
-                dk.virtual_batch_size,
-                self._slot_bytes,
-                budget,
-                dk.collusion_tolerance,
-                dk.extra_shares,
-                dk.pipeline_depth,
-            )
-            if fit < dk.virtual_batch_size:
-                dk = dataclasses.replace(dk, virtual_batch_size=fit)
+        # Fit K to the EPC budget *before* provisioning, once: the enclave
+        # encodes (and pads) at the provisioned K, so this is the one
+        # place the budget can shrink the working set.
+        fit = epc_fitting_batch_size(
+            dk.virtual_batch_size,
+            estimate_slot_bytes(network),
+            int((dk.epc_budget_bytes or EPC_USABLE_BYTES) * EPC_HEADROOM),
+            dk.collusion_tolerance,
+            dk.extra_shares,
+            dk.pipeline_depth,
+        )
+        if fit < dk.virtual_batch_size:
+            dk = dataclasses.replace(dk, virtual_batch_size=fit)
         self.link = LinkModel()
         #: The effective (possibly EPC-clamped) DarKnight parameters.
         self.darknight = dk
@@ -430,11 +427,6 @@ class PrivateInferenceServer:
             policy = AdaptiveFlushPolicy(
                 batch_size,
                 self.config.max_batch_wait,
-                slot_bytes=self._slot_bytes,
-                epc_budget_bytes=dk.epc_budget_bytes or EPC_USABLE_BYTES,
-                collusion_tolerance=dk.collusion_tolerance,
-                extra_shares=dk.extra_shares,
-                pipeline_depth=dk.pipeline_depth,
                 # Tenants pin to units at runtime, so no unit may learn a
                 # wait the most demanding class could land on and violate.
                 budget_ceiling=slo.tightest_flush_budget() if slo is not None else None,
@@ -490,7 +482,7 @@ class PrivateInferenceServer:
             peers.append(shard)
         unit = self._add_unit(unit_id, shards)
         try:
-            self.sessions.migrate(remap, now)
+            self.sessions.migrate(remap)
         except AttestationError:
             # Refused: a re-pinned tenant's old unit died before the
             # newcomer could attest against it.  Its stale session is
@@ -573,7 +565,7 @@ class PrivateInferenceServer:
             return
         remap = self.router.remove_shard(vid)
         try:
-            self.sessions.migrate(remap, now)
+            self.sessions.migrate(remap)
         except AttestationError:
             # Refused migration: tenants re-attest lazily on their new
             # unit; the sessions left behind are dropped just below.
@@ -666,7 +658,7 @@ class PrivateInferenceServer:
             self._end_unserved(request_id, event.tenant, now, STATUS_SHARD_FAILED, str(exc))
             return
         unit = self.units[shard_id]
-        session = unit.sessions.connect(event.tenant, now)
+        session = unit.sessions.connect(event.tenant)
         x = session.decrypt_request(session.encrypt_request(x))
         request = PendingRequest(
             request_id=request_id,
@@ -788,7 +780,7 @@ class PrivateInferenceServer:
             heapq.heappush(self._inflight, outcome.completion_time)
             if outcome.ok:
                 try:
-                    session = self.sessions.connect(outcome.tenant, now)
+                    session = self.sessions.connect(outcome.tenant)
                 except ShardError as exc:
                     outcomes[i] = dataclasses.replace(
                         outcome,

@@ -42,8 +42,6 @@ class ServingSession:
     client_channel: SecureChannel
     enclave_channel: SecureChannel
     enclave: Enclave
-    established_at: float = 0.0
-    requests_served: int = 0
     #: The enclave shard this session's channel terminates on.
     shard_id: int = 0
 
@@ -60,7 +58,6 @@ class ServingSession:
     def decrypt_request(self, envelope: Envelope) -> np.ndarray:
         """Enclave-side: open one sample inside protected memory."""
         self.enclave.ecall("serve_request", envelope.nbytes)
-        self.requests_served += 1
         return self.enclave_channel.recv_array(envelope)
 
     def encrypt_response(self, y: np.ndarray) -> Envelope:
@@ -105,7 +102,7 @@ class SessionManager:
         self.handshakes_performed = 0
         self.shard_id = shard_id
 
-    def connect(self, tenant: str, now: float = 0.0) -> ServingSession:
+    def connect(self, tenant: str) -> ServingSession:
         """Return the tenant's session, handshaking only on first contact.
 
         Raises
@@ -129,7 +126,6 @@ class SessionManager:
             client_channel=client_end,
             enclave_channel=enclave_end,
             enclave=self.enclave,
-            established_at=now,
             shard_id=self.shard_id,
         )
         self._sessions[tenant] = session
@@ -190,11 +186,11 @@ class ShardedSessionManager:
             self.units[target].shards[0].shard_id,
         )
 
-    def connect(self, tenant: str, now: float = 0.0) -> ServingSession:
+    def connect(self, tenant: str) -> ServingSession:
         """The tenant's session on its pinned unit (handshake on first use)."""
-        return self.units[self.router.shard_for(tenant)].sessions.connect(tenant, now)
+        return self.units[self.router.shard_for(tenant)].sessions.connect(tenant)
 
-    def migrate(self, moves: dict[str, int], now: float = 0.0) -> dict[str, int]:
+    def migrate(self, moves: dict[str, int]) -> dict[str, int]:
         """Move live sessions between live units (scale-out/scale-in).
 
         Unlike :meth:`fail_over`, both ends of each move are alive, so the
@@ -219,12 +215,12 @@ class ShardedSessionManager:
             self.units[source].sessions.drop(tenant)
             # A migrated session re-attests on its new unit: trust is per
             # unit, never copied across the mesh.
-            self.units[target].sessions.connect(tenant, now)
+            self.units[target].sessions.connect(tenant)
             self.migrations += 1
             migrated[tenant] = target
         return migrated
 
-    def fail_over(self, failed_shard: int, now: float = 0.0) -> dict[str, int]:
+    def fail_over(self, failed_shard: int) -> dict[str, int]:
         """Migrate every session off a dead shard, re-attesting each tenant.
 
         The router must already have marked the shard failed (so
@@ -263,7 +259,7 @@ class ShardedSessionManager:
             # A migrated session re-runs the full attestation + key
             # exchange against the surviving enclave: trust is per shard,
             # never copied across the mesh.
-            self.units[target].sessions.connect(tenant, now)
+            self.units[target].sessions.connect(tenant)
             self.migrations += 1
         return targets
 
@@ -280,7 +276,3 @@ class ShardedSessionManager:
     def active_tenants(self) -> list[str]:
         """Tenants with an established session on any shard."""
         return [t for m in self._live() for t in m.active_tenants]
-
-    def sessions_by_shard(self) -> dict[int, list[str]]:
-        """Tenants per shard (for observability and tests)."""
-        return {m.shard_id: m.active_tenants for m in self._live()}

@@ -229,14 +229,7 @@ class InferenceWorkerPool:
         policy = self.units[shard_id].scheduler.policy
         if policy is not None:
             policy.observe_window(
-                WindowFeedback(
-                    n_batches=len(batches),
-                    enclave_busy=stats.enclave_busy,
-                    slot_bytes_observed=max(
-                        int(item.payload.nbytes // max(1, item.payload.shape[0]))
-                        for item in items
-                    ),
-                )
+                WindowFeedback(n_batches=len(batches), enclave_busy=stats.enclave_busy)
             )
         return outcomes
 
@@ -276,7 +269,7 @@ class InferenceWorkerPool:
             try:
                 self.router.fail_shard(shard.shard_id)
                 if self.sessions is not None:
-                    self.sessions.fail_over(shard.shard_id, now)
+                    self.sessions.fail_over(shard.shard_id)
             except (ShardError, AttestationError) as migration_exc:
                 outage = migration_exc
         retries_by_target: dict[int, list[ScheduledBatch]] = {}
@@ -456,12 +449,6 @@ class InferenceWorkerPool:
             span = group.finish - group.start
             if span > 0:
                 self._service_floor = min(self._service_floor, span)
-
-    @property
-    def service_floor(self) -> float:
-        """Minimum observed per-batch service span (``inf`` before any
-        successful window)."""
-        return self._service_floor
 
     def _settle(
         self, shard_id: int, batches: list[ScheduledBatch], groups, stats

@@ -21,7 +21,7 @@ Three pieces live here:
 * :class:`LayerPartitionPlanner` — balances contiguous ranges by
   per-step enclave cost (priced from :meth:`plan_shapes` symbolic
   shapes via :class:`~repro.pipeline.timing.StageCostModel`) with a
-  bottleneck-minimizing DP, and reports per-range EPC footprint.
+  bottleneck-minimizing DP.
 * :class:`PipelineGroup` — the executor of every serving unit: ``N >= 1``
   member shards chained over the plan.  A window dispatched to the
   group chains stage-major through the members, and a member failure
@@ -154,13 +154,6 @@ class LayerPartitionPlanner:
             out.append(cost)
         return out
 
-    def step_param_bytes(self) -> list[int]:
-        """Resident parameter bytes per plan step (EPC footprint)."""
-        return [
-            sum(int(p.nbytes) for p in step.layer.params.values())
-            for step in self._plan
-        ]
-
     def cut_bytes(self, cut: int) -> int:
         """Per-sample sealed hand-off bytes for a cut before step ``cut``."""
         return sum(
@@ -217,11 +210,6 @@ class LayerPartitionPlanner:
             hi = lo
         ranges.reverse()
         return ranges
-
-    def range_epc_bytes(self, ranges: list[tuple[int, int]]) -> list[int]:
-        """Resident parameter bytes each range pins in its shard's EPC."""
-        params = self.step_param_bytes()
-        return [sum(params[lo:hi]) for lo, hi in ranges]
 
     def bottleneck(self, ranges: list[tuple[int, int]]) -> float:
         """Slowest range's enclave seconds per sample (pipeline period)."""

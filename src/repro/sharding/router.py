@@ -67,8 +67,8 @@ class ShardRouter:
     slo:
         Optional :class:`~repro.serving.slo.SloPolicy`.  Tenants whose
         class priority exceeds the default class's pin to the lightest
-        healthy shard instead of walking the ring (counted in
-        :attr:`slo_pins`).  ``None`` keeps placement priority-blind.
+        healthy shard instead of walking the ring.  ``None`` keeps
+        placement priority-blind.
     """
 
     def __init__(
@@ -103,15 +103,6 @@ class ShardRouter:
         self._failed: set[int] = set()
         self._retired: set[int] = set()
         self._draining: set[int] = set()
-        #: New tenants diverted off their ring candidate by load skew.
-        self.rebalanced = 0
-        #: Tenants re-pinned because their shard failed.  Kept separate
-        #: from ``rebalanced`` so telemetry distinguishes load diversions
-        #: from failure migrations.
-        self.failover_repins = 0
-        #: Above-default-priority tenants placed by SLO spreading rather
-        #: than the hash ring.
-        self.slo_pins = 0
 
     # ------------------------------------------------------------------
     # placement
@@ -168,28 +159,19 @@ class ShardRouter:
             and pinned not in self._retired
         ):
             return pinned
-        return self._place(tenant, count_as_rebalance=True)
+        return self._place(tenant)
 
-    def _place(self, tenant: str, count_as_rebalance: bool) -> int:
-        """SLO-then-hash-then-balance placement for admission and failover.
-
-        Only organic admissions count load diversions in ``rebalanced``;
-        failover re-pins are accounted in ``failover_repins`` by
-        :meth:`fail_shard` so the two telemetry streams stay disjoint.
-        SLO spreads are counted in ``slo_pins`` either way.
-        """
+    def _place(self, tenant: str) -> int:
+        """SLO-then-hash-then-balance placement for admission and failover."""
         if not self.placeable_shards():
             raise ShardError("no healthy shards left to route to")
         if self._is_premium(tenant):
             candidate = self._lightest_shard()
-            self.slo_pins += 1
         else:
             candidate = self.ring_candidate(tenant)
             lightest = self._lightest_shard()
             if self._load[candidate] - self._load[lightest] >= self.rebalance_margin:
                 candidate = lightest
-                if count_as_rebalance:
-                    self.rebalanced += 1
         self._pins[tenant] = candidate
         self._load[candidate] += 1
         return candidate
@@ -217,12 +199,7 @@ class ShardRouter:
             # Nothing left to re-pin onto; tenants stay unpinned and the
             # next routing attempt surfaces the outage.
             return {}
-        remap = {
-            tenant: self._place(tenant, count_as_rebalance=False)
-            for tenant in displaced
-        }
-        self.failover_repins += len(remap)
-        return remap
+        return {tenant: self._place(tenant) for tenant in displaced}
 
     def is_failed(self, shard_id: int) -> bool:
         """True when the shard has been removed from rotation."""
@@ -306,19 +283,14 @@ class ShardRouter:
             raise ShardError("cannot drain the last placeable shard")
         self._draining.add(shard_id)
 
-    def is_draining(self, shard_id: int) -> bool:
-        """True while the shard accepts no new pins pending retirement."""
-        return shard_id in self._draining
-
     def remove_shard(self, shard_id: int) -> dict[str, int]:
         """Gracefully retire a shard and re-pin its remaining tenants.
 
         Unlike :meth:`fail_shard` this is a *planned* removal: the
         shard's virtual nodes leave the ring, its tenants re-place
-        through the normal rule (not counted in :attr:`failover_repins`),
-        and the returned remap lets the session layer migrate each
-        displaced tenant's attested session over the still-verified mesh
-        links.
+        through the normal rule, and the returned remap lets the session
+        layer migrate each displaced tenant's attested session over the
+        still-verified mesh links.
         """
         if shard_id not in range(self.n_shards):
             raise ConfigurationError(f"unknown shard id {shard_id}")
@@ -343,14 +315,7 @@ class ShardRouter:
         for tenant in displaced:
             del self._pins[tenant]
         self._load[shard_id] = 0
-        return {
-            tenant: self._place(tenant, count_as_rebalance=False)
-            for tenant in displaced
-        }
-
-    def is_retired(self, shard_id: int) -> bool:
-        """True when the shard was gracefully removed from the ring."""
-        return shard_id in self._retired
+        return {tenant: self._place(tenant) for tenant in displaced}
 
     # ------------------------------------------------------------------
     # introspection

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.comm import LinkModel
-from repro.enclave import Enclave, EpcModel
+from repro.enclave import Enclave
 from repro.errors import ShardFailedError
 from repro.gpu import GpuCluster
 from repro.pipeline.stages import WindowItem
@@ -83,12 +83,7 @@ class EnclaveShard:
         """
         seed = None if config.seed is None else config.seed + shard_id
         shard_config = dataclasses.replace(config, seed=seed)
-        epc = (
-            EpcModel(usable_bytes=config.epc_budget_bytes)
-            if config.epc_budget_bytes is not None
-            else None
-        )
-        enclave = enclave or Enclave(code_identity=code_identity, seed=seed, epc=epc)
+        enclave = enclave or Enclave(code_identity=code_identity, seed=seed)
         backend = DarKnightBackend(
             shard_config, enclave=enclave, cluster=cluster, link=link
         )

@@ -49,8 +49,6 @@ class BlindingStore:
         self._counters: dict[str, int] = {}
         self._precomputed: dict[str, int] = {}
         self._versions: dict[str, int] = {}
-        #: MACs spent in the offline phase (reported separately, as Slalom does).
-        self.offline_macs = 0
 
     # ------------------------------------------------------------------
     # offline phase
@@ -61,7 +59,6 @@ class BlindingStore:
         n_pairs: int,
         input_shape: tuple[int, ...],
         linear_op: Callable[[np.ndarray], np.ndarray],
-        macs_per_op: int,
         weight_version: int = 0,
     ) -> None:
         """Generate ``n_pairs`` blinding pairs for a layer and seal them out.
@@ -75,7 +72,6 @@ class BlindingStore:
         for i in range(start, start + n_pairs):
             r = self.enclave.rng.uniform(input_shape)
             u = linear_op(r)
-            self.offline_macs += macs_per_op
             self.enclave.seal_and_evict(
                 f"slalom/{layer_key}/r{i}", r, label=layer_key.encode()
             )

@@ -115,7 +115,6 @@ class SlalomBackend:
                 max(needed, self.pool_size),
                 sample_shape,
                 lambda r: field_op(r, w_q),
-                macs_per_op=macs_per_sample,
                 weight_version=version,
             )
         outputs = []

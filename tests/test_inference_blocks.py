@@ -146,7 +146,7 @@ def _ledgers(backend):
     enclave = getattr(backend, "enclave", None)
     cluster = getattr(backend, "cluster", None)
     return (
-        None if enclave is None else (enclave.ledger, enclave.epc.stats),
+        None if enclave is None else enclave.ledger,
         None if cluster is None else [dev.ledger for dev in cluster.devices],
     )
 

@@ -139,7 +139,7 @@ def test_stacked_verify_forward_gives_each_virtual_batch_its_own_verdict(
     assert [not r.consistent for r in reports] == [v in victims for v in range(n)]
     for v, report in enumerate(reports):
         alone = IntegrityVerifier(sets[v], max_subsets=max_subsets).verify_forward(tampered[v])
-        assert report == alone  # consistent, subsets_checked, suspected_shares
+        assert report == alone  # consistent, suspected_shares
         if report.consistent:
             assert np.array_equal(report.decoded, x[v])
         else:

@@ -13,10 +13,10 @@ def breakdown():
 
 
 def test_streams_mapping(breakdown):
-    tl = build_timeline(breakdown)
-    assert tl.tee_stream == 6.0  # nonlinear + encode/decode
-    assert tl.gpu_stream == 2.0
-    assert tl.link_stream == 3.0
+    # The pipelined time is the slowest stream: TEE = nonlinear + encode/decode.
+    assert build_timeline(breakdown).pipelined == 6.0
+    link_bound = PhaseBreakdown(linear=2.0, nonlinear=1.0, encode_decode=1.0, communication=3.0)
+    assert build_timeline(link_bound).pipelined == 3.0
 
 
 def test_non_pipelined_is_total(breakdown):

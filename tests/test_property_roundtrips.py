@@ -7,18 +7,14 @@ the runtime does and assert the end-to-end contracts:
   quantized float reference *bit for bit*, for arbitrary shapes, K, M and
   value ranges (with dynamic normalisation absorbing the range);
 * the sealed Algorithm-2 aggregation is a homomorphism: sum of parts equals
-  the whole, for arbitrary shard counts and shapes;
-* the EPC model's accounting invariants survive arbitrary operation
-  sequences.
+  the whole, for arbitrary shard counts and shapes.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.enclave import Enclave, EpcModel
-from repro.errors import EnclaveError
+from repro.enclave import Enclave
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
 from repro.masking import CoefficientSet, ForwardDecoder, ForwardEncoder
 from repro.quantization import DynamicNormalizer, QuantizationConfig
@@ -87,31 +83,6 @@ def test_sealed_aggregation_is_exact_sum(n_updates, n_shards, size, seed):
     assert enclave.untrusted_store.keys() == []
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=12),
-    usable=st.integers(10, 80),
-)
-def test_epc_accounting_invariants(sizes, usable):
-    """Resident never negative, peak is monotone, overflow consistent."""
-    epc = EpcModel(usable_bytes=usable)
-    live = {}
-    peak_seen = 0
-    for i, size in enumerate(sizes):
-        epc.allocate(f"a{i}", size)
-        live[f"a{i}"] = size
-        peak_seen = max(peak_seen, sum(live.values()))
-        assert epc.resident_bytes == sum(live.values())
-        assert epc.peak_bytes == peak_seen
-        assert epc.overflow_bytes == max(0, epc.resident_bytes - usable)
-        if i % 2 == 1:
-            tag, _ = live.popitem()
-            epc.free(tag)
-            assert epc.resident_bytes == sum(live.values())
-    assert epc.stats.paged_out_bytes >= 0
-    assert epc.stats.paged_in_bytes >= 0
-
-
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), shape=st.tuples(st.integers(1, 6), st.integers(1, 6)))
 def test_seal_unseal_identity_for_any_array(seed, shape):
@@ -120,10 +91,3 @@ def test_seal_unseal_identity_for_any_array(seed, shape):
     arr = np.random.default_rng(seed).normal(size=shape)
     enclave.seal_and_evict("blob", arr)
     assert np.array_equal(enclave.reload_and_unseal("blob"), arr)
-
-
-def test_enclave_fit_check_consistent_with_epc():
-    enclave = Enclave(epc=EpcModel(usable_bytes=100), seed=0)
-    enclave.require_fits(100, "exactly fits")
-    with pytest.raises(EnclaveError):
-        enclave.require_fits(101, "one byte too many")

@@ -25,7 +25,7 @@ def test_blind_unblind_identity_for_any_shape(shape, seed):
     def linear_op(v):
         return field_matmul(field, v, w)
 
-    store.precompute("layer", 1, shape, linear_op, macs_per_op=1)
+    store.precompute("layer", 1, shape, linear_op)
     x = rng.uniform(shape)
     pair = store.next_pair("layer")
     blinded = store.blind(x, pair)
@@ -76,7 +76,7 @@ def test_blinding_pairs_never_repeat(seed, n_pairs):
     """One-time pads are one-time: every pair in a pool is distinct."""
     enclave = Enclave(seed=seed)
     store = BlindingStore(enclave)
-    store.precompute("l", n_pairs, (8,), lambda r: r, macs_per_op=1)
+    store.precompute("l", n_pairs, (8,), lambda r: r)
     pairs = [store.next_pair("l") for _ in range(n_pairs)]
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):

@@ -8,10 +8,17 @@ name they use, and requires each top-level ``def``/``class`` and each
 ``__all__`` export of ``src/repro`` to be among them.  ``tests/`` do not
 count: a symbol only a test calls goes, or gets a caller.
 
-A symbol's own definition, its ``import`` lines and its ``__all__`` entry
-are not uses (none of them is a ``Name`` or an ``Attribute``); any other use
-in its own module is.  String constants count under ``benchmarks/`` only,
-where the end-to-end benchmark wraps some callables by name.
+A name counts only where it is read: a ``Name`` or an ``Attribute`` in
+load context.  A symbol's own definition, its ``import`` lines, its
+``__all__`` entry and a module constant's own assignment are not uses; any
+other use in its own module is.  String constants count under
+``benchmarks/`` only, where the end-to-end benchmark wraps some callables
+by name.
+
+The same holds for state: a public dataclass field or ``self.<name>``
+attribute of a package class that nothing under those directories reads is
+a counter nobody looks at (see
+:func:`test_every_public_attribute_is_read_outside_the_tests`).
 
 The same rule holds for options: a field of the serving configuration that
 only a test sets is a knob nobody turns (see
@@ -44,9 +51,9 @@ def _used_names() -> set[str]:
     for directory in CALLER_DIRS:
         for _, tree in _trees(directory):
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     used.add(node.attr)
                 elif (
                     directory == "benchmarks"
@@ -88,6 +95,61 @@ def test_every_public_symbol_is_reached_outside_the_tests():
     used = _used_names()
     unreached = sorted({f"{where} {name}" for where, name in symbols if name not in used})
     assert not unreached, "\n".join(unreached)
+
+
+# ----------------------------------------------------------------------
+# every public attribute is read by a caller
+# ----------------------------------------------------------------------
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _public_attributes():
+    """Yield ``(module:line, class, name)`` for each field and ``self.<name> =``."""
+    for path, tree in _trees("src/repro"):
+        module = path.relative_to(SRC.parent).with_suffix("").as_posix().replace("/", ".")
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if _is_dataclass(cls):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield f"{module}:{stmt.lineno}", cls.name, stmt.target.id
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(method):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    ):
+                        yield f"{module}:{node.lineno}", cls.name, node.attr
+
+
+def test_every_public_attribute_is_read_outside_the_tests():
+    """A field or attribute that only tests read goes, or gets a reader.
+
+    Writing it (``self.n += 1`` included) is not a read.  Like the symbol
+    walk this matches by name, so a same-named read anywhere counts.
+    """
+    first_seen = {}
+    for where, cls, name in _public_attributes():
+        if not name.startswith("_"):
+            first_seen.setdefault((cls, name), where)
+    assert len(first_seen) > 300  # the walk found the package
+    used = _used_names()
+    unread = sorted(
+        f"{where} {cls}.{name}"
+        for (cls, name), where in first_seen.items()
+        if name not in used
+    )
+    assert not unread, "\n".join(unread)
 
 
 # ----------------------------------------------------------------------

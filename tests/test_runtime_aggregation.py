@@ -36,10 +36,10 @@ def test_eviction_goes_through_untrusted_store(enclave, nprng):
     agg = LargeBatchAggregator(enclave, n_shards=2)
     agg.add_update("vb0", nprng.normal(size=(16,)))
     assert len(enclave.untrusted_store.keys()) == 2
-    assert enclave.ledger.sealed_bytes > 0
+    assert enclave.ledger.op_bytes["seal"] > 0
     agg.aggregate(["vb0"])
     assert enclave.untrusted_store.keys() == []
-    assert enclave.ledger.unsealed_bytes > 0
+    assert enclave.ledger.op_bytes["unseal"] > 0
 
 
 def test_pending_keys(enclave, nprng):

@@ -196,7 +196,7 @@ def test_sealed_aggregation_matches_in_memory(nprng):
     sealed.dense_forward(x, w, None, key="d")
     grad_sealed = sealed.dense_grad_w(x, delta, key="d")
     assert np.allclose(grad_plain, grad_sealed, atol=1e-9)
-    assert sealed.enclave.ledger.sealed_bytes > 0
+    assert sealed.enclave.ledger.op_bytes["seal"] > 0
 
 
 def test_config_validation():

@@ -228,10 +228,7 @@ def _books(backend):
         "link_bytes": backend.link.total_bytes,
         # The same transfers in another interleaving: a float sum, so approx.
         "link_seconds": pytest.approx(backend.link.total_seconds, rel=1e-12),
-        "enclave": copy.deepcopy(
-            (ledger.ecalls, ledger.ocalls, ledger.bytes_in, ledger.bytes_out,
-             ledger.sealed_bytes, ledger.unsealed_bytes, ledger.op_counts, ledger.op_bytes)
-        ),
+        "enclave": copy.deepcopy((ledger.op_counts, ledger.op_bytes)),
         "next_draw": copy.deepcopy(backend.enclave.rng.generator).integers(0, 2**62),
     }
 

@@ -8,11 +8,13 @@ static mode stays bit-identical to a server that has never heard of the
 feature.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.enclave import EPC_USABLE_BYTES
 from repro.errors import ConfigurationError
 from repro.nn import Dense, ReLU, Sequential
 from repro.runtime import DarKnightConfig
@@ -196,39 +198,37 @@ def test_property_deadline_stays_within_floor_and_ceiling():
 
 
 def test_property_k_never_exceeds_the_epc_fitting_size():
-    """For any (slot bytes, budget), the policy's K is at most the fit,
-    and the fit's working set is within budget (or K hit the floor of 1)."""
+    """For any K, M, integrity, depth and budget, the server provisions the
+    fit — the largest K whose working set stays within the budget's
+    headroom, or 1 — adaptive or not, and coalesces to it."""
+    net = _tiny_net()
+    slot = estimate_slot_bytes(net)
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        base_k = int(rng.integers(1, 12))
-        slot_bytes = int(rng.integers(1, 10**6))
-        budget = int(rng.integers(1, 10**8))
-        depth = int(rng.integers(1, 4))
-        # The policy keeps EPC_HEADROOM of the budget it is given.
-        kept = int(budget * EPC_HEADROOM)
-        fit = epc_fitting_batch_size(base_k, slot_bytes, kept, pipeline_depth=depth)
-        assert 1 <= fit <= base_k
-        if fit > 1:
-            assert (
-                working_set_bytes(fit, slot_bytes, pipeline_depth=depth) <= kept
-            )
-        policy = AdaptiveFlushPolicy(
-            base_k,
-            0.01,
-            slot_bytes=slot_bytes,
-            epc_budget_bytes=budget,
-            pipeline_depth=depth,
+    trace = synthetic_trace(12, (16,), n_tenants=3, mean_interarrival=1e-4, seed=2)
+    for _ in range(30):
+        dk = DarKnightConfig(
+            virtual_batch_size=int(rng.integers(1, 12)),
+            collusion_tolerance=int(rng.integers(1, 4)),
+            integrity=bool(rng.integers(2)),
+            pipeline_depth=int(rng.integers(1, 4)),
+            epc_budget_bytes=int(rng.integers(1, 20_000)),
+            seed=0,
         )
-        assert policy.batch_size <= fit
-        # Runtime observations can only tighten the cap, never widen it.
-        policy.observe_window(
-            WindowFeedback(
-                n_batches=1,
-                enclave_busy=1e-3,
-                slot_bytes_observed=slot_bytes * 2,
-            )
-        )
-        assert policy.batch_size <= fit
+        adaptive = bool(rng.integers(2))
+        server = PrivateInferenceServer(net, ServingConfig(darknight=dk, adaptive=adaptive))
+        k = server.darknight.virtual_batch_size
+        kept = int(dk.epc_budget_bytes * EPC_HEADROOM)
+        shape = (dk.collusion_tolerance, dk.extra_shares, dk.pipeline_depth)
+        assert k == epc_fitting_batch_size(dk.virtual_batch_size, slot, kept, *shape)
+        assert 1 <= k <= dk.virtual_batch_size
+        if k > 1:
+            assert working_set_bytes(k, slot, *shape) <= kept
+        if k < dk.virtual_batch_size:
+            assert working_set_bytes(k + 1, slot, *shape) > kept
+        report = server.serve_trace(trace)
+        batch_sizes = np.unique([o.batch_id for o in report.completed], return_counts=True)[1]
+        assert len(report.completed) == 12 and max(batch_sizes) <= k
+        assert report.adaptive == [None] or report.adaptive[0]["batch_size"] == k
 
 
 def test_property_static_mode_is_bit_identical():
@@ -289,20 +289,22 @@ def test_scheduler_uses_the_learned_deadline():
 
 
 def test_scheduler_caps_batch_size_at_the_epc_fit():
-    queue = RequestQueue(capacity=64)
-    policy = AdaptiveFlushPolicy(
-        8,
-        0.01,
-        slot_bytes=128,
-        # What the headroom keeps fits K=2: (2 + 2*(2+1)) * 128 = 1024.
-        epc_budget_bytes=math.ceil(1024 / EPC_HEADROOM),
-    )
-    sched = VirtualBatchScheduler(queue, batch_size=8, max_wait=0.01, policy=policy)
-    assert sched.effective_batch_size == 2
-    for i in range(6):
-        _push(queue, i)
-    batches = sched.collect_ready(now=0.0)
-    assert [b.n_requests for b in batches] == [2, 2, 2]
+    """The scheduler a server provisions under a tight EPC budget coalesces
+    at the fitted K, not the configured one — adaptive or static."""
+    net = _tiny_net()
+    slot = estimate_slot_bytes(net)
+    # What the headroom keeps fits K=2: (2 + 2*(2+1)) * 128 = 1024.
+    assert working_set_bytes(2, slot) == 1024
+    budget = math.ceil(1024 / EPC_HEADROOM)
+    for adaptive in (True, False):
+        dk = DarKnightConfig(virtual_batch_size=8, seed=0, epc_budget_bytes=budget)
+        server = PrivateInferenceServer(net, ServingConfig(darknight=dk, adaptive=adaptive))
+        sched = server.units[0].scheduler
+        assert sched.batch_size == sched.slots == 2
+        for i in range(6):
+            _push(sched.queue, i)
+        batches = sched.collect_ready(now=0.0)
+        assert [b.n_requests for b in batches] == [2, 2, 2]
 
 
 def test_server_threads_feedback_into_per_shard_policies():
@@ -355,13 +357,34 @@ def test_server_clamps_provisioned_k_to_the_epc_budget():
         queue_capacity=64,
     )
     server = PrivateInferenceServer(net, config)
-    assert server.darknight.virtual_batch_size == 2
-    # The shard's enclave models the shrunken EPC too.
-    assert server.shards[0].enclave.epc.usable_bytes == budget
+    k = server.darknight.virtual_batch_size
+    assert k == 2
     trace = synthetic_trace(12, (16,), n_tenants=2, mean_interarrival=1e-3, seed=1)
     report = server.serve_trace(trace)
     assert len(report.completed) == 12
-    assert not server.shards[0].enclave.epc.is_overflowing
+    # The provisioned K's working set fits what the headroom keeps.
+    assert working_set_bytes(k, slot, 1, 0, 1) <= int(budget * EPC_HEADROOM)
+
+
+def test_a_static_server_fits_k_to_the_epc_budget_too():
+    """Regression: the budget used to size K only with adaptive batching on;
+    a static deployment masked at the requested K however tight it was."""
+    net = _tiny_net()
+    slot = estimate_slot_bytes(net)
+    budget = math.ceil(working_set_bytes(2, slot, 1, 1, 2) / EPC_HEADROOM)
+    dk = DarKnightConfig(
+        virtual_batch_size=4, seed=0, integrity=True, pipeline_depth=2, epc_budget_bytes=budget
+    )
+    server = PrivateInferenceServer(net, ServingConfig(darknight=dk))
+    fit = epc_fitting_batch_size(4, slot, int(budget * EPC_HEADROOM), 1, 1, 2)
+    assert server.darknight.virtual_batch_size == fit == 2
+    assert server.shards[0].engine.backend.config.virtual_batch_size == 2
+    # With no budget set, K is fitted to usable EPC — 93 MB, which no
+    # served model here comes near.
+    assert EPC_USABLE_BYTES == 93 * 1024 * 1024
+    unbounded = dataclasses.replace(dk, epc_budget_bytes=None)
+    server = PrivateInferenceServer(net, ServingConfig(darknight=unbounded))
+    assert server.darknight.virtual_batch_size == 4
 
 
 def test_cli_adaptive_flags():

@@ -80,7 +80,7 @@ def test_router_drain_blocks_new_placements_but_keeps_existing_pins():
     router = ShardRouter(3)
     pinned = {f"t{i}": router.shard_for(f"t{i}") for i in range(12)}
     router.begin_drain(1)
-    assert router.is_draining(1)
+    assert 1 in router.healthy_shards() and 1 not in router.placeable_shards()
     # Existing pins survive the drain window...
     for t, shard in pinned.items():
         assert router.shard_for(t) == shard
@@ -104,7 +104,7 @@ def test_router_remove_shard_repins_tenants_and_retires_the_id():
         router.shard_for(t)
     victims = [t for t in tenants if router.shard_for(t) == 1]
     remap = router.remove_shard(1)
-    assert router.is_retired(1)
+    assert 1 not in router.healthy_shards() and not router.is_failed(1)
     assert sorted(remap) == sorted(victims)
     for t in tenants:
         assert router.shard_for(t) != 1
@@ -166,14 +166,16 @@ def test_queue_extract_and_absorb_move_admitted_work_without_shedding():
         src.push(PendingRequest(i, tenant, np.zeros(4), float(i), float(i)))
     moved = src.extract_tenant("a")
     assert [r.request_id for r in moved] == [0, 2]
-    assert src.depth == 2 and src.depth_by_tenant() == {"b": 2}
+    assert src.depth == 2
     dst.absorb(moved)
     assert dst.depth == 2
     assert [r.request_id for r in dst.pop_fair(4)] == [0, 2]
     # Re-homing is not admission: a queue already at capacity still absorbs.
     full = RequestQueue(1)
     full.push(PendingRequest(9, "c", np.zeros(4), 9.0, 9.0))
-    full.absorb(src.extract_tenant("b"))
+    rest = src.extract_tenant("b")
+    assert [r.request_id for r in rest] == [1, 3] and src.depth == 0
+    full.absorb(rest)
     assert full.depth == 3
     assert src.extract_tenant("ghost") == []
 
@@ -307,7 +309,7 @@ def test_provision_shard_joins_every_subsystem():
     assert server.scheduler.units is server.units
     assert server.pool.units is server.units
     assert server.sessions.units is server.units
-    assert new_id in server.sessions.sessions_by_shard()
+    assert server.units[new_id].sessions.shard_id == new_id
 
 
 def test_scripted_membership_history_serves_bit_identical_logits():
@@ -347,7 +349,8 @@ def test_decommission_mid_flush_completes_queued_work_and_commits_audit():
 
     assert vid == victim
     assert server.shards[victim].retired
-    assert server.router.is_retired(victim)
+    assert victim not in server.router.healthy_shards()
+    assert not server.router.is_failed(victim)
     assert server.units[victim].queue.depth == 0
     assert server.units[victim].state == "retired"
     # Every request queued on the victim completed through the drain
@@ -540,10 +543,11 @@ def _assert_one_membership_view(server):
     assert len(server.scheduler.policy_snapshots()) == len(units)
     retired = {u.unit_id for u in units if u.state == "retired"}
     in_service = set(ids) - retired
-    assert {i for i in ids if server.router.is_retired(i)} == retired
-    by_unit = server.sessions.sessions_by_shard()
-    assert set(by_unit) == in_service
-    placed = [tenant for tenants in by_unit.values() for tenant in tenants]
+    router = server.router
+    failed = {i for i in ids if router.is_failed(i)}
+    assert set(ids) - set(router.healthy_shards()) - failed == retired
+    assert not any(units[i].sessions.active_tenants for i in retired)
+    placed = server.sessions.active_tenants
     assert len(placed) == len(set(placed))  # nobody holds two sessions
     # Units leave whole: every member's own stamp and chain agree.
     retired_shards = {s.shard_id for u in units if u.unit_id in retired for s in u.shards}

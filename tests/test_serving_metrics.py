@@ -72,8 +72,6 @@ def test_failures_and_shed_are_counted_not_completed():
     assert snap["completed"] == 1
     assert snap["integrity_failures"] == 1
     assert snap["shed"] == 1
-    assert metrics.completed_by_tenant() == {"a": 1}
-    assert metrics.shed_by_tenant() == {"b": 1}
 
 
 def test_render_is_a_table_with_headline_metrics():

@@ -68,7 +68,7 @@ def test_oldest_enqueue_time_tracks_heads():
     assert q.oldest_enqueue_time() == 0.5
     q.pop_fair(1)  # pops tenant a first (arrival order of tenants)
     assert q.oldest_enqueue_time() == 0.5
-    assert q.depth_by_tenant() == {"b": 1}
+    assert q.depth == 1 and [r.tenant for r in q.pop_fair(1)] == ["b"]
 
 
 def test_invalid_capacity_rejected():

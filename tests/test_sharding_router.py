@@ -36,7 +36,8 @@ def test_load_aware_rebalancing_bounds_skew():
     # The margin caps how far the hash distribution can wander from the
     # lightest shard at each placement.
     assert max(loads) - min(loads) <= router.rebalance_margin
-    assert router.rebalanced > 0
+    # Some tenants were diverted off their ring candidate to get there.
+    assert any(router.ring_candidate(t) != s for t, s in router.pins().items())
 
 
 def test_ring_candidate_ignores_pin_state():

@@ -42,7 +42,7 @@ def test_blinded_share_differs_from_input(field, nprng):
     enclave = Enclave(seed=0)
     store = BlindingStore(enclave)
     q = np.abs(nprng.integers(0, field.p, size=(8,))).astype(np.int64)
-    store.precompute("l", 1, (8,), lambda r: r, macs_per_op=8)
+    store.precompute("l", 1, (8,), lambda r: r)
     pair = store.next_pair("l")
     blinded = store.blind(q, pair)
     assert not np.array_equal(blinded, q)
@@ -73,10 +73,11 @@ def test_weight_change_invalidates_pool_and_reprecomputes(net, nprng):
     backend = SlalomBackend()
     x = nprng.normal(size=(2, 1, 6, 6))
     net.forward(x, backend, training=False)
-    offline_before = backend.store.offline_macs
+    ops = backend.enclave.ledger.op_counts
+    sealed_before = ops["seal"]
     net.layers[0].params["w"] += 0.05
     out = net.forward(x, backend, training=False)  # must re-run offline phase
-    assert backend.store.offline_macs > offline_before
+    assert ops["seal"] > sealed_before
     out_ref = net.forward(x, PlainBackend(), training=False)
     assert np.max(np.abs(out - out_ref)) < 0.1
 
@@ -84,7 +85,7 @@ def test_weight_change_invalidates_pool_and_reprecomputes(net, nprng):
 def test_stale_pool_refused_directly(nprng):
     enclave = Enclave(seed=0)
     store = BlindingStore(enclave)
-    store.precompute("l", 1, (4,), lambda r: r, macs_per_op=4, weight_version=0)
+    store.precompute("l", 1, (4,), lambda r: r, weight_version=0)
     with pytest.raises(EncodingError, match="cannot train"):
         store.next_pair("l", weight_version=1)
 
@@ -92,7 +93,7 @@ def test_stale_pool_refused_directly(nprng):
 def test_pool_exhaustion(nprng):
     enclave = Enclave(seed=0)
     store = BlindingStore(enclave)
-    store.precompute("l", 2, (4,), lambda r: r, macs_per_op=4)
+    store.precompute("l", 2, (4,), lambda r: r)
     store.next_pair("l")
     store.next_pair("l")
     with pytest.raises(EncodingError, match="exhausted"):
@@ -102,7 +103,7 @@ def test_pool_exhaustion(nprng):
 def test_pairs_are_one_time(nprng):
     enclave = Enclave(seed=0)
     store = BlindingStore(enclave)
-    store.precompute("l", 2, (4,), lambda r: r, macs_per_op=4)
+    store.precompute("l", 2, (4,), lambda r: r)
     p1 = store.next_pair("l")
     p2 = store.next_pair("l")
     assert not np.array_equal(p1.r, p2.r)
@@ -111,7 +112,7 @@ def test_pairs_are_one_time(nprng):
 def test_blinding_pairs_sealed_in_untrusted_store(nprng):
     enclave = Enclave(seed=0)
     store = BlindingStore(enclave)
-    store.precompute("l", 1, (4,), lambda r: r, macs_per_op=4)
+    store.precompute("l", 1, (4,), lambda r: r)
     assert len(enclave.untrusted_store.keys()) == 2  # r and u
 
 
@@ -148,8 +149,8 @@ def test_blinding_validation(nprng):
     enclave = Enclave(seed=0)
     store = BlindingStore(enclave)
     with pytest.raises(EncodingError):
-        store.precompute("l", 0, (4,), lambda r: r, macs_per_op=1)
-    store.precompute("l", 1, (4,), lambda r: r, macs_per_op=1)
+        store.precompute("l", 0, (4,), lambda r: r)
+    store.precompute("l", 1, (4,), lambda r: r)
     pair = store.next_pair("l")
     with pytest.raises(EncodingError):
         store.blind(np.zeros(5, dtype=np.int64), pair)
@@ -162,10 +163,10 @@ def test_pool_accounting_counts_down_as_pairs_are_used(nprng):
     store = BlindingStore(enclave)
     assert store.pairs_available("l") == 0
     assert store.pool_version("l") is None
-    store.precompute("l", 3, (4,), lambda r: r, macs_per_op=4, weight_version=2)
+    store.precompute("l", 3, (4,), lambda r: r, weight_version=2)
     assert store.pairs_available("l") == 3
     assert store.pool_version("l") == 2
-    assert store.offline_macs == 12
+    assert enclave.ledger.op_counts["seal"] == 6  # r and u per pair
     store.next_pair("l", weight_version=2)
     assert store.pairs_available("l") == 2
 
@@ -173,8 +174,8 @@ def test_pool_accounting_counts_down_as_pairs_are_used(nprng):
 def test_invalidate_drops_the_unused_sealed_pairs(nprng):
     enclave = Enclave(seed=0)
     store = BlindingStore(enclave)
-    store.precompute("l", 3, (4,), lambda r: r, macs_per_op=4)
-    store.precompute("m", 1, (4,), lambda r: r, macs_per_op=4)
+    store.precompute("l", 3, (4,), lambda r: r)
+    store.precompute("m", 1, (4,), lambda r: r)
     store.next_pair("l")
     store.invalidate("l")
     assert store.pairs_available("l") == 0
@@ -182,5 +183,5 @@ def test_invalidate_drops_the_unused_sealed_pairs(nprng):
     keys = set(enclave.untrusted_store.keys())
     assert not keys & {"slalom/l/r1", "slalom/l/u1", "slalom/l/r2", "slalom/l/u2"}
     assert {"slalom/m/r0", "slalom/m/u0"} <= keys  # other layers keep their pools
-    store.precompute("l", 1, (4,), lambda r: r, macs_per_op=4, weight_version=1)
+    store.precompute("l", 1, (4,), lambda r: r, weight_version=1)
     assert store.next_pair("l", weight_version=1).weight_version == 1

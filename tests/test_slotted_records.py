@@ -58,7 +58,7 @@ def _records():
         "WindowItem": WindowItem(np.ones((2, 6)), 0.0),
         "VirtualBatch": vb,
         "EncodedBatch": EncodedBatch(np.zeros((3, 1)), np.zeros((1, 1)), coeffs),
-        "IntegrityReport": IntegrityReport(consistent=True, subsets_checked=2),
+        "IntegrityReport": IntegrityReport(consistent=True),
         "ShareLaunch": ShareLaunch("dense", "k", weight_name="w"),
         "EncodeTicket": tickets[0],
         "GpuFuture": future,
