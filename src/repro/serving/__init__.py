@@ -6,8 +6,9 @@ requests from many tenants are coalesced into full virtual batches under
 a max-latency deadline, served over one or more enclave + GPU shards
 (:mod:`repro.sharding`) behind per-tenant attested, shard-scoped
 sessions.  Multiple shards progress on parallel enclave timelines behind
-one scheduler; a cross-enclave attestation mesh lets sessions fail over
-when a shard dies.
+one scheduler; :class:`Membership` is the one way a unit joins or leaves,
+and its cross-enclave attestation mesh lets sessions move to a surviving
+unit when one is scaled in or dies.
 """
 
 from repro.audit import AuditConfig, AuditTrail
@@ -24,6 +25,7 @@ from repro.serving.autoscale import (
     ShardAutoscaler,
 )
 from repro.serving.config import PRESETS, ServingConfig
+from repro.serving.membership import Membership
 from repro.serving.metrics import ServerMetrics
 from repro.serving.queue import RequestQueue
 from repro.serving.requests import (
@@ -47,11 +49,7 @@ from repro.serving.slo import (
     SloPolicy,
     build_slo_policy,
 )
-from repro.serving.session import (
-    ServingSession,
-    SessionManager,
-    ShardedSessionManager,
-)
+from repro.serving.session import ServingSession, SessionManager
 from repro.serving.trace import (
     TraceRequest,
     bursty_trace,
@@ -95,7 +93,7 @@ __all__ = [
     "build_slo_policy",
     "ServingSession",
     "SessionManager",
-    "ShardedSessionManager",
+    "Membership",
     "InferenceWorkerPool",
     "ServingUnit",
     "ServerMetrics",

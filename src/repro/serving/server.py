@@ -2,8 +2,8 @@
 
 Composes the serving subsystem end to end::
 
-    trace -> ShardRouter (pin tenant -> enclave shard)
-          -> ShardedSessionManager (attest once / tenant on its shard)
+    trace -> Membership (router pins tenant -> unit; attest once per
+             tenant on that unit's entry enclave)
           -> per-shard RequestQueue (bounded, shed-load globally)
           -> ShardedBatchScheduler (coalesce per shard, size-or-deadline)
           -> InferenceWorkerPool (per-shard staged pipelines on parallel
@@ -18,14 +18,16 @@ startup so sessions can migrate on failure.  Every ``N`` consecutive
 shards (``N = 1`` unless ``partition="layered:N"``) form one routing
 unit, and everything kept *per unit* (its :class:`PipelineGroup`
 executor, queue, scheduler, sessions) lives in one
-:class:`~repro.serving.unit.ServingUnit`; the server owns the single
-list of them and is the only place membership changes — a whole unit at
-a time.  A shard's service life is stamped on the shard itself
-(``provisioned_at``, ``retired_at``, ``failed_at``): the mesh keeps only
-links, the router only routing, the autoscaler only its decisions, and
-the report's shard-seconds are read off the shards.  Serving always
-uses per-sample normalization, so a request's logits are bit-identical
-at every shard count, pipeline depth, and coalescing mix.
+:class:`~repro.serving.unit.ServingUnit`.  The server builds units;
+:class:`~repro.serving.membership.Membership` is the one place they join
+or leave — a whole unit at a time, and by one exit whether the unit is
+scaled in or failed over.  A shard's service life is stamped on the
+shard itself (``provisioned_at``, ``retired_at``, ``failed_at``): the
+mesh keeps only links, the router only routing, the autoscaler only its
+decisions, and the report's shard-seconds and failover count are read
+off the shards.  Serving always uses per-sample normalization, so a
+request's logits are bit-identical at every shard count, pipeline depth,
+and coalescing mix.
 
 There is no network dependency: :meth:`PrivateInferenceServer.serve_trace`
 replays a time-stamped request trace against a simulated clock, firing
@@ -45,12 +47,7 @@ import numpy as np
 from repro.audit import AuditTrail
 from repro.comm import LinkModel
 from repro.enclave import EPC_USABLE_BYTES, Enclave
-from repro.errors import (
-    AttestationError,
-    BackpressureError,
-    ConfigurationError,
-    ShardError,
-)
+from repro.errors import BackpressureError, ConfigurationError, ShardError
 from repro.gpu import GpuCluster
 from repro.nn import Sequential
 from repro.serving.adaptive import (
@@ -66,6 +63,7 @@ from repro.serving.autoscale import (
     shard_ledger,
 )
 from repro.serving.config import ServingConfig
+from repro.serving.membership import Membership
 from repro.serving.metrics import ServerMetrics
 from repro.serving.queue import RequestQueue
 from repro.serving.requests import (
@@ -77,7 +75,7 @@ from repro.serving.requests import (
     RequestOutcome,
 )
 from repro.serving.scheduler import ShardedBatchScheduler, VirtualBatchScheduler
-from repro.serving.session import SessionManager, ShardedSessionManager
+from repro.serving.session import SessionManager
 from repro.serving.trace import TraceRequest
 from repro.serving.unit import ServingUnit
 from repro.serving.worker import InferenceWorkerPool
@@ -315,20 +313,16 @@ class PrivateInferenceServer:
         )
         self.router = ShardRouter(n_units, slo=self.config.slo)
         #: Every routing unit ever deployed, indexed by unit id (retired
-        #: ones stay in place).  The scheduler, session manager and pool
+        #: ones stay in place).  Membership, the scheduler and the pool
         #: below share this list; only :meth:`_add_unit` grows it.
         self.units: list[ServingUnit] = []
         self._batch_ids = itertools.count()
         for unit_id in range(n_units):
             self._add_unit(unit_id, shards[unit_id * n : (unit_id + 1) * n])
-        self.sessions = ShardedSessionManager(self.units, self.router, self.mesh)
+        self.membership = Membership(self.units, self.router, self.mesh, self.audit)
         self.scheduler = ShardedBatchScheduler(self.units)
         self.pool = InferenceWorkerPool(
-            self.units,
-            self.router,
-            sessions=self.sessions,
-            slo=self.config.slo,
-            audit=self.audit,
+            self.membership, slo=self.config.slo, audit=self.audit
         )
         #: Every request's terminal outcome, in the order requests ended:
         #: the one account :attr:`metrics` reads.
@@ -371,7 +365,7 @@ class PrivateInferenceServer:
         return self.report()
 
     # ------------------------------------------------------------------
-    # membership: the one collection of units, and the one way to change it
+    # membership: building units; Membership changes who serves
     # ------------------------------------------------------------------
     def _live_shards(self) -> list[EnclaveShard]:
         """Shards currently serving traffic (a draining unit's included)."""
@@ -461,53 +455,16 @@ class PrivateInferenceServer:
         """Scale out: bring one new serving unit into the live deployment.
 
         A unit is ``partition.n_stages`` enclave shards (one, unless
-        layered).  The join is end to end: insert the new unit's virtual
-        nodes into the consistent-hash ring (bounded tenant re-pinning;
-        the router allocates the unit id), provision its shards' trusted
-        stacks, attest each incrementally against the live shards (and
-        the unit's members attested before it), build the serving unit,
-        migrate the re-pinned tenants' attested sessions over the mesh,
-        re-home their already-queued requests, and open every member's
-        audit log when the trail is on.  Logits
-        are unaffected by construction: per-sample normalization makes
-        every response independent of which unit (and which co-batch)
-        served it.  Returns the new unit's id.
+        layered), provisioned here and joined through
+        :meth:`~repro.serving.membership.Membership.join`.  Logits are
+        unaffected by construction: per-sample normalization makes every
+        response independent of which unit (and which co-batch) served
+        it.  Returns the new unit's id.
         """
-        unit_id, remap = self.router.add_shard()
         n = self.partition.n_stages
+        unit_id = len(self.units)
         shards = [self._provision(unit_id * n + k, now) for k in range(n)]
-        peers = self._live_shards()
-        for shard in shards:
-            self.mesh.extend(shard, peers)
-            peers.append(shard)
-        unit = self._add_unit(unit_id, shards)
-        try:
-            self.sessions.migrate(remap)
-        except AttestationError:
-            # Refused: a re-pinned tenant's old unit died before the
-            # newcomer could attest against it.  Its stale session is
-            # dropped below and the tenant re-attests at next contact.
-            pass
-        # Already-admitted requests follow their tenant's new pin so the
-        # new unit takes load immediately (and the old unit's queue
-        # stops aging work it no longer owns).
-        for tenant in remap:
-            for source in self.units[:-1]:
-                source.sessions.drop(tenant)
-                moved = source.queue.extract_tenant(tenant)
-                if moved:
-                    unit.queue.absorb(moved)
-        if self.audit is not None:
-            # The join is chain-visible: each new shard's service life
-            # opens with a first-class membership entry on its own log.
-            details = {"num_shards": len(self.shards)}
-            for shard in shards:
-                self.audit.add_shard(shard.shard_id)
-                self.audit.record_membership(
-                    "provision", shard.shard_id, now, details=details
-                )
-        self._invalidate_precompute()
-        return unit_id
+        return self.membership.join(shards, self._add_unit, now).unit_id
 
     def decommission_shard(
         self, shard_id: int | None = None, now: float = 0.0
@@ -515,7 +472,9 @@ class PrivateInferenceServer:
         """Scale in: retire the least-loaded live unit (or unit ``shard_id``).
 
         Raises :class:`~repro.errors.ShardError` when the named unit is
-        not live or removal would leave no serving unit.
+        not live, when removal would leave no serving unit, or when the
+        unit died during its own drain flush (a failover took it out
+        instead).
         """
         live = [u for u in self.units if u.executor.healthy]
         if len(live) <= 1:
@@ -531,72 +490,21 @@ class PrivateInferenceServer:
             victim = next((u for u in live if u.unit_id == shard_id), None)
             if victim is None:
                 raise ShardError(f"shard {shard_id} is not live; cannot drain")
-        self._retire_unit(victim, now)
-        return victim.unit_id
-
-    def _retire_unit(self, unit: ServingUnit, now: float) -> None:
-        """Drain-before-kill: flush, migrate, then retire one unit.
-
-        The unit first stops receiving new tenants (router drain), then
-        its queued windows flush through its own pipeline —
-        audit-committed when the trail is on — then its tenants re-place
-        through the ring and their attested sessions migrate over the
-        still-verified mesh links, and only then is every member shard
-        decommissioned: stamped retired, its audit chain closed.  A
-        refused migration (unverified link) degrades safely: the unit's
-        sessions are dropped and each tenant re-attests on its new unit
-        at next contact.  The unit stays in :attr:`units` — its state
-        reads ``retired`` from here on, which is all the scheduler,
-        sessions and pool look at.
-        """
-        vid, victim = unit.unit_id, unit.executor
-        self.router.begin_drain(vid)
+        self.router.begin_drain(victim.unit_id)
         if self.audit is not None:
             # Chain the wind-down *before* the final flush: every window
             # after this entry is the drain itself.
-            for shard in unit.shards:
+            for shard in victim.shards:
                 self.audit.record_membership("drain", shard.shard_id, now)
         # Flush the victim's pending windows through its own pipeline
         # (these commit to its audit chains like any other window).
-        self._run_batches(unit.scheduler.drain(now), now)
-        if not victim.healthy:
-            # Died mid-flush: the failover path already migrated its
-            # sessions and re-pinned its tenants; nothing left to drain.
-            return
-        remap = self.router.remove_shard(vid)
-        try:
-            self.sessions.migrate(remap)
-        except AttestationError:
-            # Refused migration: tenants re-attest lazily on their new
-            # unit; the sessions left behind are dropped just below.
-            pass
-        for tenant in unit.sessions.active_tenants:
-            unit.sessions.drop(tenant)
-        victim.decommission(now)
-        if self.audit is not None:
-            for shard in unit.shards:
-                # The chain's final word on the shard: retired, with its
-                # lifetime dispatch count frozen into the event leaf.
-                self.audit.record_membership(
-                    "retire",
-                    shard.shard_id,
-                    now,
-                    details={"batches_run": int(shard.batches_run)},
-                )
-        self._invalidate_precompute()
-
-    def _invalidate_precompute(self) -> None:
-        """Drop every live shard's cached weight encodings.
-
-        Called after each membership change: a provision or retire
-        re-shapes routing, so cached per-layer encodings must be
-        re-validated by the next window rather than trusted across the
-        topology change.
-        Mask pools are deliberately untouched — their counters must keep
-        advancing for pooled/inline bit-identity.
-        """
-        for shard in self._live_shards():
-            shard.backend.invalidate_precompute()
+        self._run_batches(victim.scheduler.drain(now), now)
+        state, _ = self.membership.leave(victim, now)
+        if state != "retired":
+            raise ShardError(
+                f"shard {victim.unit_id} failed during its drain; failed over"
+            )
+        return victim.unit_id
 
     def _autoscale_tick(self, now: float) -> None:
         """Run one control-loop evaluation and execute its decision."""
@@ -614,6 +522,7 @@ class PrivateInferenceServer:
             try:
                 shard_id = self.decommission_shard(now=now)
             except ShardError:
+                # No victim, or it died in its own drain: not a scale-in.
                 return
         else:
             return
@@ -780,7 +689,7 @@ class PrivateInferenceServer:
             heapq.heappush(self._inflight, outcome.completion_time)
             if outcome.ok:
                 try:
-                    session = self.sessions.connect(outcome.tenant)
+                    session = self.membership.connect(outcome.tenant)
                 except ShardError as exc:
                     outcomes[i] = dataclasses.replace(
                         outcome,
@@ -806,12 +715,12 @@ class PrivateInferenceServer:
         return ServingReport(
             outcomes=list(self._outcomes),
             metrics=self.metrics,
-            handshakes=self.sessions.handshakes_performed,
-            tenants=self.sessions.active_tenants,
+            handshakes=self.membership.handshakes,
+            tenants=self.membership.active_tenants,
             link_bytes=self.link.total_bytes,
             shards=len(self.shards),
-            failovers=self.pool.failovers,
-            migrations=self.sessions.migrations,
+            failovers=sum(1 for u in self.units if u.shards[0].failed_at is not None),
+            migrations=self.membership.migrations,
             retries_skipped_budget=self.pool.retries_skipped_budget,
             retries_skipped_floor=self.pool.retries_skipped_floor,
             partition=str(self.partition),

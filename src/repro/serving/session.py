@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.comm import Envelope, LinkModel, SecureChannel
 from repro.enclave import ByteStream, Enclave, measure_enclave
-from repro.errors import AttestationError, ShardError
 from repro.runtime.client import DEFAULT_CODE_IDENTITY
 
 
@@ -140,139 +139,3 @@ class SessionManager:
     def active_tenants(self) -> list[str]:
         """Tenants with an established session."""
         return list(self._sessions)
-
-
-class ShardedSessionManager:
-    """Unit-scoped attested sessions with mesh-verified failover.
-
-    Each serving unit keeps its own :class:`SessionManager` — a session
-    is a keyed channel into *one* enclave, so it cannot outlive its unit.
-    ``connect`` routes through the :class:`~repro.sharding.ShardRouter`'s
-    pinning; when a unit dies, :meth:`fail_over` re-attests every
-    displaced tenant on its new unit — but only after the attestation
-    mesh confirms the dead and surviving units had mutually verified
-    each other at startup, so a session can never land on an enclave the
-    deployment did not vouch for.
-
-    Parameters
-    ----------
-    units:
-        The deployment's :class:`~repro.serving.unit.ServingUnit` list
-        (``units[i].unit_id == i``), shared by reference with the server
-        that owns membership.
-    router:
-        Pins tenants to units (and re-pins them on failure).
-    mesh:
-        Established shard-level :class:`~repro.sharding.AttestationMesh`
-        gating migrations: sessions terminate on a unit's *entry*
-        enclave, so a move needs the verified link between the two
-        units' entry shards.
-    """
-
-    def __init__(self, units: list, router, mesh) -> None:
-        self.units = units
-        self.router = router
-        self.mesh = mesh
-        self.migrations = 0
-
-    def _live(self):
-        """Managers of every unit still in service (failed ones included)."""
-        return (u.sessions for u in self.units if not u.executor.retired)
-
-    def _assert_verified(self, source: int, target: int) -> None:
-        """Refuse a session move between units the mesh never linked."""
-        self.mesh.assert_verified(
-            self.units[source].shards[0].shard_id,
-            self.units[target].shards[0].shard_id,
-        )
-
-    def connect(self, tenant: str) -> ServingSession:
-        """The tenant's session on its pinned unit (handshake on first use)."""
-        return self.units[self.router.shard_for(tenant)].sessions.connect(tenant)
-
-    def migrate(self, moves: dict[str, int]) -> dict[str, int]:
-        """Move live sessions between live units (scale-out/scale-in).
-
-        Unlike :meth:`fail_over`, both ends of each move are alive, so the
-        mesh gate is checked for every (source, target) pair *before* any
-        session is dropped — a refused migration leaves every session
-        exactly where it was, and the caller can abort the membership
-        change.  Tenants in ``moves`` without a live session are skipped
-        (they will handshake on their new unit at next contact).
-        Returns the subset of ``moves`` actually migrated.
-        """
-        planned: list[tuple[str, int, int]] = []
-        for tenant, target in moves.items():
-            for manager in self._live():
-                if tenant in manager.active_tenants:
-                    if manager.shard_id != target:
-                        planned.append((tenant, manager.shard_id, target))
-                    break
-        for tenant, source, target in planned:
-            self._assert_verified(source, target)
-        migrated: dict[str, int] = {}
-        for tenant, source, target in planned:
-            self.units[source].sessions.drop(tenant)
-            # A migrated session re-attests on its new unit: trust is per
-            # unit, never copied across the mesh.
-            self.units[target].sessions.connect(tenant)
-            self.migrations += 1
-            migrated[tenant] = target
-        return migrated
-
-    def fail_over(self, failed_shard: int) -> dict[str, int]:
-        """Migrate every session off a dead shard, re-attesting each tenant.
-
-        The router must already have marked the shard failed (so
-        ``shard_for`` yields the new pins).  Returns ``{tenant: new_shard}``
-        for the sessions that moved.
-
-        Raises
-        ------
-        ShardError
-            When no shard is left to re-pin onto (total outage); the dead
-            shard's sessions are dropped, as below.
-        AttestationError
-            When the mesh never verified the link between the dead shard
-            and a migration target.  The gate is atomic — checked for
-            every target before *any* session moves — and the dead
-            shard's sessions are dropped either way (they terminate on a
-            dead enclave), so a refusal leaves no tenant with a live
-            session anywhere: no response rides a shard the mesh did not
-            vouch for, and the tenant's next request performs a fresh
-            tenant-side attestation handshake on its new shard
-            (``migrations`` counts only mesh-gated moves, not those
-            from-scratch reconnects).
-        """
-        dead = self.units[failed_shard].sessions
-        displaced = dead.active_tenants
-        try:
-            targets = {tenant: self.router.shard_for(tenant) for tenant in displaced}
-            for target in sorted(set(targets.values())):
-                self._assert_verified(failed_shard, target)
-        except (ShardError, AttestationError):
-            for tenant in displaced:
-                dead.drop(tenant)
-            raise
-        for tenant, target in targets.items():
-            dead.drop(tenant)
-            # A migrated session re-runs the full attestation + key
-            # exchange against the surviving enclave: trust is per shard,
-            # never copied across the mesh.
-            self.units[target].sessions.connect(tenant)
-            self.migrations += 1
-        return targets
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def handshakes_performed(self) -> int:
-        """Attestation handshakes over every unit's lifetime (incl.
-        migrations) — a retired unit's handshakes still happened."""
-        return sum(u.sessions.handshakes_performed for u in self.units)
-
-    @property
-    def active_tenants(self) -> list[str]:
-        """Tenants with an established session on any shard."""
-        return [t for m in self._live() for t in m.active_tenants]

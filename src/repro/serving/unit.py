@@ -10,9 +10,10 @@ that executor does.
 
 :class:`~repro.serving.server.PrivateInferenceServer` holds the one
 ordered collection of units — ``units[i].unit_id == i``, ids are never
-reused, retired units stay in place — and the sharded scheduler, session
-manager and worker pool share that list by reference.  Lifecycle is not
-stored here: it is whatever the executor says it is.
+reused, retired units stay in place — and
+:class:`~repro.serving.membership.Membership`, the sharded scheduler and
+the worker pool share that list by reference.  Lifecycle is not stored
+here: it is whatever the executor says it is.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ Failures stay contained at two granularities:
   batch-by-batch on the *same* shard, so a byzantine GPU fails only its
   own batch's requests;
 * a shard death (:class:`~repro.errors.ShardFailedError`) triggers
-  failover: the router unpins the dead shard's tenants, the session layer
-  re-attests them across the mesh, and the window's unfinished batches
-  retry per batch on the survivors — no response is dropped.
+  failover: :meth:`~repro.serving.membership.Membership.leave` takes the
+  dead unit out of rotation — the one exit scale-in uses too — which
+  re-pins its tenants and re-attests their sessions across the mesh, and
+  the window's unfinished batches retry per batch on the survivors — no
+  response is dropped.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ import math
 import numpy as np
 
 from repro.audit.commitment import STATUS_RETRIED
-from repro.errors import (
-    AttestationError,
-    DecodingError,
-    IntegrityError,
-    ShardError,
-    ShardFailedError,
-)
+from repro.errors import DecodingError, IntegrityError, ShardError, ShardFailedError
 from repro.pipeline import WindowItem
 from repro.serving.adaptive import WindowFeedback
 from repro.serving.requests import (
@@ -55,15 +51,11 @@ class InferenceWorkerPool:
 
     Parameters
     ----------
-    units:
-        The deployment's :class:`~repro.serving.unit.ServingUnit` list
-        (``units[i].unit_id == i``), shared by reference with the server
-        that owns membership; batches address units by id.
-    router:
-        Re-pins tenants when a unit fails.
-    sessions:
-        The :class:`~repro.serving.session.ShardedSessionManager` whose
-        sessions must migrate on unit failure (``None`` skips migration).
+    membership:
+        The deployment's :class:`~repro.serving.membership.Membership`:
+        its unit list (``units[i].unit_id == i``) is what batches address
+        by id, its router re-targets retries, and a dead unit leaves
+        through it.
     slo:
         Optional :class:`~repro.serving.slo.SloPolicy`.  When set, each
         dispatched batch carries the tightest remaining end-to-end
@@ -83,20 +75,11 @@ class InferenceWorkerPool:
         commit site; dispatch behaviour and outcomes are bit-identical.
     """
 
-    def __init__(
-        self,
-        units: list,
-        router,
-        sessions=None,
-        slo=None,
-        audit=None,
-    ) -> None:
-        self.units = units
-        self.router = router
-        self.sessions = sessions
+    def __init__(self, membership, slo=None, audit=None) -> None:
+        self.membership = membership
+        self.units = membership.units
         self.slo = slo
         self.audit = audit
-        self.failovers = 0
         #: Failover retries skipped because the class SLO budget was
         #: already exhausted at the failure frontier.
         self.retries_skipped_budget = 0
@@ -245,9 +228,9 @@ class InferenceWorkerPool:
         (unverified mesh link) turns the unfinished batches into
         ``STATUS_SHARD_FAILED`` outcomes instead of crashing the server.
         On refusal the dead shard's sessions are dropped outright (see
-        :meth:`~repro.serving.session.ShardedSessionManager.fail_over`),
-        so displaced tenants hold no session anywhere until their next
-        arrival re-attests from scratch on the re-pinned shard.
+        :meth:`~repro.serving.membership.Membership.leave`), so displaced
+        tenants hold no session anywhere until their next arrival
+        re-attests from scratch on the re-pinned shard.
         """
         outcomes: list[RequestOutcome] = []
         done = 0
@@ -257,21 +240,12 @@ class InferenceWorkerPool:
             outcomes = self._settle(shard.shard_id, batches[:done], groups, stats)
         remaining = batches[done:]
         now = remaining[0].flush_time if remaining else batches[-1].flush_time
-        outage: Exception | None = None
-        if not self.router.is_failed(shard.shard_id):
-            # One enclave failure is one failover, even when the dead
-            # shard's leftover queued batches flush in later windows:
-            # the router forgets a unit exactly once.
-            self.failovers += 1
-            for member in shard.members:
-                # Out of rotation: the unit's shards stop serving here.
-                member.failed_at = now
-            try:
-                self.router.fail_shard(shard.shard_id)
-                if self.sessions is not None:
-                    self.sessions.fail_over(shard.shard_id)
-            except (ShardError, AttestationError) as migration_exc:
-                outage = migration_exc
+        # One enclave failure is one failover, even when the dead shard's
+        # leftover queued batches flush in later windows: a unit already
+        # out of rotation leaves no second time.
+        _, outage = self.membership.leave(
+            self.units[shard.shard_id], now, failed=True
+        )
         retries_by_target: dict[int, list[ScheduledBatch]] = {}
         terminal: list[tuple[ScheduledBatch, str]] = []
         rerouted: list[ScheduledBatch] = []
@@ -412,7 +386,9 @@ class InferenceWorkerPool:
         """
         groups: dict[int, list] = {}
         for request in batch.requests:
-            groups.setdefault(self.router.shard_for(request.tenant), []).append(request)
+            groups.setdefault(
+                self.membership.router.shard_for(request.tenant), []
+            ).append(request)
 
         def _remaining_deadline(requests: list) -> float | None:
             # The retry inherits the survivors' remaining SLO budget as

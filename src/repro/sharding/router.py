@@ -2,13 +2,14 @@
 
 Tenants are sticky to a shard — their attested session, and therefore
 their encrypted channel, lives on one enclave — so routing is a *pinning*
-decision, made once per tenant and revisited only on shard failure.  The
-router places each new tenant by consistent hashing over a virtual-node
-ring (stable under shard-count changes, no coordination needed), then
-applies a load-aware override: when the ring's candidate already carries
-materially more tenants than the lightest shard, the new tenant is pinned
-to the lightest shard instead.  Hashing is keyed (BLAKE2b), not Python's
-randomized ``hash``, so placements are reproducible across runs.
+decision, made once per tenant and revisited only when membership
+changes.  The router places each new tenant by consistent hashing over a
+virtual-node ring (stable under shard-count changes, no coordination
+needed), then applies a load-aware override: when the ring's candidate
+already carries materially more tenants than the lightest shard, the new
+tenant is pinned to the lightest shard instead.  Hashing is keyed
+(BLAKE2b), not Python's randomized ``hash``, so placements are
+reproducible across runs.
 
 With an :class:`~repro.serving.slo.SloPolicy`, placement is additionally
 SLO-aware: tenants of above-default priority skip the hash walk and pin
@@ -16,21 +17,17 @@ straight to the lightest healthy shard, spreading
 premium traffic across the least-contended enclaves instead of wherever
 the ring happens to land them.
 
-On failure, :meth:`ShardRouter.fail_shard` removes the dead shard from
-the ring walk and re-pins its displaced tenants through the same
-placement rule, returning the remap so the session layer can migrate
-each displaced tenant's attested session.
-
 Membership is *dynamic*: :meth:`ShardRouter.add_shard` inserts a new
 shard's virtual nodes into the live ring and re-pins only the bounded
 set of tenants consistent hashing says now belong to it (at most
-``ceil(pins / n_live)``), and :meth:`ShardRouter.
-remove_shard` retires a shard gracefully — its tenants re-place through
-the normal rule, with :meth:`ShardRouter.begin_drain` available first so
-a draining shard stops receiving *new* tenants while its existing pins
-keep routing until the migration completes.  Constructing with
-``n_shards`` puts exactly the virtual nodes on the ring that adding that
-many shards one by one would.
+``ceil(pins / n_live)``), :meth:`ShardRouter.begin_drain` stops new
+tenants landing on a shard about to leave, and
+:meth:`ShardRouter.remove_shard` takes a shard out of rotation — retired
+or failed alike — re-pinning its tenants through the normal rule.  A
+removed shard's virtual nodes stay on the ring and the walk steps past
+them, which places every tenant exactly as a ring without them would.
+Constructing with ``n_shards`` puts exactly the virtual nodes on the
+ring that adding that many shards one by one would.
 """
 
 from __future__ import annotations
@@ -100,8 +97,8 @@ class ShardRouter:
         self._ring_shards = [s for _, s in ring]
         self._pins: dict[str, int] = {}
         self._load = [0] * n_shards
-        self._failed: set[int] = set()
-        self._retired: set[int] = set()
+        #: Shards out of rotation (retired or failed over); ids are never reused.
+        self._removed: set[int] = set()
         self._draining: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -109,11 +106,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def healthy_shards(self) -> list[int]:
         """Shard ids currently serving traffic (draining shards included)."""
-        return [
-            s
-            for s in range(self.n_shards)
-            if s not in self._failed and s not in self._retired
-        ]
+        return [s for s in range(self.n_shards) if s not in self._removed]
 
     def placeable_shards(self) -> list[int]:
         """Shard ids eligible for *new* pins (healthy and not draining)."""
@@ -127,7 +120,7 @@ class ShardRouter:
         """The consistent-hashing placement, skipping unplaceable shards."""
         if not self.placeable_shards():
             raise ShardError("no healthy shards left to route to")
-        blocked = self._failed | self._retired | self._draining
+        blocked = self._removed | self._draining
         start = bisect.bisect_left(self._ring_keys, _stable_hash(tenant))
         for offset in range(len(self._ring_shards)):
             shard = self._ring_shards[(start + offset) % len(self._ring_shards)]
@@ -150,19 +143,16 @@ class ShardRouter:
         the lightest healthy shard, in which case
         the lightest shard wins (deterministic tie break toward the
         lowest shard id).  New above-default-priority tenants pin
-        straight to the lightest shard.
+        straight to the lightest shard.  No pin ever names a removed
+        shard: :meth:`remove_shard` unpins its tenants.
         """
         pinned = self._pins.get(tenant)
-        if (
-            pinned is not None
-            and pinned not in self._failed
-            and pinned not in self._retired
-        ):
+        if pinned is not None:
             return pinned
         return self._place(tenant)
 
     def _place(self, tenant: str) -> int:
-        """SLO-then-hash-then-balance placement for admission and failover."""
+        """SLO-then-hash-then-balance placement for admission and removal."""
         if not self.placeable_shards():
             raise ShardError("no healthy shards left to route to")
         if self._is_premium(tenant):
@@ -177,42 +167,13 @@ class ShardRouter:
         return candidate
 
     # ------------------------------------------------------------------
-    # failure handling
-    # ------------------------------------------------------------------
-    def fail_shard(self, shard_id: int) -> dict[str, int]:
-        """Remove a shard from rotation and re-pin its tenants.
-
-        Returns ``{tenant: new_shard}`` for every displaced tenant, in
-        first-pinned order, so callers can migrate sessions in lockstep.
-        """
-        if shard_id not in range(self.n_shards):
-            raise ConfigurationError(f"unknown shard id {shard_id}")
-        if shard_id in self._failed or shard_id in self._retired:
-            return {}
-        self._failed.add(shard_id)
-        self._draining.discard(shard_id)
-        displaced = [t for t, s in self._pins.items() if s == shard_id]
-        for tenant in displaced:
-            del self._pins[tenant]
-        self._load[shard_id] = 0
-        if not self.placeable_shards():
-            # Nothing left to re-pin onto; tenants stay unpinned and the
-            # next routing attempt surfaces the outage.
-            return {}
-        return {tenant: self._place(tenant) for tenant in displaced}
-
-    def is_failed(self, shard_id: int) -> bool:
-        """True when the shard has been removed from rotation."""
-        return shard_id in self._failed
-
-    # ------------------------------------------------------------------
     # dynamic membership
     # ------------------------------------------------------------------
     def add_shard(self) -> tuple[int, dict[str, int]]:
         """Insert a new shard into the live ring with bounded re-pinning.
 
-        The new shard gets the next monotonic id (failed and retired ids
-        are never reused, so router ids stay aligned with the server's
+        The new shard gets the next monotonic id (removed ids are never
+        reused, so router ids stay aligned with the server's
         shard list), ``replicas`` virtual nodes on the ring, and an empty
         load slot.  Existing pinned tenants move only when the updated
         ring says the new shard is now their candidate — about
@@ -271,50 +232,41 @@ class ShardRouter:
     def begin_drain(self, shard_id: int) -> None:
         """Stop pinning *new* tenants to a shard ahead of its removal.
 
-        Existing pins keep routing to the draining shard so in-flight
-        sessions finish where they started; :meth:`remove_shard`
-        completes the retirement once the drain has flushed.
+        Existing pins keep routing to the draining shard so queued work
+        finishes where it started; :meth:`remove_shard` takes it out of
+        rotation once the drain has flushed.
         """
         if shard_id not in range(self.n_shards):
             raise ConfigurationError(f"unknown shard id {shard_id}")
-        if shard_id in self._failed or shard_id in self._retired:
+        if shard_id in self._removed:
             raise ShardError(f"shard {shard_id} is not live; cannot drain")
         if len(self.placeable_shards()) <= 1 and shard_id in self.placeable_shards():
             raise ShardError("cannot drain the last placeable shard")
         self._draining.add(shard_id)
 
     def remove_shard(self, shard_id: int) -> dict[str, int]:
-        """Gracefully retire a shard and re-pin its remaining tenants.
+        """Take a shard out of rotation and re-pin its tenants.
 
-        Unlike :meth:`fail_shard` this is a *planned* removal: the
-        shard's virtual nodes leave the ring, its tenants re-place
-        through the normal rule, and the returned remap lets the session
-        layer migrate each displaced tenant's attested session over the
-        still-verified mesh links.
+        One removal for every way out — a drained retirement and a
+        failover alike.  The shard stops placing and routing; its
+        tenants re-place through the normal rule, and the returned
+        ``{tenant: new_shard}`` (first-pinned order) says where each
+        went.  With no placeable shard left the tenants stay unpinned and
+        the next routing attempt surfaces the outage.  Removing a shard
+        twice is a no-op.
         """
         if shard_id not in range(self.n_shards):
             raise ConfigurationError(f"unknown shard id {shard_id}")
-        if shard_id in self._failed:
-            raise ShardError(
-                f"shard {shard_id} already failed; use fail_shard accounting"
-            )
-        if shard_id in self._retired:
+        if shard_id in self._removed:
             return {}
-        if len(self.healthy_shards()) <= 1:
-            raise ShardError("cannot remove the last serving shard")
-        self._retired.add(shard_id)
+        self._removed.add(shard_id)
         self._draining.discard(shard_id)
-        keep = [
-            (k, s)
-            for k, s in zip(self._ring_keys, self._ring_shards)
-            if s != shard_id
-        ]
-        self._ring_keys = [k for k, _ in keep]
-        self._ring_shards = [s for _, s in keep]
         displaced = [t for t, s in self._pins.items() if s == shard_id]
         for tenant in displaced:
             del self._pins[tenant]
         self._load[shard_id] = 0
+        if not self.placeable_shards():
+            return {}
         return {tenant: self._place(tenant) for tenant in displaced}
 
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Serving units around hand-provisioned shards, for white-box tests.
 
 ``PrivateInferenceServer._add_unit`` is the production path; tests that
-drive a worker pool, session manager or sharded scheduler directly build
-the same per-unit state here without a server around it.
+drive a worker pool, membership or sharded scheduler directly build the
+same per-unit state here without a server around it.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ import itertools
 import numpy as np
 
 from repro.serving import (
+    Membership,
     RequestQueue,
     ServingUnit,
     SessionManager,
     VirtualBatchScheduler,
 )
-from repro.sharding import PipelineGroup
+from repro.sharding import AttestationMesh, PipelineGroup, ShardRouter
 
 
 def make_units(shards):
@@ -44,3 +45,13 @@ def make_units(shards):
             )
         )
     return units
+
+
+def make_membership(shards, router=None):
+    """:func:`make_units` behind a mesh-attested membership (one router
+    id per shard; ``ShardRouter(len(shards))`` unless given)."""
+    return Membership(
+        make_units(shards),
+        router if router is not None else ShardRouter(len(shards)),
+        AttestationMesh(shards),
+    )

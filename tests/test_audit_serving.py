@@ -144,8 +144,8 @@ def test_shared_window_abort_leaves_a_retried_marker_then_terminal_leaves():
     from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
     from repro.audit import AuditTrail
-    from repro.sharding import EnclaveShard, ShardRouter
-    from serving_units import make_units
+    from repro.sharding import EnclaveShard
+    from serving_units import make_membership
 
     class _TransientTamper:
         def __init__(self, field, fail_calls=1):
@@ -166,9 +166,7 @@ def test_shared_window_abort_leaves_a_retried_marker_then_terminal_leaves():
     )
     engine = PrivateInferenceEngine(net, backend=DarKnightBackend(dk, cluster=cluster))
     trail = AuditTrail(AuditConfig(), darknight=dk, num_shards=1)
-    pool = InferenceWorkerPool(
-        make_units([EnclaveShard(0, engine)]), ShardRouter(1), audit=trail
-    )
+    pool = InferenceWorkerPool(make_membership([EnclaveShard(0, engine)]), audit=trail)
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(

@@ -92,7 +92,7 @@ def _observe(server, report) -> dict:
         "pins": server.router.pins(),
         "unit_states": [u.state for u in server.units],
         "retired_at": [s.retired_at for s in server.shards],
-        "migrations": server.sessions.migrations,
+        "migrations": server.membership.migrations,
         "render": [
             line
             for line in report.render().splitlines()

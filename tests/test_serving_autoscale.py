@@ -3,11 +3,11 @@
 Covers the load-bearing properties of the elastic serving stack:
 
 * membership mechanics — the router, mesh, scheduler, worker pool, and
-  session manager all grow and shrink without disturbing work they
-  already own;
+  membership all grow and shrink without disturbing work they already
+  own;
 * drain-before-kill — a decommissioned shard flushes (and audit-commits)
   its queued windows, migrates its sessions over still-verified mesh
-  links, and only then leaves;
+  links, and only then leaves — through the same exit a failover takes;
 * correctness — logits are bit-identical under *any* membership history
   (per-sample normalization makes responses independent of routing);
 * the control loop — hysteresis and cooldown produce rare, bounded
@@ -104,7 +104,7 @@ def test_router_remove_shard_repins_tenants_and_retires_the_id():
         router.shard_for(t)
     victims = [t for t in tenants if router.shard_for(t) == 1]
     remap = router.remove_shard(1)
-    assert 1 not in router.healthy_shards() and not router.is_failed(1)
+    assert 1 not in router.healthy_shards()
     assert sorted(remap) == sorted(victims)
     for t in tenants:
         assert router.shard_for(t) != 1
@@ -116,14 +116,18 @@ def test_router_remove_shard_repins_tenants_and_retires_the_id():
 
 
 def test_router_remove_shard_refuses_last_and_failed_shards():
+    """The router removes any known id (a failover may take out the last
+    one); refusing a failed or the last live unit is scale-in's call."""
     router = ShardRouter(2)
     with pytest.raises(ConfigurationError):
         router.remove_shard(9)
-    router.fail_shard(0)
+    server = _server(num_shards=2)
+    server.shards[0].kill()
+    server.membership.leave(server.units[0], 0.0, failed=True)
     with pytest.raises(ShardError):
-        router.remove_shard(0)  # failure accounting, not a drain
+        server.decommission_shard(shard_id=0)  # failure accounting, not a drain
     with pytest.raises(ShardError):
-        router.remove_shard(1)  # would leave no serving shard
+        server.decommission_shard(shard_id=1)  # would leave no serving shard
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +312,7 @@ def test_provision_shard_joins_every_subsystem():
     assert [u.unit_id for u in server.units] == [0, 1, 2]
     assert server.scheduler.units is server.units
     assert server.pool.units is server.units
-    assert server.sessions.units is server.units
+    assert server.membership.units is server.units
     assert server.units[new_id].sessions.shard_id == new_id
 
 
@@ -350,7 +354,7 @@ def test_decommission_mid_flush_completes_queued_work_and_commits_audit():
     assert vid == victim
     assert server.shards[victim].retired
     assert victim not in server.router.healthy_shards()
-    assert not server.router.is_failed(victim)
+    assert server.shards[victim].failed_at is None
     assert server.units[victim].queue.depth == 0
     assert server.units[victim].state == "retired"
     # Every request queued on the victim completed through the drain
@@ -369,6 +373,31 @@ def test_decommission_refuses_the_last_live_shard():
     server = _server(num_shards=1)
     with pytest.raises(ShardError):
         server.decommission_shard(shard_id=0, now=0.0)
+
+
+def test_a_victim_that_dies_in_its_own_drain_is_a_failover_not_a_scale_in():
+    """Regression: the scale-in tick logged ``("scale_in", 1, 1)`` for a
+    victim the drain flush failed over, while ``scale_ins`` read 0 and
+    ``failovers`` 1.  The unit left by the failover exit, so the tick
+    records nothing, and events and counts agree."""
+    server = _server(
+        num_shards=2, autoscale=AutoscaleConfig(min_shards=1, max_shards=2)
+    )
+    for e in synthetic_trace(16, (16,), n_tenants=6, mean_interarrival=1e-4, seed=9):
+        server._admit(e, e.time)
+    victim = server.units[1]
+    assert 0 < victim.queue.depth < server.units[0].queue.depth  # the tick's pick
+    victim.shards[0].fail_after(victim.shards[0].batches_run + 1)
+    server.autoscaler.evaluate = lambda now, depths, busy: (ACTION_SCALE_IN, "forced")
+    server._autoscale_tick(1.0)
+    server._run_batches(server.scheduler.collect_expired(float("inf")), 1.0)
+    report = server.report()
+
+    assert [u.state for u in server.units] == ["active", "failed"]
+    assert report.failovers == 1
+    assert report.autoscale["scale_ins"] == 0
+    assert report.autoscale["events"] == []
+    assert len(report.completed) == 16
 
 
 def test_construction_errors_fire_before_any_shard_is_provisioned(monkeypatch):
@@ -527,7 +556,7 @@ def _assert_one_membership_view(server):
     """Every collaborator reads the same units, and agrees who is gone."""
     units = server.units
     assert server.scheduler.units is units
-    assert server.sessions.units is units
+    assert server.membership.units is units
     assert server.pool.units is units
     ids = list(range(len(units)))
     assert [u.unit_id for u in units] == ids
@@ -542,32 +571,40 @@ def _assert_one_membership_view(server):
     assert sorted(server.audit.logs) == shard_ids
     assert len(server.scheduler.policy_snapshots()) == len(units)
     retired = {u.unit_id for u in units if u.state == "retired"}
-    in_service = set(ids) - retired
-    router = server.router
-    failed = {i for i in ids if router.is_failed(i)}
-    assert set(ids) - set(router.healthy_shards()) - failed == retired
-    assert not any(units[i].sessions.active_tenants for i in retired)
-    placed = server.sessions.active_tenants
-    assert len(placed) == len(set(placed))  # nobody holds two sessions
+    failed = {u.unit_id for u in units if u.shards[0].failed_at is not None}
+    assert not retired & failed
+    # One way out: the router's out-of-rotation ids are exactly the units
+    # stamped failed or retired, and the report counts the failed ones.
+    out = set(ids) - set(server.router.healthy_shards())
+    assert out == retired | failed
+    assert server.report().failovers == len(failed)
+    # No tenant holds a session on an out-of-rotation unit, nor two.
+    assert not any(units[i].sessions.active_tenants for i in out)
+    placed = server.membership.active_tenants
+    assert len(placed) == len(set(placed))
     # Units leave whole: every member's own stamp and chain agree.
-    retired_shards = {s.shard_id for u in units if u.unit_id in retired for s in u.shards}
-    assert {s.shard_id for s in server.shards if s.retired} == retired_shards
+    def members(unit_ids):
+        return {s.shard_id for u in units if u.unit_id in unit_ids for s in u.shards}
+
+    assert {s.shard_id for s in server.shards if s.retired} == members(retired)
+    assert {s.shard_id for s in server.shards if s.failed_at is not None} == members(
+        failed
+    )
     assert {
         sid
         for sid, log in server.audit.logs.items()
         if any(e["meta"]["status"] == "membership:retire" for e in log.entries)
-    } == retired_shards
-    # The router only ever drops a unit the executor already reports gone,
-    # and never routes to a retired one.
-    serving = set(server.router.healthy_shards())
-    assert serving <= in_service
-    assert {u.unit_id for u in units if u.executor.healthy} <= serving
-    assert set(server.router.pins().values()) <= serving
+    } == members(retired)
+    # The router never routes to a unit out of rotation, and keeps every
+    # unit the executor still reports healthy.
+    assert {u.unit_id for u in units if u.executor.healthy} <= set(ids) - out
+    assert set(server.router.pins().values()) <= set(ids) - out
     assert all(u.queue.depth == 0 for u in units if u.unit_id in retired)
 
 
 def _run_membership_schedule(steps, partition="replicated"):
-    """Interleave arrivals with provision / decommission / kill steps."""
+    """Interleave arrivals with provision / decommission / kill /
+    fail_after steps."""
     from repro.serving import AuditConfig
 
     server = _server(
@@ -600,6 +637,13 @@ def _run_membership_schedule(steps, partition="replicated"):
             live = [s for s in server.shards if s.healthy]
             if live:  # the last one too: a total outage is a legal schedule
                 live[pick % len(live)].kill()
+        elif action == "fail_after":
+            live = [s for s in server.shards if s.healthy]
+            if live:
+                # Dies within its next few batches: the death lands
+                # mid-window, mid-drain or mid-retry.
+                shard = live[pick % len(live)]
+                shard.fail_after(shard.batches_run + pick // len(live))
         _assert_one_membership_view(server)
     for event in arrivals:
         admit(event)
@@ -622,7 +666,7 @@ def _assert_contract(server, report, static):
 _STEPS = st.lists(
     st.tuples(
         st.integers(0, 5),
-        st.sampled_from(["none", "provision", "decommission", "kill"]),
+        st.sampled_from(["none", "provision", "decommission", "kill", "fail_after"]),
         st.integers(0, 7),
     ),
     min_size=1,
@@ -653,8 +697,22 @@ def test_property_membership_schedules_keep_one_consistent_deployment(
         # Total outage: fail_over found nowhere to re-pin and left the
         # dead shard's sessions behind, so recovery doubled them up.
         [(0, "kill", 0), (4, "provision", 0)],
+        # The scale-in victim dies in its own drain flush: the failover
+        # takes it out, and the scale-in's exit finds it already gone.
+        [(0, "provision", 0), (2, "fail_after", 1), (0, "decommission", 0)],
+        # Unit 1 dies unnoticed, the newcomer never attests against it,
+        # and retiring the newcomer re-pins tenants onto unit 1: the
+        # hand-over is refused and the newcomer's sessions are dropped.
+        [(0, "provision", 0), (0, "kill", 1), (2, "provision", 0),
+         (0, "decommission", 0)],
     ],
-    ids=["scale-out-past-dead-peer", "scale-in-to-nothing", "outage-then-recover"],
+    ids=[
+        "scale-out-past-dead-peer",
+        "scale-in-to-nothing",
+        "outage-then-recover",
+        "victim-dies-in-its-drain",
+        "scale-in-hand-over-refused",
+    ],
 )
 def test_membership_schedules_the_property_test_shrank(steps):
     server, report = _run_membership_schedule(steps)

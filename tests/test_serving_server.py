@@ -212,8 +212,8 @@ def test_window_abort_retries_batches_individually():
     from repro.runtime.darknight import DarKnightBackend
     from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
-    from repro.sharding import EnclaveShard, ShardRouter
-    from serving_units import make_units
+    from repro.sharding import EnclaveShard
+    from serving_units import make_membership
 
     net = _tiny_net()
     dk = DarKnightConfig(
@@ -226,7 +226,7 @@ def test_window_abort_retries_batches_individually():
     engine = PrivateInferenceEngine(
         net, backend=DarKnightBackend(dk, cluster=cluster)
     )
-    pool = InferenceWorkerPool(make_units([EnclaveShard(0, engine)]), ShardRouter(1))
+    pool = InferenceWorkerPool(make_membership([EnclaveShard(0, engine)]))
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -262,8 +262,8 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     from repro.runtime.darknight import DarKnightBackend
     from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
-    from repro.sharding import EnclaveShard, ShardRouter
-    from serving_units import make_units
+    from repro.sharding import EnclaveShard
+    from serving_units import make_membership
 
     net = _tiny_net()
     dk = DarKnightConfig(
@@ -277,10 +277,10 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
         net, backend=DarKnightBackend(dk, cluster=cluster)
     )
     windows = []
-    units = make_units([EnclaveShard(0, engine)])
+    membership = make_membership([EnclaveShard(0, engine)])
     # A flush policy that only records the window feedback it is fed.
-    units[0].scheduler.policy = SimpleNamespace(observe_window=windows.append)
-    pool = InferenceWorkerPool(units, ShardRouter(1))
+    membership.units[0].scheduler.policy = SimpleNamespace(observe_window=windows.append)
+    pool = InferenceWorkerPool(membership)
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(

@@ -20,7 +20,7 @@ from repro.nn import Dense, PlainBackend, ReLU, Sequential
 from repro.runtime import DarKnightConfig
 from repro.serving import PrivateInferenceServer, ServingConfig, synthetic_trace
 from repro.sharding import ShardRouter
-from serving_units import make_units
+from serving_units import make_membership
 
 
 def _tiny_net(seed=0):
@@ -80,7 +80,7 @@ def test_tenants_stay_pinned_and_sessions_are_shard_scoped():
     server, report = _serve(trace, 3)
     # One handshake per tenant even though requests spread over time.
     assert report.handshakes == 6
-    assert sorted(server.sessions.active_tenants) == sorted(report.tenants)
+    assert sorted(server.membership.active_tenants) == sorted(report.tenants)
     # Session shard matches the router's pin for every tenant.
     for unit in server.units:
         for tenant in unit.sessions.active_tenants:
@@ -108,7 +108,8 @@ def test_shard_killed_mid_window_fails_over_without_losing_responses():
     assert report.failovers == 1
     assert report.migrations >= 1
     assert not victim.healthy
-    assert server.router.is_failed(1)
+    assert 1 not in server.router.healthy_shards()
+    assert victim.failed_at is not None
 
     # No corrupted responses: logits still track the float reference.
     events = sorted(trace, key=lambda r: r.time)
@@ -217,22 +218,23 @@ def test_failed_batch_splits_across_tenants_new_shards():
     """A mixed-tenant batch whose shard dies retries each request on the
     shard its *migrated* session now lives on — one sub-batch per target."""
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
-    from repro.serving.session import ShardedSessionManager
-    from repro.sharding import AttestationMesh, EnclaveShard, ShardRouter
+    from repro.sharding import EnclaveShard
 
     dk = DarKnightConfig(virtual_batch_size=4, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
-    mesh = AttestationMesh(shards)
     router = ShardRouter(3, rebalance_margin=1)
-    units = make_units(shards)
-    sessions = ShardedSessionManager(units, router, mesh)
+    membership = make_membership(shards, router)
+    units = membership.units
     tenants = ["alice", "bob", "carol"]
     # White-box: pin all three tenants (and their sessions) to shard 0.
     router._pins = {t: 0 for t in tenants}
     router._load = [3, 0, 0]
     for t in tenants:
-        sessions.connect(t)
-    pool = InferenceWorkerPool(units, router, sessions=sessions)
+        membership.connect(t)
+    pool = InferenceWorkerPool(membership)
+
+    def failed_over():
+        return [u.unit_id for u in units if u.shards[0].failed_at is not None]
 
     shards[0].kill()
     rng = np.random.default_rng(1)
@@ -266,8 +268,8 @@ def test_failed_batch_splits_across_tenants_new_shards():
             t for t in tenants if pins[t] == target
         )
         assert expected >= 1
-    assert sessions.migrations == 3
-    assert pool.failovers == 1
+    assert membership.migrations == 3
+    assert failed_over() == [0]
 
     # A leftover batch still addressed to the dead shard (flushed from its
     # queue after the failure) reroutes without counting a second failover.
@@ -286,8 +288,8 @@ def test_failed_batch_splits_across_tenants_new_shards():
     )
     late = pool.dispatch_window([leftover])
     assert len(late) == 1 and late[0].ok
-    assert pool.failovers == 1
-    assert sessions.migrations == 3
+    assert failed_over() == [0]
+    assert membership.migrations == 3
 
 
 def test_refused_migration_leaves_no_tenant_with_two_sessions():
@@ -309,7 +311,7 @@ def test_refused_migration_leaves_no_tenant_with_two_sessions():
     # The dead shard holds no stale sessions.
     assert server.units[0].sessions.active_tenants == []
     # No tenant appears on more than one shard.
-    placed = server.sessions.active_tenants
+    placed = server.membership.active_tenants
     assert len(placed) == len(set(placed))
     # Later arrivals re-attested fresh on the survivor and were served.
     assert len(report.completed) + report.metrics.shard_failures == 24
@@ -325,7 +327,7 @@ def test_retries_release_after_the_failure_frontier():
 
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(make_units(shards), ShardRouter(2))
+    pool = InferenceWorkerPool(make_membership(shards))
     shards[0].fail_after(1)
     rng = np.random.default_rng(2)
     batches = [
@@ -385,11 +387,12 @@ def test_retry_cap_counts_surviving_shards_only():
 
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
-    router = ShardRouter(3)
-    pool = InferenceWorkerPool(make_units(shards), router)
+    membership = make_membership(shards)
+    pool = InferenceWorkerPool(membership)
     shards[0].kill()
     shards[1].kill()
-    router.fail_shard(1)  # an earlier failover already took shard 1 out
+    # An earlier failover already took shard 1 out.
+    membership.leave(membership.units[1], 0.0, failed=True)
 
     # retries already exceed the single survivor: capped, not bounced.
     (capped,) = pool.dispatch_window([_batch(retries=2)])
@@ -405,15 +408,13 @@ def test_retry_cap_counts_surviving_shards_only():
 def test_failover_repins_do_not_inflate_the_rebalance_counter():
     """A failover re-pins exactly the dead shard's tenants, onto survivors,
     and leaves every other pin where it was."""
-    from repro.sharding import ShardRouter
-
     router = ShardRouter(3, rebalance_margin=1)
     for i in range(12):
         router.shard_for(f"tenant{i}")
     before = router.pins()
     displaced = [t for t, s in before.items() if s == 1]
     assert displaced
-    remap = router.fail_shard(1)
+    remap = router.remove_shard(1)
     assert sorted(remap) == sorted(displaced)
     after = router.pins()
     assert {t: s for t, s in after.items() if t not in remap} == {
@@ -462,7 +463,7 @@ def test_budget_exhausted_retries_are_skipped_not_bounced():
     )
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(make_units(shards), ShardRouter(2), slo=slo)
+    pool = InferenceWorkerPool(make_membership(shards), slo=slo)
     shards[0].fail_after(1)
     rng = np.random.default_rng(4)
 
@@ -508,7 +509,7 @@ def test_infinite_budgets_never_skip_retries():
 
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(make_units(shards), ShardRouter(2))
+    pool = InferenceWorkerPool(make_membership(shards))
     shards[0].fail_after(1)
     rng = np.random.default_rng(5)
     batches = [
@@ -577,7 +578,7 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
     # Probe run on identical shards: measure the failure frontier and the
     # per-batch service floor the real pool will have observed.
     probe_shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    probe = InferenceWorkerPool(make_units(probe_shards), ShardRouter(2))
+    probe = InferenceWorkerPool(make_membership(probe_shards))
     probe_shards[0].fail_after(1)
     probed = probe.dispatch_window(_batches())
     assert all(o.ok for o in probed)
@@ -594,7 +595,7 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
         assignments={"hurried": "tight"},
     )
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(make_units(shards), ShardRouter(2), slo=slo)
+    pool = InferenceWorkerPool(make_membership(shards), slo=slo)
     shards[0].fail_after(1)
     outcomes = pool.dispatch_window(_batches())
     by_id = {o.request_id: o for o in outcomes}

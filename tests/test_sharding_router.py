@@ -48,31 +48,31 @@ def test_ring_candidate_ignores_pin_state():
     assert router.pins() == {}
 
 
-def test_fail_shard_remaps_displaced_tenants_to_survivors():
+def test_remove_shard_remaps_displaced_tenants_to_survivors():
     router = ShardRouter(3, rebalance_margin=1)
     tenants = [f"tenant{i}" for i in range(12)]
     before = {t: router.shard_for(t) for t in tenants}
     victims = [t for t, s in before.items() if s == 1]
     assert victims, "expected at least one tenant on shard 1"
-    remap = router.fail_shard(1)
+    remap = router.remove_shard(1)
     assert sorted(remap) == sorted(victims)
     assert all(shard in (0, 2) for shard in remap.values())
     # Tenants on surviving shards never move.
     for t, s in before.items():
         if s != 1:
             assert router.shard_for(t) == s
-    # The dead shard is out of every future placement.
-    assert router.is_failed(1)
+    # The removed shard is out of every future placement.
+    assert 1 not in router.healthy_shards()
     assert all(router.shard_for(f"new{i}") in (0, 2) for i in range(8))
-    # Failing a shard twice is a no-op.
-    assert router.fail_shard(1) == {}
+    # Removing a shard twice is a no-op.
+    assert router.remove_shard(1) == {}
 
 
 def test_all_shards_failed_raises():
     router = ShardRouter(2)
     router.shard_for("alice")
-    router.fail_shard(0)
-    router.fail_shard(1)
+    router.remove_shard(0)
+    assert router.remove_shard(1) == {}  # nowhere left to re-pin onto
     with pytest.raises(ShardError):
         router.shard_for("alice")
 
@@ -85,7 +85,7 @@ def test_invalid_parameters_are_rejected():
     with pytest.raises(ConfigurationError):
         ShardRouter(2, rebalance_margin=0)
     with pytest.raises(ConfigurationError):
-        ShardRouter(2).fail_shard(5)
+        ShardRouter(2).remove_shard(5)
 
 
 def test_a_grown_ring_places_like_a_constructed_one():
@@ -112,3 +112,23 @@ def test_add_shard_moves_at_most_a_fair_share_of_the_pins():
     assert set(remap.values()) == {new_id}
     assert sum(router.loads()) == 30
     assert router.loads()[new_id] == len(remap)
+
+
+def test_walking_past_a_removed_shard_places_like_a_ring_without_it():
+    """A removed shard's virtual nodes stay on the ring; the walk steps
+    past them, which is the walk a ring without them takes."""
+    walked = ShardRouter(4)
+    pruned = ShardRouter(4)
+    for router in (walked, pruned):
+        router.remove_shard(1)
+    keep = [(k, s) for k, s in zip(pruned._ring_keys, pruned._ring_shards) if s != 1]
+    pruned._ring_keys = [k for k, _ in keep]
+    pruned._ring_shards = [s for _, s in keep]
+    assert len(walked._ring_keys) > len(pruned._ring_keys)
+    tenants = [f"tenant{i}" for i in range(60)]
+    assert {t: walked.ring_candidate(t) for t in tenants} == {
+        t: pruned.ring_candidate(t) for t in tenants
+    }
+    assert {t: walked.shard_for(t) for t in tenants} == {
+        t: pruned.shard_for(t) for t in tenants
+    }
