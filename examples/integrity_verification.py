@@ -17,7 +17,8 @@ from repro.errors import IntegrityError
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
 from repro.gpu import GpuCluster, RandomTamper
 from repro.models import build_mini_vgg
-from repro.runtime import DarKnightBackend, DarKnightConfig, PrivateInferenceEngine
+from repro.pipeline import PipelineExecutor
+from repro.runtime import DarKnightBackend, DarKnightConfig
 from repro.slalom import freivalds_check
 
 SEED = parse_seed_flag(default=0)
@@ -31,19 +32,17 @@ def darknight_detection() -> None:
     cfg = DarKnightConfig(virtual_batch_size=2, integrity=True, seed=SEED + 1)
 
     print(f"cluster: {cfg.n_gpus_required} GPUs (K=2 inputs + M=1 noise + 1 redundant)")
-    honest = PrivateInferenceEngine(net, backend=DarKnightBackend(cfg))
-    print("honest GPUs  ->", honest.predict(x))
+    honest = PipelineExecutor(net, DarKnightBackend(cfg))
+    print("honest GPUs  ->", np.argmax(honest.run(x).output, axis=1))
 
     byzantine = GpuCluster(
         field,
         cfg.n_gpus_required,
         fault_injectors={1: RandomTamper(field, probability=1.0, seed=SEED + 2)},
     )
-    engine = PrivateInferenceEngine(
-        net, backend=DarKnightBackend(cfg, cluster=byzantine)
-    )
+    executor = PipelineExecutor(net, DarKnightBackend(cfg, cluster=byzantine))
     try:
-        engine.predict(x)
+        executor.run(x)
         raise AssertionError("tampering went undetected!")
     except IntegrityError as exc:
         print(f"byzantine GPU -> detected: {exc}")

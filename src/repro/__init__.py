@@ -27,12 +27,7 @@ from repro.masking import CoefficientSet, ForwardDecoder, ForwardEncoder, Integr
 from repro.models import build_mini_mobilenet, build_mini_resnet, build_mini_vgg
 from repro.nn import PlainBackend, Sequential
 from repro.quantization import QuantizationConfig
-from repro.runtime import (
-    DarKnightBackend,
-    DarKnightConfig,
-    PrivateInferenceEngine,
-    Trainer,
-)
+from repro.runtime import DarKnightBackend, DarKnightConfig, Trainer
 from repro.serving import PrivateInferenceServer, ServingConfig, synthetic_trace
 from repro.slalom import SlalomBackend
 
@@ -61,7 +56,6 @@ __all__ = [
     "DarKnightConfig",
     "DarKnightBackend",
     "Trainer",
-    "PrivateInferenceEngine",
     "PrivateInferenceServer",
     "ServingConfig",
     "synthetic_trace",

@@ -8,8 +8,12 @@ which shard ran the window.  Replay therefore provisions a fresh
 :class:`~repro.sharding.shard.EnclaveShard` from the audited deployment's
 effective config (same seed derivation, same integrity posture, same K —
 even a window the adaptive governor resized replays exactly), re-runs
-each committed batch through :class:`PrivateInferenceEngine`, and
-compares recomputed output digests leaf by leaf.
+each committed batch through that shard's
+:class:`~repro.pipeline.PipelineExecutor` over the whole model, and
+compares recomputed output digests leaf by leaf.  Under ``layered:N``
+only a unit's exit member commits logits; an interior member's leaves
+commit the activations at its cut, so replay takes the exit member's
+window.
 
 A match proves the committed outputs are what this network really
 produces for the committed inputs; a mismatch names the first leaf whose
@@ -104,7 +108,7 @@ def replay_window(
         x = np.stack(
             [array_from_canonical(leaf["input"]) for leaf in batch_leaves]
         )
-        out = shard.engine.run_batch(x)
+        out = shard.executor.run(x).output
         for i, leaf in enumerate(batch_leaves):
             recomputed = array_digest(out[i])
             if recomputed != leaf["output_digest"]:

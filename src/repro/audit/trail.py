@@ -6,8 +6,8 @@ commitment with the deployment's effective-config digest (so a proof
 also pins *which* integrity posture served the request), tracks commit
 cost (windows, leaves, bytes, wall seconds), and writes a
 ``manifest.json`` recording everything replay needs to reprovision the
-deployment: model name, seed, shard count, and the full effective
-DarKnight config.
+deployment: model name, seed, shard count, partition (which member of a
+unit commits logits), and the full effective DarKnight config.
 
 The trail is deliberately passive: it never raises into the serving hot
 path on commit (malformed windows are an :class:`AuditError` bug, not a
@@ -63,10 +63,12 @@ class AuditTrail:
         config: AuditConfig,
         darknight: DarKnightConfig,
         num_shards: int,
+        partition: str = "replicated",
     ) -> None:
         self.config = config
         self.darknight = darknight
         self.num_shards = int(num_shards)
+        self.partition = partition
         self.config_digest = digest_json(dataclasses.asdict(darknight))
         self.log_dir = Path(config.log_dir) if config.log_dir else None
         self.logs: dict[int, AuditLog] = {
@@ -90,6 +92,7 @@ class AuditTrail:
             "model": self.config.model,
             "seed": self.darknight.seed,
             "num_shards": self.num_shards,
+            "partition": self.partition,
             "darknight": dataclasses.asdict(self.darknight),
             "config_digest": self.config_digest,
         }

@@ -365,13 +365,19 @@ def _audit_logs(log_dir: str, recover: bool = False):
     return logs
 
 
-def _audit_find(logs, request_id: int):
-    """The (log, proof) pair holding a request's best (terminal) leaf."""
+def _audit_find(logs, request_id: int, n_stages: int = 1):
+    """The (log, proof) pair holding a request's best (terminal) leaf.
+
+    With ``n_stages > 1`` (a ``layered:N`` trail) only the units' exit
+    members are searched: theirs are the leaves that commit logits.
+    """
     from repro.audit import STATUS_RETRIED, prove
     from repro.errors import AuditError
 
     best = None
     for log, _ in logs.values():
+        if log.shard_id % n_stages != n_stages - 1:
+            continue
         try:
             proof = prove(log, request_id)
         except AuditError:
@@ -395,6 +401,7 @@ def run_audit(argv: list[str]) -> int:
         replay_window,
         verify_proof,
     )
+    from repro.sharding import PartitionSpec
 
     args = _audit_parser().parse_args(argv)
     try:
@@ -427,14 +434,23 @@ def run_audit(argv: list[str]) -> int:
             return 0 if ok else 1
         if args.cmd == "replay":
             manifest = load_manifest(args.log_dir)
+            partition = manifest.get("partition", "replicated")
+            n_stages = PartitionSpec.parse(partition).n_stages
             logs = _audit_logs(args.log_dir)
             if args.request_id is not None:
-                log, proof = _audit_find(logs, args.request_id)
+                log, proof = _audit_find(logs, args.request_id, n_stages)
                 entry = log.entries[proof.window_id]
             elif args.shard is not None and args.window is not None:
                 if args.shard not in logs:
                     raise ConfigurationError(
                         f"no shard {args.shard} log under {args.log_dir}"
+                    )
+                exit_shard = args.shard - args.shard % n_stages + n_stages - 1
+                if args.shard != exit_shard:
+                    raise ConfigurationError(
+                        f"shard {args.shard} is an interior member of a"
+                        f" {partition} unit: its leaves commit activations,"
+                        f" not logits; replay the unit's exit shard {exit_shard}"
                     )
                 log = logs[args.shard][0]
                 if not 0 <= args.window < log.n_windows:

@@ -119,6 +119,11 @@ class StagedLinearBackend(LinearBackend, Protocol):
         per virtual batch."""
         ...
 
+    def assert_encodings_released(self) -> None:
+        """Raise if an encoding outlived :meth:`end_batch` (checked when
+        a window ends)."""
+        ...
+
 
 class PlainBackend:
     """Reference float backend: everything runs locally in float64."""

@@ -40,6 +40,7 @@ from repro.nn.layers import BranchJoin
 from repro.nn.network import PLAN_INPUT
 from repro.pipeline.stages import GpuFuture, PipelineStats, StagedLinearOp, StageSpan, WindowItem
 from repro.pipeline.timing import DEFAULT_STAGE_COSTS, EnclaveTimeline, StageCostModel
+from repro.precompute import scratch_scope
 
 
 def plan_live_out(plan, end: int) -> tuple[int, ...]:
@@ -131,8 +132,8 @@ class PipelineExecutor:
         Stage pricing; defaults to :data:`~repro.pipeline.timing.DEFAULT_STAGE_COSTS`.
     timeline:
         The enclave's serialized clock.  Pass a shared instance to overlap
-        consecutive engine batches (the serving pool does); defaults to a
-        fresh clock at zero.
+        consecutive windows (a shard keeps one); defaults to a fresh clock
+        at zero.
     """
 
     def __init__(
@@ -219,7 +220,24 @@ class PipelineExecutor:
         dicts; an item's ``transfer_bytes`` is then priced as a *transfer
         op* on this shard's enclave timeline before its first compute
         stage, ranked like every other stage.
+
+        The window is released on every exit path, an
+        :class:`~repro.errors.IntegrityError` raised mid-window included:
+        its stored encodings are dropped and the release is asserted, so a
+        byzantine window can neither wedge nor leak into the next one.  A
+        precompute backend borrows the scratch pool for exactly this long.
         """
+        with scratch_scope(self.backend.config.precompute):
+            try:
+                return self._schedule(items, step_range)
+            finally:
+                self.backend.end_batch()
+                self.backend.assert_encodings_released()
+
+    def _schedule(
+        self, items: list[WindowItem], step_range: tuple[int, int] | None
+    ) -> tuple[list[GroupResult], PipelineStats]:
+        """The event loop behind :meth:`run_grouped`."""
         k = self.backend.config.virtual_batch_size
         plan = self.network.execution_plan()
         start_idx, end_idx = step_range if step_range is not None else (0, len(plan))

@@ -15,7 +15,7 @@ memory.  Reuse is therefore value-transparent: enabling the pool cannot
 change a single output bit, only where intermediates briefly live.
 
 The pool is process-global and off by default; a precompute-mode
-inference engine turns it on for exactly the windows it runs
+pipeline executor turns it on for exactly the windows it runs
 (:func:`scratch_scope`) and puts the previous state back afterwards, so
 one precompute server never moves its neighbours onto the pool.  This
 module imports nothing from the rest of the package, so any layer can use

@@ -1,11 +1,10 @@
-"""DarKnight orchestration: config, backend, trainer, inference."""
+"""DarKnight orchestration: config, backend, trainer."""
 
 from repro.runtime.aggregation import LargeBatchAggregator
 from repro.runtime.client import ClientSession, EnclaveReceiver, ProvisionedBatch
 from repro.runtime.config import DarKnightConfig
 from repro.runtime.darknight import DarKnightBackend
 from repro.runtime.dp import DpConfig, GradientPrivatizer, PrivacyLedger
-from repro.runtime.inference import PrivateInferenceEngine
 from repro.runtime.recovery import RecoveringExecutor, RecoveryReport
 from repro.runtime.trainer import Trainer, TrainingHistory
 
@@ -14,7 +13,6 @@ __all__ = [
     "DarKnightBackend",
     "Trainer",
     "TrainingHistory",
-    "PrivateInferenceEngine",
     "LargeBatchAggregator",
     "ClientSession",
     "EnclaveReceiver",

@@ -48,11 +48,12 @@ class DarKnightConfig:
         Debug mode: cross-check every masked decode against a float
         reference and fail loudly on range overflow (tests use this).
     pipeline_depth:
-        Virtual batches the inference pipeline keeps in flight.  ``1`` is
-        the classic synchronous path (encode, compute, decode serialize
-        per batch); ``>= 2`` lets the enclave encode batch ``n+1`` while
-        GPUs compute batch ``n`` (the paper's Fig. 7 overlap).  Outputs
-        are bit-identical at every depth.
+        Virtual batches the :class:`~repro.pipeline.PipelineExecutor`
+        keeps in flight.  ``1`` has one batch in flight, so encode,
+        compute and decode serialize per batch; ``>= 2`` lets the enclave
+        encode batch ``n+1`` while GPUs compute batch ``n`` (the paper's
+        Fig. 7 overlap).  Outputs are bit-identical at every depth and to
+        the synchronous ``Sequential.forward``.
     num_shards:
         Enclave shards the serving layer partitions tenants across.  Each
         shard owns its own enclave + GPU cluster + serialized timeline, so

@@ -30,8 +30,8 @@ the virtual batch it convicts.
 
 The forward flow is exposed two ways.  The classic blocking entry points
 (:meth:`DarKnightBackend.conv2d_forward` / :meth:`~DarKnightBackend.dense_forward`)
-serve training and ``pipeline_depth=1`` inference and run a layer's whole
-stack at once.  The three explicitly schedulable stage ops —
+serve training and the synchronous ``Sequential.forward`` and run a
+layer's whole stack at once.  The three explicitly schedulable stage ops —
 :meth:`~DarKnightBackend.encode` → :meth:`~DarKnightBackend.dispatch` →
 :meth:`~DarKnightBackend.decode` — are the ``V = 1`` stack of the same
 code, which :class:`repro.pipeline.PipelineExecutor` interleaves across

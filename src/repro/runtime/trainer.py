@@ -113,6 +113,6 @@ class Trainer:
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> float:
         """Top-1 accuracy in inference mode (plain backend: evaluation is
         not privacy-sensitive on the server's own held-out checks; use
-        :mod:`repro.runtime.inference` for private predictions)."""
+        :class:`~repro.pipeline.PipelineExecutor` for private predictions)."""
         logits = self.network.predict(x, PlainBackend())
         return SoftmaxCrossEntropy.accuracy(logits, y)

@@ -347,7 +347,6 @@ class AdaptiveFlushPolicy:
 
         return {
             "batch_size": self.batch_size,
-            "base_batch_size": self.batch_size,
             "current_wait": _safe(self.current_wait()),
             "wait_floor": _safe(self.floor),
             "wait_ceiling": _safe(self.ceiling),

@@ -178,8 +178,7 @@ class ServingReport:
                 for s in learned
             )
             lines.append(
-                f"adaptive: K={learned[0]['batch_size']}"
-                f" (base {learned[0]['base_batch_size']}),"
+                f"adaptive: K={learned[0]['batch_size']},"
                 f" learned deadline(s) {waits}"
             )
         return "\n".join(lines)
@@ -298,7 +297,10 @@ class PrivateInferenceServer:
         self.audit: AuditTrail | None = None
         if self.config.audit is not None:
             self.audit = AuditTrail(
-                self.config.audit, darknight=dk, num_shards=dk.num_shards
+                self.config.audit,
+                darknight=dk,
+                num_shards=dk.num_shards,
+                partition=str(partition),
             )
         shards = [
             self._provision(

@@ -1,7 +1,7 @@
 """Worker pool: flush windows dispatched onto per-shard pipeline loops.
 
 Each :class:`~repro.sharding.EnclaveShard` owns a full enclave + GPU
-cluster + staged pipeline engine on its *own* serialized timeline, so the
+cluster + pipeline executor on its *own* serialized timeline, so the
 pool's job is routing, not compute: a flush window's batches are grouped
 by their shard and each group runs through that shard's
 :class:`~repro.pipeline.PipelineExecutor` loop.  Because the timelines

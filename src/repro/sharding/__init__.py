@@ -3,8 +3,8 @@
 DarKnight serializes every encode/decode on one enclave clock; past a
 modest pipeline depth that single timeline is the whole bottleneck.  This
 package scales *out* instead of up: a deployment runs ``num_shards``
-:class:`EnclaveShard` s — each a full enclave + GPU cluster + staged
-pipeline engine on its own simulated timeline — with a
+:class:`EnclaveShard` s — each a full enclave + GPU cluster + pipeline
+executor on its own simulated timeline — with a
 :class:`ShardRouter` pinning tenants to shards (consistent hashing,
 load-aware for new tenants) and an :class:`AttestationMesh` of pairwise
 local-attestation links so sessions can migrate to a surviving shard when

@@ -3,9 +3,9 @@
 DarKnight's enclave is the serialized resource — every encode, decode, and
 TEE-resident layer queues on one clock.  A shard bundles one such unit end
 to end: an :class:`~repro.enclave.Enclave`, a
-:class:`~repro.gpu.GpuCluster` sized for the masking parameters, and a
-:class:`~repro.runtime.inference.PrivateInferenceEngine` whose staged
-executor runs on the shard's *own* :class:`EnclaveTimeline`.  Shards
+:class:`~repro.gpu.GpuCluster` sized for the masking parameters, and the
+:class:`~repro.pipeline.PipelineExecutor` that runs every window on the
+shard's *own* :class:`EnclaveTimeline`.  Shards
 therefore progress in parallel on the simulated clock; the router decides
 which tenants ride which timeline.
 
@@ -26,31 +26,31 @@ from repro.comm import LinkModel
 from repro.enclave import Enclave
 from repro.errors import ShardFailedError
 from repro.gpu import GpuCluster
+from repro.pipeline.executor import PipelineExecutor
 from repro.pipeline.stages import WindowItem
 from repro.pipeline.timing import StageCostModel
 from repro.runtime.config import DarKnightConfig
 from repro.runtime.darknight import DarKnightBackend
-from repro.runtime.inference import PrivateInferenceEngine
 
 
 class EnclaveShard:
-    """An enclave + GPU cluster + pipeline engine behind one shard id.
+    """An enclave + GPU cluster + pipeline executor behind one shard id.
 
     Parameters
     ----------
     shard_id:
         Position in the deployment's shard list (stable across failover).
-    engine:
-        The shard's private-inference engine; its backend owns the
-        enclave and cluster, and its timeline is the shard's clock.
-        Build one from scratch with :meth:`provision`.
+    executor:
+        The shard's pipeline executor; its backend owns the enclave and
+        cluster, and its timeline is the shard's clock.  Build one from
+        scratch with :meth:`provision`.
     """
 
     def __init__(
-        self, shard_id: int, engine: PrivateInferenceEngine, provisioned_at: float = 0.0
+        self, shard_id: int, executor: PipelineExecutor, provisioned_at: float = 0.0
     ) -> None:
         self.shard_id = shard_id
-        self.engine = engine
+        self.executor = executor
         self.healthy = True
         self.batches_run = 0
         self._fail_after: int | None = None
@@ -87,10 +87,13 @@ class EnclaveShard:
         backend = DarKnightBackend(
             shard_config, enclave=enclave, cluster=cluster, link=link
         )
-        engine = PrivateInferenceEngine(
-            network, backend=backend, stage_costs=stage_costs
+        executor = PipelineExecutor(
+            network,
+            backend,
+            pipeline_depth=shard_config.pipeline_depth,
+            costs=stage_costs,
         )
-        return cls(shard_id, engine, provisioned_at)
+        return cls(shard_id, executor, provisioned_at)
 
     # ------------------------------------------------------------------
     # convenience accessors
@@ -98,22 +101,22 @@ class EnclaveShard:
     @property
     def enclave(self) -> Enclave:
         """The shard's trust anchor."""
-        return self.engine.backend.enclave
+        return self.executor.backend.enclave
 
     @property
     def backend(self) -> DarKnightBackend:
         """The shard's masked execution backend."""
-        return self.engine.backend
+        return self.executor.backend
 
     @property
     def cluster(self) -> GpuCluster:
         """The shard's simulated accelerator pool."""
-        return self.engine.backend.cluster
+        return self.executor.backend.cluster
 
     @property
     def timeline(self):
         """The shard's serialized enclave clock."""
-        return self.engine.timeline
+        return self.executor.timeline
 
     @property
     def busy_time(self) -> float:
@@ -176,7 +179,7 @@ class EnclaveShard:
 
         One :class:`~repro.pipeline.stages.WindowItem` per batch; returns
         ``(groups, stats)`` exactly like
-        :meth:`~repro.runtime.inference.PrivateInferenceEngine.run_batch_window`.
+        :meth:`~repro.pipeline.PipelineExecutor.run_grouped`.
         ``step_range`` restricts the run to one layer-partition stage range
         (this shard's slice of the plan).
 
@@ -205,6 +208,6 @@ class EnclaveShard:
         return self._run(items, step_range)
 
     def _run(self, items: list[WindowItem], step_range: tuple[int, int] | None):
-        groups, stats = self.engine.run_batch_window(items, step_range=step_range)
+        groups, stats = self.executor.run_grouped(items, step_range=step_range)
         self.batches_run += len(items)
         return groups, stats

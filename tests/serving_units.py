@@ -28,7 +28,7 @@ def make_units(shards):
     units = []
     for shard in shards:
         queue = RequestQueue(64)
-        whole_plan = (0, len(shard.engine.network.execution_plan()))
+        whole_plan = (0, len(shard.executor.network.execution_plan()))
         units.append(
             ServingUnit(
                 # No hops, so no mesh to consult.

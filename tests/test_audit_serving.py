@@ -140,8 +140,6 @@ def test_shared_window_abort_leaves_a_retried_marker_then_terminal_leaves():
     """A transient tamper aborts a shared window: the log must show the
     retried marker first, then the isolating single-batch windows whose
     terminal leaves prove() prefers."""
-    from repro.runtime.darknight import DarKnightBackend
-    from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
     from repro.audit import AuditTrail
     from repro.sharding import EnclaveShard
@@ -164,9 +162,9 @@ def test_shared_window_abort_leaves_a_retried_marker_then_terminal_leaves():
     cluster = GpuCluster(
         field, dk.n_gpus_required, fault_injectors={0: _TransientTamper(field)}
     )
-    engine = PrivateInferenceEngine(net, backend=DarKnightBackend(dk, cluster=cluster))
+    shard = EnclaveShard.provision(0, net, dk, cluster=cluster)
     trail = AuditTrail(AuditConfig(), darknight=dk, num_shards=1)
-    pool = InferenceWorkerPool(make_membership([EnclaveShard(0, engine)]), audit=trail)
+    pool = InferenceWorkerPool(make_membership([shard]), audit=trail)
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(

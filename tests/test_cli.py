@@ -271,6 +271,40 @@ def test_audit_replay_matches_committed_digests(tmp_path, capsys):
     assert "MATCH" in out
 
 
+def test_audit_replay_by_request_takes_the_exit_member_under_layered(tmp_path, capsys):
+    """Under ``layered:2`` the entry member's leaves commit activations at
+    the cut; replay by request id must take the exit member's window."""
+    rc = main(
+        [
+            "serve", "--model", "tiny", "--requests", "32", "--seed", "0",
+            "--set", "darknight.num_shards=2",
+            "--set", "partition=layered:2",
+            "--set", f"audit.log_dir={tmp_path}",
+        ]
+    )
+    assert rc == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["partition"] == "layered:2"
+    capsys.readouterr()
+    for request_id in (0, 8, 30):
+        rc = main(
+            ["audit", "replay", "--log-dir", str(tmp_path), "--request-id", str(request_id)]
+        )
+        assert rc == 0 and "(shard 1): " in capsys.readouterr().out
+    rc = main(["audit", "replay", "--log-dir", str(tmp_path), "--shard", "0", "--window", "0"])
+    assert rc == 2
+    assert "exit shard 1" in capsys.readouterr().err
+    # A flipped committed output digest on the exit member still fails.
+    exit_log = tmp_path / "shard1.audit.jsonl"
+    lines = exit_log.read_text().splitlines()
+    record = json.loads(lines[0])
+    digest = record["leaves"][0]["output_digest"]
+    record["leaves"][0]["output_digest"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+    exit_log.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    rc = main(["audit", "replay", "--log-dir", str(tmp_path), "--request-id", "0"])
+    assert rc != 0
+    assert capsys.readouterr().err
+
+
 def test_tampered_log_fails_check_chain_and_recovers(tmp_path, capsys):
     _audited_serve(tmp_path, capsys)
     log_path = next(tmp_path.glob("shard*.audit.jsonl"))

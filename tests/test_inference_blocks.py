@@ -19,7 +19,8 @@ from repro.models import build_mini_mobilenet, build_mini_vgg
 from repro.nn import PlainBackend
 from repro.nn import functional as F
 from repro.nn.layers import BranchJoin
-from repro.runtime import DarKnightBackend, DarKnightConfig, PrivateInferenceEngine
+from repro.pipeline import PipelineExecutor
+from repro.runtime import DarKnightBackend, DarKnightConfig
 from repro.slalom import SlalomBackend
 
 MODELS = ["tiny", "mini-vgg", "mini-resnet", "mini-mobilenet"]
@@ -80,22 +81,22 @@ def test_darknight_logits_by_the_block_equal_the_one_block_path(name, monkeypatc
     """Integrity on, ``K = 4``, a budget of 10 samples (which 4 does not
     divide): blocks of two whole virtual batches, 8 + 8 + 5, so the last
     virtual batch of the last block is padded exactly as in the one-block
-    run.  The logits are equal bit for bit, through the engine's
-    depth-1 path, and every encoding is released."""
+    run.  The logits are equal bit for bit, and equal to the depth-1
+    executor's."""
     net = _model(name)
     x = _batch(net, 21)
     config = DarKnightConfig(virtual_batch_size=4, integrity=True, seed=0)
     sizes = _block_sizes(net, monkeypatch)
-    whole = PrivateInferenceEngine(net, config).run_batch(x)
+    whole = net.predict(x, DarKnightBackend(config))
     assert sizes == [21]
     sizes.clear()
     monkeypatch.setattr(F, "UNFOLD_BLOCK_BYTES", _budget(net, 10))
-    engine = PrivateInferenceEngine(net, config)
-    split = engine.run_batch(x)
+    split = net.predict(x, DarKnightBackend(config))
     assert sizes == [8, 8, 5]
     assert all(size % config.virtual_batch_size == 0 for size in sizes[:-1])
     assert np.array_equal(split, whole)
-    engine.backend.assert_encodings_released()
+    staged = PipelineExecutor(net, DarKnightBackend(config)).run(x).output
+    assert np.array_equal(staged, whole)
 
 
 def test_a_block_is_at_least_one_virtual_batch(monkeypatch):

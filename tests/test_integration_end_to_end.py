@@ -14,12 +14,8 @@ from repro.fieldmath import PrimeField
 from repro.gpu import GpuCluster, RandomTamper, TargetedTamper
 from repro.models import build_mini_resnet, build_mini_vgg
 from repro.nn import PlainBackend
-from repro.runtime import (
-    DarKnightBackend,
-    DarKnightConfig,
-    PrivateInferenceEngine,
-    Trainer,
-)
+from repro.pipeline import PipelineExecutor
+from repro.runtime import DarKnightBackend, DarKnightConfig, Trainer
 from repro.slalom import SlalomBackend, SlalomTrainingError
 
 
@@ -32,10 +28,10 @@ def test_private_training_then_private_inference(nprng):
     history = trainer.fit(data.x_train, data.y_train, epochs=2, batch_size=8)
     assert history.loss[-1] < history.loss[0]
 
-    engine = PrivateInferenceEngine(
-        net, DarKnightConfig(virtual_batch_size=2, integrity=True, seed=1)
+    executor = PipelineExecutor(
+        net, DarKnightBackend(DarKnightConfig(virtual_batch_size=2, integrity=True, seed=1))
     )
-    private_preds = engine.predict(data.x_test[:6])
+    private_preds = np.argmax(executor.run(data.x_test[:6]).output, axis=1)
     plain_preds = np.argmax(net.predict(data.x_test[:6], PlainBackend()), axis=1)
     assert np.mean(private_preds == plain_preds) >= 0.8
 

@@ -1,4 +1,4 @@
-"""Tests for the staged pipeline engine: encode/dispatch/decode scheduling.
+"""Tests for the staged pipeline executor: encode/dispatch/decode scheduling.
 
 Covers the three load-bearing claims of the refactor:
 
@@ -6,8 +6,8 @@ Covers the three load-bearing claims of the refactor:
    depth (masking decodes exactly, so schedule order cannot change logits);
 2. with a compute-heavy model, overlapping enclave encode/decode with GPU
    kernels shortens the simulated makespan;
-3. encodings are released on every exit path — including aborts mid-network
-   — and ``end_batch`` is idempotent.
+3. a window releases its encodings on every exit path — including aborts
+   mid-network — and ``end_batch`` is idempotent.
 """
 
 import math
@@ -23,7 +23,6 @@ from repro.masking import iter_virtual_batches
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.pipeline import EnclaveTimeline, PipelineExecutor, StageCostModel, WindowItem
 from repro.runtime import DarKnightBackend, DarKnightConfig
-from repro.runtime.inference import PrivateInferenceEngine
 
 
 def _mixed_net(seed=0):
@@ -67,29 +66,22 @@ def test_pipelined_logits_bit_identical_to_sync(depth, nprng):
     net = _mixed_net()
     x = nprng.normal(size=(11, 2, 8, 8))  # padded tail at K=4
 
-    sync = _backend()
-    reference = net.forward(x, sync, training=False)
-    sync.end_batch()
-
-    backend = _backend()
-    result = PipelineExecutor(net, backend, pipeline_depth=depth).run(x)
-    backend.end_batch()
+    reference = net.predict(x, _backend())
+    result = PipelineExecutor(net, _backend(), pipeline_depth=depth).run(x)
     assert np.array_equal(result.output, reference)
     assert result.stats.n_jobs == 3
 
 
-def test_engine_run_batch_bit_identical_across_depths(nprng):
+def test_executor_logits_bit_identical_across_depths(nprng):
     net = _mixed_net()
     x = nprng.normal(size=(9, 2, 8, 8))
-    logits = []
+    config = DarKnightConfig(virtual_batch_size=4, seed=3)
+    reference = net.predict(x, DarKnightBackend(config))
     for depth in (1, 2, 3):
-        engine = PrivateInferenceEngine(
-            net, DarKnightConfig(virtual_batch_size=4, seed=3), pipeline_depth=depth
-        )
-        logits.append(engine.run_batch(x))
-        engine.backend.assert_encodings_released()
-    assert np.array_equal(logits[0], logits[1])
-    assert np.array_equal(logits[0], logits[2])
+        backend = DarKnightBackend(config)
+        logits = PipelineExecutor(net, backend, pipeline_depth=depth).run(x).output
+        assert np.array_equal(logits, reference)
+        assert backend.open_encodings() == 0
 
 
 def test_execution_plan_marks_offloaded_steps():
@@ -111,11 +103,9 @@ def test_pipeline_overlap_beats_synchronous_schedule(nprng):
     costs = StageCostModel(stage_overhead=5e-5, gpu_mac_throughput=5e8)
 
     def makespan(depth):
-        backend = _backend()
         result = PipelineExecutor(
-            net, backend, pipeline_depth=depth, costs=costs
+            net, _backend(), pipeline_depth=depth, costs=costs
         ).run(x)
-        backend.end_batch()
         return result.output, result.stats
 
     out_sync, sync_stats = makespan(1)
@@ -131,11 +121,9 @@ def test_pipeline_overlap_beats_synchronous_schedule(nprng):
 def test_depth_one_schedule_is_fully_serialized(nprng):
     """At depth 1 no two stage spans may overlap — the synchronous order."""
     net = _mixed_net()
-    backend = _backend()
-    result = PipelineExecutor(net, backend, pipeline_depth=1).run(
+    result = PipelineExecutor(net, _backend(), pipeline_depth=1).run(
         nprng.normal(size=(8, 2, 8, 8))
     )
-    backend.end_batch()
     spans = sorted(result.stats.spans, key=lambda s: s.start)
     for earlier, later in zip(spans, spans[1:]):
         assert later.start >= earlier.end - 1e-12
@@ -145,24 +133,21 @@ def test_batch_window_overlaps_consecutive_batches(nprng):
     """Batch n+1's encode starts before batch n's last decode lands."""
     net = _conv_heavy_net()
     costs = StageCostModel(gpu_mac_throughput=7e8)
-    engine = PrivateInferenceEngine(
-        net,
-        DarKnightConfig(virtual_batch_size=4, seed=2, pipeline_depth=4),
-        stage_costs=costs,
+    config = DarKnightConfig(virtual_batch_size=4, seed=2)
+    executor = PipelineExecutor(
+        net, DarKnightBackend(config), pipeline_depth=4, costs=costs
     )
     x1 = nprng.normal(size=(4, 4, 12, 12))
     x2 = nprng.normal(size=(4, 4, 12, 12))
-    groups, stats = engine.run_batch_window([WindowItem(x1, 0.0), WindowItem(x2, 0.0)])
+    groups, stats = executor.run_grouped([WindowItem(x1, 0.0), WindowItem(x2, 0.0)])
     first, second = groups
     assert second.start < first.finish  # cross-batch overlap
     assert second.finish > first.finish
     assert stats.n_jobs == 2
     # The window's logits match per-batch synchronous runs bit-exactly.
-    reference_engine = PrivateInferenceEngine(
-        net, DarKnightConfig(virtual_batch_size=4, seed=2)
-    )
-    assert np.array_equal(first.output, reference_engine.run_batch(x1))
-    assert np.array_equal(second.output, reference_engine.run_batch(x2))
+    sync = DarKnightBackend(config)
+    assert np.array_equal(first.output, net.predict(x1, sync))
+    assert np.array_equal(second.output, net.predict(x2, sync))
 
 
 def test_executor_rejects_bad_depth_and_plain_backend(nprng):
@@ -288,14 +273,8 @@ def test_residual_block_flattens_into_dag_plan(nprng):
     # body output and the block entry (the ReLU at step 1).
     assert join.deps == (2, 1)
     x = nprng.normal(size=(8, 2, 8, 8))
-    sync = _backend(seed=81)
-    reference = net.forward(x, sync, training=False)
-    sync.end_batch()
-
-    backend = _backend(seed=81)
-    result = PipelineExecutor(net, backend, pipeline_depth=2).run(x)
-    backend.end_batch()
-    backend.assert_encodings_released()
+    reference = net.predict(x, _backend(seed=81))
+    result = PipelineExecutor(net, _backend(seed=81), pipeline_depth=2).run(x)
     assert np.array_equal(result.output, reference)
     # Every inner kernel is span-accounted now — no hidden blocking offload.
     assert result.stats.stage_totals["gpu"] > 0
@@ -346,15 +325,45 @@ def test_pipeline_abort_mid_network_releases_all_encodings(nprng):
     )
     for depth in (1, 3):
         backend = DarKnightBackend(cfg, cluster=cluster)
-        engine = PrivateInferenceEngine(net, backend=backend, pipeline_depth=depth)
+        executor = PipelineExecutor(net, backend, pipeline_depth=depth)
         with pytest.raises(IntegrityError):
-            engine.run_batch(nprng.normal(size=(4, 1, 6, 6)))
-        # run_batch's finally already ran end_batch + the release assert;
+            executor.run(nprng.normal(size=(4, 1, 6, 6)))
+        # The window's finally already ran end_batch + the release assert;
         # re-check from the outside and confirm idempotency after abort.
         assert backend.open_encodings() == 0
         assert all(not dev.stored_shares for dev in cluster.devices)
-        backend.end_batch()
-        backend.assert_encodings_released()
+
+
+def test_a_window_releases_on_every_exit_path(nprng):
+    """The executor owns its window: after a completed run, after a run
+    through a partition stage range, and after a byzantine GPU raises
+    mid-window, no encoding is left open on the backend — nobody calls
+    ``end_batch`` for it."""
+    net = _mixed_net()
+    x = nprng.normal(size=(9, 2, 8, 8))
+    for depth in (1, 2):
+        backend = _backend(seed=13)
+        executor = PipelineExecutor(net, backend, pipeline_depth=depth)
+        executor.run(x)
+        assert backend.open_encodings() == 0
+        executor.run_grouped([WindowItem(x, 0.0)], step_range=(0, 4))
+        assert backend.open_encodings() == 0
+
+        cfg = DarKnightConfig(virtual_batch_size=4, integrity=True, seed=13)
+        field = PrimeField()
+        byzantine = DarKnightBackend(
+            cfg,
+            cluster=GpuCluster(
+                field,
+                cfg.n_gpus_required,
+                fault_injectors={1: TargetedTamper(RandomTamper(field, seed=3), "dense_forward")},
+            ),
+        )
+        executor = PipelineExecutor(net, byzantine, pipeline_depth=depth)
+        with pytest.raises(IntegrityError):
+            executor.run(x)
+        assert byzantine.open_encodings() == 0
+        assert all(not dev.stored_shares for dev in byzantine.cluster.devices)
 
 
 def test_assert_encodings_released_detects_leaks(nprng):
@@ -429,15 +438,12 @@ def test_deadline_ranker_bit_identical_and_reorders_the_schedule(nprng):
     x2 = nprng.normal(size=(4, 4, 12, 12))
 
     def run(deadline):
-        backend = _backend(seed=7)
-        executor = PipelineExecutor(net, backend, pipeline_depth=4, costs=costs)
+        executor = PipelineExecutor(net, _backend(seed=7), pipeline_depth=4, costs=costs)
         # Group 0 released first but budget-less; group 1 maybe carries a
         # tight deadline.
-        groups, stats = executor.run_grouped(
+        return executor.run_grouped(
             [WindowItem(x1, 0.0), WindowItem(x2, 0.0, deadline)]
         )
-        backend.end_batch()
-        return groups, stats
 
     default_groups, _ = run(math.inf)
     deadline_groups, _ = run(0.001)
@@ -460,11 +466,9 @@ def test_default_ranker_without_deadlines_matches_legacy_schedule(nprng):
     x2 = nprng.normal(size=(6, 2, 8, 8))
 
     def spans(deadline):
-        backend = _backend(seed=5)
-        executor = PipelineExecutor(net, backend, pipeline_depth=2)
+        executor = PipelineExecutor(net, _backend(seed=5), pipeline_depth=2)
         items = [WindowItem(x1, 0.0, deadline), WindowItem(x2, 1e-4, deadline)]
         _, stats = executor.run_grouped(items)
-        backend.end_batch()
         return [(s.job, s.layer, s.stage, s.start, s.end) for s in stats.spans]
 
     assert spans(0.5) == spans(math.inf)

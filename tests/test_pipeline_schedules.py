@@ -22,9 +22,8 @@ import numpy as np
 import pytest
 
 from repro.cli import build_serving_model
-from repro.pipeline import StageCostModel, WindowItem
+from repro.pipeline import PipelineExecutor, StageCostModel, WindowItem
 from repro.runtime import DarKnightBackend, DarKnightConfig
-from repro.runtime.inference import PrivateInferenceEngine
 from repro.sharding.partition import LayerPartitionPlanner
 
 GOLDEN = Path(__file__).parent / "golden" / "pipeline_schedules.json"
@@ -43,19 +42,19 @@ def schedule(case: dict) -> list[list[dict]]:
     n_members = case.get("partition", 1)
     ranges = LayerPartitionPlanner(network).plan(n_members)
     costs = StageCostModel(maskgen_bandwidth=case.get("maskgen_bandwidth"))
-    engines = [
-        PrivateInferenceEngine(
+    executors = [
+        PipelineExecutor(
             network,
-            backend=DarKnightBackend(
+            DarKnightBackend(
                 DarKnightConfig(
                     virtual_batch_size=case["k"],
-                    pipeline_depth=case["depth"],
                     precompute=case.get("precompute", False),
                     per_sample_normalization=True,
                     seed=case["seed"] + member,
                 )
             ),
-            stage_costs=costs,
+            pipeline_depth=case["depth"],
+            costs=costs,
         )
         for member in range(n_members)
     ]
@@ -67,8 +66,8 @@ def schedule(case: dict) -> list[list[dict]]:
             for group in window
         ]
         records = []
-        for engine, step_range in zip(engines, ranges):
-            groups, stats = engine.run_batch_window(items, step_range=step_range)
+        for executor, step_range in zip(executors, ranges):
+            groups, stats = executor.run_grouped(items, step_range=step_range)
             records.append(_record(groups, stats))
             # The consumer unseals what the producer handed over: price it
             # by the live values' bytes.

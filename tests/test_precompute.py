@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.fieldmath import PrimeField
 from repro.nn import Dense, PlainBackend, ReLU, Sequential
-from repro.pipeline import WindowItem
+from repro.pipeline import PipelineExecutor
 from repro.precompute import pool as pool_module
 from repro.precompute import (
     MaskStreamPool,
@@ -30,12 +30,7 @@ from repro.precompute import (
     scratch_scope,
 )
 from repro.quantization import QuantizationConfig
-from repro.runtime import (
-    DarKnightBackend,
-    DarKnightConfig,
-    PrivateInferenceEngine,
-    Trainer,
-)
+from repro.runtime import DarKnightBackend, DarKnightConfig, Trainer
 from repro.serving import PrivateInferenceServer, ServingConfig, synthetic_trace
 from repro.serving.requests import PendingRequest, ScheduledBatch
 from repro.serving.slo import build_slo_policy
@@ -564,29 +559,29 @@ def _update_weights(net, how):
             layer.params[name] = param * 2.0
 
 
-def _run(engine, x, path):
-    """``sync``: ``run_batch`` at depth 1 (the blocking forwards);
+def _run(net, backend, x, path):
+    """``sync``: ``Sequential.predict`` (the blocking forwards);
     ``staged``: a one-batch executor window (``stage_linear``)."""
     if path == "sync":
-        return engine.run_batch(x)
-    (group,), _ = engine.run_batch_window([WindowItem(x, 0.0)])
-    return group.output
+        logits = net.predict(x, backend)
+        backend.end_batch()
+        return logits
+    return PipelineExecutor(net, backend).run(x).output
 
 
 @pytest.mark.parametrize("how", ["in_place", "load_state_dict", "new_array"])
 @pytest.mark.parametrize("path", ["sync", "staged"])
 @pytest.mark.parametrize("precompute", [False, True])
 def test_updated_weights_are_restaged_never_served_stale(precompute, path, how):
-    """Weights changed under a warm engine — in place, through
+    """Weights changed under a warm backend — in place, through
     ``load_state_dict`` or by swapping the array — are re-staged once on
     the next batch; an unchanged model keeps reusing.  (An identity-keyed
     cache kept serving the old encodings: max |masked - plain| 3.7 on this
     net after doubling, against 0.03 of quantization error.)"""
     net = _tiny_net()
-    engine = PrivateInferenceEngine(
-        net, DarKnightConfig(virtual_batch_size=4, seed=3, precompute=precompute)
+    backend = DarKnightBackend(
+        DarKnightConfig(virtual_batch_size=4, seed=3, precompute=precompute)
     )
-    backend = engine.backend
     counts = backend.enclave.ledger.op_counts
     device = backend.cluster.devices[0]
     x = np.random.default_rng(1).normal(size=(8, 16))
@@ -597,7 +592,8 @@ def test_updated_weights_are_restaged_never_served_stale(precompute, path, how):
     reuses = precompute or path == "staged"
 
     def check(staged, reused):
-        assert np.max(np.abs(_run(engine, x, path) - net.predict(x, PlainBackend()))) < tolerance
+        logits = _run(net, backend, x, path)
+        assert np.max(np.abs(logits - net.predict(x, PlainBackend()))) < tolerance
         if precompute:
             assert counts.get("stage_weights", 0) == staged * n_layers
             assert counts.get("reuse_weights", 0) == reused * n_layers

@@ -65,10 +65,11 @@ def test_batch_shape_validation(enclave, nprng):
 
 
 def test_custom_link_is_used(enclave, nprng):
-    link = LinkModel(bandwidth_bytes_per_s=1e6)
+    link = LinkModel()
     session = ClientSession.connect(enclave, link=link, rng=nprng)
+    before = link.total_bytes  # the handshake crossed it
     session.upload_batch(nprng.normal(size=(2, 4)), np.array([0, 1]))
-    assert link.total_bytes > 0
+    assert before > 0 and link.total_bytes > before
 
 
 def test_multiple_batches(enclave, nprng):

@@ -378,7 +378,7 @@ def test_a_static_server_fits_k_to_the_epc_budget_too():
     server = PrivateInferenceServer(net, ServingConfig(darknight=dk))
     fit = epc_fitting_batch_size(4, slot, int(budget * EPC_HEADROOM), 1, 1, 2)
     assert server.darknight.virtual_batch_size == fit == 2
-    assert server.shards[0].engine.backend.config.virtual_batch_size == 2
+    assert server.shards[0].backend.config.virtual_batch_size == 2
     # With no budget set, K is fitted to usable EPC — 93 MB, which no
     # served model here comes near.
     assert EPC_USABLE_BYTES == 93 * 1024 * 1024

@@ -209,8 +209,6 @@ class _TransientTamper:
 def test_window_abort_retries_batches_individually():
     """A transient fault aborting a shared window must not fail co-flushed
     batches: the pool re-dispatches per batch and all requests complete."""
-    from repro.runtime.darknight import DarKnightBackend
-    from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
     from repro.sharding import EnclaveShard
     from serving_units import make_membership
@@ -223,10 +221,8 @@ def test_window_abort_retries_batches_individually():
     cluster = GpuCluster(
         field, dk.n_gpus_required, fault_injectors={0: _TransientTamper(field)}
     )
-    engine = PrivateInferenceEngine(
-        net, backend=DarKnightBackend(dk, cluster=cluster)
-    )
-    pool = InferenceWorkerPool(make_membership([EnclaveShard(0, engine)]))
+    shard = EnclaveShard.provision(0, net, dk, cluster=cluster)
+    pool = InferenceWorkerPool(make_membership([shard]))
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -252,15 +248,13 @@ def test_window_abort_retries_batches_individually():
     # retried alone, the fault had passed, and every request completed.
     assert len(outcomes) == 6
     assert all(o.ok for o in outcomes)
-    engine.backend.assert_encodings_released()
+    shard.backend.assert_encodings_released()
 
 
 def test_aborted_window_occupancy_is_charged_to_busy_time():
     """A multi-batch window aborted by an integrity fault still occupied
     the enclave: ``busy_time`` is the timeline's, so it covers the
     aborted attempt that no successful window's stats account for."""
-    from repro.runtime.darknight import DarKnightBackend
-    from repro.runtime.inference import PrivateInferenceEngine
     from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
     from repro.sharding import EnclaveShard
     from serving_units import make_membership
@@ -273,11 +267,9 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     cluster = GpuCluster(
         field, dk.n_gpus_required, fault_injectors={0: _TransientTamper(field)}
     )
-    engine = PrivateInferenceEngine(
-        net, backend=DarKnightBackend(dk, cluster=cluster)
-    )
+    shard = EnclaveShard.provision(0, net, dk, cluster=cluster)
     windows = []
-    membership = make_membership([EnclaveShard(0, engine)])
+    membership = make_membership([shard])
     # A flush policy that only records the window feedback it is fed.
     membership.units[0].scheduler.policy = SimpleNamespace(observe_window=windows.append)
     pool = InferenceWorkerPool(membership)
@@ -307,7 +299,7 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     # Everything the enclave timeline was ever occupied with — the
     # aborted shared window plus the isolating re-runs — is busy time.
     executor = pool.units[0].executor
-    assert executor.busy_time == engine.timeline.busy_time
+    assert executor.busy_time == shard.timeline.busy_time
     assert executor.busy_time > sum(w.enclave_busy for w in windows)
 
 

@@ -282,7 +282,7 @@ def test_an_slo_policy_alone_encodes_the_premium_batch_first(monkeypatch):
             slo=build_slo_policy({"premium": 0.008}, {"p0": "premium"}),
         ),
     )
-    backend = server.units[0].shards[0].engine.backend
+    backend = server.units[0].shards[0].backend
     encoded = []
 
     def encode(op, vbs, vb_indices):
