@@ -157,7 +157,7 @@ def test_forward_encode_speed(benchmark, backend, monkeypatch):
     coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
     encoder = ForwardEncoder(coeffs, RNG)
     x = RNG.uniform((4, 3, 32, 32))
-    monkeypatch.setattr(linalg, "_ENCLAVE_BACKEND", backend())
+    monkeypatch.setattr(linalg._ENCLAVE, "backend", backend())
     batch = benchmark(lambda: encoder.encode(x))
     assert batch.shares.shape[0] == 6
 
@@ -167,7 +167,7 @@ def test_forward_decode_speed(benchmark, backend, monkeypatch):
     coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
     decoder = ForwardDecoder(coeffs)
     outputs = RNG.uniform((6, 3, 32, 32))
-    monkeypatch.setattr(linalg, "_ENCLAVE_BACKEND", backend())
+    monkeypatch.setattr(linalg._ENCLAVE, "backend", backend())
     decoded = benchmark(lambda: decoder.decode(outputs))
     assert decoded.shape == (4, 3, 32, 32)
 
@@ -178,7 +178,7 @@ def test_backward_decode_many_speed(benchmark, backend, monkeypatch):
     coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
     decoder = BackwardDecoder(coeffs)
     equations = RNG.uniform((16, coeffs.n_shares, 64, 64))
-    monkeypatch.setattr(linalg, "_ENCLAVE_BACKEND", backend())
+    monkeypatch.setattr(linalg._ENCLAVE, "backend", backend())
     decoded = benchmark(lambda: decoder.decode_many(equations))
     assert decoded.shape == (16, 64, 64)
     loop = np.stack([decoder.decode(eq) for eq in equations])

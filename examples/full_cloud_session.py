@@ -2,8 +2,10 @@
 
 A data holder:
 
-1. attests the cloud enclave (and refuses a wrong one);
-2. uploads encrypted training data over the established channel;
+1. attests the cloud enclave through the same session manager every
+   served request goes through (and refuses a wrong enclave);
+2. uploads its training samples and labels as two encrypted requests over
+   the established channel, each opened inside the enclave;
 3. the enclave trains privately via masked TEE+GPU offload — with a
    byzantine GPU in the pool, caught by the integrity share and benched by
    the recovery executor;
@@ -17,6 +19,7 @@ Run:  python examples/full_cloud_session.py [--seed N]
 import numpy as np
 
 from repro.cli import parse_seed_flag
+from repro.comm import LinkModel
 from repro.data import cifar_like
 from repro.enclave import Enclave
 from repro.errors import AttestationError
@@ -24,14 +27,13 @@ from repro.fieldmath import PrimeField
 from repro.gpu import GpuCluster, RandomTamper, ShareLaunch
 from repro.models import build_mini_vgg
 from repro.quantization import QuantizationConfig
-from repro.runtime import (
-    ClientSession,
-    DarKnightBackend,
-    DarKnightConfig,
-    RecoveringExecutor,
-    Trainer,
+from repro.runtime import DarKnightBackend, DarKnightConfig, RecoveringExecutor, Trainer
+from repro.serving import (
+    PrivateInferenceServer,
+    ServingConfig,
+    SessionManager,
+    trace_from_arrays,
 )
-from repro.serving import PrivateInferenceServer, ServingConfig, trace_from_arrays
 
 SEED = parse_seed_flag(default=0)
 
@@ -42,21 +44,24 @@ def main() -> None:
     # --- 1. attestation -------------------------------------------------
     evil = Enclave(code_identity="trojaned-enclave", seed=SEED)
     try:
-        ClientSession.connect(evil, expected_code_identity="darknight-enclave-v1")
+        SessionManager(evil).connect("client")
         raise AssertionError("client accepted the wrong enclave!")
     except AttestationError as exc:
         print(f"client refused rogue enclave: {exc}")
 
-    enclave = Enclave(code_identity="darknight-enclave-v1", seed=SEED + 1)
-    session = ClientSession.connect(enclave)
+    enclave = Enclave(seed=SEED + 1)
+    link = LinkModel()
+    session = SessionManager(enclave, link=link).connect("client")
     print("client attested the genuine enclave and opened a secure channel")
 
     # --- 2. encrypted provisioning --------------------------------------
+    # Only ciphertext crosses the wire; the enclave opens each upload.
     data = cifar_like(n_train=64, n_test=32, seed=SEED, size=8)
-    x_train, y_train = session.provision(data.x_train, data.y_train)
+    x_train = session.decrypt_request(session.encrypt_request(data.x_train))
+    y_train = session.decrypt_request(session.encrypt_request(data.y_train))
     print(
         f"uploaded {x_train.shape[0]} samples;"
-        f" {session.link.total_bytes:,} ciphertext bytes crossed the wire"
+        f" {link.total_bytes:,} ciphertext bytes crossed the wire"
     )
 
     # --- 3. private training with a byzantine GPU in the pool -----------

@@ -1,6 +1,11 @@
 """SGX enclave simulator: the EPC limit, sealing, attestation, toy crypto."""
 
-from repro.enclave.attestation import AttestationService, Quote, measure_enclave
+from repro.enclave.attestation import (
+    DEFAULT_CODE_IDENTITY,
+    AttestationService,
+    Quote,
+    measure_enclave,
+)
 from repro.enclave.crypto import (
     ByteStream,
     Ciphertext,
@@ -24,6 +29,7 @@ __all__ = [
     "AttestationService",
     "Quote",
     "measure_enclave",
+    "DEFAULT_CODE_IDENTITY",
     "StreamAead",
     "ByteStream",
     "Ciphertext",

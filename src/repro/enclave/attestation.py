@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 from repro.errors import AttestationError
 
+#: The enclave code identity data holders are expected to have audited.
+DEFAULT_CODE_IDENTITY = "darknight-enclave-v1"
+
 
 def measure_enclave(code_identity: bytes | str) -> bytes:
     """MRENCLAVE analogue: hash of the enclave's code identity."""

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from repro.enclave.attestation import AttestationService, Quote, measure_enclave
+from repro.enclave.attestation import (
+    DEFAULT_CODE_IDENTITY,
+    AttestationService,
+    Quote,
+    measure_enclave,
+)
 from repro.enclave.crypto import ByteStream, Envelope
 from repro.enclave.sealing import Sealer, UntrustedStore
 from repro.fieldmath import FieldRng, PrimeField
@@ -58,7 +63,7 @@ class Enclave:
 
     def __init__(
         self,
-        code_identity: bytes | str = "darknight-enclave-v1",
+        code_identity: bytes | str = DEFAULT_CODE_IDENTITY,
         field: PrimeField | None = None,
         seed=None,
         platform_key: bytes = b"repro-platform-fuse-key",

@@ -59,9 +59,10 @@ result (see :class:`LimbBackend` for why that matters at stacked sizes).
 **Ownership.**  A backend is an object its owner holds, never a name or
 a process setting: each :class:`repro.gpu.FieldKernels` (so each GPU
 cluster) builds its own :class:`LimbBackend`, and the enclave-side
-products share one private to :mod:`repro.fieldmath.linalg`, so no two
-owners write one workspace.  :class:`GenericBackend` is the oracle: every
-fast kernel is property-tested bit-identical against it
+products run on one per thread, private to :mod:`repro.fieldmath.linalg`.
+A workspace is written mid-product, so no two threads may share one: a
+cluster is driven from one thread at a time.  :class:`GenericBackend` is
+the oracle: every fast kernel is property-tested bit-identical against it
 (``tests/test_fieldmath_kernels``), and it has no float tier at all — pass
 ``GenericBackend()`` where a backend is taken and no product takes a float
 path.

@@ -9,10 +9,13 @@ same field.  This module provides both:
   simulated GPU kernels and the enclave's masking, and
   :func:`field_matmul_public` — the product against a public operand's
   centred lift that the GPU forward kernels try first.  Each takes the
-  backend object to run on; without one it runs on this module's own
-  :class:`~repro.fieldmath.kernels.LimbBackend`, which only the
-  enclave-side callers (masking, Freivalds, collusion, :func:`solve`)
-  reach — every GPU cluster passes the one its kernel set owns;
+  backend object to run on; without one it runs on the calling thread's
+  own :class:`~repro.fieldmath.kernels.LimbBackend` from this module,
+  which only the enclave-side callers (masking, Freivalds, collusion,
+  :func:`solve`) reach — every GPU cluster passes the one its kernel set
+  owns.  Per thread, because every such product writes its workspace:
+  two deployments run from two threads would overwrite each other's
+  temporaries mid-product;
 * Gauss-Jordan :func:`inverse` / :func:`solve` / :func:`rank` used when
   generating and applying DarKnight coefficient matrices — :func:`inverse`
   takes a stack ``(..., n, n)`` like ``np.linalg.inv`` and eliminates every
@@ -27,6 +30,7 @@ same field.  This module provides both:
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -34,8 +38,16 @@ from repro.errors import FieldError, SingularMatrixError
 from repro.fieldmath import kernels
 from repro.fieldmath.prime import PrimeField
 
-#: The backend of every product called without one: the enclave's own.
-_ENCLAVE_BACKEND = kernels.LimbBackend()
+
+class _EnclaveBackend(threading.local):
+    """The backend of every product called without one: the enclave's
+    own, one :class:`~repro.fieldmath.kernels.LimbBackend` per thread."""
+
+    def __init__(self) -> None:
+        self.backend = kernels.LimbBackend()
+
+
+_ENCLAVE = _EnclaveBackend()
 
 
 def _as_matrix(a: np.ndarray) -> np.ndarray:
@@ -137,8 +149,8 @@ def field_matmul_public(
 
 
 def _backend(backend):
-    """``backend``, or the enclave-side one for ``None``."""
-    return _ENCLAVE_BACKEND if backend is None else backend
+    """``backend``, or this thread's enclave-side one for ``None``."""
+    return _ENCLAVE.backend if backend is None else backend
 
 
 def rank(field: PrimeField, matrix: np.ndarray) -> int:

@@ -17,7 +17,11 @@ change a single output bit, only where intermediates briefly live.
 The pool is process-global and off by default; a precompute-mode
 pipeline executor turns it on for exactly the windows it runs
 (:func:`scratch_scope`) and puts the previous state back afterwards, so
-one precompute server never moves its neighbours onto the pool.  This
+one precompute server never moves its neighbours onto the pool.  Being
+process-global, pool and switch are shared by every thread: two
+precompute deployments must not be served from one process on two
+threads, or each overwrites the other's staging mid-call (the field
+kernels' enclave-side workspace is per thread; this pool is not).  This
 module imports nothing from the rest of the package, so any layer can use
 it without cycles.
 """

@@ -1,7 +1,6 @@
 """DarKnight orchestration: config, backend, trainer."""
 
 from repro.runtime.aggregation import LargeBatchAggregator
-from repro.runtime.client import ClientSession, EnclaveReceiver, ProvisionedBatch
 from repro.runtime.config import DarKnightConfig
 from repro.runtime.darknight import DarKnightBackend
 from repro.runtime.dp import DpConfig, GradientPrivatizer, PrivacyLedger
@@ -14,9 +13,6 @@ __all__ = [
     "Trainer",
     "TrainingHistory",
     "LargeBatchAggregator",
-    "ClientSession",
-    "EnclaveReceiver",
-    "ProvisionedBatch",
     "RecoveringExecutor",
     "RecoveryReport",
     "DpConfig",

@@ -19,9 +19,9 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.audit import AuditConfig
+from repro.enclave import DEFAULT_CODE_IDENTITY
 from repro.errors import ConfigurationError
 from repro.pipeline.timing import StageCostModel
-from repro.runtime.client import DEFAULT_CODE_IDENTITY
 from repro.runtime.config import DarKnightConfig
 from repro.serving.autoscale import AutoscaleConfig
 from repro.serving.slo import SloPolicy

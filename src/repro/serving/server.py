@@ -46,9 +46,8 @@ import numpy as np
 
 from repro.audit import AuditTrail
 from repro.comm import LinkModel
-from repro.enclave import EPC_USABLE_BYTES, Enclave
+from repro.enclave import EPC_USABLE_BYTES
 from repro.errors import BackpressureError, ConfigurationError, ShardError
-from repro.gpu import GpuCluster
 from repro.nn import Sequential
 from repro.serving.adaptive import (
     EPC_HEADROOM,
@@ -194,22 +193,16 @@ class PrivateInferenceServer:
     config:
         Serving parameters; :attr:`ServingConfig.darknight` sizes each
         enclave/GPU shard and sets the shard count.
-    cluster:
-        Optionally inject a cluster (e.g. with fault injectors) — the
-        integrity tests serve through a byzantine GPU this way.  Only
-        valid with ``num_shards=1`` (a multi-shard deployment provisions
-        one cluster per shard).
-    enclave:
-        Optionally inject a pre-provisioned enclave (``num_shards=1``
-        only, for the same reason).
+
+    Every shard provisions its own enclave and GPU cluster.  A device is
+    made byzantine after construction, by setting
+    ``server.shards[i].cluster[j].faults``.
     """
 
     def __init__(
         self,
         network: Sequential,
         config: ServingConfig | None = None,
-        cluster: GpuCluster | None = None,
-        enclave: Enclave | None = None,
     ) -> None:
         self.config = config or ServingConfig()
         dk = self.config.darknight
@@ -256,16 +249,6 @@ class PrivateInferenceServer:
         # Planning needs only the network, so an impossible cut count
         # (more stages than plan steps) fails before provisioning.
         stage_ranges = LayerPartitionPlanner(network, self.config.stage_costs).plan(n)
-        elastic_max = autoscale.max_shards if autoscale is not None else dk.num_shards
-        if max(dk.num_shards, elastic_max) > 1 and (
-            cluster is not None or enclave is not None
-        ):
-            raise ConfigurationError(
-                "injected clusters/enclaves only compose with a single static"
-                f" shard; got num_shards={dk.num_shards},"
-                f" elastic max {elastic_max} — provision per-shard hardware"
-                " through DarKnightConfig instead"
-            )
         # Fit K to the EPC budget *before* provisioning, once: the enclave
         # encodes (and pads) at the provisioned K, so this is the one
         # place the budget can shrink the working set.
@@ -302,14 +285,7 @@ class PrivateInferenceServer:
                 num_shards=dk.num_shards,
                 partition=str(partition),
             )
-        shards = [
-            self._provision(
-                shard_id,
-                cluster=cluster if shard_id == 0 else None,
-                enclave=enclave if shard_id == 0 else None,
-            )
-            for shard_id in range(dk.num_shards)
-        ]
+        shards = [self._provision(shard_id) for shard_id in range(dk.num_shards)]
         self.mesh = AttestationMesh(
             shards, expected_code_identity=self.config.code_identity
         )
@@ -373,13 +349,7 @@ class PrivateInferenceServer:
         """Shards currently serving traffic (a draining unit's included)."""
         return [s for s in self.shards if s.healthy]
 
-    def _provision(
-        self,
-        shard_id: int,
-        now: float = 0.0,
-        cluster: GpuCluster | None = None,
-        enclave: Enclave | None = None,
-    ) -> EnclaveShard:
+    def _provision(self, shard_id: int, now: float = 0.0) -> EnclaveShard:
         """Stand up one physical shard's trusted stack for this deployment."""
         return EnclaveShard.provision(
             shard_id,
@@ -387,8 +357,6 @@ class PrivateInferenceServer:
             self.darknight,
             code_identity=self.config.code_identity,
             stage_costs=self.config.stage_costs,
-            cluster=cluster,
-            enclave=enclave,
             link=self.link,
             provisioned_at=now,
         )

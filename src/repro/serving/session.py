@@ -7,6 +7,9 @@ channel.  :class:`SessionManager` enforces exactly that — the first
 ``connect`` for a tenant performs the full attestation handshake via
 :mod:`repro.enclave.attestation` + :mod:`repro.comm.secure_channel`; later
 calls return the cached session with zero additional handshake traffic.
+A data holder uploading training data attests and uploads through the
+same path (``connect`` once, then ``encrypt_request`` /
+``decrypt_request`` per array).
 
 Randomness is per manager too: every tenant's key exchange and both ends of
 every channel it keys draw from the manager's one
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm import Envelope, LinkModel, SecureChannel
-from repro.enclave import ByteStream, Enclave, measure_enclave
-from repro.runtime.client import DEFAULT_CODE_IDENTITY
+from repro.enclave import DEFAULT_CODE_IDENTITY, ByteStream, Enclave, measure_enclave
 
 
 @dataclass

@@ -21,7 +21,7 @@ so sessions draining *off* it still cross an attested channel.
 
 from __future__ import annotations
 
-from repro.enclave import measure_enclave
+from repro.enclave import DEFAULT_CODE_IDENTITY, measure_enclave
 from repro.errors import AttestationError, ConfigurationError
 
 
@@ -42,7 +42,7 @@ class AttestationMesh:
     def __init__(
         self,
         shards,
-        expected_code_identity: str | bytes = "darknight-enclave-v1",
+        expected_code_identity: str | bytes = DEFAULT_CODE_IDENTITY,
     ) -> None:
         if not shards:
             raise ConfigurationError("attestation mesh needs >= 1 shard")

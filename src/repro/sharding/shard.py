@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.comm import LinkModel
-from repro.enclave import Enclave
+from repro.enclave import DEFAULT_CODE_IDENTITY, Enclave
 from repro.errors import ShardFailedError
 from repro.gpu import GpuCluster
 from repro.pipeline.executor import PipelineExecutor
@@ -67,7 +67,7 @@ class EnclaveShard:
         shard_id: int,
         network,
         config: DarKnightConfig,
-        code_identity: str | bytes = "darknight-enclave-v1",
+        code_identity: str | bytes = DEFAULT_CODE_IDENTITY,
         stage_costs: StageCostModel | None = None,
         cluster: GpuCluster | None = None,
         enclave: Enclave | None = None,

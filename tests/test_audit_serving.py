@@ -108,17 +108,11 @@ def test_integrity_failure_commits_an_aborted_window():
     integrity posture recorded and no output digests — evidence of the
     failure, not a forged success."""
     dk = DarKnightConfig(virtual_batch_size=2, integrity=True, seed=3)
-    cluster = GpuCluster(
-        PrimeField(),
-        dk.n_gpus_required,
-        fault_injectors={0: RandomTamper(PrimeField(), probability=1.0, seed=4)},
-    )
     trace = synthetic_trace(4, (16,), n_tenants=2, seed=5)
     server = PrivateInferenceServer(
-        _tiny_net(),
-        ServingConfig(darknight=dk, audit=AuditConfig()),
-        cluster=cluster,
+        _tiny_net(), ServingConfig(darknight=dk, audit=AuditConfig())
     )
+    server.shards[0].cluster[0].faults = RandomTamper(PrimeField(), probability=1.0, seed=4)
     report = server.serve_trace(trace)
     assert report.metrics.integrity_failures == 4
     log = server.audit.logs[0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.enclave import AttestationService, measure_enclave
+from repro.enclave import DEFAULT_CODE_IDENTITY, AttestationService, Enclave, measure_enclave
 from repro.errors import AttestationError
 
 
@@ -46,3 +46,25 @@ def test_report_data_bound_to_signature():
 def test_short_platform_key_rejected():
     with pytest.raises(AttestationError):
         AttestationService(b"short")
+
+
+def test_every_default_expects_the_identity_a_default_enclave_measures():
+    """One code identity: a default enclave and shard measure
+    ``DEFAULT_CODE_IDENTITY``, and a shard mesh, a session manager and a
+    serving config expect it."""
+    import numpy as np
+
+    from repro.nn import Dense, Sequential
+    from repro.runtime import DarKnightConfig
+    from repro.serving import ServingConfig, SessionManager
+    from repro.sharding import AttestationMesh, EnclaveShard
+
+    expected = measure_enclave(DEFAULT_CODE_IDENTITY)
+    enclave = Enclave(seed=0)
+    assert enclave.measurement == expected
+    assert SessionManager(enclave).expected_measurement == expected
+    net = Sequential([Dense(8, 4, rng=np.random.default_rng(0))], (8,))
+    shard = EnclaveShard.provision(0, net, DarKnightConfig(virtual_batch_size=2, seed=0))
+    assert shard.enclave.measurement == expected
+    assert AttestationMesh([shard]).expected_measurement == expected
+    assert ServingConfig().code_identity == DEFAULT_CODE_IDENTITY

@@ -470,13 +470,13 @@ def test_field_matmul_backend_argument_overrides_default(monkeypatch):
     rng = FieldRng(FIELD, 9)
     a, b = rng.uniform((5, 13)), rng.uniform((13, 5))
     expected = _bigint_matmul(a, b, FIELD.p)
-    assert isinstance(linalg._ENCLAVE_BACKEND, LimbBackend)
+    assert isinstance(linalg._ENCLAVE.backend, LimbBackend)
     assert np.array_equal(field_matmul(FIELD, a, b), expected)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the enclave-side backend ran")
 
-    monkeypatch.setattr(linalg._ENCLAVE_BACKEND, "matmul", refuse)
+    monkeypatch.setattr(linalg._ENCLAVE.backend, "matmul", refuse)
     for backend in (GenericBackend(), LimbBackend()):
         assert np.array_equal(field_matmul(FIELD, a, b, backend=backend), expected)
     with pytest.raises(AssertionError, match="enclave-side"):

@@ -711,7 +711,7 @@ def test_the_oracle_backend_takes_no_float_path(monkeypatch):
 
     for name in ("matmul", "matmul_stacked", "matmul_public", "_one_gemm", "_two_gemm"):
         monkeypatch.setattr(LimbBackend, name, refuse)
-    monkeypatch.setattr(linalg, "_ENCLAVE_BACKEND", GenericBackend())
+    monkeypatch.setattr(linalg._ENCLAVE, "backend", GenericBackend())
     got = layer(oracle=True)
     for mine, theirs in zip(got, expected):
         assert np.array_equal(mine, theirs)
@@ -757,13 +757,13 @@ def test_each_cluster_owns_its_backend_and_never_enters_the_enclaves(field, frng
     backends = [cluster.kernels.backend for cluster in clusters]
     assert all(isinstance(backend, LimbBackend) for backend in backends)
     assert backends[0] is not backends[1]
-    assert all(backend is not linalg._ENCLAVE_BACKEND for backend in backends)
+    assert all(backend is not linalg._ENCLAVE.backend for backend in backends)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a launch entered the enclave-side backend")
 
     for name in ("matmul", "matmul_stacked", "matmul_public"):
-        monkeypatch.setattr(linalg._ENCLAVE_BACKEND, name, refuse)
+        monkeypatch.setattr(linalg._ENCLAVE.backend, name, refuse)
     small = field.element(np.arange(-18, 18).reshape(2, 2, 3, 3))  # the public tier
     full = frng.uniform((2, 2, 3, 3))  # k = 18 at full range: the limb tiers
     launches = [

@@ -401,8 +401,8 @@ def test_a_victim_that_dies_in_its_own_drain_is_a_failover_not_a_scale_in():
 
 
 def test_construction_errors_fire_before_any_shard_is_provisioned(monkeypatch):
-    """An invalid injected-hardware combination must raise before the
-    provisioning loop: a failed construction may never leak enclaves."""
+    """A configuration error must raise before the provisioning loop: a
+    failed construction may never leak enclaves."""
     from repro.sharding.shard import EnclaveShard
 
     calls = []
@@ -413,20 +413,10 @@ def test_construction_errors_fire_before_any_shard_is_provisioned(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(EnclaveShard, "provision", classmethod(counting))
-    sentinel = object()
-    dk = DarKnightConfig(virtual_batch_size=4, seed=0, num_shards=2)
-    with pytest.raises(ConfigurationError):
+    dk = DarKnightConfig(virtual_batch_size=4, seed=0, num_shards=3)
+    with pytest.raises(ConfigurationError, match="divisible by 2, got 3"):
         PrivateInferenceServer(
-            _tiny_net(), ServingConfig(darknight=dk), cluster=sentinel
-        )
-    # Elastic deployments may also never compose with injected hardware,
-    # even when the *initial* count is 1.
-    dk1 = DarKnightConfig(virtual_batch_size=4, seed=0, num_shards=1)
-    with pytest.raises(ConfigurationError):
-        PrivateInferenceServer(
-            _tiny_net(),
-            ServingConfig(darknight=dk1, autoscale=AutoscaleConfig(max_shards=2)),
-            cluster=sentinel,
+            _tiny_net(), ServingConfig(darknight=dk, partition="layered:2")
         )
     assert calls == []
 

@@ -125,13 +125,9 @@ def test_sustained_overload_sheds_instead_of_growing_latency():
 def test_byzantine_gpu_fails_requests_but_not_the_server():
     net = _tiny_net()
     dk = DarKnightConfig(virtual_batch_size=2, integrity=True, seed=3)
-    cluster = GpuCluster(
-        PrimeField(),
-        dk.n_gpus_required,
-        fault_injectors={0: RandomTamper(PrimeField(), probability=1.0, seed=4)},
-    )
     trace = synthetic_trace(8, (16,), n_tenants=2, seed=5)
-    server = PrivateInferenceServer(net, _config(darknight=dk), cluster=cluster)
+    server = PrivateInferenceServer(net, _config(darknight=dk))
+    server.shards[0].cluster[0].faults = RandomTamper(PrimeField(), probability=1.0, seed=4)
     report = server.serve_trace(trace)
     assert report.metrics.integrity_failures == 8
     assert len(report.completed) == 0

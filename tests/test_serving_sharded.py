@@ -426,18 +426,6 @@ def test_failover_repins_do_not_inflate_the_rebalance_counter():
         assert router.shard_for(f"tenant{i}") != 1
 
 
-def test_injected_hardware_requires_single_shard():
-    from repro.fieldmath import PrimeField
-    from repro.gpu import GpuCluster
-
-    dk = DarKnightConfig(virtual_batch_size=2, seed=0, num_shards=2)
-    cluster = GpuCluster(PrimeField(), dk.n_gpus_required)
-    with pytest.raises(ConfigurationError):
-        PrivateInferenceServer(
-            _tiny_net(), ServingConfig(darknight=dk), cluster=cluster
-        )
-
-
 def test_num_shards_below_one_is_rejected():
     with pytest.raises(ConfigurationError):
         DarKnightConfig(num_shards=0)

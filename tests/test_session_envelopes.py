@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.comm import LinkModel, SecureChannel
 from repro.enclave import Enclave, Sealer, measure_enclave
-from repro.runtime.client import ClientSession
 from repro.serving import SessionManager
 from repro.sharding.partition import open_activations, seal_activations
 
@@ -104,17 +103,20 @@ def _sealer() -> dict:
 
 
 def _client() -> dict:
-    """Two uploaded batches over ``runtime/client.py``'s channel."""
+    """Two uploaded batches, samples then labels, over a data holder's
+    session — recorded when uploads had a channel of their own."""
     link = LinkModel()
-    session = ClientSession.connect(Enclave(seed=31), link=link, rng=np.random.default_rng(32))
+    manager = SessionManager(Enclave(seed=31), link=link, rng=np.random.default_rng(32))
+    session = manager.connect("client")
     values = np.random.default_rng(33)
     digests = []
     for n_rows in (4, 16):
         x, y = values.normal(size=(n_rows, 12)), values.integers(0, 10, size=n_rows)
-        batch = session.upload_batch(x, y)
-        got_x, got_y = session.receiver.receive_batch(batch)
-        assert np.array_equal(got_x, x) and np.array_equal(got_y, y)
-        digests.extend([_digest(batch.data.ciphertext), _digest(batch.labels.ciphertext)])
+        for array in (x, y):
+            envelope = session.encrypt_request(array)
+            assert np.array_equal(session.decrypt_request(envelope), array)
+            digests.append(_digest(envelope.ciphertext))
+    assert manager.enclave.ledger.op_counts["ecall:serve_request"] == 4
     return {"envelopes": digests, "link_bytes": link.total_bytes}
 
 
