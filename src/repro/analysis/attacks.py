@@ -23,6 +23,9 @@ from repro.fieldmath import FieldRng, PrimeField
 from repro.gpu.collusion import CollusionPool, ReconstructionResult
 from repro.masking import CoefficientSet, ForwardEncoder
 
+#: Features per input row in each trial of :func:`share_input_dependence`.
+TRIAL_FEATURES = 16
+
 
 def run_collusion_attack(
     field: PrimeField,
@@ -65,29 +68,28 @@ def share_input_dependence(
     field: PrimeField,
     k: int = 2,
     m: int = 1,
-    share_index: int = 0,
     n_trials: int = 256,
-    n_features: int = 16,
     seed: int = 0,
     mask: bool = True,
 ) -> DependenceReport:
     """Measure dependence between input and share across fresh encodings.
 
-    Every trial draws new inputs and (when ``mask=True``) fresh coefficients
-    and noise — exactly the adversary's view over a training run.  With
-    masking the MI excess and correlation stay at the estimator floor; with
-    ``mask=False`` the "share" is the raw input itself (a scheme with no
-    masking at all), and both statistics blow up — the positive control
-    proving the estimators have teeth.
+    The adversary watches the first GPU's share.  Every trial draws new
+    :data:`TRIAL_FEATURES`-feature inputs and (when ``mask=True``) fresh
+    coefficients and noise — exactly the adversary's view over a training
+    run.  With masking the MI excess and correlation stay at the estimator
+    floor; with ``mask=False`` the "share" is the raw input itself (a
+    scheme with no masking at all), and both statistics blow up — the
+    positive control proving the estimators have teeth.
     """
     rng = FieldRng(field, seed)
     input_stream = []
     share_stream = []
     for _ in range(n_trials):
-        inputs = rng.uniform((k, n_features))
+        inputs = rng.uniform((k, TRIAL_FEATURES))
         if mask:
             coeffs = CoefficientSet.generate(rng, k=k, m=m, extra_shares=0)
-            share = ForwardEncoder(coeffs, rng).encode(inputs).shares[share_index]
+            share = ForwardEncoder(coeffs, rng).encode(inputs).shares[0]
         else:
             share = inputs[0]
         input_stream.append(inputs[0])

@@ -58,13 +58,13 @@ def gradient_leakage_curve(
     x_pool: np.ndarray,
     y_pool: np.ndarray,
     batch_sizes: tuple[int, ...] = (1, 2, 4, 8, 16),
-    target_index: int = 0,
     seed: int = 0,
 ) -> list[LeakagePoint]:
     """Alignment of one sample's gradient with aggregates of growing width.
 
-    ``batch_sizes`` must fit within the pool; the target sample is always
-    included so the measurement isolates dilution, not absence.
+    The target is the pool's first sample.  ``batch_sizes`` must fit
+    within the pool; the target sample is always included so the
+    measurement isolates dilution, not absence.
     """
     x_pool = np.asarray(x_pool)
     y_pool = np.asarray(y_pool)
@@ -72,20 +72,16 @@ def gradient_leakage_curve(
         raise ConfigurationError(
             f"largest batch {max(batch_sizes)} exceeds pool of {x_pool.shape[0]}"
         )
-    if not 0 <= target_index < x_pool.shape[0]:
-        raise ConfigurationError(f"target index {target_index} out of range")
     rng = np.random.default_rng(seed)
-    target_grad = _gradient_for(
-        net, x_pool[target_index : target_index + 1], y_pool[target_index : target_index + 1]
-    )
+    target_grad = _gradient_for(net, x_pool[:1], y_pool[:1])
     target_unit = target_grad / (np.linalg.norm(target_grad) + 1e-12)
 
     points = []
     for batch_size in batch_sizes:
-        others = [i for i in range(x_pool.shape[0]) if i != target_index]
-        chosen = [target_index] + list(
+        others = list(range(1, x_pool.shape[0]))
+        chosen = [0] + list(
             rng.choice(others, size=batch_size - 1, replace=False)
-        ) if batch_size > 1 else [target_index]
+        ) if batch_size > 1 else [0]
         aggregate = _gradient_for(net, x_pool[chosen], y_pool[chosen])
         unit = aggregate / (np.linalg.norm(aggregate) + 1e-12)
         points.append(

@@ -95,11 +95,11 @@ class UntrustedStore:
         """Keys currently stored."""
         return list(self._blobs)
 
-    def tamper(self, key: str, position: int = 0) -> None:
-        """Adversarial helper: flip a ciphertext byte (tests the MAC)."""
+    def tamper(self, key: str) -> None:
+        """Adversarial helper: flip the first ciphertext byte (tests the MAC)."""
         blob = self._blobs[key]
         data = bytearray(blob.ciphertext.data)
-        data[position % len(data)] ^= 0xFF
+        data[0] ^= 0xFF
         self._blobs[key] = Envelope(
             ciphertext=Ciphertext(
                 nonce=blob.ciphertext.nonce,

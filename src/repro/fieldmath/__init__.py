@@ -19,7 +19,6 @@ The public surface of this subpackage is:
 """
 
 from repro.fieldmath.kernels import (
-    SAFE_ACCUMULATION,
     BarrettReducer,
     GenericBackend,
     LimbBackend,
@@ -42,7 +41,6 @@ from repro.fieldmath.random import FieldRng
 
 __all__ = [
     "DEFAULT_PRIME",
-    "SAFE_ACCUMULATION",
     "PrimeField",
     "FieldRng",
     "field_matmul",

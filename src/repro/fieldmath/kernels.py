@@ -78,10 +78,6 @@ import numpy as np
 
 from repro.errors import FieldError
 
-#: Maximum number of p^2-bounded products that can be summed in int64
-#: without overflow: floor(2**63 / p**2) with a 2x safety margin.
-SAFE_ACCUMULATION = 4096
-
 #: Limb geometry: 13-bit limbs cover any modulus below 2**26.
 LIMB_BITS = 13
 LIMB_BASE = 1 << LIMB_BITS
@@ -89,6 +85,13 @@ LIMB_MASK = LIMB_BASE - 1
 
 #: Loss of precision floor: every integer below this is exact in float64.
 _F64_EXACT = 2**53
+
+
+def int64_sum_limit(p: int) -> int:
+    """Longest contraction one int64 product sums without overflow: ``K``
+    products ``<= (p-1)**2`` must sum to at most ``2**63 - 1``.  That is
+    8,192 at the default 25-bit prime and still 2 at ``p = 2**31 - 1``."""
+    return (2**63 - 1) // (p - 1) ** 2
 
 
 def one_gemm_limit(p: int) -> int:
@@ -218,9 +221,9 @@ class PublicOperand:
 class GenericBackend:
     """The oracle: chunked int64 products, reduced with numpy's modulus.
 
-    A single field product is below ``p**2 < 2**62``; summing more than
-    ``floor(2**63 / p**2)`` of them can overflow int64, so the contraction
-    axis is split into :data:`SAFE_ACCUMULATION`-sized blocks, each partial
+    A single field product is at most ``(p-1)**2 < 2**62``; summing more
+    than :func:`int64_sum_limit` of them can overflow int64, so the
+    contraction axis is split into blocks of that length, each partial
     reduced mod ``p`` and the (now ``< p``) partials accumulated and
     reduced again.  Exact for any ``p < 2**31``, any shape — and therefore
     the reference every fast path is property-tested against.  It has no
@@ -232,8 +235,9 @@ class GenericBackend:
         n = a.shape[-1]
         out_shape = a.shape[:-1] + b.shape[1:]
         result = np.zeros(out_shape, dtype=np.int64)
-        for start in range(0, n, SAFE_ACCUMULATION):
-            stop = min(start + SAFE_ACCUMULATION, n)
+        chunk = int64_sum_limit(field.p)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
             partial = np.matmul(a[..., start:stop], b[start:stop])
             result += np.mod(partial, field.p)
         return np.mod(result, field.p)

@@ -67,9 +67,11 @@ def field_matmul(
     """``(a @ b) mod p`` on ``backend``, a field-op backend object.
 
     :class:`~repro.fieldmath.kernels.GenericBackend` is the original
-    chunked reduction: a single field product is below ``p**2 < 2**50``,
-    summing more than ``~2**13`` of them overflows int64, so the shared
-    axis is split into blocks, each partial reduced mod ``p`` and the (now
+    chunked reduction: a single field product is at most ``(p-1)**2``, so
+    the shared axis is split into blocks of
+    :func:`~repro.fieldmath.kernels.int64_sum_limit` products, as many as
+    int64 sums without overflow (8,192 at the default prime, 2 at
+    ``p = 2**31 - 1``), each partial reduced mod ``p`` and the (now
     ``< p``) partials reduced again at the end.
     :class:`~repro.fieldmath.kernels.LimbBackend` computes the same
     product — bit-identical, property-tested — as float64 BLAS GEMMs over

@@ -21,6 +21,9 @@ from repro.errors import EncodingError
 from repro.fieldmath import PrimeField, field_matmul, inverse, rank
 from repro.masking.coefficients import CoefficientSet
 
+#: Histogram bins of :meth:`CollusionPool.uniformity_statistic`.
+UNIFORMITY_BINS = 64
+
 
 @dataclass(frozen=True)
 class ReconstructionResult:
@@ -125,14 +128,15 @@ class CollusionPool:
     # ------------------------------------------------------------------
     # empirical uniformity
     # ------------------------------------------------------------------
-    def uniformity_statistic(self, n_bins: int = 64) -> float:
+    def uniformity_statistic(self) -> float:
         """Chi-square statistic of pooled share values against uniform.
 
         Under the privacy theorem each share is marginally uniform on
-        ``F_p``; the statistic should stay near ``n_bins - 1``.  Exposed for
-        the analysis module and property tests.
+        ``F_p``; over :data:`UNIFORMITY_BINS` bins the statistic should stay
+        near ``UNIFORMITY_BINS - 1``.  Exposed for the analysis module and
+        property tests.
         """
         values = self.shares.reshape(-1)
-        counts, _ = np.histogram(values, bins=n_bins, range=(0, self.field.p))
-        expected = values.size / n_bins
+        counts, _ = np.histogram(values, bins=UNIFORMITY_BINS, range=(0, self.field.p))
+        expected = values.size / UNIFORMITY_BINS
         return float(np.sum((counts - expected) ** 2 / expected))

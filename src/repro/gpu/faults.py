@@ -29,7 +29,7 @@ class FaultInjector:
 
 
 class RandomTamper(FaultInjector):
-    """Adds a uniform non-zero field offset at random positions.
+    """Adds a uniform non-zero field offset at one random position.
 
     Parameters
     ----------
@@ -37,8 +37,6 @@ class RandomTamper(FaultInjector):
         Field the outputs live in (offsets are sampled mod p).
     probability:
         Chance that any given output tensor gets corrupted.
-    n_entries:
-        How many entries to perturb when a tensor is chosen.
     seed:
         Generator seed for reproducible sabotage.
     """
@@ -47,16 +45,12 @@ class RandomTamper(FaultInjector):
         self,
         field: PrimeField,
         probability: float = 1.0,
-        n_entries: int = 1,
         seed=None,
     ) -> None:
         if not 0.0 <= probability <= 1.0:
             raise ConfigurationError(f"probability must be in [0, 1], got {probability}")
-        if n_entries < 1:
-            raise ConfigurationError(f"n_entries must be >= 1, got {n_entries}")
         self.field = field
         self.probability = probability
-        self.n_entries = n_entries
         self._rng = np.random.default_rng(seed)
         self._tampered = 0
 
@@ -65,7 +59,7 @@ class RandomTamper(FaultInjector):
             return tensor
         out = np.array(tensor, dtype=np.int64, copy=True)
         flat = out.reshape(-1)
-        k = min(self.n_entries, flat.size)
+        k = min(1, flat.size)
         positions = self._rng.choice(flat.size, size=k, replace=False)
         offsets = self.field.nonzero_uniform((k,), self._rng)
         flat[positions] = self.field.add(flat[positions], offsets)

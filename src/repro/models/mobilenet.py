@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.specs import ModelSpec, SpecBuilder
+from repro.models.specs import IMAGENET_INPUT, ModelSpec, SpecBuilder
 from repro.nn import (
     BatchNorm2D,
     Conv2D,
@@ -43,9 +43,9 @@ _MOBILENET_V2_BLOCKS = [
 ]
 
 
-def mobilenet_v1_spec(input_size: int = 224, n_classes: int = 1000) -> ModelSpec:
+def mobilenet_v1_spec(n_classes: int = 1000) -> ModelSpec:
     """Exact MobileNetV1 inventory: ~4.2M params, ~0.57 GMACs at 224x224."""
-    b = SpecBuilder("MobileNetV1", (3, input_size, input_size))
+    b = SpecBuilder("MobileNetV1", IMAGENET_INPUT)
     b.conv(32, kernel=3, stride=2, pad=1).batchnorm().relu()
     for out_channels, stride in _MOBILENET_V1_BLOCKS:
         b.depthwise_conv(kernel=3, stride=stride, pad=1).batchnorm().relu()
@@ -56,13 +56,13 @@ def mobilenet_v1_spec(input_size: int = 224, n_classes: int = 1000) -> ModelSpec
     return b.build()
 
 
-def mobilenet_v2_spec(input_size: int = 224, n_classes: int = 1000) -> ModelSpec:
+def mobilenet_v2_spec(n_classes: int = 1000) -> ModelSpec:
     """Exact MobileNetV2 inventory: ~3.5M params, ~0.3 GMACs at 224x224.
 
     Inverted residuals: 1x1 expand (t×), 3x3 depthwise, 1x1 linear project,
     residual add when stride 1 and shapes match.
     """
-    b = SpecBuilder("MobileNetV2", (3, input_size, input_size))
+    b = SpecBuilder("MobileNetV2", IMAGENET_INPUT)
     b.conv(32, kernel=3, stride=2, pad=1).batchnorm().relu()
     in_channels = 32
     for expansion, out_channels, repeats, first_stride in _MOBILENET_V2_BLOCKS:

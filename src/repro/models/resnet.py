@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.specs import ModelSpec, SpecBuilder
+from repro.models.specs import IMAGENET_INPUT, ModelSpec, SpecBuilder
 from repro.nn import (
     BatchNorm2D,
     Conv2D,
@@ -32,9 +32,9 @@ _RESNET50_STAGES = [
 ]
 
 
-def resnet50_spec(input_size: int = 224, n_classes: int = 1000) -> ModelSpec:
+def resnet50_spec(n_classes: int = 1000) -> ModelSpec:
     """Exact ResNet50 inventory: ~25.6M params, ~4.1 GMACs at 224x224."""
-    b = SpecBuilder("ResNet50", (3, input_size, input_size))
+    b = SpecBuilder("ResNet50", IMAGENET_INPUT)
     b.conv(64, kernel=7, stride=2, pad=3).batchnorm().relu()
     b.maxpool(3, stride=2)
     for n_blocks, mid, out, first_stride in _RESNET50_STAGES:

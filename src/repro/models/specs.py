@@ -19,6 +19,9 @@ from dataclasses import dataclass, field as dataclass_field
 from repro.errors import ConfigurationError
 from repro.nn.functional import conv_output_size
 
+#: ImageNet's input shape, at which every full-size spec is counted.
+IMAGENET_INPUT = (3, 224, 224)
+
 #: Operator classes the cost model prices separately.
 LINEAR_KINDS = frozenset({"conv", "dense", "depthwise_conv"})
 NONLINEAR_KINDS = frozenset(

@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.specs import ModelSpec, SpecBuilder
+from repro.models.specs import IMAGENET_INPUT, ModelSpec, SpecBuilder
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 
 #: Channel plan per block: (n_convs, channels).
 _VGG16_BLOCKS = [(2, 64), (2, 128), (3, 256), (3, 512), (3, 512)]
 
 
-def vgg16_spec(input_size: int = 224, n_classes: int = 1000) -> ModelSpec:
-    """The exact VGG16 layer inventory at the given input resolution.
+def vgg16_spec(n_classes: int = 1000) -> ModelSpec:
+    """The exact VGG16 layer inventory at ImageNet's 224x224.
 
-    At 224x224 this reports ~138.4M parameters and ~15.5 GMACs forward,
-    matching the published architecture.
+    This reports ~138.4M parameters and ~15.5 GMACs forward, matching the
+    published architecture.
     """
-    b = SpecBuilder("VGG16", (3, input_size, input_size))
+    b = SpecBuilder("VGG16", IMAGENET_INPUT)
     for n_convs, channels in _VGG16_BLOCKS:
         for _ in range(n_convs):
             b.conv(channels, kernel=3, stride=1, pad=1).relu()

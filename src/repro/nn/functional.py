@@ -36,6 +36,9 @@ from repro.errors import ConfigurationError
 #: makes (a single sample larger than this is a block of its own).
 UNFOLD_BLOCK_BYTES = 4 << 20
 
+#: Added to a picked probability before its log, so a zero costs a finite loss.
+LOG_EPS = 1e-12
+
 # ----------------------------------------------------------------------
 # im2col / col2im
 # ----------------------------------------------------------------------
@@ -418,8 +421,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray, eps: float = 1e-12) -> float:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of integer ``labels`` under ``probs``."""
     n = probs.shape[0]
     picked = probs[np.arange(n), labels]
-    return float(-np.mean(np.log(picked + eps)))
+    return float(-np.mean(np.log(picked + LOG_EPS)))

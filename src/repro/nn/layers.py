@@ -19,6 +19,9 @@ from repro.nn import functional as F
 from repro.nn.backends import LinearBackend
 from repro.nn.initializers import he_normal, xavier_uniform, zeros
 
+#: Added to the batch variance before its square root.
+BN_EPS = 1e-5
+
 
 class Layer:
     """Base layer: parameter/grad dicts plus the forward/backward contract.
@@ -334,7 +337,6 @@ class BatchNorm2D(Layer):
         self,
         channels: int,
         momentum: float = 0.9,
-        eps: float = 1e-5,
         name: str | None = None,
     ) -> None:
         super().__init__(name)
@@ -344,7 +346,6 @@ class BatchNorm2D(Layer):
             raise ConfigurationError(f"momentum must be in (0, 1), got {momentum}")
         self.channels = channels
         self.momentum = momentum
-        self.eps = eps
         self.params["gamma"] = np.ones((channels,))
         self.params["beta"] = np.zeros((channels,))
         self.running_mean = np.zeros((channels,))
@@ -356,7 +357,7 @@ class BatchNorm2D(Layer):
         beta = self.params["beta"].reshape(1, -1, 1, 1)
         if not training:
             # The same elementwise ops in the same order, into one buffer.
-            std = np.sqrt(self.running_var + self.eps)
+            std = np.sqrt(self.running_var + BN_EPS)
             out = x - self.running_mean.reshape(1, -1, 1, 1)
             out /= std.reshape(1, -1, 1, 1)
             out *= gamma
@@ -366,7 +367,7 @@ class BatchNorm2D(Layer):
         var = x.var(axis=(0, 2, 3))
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
         self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        std = np.sqrt(var + self.eps)
+        std = np.sqrt(var + BN_EPS)
         x_hat = (x - mean.reshape(1, -1, 1, 1)) / std.reshape(1, -1, 1, 1)
         self._cache = (x_hat, std)
         return gamma * x_hat + beta

@@ -9,10 +9,10 @@ from repro.nn.network import Sequential
 
 
 class SGD:
-    """Stochastic gradient descent with optional momentum and weight decay.
+    """Stochastic gradient descent with optional momentum.
 
     The paper trains with "the well known SGD process" (Section 4); we add
-    the standard momentum/decay knobs every practical run uses.
+    the standard momentum knob every practical run uses.
     """
 
     def __init__(
@@ -20,18 +20,14 @@ class SGD:
         network: Sequential,
         lr: float = 0.01,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ) -> None:
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ConfigurationError(f"weight decay cannot be negative, got {weight_decay}")
         self.network = network
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity: dict[int, np.ndarray] = {}
 
     def step(self) -> None:
@@ -40,8 +36,6 @@ class SGD:
             if name not in layer.grads:
                 continue
             grad = layer.grads[name]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param
             if self.momentum:
                 key = id(param)
                 vel = self._velocity.get(key)

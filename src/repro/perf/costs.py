@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.models.specs import ModelSpec
-from repro.perf.devices import DEFAULT_SYSTEM, SystemProfile, kernel_efficiency
+from repro.perf.devices import BYTES_PER_ELEMENT, DEFAULT_SYSTEM, kernel_efficiency
 from repro.runtime.config import DarKnightConfig
 
 #: Virtual-batch EPC knee (samples) calibrated to the paper's K=4 optimum.
@@ -42,8 +42,6 @@ EPC_KNEE_SAMPLES = 4.6
 #: ``1 + BATCH_OVERHEAD / K`` (dispatch, boundary crossings), which gives
 #: the small ReLU/MaxPool gains with larger K visible in Fig. 6b.
 BATCH_OVERHEAD = 0.25
-
-_BYTES_PER_ELEM = 4  # float32 activations and 25-bit field words alike
 
 
 @dataclass(frozen=True)
@@ -74,10 +72,10 @@ class PhaseBreakdown:
 
 
 class CostModel:
-    """Prices workloads described by :class:`~repro.models.specs.ModelSpec`."""
+    """Prices workloads described by :class:`~repro.models.specs.ModelSpec`
+    on the paper's testbed, :data:`~repro.perf.devices.DEFAULT_SYSTEM`."""
 
-    def __init__(self, system: SystemProfile | None = None) -> None:
-        self.system = system or DEFAULT_SYSTEM
+    system = DEFAULT_SYSTEM
 
     # ------------------------------------------------------------------
     # element inventories
@@ -166,28 +164,41 @@ class CostModel:
     # ------------------------------------------------------------------
     # masking / communication
     # ------------------------------------------------------------------
+    def encode_decode_times(
+        self, spec: ModelSpec, cfg: DarKnightConfig
+    ) -> tuple[float, float]:
+        """Per-sample forward encode and decode seconds in the TEE.
+
+        Encode turns ``f_in`` into ``n_shares`` share tensors; decode
+        recovers ``f_out`` from ``K + M`` of them.  Each is the max of its
+        traffic and its field MACs.
+        """
+        sgx = self.system.sgx
+        k = cfg.virtual_batch_size
+        sources = k + cfg.collusion_tolerance
+        shares = cfg.n_shares
+        f_in, f_out = self._linear_in_out_elems(spec)
+        enc_traffic = shares * f_in * BYTES_PER_ELEMENT / k / sgx.mask_bytes_per_s
+        enc_macs = f_in * sources * shares / k / sgx.field_macs_per_s
+        dec_traffic = sources * f_out * BYTES_PER_ELEMENT / k / sgx.mask_bytes_per_s
+        dec_macs = f_out * sources * sources / k / sgx.field_macs_per_s
+        return max(enc_traffic, enc_macs), max(dec_traffic, dec_macs)
+
     def masking_time(
         self, spec: ModelSpec, cfg: DarKnightConfig, training: bool = True
     ) -> float:
         """Per-sample encode + decode time in the TEE (max of traffic/MACs)."""
         sgx = self.system.sgx
         k = cfg.virtual_batch_size
-        sources = k + cfg.collusion_tolerance
         shares = cfg.n_shares
-        f_in, f_out = self._linear_in_out_elems(spec)
-        # Forward: encode f_in into `shares` share tensors; decode f_out from
-        # `sources` of them (field words stream as 4-byte int32 lanes).
-        enc_traffic = shares * f_in * _BYTES_PER_ELEM / k / sgx.mask_bytes_per_s
-        enc_macs = f_in * sources * shares / k / sgx.field_macs_per_s
-        dec_traffic = sources * f_out * _BYTES_PER_ELEM / k / sgx.mask_bytes_per_s
-        dec_macs = f_out * sources * sources / k / sgx.field_macs_per_s
-        total = max(enc_traffic, enc_macs) + max(dec_traffic, dec_macs)
+        encode, decode = self.encode_decode_times(spec, cfg)
+        total = encode + decode
         if training:
             # Backward decode: Σ γ_j Eq_j streams `shares` parameter-shaped
             # equations in and one aggregate out.
             grad_elems = sum(l.counts.params for l in spec.layers if l.is_linear)
             bwd_traffic = (
-                (shares + 1) * grad_elems * _BYTES_PER_ELEM / k / sgx.mask_bytes_per_s
+                (shares + 1) * grad_elems * BYTES_PER_ELEMENT / k / sgx.mask_bytes_per_s
             )
             bwd_macs = grad_elems * shares / k / sgx.field_macs_per_s
             total += max(bwd_traffic, bwd_macs)
@@ -206,19 +217,19 @@ class CostModel:
         link = self.system.link
         k = cfg.virtual_batch_size
         f_in, f_out = self._linear_in_out_elems(spec)
-        fwd_bytes_per_link = (f_in + f_out) * link.bytes_per_element
+        fwd_bytes_per_link = (f_in + f_out) * BYTES_PER_ELEMENT
         total = fwd_bytes_per_link / k / link.bytes_per_s
         if training:
             grad_elems = sum(l.counts.params for l in spec.layers if l.is_linear)
             bwd_bytes_per_link = (
-                k * f_out * link.bytes_per_element  # quantized deltas broadcast
-                + grad_elems * link.bytes_per_element  # Eq_j result back
+                k * f_out * BYTES_PER_ELEMENT  # quantized deltas broadcast
+                + grad_elems * BYTES_PER_ELEMENT  # Eq_j result back
             )
             total += bwd_bytes_per_link / k / link.bytes_per_s
         if cfg.integrity and training:
             # The redundant-B verification repeats the Eq exchange once.
             grad_elems = sum(l.counts.params for l in spec.layers if l.is_linear)
-            total += grad_elems * link.bytes_per_element / k / link.bytes_per_s
+            total += grad_elems * BYTES_PER_ELEMENT / k / link.bytes_per_s
         return total
 
     def epc_overflow_penalty(self, spec: ModelSpec, virtual_batch: int) -> float:
@@ -289,7 +300,7 @@ class CostModel:
         return PhaseBreakdown(linear=linear, nonlinear=nonlinear)
 
     def gpu_only_training(
-        self, spec: ModelSpec, n_gpus: int = 3, batch_size: int = 128
+        self, spec: ModelSpec, n_gpus: int, batch_size: int = 128
     ) -> float:
         """Per-sample non-private data-parallel training time (Table 4)."""
         if n_gpus < 1:
@@ -355,7 +366,7 @@ class CostModel:
         # Blind (add r) + unblind (subtract u): traffic bound.
         blind = (f_in + f_out) * 8 / sgx.mask_bytes_per_s
         # Reload + AEAD-decrypt the u = W·r factors (per sample, per layer).
-        reload = f_out * _BYTES_PER_ELEM / sgx.aead_bytes_per_s
+        reload = f_out * BYTES_PER_ELEMENT / sgx.aead_bytes_per_s
         encode_decode = blind + reload
         if integrity:
             # Freivalds on Y = W_flat (F x D) @ cols (D x P): cost is
@@ -371,7 +382,7 @@ class CostModel:
                 d = max(1, layer.counts.macs_forward // act)
                 freivalds_macs += f * d + f * p + d * p
             encode_decode += freivalds_macs / sgx.field_macs_per_s
-        communication = (f_in + f_out) * link.bytes_per_element / link.bytes_per_s
+        communication = (f_in + f_out) * BYTES_PER_ELEMENT / link.bytes_per_s
         return PhaseBreakdown(
             linear=linear,
             nonlinear=nonlinear,
@@ -383,7 +394,7 @@ class CostModel:
     # Fig. 3 — aggregation, Fig. 7 — multithreading
     # ------------------------------------------------------------------
     def aggregation_time(
-        self, spec: ModelSpec, virtual_batch: int, batch_size: int = 128, n_shards: int = 8
+        self, spec: ModelSpec, virtual_batch: int, batch_size: int = 128
     ) -> float:
         """Seconds to aggregate one large batch's weight update (Algorithm 2).
 
@@ -391,6 +402,8 @@ class CostModel:
         decrypt, and sum all of them shard-wise.  Larger K means fewer
         crypto round trips but a bigger encoding working set — past the EPC
         knee the paging penalty claws the gains back (Fig. 3's K=5 dip).
+        The shard count does not enter: sharding pipelines the transfers
+        and leaves the totals unchanged.
         """
         if virtual_batch < 1 or batch_size < virtual_batch:
             raise ConfigurationError(
@@ -414,7 +427,6 @@ class CostModel:
         paging_per_vb = (
             over * 1.5 * (grad_bytes + sgx.epc_usable_bytes) * 2.0 / sgx.paging_bytes_per_s
         )
-        del n_shards  # sharding pipelines transfers; totals unchanged
         return n_vb * (per_vb + per_sample_fixed + paging_per_vb)
 
     def multithread_latency(self, spec: ModelSpec, threads: int) -> float:

@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.enclave.epc import EPC_USABLE_BYTES
-from repro.errors import ConfigurationError
+
+#: Bytes per tensor element, in enclave memory and on the wire alike:
+#: float32 activations and 25-bit field words both ride in 4-byte words.
+BYTES_PER_ELEMENT = 4
 
 #: Arithmetic-intensity efficiency by linear-layer flavour (both devices).
 KERNEL_EFFICIENCY = {
@@ -109,15 +112,6 @@ class LinkProfile:
 
     name: str = "infiniband-40g"
     bytes_per_s: float = 5.0e9
-    latency_s: float = 2e-6
-    #: Wire bytes per field element (25-bit values ride in 4-byte words).
-    bytes_per_element: int = 4
-
-    def time(self, nbytes: float) -> float:
-        """Seconds to move ``nbytes`` over one link."""
-        if nbytes < 0:
-            raise ConfigurationError(f"cannot transfer {nbytes} bytes")
-        return self.latency_s + nbytes / self.bytes_per_s
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from repro.models import (
     vgg16_spec,
 )
 from repro.nn import PlainBackend
-from repro.perf.costs import CostModel
-from repro.perf.devices import SystemProfile
+from repro.perf.costs import BATCH_OVERHEAD, CostModel
 from repro.perf.timeline import build_timeline
 from repro.runtime import DarKnightConfig, Trainer
 from repro.runtime.darknight import DarKnightBackend
@@ -36,17 +35,23 @@ TRAINING_SPECS = {
     "MobileNetV2": mobilenet_v2_spec,
 }
 
+#: GPUs of Table 4's non-private data-parallel baseline.
+TABLE4_GPUS = 3
 
-def _model(system: SystemProfile | None) -> CostModel:
-    return CostModel(system)
+#: The virtual batch sizes each sweep exhibit evaluates.
+FIG3_VIRTUAL_BATCHES = (2, 3, 4, 5)
+FIG6B_VIRTUAL_BATCHES = (1, 2, 4, 6)
+
+#: Concurrent SGX training threads of Fig. 7.
+FIG7_THREADS = (1, 2, 3, 4)
 
 
 # ----------------------------------------------------------------------
 # Table 1 — GPU vs SGX speedup per operation class (VGG16, ImageNet)
 # ----------------------------------------------------------------------
-def table1_rows(system: SystemProfile | None = None) -> list[dict]:
+def table1_rows() -> list[dict]:
     """Rows: operation class x {forward, backward} GPU-over-SGX speedup."""
-    cm = _model(system)
+    cm = CostModel()
     spec = vgg16_spec()
     sgx, gpu = cm.system.sgx, cm.system.gpu
     rows = []
@@ -113,11 +118,9 @@ def table2_rows() -> list[list[str]]:
 # ----------------------------------------------------------------------
 # Table 3 — training time breakdown
 # ----------------------------------------------------------------------
-def table3_rows(
-    system: SystemProfile | None = None, virtual_batch: int = 2
-) -> list[dict]:
+def table3_rows(virtual_batch: int = 2) -> list[dict]:
     """Fractions of training time per phase, DarKnight vs SGX baseline."""
-    cm = _model(system)
+    cm = CostModel()
     cfg = DarKnightConfig(virtual_batch_size=virtual_batch)
     rows = []
     for name, spec_fn in TRAINING_SPECS.items():
@@ -137,18 +140,16 @@ def table3_rows(
 # ----------------------------------------------------------------------
 # Table 4 — non-private GPU training speedups
 # ----------------------------------------------------------------------
-def table4_rows(
-    system: SystemProfile | None = None, n_gpus: int = 3, virtual_batch: int = 2
-) -> list[dict]:
+def table4_rows(virtual_batch: int = 2) -> list[dict]:
     """Non-private 3-GPU speedup over DarKnight and over SGX-only."""
-    cm = _model(system)
+    cm = CostModel()
     cfg = DarKnightConfig(virtual_batch_size=virtual_batch)
     rows = []
     for name, spec_fn in TRAINING_SPECS.items():
         spec = spec_fn()
         dk = cm.darknight_training(spec, cfg).total
         bl = cm.sgx_baseline_training(spec).total
-        gp = cm.gpu_only_training(spec, n_gpus)
+        gp = cm.gpu_only_training(spec, TABLE4_GPUS)
         rows.append(
             {
                 "model": name,
@@ -162,19 +163,16 @@ def table4_rows(
 # ----------------------------------------------------------------------
 # Fig. 3 — virtual batch size vs aggregation speedup
 # ----------------------------------------------------------------------
-def fig3_series(
-    system: SystemProfile | None = None,
-    batch_size: int = 128,
-    virtual_batches: tuple[int, ...] = (2, 3, 4, 5),
-) -> dict[str, dict[int, float]]:
+def fig3_series(batch_size: int = 128) -> dict[str, dict[int, float]]:
     """Aggregation (decoding) speedup relative to K=1, per model."""
-    cm = _model(system)
+    cm = CostModel()
     series: dict[str, dict[int, float]] = {}
     for name, spec_fn in TRAINING_SPECS.items():
         spec = spec_fn()
         base = cm.aggregation_time(spec, 1, batch_size)
         series[name] = {
-            k: base / cm.aggregation_time(spec, k, batch_size) for k in virtual_batches
+            k: base / cm.aggregation_time(spec, k, batch_size)
+            for k in FIG3_VIRTUAL_BATCHES
         }
     return series
 
@@ -242,11 +240,9 @@ def fig4_series(
 # ----------------------------------------------------------------------
 # Fig. 5 — training speedup, non-pipelined and pipelined
 # ----------------------------------------------------------------------
-def fig5_series(
-    system: SystemProfile | None = None, virtual_batch: int = 2
-) -> dict[str, dict[str, float]]:
+def fig5_series(virtual_batch: int = 2) -> dict[str, dict[str, float]]:
     """Overall and linear-op speedups for both execution disciplines."""
-    cm = _model(system)
+    cm = CostModel()
     cfg = DarKnightConfig(virtual_batch_size=virtual_batch)
     series: dict[str, dict[str, float]] = {}
     for name, spec_fn in TRAINING_SPECS.items():
@@ -268,9 +264,9 @@ def fig5_series(
 # ----------------------------------------------------------------------
 # Fig. 6(a) — inference speedup comparison (VGG16, MobileNetV1)
 # ----------------------------------------------------------------------
-def fig6a_series(system: SystemProfile | None = None) -> dict[str, dict[str, float]]:
+def fig6a_series() -> dict[str, dict[str, float]]:
     """Speedup over the SGX-only baseline for five configurations."""
-    cm = _model(system)
+    cm = CostModel()
     series: dict[str, dict[str, float]] = {}
     for name, spec_fn in (("VGG16", vgg16_spec), ("MobileNetV1", mobilenet_v1_spec)):
         spec = spec_fn()
@@ -292,32 +288,19 @@ def fig6a_series(system: SystemProfile | None = None) -> dict[str, dict[str, flo
 # ----------------------------------------------------------------------
 # Fig. 6(b) — per-operation inference speedup vs virtual batch size
 # ----------------------------------------------------------------------
-def fig6b_series(
-    system: SystemProfile | None = None,
-    virtual_batches: tuple[int, ...] = (1, 2, 4, 6),
-) -> dict[str, dict[int, float]]:
+def fig6b_series() -> dict[str, dict[int, float]]:
     """Unblinding/blinding/relu/maxpool/total speedup vs DarKnight(1), VGG16."""
-    cm = _model(system)
+    cm = CostModel()
     spec = vgg16_spec()
     sgx = cm.system.sgx
 
     def components(k: int) -> dict[str, float]:
         cfg = DarKnightConfig(virtual_batch_size=k)
-        sources = k + cfg.collusion_tolerance
-        shares = cfg.n_shares
-        f_in, f_out = cm._linear_in_out_elems(spec)
-        encode = max(
-            shares * f_in * 4 / k / sgx.mask_bytes_per_s,
-            f_in * sources * shares / k / sgx.field_macs_per_s,
-        )
-        decode = max(
-            sources * f_out * 4 / k / sgx.mask_bytes_per_s,
-            f_out * sources * sources / k / sgx.field_macs_per_s,
-        )
+        encode, decode = cm.encode_decode_times(spec, cfg)
         overflow = cm.epc_overflow_penalty(spec, k)
         relu = spec.elementwise_ops(frozenset({"relu"})) / sgx.relu_rate(True)
         pool = spec.elementwise_ops(frozenset({"maxpool"})) / sgx.pool_rate(True)
-        batch_factor = 1.0 + 0.25 / max(1, k)
+        batch_factor = 1.0 + BATCH_OVERHEAD / max(1, k)
         return {
             "Blinding": encode + overflow / 2,
             "Unblinding": decode + overflow / 2,
@@ -328,7 +311,7 @@ def fig6b_series(
 
     base = components(1)
     series: dict[str, dict[int, float]] = {op: {} for op in base}
-    for k in virtual_batches:
+    for k in FIG6B_VIRTUAL_BATCHES:
         comp = components(k)
         for op in base:
             series[op][k] = base[op] / comp[op]
@@ -338,24 +321,22 @@ def fig6b_series(
 # ----------------------------------------------------------------------
 # Fig. 7 — SGX multithreading latency
 # ----------------------------------------------------------------------
-def fig7_series(
-    system: SystemProfile | None = None, threads: tuple[int, ...] = (1, 2, 3, 4)
-) -> dict[int, float]:
+def fig7_series() -> dict[int, float]:
     """Per-batch training latency of t concurrent SGX threads, rel. t=1."""
-    cm = _model(system)
+    cm = CostModel()
     spec = vgg16_spec()
     base = cm.multithread_latency(spec, 1)
-    return {t: cm.multithread_latency(spec, t) / base for t in threads}
+    return {t: cm.multithread_latency(spec, t) / base for t in FIG7_THREADS}
 
 
 # ----------------------------------------------------------------------
 # headline summary (abstract: 6.5x training, 12.5x inference averages)
 # ----------------------------------------------------------------------
-def headline_speedups(system: SystemProfile | None = None) -> dict[str, float]:
+def headline_speedups() -> dict[str, float]:
     """Average training and inference speedups across evaluated models."""
-    train = fig5_series(system)
+    train = fig5_series()
     train_avg = float(np.mean([v["non_pipelined"] for v in train.values()]))
-    inf = fig6a_series(system)
+    inf = fig6a_series()
     inf_avg = float(
         np.mean([series["DarKnight(4)"] for series in inf.values()])
     )

@@ -130,10 +130,9 @@ class PipelineExecutor:
         schedule exactly.
     costs:
         Stage pricing; defaults to :data:`~repro.pipeline.timing.DEFAULT_STAGE_COSTS`.
-    timeline:
-        The enclave's serialized clock.  Pass a shared instance to overlap
-        consecutive windows (a shard keeps one); defaults to a fresh clock
-        at zero.
+
+    The executor owns the enclave's serialized clock, which starts at zero
+    and carries over between windows, so consecutive windows overlap.
     """
 
     def __init__(
@@ -142,7 +141,6 @@ class PipelineExecutor:
         backend: StagedLinearBackend,
         pipeline_depth: int = 1,
         costs: StageCostModel | None = None,
-        timeline: EnclaveTimeline | None = None,
     ) -> None:
         if pipeline_depth < 1:
             raise ConfigurationError(
@@ -158,7 +156,7 @@ class PipelineExecutor:
         self.backend = backend
         self.pipeline_depth = pipeline_depth
         self.costs = costs or DEFAULT_STAGE_COSTS
-        self.timeline = timeline or EnclaveTimeline()
+        self.timeline = EnclaveTimeline()
 
     # ------------------------------------------------------------------
     # plan preparation
@@ -191,14 +189,10 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
-    def run(self, x: np.ndarray, release_time: float = 0.0) -> PipelineResult:
-        """Execute one batch, interleaving stages across virtual batches.
-
-        ``release_time`` is when the batch's data becomes available on the
-        simulated clock (a serving batch's flush time); no stage is
-        scheduled before it.
-        """
-        groups, stats = self.run_grouped([WindowItem(x, release_time)])
+    def run(self, x: np.ndarray) -> PipelineResult:
+        """Execute one batch released at time zero, interleaving stages
+        across virtual batches."""
+        groups, stats = self.run_grouped([WindowItem(x, 0.0)])
         return PipelineResult(output=groups[0].output, stats=stats)
 
     def run_grouped(

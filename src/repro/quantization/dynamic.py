@@ -6,8 +6,8 @@ the limits ... by dividing them to the maximum absolute entry of the vector."
 ResNet/MobileNet keep activations in range via normalisation layers and use
 the static scheme.
 
-The normaliser divides a tensor by its max-abs (when that exceeds a target
-ceiling), remembers the factor, and multiplies the factor back into decoded
+The normaliser divides a tensor by its max-abs (when that exceeds 1.0),
+remembers the factor, and multiplies the factor back into decoded
 bilinear results.  Because the masked computation is linear, scaling an input
 by ``1/c`` scales every decoded product by ``1/c`` exactly, so the round trip
 is lossless apart from the usual fixed-point rounding.
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.errors import QuantizationError
 
 
 @dataclass(frozen=True)
@@ -58,20 +56,8 @@ IDENTITY = Normalization(1.0)
 
 
 class DynamicNormalizer:
-    """Per-tensor max-abs normalisation with a configurable ceiling.
-
-    Parameters
-    ----------
-    ceiling:
-        Tensors whose max-abs exceeds this are divided down to it.  The
-        default 1.0 reproduces the paper's "divide by the maximum absolute
-        entry" rule; larger ceilings trade headroom for resolution.
-    """
-
-    def __init__(self, ceiling: float = 1.0) -> None:
-        if ceiling <= 0:
-            raise QuantizationError(f"ceiling must be positive, got {ceiling}")
-        self.ceiling = float(ceiling)
+    """Per-tensor max-abs normalisation to a ceiling of 1.0: the paper's
+    "divide by the maximum absolute entry" rule."""
 
     def normalize(self, values: np.ndarray) -> tuple[np.ndarray, Normalization]:
         """Return ``(scaled_values, normalization)``.
@@ -81,9 +67,9 @@ class DynamicNormalizer:
         """
         arr = np.asarray(values, dtype=np.float64)
         max_abs = float(np.abs(arr).max()) if arr.size else 0.0
-        if max_abs <= self.ceiling or max_abs == 0.0:
+        if max_abs <= 1.0:
             return arr, IDENTITY
-        norm = Normalization(max_abs / self.ceiling)
+        norm = Normalization(max_abs)
         return norm.apply(arr), norm
 
     def normalize_rows(
@@ -121,7 +107,7 @@ class DynamicNormalizer:
             return scaled, None if norm is IDENTITY else norm.factor
         axes = tuple(range(lead, arr.ndim))
         max_abs = np.abs(arr).max(axis=axes, keepdims=True)
-        factors = np.where(max_abs > self.ceiling, max_abs / self.ceiling, 1.0)
+        factors = np.where(max_abs > 1.0, max_abs, 1.0)
         if (factors == 1.0).all():
             return arr, None
         return arr / factors, factors

@@ -23,6 +23,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: The extra slack ``δ'`` at which advanced composition is stated.
+ADVANCED_DELTA_PRIME = 1e-6
+
 
 @dataclass(frozen=True)
 class DpConfig:
@@ -79,15 +82,14 @@ class PrivacyLedger:
         """Linear composition: ``steps * ε_step`` at total δ = steps·δ."""
         return self.steps * self.config.epsilon_per_step()
 
-    def epsilon_advanced(self, delta_prime: float = 1e-6) -> float:
-        """Advanced composition at an extra slack ``δ'``."""
-        if not 0 < delta_prime < 1:
-            raise ConfigurationError(f"delta_prime must be in (0, 1), got {delta_prime}")
+    def epsilon_advanced(self) -> float:
+        """Advanced composition at an extra slack ``δ'`` of
+        :data:`ADVANCED_DELTA_PRIME`."""
         if self.steps == 0:
             return 0.0
         eps = self.config.epsilon_per_step()
         k = self.steps
-        return math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) * eps + k * eps * (
+        return math.sqrt(2.0 * k * math.log(1.0 / ADVANCED_DELTA_PRIME)) * eps + k * eps * (
             math.exp(eps) - 1.0
         )
 

@@ -36,7 +36,7 @@ class Trainer:
         The model (built by :mod:`repro.models` or by hand).
     backend:
         Where linear ops execute; default plain float.
-    lr / momentum / weight_decay:
+    lr / momentum:
         Optimiser knobs.
     """
 
@@ -46,12 +46,11 @@ class Trainer:
         backend: LinearBackend | None = None,
         lr: float = 0.05,
         momentum: float = 0.9,
-        weight_decay: float = 0.0,
     ) -> None:
         self.network = network
         self.backend = backend or PlainBackend()
         self.loss = SoftmaxCrossEntropy()
-        self.optimizer = SGD(network, lr=lr, momentum=momentum, weight_decay=weight_decay)
+        self.optimizer = SGD(network, lr=lr, momentum=momentum)
         self.history = TrainingHistory()
 
     # ------------------------------------------------------------------
@@ -84,7 +83,6 @@ class Trainer:
         val_x: np.ndarray | None = None,
         val_y: np.ndarray | None = None,
         shuffle_seed: int = 0,
-        verbose: bool = False,
     ) -> TrainingHistory:
         """Train for ``epochs`` passes, recording loss/accuracy per epoch."""
         if x.shape[0] != np.asarray(y).shape[0]:
@@ -93,7 +91,7 @@ class Trainer:
             raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
         rng = np.random.default_rng(shuffle_seed)
         n = x.shape[0]
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = rng.permutation(n)
             epoch_losses = []
             for start in range(0, n, batch_size):
@@ -103,11 +101,6 @@ class Trainer:
             self.history.accuracy.append(self.evaluate(x, y))
             if val_x is not None and val_y is not None:
                 self.history.val_accuracy.append(self.evaluate(val_x, val_y))
-            if verbose:  # pragma: no cover - console convenience
-                print(
-                    f"epoch {epoch + 1}/{epochs}: loss={self.history.loss[-1]:.4f}"
-                    f" acc={self.history.accuracy[-1]:.3f}"
-                )
         return self.history
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> float:

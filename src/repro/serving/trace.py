@@ -2,9 +2,8 @@
 
 A trace is a time-ordered list of (arrival time, tenant, sample) tuples.
 :func:`synthetic_trace` draws Poisson-process arrivals (exponential gaps)
-across a configurable tenant mix — including a deliberately "hot" tenant
-for fairness experiments — so benchmarks and tests can replay identical
-load patterns deterministically from a seed.
+spread uniformly over a configurable number of tenants, so benchmarks and
+tests can replay identical load patterns deterministically from a seed.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ def synthetic_trace(
     n_tenants: int = 4,
     mean_interarrival: float = 1e-3,
     seed: int | None = 0,
-    hot_tenant_share: float | None = None,
 ) -> list[TraceRequest]:
     """Generate a Poisson-arrival multi-tenant request trace.
 
@@ -65,9 +63,6 @@ def synthetic_trace(
         offered load is ``1 / mean_interarrival`` requests per second).
     seed:
         Makes the trace fully deterministic.
-    hot_tenant_share:
-        When set (0-1), ``tenant0`` issues that fraction of all requests
-        and the rest spread uniformly — the saturating-tenant scenario.
     """
     if n_requests < 1:
         raise ConfigurationError(f"trace needs >= 1 requests, got {n_requests}")
@@ -81,16 +76,7 @@ def synthetic_trace(
     gaps = rng.exponential(mean_interarrival, size=n_requests)
     times = np.cumsum(gaps)
     tenants = [f"tenant{i}" for i in range(n_tenants)]
-    if hot_tenant_share is None:
-        picks = rng.integers(0, n_tenants, size=n_requests)
-    else:
-        if not 0.0 <= hot_tenant_share <= 1.0:
-            raise ConfigurationError(
-                f"hot tenant share must be in [0, 1], got {hot_tenant_share}"
-            )
-        hot = rng.random(n_requests) < hot_tenant_share
-        cold = rng.integers(min(1, n_tenants - 1), n_tenants, size=n_requests)
-        picks = np.where(hot, 0, cold)
+    picks = rng.integers(0, n_tenants, size=n_requests)
     samples = _samples(rng, n_requests, input_shape)
     return [
         TraceRequest(time=t, tenant=tenants[pick], x=x)

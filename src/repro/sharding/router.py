@@ -38,6 +38,16 @@ import math
 
 from repro.errors import ConfigurationError, ShardError
 
+#: Virtual nodes per shard on the hash ring; more replicas smooth the hash
+#: distribution at slightly more setup cost.
+RING_REPLICAS = 48
+
+#: How many more pinned tenants the ring's candidate may carry than the
+#: least-loaded shard before a *new* tenant is diverted to the latter:
+#: ``1`` would balance aggressively (hash placement only breaking ties),
+#: larger values preserve hash affinity under skew.
+REBALANCE_MARGIN = 2
+
 
 def _stable_hash(key: str) -> int:
     """Deterministic 64-bit ring position for a string key."""
@@ -52,15 +62,6 @@ class ShardRouter:
     ----------
     n_shards:
         Shards in the deployment (ids ``0..n_shards-1``).
-    replicas:
-        Virtual nodes per shard on the hash ring; more replicas smooth
-        the hash distribution at slightly more setup cost.
-    rebalance_margin:
-        How many more pinned tenants the ring's
-        candidate may carry than the least-loaded shard before a *new*
-        tenant is diverted to the latter.  ``1`` balances aggressively
-        (hash placement only breaks ties); larger values preserve hash
-        affinity under skew.
     slo:
         Optional :class:`~repro.serving.slo.SloPolicy`.  Tenants whose
         class priority exceeds the default class's pin to the lightest
@@ -71,26 +72,16 @@ class ShardRouter:
     def __init__(
         self,
         n_shards: int,
-        replicas: int = 48,
-        rebalance_margin: int = 2,
         slo=None,
     ) -> None:
         if n_shards < 1:
             raise ConfigurationError(f"router needs >= 1 shards, got {n_shards}")
-        if replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        if rebalance_margin < 1:
-            raise ConfigurationError(
-                f"rebalance margin must be >= 1, got {rebalance_margin}"
-            )
         self.n_shards = n_shards
-        self.replicas = replicas
-        self.rebalance_margin = rebalance_margin
         self.slo = slo
         ring = [
             (_stable_hash(f"shard{shard}/vnode{replica}"), shard)
             for shard in range(n_shards)
-            for replica in range(replicas)
+            for replica in range(RING_REPLICAS)
         ]
         ring.sort()
         self._ring_keys = [h for h, _ in ring]
@@ -139,7 +130,7 @@ class ShardRouter:
         """The tenant's pinned shard, placing (and pinning) on first sight.
 
         New default-class tenants take the ring candidate unless it is
-        already carrying ``rebalance_margin`` more pinned tenants than
+        already carrying :data:`REBALANCE_MARGIN` more pinned tenants than
         the lightest healthy shard, in which case
         the lightest shard wins (deterministic tie break toward the
         lowest shard id).  New above-default-priority tenants pin
@@ -160,7 +151,7 @@ class ShardRouter:
         else:
             candidate = self.ring_candidate(tenant)
             lightest = self._lightest_shard()
-            if self._load[candidate] - self._load[lightest] >= self.rebalance_margin:
+            if self._load[candidate] - self._load[lightest] >= REBALANCE_MARGIN:
                 candidate = lightest
         self._pins[tenant] = candidate
         self._load[candidate] += 1
@@ -174,11 +165,11 @@ class ShardRouter:
 
         The new shard gets the next monotonic id (removed ids are never
         reused, so router ids stay aligned with the server's
-        shard list), ``replicas`` virtual nodes on the ring, and an empty
+        shard list), :data:`RING_REPLICAS` virtual nodes on the ring, and an empty
         load slot.  Existing pinned tenants move only when the updated
         ring says the new shard is now their candidate — about
         ``pins / n_placeable`` tenants — topped up from the heaviest
-        shard while the load gap exceeds ``rebalance_margin``, with the
+        shard while the load gap exceeds :data:`REBALANCE_MARGIN`, with the
         total move count capped at ``ceil(pins / n_placeable)``.
 
         Returns ``(shard_id, remap)`` where ``remap`` maps each moved
@@ -188,7 +179,7 @@ class ShardRouter:
         shard_id = self.n_shards
         self.n_shards += 1
         self._load.append(0)
-        for replica in range(self.replicas):
+        for replica in range(RING_REPLICAS):
             key = _stable_hash(f"shard{shard_id}/vnode{replica}")
             at = bisect.bisect_left(self._ring_keys, key)
             self._ring_keys.insert(at, key)
@@ -212,7 +203,7 @@ class ShardRouter:
         while len(remap) < max_migrations:
             heaviest = max(self.placeable_shards(), key=lambda s: (self._load[s], -s))
             if heaviest == shard_id or (
-                self._load[heaviest] - self._load[shard_id] < self.rebalance_margin
+                self._load[heaviest] - self._load[shard_id] < REBALANCE_MARGIN
             ):
                 break
             movable = [

@@ -21,6 +21,9 @@ from repro.quantization import DynamicNormalizer, QuantizationConfig
 from repro.slalom.blinding import BlindingStore
 from repro.slalom.freivalds import freivalds_check
 
+#: Blinding pairs precomputed per layer whenever the pool runs dry.
+POOL_SIZE = 32
+
 
 class SlalomTrainingError(NotImplementedError):
     """Raised when a training op hits the Slalom backend."""
@@ -45,8 +48,6 @@ class SlalomBackend:
         (the Slalom+Integrity bars of Fig. 6a).
     fractional_bits:
         Fixed-point precision (Slalom also uses ~8-bit fixed point).
-    pool_size:
-        Blinding pairs precomputed per layer whenever the pool runs dry.
 
     Inputs are normalised by one scalar max-abs factor per call.  An
     inference-mode ``Sequential.forward`` calls once per block of samples
@@ -61,14 +62,12 @@ class SlalomBackend:
         link: LinkModel | None = None,
         integrity: bool = False,
         fractional_bits: int = 8,
-        pool_size: int = 32,
     ) -> None:
         self.enclave = enclave or Enclave(code_identity="slalom-enclave-v1", seed=0)
         self.field = self.enclave.field
         self.cluster = cluster or GpuCluster(self.field, 2)
         self.link = link or LinkModel()
         self.integrity = integrity
-        self.pool_size = pool_size
         self.quantizer = QuantizationConfig(fractional_bits=fractional_bits, field=self.field)
         self.store = BlindingStore(self.enclave)
         self._normalizer = DynamicNormalizer()
@@ -112,7 +111,7 @@ class SlalomBackend:
         if needed > 0:
             self.store.precompute(
                 key,
-                max(needed, self.pool_size),
+                max(needed, POOL_SIZE),
                 sample_shape,
                 lambda r: field_op(r, w_q),
                 weight_version=version,

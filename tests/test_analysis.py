@@ -74,7 +74,7 @@ def test_attack_succeeds_beyond_tolerance(field, frng):
 
 
 def test_masked_shares_carry_no_dependence(field):
-    report = share_input_dependence(field, k=2, m=1, n_trials=128, n_features=16, seed=0)
+    report = share_input_dependence(field, k=2, m=1, n_trials=128, seed=0)
     assert report.mi_excess < 0.05
     assert report.max_correlation < 0.35
 

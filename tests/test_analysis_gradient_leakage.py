@@ -49,10 +49,6 @@ def test_validation(setup):
     with pytest.raises(ConfigurationError):
         gradient_leakage_curve(net, data.x_train, data.y_train, batch_sizes=(999,))
     with pytest.raises(ConfigurationError):
-        gradient_leakage_curve(
-            net, data.x_train, data.y_train, batch_sizes=(2,), target_index=-1
-        )
-    with pytest.raises(ConfigurationError):
         leakage_reduction(
             gradient_leakage_curve(net, data.x_train, data.y_train, batch_sizes=(1,))
         )

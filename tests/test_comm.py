@@ -13,16 +13,10 @@ from repro.perf.devices import LinkProfile
 
 
 def test_default_link_is_40gbps():
-    """The paper's 40 Gbps / 2 µs link is priced in one place: the
-    analytical model's profile (the link model only counts bytes)."""
-    assert (LinkProfile().bytes_per_s, LinkProfile().latency_s) == (5e9, 2e-6)
+    """The paper's 40 Gbps link is priced in one place: the analytical
+    model's profile (the link model only counts bytes)."""
+    assert LinkProfile().bytes_per_s == 5e9
     assert [f.name for f in dataclasses.fields(LinkModel)] == ["total_bytes"]
-
-
-def test_transfer_time_law():
-    link = LinkProfile(bytes_per_s=1e9, latency_s=1e-6)
-    assert link.time(0) == pytest.approx(1e-6)
-    assert link.time(1e9) == pytest.approx(1.000001)
 
 
 def test_transfer_logging_and_totals():
@@ -55,8 +49,6 @@ def test_transfer_many_is_count_transfers_bit_for_bit(warm_up, count, nbytes):
 def test_link_validation():
     with pytest.raises(ConfigurationError):
         LinkModel().transfer("enclave", "gpu0", -5)
-    with pytest.raises(ConfigurationError):
-        LinkProfile().time(-5)
 
 
 def test_secure_channel_roundtrip(nprng):

@@ -63,7 +63,7 @@ def test_store_drop_and_keys(sealer, nprng):
 def test_adversarial_tamper_is_caught(sealer, nprng):
     store = UntrustedStore()
     store.evict("w", sealer.seal(nprng.normal(size=(8,))))
-    store.tamper("w", position=3)
+    store.tamper("w")
     with pytest.raises(SealingError):
         sealer.unseal(store.reload("w"))
 

@@ -25,6 +25,7 @@ from repro.fieldmath.kernels import (
     GenericBackend,
     LimbBackend,
     PublicOperand,
+    int64_sum_limit,
     one_gemm_limit,
     public_gemm_exact,
     two_gemm_limit,
@@ -89,6 +90,29 @@ def test_limb_matmul_past_two_gemm_bound_uses_the_oracle():
     b = np.full((k, 1), FIELD.p - 1, dtype=np.int64)
     expected = pow(FIELD.p - 1, 2, FIELD.p) * k % FIELD.p
     assert LIMB.matmul(FIELD, a, b)[0, 0] == expected
+
+
+#: The paper's prime, one below ``2**26``, and two up to ``PrimeField``'s
+#: ``2**31`` ceiling, where the oracle's int64 sums hold fewest products.
+_WIDE_PRIMES = [2**25 - 39, 67_108_859, 2**30 - 35, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", _WIDE_PRIMES)
+@pytest.mark.parametrize("k", [2, 8, 64, 4097])
+def test_every_path_is_exact_at_all_p_minus_one_operands(p, k):
+    """The oracle, the limb backend and ``field_matmul`` against Python
+    ints, at the largest products a field admits, up to the largest prime
+    ``PrimeField`` accepts: the oracle's int64 chunk must shrink with ``p``
+    (8,192 products at the paper's prime, 2 at ``2**31 - 1``)."""
+    field = PrimeField(p)
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 3), p - 1, dtype=np.int64)
+    expected = _bigint_matmul(a, b, p)
+    assert (expected == k % p).all()
+    assert int64_sum_limit(p) >= 2
+    for product in (GENERIC.matmul(field, a, b), LimbBackend().matmul(field, a, b)):
+        assert np.array_equal(product, expected)
+    assert np.array_equal(field_matmul(field, a, b), expected)
 
 
 @settings(max_examples=15, deadline=None)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from field_oracle import oracle_inverse
 from repro.errors import FieldError, SingularMatrixError
 from repro.fieldmath import (
-    SAFE_ACCUMULATION,
     FieldRng,
     GenericBackend,
     PrimeField,
@@ -21,6 +20,7 @@ from repro.fieldmath import (
     solve,
     vandermonde,
 )
+from repro.fieldmath.kernels import int64_sum_limit
 
 
 def _bigint_matmul(a, b, p):
@@ -52,7 +52,7 @@ def test_field_matmul_chunking_handles_long_contractions(field, frng):
     a = frng.uniform((1, n))
     b = frng.uniform((n, 1))
     expected = _bigint_matmul(a, b, field.p)
-    assert n > 4 * SAFE_ACCUMULATION
+    assert n > 2 * int64_sum_limit(field.p)
     assert np.array_equal(field_matmul(field, a, b, backend=GenericBackend()), expected)
     assert np.array_equal(field_matmul(field, a, b), expected)
 

@@ -131,13 +131,13 @@ def test_device_backward_equations(field, frng):
 # faults
 # ----------------------------------------------------------------------
 def test_random_tamper_changes_output(field, frng):
-    tamper = RandomTamper(field, probability=1.0, n_entries=2, seed=0)
+    tamper = RandomTamper(field, probability=1.0, seed=0)
     clean = frng.uniform((4, 4))
     dirty = tamper.corrupt(clean, 0, "op")
     assert not np.array_equal(clean, dirty)
     assert tamper.tamper_count == 1
-    # Exactly 2 entries changed.
-    assert int(np.sum(clean != dirty)) == 2
+    # Exactly one entry changed.
+    assert int(np.sum(clean != dirty)) == 1
 
 
 def test_random_tamper_probability_zero_is_honest(field, frng):
@@ -160,8 +160,6 @@ def test_targeted_tamper_only_hits_target_op(field, frng):
 def test_tamper_validation(field):
     with pytest.raises(ConfigurationError):
         RandomTamper(field, probability=2.0)
-    with pytest.raises(ConfigurationError):
-        RandomTamper(field, n_entries=0)
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +397,7 @@ def _launch_cases(draw):
 def _cluster_for(case):
     injectors = {}
     if case["tamper"] != "honest":
-        inner = RandomTamper(_FIELD, probability=0.6, n_entries=2, seed=case["tamper_seed"])
+        inner = RandomTamper(_FIELD, probability=0.6, seed=case["tamper_seed"])
         if case["tamper"] == "targeted":
             inner = TargetedTamper(inner, case["tamper_op"])
         injectors[case["lineup"][case["tamper_position"]]] = inner

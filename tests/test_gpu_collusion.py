@@ -51,7 +51,7 @@ def test_pooled_shares_look_uniform(frng, field):
     """Chi-square of pooled shares stays near its dof (uniformity)."""
     coeffs, _, batch = _encode(frng, k=2, m=1, features=4096)
     pool = CollusionPool(field, (0,), batch.shares[:1])
-    stat = pool.uniformity_statistic(n_bins=64)
+    stat = pool.uniformity_statistic()
     # dof = 63; a catastrophically non-uniform stream would be >> 200.
     assert stat < 150.0
 

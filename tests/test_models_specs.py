@@ -56,14 +56,6 @@ def test_spec_queries():
     assert "VGG16" in spec.summary()
 
 
-def test_input_resolution_scales_macs():
-    big = vgg16_spec(input_size=224)
-    small = vgg16_spec(input_size=32)
-    assert big.linear_macs_forward() > small.linear_macs_forward()
-    # Dense layers differ (7x7 vs 1x1 feature maps), params differ too.
-    assert big.n_params != small.n_params
-
-
 def test_empty_spec_rejected():
     with pytest.raises(ConfigurationError):
         SpecBuilder("empty", (3, 8, 8)).build()

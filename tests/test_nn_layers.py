@@ -17,6 +17,7 @@ from repro.nn import (
     ResidualBlock,
     Sequential,
 )
+from repro.nn.layers import BN_EPS
 
 BACKEND = PlainBackend()
 
@@ -127,7 +128,7 @@ def test_batchnorm_forward_is_the_whole_expression_bit_for_bit(shape):
     layer.running_var = rng.uniform(0.1, 4.0, size=3)
     x = rng.normal(size=shape) * 10
     kept = x.copy()
-    params = (layer.params["gamma"], layer.params["beta"], layer.eps)
+    params = (layer.params["gamma"], layer.params["beta"], BN_EPS)
     expected = _bn_expression(x, layer.running_mean, layer.running_var, *params)
     assert np.array_equal(layer.forward(x, BACKEND, training=False), expected)
     assert np.array_equal(x, kept)

@@ -106,26 +106,12 @@ def test_training_reduces_loss(nprng):
     assert losses[-1] < 0.3 * losses[0]
 
 
-def test_weight_decay_shrinks_weights(nprng):
-    net = _tiny_net(nprng)
-    opt = SGD(net, lr=0.1, weight_decay=0.5)
-    before = float(np.sum(np.abs(net.layers[0].params["w"])))
-    # No data gradient: decay only.
-    for layer, name, _ in net.parameters():
-        layer.grads[name] = np.zeros_like(layer.params[name])
-    opt.step()
-    after = float(np.sum(np.abs(net.layers[0].params["w"])))
-    assert after < before
-
-
 def test_sgd_validation(nprng):
     net = _tiny_net(nprng)
     with pytest.raises(ConfigurationError):
         SGD(net, lr=0)
     with pytest.raises(ConfigurationError):
         SGD(net, lr=0.1, momentum=1.0)
-    with pytest.raises(ConfigurationError):
-        SGD(net, lr=0.1, weight_decay=-1)
 
 
 def test_loss_validation(nprng):

@@ -171,7 +171,7 @@ def test_normalizer_leaves_small_tensors_alone():
 
 
 def test_normalizer_scales_to_ceiling():
-    norm = DynamicNormalizer(ceiling=1.0)
+    norm = DynamicNormalizer()
     x = np.array([4.0, -2.0])
     scaled, n = norm.normalize(x)
     assert np.max(np.abs(scaled)) == pytest.approx(1.0)
@@ -184,11 +184,6 @@ def test_normalization_product_unapply():
     product = np.array([1.0])
     assert a.unapply_product(product, b)[0] == pytest.approx(6.0)
     assert IDENTITY.unapply_product(product, IDENTITY)[0] == pytest.approx(1.0)
-
-
-def test_normalizer_rejects_bad_ceiling():
-    with pytest.raises(QuantizationError):
-        DynamicNormalizer(ceiling=0.0)
 
 
 def test_normalizer_zero_tensor():

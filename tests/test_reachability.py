@@ -22,12 +22,15 @@ a counter nobody looks at (see
 
 The same rule holds for options: a field of the serving configuration that
 only a test sets is a knob nobody turns (see
-:func:`test_every_serving_option_is_set_outside_the_tests`).
+:func:`test_every_serving_option_is_set_outside_the_tests`), and so is a
+defaulted parameter that only a test passes (see
+:func:`test_every_defaulted_parameter_is_passed_outside_the_tests`).
 """
 
 import ast
 import dataclasses
 import inspect
+import math
 import re
 import typing
 from pathlib import Path
@@ -234,3 +237,155 @@ def test_the_option_walk_stops_at_the_paper_and_the_clock():
         "ServingConfig", "AutoscaleConfig", "SloPolicy", "SloClass", "AuditConfig",
     }
     assert not sections & set(_NOT_SERVING_POLICY)
+
+
+# ----------------------------------------------------------------------
+# every defaulted parameter is passed by a caller
+# ----------------------------------------------------------------------
+#: Defaulted parameters that no caller outside the tests passes, kept on
+#: purpose: ``(callable, parameter, reason)``.
+_UNPASSED_ON_PURPOSE = (
+    ("LimbBackend", "one_gemm_cap",
+     "the oracle tests reach every kernel tier at small sizes through it"),
+    ("LimbBackend", "two_gemm_cap",
+     "the oracle tests reach every kernel tier at small sizes through it"),
+    ("Enclave", "platform_key", "a credential"),
+    ("parse_seed_flag", "argv", "an entry point's argument vector"),
+    ("MaskStreamPool", "stream_capacity",
+     "ROADMAP item 4 decides precompute's fate; property tests draw over it"),
+    ("MaskStreamPool", "max_bytes",
+     "ROADMAP item 4 decides precompute's fate; property tests draw over it"),
+    ("ScratchPool", "max_entries",
+     "ROADMAP item 4 decides precompute's fate; property tests draw over it"),
+    ("RecoveringExecutor", "max_retries",
+     "it goes with ROADMAP's gated retry item, which folds recovery into serving"),
+    ("LargeBatchAggregator", "n_shards",
+     "the shard-wise aggregation of paper section 6 / Algorithm 2, exempt"
+     " like sealed_aggregation"),
+    ("ResidualBlock", "shortcut",
+     "ResNet's projection block is architecture, not policy"),
+)
+
+
+def _defaults(args: ast.arguments):
+    """Yield ``(name, position)`` for each defaulted parameter.
+
+    ``position`` indexes the positional parameters, ``None`` marks a
+    keyword-only one.
+    """
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, position
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _defaulted_parameters(module: str, node: ast.AST, cls: ast.ClassDef | None = None):
+    """Yield ``(module:line, callable, parameter, position)`` below ``node``.
+
+    A class's ``__init__`` is called by the class's name, and a method's
+    positions do not count ``self``/``cls``.  Private callables are skipped.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(module, child, child)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = cls.name if cls is not None and child.name == "__init__" else child.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            bound = cls is not None and not static
+            if not name.startswith("_"):
+                for param, position in _defaults(child.args):
+                    if position is not None:
+                        position -= bound
+                    yield f"{module}:{child.lineno}", name, param, position
+            yield from _defaulted_parameters(module, child)
+        else:
+            yield from _defaulted_parameters(module, child, cls)
+
+
+def _calls(node: ast.AST, own: frozenset = frozenset()):
+    """Yield ``(call, own)``: each call with the defaulted parameter names
+    of the function it sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _calls(child, frozenset(name for name, _ in _defaults(child.args)))
+            continue
+        if isinstance(child, ast.Call):
+            yield child, own
+        yield from _calls(child, own)
+
+
+def _passed() -> tuple[set[str], dict[str, float]]:
+    """What callers pass: the keyword names, and per callee name the most
+    positional arguments a call gives it (``inf`` when one unpacks
+    ``*``/``**`` into it).
+
+    A forwarding ``x=x`` of the calling function's own defaulted ``x``
+    passes nothing new.  A ``name=`` inside a benchmark's string constant
+    counts as a keyword, as in :func:`_settings`.
+    """
+    assigned = re.compile(r"(?<![\w])(\w+)=")
+    keywords: set[str] = set()
+    positions: dict[str, float] = {}
+    for directory in CALLER_DIRS:
+        for _, tree in _trees(directory):
+            for call, own in _calls(tree):
+                func = call.func
+                callee = getattr(func, "id", getattr(func, "attr", None))
+                reach = len(call.args)
+                if any(isinstance(arg, ast.Starred) for arg in call.args):
+                    reach = math.inf
+                for kw in call.keywords:
+                    if kw.arg is None:
+                        reach = math.inf
+                    elif not (
+                        kw.arg in own
+                        and isinstance(kw.value, ast.Name)
+                        and kw.value.id == kw.arg
+                    ):
+                        keywords.add(kw.arg)
+                positions[callee] = max(positions.get(callee, 0), reach)
+            if directory == "benchmarks":
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        keywords.update(assigned.findall(node.value))
+    return keywords, positions
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """A defaulted parameter that only tests pass becomes a constant.
+
+    A parameter counts as passed when a call under ``src/``,
+    ``benchmarks/`` or ``examples/`` names it as a keyword, reaches its
+    position in a call to a same-named callable, or unpacks ``*``/``**``
+    into that callable.  Like the other walks this matches by name.  With
+    one value in use, the default becomes a module constant, or goes with
+    the code path only it switched on.
+    """
+    keywords, positions = _passed()
+    params = [
+        entry
+        for path, tree in _trees("src/repro")
+        for entry in _defaulted_parameters(
+            path.relative_to(SRC.parent).with_suffix("").as_posix().replace("/", "."), tree
+        )
+    ]
+    assert len(params) > 300  # the walk found the package
+    unpassed = [
+        (where, name, param)
+        for where, name, param, position in params
+        if param not in keywords
+        and positions.get(name, 0) != math.inf
+        and (position is None or positions.get(name, 0) <= position)
+    ]
+    exempt = {(name, param) for name, param, _ in _UNPASSED_ON_PURPOSE}
+    stale = exempt - {(name, param) for _, name, param in unpassed}
+    assert not stale, f"exempt parameters a caller now passes or that are gone: {stale}"
+    listed = sorted(
+        f"{where} {name}({param})"
+        for where, name, param in unpassed
+        if (name, param) not in exempt
+    )
+    assert not listed, "\n".join(listed)

@@ -140,7 +140,7 @@ def test_without_integrity_tamper_corrupts_silently(nprng):
     cluster = GpuCluster(
         field,
         cfg.n_gpus_required,
-        fault_injectors={0: RandomTamper(field, probability=1.0, n_entries=5, seed=0)},
+        fault_injectors={0: RandomTamper(field, probability=1.0, seed=0)},
     )
     backend = DarKnightBackend(cfg, cluster=cluster)
     x = nprng.normal(size=(2, 8))

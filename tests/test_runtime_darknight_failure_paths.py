@@ -20,7 +20,7 @@ def test_validate_decode_catches_silent_corruption(nprng):
         field,
         cfg.n_gpus_required,
         fault_injectors={
-            0: RandomTamper(field, probability=1.0, n_entries=8, seed=1)
+            0: RandomTamper(field, probability=1.0, seed=1)
         },
     )
     backend = DarKnightBackend(cfg, cluster=cluster)

@@ -77,9 +77,7 @@ def test_ledger_composition():
     assert ledger.epsilon_basic == pytest.approx(100 * eps_step)
     # Advanced composition beats basic for many steps at these parameters...
     # only when eps_step is small; verify the sqrt-k term behaves.
-    assert ledger.epsilon_advanced(1e-6) > 0
-    with pytest.raises(ConfigurationError):
-        ledger.epsilon_advanced(2.0)
+    assert ledger.epsilon_advanced() > 0
 
 
 def test_more_noise_means_lower_epsilon():

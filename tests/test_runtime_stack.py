@@ -443,9 +443,7 @@ def test_tamper_in_one_virtual_batch_names_it_and_leaks_nothing(case, data):
         nth = victim
     else:  # primary or alternate equation of the victim
         nth = 2 * victim + data.draw(st.integers(0, 1), label="B")
-    tamper = RandomTamper(
-        DarKnightBackend(DarKnightConfig()).field, n_entries=2, seed=case["seed"]
-    )
+    tamper = RandomTamper(DarKnightBackend(DarKnightConfig()).field, seed=case["seed"])
     backend = _backend(
         DarKnightBackend, case,
         fault_injectors={device: NthCall(TargetedTamper(tamper, op_name), op_name, nth)},

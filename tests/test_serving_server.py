@@ -135,10 +135,18 @@ def test_byzantine_gpu_fails_requests_but_not_the_server():
 
 
 def test_saturating_tenant_cannot_starve_others():
+    """``tenant0`` sends 70 % of the requests; every tenant is served."""
     net = _tiny_net()
-    trace = synthetic_trace(
-        40, (16,), n_tenants=4, seed=6, hot_tenant_share=0.7
-    )
+    rng = np.random.default_rng(6)
+    trace = [
+        TraceRequest(
+            time=1e-3 * i,
+            tenant="tenant0" if i % 10 < 7 else f"tenant{i % 10 - 6}",
+            x=rng.normal(size=16),
+        )
+        for i in range(40)
+    ]
+    assert Counter(event.tenant for event in trace)["tenant0"] == 28
     server = PrivateInferenceServer(net, _config())
     report = server.serve_trace(trace)
     assert len(report.completed) == 40

@@ -222,7 +222,7 @@ def test_failed_batch_splits_across_tenants_new_shards():
 
     dk = DarKnightConfig(virtual_batch_size=4, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
-    router = ShardRouter(3, rebalance_margin=1)
+    router = ShardRouter(3)
     membership = make_membership(shards, router)
     units = membership.units
     tenants = ["alice", "bob", "carol"]
@@ -408,7 +408,7 @@ def test_retry_cap_counts_surviving_shards_only():
 def test_failover_repins_do_not_inflate_the_rebalance_counter():
     """A failover re-pins exactly the dead shard's tenants, onto survivors,
     and leaves every other pin where it was."""
-    router = ShardRouter(3, rebalance_margin=1)
+    router = ShardRouter(3)
     for i in range(12):
         router.shard_for(f"tenant{i}")
     before = router.pins()

@@ -18,15 +18,10 @@ SIZES = [1, 7, 1200]
 # ----------------------------------------------------------------------
 # per-request reference loops: one draw per request, in arrival order
 # ----------------------------------------------------------------------
-def _synthetic_loop(n, shape, n_tenants=4, mean_interarrival=1e-3, seed=0, hot=None):
+def _synthetic_loop(n, shape, n_tenants=4, mean_interarrival=1e-3, seed=0):
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.exponential(mean_interarrival, size=n))
-    if hot is None:
-        picks = rng.integers(0, n_tenants, size=n)
-    else:
-        is_hot = rng.random(n) < hot
-        cold = rng.integers(min(1, n_tenants - 1), n_tenants, size=n)
-        picks = np.where(is_hot, 0, cold)
+    picks = rng.integers(0, n_tenants, size=n)
     return [(float(times[i]), f"tenant{int(picks[i])}", rng.normal(size=shape)) for i in range(n)]
 
 
@@ -77,8 +72,8 @@ def _assert_same(trace, reference):
 def test_synthetic_trace_is_the_per_request_loop(n, seed, shape):
     _assert_same(synthetic_trace(n, shape, seed=seed), _synthetic_loop(n, shape, seed=seed))
     _assert_same(
-        synthetic_trace(n, shape, n_tenants=3, seed=seed, hot_tenant_share=0.6),
-        _synthetic_loop(n, shape, n_tenants=3, seed=seed, hot=0.6),
+        synthetic_trace(n, shape, n_tenants=3, seed=seed),
+        _synthetic_loop(n, shape, n_tenants=3, seed=seed),
     )
 
 
