@@ -7,9 +7,10 @@ runs this after the benchmark-smoke jobs: parsing with a
 ``parse_constant`` rejector fails the build the moment any artifact
 carries a non-finite constant.
 
-Usage::
+Each argument is a directory (every ``*.json`` under it) or one file, such
+as the committed trajectories.  Usage::
 
-    python benchmarks/validate_artifacts.py bench-results/
+    python benchmarks/validate_artifacts.py bench-results/ BENCH_kernels.json BENCH_e2e.json
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ def _reject(constant: str):
 
 
 def validate_tree(root: Path) -> list[Path]:
-    """Strict-parse every ``*.json`` under ``root``; return the files."""
-    files = sorted(root.rglob("*.json"))
+    """Strict-parse the file ``root``, or every ``*.json`` under the
+    directory ``root``; return the files."""
+    if root.is_dir():
+        files = sorted(root.rglob("*.json"))
+    else:
+        files = [root] if root.is_file() else []
     if not files:
-        raise SystemExit(f"no JSON artifacts found under {root}")
+        raise SystemExit(f"no JSON artifacts found at {root}")
     for path in files:
         try:
             json.loads(path.read_text(), parse_constant=_reject)
@@ -37,9 +42,8 @@ def validate_tree(root: Path) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path("bench-results")
-    files = validate_tree(root)
-    print(f"{len(files)} artifact(s) under {root} are strict JSON:")
+    files = [path for root in argv or ["bench-results"] for path in validate_tree(Path(root))]
+    print(f"{len(files)} artifact(s) are strict JSON:")
     for path in files:
         print(f"  {path}")
     return 0

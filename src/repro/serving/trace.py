@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.synthetic import SAMPLE_BLOCK_BYTES
 from repro.errors import ConfigurationError
-
-#: Largest block of samples one draw makes.  It stays under glibc's default
-#: 128 KiB mmap threshold: freeing a larger, mapped block raises that
-#: threshold, after which mid-size arrays stay on the heap (an 8,000-request
-#: trace drawn in one piece raised a serving run's peak RSS by 0.65 MB).
-SAMPLE_BLOCK_BYTES = 64 << 10
 
 
 def _samples(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> list[np.ndarray]:
@@ -32,13 +27,37 @@ def _samples(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> list[n
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRequest:
-    """One request in an offline trace."""
+    """One request in an offline trace.
+
+    Slotted and not frozen, like every request-path record: a frozen
+    dataclass's ``__init__`` pays one ``object.__setattr__`` per field.
+    """
 
     time: float
     tenant: str
     x: np.ndarray
+
+
+def _requests(
+    times: np.ndarray, picks: np.ndarray, tenants: list[str], samples
+) -> list[TraceRequest]:
+    """Zip arrival ``times``, tenant ``picks`` (indices into ``tenants``) and
+    ``samples`` into the trace's records, in arrival order."""
+    return [
+        TraceRequest(t, tenants[pick], x)
+        for t, pick, x in zip(times.tolist(), picks.tolist(), samples)
+    ]
+
+
+def _tenants(n_requests: int, n_tenants: int) -> list[str]:
+    """The tenants' names, ``tenant0..tenant{n-1}``, once both counts hold."""
+    if n_requests < 1:
+        raise ConfigurationError(f"trace needs >= 1 requests, got {n_requests}")
+    if n_tenants < 1:
+        raise ConfigurationError(f"trace needs >= 1 tenants, got {n_tenants}")
+    return [f"tenant{i}" for i in range(n_tenants)]
 
 
 def synthetic_trace(
@@ -64,24 +83,16 @@ def synthetic_trace(
     seed:
         Makes the trace fully deterministic.
     """
-    if n_requests < 1:
-        raise ConfigurationError(f"trace needs >= 1 requests, got {n_requests}")
-    if n_tenants < 1:
-        raise ConfigurationError(f"trace needs >= 1 tenants, got {n_tenants}")
+    tenants = _tenants(n_requests, n_tenants)
     if mean_interarrival <= 0:
         raise ConfigurationError(
             f"mean interarrival must be > 0, got {mean_interarrival}"
         )
     rng = np.random.default_rng(seed)
-    gaps = rng.exponential(mean_interarrival, size=n_requests)
-    times = np.cumsum(gaps)
-    tenants = [f"tenant{i}" for i in range(n_tenants)]
+    times = np.cumsum(rng.exponential(mean_interarrival, size=n_requests))
     picks = rng.integers(0, n_tenants, size=n_requests)
     samples = _samples(rng, n_requests, input_shape)
-    return [
-        TraceRequest(time=t, tenant=tenants[pick], x=x)
-        for t, pick, x in zip(times.tolist(), picks.tolist(), samples)
-    ]
+    return _requests(times, picks, tenants, samples)
 
 
 def bursty_trace(
@@ -113,10 +124,7 @@ def bursty_trace(
         Silence between the last arrival of one burst and the first of
         the next.
     """
-    if n_requests < 1:
-        raise ConfigurationError(f"trace needs >= 1 requests, got {n_requests}")
-    if n_tenants < 1:
-        raise ConfigurationError(f"trace needs >= 1 tenants, got {n_tenants}")
+    tenants = _tenants(n_requests, n_tenants)
     if burst_size < 1:
         raise ConfigurationError(f"burst size must be >= 1, got {burst_size}")
     if intra_gap <= 0 or burst_gap <= 0:
@@ -124,19 +132,15 @@ def bursty_trace(
             f"gaps must be > 0, got intra={intra_gap} burst={burst_gap}"
         )
     rng = np.random.default_rng(seed)
-    tenants = [f"tenant{i}" for i in range(n_tenants)]
     picks = rng.integers(0, n_tenants, size=n_requests)
     jitter = rng.uniform(0.8, 1.2, size=n_requests - 1)
     at_burst_boundary = np.arange(1, n_requests) % burst_size == 0
     gaps = np.where(at_burst_boundary, burst_gap, intra_gap) * jitter
-    times = [0.0]
-    for gap in gaps.tolist():
-        times.append(times[-1] + gap)
+    # ``cumsum`` adds left to right, so each time is the running sum a
+    # per-request loop would compute, bit for bit.
+    times = np.cumsum(np.concatenate(([0.0], gaps)))
     samples = _samples(rng, n_requests, input_shape)
-    return [
-        TraceRequest(time=t, tenant=tenants[pick], x=x)
-        for t, pick, x in zip(times, picks.tolist(), samples)
-    ]
+    return _requests(times, picks, tenants, samples)
 
 
 def ramping_trace(
@@ -154,30 +158,22 @@ def ramping_trace(
     an adaptive deadline must keep re-learning the arrival process
     instead of converging once.
     """
-    if n_requests < 1:
-        raise ConfigurationError(f"trace needs >= 1 requests, got {n_requests}")
-    if n_tenants < 1:
-        raise ConfigurationError(f"trace needs >= 1 tenants, got {n_tenants}")
+    tenants = _tenants(n_requests, n_tenants)
     if start_interarrival <= 0 or end_interarrival <= 0:
         raise ConfigurationError(
             "interarrival bounds must be > 0, got"
             f" start={start_interarrival} end={end_interarrival}"
         )
     rng = np.random.default_rng(seed)
-    tenants = [f"tenant{i}" for i in range(n_tenants)]
     picks = rng.integers(0, n_tenants, size=n_requests)
     fractions = np.linspace(0.0, 1.0, num=n_requests)
     means = np.exp(
         (1.0 - fractions) * np.log(start_interarrival)
         + fractions * np.log(end_interarrival)
     )
-    gaps = rng.exponential(means)
-    times = np.cumsum(gaps)
+    times = np.cumsum(rng.exponential(means))
     samples = _samples(rng, n_requests, input_shape)
-    return [
-        TraceRequest(time=t, tenant=tenants[pick], x=x)
-        for t, pick, x in zip(times.tolist(), picks.tolist(), samples)
-    ]
+    return _requests(times, picks, tenants, samples)
 
 
 def phased_trace(
@@ -197,25 +193,20 @@ def phased_trace(
     """
     if not phases:
         raise ConfigurationError("phased trace needs >= 1 phase")
-    if n_tenants < 1:
-        raise ConfigurationError(f"trace needs >= 1 tenants, got {n_tenants}")
     for n, gap in phases:
         if n < 1:
             raise ConfigurationError(f"phase needs >= 1 requests, got {n}")
         if gap <= 0:
             raise ConfigurationError(f"phase interarrival must be > 0, got {gap}")
+    tenants = _tenants(sum(n for n, _ in phases), n_tenants)
     rng = np.random.default_rng(seed)
-    tenants = [f"tenant{i}" for i in range(n_tenants)]
-    out: list[TraceRequest] = []
-    t = 0.0
+    gaps, picks, samples = [], [], []
     for n, gap in phases:
-        gaps = rng.exponential(gap, size=n)
-        picks = rng.integers(0, n_tenants, size=n)
-        samples = _samples(rng, n, input_shape)
-        for step, pick, x in zip(gaps.tolist(), picks.tolist(), samples):
-            t += step
-            out.append(TraceRequest(time=t, tenant=tenants[pick], x=x))
-    return out
+        gaps.append(rng.exponential(gap, size=n))
+        picks.append(rng.integers(0, n_tenants, size=n))
+        samples += _samples(rng, n, input_shape)
+    times = np.cumsum(np.concatenate(gaps))
+    return _requests(times, np.concatenate(picks), tenants, samples)
 
 
 def trace_from_arrays(
@@ -235,11 +226,4 @@ def trace_from_arrays(
     tenants = tenants or ["tenant0"]
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.exponential(mean_interarrival, size=x.shape[0]))
-    return [
-        TraceRequest(
-            time=float(times[i]),
-            tenant=tenants[i % len(tenants)],
-            x=x[i],
-        )
-        for i in range(x.shape[0])
-    ]
+    return _requests(times, np.arange(x.shape[0]) % len(tenants), tenants, x)

@@ -141,10 +141,10 @@ class LayerPartitionPlanner:
         out = []
         for step in self._plan:
             in_bytes = sum(
-                int(np.prod(self._shape_of(dep))) * _ELEM_BYTES
+                math.prod(self._shape_of(dep)) * _ELEM_BYTES
                 for dep in step.deps
             )
-            out_bytes = int(np.prod(self._shapes[step.index])) * _ELEM_BYTES
+            out_bytes = math.prod(self._shapes[step.index]) * _ELEM_BYTES
             if step.offloaded:
                 cost = self.costs.encode_time(in_bytes) + self.costs.decode_time(
                     out_bytes
@@ -157,7 +157,7 @@ class LayerPartitionPlanner:
     def cut_bytes(self, cut: int) -> int:
         """Per-sample sealed hand-off bytes for a cut before step ``cut``."""
         return sum(
-            int(np.prod(self._shape_of(idx))) * _ELEM_BYTES
+            math.prod(self._shape_of(idx)) * _ELEM_BYTES
             for idx in plan_live_out(self._plan, cut)
         )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import cifar_like, make_image_dataset
+from repro.data.synthetic import SAMPLE_BLOCK_BYTES, _class_template
 from repro.errors import ConfigurationError
 
 
@@ -57,3 +58,85 @@ def test_every_class_appears_and_the_input_shape_is_per_sample():
     assert data.input_shape == (2, 5, 7)
     assert set(data.y_train.tolist()) == set(data.y_test.tolist()) == {0, 1, 2, 3}
     assert data.x_train.shape == (40, 2, 5, 7) and data.x_test.shape == (20, 2, 5, 7)
+
+
+# ----------------------------------------------------------------------
+# the per-sample reference: one jitter draw, then one pixel draw, per sample
+# ----------------------------------------------------------------------
+def _per_sample_loop(n_train, n_test, n_classes=10, shape=(3, 16, 16), noise=0.35, seed=0):
+    rng = np.random.default_rng(seed)
+    templates = [_class_template(shape, rng) for _ in range(n_classes)]
+
+    def sample(n):
+        labels = rng.integers(0, n_classes, size=n)
+        images = np.empty((n,) + shape)
+        for i, label in enumerate(labels):
+            jitter = rng.normal(0.0, 0.15)
+            images[i] = (1.0 + jitter) * templates[label] + noise * rng.normal(size=shape)
+        return np.clip(images, -2.0, 2.0) / 2.0, labels
+
+    return sample(n_train) + sample(n_test)
+
+
+def _per_block(shape):
+    return SAMPLE_BLOCK_BYTES // (8 * (1 + int(np.prod(shape))))
+
+
+def _assert_same_bytes(data, reference):
+    x_train, y_train, x_test, y_test = reference
+    for ours, theirs in ((data.x_train, x_train), (data.y_train, y_train),
+                         (data.x_test, x_test), (data.y_test, y_test)):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8), (1, 5, 7), (3, 16, 16)])
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+@pytest.mark.parametrize("n_train", ["1", "17", "block-1", "block", "block+1", "384"])
+def test_block_drawn_dataset_is_the_per_sample_loop(n_train, seed, shape):
+    """Each block's jitters and pixels come off one ``standard_normal``
+    call, in the per-sample loop's stream order, so every byte matches."""
+    per_block = _per_block(shape)
+    n = {"block-1": per_block - 1, "block": per_block, "block+1": per_block + 1}.get(n_train)
+    n = int(n_train) if n is None else n
+    data = make_image_dataset(n, 5, n_classes=4, shape=shape, seed=seed)
+    _assert_same_bytes(data, _per_sample_loop(n, 5, n_classes=4, shape=shape, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_cifar_like_is_the_per_sample_loop(seed):
+    for size in (8, 16):
+        _assert_same_bytes(
+            cifar_like(n_train=40, n_test=9, seed=seed, size=size),
+            _per_sample_loop(40, 9, shape=(3, size, size), seed=seed),
+        )
+
+
+def test_a_shape_given_as_a_list_builds_the_tuple_shaped_dataset():
+    as_list = make_image_dataset(6, 3, n_classes=3, shape=[1, 5, 7], seed=2)
+    as_tuple = make_image_dataset(6, 3, n_classes=3, shape=(1, 5, 7), seed=2)
+    assert as_list.input_shape == (1, 5, 7)
+    assert as_list.x_train.tobytes() == as_tuple.x_train.tobytes()
+    assert as_list.x_test.tobytes() == as_tuple.x_test.tobytes()
+
+
+def test_each_draw_stays_under_the_mmap_threshold(monkeypatch):
+    """No block draw of a 3x16x16 dataset is above ``SAMPLE_BLOCK_BYTES``."""
+    sizes = []
+    real = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def standard_normal(self, size):
+            sizes.append(int(np.prod(size)) * 8)
+            return self._rng.standard_normal(size)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    make_image_dataset(100, 7, shape=(3, 16, 16), seed=0)
+    assert len(sizes) > 2
+    assert all(nbytes <= SAMPLE_BLOCK_BYTES for nbytes in sizes)

@@ -145,3 +145,29 @@ def test_trace_from_arrays_defaults_and_validation():
     for bad in (np.zeros(4), np.zeros((0, 4))):
         with pytest.raises(ConfigurationError):
             trace_module.trace_from_arrays(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: synthetic_trace(0, (4,)),
+        lambda: synthetic_trace(3, (4,), n_tenants=0),
+        lambda: synthetic_trace(3, (4,), mean_interarrival=0.0),
+        lambda: bursty_trace(0, (4,)),
+        lambda: bursty_trace(3, (4,), n_tenants=0),
+        lambda: bursty_trace(3, (4,), burst_size=0),
+        lambda: bursty_trace(3, (4,), intra_gap=0.0),
+        lambda: ramping_trace(0, (4,)),
+        lambda: ramping_trace(3, (4,), n_tenants=0),
+        lambda: ramping_trace(3, (4,), end_interarrival=0.0),
+        lambda: phased_trace([], (4,)),
+        lambda: phased_trace([(2, 1e-3)], (4,), n_tenants=0),
+        lambda: phased_trace([(0, 1e-3)], (4,)),
+        lambda: phased_trace([(2, 0.0)], (4,)),
+    ],
+)
+def test_generators_reject_empty_traces_and_bad_rates(build):
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError):
+        build()

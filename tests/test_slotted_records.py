@@ -1,12 +1,13 @@
 """The serving request path builds slotted records, and one of each kind.
 
-Every record a served request passes through is a ``slots=True``
-dataclass — no per-instance ``__dict__`` — and none of them is frozen: the
-AEAD tag, not immutability, guards sealed bytes, and a relay that rewrites
-a field builds a new record.  ``Normalization`` stays frozen because
-``quantization.IDENTITY`` is a shared singleton.  A sealed array has one
-record (``Envelope``, its byte count taken once), and a forward encoding
-one (the ``EncodeTicket`` backward reads back).
+Every record a served request passes through, the ``TraceRequest`` it
+arrives as included, is a ``slots=True`` dataclass — no per-instance
+``__dict__`` — and none of them is frozen: the AEAD tag, not immutability,
+guards sealed bytes, and a relay that rewrites a field builds a new record.
+``Normalization`` stays frozen because ``quantization.IDENTITY`` is a
+shared singleton.  A sealed array has one record (``Envelope``, its byte
+count taken once), and a forward encoding one (the ``EncodeTicket``
+backward reads back).
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.pipeline.stages import EncodeTicket
 from repro.quantization import IDENTITY, Normalization
 from repro.runtime import DarKnightBackend, DarKnightConfig
 from repro.serving.requests import PendingRequest, RequestOutcome, ScheduledBatch
+from repro.serving.trace import synthetic_trace
 
 
 def _records():
@@ -66,6 +68,7 @@ def _records():
         "PendingRequest": PendingRequest(0, "t", np.ones(6), 0.0, 0.0),
         "RequestOutcome": RequestOutcome(0, "t", "ok", 0.0),
         "ScheduledBatch": ScheduledBatch(0),
+        "TraceRequest": synthetic_trace(3, (6,), seed=1)[0],
     }
 
 
