@@ -8,8 +8,8 @@ API re-exports the pieces a downstream user needs most:
 >>> net = build_mini_vgg()
 >>> trainer = Trainer(net, DarKnightBackend(DarKnightConfig(virtual_batch_size=2)))
 
-See README.md for the architecture overview and DESIGN.md for the full
-system inventory and experiment index.
+See README.md for the architecture overview (its package map names every
+subpackage) and ``python -m repro`` for the paper's tables and figures.
 """
 
 from repro.errors import (

@@ -1,4 +1,5 @@
-"""Synthetic datasets (the CIFAR/ImageNet substitution per DESIGN.md)."""
+"""Seeded synthetic datasets standing in for CIFAR-10/ImageNet, which this
+offline reproduction does not ship (see :mod:`repro.data.synthetic`)."""
 
 from repro.data.synthetic import Dataset, cifar_like, make_image_dataset
 

@@ -1,9 +1,9 @@
 """Seeded synthetic image-classification datasets.
 
 The paper trains on CIFAR-10 and ImageNet; neither ships with this offline
-reproduction, so we generate class-conditional synthetic images instead
-(documented substitution in DESIGN.md §2).  Each class gets a smooth random
-template (low-frequency sinusoid mixture — image-like spatial correlation);
+reproduction, so every dataset here is a seeded class-conditional synthetic
+stand-in.  Each class gets a smooth random template (low-frequency
+sinusoid mixture — image-like spatial correlation);
 samples are template + per-sample texture + Gaussian noise.  The task is
 learnable but not trivial, which is all the Fig. 4 experiment needs: it
 compares *relative* accuracy of raw vs. masked training on identical data.
@@ -41,21 +41,36 @@ class Dataset:
         return tuple(self.x_train.shape[1:])
 
 
-def _class_template(
-    shape: tuple[int, int, int], rng: np.random.Generator, n_waves: int = 4
+def _class_templates(
+    n_classes: int, shape: tuple[int, int, int], rng: np.random.Generator
 ) -> np.ndarray:
-    """A smooth random pattern with image-like spatial correlation."""
+    """``n_classes`` smooth random patterns with image-like spatial correlation.
+
+    Each class sums 4 sinusoid waves over one ``(h, w)`` grid, mixed into
+    the channels, and is scaled to a max-abs of 1.  One ``rng.random`` draw
+    is a per-class loop's stream: per class, per wave, ``fy, fx, phase,
+    amp`` and ``c`` channel mixes, each scaled as ``Generator.uniform``
+    scales its draw (``low + (high - low) * u``).  The waves are summed for
+    every class at once, in the same order, so every byte is that loop's.
+    """
+    n_waves = 4
     c, h, w = shape
     yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
-    template = np.zeros(shape)
-    for _ in range(n_waves):
-        fy, fx = rng.uniform(0.5, 3.0, size=2)
-        phase = rng.uniform(0, 2 * np.pi)
-        amp = rng.uniform(0.5, 1.0)
-        wave = amp * np.sin(2 * np.pi * (fy * yy + fx * xx) + phase)
-        channel_mix = rng.uniform(0.2, 1.0, size=(c, 1, 1))
-        template += channel_mix * wave
-    return template / np.max(np.abs(template))
+    u = rng.random((n_classes, n_waves, 4 + c))
+
+    def uniform(low: float, high: float, draw: np.ndarray) -> np.ndarray:
+        return low + (high - low) * draw
+
+    freq = uniform(0.5, 3.0, u[..., :2, None, None])
+    phase = uniform(0, 2 * np.pi, u[..., 2, None, None])
+    amp = uniform(0.5, 1.0, u[..., 3, None, None])
+    channel_mix = uniform(0.2, 1.0, u[..., 4:, None, None])
+    templates = np.zeros((n_classes,) + shape)
+    for i in range(n_waves):
+        fy, fx = freq[:, i, 0], freq[:, i, 1]
+        wave = amp[:, i] * np.sin(2 * np.pi * (fy * yy + fx * xx) + phase[:, i])
+        templates += channel_mix[:, i] * wave[:, None]
+    return templates / np.abs(templates).max(axis=(1, 2, 3), keepdims=True)
 
 
 def make_image_dataset(
@@ -84,7 +99,7 @@ def make_image_dataset(
     shape = tuple(shape)
     rng = np.random.default_rng(seed)
     pixels = math.prod(shape)
-    templates = np.stack([_class_template(shape, rng).ravel() for _ in range(n_classes)])
+    templates = _class_templates(n_classes, shape, rng).reshape(n_classes, pixels)
     # A sample consumes one jitter draw, then its pixels: one
     # ``standard_normal`` row of ``1 + pixels`` per sample is that stream,
     # drawn a block of whole samples at a time.

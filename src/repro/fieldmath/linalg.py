@@ -198,7 +198,8 @@ def _invert_stack(field: PrimeField, stack: np.ndarray) -> tuple[np.ndarray, np.
     inverse, whose ``inverses[s]`` is then meaningless.  One augmented
     ``[M | I]`` int64 array per slice; per column, every slice finds its own
     first non-zero pivot at or below the diagonal and swaps it up, the pivot
-    row is scaled by the pivot's inverse (a scalar ``pow`` per slice) and
+    row is scaled by the pivot's inverse (one ``pow`` for every slice's
+    pivot, :meth:`~repro.fieldmath.prime.PrimeField.batch_inv`) and
     one outer-product update clears the column from every other row of
     every slice.  The interpreter pays per *column*, not per slice and
     column, which is what makes a handful of small inversions cost about
@@ -223,10 +224,7 @@ def _invert_stack(field: PrimeField, stack: np.ndarray) -> tuple[np.ndarray, np.
             swapped = work[slices, pivot_rows]
             work[slices, pivot_rows] = work[:, col]
             work[:, col] = swapped
-        scales = np.array(
-            [pow(pivot, -1, p) if pivot else 0 for pivot in work[:, col, col].tolist()],
-            dtype=np.int64,
-        )
+        scales = np.array(field.batch_inv(work[:, col, col].tolist()), dtype=np.int64)
         singular |= scales == 0
         pivot_row = work[:, col] * scales[:, None] % p
         factors = work[:, :, col].copy()

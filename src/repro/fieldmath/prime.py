@@ -214,6 +214,25 @@ class PrimeField:
             raise FieldError("zero has no multiplicative inverse in F_p")
         return pow(a, -1, self.p)
 
+    def batch_inv(self, values: list[int]) -> list[int]:
+        """Inverses of canonical Python ints for one ``pow`` in all
+        (Montgomery's trick: invert the running product of the non-zero
+        values, then peel each one off it); a zero maps to 0."""
+        p = self.p
+        prefixes = []
+        running = 1
+        for v in values:
+            prefixes.append(running)
+            if v:
+                running = running * v % p
+        inv = pow(running, -1, p)  # of the product of every non-zero value
+        out = [0] * len(values)
+        for i in range(len(values) - 1, -1, -1):
+            if values[i]:
+                out[i] = inv * prefixes[i] % p
+                inv = inv * values[i] % p
+        return out
+
     # ------------------------------------------------------------------
     # signed lift (two's-complement-style centering)
     # ------------------------------------------------------------------

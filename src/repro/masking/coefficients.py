@@ -69,7 +69,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from repro.errors import EncodingError, SingularMatrixError
+from repro.errors import EncodingError, FieldError, SingularMatrixError
 from repro.fieldmath import (
     FieldRng,
     PrimeField,
@@ -124,8 +124,11 @@ def as_stack(coefficients) -> tuple[tuple["CoefficientSet", ...], bool]:
 
 
 def _scalar_inverses(field: PrimeField, values: np.ndarray) -> np.ndarray:
-    """Element-wise inverse of a short vector, one scalar ``pow`` each."""
-    return np.array([field.scalar_inv(v) for v in values.tolist()], dtype=np.int64)
+    """Element-wise inverse of a short vector, one ``pow`` for all of it."""
+    canonical = [v % field.p for v in values.tolist()]
+    if 0 in canonical:
+        raise FieldError("zero has no multiplicative inverse in F_p")
+    return np.array(field.batch_inv(canonical), dtype=np.int64)
 
 
 def _vandermonde_rows(field: PrimeField, points: np.ndarray, n_rows: int) -> np.ndarray:

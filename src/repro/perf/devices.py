@@ -1,6 +1,6 @@
 """Device performance profiles for the analytical cost model.
 
-Calibration policy (DESIGN.md §5): the SGX and GPU constants below are set
+Calibration policy: the SGX and GPU constants below are set
 *once* so that Table 1's measured GPU-vs-SGX ratios on VGG16 emerge, then
 every other table and figure is predicted from the same constants.  They are
 effective throughputs, not datasheet peaks — e.g. the SGX forward-ReLU rate

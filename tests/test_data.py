@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import cifar_like, make_image_dataset
-from repro.data.synthetic import SAMPLE_BLOCK_BYTES, _class_template
+from repro.data.synthetic import SAMPLE_BLOCK_BYTES, _class_templates
 from repro.errors import ConfigurationError
 
 
@@ -61,8 +61,23 @@ def test_every_class_appears_and_the_input_shape_is_per_sample():
 
 
 # ----------------------------------------------------------------------
-# the per-sample reference: one jitter draw, then one pixel draw, per sample
+# the per-class, per-sample reference: four ``uniform`` calls per wave per
+# class, then one jitter draw and one pixel draw per sample
 # ----------------------------------------------------------------------
+def _class_template(shape, rng, n_waves=4):
+    c, h, w = shape
+    yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
+    template = np.zeros(shape)
+    for _ in range(n_waves):
+        fy, fx = rng.uniform(0.5, 3.0, size=2)
+        phase = rng.uniform(0, 2 * np.pi)
+        amp = rng.uniform(0.5, 1.0)
+        wave = amp * np.sin(2 * np.pi * (fy * yy + fx * xx) + phase)
+        channel_mix = rng.uniform(0.2, 1.0, size=(c, 1, 1))
+        template += channel_mix * wave
+    return template / np.max(np.abs(template))
+
+
 def _per_sample_loop(n_train, n_test, n_classes=10, shape=(3, 16, 16), noise=0.35, seed=0):
     rng = np.random.default_rng(seed)
     templates = [_class_template(shape, rng) for _ in range(n_classes)]
@@ -76,6 +91,35 @@ def _per_sample_loop(n_train, n_test, n_classes=10, shape=(3, 16, 16), noise=0.3
         return np.clip(images, -2.0, 2.0) / 2.0, labels
 
     return sample(n_train) + sample(n_test)
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8), (1, 5, 7), (2, 5, 7), (3, 32, 32)])
+@pytest.mark.parametrize("n_classes", [2, 4, 10])
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_array_built_templates_are_the_per_class_loop(seed, n_classes, shape, monkeypatch):
+    """All classes' templates come off one ``random`` draw and are summed
+    wave by wave for every class at once: every dataset byte and the
+    generator's next draw match the per-class loop."""
+    made, real = [], np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(real(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    data = make_image_dataset(9, 4, n_classes=n_classes, shape=shape, seed=seed)
+    reference_data = _per_sample_loop(9, 4, n_classes=n_classes, shape=shape, seed=seed)
+    monkeypatch.undo()
+    _assert_same_bytes(data, reference_data)
+    ours, theirs = made
+    assert ours.random() == theirs.random()
+
+    rng = np.random.default_rng(seed)
+    templates = _class_templates(n_classes, shape, rng)
+    reference_rng = np.random.default_rng(seed)
+    reference = np.stack([_class_template(shape, reference_rng) for _ in range(n_classes)])
+    assert templates.tobytes() == reference.tobytes()
+    assert rng.random() == reference_rng.random()
 
 
 def _per_block(shape):

@@ -61,6 +61,17 @@ def test_inverse_is_multiplicative_inverse(a):
     assert field.scalar_inv(a) == int(field.inv(a))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 5, 7, 11, 65_537, DEFAULT_PRIME, 2**31 - 1]))
+def test_batch_inverse_is_the_per_element_pow(data, p):
+    """One ``pow`` for the whole list gives every element's own inverse,
+    and a zero among them maps to 0 without disturbing the rest."""
+    values = data.draw(st.lists(
+        st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1)), max_size=24
+    ))
+    assert PrimeField(p).batch_inv(values) == [pow(v, -1, p) if v else 0 for v in values]
+
+
 def test_inverse_of_zero_raises(field):
     with pytest.raises(FieldError):
         field.inv(np.array([3, 0, 5]))

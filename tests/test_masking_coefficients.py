@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from field_oracle import oracle_inverse
-from repro.errors import EncodingError, IntegrityError
+from repro.errors import EncodingError, FieldError, IntegrityError
 from repro.fieldmath import FieldRng, PrimeField, is_invertible
 from repro.masking import CoefficientSet, IntegrityVerifier
+from repro.masking.coefficients import _scalar_inverses
 
 #: Coefficient material recorded from the commit before generation moved to
 #: one stacked elimination per set (``recorded_at`` in the file).
@@ -164,6 +165,15 @@ def test_block_views(frng):
     assert coeffs.a1.shape == (3, 6)
     assert coeffs.a2.shape == (2, 6)
     assert np.array_equal(np.vstack([coeffs.a1, coeffs.a2]), coeffs.a)
+
+
+def test_gamma_inverses_are_the_per_element_pow_and_refuse_zero(frng, field):
+    cs = CoefficientSet.generate(frng, k=3, m=1, extra_shares=1)
+    assert cs.gamma_inv.tolist() == [pow(int(g), -1, field.p) for g in cs.gamma]
+    with pytest.raises(FieldError):
+        _scalar_inverses(field, np.array([3, 0, 5]))
+    with pytest.raises(FieldError):
+        _scalar_inverses(field, np.array([field.p]))
 
 
 def test_primary_subset_is_decodable(frng, field):
