@@ -7,23 +7,12 @@ regresses because the virtual batch no longer fits enclave memory.
 from conftest import show
 
 from repro.perf import fig3_series
-from repro.reporting import render_series
+from repro.reporting.exhibits import render_fig3
 
 
 def test_fig3_virtual_batch_aggregation(benchmark, capsys):
     series = benchmark(fig3_series)
-    lines = []
-    for model, speedups in series.items():
-        ks = sorted(speedups)
-        lines.append(
-            render_series(
-                f"Fig 3 — {model} aggregation speedup vs K=1",
-                ks,
-                [speedups[k] for k in ks],
-                unit="x",
-            )
-        )
-    show(capsys, "\n".join(lines))
+    show(capsys, render_fig3(series))
     for model, speedups in series.items():
         assert speedups[2] < speedups[3] < speedups[4], model
         assert speedups[5] < speedups[4], f"{model}: K=5 must dip (EPC overflow)"

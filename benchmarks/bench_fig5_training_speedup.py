@@ -9,29 +9,13 @@ non-pipelined bars.
 from conftest import show
 
 from repro.perf import fig5_series
-from repro.reporting import render_table
-
-PAPER_OVERALL = {"VGG16": 8.0, "ResNet50": 4.2, "MobileNetV2": 2.2}
+from repro.reporting.exhibits import FIG5_PAPER as PAPER_OVERALL
+from repro.reporting.exhibits import render_fig5
 
 
 def test_fig5_training_speedup(benchmark, capsys):
     series = benchmark(fig5_series)
-    rendered = render_table(
-        ["Model", "non-pipelined", "(paper)", "pipelined", "linear x (pipe)", "linear x (non-pipe)"],
-        [
-            [
-                model,
-                f"{v['non_pipelined']:.1f}x",
-                f"{PAPER_OVERALL[model]:.1f}x",
-                f"{v['pipelined']:.1f}x",
-                f"{v['linear_speedup_pipelined']:.0f}x",
-                f"{v['linear_speedup_non_pipelined']:.0f}x",
-            ]
-            for model, v in series.items()
-        ],
-        title="Fig 5 — ImageNet training speedup over the SGX-only baseline",
-    )
-    show(capsys, rendered)
+    show(capsys, render_fig5(series))
     for model, v in series.items():
         paper = PAPER_OVERALL[model]
         assert abs(v["non_pipelined"] - paper) / paper < 0.5, model

@@ -9,22 +9,13 @@ integrity; integrity costs both systems; MobileNetV1 gains are smaller.
 from conftest import show
 
 from repro.perf import fig6a_series
-from repro.reporting import render_table
-
-CONFIGS = ["SGX", "Slalom", "DarKnight(4)", "Slalom+Integrity", "DarKnight(3)+Integrity"]
+from repro.reporting.exhibits import FIG6A_CONFIGS as CONFIGS
+from repro.reporting.exhibits import render_fig6a
 
 
 def test_fig6a_inference_speedup(benchmark, capsys):
     series = benchmark(fig6a_series)
-    rendered = render_table(
-        ["Model"] + CONFIGS,
-        [
-            [model] + [f"{series[model][c]:.1f}x" for c in CONFIGS]
-            for model in series
-        ],
-        title="Fig 6a — Inference speedup relative to SGX-only",
-    )
-    show(capsys, rendered)
+    show(capsys, render_fig6a(series))
     for model, v in series.items():
         assert v["DarKnight(4)"] > v["Slalom"], model
         assert v["Slalom"] > v["Slalom+Integrity"], model

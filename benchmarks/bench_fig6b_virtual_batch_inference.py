@@ -8,20 +8,12 @@ execution regresses from EPC overflow.
 from conftest import show
 
 from repro.perf import fig6b_series
-from repro.reporting import render_table
-
-OPS = ["Unblinding", "Blinding", "Relu", "Maxpooling", "Total"]
+from repro.reporting.exhibits import render_fig6b
 
 
 def test_fig6b_virtual_batch_inference(benchmark, capsys):
     series = benchmark(fig6b_series)
-    ks = sorted(series["Total"])
-    rendered = render_table(
-        ["Operation"] + [f"K={k}" for k in ks],
-        [[op] + [f"{series[op][k]:.2f}x" for k in ks] for op in OPS],
-        title="Fig 6b — Inference speedup per op vs DarKnight(1), VGG16",
-    )
-    show(capsys, rendered)
+    show(capsys, render_fig6b(series))
     total = series["Total"]
     assert total[1] == 1.0
     assert 1.0 < total[2] < total[4], "total speedup must rise to the K=4 knee"

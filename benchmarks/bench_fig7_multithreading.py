@@ -8,21 +8,12 @@ encrypted-paging traffic through the shared memory-encryption engine.
 from conftest import show
 
 from repro.perf import fig7_series
-from repro.reporting import render_series
+from repro.reporting.exhibits import render_fig7
 
 
 def test_fig7_multithreading(benchmark, capsys):
     series = benchmark(fig7_series)
-    threads = sorted(series)
-    show(
-        capsys,
-        render_series(
-            "Fig 7 — SGX training latency vs threads (relative to 1 thread)",
-            threads,
-            [series[t] for t in threads],
-            unit="x",
-        ),
-    )
+    show(capsys, render_fig7(series))
     assert series[1] == 1.0
     assert series[2] > 1.5
     assert series[3] > series[2]

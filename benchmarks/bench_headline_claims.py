@@ -8,21 +8,11 @@ models" (training, Section 1) and "an average of 6.5x training speedup and
 from conftest import show
 
 from repro.perf import headline_speedups
-from repro.reporting import render_table
+from repro.reporting.exhibits import render_headline
 
 
 def test_headline_claims(benchmark, capsys):
     headline = benchmark(headline_speedups)
-    show(
-        capsys,
-        render_table(
-            ["Claim", "Paper", "Reproduced"],
-            [
-                ["avg training speedup", "6.5x", f"{headline['training_speedup_avg']:.1f}x"],
-                ["avg inference speedup", "12.5x", f"{headline['inference_speedup_avg']:.1f}x"],
-            ],
-            title="Headline claims (abstract / conclusion)",
-        ),
-    )
+    show(capsys, render_headline(headline))
     assert abs(headline["training_speedup_avg"] - 6.5) / 6.5 < 0.5
     assert abs(headline["inference_speedup_avg"] - 12.5) / 12.5 < 0.5

@@ -1,6 +1,6 @@
-"""Pipelined vs synchronous execution: the paper's Fig. 7 overlap, measured.
+"""Pipelined vs synchronous execution: the paper's Section 7.1 overlap, measured.
 
-DarKnight's threading argument says enclave encode/decode and GPU linear
+DarKnight's pipelined setting says enclave encode/decode and GPU linear
 compute should overlap across batches instead of serializing.  This
 benchmark drives a VGG-style conv stack (9 offloaded linear layers) through
 the staged executor at ``pipeline_depth=1`` (the classic synchronous

@@ -8,32 +8,13 @@ calibration anchors, so the reproduction should match tightly.
 from conftest import show
 
 from repro.perf import table1_rows
-from repro.reporting import render_table
-
-PAPER = {
-    "Forward Pass": (126.85, 11.86, 119.60, 119.03),
-    "Backward Propagation": (149.13, 5.47, 6.59, 124.56),
-}
+from repro.reporting.exhibits import TABLE1_PAPER as PAPER
+from repro.reporting.exhibits import render_table1
 
 
 def test_table1_gpu_vs_sgx(benchmark, capsys):
     rows = benchmark(table1_rows)
-    rendered = render_table(
-        ["Operations", "Linear Ops", "Maxpool", "Relu", "Total", "(paper total)"],
-        [
-            [
-                r["operation"],
-                f"{r['linear']:.2f}x",
-                f"{r['maxpool']:.2f}x",
-                f"{r['relu']:.2f}x",
-                f"{r['total']:.2f}x",
-                f"{PAPER[r['operation']][3]:.2f}x",
-            ]
-            for r in rows
-        ],
-        title="Table 1 — Speedup in GPU relative to SGX, VGG16 training on ImageNet",
-    )
-    show(capsys, rendered)
+    show(capsys, render_table1(rows))
     for r in rows:
         paper_lin, paper_mp, paper_relu, paper_total = PAPER[r["operation"]]
         assert abs(r["linear"] - paper_lin) / paper_lin < 0.05

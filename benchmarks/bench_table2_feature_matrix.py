@@ -6,20 +6,13 @@ the paper so downstream docs can regenerate it.
 
 from conftest import show
 
-from repro.perf import TABLE2_HEADERS, table2_rows
-from repro.reporting import render_table
+from repro.perf import table2_rows
+from repro.reporting.exhibits import render_table2
 
 
 def test_table2_feature_matrix(benchmark, capsys):
     rows = benchmark(table2_rows)
-    show(
-        capsys,
-        render_table(
-            TABLE2_HEADERS,
-            rows,
-            title="Table 2 — Applications and security guarantees of prior techniques",
-        ),
-    )
+    show(capsys, render_table2(rows))
     by_name = {r[0]: r for r in rows}
     # DarKnight is the only training-capable TEE+GPU row with integrity.
     assert by_name["DarKnight"][1] == "•"

@@ -8,34 +8,18 @@ Paper fractions (DarKnight | baseline):
 Shape requirement: non-linear TEE time dominates DarKnight (especially the
 BN models), linear is tiny, encode/decode and communication are the paper's
 order of magnitude.  Our VGG16 charges more communication than the paper
-(we price the parameter-shaped Eq_j returns; see EXPERIMENTS.md).
+(we price the parameter-shaped Eq_j returns).
 """
 
 from conftest import show
 
 from repro.perf import table3_rows
-from repro.reporting import render_table
+from repro.reporting.exhibits import render_table3
 
 
 def test_table3_time_breakdown(benchmark, capsys):
     rows = benchmark(table3_rows)
-    rendered = render_table(
-        ["Model", "DK lin", "DK nonlin", "DK enc/dec", "DK comm", "BL lin", "BL nonlin"],
-        [
-            [
-                r["model"],
-                f"{r['darknight']['linear']:.2f}",
-                f"{r['darknight']['nonlinear']:.2f}",
-                f"{r['darknight']['encode_decode']:.2f}",
-                f"{r['darknight']['communication']:.2f}",
-                f"{r['baseline']['linear']:.2f}",
-                f"{r['baseline']['nonlinear']:.2f}",
-            ]
-            for r in rows
-        ],
-        title="Table 3 — Training time breakdown (fractions of total)",
-    )
-    show(capsys, rendered)
+    show(capsys, render_table3(rows))
     by_model = {r["model"]: r for r in rows}
     # DarKnight linear is tiny everywhere (the offload worked).
     for r in rows:

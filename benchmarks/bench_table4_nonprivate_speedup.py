@@ -9,32 +9,12 @@ SGX gap (least linear work to accelerate).
 from conftest import show
 
 from repro.perf import table4_rows
-from repro.reporting import render_table
-
-PAPER = {
-    "VGG16": (23.93, 273.26),
-    "ResNet50": (41.01, 216.62),
-    "MobileNetV2": (27.51, 80.31),
-}
+from repro.reporting.exhibits import render_table4
 
 
 def test_table4_nonprivate_speedup(benchmark, capsys):
     rows = benchmark(table4_rows)
-    rendered = render_table(
-        ["Model", "over DarKnight", "(paper)", "over SGX-only", "(paper)"],
-        [
-            [
-                r["model"],
-                f"{r['speedup_over_darknight']:.1f}x",
-                f"{PAPER[r['model']][0]:.1f}x",
-                f"{r['speedup_over_sgx']:.1f}x",
-                f"{PAPER[r['model']][1]:.1f}x",
-            ]
-            for r in rows
-        ],
-        title="Table 4 — Non-private 3-GPU training speedup (ImageNet)",
-    )
-    show(capsys, rendered)
+    show(capsys, render_table4(rows))
     by_model = {r["model"]: r for r in rows}
     for model, row in by_model.items():
         assert 10 < row["speedup_over_darknight"] < 100

@@ -1,10 +1,9 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark regenerates one table or figure from the paper's evaluation
-section and prints it (visible even under pytest) so the run doubles as the
-EXPERIMENTS.md evidence.  Timing uses pytest-benchmark; heavyweight
-functional experiments (Fig. 4's real masked training) run a single round
-via ``benchmark.pedantic``.
+section and prints it (visible even under pytest).  Timing uses
+pytest-benchmark; heavyweight functional experiments (Fig. 4's real masked
+training) run a single round via ``benchmark.pedantic``.
 
 Passing ``--quick`` shrinks the serving/pipeline/sharding benchmarks to a
 smoke-sized workload (small model, few requests) so CI's benchmark-smoke

@@ -2,7 +2,8 @@
 
 Three subcommands:
 
-* ``report`` (the default) — regenerate the paper's evaluation tables;
+* ``report`` (the default) — print the paper's evaluation exhibits
+  (:data:`repro.reporting.exhibits.PAPER_EXHIBITS`);
 * ``serve`` — drive the multi-tenant private-inference server over a
   synthetic offline request trace (no network dependency) and print the
   serving metrics.  Its flags describe the *trace*; the deployment is a
@@ -12,9 +13,7 @@ Three subcommands:
   ``verify`` a proof offline against a published chain head, ``replay``
   a disputed window deterministically, ``check-chain`` walk the logs.
 
-Unknown leading arguments fall through to ``report`` so the module also
-runs cleanly under harnesses that own ``sys.argv`` (e.g. pytest's smoke
-test imports and runs it with pytest's own flags still in ``argv``).
+Anything else prints the usage line and exits 2.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import runpy
 import sys
 from pathlib import Path
 
@@ -95,31 +93,10 @@ def build_serving_model(name: str, seed: int = 0):
 # subcommands
 # ----------------------------------------------------------------------
 def run_report() -> int:
-    """Regenerate the paper's evaluation as a text report."""
-    report = Path(__file__).resolve().parent.parent.parent / "examples" / "paper_report.py"
-    if report.exists():
-        runpy.run_path(str(report), run_name="__main__")
-        return 0
-    # Installed without the examples tree: fall back to the harnesses.
-    from repro.perf import headline_speedups, table1_rows
-    from repro.reporting import render_table
+    """Print the paper's evaluation, each exhibit beside the paper's values."""
+    from repro.reporting.exhibits import PAPER_EXHIBITS
 
-    rows = table1_rows()
-    print(
-        render_table(
-            ["Operations", "Linear", "Maxpool", "Relu", "Total"],
-            [
-                [r["operation"]] + [f"{r[k]:.2f}x" for k in ("linear", "maxpool", "relu", "total")]
-                for r in rows
-            ],
-            title="Table 1 — GPU speedup over SGX (VGG16, ImageNet)",
-        )
-    )
-    headline = headline_speedups()
-    print(
-        f"\nheadline: training {headline['training_speedup_avg']:.1f}x,"
-        f" inference {headline['inference_speedup_avg']:.1f}x"
-    )
+    print("\n\n".join(render(rows()) for rows, render in PAPER_EXHIBITS))
     return 0
 
 
@@ -504,6 +481,9 @@ def run_audit(argv: list[str]) -> int:
         return 2
 
 
+_USAGE = "usage: python -m repro [report | serve ... | audit ...]  (serve/audit --help)"
+
+
 def main(argv: list[str] | None = None) -> int:
     """Dispatch ``python -m repro [report|serve|audit] ...``."""
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -511,5 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_serve(argv[1:])
     if argv and argv[0] == "audit":
         return run_audit(argv[1:])
-    # ``report`` explicitly, or anything else (including foreign argv).
-    return run_report()
+    if argv in ([], ["report"]):
+        return run_report()
+    print(_USAGE, file=sys.stderr)
+    return 2

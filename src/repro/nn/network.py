@@ -118,8 +118,8 @@ class Sequential:
         steps' stages across in-flight virtual batches.
 
         Composite :class:`~repro.nn.layers.ResidualBlock` layers are
-        *flattened*: the body chain, then the shortcut chain branching
-        from the block's entry value, then a two-input
+        *flattened*, recursively: the body chain, then the shortcut chain
+        branching from the block's entry value, then a two-input
         :class:`~repro.nn.layers.BranchJoin` computing
         ``relu(body + shortcut)``.  Inner convolutions therefore become
         first-class offloaded steps (they pipeline and partition below
@@ -142,20 +142,17 @@ class Sequential:
                 )
                 return len(steps) - 1
 
-            prev = PLAN_INPUT
-            for layer in self.layers:
-                if isinstance(layer, ResidualBlock):
-                    entry = prev
-                    cur = entry
-                    for sub in layer.body:
-                        cur = emit(sub, (cur,))
-                    body_out = cur
-                    cur = entry
-                    for sub in layer.shortcut:
-                        cur = emit(sub, (cur,))
-                    prev = emit(layer.join_layer, (body_out, cur))
-                else:
-                    prev = emit(layer, (prev,))
+            def chain(layers: list[Layer], prev: int) -> int:
+                for layer in layers:
+                    if isinstance(layer, ResidualBlock):
+                        body_out = chain(layer.body, prev)
+                        skip_out = chain(layer.shortcut, prev)
+                        prev = emit(layer.join_layer, (body_out, skip_out))
+                    else:
+                        prev = emit(layer, (prev,))
+                return prev
+
+            chain(self.layers, PLAN_INPUT)
             self._plan_cache = steps
         return list(self._plan_cache)
 

@@ -2,10 +2,10 @@
 
 Each ``table*_rows`` / ``fig*_series`` function regenerates the content of
 the corresponding exhibit in the paper's evaluation section, returning
-structured data; benchmarks render them with :mod:`repro.reporting` and
-EXPERIMENTS.md records paper-vs-measured.  Timing exhibits come from the
-calibrated :class:`~repro.perf.costs.CostModel`; the accuracy figure
-(Fig. 4) actually trains Mini models through the real masked runtime.
+structured data; :mod:`repro.reporting.exhibits` renders each beside the
+paper's values.  Timing exhibits come from the calibrated
+:class:`~repro.perf.costs.CostModel`; the accuracy figure (Fig. 4) actually
+trains Mini models through the real masked runtime.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Layer-pipelined private execution: encode/compute/decode as a schedule.
 
-DarKnight's headline speedup comes from overlapping enclave encode/decode
-with GPU linear compute (the paper's Fig. 7).  This package makes that
-overlap a first-class, inspectable schedule instead of an implementation
-accident: stage objects (:mod:`repro.pipeline.stages`), a simulated-time
-cost model and the serialized enclave clock (:mod:`repro.pipeline.timing`),
+DarKnight's pipelined setting (Section 7.1, Fig. 5) overlaps enclave
+encode/decode with GPU linear compute.  This package makes that overlap a
+first-class, inspectable schedule instead of an implementation accident:
+stage objects (:mod:`repro.pipeline.stages`), a simulated-time cost model
+and the serialized enclave clock (:mod:`repro.pipeline.timing`),
 and the event-driven :class:`~repro.pipeline.executor.PipelineExecutor`
 that interleaves stages across in-flight virtual batches.
 

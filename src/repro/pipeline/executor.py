@@ -1,7 +1,7 @@
 """Event-driven pipeline executor: layer-pipelined encode/compute/decode.
 
-The paper's Fig. 7 threading argument, made schedulable: each virtual batch
-is a *job* that flows through the network's execution plan, and the enclave
+The paper's pipelined setting (Section 7.1), made schedulable: each virtual
+batch is a *job* that flows through the network's execution plan, and the enclave
 — the single serialized trusted resource — picks the next stage to run from
 every in-flight job's frontier.  While job ``n``'s shares grind on the GPUs,
 the enclave encodes job ``n+1``'s next layer (or decodes whichever future
@@ -523,31 +523,18 @@ class PipelineExecutor:
         """Run one TEE-resident step on the real rows.
 
         A two-input :class:`~repro.nn.layers.BranchJoin` merges its DAG
-        dependencies here.  Composite layers may still offload inner
-        convolutions through the *blocking* backend path while executing;
-        that work is detected via the cluster's MAC counter and priced
-        honestly (devices reserved, enclave blocked for the duration).
+        dependencies here.  The plan flattens every residual block, so no
+        TEE-resident step offloads work of its own.
         """
         if isinstance(step.layer, BranchJoin):
             a, b = (job.values[d] for d in step.deps)
             nbytes = int(a.nbytes) + int(b.nbytes)
-            macs_before = self.backend.cluster.total_mac_ops()
             out = step.layer.join(a, b, training=False)
         else:
             x = job.values[step.deps[0]]
             nbytes = int(np.asarray(x).nbytes)
-            macs_before = self.backend.cluster.total_mac_ops()
             out = step.layer.forward(x, self.backend, training=False)
-        macs = self.backend.cluster.total_mac_ops() - macs_before
-        duration = self.costs.local_time(nbytes)
-        if macs > 0:
-            n_shares = self.backend.config.n_shares
-            gpu_duration = self.costs.gpu_time(macs // n_shares)
-            self.backend.cluster.reserve_shares(
-                n_shares, gpu_duration, not_before=max(self.timeline.free_at, job.ready_at)
-            )
-            duration += gpu_duration
-        start, end = self.timeline.reserve(job.ready_at, duration)
+        start, end = self.timeline.reserve(job.ready_at, self.costs.local_time(nbytes))
         self._account(spans, totals, job.index, step.name, "tee", "enclave", start, end)
         self._finish_step(job, step, out, last_use)
         job.ready_at = end

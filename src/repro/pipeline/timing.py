@@ -1,6 +1,6 @@
 """Simulated-time cost model and the serialized-enclave clock.
 
-DarKnight's pipelining argument (the paper's Fig. 7) is about *where time
+DarKnight's pipelining argument (Section 7.1) is about *where time
 goes*: the enclave masks/unmasks at memory bandwidth, the GPUs grind MACs,
 and the two can overlap as long as the enclave — the single trusted,
 serialized resource — is never idle while work is available.  This module

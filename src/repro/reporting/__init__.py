@@ -1,4 +1,8 @@
-"""Shared ASCII table/series rendering for benches and examples."""
+"""Shared ASCII table/series rendering for benches and examples.
+
+:mod:`repro.reporting.exhibits` renders each of the paper's exhibits with
+them.
+"""
 
 from repro.reporting.tables import render_series, render_table
 

@@ -1,8 +1,8 @@
 """ASCII rendering for reproduced tables and figure series.
 
 Every benchmark prints its reproduction in the same rows/series layout the
-paper uses, via these helpers, so EXPERIMENTS.md and the bench output line
-up one to one.
+paper uses, via these helpers; :mod:`repro.reporting.exhibits` holds the
+paper's exhibits.
 """
 
 from __future__ import annotations

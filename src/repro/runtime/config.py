@@ -52,7 +52,7 @@ class DarKnightConfig:
         keeps in flight.  ``1`` has one batch in flight, so encode,
         compute and decode serialize per batch; ``>= 2`` lets the enclave
         encode batch ``n+1`` while GPUs compute batch ``n`` (the paper's
-        Fig. 7 overlap).  Outputs are bit-identical at every depth and to
+        pipelined setting, Section 7.1).  Outputs are bit-identical at every depth and to
         the synchronous ``Sequential.forward``.
     num_shards:
         Enclave shards the serving layer partitions tenants across.  Each

@@ -36,7 +36,7 @@ layer's whole stack at once.  The three explicitly schedulable stage ops —
 :meth:`~DarKnightBackend.decode` — are the ``V = 1`` stack of the same
 code, which :class:`repro.pipeline.PipelineExecutor` interleaves across
 virtual batches so the enclave encodes batch ``n+1`` while GPUs compute
-batch ``n`` (the paper's Fig. 7 threading argument).  Both paths are
+batch ``n`` (the paper's pipelined setting, Section 7.1).  Both paths are
 bit-identical: masking decodes exactly, so neither stage order nor stack
 height changes values.
 

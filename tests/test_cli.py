@@ -7,24 +7,83 @@ its rules) may live in the CLI.
 
 import dataclasses
 import json
+import os
 import runpy
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import _serve_parser, _serving_config, main, parse_seed_flag
+from repro.perf import fig5_series, headline_speedups, table1_rows
 from repro.pipeline.timing import StageCostModel
 from repro.runtime import DarKnightConfig
 from repro.serving import AuditConfig, AutoscaleConfig, ServingConfig
 
 
-def test_module_entry_point_prints_report(capsys):
+def test_module_entry_point_prints_report(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["repro"])
     try:
         runpy.run_module("repro", run_name="__main__")
     except SystemExit as exc:
         assert exc.code in (0, None)
     out = capsys.readouterr().out
     assert "Table 1" in out
-    assert "headline" in out
+    assert "Headline" in out
+
+
+#: Every exhibit title the report prints, in paper order.
+EXHIBIT_TITLES = (
+    "Table 1 —", "Table 2 —", "Table 3 —", "Table 4 —", "Fig 3 —", "Fig 5 —",
+    "Fig 6a —", "Fig 6b —", "Fig 7 —", "Headline claims",
+)
+
+
+def _report(cwd, src):
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "report"],
+        cwd=cwd, env=env, capture_output=True, check=True,
+    ).stdout
+
+
+def test_report_is_the_same_from_a_copy_of_src_alone(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    shutil.copytree(
+        repo / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    out = _report(repo, repo / "src")
+    assert _report(tmp_path, tmp_path / "src") == out
+    text = out.decode()
+    positions = [text.find(title) for title in EXHIBIT_TITLES]
+    assert -1 not in positions and positions == sorted(positions), positions
+
+    def row(title, label):
+        section = text[text.index(title):]
+        return next(line for line in section.splitlines() if line.startswith(label))
+
+    forward = table1_rows()[0]
+    line = row("Table 1 —", "Forward Pass")
+    assert f"| {forward['total']:.2f}x" in line and "| 119.03x" in line
+    vgg = fig5_series()["VGG16"]
+    line = row("Fig 5 —", "VGG16")
+    assert f"| {vgg['non_pipelined']:.1f}x" in line and "| 8.0x" in line
+    headline = headline_speedups()
+    line = row("Headline claims", "avg training speedup")
+    assert f"| 6.5x  | {headline['training_speedup_avg']:.1f}x" in line
+    line = row("Headline claims", "avg inference speedup")
+    assert f"| 12.5x | {headline['inference_speedup_avg']:.1f}x" in line
+
+
+@pytest.mark.parametrize(
+    "argv", [["serv", "--model", "tiny"], ["report", "--seed", "1"], ["-q"]]
+)
+def test_an_unknown_subcommand_is_an_error(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: python -m repro")
 
 
 def test_serve_subcommand_smoke(capsys):
@@ -560,8 +619,6 @@ def test_serve_parser_mirrors_no_config_field():
 
 def test_the_composed_example_is_the_deployment_the_ruler_measures(capsys):
     """examples/configs/composed.json == bench-e2e's serve-resnet-composed."""
-    from pathlib import Path
-
     path = Path(__file__).parent.parent / "examples" / "configs" / "composed.json"
     assert _configured("--config", str(path)) == ServingConfig(
         darknight=DarKnightConfig(

@@ -13,7 +13,7 @@ EXAMPLES = sorted(
 def test_examples_directory_is_populated():
     names = {p.stem for p in EXAMPLES}
     assert {"quickstart", "private_training", "integrity_verification",
-            "collusion_attack", "paper_report", "full_cloud_session"} <= names
+            "collusion_attack", "full_cloud_session"} <= names
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
