@@ -14,7 +14,8 @@ forward launch's traced peak with its unfold taken by the block, a
 width-64 inference forward's traced peak with its plan walked by the block, a
 whole masked layer step (forward and backward) over a batch's stack of virtual batches, and the
 per-request floor of serving (a session's AEAD round trip, a window's
-re-staging of unchanged weights), and the mask pool's refill/draw cycle.  Useful for
+re-staging of unchanged weights, one served step's encode/verify/decode),
+and the mask pool's refill/draw cycle.  Useful for
 regression-tracking the
 simulator's own performance: CI appends the ``--benchmark-json`` output of
 this file to ``BENCH_kernels.json`` via ``benchmarks/check_regression.py``,
@@ -50,6 +51,8 @@ from repro.masking import (
     CoefficientSet,
     ForwardDecoder,
     ForwardEncoder,
+    IntegrityVerifier,
+    iter_virtual_batches,
     reference_aggregate,
 )
 from repro.models import build_mini_mobilenet, build_mini_vgg
@@ -686,6 +689,48 @@ def test_mask_pool_refill_speed(benchmark):
     print(f"\nmask pool: 32 refills + 32 draws {pool_s * 1e6:.0f} us,"
           f" 32 per-tensor generations alone {reference_s * 1e6:.0f} us")
     assert pool_s < reference_s
+
+
+def test_served_step_speed(benchmark, quick):
+    """One served step as the executor runs it: a ``K = 4`` virtual batch of
+    mini-resnet's first conv (3->8 channels, 8x8 maps), integrity on, the
+    deployment's cached coefficients, per-sample normalisation —
+    ``encode`` -> ``dispatch`` -> ``decode``.  At this size every stage is
+    a few dozen small-array calls, so it is timed against the interpreter
+    reference.  Prints the enclave's budget: encode, the plan's verify, the
+    dequantize of the verified decode, and the whole decode."""
+    network, shape = build_serving_model("mini-resnet", seed=0)
+    conv = network.execution_plan()[0].layer
+    config = DarKnightConfig(
+        virtual_batch_size=4, integrity=True, fresh_coefficients=False,
+        per_sample_normalization=True, seed=0,
+    )
+    backend = DarKnightBackend(config)
+    op = backend.stage_linear("conv2d", conv.params["w"], None, "conv", conv.stride, conv.pad)
+    x = np.random.default_rng(1).standard_normal((4,) + shape) * 2
+    (vb,) = iter_virtual_batches(x, 4)
+
+    def step():
+        (y,) = backend.decode(backend.dispatch(backend.encode(op, [vb], [0])))
+        backend.end_batch()
+        return y
+
+    y = benchmark(step)
+    want = conv2d_via_matmul(x, conv.params["w"], np.matmul, conv.stride, conv.pad)
+    assert np.max(np.abs(y - want)) < 0.05 * (np.max(np.abs(want)) + 1.0)
+
+    future = backend.dispatch(backend.encode(op, [vb], [0]))
+    sets = [ticket.coefficients for ticket in future.tickets]
+    decoded = ForwardDecoder(sets).decode(future.outputs)
+    reps = 300 if quick else 2000
+    budget = {
+        "encode": _best_of(lambda: (backend.encode(op, [vb], [0]), backend.end_batch()), reps),
+        "verify": _best_of(lambda: IntegrityVerifier(sets).verify_forward(future.outputs), reps),
+        "dequantize": _best_of(lambda: backend.quantizer.dequantize_product(decoded), reps),
+        "decode": _best_of(lambda: backend.decode(future), reps),
+    }
+    backend.end_batch()
+    print("\nserved step (us): " + ", ".join(f"{k} {v * 1e6:.1f}" for k, v in budget.items()))
 
 
 # ----------------------------------------------------------------------

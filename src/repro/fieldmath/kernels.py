@@ -53,7 +53,7 @@ multiply+shift, i.e. Barrett, and :class:`repro.fieldmath.prime.PrimeField`
 uses the division-free conditional-correction forms for add/sub/mul.)
 
 **Allocation.**  The limb backend's float64 temporaries live in one
-grow-only workspace it owns, so a product allocates nothing but its int64
+grow-only workspace it owns, so a product allocates nothing but its
 result (see :class:`LimbBackend` for why that matters at stacked sizes).
 
 **Ownership.**  A backend is an object its owner holds, never a name or
@@ -152,9 +152,15 @@ class BarrettReducer:
         return x
 
     def reduce_f64(self, x: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
-        """In-place full reduction of exact-integer float64 into [0, p)."""
+        """In-place full reduction of exact-integer float64 into [0, p).
+
+        The lazy step is a quotient short only for ``x`` just above a
+        multiple of ``p``, so the conditional subtract almost never has
+        work: one ``max`` decides whether it runs at all (a ``where=``
+        pass costs about three plain ones, work or not)."""
         self.reduce_f64_lazy(x, q)
-        np.subtract(x, self.pf, out=x, where=x >= self.pf)
+        if x.size and np.maximum.reduce(x, None) >= self.pf:
+            np.subtract(x, self.pf, out=x, where=x >= self.pf)
         return x
 
     def reduce_f64_signed(self, x: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -178,6 +184,16 @@ class BarrettReducer:
         np.add(x, self.pf, out=x, where=x < 0)
         np.subtract(x, self.pf, out=x, where=x >= self.pf)
         return x
+
+
+def _copied_out(product: np.ndarray, b: np.ndarray, into: np.ndarray | None) -> np.ndarray:
+    """A kernel's reduced product, a view of the workspace, copied out: cast
+    into ``into`` (same size) when given, else a fresh array of ``b``'s
+    kind — float64 for a float64 ``b``, int64 otherwise."""
+    if into is None:
+        return product.astype(np.float64 if b.dtype == np.float64 else np.int64)
+    np.copyto(into, product.reshape(into.shape), casting="unsafe")
+    return into
 
 
 @lru_cache(maxsize=64)
@@ -231,7 +247,12 @@ class GenericBackend:
     every product.
     """
 
-    def matmul(self, field, a: np.ndarray, b: np.ndarray, a_float=None) -> np.ndarray:
+    def matmul(
+        self, field, a: np.ndarray, b: np.ndarray, a_float=None, into=None
+    ) -> np.ndarray:
+        if b.dtype == np.float64:  # exact integers: multiplied as int64, handed back as float64
+            product = self.matmul(field, a, b.astype(np.int64), into=into)
+            return product if into is not None else product.astype(np.float64)
         n = a.shape[-1]
         out_shape = a.shape[:-1] + b.shape[1:]
         result = np.zeros(out_shape, dtype=np.int64)
@@ -240,13 +261,18 @@ class GenericBackend:
             stop = min(start + chunk, n)
             partial = np.matmul(a[..., start:stop], b[start:stop])
             result += np.mod(partial, field.p)
-        return np.mod(result, field.p)
+        result = np.mod(result, field.p)
+        if into is None:
+            return result
+        np.copyto(into, result.reshape(into.shape))
+        return into
 
     def matmul_stacked(
-        self, field, a: np.ndarray, b: np.ndarray, a_float=None
+        self, field, a: np.ndarray, b: np.ndarray, a_float=None, into=None
     ) -> np.ndarray:
-        """Per-slice oracle: ``out[s] = (a[s] @ b[s]) mod p``."""
-        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+        """Per-slice oracle: ``out[s] = (a[s] @ b[s]) mod p``, in ``b``'s
+        dtype or cast into ``into``."""
+        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=b.dtype) if into is None else into
         for s in range(a.shape[0]):
             out[s] = self.matmul(field, a[s], b[s])
         return out
@@ -282,7 +308,7 @@ class LimbBackend:
     The kernels' float64 temporaries — operand copies, limb planes, GEMM
     outputs, Barrett quotients — are views of one grow-only workspace this
     backend owns, and every ufunc runs in place in it: a call allocates
-    only its int64 result.  That is a performance property, not a nicety —
+    only its result.  That is a performance property, not a nicety —
     a layer step's stacked products have ~1 MB temporaries, which sit
     above glibc's mmap threshold, so allocating them per call means
     mapping, zero-filling and unmapping fresh pages every time
@@ -331,29 +357,44 @@ class LimbBackend:
             for cap, (bound, kernel) in zip(self._caps, kernels)
         )
 
-    def matmul(self, field, a: np.ndarray, b: np.ndarray, a_float=None) -> np.ndarray:
-        """``(a @ b) mod p``; ``a_float``, when given, is ``a`` as float64
-        (equal values, any layout), which the unsplit tier reads instead of
-        converting ``a`` — the other tiers split integers and ignore it."""
+    def matmul(
+        self, field, a: np.ndarray, b: np.ndarray, a_float=None, into=None
+    ) -> np.ndarray:
+        """``(a @ b) mod p`` in ``b``'s dtype; ``a_float``, when given, is
+        ``a`` as float64 (equal values, any layout), which the unsplit tier
+        reads instead of converting ``a`` — the other tiers split integers
+        and ignore it.
+
+        ``b`` holds canonical elements as int64, or as float64 exact
+        integers — the form the enclave keeps a masking step's values in —
+        which the unsplit tier multiplies as they stand and which come back
+        as float64: no int64 on either side of that GEMM.  ``into``, an
+        array of the product's size, takes the product cast into it instead
+        (int64 shares from a float64 source block, with no float64 copy
+        between) and is returned."""
         k = a.shape[-1]
         kernel = None if b.ndim > 2 else self._kernel_for(field.p, k)
         if kernel is None:
-            return self._generic.matmul(field, a, b)
+            return self._generic.matmul(field, a, b, into=into)
+        if a.ndim == b.ndim == 2:
+            return _copied_out(kernel(barrett(field.p), a, b, a_float), b, into)
         out_shape = a.shape[:-1] + b.shape[1:]
         if a_float is not None:
             a_float = a_float.reshape(-1, k)
         flat = kernel(barrett(field.p), a.reshape(-1, k), b.reshape(k, -1), a_float)
-        return flat.astype(np.int64).reshape(out_shape)
+        if into is not None:
+            return _copied_out(flat, b, into)
+        return _copied_out(flat, b, None).reshape(out_shape)
 
     def matmul_stacked(
-        self, field, a: np.ndarray, b: np.ndarray, a_float=None
+        self, field, a: np.ndarray, b: np.ndarray, a_float=None, into=None
     ) -> np.ndarray:
         """``out[s] = (a[s] @ b[s]) mod p`` for ``(S,m,k) @ (S,k,n)``
-        (``a_float`` as in :meth:`matmul`)."""
+        (``a_float``, ``b``'s dtype and ``into`` as in :meth:`matmul`)."""
         kernel = self._kernel_for(field.p, a.shape[-1])
         if kernel is None:
-            return self._generic.matmul_stacked(field, a, b)
-        return kernel(barrett(field.p), a, b, a_float).astype(np.int64)
+            return self._generic.matmul_stacked(field, a, b, into=into)
+        return _copied_out(kernel(barrett(field.p), a, b, a_float), b, into)
 
     def matmul_public(
         self,
@@ -454,25 +495,31 @@ class LimbBackend:
     ) -> np.ndarray:
         """Unsplit path: ``k * (p-1)**2 < 2**53``, so the float64 product
         is the exact integer product; one GEMM, one reduction.  A given
-        ``a_float`` is the GEMM's left operand as it stands.
+        ``a_float`` is the GEMM's left operand as it stands, and so is a
+        float64 ``b``; only int64 operands are converted.
 
         The returned array aliases the workspace: both callers copy it
-        out via ``astype(np.int64)`` immediately.
+        out immediately.
         """
         convert_a = a_float is None
-        key = (1, a.shape, b.shape, a.strides if convert_a else None, b.strides)
+        convert_b = b.dtype != np.float64
+        key = (
+            1, a.shape, b.shape, a.strides if convert_a else None,
+            b.strides if convert_b else None,
+        )
         views = self._views.get(key)
         if views is None:
             out_shape = a.shape[:-1] + b.shape[-1:]
-            operands = (a, b) if convert_a else (b,)
+            operands = (a,) * convert_a + (b,) * convert_b
             views = self._remember(key, tuple(self._carve(*operands, out_shape, out_shape)))
+        *converted, out, q = views
         if convert_a:
-            a_float, b_f, out, q = views
+            a_float = converted.pop(0)
             np.copyto(a_float, a)
-        else:
-            b_f, out, q = views
-        np.copyto(b_f, b)
-        return red.reduce_f64(np.matmul(a_float, b_f, out=out), q)
+        if convert_b:
+            np.copyto(converted[0], b)
+            b = converted[0]
+        return red.reduce_f64(np.matmul(a_float, b, out=out), q)
 
     def _two_gemm(
         self, red: BarrettReducer, a: np.ndarray, b: np.ndarray, a_float=None

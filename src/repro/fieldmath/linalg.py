@@ -63,6 +63,7 @@ def field_matmul(
     b: np.ndarray,
     backend=None,
     a_float: np.ndarray | None = None,
+    into: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(a @ b) mod p`` on ``backend``, a field-op backend object.
 
@@ -88,12 +89,21 @@ def field_matmul(
     matrices — is converted once by its owner, and the limb backend's
     unsplit GEMM reads it instead of converting ``a`` again.  The caller
     vouches for the equality; the oracle ignores it.
+
+    The result has ``b``'s kind: int64 elements for integer ``b``, and
+    float64 for a float64 ``b`` of canonical exact integers — what the
+    enclave's masking steps hold their values in, so the unsplit GEMM
+    reads them as they stand and hands the product back unconverted.
+    Anything else is cast to int64 first.  ``into``, an array of the
+    product's size, takes the product cast into it instead of a fresh
+    result (the encoder's int64 shares from its float64 source block) and
+    is returned.
     """
     a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    b = _operand(b)
     if a.shape[-1] != b.shape[0]:
         raise FieldError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return _backend(backend).matmul(field, a, b, a_float)
+    return _backend(backend).matmul(field, a, b, a_float, into)
 
 
 def field_matmul_stacked(
@@ -102,6 +112,7 @@ def field_matmul_stacked(
     b: np.ndarray,
     backend=None,
     a_float: np.ndarray | None = None,
+    into: np.ndarray | None = None,
 ) -> np.ndarray:
     """``S`` independent products at once: ``out[s] = (a[s] @ b[s]) mod p``.
 
@@ -110,16 +121,16 @@ def field_matmul_stacked(
     limb backend runs each limb plane as one batched float64 GEMM, exact
     under the same ``one_gemm_limit``/``two_gemm_limit`` bounds on ``n`` as
     the 2-D product, and hands anything beyond them to the generic
-    per-slice oracle.  ``backend`` and ``a_float`` as in
-    :func:`field_matmul`.
+    per-slice oracle.  ``backend``, ``a_float``, ``into`` and ``b``'s dtype
+    as in :func:`field_matmul`.
     """
     a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    b = _operand(b)
     if a.ndim != 3 or b.ndim != 3:
         raise FieldError(f"expected 3-D stacks, got {a.shape} @ {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise FieldError(f"stack or inner dimensions differ: {a.shape} @ {b.shape}")
-    return _backend(backend).matmul_stacked(field, a, b, a_float)
+    return _backend(backend).matmul_stacked(field, a, b, a_float, into)
 
 
 def field_matmul_public(
@@ -148,6 +159,12 @@ def field_matmul_public(
     return _backend(backend).matmul_public(
         field, public, tuple(private_shape), fill, tuple(scratch_shapes), public_left, into
     )
+
+
+def _operand(b) -> np.ndarray:
+    """A product's right operand: float64 as it stands, anything else int64."""
+    b = np.asarray(b)
+    return b if b.dtype == np.float64 else b.astype(np.int64, copy=False)
 
 
 def _backend(backend):

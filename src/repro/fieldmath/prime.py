@@ -109,14 +109,6 @@ class PrimeField:
         """Identity matrix over the field."""
         return np.eye(n, dtype=np.int64)
 
-    def is_canonical(self, values: np.ndarray) -> bool:
-        """True when every entry already lies in ``[0, p)``."""
-        arr = np.asarray(values)
-        if arr.dtype.kind not in "iu":
-            return False
-        # Two reductions, no boolean temporaries.
-        return arr.size == 0 or bool(arr.min() >= 0 and arr.max() < self.p)
-
     # ------------------------------------------------------------------
     # ring operations
     # ------------------------------------------------------------------

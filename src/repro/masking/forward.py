@@ -26,7 +26,11 @@ from repro.precompute.scratch import active_scratch
 
 
 def stack_matmul(
-    field: PrimeField, a: np.ndarray, b: np.ndarray, a_float: np.ndarray | None = None
+    field: PrimeField,
+    a: np.ndarray,
+    b: np.ndarray,
+    a_float: np.ndarray | None = None,
+    into: np.ndarray | None = None,
 ) -> np.ndarray:
     """``out[v] = (a[v] @ b[v]) mod p`` for a stack of virtual batches.
 
@@ -34,18 +38,49 @@ def stack_matmul(
     ``(V, m, n) @ (V, n, q)``; the one-slice stack (a staged op's single
     virtual batch) *is* the plain 2-D product and runs as one.  ``a_float``
     is ``a`` as float64 — the coefficient sets' memoized operands — so the
-    GEMM does not convert the same coefficients again.
+    GEMM does not convert the same coefficients again.  The result has
+    ``b``'s kind: a float64 ``b`` (exact integers: the encode's source
+    block, gathered GPU outputs) is multiplied as it stands and the
+    product comes back as float64 (see :func:`~repro.fieldmath.field_matmul`),
+    unless ``into`` (an array of the product's shape) takes it, cast.
     """
     if a.shape[0] == 1:
         first = None if a_float is None else a_float[0]
-        return field_matmul(field, a[0], b[0], a_float=first)[None]
-    return field_matmul_stacked(field, a, b, a_float=a_float)
+        into = None if into is None else into[0]
+        return field_matmul(field, a[0], b[0], a_float=first, into=into)[None]
+    return field_matmul_stacked(field, a, b, a_float=a_float, into=into)
 
 
 def stack_arrays(arrays) -> np.ndarray:
     """``np.stack`` whose one-slice stack is a view, not a copy — what a
     staged op's single virtual batch pays for riding the stacked code."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def source_block(n_sets: int, n_sources: int, feature_shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 ``(V, K + M, *feature_shape)`` source block ``[X; R]``
+    of a stack's encode GEMM, contents undefined: rows ``[:K]`` take the
+    quantized inputs (:meth:`~repro.quantization.QuantizationConfig.quantize`
+    writes them in place), rows ``[K:]`` the noise.  It never outlives the
+    encode it feeds, so in precompute mode it is a recycled scratch buffer.
+    """
+    shape = (n_sets, n_sources) + tuple(feature_shape)
+    scratch = active_scratch()
+    if scratch is None:
+        return np.empty(shape)
+    return scratch.get("fwd_sources", shape, np.float64)
+
+
+def as_float(values: np.ndarray, tag: str) -> np.ndarray:
+    """Field elements as float64 exact integers: ``values`` itself when
+    already float64, else one cast — into the scratch buffer ``tag`` in
+    precompute mode, so the copy must not outlive the call that made it."""
+    if values.dtype == np.float64:
+        return values
+    scratch = active_scratch()
+    if scratch is None:
+        return values.astype(np.float64)
+    return scratch.cast(tag, values, np.float64)
 
 
 def stack_operands(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +151,11 @@ class ForwardEncoder:
         Parameters
         ----------
         inputs:
-            Canonical field elements, one row per real input.
+            Canonical field elements, one row per real input — or a
+            :func:`source_block` ``([V,] K + M, *feature_shape)`` whose
+            first ``K`` rows already hold them as float64 (the runtime
+            quantizes straight into it): its noise rows are written here
+            and it is the GEMM's operand as it stands.
         noise:
             Optional pre-drawn noise ``([V,] M, *feature_shape)`` — the
             runtime draws it between coefficient sets, the precompute pool
@@ -124,17 +163,19 @@ class ForwardEncoder:
             here, one draw per set in order, as the paper requires.
         """
         first = self._sets[0]
-        field = first.field
-        inputs = np.asarray(inputs, dtype=np.int64)
+        field, k, n_sources = first.field, first.k, first.n_sources
+        inputs = np.asarray(inputs)
         if noise is not None:
             noise = np.asarray(noise, dtype=np.int64)
         if not self._stacked:
             inputs = inputs[None]
             noise = None if noise is None else noise[None]
         n_sets = len(self._sets)
-        if inputs.ndim < 2 or inputs.shape[:2] != (n_sets, first.k):
+        rows = inputs.shape[1] if inputs.ndim >= 2 else None
+        block = rows == n_sources and inputs.dtype == np.float64
+        if rows is None or inputs.shape[0] != n_sets or not (block or rows == k):
             raise EncodingError(
-                f"expected {first.k} inputs per virtual batch"
+                f"expected {k} inputs per virtual batch"
                 f" ({n_sets} virtual batches), got shape {inputs.shape}"
             )
         feature_shape = inputs.shape[2:]
@@ -148,31 +189,30 @@ class ForwardEncoder:
                 f"noise shape {noise.shape} does not match"
                 f" ({n_sets}, {first.m}, *{feature_shape})"
             )
-
-        # One stacked GEMM in the transposed form shares = A^T @ [X R]: the
-        # (n_sources, features) source block stays contiguous and no
-        # (features, n_shares) intermediate needs re-transposing — same
-        # exact field sums as (flat^T @ A)^T, so bit-identical shares.
-        # The stacked source block never escapes this call, so it may live
-        # in a recycled scratch buffer (precompute mode's zero-allocation
-        # steady state); the shares themselves are always fresh.
-        scratch = active_scratch()
-        if scratch is not None:
-            sources = scratch.get(
-                "fwd_sources", (n_sets, first.n_sources) + feature_shape, np.int64
-            )
-            np.concatenate([inputs, noise], axis=1, out=sources)
+        if block:
+            sources = inputs
         else:
-            sources = np.concatenate([inputs, noise], axis=1)
+            sources = source_block(n_sets, n_sources, feature_shape)
+            np.copyto(sources[:, :k], inputs.astype(np.int64, copy=False))
+        np.copyto(sources[:, k:], noise)
         # One canonical check covers the whole source block of the stack.
-        if not field.is_canonical(sources):
+        if not 0 <= sources.min(initial=0.0) <= sources.max(initial=0.0) < field.p:
             raise EncodingError(
                 "inputs and noise must be canonical field elements; quantize first"
             )
+        # One stacked GEMM in the transposed form shares = A^T @ [X R]: the
+        # (n_sources, features) source block stays contiguous and no
+        # (features, n_shares) intermediate needs re-transposing — same
+        # exact field sums as (flat^T @ A)^T, so bit-identical shares.  The
+        # block is float64 already, so the GEMM reads it as it stands; only
+        # the shares, which the devices hold, become int64, cast straight
+        # out of the GEMM's reduced product.
         a_t, a_float = stack_operands([coeffs.encode_operands for coeffs in self._sets])
-        shares = stack_matmul(  # a_t: (V, n_shares, k+m)
-            field, a_t, sources.reshape(n_sets, first.n_sources, -1), a_float
-        ).reshape((n_sets, first.n_shares) + feature_shape)
+        shares = np.empty((n_sets, first.n_shares) + feature_shape, dtype=np.int64)
+        stack_matmul(  # a_t: (V, n_shares, k+m)
+            field, a_t, sources.reshape(n_sets, n_sources, -1), a_float,
+            into=shares.reshape(n_sets, first.n_shares, -1),
+        )
         if not self._stacked:
             shares, noise = shares[0], noise[0]
         return EncodedBatch(shares=shares, noise=noise, coefficients=self.coefficients)
@@ -202,24 +242,31 @@ class ForwardDecoder:
         ----------
         gpu_outputs:
             Field array ``([V,] n_shares, *out_shape)`` — ``gpu_outputs[j]``
-            is GPU ``j``'s result on share ``j``.  When a subset is given,
-            rows must still be indexed by absolute share id (the decoder
-            picks the subset's rows itself).
+            is GPU ``j``'s result on share ``j``: int64 as the devices hand
+            it back, or already cast to float64 (the verifier casts once
+            for all its decodes).  When a subset is given, rows must still
+            be indexed by absolute share id (the decoder picks the subset's
+            rows itself).
         subset:
             Which ``k+m`` shares to decode from (default: the primary
             subset, which every set of a stack must then share).
         return_noise_product:
             Also return the recovered ``<W, r>`` columns; integrity checks
             compare these across subsets too.
+
+        The decode is float64 — canonical elements as exact integers, a
+        fresh array the caller may round in place
+        (:meth:`~repro.quantization.QuantizationConfig.dequantize_product`).
         """
         first = self._sets[0]
-        outputs = np.asarray(gpu_outputs, dtype=np.int64)
+        n_shares = first.n_shares
+        outputs = np.asarray(gpu_outputs)
         if not self._stacked:
             outputs = outputs[None]
         n_sets = len(self._sets)
-        if outputs.ndim < 2 or outputs.shape[:2] != (n_sets, first.n_shares):
+        if outputs.ndim < 2 or outputs.shape[:2] != (n_sets, n_shares):
             raise DecodingError(
-                f"expected outputs from all {first.n_shares} shares (indexed by"
+                f"expected outputs from all {n_shares} shares (indexed by"
                 f" share id) of {n_sets} virtual batches, got shape {outputs.shape}"
             )
         if subset is None:
@@ -232,19 +279,24 @@ class ForwardDecoder:
         out_shape = outputs.shape[2:]
         # Transposed decode [Y | WR] = D^T @ Ȳ_J: one stacked GEMM on
         # contiguous rows, no feature-major intermediate (bit-identical
-        # sums).  The gathered subset rows are kernel-local, so they may
-        # reuse scratch.
+        # sums), read in float64 and left there.  A run of consecutive
+        # shares (the primary subset) is a view of the outputs; any other
+        # subset's rows are gathered, into scratch: they are kernel-local.
         decode_t, decode_float = stack_operands(
             [coeffs.decode_operands(subset) for coeffs in self._sets]
         )
-        flat_outputs = outputs.reshape(n_sets, first.n_shares, -1)
-        scratch = active_scratch()
-        selected = None
-        if scratch is not None:
-            selected = scratch.get(
-                "dec_selected", (n_sets, len(subset), flat_outputs.shape[2]), np.int64
-            )
-        selected = np.take(flat_outputs, subset, axis=1, out=selected)
+        flat_outputs = as_float(outputs.reshape(n_sets, n_shares, -1), "dec_outputs")
+        start = subset[0]
+        if subset == tuple(range(start, start + len(subset))):
+            selected = flat_outputs[:, start : start + len(subset)]
+        else:
+            scratch = active_scratch()
+            selected = None
+            if scratch is not None:
+                selected = scratch.get(
+                    "dec_selected", (n_sets, len(subset), flat_outputs.shape[2]), np.float64
+                )
+            selected = flat_outputs.take(subset, axis=1, out=selected)
         recovered = stack_matmul(first.field, decode_t, selected, decode_float)
         recovered = recovered.reshape((n_sets, first.n_sources) + out_shape)
         results, noise_product = recovered[:, : first.k], recovered[:, first.k :]

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import IntegrityError
 from repro.masking.coefficients import as_stack
-from repro.masking.forward import ForwardDecoder
+from repro.masking.forward import ForwardDecoder, as_float
 
 
 @dataclass(slots=True)
@@ -59,8 +59,10 @@ class IntegrityReport:
 
 
 def _agree(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Two ``(Y, W·r)`` decodes are identical."""
-    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    """Two same-shaped ``(Y, W·r)`` decodes are identical: no element
+    differs (``np.array_equal``'s own checks cost more than the comparison
+    at a served step's size)."""
+    return not np.count_nonzero(a[0] != b[0]) and not np.count_nonzero(a[1] != b[1])
 
 
 class IntegrityVerifier:
@@ -143,9 +145,12 @@ class IntegrityVerifier:
         return reports if self._stacked else reports[0]
 
     def _verify_stack(self, gpu_outputs: np.ndarray, plan) -> list[IntegrityReport]:
-        # Each decode is a fresh array (the field GEMM's result never
-        # aliases scratch or kernel-workspace memory), so decodes can be
-        # held side by side.
+        # The devices' int64 outputs are cast to float64 once for every
+        # decode of the plan.  Each decode is a fresh float64 array (the
+        # field GEMM's result never aliases scratch or kernel-workspace
+        # memory), so decodes can be held side by side and compared as
+        # they are: exact integers compare as the elements they hold.
+        gpu_outputs = as_float(gpu_outputs, "dec_outputs")
         decoder = ForwardDecoder(self._sets)
         decoded = {
             subset: decoder.decode(gpu_outputs, subset=subset, return_noise_product=True)

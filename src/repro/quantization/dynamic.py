@@ -106,8 +106,9 @@ class DynamicNormalizer:
             scaled, norm = self.normalize(arr)
             return scaled, None if norm is IDENTITY else norm.factor
         axes = tuple(range(lead, arr.ndim))
-        max_abs = np.abs(arr).max(axis=axes, keepdims=True)
-        factors = np.where(max_abs > 1.0, max_abs, 1.0)
-        if (factors == 1.0).all():
+        # fmax, not maximum: a NaN row keeps the factor 1.0 it has always
+        # had here, and the quantizer then refuses it by name.
+        factors = np.fmax(np.abs(arr).max(axis=axes, keepdims=True), 1.0)
+        if factors.max() == 1.0:
             return arr, None
         return arr / factors, factors

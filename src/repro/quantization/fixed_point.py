@@ -27,11 +27,20 @@ silently wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import QuantizationError
 from repro.fieldmath import PrimeField
+
+
+def _signs_lift(mask: np.ndarray, p: int) -> np.ndarray:
+    """``p`` where ``mask`` holds, ``0.0`` elsewhere: the lift between signed
+    and canonical elements as one product.  A ``where=``-masked ufunc
+    costs several times as much once the mask's pattern is irregular, as
+    the signs of activations and decoded products are."""
+    return np.multiply(mask, float(p))
 
 
 @dataclass(frozen=True)
@@ -79,16 +88,18 @@ class QuantizationConfig:
         """``2**(2l)`` — the scale of one bilinear product (and of biases)."""
         return 2 ** (2 * self.fractional_bits)
 
-    @property
+    @cached_property
     def resolution(self) -> float:
-        """Smallest representable increment, ``2**-l``."""
+        """Smallest representable increment, ``2**-l`` (every dequantize
+        scales by it twice, so it is computed once)."""
         return 1.0 / self.scale
 
     # ------------------------------------------------------------------
     # float -> field
     # ------------------------------------------------------------------
-    def _check_range(self, scaled: np.ndarray, values, what: str) -> np.ndarray:
-        """Range-guard scaled, rounded floats *before* the int64 cast.
+    def _check_range(self, scaled: np.ndarray, values, what: str) -> float:
+        """Range-guard scaled, rounded floats *before* the int64 cast;
+        returns their smallest value (after clipping), at most 0.
 
         Two scalar reductions (max and min) replace an
         ``abs -> compare -> any`` chain, so the fail-fast check allocates
@@ -107,36 +118,47 @@ class QuantizationConfig:
         hi = float(scaled.max(initial=0.0))
         lo = float(scaled.min(initial=0.0))
         if hi <= limit and -lo <= limit:
-            return scaled
+            return lo
         if not np.isfinite(values).all():
             raise QuantizationError(f"{what} holds NaN or infinite values; refusing to quantize")
         if self.saturate:
-            return np.clip(scaled, -limit, limit, out=scaled)
+            np.clip(scaled, -limit, limit, out=scaled)
+            return max(lo, -limit)
         raise QuantizationError(
             f"{what} overflows the signed field range: |value| up to {max(hi, -lo):.0f}"
             f" exceeds p/2 = {limit}; lower fractional_bits or enable dynamic"
             " normalisation"
         )
 
-    def quantize(self, values: np.ndarray, *, bias: bool = False) -> np.ndarray:
+    def quantize(
+        self, values: np.ndarray, *, bias: bool = False, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Floats -> canonical field elements at input scale (or bias scale).
 
-        Single-pass ufunc chain over one float64 buffer — fused
-        ``multiply``/``add``/``floor``, the range check (or clip), one
-        int64 cast, then an in-place signed lift (``+= p`` where
-        negative).  The lift is bit-identical to
+        Single-pass ufunc chain over one float64 buffer — ``multiply``,
+        ``add``, ``floor``, the range check (or clip), then the signed
+        lift (``+ p`` where negative, skipped when the check saw no
+        negative value) — and one int64 cast at the end.
+        The lift is bit-identical to
         :meth:`~repro.fieldmath.PrimeField.from_signed`'s modulus because
         :meth:`_check_range` has already bounded every value to
         ``[-p/2, p/2]``.
+
+        ``out``, a float64 array of ``values``' shape, is that buffer, and
+        the elements stay in it uncast, as float64 exact integers (every
+        one is below ``p < 2**31``): the enclave quantizes a step's
+        activations straight into the rows of its encode GEMM's source
+        block.  Without ``out`` the result is int64 — what a device holds
+        (weights, quantized gradients).
         """
         scale = self.product_scale if bias else self.scale
-        scaled = np.array(values, dtype=np.float64)
-        scaled *= scale
+        values = np.asarray(values, dtype=np.float64)
+        scaled = np.multiply(values, scale, out=out)
         scaled += 0.5
         np.floor(scaled, out=scaled)
-        ints = self._check_range(scaled, values, "bias" if bias else "input").astype(np.int64)
-        np.add(ints, self.field.p, out=ints, where=ints < 0)
-        return ints
+        if self._check_range(scaled, values, "bias" if bias else "input") < 0:
+            scaled += _signs_lift(scaled < 0, self.field.p)
+        return scaled if out is not None else scaled.astype(np.int64)
 
     def quantize_weights(self, values: np.ndarray) -> np.ndarray:
         """Alias of :meth:`quantize` for readability at call sites."""
@@ -145,43 +167,55 @@ class QuantizationConfig:
     # ------------------------------------------------------------------
     # field -> float
     # ------------------------------------------------------------------
-    def _signed_float(self, elements: np.ndarray) -> np.ndarray:
-        """Centre-lift canonical elements into a fresh float64 buffer.
+    def _signed_float(self, elements: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """Centre-lift canonical elements into ``out`` (a fresh float64
+        buffer when ``None``; ``out`` may be ``elements`` itself).
 
-        One copy (the cast) and one conditional subtract of ``p`` above
+        One copy (the cast, unless in place) and a subtract of ``p`` above
         ``p/2`` — :meth:`~repro.fieldmath.PrimeField.to_signed` bit for bit
         on canonical input, since ``p < 2**31`` keeps every value exact in
         float64.  Nothing is reduced mod ``p`` first: every caller already
         holds canonical elements (decode output, ``γ``-decode aggregates,
         an unblind, :meth:`quantize` output).
         """
-        out = np.asarray(elements).astype(np.float64)
-        np.subtract(out, self.field.p, out=out, where=out > self.field.half)
+        if out is None:
+            out = np.asarray(elements).astype(np.float64)
+        elif out is not elements:
+            np.copyto(out, elements)
+        out -= _signs_lift(out > self.field.half, self.field.p)
         return out
 
     def dequantize(self, elements: np.ndarray) -> np.ndarray:
         """Canonical field elements (``[0, p)``) at input scale back to
         floats (in-place chain); non-canonical input is not reduced first."""
-        out = self._signed_float(elements)
-        out /= self.scale
+        out = self._signed_float(elements, None)
+        out *= self.resolution
         return out
 
-    def dequantize_product(self, elements: np.ndarray) -> np.ndarray:
+    def dequantize_product(
+        self, elements: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Canonical field elements (``[0, p)``) at product scale
         (``2**2l``) back to floats; non-canonical input is not reduced first.
 
         Implements Algorithm 1 line 9: ``Round(Y_q * 2**-l) * 2**-l`` — one
         rounding division by ``2**l`` followed by a float division, which
         matches the reference implementation bit for bit.  The whole pass
-        is one ufunc chain over a single float64 buffer: divide, add 0.5,
-        floor, divide — ``2**l`` divisions are exact in float64, so the
+        is one ufunc chain over a single float64 buffer: scale, add 0.5,
+        floor, scale.  Each division by ``2**l`` is a multiplication by
+        the exact ``2**-l`` — the same correctly rounded quotient, so the
         in-place form changes no bits.
+
+        ``out`` is that buffer (``elements`` itself rounds a float64
+        decode in place, as the enclave does with the primary decode);
+        without it the chain runs on a fresh copy and ``elements`` is
+        never written.
         """
-        out = self._signed_float(elements)
-        out /= self.scale
+        out = self._signed_float(elements, out)
+        out *= self.resolution
         np.add(out, 0.5, out=out)
         np.floor(out, out=out)
-        out /= self.scale
+        out *= self.resolution
         return out
 
     # ------------------------------------------------------------------

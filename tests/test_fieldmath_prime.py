@@ -27,12 +27,7 @@ def test_rejects_oversized_modulus():
 
 def test_element_reduces_into_range(field):
     arr = field.element([-1, 0, field.p, field.p + 5, -field.p - 3])
-    assert field.is_canonical(arr)
     assert arr.tolist() == [field.p - 1, 0, 0, 5, field.p - 3]
-
-
-def test_is_canonical_rejects_floats(field):
-    assert not field.is_canonical(np.array([0.5, 1.0]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -106,7 +101,7 @@ def test_signed_constants(field):
 
 def test_uniform_in_range(field, nprng):
     sample = field.uniform((1000,), nprng)
-    assert field.is_canonical(sample)
+    assert sample.dtype == np.int64 and sample.min() >= 0 and sample.max() < field.p
     nz = field.nonzero_uniform((1000,), nprng)
     assert np.all(nz > 0)
 
