@@ -3,7 +3,7 @@
 Unlike the exhibit benches (which assert *modeled* shapes), these time the
 actual numpy implementations that every experiment runs on: the prime-field
 GEMM in both backends (the generic chunked oracle vs the limb-decomposed
-BLAS path) against plain float matmul, the encode/decode primitives at a
+BLAS path), the encode/decode primitives at a
 realistic layer size, Vandermonde/elimination coefficient generation (a
 virtual batch's whole coefficient material, and a layer step's as one
 stack), the batched conv-as-GEMM
@@ -16,10 +16,10 @@ whole masked layer step (forward and backward) over a batch's stack of virtual b
 per-request floor of serving (a session's AEAD round trip, a window's
 re-staging of unchanged weights, one served step's encode/verify/decode),
 and the mask pool's refill/draw cycle.  Useful for
-regression-tracking the
-simulator's own performance: CI appends the ``--benchmark-json`` output of
-this file to ``BENCH_kernels.json`` via ``benchmarks/check_regression.py``,
-which fails the build when a tracked kernel regresses.
+regression-tracking the simulator's own performance:
+``benchmarks/check_regression.py`` times the tracked kernels here in the
+parent commit and in the change, pair by pair, and fails the build when one
+regresses.
 
 The limb backend must be *exactly* as correct as the generic one, so every
 timed call also cross-checks its result; the speedup acceptance test lives
@@ -92,13 +92,6 @@ def test_field_matmul_speed(benchmark, operands):
     assert result.shape == (N, N)
 
 
-def test_float_matmul_reference_speed(benchmark, operands):
-    a, b = operands
-    af, bf = a.astype(np.float64), b.astype(np.float64)
-    result = benchmark(lambda: af @ bf)
-    assert result.shape == (N, N)
-
-
 def test_field_matmul_generic_speed_n256(benchmark, big_operands):
     a, b = big_operands
     result = benchmark(lambda: field_matmul(FIELD, a, b, backend=GENERIC))
@@ -111,13 +104,6 @@ def test_field_matmul_limb_speed_n256(benchmark, big_operands):
     result = benchmark(lambda: field_matmul(FIELD, a, b, backend=limb))
     assert result.shape == (N_BIG, N_BIG)
     assert np.array_equal(result, field_matmul(FIELD, a, b, backend=GENERIC))
-
-
-def test_float_matmul_reference_speed_n256(benchmark, big_operands):
-    a, b = big_operands
-    af, bf = a.astype(np.float64), b.astype(np.float64)
-    result = benchmark(lambda: af @ bf)
-    assert result.shape == (N_BIG, N_BIG)
 
 
 def test_small_contraction_matmul_speed(benchmark):
@@ -258,29 +244,6 @@ def test_coefficient_stack_speed(benchmark):
     assert all(coeffs.verify() for coeffs in sets) and len(material) == 4
     assert noise.shape == (4, 1) + noise_shape
     assert all(len(plan) == 2 for plan, _ in material)
-
-
-def test_interpreter_reference_speed(benchmark):
-    """The normalizer for the interpreter-bound kernels: a fixed loop of
-    Python big-int field arithmetic and small-array ufunc calls — no BLAS,
-    nothing that leaves cache — which is what coefficient generation and
-    the quantize chains spend their time on.  It speeds up and slows down
-    with the interpreter where the float GEMM follows the BLAS."""
-    p = FIELD.p
-    small = np.arange(48, dtype=np.int64).reshape(6, 8)
-
-    def loop():
-        acc = 1
-        for i in range(1, 151):
-            acc = (acc * i + pow(i, -1, p)) % p
-        out = small
-        for _ in range(40):
-            out = (out * 3 + 1) % p
-        return acc, out
-
-    acc, out = benchmark(loop)
-    again, out_again = loop()
-    assert acc == again and 0 < acc < p and np.array_equal(out, out_again)
 
 
 def test_quantize_speed(benchmark):
@@ -696,9 +659,9 @@ def test_served_step_speed(benchmark, quick):
     mini-resnet's first conv (3->8 channels, 8x8 maps), integrity on, the
     deployment's cached coefficients, per-sample normalisation —
     ``encode`` -> ``dispatch`` -> ``decode``.  At this size every stage is
-    a few dozen small-array calls, so it is timed against the interpreter
-    reference.  Prints the enclave's budget: encode, the plan's verify, the
-    dequantize of the verified decode, and the whole decode."""
+    a few dozen small-array calls.  Prints the enclave's budget: encode, the
+    plan's verify, the dequantize of the verified decode, and the whole
+    decode."""
     network, shape = build_serving_model("mini-resnet", seed=0)
     conv = network.execution_plan()[0].layer
     config = DarKnightConfig(

@@ -1,62 +1,54 @@
-"""Gate CI on the kernel microbenchmarks' performance trajectory.
+"""Gate CI on the kernel microbenchmarks, paired against the parent commit.
 
-Reads one pytest-benchmark JSON artifact (the ``--benchmark-json`` output
-of ``bench_microbench_kernels.py``), normalizes each tracked kernel's
-best-of-run (``min``) time by a reference measured in the *same* run, and
-compares those machine-independent ratios against the median of the last
-few entries in the repo's trajectory file (``BENCH_kernels.json``).  A
-tracked kernel whose ratio grew by more than ``--threshold`` (default 25%)
-fails the build: the limb backend quietly losing its BLAS speedup is a
-regression even while every correctness test stays green.
-
-Normalizing by an in-run reference cancels the host's speed, CPU
-frequency, and noisy-neighbour load — but only against a reference that
-wanders the way the kernel does.  The BLAS-bound kernels are divided by a
-plain float GEMM ("how many float matmuls does this field kernel cost?");
-the interpreter-bound ones (coefficient material, launch accounting, the
-quantize chains, the session AEAD round trip, weight re-staging, the mask
-pool's refill/draw cycle, a served step) by a fixed
-loop of Python integer arithmetic and small-array ufunc calls,
-because on a shared box the interpreter's speed and the GEMM's move
-independently and a ratio across the two flaps on unchanged code.  Each
-trajectory entry records which reference every ratio used, and a baseline
-only pools ratios taken against the kernel's current reference (an entry
-without the record predates the split: all float GEMM).  ``min`` (not
-mean) is compared because the best rep is the least contaminated by
-scheduling noise.
+Runs the tracked kernels of ``bench_microbench_kernels.py`` (``--quick``)
+in a checkout of the baseline commit and in this tree, ``ROUNDS`` times.
+In each round the two sides run in lockstep, one benchmark at a time, and
+the side that goes first alternates by round.  Each round is a *pair*: for
+every tracked kernel the candidate's best-of-run (``min``) time over the
+baseline's.  A kernel fails when that ratio exceeds ``1 + --threshold``
+(default 25%) in a majority of pairs: the limb backend quietly losing its
+BLAS speedup is a regression even while every correctness test stays
+green.  Both sides run on the same box at the same time, so the host's
+speed and its neighbours' load cancel in each ratio, and no in-run
+normaliser is needed.  A tracked kernel the baseline lacks is reported and
+not gated; one the candidate lacks is an error.
 
 Usage::
 
-    python benchmarks/check_regression.py bench-results/microbench_kernels.json
-    python benchmarks/check_regression.py results.json --append  # extend history
-    python benchmarks/check_regression.py results.json \
-        --autoscale bench-results/autoscale.json  # also gate elastic serving
+    git worktree add --detach ../baseline HEAD^1   # the PR's base commit
+    OPENBLAS_NUM_THREADS=1 python benchmarks/check_regression.py \
+        bench-results/microbench_kernels.json --baseline ../baseline
+    ... --append                            # record the pairs in BENCH_kernels.json
+    ... --autoscale bench-results/autoscale.json  # also gate elastic serving
 
-``--autoscale`` additionally validates the autoscale exhibit's artifact:
-its ``extra_info`` ratios (elastic p99 vs static max provisioning, and
-elastic shard-seconds vs the static bill) must stay inside the fixed
-bounds asserted by ``bench_autoscale.py``.  ``--partition`` does the same
-for the layer-partition exhibit (``bench_layer_partition.py``): its
-``p99_ratio`` (3-stage pipeline group vs single enclave) must stay at or
-below 0.75.  ``--precompute`` gates the offline/online-split exhibit
-(``bench_precompute_overlap.py``): ``p99_ratio`` (precompute on vs off)
-is bounded from above and ``pool_hit_rate`` from below.
-
-``--append`` adds the new entry to the trajectory file on a passing run
-(and seeds the file when it does not exist yet), so the history grows one
-point per CI run.  All JSON I/O is strict: non-finite constants are
-rejected on read and refused on write.
+The first argument is where the candidate's last pytest-benchmark
+document is written.  Both sides inherit the environment; about 4 minutes
+on 2 cores.  ``--autoscale``, ``--partition`` and ``--precompute`` also
+hold three exhibits' artifacts to fixed bounds (see :func:`check_exhibit`).
+``--append`` adds the pair ratios to ``BENCH_kernels.json`` on a passing
+run.  All JSON I/O is strict: non-finite constants are rejected on read
+and refused on write.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-#: Kernel timings gated against the trajectory, keyed by benchmark name.
+REPO = Path(__file__).resolve().parents[1]
+TRAJECTORY = REPO / "BENCH_kernels.json"
+BENCH_FILE = "benchmarks/bench_microbench_kernels.py"
+#: Pairs per invocation: odd, so a majority is never a tie.
+ROUNDS = 5
+#: One ``--quick`` run of the tracked kernels takes ~18 s on 2 cores.
+RUN_TIMEOUT_S = 300
+
+#: Kernel timings gated against the baseline, keyed by benchmark name.
 TRACKED = (
     "test_field_matmul_speed",
     "test_field_matmul_limb_speed_n256",
@@ -84,30 +76,6 @@ TRACKED = (
     "test_mask_pool_refill_speed",
     "test_served_step_speed",
 )
-
-#: The default in-run normalizer: a plain float64 GEMM at the same N=256 size.
-REFERENCE = "test_float_matmul_reference_speed_n256"
-
-#: The normalizer of kernels that never reach the BLAS: Python-level field
-#: arithmetic and small-array ufunc dispatch.
-INTERPRETER_REFERENCE = "test_interpreter_reference_speed"
-INTERPRETER_BOUND = frozenset(
-    {
-        "test_coefficient_generation_speed",
-        "test_coefficient_material_speed",
-        "test_coefficient_stack_speed",
-        "test_launch_accounting_speed",
-        "test_quantize_speed",
-        "test_dequantize_product_speed",
-        "test_session_roundtrip_speed",
-        "test_restage_linear_speed",
-        "test_mask_pool_refill_speed",
-        "test_served_step_speed",
-    }
-)
-
-#: Trajectory entries consulted for the baseline median.
-HISTORY_WINDOW = 5
 
 #: The autoscale exhibit's name and the bounds its artifact must meet
 #: (mirrors the assertions inside ``bench_autoscale.py``).
@@ -138,236 +106,261 @@ def _load_strict(path: Path):
     return json.loads(path.read_text(), parse_constant=_reject)
 
 
-def reference_for(name: str) -> str:
-    """The in-run benchmark a tracked kernel's time is divided by."""
-    return INTERPRETER_REFERENCE if name in INTERPRETER_BOUND else REFERENCE
+def _selection() -> str:
+    """A ``-k`` expression picking the tracked benchmarks (and, unlike node
+    ids, not failing on a tree that lacks one of them)."""
+    terms = []
+    for name in TRACKED:
+        base, _, param = name.rstrip("]").partition("[")
+        terms.append(f"({base} and {param})" if param else base)
+    return " or ".join(terms)
+
+
+def run_round(trees: list[Path], outs: list[Path]) -> None:
+    """Time each tree's tracked kernels on its own ``src``, in lockstep: the
+    trees take turns one benchmark at a time, ``trees[0]`` first, so a burst
+    of host load that lasts seconds lands on both sides of a pair.  Each
+    pytest-benchmark document goes to its ``outs`` entry.  The only place
+    the gate starts children."""
+    procs, turns = [], []
+    try:
+        for tree, out in zip(trees, outs):
+            go_read, go_write = os.pipe()
+            ready_read, ready_write = os.pipe()
+            cmd = [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "-p", "check_regression", f"--lockstep={go_read},{ready_write}", BENCH_FILE,
+                "--quick", "-k", _selection(), f"--benchmark-json={out}",
+            ]
+            path = os.pathsep.join([str(tree / "src"), str(Path(__file__).resolve().parent)])
+            with open(out.with_suffix(".log"), "w") as log:
+                procs.append(subprocess.Popen(
+                    cmd, cwd=tree, env={**os.environ, "PYTHONPATH": path},
+                    stdout=log, stderr=subprocess.STDOUT, pass_fds=(go_read, ready_write),
+                ))
+            os.close(go_read)
+            os.close(ready_write)
+            turns.append((go_write, ready_read))
+        live = [i for i, (_, ready) in enumerate(turns) if os.read(ready, 1) == b"r"]
+        while live:
+            for i in list(live):
+                go, ready = turns[i]
+                os.write(go, b"g")
+                if os.read(ready, 1) != b"r":  # b"e" at the end, b"" if it died
+                    live.remove(i)
+        for proc, tree, out in zip(procs, trees, outs):
+            if proc.wait(timeout=RUN_TIMEOUT_S) != 0:
+                log = out.with_suffix(".log").read_text()[-4000:]
+                raise SystemExit(f"{tree}: kernel run exited {proc.returncode}\n{log}")
+    finally:
+        for proc in procs:
+            proc.kill()
+        for fd in (fd for turn in turns for fd in turn):
+            os.close(fd)
+
+
+# The children load this module as a pytest plugin (``-p check_regression``):
+# before each benchmark a child reports ready and waits for its turn.
+_LOCKSTEP: tuple[int, int] | None = None
+
+
+def pytest_addoption(parser):
+    parser.addoption("--lockstep", default=None, help="GO_FD,READY_FD: take turns with the gate")
+
+
+def pytest_configure(config):
+    global _LOCKSTEP
+    spec = config.getoption("lockstep")
+    _LOCKSTEP = tuple(int(fd) for fd in spec.split(",")) if spec else None
+
+
+def pytest_runtest_logstart(nodeid, location):
+    if _LOCKSTEP is not None:
+        go, ready = _LOCKSTEP
+        os.write(ready, b"r")
+        if os.read(go, 1) != b"g":
+            raise SystemExit("the regression gate went away")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if _LOCKSTEP is not None:
+        os.write(_LOCKSTEP[1], b"e")
+
+
+def run_pairs(baseline: Path, candidate: Path, results: Path) -> list[tuple[dict, dict]]:
+    """``ROUNDS`` ``(baseline, candidate)`` document pairs, the side that goes
+    first alternating by round; the candidate's last document is copied to
+    ``results``."""
+    sides = {"baseline": baseline, "candidate": candidate}
+    pairs = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for index in range(ROUNDS):
+            order = list(sides) if index % 2 == 0 else list(sides)[::-1]
+            outs = [Path(scratch) / f"{side}-{index}.json" for side in order]
+            run_round([sides[side] for side in order], outs)
+            docs = {side: _load_strict(out) for side, out in zip(order, outs)}
+            print(f"round {index + 1}/{ROUNDS}: {' first, '.join(order)}", flush=True)
+            pairs.append((docs["baseline"], docs["candidate"]))
+    results.parent.mkdir(parents=True, exist_ok=True)
+    results.write_text(json.dumps(pairs[-1][1], indent=2, allow_nan=False) + "\n")
+    return pairs
 
 
 def _min_seconds(bench_json: dict) -> dict:
     return {b["name"]: float(b["stats"]["min"]) for b in bench_json["benchmarks"]}
 
 
-def extract_ratios(bench_json: dict) -> dict:
-    """``{kernel name: min_seconds / its reference's min_seconds}`` for one run."""
-    mins = _min_seconds(bench_json)
-    for reference in (REFERENCE, INTERPRETER_REFERENCE):
-        if reference not in mins:
-            raise SystemExit(f"reference benchmark {reference!r} missing from run")
-        if not mins[reference] > 0:
-            raise SystemExit(f"reference time must be > 0, got {mins[reference]}")
-    missing = [name for name in TRACKED if name not in mins]
+def pair_ratios(pairs: list[tuple[dict, dict]]) -> tuple[dict, list[str]]:
+    """``{kernel: [candidate min / baseline min, one per pair]}`` and the
+    tracked kernels the baseline lacks (not gated)."""
+    mins = [(_min_seconds(base), _min_seconds(cand)) for base, cand in pairs]
+    missing = sorted({name for _, cand in mins for name in TRACKED if name not in cand})
     if missing:
-        raise SystemExit(f"tracked benchmarks missing from run: {missing}")
-    return {name: mins[name] / mins[reference_for(name)] for name in TRACKED}
+        raise SystemExit(f"tracked benchmarks missing from the candidate: {missing}")
+    new = [name for name in TRACKED if any(name not in base for base, _ in mins)]
+    ratios = {
+        name: [cand[name] / base[name] for base, cand in mins]
+        for name in TRACKED
+        if name not in new
+    }
+    return ratios, new
 
 
-def baseline_ratios(history: dict) -> dict:
-    """Median ratio per kernel over the last ``HISTORY_WINDOW`` entries,
-    counting only ratios taken against the kernel's current reference."""
-    window = history.get("entries", [])[-HISTORY_WINDOW:]
-    out = {}
-    for name in TRACKED:
-        samples = [
-            e["ratios"][name]
-            for e in window
-            if name in e.get("ratios", {})
-            and e.get("references", {}).get(name, REFERENCE) == reference_for(name)
-        ]
-        if samples:
-            out[name] = statistics.median(samples)
-    return out
-
-
-def check(ratios: dict, baseline: dict, threshold: float) -> list[str]:
-    """Human-readable failures for kernels slower than baseline allows."""
+def check(ratios: dict, threshold: float) -> list[str]:
+    """Human-readable failures: kernels slower than ``1 + threshold`` times
+    the baseline in a majority of pairs."""
     failures = []
-    for name, ratio in ratios.items():
-        base = baseline.get(name)
-        if base is None:
-            continue  # first sighting: nothing to regress against
-        allowed = base * (1.0 + threshold)
-        if ratio > allowed:
+    for name, series in ratios.items():
+        over = sum(ratio > 1.0 + threshold for ratio in series)
+        if 2 * over > len(series):
             failures.append(
-                f"{name}: ratio {ratio:.3f} exceeds baseline median"
-                f" {base:.3f} by more than {threshold:.0%}"
-                f" (allowed {allowed:.3f})"
+                f"{name}: candidate/baseline {_series(series)} exceeds"
+                f" {1.0 + threshold:.2f} in {over} of {len(series)} pairs"
             )
     return failures
 
 
-def check_autoscale(path: Path) -> list[str]:
-    """Validate the autoscale artifact's ratios against the fixed bounds.
+def _series(series: list[float]) -> str:
+    return " ".join(f"{ratio:.2f}" for ratio in series)
 
-    The elastic-serving exhibit records ``p99_ratio`` (elastic tail vs
-    the static max-provisioned deployment) and ``shard_seconds_ratio``
-    (elastic bill vs the static bill) in ``extra_info``; either one
-    drifting past its bound means autoscaling stopped paying for itself.
+
+def check_exhibit(path: Path, label: str, bench: str, upper: dict, lower: dict) -> list[str]:
+    """Validate one exhibit artifact's ``extra_info`` against fixed bounds:
+    ``upper`` values must stay at or below theirs, ``lower`` at or above.
+
+    The autoscale exhibit records ``p99_ratio`` (elastic tail vs the static
+    max-provisioned deployment) and ``shard_seconds_ratio`` (elastic bill vs
+    the static bill); the layer-partition one ``p99_ratio`` (3-stage
+    pipeline-group tail vs the single whole-model enclave); the
+    precompute-overlap one ``p99_ratio`` (precompute on vs off) and
+    ``pool_hit_rate`` (steady-state mask-pool hits).  Any of them drifting
+    past its bound means the mechanism stopped paying for itself.
     """
     data = _load_strict(path)
-    rows = [b for b in data["benchmarks"] if b["name"] == AUTOSCALE_BENCH]
+    rows = [b for b in data["benchmarks"] if b["name"] == bench]
     if not rows:
-        return [f"autoscale benchmark {AUTOSCALE_BENCH!r} missing from {path}"]
-    info = rows[0].get("extra_info", {})
-    failures = []
-    for key, bound in AUTOSCALE_BOUNDS.items():
-        value = info.get(key)
-        if value is None:
-            failures.append(f"autoscale artifact lacks extra_info[{key!r}]")
-        elif float(value) > bound:
-            failures.append(
-                f"autoscale {key} {float(value):.3f} exceeds bound {bound:.2f}"
-            )
-        else:
-            print(f"autoscale {key}: {float(value):.3f} (bound {bound:.2f})")
-    return failures
-
-
-def check_partition(path: Path) -> list[str]:
-    """Validate the layer-partition artifact's p99 ratio against its bound.
-
-    The exhibit records ``p99_ratio`` (3-stage pipeline-group tail vs the
-    single whole-model enclave) in ``extra_info``; drifting past the bound
-    means partitioning stopped cutting per-request latency.
-    """
-    data = _load_strict(path)
-    rows = [b for b in data["benchmarks"] if b["name"] == PARTITION_BENCH]
-    if not rows:
-        return [f"partition benchmark {PARTITION_BENCH!r} missing from {path}"]
-    info = rows[0].get("extra_info", {})
-    failures = []
-    for key, bound in PARTITION_BOUNDS.items():
-        value = info.get(key)
-        if value is None:
-            failures.append(f"partition artifact lacks extra_info[{key!r}]")
-        elif float(value) > bound:
-            failures.append(
-                f"partition {key} {float(value):.3f} exceeds bound {bound:.2f}"
-            )
-        else:
-            print(f"partition {key}: {float(value):.3f} (bound {bound:.2f})")
-    return failures
-
-
-def check_precompute(path: Path) -> list[str]:
-    """Validate the precompute-overlap artifact against both bound kinds.
-
-    The offline/online-split exhibit records ``p99_ratio`` (precompute on
-    vs off, lower is better — gated from above) and ``pool_hit_rate``
-    (steady-state mask-pool hits, higher is better — gated from below) in
-    ``extra_info``; either drifting past its bound means the split stopped
-    hiding offline work in the enclave's idle gaps.
-    """
-    data = _load_strict(path)
-    rows = [b for b in data["benchmarks"] if b["name"] == PRECOMPUTE_BENCH]
-    if not rows:
-        return [f"precompute benchmark {PRECOMPUTE_BENCH!r} missing from {path}"]
+        return [f"{label} benchmark {bench!r} missing from {path}"]
     info = rows[0].get("extra_info", {})
     failures = []
     for bounds, too_far, side in (
-        (PRECOMPUTE_UPPER_BOUNDS, lambda v, b: v > b, "exceeds upper"),
-        (PRECOMPUTE_LOWER_BOUNDS, lambda v, b: v < b, "falls below lower"),
+        (upper, lambda v, b: v > b, "exceeds"),
+        (lower, lambda v, b: v < b, "falls below"),
     ):
         for key, bound in bounds.items():
             value = info.get(key)
             if value is None:
-                failures.append(f"precompute artifact lacks extra_info[{key!r}]")
+                failures.append(f"{label} artifact lacks extra_info[{key!r}]")
             elif too_far(float(value), bound):
-                failures.append(
-                    f"precompute {key} {float(value):.3f} {side} bound {bound:.2f}"
-                )
+                failures.append(f"{label} {key} {float(value):.3f} {side} bound {bound:.2f}")
             else:
-                print(f"precompute {key}: {float(value):.3f} (bound {bound:.2f})")
+                print(f"{label} {key}: {float(value):.3f} (bound {bound:.2f})")
     return failures
+
+
+def _commit(tree: Path) -> str | None:
+    proc = subprocess.run(
+        ["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True
+    )
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def append_entry(pairs: list[tuple[dict, dict]], ratios: dict, baseline: Path) -> None:
+    """Add one paired entry to ``TRAJECTORY``: each kernel's ratio per pair."""
+    history = (
+        _load_strict(TRAJECTORY)
+        if TRAJECTORY.exists()
+        else {"description": "kernel microbench trajectory (see"
+              " benchmarks/check_regression.py)", "entries": []}
+    )
+    history["entries"].append(
+        {
+            "datetime": pairs[-1][1].get("datetime"),
+            "baseline": _commit(baseline),
+            "pair_ratios": ratios,
+        }
+    )
+    TRAJECTORY.write_text(json.dumps(history, indent=2, allow_nan=False) + "\n")
+    print(f"appended entry #{len(history['entries'])} to {TRAJECTORY}")
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("results", type=Path, help="pytest-benchmark JSON file")
     parser.add_argument(
-        "--history",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_kernels.json",
-        help="trajectory file (default: repo-root BENCH_kernels.json)",
+        "results", type=Path, help="where the candidate's pytest-benchmark JSON is written"
     )
     parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="max allowed slowdown vs the baseline median (default 0.25)",
+        "--baseline", type=Path, required=True, metavar="DIR",
+        help="a checkout of the baseline commit (e.g. a git worktree of the parent)",
     )
     parser.add_argument(
-        "--append",
-        action="store_true",
-        help="append this run to the trajectory file when the gate passes",
+        "--threshold", type=float, default=0.25,
+        help="max allowed slowdown vs the baseline in a majority of pairs (default 0.25)",
     )
     parser.add_argument(
-        "--autoscale",
-        type=Path,
-        default=None,
-        metavar="PATH",
+        "--append", action="store_true",
+        help="append this run's pair ratios to BENCH_kernels.json when the gate passes",
+    )
+    parser.add_argument(
+        "--autoscale", type=Path, metavar="PATH",
         help="also gate the autoscale exhibit's JSON artifact"
              " (p99_ratio / shard_seconds_ratio bounds)",
     )
     parser.add_argument(
-        "--partition",
-        type=Path,
-        default=None,
-        metavar="PATH",
+        "--partition", type=Path, metavar="PATH",
         help="also gate the layer-partition exhibit's JSON artifact"
              " (p99_ratio at 3 partitions vs the single-enclave baseline)",
     )
     parser.add_argument(
-        "--precompute",
-        type=Path,
-        default=None,
-        metavar="PATH",
+        "--precompute", type=Path, metavar="PATH",
         help="also gate the precompute-overlap exhibit's JSON artifact"
              " (p99_ratio upper bound and pool_hit_rate lower bound)",
     )
     args = parser.parse_args(argv)
 
-    bench_json = _load_strict(args.results)
-    ratios = extract_ratios(bench_json)
-    history = (
-        _load_strict(args.history)
-        if args.history.exists()
-        else {"description": "kernel microbench trajectory (see"
-              " benchmarks/check_regression.py)", "entries": []}
-    )
-    baseline = baseline_ratios(history)
+    pairs = run_pairs(args.baseline.resolve(), REPO, args.results)
+    ratios, new = pair_ratios(pairs)
+    for name, series in ratios.items():
+        print(f"{name}: candidate/baseline {_series(series)}")
+    for name in new:
+        print(f"{name}: not in the baseline, not gated")
 
-    for name in TRACKED:
-        base_txt = f"{baseline[name]:.3f}" if name in baseline else "none"
-        versus = "interpreter" if name in INTERPRETER_BOUND else "GEMM"
-        print(f"{name}: ratio {ratios[name]:.3f} vs {versus} (baseline median {base_txt})")
-
-    failures = check(ratios, baseline, args.threshold)
+    failures = check(ratios, args.threshold)
     if args.autoscale is not None:
-        failures += check_autoscale(args.autoscale)
+        failures += check_exhibit(args.autoscale, "autoscale", AUTOSCALE_BENCH,
+                                  AUTOSCALE_BOUNDS, {})
     if args.partition is not None:
-        failures += check_partition(args.partition)
+        failures += check_exhibit(args.partition, "partition", PARTITION_BENCH,
+                                  PARTITION_BOUNDS, {})
     if args.precompute is not None:
-        failures += check_precompute(args.precompute)
+        failures += check_exhibit(args.precompute, "precompute", PRECOMPUTE_BENCH,
+                                  PRECOMPUTE_UPPER_BOUNDS, PRECOMPUTE_LOWER_BOUNDS)
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         return 1
 
     if args.append:
-        mins = _min_seconds(bench_json)
-        history["entries"].append(
-            {
-                "datetime": bench_json.get("datetime"),
-                "reference_seconds": mins[REFERENCE],
-                "interpreter_reference_seconds": mins[INTERPRETER_REFERENCE],
-                "ratios": ratios,
-                "references": {name: reference_for(name) for name in TRACKED},
-            }
-        )
-        args.history.write_text(
-            json.dumps(history, indent=2, allow_nan=False) + "\n"
-        )
-        print(f"appended entry #{len(history['entries'])} to {args.history}")
+        append_entry(pairs, ratios, args.baseline)
     print("benchmark regression gate passed")
     return 0
 

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import QuantizationError
+
+_NON_FINITE = "holds NaN or infinite values; refusing to normalise"
+
 
 @dataclass(frozen=True)
 class Normalization:
@@ -63,12 +67,15 @@ class DynamicNormalizer:
         """Return ``(scaled_values, normalization)``.
 
         Only scales when needed so well-behaved tensors keep full
-        fixed-point resolution.
+        fixed-point resolution.  A NaN or infinite entry raises
+        :class:`~repro.errors.QuantizationError` before anything is divided.
         """
         arr = np.asarray(values, dtype=np.float64)
         max_abs = float(np.abs(arr).max()) if arr.size else 0.0
         if max_abs <= 1.0:
             return arr, IDENTITY
+        if not max_abs < np.inf:  # inf, or NaN (which fails every comparison)
+            raise QuantizationError(f"tensor {_NON_FINITE}")
         norm = Normalization(max_abs)
         return norm.apply(arr), norm
 
@@ -107,8 +114,12 @@ class DynamicNormalizer:
             return scaled, None if norm is IDENTITY else norm.factor
         axes = tuple(range(lead, arr.ndim))
         # fmax, not maximum: a NaN row keeps the factor 1.0 it has always
-        # had here, and the quantizer then refuses it by name.
+        # had here, and the quantizer then refuses it by name; an infinite
+        # row is refused here.
         factors = np.fmax(np.abs(arr).max(axis=axes, keepdims=True), 1.0)
-        if factors.max() == 1.0:
+        top = factors.max()
+        if top == 1.0:
             return arr, None
+        if top == np.inf:  # refused before ``inf / inf`` could warn
+            raise QuantizationError(f"a row {_NON_FINITE}")
         return arr / factors, factors

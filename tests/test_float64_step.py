@@ -295,11 +295,16 @@ def test_a_staged_step_is_the_int64_chain(k, m, integrity, kind, per_sample, fre
 # ----------------------------------------------------------------------
 # refusals fire before anything is scattered
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e6], ids=["nan", "inf", "-inf", "range"])
-def test_a_refused_input_scatters_no_share(bad):
-    # Without normalisation: it would scale 1e6 back into range.
+@pytest.mark.parametrize(
+    "bad, dynamic",
+    [(np.nan, False), (np.inf, False), (-np.inf, False), (1e6, False),
+     (np.nan, True), (np.inf, True), (-np.inf, True)],
+    ids=["nan", "inf", "-inf", "range", "nan-dynamic", "inf-dynamic", "-inf-dynamic"],
+)
+def test_a_refused_input_scatters_no_share(bad, dynamic):
+    # 1e6 only without normalisation: it would scale back into range.
     config = DarKnightConfig(
-        virtual_batch_size=2, integrity=True, seed=0, dynamic_normalization=False
+        virtual_batch_size=2, integrity=True, seed=0, dynamic_normalization=dynamic
     )
     backend = DarKnightBackend(config)
     op, _ = _staged(backend, "dense", np.random.default_rng(0))

@@ -247,6 +247,19 @@ def test_normalize_rows_reports_none_when_nothing_needs_scaling():
     assert np.array_equal(scaled, [0.5, -1.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["+inf", "-inf"])
+@pytest.mark.parametrize("lead", [1, 2])
+def test_normalizers_refuse_infinite_values_before_dividing(bad, lead):
+    """``inf / inf`` would warn (an error under ``tests/``) and hand the
+    quantizer a NaN: both normalisers refuse the value by name first."""
+    values = np.ones((1, 2, 3))
+    values[0, 1, 2] = bad
+    with pytest.raises(QuantizationError, match="NaN or infinite"):
+        DynamicNormalizer().normalize_rows(values, lead=lead)
+    with pytest.raises(QuantizationError, match="NaN or infinite"):
+        DynamicNormalizer().normalize(values)
+
+
 def test_only_the_scalar_one_is_the_identity():
     assert IDENTITY.is_identity
     assert not Normalization(2.0).is_identity
