@@ -97,16 +97,22 @@ def main() -> None:
     print(f"private training: loss {history.loss[0]:.3f} -> {history.loss[-1]:.3f}")
 
     # --- 4. multi-tenant private serving --------------------------------
-    # The trained model goes behind the serving subsystem: the test set
-    # arrives as independent single-sample requests from three tenants,
-    # coalesced back into virtual batches under a 10 ms deadline.
+    # The trained weights ship to the serving deployment as a checkpoint,
+    # loaded into a freshly built copy of the model.  The test set arrives
+    # as independent single-sample requests from three tenants, coalesced
+    # back into virtual batches under a 10 ms deadline.
+    served = build_mini_vgg(
+        input_shape=data.input_shape, n_classes=10,
+        rng=np.random.default_rng(SEED + 6), width=8,
+    )
+    served.load_state_dict(net.state_dict())
     serve_cfg = ServingConfig(
         darknight=DarKnightConfig(
             virtual_batch_size=4, integrity=True, seed=SEED + 4
         ),
         max_batch_wait=0.01,
     )
-    server = PrivateInferenceServer(net, serve_cfg)
+    server = PrivateInferenceServer(served, serve_cfg)
     trace = trace_from_arrays(
         data.x_test, tenants=["alice", "bob", "carol"], seed=SEED + 5
     )

@@ -5,7 +5,8 @@ once on raw floats, once through the full DarKnight pipeline (quantize ->
 mask -> simulated GPUs -> decode, aggregate-only weight updates) — and
 prints the two accuracy curves side by side (the Fig. 4 experiment), plus
 the Slalom counter-demonstration: the same training loop refuses to run on
-a precomputed-blinding backend (Section 7.2).
+a precomputed-blinding backend, and one weight update discards its whole
+offline phase (Section 7.2).
 
 Run:  python examples/private_training.py [--seed N]
 """
@@ -63,6 +64,16 @@ def main() -> None:
         trainer.train_step(data.x_train[:4], data.y_train[:4])
     except SlalomTrainingError as exc:
         print(f"refused, as the paper argues: {exc}")
+
+    # Even inference pays for each weight update: every precomputed W·r is
+    # stale, so the offline phase is discarded and runs again.
+    backend = SlalomBackend()
+    sealed = backend.enclave.ledger.op_counts
+    net.forward(data.x_test[:4], backend, training=False)
+    before = sealed["seal"]
+    net.layers[0].params["w"] += 0.01
+    net.forward(data.x_test[:4], backend, training=False)
+    print(f"one weight update re-seals {sealed['seal'] - before} blinding blobs")
 
 
 if __name__ == "__main__":

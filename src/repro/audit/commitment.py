@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.audit.merkle import MerkleTree, leaf_digest
 from repro.errors import AuditError
 
 #: Leaf status marking requests whose shared window aborted and was
@@ -320,16 +319,6 @@ class WindowCommitment:
         if len(self.leaf_blobs) == len(self.leaves):
             return self.leaf_blobs
         return [canonical_json_bytes(leaf) for leaf in self.leaves]
-
-    @property
-    def leaf_digests(self) -> list[str]:
-        """Canonical digest per leaf, in dispatch order."""
-        return [leaf_digest(blob) for blob in self.canonical_leaf_blobs()]
-
-    @property
-    def merkle_root(self) -> str:
-        """Root of the tree over :attr:`leaf_digests`."""
-        return MerkleTree(self.leaf_digests).root
 
     def meta(self, window_id: int | None = None) -> dict:
         """The chained window metadata (everything but the leaves)."""

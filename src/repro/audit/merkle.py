@@ -123,10 +123,6 @@ class MerkleTree:
             level = parents
 
     @property
-    def n_leaves(self) -> int:
-        return len(self.leaves)
-
-    @property
     def root(self) -> str:
         """The tree root (:data:`EMPTY_ROOT` for a zero-leaf window)."""
         if not self.leaves:

@@ -104,7 +104,7 @@ class Enclave:
         self.ledger.record_op(f"ocall:{name}", nbytes_out, count)
 
     # ------------------------------------------------------------------
-    # sealing / eviction (Algorithm 2 building blocks)
+    # sealing / eviction
     # ------------------------------------------------------------------
     def seal_and_evict(self, key: str, array: np.ndarray, label: bytes = b"") -> Envelope:
         """Encrypt an array and push it to untrusted memory."""

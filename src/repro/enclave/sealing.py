@@ -2,9 +2,11 @@
 
 DarKnight's Algorithm 2 seals each virtual batch's weight-update shard
 (``▽W_v``) and evicts it to untrusted DRAM, reloading and decrypting during
-the final aggregation.  Sealing binds the blob to the enclave measurement so
-a different (or tampered) enclave cannot unseal it — mirrored here by mixing
-the measurement into the sealing key.
+the final aggregation; ``perf.costs`` prices that flow for Fig. 3, and the
+Slalom baseline seals its precomputed blinding pairs here.  Sealing binds
+the blob to the enclave measurement so a different (or tampered) enclave
+cannot unseal it — mirrored here by mixing the measurement into the
+sealing key.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 from repro.enclave.crypto import (
     ByteStream,
-    Ciphertext,
     Envelope,
     StreamAead,
     array_to_bytes,
@@ -68,7 +69,7 @@ class Sealer:
 
 
 class UntrustedStore:
-    """Untrusted DRAM region holding sealed blobs (Algorithm 2's eviction).
+    """Untrusted DRAM region holding sealed blobs.
 
     The adversary-visible surface is ciphertext only; the enclave's ledger
     books the bytes each eviction and reload moves.
@@ -88,25 +89,6 @@ class UntrustedStore:
         return self._blobs[key]
 
     def drop(self, key: str) -> None:
-        """Delete a blob (after aggregation consumed it)."""
+        """Delete a blob (a stale Slalom pool's pairs)."""
         self._blobs.pop(key, None)
 
-    def keys(self) -> list[str]:
-        """Keys currently stored."""
-        return list(self._blobs)
-
-    def tamper(self, key: str) -> None:
-        """Adversarial helper: flip the first ciphertext byte (tests the MAC)."""
-        blob = self._blobs[key]
-        data = bytearray(blob.ciphertext.data)
-        data[0] ^= 0xFF
-        self._blobs[key] = Envelope(
-            ciphertext=Ciphertext(
-                nonce=blob.ciphertext.nonce,
-                data=bytes(data),
-                tag=blob.ciphertext.tag,
-                aad=blob.ciphertext.aad,
-            ),
-            dtype=blob.dtype,
-            shape=blob.shape,
-        )

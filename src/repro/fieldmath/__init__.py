@@ -34,7 +34,6 @@ from repro.fieldmath.linalg import (
     is_invertible,
     rank,
     solve,
-    vandermonde,
 )
 from repro.fieldmath.prime import DEFAULT_PRIME, PrimeField
 from repro.fieldmath.random import FieldRng
@@ -51,7 +50,6 @@ __all__ = [
     "rank",
     "determinant",
     "is_invertible",
-    "vandermonde",
     "all_column_subsets_full_rank",
     "BarrettReducer",
     "GenericBackend",

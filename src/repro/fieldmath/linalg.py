@@ -21,10 +21,11 @@ same field.  This module provides both:
   takes a stack ``(..., n, n)`` like ``np.linalg.inv`` and eliminates every
   slice in lockstep, so a coefficient set's primary and alternate decode
   matrices cost one call;
-* :func:`vandermonde` — the MDS construction guaranteeing that *every*
+* :func:`all_column_subsets_full_rank` — the certificate that *every*
   ``<= M``-column subset of the noise-coefficient block ``A2`` is full rank
   (Section 4.5's collusion requirement, which random matrices only satisfy
-  with high probability).
+  with high probability; :mod:`repro.masking.coefficients` builds ``A2``
+  as a Vandermonde block so it holds by construction).
 """
 
 from __future__ import annotations
@@ -318,34 +319,6 @@ def determinant(field: PrimeField, matrix: np.ndarray) -> int:
             factor = field.mul(int(m[other, col]), inv_pivot)
             m[other] = field.sub(m[other], field.mul(m[col], int(factor)))
     return int(det)
-
-
-def vandermonde(field: PrimeField, points: np.ndarray, n_rows: int) -> np.ndarray:
-    """Vandermonde matrix ``V[i, j] = points[j]**i`` of shape ``(n_rows, len(points))``.
-
-    With distinct evaluation points, every ``n_rows x n_rows`` column
-    submatrix is invertible — exactly the MDS property DarKnight needs for
-    the collusion-tolerant noise block ``A2`` (any ``M`` colluding GPUs see
-    noise coefficients of full rank, so no linear combination cancels the
-    masks).
-    """
-    pts = field.element(points).ravel()
-    if len(set(int(v) for v in pts)) != pts.size:
-        raise FieldError("Vandermonde points must be distinct")
-    if n_rows < 1:
-        raise FieldError(f"need at least one row, got {n_rows}")
-    # Cumulative-power doubling: with rows 0..f-1 filled, rows f..2f-1 are
-    # the first f rows scaled by pts**f — one vectorized field multiply per
-    # doubling instead of a per-row append loop.
-    out = np.empty((n_rows, pts.size), dtype=np.int64)
-    out[0] = 1
-    filled = 1
-    while filled < n_rows:
-        take = min(filled, n_rows - filled)
-        base = field.mul(out[filled - 1], pts)  # pts**filled
-        out[filled : filled + take] = field.mul(out[:take], base[None, :])
-        filled += take
-    return out
 
 
 def all_column_subsets_full_rank(

@@ -101,10 +101,6 @@ class PrimeField:
         """All-zero field array."""
         return np.zeros(shape, dtype=np.int64)
 
-    def ones(self, shape) -> np.ndarray:
-        """All-one field array."""
-        return np.ones(shape, dtype=np.int64)
-
     def eye(self, n: int) -> np.ndarray:
         """Identity matrix over the field."""
         return np.eye(n, dtype=np.int64)
@@ -137,14 +133,6 @@ class PrimeField:
         np.add(diff, self.p, out=diff, where=diff < 0)
         return diff
 
-    def neg(self, a) -> np.ndarray:
-        """Element-wise additive inverse (conditional correction, no modulus)."""
-        flipped = -np.asarray(a, dtype=np.int64)
-        if flipped.ndim == 0 or np.any(flipped > 0) or np.any(flipped <= -self.p):
-            return np.mod(flipped, self.p)
-        np.add(flipped, self.p, out=flipped, where=flipped < 0)
-        return flipped
-
     def mul(self, a, b) -> np.ndarray:
         """Element-wise ``(a * b) mod p``.
 
@@ -163,41 +151,6 @@ class PrimeField:
             reduced = barrett(self.p).reduce_f64(prod.astype(np.float64))
             return reduced.astype(np.int64)
         return np.mod(prod, self.p)
-
-    def square(self, a) -> np.ndarray:
-        """Element-wise ``a**2 mod p``."""
-        return self.mul(a, a)
-
-    def power(self, base, exponent: int) -> np.ndarray:
-        """Element-wise modular exponentiation by a non-negative integer.
-
-        Uses square-and-multiply with reduction after every step, so any
-        array shape is supported.
-        """
-        if exponent < 0:
-            return self.power(self.inv(base), -exponent)
-        result = self.ones(np.shape(base))
-        acc = self.element(base)
-        e = exponent
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.square(acc)
-            e >>= 1
-        return result
-
-    def inv(self, a) -> np.ndarray:
-        """Element-wise multiplicative inverse via Fermat's little theorem.
-
-        Raises
-        ------
-        FieldError
-            If any entry is zero (zero has no inverse).
-        """
-        arr = self.element(a)
-        if np.any(arr == 0):
-            raise FieldError("zero has no multiplicative inverse in F_p")
-        return self.power(arr, self.p - 2)
 
     def scalar_inv(self, a: int) -> int:
         """Inverse of a single scalar, returned as a Python int."""
@@ -233,34 +186,6 @@ class PrimeField:
         """Threshold separating 'positive' from 'negative' representatives."""
         return self.p // 2
 
-    @property
-    def signed_min(self) -> int:
-        """Most negative integer representable by the signed lift."""
-        return -(self.p // 2)
-
-    @property
-    def signed_max(self) -> int:
-        """Most positive integer representable by the signed lift."""
-        return self.p // 2
-
-    def from_signed(self, values) -> np.ndarray:
-        """Map signed integers into ``[0, p)`` (negatives get ``+p``).
-
-        This is the ``Field`` procedure of the paper's Algorithm 1.  Values
-        outside ``[-p/2, p/2]`` wrap and become ambiguous on the way back,
-        which callers guard against via :mod:`repro.quantization`.
-        """
-        return self.element(values)
-
-    def to_signed(self, values) -> np.ndarray:
-        """Centre-lift canonical elements back to signed integers.
-
-        Entries above ``p/2`` are interpreted as negatives (the paper's
-        post-GPU "subtract p" step).
-        """
-        arr = self.element(values)
-        return np.where(arr > self.half, arr - self.p, arr)
-
     # ------------------------------------------------------------------
     # randomness
     # ------------------------------------------------------------------
@@ -271,6 +196,3 @@ class PrimeField:
     def nonzero_uniform(self, shape, rng: np.random.Generator) -> np.ndarray:
         """Uniformly random *non-zero* field elements."""
         return rng.integers(1, self.p, size=shape, dtype=np.int64)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PrimeField(p={self.p})"

@@ -21,9 +21,6 @@ from repro.errors import EncodingError
 from repro.fieldmath import PrimeField, field_matmul, inverse, rank
 from repro.masking.coefficients import CoefficientSet
 
-#: Histogram bins of :meth:`CollusionPool.uniformity_statistic`.
-UNIFORMITY_BINS = 64
-
 
 @dataclass(frozen=True)
 class ReconstructionResult:
@@ -124,19 +121,3 @@ class CollusionPool:
             reason="coalition exceeded the collusion tolerance with known coefficients",
             recovered=inputs,
         )
-
-    # ------------------------------------------------------------------
-    # empirical uniformity
-    # ------------------------------------------------------------------
-    def uniformity_statistic(self) -> float:
-        """Chi-square statistic of pooled share values against uniform.
-
-        Under the privacy theorem each share is marginally uniform on
-        ``F_p``; over :data:`UNIFORMITY_BINS` bins the statistic should stay
-        near ``UNIFORMITY_BINS - 1``.  Exposed for the analysis module and
-        property tests.
-        """
-        values = self.shares.reshape(-1)
-        counts, _ = np.histogram(values, bins=UNIFORMITY_BINS, range=(0, self.field.p))
-        expected = values.size / UNIFORMITY_BINS
-        return float(np.sum((counts - expected) ** 2 / expected))

@@ -22,11 +22,6 @@ class FaultInjector:
         """Return the (possibly tampered) tensor a device would emit."""
         return tensor
 
-    @property
-    def tamper_count(self) -> int:
-        """How many outputs were actually modified so far."""
-        return 0
-
 
 class RandomTamper(FaultInjector):
     """Adds a uniform non-zero field offset at one random position.
@@ -82,10 +77,5 @@ class TargetedTamper(FaultInjector):
         if op_name != self.target_op:
             return tensor
         return self.inner.corrupt(tensor, device_id, op_name)
-
-    @property
-    def tamper_count(self) -> int:
-        return self.inner.tamper_count
-
 
 HONEST = FaultInjector()

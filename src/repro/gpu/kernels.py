@@ -183,16 +183,6 @@ class FloatKernels:
         return np.matmul(a, b)
 
     @staticmethod
-    def dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Row-vector times weight matrix."""
-        return x.reshape(1, -1) @ w
-
-    @staticmethod
-    def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-        """Batched float convolution."""
-        return F.conv2d_via_matmul(x, w, np.matmul, stride, pad)
-
-    @staticmethod
     def conv2d_grad_x(w, delta, x_shape, stride: int = 1, pad: int = 0) -> np.ndarray:
         """Batched input-gradient (the unencoded ``δ`` propagation offload)."""
         return F.conv2d_grad_x(w, delta, x_shape, np.matmul, stride, pad)

@@ -37,10 +37,11 @@ a layer step's virtual batches (and their noise), having inverted every
 set's primary subset **and** the verification plan's first alternate
 candidate — ``2V`` small matrices — in one stacked
 :func:`~repro.fieldmath.inverse` call, and derived ``Γ⁻¹``, ``B``, the
-alternate subset's ``B``, the decode memo and the plan for the whole stack
-in vectorised passes.  Afterwards the plan and the forward and backward
-checks eliminate nothing (only a singular candidate or
-``extra_shares > k + m`` sends a plan back to the lazy per-subset search).
+alternate subset's ``B`` and the decode memo for the whole stack in
+vectorised passes.  Afterwards the plan (searched lazily, from the memo)
+and the forward and backward checks eliminate nothing; only a singular
+candidate or ``extra_shares > k + m`` makes the search invert one more
+subset.
 A single set is the one-slice stack of the same code.
 
 Draws by the block.  A stack's random material is four draws, whatever
@@ -331,11 +332,8 @@ class CoefficientSet:
         ]
         # The sets are slices of the stack's arrays: read-only, so that no
         # caller's write can reach a neighbouring set through a shared base.
-        for array in (a, gamma, gamma_inv, inverses, *b):
+        for array in (a, gamma, inverses, *b):
             _freeze(array)
-        # With the alternate invertible and every redundant share in it, the
-        # verification plan is known here; otherwise it stays a lazy search.
-        plan = tuple(subsets) if extra_shares <= s else None
         sets = []
         for v, lost in enumerate(singular.tolist()):
             coeffs = cls(
@@ -347,10 +345,8 @@ class CoefficientSet:
                 if not gone:
                     b_cache[subset] = b[i][v]
             coeffs.__dict__.update(
-                gamma_inv=gamma_inv[v], _decode_cache=decode_cache, _b_cache=b_cache
+                _decode_cache=decode_cache, _b_cache=b_cache
             )
-            if plan is not None and not any(lost):
-                coeffs.__dict__["verification_plan"] = plan
             sets.append(coeffs)
         return tuple(sets), noise
 
@@ -399,19 +395,9 @@ class CoefficientSet:
         return self.n_shares - self.n_sources
 
     @property
-    def a1(self) -> np.ndarray:
-        """Input-coefficient block (paper's ``A1``), shape ``(k, n_shares)``."""
-        return self.a[: self.k]
-
-    @property
     def a2(self) -> np.ndarray:
         """Noise-coefficient block (paper's ``A2``), shape ``(m, n_shares)``."""
         return self.a[self.k :]
-
-    @cached_property
-    def gamma_inv(self) -> np.ndarray:
-        """``γ_j⁻¹`` per share — what every ``B`` solve scales by.  **Secret.**"""
-        return _scalar_inverses(self.field, self.gamma)
 
     @cached_property
     def encode_operands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -490,25 +476,18 @@ class CoefficientSet:
         on the frozen ``A`` only, and its subset inverses land in the
         decode memo.
         """
-        s = self.n_sources
+        n_shares = self.a.shape[1]
         plan = [self.primary_subset]
-        covered = sorted(self.primary_subset)
-        uncovered = [j for j in range(self.n_shares) if j not in self.primary_subset]
-
-        while uncovered:
-            alternate = next(
-                (
-                    subset
-                    for subset in _alternate_candidates(covered, uncovered, s)
-                    if self._subset_inverse(subset) is not None
-                ),
-                None,
-            )
-            if alternate is None:
+        covered = set(self.primary_subset)
+        while len(covered) < n_shares:
+            uncovered = [j for j in range(n_shares) if j not in covered]
+            for alternate in _alternate_candidates(sorted(covered), uncovered, self.k + self.m):
+                if self._subset_inverse(alternate) is not None:
+                    break
+            else:
                 break  # the rest sit in no invertible subset
             plan.append(alternate)
-            covered = sorted(set(covered) | set(alternate))
-            uncovered = [j for j in uncovered if j not in alternate]
+            covered.update(alternate)
         return tuple(plan)
 
     def iter_decoding_subsets(self, limit: int | None = None):
@@ -544,9 +523,8 @@ class CoefficientSet:
         subset = tuple(subset)
         solved = self.__dict__.setdefault("_b_cache", {})
         if subset not in solved:
-            b = self._solve_b(
-                self.field, self.decoding_matrix(subset), self.gamma_inv, self.k, subset
-            )
+            gamma_inv = _scalar_inverses(self.field, self.gamma)
+            b = self._solve_b(self.field, self.decoding_matrix(subset), gamma_inv, self.k, subset)
             solved[subset] = _freeze(b)  # handed out again on every later call
         return solved[subset], self.gamma
 
@@ -561,7 +539,3 @@ class CoefficientSet:
             self.a.T,
         )
         return bool(np.array_equal(lhs, _recovery_target(self.field, self.k, self.m)))
-
-    def collusion_tolerance(self) -> int:
-        """``M`` — how many colluding GPUs leak nothing (Section 4.5)."""
-        return self.m

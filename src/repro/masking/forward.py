@@ -117,16 +117,6 @@ class EncodedBatch:
     noise: np.ndarray
     coefficients: CoefficientSet | tuple[CoefficientSet, ...]
 
-    @property
-    def feature_shape(self) -> tuple[int, ...]:
-        """Per-sample tensor shape (whatever the layer consumes)."""
-        lead = 1 if isinstance(self.coefficients, CoefficientSet) else 2
-        return tuple(self.shares.shape[lead:])
-
-    def share_for_gpu(self, gpu_index: int) -> np.ndarray:
-        """The single share GPU ``gpu_index`` is allowed to see."""
-        return self.shares[gpu_index]
-
 
 class ForwardEncoder:
     """Encodes virtual batches under a given coefficient set.

@@ -112,13 +112,6 @@ class IntegrityVerifier:
             )
         return plans
 
-    def verification_plan(self) -> tuple[tuple[int, ...], ...]:
-        """The one plan this verifier decodes from (see :meth:`verification_plans`)."""
-        plan, *others = self.verification_plans()
-        if any(other != plan for other in others):
-            raise IntegrityError("stacked coefficient sets follow different plans")
-        return plan
-
     # ------------------------------------------------------------------
     # forward-pass verification
     # ------------------------------------------------------------------

@@ -34,11 +34,6 @@ class VirtualBatch:
     indices: tuple[int, ...]
     n_real: int
 
-    @property
-    def is_padded(self) -> bool:
-        """True when the slice carries zero-padding rows."""
-        return self.n_real < self.data.shape[0]
-
 
 def iter_virtual_batches(batch: np.ndarray, k: int) -> Iterator[VirtualBatch]:
     """Split ``batch`` (first axis = samples) into ``K``-sized virtual batches.

@@ -85,26 +85,9 @@ class ModelSpec:
     # aggregate queries used by the perf model
     # ------------------------------------------------------------------
     @property
-    def n_params(self) -> int:
-        """Total trainable scalars."""
-        return sum(l.counts.params for l in self.layers)
-
-    @property
     def param_bytes(self) -> int:
         """float32 weight footprint."""
         return sum(l.counts.param_bytes for l in self.layers)
-
-    def linear_macs_forward(self) -> int:
-        """Forward MACs across all offloadable layers (per sample)."""
-        return sum(l.counts.macs_forward for l in self.layers if l.is_linear)
-
-    def linear_macs_backward(self) -> int:
-        """Backward MACs (weight + input gradients) per sample."""
-        return sum(
-            l.counts.macs_grad_w + l.counts.macs_grad_x
-            for l in self.layers
-            if l.is_linear
-        )
 
     def elementwise_ops(self, kinds: frozenset[str] | None = None) -> int:
         """Non-linear element-ops per sample, optionally for specific kinds."""
@@ -114,28 +97,6 @@ class ModelSpec:
     def activation_bytes(self) -> int:
         """Sum of per-layer output bytes for one sample (forward footprint)."""
         return sum(l.counts.activation_bytes for l in self.layers)
-
-    def max_activation_bytes(self) -> int:
-        """Largest single activation (per sample) — the paging hot spot."""
-        return max((l.counts.activation_bytes for l in self.layers), default=0)
-
-    def layers_of_kind(self, *kinds: str) -> list[LayerSpec]:
-        """All layers of the given kinds, in network order."""
-        return [l for l in self.layers if l.kind in kinds]
-
-    def summary(self) -> str:
-        """Human-readable inventory table."""
-        lines = [
-            f"{self.name}: input {self.input_shape}, "
-            f"{self.n_params/1e6:.1f}M params, "
-            f"{self.linear_macs_forward()/1e9:.2f} GMACs forward"
-        ]
-        for l in self.layers:
-            lines.append(
-                f"  {l.name:<24} {l.kind:<14} {str(l.in_shape):<18} ->"
-                f" {str(l.out_shape):<18} macs={l.counts.macs_forward:>12,}"
-            )
-        return "\n".join(lines)
 
 
 class SpecBuilder:

@@ -28,7 +28,3 @@ def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """Zero init (biases, BN shifts)."""
     return np.zeros(shape, dtype=np.float64)
 
-
-def ones(shape: tuple[int, ...]) -> np.ndarray:
-    """One init (BN scales)."""
-    return np.ones(shape, dtype=np.float64)

@@ -48,14 +48,6 @@ class Layer:
         """Per-sample output shape for a per-sample input shape."""
         raise NotImplementedError
 
-    @property
-    def n_params(self) -> int:
-        """Total trainable scalars in this layer."""
-        return sum(int(p.size) for p in self.params.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.name})"
-
 
 class Conv2D(Layer):
     """2-D convolution, bilinear ops delegated to the backend."""
@@ -399,7 +391,9 @@ class ResidualBlock(Layer):
     """``relu(body(x) + shortcut(x))`` — the ResNet family's building block.
 
     ``shortcut`` defaults to identity; pass a projection (1x1 conv + BN)
-    when the body changes shape.
+    when the body changes shape.  A :class:`~repro.nn.network.Sequential`
+    runs the block flattened (body, shortcut, :class:`BranchJoin`), so it
+    has no ``forward`` of its own.
     """
 
     def __init__(
@@ -414,22 +408,6 @@ class ResidualBlock(Layer):
         self.body = body
         self.shortcut = shortcut or []
         self._pre_relu: np.ndarray | None = None
-
-    def forward(self, x, backend, training=True):
-        out = x
-        for layer in self.body:
-            out = layer.forward(out, backend, training)
-        skip = x
-        for layer in self.shortcut:
-            skip = layer.forward(skip, backend, training)
-        if out.shape != skip.shape:
-            raise ConfigurationError(
-                f"{self.name}: body {out.shape} and shortcut {skip.shape} disagree"
-            )
-        pre = out + skip
-        if training:
-            self._pre_relu = pre
-        return F.relu(pre)
 
     def backward(self, grad_out, backend):
         if self._pre_relu is None:
@@ -459,10 +437,6 @@ class ResidualBlock(Layer):
     def _walk(self):
         yield from self.body
         yield from self.shortcut
-
-    @property
-    def n_params(self) -> int:
-        return sum(layer.n_params for layer in self._walk())
 
     @property
     def join_layer(self) -> "BranchJoin":

@@ -96,11 +96,6 @@ class Sequential:
             self._shapes.append(shape)
 
     @property
-    def output_shape(self) -> tuple[int, ...]:
-        """Per-sample output shape."""
-        return self._shapes[-1]
-
-    @property
     def layer_shapes(self) -> list[tuple[int, ...]]:
         """Per-sample shape before each layer (and after the last)."""
         return list(self._shapes)
@@ -124,9 +119,9 @@ class Sequential:
         ``relu(body + shortcut)``.  Inner convolutions therefore become
         first-class offloaded steps (they pipeline and partition below
         block granularity), and the skip connection is an explicit
-        ``depends_on`` edge a layer partitioner can cut across.  Replaying
-        the flattened plan is bit-identical to the block's own ``forward``
-        — same ops, same order.
+        ``depends_on`` edge a layer partitioner can cut across.  A block
+        runs only as these steps; its ``backward`` reads the pre-activation
+        the join leaves on it.
         """
         if getattr(self, "_plan_cache", None) is None:
             steps: list[PlanStep] = []
@@ -267,11 +262,6 @@ class Sequential:
         for layer in self._walk_layers():
             for name, param in layer.params.items():
                 yield layer, name, param
-
-    @property
-    def n_params(self) -> int:
-        """Total trainable scalars."""
-        return sum(p.size for _, _, p in self.parameters())
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of all parameters keyed ``layer_name/param_name``."""

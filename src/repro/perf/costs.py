@@ -34,6 +34,7 @@ from repro.errors import ConfigurationError
 from repro.models.specs import ModelSpec
 from repro.perf.devices import BYTES_PER_ELEMENT, DEFAULT_SYSTEM, kernel_efficiency
 from repro.runtime.config import DarKnightConfig
+from repro.slalom.freivalds import freivalds_macs
 
 #: Virtual-batch EPC knee (samples) calibrated to the paper's K=4 optimum.
 EPC_KNEE_SAMPLES = 4.6
@@ -369,10 +370,10 @@ class CostModel:
         reload = f_out * BYTES_PER_ELEMENT / sgx.aead_bytes_per_s
         encode_decode = blind + reload
         if integrity:
-            # Freivalds on Y = W_flat (F x D) @ cols (D x P): cost is
-            # F·D + F·P + D·P instead of the F·D·P recompute.  From spec
-            # counts: F = out channels, P = act/F, D = macs/act.
-            freivalds_macs = 0
+            # Freivalds on Y = W_flat (F x D) @ cols (D x P) instead of the
+            # F·D·P recompute.  From spec counts: F = out channels,
+            # P = act/F, D = macs/act.
+            check_macs = 0
             for layer in spec.layers:
                 if not layer.is_linear:
                     continue
@@ -380,8 +381,8 @@ class CostModel:
                 f = max(1, layer.out_shape[0])
                 p = max(1, act // f)
                 d = max(1, layer.counts.macs_forward // act)
-                freivalds_macs += f * d + f * p + d * p
-            encode_decode += freivalds_macs / sgx.field_macs_per_s
+                check_macs += freivalds_macs(f, d, p)
+            encode_decode += check_macs / sgx.field_macs_per_s
         communication = (f_in + f_out) * BYTES_PER_ELEMENT / link.bytes_per_s
         return PhaseBreakdown(
             linear=linear,

@@ -22,11 +22,6 @@ class TimelineSummary:
     non_pipelined: float
     pipelined: float
 
-    @property
-    def pipeline_gain(self) -> float:
-        """Speedup of pipelining over the serialised schedule."""
-        return self.non_pipelined / self.pipelined if self.pipelined > 0 else float("inf")
-
 
 def build_timeline(breakdown: PhaseBreakdown) -> TimelineSummary:
     """Map a phase breakdown onto the three hardware streams.

@@ -184,10 +184,6 @@ class MaskStreamPool:
         return stream.nbytes
 
     @property
-    def pooled_bytes(self) -> int:
-        return self._pooled_bytes
-
-    @property
     def hit_rate(self) -> float | None:
         """Pool hit rate, or ``None`` before the first draw (strict-JSON)."""
         draws = self.hits + self.misses

@@ -44,8 +44,6 @@ class ScratchPool:
     def __init__(self, max_entries: int = MAX_SCRATCH_ENTRIES) -> None:
         self.max_entries = max_entries
         self._buffers: dict[tuple, np.ndarray] = {}
-        self.reuses = 0
-        self.allocations = 0
 
     def get(self, tag: str, shape: tuple, dtype) -> np.ndarray:
         """A buffer of the requested geometry (contents undefined)."""
@@ -56,9 +54,6 @@ class ScratchPool:
                 self._buffers.clear()
             buf = np.empty(key[1], dtype=dtype)
             self._buffers[key] = buf
-            self.allocations += 1
-        else:
-            self.reuses += 1
         return buf
 
     def cast(self, tag: str, array: np.ndarray, dtype) -> np.ndarray:
@@ -75,15 +70,6 @@ class ScratchPool:
     def pooled_bytes(self) -> int:
         """Bytes currently pinned by pooled buffers."""
         return sum(int(buf.nbytes) for buf in self._buffers.values())
-
-    def snapshot(self) -> dict:
-        """Strict-JSON-safe pool telemetry."""
-        return {
-            "entries": len(self._buffers),
-            "bytes": self.pooled_bytes,
-            "reuses": self.reuses,
-            "allocations": self.allocations,
-        }
 
 
 _POOL = ScratchPool()

@@ -48,13 +48,6 @@ class Normalization:
             return np.asarray(values, dtype=np.float64)
         return np.asarray(values, dtype=np.float64) / self.factor
 
-    def unapply_product(self, values: np.ndarray, other: "Normalization") -> np.ndarray:
-        """Restore a bilinear product of two normalised operands."""
-        if self.is_identity and other.is_identity:
-            return np.asarray(values, dtype=np.float64)
-        scale = self.factor * other.factor
-        return np.asarray(values, dtype=np.float64) * scale
-
 
 IDENTITY = Normalization(1.0)
 

@@ -139,8 +139,8 @@ class QuantizationConfig:
         ``add``, ``floor``, the range check (or clip), then the signed
         lift (``+ p`` where negative, skipped when the check saw no
         negative value) — and one int64 cast at the end.
-        The lift is bit-identical to
-        :meth:`~repro.fieldmath.PrimeField.from_signed`'s modulus because
+        The lift is bit-identical to a reduction mod ``p``
+        (:meth:`~repro.fieldmath.PrimeField.element`) because
         :meth:`_check_range` has already bounded every value to
         ``[-p/2, p/2]``.
 
@@ -172,8 +172,8 @@ class QuantizationConfig:
         buffer when ``None``; ``out`` may be ``elements`` itself).
 
         One copy (the cast, unless in place) and a subtract of ``p`` above
-        ``p/2`` — :meth:`~repro.fieldmath.PrimeField.to_signed` bit for bit
-        on canonical input, since ``p < 2**31`` keeps every value exact in
+        ``p/2`` — the paper's post-GPU "subtract p" step, exact on
+        canonical input since ``p < 2**31`` keeps every value exact in
         float64.  Nothing is reduced mod ``p`` first: every caller already
         holds canonical elements (decode output, ``γ``-decode aggregates,
         an unblind, :meth:`quantize` output).
@@ -221,18 +221,6 @@ class QuantizationConfig:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    def headroom(self, max_abs_product: float) -> float:
-        """How much of the signed range a worst-case product magnitude uses.
-
-        ``max_abs_product`` is in *real* units (pre-quantization); values
-        ``> 1.0`` mean a decode of that magnitude would be ambiguous.
-        """
-        return (max_abs_product * self.product_scale) / self.field.half
-
     def max_safe_product(self) -> float:
         """Largest real-valued bilinear result that decodes unambiguously."""
         return self.field.half / self.product_scale
-
-    def quantization_error_bound(self) -> float:
-        """Worst-case absolute rounding error for a single quantized value."""
-        return 0.5 * self.resolution

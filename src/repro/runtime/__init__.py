@@ -1,6 +1,5 @@
 """DarKnight orchestration: config, backend, trainer."""
 
-from repro.runtime.aggregation import LargeBatchAggregator
 from repro.runtime.config import DarKnightConfig
 from repro.runtime.darknight import DarKnightBackend
 from repro.runtime.dp import DpConfig, GradientPrivatizer, PrivacyLedger
@@ -12,7 +11,6 @@ __all__ = [
     "DarKnightBackend",
     "Trainer",
     "TrainingHistory",
-    "LargeBatchAggregator",
     "RecoveringExecutor",
     "RecoveryReport",
     "DpConfig",

@@ -33,10 +33,6 @@ class DarKnightConfig:
     mds_noise:
         Build the noise block as Vandermonde/MDS so collusion privacy is by
         construction, not w.h.p.
-    sealed_aggregation:
-        Route per-virtual-batch weight updates through Algorithm 2's
-        seal -> evict -> reload -> aggregate path instead of accumulating
-        in enclave memory.
     fresh_coefficients:
         Regenerate the masking coefficients for every virtual batch (the
         paper's training behaviour, and the safe default).  ``False`` lets
@@ -97,7 +93,6 @@ class DarKnightConfig:
     prime: int = DEFAULT_PRIME
     dynamic_normalization: bool = True
     mds_noise: bool = True
-    sealed_aggregation: bool = False
     fresh_coefficients: bool = True
     validate_decode: bool = False
     pipeline_depth: int = 1

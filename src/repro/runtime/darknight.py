@@ -68,7 +68,6 @@ from repro.masking.virtual_batch import VirtualBatch
 from repro.pipeline.stages import EncodeTicket, GpuFuture, StagedLinearOp
 from repro.precompute import MaskStreamPool
 from repro.quantization import IDENTITY, DynamicNormalizer, Normalization, QuantizationConfig
-from repro.runtime.aggregation import LargeBatchAggregator
 from repro.runtime.config import DarKnightConfig
 
 
@@ -152,9 +151,6 @@ class DarKnightBackend:
                 else int(self.enclave.rng.generator.integers(0, 2**63))
             )
             self._mask_pool = MaskStreamPool(self.field, base_key)
-        self._aggregator = (
-            LargeBatchAggregator(self.enclave) if self.config.sealed_aggregation else None
-        )
         self._step = 0
 
     @property
@@ -603,13 +599,7 @@ class DarKnightBackend:
             # weight factor never enters a (δ, x) pairing, so only the input
             # and gradient factors multiply back.
             contribution = grads[v] * (ticket.x_norm.factor * d_norms[v].factor)
-            if self._aggregator is not None:
-                self._aggregator.add_update(f"{key}/{ticket.share_key}", contribution)
-            else:
-                total = contribution if total is None else total + contribution
-        if self._aggregator is not None:
-            keys = [f"{key}/{t.share_key}" for t in tickets]
-            return self._aggregator.aggregate(keys)
+            total = contribution if total is None else total + contribution
         return total
 
     def conv2d_grad_w(self, x, delta, kh, kw, stride, pad, key):

@@ -11,7 +11,7 @@ updates) only ever see the privatised gradient.
 :class:`GradientPrivatizer` implements Gaussian-mechanism DP-SGD at the
 aggregate level: per-example clipping happens upstream by bounding the
 virtual-batch contribution norm, and the privacy ledger tracks (ε, δ) under
-basic and advanced composition.
+basic composition.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-#: The extra slack ``δ'`` at which advanced composition is stated.
-ADVANCED_DELTA_PRIME = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,8 @@ class DpConfig:
 class PrivacyLedger:
     """(ε, δ) accounting over released updates.
 
-    Reports both basic composition (ε grows linearly) and the advanced
-    composition bound of Dwork-Rothblum-Vadhan, which grows ~√steps — the
-    standard budget views for DP-SGD without a moments accountant.
+    Reports basic composition (ε grows linearly), the simplest budget view
+    for DP-SGD without a moments accountant.
     """
 
     def __init__(self, config: DpConfig) -> None:
@@ -81,17 +77,6 @@ class PrivacyLedger:
     def epsilon_basic(self) -> float:
         """Linear composition: ``steps * ε_step`` at total δ = steps·δ."""
         return self.steps * self.config.epsilon_per_step()
-
-    def epsilon_advanced(self) -> float:
-        """Advanced composition at an extra slack ``δ'`` of
-        :data:`ADVANCED_DELTA_PRIME`."""
-        if self.steps == 0:
-            return 0.0
-        eps = self.config.epsilon_per_step()
-        k = self.steps
-        return math.sqrt(2.0 * k * math.log(1.0 / ADVANCED_DELTA_PRIME)) * eps + k * eps * (
-            math.exp(eps) - 1.0
-        )
 
 
 class GradientPrivatizer:

@@ -36,11 +36,6 @@ class RecoveryReport:
     quarantined: list = dataclass_field(default_factory=list)
     recovered: bool = False
 
-    @property
-    def was_attacked(self) -> bool:
-        """True when at least one retry was needed."""
-        return self.attempts > 1
-
 
 class RecoveringExecutor:
     """Runs masked forward computations with detect-quarantine-retry.
@@ -173,7 +168,3 @@ class RecoveringExecutor:
         if device_id not in self._quarantined:
             self._quarantined.add(device_id)
             report.quarantined.append(device_id)
-
-    def pardon(self, device_id: int) -> None:
-        """Return a benched device to the pool (e.g. after operator review)."""
-        self._quarantined.discard(device_id)

@@ -206,11 +206,6 @@ class RequestQueue:
         """Pending requests across all tenants."""
         return self._depth
 
-    @property
-    def tenants(self) -> list[str]:
-        """Tenants seen so far, in first-arrival order."""
-        return list(self._queues)
-
     def oldest_enqueue_time(self) -> float | None:
         """Enqueue time of the longest-waiting request, or None when empty."""
         heads = [q[0].enqueue_time for q in self._queues.values() if q]

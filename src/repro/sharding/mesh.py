@@ -94,8 +94,3 @@ class AttestationMesh:
                 f"no verified attestation link between shard {shard_a} and"
                 f" shard {shard_b}; refusing session migration"
             )
-
-    @property
-    def n_links(self) -> int:
-        """Directed links verified so far."""
-        return len(self._links)

@@ -42,7 +42,7 @@ from repro.comm import LinkModel
 from repro.comm.secure_channel import Envelope, SecureChannel
 from repro.errors import ConfigurationError, ShardFailedError
 from repro.nn import PLAN_INPUT, Sequential
-from repro.pipeline.executor import GroupResult, plan_live_out
+from repro.pipeline.executor import GroupResult
 from repro.pipeline.stages import PipelineStats, WindowItem
 from repro.pipeline.timing import DEFAULT_STAGE_COSTS, StageCostModel
 
@@ -154,13 +154,6 @@ class LayerPartitionPlanner:
             out.append(cost)
         return out
 
-    def cut_bytes(self, cut: int) -> int:
-        """Per-sample sealed hand-off bytes for a cut before step ``cut``."""
-        return sum(
-            math.prod(self._shape_of(idx)) * _ELEM_BYTES
-            for idx in plan_live_out(self._plan, cut)
-        )
-
     # -- partitioning ----------------------------------------------------
     def plan(self, n_partitions: int) -> list[tuple[int, int]]:
         """Contiguous ``[lo, hi)`` ranges covering the plan, balanced.
@@ -210,11 +203,6 @@ class LayerPartitionPlanner:
             hi = lo
         ranges.reverse()
         return ranges
-
-    def bottleneck(self, ranges: list[tuple[int, int]]) -> float:
-        """Slowest range's enclave seconds per sample (pipeline period)."""
-        costs = self.step_costs()
-        return max(sum(costs[lo:hi]) for lo, hi in ranges)
 
 
 # ----------------------------------------------------------------------
@@ -364,11 +352,6 @@ class PipelineGroup:
         """Enclave-occupied simulated seconds summed over the members."""
         return sum(m.busy_time for m in self.members)
 
-    @property
-    def batches_run(self) -> int:
-        """Batches that cleared the whole chain (the exit member's count)."""
-        return self.members[-1].batches_run
-
     # -- lifecycle: the members', read and driven as one -----------------
     @property
     def healthy(self) -> bool:
@@ -392,11 +375,6 @@ class PipelineGroup:
         """Planned retirement of the whole unit at ``now``."""
         for member in self.members:
             member.decommission(now)
-
-    def kill(self) -> None:
-        """Take the whole pipeline down."""
-        for member in self.members:
-            member.kill()
 
     # -- dispatch --------------------------------------------------------
     def run_window(self, items: list[WindowItem]):

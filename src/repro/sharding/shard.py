@@ -9,8 +9,8 @@ shard's *own* :class:`EnclaveTimeline`.  Shards
 therefore progress in parallel on the simulated clock; the router decides
 which tenants ride which timeline.
 
-Failure is a first-class event: :meth:`EnclaveShard.kill` (or the
-test-facing :meth:`EnclaveShard.fail_after`) makes subsequent dispatch
+Failure is a first-class event: an unhealthy shard (or one past
+:meth:`EnclaveShard.fail_after`'s threshold) makes subsequent dispatch
 raise :class:`~repro.errors.ShardFailedError` carrying one ``(groups,
 stats)`` account of the window batches that did complete, so the worker
 pool can fail the remainder over to a surviving shard without dropping a
@@ -124,11 +124,6 @@ class EnclaveShard:
         read from the timeline that books them."""
         return self.timeline.busy_time
 
-    @property
-    def n_gpus(self) -> int:
-        """Simulated devices this shard occupies."""
-        return len(self.cluster)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -137,19 +132,10 @@ class EnclaveShard:
         """True once :meth:`decommission` closed the shard's service life."""
         return self.retired_at is not None
 
-    @property
-    def state(self) -> str:
-        """``active`` / ``retired`` / ``failed``."""
-        if self.retired:
-            return "retired"
-        if not self.healthy:
-            return "failed"
-        return "active"
-
     def decommission(self, now: float = 0.0) -> None:
         """Planned retirement: drained, flushed, sessions migrated, done.
 
-        Unlike :meth:`kill`, this is the graceful end of the lifecycle —
+        Unlike a failure, this is the graceful end of the lifecycle —
         the shard's shard-seconds close at ``now``.
         """
         self.healthy = False
@@ -158,10 +144,6 @@ class EnclaveShard:
     # ------------------------------------------------------------------
     # failure injection
     # ------------------------------------------------------------------
-    def kill(self) -> None:
-        """Take the shard down; subsequent dispatch raises ShardFailedError."""
-        self.healthy = False
-
     def fail_after(self, n_batches: int) -> None:
         """Arrange for the shard to die after ``n_batches`` total batches.
 

@@ -26,3 +26,26 @@ def oracle_inverse(p: int, matrix) -> list[list[int]] | None:
                 factor = rows[r][col]
                 rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def to_signed(field, values):
+    """Centre-lift canonical elements to signed ints (entries above ``p/2``
+    are negatives: the paper's post-GPU "subtract p" step)."""
+    import numpy as np
+
+    arr = field.element(values)
+    return np.where(arr > field.half, arr - field.p, arr)
+
+
+def invertible_matrix(rng, n: int):
+    """A uniform ``n x n`` draw of ``rng`` (a ``FieldRng``) that has an
+    inverse: rejection sampling against :func:`oracle_inverse`."""
+    while True:
+        candidate = rng.uniform((n, n))
+        if oracle_inverse(rng.field.p, candidate.tolist()) is not None:
+            return candidate
+
+
+def oracle_vandermonde(p: int, points, n_rows: int) -> list[list[int]]:
+    """``V[i][j] = points[j]**i mod p``, one ``pow`` per entry."""
+    return [[pow(int(x), i, p) for x in points] for i in range(n_rows)]

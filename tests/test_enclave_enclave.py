@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.enclave import Enclave, measure_enclave
+from repro.errors import SealingError
 
 
 @pytest.fixture()
@@ -57,7 +58,8 @@ def test_seal_evict_reload_roundtrip(enclave, nprng):
     assert np.array_equal(back, grads)
     assert enclave.ledger.op_bytes["unseal"] == enclave.ledger.op_bytes["seal"]
     enclave.drop_evicted("vb0")
-    assert enclave.untrusted_store.keys() == []
+    with pytest.raises(SealingError):
+        enclave.reload_and_unseal("vb0")
 
 
 def test_rng_is_seeded():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_oracle import oracle_inverse
-from repro.errors import FieldError, SingularMatrixError
+from field_oracle import invertible_matrix, oracle_inverse, oracle_vandermonde
+from repro.errors import EncodingError, FieldError, SingularMatrixError
 from repro.fieldmath import (
     FieldRng,
     GenericBackend,
@@ -18,9 +18,9 @@ from repro.fieldmath import (
     is_invertible,
     rank,
     solve,
-    vandermonde,
 )
 from repro.fieldmath.kernels import int64_sum_limit
+from repro.masking import CoefficientSet
 
 
 def _bigint_matmul(a, b, p):
@@ -67,7 +67,7 @@ def test_field_matmul_rejects_bad_shapes(field, frng):
 def test_inverse_roundtrip(n, seed):
     field = PrimeField()
     rng = FieldRng(field, seed)
-    m = rng.invertible_matrix(n)
+    m = invertible_matrix(rng, n)
     m_inv = inverse(field, m)
     assert np.array_equal(field_matmul(field, m, m_inv), field.eye(n))
     assert np.array_equal(field_matmul(field, m_inv, m), field.eye(n))
@@ -78,7 +78,7 @@ def test_inverse_of_singular_raises(field):
     with pytest.raises(SingularMatrixError):
         inverse(field, singular)
     with pytest.raises(SingularMatrixError):
-        inverse(field, field.ones((2, 3)))
+        inverse(field, np.ones((2, 3), dtype=np.int64))
 
 
 _ORACLE_PRIMES = (5, 7, 11, 2**25 - 39, 2**31 - 1)
@@ -134,7 +134,7 @@ def test_stacked_inverse_matches_per_slice_bigint_oracle(case):
 
 
 def test_inverse_broadcasts_over_leading_axes(field, frng):
-    stack = np.stack([frng.invertible_matrix(3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    stack = np.stack([invertible_matrix(frng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
     result = inverse(field, stack)
     assert result.shape == stack.shape
     for index in np.ndindex(2, 3):
@@ -152,12 +152,12 @@ def test_inverse_broadcasts_over_leading_axes(field, frng):
 
 
 def test_inverse_reduces_non_canonical_entries(field, frng):
-    m = frng.invertible_matrix(4)
+    m = invertible_matrix(frng, 4)
     assert np.array_equal(inverse(field, m - field.p), inverse(field, m))
 
 
 def test_solve_matches_inverse(field, frng):
-    a = frng.invertible_matrix(4)
+    a = invertible_matrix(frng, 4)
     b = frng.uniform((4, 2))
     x = solve(field, a, b)
     assert np.array_equal(field_matmul(field, a, x), b)
@@ -169,7 +169,7 @@ def test_solve_matches_inverse(field, frng):
 
 
 def test_rank_and_invertibility(field, frng):
-    m = frng.invertible_matrix(5)
+    m = invertible_matrix(frng, 5)
     assert rank(field, m) == 5
     assert is_invertible(field, m)
     deficient = m.copy()
@@ -180,7 +180,7 @@ def test_rank_and_invertibility(field, frng):
 
 
 def test_determinant_properties(field, frng):
-    m = frng.invertible_matrix(4)
+    m = invertible_matrix(frng, 4)
     d = determinant(field, m)
     assert d != 0
     singular = m.copy()
@@ -192,25 +192,32 @@ def test_determinant_properties(field, frng):
 
 
 def test_determinant_multiplicative(field, frng):
-    a = frng.invertible_matrix(3)
-    b = frng.invertible_matrix(3)
+    a = invertible_matrix(frng, 3)
+    b = invertible_matrix(frng, 3)
     lhs = determinant(field, field_matmul(field, a, b))
     rhs = field.mul(determinant(field, a), determinant(field, b))
     assert lhs == int(rhs)
 
 
 def test_vandermonde_mds_property(field, frng):
-    points = frng.distinct_nonzero(7)
-    v = vandermonde(field, points, 3)
-    assert v.shape == (3, 7)
-    assert all_column_subsets_full_rank(field, v, 3, max_checks=None)
+    # The MDS noise block is the Vandermonde block over its second row's
+    # points, and every M-column subset of it is full rank.
+    a2 = CoefficientSet.generate(frng, k=1, m=3, extra_shares=3, mds_noise=True).a2
+    assert a2.shape == (3, 7)
+    assert a2.tolist() == oracle_vandermonde(field.p, a2[1], 3)
+    assert all_column_subsets_full_rank(field, a2, 3, max_checks=None)
 
 
-def test_vandermonde_rejects_duplicates(field):
-    with pytest.raises(FieldError):
-        vandermonde(field, np.array([1, 2, 2]), 2)
-    with pytest.raises(FieldError):
-        vandermonde(field, np.array([1, 2, 3]), 0)
+def test_vandermonde_rejects_duplicates(field, frng):
+    # The MDS property needs distinct points: generation draws them distinct
+    # and non-zero, a repeated point fails the subset certificate, and a
+    # block of no rows is refused.
+    points = CoefficientSet.generate(frng, k=2, m=2, extra_shares=2, mds_noise=True).a2[1]
+    assert all(points.tolist()) and len(set(points.tolist())) == points.size
+    repeated = field.element(oracle_vandermonde(field.p, [1, 2, 2], 2))
+    assert not all_column_subsets_full_rank(field, repeated, 2, max_checks=None)
+    with pytest.raises(EncodingError):
+        CoefficientSet.generate(frng, k=2, m=0, mds_noise=True)
 
 
 def test_all_column_subsets_detects_deficiency(field):
@@ -222,6 +229,7 @@ def test_all_column_subsets_detects_deficiency(field):
 
 
 def test_random_matrix_usually_not_mds_counterexample(field, frng):
-    # The MDS generator must produce subset-full-rank noise blocks.
-    mds = frng.mds_matrix(2, 6)
+    # The MDS construction must produce subset-full-rank noise blocks.
+    mds = CoefficientSet.generate(frng, k=2, m=2, extra_shares=2, mds_noise=True).a2
+    assert mds.shape == (2, 6)
     assert all_column_subsets_full_rank(field, mds, 2, max_checks=None)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_oracle import to_signed
 from repro.errors import ConfigurationError, GpuError
 from repro.fieldmath import (
     FieldRng,
@@ -39,11 +40,11 @@ def test_field_conv_matches_float_conv_on_small_values(field, frng):
     kernels = FieldKernels(field)
     x_int = frng.generator.integers(-5, 6, size=(3, 2, 6, 6))  # 3 shares
     w_int = frng.generator.integers(-3, 4, size=(4, 2, 3, 3))
-    out = kernels.conv2d(field.from_signed(x_int), field.from_signed(w_int), 1, 1)
+    out = kernels.conv2d(field.element(x_int), field.element(w_int), 1, 1)
     expected = F.conv2d_via_matmul(
         x_int.astype(np.int64), w_int.astype(np.int64), np.matmul, 1, 1
     )
-    assert np.array_equal(field.to_signed(out), expected)
+    assert np.array_equal(to_signed(field, out), expected)
 
 
 def test_field_dense_and_grad(field, frng):
@@ -416,7 +417,10 @@ def _injector_state(cluster):
         inner = getattr(dev.faults, "inner", dev.faults)
         rng = getattr(inner, "_rng", None)
         states.append(
-            (dev.faults.tamper_count, None if rng is None else copy.deepcopy(rng).random())
+            (
+                getattr(inner, "tamper_count", 0),
+                None if rng is None else copy.deepcopy(rng).random(),
+            )
         )
     return states
 
@@ -528,7 +532,7 @@ def test_virtual_batch_stack_launch_matches_one_launch_per_batch(
     else:
         assert differs[:, case["tamper_position"]].all()
         assert differs.sum() == n_batches
-    assert liar[byzantine].faults.tamper_count == n_batches * (n_rows if backward else 1)
+    assert liar[byzantine].faults.inner.tamper_count == n_batches * (n_rows if backward else 1)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import chi_square_uniformity
 from repro.errors import EncodingError
 from repro.gpu import CollusionPool
 from repro.masking import CoefficientSet, ForwardEncoder
@@ -51,7 +52,8 @@ def test_pooled_shares_look_uniform(frng, field):
     """Chi-square of pooled shares stays near its dof (uniformity)."""
     coeffs, _, batch = _encode(frng, k=2, m=1, features=4096)
     pool = CollusionPool(field, (0,), batch.shares[:1])
-    stat = pool.uniformity_statistic()
+    stat, dof = chi_square_uniformity(pool.shares, field.p)
+    assert dof == 63
     # dof = 63; a catastrophically non-uniform stream would be >> 200.
     assert stat < 150.0
 

@@ -71,7 +71,7 @@ def test_plain_logits_by_the_block_match_the_one_block_path(name, monkeypatch):
     monkeypatch.setattr(F, "UNFOLD_BLOCK_BYTES", _budget(net, 3))
     split = net.forward(x, PlainBackend(), training=False)
     assert sizes == [3, 3, 1]
-    assert split.shape == whole.shape == (7,) + net.output_shape
+    assert split.shape == whole.shape == (7,) + net.plan_shapes()[-1]
     assert np.allclose(split, whole, rtol=1e-12, atol=1e-12)
     print(f"{name}: bit-identical {np.array_equal(split, whole)}")
 

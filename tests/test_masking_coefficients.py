@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from field_oracle import oracle_inverse
+from field_oracle import oracle_inverse, oracle_vandermonde
 from repro.errors import EncodingError, FieldError, IntegrityError
-from repro.fieldmath import FieldRng, PrimeField, is_invertible
+from repro.fieldmath import FieldRng, PrimeField, all_column_subsets_full_rank, is_invertible
 from repro.masking import CoefficientSet, IntegrityVerifier
 from repro.masking.coefficients import _scalar_inverses
 
@@ -63,7 +63,11 @@ def _reference_material(rng, k, m, extra, mds_noise):
 
     while True:
         a1 = rng.uniform((k, n_shares))
-        a2 = rng.mds_matrix(m, n_shares) if mds_noise else rng.uniform((m, n_shares))
+        a2 = (
+            np.array(oracle_vandermonde(p, rng.distinct_nonzero(n_shares), m), dtype=np.int64)
+            if mds_noise
+            else rng.uniform((m, n_shares))
+        )
         a = np.vstack([a1, a2])
         primary_inverse = subset_inverse(a, range(s))
         if primary_inverse is not None:
@@ -138,9 +142,9 @@ def test_tiny_field_generation_matches_the_per_subset_reference(
         verifier = IntegrityVerifier(coeffs)
         if len(plan) < 2:
             with pytest.raises(IntegrityError):
-                verifier.verification_plan()
+                verifier.verification_plans()
         else:
-            assert verifier.verification_plan() == plan
+            assert verifier.verification_plans() == [plan]
 
 
 @settings(max_examples=15, deadline=None)
@@ -157,19 +161,33 @@ def test_generated_set_satisfies_recovery_constraint(k, m, extra, seed):
     assert coeffs.n_shares == k + m + extra
     assert coeffs.n_sources == k + m
     assert coeffs.extra_shares == extra
-    assert coeffs.collusion_tolerance() == m
+    assert coeffs.m == m
 
 
 def test_block_views(frng):
     coeffs = CoefficientSet.generate(frng, k=3, m=2, extra_shares=1)
-    assert coeffs.a1.shape == (3, 6)
     assert coeffs.a2.shape == (2, 6)
-    assert np.array_equal(np.vstack([coeffs.a1, coeffs.a2]), coeffs.a)
+    assert np.array_equal(coeffs.a2, coeffs.a[3:])
+
+
+def test_mds_noise_block_every_m_column_subset_full_rank(frng, field):
+    """Under ``mds_noise`` each ``A2`` is the Vandermonde block over distinct
+    non-zero points (distinct across a stack too), so every ``M``-column
+    subset is full rank: Section 4.5's collusion condition by construction."""
+    for count in (None, 3):
+        sets = CoefficientSet.generate(frng, k=2, m=3, extra_shares=2, count=count)
+        sets = (sets,) if count is None else sets
+        points = [x for coeffs in sets for x in coeffs.a2[1].tolist()]
+        assert all(points) and len(set(points)) == len(points) == 7 * len(sets)
+        for coeffs in sets:
+            assert coeffs.a2.tolist() == oracle_vandermonde(field.p, coeffs.a2[1], 3)
+            assert all_column_subsets_full_rank(field, coeffs.a2, 3, max_checks=None)
 
 
 def test_gamma_inverses_are_the_per_element_pow_and_refuse_zero(frng, field):
     cs = CoefficientSet.generate(frng, k=3, m=1, extra_shares=1)
-    assert cs.gamma_inv.tolist() == [pow(int(g), -1, field.p) for g in cs.gamma]
+    gamma_inv = _scalar_inverses(field, cs.gamma)
+    assert gamma_inv.tolist() == [pow(int(g), -1, field.p) for g in cs.gamma]
     with pytest.raises(FieldError):
         _scalar_inverses(field, np.array([3, 0, 5]))
     with pytest.raises(FieldError):
@@ -298,7 +316,7 @@ def _memo(coeffs):
 
 
 def _assert_same_material(stacked, looped):
-    for name in ("a", "gamma", "b", "gamma_inv"):
+    for name in ("a", "gamma", "b"):
         got, want = getattr(stacked, name), getattr(looped, name)
         assert got.dtype == np.int64 and np.array_equal(got, want), name
     assert stacked.primary_subset == looped.primary_subset
@@ -321,7 +339,7 @@ def _assert_valid_set(coeffs, k, m, extra, mds_noise):
     p, s, n_shares = coeffs.field.p, k + m, k + m + extra
     assert (coeffs.k, coeffs.m, coeffs.a.shape) == (k, m, (s, n_shares))
     assert coeffs.primary_subset == tuple(range(s))
-    for name in ("a", "gamma", "b", "gamma_inv"):
+    for name in ("a", "gamma", "b"):
         value = getattr(coeffs, name)
         assert value.dtype == np.int64 and (0 <= value).all() and (value < p).all(), name
     assert coeffs.gamma.all()
@@ -342,7 +360,6 @@ def _assert_valid_set(coeffs, k, m, extra, mds_noise):
             p, coeffs.a[:, list(subset)].tolist()
         )
     assert coeffs.verification_plan == bare.verification_plan
-    assert np.array_equal(coeffs.gamma_inv, bare.gamma_inv)
     for subset in coeffs.verification_plan:
         assert np.array_equal(
             coeffs.backward_matrices_for_subset(subset)[0],
@@ -439,7 +456,7 @@ def test_every_element_drawn_lands_in_one_place_of_one_set():
     # Distinct across the whole stack, which is more than each set's MDS needs.
     assert len(set(points.tolist())) == count * n_shares
     for v, coeffs in enumerate(sets):
-        assert np.array_equal(coeffs.a1, a1[v])
+        assert np.array_equal(coeffs.a[: coeffs.k], a1[v])
         assert np.array_equal(coeffs.a2[1], points[v * n_shares : (v + 1) * n_shares])
         assert np.array_equal(coeffs.gamma, gamma[v])
         assert np.array_equal(noise[v], drawn_noise[v])
@@ -483,7 +500,7 @@ def test_singular_primary_redraws_the_a_block_and_nothing_else(p, k, count, mds_
         blocks = _a_block_draws(rng, mds_noise)
         assert names == block * blocks + ["nonzero", "uniform"], seed
         accepted = rng.draws[len(block) * (blocks - 1)][1]
-        assert all(np.array_equal(c.a1, accepted[v]) for v, c in enumerate(sets))
+        assert all(np.array_equal(c.a[: c.k], accepted[v]) for v, c in enumerate(sets))
         assert np.array_equal(np.stack([c.gamma for c in sets]), rng.draws[-2][1])
         redrawn += blocks > 1
     assert redrawn > 10
@@ -552,7 +569,7 @@ def test_stacked_sets_cannot_be_written_through(frng):
     for coeffs in (*sets, single):
         plan = coeffs.verification_plan
         handed_out = [
-            coeffs.a, coeffs.a1, coeffs.a2, coeffs.gamma, coeffs.b, coeffs.gamma_inv,
+            coeffs.a, coeffs.a2, coeffs.gamma, coeffs.b,
             # Seeded by generate (the plan's subsets) or inverted on demand.
             *(coeffs.decoding_matrix(subset) for subset in coeffs.iter_decoding_subsets()),
             *(coeffs.backward_matrices_for_subset(subset)[0] for subset in plan),

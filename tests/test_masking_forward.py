@@ -61,8 +61,6 @@ def test_multidimensional_feature_shapes(frng, field):
     x = frng.uniform((2, 3, 4, 4))  # conv-shaped inputs
     batch = encoder.encode(x)
     assert batch.shares.shape == (3, 3, 4, 4)
-    assert batch.feature_shape == (3, 4, 4)
-    assert np.array_equal(batch.share_for_gpu(1), batch.shares[1])
 
 
 def test_encode_accepts_predrawn_noise(frng):

@@ -13,7 +13,7 @@ def test_even_split():
     assert len(vbs) == 3
     for vb in vbs:
         assert vb.n_real == 2
-        assert not vb.is_padded
+        assert vb.n_real == vb.data.shape[0]
     assert np.array_equal(np.concatenate([vb.data for vb in vbs]), batch)
 
 
@@ -23,7 +23,7 @@ def test_ragged_tail_padded_with_zeros():
     assert len(vbs) == 3
     tail = vbs[-1]
     assert tail.n_real == 1
-    assert tail.is_padded
+    assert tail.n_real < tail.data.shape[0]
     assert np.all(tail.data[1:] == 0)
     assert tail.indices == (4,)
 
@@ -37,7 +37,7 @@ def test_indices_track_parent_positions():
 def test_k_one_degenerates_to_per_sample():
     vbs = list(iter_virtual_batches(np.arange(3), 1))
     assert len(vbs) == 3
-    assert all(not vb.is_padded for vb in vbs)
+    assert all(vb.n_real == vb.data.shape[0] for vb in vbs)
 
 
 def test_validation():

@@ -88,7 +88,7 @@ def _observe(server, report) -> dict:
     return {
         "autoscale": report.autoscale,
         "handshakes": server.mesh.handshakes,
-        "n_links": server.mesh.n_links,
+        "n_links": len(server.mesh._links),
         "pins": server.router.pins(),
         "unit_states": [u.state for u in server.units],
         "retired_at": [s.retired_at for s in server.shards],

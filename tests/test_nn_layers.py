@@ -151,8 +151,7 @@ def test_residual_block_grads(nprng, x_img):
     block = ResidualBlock(
         body=[Conv2D(2, 2, 3, 1, 1, rng=nprng), BatchNorm2D(2)]
     )
-    _check_input_grad(block, x_img)
-    assert block.n_params > 0
+    _check_input_grad(Sequential([block], (2, 6, 6)), x_img)
 
 
 def test_residual_block_with_projection(nprng, x_img):
@@ -160,16 +159,16 @@ def test_residual_block_with_projection(nprng, x_img):
         body=[Conv2D(2, 4, 3, 1, 1, rng=nprng)],
         shortcut=[Conv2D(2, 4, 1, 1, 0, rng=nprng)],
     )
-    out = block.forward(x_img, BACKEND)
-    assert out.shape == (3, 4, 6, 6)
+    net = Sequential([block], (2, 6, 6))
+    assert net.forward(x_img, BACKEND).shape == (3, 4, 6, 6)
     assert block.output_shape((2, 6, 6)) == (4, 6, 6)
-    _check_input_grad(block, x_img)
+    _check_input_grad(net, x_img)
 
 
 def test_residual_shape_mismatch_raises(nprng, x_img):
     block = ResidualBlock(body=[Conv2D(2, 4, 3, 1, 1, rng=nprng)])
     with pytest.raises(ConfigurationError):
-        block.forward(x_img, BACKEND)
+        Sequential([block], (2, 6, 6))
 
 
 def test_backward_before_forward_raises(nprng, x_img):
@@ -237,7 +236,7 @@ def test_unique_auto_names(nprng):
 
 def test_n_params(nprng):
     layer = Conv2D(2, 4, 3, rng=nprng)
-    assert layer.n_params == 4 * 2 * 9 + 4
+    assert sum(p.size for p in layer.params.values()) == 4 * 2 * 9 + 4
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ def _tiny_net(rng):
 
 def test_shape_propagation_checked_at_construction(nprng):
     net = _tiny_net(nprng)
-    assert net.output_shape == (3,)
+    assert net.plan_shapes()[-1] == (3,)
     assert net.layer_shapes[0] == (1, 8, 8)
     with pytest.raises(ConfigurationError):
         Sequential(
@@ -64,7 +64,6 @@ def test_parameters_walk_includes_residual_children(nprng):
     )
     names = [layer.name for layer, _, _ in net.parameters()]
     assert len(names) >= 3
-    assert net.n_params == sum(p.size for _, _, p in net.parameters())
 
 
 def test_state_dict_roundtrip(nprng):
@@ -182,4 +181,3 @@ def test_a_trained_state_reproduces_predictions_in_a_second_build():
 def test_plan_shapes_follow_every_step(nprng):
     net = _tiny_net(nprng)
     assert net.plan_shapes() == [(4, 8, 8), (4, 8, 8), (4, 4, 4), (64,), (3,)]
-    assert net.plan_shapes()[-1] == net.output_shape

@@ -136,4 +136,4 @@ def test_timeline_consistency():
     assert tl.non_pipelined == pytest.approx(dk.total)
     streams = (dk.nonlinear + dk.encode_decode, dk.linear, dk.communication)
     assert tl.pipelined == pytest.approx(max(streams))
-    assert tl.pipeline_gain >= 1.0
+    assert tl.non_pipelined >= tl.pipelined

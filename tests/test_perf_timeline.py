@@ -27,12 +27,12 @@ def test_non_pipelined_is_total(breakdown):
 def test_pipelined_is_slowest_stream(breakdown):
     tl = build_timeline(breakdown)
     assert tl.pipelined == 6.0
-    assert tl.pipeline_gain == pytest.approx(11.0 / 6.0)
+    assert tl.non_pipelined / tl.pipelined == pytest.approx(11.0 / 6.0)
 
 
 def test_pipeline_gain_handles_zero():
     tl = build_timeline(PhaseBreakdown(linear=0, nonlinear=0))
-    assert tl.pipeline_gain == float("inf")
+    assert tl.pipelined == tl.non_pipelined == 0.0
 
 
 def test_gpu_bound_workload_pipelines_to_gpu_stream():

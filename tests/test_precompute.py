@@ -186,7 +186,7 @@ def test_draw_ledger_under_generated_schedules(
             assert tensor.shape == (key[2],) + key[0]
             drawn[key].append(tensor)
             draws += 1
-        assert pool.pooled_bytes <= max_bytes
+        assert pool.snapshot()["pooled_bytes"] <= max_bytes
         assert all(len(s.ready) <= stream_capacity for s in pool._streams.values())
     assert (pool.hits + pool.misses, pool.refills) == (draws, refills)
     for key, tensors in drawn.items():
@@ -284,9 +284,7 @@ def test_scratch_pool_reuses_one_buffer_per_site():
     b = pool.get("t", (4, 4), np.float64)
     assert a is b
     assert pool.get("other", (4, 4), np.float64) is not a
-    assert pool.snapshot() == {
-        "entries": 2, "bytes": 256, "reuses": 1, "allocations": 2,
-    }
+    assert (len(pool._buffers), pool.pooled_bytes) == (2, 256)
 
 
 def test_scratch_pool_resets_on_shape_churn():
@@ -294,7 +292,7 @@ def test_scratch_pool_resets_on_shape_churn():
     pool.get("t", (1,), np.int64)
     pool.get("t", (2,), np.int64)
     pool.get("t", (3,), np.int64)  # churn past capacity: pool resets
-    assert pool.snapshot()["entries"] == 1
+    assert len(pool._buffers) == 1
 
 
 def test_scratch_path_is_value_transparent_for_encode_decode():

@@ -14,11 +14,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from field_oracle import to_signed
 from repro.enclave import Enclave
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
 from repro.masking import CoefficientSet, ForwardDecoder, ForwardEncoder
 from repro.quantization import DynamicNormalizer, QuantizationConfig
-from repro.runtime import LargeBatchAggregator
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -53,34 +53,14 @@ def test_full_masked_linear_pipeline_is_exact(k, m, features, out_features, magn
     decoded = ForwardDecoder(coeffs).decode(gpu_outputs)
     result = quantizer.dequantize_product(decoded) * (xn.factor * wn.factor)
 
-    x_signed = field.to_signed(x_q).astype(np.float64)
-    w_signed = field.to_signed(w_q).astype(np.float64)
+    x_signed = to_signed(field, x_q).astype(np.float64)
+    w_signed = to_signed(field, w_q).astype(np.float64)
     reference = (
         np.floor(x_signed @ w_signed / quantizer.scale + 0.5)
         / quantizer.scale
         * (xn.factor * wn.factor)
     )
     assert np.array_equal(result, reference)
-
-
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    n_updates=st.integers(1, 5),
-    n_shards=st.integers(1, 6),
-    size=st.integers(1, 40),
-    seed=st.integers(0, 10_000),
-)
-def test_sealed_aggregation_is_exact_sum(n_updates, n_shards, size, seed):
-    """Algorithm 2 over any shapes/shard counts equals the direct sum."""
-    enclave = Enclave(seed=seed)
-    agg = LargeBatchAggregator(enclave, n_shards=n_shards)
-    npr = np.random.default_rng(seed)
-    updates = [npr.normal(size=(size,)) for _ in range(n_updates)]
-    for i, update in enumerate(updates):
-        agg.add_update(f"vb{i}", update)
-    total = agg.aggregate([f"vb{i}" for i in range(n_updates)])
-    assert np.allclose(total, np.sum(updates, axis=0), atol=1e-12)
-    assert enclave.untrusted_store.keys() == []
 
 
 @settings(max_examples=15, deadline=None)

@@ -160,12 +160,11 @@ def test_every_public_attribute_is_read_outside_the_tests():
 # ----------------------------------------------------------------------
 #: Sections the option walk does not enter.  ``DarKnightConfig`` is the
 #: paper's parameter set (``K``, ``M``, the integrity share and the field
-#: ``p``, Algorithm 2's sealed aggregation, the normalisation mode whose
-#: failure the paper demonstrates, and ``validate_decode``, the float
-#: reference the tests compare against): its fields state the protocol,
-#: not a serving policy.  ``StageCostModel`` is the simulated clock's price
-#: list, whose rates are to be fitted from measured stage spans (ROADMAP's
-#: exhibits item), not chosen per deployment.
+#: ``p``, the normalisation mode whose failure the paper demonstrates, and
+#: ``validate_decode``, the float reference the tests compare against): its
+#: fields state the protocol, not a serving policy.  ``StageCostModel`` is
+#: the simulated clock's price list, whose rates are to be fitted from
+#: measured stage spans (ROADMAP's exhibits item), not chosen per deployment.
 _NOT_SERVING_POLICY = (DarKnightConfig, StageCostModel)
 
 
@@ -259,9 +258,6 @@ _UNPASSED_ON_PURPOSE = (
      "ROADMAP item 4 decides precompute's fate; property tests draw over it"),
     ("RecoveringExecutor", "max_retries",
      "it goes with ROADMAP's gated retry item, which folds recovery into serving"),
-    ("LargeBatchAggregator", "n_shards",
-     "the shard-wise aggregation of paper section 6 / Algorithm 2, exempt"
-     " like sealed_aggregation"),
     ("ResidualBlock", "shortcut",
      "ResNet's projection block is architecture, not policy"),
 )

@@ -50,7 +50,6 @@ def test_honest_cluster_needs_one_attempt(field, rng, inputs, weights):
     result, report = executor.execute_forward(inputs, K, M, _launch(cluster, weights))
     assert np.array_equal(result, _expected(field, inputs, weights))
     assert report.attempts == 1
-    assert not report.was_attacked
     assert report.recovered
 
 
@@ -64,7 +63,7 @@ def test_byzantine_device_is_benched_and_computation_recovers(field, rng, inputs
     executor = RecoveringExecutor(cluster, rng)
     result, report = executor.execute_forward(inputs, K, M, _launch(cluster, weights))
     assert np.array_equal(result, _expected(field, inputs, weights))
-    assert report.was_attacked
+    assert report.attempts > 1
     assert 1 in executor.quarantined_devices
     assert report.recovered
 
@@ -91,20 +90,6 @@ def test_fully_byzantine_pool_exhausts_retries(field, rng, inputs, weights):
     executor = RecoveringExecutor(cluster, rng, max_retries=3)
     with pytest.raises(IntegrityError):
         executor.execute_forward(inputs, K, M, _launch(cluster, weights))
-
-
-def test_pardon_returns_device_to_pool(field, rng, inputs, weights):
-    cluster = GpuCluster(
-        field,
-        N_SHARES + 1,
-        fault_injectors={0: RandomTamper(field, probability=1.0, seed=2)},
-    )
-    executor = RecoveringExecutor(cluster, rng)
-    executor.execute_forward(inputs, K, M, _launch(cluster, weights))
-    benched = executor.quarantined_devices
-    assert benched
-    executor.pardon(benched[0])
-    assert benched[0] not in executor.quarantined_devices
 
 
 def test_invalid_retry_budget(field, rng):

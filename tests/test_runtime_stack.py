@@ -91,17 +91,13 @@ class LoopBackend(DarKnightBackend):
                 self._loop_verify_backward(record.coefficients, aggregate, launch)
             grad = self.quantizer.dequantize_product(aggregate)
             contribution = grad * (record.x_norm.factor * d_norm.factor)
-            if self._aggregator is not None:
-                self._aggregator.add_update(f"{key}/{record.share_key}", contribution)
-            else:
-                total = contribution if total is None else total + contribution
-        if self._aggregator is not None:
-            return self._aggregator.aggregate([f"{key}/{r.share_key}" for r in records])
+            total = contribution if total is None else total + contribution
         return total
 
     def _loop_verify_backward(self, coeffs, primary_aggregate, launch):
         verifier = IntegrityVerifier(coeffs)
-        alt_subset = verifier.verification_plan()[1]
+        (plan,) = verifier.verification_plans()
+        alt_subset = plan[1]
         b_alt, gamma = coeffs.backward_matrices_for_subset(alt_subset)
         equations, _ = self.cluster.map_shares(
             replace(launch, b_rows=b_alt), range(coeffs.n_shares)
@@ -144,7 +140,6 @@ def _layer_steps(draw):
         "kind": kind, "k": k, "m": m, "batch": batch, "geometry": geometry,
         "integrity": draw(st.booleans()),
         "fresh": draw(st.booleans()),
-        "sealed": draw(st.booleans()),
         "normalize": draw(st.booleans()),
         "per_sample": draw(st.booleans()),
         # None: the blocking forward.  A permutation: the staged ops, one
@@ -183,7 +178,6 @@ def _backend(cls, case, fault_injectors=None):
         collusion_tolerance=case["m"],
         integrity=case["integrity"],
         fresh_coefficients=case["fresh"],
-        sealed_aggregation=case["sealed"],
         dynamic_normalization=case["normalize"],
         per_sample_normalization=case["per_sample"],
         seed=case["seed"],
@@ -378,7 +372,7 @@ def test_stack_of_one_backend_shares_cached_coefficients():
     cached set, and reuse is booked per virtual batch as before."""
     case = {
         "kind": "dense", "k": 2, "m": 1, "batch": 7, "integrity": True, "fresh": False,
-        "sealed": False, "normalize": True, "per_sample": False, "staged_order": None,
+        "normalize": True, "per_sample": False, "staged_order": None,
         "geometry": {"n_in": 6, "n_out": 3}, "seed": 5,
     }
     x, w, bias, delta = _tensors(case)

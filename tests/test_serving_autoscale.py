@@ -122,7 +122,7 @@ def test_router_remove_shard_refuses_last_and_failed_shards():
     with pytest.raises(ConfigurationError):
         router.remove_shard(9)
     server = _server(num_shards=2)
-    server.shards[0].kill()
+    server.shards[0].healthy = False
     server.membership.leave(server.units[0], 0.0, failed=True)
     with pytest.raises(ShardError):
         server.decommission_shard(shard_id=0)  # failure accounting, not a drain
@@ -525,7 +525,7 @@ def test_a_failed_over_shard_stops_counting_as_live(seed):
         s.shard_id for s in server.shards if s.healthy
     ]
     dead = server.shards[0]
-    assert dead.state == "failed" and dead.failed_at is not None
+    assert server.units[0].state == "failed" and dead.failed_at is not None
 
 
 # ----------------------------------------------------------------------
@@ -626,7 +626,7 @@ def _run_membership_schedule(steps, partition="replicated"):
         elif action == "kill":
             live = [s for s in server.shards if s.healthy]
             if live:  # the last one too: a total outage is a legal schedule
-                live[pick % len(live)].kill()
+                live[pick % len(live)].healthy = False
         elif action == "fail_after":
             live = [s for s in server.shards if s.healthy]
             if live:

@@ -105,8 +105,6 @@ def test_idle_tenants_are_pruned_from_the_rotation():
     q.push(_req(11, tenant="b"))
     assert [r.tenant for r in q.pop_fair(2)] == ["a", "b"]
     assert q.depth == 0
-    # The seen-tenant listing (first-arrival order) is unaffected.
-    assert q.tenants == ["a", "b"]
 
 
 # ----------------------------------------------------------------------

@@ -236,7 +236,7 @@ def test_failed_batch_splits_across_tenants_new_shards():
     def failed_over():
         return [u.unit_id for u in units if u.shards[0].failed_at is not None]
 
-    shards[0].kill()
+    shards[0].healthy = False
     rng = np.random.default_rng(1)
     batch = ScheduledBatch(
         batch_id=7,
@@ -389,8 +389,8 @@ def test_retry_cap_counts_surviving_shards_only():
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
     membership = make_membership(shards)
     pool = InferenceWorkerPool(membership)
-    shards[0].kill()
-    shards[1].kill()
+    shards[0].healthy = False
+    shards[1].healthy = False
     # An earlier failover already took shard 1 out.
     membership.leave(membership.units[1], 0.0, failed=True)
 

@@ -28,7 +28,7 @@ def test_mesh_establishes_all_pairwise_links():
     shards = _shards(3)
     mesh = AttestationMesh(shards)
     assert mesh.handshakes == 3 * 2
-    assert mesh.n_links == 6
+    assert len(mesh._links) == 6
     for a in range(3):
         for b in range(3):
             assert mesh.verified(a, b)
@@ -65,7 +65,7 @@ def test_shard_seeds_derive_from_config_and_shard_id():
 
 def test_dead_shard_refuses_dispatch():
     shard = _shards(1)[0]
-    shard.kill()
+    shard.healthy = False
     with pytest.raises(ShardFailedError):
         shard.run_window([WindowItem(np.zeros((2, 8)), 0.0)])
 

@@ -113,7 +113,7 @@ def test_blinding_pairs_sealed_in_untrusted_store(nprng):
     enclave = Enclave(seed=0)
     store = BlindingStore(enclave)
     store.precompute("l", 1, (4,), lambda r: r)
-    assert len(enclave.untrusted_store.keys()) == 2  # r and u
+    assert len(enclave.untrusted_store._blobs) == 2  # r and u
 
 
 def test_integrity_freivalds_passes_honest(net, nprng):
@@ -180,7 +180,7 @@ def test_invalidate_drops_the_unused_sealed_pairs(nprng):
     store.invalidate("l")
     assert store.pairs_available("l") == 0
     assert store.pool_version("l") is None
-    keys = set(enclave.untrusted_store.keys())
+    keys = set(enclave.untrusted_store._blobs)
     assert not keys & {"slalom/l/r1", "slalom/l/u1", "slalom/l/r2", "slalom/l/u2"}
     assert {"slalom/m/r0", "slalom/m/u0"} <= keys  # other layers keep their pools
     store.precompute("l", 1, (4,), lambda r: r, weight_version=1)
