@@ -86,14 +86,13 @@ def _counting(*targets):
 
 
 def _functional_forward(integrity: bool, rounds: int) -> tuple[float, dict]:
-    """Best-of-``rounds`` wall seconds of a MiniVGG forward under reused
-    coefficients (the serving regime), plus one counted pass."""
+    """Best-of-``rounds`` wall seconds of a MiniVGG forward on a backend in
+    the serving mode a shard runs (reused coefficients, per-slot
+    normalisation), plus one counted pass."""
     rng = np.random.default_rng(0)
     net = build_mini_vgg(input_shape=(3, 8, 8), n_classes=4, rng=rng, width=8)
     backend = DarKnightBackend(
-        DarKnightConfig(
-            virtual_batch_size=4, integrity=integrity, seed=0, fresh_coefficients=False
-        )
+        DarKnightConfig(virtual_batch_size=4, integrity=integrity, seed=0), serving=True
     )
     x = rng.normal(size=(8, 3, 8, 8))
 

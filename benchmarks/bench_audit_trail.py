@@ -224,5 +224,3 @@ def test_manifest_pins_the_effective_config(tmp_path):
     manifest = load_manifest(tmp_path)
     effective = manifest_config(manifest)
     assert effective == server.darknight
-    assert effective.per_sample_normalization
-    assert not effective.fresh_coefficients

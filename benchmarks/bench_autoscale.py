@@ -16,8 +16,7 @@ Acceptance (asserted below):
 * zero failed/shed requests under every membership change;
 * logits bit-identical to both static deployments, per request.
 
-The regression gate (``check_regression.py --autoscale``) re-checks the
-emitted ``p99_ratio`` / ``shard_seconds_ratio`` from the JSON artifact.
+The JSON artifact records ``p99_ratio`` / ``shard_seconds_ratio``.
 """
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.serving import (
 INPUT_SHAPE = (16,)
 K = 4
 MAX_SHARDS = 4
-#: Acceptance bounds the CI gate re-validates from the JSON artifact.
+#: Acceptance bounds, asserted below.
 P99_BUDGET = 1.10
 SHARD_SECONDS_BUDGET = 0.70
 

@@ -18,8 +18,7 @@ Acceptance (asserted below):
 * logits bit-identical per request across replicated, layered:2, and
   layered:3 — partitioning is a pure placement decision.
 
-The regression gate (``check_regression.py --partition``) re-checks the
-emitted ``p99_ratio`` from the JSON artifact against the 0.75 bound.
+The JSON artifact records ``p99_ratio``.
 """
 
 import numpy as np
@@ -34,8 +33,6 @@ INPUT_SHAPE = (3, 8, 8)
 K = 4
 #: >= 1.5x p99 at 3 partitions, i.e. a p99 ratio of at most 1/1.5.
 SPEEDUP_TARGET = 1.5
-#: The (slacker) bound the CI gate re-validates from the artifact.
-P99_RATIO_BOUND = 0.75
 
 
 def _serve(trace, n_stages: int):

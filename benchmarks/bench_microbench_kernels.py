@@ -664,11 +664,8 @@ def test_served_step_speed(benchmark, quick):
     decode."""
     network, shape = build_serving_model("mini-resnet", seed=0)
     conv = network.execution_plan()[0].layer
-    config = DarKnightConfig(
-        virtual_batch_size=4, integrity=True, fresh_coefficients=False,
-        per_sample_normalization=True, seed=0,
-    )
-    backend = DarKnightBackend(config)
+    config = DarKnightConfig(virtual_batch_size=4, integrity=True, seed=0)
+    backend = DarKnightBackend(config, serving=True)
     op = backend.stage_linear("conv2d", conv.params["w"], None, "conv", conv.stride, conv.pad)
     x = np.random.default_rng(1).standard_normal((4,) + shape) * 2
     (vb,) = iter_virtual_batches(x, 4)

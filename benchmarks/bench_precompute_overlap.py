@@ -5,8 +5,8 @@ window: mask/noise generation, weight (re-)encoding + broadcast, and
 hot-path buffer churn.  None of them *has* to be online — masks can be
 pregenerated into idle pipeline gaps (the paper's offline phase), weight
 encodings are static across windows, and the scratch buffers a window
-needs are the same ones the last window just dropped.  ``--precompute``
-moves all three off the critical path.
+needs are the same ones the last window just dropped.
+``ServingConfig.precompute`` moves all three off the critical path.
 
 This bench serves the same 1,000-request integrity trace (the one
 ``bench_serving_throughput.py`` gates on) twice — precompute off, then
@@ -22,9 +22,6 @@ asserts the whole contract at once:
   verifies and a committed window replays digest-for-digest,
 * the metrics snapshot (pool/cache/scratch stats included) is strict
   JSON — ``validate_artifacts.py`` re-checks the emitted artifact.
-
-``check_regression.py --precompute`` gates the recorded ``p99_ratio``
-and ``pool_hit_rate`` in CI.
 """
 
 import time
@@ -175,9 +172,9 @@ def test_precompute_overlap_on_integrity_trace(benchmark, capsys, quick):
     assert _audit_green(server_off) >= 1
     assert _audit_green(server_on) >= 1
 
-    # Gate inputs for check_regression.py --precompute, plus the full
-    # strict-JSON metrics snapshot so validate_artifacts.py covers the
-    # pool/cache/scratch stats (no inf/NaN may survive serialization).
+    # The asserted figures, plus the full strict-JSON metrics snapshot so
+    # validate_artifacts.py covers the pool/cache/scratch stats (no inf/NaN
+    # may survive serialization).
     benchmark.extra_info["n_requests"] = n
     benchmark.extra_info["p99_ratio"] = p99_ratio
     benchmark.extra_info["pool_hit_rate"] = hit_rate

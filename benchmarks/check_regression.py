@@ -19,13 +19,10 @@ Usage::
     OPENBLAS_NUM_THREADS=1 python benchmarks/check_regression.py \
         bench-results/microbench_kernels.json --baseline ../baseline
     ... --append                            # record the pairs in BENCH_kernels.json
-    ... --autoscale bench-results/autoscale.json  # also gate elastic serving
 
 The first argument is where the candidate's last pytest-benchmark
 document is written.  Both sides inherit the environment; about 4 minutes
-on 2 cores.  ``--autoscale``, ``--partition`` and ``--precompute`` also
-hold three exhibits' artifacts to fixed bounds (see :func:`check_exhibit`).
-``--append`` adds the pair ratios to ``BENCH_kernels.json`` on a passing
+on 2 cores.  ``--append`` adds the pair ratios to ``BENCH_kernels.json`` on a passing
 run.  All JSON I/O is strict: non-finite constants are rejected on read
 and refused on write.
 """
@@ -76,26 +73,6 @@ TRACKED = (
     "test_mask_pool_refill_speed",
     "test_served_step_speed",
 )
-
-#: The autoscale exhibit's name and the bounds its artifact must meet
-#: (mirrors the assertions inside ``bench_autoscale.py``).
-AUTOSCALE_BENCH = "test_autoscale_matches_static_p99_at_fraction_of_shard_seconds"
-AUTOSCALE_BOUNDS = {"p99_ratio": 1.10, "shard_seconds_ratio": 0.70}
-
-#: The layer-partition exhibit's name and bound: p99 at 3 partitions must
-#: stay at <= 0.75x the single-enclave baseline (``bench_layer_partition.py``
-#: itself asserts the tighter >= 1.5x improvement; the gate keeps slack for
-#: noisy CI neighbours).
-PARTITION_BENCH = "test_layer_partition_cuts_p99_with_bit_identical_logits"
-PARTITION_BOUNDS = {"p99_ratio": 0.75}
-
-#: The precompute-overlap exhibit's name and bounds: its ``p99_ratio``
-#: (precompute on vs off) must stay at <= 0.77 (i.e. the offline/online
-#: split keeps cutting p99 by >= 1.3x; measured ~0.38) and the mask pool
-#: must sustain a >= 0.9 hit rate on the steady-state integrity trace.
-PRECOMPUTE_BENCH = "test_precompute_overlap_on_integrity_trace"
-PRECOMPUTE_UPPER_BOUNDS = {"p99_ratio": 0.77}
-PRECOMPUTE_LOWER_BOUNDS = {"pool_hit_rate": 0.9}
 
 
 def _reject(constant: str):
@@ -244,39 +221,6 @@ def _series(series: list[float]) -> str:
     return " ".join(f"{ratio:.2f}" for ratio in series)
 
 
-def check_exhibit(path: Path, label: str, bench: str, upper: dict, lower: dict) -> list[str]:
-    """Validate one exhibit artifact's ``extra_info`` against fixed bounds:
-    ``upper`` values must stay at or below theirs, ``lower`` at or above.
-
-    The autoscale exhibit records ``p99_ratio`` (elastic tail vs the static
-    max-provisioned deployment) and ``shard_seconds_ratio`` (elastic bill vs
-    the static bill); the layer-partition one ``p99_ratio`` (3-stage
-    pipeline-group tail vs the single whole-model enclave); the
-    precompute-overlap one ``p99_ratio`` (precompute on vs off) and
-    ``pool_hit_rate`` (steady-state mask-pool hits).  Any of them drifting
-    past its bound means the mechanism stopped paying for itself.
-    """
-    data = _load_strict(path)
-    rows = [b for b in data["benchmarks"] if b["name"] == bench]
-    if not rows:
-        return [f"{label} benchmark {bench!r} missing from {path}"]
-    info = rows[0].get("extra_info", {})
-    failures = []
-    for bounds, too_far, side in (
-        (upper, lambda v, b: v > b, "exceeds"),
-        (lower, lambda v, b: v < b, "falls below"),
-    ):
-        for key, bound in bounds.items():
-            value = info.get(key)
-            if value is None:
-                failures.append(f"{label} artifact lacks extra_info[{key!r}]")
-            elif too_far(float(value), bound):
-                failures.append(f"{label} {key} {float(value):.3f} {side} bound {bound:.2f}")
-            else:
-                print(f"{label} {key}: {float(value):.3f} (bound {bound:.2f})")
-    return failures
-
-
 def _commit(tree: Path) -> str | None:
     proc = subprocess.run(
         ["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True
@@ -320,21 +264,6 @@ def main(argv: list[str]) -> int:
         "--append", action="store_true",
         help="append this run's pair ratios to BENCH_kernels.json when the gate passes",
     )
-    parser.add_argument(
-        "--autoscale", type=Path, metavar="PATH",
-        help="also gate the autoscale exhibit's JSON artifact"
-             " (p99_ratio / shard_seconds_ratio bounds)",
-    )
-    parser.add_argument(
-        "--partition", type=Path, metavar="PATH",
-        help="also gate the layer-partition exhibit's JSON artifact"
-             " (p99_ratio at 3 partitions vs the single-enclave baseline)",
-    )
-    parser.add_argument(
-        "--precompute", type=Path, metavar="PATH",
-        help="also gate the precompute-overlap exhibit's JSON artifact"
-             " (p99_ratio upper bound and pool_hit_rate lower bound)",
-    )
     args = parser.parse_args(argv)
 
     pairs = run_pairs(args.baseline.resolve(), REPO, args.results)
@@ -345,15 +274,6 @@ def main(argv: list[str]) -> int:
         print(f"{name}: not in the baseline, not gated")
 
     failures = check(ratios, args.threshold)
-    if args.autoscale is not None:
-        failures += check_exhibit(args.autoscale, "autoscale", AUTOSCALE_BENCH,
-                                  AUTOSCALE_BOUNDS, {})
-    if args.partition is not None:
-        failures += check_exhibit(args.partition, "partition", PARTITION_BENCH,
-                                  PARTITION_BOUNDS, {})
-    if args.precompute is not None:
-        failures += check_exhibit(args.precompute, "precompute", PRECOMPUTE_BENCH,
-                                  PRECOMPUTE_UPPER_BOUNDS, PRECOMPUTE_LOWER_BOUNDS)
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Deterministic re-execution of a disputed window from its commitments.
 
 A window's leaves store each request's admitted input verbatim (in
-canonical form), and the serving stack pins ``per_sample_normalization``
-on and ``fresh_coefficients`` off — decoded logits depend only on the
-sample and the network, never on batch composition, coalescing depth, or
-which shard ran the window.  Replay therefore provisions a fresh
+canonical form), and every shard is provisioned in the serving mode (one
+reused coefficient set, per-slot normalisation; the backend's, not a
+config field) — decoded logits depend only on the sample and the network,
+never on batch composition, coalescing depth, or which shard ran the
+window.  Replay therefore provisions a fresh
 :class:`~repro.sharding.shard.EnclaveShard` from the audited deployment's
 effective config (same seed derivation, same integrity posture, same K —
 even a window the adaptive governor resized replays exactly), re-runs
@@ -77,8 +78,7 @@ def replay_window(
         name + seed).
     config:
         The deployment's *effective* DarKnight config (the manifest
-        records it; serving's normalization/coefficient pinning must be
-        part of it for replay to be composition-independent).
+        records it: the same seed, integrity posture and K).
     strict:
         When true (the default), raise :class:`AuditError` on the first
         digest divergence instead of returning a mismatch report.

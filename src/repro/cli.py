@@ -265,13 +265,6 @@ def _serve(args) -> int:
         )
         print(f"SLO classes: {classes}")
     print(report.render())
-    if audit is not None and audit.log_dir is not None:
-        print(
-            f"audit: {server.audit.windows_committed} windows"
-            f" ({server.audit.leaves_committed} leaves,"
-            f" {server.audit.bytes_written:,} bytes) committed to"
-            f" {audit.log_dir}"
-        )
     return 0
 
 

@@ -221,7 +221,7 @@ class PipelineExecutor:
         byzantine window can neither wedge nor leak into the next one.  A
         precompute backend borrows the scratch pool for exactly this long.
         """
-        with scratch_scope(self.backend.config.precompute):
+        with scratch_scope(self.backend.precompute):
             try:
                 return self._schedule(items, step_range)
             finally:
@@ -271,7 +271,6 @@ class PipelineExecutor:
         enclave_busy_before = self.timeline.busy_time
         gpu_busy_before = self.backend.cluster.max_busy_time()
         spans: list[StageSpan] = []
-        stage_totals: dict[str, float] = {}
         outputs: dict[int, np.ndarray | dict] = {}
 
         first_release = min((item.release for item in items), default=0.0)
@@ -284,14 +283,13 @@ class PipelineExecutor:
                     start, end = self.timeline.reserve(
                         first_release, self.costs.maskgen_time(op.staged_bytes)
                     )
-                    self._account(
-                        spans, stage_totals, -1, op.key, "stage_weights",
-                        "enclave", start, end,
+                    spans.append(
+                        StageSpan(-1, op.key, "stage_weights", "enclave", start, end)
                     )
                     op.staged_bytes = 0
 
         # Only a precompute backend has a pool whose refills can fill gaps.
-        fill_gaps = self.backend.config.precompute
+        fill_gaps = self.backend.precompute
         waiting = list(jobs)
         active: list[_Job] = []
         while waiting or active:
@@ -299,16 +297,16 @@ class PipelineExecutor:
                 active.append(waiting.pop(0))
             job = active[0] if len(active) == 1 else min(active, key=self._task_rank)
             if fill_gaps:
-                self._fill_idle_gap(job, spans, stage_totals)
+                self._fill_idle_gap(job, spans)
             if job.transfer_bytes:
-                self._run_transfer(job, spans, stage_totals)
+                self._run_transfer(job, spans)
             elif job.future is not None:
-                self._run_decode(job, last_use, spans, stage_totals)
+                self._run_decode(job, last_use, spans)
             elif plan[job.step_idx].offloaded:
                 job.activation = job.values[plan[job.step_idx].deps[0]]
-                self._run_encode(job, k, ops[job.step_idx], spans, stage_totals)
+                self._run_encode(job, k, ops[job.step_idx], spans)
             else:
-                self._run_tee(job, plan[job.step_idx], last_use, spans, stage_totals)
+                self._run_tee(job, plan[job.step_idx], last_use, spans)
             if (
                 job.future is None
                 and not job.transfer_bytes
@@ -320,6 +318,11 @@ class PipelineExecutor:
                     outputs[job.index] = {i: job.values[i] for i in live_out}
                 active.remove(job)
 
+        # The spans are the one record of stage time; totals sum them.
+        stage_totals: dict[str, float] = {}
+        for span in spans:
+            seconds = span.end - span.start
+            stage_totals[span.stage] = stage_totals.get(span.stage, 0.0) + seconds
         stats = PipelineStats(
             start=min((s.start for s in spans), default=first_release),
             finish=max((s.end for s in spans), default=first_release),
@@ -376,25 +379,10 @@ class PipelineExecutor:
         ready = job.future.ready_at if decode else job.ready_at
         return (max(self.timeline.free_at, ready), job.deadline, not decode, job.index)
 
-    def _account(
-        self,
-        spans: list[StageSpan],
-        totals: dict[str, float],
-        job: int,
-        layer: str,
-        stage: str,
-        resource: str,
-        start: float,
-        end: float,
-    ) -> None:
-        spans.append(StageSpan(job, layer, stage, resource, start, end))
-        totals[stage] = totals.get(stage, 0.0) + (end - start)
-
     def _fill_idle_gap(
         self,
         job: _Job,
         spans: list[StageSpan],
-        totals: dict[str, float],
     ) -> None:
         """Run mask-pool refills in the gap before the chosen task starts.
 
@@ -421,8 +409,8 @@ class PipelineExecutor:
             self.backend.precompute_refill()
             if duration > 0.0:
                 start, end = self.timeline.reserve(self.timeline.free_at, duration)
-                self._account(
-                    spans, totals, -1, "mask_pool", "precompute", "enclave", start, end
+                spans.append(
+                    StageSpan(-1, "mask_pool", "precompute", "enclave", start, end)
                 )
             nbytes = self.backend.precompute_pending()
 
@@ -432,7 +420,6 @@ class PipelineExecutor:
         k: int,
         op: StagedLinearOp,
         spans: list[StageSpan],
-        totals: dict[str, float],
     ) -> None:
         """Encode the job's next layer and put its shares in flight."""
         (ticket,) = tickets = self.backend.encode(op, [job.padded(k)], [job.index])
@@ -442,7 +429,7 @@ class PipelineExecutor:
             # the encode's ecall — bytes-only surcharge, no extra overhead.
             duration += ticket.inline_noise_bytes / self.costs.maskgen_bandwidth
         start, end = self.timeline.reserve(job.ready_at, duration)
-        self._account(spans, totals, job.index, op.key, "encode", "enclave", start, end)
+        spans.append(StageSpan(job.index, op.key, "encode", "enclave", start, end))
         future = self.backend.dispatch(tickets)
         gpu_start, ready_at = self.backend.cluster.reserve_shares(
             ticket.coefficients.n_shares,
@@ -450,7 +437,7 @@ class PipelineExecutor:
             not_before=end,
         )
         future.ready_at = ready_at
-        self._account(spans, totals, job.index, op.key, "gpu", "gpu", gpu_start, ready_at)
+        spans.append(StageSpan(job.index, op.key, "gpu", "gpu", gpu_start, ready_at))
         job.future = future
 
     def _finish_step(
@@ -472,7 +459,6 @@ class PipelineExecutor:
         self,
         job: _Job,
         spans: list[StageSpan],
-        totals: dict[str, float],
     ) -> None:
         """Price a sealed cross-shard activation hand-off on this enclave.
 
@@ -484,9 +470,7 @@ class PipelineExecutor:
         start, end = self.timeline.reserve(
             job.ready_at, self.costs.transfer_time(job.transfer_bytes)
         )
-        self._account(
-            spans, totals, job.index, "handoff", "transfer", "enclave", start, end
-        )
+        spans.append(StageSpan(job.index, "handoff", "transfer", "enclave", start, end))
         job.transfer_bytes = 0
         job.ready_at = end
 
@@ -495,7 +479,6 @@ class PipelineExecutor:
         job: _Job,
         last_use: dict[int, int],
         spans: list[StageSpan],
-        totals: dict[str, float],
     ) -> None:
         """Decode a completed future and advance the job one layer."""
         future = job.future
@@ -506,7 +489,7 @@ class PipelineExecutor:
         start, end = self.timeline.reserve(
             future.ready_at, self.costs.decode_time(future.output_bytes)
         )
-        self._account(spans, totals, job.index, op.key, "decode", "enclave", start, end)
+        spans.append(StageSpan(job.index, op.key, "decode", "enclave", start, end))
         step = self.network.execution_plan()[job.step_idx]
         job.future = None
         self._finish_step(job, step, op.apply_bias(y), last_use)
@@ -518,7 +501,6 @@ class PipelineExecutor:
         step,
         last_use: dict[int, int],
         spans: list[StageSpan],
-        totals: dict[str, float],
     ) -> None:
         """Run one TEE-resident step on the real rows.
 
@@ -535,6 +517,6 @@ class PipelineExecutor:
             nbytes = int(np.asarray(x).nbytes)
             out = step.layer.forward(x, self.backend, training=False)
         start, end = self.timeline.reserve(job.ready_at, self.costs.local_time(nbytes))
-        self._account(spans, totals, job.index, step.name, "tee", "enclave", start, end)
+        spans.append(StageSpan(job.index, step.name, "tee", "enclave", start, end))
         self._finish_step(job, step, out, last_use)
         job.ready_at = end

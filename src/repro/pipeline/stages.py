@@ -152,6 +152,8 @@ class PipelineStats:
     n_jobs: int  #: Virtual batches executed.
     enclave_busy: float  #: Enclave-occupied seconds within the run.
     gpu_busy: float  #: Busiest single device's occupied seconds.
+    #: Seconds per stage: a run's spans summed in span order (a merge's
+    #: parts' totals in parts order).
     stage_totals: dict[str, float] = field(default_factory=dict)
     spans: list[StageSpan] = field(default_factory=list)
 

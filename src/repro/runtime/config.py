@@ -10,7 +10,12 @@ from repro.fieldmath import DEFAULT_PRIME
 
 @dataclass(frozen=True)
 class DarKnightConfig:
-    """Everything that parameterises a DarKnight session.
+    """The paper's parameters of a DarKnight session.
+
+    How a session runs — training's fresh coefficients, or serving's one
+    reused set with per-slot normalisation and optional precompute — is
+    the backend's mode (``DarKnightBackend(serving=..., precompute=...)``),
+    which :meth:`repro.sharding.EnclaveShard.provision` sets for serving.
 
     Parameters
     ----------
@@ -33,13 +38,6 @@ class DarKnightConfig:
     mds_noise:
         Build the noise block as Vandermonde/MDS so collusion privacy is by
         construction, not w.h.p.
-    fresh_coefficients:
-        Regenerate the masking coefficients for every virtual batch (the
-        paper's training behaviour, and the safe default).  ``False`` lets
-        the backend reuse one cached :class:`CoefficientSet` per
-        ``(K, M, integrity)`` shape — the per-encode noise vectors stay
-        fresh, only the resampling/inversion of ``A``/``B``/``Gamma`` is
-        skipped, which the serving hot path exploits.
     validate_decode:
         Debug mode: cross-check every masked decode against a float
         reference and fail loudly on range overflow (tests use this).
@@ -60,21 +58,6 @@ class DarKnightConfig:
         the *initial* count — the server clamps it into the autoscaler's
         ``[min_shards, max_shards]`` band and membership changes at
         runtime.
-    per_sample_normalization:
-        Dynamic-normalize each virtual-batch slot by its *own* max-abs
-        instead of the whole batch's, making a sample's decoded logits
-        independent of whatever it was co-batched with.  Inference-only
-        (the backward pass needs a scalar batch factor); the serving layer
-        enables it so routing/coalescing choices — including shard counts —
-        can never change a response bit.
-    precompute:
-        Enable the offline/online split (:mod:`repro.precompute`): masks
-        are drawn from a pregenerated counter-based pool refilled during
-        enclave idle gaps, weight encodings are cached per layer across
-        flush windows (invalidated on membership change / model swap),
-        and the encode/decode staging reuses per-shape scratch buffers.  Off (the
-        default) keeps the legacy always-inline behaviour; outputs are
-        bit-identical either way.
     epc_budget_bytes:
         Usable EPC bytes per enclave (``None`` keeps the paper
         generation's ~93 MB).  The server fits the virtual batch to this
@@ -93,12 +76,9 @@ class DarKnightConfig:
     prime: int = DEFAULT_PRIME
     dynamic_normalization: bool = True
     mds_noise: bool = True
-    fresh_coefficients: bool = True
     validate_decode: bool = False
     pipeline_depth: int = 1
     num_shards: int = 1
-    per_sample_normalization: bool = False
-    precompute: bool = False
     epc_budget_bytes: int | None = None
     seed: int | None = None
 

@@ -109,6 +109,24 @@ class DarKnightBackend:
         Simulated accelerators; needs ``config.n_gpus_required`` devices.
     link:
         Interconnect cost model (bytes charged on every scatter/gather).
+    serving:
+        The serving mode :meth:`repro.sharding.EnclaveShard.provision`
+        sets.  One cached :class:`CoefficientSet` per ``(K, M, integrity)``
+        serves every virtual batch (noise stays fresh per encode; only the
+        resampling/inversion of ``A``/``B``/``Gamma`` is skipped), and
+        every sample slot is normalised by its own max-abs, so a sample's
+        decoded logits never depend on what it was co-batched with — nor
+        on coalescing, pipelining or shard routing.  Backward is refused:
+        its decode recovers a batch aggregate, which only a scalar batch
+        factor can unscale.  Off (training) draws fresh coefficients for
+        every virtual batch, as the paper trains.
+    precompute:
+        The offline/online split (:mod:`repro.precompute`): masks come from
+        a pregenerated counter-based pool refilled in enclave idle gaps,
+        weight encodings stay on the devices across windows (invalidated
+        on membership change / model swap), and the encode/decode staging
+        reuses per-shape scratch buffers.  Outputs are bit-identical
+        either way.
     """
 
     def __init__(
@@ -117,8 +135,13 @@ class DarKnightBackend:
         enclave: Enclave | None = None,
         cluster: GpuCluster | None = None,
         link: LinkModel | None = None,
+        *,
+        serving: bool = False,
+        precompute: bool = False,
     ) -> None:
         self.config = config or DarKnightConfig()
+        self.serving = serving
+        self.precompute = precompute
         self.enclave = enclave or Enclave(seed=self.config.seed)
         self.field = self.enclave.field
         if self.field.p != self.config.prime:
@@ -144,7 +167,7 @@ class DarKnightBackend:
         self._staged_weights: dict[str, _StagedWeights] = {}
         # Offline/online split: a counter-based mask pool (precompute mode).
         self._mask_pool: MaskStreamPool | None = None
-        if self.config.precompute:
+        if precompute:
             base_key = (
                 self.config.seed
                 if self.config.seed is not None
@@ -174,7 +197,7 @@ class DarKnightBackend:
         scaled stack and each virtual batch's own :class:`Normalization`.
 
         ``lead=1`` gives every virtual batch its scalar max-abs factor;
-        ``lead=2`` (``per_sample_normalization``) gives every sample slot
+        ``lead=2`` (the serving mode) gives every sample slot
         its own, so a slot's decoded output is invariant to what else
         shares the batch — the property shard routing relies on for
         bit-identical logits at every shard count.
@@ -211,10 +234,10 @@ class DarKnightBackend:
         Fresh coefficients come from one stacked ``generate``: the step's
         sets — and, when ``noise_shape`` is given, their ``(V, M, ...)``
         noise — from four block draws and one elimination, whatever ``V``
-        is.  Otherwise the one cached set serves every virtual batch and no
-        noise comes back (the encoder draws its own, per virtual batch).
+        is.  In the serving mode the one cached set serves every virtual
+        batch and no noise comes back (the encoder draws its own, per virtual batch).
         """
-        if self.config.fresh_coefficients:
+        if not self.serving:
             drawn = self._generate_coefficients(count=n_batches, noise_shape=noise_shape)
             sets, noise = (drawn, None) if noise_shape is None else drawn
             self.enclave.record_compute("generate_coefficients", sets[0].a.nbytes, n_batches)
@@ -315,7 +338,7 @@ class DarKnightBackend:
         if stale:
             for ticket in stale:
                 self.cluster.drop_shares(ticket.share_key)
-        precompute = self.config.precompute
+        precompute = self.precompute
         w = np.asarray(w)
         kept = self._staged_weights.get(key) if reuse else None
         if kept is not None and kept.still_holds(kind, stride, pad, w):
@@ -382,7 +405,7 @@ class DarKnightBackend:
         data, x_norms = self._normalize_stack(
             self._normalizer,
             stack_arrays([batch.data for batch in vbs]),
-            lead=2 if cfg.per_sample_normalization else 1,
+            lead=2 if self.serving else 1,
         )
         feature_shape = data.shape[2:]
         # The step's values stay float64 until they become shares: the
@@ -487,7 +510,7 @@ class DarKnightBackend:
     def conv2d_forward(self, x, w, b, stride, pad, key):
         """Masked convolution over the virtual-batched input."""
         op = self.stage_linear(
-            "conv2d", w, b, key, stride, pad, reuse=self.config.precompute
+            "conv2d", w, b, key, stride, pad, reuse=self.precompute
         )
         out = self._masked_forward(x, op)
         if self.config.validate_decode:
@@ -498,7 +521,7 @@ class DarKnightBackend:
 
     def dense_forward(self, x, w, b, key):
         """Masked dense layer over the virtual-batched input."""
-        op = self.stage_linear("dense", w, b, key, reuse=self.config.precompute)
+        op = self.stage_linear("dense", w, b, key, reuse=self.precompute)
         out = self._masked_forward(x, op)
         if self.config.validate_decode:
             self._validate(out, x @ w, key)
@@ -518,11 +541,11 @@ class DarKnightBackend:
         describe the ``Eq_j`` kernel; the layer's virtual batches are one
         backward launch over all their stored shares.
         """
-        if self.config.per_sample_normalization:
+        if self.serving:
             raise ConfigurationError(
-                "per-sample normalization is inference-only: the backward"
-                " decode recovers a batch-aggregated gradient, which only a"
-                " scalar batch factor can unscale"
+                "a serving backend is inference-only: it normalizes per"
+                " sample, and the backward decode recovers a batch-aggregated"
+                " gradient, which only a scalar batch factor can unscale"
             )
         tickets = self._forward_store.get(key)
         if not tickets:

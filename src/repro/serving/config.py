@@ -100,12 +100,9 @@ class ServingConfig:
         The masking/session parameters shared by all tenants (the
         virtual-batch size ``K`` doubles as the coalescing target, and
         ``num_shards`` sets how many enclave shards the deployment runs).
-        The server owns three of its fields and derives them in one
-        place: serving always reuses coefficients
-        (``fresh_coefficients=False``), normalizes per sample whenever
-        normalization is dynamic, and precomputes exactly when the
-        top-level ``precompute`` says so — ``darknight.precompute`` is
-        not read.
+        How a shard serves (one reused coefficient set, per-slot
+        normalisation) is not a field: every shard's backend runs in
+        the serving mode (:meth:`~repro.sharding.EnclaveShard.provision`).
     max_batch_wait:
         Deadline (simulated seconds) before a partial batch is forced out.
     queue_capacity:
@@ -169,8 +166,8 @@ class ServingConfig:
         across flush windows, and recycled hot-path scratch buffers.
         Refills run only in enclave-timeline idle gaps.  ``True``
         changes *when* work happens, never the bits of any response.
-        This is the one precompute switch of a deployment: the server
-        sets ``darknight.precompute`` from it.
+        This is the one precompute switch of a deployment: every shard
+        is provisioned with it.
     partition:
         How the model maps onto the deployment's shards.
         ``"layered:N"`` cuts the execution plan into ``N`` balanced

@@ -374,14 +374,6 @@ class ServerMetrics:
                 ["audit commit (ms)",
                  _fmt(snap["audit_commit_seconds"], scale=1e3, digits=1)]
             )
-        if snap["scale_outs"] or snap["scale_ins"]:
-            rows.append(["scale-outs", snap["scale_outs"]])
-            rows.append(["scale-ins", snap["scale_ins"]])
-        if snap["precompute"] is not None:
-            pre = snap["precompute"]
-            rows.append(["pool hit rate", _fmt(pre["hit_rate"], digits=3)])
-            rows.append(["pool refills", pre["refills"]])
-            rows.append(["weight reuses", pre["weights_reused"]])
         if snap["slo_classes"]:
             rows.append(["shed at admission", snap["shed_at_admission"]])
             rows.append(["evicted by class", snap["shed_evicted"]])

@@ -176,10 +176,7 @@ class ServingReport:
                 "n/a" if s["current_wait"] is None else f"{s['current_wait'] * 1e3:.2f}ms"
                 for s in learned
             )
-            lines.append(
-                f"adaptive: K={learned[0]['batch_size']},"
-                f" learned deadline(s) {waits}"
-            )
+            lines.append(f"adaptive: learned deadline(s) {waits}")
         return "\n".join(lines)
 
 
@@ -206,19 +203,6 @@ class PrivateInferenceServer:
     ) -> None:
         self.config = config or ServingConfig()
         dk = self.config.darknight
-        # The three backend fields the server owns.  Inference never needs
-        # training's fresh per-step coefficients; served logits must not
-        # depend on batch composition (and so not on coalescing,
-        # pipelining, or shard routing choices); and the deployment has one
-        # precompute switch, the top-level one.
-        dk = dataclasses.replace(
-            dk,
-            fresh_coefficients=False,
-            per_sample_normalization=(
-                dk.per_sample_normalization or dk.dynamic_normalization
-            ),
-            precompute=self.config.precompute,
-        )
         autoscale = self.config.autoscale
         if autoscale is not None:
             # num_shards becomes the *initial* count, clamped into the
@@ -359,6 +343,7 @@ class PrivateInferenceServer:
             stage_costs=self.config.stage_costs,
             link=self.link,
             provisioned_at=now,
+            precompute=self.config.precompute,
         )
 
     def _add_unit(self, unit_id: int, shards: list[EnclaveShard]) -> ServingUnit:

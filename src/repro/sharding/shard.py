@@ -73,19 +73,24 @@ class EnclaveShard:
         enclave: Enclave | None = None,
         link: LinkModel | None = None,
         provisioned_at: float = 0.0,
+        precompute: bool = False,
     ) -> "EnclaveShard":
         """Build a shard's full trusted stack from a DarKnight config.
 
         The shard's enclave randomness is derived from ``config.seed`` and
         the shard id, so multi-shard deployments stay deterministic while
         every shard masks with independent coefficients/noise.  (Decoded
-        logits never depend on the seed — masking decodes exactly.)
+        logits never depend on the seed — masking decodes exactly.)  Its
+        backend runs in the serving mode — one reused coefficient set,
+        per-slot normalisation, no backward — and ``precompute`` is the
+        deployment's offline/online switch (``ServingConfig.precompute``).
         """
         seed = None if config.seed is None else config.seed + shard_id
         shard_config = dataclasses.replace(config, seed=seed)
         enclave = enclave or Enclave(code_identity=code_identity, seed=seed)
         backend = DarKnightBackend(
-            shard_config, enclave=enclave, cluster=cluster, link=link
+            shard_config, enclave=enclave, cluster=cluster, link=link,
+            serving=True, precompute=precompute,
         )
         executor = PipelineExecutor(
             network,

@@ -89,7 +89,6 @@ def test_audit_logs_persist_with_a_replayable_manifest(tmp_path):
     assert manifest["num_shards"] == 2
     effective = manifest_config(manifest)
     assert effective == server.darknight  # the *effective* config, pinned
-    assert effective.per_sample_normalization and not effective.fresh_coefficients
     for sid in (0, 1):
         loaded = AuditLog.load(tmp_path / f"shard{sid}.audit.jsonl")
         assert loaded.chain_root == report.audit_roots[sid]

@@ -154,25 +154,6 @@ def test_an_appended_entry_is_strict_json_with_every_pair(monkeypatch, trees, tm
     assert all(series == [1.0] * gate.ROUNDS for series in entry["pair_ratios"].values())
 
 
-def test_exhibit_bounds_are_checked_from_both_sides(tmp_path):
-    path = tmp_path / "precompute.json"
-    info = {"p99_ratio": 0.9, "pool_hit_rate": 0.5}
-    path.write_text(json.dumps(
-        {"benchmarks": [{"name": gate.PRECOMPUTE_BENCH, "extra_info": info}]}
-    ))
-    failures = gate.check_exhibit(
-        path, "precompute", gate.PRECOMPUTE_BENCH,
-        gate.PRECOMPUTE_UPPER_BOUNDS, gate.PRECOMPUTE_LOWER_BOUNDS,
-    )
-    assert failures == [
-        "precompute p99_ratio 0.900 exceeds bound 0.77",
-        "precompute pool_hit_rate 0.500 falls below bound 0.90",
-    ]
-    assert gate.check_exhibit(path, "autoscale", "absent", {}, {}) == [
-        f"autoscale benchmark 'absent' missing from {path}"
-    ]
-
-
 _FAKE_BENCH = """
 import os
 

@@ -245,17 +245,15 @@ def _staged(backend, kind, rng):
     m=st.sampled_from((1, 2)),
     integrity=st.booleans(),
     kind=st.sampled_from(sorted(FEATURES)),
-    per_sample=st.booleans(),
-    fresh=st.booleans(),
+    serving=st.booleans(),
     seed=st.integers(0, 2**16),
     data=st.data(),
 )
-def test_a_staged_step_is_the_int64_chain(k, m, integrity, kind, per_sample, fresh, seed, data):
+def test_a_staged_step_is_the_int64_chain(k, m, integrity, kind, serving, seed, data):
     config = DarKnightConfig(
-        virtual_batch_size=k, collusion_tolerance=m, integrity=integrity,
-        fresh_coefficients=fresh, per_sample_normalization=per_sample, seed=seed,
+        virtual_batch_size=k, collusion_tolerance=m, integrity=integrity, seed=seed
     )
-    backend, twin = DarKnightBackend(config), DarKnightBackend(config)
+    backend, twin = (DarKnightBackend(config, serving=serving) for _ in range(2))
     field, q = backend.field, backend.quantizer
     wrng = np.random.default_rng(seed)
     op, w = _staged(backend, kind, wrng)
@@ -268,11 +266,11 @@ def test_a_staged_step_is_the_int64_chain(k, m, integrity, kind, per_sample, fre
     y = backend.decode(backend.dispatch(tickets))
 
     # The oracle replays the twin enclave's draws through the int64 chain.
-    lead = 2 if per_sample else 1
+    lead = 2 if serving else 1
     stack = np.stack([vb.data for vb in vbs])
     scaled, factors = _int64_normalize_rows(stack, lead)
     x_q = _int64_quantize(q, scaled)
-    sets, noise = twin._coefficient_stack(n, shape if fresh else None)
+    sets, noise = twin._coefficient_stack(n, None if serving else shape)
     if noise is None:
         noise = np.stack([twin.enclave.rng.uniform((m,) + shape) for _ in sets])
     want_shares = _int64_shares(field, sets, x_q, noise)
@@ -334,8 +332,8 @@ def test_non_canonical_noise_is_refused(frng, field):
 def test_a_non_canonical_pooled_mask_scatters_no_share(monkeypatch):
     """In precompute mode the noise comes from the mask pool: a tensor
     outside ``[0, p)`` is refused by the encoder's canonical check."""
-    config = DarKnightConfig(virtual_batch_size=2, integrity=True, precompute=True, seed=0)
-    backend = DarKnightBackend(config)
+    config = DarKnightConfig(virtual_batch_size=2, integrity=True, seed=0)
+    backend = DarKnightBackend(config, precompute=True)
     op, _ = _staged(backend, "dense", np.random.default_rng(0))
     draw = backend._mask_pool.draw
     monkeypatch.setattr(

@@ -46,12 +46,9 @@ def schedule(case: dict) -> list[list[dict]]:
         PipelineExecutor(
             network,
             DarKnightBackend(
-                DarKnightConfig(
-                    virtual_batch_size=case["k"],
-                    precompute=case.get("precompute", False),
-                    per_sample_normalization=True,
-                    seed=case["seed"] + member,
-                )
+                DarKnightConfig(virtual_batch_size=case["k"], seed=case["seed"] + member),
+                serving=True,
+                precompute=case.get("precompute", False),
             ),
             pipeline_depth=case["depth"],
             costs=costs,

@@ -322,7 +322,7 @@ def test_precompute_work_borrows_the_scratch_pool_and_gives_it_back():
     from repro.runtime.darknight import DarKnightBackend
 
     assert active_scratch() is None
-    DarKnightBackend(DarKnightConfig(precompute=True, seed=0))  # built, dropped
+    DarKnightBackend(DarKnightConfig(seed=0), precompute=True)  # built, dropped
     assert active_scratch() is None
     trace = synthetic_trace(12, (16,), n_tenants=2, seed=2)
     _, report = _serve(True, trace)
@@ -578,7 +578,7 @@ def test_updated_weights_are_restaged_never_served_stale(precompute, path, how):
     net after doubling, against 0.03 of quantization error.)"""
     net = _tiny_net()
     backend = DarKnightBackend(
-        DarKnightConfig(virtual_batch_size=4, seed=3, precompute=precompute)
+        DarKnightConfig(virtual_batch_size=4, seed=3), precompute=precompute
     )
     counts = backend.enclave.ledger.op_counts
     device = backend.cluster.devices[0]
@@ -752,16 +752,19 @@ def test_precompute_report_line_renders_after_serving():
 
 
 def test_the_serving_config_is_the_one_precompute_switch():
-    """The server derives ``darknight.precompute`` from the top-level field:
-    a backend flag the deployment did not ask for is not served."""
-    dk = DarKnightConfig(virtual_batch_size=4, seed=0, precompute=True)
-    server = PrivateInferenceServer(
-        _tiny_net(), ServingConfig(darknight=dk, precompute=False, queue_capacity=16)
-    )
-    assert server.darknight.precompute is False
+    """Every shard's backend gets the top-level ``precompute``; the
+    ``darknight`` section has no precompute key to contradict it."""
+    dk = DarKnightConfig(virtual_batch_size=4, seed=0)
+    for precompute in (False, True):
+        server = PrivateInferenceServer(
+            _tiny_net(), ServingConfig(darknight=dk, precompute=precompute, queue_capacity=16)
+        )
+        assert [s.backend.precompute for s in server.shards] == [precompute]
     report = server.serve_trace(synthetic_trace(8, (16,), n_tenants=2, seed=1))
     assert len(report.completed) == 8
-    assert report.precompute is None
+    assert report.precompute is not None
+    with pytest.raises(ConfigurationError, match="precompute"):
+        ServingConfig.from_dict({"darknight": {"precompute": True}})
 
 
 def test_serving_config_round_trips_precompute():

@@ -24,9 +24,9 @@ def net(nprng):
     )
 
 
-def _backend(k=2, **kwargs):
+def _backend(k=2, serving=False, **kwargs):
     cfg = DarKnightConfig(virtual_batch_size=k, seed=11, **kwargs)
-    return DarKnightBackend(cfg)
+    return DarKnightBackend(cfg, serving=serving)
 
 
 def test_forward_matches_float_within_quantization(net, nprng):
@@ -201,8 +201,8 @@ def test_config_share_accounting():
 
 
 def test_coefficient_cache_skips_regeneration(nprng):
-    """With fresh_coefficients=False, same-shape batches reuse one set."""
-    backend = _backend(k=2, fresh_coefficients=False)
+    """In the serving mode, same-shape batches reuse one set."""
+    backend = _backend(k=2, serving=True)
     x = nprng.normal(size=(4, 8))
     w = nprng.normal(size=(8, 3))
     for step in range(3):
@@ -218,7 +218,7 @@ def test_coefficient_cache_preserves_correctness(nprng):
     """Cached coefficients decode exactly like fresh ones."""
     x = nprng.normal(size=(4, 8))
     w = nprng.normal(size=(8, 3))
-    cached = _backend(k=2, fresh_coefficients=False, validate_decode=True)
+    cached = _backend(k=2, serving=True, validate_decode=True)
     for _ in range(2):
         out = cached.dense_forward(x, w, None, key="d")
         cached.end_batch()
@@ -238,9 +238,42 @@ def test_fresh_coefficients_default_regenerates_every_batch(nprng):
     assert "reuse_coefficients" not in counts
 
 
+def test_the_serving_mode_belongs_to_the_shard(net, nprng):
+    """A provisioned shard's backend reuses one coefficient set and
+    normalises each slot by its own max-abs (a loud neighbour changes no
+    bit of a sample's output) and refuses backward; a Trainer's backend,
+    built on the same config, draws fresh coefficients every virtual batch."""
+    from repro.runtime import Trainer
+    from repro.sharding import EnclaveShard
+
+    cfg = DarKnightConfig(virtual_batch_size=2, seed=11)
+    served = EnclaveShard.provision(0, net, cfg).backend
+    assert served.serving and not served.precompute
+    x = nprng.normal(size=(4, 1, 6, 6))
+    loud = x.copy()
+    loud[1] *= 100.0
+    quiet_out, loud_out = (net.forward(rows, served, training=False) for rows in (x, loud))
+    served.end_batch()
+    assert np.array_equal(quiet_out[[0, 2, 3]], loud_out[[0, 2, 3]])
+    counts = served.enclave.ledger.op_counts
+    # Two masked layers x two virtual batches x two forwards, one generation.
+    assert (counts["generate_coefficients"], counts["reuse_coefficients"]) == (1, 7)
+    conv = net.layers[0]
+    served.conv2d_forward(x, conv.params["w"], None, 1, 1, "c")
+    with pytest.raises(ConfigurationError, match="inference-only"):
+        served.conv2d_grad_w(x, nprng.normal(size=(4, 3, 6, 6)), 3, 3, 1, 1, "c")
+    served.end_batch()
+
+    trained = DarKnightBackend(cfg)
+    assert not trained.serving
+    Trainer(net, trained).train_step(x, np.array([0, 1, 2, 3]))
+    counts = trained.enclave.ledger.op_counts
+    assert counts["generate_coefficients"] == 4 and "reuse_coefficients" not in counts
+
+
 def test_cached_coefficients_keep_noise_fresh(nprng):
     """Reusing A/B/Gamma must not reuse the per-encode noise vectors."""
-    backend = _backend(k=2, fresh_coefficients=False)
+    backend = _backend(k=2, serving=True)
     x = nprng.normal(size=(2, 8))
     w = nprng.normal(size=(8, 3))
     backend.dense_forward(x, w, None, key="d")
@@ -281,7 +314,7 @@ def counts(monkeypatch):
 def test_reused_coefficients_decode_without_eliminating(
     nprng, counts, integrity, decodes_per_call
 ):
-    backend = _backend(k=2, integrity=integrity, fresh_coefficients=False)
+    backend = _backend(k=2, integrity=integrity, serving=True)
     x = nprng.normal(size=(2, 8))
     w = nprng.normal(size=(8, 3))
     backend.dense_forward(x, w, None, key="d")  # generates, inverts, plans

@@ -139,9 +139,9 @@ def _layer_steps(draw):
     return {
         "kind": kind, "k": k, "m": m, "batch": batch, "geometry": geometry,
         "integrity": draw(st.booleans()),
-        "fresh": draw(st.booleans()),
         "normalize": draw(st.booleans()),
-        "per_sample": draw(st.booleans()),
+        # The serving mode: one cached set, per-slot factors, no backward.
+        "serving": draw(st.booleans()),
         # None: the blocking forward.  A permutation: the staged ops, one
         # virtual batch at a time in that order — a pipelined forward's
         # out-of-order records — before the (stacked) backward.
@@ -177,12 +177,10 @@ def _backend(cls, case, fault_injectors=None):
         virtual_batch_size=case["k"],
         collusion_tolerance=case["m"],
         integrity=case["integrity"],
-        fresh_coefficients=case["fresh"],
         dynamic_normalization=case["normalize"],
-        per_sample_normalization=case["per_sample"],
         seed=case["seed"],
     )
-    backend = cls(cfg)
+    backend = cls(cfg, serving=case["serving"])
     if fault_injectors:
         backend.cluster = GpuCluster(
             backend.field, cfg.n_gpus_required, fault_injectors=fault_injectors
@@ -257,7 +255,7 @@ def test_stacked_layer_step_equals_the_per_virtual_batch_loop(case):
         out = _forward(backend, case, x, w, bias)
         shares = _resident(backend)
         # The aggregate decode needs one scalar factor per virtual batch.
-        grad = None if case["per_sample"] else _grad_w(backend, case, x, delta)
+        grad = None if case["serving"] else _grad_w(backend, case, x, delta)
         books = _books(backend)
         backend.end_batch()
         backend.assert_encodings_released()
@@ -267,7 +265,7 @@ def test_stacked_layer_step_equals_the_per_virtual_batch_loop(case):
     assert sorted(shares_s[0]) == sorted(f"layer/step0/vb{i}" for i in range(n_batches))
     # One stacked generate draws by the block; everything else — a cached
     # set, a stack of one, the staged ops — draws in the loop's order.
-    block_draws = case["fresh"] and n_batches > 1 and case["staged_order"] is None
+    block_draws = not case["serving"] and n_batches > 1 and case["staged_order"] is None
     if block_draws:
         assert _same_shares(shares_s, shares_l, same=_same_layout)
         del books_s["next_draw"], books_l["next_draw"]
@@ -326,12 +324,13 @@ def test_ledgers_by_the_launch_equal_ledgers_by_the_slice(case):
             fault_injectors={j: _Passthrough() for j in range(n_devices)},
         ),
         link=_PerMessageLink(),
+        serving=case["serving"],
     )
     runs = []
     for backend in (by_the_launch, by_the_slice):
         out = _forward(backend, case, x, w, bias)
         shares = _resident(backend)
-        grad = None if case["per_sample"] else _grad_w(backend, case, x, delta)
+        grad = None if case["serving"] else _grad_w(backend, case, x, delta)
         books = _books(backend)
         backend.end_batch()
         runs.append((out, shares, grad, books))
@@ -368,11 +367,11 @@ def test_training_canary_is_detected_every_step():
 
 
 def test_stack_of_one_backend_shares_cached_coefficients():
-    """``fresh_coefficients=False``: every slice of the stack carries the one
-    cached set, and reuse is booked per virtual batch as before."""
+    """The serving mode: every slice of the stack carries the one cached
+    set, and reuse is booked per virtual batch as before."""
     case = {
-        "kind": "dense", "k": 2, "m": 1, "batch": 7, "integrity": True, "fresh": False,
-        "normalize": True, "per_sample": False, "staged_order": None,
+        "kind": "dense", "k": 2, "m": 1, "batch": 7, "integrity": True,
+        "normalize": True, "serving": True, "staged_order": None,
         "geometry": {"n_in": 6, "n_out": 3}, "seed": 5,
     }
     x, w, bias, delta = _tensors(case)
@@ -382,7 +381,6 @@ def test_stack_of_one_backend_shares_cached_coefficients():
     assert len(records) == 4 and len({id(r.coefficients) for r in records}) == 1
     counts = backend.enclave.ledger.op_counts
     assert (counts["generate_coefficients"], counts["reuse_coefficients"]) == (1, 3)
-    _grad_w(backend, case, x, delta)
     backend.end_batch()
 
 
@@ -417,7 +415,7 @@ class NthCall(FaultInjector):
 @settings(max_examples=80, deadline=None)
 @given(case=_layer_steps(), data=st.data())
 def test_tamper_in_one_virtual_batch_names_it_and_leaks_nothing(case, data):
-    case = dict(case, integrity=True, per_sample=False)
+    case = dict(case, integrity=True, serving=False)
     x, w, bias, delta = _tensors(case)
     n_batches = -(-case["batch"] // case["k"])
     n_shares = case["k"] + case["m"] + 1

@@ -339,7 +339,7 @@ def test_server_threads_feedback_into_per_shard_policies():
         raise AssertionError("non-finite leaked into adaptive telemetry")
 
     json.loads(json.dumps(snaps), parse_constant=_reject)
-    assert "adaptive: K=" in report.render()
+    assert "adaptive: learned deadline(s)" in report.render()
 
 
 def test_server_clamps_provisioned_k_to_the_epc_budget():

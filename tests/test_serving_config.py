@@ -84,10 +84,15 @@ def test_to_dict_is_strict_json_safe_with_infinite_budgets():
 
 #: Every option a test alone used to set, by its dotted path in the layout.
 #: ``adaptive`` is now a switch, so its six former fields sit under a bool.
+#: The three ``darknight`` ones are the backend's serving mode, which every
+#: provisioned shard runs in.
 DELETED_OPTIONS = [
     "reuse_coefficients",
     "encrypt_requests",
     "shard_weights",
+    "darknight.precompute",
+    "darknight.fresh_coefficients",
+    "darknight.per_sample_normalization",
     *(
         f"adaptive.{name}"
         for name in (

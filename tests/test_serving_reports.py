@@ -174,4 +174,5 @@ def test_the_golden_covers_every_counter():
         assert elastic["scale_outs"] >= 1 and elastic["scale_ins"] >= 1
         composed = golden[f"composed/{seed}"]["snapshot"]
         assert composed["audit_windows"] > 0 and composed["precompute"] is not None
-        assert golden[f"adaptive/{seed}"]["render"][-1].startswith("adaptive: K=")
+        adaptive = golden[f"adaptive/{seed}"]["render"][-1]
+        assert adaptive.startswith("adaptive: learned deadline(s)")

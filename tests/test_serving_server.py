@@ -166,14 +166,14 @@ def test_serving_reuses_cached_coefficients():
 
 
 def test_serving_always_reuses_coefficients():
-    """The server owns ``fresh_coefficients``: a backend config asking for
-    training's fresh per-step coefficients still serves from the cache."""
+    """Every shard's backend runs in the serving mode, and the server
+    serves the config it was given: it rewrites no field of it."""
     net = _tiny_net()
-    dk = DarKnightConfig(virtual_batch_size=4, seed=8, fresh_coefficients=True)
+    dk = DarKnightConfig(virtual_batch_size=4, seed=8)
     trace = synthetic_trace(8, (16,), n_tenants=1, seed=8)
     server = PrivateInferenceServer(net, _config(darknight=dk))
-    assert server.darknight.fresh_coefficients is False
-    assert server.darknight.per_sample_normalization is True
+    assert server.darknight == dk
+    assert all(shard.backend.serving for shard in server.shards)
     server.serve_trace(trace)
     ledger = server.shards[0].enclave.ledger
     assert ledger.op_counts.get("generate_coefficients", 0) == 1
