@@ -1,12 +1,13 @@
 """Verifiable serving audit trail.
 
 Turns each flush window's integrity evidence into a durable,
-tamper-evident commitment: Merkle trees over canonical per-request
-digests (:mod:`repro.audit.merkle`, :mod:`repro.audit.commitment`),
-per-shard hash-chained JSONL logs (:mod:`repro.audit.log`), tenant
-inclusion proofs verifiable offline (:mod:`repro.audit.query`),
-deterministic window replay (:mod:`repro.audit.replay`), and the
-serving-side trail that ties them together (:mod:`repro.audit.trail`).
+tamper-evident commitment: Merkle trees over per-request leaves of
+input and output digests (:mod:`repro.audit.merkle`,
+:mod:`repro.audit.commitment`), per-shard hash-chained JSONL logs
+(:mod:`repro.audit.log`), tenant inclusion proofs verifiable offline
+(:mod:`repro.audit.query`), deterministic window replay
+(:mod:`repro.audit.replay`), and the serving-side trail that ties them
+together (:mod:`repro.audit.trail`).
 """
 
 from repro.audit.commitment import (

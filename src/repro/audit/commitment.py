@@ -3,12 +3,20 @@
 A :class:`WindowCommitment` is built once per dispatched flush window and
 freezes three facts per request into one Merkle leaf:
 
-* the request's **input** exactly as admitted (the decrypted sample the
-  enclave masked), stored canonically so a disputed window can be
-  re-executed from the log alone;
+* the request's **input digest** — the decrypted sample the enclave
+  masked, exactly as admitted;
 * the window's **integrity posture** (was Freivalds-style redundant-share
   verification on, and did the window pass or abort);
 * the **decoded-output digest** — the logits the tenant was sent.
+
+The hashed leaf holds those digests and the fixed fields (ids, tenant,
+arrival time, status, retries), not the input itself.  Every leaf still
+*stores* its input beside them, so a disputed window can be re-executed
+from the log alone: in memory the array (no copy, no encoding), on disk
+and in proofs its canonical base64 record.  Whoever checks a leaf —
+``verify_chain``, ``audit check-chain``, ``verify_proof``, replay —
+recomputes ``input_digest`` from the stored input, so an edited input
+fails as surely as an edited leaf.
 
 Digests must be platform-stable: the same served trace has to commit to
 the same bytes on any host, or an auditor's recomputation would "detect
@@ -25,11 +33,17 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import AuditError
+
+#: The audit trail's format version, carried by the manifest and by every
+#: window's meta block.  Version 1 (no ``schema`` field) hashed each leaf
+#: over its base64 input; version 2 hashes the leaf over ``input_digest``.
+SCHEMA = 2
 
 #: Leaf status marking requests whose shared window aborted and was
 #: re-dispatched — their terminal leaf lives in a later window.
@@ -44,48 +58,91 @@ MEMBERSHIP_STATUS_PREFIX = "membership:"
 MEMBERSHIP_KINDS = ("provision", "drain", "retire")
 
 
+class SchemaMismatch(AuditError):
+    """A trail, or a part of one, written in another format version."""
+
+
+def check_schema(found, where: str) -> None:
+    """Refuse a trail written in another format version.
+
+    ``found`` is the ``schema`` a manifest, meta block or proof carries
+    (``None``: none, i.e. version 1).  Raises :class:`SchemaMismatch`, an
+    :class:`AuditError`, naming both versions.
+    """
+    if found != SCHEMA:
+        version = 1 if found is None else found
+        raise SchemaMismatch(
+            f"{where} is audit schema {version}; this build reads schema"
+            f" {SCHEMA} only (re-serve the trace to audit it)"
+        )
+
+
 # ----------------------------------------------------------------------
 # canonical serialization
 # ----------------------------------------------------------------------
-def _widen(arr: np.ndarray) -> np.ndarray:
-    """Widen to the canonical platform-stable dtype (<f8 or <i8)."""
-    a = np.asarray(arr)
-    if a.dtype.kind == "f":
-        return a.astype("<f8")
-    if a.dtype.kind in "iub":
-        return a.astype("<i8")
-    raise AuditError(f"cannot canonically serialize dtype {a.dtype}")
+#: The canonical platform-stable dtype per dtype kind.
+_CANONICAL = {
+    "f": np.dtype("<f8"), "i": np.dtype("<i8"), "u": np.dtype("<i8"), "b": np.dtype("<i8"),
+}
+
+#: Per ``(dtype, shape)`` layout cache: every request in a deployment
+#: shares one input shape (and outputs one logits width), so this is
+#: almost always a dictionary hit on the serving hot path.
+_LAYOUTS: dict[tuple, tuple[np.dtype, bytes, int]] = {}
 
 
-#: Digest-header cache: every request in a deployment shares one input
-#: shape (and outputs one logits width), so the header is almost always
-#: a dictionary hit on the serving hot path.
-_HEADER_CACHE: dict[tuple, bytes] = {}
+def _layout(dtype: np.dtype, shape: tuple) -> tuple[np.dtype, bytes, int]:
+    """``(canonical dtype, digest prefix, record length)`` of arrays of
+    one dtype and shape.
 
-
-def _header_bytes(a: np.ndarray) -> bytes:
-    """The digest header: canonical JSON of ``{"dtype", "shape"}``.
-
-    Built by hand (dtype strings and shapes are plain ASCII) so the
-    per-array digest skips a ``json.dumps`` on the serving hot path; the
-    format is byte-identical to ``canonical_json_bytes`` of the dict.
+    The prefix is the canonical JSON of the widened ``{"dtype", "shape"}``
+    and a NUL; the length is that of the base64 record
+    :func:`canonical_json_bytes` writes, so a log that is not written can
+    still count the bytes it would have held.
     """
-    key = (a.dtype.str, a.shape)
-    header = _HEADER_CACHE.get(key)
-    if header is None:
-        shape = ",".join(str(int(s)) for s in a.shape)
-        header = f'{{"dtype":"{a.dtype.str}","shape":[{shape}]}}'.encode("ascii")
-        if len(_HEADER_CACHE) < 1024:
-            _HEADER_CACHE[key] = header
-    return header
+    layout = _LAYOUTS.get((dtype, shape))
+    if layout is None:
+        canonical = _CANONICAL.get(dtype.kind)
+        if canonical is None:
+            raise AuditError(f"cannot canonically serialize dtype {dtype}")
+        dims = ",".join(str(int(s)) for s in shape)
+        header = f'{{"dtype":"{canonical.str}","shape":[{dims}]}}'
+        record = f'{{"data":"","dtype":"{canonical.str}","shape":[{dims}]}}'
+        data = 4 * -(-canonical.itemsize * math.prod(shape) // 3)  # base64 length
+        layout = (canonical, header.encode("ascii") + b"\x00", len(record) + data)
+        if len(_LAYOUTS) < 1024:
+            _LAYOUTS[(dtype, shape)] = layout
+    return layout
+
+
+def _canonical_bytes(a: np.ndarray, canonical: np.dtype) -> bytes:
+    """``a``'s canonical bytes: C order, widened only when it is not."""
+    return (a if a.dtype is canonical else a.astype(canonical)).tobytes()
+
+
+def canonical_record(arr) -> dict:
+    """An array's canonical record: widened dtype, shape, base64 bytes."""
+    a = np.asarray(arr)
+    dtype = _layout(a.dtype, a.shape)[0]
+    return {
+        "dtype": dtype.str,
+        "shape": [int(s) for s in a.shape],
+        "data": base64.b64encode(_canonical_bytes(a, dtype)).decode("ascii"),
+    }
 
 
 def array_from_canonical(record: dict) -> np.ndarray:
-    """Reconstruct the exact array a leaf's ``input`` record froze."""
+    """Reconstruct the exact array a canonical record froze."""
     raw = base64.b64decode(record["data"])
     return np.frombuffer(raw, dtype=np.dtype(record["dtype"])).reshape(
         tuple(record["shape"])
     )
+
+
+def input_array(stored) -> np.ndarray:
+    """A leaf's stored input as an array: in memory it is one; read back
+    from a log line or a proof it is the canonical record."""
+    return array_from_canonical(stored) if isinstance(stored, dict) else np.asarray(stored)
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -100,72 +157,107 @@ def digest_json(obj) -> str:
     return hashlib.sha256(canonical_json_bytes(obj)).hexdigest()
 
 
-def array_digest(arr: np.ndarray) -> str:
+def array_digest(arr) -> str:
     """Platform-stable digest of an array (header + canonical bytes)."""
-    a = _widen(arr)
-    raw = a.tobytes(order="C")
-    return hashlib.sha256(_header_bytes(a) + b"\x00" + raw).hexdigest()
+    a = np.asarray(arr)
+    dtype, prefix, _ = _layout(a.dtype, a.shape)
+    return hashlib.sha256(prefix + _canonical_bytes(a, dtype)).hexdigest()
 
 
-def _canonical_with_digest(arr: np.ndarray) -> tuple[dict, str]:
-    """An array's canonical record and its :func:`array_digest`, in one pass.
+def _row_digests(rows) -> list[str]:
+    """:func:`array_digest` of each row, hashed out of one canonical buffer."""
+    if type(rows) is not np.ndarray or not rows.size:
+        return [array_digest(row) for row in rows]
+    dtype, prefix, _ = _layout(rows.dtype, rows.shape[1:])
+    raw = _canonical_bytes(rows, dtype)
+    step = len(raw) // len(rows)
+    sha256 = hashlib.sha256
+    return [sha256(prefix + raw[i : i + step]).hexdigest() for i in range(0, len(raw), step)]
 
-    The commit hot path needs both; widening and ``tobytes`` happen once
-    here instead of twice.
-    """
-    a = _widen(arr)
-    raw = a.tobytes(order="C")
-    record = {
-        "dtype": a.dtype.str,
-        "shape": [int(s) for s in a.shape],
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
-    digest = hashlib.sha256(_header_bytes(a) + b"\x00" + raw).hexdigest()
-    return record, digest
+
+def hashed_leaf(leaf: dict) -> dict:
+    """The part of a leaf its Merkle digest covers: all but the stored input."""
+    return {k: v for k, v in leaf.items() if k != "input"}
+
+
+def persisted_leaf(leaf: dict) -> dict:
+    """A leaf as a log line or a proof carries it: its input as the record."""
+    stored = leaf.get("input")
+    if stored is None or isinstance(stored, dict):
+        return leaf
+    return {**leaf, "input": canonical_record(stored)}
+
+
+def stored_input_matches(leaf: dict) -> bool:
+    """Does a request leaf's stored input hash to its ``input_digest``?
+    (A missing or malformed stored input does not.)"""
+    stored = leaf.get("input")
+    if stored is None:
+        return False
+    try:
+        return array_digest(input_array(stored)) == leaf["input_digest"]
+    except (KeyError, TypeError, ValueError):
+        return False
 
 
 #: JSON-escaped string cache (tenant names and status identifiers recur
 #: on every leaf of a serving run).
-_STR_CACHE: dict[str, bytes] = {}
+_STR_CACHE: dict[str, str] = {}
 
 
-def _json_str(s: str) -> bytes:
-    blob = _STR_CACHE.get(s)
-    if blob is None:
-        blob = json.dumps(s, ensure_ascii=True).encode("ascii")
+def _json_str(s: str | None) -> str:
+    if s is None:
+        return "null"
+    text = _STR_CACHE.get(s)
+    if text is None:
+        text = json.dumps(s, ensure_ascii=True)
         if len(_STR_CACHE) < 4096:
-            _STR_CACHE[s] = blob
-    return blob
+            _STR_CACHE[s] = text
+    return text
 
 
-def _leaf_blob(leaf: dict) -> bytes:
-    """Canonical bytes of one leaf, spliced by hand.
+def _json_float(x: float) -> str:
+    """json's float text: ``repr`` when finite (``Infinity``/``NaN`` else)."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
 
-    Byte-identical to :func:`canonical_json_bytes` of the dict (keys in
-    sorted order, compact separators; ``repr`` of a finite float is
-    exactly json's float format) — asserted against the generic encoder
-    in the test suite.  The splice exists because the generic encoder is
-    the single largest cost of committing a window on the serving path.
+
+def _json_opt_int(x: int | None) -> str:
+    return "null" if x is None else str(x)
+
+
+def meta_blob(meta: dict) -> bytes:
+    """Canonical bytes of a window's meta block, spliced by hand.
+
+    Byte-identical to :func:`canonical_json_bytes` of the dict that
+    :meth:`WindowCommitment.meta` builds (asserted in the test suite);
+    verification digests the parsed dict with the generic encoder.
     """
-    record = leaf["input"]
-    output_digest = leaf["output_digest"]
-    return b"".join(
-        (
-            b'{"arrival_time":', repr(leaf["arrival_time"]).encode("ascii"),
-            b',"batch_id":', str(leaf["batch_id"]).encode("ascii"),
-            b',"input":{"data":"', record["data"].encode("ascii"),
-            b'","dtype":"', record["dtype"].encode("ascii"),
-            b'","shape":[', ",".join(map(str, record["shape"])).encode("ascii"),
-            b']},"input_digest":"', leaf["input_digest"].encode("ascii"),
-            b'","output_digest":',
-            b"null" if output_digest is None else b'"%s"' % output_digest.encode("ascii"),
-            b',"request_id":', str(leaf["request_id"]).encode("ascii"),
-            b',"retries":', str(leaf["retries"]).encode("ascii"),
-            b',"status":', _json_str(leaf["status"]),
-            b',"tenant":', _json_str(leaf["tenant"]),
-            b"}",
-        )
-    )
+    error = meta["error"]
+    return (
+        f'{{"aborted":{"true" if meta["aborted"] else "false"}'
+        f',"batch_ids":[{",".join(map(str, meta["batch_ids"]))}]'
+        f',"config_digest":{_json_str(meta["config_digest"])}'
+        f',"error":{"null" if error is None else json.dumps(error)}'
+        f',"flush_time":{_json_float(meta["flush_time"])}'
+        f',"integrity":{"true" if meta["integrity"] else "false"}'
+        f',"n_requests":{meta["n_requests"]}'
+        f',"retries":{meta["retries"]}'
+        f',"schema":{meta["schema"]}'
+        f',"seed":{_json_opt_int(meta["seed"])}'
+        f',"shard_id":{meta["shard_id"]}'
+        f',"status":{_json_str(meta["status"])}'
+        f',"window_id":{_json_opt_int(meta["window_id"])}}}'
+    ).encode("ascii")
+
+
+def persisted_leaf_blob(leaf: dict, blob: bytes) -> bytes:
+    """A leaf's log-line bytes from its hashed blob: the stored input's
+    record spliced in before ``input_digest`` (only numbers precede it)."""
+    if "input" not in leaf:
+        return blob
+    cut = blob.index(b',"input_digest":')
+    record = canonical_json_bytes(persisted_leaf(leaf)["input"])
+    return b"".join((blob[:cut], b',"input":', record, blob[cut:]))
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +267,9 @@ def _leaf_blob(leaf: dict) -> bytes:
 class WindowCommitment:
     """Everything one flush window commits to the audit log.
 
-    ``leaves`` are the per-request records (canonical dicts) in dispatch
-    order; ``merkle_root`` is the tree over their canonical digests.  The
+    ``leaves`` are the per-request records in dispatch order, each
+    storing its input beside the digests; ``merkle_root`` is the tree over
+    the canonical digests of their hashed parts (:func:`hashed_leaf`).  The
     window's *metadata* — ids, timing, integrity posture, abort/retry
     marks, the effective-config digest — is chained separately by the
     log, so tampering with either the leaves or the meta breaks
@@ -197,12 +290,16 @@ class WindowCommitment:
     config_digest: str | None = None
     seed: int | None = None
     window_id: int | None = None
-    #: Canonical bytes per leaf, precomputed by :meth:`build` so the log
-    #: digests and persists each leaf without re-encoding it.  Derived
-    #: from ``leaves`` — stale if they are mutated afterwards.  Empty on
-    #: hand-constructed commitments; consumers fall back to the generic
-    #: encoder.
+    #: Canonical bytes of each leaf's hashed part, precomputed by
+    #: :meth:`build` so the log digests each leaf without re-encoding it.
+    #: Derived from ``leaves`` — stale if they are mutated afterwards.
+    #: Empty on hand-constructed commitments; consumers fall back to the
+    #: generic encoder.
     leaf_blobs: list[bytes] = field(default_factory=list, repr=False, compare=False)
+    #: What the stored inputs add to the leaves of the persisted line (the
+    #: ``"input"`` key and each base64 record), counted by :meth:`build`
+    #: so that a log kept in memory can count the line it does not build.
+    stored_bytes: int = field(default=0, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -216,57 +313,108 @@ class WindowCommitment:
         integrity_enabled: bool = False,
         config_digest: str | None = None,
         seed: int | None = None,
+        input_digests: list[str] | None = None,
     ) -> "WindowCommitment":
         """Commit one dispatched window.
 
         ``outputs_by_batch`` carries, per scheduled batch, the decoded
         logits array (rows aligned with ``batch.requests``) — or ``None``
         for a window that aborted before decoding, whose leaves then
-        commit inputs only.
+        commit inputs only.  ``input_digests``, one per request in
+        dispatch order, are digests an earlier commit of the same window
+        already computed (every member of a ``layered:N`` unit commits
+        the same inputs); absent, each input is digested here.
         """
         if len(batches) != len(outputs_by_batch):
             raise AuditError(
                 f"window commit needs one output group per batch:"
                 f" {len(batches)} batches, {len(outputs_by_batch)} groups"
             )
+        # Each leaf's hashed part is spliced by hand, byte-identical to
+        # canonical_json_bytes(hashed_leaf(leaf)) (keys in sorted order,
+        # compact separators; asserted in the test suite): the generic
+        # encoder would be the largest cost of a commit.
+        sha256 = hashlib.sha256
+        isfinite = math.isfinite
+        json_strs = _STR_CACHE
+        status_json = _json_str(status)
         leaves: list[dict] = []
         blobs: list[bytes] = []
+        batch_ids: list[int] = []
+        flush_time = math.inf
+        window_retries = stored_bytes = 0
+        shared = None if input_digests is None else iter(input_digests)
         for batch, rows in zip(batches, outputs_by_batch):
-            if rows is not None and len(rows) != len(batch.requests):
+            requests = batch.requests
+            if rows is None:
+                outputs = [None] * len(requests)
+            elif len(rows) != len(requests):
                 raise AuditError(
                     f"batch {batch.batch_id}: {len(rows)} output rows for"
-                    f" {len(batch.requests)} requests"
+                    f" {len(requests)} requests"
                 )
-            for i, request in enumerate(batch.requests):
-                record, input_digest = _canonical_with_digest(request.x)
-                leaf = {
-                    "request_id": int(request.request_id),
-                    "tenant": request.tenant,
-                    "batch_id": int(batch.batch_id),
-                    "arrival_time": float(request.arrival_time),
-                    "status": status,
-                    "retries": int(batch.retries),
-                    "input": record,
-                    "input_digest": input_digest,
-                    "output_digest": (
-                        array_digest(rows[i]) if rows is not None else None
-                    ),
-                }
-                leaves.append(leaf)
-                blobs.append(_leaf_blob(leaf))
+            else:
+                outputs = _row_digests(rows)
+            batch_id, retries = int(batch.batch_id), int(batch.retries)
+            batch_ids.append(batch_id)
+            flush_time = min(flush_time, float(batch.flush_time))
+            window_retries = max(window_retries, retries)
+            for request, output_digest in zip(requests, outputs):
+                x = request.x
+                if type(x) is not np.ndarray:
+                    x = np.asarray(x)
+                dtype, prefix, record_bytes = _layout(x.dtype, x.shape)
+                stored_bytes += record_bytes
+                if shared is None:
+                    input_digest = sha256(prefix + _canonical_bytes(x, dtype)).hexdigest()
+                else:
+                    input_digest = next(shared, None)
+                    if input_digest is None:
+                        raise AuditError("window commit got fewer input digests than requests")
+                request_id = int(request.request_id)
+                arrival_time = float(request.arrival_time)
+                tenant = request.tenant
+                leaves.append(
+                    {
+                        "request_id": request_id,
+                        "tenant": tenant,
+                        "batch_id": batch_id,
+                        "arrival_time": arrival_time,
+                        "status": status,
+                        "retries": retries,
+                        "input": x,
+                        "input_digest": input_digest,
+                        "output_digest": output_digest,
+                    }
+                )
+                output = "null" if output_digest is None else f'"{output_digest}"'
+                arrival = (
+                    repr(arrival_time) if isfinite(arrival_time) else _json_float(arrival_time)
+                )
+                blobs.append(
+                    f'{{"arrival_time":{arrival},"batch_id":{batch_id}'
+                    f',"input_digest":"{input_digest}","output_digest":{output}'
+                    f',"request_id":{request_id},"retries":{retries}'
+                    f',"status":{status_json}'
+                    f',"tenant":{json_strs.get(tenant) or _json_str(tenant)}}}'
+                    .encode("ascii")
+                )
+        if shared is not None and next(shared, None) is not None:
+            raise AuditError("window commit got more input digests than requests")
         return cls(
             shard_id=shard_id,
-            batch_ids=[int(b.batch_id) for b in batches],
-            flush_time=min((float(b.flush_time) for b in batches), default=0.0),
+            batch_ids=batch_ids,
+            flush_time=flush_time if batch_ids else 0.0,
             status=status,
             leaves=leaves,
             aborted=aborted,
-            retries=max((int(b.retries) for b in batches), default=0),
+            retries=window_retries,
             integrity_enabled=integrity_enabled,
             error=error,
             config_digest=config_digest,
             seed=seed,
             leaf_blobs=blobs,
+            stored_bytes=stored_bytes + len(b',"input":') * len(leaves),
         )
 
     @classmethod
@@ -315,10 +463,11 @@ class WindowCommitment:
     # digests
     # ------------------------------------------------------------------
     def canonical_leaf_blobs(self) -> list[bytes]:
-        """Canonical bytes per leaf (precomputed by :meth:`build`)."""
+        """Canonical bytes of each leaf's hashed part (precomputed by
+        :meth:`build`)."""
         if len(self.leaf_blobs) == len(self.leaves):
             return self.leaf_blobs
-        return [canonical_json_bytes(leaf) for leaf in self.leaves]
+        return [canonical_json_bytes(hashed_leaf(leaf)) for leaf in self.leaves]
 
     def meta(self, window_id: int | None = None) -> dict:
         """The chained window metadata (everything but the leaves)."""
@@ -336,4 +485,5 @@ class WindowCommitment:
             "error": self.error,
             "config_digest": self.config_digest,
             "seed": self.seed,
+            "schema": SCHEMA,
         }

@@ -15,7 +15,8 @@ to verify any inclusion proof offline.
 Persistence is one JSON line per window — append-only, human-greppable,
 and recoverable: :meth:`AuditLog.recover` keeps the longest valid prefix
 of a truncated or corrupted file (a crash mid-append loses at most the
-final window, never the chain before it).
+final window, never the chain before it).  A log kept in memory builds
+no line, but :attr:`AuditLog.bytes_written` still counts its length.
 """
 
 from __future__ import annotations
@@ -27,11 +28,17 @@ from pathlib import Path
 from repro.audit.commitment import (
     MEMBERSHIP_KINDS,
     MEMBERSHIP_STATUS_PREFIX,
+    SchemaMismatch,
     WindowCommitment,
     canonical_json_bytes,
+    check_schema,
     digest_json,
+    hashed_leaf,
+    meta_blob,
+    persisted_leaf_blob,
+    stored_input_matches,
 )
-from repro.audit.merkle import MerkleTree, leaf_digest
+from repro.audit.merkle import MerkleTree, leaf_digest, root_digest
 from repro.errors import AuditError
 
 _CHAIN_PREFIX = b"\x02"
@@ -54,44 +61,64 @@ def chain_hash(prev_root: str, merkle_root: str, meta_digest: str) -> str:
     ).hexdigest()
 
 
-def _entry_from_commitment(
-    commitment: WindowCommitment, window_id: int, prev_root: str
-) -> tuple[dict, bytes]:
-    """Build one chained entry plus its serialized JSONL line.
+#: The JSONL line around its variable parts, in sorted key order:
+#: chain_root, leaves, merkle_root, meta, prev_root.
+_LINE = (
+    b'{"chain_root":"', b'","leaves":[', b'],"merkle_root":"', b'","meta":',
+    b',"prev_root":"', b'"}\n',
+)
+#: Bytes of a line that are neither leaves, the comma between two, nor meta.
+_LINE_FIXED = sum(map(len, _LINE)) + 3 * 64
 
-    Each leaf (and the meta block) is canonically serialized exactly
-    once: the per-leaf blobs feed the Merkle digests *and* are spliced
-    verbatim into the line — ``canonical_json_bytes`` and a sorted-keys
-    compact ``json.dumps`` of the whole entry are byte-identical, and
-    the commit happens on the serving hot path, so the second full
-    serialization pass is pure waste.  Entry keys are spliced in sorted
-    order (chain_root < leaves < merkle_root < meta < prev_root).
+
+def _commit_entry(
+    commitment: WindowCommitment, window_id: int, prev_root: str, persist: bool
+) -> tuple[dict, bytes | None, int]:
+    """Chain one window: ``(entry, JSONL line or None, line length)``.
+
+    Each leaf's hashed part and the meta block are canonically serialized
+    exactly once, by hand splices that match :func:`canonical_json_bytes`:
+    the leaf blobs feed the Merkle digests, the meta blob the chain link.
+    Only a persisted log builds its line, splicing each stored input's
+    base64 record into its leaf; a log kept in memory holds the input
+    arrays and only counts the line's length.
     """
     leaf_blobs = commitment.canonical_leaf_blobs()
-    merkle_root = MerkleTree([leaf_digest(blob) for blob in leaf_blobs]).root
+    raw_root = root_digest(leaf_blobs)
     meta = commitment.meta(window_id)
-    meta_blob = canonical_json_bytes(meta)
-    chain_root = chain_hash(
-        prev_root, merkle_root, hashlib.sha256(meta_blob).hexdigest()
-    )
+    meta_bytes = meta_blob(meta)
+    root = raw_root.hex()
+    chain_root = hashlib.sha256(
+        _CHAIN_PREFIX
+        + bytes.fromhex(prev_root)
+        + raw_root
+        + hashlib.sha256(meta_bytes).digest()
+    ).hexdigest()  # chain_hash(prev_root, root, meta digest) without hex round trips
+    leaves = commitment.leaves
     entry = {
         "meta": meta,
-        "leaves": list(commitment.leaves),
-        "merkle_root": merkle_root,
+        "leaves": leaves,
+        "merkle_root": root,
         "prev_root": prev_root,
         "chain_root": chain_root,
     }
+    if not persist:
+        length = _LINE_FIXED + max(len(leaves) - 1, 0) + len(meta_bytes)
+        return entry, None, length + sum(map(len, leaf_blobs)) + commitment.stored_bytes
     line = b"".join(
         (
-            b'{"chain_root":"', chain_root.encode("ascii"),
-            b'","leaves":[', b",".join(leaf_blobs),
-            b'],"merkle_root":"', merkle_root.encode("ascii"),
-            b'","meta":', meta_blob,
-            b',"prev_root":"', prev_root.encode("ascii"),
-            b'"}\n',
+            _LINE[0], chain_root.encode("ascii"),
+            _LINE[1],
+            b",".join(
+                persisted_leaf_blob(leaf, blob) for leaf, blob in zip(leaves, leaf_blobs)
+            ),
+            _LINE[2], root.encode("ascii"),
+            _LINE[3], meta_bytes,
+            _LINE[4], prev_root.encode("ascii"),
+            _LINE[5],
         )
     )
-    return entry, line
+    return entry, line, len(line)
 
 
 class AuditLog:
@@ -141,11 +168,14 @@ class AuditLog:
                 f"shard {self.shard_id} log cannot commit shard"
                 f" {commitment.shard_id}'s window"
             )
-        entry, line = _entry_from_commitment(
-            commitment, window_id=len(self.entries), prev_root=self.chain_root
+        entry, line, length = _commit_entry(
+            commitment,
+            window_id=len(self.entries),
+            prev_root=self.chain_root,
+            persist=self.path is not None,
         )
-        self.bytes_written += len(line)
-        if self.path is not None:
+        self.bytes_written += length
+        if line is not None:
             with self.path.open("ab") as fh:
                 fh.write(line)
         self.entries.append(entry)
@@ -160,9 +190,10 @@ class AuditLog:
         Raises
         ------
         AuditError
-            On the first window whose leaves no longer hash to its
-            committed Merkle root, or whose chain link does not extend
-            its predecessor — i.e. on any tamper or truncation-splice.
+            On the first window whose leaves (or a stored input) no
+            longer hash to its committed Merkle root, or whose chain link
+            does not extend its predecessor — i.e. on any tamper or
+            truncation-splice.
         """
         prev = genesis_root(self.shard_id)
         for i, entry in enumerate(self.entries):
@@ -174,9 +205,11 @@ class AuditLog:
         its own chain value (the next window's ``prev``).
 
         Recomputes this one window's Merkle root and chain link only, so
-        walking a log costs one tree per window.
+        walking a log costs one tree per window, and each stored input's
+        digest against the ``input_digest`` its leaf commits.
         """
         meta = entry["meta"]
+        check_schema(meta.get("schema"), f"window {i}")
         if meta.get("window_id") != i or meta.get("shard_id") != self.shard_id:
             raise AuditError(
                 f"window {i}: metadata claims window"
@@ -202,8 +235,17 @@ class AuditLog:
                     f"window {i}: membership event names shard"
                     f" {leaves[0].get('shard_id')}, not {self.shard_id}"
                 )
+        for j, leaf in enumerate(entry["leaves"]):
+            if "input_digest" in leaf and not stored_input_matches(leaf):
+                raise AuditError(
+                    f"window {i}: leaf {j}'s stored input does not hash to the"
+                    " input_digest its Merkle leaf commits"
+                )
         recomputed = MerkleTree(
-            [leaf_digest(canonical_json_bytes(leaf)) for leaf in entry["leaves"]]
+            [
+                leaf_digest(canonical_json_bytes(hashed_leaf(leaf)))
+                for leaf in entry["leaves"]
+            ]
         ).root
         if recomputed != entry["merkle_root"]:
             raise AuditError(
@@ -294,6 +336,9 @@ class AuditLog:
                     prev = genesis_root(log.shard_id)
                 prev = log._verify_entry(i, entry, prev)
             except (AuditError, KeyError, TypeError, ValueError) as exc:
+                if i == 0 and isinstance(exc, SchemaMismatch):
+                    # Another format, not damage: nothing to recover.
+                    raise AuditError(f"{path}: {exc}") from exc
                 if strict:
                     raise AuditError(f"{path}:{i + 1}: invalid entry ({exc})") from exc
                 return log, len(lines) - i

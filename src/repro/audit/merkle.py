@@ -29,6 +29,7 @@ _NODE_PREFIX = b"\x01"
 
 #: Root of a zero-leaf tree (a committed-but-empty flush window).
 EMPTY_ROOT = hashlib.sha256(b"\x02darknight-audit-empty-window").hexdigest()
+_EMPTY_ROOT_BYTES = bytes.fromhex(EMPTY_ROOT)
 
 
 def leaf_digest(payload: bytes) -> str:
@@ -40,6 +41,32 @@ def _node(left: str, right: str) -> str:
     return hashlib.sha256(
         _NODE_PREFIX + bytes.fromhex(left) + bytes.fromhex(right)
     ).hexdigest()
+
+
+def _levels(level: list[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over raw node digests, leaves first; an odd
+    node is promoted unchanged, not paired with a copy of itself."""
+    levels = [level]
+    sha256 = hashlib.sha256
+    while len(level) > 1:
+        odd = level[-1] if len(level) % 2 else None
+        pairs = iter(level)
+        level = [sha256(_NODE_PREFIX + left + right).digest() for left, right in zip(pairs, pairs)]
+        if odd is not None:
+            level.append(odd)
+        levels.append(level)
+    return levels
+
+
+def root_digest(payloads: list[bytes]) -> bytes:
+    """The raw root of the tree over these payloads' leaf digests:
+    ``root_digest(p).hex()`` is ``MerkleTree([leaf_digest(x) for x in
+    p]).root``, without a hex round trip per node (the commit path needs
+    the root only)."""
+    if not payloads:
+        return _EMPTY_ROOT_BYTES
+    sha256 = hashlib.sha256
+    return _levels([sha256(_LEAF_PREFIX + payload).digest() for payload in payloads])[-1][0]
 
 
 @dataclass(frozen=True)
@@ -111,16 +138,10 @@ class MerkleTree:
 
     def __init__(self, leaves: list[str]) -> None:
         self.leaves = [str(leaf) for leaf in leaves]
-        self._levels: list[list[str]] = [list(self.leaves)]
-        level = self._levels[0]
-        while len(level) > 1:
-            parents = []
-            for i in range(0, len(level) - 1, 2):
-                parents.append(_node(level[i], level[i + 1]))
-            if len(level) % 2:
-                parents.append(level[-1])  # promoted, not duplicated
-            self._levels.append(parents)
-            level = parents
+        raw = _levels([bytes.fromhex(leaf) for leaf in self.leaves])
+        self._levels: list[list[str]] = [list(self.leaves)] + [
+            [node.hex() for node in level] for level in raw[1:]
+        ]
 
     @property
     def root(self) -> str:

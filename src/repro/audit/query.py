@@ -4,7 +4,9 @@
 a tenant needs to convince a third party that their request was served in
 a committed window — without revealing any other tenant's records:
 
-* the tenant's own leaf record (their input/output digests and status);
+* the tenant's own leaf record (their input/output digests and status)
+  with the stored input as its canonical record, which the verifier
+  re-digests against ``input_digest``;
 * the O(log n) Merkle path from that leaf to the window's root;
 * the window metadata and the chain value *before* the window;
 * the ``(merkle_root, meta_digest)`` pair of every *later* window, so the
@@ -20,7 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.audit.commitment import STATUS_RETRIED, canonical_json_bytes, digest_json
+from repro.audit.commitment import (
+    STATUS_RETRIED,
+    canonical_json_bytes,
+    check_schema,
+    digest_json,
+    hashed_leaf,
+    persisted_leaf,
+    stored_input_matches,
+)
 from repro.audit.log import AuditLog, chain_hash
 from repro.audit.merkle import MerkleProof, MerkleTree, leaf_digest
 from repro.errors import AuditError
@@ -56,6 +66,8 @@ class InclusionProof:
 
     @classmethod
     def from_record(cls, record: dict) -> "InclusionProof":
+        """Read a proof back; one written in another format is refused."""
+        check_schema(record["window_meta"].get("schema"), "the proof")
         return cls(
             shard_id=int(record["shard_id"]),
             window_id=int(record["window_id"]),
@@ -100,12 +112,15 @@ def prove(log: AuditLog, request_id: int) -> InclusionProof:
     w, i = found
     entry = log.entries[w]
     tree = MerkleTree(
-        [leaf_digest(canonical_json_bytes(leaf)) for leaf in entry["leaves"]]
+        [
+            leaf_digest(canonical_json_bytes(hashed_leaf(leaf)))
+            for leaf in entry["leaves"]
+        ]
     )
     return InclusionProof(
         shard_id=log.shard_id,
         window_id=w,
-        leaf=entry["leaves"][i],
+        leaf=persisted_leaf(entry["leaves"][i]),
         merkle=tree.prove(i),
         window_meta=entry["meta"],
         prev_root=entry["prev_root"],
@@ -122,14 +137,19 @@ def prove(log: AuditLog, request_id: int) -> InclusionProof:
 def verify_proof(proof: InclusionProof, shard_root: str) -> bool:
     """True when ``proof`` authenticates against a shard's chain head.
 
-    Checks, in order: the leaf record hashes to the proof's Merkle leaf;
-    the Merkle path folds to a window root; that root chains onto
+    Checks, in order: a request leaf's stored input hashes to its
+    ``input_digest``; the leaf's hashed part hashes to the proof's Merkle
+    leaf; the Merkle path folds to a window root; that root chains onto
     ``prev_root`` under the window metadata; and the chain suffix folds
     from there exactly onto ``shard_root``.  Any flipped bit anywhere in
-    that pipeline returns ``False``.
+    that pipeline returns ``False``.  The stored input may be the
+    canonical record or the tenant's own array.
     """
     try:
-        if leaf_digest(canonical_json_bytes(proof.leaf)) != proof.merkle.leaf:
+        leaf = proof.leaf
+        if "input_digest" in leaf and not stored_input_matches(leaf):
+            return False
+        if leaf_digest(canonical_json_bytes(hashed_leaf(leaf))) != proof.merkle.leaf:
             return False
         chain = chain_hash(
             proof.prev_root, proof.merkle.root(), digest_json(proof.window_meta)

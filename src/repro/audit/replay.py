@@ -1,15 +1,15 @@
 """Deterministic re-execution of a disputed window from its commitments.
 
-A window's leaves store each request's admitted input verbatim (in
-canonical form), and every shard is provisioned in the serving mode (one
-reused coefficient set, per-slot normalisation; the backend's, not a
-config field) — decoded logits depend only on the sample and the network,
-never on batch composition, coalescing depth, or which shard ran the
-window.  Replay therefore provisions a fresh
-:class:`~repro.sharding.shard.EnclaveShard` from the audited deployment's
-effective config (same seed derivation, same integrity posture, same K —
-even a window the adaptive governor resized replays exactly), re-runs
-each committed batch through that shard's
+A window's leaves store each request's admitted input verbatim (the
+array in memory, its canonical record on disk), and every shard is
+provisioned in the serving mode (one reused coefficient set, per-slot
+normalisation; the backend's, not a config field) — decoded logits
+depend only on the sample and the network, never on batch composition,
+coalescing depth, or which shard ran the window.  Replay therefore
+provisions a fresh :class:`~repro.sharding.shard.EnclaveShard` from the
+audited deployment's effective config (same seed derivation, same
+integrity posture, same K — even a window the adaptive governor resized
+replays exactly), re-runs each committed batch through that shard's
 :class:`~repro.pipeline.PipelineExecutor` over the whole model, and
 compares recomputed output digests leaf by leaf.  Under ``layered:N``
 only a unit's exit member commits logits; an interior member's leaves
@@ -30,7 +30,8 @@ import numpy as np
 from repro.audit.commitment import (
     MEMBERSHIP_STATUS_PREFIX,
     array_digest,
-    array_from_canonical,
+    input_array,
+    stored_input_matches,
 )
 from repro.errors import AuditError
 from repro.runtime.config import DarKnightConfig
@@ -71,8 +72,9 @@ def replay_window(
     Parameters
     ----------
     entry:
-        A log entry dict (one line of the shard's JSONL log): its leaves
-        carry the committed inputs and output digests.
+        A log entry dict (in memory, or one line of the shard's JSONL
+        log): its leaves carry the stored inputs, whose digests must match
+        the committed ``input_digest``, and the output digests.
     network:
         The served model (rebuild it from the audit manifest's model
         name + seed).
@@ -101,13 +103,17 @@ def replay_window(
             f" (status {meta.get('status')!r}); replay needs a completed"
             " window — prove inclusion instead"
         )
+    for leaf in leaves:
+        if not stored_input_matches(leaf):
+            raise AuditError(
+                f"window {meta.get('window_id')}: request {leaf['request_id']}'s"
+                " stored input does not match its committed input_digest"
+            )
     shard = EnclaveShard.provision(int(meta["shard_id"]), network, config)
     mismatches: list[tuple[int, str, str]] = []
     batches = _batches_in_order(leaves)
     for _, batch_leaves in batches:
-        x = np.stack(
-            [array_from_canonical(leaf["input"]) for leaf in batch_leaves]
-        )
+        x = np.stack([input_array(leaf["input"]) for leaf in batch_leaves])
         out = shard.executor.run(x).output
         for i, leaf in enumerate(batch_leaves):
             recomputed = array_digest(out[i])

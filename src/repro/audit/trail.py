@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.audit.commitment import WindowCommitment, digest_json
+from repro.audit.commitment import SCHEMA, WindowCommitment, check_schema, digest_json
 from repro.audit.log import AuditLog
 from repro.errors import AuditError
 from repro.runtime.config import DarKnightConfig
@@ -89,6 +89,7 @@ class AuditTrail:
 
     def _write_manifest(self) -> None:
         manifest = {
+            "schema": SCHEMA,
             "model": self.config.model,
             "seed": self.darknight.seed,
             "num_shards": self.num_shards,
@@ -151,26 +152,21 @@ class AuditTrail:
             config_digest=self.config_digest,
             seed=self.darknight.seed,
         )
-        entry = self._append(shard_id, commitment)
+        entry = self._append(shard_id, commitment, time.perf_counter())
         self.membership_events += 1
         return entry
 
-    def _append(
-        self, shard_id: int, commitment: WindowCommitment, extra_seconds: float = 0.0
-    ) -> dict:
-        """Chain one commitment with full cost accounting.
-
-        ``extra_seconds`` folds in time the caller already spent building
-        the commitment, so commit-cost telemetry covers the whole path.
-        """
-        start = time.perf_counter()
+    def _append(self, shard_id: int, commitment: WindowCommitment, start: float) -> dict:
+        """Chain one commitment with full cost accounting: ``start`` is
+        when the caller began building it, so commit-cost telemetry covers
+        the whole path."""
         log = self.logs[shard_id]
         before = log.bytes_written
         entry = log.append(commitment)
         self.windows_committed += 1
         self.leaves_committed += len(commitment.leaves)
         self.bytes_written += log.bytes_written - before
-        self.commit_seconds += time.perf_counter() - start + extra_seconds
+        self.commit_seconds += time.perf_counter() - start
         return entry
 
     # ------------------------------------------------------------------
@@ -184,8 +180,14 @@ class AuditTrail:
         status: str,
         aborted: bool = False,
         error: str | None = None,
+        input_digests: list[str] | None = None,
     ) -> dict:
-        """Build, chain, and persist one window's commitment."""
+        """Build, chain, and persist one window's commitment.
+
+        ``input_digests`` passes on the inputs' digests from an earlier
+        commit of the same window (another member of its unit): each
+        entry's leaves carry them as ``input_digest``.
+        """
         if shard_id not in self.logs:
             raise AuditError(
                 f"audit trail has no log for shard {shard_id}"
@@ -202,10 +204,9 @@ class AuditTrail:
             integrity_enabled=self.darknight.integrity,
             config_digest=self.config_digest,
             seed=self.darknight.seed,
+            input_digests=input_digests,
         )
-        return self._append(
-            shard_id, commitment, extra_seconds=time.perf_counter() - start
-        )
+        return self._append(shard_id, commitment, start)
 
     # ------------------------------------------------------------------
     # read side
@@ -220,11 +221,14 @@ class AuditTrail:
 
 
 def load_manifest(log_dir: str | Path) -> dict:
-    """Read an audit directory's manifest (model/seed/effective config)."""
+    """Read an audit directory's manifest (model/seed/effective config);
+    one written in another format version is refused."""
     path = Path(log_dir) / MANIFEST_NAME
     if not path.exists():
         raise AuditError(f"no audit manifest at {path}")
-    return json.loads(path.read_text())
+    manifest = json.loads(path.read_text())
+    check_schema(manifest.get("schema"), str(path))
+    return manifest
 
 
 def manifest_config(manifest: dict) -> DarKnightConfig:

@@ -2,8 +2,8 @@
 
 **Not cryptographically secure.**  These are deterministic, dependency-free
 stand-ins modelling the *interface and cost* of the primitives a real
-enclave uses (AES-GCM page encryption, ECDH session keys): a BLAKE2b-keyed
-stream cipher with a BLAKE2b MAC, and finite-field Diffie-Hellman over a
+enclave uses (AES-GCM page encryption, ECDH session keys): a SHAKE256
+keystream cipher with a BLAKE2b MAC, and finite-field Diffie-Hellman over a
 fixed 256-bit prime.  They let the simulator exercise the same control flow
 — key derivation, nonce handling, tag verification failures — that the real
 system depends on, with byte counts the performance model can charge.
@@ -23,7 +23,8 @@ from repro.errors import CommunicationError
 DH_PRIME = 2**256 - 2**32 - 977
 DH_GENERATOR = 3
 
-_BLOCK = 64  # BLAKE2b digest size, bytes per keystream block
+#: Domain tag of the keystream XOF input (``tag || len(key) || key || nonce``).
+_KEYSTREAM_DOMAIN = b"repro-aead-keystream/"
 
 #: ``_xor`` goes through Python big ints up to this many bytes.  numpy's
 #: call overhead is flat (~1.2 us for frombuffer x2 + ufunc + tobytes) while
@@ -108,18 +109,15 @@ def derive_key(*parts: bytes, context: bytes = b"repro-kdf") -> bytes:
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Counter-mode keystream: BLAKE2b(key, nonce || counter) blocks.
+    """The message's keystream: ``length`` bytes of one SHAKE256 output.
 
-    The hash is keyed and fed the nonce once per message; each block is a
-    copy of that state finished with its counter.
+    One extendable-output call over ``domain || len(key) || key || nonce``
+    (the length prefix keeps key/nonce boundaries unambiguous), so no
+    Python loop runs per block of the message.
     """
-    keyed = hashlib.blake2b(nonce, key=key, digest_size=_BLOCK)
-    blocks = []
-    for counter in range((length + _BLOCK - 1) // _BLOCK):
-        h = keyed.copy()
-        h.update(counter.to_bytes(8, "little"))
-        blocks.append(h.digest())
-    return b"".join(blocks)[:length]
+    return hashlib.shake_256(
+        _KEYSTREAM_DOMAIN + len(key).to_bytes(8, "little") + key + nonce
+    ).digest(length)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:

@@ -119,6 +119,10 @@ def public_gemm_exact(p: int, k: int, bound: int) -> bool:
     return k * (p - 1) * bound < _F64_EXACT
 
 
+#: Magnitude below which one correctly rounded quotient reduces exactly.
+_ONE_QUOTIENT_LIMIT = 1 << 50
+
+
 class BarrettReducer:
     """Division-free reduction mod ``p`` of exact-integer float64.
 
@@ -139,6 +143,8 @@ class BarrettReducer:
         self.pf = float(p)
         #: Undershooting inverse: (1 - 2**-50)/p rounds q down, never up.
         self.invp = (1.0 - 2.0**-50) / p
+        #: Correctly rounded inverse, for the one-quotient reduction.
+        self.inv_nearest = 1.0 / p
 
     def reduce_f64_lazy(self, x: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
         """In-place Barrett step on exact-integer float64: result in [0, 2p).
@@ -163,26 +169,50 @@ class BarrettReducer:
             np.subtract(x, self.pf, out=x, where=x >= self.pf)
         return x
 
-    def reduce_f64_signed(self, x: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """In-place reduction of exact-integer float64 ``|x| < 2**53``, either
-        sign, into [0, p); ``q`` and ``t`` are same-shape scratch.
+    def reduce_f64_signed(
+        self, x: np.ndarray, q: np.ndarray, t: np.ndarray, bound: int = 1 << 53
+    ) -> np.ndarray:
+        """In-place reduction of exact-integer float64 ``|x| <= bound <
+        2**53``, either sign, into [0, p); ``q`` and ``t`` are same-shape
+        scratch.
+
+        Below ``2**50`` (every forward launch of ``models/``: ``bound`` is
+        ``k * (p-1) * W``) one quotient is exact: ``(x + 1/2) / p`` is never
+        an integer (``2x + 1`` is odd) and lies at least ``1/(2p)`` from
+        one, while ``(x + 1/2) * (1/p)``, rounded twice, is off by less than
+        ``|x| / p * 2**-52 < 1/(4p)``; so ``floor`` of it is ``floor(x / p)``
+        and ``x - q*p`` (all below ``2**51``) is exact.  Five passes.
 
         The undershooting quotient pulls ``x * invp`` towards zero by less
         than one, so ``q = floor(x * invp)`` is the true floor quotient or
         one off it (short for ``x >= 0``, over for ``x < 0``): ``x - q*p``
-        lies in ``[-p, 2p)`` and two conditional corrections canonicalise
-        it.  For negative ``x`` near ``-2**53``, ``q*p`` itself may pass
-        ``2**53`` and lose its last bit, so it is subtracted in two exact
-        pieces: ``q*(p-1)`` is even, hence exact below ``2**54``, and takes
-        ``x`` back near zero before ``q`` goes.
+        lies in ``[-p, 2p)``.  For negative ``x`` near ``-2**53``, ``q*p``
+        itself may pass ``2**53`` and lose its last bit, so it is subtracted
+        in two exact pieces: ``q*(p-1)`` is even, hence exact below
+        ``2**54``, and takes ``x`` back near zero before ``q`` goes.
+
+        A second, exact quotient in ``{-1, 0, 1}`` finishes it:
+        ``(y + 1/2) / p`` is never an integer (``2y + 1`` is odd) and lies at
+        least ``1/(2p)`` from one, far beyond the product's rounding error,
+        so ``floor((y + 1/2) * invp)`` is ``floor(y / p)``.  That finish is
+        five plain passes and no ``where=`` mask: a masked pass costs
+        several plain ones when the mask is irregular, as a served
+        product's is.
         """
-        np.multiply(x, self.invp, out=q)
+        if bound < _ONE_QUOTIENT_LIMIT:
+            np.add(x, 0.5, out=q)
+            q *= self.inv_nearest
+        else:
+            np.multiply(x, self.invp, out=q)
+            np.floor(q, out=q)
+            np.multiply(q, self.pf - 1.0, out=t)
+            x -= t
+            x -= q  # x - q*p exactly: in [-p, 2p)
+            np.add(x, 0.5, out=q)
+            q *= self.invp
         np.floor(q, out=q)
-        np.multiply(q, self.pf - 1.0, out=t)
-        x -= t
-        x -= q  # x - q*p exactly: in [-p, 2p)
-        np.add(x, self.pf, out=x, where=x < 0)
-        np.subtract(x, self.pf, out=x, where=x >= self.pf)
+        q *= self.pf
+        x -= q
         return x
 
 
@@ -447,7 +477,7 @@ class LimbBackend:
             np.matmul(centred, private, out=out)
         else:
             np.matmul(private, centred, out=out)
-        barrett(field.p).reduce_f64_signed(out, q, t)
+        barrett(field.p).reduce_f64_signed(out, q, t, bound=k * (field.p - 1) * public.bound)
         if into is None:
             return out.astype(np.int64)
         np.copyto(into, out.reshape(into.shape), casting="unsafe")

@@ -50,17 +50,21 @@ class _MaskStream:
 
     ``block`` holds the draws of block ``block_index``; the refill and
     miss counters only move forward, so the one kept block serves
-    ``BLOCK_DRAWS`` consecutive generations.
+    ``BLOCK_DRAWS`` consecutive generations.  ``bit`` is the stream's
+    place in its pool's creation order, as a one-bit mask.
     """
 
     __slots__ = (
-        "key", "stream_id", "shape", "nbytes", "drawn", "filled", "ready",
+        "key", "stream_id", "bit", "shape", "nbytes", "drawn", "filled", "ready",
         "block_index", "block",
     )
 
-    def __init__(self, key: tuple, stream_id: int, shape: tuple[int, ...]) -> None:
+    def __init__(
+        self, key: tuple, stream_id: int, bit: int, shape: tuple[int, ...]
+    ) -> None:
         self.key = key
         self.stream_id = stream_id
+        self.bit = bit
         self.shape = shape
         self.nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         self.drawn = 0
@@ -90,6 +94,11 @@ class MaskStreamPool:
         self.stream_capacity = int(stream_capacity)
         self.max_bytes = int(max_bytes)
         self._streams: dict[tuple, _MaskStream] = {}
+        #: Streams in creation order: the order refills visit them in.
+        self._order: list[_MaskStream] = []
+        #: Bit ``i`` is set while ``_order[i]`` holds fewer than
+        #: ``stream_capacity`` tensors, so a saturated pool answers in O(1).
+        self._open = 0
         self.hits = 0
         self.misses = 0
         self.refills = 0
@@ -113,8 +122,10 @@ class MaskStreamPool:
                         f"mask streams {other.key} and {key} share id"
                         f" {stream_id:#x}: their noise would repeat"
                     )
-            stream = _MaskStream(key, stream_id, (key[2],) + key[0])
+            stream = _MaskStream(key, stream_id, 1 << len(self._order), (key[2],) + key[0])
             self._streams[key] = stream
+            self._order.append(stream)
+            self._open |= stream.bit
         return stream
 
     def _generate(self, stream: _MaskStream, counter: int) -> np.ndarray:
@@ -147,6 +158,7 @@ class MaskStreamPool:
         stream = self._stream_for(feature_shape, k, m)
         if stream.ready:
             noise = stream.ready.popleft()
+            self._open |= stream.bit
             stream.drawn += 1
             self._pooled_bytes -= stream.nbytes
             self.hits += 1
@@ -158,12 +170,15 @@ class MaskStreamPool:
         return noise, False
 
     def _next_refill(self) -> _MaskStream | None:
-        for stream in self._streams.values():
-            if len(stream.ready) >= self.stream_capacity:
-                continue
-            if self._pooled_bytes + stream.nbytes > self.max_bytes:
-                continue
-            return stream
+        """The first stream, in creation order, below capacity whose next
+        tensor fits the byte budget; only open streams are visited."""
+        open_streams = self._open
+        while open_streams:
+            lowest = open_streams & -open_streams
+            stream = self._order[lowest.bit_length() - 1]
+            if self._pooled_bytes + stream.nbytes <= self.max_bytes:
+                return stream
+            open_streams ^= lowest
         return None
 
     def pending_bytes(self) -> int:
@@ -177,6 +192,8 @@ class MaskStreamPool:
         if stream is None:
             return 0
         stream.ready.append(self._generate(stream, stream.filled))
+        if len(stream.ready) >= self.stream_capacity:
+            self._open &= ~stream.bit
         stream.filled += 1
         self._pooled_bytes += stream.nbytes
         self.peak_bytes = max(self.peak_bytes, self._pooled_bytes)

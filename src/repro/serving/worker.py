@@ -131,19 +131,25 @@ class InferenceWorkerPool:
         response logits, interior members the flattened live activations
         their stage produced — so each physical enclave's chain stays a
         complete, independently verifiable account of what it computed.
+        The members commit the same inputs: the first digests them, the
+        others reuse its digests.
         """
         if self.audit is None or not batches:
             return
         unit = self.units[shard_id]
-        for shard in unit.shards:
-            self.audit.commit_window(
+        input_digests = None
+        for i, shard in enumerate(unit.shards):
+            entry = self.audit.commit_window(
                 shard.shard_id,
                 batches,
                 unit.executor.sub_outputs(shard.shard_id, outputs_by_batch),
                 status=status,
                 aborted=aborted,
                 error=error,
+                input_digests=input_digests,
             )
+            if i == 0 and len(unit.shards) > 1:
+                input_digests = [leaf["input_digest"] for leaf in entry["leaves"]]
 
     def _batch_deadline(self, batch: ScheduledBatch) -> float:
         """The tightest end-to-end deadline among the batch's requests.

@@ -12,10 +12,13 @@ replay of a window whose original run used adaptive K.
 
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit import (
     EMPTY_ROOT,
@@ -27,12 +30,14 @@ from repro.audit import (
     WindowCommitment,
     array_digest,
     array_from_canonical,
+    canonical_json_bytes,
     genesis_root,
     leaf_digest,
     prove,
     replay_window,
     verify_proof,
 )
+from repro.audit.commitment import hashed_leaf, persisted_leaf
 from repro.errors import AuditError
 
 
@@ -59,6 +64,12 @@ def _batch(batch_id, rids, tenant="t0", retries=0, dim=4):
 def _flip_hex(digest):
     """Return the digest with its first nibble flipped."""
     return ("0" if digest[0] != "0" else "1") + digest[1:]
+
+
+def _on_disk(entry):
+    """An in-memory entry as its log line holds it: each stored input
+    array becomes its canonical base64 record."""
+    return {**entry, "leaves": [persisted_leaf(leaf) for leaf in entry["leaves"]]}
 
 
 # ----------------------------------------------------------------------
@@ -152,11 +163,14 @@ def test_committed_inputs_round_trip_and_widen():
         np.float64(3.5) * np.ones((1,)),
     ]:
         (leaf,) = _window_of(arr).leaves
-        assert leaf["input"]["dtype"] in ("<f8", "<i8")
+        assert leaf["input"] is arr  # stored in memory as served, not copied
+        record = persisted_leaf(leaf)["input"]
+        assert record["dtype"] in ("<f8", "<i8")
         assert leaf["input_digest"] == array_digest(arr)
-        back = array_from_canonical(leaf["input"])
+        back = array_from_canonical(record)
         assert back.shape == arr.shape
         assert np.array_equal(back, arr.astype(back.dtype))
+        assert array_digest(back) == leaf["input_digest"]
 
 
 def test_exotic_dtypes_are_refused():
@@ -191,9 +205,11 @@ def test_commitment_commits_inputs_and_outputs_per_leaf():
         assert leaf["tenant"] == "alice"
         assert leaf["input_digest"] == array_digest(batch.requests[i].x)
         assert leaf["output_digest"] == array_digest(out[i])
+        assert leaf["input"] is batch.requests[i].x
         assert np.array_equal(
-            array_from_canonical(leaf["input"]), batch.requests[i].x
+            array_from_canonical(persisted_leaf(leaf)["input"]), batch.requests[i].x
         )
+        assert "input" not in hashed_leaf(leaf) and "input_digest" in hashed_leaf(leaf)
     meta = c.meta(window_id=7)
     assert meta["window_id"] == 7
     assert meta["n_requests"] == 2
@@ -261,8 +277,18 @@ def test_log_rejects_foreign_shard_commitments():
         lambda e: e.__setitem__("chain_root", _flip_hex(e["chain_root"])),
         lambda e: e["meta"].__setitem__("status", "forged"),
         lambda e: e["meta"].__setitem__("window_id", 9),
+        lambda e: e["leaves"][0].__setitem__("input", e["leaves"][0]["input"] + 1e-9),
+        lambda e: e["leaves"][0].__setitem__(
+            "input_digest", _flip_hex(e["leaves"][0]["input_digest"])
+        ),
+        lambda e: e["leaves"][1].pop("input"),
+        lambda e: e["meta"].__setitem__("schema", 1),
+        lambda e: e["meta"].__setitem__("n_requests", 3),
     ],
-    ids=["leaf", "merkle_root", "prev_root", "chain_root", "meta", "window_id"],
+    ids=[
+        "leaf", "merkle_root", "prev_root", "chain_root", "meta", "window_id",
+        "stored_input", "input_digest", "input_dropped", "schema", "n_requests",
+    ],
 )
 def test_any_tamper_breaks_verify_chain(mutate):
     log = _filled_log(n_windows=3)
@@ -283,7 +309,7 @@ def test_persisted_log_loads_back_identically(tmp_path):
     log = _filled_log(path=path, n_windows=4)
     loaded = AuditLog.load(path)
     assert loaded.shard_id == 0
-    assert loaded.entries == log.entries
+    assert loaded.entries == [_on_disk(entry) for entry in log.entries]
     assert loaded.chain_root == log.chain_root
     assert loaded.verify_chain() == 4
 
@@ -309,7 +335,7 @@ def test_recover_keeps_the_valid_prefix_of_a_truncated_log(tmp_path):
     assert dropped == 1
     assert log.n_windows == 2
     assert log.verify_chain() == 2
-    assert log.entries == full.entries[:2]
+    assert log.entries == [_on_disk(entry) for entry in full.entries[:2]]
 
 
 def test_recover_stops_at_corruption_not_just_malformed_json(tmp_path):
@@ -323,7 +349,7 @@ def test_recover_stops_at_corruption_not_just_malformed_json(tmp_path):
     log, dropped = AuditLog.recover(path)
     assert (log.n_windows, dropped) == (1, 2)
     assert log.verify_chain() == 1
-    assert log.entries == full.entries[:1]
+    assert log.entries == [_on_disk(full.entries[0])]
 
 
 def test_reading_a_log_recomputes_one_merkle_root_per_window(tmp_path, monkeypatch):
@@ -477,7 +503,7 @@ def test_replay_detects_a_forged_output_digest():
 
     dk = DarKnightConfig(virtual_batch_size=4, seed=11)
     server, _ = _served_log(dk)
-    entry = json.loads(json.dumps(server.audit.logs[0].entries[0]))
+    entry = json.loads(json.dumps(_on_disk(server.audit.logs[0].entries[0])))
     entry["leaves"][0]["output_digest"] = _flip_hex(
         entry["leaves"][0]["output_digest"]
     )
@@ -543,44 +569,47 @@ def test_replay_refuses_empty_windows():
         replay_window(entry, _net(), DarKnightConfig(seed=0))
 
 
+def _spliced_leaf(tenant, arrival, output, request_id=7, batch_id=3, status="ok", retries=2):
+    """Commit one request through :meth:`WindowCommitment.build` and return
+    its leaf with the hand-spliced bytes of its hashed part."""
+    request = SimpleNamespace(
+        request_id=request_id, tenant=tenant, x=np.arange(6.0), arrival_time=arrival
+    )
+    batch = SimpleNamespace(
+        batch_id=batch_id, requests=[request], flush_time=0.0, retries=retries
+    )
+    rows = None if output is None else np.full((1, 3), output)
+    c = WindowCommitment.build(0, [batch], [rows], status=status)
+    return c.leaves[0], c.leaf_blobs[0]
+
+
 def test_hand_spliced_leaf_blob_matches_the_generic_encoder():
     """The hot-path leaf splice must stay byte-identical to
-    ``canonical_json_bytes`` for every value shape a leaf can carry —
-    exotic tenants, repr-edge floats, missing outputs."""
-    from repro.audit.commitment import _leaf_blob, canonical_json_bytes
-
-    (committed,) = _window_of(np.arange(6, dtype=np.float32).reshape(2, 3)).leaves
-    record = committed["input"]
+    ``canonical_json_bytes`` of the hashed leaf for every value shape a
+    leaf can carry — exotic tenants, repr-edge floats, missing outputs."""
     for tenant, arrival, output in [
-        ("t0", 0.0, "ab" * 32),
+        ("t0", 0.0, 1.0),
         ('we"ird\\ten\nant', 0.1 + 0.2, None),
-        ("unicode-é中", 1e-300, "00" * 32),
+        ("unicode-é中", 1e-300, -0.0),
         ("x", 123456789.987654321, None),
-        ("y", 5e-324, "ff" * 32),
+        ("y", 5e-324, float("inf")),
+        ("z", float("inf"), 2.5),
+        ("w", -1e308, None),
     ]:
-        leaf = {
-            "request_id": 7,
-            "tenant": tenant,
-            "batch_id": 3,
-            "arrival_time": arrival,
-            "status": "ok",
-            "retries": 2,
-            "input": record,
-            "input_digest": "cd" * 32,
-            "output_digest": output,
-        }
-        assert _leaf_blob(leaf) == canonical_json_bytes(leaf)
+        leaf, blob = _spliced_leaf(tenant, arrival, output)
+        assert blob == canonical_json_bytes(hashed_leaf(leaf))
 
 
 def test_entry_lines_on_disk_match_a_generic_json_dump(tmp_path):
     """The spliced JSONL line must parse back to exactly the in-memory
-    entry (and re-dump identically), or recovery tooling would diverge."""
+    entry with its inputs as records (and re-dump identically), or
+    recovery tooling would diverge."""
     log = _filled_log(0, 3, tmp_path / "log.jsonl")
     lines = (tmp_path / "log.jsonl").read_text().splitlines()
     assert len(lines) == 3
     for line, entry in zip(lines, log.entries):
-        assert json.loads(line) == entry
-        assert line == json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        assert json.loads(line) == _on_disk(entry)
+        assert line == json.dumps(_on_disk(entry), sort_keys=True, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------
@@ -589,7 +618,7 @@ def test_entry_lines_on_disk_match_a_generic_json_dump(tmp_path):
 def test_every_entry_links_its_predecessor_by_chain_hash():
     import hashlib
 
-    from repro.audit import canonical_json_bytes, chain_hash
+    from repro.audit import chain_hash
 
     log = _filled_log(n_windows=3)
     prev = genesis_root(0)
@@ -623,12 +652,12 @@ def test_digest_json_ignores_key_order_but_not_values():
 def test_commitment_leaf_digests_are_the_merkle_leaves():
     batch = _batch(0, range(5))
     c = WindowCommitment.build(0, [batch], [np.ones((5, 3))], status="ok")
-    from repro.audit import canonical_json_bytes
-
     digests = [leaf_digest(blob) for blob in c.canonical_leaf_blobs()]
     tree = MerkleTree(digests)
     assert len(tree.leaves) == len(c.leaves) == 5
-    assert digests == [leaf_digest(canonical_json_bytes(leaf)) for leaf in c.leaves]
+    assert digests == [
+        leaf_digest(canonical_json_bytes(hashed_leaf(leaf))) for leaf in c.leaves
+    ]
 
 
 def test_each_shard_persists_to_its_own_log_file():
@@ -637,3 +666,186 @@ def test_each_shard_persists_to_its_own_log_file():
     names = {log_filename(s) for s in range(4)}
     assert len(names) == 4
     assert log_filename(3) == "shard3.audit.jsonl"
+
+
+# ----------------------------------------------------------------------
+# the compact leaf: stored inputs, splices, byte counts, schema
+# ----------------------------------------------------------------------
+def test_an_input_edited_in_place_in_memory_breaks_verify_chain():
+    log = _filled_log(n_windows=2)
+    log.entries[1]["leaves"][0]["input"][3] += 1.0  # the array the leaf stores
+    with pytest.raises(AuditError, match="stored input"):
+        log.verify_chain()
+
+
+def test_an_input_edited_on_disk_fails_load_and_recovery_drops_it(tmp_path):
+    path = tmp_path / "shard0.audit.jsonl"
+    _filled_log(path=path, n_windows=3)
+    lines = path.read_text().splitlines()
+    entry = json.loads(lines[1])
+    data = entry["leaves"][1]["input"]["data"]
+    entry["leaves"][1]["input"]["data"] = ("B" if data[0] == "A" else "A") + data[1:]
+    lines[1] = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(AuditError, match="stored input"):
+        AuditLog.load(path)
+    log, dropped = AuditLog.recover(path)
+    assert (log.n_windows, dropped) == (1, 2)
+
+
+_HEX = st.text("0123456789abcdef", min_size=64, max_size=64)
+_FLOATS = st.floats(allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    request_id=st.integers(0, 2**62),
+    tenant=st.text(),
+    batch_id=st.integers(0, 2**62),
+    arrival=_FLOATS,
+    status=st.text(),
+    retries=st.integers(0, 100),
+    output=st.none() | _FLOATS,
+)
+def test_leaf_splice_is_the_generic_encoding_of_the_hashed_leaf(
+    request_id, tenant, batch_id, arrival, status, retries, output
+):
+    leaf, blob = _spliced_leaf(
+        tenant, arrival, output, request_id=request_id, batch_id=batch_id,
+        status=status, retries=retries,
+    )
+    assert blob == canonical_json_bytes(hashed_leaf(leaf))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    batch_ids=st.lists(st.integers(0, 2**62), max_size=6),
+    flush_time=_FLOATS,
+    status=st.text(),
+    aborted=st.booleans(),
+    retries=st.integers(0, 100),
+    integrity=st.booleans(),
+    error=st.none() | st.text(),
+    config_digest=st.none() | _HEX,
+    seed=st.none() | st.integers(-(2**62), 2**62),
+    window_id=st.none() | st.integers(0, 2**40),
+    shard_id=st.integers(0, 64),
+)
+def test_meta_splice_is_the_generic_encoding_of_the_meta_block(
+    batch_ids, flush_time, status, aborted, retries, integrity, error,
+    config_digest, seed, window_id, shard_id,
+):
+    from repro.audit.commitment import meta_blob
+
+    commitment = WindowCommitment(
+        shard_id=shard_id, batch_ids=batch_ids, flush_time=flush_time,
+        status=status, aborted=aborted, retries=retries,
+        integrity_enabled=integrity, error=error, config_digest=config_digest,
+        seed=seed, window_id=window_id,
+    )
+    meta = commitment.meta()
+    assert meta_blob(meta) == canonical_json_bytes(meta)
+
+
+def _mixed_windows(shard_id=0):
+    """Served, aborted, membership and empty windows, with odd shapes."""
+    yield WindowCommitment.build_membership(shard_id, "provision", 0.5, {"unit": 1})
+    yield WindowCommitment.build(
+        shard_id, [_batch(0, [1, 2, 3], dim=7)], [np.ones((3, 2))], status="ok"
+    )
+    yield WindowCommitment.build(
+        shard_id, [_batch(1, [4], dim=5), _batch(2, [5, 6])], [None, None],
+        status=STATUS_RETRIED, aborted=True, error='boom "quoted"',
+    )
+    request = SimpleNamespace(
+        request_id=9, tenant="t9", x=np.arange(4, dtype=np.int32), arrival_time=2.0
+    )
+    batch = SimpleNamespace(batch_id=3, requests=[request], flush_time=3.0, retries=1)
+    yield WindowCommitment.build(shard_id, [batch], [np.zeros((1, 2))], status="ok")
+    yield WindowCommitment.build(shard_id, [], [], status="ok")
+
+
+def test_a_log_in_memory_counts_the_bytes_it_would_have_written(tmp_path):
+    """No line is built in memory, but ``bytes_written`` is the file's size."""
+    path = tmp_path / "shard0.audit.jsonl"
+    in_memory, on_disk = AuditLog(0), AuditLog(0, path)
+    for a, b in zip(_mixed_windows(), _mixed_windows()):
+        in_memory.append(a)
+        on_disk.append(b)
+        assert in_memory.bytes_written == on_disk.bytes_written == path.stat().st_size
+    assert in_memory.chain_root == on_disk.chain_root
+    assert AuditLog.load(path).verify_chain() == 5
+
+
+def test_a_proof_verifies_from_the_compact_leaf_and_the_tenants_own_input():
+    log = _filled_log(n_windows=3)
+    proof = prove(log, 3)
+    record = json.loads(json.dumps(proof.to_record()))  # the base64 record travels
+    assert verify_proof(InclusionProof.from_record(record), log.chain_root)
+    own = _request(3).x  # the tenant kept the sample it sent
+    compact = hashed_leaf(record["leaf"])
+    for stored in (own, persisted_leaf({"input": own})["input"]):
+        mine = {**record, "leaf": {**compact, "input": stored}}
+        assert verify_proof(InclusionProof.from_record(mine), log.chain_root)
+    other = {**record, "leaf": {**compact, "input": _request(4).x}}
+    assert not verify_proof(InclusionProof.from_record(other), log.chain_root)
+    bare = {**record, "leaf": compact}
+    assert not verify_proof(InclusionProof.from_record(bare), log.chain_root)
+
+
+def test_members_sharing_input_digests_commit_the_same_leaves():
+    batches = [_batch(0, [1, 2]), _batch(1, [3])]
+    outputs = [np.ones((2, 3)), np.zeros((1, 3))]
+    first = WindowCommitment.build(0, batches, outputs, status="ok")
+    digests = [leaf["input_digest"] for leaf in first.leaves]
+    again = WindowCommitment.build(0, batches, outputs, status="ok", input_digests=digests)
+    assert [hashed_leaf(leaf) for leaf in again.leaves] == [
+        hashed_leaf(leaf) for leaf in first.leaves
+    ]
+    assert all(a["input"] is b["input"] for a, b in zip(again.leaves, first.leaves))
+    assert again.canonical_leaf_blobs() == first.canonical_leaf_blobs()
+    for wrong in (digests[:2], digests + digests[:1]):
+        with pytest.raises(AuditError, match="input digests"):
+            WindowCommitment.build(0, batches, outputs, status="ok", input_digests=wrong)
+
+
+_SCHEMA1 = Path(__file__).parent / "golden" / "audit_schema1"
+
+
+def test_a_schema_1_trail_is_refused_naming_both_versions():
+    """A trail the previous format wrote (base64 inputs inside the hashed
+    leaf, no ``schema`` field) is refused, never misread."""
+    from repro.audit import load_manifest
+
+    for read in (AuditLog.load, lambda path: AuditLog.recover(path)):
+        with pytest.raises(AuditError, match="schema 1.*schema 2"):
+            read(_SCHEMA1 / "shard0.audit.jsonl")
+    with pytest.raises(AuditError, match="schema 1.*schema 2"):
+        load_manifest(_SCHEMA1)
+    record = json.loads((_SCHEMA1 / "proof.json").read_text())
+    with pytest.raises(AuditError, match="schema 1.*schema 2"):
+        InclusionProof.from_record(record["proof"])
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_the_commit_root_is_the_merkle_tree_root(n):
+    from repro.audit.merkle import root_digest
+
+    payloads = [f"payload-{i}".encode() for i in range(n)]
+    assert root_digest(payloads).hex() == MerkleTree([leaf_digest(p) for p in payloads]).root
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.arange(12, dtype=np.int32).reshape(3, 4),
+        np.arange(24.0).reshape(4, 6)[:, ::2],  # strided
+        np.arange(3, dtype=np.float32),  # one value per request
+        np.arange(12.0).reshape(3, 2, 2).astype(">f8"),  # big-endian
+        np.zeros((3, 0)),
+    ],
+    ids=["int32", "strided", "scalar-rows", "big-endian", "empty-rows"],
+)
+def test_output_digests_are_each_rows_array_digest(rows):
+    c = WindowCommitment.build(0, [_batch(0, range(len(rows)))], [rows], status="ok")
+    assert [leaf["output_digest"] for leaf in c.leaves] == [array_digest(r) for r in rows]

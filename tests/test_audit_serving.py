@@ -248,3 +248,30 @@ def test_trail_refuses_unknown_shards():
     trail = AuditTrail(AuditConfig(), darknight=DarKnightConfig(seed=0), num_shards=1)
     with pytest.raises(AuditError):
         trail.commit_window(5, [], [], status="ok")
+
+
+def test_layered_members_share_each_windows_input_digests():
+    """Under ``layered:2`` both members of a unit commit the same inputs:
+    the first member digests them, the second reuses those digests (the
+    same string objects) instead of hashing every input again — and each
+    chain still verifies against its own stored inputs."""
+    from repro.audit.commitment import array_digest
+
+    trace = synthetic_trace(32, (16,), n_tenants=4, mean_interarrival=1e-4, seed=5)
+    dk = DarKnightConfig(virtual_batch_size=4, seed=0, num_shards=2)
+    config = ServingConfig(
+        darknight=dk, partition="layered:2", queue_capacity=512, audit=AuditConfig()
+    )
+    server = PrivateInferenceServer(_tiny_net(), config)
+    report = server.serve_trace(trace)
+    assert len(report.completed) == 32
+    first, second = (server.audit.logs[s].entries for s in (0, 1))
+    assert len(first) == len(second) > 0
+    for a, b in zip(first, second):
+        assert len(a["leaves"]) == len(b["leaves"]) > 0
+        for la, lb in zip(a["leaves"], b["leaves"]):
+            assert la["input"] is lb["input"]
+            assert la["input_digest"] is lb["input_digest"]
+            assert la["input_digest"] == array_digest(la["input"])
+            assert la["output_digest"] != lb["output_digest"]  # activations vs logits
+    assert server.audit.verify() == server.audit.windows_committed

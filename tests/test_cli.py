@@ -394,6 +394,30 @@ def test_audit_empty_dir_errors_cleanly(tmp_path, capsys):
     assert "no shard" in capsys.readouterr().err
 
 
+_SCHEMA1 = Path(__file__).parent / "golden" / "audit_schema1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["replay", "--log-dir", str(_SCHEMA1), "--request-id", "3"],
+        ["replay", "--log-dir", str(_SCHEMA1), "--shard", "0", "--window", "0"],
+        ["check-chain", "--log-dir", str(_SCHEMA1)],
+        ["check-chain", "--log-dir", str(_SCHEMA1), "--recover"],
+        ["prove", "--log-dir", str(_SCHEMA1), "--request-id", "3"],
+        ["verify", "--proof", str(_SCHEMA1 / "proof.json")],
+    ],
+    ids=["replay-request", "replay-window", "check-chain", "recover", "prove", "verify"],
+)
+def test_a_trail_in_the_previous_format_exits_naming_both_schemas(argv, capsys):
+    """A trail the schema-1 format wrote is refused with one error line —
+    never a ``KeyError``/``TypeError`` from reading it as the new one."""
+    rc = main(["audit", *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "schema 1" in err and "schema 2" in err
+
+
 # ----------------------------------------------------------------------
 # the unified config surface: --config, --set, and what from_dict refuses
 # ----------------------------------------------------------------------

@@ -53,50 +53,50 @@ def test_aead_detects_aad_tamper(nprng):
         aead.decrypt(bad)
 
 
-#: length -> (nonce, data or sha256(data) for the long one, tag), recorded from
-#: the byte-at-a-time XOR this replaced: key ``bytes(range(32))``, rng seed
-#: 20260930, messages encrypted in this order on one ``StreamAead``.
+#: length -> (nonce, data or sha256(data) for the long ones, tag), recorded
+#: from the one-call SHAKE256 keystream: key ``bytes(range(32))``, rng seed
+#: 20260930, messages encrypted in this order on one ``StreamAead``.  The
+#: nonces are the ones the per-block BLAKE2b keystream's vectors had (the
+#: nonce stream did not move); 63/64/65 were that keystream's block edges.
 _GOLDEN = {
     0: ("af1a699519a7d86a5ff75677", "", "a3e697e0cc452072a8b065d56bb80438"),
-    1: ("e51cd95d0b3ce0c1c4ed914d", "8c", "fc022f0117b515eb27c4afa10da306fe"),
+    1: ("e51cd95d0b3ce0c1c4ed914d", "aa", "4eea71f7d2de6b55cb4a5a59b720440b"),
     63: (
         "6e891bcbdb286454d793015f",
-        "8d2d701df8a15064c734cb58281ae1b4955db0ac205ffeb86dd1fd0f6941f0c2"
-        "db78fad277410fbb859a1036134fee05322d758a27cc89d25ad477fa72da7e",
-        "783098cdab3cf48acf7d2477895e2a80",
+        "120d3ab506debffacd31c385dd4e65ae2772956777aba901cc5c126aa5aad94d"
+        "1e632ee320b1afeefc0275a59d9fd57879590e2f42cd9743c67f07d0d238a7",
+        "fa4e9ecf11d74435770b672928d180e4",
     ),
     64: (
         "732b4228f334267903f22f63",
-        "4535b3d5a0b96942bfe86f6595e30f91e5371e4881fd174c40984065e5386a36"
-        "be8d2036f4fc0ad481654ae48b5c360863484a0a0fa1227c1195dee12ed4b26b",
-        "264ae4555cece44a33502cb77ff776e9",
+        "d56900f02e86e7b81afff676f02c5e779360ca2f8336afe91b4cb9ec0c030d50"
+        "5bd23a99ec888144d5e902d1ac2c40b5b2a8bf820e45644fcd4330fde687d7ef",
+        "5cadfe6fe1847714760f3e037204c79d",
     ),
     65: (
         "7b02fb8b710d2ab16edcdbb2",
-        "c3eb275a46ff16ba789497a26acd2d6345b285097f91e6991e51bd6604c3645f"
-        "aa290f230169487c4d66fdfe0236fc7e2ca7ab2622b65022629ef04c9c5c5761"
-        "28",
-        "39c665421f4297e87289ecec80bd0188",
+        "bdd640515c5e48b55d70fbe7ffe4a72c536756d8a7a4badf91912471402b6591"
+        "7ed4f9538014a753b02887d4fe5c33e5dff6bc5234c2b7103ade21d7e17fb04a"
+        "8e",
+        "ba24752c58b6fe193dceee1a5e3d606d",
     ),
     1000: (
         "7d545ebf88e5cfbd8d3125d0",
-        "sha256:86619b3ac49909545b028b183b61804c166f756bc6bedc8007fd22b60cc6e70a",
-        "0af65fe5e01078d30d79d3fd46861df6",
+        "sha256:d46933cbfa15c5a3cc15ccea26098a9bd3c3ec3ecf98b1f59da41a7544fa7d16",
+        "5555cfac245bd83039e057008a17ba70",
     ),
-    # A serve-tiny-plain request's size (96 blocks), recorded from the
-    # hash-rekeyed-per-block keystream the keyed-once one replaced.
     6144: (
         "3f04c4aae264cb97a857b5af",
-        "sha256:989f13fc9a9f332681eb2ad5aabeba4983870b41a5b1c90a065932b3a5a1ce2d",
-        "8b63006c10fd0cd362088b902a351b84",
+        "sha256:384bc0e98397bf6cb70557025d200435f036650a5522065a9bf9fd95df59f3a1",
+        "580f6c1ab693ff12142bbe17777fcdb2",
     ),
 }
 
 
 def test_aead_golden_vectors_roundtrip_and_tamper():
-    """Whole-buffer XOR: every ciphertext byte and tag is what the per-byte
-    loop produced (block boundaries at 63/64/65), and the tag check still
-    guards data, tag and aad."""
+    """Every ciphertext byte and tag is the recorded one (the keystream is
+    one SHAKE256 output, XORed over the whole buffer), and the tag check
+    still guards data, tag and aad."""
     aead = StreamAead(bytes(range(32)), np.random.default_rng(20260930))
     for length, (nonce, data, tag) in _GOLDEN.items():
         plaintext = bytes((7 * i + 3) % 256 for i in range(length))

@@ -458,6 +458,59 @@ def test_barrett_signed_reduction_is_exact_on_the_whole_range(values):
     assert got.tolist() == [v % FIELD.p for v in values]
 
 
+def _two_pass_signed(red, x, q, t):
+    """The signed reduction as it was: the lazy step, then two
+    ``where=``-masked corrections (the oracle for the single-quotient one)."""
+    np.multiply(x, red.invp, out=q)
+    np.floor(q, out=q)
+    np.multiply(q, red.pf - 1.0, out=t)
+    x -= t
+    x -= q
+    np.add(x, red.pf, out=x, where=x < 0)
+    np.subtract(x, red.pf, out=x, where=x >= red.pf)
+    return x
+
+
+_MODULI = [FIELD.p, 2**31 - 1, 1073741789, 67108859, 8191]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_MODULI).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(
+                st.one_of(
+                    st.integers(-p, 2 * p - 1),
+                    st.integers(-(2**53) + 1, -(2**53) + 4 * p),
+                    st.integers(2**53 - 4 * p, 2**53 - 1),
+                    st.integers(-(2**50) + 1, -(2**50) + 4 * p),
+                    st.integers(2**50 - 4 * p, 2**50 - 1),
+                    st.integers(-(2**50) + 1, 2**50 - 1),
+                ),
+                min_size=1,
+                max_size=64,
+            ),
+        )
+    )
+)
+def test_barrett_signed_single_quotient_matches_the_two_pass_form(case):
+    """Bit for bit the old two-pass result, over ``[-p, 2p)`` (the residues
+    the corrections see), within a few ``p`` of ``±2**53`` and of ``±2**50``
+    — and, for inputs below ``2**50`` given that bound, by one quotient."""
+    p, values = case
+    red = BarrettReducer(p)
+    x = np.array(values, dtype=np.float64)
+    want = _two_pass_signed(red, x.copy(), np.empty_like(x), np.empty_like(x))
+    got = red.reduce_f64_signed(x.copy(), np.empty_like(x), np.empty_like(x))
+    assert got.tobytes() == want.tobytes()
+    assert got.tolist() == [v % p for v in values]
+    bound = max(abs(v) for v in values)
+    if bound < 2**50:
+        one = red.reduce_f64_signed(x.copy(), np.empty_like(x), np.empty_like(x), bound=bound)
+        assert one.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # Barrett reducer
 # ----------------------------------------------------------------------

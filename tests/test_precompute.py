@@ -150,6 +150,16 @@ LEDGER_KEYS = ((SHAPE, 4, 1), (SHAPE, 4, 2), ((5,), 2, 1))
 _TENSOR_BYTES = 8 * int(np.prod(SHAPE))  # the (1,) + SHAPE stream's unit
 
 
+def _scanned_refill(pool):
+    """The refill target by a full scan in creation order (the oracle for
+    the pool's open-stream mask)."""
+    for stream in pool._streams.values():
+        if len(stream.ready) < pool.stream_capacity and \
+                pool._pooled_bytes + stream.nbytes <= pool.max_bytes:
+            return stream
+    return None
+
+
 def _all_miss_draws(base_key, key, count):
     reference = MaskStreamPool(FIELD, base_key)
     return [reference.draw(*key)[0] for _ in range(count)]
@@ -177,6 +187,7 @@ def test_draw_ledger_under_generated_schedules(
     draws = refills = 0
     for step in schedule:
         if step < 0:
+            assert pool._next_refill() is _scanned_refill(pool)
             pending = pool.pending_bytes()
             assert pool.refill_one() == pending  # one tensor, or 0 when saturated
             refills += bool(pending)
