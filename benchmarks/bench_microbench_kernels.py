@@ -51,7 +51,6 @@ from repro.masking import (
     CoefficientSet,
     ForwardDecoder,
     ForwardEncoder,
-    IntegrityVerifier,
     iter_virtual_batches,
     reference_aggregate,
 )
@@ -654,43 +653,62 @@ def test_mask_pool_refill_speed(benchmark):
     assert pool_s < reference_s
 
 
-def test_served_step_speed(benchmark, quick):
+def _served_step(benchmark, quick, index: int) -> None:
     """One served step as the executor runs it: a ``K = 4`` virtual batch of
-    mini-resnet's first conv (3->8 channels, 8x8 maps), integrity on, the
-    deployment's cached coefficients, per-sample normalisation —
-    ``encode`` -> ``dispatch`` -> ``decode``.  At this size every stage is
-    a few dozen small-array calls.  Prints the enclave's budget: encode, the
-    plan's verify, the dequantize of the verified decode, and the whole
-    decode."""
+    mini-resnet's plan step ``index`` (its first conv, or a dense layer),
+    integrity on, the deployment's cached coefficients and the step
+    prepared for them, per-sample normalisation — ``encode`` ->
+    ``dispatch`` -> ``decode``.  At this size every stage is a few dozen
+    small-array calls.  Prints the budget, best of many: encode, dispatch
+    (the launch on the devices), decode and the whole step."""
     network, shape = build_serving_model("mini-resnet", seed=0)
-    conv = network.execution_plan()[0].layer
+    step = network.execution_plan()[index]
+    layer = step.layer
     config = DarKnightConfig(virtual_batch_size=4, integrity=True, seed=0)
     backend = DarKnightBackend(config, serving=True)
-    op = backend.stage_linear("conv2d", conv.params["w"], None, "conv", conv.stride, conv.pad)
-    x = np.random.default_rng(1).standard_normal((4,) + shape) * 2
+    if hasattr(layer, "kernel_size"):  # the first conv: it takes the network input
+        x = np.random.default_rng(1).standard_normal((4,) + shape) * 2
+        op = backend.stage_linear(
+            "conv2d", layer.params["w"], None, layer.name, layer.stride, layer.pad
+        )
+        want = conv2d_via_matmul(x, layer.params["w"], np.matmul, layer.stride, layer.pad)
+    else:
+        x = np.random.default_rng(1).standard_normal((4, layer.params["w"].shape[0])) * 2
+        op = backend.stage_linear("dense", layer.params["w"], None, layer.name)
+        want = x @ layer.params["w"]
     (vb,) = iter_virtual_batches(x, 4)
 
-    def step():
+    def served():
         (y,) = backend.decode(backend.dispatch(backend.encode(op, [vb], [0])))
         backend.end_batch()
         return y
 
-    y = benchmark(step)
-    want = conv2d_via_matmul(x, conv.params["w"], np.matmul, conv.stride, conv.pad)
+    y = benchmark(served)
     assert np.max(np.abs(y - want)) < 0.05 * (np.max(np.abs(want)) + 1.0)
 
-    future = backend.dispatch(backend.encode(op, [vb], [0]))
-    sets = [ticket.coefficients for ticket in future.tickets]
-    decoded = ForwardDecoder(sets).decode(future.outputs)
     reps = 300 if quick else 2000
     budget = {
-        "encode": _best_of(lambda: (backend.encode(op, [vb], [0]), backend.end_batch()), reps),
-        "verify": _best_of(lambda: IntegrityVerifier(sets).verify_forward(future.outputs), reps),
-        "dequantize": _best_of(lambda: backend.quantizer.dequantize_product(decoded), reps),
-        "decode": _best_of(lambda: backend.decode(future), reps),
+        "encode": _best_of(lambda: (backend.encode(op, [vb], [0]), backend.end_batch()), reps)
     }
+    tickets = backend.encode(op, [vb], [0])
+    future = backend.dispatch(tickets)
+    budget["dispatch"] = _best_of(lambda: backend.dispatch(tickets), reps)
+    budget["decode"] = _best_of(lambda: backend.decode(future), reps)
     backend.end_batch()
-    print("\nserved step (us): " + ", ".join(f"{k} {v * 1e6:.1f}" for k, v in budget.items()))
+    budget["step"] = _best_of(served, reps)
+    print(f"\nserved step {step.name} (us): "
+          + ", ".join(f"{k} {v * 1e6:.1f}" for k, v in budget.items()))
+
+
+def test_served_step_speed(benchmark, quick):
+    """mini-resnet's first conv (3->8 channels, 8x8 maps)."""
+    _served_step(benchmark, quick, 0)
+
+
+def test_served_dense_step_speed(benchmark, quick):
+    """mini-resnet's ``dense_1`` (16 -> 10): almost nothing scales with the
+    data, so this is a served step's size-independent floor."""
+    _served_step(benchmark, quick, -1)
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,7 @@ TRACKED = (
     "test_restage_linear_speed",
     "test_mask_pool_refill_speed",
     "test_served_step_speed",
+    "test_served_dense_step_speed",
 )
 
 
@@ -132,6 +133,7 @@ def run_round(trees: list[Path], outs: list[Path]) -> None:
     finally:
         for proc in procs:
             proc.kill()
+            proc.wait()  # reaped here, not by a garbage-collected Popen
         for fd in (fd for turn in turns for fd in turn):
             os.close(fd)
 

@@ -56,6 +56,9 @@ EXEMPT: dict[str, str] = {
     " (probability ~ (k+m)/p) sends generate back to redraw it",
     "runtime.darknight.DarKnightBackend.open_encodings": "an error path:"
     " assert_encodings_released counts the leaked tickets into its message",
+    "nn.layers.Layer.backward_params": "the layer contract's default: a network"
+    " whose first layer is not a Conv2D or Dense (every bundled model's is) backs"
+    " through that layer's backward",
 }
 
 #: Installed as ``sitecustomize``: at exit, writes ``file:first line`` of

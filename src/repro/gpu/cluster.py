@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, GpuError
 from repro.fieldmath import PrimeField, PublicOperand
-from repro.gpu.device import SimulatedGpu
+from repro.gpu.device import GpuLedger, SimulatedGpu
 from repro.gpu.faults import HONEST, FaultInjector
 from repro.gpu.kernels import FieldKernels
 
@@ -128,25 +128,31 @@ class GpuCluster:
     # broadcast / scatter
     # ------------------------------------------------------------------
     def broadcast_weights(self, name: str, w: np.ndarray) -> None:
-        """Install public quantized weights on every device."""
+        """Install public quantized weights on every device, booked for the
+        whole pool in one pass."""
+        w = np.asarray(w)
         for device in self.devices:
-            device.load_weights(name, w)
+            device.weights[name] = w
+            device.ledger.bytes_received += w.nbytes
 
     def scatter_shares(self, key: str, shares: np.ndarray) -> None:
-        """Send share ``j`` to device ``j`` (one share per GPU, Section 3.1)."""
-        shares = np.asarray(shares)
+        """Send share ``j`` to device ``j`` (one share per GPU, Section 3.1),
+        booked for the whole line-up in one pass."""
+        shares = np.asarray(shares, dtype=np.int64)
         if shares.shape[0] > len(self.devices):
             raise GpuError(
                 f"{shares.shape[0]} shares but only {len(self.devices)} devices;"
                 " raise K' or lower K/M"
             )
-        for j in range(shares.shape[0]):
-            self.devices[j].receive_share(key, shares[j])
+        nbytes = int(shares[0].nbytes) if len(shares) else 0
+        for device, share in zip(self.devices, shares):
+            device.stored_shares[key] = share
+            device.ledger.bytes_received += nbytes
 
     def drop_shares(self, key: str) -> None:
         """Free a stored share key on all devices."""
         for device in self.devices:
-            device.drop_share(key)
+            device.stored_shares.pop(key, None)
 
     # ------------------------------------------------------------------
     # fan-out execution
@@ -170,7 +176,7 @@ class GpuCluster:
         virtual batch after another.  A line-up may skip devices (recovery
         benches suspects).
         """
-        devices = [self._device(device_id) for device_id in lineup]
+        devices = self._lineup(lineup)
         if not devices:
             raise GpuError("a launch needs at least one device")
         stacked = launch.stacked
@@ -185,6 +191,15 @@ class GpuCluster:
             return flat, macs
         equations, macs = self._backward(launch, devices, shares, stacked)
         return (equations if stacked else equations[0, :, 0]), macs
+
+    def _lineup(self, lineup: Sequence[int]) -> list[SimulatedGpu]:
+        """The line-up's devices; a plain ``range`` of them is one slice."""
+        if (
+            isinstance(lineup, range) and lineup.step == 1
+            and 0 <= lineup.start and lineup.stop <= len(self.devices)
+        ):
+            return self.devices[lineup.start : lineup.stop]
+        return [self._device(device_id) for device_id in lineup]
 
     def _device(self, device_id: int) -> SimulatedGpu:
         if not 0 <= device_id < len(self.devices):
@@ -205,11 +220,12 @@ class GpuCluster:
         except KeyError as exc:
             raise GpuError(f"a line-up device holds no weights {name!r}") from exc
         w = held[0]
-        if any(other is not w and not np.array_equal(other, w) for other in held[1:]):
-            raise GpuError(
-                f"line-up devices hold different weights under {name!r};"
-                " broadcast_weights installs one array on every device"
-            )
+        for other in held:
+            if other is not w and not np.array_equal(other, w):
+                raise GpuError(
+                    f"line-up devices hold different weights under {name!r};"
+                    " broadcast_weights installs one array on every device"
+                )
         return w
 
     def _lifted(self, name: str, w: np.ndarray) -> PublicOperand:
@@ -251,13 +267,13 @@ class GpuCluster:
         """
         n_devices = len(devices)
         n_batches = len(flat) // (n_devices * n_rows)
-        slice_bytes = int(flat[0].nbytes)
-        walked = []
+        booked, walked = [], []
         for position, device in enumerate(devices):
             if device.honest:
-                device.ledger.record(op_name, macs, slice_bytes, n_batches * n_rows)
+                booked.append(device.ledger)
             else:
                 walked.append(position)
+        GpuLedger.record_lineup(booked, op_name, macs, int(flat[0].nbytes), n_batches * n_rows)
         for v in range(n_batches):
             for position in walked:
                 first = (v * n_devices + position) * n_rows
@@ -341,10 +357,7 @@ class GpuCluster:
             raise GpuError(
                 f"need {n_shares} devices, cluster has {len(self.devices)}"
             )
-        starts, ends = zip(
-            *(self.devices[j].reserve(not_before, duration) for j in range(n_shares))
-        )
-        return min(starts), max(ends)
+        return SimulatedGpu.reserve_lineup(self.devices[:n_shares], not_before, duration)
 
     def max_busy_time(self) -> float:
         """Busiest single device's simulated compute seconds."""

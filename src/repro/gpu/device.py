@@ -35,10 +35,18 @@ class GpuLedger:
 
     def record(self, op_name: str, macs: int, bytes_out: int, count: int = 1) -> None:
         """Account ``count`` kernel invocations of ``macs`` and ``bytes_out`` each."""
-        self.kernel_calls += count
-        self.mac_ops += count * macs
-        self.bytes_sent += count * bytes_out
-        self.ops_by_name[op_name] = self.ops_by_name.get(op_name, 0) + count
+        self.record_lineup((self,), op_name, macs, bytes_out, count)
+
+    @staticmethod
+    def record_lineup(
+        ledgers, op_name: str, macs: int, bytes_out: int, count: int = 1
+    ) -> None:
+        """:meth:`record` into every ledger of a launch's line-up, in one pass."""
+        for ledger in ledgers:
+            ledger.kernel_calls += count
+            ledger.mac_ops += count * macs
+            ledger.bytes_sent += count * bytes_out
+            ledger.ops_by_name[op_name] = ledger.ops_by_name.get(op_name, 0) + count
 
 
 class SimulatedGpu:
@@ -77,11 +85,6 @@ class SimulatedGpu:
     # ------------------------------------------------------------------
     # data movement
     # ------------------------------------------------------------------
-    def load_weights(self, name: str, w: np.ndarray) -> None:
-        """Install (public, quantized) model weights under ``name``."""
-        self.weights[name] = np.asarray(w)
-        self.ledger.bytes_received += self.weights[name].nbytes
-
     def receive_share(self, key: str, share: np.ndarray) -> None:
         """Accept one masked share from the enclave and keep it resident."""
         arr = np.asarray(share, dtype=np.int64)
@@ -104,32 +107,46 @@ class SimulatedGpu:
     # ------------------------------------------------------------------
     # simulated completion model
     # ------------------------------------------------------------------
-    def reserve(self, not_before: float, duration: float) -> tuple[float, float]:
-        """Occupy this device for ``duration`` simulated seconds.
+    @staticmethod
+    def reserve_lineup(devices, not_before: float, duration: float) -> tuple[float, float]:
+        """Occupy every device of a launch's line-up for ``duration``
+        simulated seconds, booked in one pass.
 
-        A device runs one share's kernel at a time: the reservation starts
+        A device runs one share's kernel at a time: its reservation starts
         when both the dispatch (``not_before``) and the device's previous
         kernel allow, serializing virtual batches that land on the same GPU.
-        Returns ``(start, end)``.
+        Returns ``(first start, last end)`` over the line-up (a device's own
+        ``(start, end)`` for a line-up of one).
         """
         if duration < 0:
             raise GpuError(f"kernel duration must be >= 0, got {duration}")
-        start = max(self.free_at, not_before)
-        end = start + duration
-        self.free_at = end
-        self.busy_time += duration
-        return start, end
+        first, last = float("inf"), float("-inf")
+        for device in devices:
+            start = device.free_at if device.free_at > not_before else not_before
+            end = device.free_at = start + duration
+            device.busy_time += duration
+            if start < first:
+                first = start
+            if end > last:
+                last = end
+        return first, last
 
     # ------------------------------------------------------------------
     # masked kernel outputs
     # ------------------------------------------------------------------
     @property
-    def honest(self) -> bool:
-        """Whether this device's injector is the honest base class itself,
-        which hands every output back untouched: the launch then books the
+    def faults(self) -> FaultInjector:
+        """This device's adversarial behaviour.  Assigning an injector also
+        settles :attr:`honest`: whether it is the honest base class itself,
+        which hands every output back untouched, so a launch books the
         device's slices in one ledger entry instead of walking them through
         :meth:`emit`.  Any subclass, however it behaves, is walked."""
-        return type(self.faults) is FaultInjector
+        return self._faults
+
+    @faults.setter
+    def faults(self, injector: FaultInjector) -> None:
+        self._faults = injector
+        self.honest = type(injector) is FaultInjector
 
     def emit(self, op_name: str, result: np.ndarray, macs: int) -> np.ndarray:
         """Release this device's result of one masked kernel.

@@ -43,12 +43,16 @@ def stack_matmul(
     block, gathered GPU outputs) is multiplied as it stands and the
     product comes back as float64 (see :func:`~repro.fieldmath.field_matmul`),
     unless ``into`` (an array of the product's shape) takes it, cast.
+    A 2-D ``a`` (and ``a_float``) is the one-slice stack's matrix itself,
+    as :func:`stack_operands` hands a single set's.
     """
-    if a.shape[0] == 1:
-        first = None if a_float is None else a_float[0]
-        into = None if into is None else into[0]
-        return field_matmul(field, a[0], b[0], a_float=first, into=into)[None]
-    return field_matmul_stacked(field, a, b, a_float=a_float, into=into)
+    matrix, matrix_float = a, a_float
+    if a.ndim == 3:
+        if a.shape[0] > 1:
+            return field_matmul_stacked(field, a, b, a_float=a_float, into=into)
+        matrix, matrix_float = a[0], None if a_float is None else a_float[0]
+    into = None if into is None else into[0]
+    return field_matmul(field, matrix, b[0], a_float=matrix_float, into=into)[None]
 
 
 def stack_arrays(arrays) -> np.ndarray:
@@ -85,10 +89,10 @@ def as_float(values: np.ndarray, tag: str) -> np.ndarray:
 
 def stack_operands(pairs) -> tuple[np.ndarray, np.ndarray]:
     """The sets' ``(int64, float64)`` operand pairs as two ``(V, ...)``
-    stacks — :func:`stack_matmul`'s ``a`` and ``a_float``."""
+    stacks — :func:`stack_matmul`'s ``a`` and ``a_float``; a single set's
+    pair is handed back as it is, the one-slice stack's matrices."""
     if len(pairs) == 1:
-        a, a_float = pairs[0]
-        return a[None], a_float[None]
+        return pairs[0]
     return np.stack([a for a, _ in pairs]), np.stack([a_float for _, a_float in pairs])
 
 
@@ -125,6 +129,9 @@ class ForwardEncoder:
     of them — one per virtual batch of a layer step, each with its own
     secret ``A`` — in which case :meth:`encode` takes inputs with a leading
     ``V`` axis and masks every virtual batch in one stacked field GEMM.
+    Everything the sets alone decide (their ``Aᵀ`` operand stacks) is
+    prepared here, once, so an encoder kept for a deployment's cached set
+    pays only for each encode's own numbers.
     """
 
     def __init__(self, coefficients, rng: FieldRng) -> None:
@@ -134,8 +141,14 @@ class ForwardEncoder:
             raise EncodingError("coefficient set and RNG use different fields")
         self.coefficients = coefficients
         self._rng = rng
+        self._operands = stack_operands([coeffs.encode_operands for coeffs in self._sets])
+        first = self._sets[0]
+        self._field = field
+        self._sizes = (first.k, first.m, first.n_sources, first.n_shares)
 
-    def encode(self, inputs: np.ndarray, noise: np.ndarray | None = None) -> EncodedBatch:
+    def encode(
+        self, inputs: np.ndarray, noise: np.ndarray | None = None, *, canonical: bool = False
+    ) -> EncodedBatch:
         """Mask ``inputs`` of shape ``([V,] K, *feature_shape)``.
 
         Parameters
@@ -151,9 +164,14 @@ class ForwardEncoder:
             runtime draws it between coefficient sets, the precompute pool
             ahead of time, tests for determinism; otherwise drawn fresh
             here, one draw per set in order, as the paper requires.
+        canonical:
+            The caller vouches that the input rows are canonical — the
+            runtime's quantizer wrote them, range-checked — so only noise
+            handed in from outside is checked.  Otherwise the whole source
+            block is.
         """
-        first = self._sets[0]
-        field, k, n_sources = first.field, first.k, first.n_sources
+        field = self._field
+        k, m, n_sources, n_shares = self._sizes
         inputs = np.asarray(inputs)
         if noise is not None:
             noise = np.asarray(noise, dtype=np.int64)
@@ -169,15 +187,16 @@ class ForwardEncoder:
                 f" ({n_sets} virtual batches), got shape {inputs.shape}"
             )
         feature_shape = inputs.shape[2:]
-        noise_shape = (n_sets, first.m) + feature_shape
-        if noise is None:
+        noise_shape = (n_sets, m) + feature_shape
+        drawn = noise is None
+        if drawn:
             noise = stack_arrays(
                 [self._rng.uniform(noise_shape[1:]) for _ in self._sets]
             )
         elif noise.shape != noise_shape:
             raise EncodingError(
                 f"noise shape {noise.shape} does not match"
-                f" ({n_sets}, {first.m}, *{feature_shape})"
+                f" ({n_sets}, {m}, *{feature_shape})"
             )
         if block:
             sources = inputs
@@ -185,8 +204,13 @@ class ForwardEncoder:
             sources = source_block(n_sets, n_sources, feature_shape)
             np.copyto(sources[:, :k], inputs.astype(np.int64, copy=False))
         np.copyto(sources[:, k:], noise)
-        # One canonical check covers the whole source block of the stack.
-        if not 0 <= sources.min(initial=0.0) <= sources.max(initial=0.0) < field.p:
+        # One canonical check covers whatever neither this encoder drew nor
+        # the caller vouches for: the whole block, or noise handed in.
+        checked = sources if not canonical else None if drawn else noise
+        if checked is not None and not (
+            0 <= np.minimum.reduce(checked, axis=None, initial=0)
+            and np.maximum.reduce(checked, axis=None, initial=0) < field.p
+        ):
             raise EncodingError(
                 "inputs and noise must be canonical field elements; quantize first"
             )
@@ -197,11 +221,11 @@ class ForwardEncoder:
         # block is float64 already, so the GEMM reads it as it stands; only
         # the shares, which the devices hold, become int64, cast straight
         # out of the GEMM's reduced product.
-        a_t, a_float = stack_operands([coeffs.encode_operands for coeffs in self._sets])
-        shares = np.empty((n_sets, first.n_shares) + feature_shape, dtype=np.int64)
+        a_t, a_float = self._operands
+        shares = np.empty((n_sets, n_shares) + feature_shape, dtype=np.int64)
         stack_matmul(  # a_t: (V, n_shares, k+m)
             field, a_t, sources.reshape(n_sets, n_sources, -1), a_float,
-            into=shares.reshape(n_sets, first.n_shares, -1),
+            into=shares.reshape(n_sets, n_shares, -1),
         )
         if not self._stacked:
             shares, noise = shares[0], noise[0]
@@ -214,11 +238,44 @@ class ForwardDecoder:
     Built over a sequence of ``V`` coefficient sets it decodes a stack:
     ``gpu_outputs`` carries a leading ``V`` axis and virtual batch ``v`` is
     unmasked with set ``v``'s own ``A_J⁻¹``, all in one stacked field GEMM.
+    A subset's operand stack is built on its first decode and kept, so a
+    decoder kept for a deployment's cached set stacks nothing afterwards.
     """
 
     def __init__(self, coefficients) -> None:
         self._sets, self._stacked = as_stack(coefficients)
         self.coefficients = coefficients
+        #: Per decoded subset (``None``: the primary): the subset, its
+        #: ``(decode_t, decode_float)`` stacks and whether it is a run of
+        #: consecutive shares.
+        self._operands: dict = {}
+        first = self._sets[0]
+        self._sizes = (first.k, first.n_sources, first.n_shares)
+
+    def _subset_operands(self, subset) -> tuple:
+        """``(subset, decode_t, decode_float, run)`` for ``subset`` (the
+        stack's shared primary for ``None``), memoized."""
+        if subset is not None and type(subset) is not tuple:
+            subset = tuple(subset)
+        prepared = self._operands.get(subset)
+        if prepared is not None:
+            return prepared
+        named = subset
+        if subset is None:
+            subset = self._sets[0].primary_subset
+            if any(coeffs.primary_subset != subset for coeffs in self._sets[1:]):
+                raise DecodingError(
+                    "stacked sets have different primary subsets; name one"
+                )
+        prepared = self._operands.get(subset)
+        if prepared is None:
+            decode_t, decode_float = stack_operands(
+                [coeffs.decode_operands(subset) for coeffs in self._sets]
+            )
+            run = subset == tuple(range(subset[0], subset[0] + len(subset)))
+            prepared = self._operands[subset] = (subset, decode_t, decode_float, run)
+        self._operands[named] = prepared
+        return prepared
 
     def decode(
         self,
@@ -248,8 +305,7 @@ class ForwardDecoder:
         fresh array the caller may round in place
         (:meth:`~repro.quantization.QuantizationConfig.dequantize_product`).
         """
-        first = self._sets[0]
-        n_shares = first.n_shares
+        k, n_sources, n_shares = self._sizes
         outputs = np.asarray(gpu_outputs)
         if not self._stacked:
             outputs = outputs[None]
@@ -259,26 +315,18 @@ class ForwardDecoder:
                 f"expected outputs from all {n_shares} shares (indexed by"
                 f" share id) of {n_sets} virtual batches, got shape {outputs.shape}"
             )
-        if subset is None:
-            subset = first.primary_subset
-            if any(coeffs.primary_subset != subset for coeffs in self._sets[1:]):
-                raise DecodingError(
-                    "stacked sets have different primary subsets; name one"
-                )
-        subset = tuple(subset)
+        subset, decode_t, decode_float, run = self._subset_operands(subset)
         out_shape = outputs.shape[2:]
         # Transposed decode [Y | WR] = D^T @ Ȳ_J: one stacked GEMM on
         # contiguous rows, no feature-major intermediate (bit-identical
         # sums), read in float64 and left there.  A run of consecutive
         # shares (the primary subset) is a view of the outputs; any other
         # subset's rows are gathered, into scratch: they are kernel-local.
-        decode_t, decode_float = stack_operands(
-            [coeffs.decode_operands(subset) for coeffs in self._sets]
-        )
-        flat_outputs = as_float(outputs.reshape(n_sets, n_shares, -1), "dec_outputs")
-        start = subset[0]
-        if subset == tuple(range(start, start + len(subset))):
-            selected = flat_outputs[:, start : start + len(subset)]
+        flat_outputs = outputs.reshape(n_sets, n_shares, -1)
+        if flat_outputs.dtype != np.float64:
+            flat_outputs = as_float(flat_outputs, "dec_outputs")
+        if run:
+            selected = flat_outputs[:, subset[0] : subset[0] + len(subset)]
         else:
             scratch = active_scratch()
             selected = None
@@ -287,9 +335,9 @@ class ForwardDecoder:
                     "dec_selected", (n_sets, len(subset), flat_outputs.shape[2]), np.float64
                 )
             selected = flat_outputs.take(subset, axis=1, out=selected)
-        recovered = stack_matmul(first.field, decode_t, selected, decode_float)
-        recovered = recovered.reshape((n_sets, first.n_sources) + out_shape)
-        results, noise_product = recovered[:, : first.k], recovered[:, first.k :]
+        recovered = stack_matmul(self._sets[0].field, decode_t, selected, decode_float)
+        recovered = recovered.reshape((n_sets, n_sources) + out_shape)
+        results, noise_product = recovered[:, :k], recovered[:, k:]
         if not self._stacked:
             results, noise_product = results[0], noise_product[0]
         if return_noise_product:

@@ -97,19 +97,29 @@ class IntegrityVerifier:
             raise IntegrityError(f"need at least 2 subsets to compare, got {max_subsets}")
         self.coefficients = coefficients
         self.max_subsets = max_subsets
+        #: The stack's decoder, kept with its operand stacks for every check.
+        self._decoder = ForwardDecoder(self._sets)
+        self._plans: list | None = None
+        #: The plan every set shares, or ``None`` when they differ.
+        self._shared_plan: tuple | None = None
 
     def verification_plans(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Each set's plan (primary subset first, alternates after).
+        """Each set's plan (primary subset first, alternates after), read
+        and checked on the first call and kept: the sets are frozen.
 
         Fails closed: a set whose alternates are all singular has nothing
         to cross-check against and cannot be verified, forward or backward.
         """
-        plans = [coeffs.verification_plan for coeffs in self._sets]
+        plans = self._plans
+        if plans is None:
+            plans = self._plans = [coeffs.verification_plan for coeffs in self._sets]
         if any(len(plan) < 2 for plan in plans):
             raise IntegrityError(
                 "coefficient set admits fewer than two decode subsets;"
                 " cannot verify"
             )
+        if all(plan == plans[0] for plan in plans[1:]):
+            self._shared_plan = plans[0]
         return plans
 
     # ------------------------------------------------------------------
@@ -124,8 +134,11 @@ class IntegrityVerifier:
         the primary decode as ``decoded``.  A stack returns one report per
         virtual batch, each from that batch's own slices.
         """
-        plans = self.verification_plans()
-        if any(plan != plans[0] for plan in plans[1:]):
+        plan = self._shared_plan
+        if plan is None:
+            self.verification_plans()  # fails closed; a shared plan is kept
+            plan = self._shared_plan
+        if plan is None:
             # A singular alternate candidate (probability ~ (K+M)/p per
             # set) sent some set to another plan: no subset is shared, so
             # each set is verified as its own one-slice stack.
@@ -134,7 +147,7 @@ class IntegrityVerifier:
                 for coeffs, outputs in zip(self._sets, gpu_outputs)
             ]
         outputs = np.asarray(gpu_outputs)
-        reports = self._verify_stack(outputs if self._stacked else outputs[None], plans[0])
+        reports = self._verify_stack(outputs if self._stacked else outputs[None], plan)
         return reports if self._stacked else reports[0]
 
     def _verify_stack(self, gpu_outputs: np.ndarray, plan) -> list[IntegrityReport]:
@@ -144,23 +157,23 @@ class IntegrityVerifier:
         # memory), so decodes can be held side by side and compared as
         # they are: exact integers compare as the elements they hold.
         gpu_outputs = as_float(gpu_outputs, "dec_outputs")
-        decoder = ForwardDecoder(self._sets)
-        decoded = {
-            subset: decoder.decode(gpu_outputs, subset=subset, return_noise_product=True)
-            for subset in plan
-        }
+        decoder = self._decoder
+        decoded = {}
+        for subset in plan:
+            decoded[subset] = decoder.decode(gpu_outputs, subset=subset, return_noise_product=True)
         primary = decoded[plan[0]]
-        honest = all(_agree(decoded[subset], primary) for subset in plan[1:])
-        reports = []
+        for subset in plan[1:]:
+            if not _agree(decoded[subset], primary):
+                break
+        else:
+            return [IntegrityReport(consistent=True, decoded=y) for y in primary[0]]
+        reports = []  # somewhere in the stack: find which virtual batches
         for v, coeffs in enumerate(self._sets):
-            if not honest:  # somewhere in the stack: find which virtual batches
-                mine = {subset: (y[v], wr[v]) for subset, (y, wr) in decoded.items()}
-                if not all(_agree(mine[subset], mine[plan[0]]) for subset in plan[1:]):
-                    reports.append(self._localise_mismatch(coeffs, gpu_outputs[v], mine))
-                    continue
-            reports.append(
-                IntegrityReport(consistent=True, decoded=primary[0][v])
-            )
+            mine = {subset: (y[v], wr[v]) for subset, (y, wr) in decoded.items()}
+            if not all(_agree(mine[subset], mine[plan[0]]) for subset in plan[1:]):
+                reports.append(self._localise_mismatch(coeffs, gpu_outputs[v], mine))
+            else:
+                reports.append(IntegrityReport(consistent=True, decoded=primary[0][v]))
         return reports
 
     def _localise_mismatch(

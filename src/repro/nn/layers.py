@@ -44,6 +44,12 @@ class Layer:
         """Fill ``self.grads`` and return the input gradient."""
         raise NotImplementedError
 
+    def backward_params(self, grad_out: np.ndarray, backend: LinearBackend) -> None:
+        """Fill ``self.grads`` only, for a network's first layer, whose input
+        gradient nothing reads; a layer that can skip computing it
+        overrides this."""
+        self.backward(grad_out, backend)
+
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         """Per-sample output shape for a per-sample input shape."""
         raise NotImplementedError
@@ -92,6 +98,14 @@ class Conv2D(Layer):
         )
 
     def backward(self, grad_out, backend):
+        self.backward_params(grad_out, backend)
+        return backend.conv2d_grad_x(
+            self.params["w"], grad_out, self._x.shape, self.stride, self.pad, key=self.name
+        )
+
+    def backward_params(self, grad_out, backend):
+        """Fill ``self.grads`` without the input gradient (a float GEMM and
+        a ``col2im`` on GPU 0)."""
         x = self._x
         if x is None:
             raise ConfigurationError(f"{self.name}: backward before training forward")
@@ -101,9 +115,6 @@ class Conv2D(Layer):
         )
         if "b" in self.params:
             self.grads["b"] = grad_out.sum(axis=(0, 2, 3))
-        return backend.conv2d_grad_x(
-            self.params["w"], grad_out, x.shape, self.stride, self.pad, key=self.name
-        )
 
     def output_shape(self, input_shape):
         c, h, w = input_shape
@@ -199,13 +210,17 @@ class Dense(Layer):
         return backend.dense_forward(x, self.params["w"], self.params.get("b"), key=self.name)
 
     def backward(self, grad_out, backend):
+        self.backward_params(grad_out, backend)
+        return backend.dense_grad_x(self.params["w"], grad_out, key=self.name)
+
+    def backward_params(self, grad_out, backend):
+        """Fill ``self.grads`` only (see :meth:`Conv2D.backward_params`)."""
         x = self._x
         if x is None:
             raise ConfigurationError(f"{self.name}: backward before training forward")
         self.grads["w"] = backend.dense_grad_w(x, grad_out, key=self.name)
         if "b" in self.params:
             self.grads["b"] = grad_out.sum(axis=0)
-        return backend.dense_grad_x(self.params["w"], grad_out, key=self.name)
 
     def output_shape(self, input_shape):
         if len(input_shape) != 1:

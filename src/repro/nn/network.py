@@ -234,13 +234,19 @@ class Sequential:
                     values.pop(dep, None)
         return values[plan[-1].index]
 
-    def backward(self, grad_out: np.ndarray, backend: LinearBackend | None = None):
-        """Back-propagate, filling every layer's ``grads``."""
+    def backward(self, grad_out: np.ndarray, backend: LinearBackend | None = None) -> None:
+        """Back-propagate, filling every layer's ``grads``.
+
+        Nothing reads the gradient of the network's input, so the first
+        layer stops at its parameter gradients
+        (:meth:`~repro.nn.layers.Layer.backward_params`).
+        """
         backend = backend or PlainBackend()
         grad = grad_out
-        for layer in reversed(self.layers):
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad, backend)
-        return grad
+        first.backward_params(grad, backend)
 
     def predict(self, x: np.ndarray, backend: LinearBackend | None = None) -> np.ndarray:
         """Inference-mode forward (no caches, BN uses running stats)."""

@@ -8,6 +8,8 @@ scheduler can hold, reorder, and overlap them:
   time, SLO deadline and any sealed hand-off bytes;
 * :class:`StagedLinearOp` — one linear layer prepared for offload (weights
   quantized and broadcast, kernel chosen);
+* :class:`PreparedStep` — what a layer step derives from its coefficient
+  stack (encoder, verifier or decoder, device line-up, launch), built once;
 * :class:`EncodeTicket` — one virtual batch masked and scattered, waiting
   to be dispatched;
 * :class:`GpuFuture` — a stack of tickets' shares in flight on the cluster;
@@ -34,7 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.masking import CoefficientSet
+from repro.gpu import ShareLaunch
+from repro.masking import CoefficientSet, ForwardDecoder, ForwardEncoder, IntegrityVerifier
 from repro.quantization import Normalization
 
 
@@ -55,6 +58,39 @@ class WindowItem:
     release: float
     deadline: float = math.inf
     transfer_bytes: int = 0
+
+
+@dataclass(slots=True)
+class PreparedStep:
+    """What a layer step derives from its coefficient stack, built once.
+
+    The masking objects over the step's ``V`` sets — the encoder with its
+    ``Aᵀ`` operand stack, and the verifier (integrity on, its plan checked
+    once) or the decoder, each keeping the decode operand stacks of the
+    subsets it decodes — and the device line-up the launch runs on.  A
+    served layer keeps one on its :class:`StagedLinearOp` for the
+    deployment's cached set, so a window pays only for its own numbers:
+    normalize and quantize, the noise draw, the encode GEMM, the launch,
+    the plan's decodes and their compare, the dequantize.  A training step
+    builds one for its fresh sets, which its tickets carry until
+    ``end_batch`` drops them.  Nothing here views a thread's workspace.
+    """
+
+    sets: tuple[CoefficientSet, ...]
+    encoder: ForwardEncoder
+    #: ``IntegrityVerifier`` with integrity on, else ``ForwardDecoder``.
+    check: IntegrityVerifier | ForwardDecoder
+    lineup: range  #: Device ``j`` takes share ``j``.
+    #: The layer's launch, validated once on the first dispatch; each
+    #: later dispatch only names its share keys on it.
+    launch: ShareLaunch | None = None
+
+    @classmethod
+    def build(cls, sets, rng, integrity: bool) -> "PreparedStep":
+        """Prepare the masking of one stack of ``sets`` under ``rng``."""
+        sets = tuple(sets)
+        check = IntegrityVerifier(sets) if integrity else ForwardDecoder(sets)
+        return cls(sets, ForwardEncoder(sets, rng), check, range(sets[0].n_shares))
 
 
 @dataclass
@@ -87,6 +123,9 @@ class StagedLinearOp:
     #: re-broadcast counts); 0 when precompute mode left it resident on the
     #: devices.  Prices weight staging; the executor zeroes it once priced.
     staged_bytes: int = 0
+    #: The served layer's step over the deployment's cached coefficient
+    #: set, kept with the op (so a re-staged layer builds a new one).
+    prepared: PreparedStep | None = None
 
     def apply_bias(self, y: np.ndarray) -> np.ndarray:
         """Add the (public) bias after decode, matching the sync path."""
@@ -109,6 +148,7 @@ class EncodeTicket:
     n_real: int  #: Leading rows that are real (the rest is padding).
     x_norm: Normalization
     encode_bytes: int  #: Bytes of masked shares produced (prices the encode).
+    prepared: PreparedStep  #: The step its stack was encoded by.
     #: Noise bytes drawn inline (pool miss or precompute off); priced on the
     #: encode when the cost model sets ``maskgen_bandwidth``.
     inline_noise_bytes: int = 0

@@ -74,7 +74,7 @@ class DynamicNormalizer:
 
     def normalize_rows(
         self, values: np.ndarray, lead: int = 1
-    ) -> tuple[np.ndarray, float | np.ndarray | None]:
+    ) -> tuple[np.ndarray, float | np.ndarray | None, float | None]:
         """Per-sample variant: one independent factor per leading row.
 
         Each row (sample slot) is scaled by *its own* max-abs, so a sample's
@@ -92,27 +92,38 @@ class DynamicNormalizer:
         with ``lead=1`` (each slice exactly as :meth:`normalize` would
         treat it alone) and per sample slot with ``lead=2``.
 
-        Returns the scaled values and the raw factors, not a
-        :class:`Normalization`: the factors keep the ``lead`` axes and
-        broadcast over the rest, so a caller builds one record per slice it
-        hands out.  ``None`` means no row needed scaling; a scalar is the
+        Returns the scaled values, the raw factors — not a
+        :class:`Normalization`: they keep the ``lead`` axes and broadcast
+        over the rest, so a caller builds one record per slice it hands
+        out; ``None`` means no row needed scaling, a scalar is the
         whole-tensor rule's factor, applied when the rows have no feature
-        axes.
+        axes — and ``bound``, the scaled values' largest magnitude as far
+        as the max-abs pass knows it: at most ``1.0``, NaN when a row holds
+        NaN, ``None`` from the whole-tensor rule.  It is the range the
+        quantizer may take on trust (:meth:`QuantizationConfig.quantize`'s
+        ``bound``), so each value's range is read once.
         """
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim <= lead or arr.size == 0:
             # A sample with no feature axes has no meaningful per-row
             # factor shape; fall back to the scalar whole-tensor rule.
             scaled, norm = self.normalize(arr)
-            return scaled, None if norm is IDENTITY else norm.factor
-        axes = tuple(range(lead, arr.ndim))
-        # fmax, not maximum: a NaN row keeps the factor 1.0 it has always
-        # had here, and the quantizer then refuses it by name; an infinite
-        # row is refused here.
-        factors = np.fmax(np.abs(arr).max(axis=axes, keepdims=True), 1.0)
-        top = factors.max()
-        if top == 1.0:
-            return arr, None
-        if top == np.inf:  # refused before ``inf / inf`` could warn
-            raise QuantizationError(f"a row {_NON_FINITE}")
-        return arr / factors, factors
+            return scaled, None if norm is IDENTITY else norm.factor, None
+        mags = np.abs(arr)
+        # maximum, not fmax: a NaN reaches ``top`` and so the bound, and the
+        # quantizer then refuses the row by name.
+        factors = np.maximum.reduce(mags, axis=tuple(range(lead, arr.ndim)), keepdims=True)
+        top = float(np.maximum.reduce(factors, axis=None))
+        if top <= 1.0:
+            return arr, None, top
+        if top == np.inf or (top != top and np.isinf(factors).any()):
+            raise QuantizationError(f"a row {_NON_FINITE}")  # before ``inf / inf`` warns
+        bound = 1.0
+        if top != top:  # a NaN row keeps factor 1.0; the quantizer refuses it
+            np.fmax(factors, 1.0, out=factors)
+            if np.maximum.reduce(factors, axis=None) == 1.0:
+                return arr, None, top
+            bound = top
+        else:
+            np.maximum(factors, 1.0, out=factors)
+        return np.divide(arr, factors, out=mags), factors, bound

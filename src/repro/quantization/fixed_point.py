@@ -78,12 +78,12 @@ class QuantizationConfig:
                 f" a field with p = {self.field.p}"
             )
 
-    @property
+    @cached_property
     def scale(self) -> int:
         """``2**l`` — the scale of quantized inputs and weights."""
         return 2**self.fractional_bits
 
-    @property
+    @cached_property
     def product_scale(self) -> int:
         """``2**(2l)`` — the scale of one bilinear product (and of biases)."""
         return 2 ** (2 * self.fractional_bits)
@@ -91,7 +91,7 @@ class QuantizationConfig:
     @cached_property
     def resolution(self) -> float:
         """Smallest representable increment, ``2**-l`` (every dequantize
-        scales by it twice, so it is computed once)."""
+        scales by it twice, so it is computed once, as the scales are)."""
         return 1.0 / self.scale
 
     # ------------------------------------------------------------------
@@ -110,13 +110,13 @@ class QuantizationConfig:
         cast — an int64 cast of NaN, ``inf`` or ``1e30`` is ``-2**63``,
         which would saturate to the *negative* boundary.  Non-finite
         input (``values``, looked at only once the check has failed) is
-        refused in either mode.  The reductions are the ndarray's
-        own methods: ``np.max``/``np.min`` are Python wrappers that double
+        refused in either mode.  The reductions are the ufuncs' own:
+        ``np.max`` and even ``ndarray.max`` are Python wrappers that double
         the cost of each on the small tensors a request carries.
         """
         limit = self.field.half
-        hi = float(scaled.max(initial=0.0))
-        lo = float(scaled.min(initial=0.0))
+        hi = float(np.maximum.reduce(scaled, axis=None, initial=0.0))
+        lo = float(np.minimum.reduce(scaled, axis=None, initial=0.0))
         if hi <= limit and -lo <= limit:
             return lo
         if not np.isfinite(values).all():
@@ -131,7 +131,12 @@ class QuantizationConfig:
         )
 
     def quantize(
-        self, values: np.ndarray, *, bias: bool = False, out: np.ndarray | None = None
+        self,
+        values: np.ndarray,
+        *,
+        bias: bool = False,
+        out: np.ndarray | None = None,
+        bound: float | None = None,
     ) -> np.ndarray:
         """Floats -> canonical field elements at input scale (or bias scale).
 
@@ -140,9 +145,15 @@ class QuantizationConfig:
         lift (``+ p`` where negative, skipped when the check saw no
         negative value) — and one int64 cast at the end.
         The lift is bit-identical to a reduction mod ``p``
-        (:meth:`~repro.fieldmath.PrimeField.element`) because
-        :meth:`_check_range` has already bounded every value to
-        ``[-p/2, p/2]``.
+        (:meth:`~repro.fieldmath.PrimeField.element`) because every value
+        is bounded to ``[-p/2, p/2]`` by then.
+
+        ``bound``, a largest magnitude of ``values`` their producer already
+        read (the normaliser's max-abs,
+        :meth:`~repro.quantization.DynamicNormalizer.normalize_rows`), takes
+        the place of the range check when it proves every scaled value in
+        range; the lift then runs unconditionally.  ``None`` or NaN proves
+        nothing and the check runs, refusing NaN and ``inf`` by name.
 
         ``out``, a float64 array of ``values``' shape, is that buffer, and
         the elements stay in it uncast, as float64 exact integers (every
@@ -156,7 +167,9 @@ class QuantizationConfig:
         scaled = np.multiply(values, scale, out=out)
         scaled += 0.5
         np.floor(scaled, out=scaled)
-        if self._check_range(scaled, values, "bias" if bias else "input") < 0:
+        # floor(v * scale + 0.5) lies within bound * scale + 1 of zero.
+        trusted = bound is not None and bound * scale + 1.0 <= self.field.half
+        if trusted or self._check_range(scaled, values, "bias" if bias else "input") < 0:
             scaled += _signs_lift(scaled < 0, self.field.p)
         return scaled if out is not None else scaled.astype(np.int64)
 

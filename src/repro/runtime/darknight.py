@@ -58,14 +58,12 @@ from repro.gpu import GpuCluster, ShareLaunch
 from repro.masking import (
     BackwardDecoder,
     CoefficientSet,
-    ForwardDecoder,
-    ForwardEncoder,
     IntegrityVerifier,
     iter_virtual_batches,
 )
 from repro.masking.forward import source_block, stack_arrays
 from repro.masking.virtual_batch import VirtualBatch
-from repro.pipeline.stages import EncodeTicket, GpuFuture, StagedLinearOp
+from repro.pipeline.stages import EncodeTicket, GpuFuture, PreparedStep, StagedLinearOp
 from repro.precompute import MaskStreamPool
 from repro.quantization import IDENTITY, DynamicNormalizer, Normalization, QuantizationConfig
 from repro.runtime.config import DarKnightConfig
@@ -92,7 +90,7 @@ class _StagedWeights:
             (op.kind, op.stride, op.pad) == (kind, stride, pad)
             and self.w is w
             and self.snapshot.shape == w.shape
-            and bool((self.snapshot == w).all())
+            and not np.count_nonzero(self.snapshot != w)
         )
 
 
@@ -192,9 +190,11 @@ class DarKnightBackend:
 
     def _normalize_stack(
         self, normalizer: DynamicNormalizer | None, stack: np.ndarray, lead: int = 1
-    ) -> tuple[np.ndarray, list[Normalization]]:
+    ) -> tuple[np.ndarray, list[Normalization], float | None]:
         """Normalise a ``(V, K, ...)`` stack before quantization; returns the
-        scaled stack and each virtual batch's own :class:`Normalization`.
+        scaled stack, each virtual batch's own :class:`Normalization` and
+        the normaliser's bound on the scaled values (``None``: no bound),
+        which the quantizer takes instead of a range check of its own.
 
         ``lead=1`` gives every virtual batch its scalar max-abs factor;
         ``lead=2`` (the serving mode) gives every sample slot
@@ -204,15 +204,15 @@ class DarKnightBackend:
         """
         n_batches = stack.shape[0]
         if normalizer is None:
-            return np.asarray(stack, dtype=np.float64), [IDENTITY] * n_batches
-        scaled, factors = normalizer.normalize_rows(stack, lead=lead)
+            return np.asarray(stack, dtype=np.float64), [IDENTITY] * n_batches, None
+        scaled, factors, bound = normalizer.normalize_rows(stack, lead=lead)
         if factors is None:
-            return scaled, [IDENTITY] * n_batches
+            return scaled, [IDENTITY] * n_batches, bound
         if not isinstance(factors, np.ndarray):  # featureless rows: one scalar for all
-            return scaled, [Normalization(factors)] * n_batches
+            return scaled, [Normalization(factors)] * n_batches, bound
         if lead == 1:
-            return scaled, [Normalization(float(f)) for f in factors.ravel()]
-        return scaled, [Normalization(f) for f in factors]
+            return scaled, [Normalization(float(f)) for f in factors.ravel()], bound
+        return scaled, [Normalization(f) for f in factors], bound
 
     def _generate_coefficients(self, **stack):
         """``CoefficientSet.generate`` under this session's (K, M, extra, mds)."""
@@ -226,22 +226,24 @@ class DarKnightBackend:
             **stack,
         )
 
-    def _coefficient_stack(
-        self, n_batches: int, noise_shape: tuple[int, ...] | None
-    ) -> tuple[Sequence[CoefficientSet], np.ndarray | None]:
-        """One coefficient set per virtual batch of a layer step.
+    def _prepared_step(
+        self, op: StagedLinearOp, n_batches: int, noise_shape: tuple[int, ...] | None
+    ) -> tuple[PreparedStep, np.ndarray | None]:
+        """The prepared masking of a layer step's ``n_batches`` virtual batches.
 
         Fresh coefficients come from one stacked ``generate``: the step's
         sets — and, when ``noise_shape`` is given, their ``(V, M, ...)``
         noise — from four block draws and one elimination, whatever ``V``
-        is.  In the serving mode the one cached set serves every virtual
-        batch and no noise comes back (the encoder draws its own, per virtual batch).
+        is, and a step prepared for them alone.  In the serving mode the
+        one cached set serves every virtual batch and no noise comes back
+        (the encoder draws its own, per virtual batch); the step prepared
+        for it is kept on ``op`` for as long as the op is handed out.
         """
         if not self.serving:
             drawn = self._generate_coefficients(count=n_batches, noise_shape=noise_shape)
             sets, noise = (drawn, None) if noise_shape is None else drawn
             self.enclave.record_compute("generate_coefficients", sets[0].a.nbytes, n_batches)
-            return sets, noise
+            return PreparedStep.build(sets, self.enclave.rng, self.config.integrity), noise
         # Coefficient shapes depend only on the (frozen) config's
         # (K, M, extra, mds) — the batch's feature shape never enters
         # because A/B/Gamma weight whole sample slots — so one cached set
@@ -255,7 +257,12 @@ class DarKnightBackend:
             n_reused -= 1
         if n_reused:
             self.enclave.record_compute("reuse_coefficients", 0, n_reused)
-        return [self._cached_coefficients] * n_batches, None
+        step = op.prepared
+        if step is None or len(step.sets) != n_batches:
+            step = op.prepared = PreparedStep.build(
+                [self._cached_coefficients] * n_batches, self.enclave.rng, self.config.integrity
+            )
+        return step, None
 
     def _scatter(self, share_keys: Sequence[str], shares: np.ndarray) -> None:
         """Send a stack's ``(V, S, ...)`` shares out: share ``(v, j)`` to
@@ -264,32 +271,46 @@ class DarKnightBackend:
         for share_key, batch_shares in zip(share_keys, shares):
             self.cluster.scatter_shares(share_key, batch_shares)
         n_batches, n_shares = shares.shape[:2]
-        self.link.transfer_many(n_batches * n_shares, int(shares[0, 0].nbytes))
-        self.enclave.ocall("scatter_shares", int(shares[0].nbytes), n_batches)
+        batch_bytes = shares.nbytes // n_batches
+        self.link.transfer_many(n_batches * n_shares, batch_bytes // n_shares)
+        self.enclave.ocall("scatter_shares", batch_bytes, n_batches)
 
     def _gather(self, outputs: np.ndarray) -> None:
         """Take a stack's ``(V, S, ...)`` device outputs in: one message per
         device and virtual batch, one enclave entry per virtual batch."""
         n_batches, n_shares = outputs.shape[:2]
-        self.link.transfer_many(n_batches * n_shares, int(outputs[0, 0].nbytes))
-        self.enclave.ecall("gather_outputs", int(outputs[0].nbytes), n_batches)
+        batch_bytes = outputs.nbytes // n_batches
+        self.link.transfer_many(n_batches * n_shares, batch_bytes // n_shares)
+        self.enclave.ecall("gather_outputs", batch_bytes, n_batches)
 
     def _verified_decode(
         self, tickets: Sequence[EncodeTicket], outputs: np.ndarray
     ) -> np.ndarray:
-        """Unmask the ``(V, S, ...)`` ``outputs`` of a stack; with integrity
-        on, the verifier's own primary decode is the result (no further
-        decode of checked outputs) and a failure names its virtual batch."""
-        sets = [ticket.coefficients for ticket in tickets]
+        """Unmask the ``(V, S, ...)`` ``outputs`` of a stack with the step
+        that encoded it; with integrity on, the verifier's own primary
+        decode is the result (no further decode of checked outputs) and a
+        failure names its virtual batch."""
+        step = tickets[0].prepared
+        if len(step.sets) != len(tickets) or any(
+            ticket.coefficients is not coeffs for ticket, coeffs in zip(tickets, step.sets)
+        ):
+            # Not the stack one encode made, in its order (part of it, or
+            # tickets of several encodes): a step for these tickets' sets.
+            step = PreparedStep.build(
+                [ticket.coefficients for ticket in tickets],
+                self.enclave.rng, self.config.integrity,
+            )
         if not self.config.integrity:
-            return ForwardDecoder(sets).decode(outputs)
-        reports = IntegrityVerifier(sets).verify_forward(outputs)
+            return step.check.decode(outputs)
+        reports = step.check.verify_forward(outputs)
         for ticket, report in zip(tickets, reports):
             if not report.consistent:
                 report.raise_on_failure(
                     f"layer {ticket.op.key!r}, virtual batch {ticket.vb_index}"
                 )
-        self.enclave.record_compute("integrity_check", int(outputs[0].nbytes), len(tickets))
+        self.enclave.record_compute(
+            "integrity_check", outputs.nbytes // len(tickets), len(tickets)
+        )
         return stack_arrays([report.decoded for report in reports])
 
     # ------------------------------------------------------------------
@@ -402,7 +423,8 @@ class DarKnightBackend:
         """
         cfg = self.config
         k, m = cfg.virtual_batch_size, cfg.collusion_tolerance
-        data, x_norms = self._normalize_stack(
+        n_batches = len(vbs)
+        data, x_norms, bound = self._normalize_stack(
             self._normalizer,
             stack_arrays([batch.data for batch in vbs]),
             lead=2 if self.serving else 1,
@@ -410,19 +432,21 @@ class DarKnightBackend:
         feature_shape = data.shape[2:]
         # The step's values stay float64 until they become shares: the
         # inputs are quantized straight into the encode GEMM's source rows
-        # (range-checked before anything is drawn or scattered), and the
-        # encoder writes the noise rows beside them.
-        sources = source_block(len(vbs), k + m, feature_shape)
-        x_q = self.quantizer.quantize(data, out=sources[:, :k])
-        batch_bytes = int(x_q[0].nbytes)
-        self.enclave.record_compute("quantize_inputs", batch_bytes, len(vbs))
-        sets, noise = self._coefficient_stack(
-            len(vbs), feature_shape if self._mask_pool is None else None
+        # (range-checked — by the normaliser's bound or the quantizer —
+        # before anything is drawn or scattered, so the encoder need not
+        # check them again), and the encoder writes the noise rows beside
+        # them.
+        sources = source_block(n_batches, k + m, feature_shape)
+        x_q = self.quantizer.quantize(data, out=sources[:, :k], bound=bound)
+        batch_bytes = x_q.nbytes // n_batches
+        self.enclave.record_compute("quantize_inputs", batch_bytes, n_batches)
+        step, noise = self._prepared_step(
+            op, n_batches, feature_shape if self._mask_pool is None else None
         )
-        inline_noise_bytes = [m * (batch_bytes // k)] * len(vbs)
+        inline_noise_bytes = [m * (batch_bytes // k)] * n_batches
         if self._mask_pool is not None:
             pooled_noise = []
-            for v in range(len(vbs)):
+            for v in range(n_batches):
                 tensor, pooled = self._mask_pool.draw(feature_shape, k, m)
                 if pooled:
                     self.enclave.record_compute("mask_pool_hit", int(tensor.nbytes))
@@ -431,21 +455,22 @@ class DarKnightBackend:
                     self.enclave.record_compute("mask_inline", int(tensor.nbytes))
                 pooled_noise.append(tensor)
             noise = stack_arrays(pooled_noise)
-        shares = ForwardEncoder(sets, self.enclave.rng).encode(sources, noise=noise).shares
-        share_bytes = int(shares[0].nbytes)
-        self.enclave.record_compute("encode_forward", share_bytes, len(vbs))
+        shares = step.encoder.encode(sources, noise=noise, canonical=True).shares
+        share_bytes = shares.nbytes // n_batches
+        self.enclave.record_compute("encode_forward", share_bytes, n_batches)
         share_keys = [f"{op.key}/step{self._step}/vb{index}" for index in vb_indices]
         self._scatter(share_keys, shares)
         tickets = [
             EncodeTicket(
                 op=op,
                 share_key=share_key,
-                coefficients=sets[v],
+                coefficients=step.sets[v],
                 vb_index=index,
                 indices=batch.indices,
                 n_real=batch.n_real,
                 x_norm=x_norms[v],
                 encode_bytes=share_bytes,
+                prepared=step,
                 inline_noise_bytes=inline_noise_bytes[v],
             )
             for v, (batch, index, share_key) in enumerate(zip(vbs, vb_indices, share_keys))
@@ -464,17 +489,16 @@ class DarKnightBackend:
         the future carries the real per-share MAC count so a scheduler can
         price when the result *would* be ready on the simulated clock.
         """
-        op = tickets[0].op
-        launch = ShareLaunch(
-            op.kind,
-            tuple(t.share_key for t in tickets),
-            weight_name=op.key,
-            stride=op.stride,
-            pad=op.pad,
-        )
-        outputs, macs_per_share = self.cluster.map_shares(
-            launch, range(tickets[0].coefficients.n_shares)
-        )
+        op, step = tickets[0].op, tickets[0].prepared
+        keys = tuple([ticket.share_key for ticket in tickets])
+        launch = step.launch
+        if launch is None:
+            launch = step.launch = ShareLaunch(
+                op.kind, keys, weight_name=op.key, stride=op.stride, pad=op.pad
+            )
+        else:
+            launch.share_key = keys
+        outputs, macs_per_share = self.cluster.map_shares(launch, step.lineup)
         return GpuFuture(
             tickets=tickets,
             outputs=outputs,
@@ -493,7 +517,9 @@ class DarKnightBackend:
         tickets = future.tickets
         self._gather(future.outputs)
         decoded = self._verified_decode(tickets, future.outputs)
-        self.enclave.record_compute("decode_forward", int(decoded[0].nbytes), len(tickets))
+        self.enclave.record_compute(
+            "decode_forward", decoded.nbytes // len(tickets), len(tickets)
+        )
         y = self.quantizer.dequantize_product(decoded, out=decoded)
         for batch_y, ticket in zip(y, tickets):
             batch_y *= ticket.x_norm.factor * ticket.op.w_norm.factor
@@ -569,8 +595,8 @@ class DarKnightBackend:
         )
         for batch_rows, ticket in zip(rows, tickets):
             batch_rows[: len(ticket.indices)] = delta[list(ticket.indices)]
-        d_scaled, d_norms = self._normalize_stack(self._grad_normalizer, rows)
-        d_q = self.quantizer.quantize(d_scaled)
+        d_scaled, d_norms, bound = self._normalize_stack(self._grad_normalizer, rows)
+        d_q = self.quantizer.quantize(d_scaled, bound=bound)
         # Quantized deltas and the public B rows ship to every GPU; the
         # combination Σ_i B[j,i]·δ(i) is GPU-side work (Section 4.2:
         # "δ(i)s are multiplied with the β_{j,i} in the GPUs").  With

@@ -139,7 +139,7 @@ FEATURES = {"dense": (6,), "conv": (2, 3, 3)}
 def test_quantizing_into_float64_rows_is_the_int64_quantizer(saturate, lead, bias, reach, data):
     q = QuantizationConfig(saturate=saturate)
     values = _rows(data, (3, 2), 4).reshape(2, 2, 3, 2) * reach
-    scaled, factors = DynamicNormalizer().normalize_rows(values, lead=lead)
+    scaled, factors, _ = DynamicNormalizer().normalize_rows(values, lead=lead)
     want_scaled, want_factors = _int64_normalize_rows(values, lead)
     assert np.array_equal(scaled, want_scaled)
     assert (factors is None) == (want_factors is None)
@@ -190,7 +190,7 @@ def test_float64_masking_is_the_int64_chain(k, m, extra, kind, n_sets, stacked, 
         sets = sets[:1]
     shape = FEATURES[kind]
     values = _rows(data, shape, len(sets) * k).reshape((len(sets), k) + shape)
-    scaled, _ = DynamicNormalizer().normalize_rows(values, lead=lead)
+    scaled, _, _ = DynamicNormalizer().normalize_rows(values, lead=lead)
 
     # Encode: quantize into the source block, the encoder draws the noise.
     sources = source_block(len(sets), k + m, shape)
@@ -270,7 +270,9 @@ def test_a_staged_step_is_the_int64_chain(k, m, integrity, kind, serving, seed, 
     stack = np.stack([vb.data for vb in vbs])
     scaled, factors = _int64_normalize_rows(stack, lead)
     x_q = _int64_quantize(q, scaled)
-    sets, noise = twin._coefficient_stack(n, None if serving else shape)
+    twin_op, _ = _staged(twin, kind, np.random.default_rng(seed))
+    step, noise = twin._prepared_step(twin_op, n, None if serving else shape)
+    sets = step.sets
     if noise is None:
         noise = np.stack([twin.enclave.rng.uniform((m,) + shape) for _ in sets])
     want_shares = _int64_shares(field, sets, x_q, noise)

@@ -92,7 +92,7 @@ def test_device_conv_forward_records_ops(field, frng):
     """A one-device line-up is the ``S = 1`` case of the launch."""
     cluster = GpuCluster(field, 2)
     gpu = cluster[0]
-    gpu.load_weights("w", frng.uniform((4, 3, 3, 3)))
+    gpu.weights["w"] = frng.uniform((4, 3, 3, 3))
     gpu.receive_share("s", frng.uniform((3, 8, 8)))
     out, macs = cluster.map_shares(
         ShareLaunch("conv2d", "s", weight_name="w", stride=1, pad=1), [0]
@@ -253,12 +253,12 @@ def test_cluster_refuses_a_lineup_with_mismatched_weights(field, frng):
     cluster.scatter_shares("s", frng.uniform((3, 6)))
     stale = w.copy()
     stale[0, 0] = field.add(stale[0, 0], 1)
-    cluster[2].load_weights("w", stale)
+    cluster[2].weights["w"] = stale
     launch = ShareLaunch("dense", "s", weight_name="w")
     with pytest.raises(GpuError, match="different weights"):
         cluster.map_shares(launch, range(3))
     cluster.map_shares(launch, range(2))  # the agreeing devices still run
-    cluster[2].load_weights("w", w.copy())  # equal values, another array: fine
+    cluster[2].weights["w"] = w.copy()  # equal values, another array: fine
     cluster.map_shares(launch, range(3))
 
 
@@ -793,20 +793,21 @@ def test_each_cluster_owns_its_backend_and_never_enters_the_enclaves(field, frng
 # ----------------------------------------------------------------------
 def test_a_device_serialises_its_reservations(field):
     gpu = SimulatedGpu(0, field)
-    assert gpu.reserve(not_before=1.0, duration=2.0) == (1.0, 3.0)
+    reserve = SimulatedGpu.reserve_lineup
+    assert reserve([gpu], not_before=1.0, duration=2.0) == (1.0, 3.0)
     # Dispatched earlier than the device frees up: it waits for the device.
-    assert gpu.reserve(not_before=0.5, duration=1.0) == (3.0, 4.0)
+    assert reserve([gpu], not_before=0.5, duration=1.0) == (3.0, 4.0)
     # Dispatched after an idle gap: the gap is not busy time.
-    assert gpu.reserve(not_before=10.0, duration=0.5) == (10.0, 10.5)
+    assert reserve([gpu], not_before=10.0, duration=0.5) == (10.0, 10.5)
     assert gpu.busy_time == pytest.approx(3.5)
     assert gpu.free_at == 10.5
     with pytest.raises(GpuError):
-        gpu.reserve(0.0, -1.0)
+        reserve([gpu], 0.0, -1.0)
 
 
 def test_reserve_shares_waits_for_the_last_share(field):
     cluster = GpuCluster(field, 3)
-    cluster[2].reserve(0.0, 5.0)  # device 2 still busy with an earlier batch
+    SimulatedGpu.reserve_lineup([cluster[2]], 0.0, 5.0)  # still busy with an earlier batch
     assert cluster.reserve_shares(3, duration=1.0, not_before=1.0) == (1.0, 6.0)
     # Devices beyond the lineup are untouched.
     assert cluster.reserve_shares(2, duration=1.0) == (2.0, 3.0)

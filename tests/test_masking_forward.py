@@ -128,3 +128,24 @@ def test_a_one_slice_stack_is_a_view_not_a_copy(frng):
     ints, floats = stack_operands([(a, a + 0.0), (a + 1, a + 1.0)])
     assert ints.shape == floats.shape == (2, 2, 3)
     assert np.array_equal(ints[1], a + 1) and np.array_equal(floats[1], a + 1.0)
+
+
+def test_a_named_decode_leaves_a_mixed_stack_without_a_primary(frng):
+    """Sets with different primary subsets decode only under a named one,
+    before a named decode of either primary and after it."""
+    from dataclasses import replace
+
+    first = CoefficientSet.generate(frng, k=2, m=1, extra_shares=1)
+    drawn = CoefficientSet.generate(frng, k=2, m=1, extra_shares=1)
+    other = next(s for s in drawn.iter_decoding_subsets() if s != drawn.primary_subset)
+    second = replace(drawn, primary_subset=other)
+    decoder = ForwardDecoder([first, second])
+    outputs = frng.uniform((2, first.n_shares, 5))
+    with pytest.raises(DecodingError, match="different primary subsets"):
+        decoder.decode(outputs)
+    for subset in (first.primary_subset, other):
+        named = decoder.decode(outputs, subset=subset)
+        for v, coeffs in enumerate((first, second)):
+            assert np.array_equal(named[v], ForwardDecoder(coeffs).decode(outputs[v], subset=subset))
+        with pytest.raises(DecodingError, match="different primary subsets"):
+            decoder.decode(outputs)

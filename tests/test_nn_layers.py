@@ -45,9 +45,11 @@ def _check_param_grads(layer, x, samples=3, seed=0):
             assert grad[idx] == pytest.approx(num, rel=1e-4, abs=1e-7), (name, idx)
 
 
-def _check_input_grad(layer, x, samples=3, seed=1):
+def _check_input_grad(layer, x, samples=3, seed=1, backward=None):
+    """``backward``: what returns the input gradient, ``layer.backward`` by
+    default (a network's own stops at its first layer's parameters)."""
     out = layer.forward(x, BACKEND, training=True)
-    grad_in = layer.backward(out.copy(), BACKEND)
+    grad_in = (backward or layer.backward)(out.copy(), BACKEND)
     rng = np.random.default_rng(seed)
     eps = 1e-6
     for flat in rng.choice(x.size, size=min(samples, x.size), replace=False):
@@ -151,7 +153,7 @@ def test_residual_block_grads(nprng, x_img):
     block = ResidualBlock(
         body=[Conv2D(2, 2, 3, 1, 1, rng=nprng), BatchNorm2D(2)]
     )
-    _check_input_grad(Sequential([block], (2, 6, 6)), x_img)
+    _check_input_grad(Sequential([block], (2, 6, 6)), x_img, backward=block.backward)
 
 
 def test_residual_block_with_projection(nprng, x_img):
@@ -162,7 +164,25 @@ def test_residual_block_with_projection(nprng, x_img):
     net = Sequential([block], (2, 6, 6))
     assert net.forward(x_img, BACKEND).shape == (3, 4, 6, 6)
     assert block.output_shape((2, 6, 6)) == (4, 6, 6)
-    _check_input_grad(net, x_img)
+    _check_input_grad(net, x_img, backward=block.backward)
+
+
+def test_a_network_fills_its_first_layers_grads_without_an_input_gradient(nprng, x_img):
+    """``Sequential.backward`` returns nothing; its first layer fills the
+    parameter gradients its own ``backward`` fills, whether it skips its
+    input gradient (``Conv2D``) or backs through ``backward`` (a residual
+    block, by the layer contract's default)."""
+    conv = Conv2D(2, 2, 3, 1, 1, rng=nprng)
+    block = ResidualBlock(body=[Conv2D(2, 2, 3, 1, 1, rng=nprng), BatchNorm2D(2)])
+    for first, layer in ((conv, conv), (block, block.body[0])):
+        net = Sequential([first, ReLU()], (2, 6, 6))
+        out = net.forward(x_img, BACKEND)
+        assert net.backward(out.copy(), BACKEND) is None
+        got = {name: grad.copy() for name, grad in layer.grads.items()}
+        first.backward(net.layers[1].backward(out.copy(), BACKEND), BACKEND)
+        assert got.keys() == layer.grads.keys()
+        for name, grad in got.items():
+            assert np.array_equal(layer.grads[name], grad)
 
 
 def test_residual_shape_mismatch_raises(nprng, x_img):

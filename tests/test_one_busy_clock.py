@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: The only files allowed ``<obj>.busy_time += ...``: the two clocks.
 ALLOWED = {
     "pipeline/timing.py",  # EnclaveTimeline.reserve
-    "gpu/device.py",  # SimulatedGpu.reserve
+    "gpu/device.py",  # SimulatedGpu.reserve_lineup
 }
 
 

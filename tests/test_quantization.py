@@ -202,7 +202,7 @@ def test_normalize_rows_scales_each_virtual_batch_as_normalize_would_alone():
     norm = DynamicNormalizer()
     rng = np.random.default_rng(0)
     stack = rng.normal(size=(3, 4, 5)) * np.array([0.1, 3.0, 7.0]).reshape(3, 1, 1)
-    scaled, factors = norm.normalize_rows(stack, lead=1)
+    scaled, factors, _ = norm.normalize_rows(stack, lead=1)
     assert factors.shape == (3, 1, 1)
     for v in range(3):
         alone, n = norm.normalize(stack[v])
@@ -216,11 +216,11 @@ def test_normalize_rows_per_sample_slot_ignores_its_neighbours():
     norm = DynamicNormalizer()
     rng = np.random.default_rng(1)
     stack = rng.normal(size=(2, 3, 6))
-    scaled, factors = norm.normalize_rows(stack, lead=2)
+    scaled, factors, _ = norm.normalize_rows(stack, lead=2)
     assert factors.shape == (2, 3, 1)
     loud = stack.copy()
     loud[0, 1] *= 100.0
-    loud_scaled, _ = norm.normalize_rows(loud, lead=2)
+    loud_scaled, _, _ = norm.normalize_rows(loud, lead=2)
     untouched = np.ones((2, 3), dtype=bool)
     untouched[0, 1] = False
     assert np.array_equal(loud_scaled[untouched], scaled[untouched])
@@ -230,11 +230,11 @@ def test_normalize_rows_per_sample_slot_ignores_its_neighbours():
 def test_normalize_rows_reports_none_when_nothing_needs_scaling():
     norm = DynamicNormalizer()
     small = np.full((2, 3), 0.5)
-    scaled, factors = norm.normalize_rows(small)
+    scaled, factors, _ = norm.normalize_rows(small)
     assert factors is None
     assert np.array_equal(scaled, small)
     # Rows without feature axes fall back to the whole-tensor rule.
-    scaled, factor = norm.normalize_rows(np.array([2.0, -4.0]))
+    scaled, factor, _ = norm.normalize_rows(np.array([2.0, -4.0]))
     assert factor == 4.0
     assert np.array_equal(scaled, [0.5, -1.0])
 
