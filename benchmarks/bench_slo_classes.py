@@ -17,9 +17,9 @@ Acceptance (asserted below):
   completions (no served request lost to the feature);
 * under backpressure, premium arrivals evict best-effort backlog —
   premium sheds zero while the shed/evicted split is reported;
-* an all-default SLO policy (at depth 1, and at depth 3 where the
-  executor ranks its budget-less jobs) is bit-identical to the SLO-free
-  server — the default path is untouched.
+* a budgeted premium class no tenant is assigned to (at depth 1, and at
+  depth 3 where the executor ranks each window's jobs) is bit-identical
+  to the default policy — classes act only through assignments.
 """
 
 import numpy as np
@@ -104,7 +104,7 @@ def test_premium_p99_meets_budget_under_mixed_load(benchmark, capsys, quick):
     trace = _mixed_trace(n_best, n_vip)
 
     def run_both():
-        slo_free = _server(slo=None, n_requests=n).serve_trace(trace)
+        slo_free = _server(slo=SloPolicy(), n_requests=n).serve_trace(trace)
         slo_on = _server(slo=_slo_policy(), n_requests=n).serve_trace(trace)
         return slo_free, slo_on
 
@@ -209,35 +209,22 @@ def test_eviction_shields_premium_from_backpressure(capsys, quick):
 
 
 def test_default_slo_and_deadline_ranker_are_bit_identical(quick):
-    """The default class is today's behavior: an all-default policy —
-    even with a deep pipeline ranking its (budget-less) windows — serves
-    bit-identical outcomes to the SLO-free server."""
+    """Classes act only through assignments: a budgeted, higher-priority
+    class no tenant is assigned to — at depth 1, and at depth 3 where the
+    executor ranks each window's jobs — serves bit-identical outcomes to
+    the default policy."""
     n = 48 if quick else 96
     trace = synthetic_trace(n, INPUT_SHAPE, n_tenants=4, seed=5)
-    baseline = _server(slo=None, n_requests=n).serve_trace(trace)
-    defaulted = _server(slo=SloPolicy(), n_requests=n).serve_trace(trace)
-    ranked = _server(
-        slo=SloPolicy(), n_requests=n, pipeline_depth=3
-    ).serve_trace(trace)
-    deep_baseline = _server(
-        slo=None, n_requests=n, pipeline_depth=3
-    ).serve_trace(trace)
+    unassigned = SloPolicy(classes=_slo_policy().classes)
 
-    def outcomes(report):
+    def outcomes(slo, depth):
+        report = _server(slo=slo, n_requests=n, pipeline_depth=depth).serve_trace(trace)
         return {o.request_id: o for o in report.completed}
 
-    a = outcomes(baseline)
-    for report in (defaulted,):
-        b = outcomes(report)
+    for depth in (1, 3):
+        a, b = outcomes(SloPolicy(), depth), outcomes(unassigned, depth)
         assert sorted(a) == sorted(b) == list(range(n))
         for rid in a:
             assert np.array_equal(a[rid].logits, b[rid].logits)
             assert a[rid].completion_time == b[rid].completion_time
             assert a[rid].batch_id == b[rid].batch_id
-    # Ranking budget-less jobs: identical values AND identical schedule
-    # to the SLO-free server at the same depth.
-    c, d = outcomes(deep_baseline), outcomes(ranked)
-    assert sorted(c) == sorted(d) == list(range(n))
-    for rid in c:
-        assert np.array_equal(c[rid].logits, d[rid].logits)
-        assert c[rid].completion_time == d[rid].completion_time

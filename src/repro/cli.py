@@ -252,7 +252,7 @@ def _serve(args) -> int:
         f" pipeline depth {dk.pipeline_depth},"
         f" {shard_desc})"
     )
-    if slo is not None:
+    if not slo.is_default:
         classes = ", ".join(
             f"{row['name']}"
             + (

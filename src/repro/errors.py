@@ -76,10 +76,6 @@ class ServingError(ReproError):
     """Failure inside the multi-tenant private-inference serving subsystem."""
 
 
-class BackpressureError(ServingError):
-    """The server's bounded request queue is full; the request was shed."""
-
-
 class AuditError(ReproError):
     """The verifiable serving audit trail detected tampering or misuse.
 

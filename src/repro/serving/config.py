@@ -130,15 +130,13 @@ class ServingConfig:
         virtual-batch size is the one fitted to the EPC budget at
         provisioning.
     slo:
-        Optional :class:`~repro.serving.slo.SloPolicy` threading
-        per-tenant service classes through the whole request path:
-        class-aware eviction at admission, minimum-remaining-budget
-        flush deadlines, deadline-carrying dispatch windows (the pipeline
-        executor runs the tightest-budget window first among equally
-        early stages), SLO-aware shard placement, and per-class latency
-        metrics.
-        ``None`` — or a policy whose every class is the default — keeps
-        the server bit-identical to previous releases.
+        The :class:`~repro.serving.slo.SloPolicy` threading per-tenant
+        service classes through the whole request path: class-aware
+        eviction at admission, minimum-remaining-budget flush deadlines,
+        deadline-carrying dispatch windows (the pipeline executor runs
+        the tightest-budget window first among equally early stages),
+        SLO-aware shard placement, and per-class latency metrics.  The
+        default is the default class alone: no budget, no eviction.
     audit:
         Optional :class:`~repro.audit.AuditConfig` enabling the
         verifiable serving audit trail: every flush window's requests,
@@ -189,11 +187,17 @@ class ServingConfig:
     stage_costs: StageCostModel | None = None
     code_identity: str = DEFAULT_CODE_IDENTITY
     adaptive: bool = False
-    slo: SloPolicy | None = None
+    slo: SloPolicy = field(default_factory=SloPolicy)
     audit: AuditConfig | None = None
     autoscale: AutoscaleConfig | None = None
     precompute: bool = False
     partition: str = "replicated"
+
+    def __post_init__(self) -> None:
+        if self.queue_capacity < 1:
+            raise ConfigurationError(
+                f"queue capacity must be >= 1, got {self.queue_capacity}"
+            )
 
     def to_dict(self) -> dict:
         """The whole tree as a strict-JSON-safe dict.

@@ -17,13 +17,13 @@ The one fact it keeps itself is each flushed batch's fill and trigger
 (:meth:`ServerMetrics.record_batch`): a flushed batch is not an outcome.
 All times are simulated-clock seconds.
 
-With an :class:`~repro.serving.slo.SloPolicy` attached, latency is also
-keyed by service class — per-class p50/p99 plus an SLO-attainment ratio
-(the fraction of completed requests that finished inside their class's
-budget).  The shed split is the outcome status: ``shed`` (refused at
-admission), ``evicted`` (a pending request evicted to admit a
-higher-priority arrival) or ``malformed``, so overload telemetry says who
-actually paid.
+Under an :class:`~repro.serving.slo.SloPolicy` other than the default
+one, latency is also keyed by service class — per-class p50/p99 plus an
+SLO-attainment ratio (the fraction of completed requests that finished
+inside their class's budget).  The shed split is the outcome status:
+``shed`` (refused at admission), ``evicted`` (a pending request evicted
+to admit a higher-priority arrival) or ``malformed``, so overload
+telemetry says who actually paid.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ class ServerMetrics:
     outcomes:
         The server's terminal-outcome list, shared by reference.
     slo:
-        Optional per-tenant class assignment; enables the per-class
-        latency breakdown and attainment ratio.  ``None`` reports the
-        classic aggregate numbers only.
+        The deployment's per-tenant class assignment.  The default policy
+        reports the aggregate numbers only; any other adds the per-class
+        latency breakdown and attainment ratio.
     audit:
         The deployment's :class:`~repro.audit.AuditTrail` (``None`` when
         auditing is off).
@@ -78,7 +78,7 @@ class ServerMetrics:
     def __init__(
         self,
         outcomes: list[RequestOutcome],
-        slo: SloPolicy | None = None,
+        slo: SloPolicy,
         audit=None,
         units: list | None = None,
     ) -> None:
@@ -191,8 +191,6 @@ class ServerMetrics:
 
     def class_latency_percentile(self, class_name: str, p: float) -> float:
         """``p``-th latency percentile for one service class (seconds)."""
-        if self.slo is None:
-            return float("nan")
         latencies = [o.latency for o in self._served(class_name)]
         return float(np.percentile(latencies, p)) if latencies else float("nan")
 
@@ -203,8 +201,6 @@ class ServerMetrics:
         budget-less classes always attain).  ``nan`` with no completions
         (or no completions in the named class).
         """
-        if self.slo is None:
-            return float("nan")
         served = self._served(class_name)
         if not served:
             return float("nan")
@@ -290,8 +286,8 @@ class ServerMetrics:
     # reporting
     # ------------------------------------------------------------------
     def _class_snapshot(self) -> dict:
-        """Per-class latency/attainment rows (empty without an SLO policy)."""
-        if self.slo is None:
+        """Per-class latency/attainment rows (empty under the default policy)."""
+        if self.slo.is_default:
             return {}
         names = {self.slo.class_for(o.tenant).name for o in self._served()}
         out = {}
@@ -314,6 +310,7 @@ class ServerMetrics:
         never as the ``Infinity``/``NaN`` literals ``json.dumps`` would
         otherwise emit into benchmark artifacts.
         """
+        classes = self._class_snapshot()
         return {
             "completed": self.completed,
             "shed": self.shed,
@@ -329,17 +326,14 @@ class ServerMetrics:
             "latency_p50": _finite(self.latency_percentile(50)),
             "latency_p99": _finite(self.latency_percentile(99)),
             "latency_mean": _finite(self.mean_latency),
-            "slo_attainment": _finite(self.slo_attainment()),
-            "slo_classes": self._class_snapshot(),
+            "slo_attainment": _finite(self.slo_attainment()) if classes else None,
+            "slo_classes": classes,
             "audit_windows": self.audit_windows,
             "audit_leaves": self.audit_leaves,
             "audit_bytes": self.audit_bytes,
             "audit_commit_seconds": (
                 self._audit.commit_seconds if self._audit is not None else 0.0
             ),
-            "scale_outs": self.scale_outs,
-            "scale_ins": self.scale_ins,
-            "precompute": self.precompute(),
         }
 
     def render(self, title: str = "Serving metrics") -> str:

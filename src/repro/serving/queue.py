@@ -1,16 +1,13 @@
-"""Bounded multi-tenant request queue with round-robin fair draining.
+"""Multi-tenant request queue with round-robin fair draining.
 
-The queue is the server's backpressure valve: admission beyond
-``capacity`` sheds load instead of letting latency grow without bound,
-and draining interleaves tenants round-robin so one saturating tenant
-cannot starve the others out of virtual-batch slots.
-
-With an :class:`~repro.serving.slo.SloPolicy` attached, shedding becomes
-*class-aware*: a full queue first tries to evict the newest pending
-request of a strictly lower-priority class to make room for the arrival,
-so a best-effort backlog can no longer block premium traffic.  Equal
-priorities never evict each other — without a policy (or with every
-tenant in the default class) the arrival is shed exactly as before.
+Draining interleaves tenants round-robin so one saturating tenant cannot
+starve the others out of virtual-batch slots.  The queue keeps no bound
+of its own: the server admits against one deployment-wide bound (queued
+plus in flight, :attr:`ServingConfig.queue_capacity`) before it pushes,
+and makes room for a higher-priority arrival by evicting the newest
+pending request of a strictly lower-priority class
+(:meth:`RequestQueue.evict_newest_below`).  Equal priorities never evict
+each other.
 
 The queue is also the flush timer's source of truth: with per-class
 budgets, the scheduler's deadline is the *minimum remaining budget* among
@@ -20,32 +17,23 @@ wait.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
-from repro.errors import BackpressureError, ConfigurationError
 from repro.serving.requests import PendingRequest
 from repro.serving.slo import SloPolicy
 
 
 class RequestQueue:
-    """FIFO per tenant, round-robin across tenants, bounded overall.
+    """FIFO per tenant, round-robin across tenants.
 
     Parameters
     ----------
-    capacity:
-        Maximum pending requests across all tenants; pushes beyond it
-        shed (or, with an SLO policy, evict a lower-priority victim).
     slo:
-        Optional per-tenant class assignment.  ``None`` keeps the
-        priority-blind shed-the-arrival behavior bit-identical to
-        previous releases.
+        The deployment's per-tenant class assignment: it ranks eviction
+        victims and caps each tenant's flush wait.
     """
 
-    def __init__(self, capacity: int = 256, slo: SloPolicy | None = None) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self, slo: SloPolicy) -> None:
         self.slo = slo
         #: Tenant FIFOs, keyed in first-arrival order.
         self._queues: dict[str, deque[PendingRequest]] = {}
@@ -61,29 +49,8 @@ class RequestQueue:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def push(self, request: PendingRequest) -> PendingRequest | None:
-        """Admit one request; returns the pending request evicted for it.
-
-        When the queue is full, a strictly lower-priority pending request
-        (lowest priority, then newest) is evicted to make room and
-        returned so the caller can record its outcome.  With no eligible
-        victim the *arrival* is shed, exactly as before.
-
-        Raises
-        ------
-        BackpressureError
-            When ``capacity`` pending requests are already queued and no
-            lower-priority victim exists.
-        """
-        evicted = None
-        if self._depth >= self.capacity:
-            priority = self.slo.priority_for(request.tenant) if self.slo else 0
-            evicted = self.evict_newest_below(priority)
-            if evicted is None:
-                raise BackpressureError(
-                    f"request queue full ({self.capacity} pending);"
-                    f" shedding request {request.request_id} from {request.tenant!r}"
-                )
+    def push(self, request: PendingRequest) -> None:
+        """Queue one admitted request at the back of its tenant's FIFO."""
         tenant_queue = self._queues.setdefault(request.tenant, deque())
         if not tenant_queue:
             # Newly active (or re-activating after a drain): take the
@@ -91,7 +58,6 @@ class RequestQueue:
             self._rotation.append(request.tenant)
         tenant_queue.append(request)
         self._depth += 1
-        return evicted
 
     def _eviction_key(self, tenant: str) -> tuple:
         """Victim ordering for one tenant's newest pending request.
@@ -101,8 +67,7 @@ class RequestQueue:
         request id breaks exact ties deterministically.
         """
         tail = self._queues[tenant][-1]
-        priority = self.slo.priority_for(tenant) if self.slo is not None else 0
-        return (priority, -tail.enqueue_time, -tail.request_id)
+        return (self.slo.priority_for(tenant), -tail.arrival_time, -tail.request_id)
 
     def peek_eviction_candidate(self, priority: int) -> tuple[tuple, str] | None:
         """The best eviction victim strictly below ``priority``, if any.
@@ -113,10 +78,7 @@ class RequestQueue:
         """
         best: tuple[tuple, str] | None = None
         for tenant, tenant_queue in self._queues.items():
-            if not tenant_queue:
-                continue
-            victim_priority = self.slo.priority_for(tenant) if self.slo else 0
-            if victim_priority >= priority:
+            if not tenant_queue or self.slo.priority_for(tenant) >= priority:
                 continue
             key = self._eviction_key(tenant)
             if best is None or key < best[0]:
@@ -170,7 +132,7 @@ class RequestQueue:
 
         Used when the router re-pins a tenant to another shard: the
         already-admitted requests follow the pin via
-        :meth:`absorb` on the target queue, preserving enqueue times and
+        :meth:`absorb` on the target queue, preserving arrival times and
         order.  Extraction is not a shed.
         """
         tenant_queue = self._queues.get(tenant)
@@ -185,18 +147,13 @@ class RequestQueue:
     def absorb(self, requests: list[PendingRequest]) -> None:
         """Re-home already-admitted requests onto this queue.
 
-        Unlike :meth:`push` this performs no capacity check: the requests
-        were admitted once at their original shard, and a membership change
-        must never turn an admitted request into a shed.  Per-tenant FIFO order and enqueue
-        times are preserved; re-homed tenants join the back of the
-        rotation like any newly active tenant.
+        The requests were admitted once, at their original shard: a
+        membership change moves them and never sheds one.  Per-tenant
+        FIFO order and arrival times are preserved; re-homed tenants join
+        the back of the rotation like any newly active tenant.
         """
         for request in requests:
-            tenant_queue = self._queues.setdefault(request.tenant, deque())
-            if not tenant_queue:
-                self._rotation.append(request.tenant)
-            tenant_queue.append(request)
-            self._depth += 1
+            self.push(request)
 
     # ------------------------------------------------------------------
     # introspection
@@ -207,30 +164,29 @@ class RequestQueue:
         return self._depth
 
     def oldest_enqueue_time(self) -> float | None:
-        """Enqueue time of the longest-waiting request, or None when empty."""
-        heads = [q[0].enqueue_time for q in self._queues.values() if q]
+        """When the longest-waiting request arrived, or None when empty."""
+        heads = [q[0].arrival_time for q in self._queues.values() if q]
         return min(heads) if heads else None
 
     def earliest_deadline(self, wait: float) -> float | None:
         """The earliest flush deadline among pending requests.
 
-        Each request must flush by ``enqueue + min(wait, flush budget)``:
+        Each request must flush by ``arrival + min(wait, flush budget)``:
         ``wait`` is the deadline in force for its class-less share of the
         queue (static or learned), and the class's flush budget caps it
         so a premium request's batch never waits past its contract.  Per
         tenant the FIFO head is the oldest request and every request in a
         tenant queue shares one class, so the minimum over heads is the
-        minimum over all pending requests.  Without an SLO policy this is
+        minimum over all pending requests.  With no budgeted class this is
         exactly ``oldest_enqueue_time() + wait``.
         """
         best = None
         for tenant, tenant_queue in self._queues.items():
             if not tenant_queue:
                 continue
-            budget = (
-                self.slo.flush_budget_for(tenant) if self.slo else math.inf
+            deadline = tenant_queue[0].arrival_time + min(
+                wait, self.slo.flush_budget_for(tenant)
             )
-            deadline = tenant_queue[0].enqueue_time + min(wait, budget)
             if best is None or deadline < best:
                 best = deadline
         return best

@@ -38,16 +38,14 @@ class PendingRequest:
     x:
         The decrypted sample, shape = model input shape (no batch axis).
     arrival_time:
-        When the request reached the server.
-    enqueue_time:
-        When it entered the request queue (== arrival unless re-queued).
+        When the request reached the server, which is also when it entered
+        a request queue; re-homing to another queue keeps it.
     """
 
     request_id: int
     tenant: str
     x: np.ndarray
     arrival_time: float
-    enqueue_time: float
 
 
 @dataclass(slots=True)
@@ -103,14 +101,10 @@ class ScheduledBatch:
         worker pool when the batch fails over to a survivor.
     retries:
         Times the batch was re-dispatched after a shard failure.
-    deadline:
-        Absolute end-to-end deadline the dispatch window carries, or
-        ``None`` to let the worker pool derive it from the requests'
-        class budgets at dispatch time.  Failover stamps this on retry
-        batches with the *remaining* SLO budget of the surviving
-        requests at the failure frontier, so a retry inherits exactly
-        the time its requests still have — never the static flush
-        deadline of the window it originally rode in.
+
+    A batch carries no deadline: the worker pool derives one from the
+    requests it holds at dispatch, so a failover retry's deadline is its
+    surviving requests' own.
     """
 
     batch_id: int
@@ -120,7 +114,6 @@ class ScheduledBatch:
     slots: int = 1
     shard_id: int = 0
     retries: int = 0
-    deadline: float | None = None
 
     @property
     def n_requests(self) -> int:

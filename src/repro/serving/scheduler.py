@@ -33,7 +33,7 @@ class VirtualBatchScheduler:
     Parameters
     ----------
     queue:
-        The bounded multi-tenant queue to drain.
+        The multi-tenant queue to drain.
     batch_size:
         Virtual-batch size ``K`` — requests coalesced per flush.
     max_wait:
@@ -129,10 +129,10 @@ class VirtualBatchScheduler:
 
         The flush deadline is the *minimum remaining budget* among queued
         requests (:meth:`~repro.serving.queue.RequestQueue.
-        earliest_deadline`): each request must ship by ``enqueue +
+        earliest_deadline`): each request must ship by ``arrival +
         min(wait, class flush budget)``, so one premium request's
         contract pulls the whole partial forward while a queue of
-        budget-less requests keeps exactly the classic ``oldest enqueue +
+        budget-less requests keeps exactly the classic ``oldest arrival +
         wait`` deadline.  Each flush is stamped with the deadline time,
         not ``now``: between trace arrivals the simulated server would
         have fired the flush timer at the deadline itself.  In adaptive

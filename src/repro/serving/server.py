@@ -4,7 +4,8 @@ Composes the serving subsystem end to end::
 
     trace -> Membership (router pins tenant -> unit; attest once per
              tenant on that unit's entry enclave)
-          -> per-shard RequestQueue (bounded, shed-load globally)
+          -> admission (one bound on queued + in flight, deployment-wide)
+          -> per-unit RequestQueue (tenant-fair draining)
           -> ShardedBatchScheduler (coalesce per shard, size-or-deadline)
           -> InferenceWorkerPool (per-shard staged pipelines on parallel
              enclave timelines; mesh-verified session failover when a
@@ -47,7 +48,7 @@ import numpy as np
 from repro.audit import AuditTrail
 from repro.comm import LinkModel
 from repro.enclave import EPC_USABLE_BYTES
-from repro.errors import BackpressureError, ConfigurationError, ShardError
+from repro.errors import ConfigurationError, ShardError
 from repro.nn import Sequential
 from repro.serving.adaptive import (
     EPC_HEADROOM,
@@ -273,7 +274,7 @@ class PrivateInferenceServer:
         self.mesh = AttestationMesh(
             shards, expected_code_identity=self.config.code_identity
         )
-        self.router = ShardRouter(n_units, slo=self.config.slo)
+        self.router = ShardRouter(n_units, self.config.slo)
         #: Every routing unit ever deployed, indexed by unit id (retired
         #: ones stay in place).  Membership, the scheduler and the pool
         #: below share this list; only :meth:`_add_unit` grows it.
@@ -283,14 +284,12 @@ class PrivateInferenceServer:
             self._add_unit(unit_id, shards[unit_id * n : (unit_id + 1) * n])
         self.membership = Membership(self.units, self.router, self.mesh, self.audit)
         self.scheduler = ShardedBatchScheduler(self.units)
-        self.pool = InferenceWorkerPool(
-            self.membership, slo=self.config.slo, audit=self.audit
-        )
+        self.pool = InferenceWorkerPool(self.membership, self.config.slo, audit=self.audit)
         #: Every request's terminal outcome, in the order requests ended:
         #: the one account :attr:`metrics` reads.
         self._outcomes: list[RequestOutcome] = []
         self.metrics = ServerMetrics(
-            self._outcomes, slo=self.config.slo, audit=self.audit, units=self.units
+            self._outcomes, self.config.slo, audit=self.audit, units=self.units
         )
         self._next_request_id = 0
         # Completion times of dispatched requests, for in-flight accounting.
@@ -372,15 +371,14 @@ class PrivateInferenceServer:
         batch_size = dk.virtual_batch_size if self.config.coalesce else 1
         policy = None
         if self.config.adaptive:
-            slo = self.config.slo
             policy = AdaptiveFlushPolicy(
                 batch_size,
                 self.config.max_batch_wait,
                 # Tenants pin to units at runtime, so no unit may learn a
                 # wait the most demanding class could land on and violate.
-                budget_ceiling=slo.tightest_flush_budget() if slo is not None else None,
+                budget_ceiling=self.config.slo.tightest_flush_budget(),
             )
-        queue = RequestQueue(self.config.queue_capacity, slo=self.config.slo)
+        queue = RequestQueue(self.config.slo)
         unit = ServingUnit(
             executor=executor,
             queue=queue,
@@ -529,41 +527,30 @@ class PrivateInferenceServer:
             tenant=event.tenant,
             x=x,
             arrival_time=now,
-            enqueue_time=now,
         )
-        try:
-            # Admitted-but-incomplete = queued (all shards) + in flight
-            # behind busy workers; bounding their sum is what keeps
-            # worst-case latency finite when the offered load exceeds
-            # pipeline capacity.  Under an SLO policy a full deployment
-            # first tries to evict the newest lowest-priority pending
-            # request (across every shard queue) instead of shedding a
-            # higher-priority arrival.
-            if (
-                self._inflight_at(now) + self.scheduler.queued
-                >= self.config.queue_capacity
-            ):
-                victim = self._evict_for(request)
-                if victim is None:
-                    raise BackpressureError(
-                        f"{len(self._inflight)} requests in flight and"
-                        f" {self.scheduler.queued} queued >= capacity"
-                        f" {self.config.queue_capacity}; shedding request"
-                        f" {request.request_id} from {request.tenant!r}"
-                    )
-                self._record_eviction(victim, request)
-            evicted = unit.queue.push(request)
-            if evicted is not None:
-                # Unreachable today: per-queue capacity equals the
-                # deployment bound, so a full shard queue implies the
-                # deployment check above already evicted from that very
-                # queue.  Kept (not asserted away) so the accounting
-                # stays correct if per-shard bounds ever shrink below
-                # the deployment capacity.
-                self._record_eviction(evicted, request)
-            unit.scheduler.observe_arrival(now)
-        except BackpressureError as exc:
-            self._end_unserved(request_id, event.tenant, now, STATUS_SHED, str(exc))
+        # Admitted-but-incomplete = queued (all units) + in flight behind
+        # busy workers; bounding their sum is the deployment's one
+        # admission bound, and what keeps worst-case latency finite when
+        # the offered load exceeds pipeline capacity.  A full deployment
+        # first evicts the newest lowest-priority pending request (across
+        # every unit queue) rather than shed a higher-priority arrival.
+        if self._inflight_at(now) + self.scheduler.queued >= self.config.queue_capacity:
+            victim = self._evict_for(request)
+            if victim is None:
+                self._end_unserved(
+                    request_id,
+                    event.tenant,
+                    now,
+                    STATUS_SHED,
+                    f"{len(self._inflight)} requests in flight and"
+                    f" {self.scheduler.queued} queued >= capacity"
+                    f" {self.config.queue_capacity}; shedding request"
+                    f" {request_id} from {event.tenant!r}",
+                )
+                return
+            self._record_eviction(victim, request)
+        unit.queue.push(request)
+        unit.scheduler.observe_arrival(now)
 
     def _end_unserved(
         self, request_id: int, tenant: str, arrival: float, status: str, error: str
@@ -596,8 +583,6 @@ class PrivateInferenceServer:
         sheds the globally least-defensible pending request.  ``None``
         when no pending request ranks strictly below the arrival.
         """
-        if self.config.slo is None:
-            return None
         priority = self.config.slo.priority_for(request.tenant)
         best_queue = None
         best_key = None

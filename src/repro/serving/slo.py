@@ -20,9 +20,10 @@ layers consume it:
 * **placement** — the router pins premium tenants onto lightly-loaded
   shards instead of walking the hash ring.
 
-The default :class:`SloClass` (infinite budget, priority 0) is
-*exactly* today's behavior: a policy whose every class is default — or no
-policy at all — serves bit-identical outcomes to previous releases
+Every deployment has a policy; unless told otherwise it is the default
+class alone (infinite budget, priority 0), under which every layer above
+acts exactly as a class-blind server would.  Classes act only through
+assignments: a class no tenant is assigned to changes no outcome
 (asserted in ``benchmarks/bench_slo_classes.py``).
 
 A class's ``latency_budget`` is *end-to-end* (arrival to completion).
@@ -59,13 +60,13 @@ class SloClass:
     latency_budget:
         End-to-end seconds (arrival to completion) a request of this
         class should finish within.  ``inf`` — the default — means "no
-        contract", which is exactly the pre-SLO server's behavior.
+        contract".
     priority:
         Admission standing: when the queue is full, an arrival of a
         higher-priority class evicts the newest pending request of a
         strictly lower-priority class instead of being shed.  Equal
-        priorities never evict each other (the default class at
-        priority 0 therefore sheds arrivals exactly as before).
+        priorities never evict each other, so under the default class
+        alone a full deployment sheds the arrival.
     """
 
     name: str = DEFAULT_CLASS_NAME
@@ -86,8 +87,8 @@ class SloClass:
         return self.latency_budget * FLUSH_BUDGET_FRACTION
 
 
-#: The class every tenant belongs to unless assigned otherwise — today's
-#: exact behavior (no budget, no eviction standing).
+#: The class every tenant belongs to unless assigned otherwise (no
+#: budget, no eviction standing).
 DEFAULT_SLO_CLASS = SloClass()
 
 
@@ -103,7 +104,7 @@ class SloPolicy:
         explicitly overrides its knobs.
     assignments:
         ``tenant -> class name``.  Unassigned tenants get the default
-        class, so a policy with no assignments changes nothing.
+        class, so a class no tenant is assigned to changes nothing.
     """
 
     classes: dict[str, SloClass] = field(default_factory=dict)
@@ -124,6 +125,14 @@ class SloPolicy:
                     f"tenant {tenant!r} assigned to undefined SLO class {name!r}"
                     f" (defined: {sorted(classes)})"
                 )
+
+    @property
+    def is_default(self) -> bool:
+        """True for the default policy: the default class alone, unassigned.
+
+        Reports show class rows only for a policy that is not this one.
+        """
+        return self.classes == {DEFAULT_CLASS_NAME: DEFAULT_SLO_CLASS} and not self.assignments
 
     # ------------------------------------------------------------------
     # lookups (the hot-path surface)

@@ -57,12 +57,11 @@ class InferenceWorkerPool:
         by id, its router re-targets retries, and a dead unit leaves
         through it.
     slo:
-        Optional :class:`~repro.serving.slo.SloPolicy`.  When set, each
-        dispatched batch carries the tightest remaining end-to-end
-        deadline among its requests (``arrival + budget``), which the
-        executor's rank order uses to spend the serialized enclave on
-        premium windows first.  ``None`` dispatches without
-        deadlines — the classic schedule.  Failover also becomes
+        The deployment's :class:`~repro.serving.slo.SloPolicy`.  Each
+        dispatched batch carries the tightest end-to-end deadline among
+        its requests (``arrival + budget``; ``inf`` without a budgeted
+        class), which the executor's rank order uses to spend the
+        serialized enclave on premium windows first.  Failover is
         budget-aware: requests whose class budget is already exhausted at
         the failure frontier are failed immediately (and counted in
         :attr:`retries_skipped_budget`) instead of burning a surviving
@@ -75,7 +74,7 @@ class InferenceWorkerPool:
         commit site; dispatch behaviour and outcomes are bit-identical.
     """
 
-    def __init__(self, membership, slo=None, audit=None) -> None:
+    def __init__(self, membership, slo, audit=None) -> None:
         self.membership = membership
         self.units = membership.units
         self.slo = slo
@@ -154,14 +153,10 @@ class InferenceWorkerPool:
     def _batch_deadline(self, batch: ScheduledBatch) -> float:
         """The tightest end-to-end deadline among the batch's requests.
 
-        A batch carrying an explicit :attr:`ScheduledBatch.deadline`
-        (a failover retry stamped with its requests' remaining budget)
-        keeps it; otherwise the deadline derives from class budgets.
+        ``arrival + budget`` is absolute, so a failover retry — a batch
+        of the surviving requests — gets exactly the budget they have
+        left, never the static flush deadline of its first window.
         """
-        if batch.deadline is not None:
-            return batch.deadline
-        if self.slo is None:
-            return math.inf
         return min(
             (req.arrival_time + self.slo.budget_for(req.tenant)
              for req in batch.requests),
@@ -349,12 +344,9 @@ class InferenceWorkerPool:
         deadline has not passed yet, but no survivor can physically
         finish it in time (counted separately in
         :attr:`retries_skipped_floor`).  Either half may be ``None``;
-        without an SLO policy the batch is returned untouched (infinite
-        budgets never expire).  The third element counts the requests
-        shed by the floor rather than the bare deadline.
+        requests without a budget never expire.  The third element counts
+        the requests shed by the floor rather than the bare deadline.
         """
-        if self.slo is None:
-            return batch, None, 0
         floor = self._service_floor if math.isfinite(self._service_floor) else 0.0
         hard_expired = 0
         expired = []
@@ -395,19 +387,6 @@ class InferenceWorkerPool:
             groups.setdefault(
                 self.membership.router.shard_for(request.tenant), []
             ).append(request)
-
-        def _remaining_deadline(requests: list) -> float | None:
-            # The retry inherits the survivors' remaining SLO budget as
-            # its deadline (arrival + budget is absolute, so whatever is
-            # left at the frontier is exactly what the retry may spend),
-            # never the window's static flush deadline.
-            if self.slo is None:
-                return None
-            return min(
-                req.arrival_time + self.slo.budget_for(req.tenant)
-                for req in requests
-            )
-
         return [
             ScheduledBatch(
                 batch_id=batch.batch_id,
@@ -417,7 +396,6 @@ class InferenceWorkerPool:
                 slots=batch.slots,
                 shard_id=target,
                 retries=batch.retries + 1,
-                deadline=_remaining_deadline(requests),
             )
             for target, requests in sorted(groups.items())
         ]

@@ -11,9 +11,9 @@ tenant is pinned to the lightest shard instead.  Hashing is keyed
 (BLAKE2b), not Python's randomized ``hash``, so placements are
 reproducible across runs.
 
-With an :class:`~repro.serving.slo.SloPolicy`, placement is additionally
-SLO-aware: tenants of above-default priority skip the hash walk and pin
-straight to the lightest healthy shard, spreading
+Placement is also SLO-aware (the deployment's
+:class:`~repro.serving.slo.SloPolicy`): tenants of above-default priority
+skip the hash walk and pin straight to the lightest healthy shard, spreading
 premium traffic across the least-contended enclaves instead of wherever
 the ring happens to land them.
 
@@ -63,17 +63,12 @@ class ShardRouter:
     n_shards:
         Shards in the deployment (ids ``0..n_shards-1``).
     slo:
-        Optional :class:`~repro.serving.slo.SloPolicy`.  Tenants whose
-        class priority exceeds the default class's pin to the lightest
-        healthy shard instead of walking the ring.  ``None`` keeps
-        placement priority-blind.
+        The deployment's :class:`~repro.serving.slo.SloPolicy`.  Tenants
+        whose class priority exceeds the default class's pin to the
+        lightest healthy shard instead of walking the ring.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        slo=None,
-    ) -> None:
+    def __init__(self, n_shards: int, slo) -> None:
         if n_shards < 1:
             raise ConfigurationError(f"router needs >= 1 shards, got {n_shards}")
         self.n_shards = n_shards
@@ -121,10 +116,7 @@ class ShardRouter:
 
     def _is_premium(self, tenant: str) -> bool:
         """True when the tenant's class outranks the default class."""
-        return (
-            self.slo is not None
-            and self.slo.priority_for(tenant) > self.slo.default_class.priority
-        )
+        return self.slo.priority_for(tenant) > self.slo.default_class.priority
 
     def shard_for(self, tenant: str) -> int:
         """The tenant's pinned shard, placing (and pinning) on first sight.

@@ -16,6 +16,7 @@ from repro.serving import (
     RequestQueue,
     ServingUnit,
     SessionManager,
+    SloPolicy,
     VirtualBatchScheduler,
 )
 from repro.sharding import AttestationMesh, PipelineGroup, ShardRouter
@@ -27,7 +28,7 @@ def make_units(shards):
     ids = itertools.count()
     units = []
     for shard in shards:
-        queue = RequestQueue(64)
+        queue = RequestQueue(SloPolicy())
         whole_plan = (0, len(shard.executor.network.execution_plan()))
         units.append(
             ServingUnit(
@@ -49,9 +50,9 @@ def make_units(shards):
 
 def make_membership(shards, router=None):
     """:func:`make_units` behind a mesh-attested membership (one router
-    id per shard; ``ShardRouter(len(shards))`` unless given)."""
+    id per shard; ``ShardRouter(len(shards), SloPolicy())`` unless given)."""
     return Membership(
         make_units(shards),
-        router if router is not None else ShardRouter(len(shards)),
+        router if router is not None else ShardRouter(len(shards), SloPolicy()),
         AttestationMesh(shards),
     )

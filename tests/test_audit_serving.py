@@ -23,6 +23,7 @@ from repro.serving import (
     AuditConfig,
     PrivateInferenceServer,
     ServingConfig,
+    SloPolicy,
     synthetic_trace,
 )
 
@@ -157,7 +158,7 @@ def test_shared_window_abort_leaves_a_retried_marker_then_terminal_leaves():
     )
     shard = EnclaveShard.provision(0, net, dk, cluster=cluster)
     trail = AuditTrail(AuditConfig(), darknight=dk, num_shards=1)
-    pool = InferenceWorkerPool(make_membership([shard]), audit=trail)
+    pool = InferenceWorkerPool(make_membership([shard]), audit=trail, slo=SloPolicy())
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -168,7 +169,6 @@ def test_shared_window_abort_leaves_a_retried_marker_then_terminal_leaves():
                     tenant=f"t{i}",
                     x=rng.normal(size=16),
                     arrival_time=0.0,
-                    enqueue_time=0.0,
                 )
                 for i in range(2)
             ],

@@ -240,6 +240,28 @@ def test_serve_subcommand_with_slo_classes(capsys):
     assert "SLO attainment" in out
 
 
+def test_serve_prints_slo_classes_for_any_policy_but_the_default(capsys):
+    """A class defined but assigned to nobody still makes a policy other
+    than the default one, so the class line and rows print; the default
+    policy prints neither."""
+    assert main(["serve", "--model", "tiny", "--requests", "8", "--slo-budget", "premium=8"]) == 0
+    out = capsys.readouterr().out
+    assert "SLO classes: premium=8.0ms, standard (no budget)\n" in out
+    assert "SLO attainment" in out
+    assert main(["serve", "--model", "tiny", "--requests", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "SLO classes" not in out and "SLO attainment" not in out
+
+
+def test_serve_refuses_a_null_slo_section(capsys):
+    """Every deployment has a policy: ``slo=null`` is refused, naming it."""
+    assert main(["serve", "--model", "tiny", "--requests", "4", "--set", "slo=null"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad serving config: slo: expected an object")
+    assert captured.err.count("\n") == 1
+
+
 def test_serve_rejects_slo_class_without_budget(capsys):
     rc = main(["serve", "--model", "tiny", "--slo-class", "tenant0=premium"])
     assert rc == 2

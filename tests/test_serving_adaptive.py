@@ -24,6 +24,7 @@ from repro.serving import (
     PrivateInferenceServer,
     RequestQueue,
     ServingConfig,
+    SloPolicy,
     VirtualBatchScheduler,
     WindowFeedback,
     bursty_trace,
@@ -266,13 +267,12 @@ def _push(queue, request_id, tenant="t0", t=0.0):
             tenant=tenant,
             x=np.zeros(4),
             arrival_time=t,
-            enqueue_time=t,
         )
     )
 
 
 def test_scheduler_uses_the_learned_deadline():
-    queue = RequestQueue(capacity=64)
+    queue = RequestQueue(SloPolicy())
     policy = _policy()
     sched = VirtualBatchScheduler(queue, batch_size=4, max_wait=0.01, policy=policy)
     # Teach a ~0.1ms arrival process.

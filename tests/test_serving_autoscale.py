@@ -31,6 +31,7 @@ from repro.serving import (
     RequestQueue,
     ServingConfig,
     ShardAutoscaler,
+    SloPolicy,
     phased_trace,
     synthetic_trace,
 )
@@ -62,7 +63,7 @@ def _server(num_shards=1, autoscale=None, **kwargs):
 # router membership
 # ----------------------------------------------------------------------
 def test_router_add_shard_assigns_next_id_and_repins_boundedly():
-    router = ShardRouter(2)
+    router = ShardRouter(2, SloPolicy())
     tenants = [f"t{i}" for i in range(20)]
     before = {t: router.shard_for(t) for t in tenants}
     new_id, remap = router.add_shard()
@@ -77,7 +78,7 @@ def test_router_add_shard_assigns_next_id_and_repins_boundedly():
 
 
 def test_router_drain_blocks_new_placements_but_keeps_existing_pins():
-    router = ShardRouter(3)
+    router = ShardRouter(3, SloPolicy())
     pinned = {f"t{i}": router.shard_for(f"t{i}") for i in range(12)}
     router.begin_drain(1)
     assert 1 in router.healthy_shards() and 1 not in router.placeable_shards()
@@ -90,7 +91,7 @@ def test_router_drain_blocks_new_placements_but_keeps_existing_pins():
 
 
 def test_router_drain_rejects_unknown_and_last_shard():
-    router = ShardRouter(1)
+    router = ShardRouter(1, SloPolicy())
     with pytest.raises(ConfigurationError):
         router.begin_drain(7)
     with pytest.raises(ShardError):
@@ -98,7 +99,7 @@ def test_router_drain_rejects_unknown_and_last_shard():
 
 
 def test_router_remove_shard_repins_tenants_and_retires_the_id():
-    router = ShardRouter(3)
+    router = ShardRouter(3, SloPolicy())
     tenants = [f"t{i}" for i in range(24)]
     for t in tenants:
         router.shard_for(t)
@@ -118,7 +119,7 @@ def test_router_remove_shard_repins_tenants_and_retires_the_id():
 def test_router_remove_shard_refuses_last_and_failed_shards():
     """The router removes any known id (a failover may take out the last
     one); refusing a failed or the last live unit is scale-in's call."""
-    router = ShardRouter(2)
+    router = ShardRouter(2, SloPolicy())
     with pytest.raises(ConfigurationError):
         router.remove_shard(9)
     server = _server(num_shards=2)
@@ -164,10 +165,10 @@ def test_mesh_retire_keeps_links_so_drains_can_still_migrate():
 # queue re-homing
 # ----------------------------------------------------------------------
 def test_queue_extract_and_absorb_move_admitted_work_without_shedding():
-    src, dst = RequestQueue(8), RequestQueue(8)
+    src, dst = RequestQueue(SloPolicy()), RequestQueue(SloPolicy())
     for i in range(4):
         tenant = "a" if i % 2 == 0 else "b"
-        src.push(PendingRequest(i, tenant, np.zeros(4), float(i), float(i)))
+        src.push(PendingRequest(i, tenant, np.zeros(4), float(i)))
     moved = src.extract_tenant("a")
     assert [r.request_id for r in moved] == [0, 2]
     assert src.depth == 2
@@ -175,8 +176,8 @@ def test_queue_extract_and_absorb_move_admitted_work_without_shedding():
     assert dst.depth == 2
     assert [r.request_id for r in dst.pop_fair(4)] == [0, 2]
     # Re-homing is not admission: a queue already at capacity still absorbs.
-    full = RequestQueue(1)
-    full.push(PendingRequest(9, "c", np.zeros(4), 9.0, 9.0))
+    full = RequestQueue(SloPolicy())
+    full.push(PendingRequest(9, "c", np.zeros(4), 9.0))
     rest = src.extract_tenant("b")
     assert [r.request_id for r in rest] == [1, 3] and src.depth == 0
     full.absorb(rest)

@@ -56,6 +56,7 @@ def _full_config():
 
 def test_default_config_round_trips():
     cfg = ServingConfig()
+    assert cfg.slo == SloPolicy() and cfg.slo.is_default
     assert ServingConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -173,7 +174,9 @@ def test_preset_overrides_and_unknown_name():
 # ----------------------------------------------------------------------
 def test_to_dict_is_byte_for_byte_the_hand_written_layout():
     """``golden/serving_config_dicts.json`` was dumped by the last commit
-    whose ``to_dict`` named every field by hand (key order included)."""
+    whose ``to_dict`` named every field by hand (key order included); its
+    ``slo`` sections were re-dumped when the policy stopped being
+    optional (the default one is the default class alone)."""
     golden = json.loads(GOLDEN.read_text())
     configs = {"default": ServingConfig(), "full": _full_config()}
     configs.update({name: ServingConfig.preset(name) for name in PRESETS})
@@ -260,7 +263,6 @@ def serving_configs(draw):
     def optional(strategy):
         return draw(st.one_of(st.none(), strategy))
 
-    slo = optional(slo_policies())
     return ServingConfig(
         darknight=DarKnightConfig(
             virtual_batch_size=draw(st.integers(1, 8)),
@@ -276,7 +278,7 @@ def serving_configs(draw):
         coalesce=draw(st.booleans()),
         stage_costs=optional(st.builds(StageCostModel, stage_overhead=_seconds)),
         adaptive=draw(st.booleans()),
-        slo=slo,
+        slo=draw(slo_policies()),
         audit=optional(st.builds(AuditConfig, log_dir=st.one_of(st.none(), _names))),
         autoscale=optional(
             st.builds(AutoscaleConfig, min_shards=st.integers(1, 2), max_shards=st.integers(2, 6))

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.serving import ServerMetrics
+from repro.serving import ServerMetrics, SloPolicy
 from repro.serving.requests import (
     STATUS_EVICTED,
     STATUS_INTEGRITY_FAILED,
@@ -34,7 +34,8 @@ def _shed(request_id, tenant, status=STATUS_SHED):
 
 def test_latency_percentiles_and_throughput():
     metrics = ServerMetrics(
-        [_ok(i, "t0", arrival=float(i), completion=i + 0.010) for i in range(100)]
+        [_ok(i, "t0", arrival=float(i), completion=i + 0.010) for i in range(100)],
+        slo=SloPolicy(),
     )
     assert metrics.completed == 100
     assert math.isclose(metrics.latency_percentile(50), 0.010)
@@ -45,7 +46,7 @@ def test_latency_percentiles_and_throughput():
 
 
 def test_batch_fill_and_trigger_accounting():
-    metrics = ServerMetrics([])
+    metrics = ServerMetrics([], slo=SloPolicy())
     metrics.record_batch(ScheduledBatch(batch_id=0, requests=[1, 2, 3, 4], slots=4))
     metrics.record_batch(
         ScheduledBatch(batch_id=1, requests=[5], trigger="deadline", slots=4)
@@ -66,7 +67,8 @@ def test_failures_and_shed_are_counted_not_completed():
                 arrival_time=0.0,
             ),
             _shed(2, "b"),
-        ]
+        ],
+        slo=SloPolicy(),
     )
     snap = metrics.snapshot()
     assert snap["completed"] == 1
@@ -75,7 +77,7 @@ def test_failures_and_shed_are_counted_not_completed():
 
 
 def test_render_is_a_table_with_headline_metrics():
-    metrics = ServerMetrics([_ok(0, "a", 0.0, 0.02)])
+    metrics = ServerMetrics([_ok(0, "a", 0.0, 0.02)], slo=SloPolicy())
     text = metrics.render()
     assert "latency p99" in text
     assert "throughput" in text
@@ -83,7 +85,7 @@ def test_render_is_a_table_with_headline_metrics():
 
 
 def test_empty_metrics_do_not_crash():
-    metrics = ServerMetrics([])
+    metrics = ServerMetrics([], slo=SloPolicy())
     assert metrics.throughput == 0.0
     assert math.isnan(metrics.latency_percentile(50))
     assert metrics.batch_fill_ratio == 0.0
@@ -91,7 +93,7 @@ def test_empty_metrics_do_not_crash():
 
 def test_degenerate_span_reports_zero_not_infinity():
     """Regression: one instantaneous completion used to yield inf req/s."""
-    metrics = ServerMetrics([_ok(0, "a", arrival=1.0, completion=1.0)])
+    metrics = ServerMetrics([_ok(0, "a", arrival=1.0, completion=1.0)], slo=SloPolicy())
     assert metrics.throughput == 0.0
     assert math.isfinite(metrics.snapshot()["throughput_rps"])
 
@@ -120,8 +122,8 @@ def test_shed_and_failed_arrivals_do_not_stretch_the_span():
     ]
     # ...then identical completed traffic starting at t=100.
     served = [_ok(i, "a", arrival=100.0 + i, completion=100.5 + i) for i in range(10)]
-    clean = ServerMetrics(list(served))
-    mixed = ServerMetrics(noise + served)
+    clean = ServerMetrics(list(served), slo=SloPolicy())
+    mixed = ServerMetrics(noise + served, slo=SloPolicy())
     assert mixed.throughput == clean.throughput
     assert math.isclose(clean.throughput, 10 / 9.5)
 
@@ -134,18 +136,19 @@ def test_snapshot_is_strict_json_everywhere():
     def _reject(_):
         raise AssertionError("non-finite constant leaked into snapshot JSON")
 
-    empty = ServerMetrics([])
+    empty = ServerMetrics([], slo=SloPolicy())
     json.loads(json.dumps(empty.snapshot()), parse_constant=_reject)
     assert empty.snapshot()["latency_p99"] is None
     assert "n/a" in empty.render()
 
-    busy = ServerMetrics([_ok(0, "a", arrival=2.0, completion=2.0)])  # zero span
+    busy = ServerMetrics([_ok(0, "a", arrival=2.0, completion=2.0)], slo=SloPolicy())  # zero span
     json.loads(json.dumps(busy.snapshot()), parse_constant=_reject)
 
 
 def test_the_three_shed_kinds_sum_to_shed():
     metrics = ServerMetrics(
-        [_shed(0, "a"), _shed(1, "b", STATUS_EVICTED), _shed(2, "b", STATUS_MALFORMED)]
+        [_shed(0, "a"), _shed(1, "b", STATUS_EVICTED), _shed(2, "b", STATUS_MALFORMED)],
+        slo=SloPolicy(),
     )
     snap = metrics.snapshot()
     assert (snap["shed_at_admission"], snap["shed_evicted"], snap["shed_malformed"]) == (1, 1, 1)

@@ -1,10 +1,10 @@
-"""Tests for the bounded multi-tenant request queue."""
+"""Tests for the multi-tenant request queue."""
 
 import numpy as np
 import pytest
 
-from repro.errors import BackpressureError, ConfigurationError
-from repro.serving import PendingRequest, RequestQueue
+from repro.errors import ConfigurationError
+from repro.serving import PendingRequest, RequestQueue, ServingConfig, SloClass, SloPolicy
 
 
 def _req(request_id, tenant="t0", t=0.0):
@@ -13,12 +13,11 @@ def _req(request_id, tenant="t0", t=0.0):
         tenant=tenant,
         x=np.zeros(4),
         arrival_time=t,
-        enqueue_time=t,
     )
 
 
 def test_single_tenant_fifo_order():
-    q = RequestQueue(capacity=8)
+    q = RequestQueue(SloPolicy())
     for i in range(5):
         q.push(_req(i))
     assert [r.request_id for r in q.pop_fair(5)] == [0, 1, 2, 3, 4]
@@ -26,7 +25,7 @@ def test_single_tenant_fifo_order():
 
 
 def test_round_robin_interleaves_tenants():
-    q = RequestQueue(capacity=32)
+    q = RequestQueue(SloPolicy())
     for i in range(10):
         q.push(_req(i, tenant="hog"))
     for i in range(2):
@@ -37,7 +36,7 @@ def test_round_robin_interleaves_tenants():
 
 
 def test_rotation_resumes_where_it_stopped():
-    q = RequestQueue(capacity=32)
+    q = RequestQueue(SloPolicy())
     for tenant in ("a", "b", "c"):
         for i in range(3):
             q.push(_req(i, tenant=tenant))
@@ -47,21 +46,8 @@ def test_rotation_resumes_where_it_stopped():
     assert second == ["c", "a"]
 
 
-def test_backpressure_sheds_beyond_capacity():
-    q = RequestQueue(capacity=3)
-    for i in range(3):
-        q.push(_req(i))
-    with pytest.raises(BackpressureError, match="queue full"):
-        q.push(_req(99))
-    assert q.depth == 3
-    # Draining frees capacity again.
-    q.pop_fair(1)
-    q.push(_req(4))
-    assert q.depth == 3
-
-
 def test_oldest_enqueue_time_tracks_heads():
-    q = RequestQueue(capacity=8)
+    q = RequestQueue(SloPolicy())
     assert q.oldest_enqueue_time() is None
     q.push(_req(0, tenant="a", t=1.0))
     q.push(_req(1, tenant="b", t=0.5))
@@ -72,15 +58,17 @@ def test_oldest_enqueue_time_tracks_heads():
 
 
 def test_invalid_capacity_rejected():
-    with pytest.raises(ConfigurationError):
-        RequestQueue(capacity=0)
+    """The queue keeps no bound of its own; the deployment's one bound
+    (``queue_capacity``) is refused at configuration time."""
+    with pytest.raises(ConfigurationError, match="queue capacity must be >= 1, got 0"):
+        ServingConfig(queue_capacity=0)
 
 
 def test_new_tenant_mid_rotation_cannot_jump_the_turn_order():
     """Regression: the old integer cursor re-mapped onto a grown tenant
     list, letting a brand-new tenant serve ahead of tenants already
     waiting their turn (and double-serving others)."""
-    q = RequestQueue(capacity=32)
+    q = RequestQueue(SloPolicy())
     for tenant in ("a", "b"):
         for i in range(3):
             q.push(_req(i, tenant=tenant))
@@ -94,7 +82,7 @@ def test_new_tenant_mid_rotation_cannot_jump_the_turn_order():
 def test_idle_tenants_are_pruned_from_the_rotation():
     """A tenant that drained leaves the rotation entirely and re-enters
     at the back when it next pushes — it cannot hold a phantom turn."""
-    q = RequestQueue(capacity=32)
+    q = RequestQueue(SloPolicy())
     for i in range(4):
         q.push(_req(i, tenant="a"))
     q.push(_req(10, tenant="b"))
@@ -111,8 +99,6 @@ def test_idle_tenants_are_pruned_from_the_rotation():
 # draining under an SLO policy
 # ----------------------------------------------------------------------
 def _priority_policy(priorities):
-    from repro.serving import SloClass, SloPolicy
-
     classes = {name: SloClass(name=name, priority=p) for name, p in priorities.items()}
     return SloPolicy(classes=classes, assignments={name: name for name in priorities})
 
@@ -120,8 +106,8 @@ def _priority_policy(priorities):
 def test_default_weight_is_bit_identical_to_classic_rotation():
     """A queue under an SLO policy pops the exact same sequence as one
     without: every class drains one request per turn."""
-    plain = RequestQueue(capacity=64)
-    classed = RequestQueue(capacity=64, slo=_priority_policy({"a": 0, "b": 1}))
+    plain = RequestQueue(SloPolicy())
+    classed = RequestQueue(_priority_policy({"a": 0, "b": 1}))
     for q in (plain, classed):
         for i in range(6):
             q.push(_req(i, tenant="a"))
@@ -138,7 +124,7 @@ def test_default_weight_is_bit_identical_to_classic_rotation():
 # ----------------------------------------------------------------------
 def test_peek_eviction_candidate_names_the_victim_without_taking_it():
     policy = _priority_policy({"bulk": 0, "std": 1, "prem": 2})
-    q = RequestQueue(capacity=8, slo=policy)
+    q = RequestQueue(policy)
     q.push(_req(0, tenant="bulk", t=0.0))
     q.push(_req(1, tenant="bulk", t=1.0))
     q.push(_req(2, tenant="std", t=2.0))
@@ -152,7 +138,7 @@ def test_peek_eviction_candidate_names_the_victim_without_taking_it():
 
 
 def test_newest_request_breaks_ties_within_a_priority():
-    q = RequestQueue(capacity=8, slo=_priority_policy({"a": 0, "b": 0}))
+    q = RequestQueue(_priority_policy({"a": 0, "b": 0}))
     q.push(_req(0, tenant="a", t=0.0))
     q.push(_req(1, tenant="b", t=2.0))
     q.push(_req(2, tenant="a", t=1.0))
@@ -164,10 +150,12 @@ def test_newest_request_breaks_ties_within_a_priority():
 
 
 def test_without_a_policy_nobody_is_below_anybody():
-    q = RequestQueue(capacity=4)
+    """Under the default policy every tenant is in the default class."""
+    q = RequestQueue(SloPolicy())
     q.push(_req(0))
+    assert q.earliest_deadline(0.01) == pytest.approx(0.01)  # no budget caps the wait
     assert q.peek_eviction_candidate(priority=0) is None
     assert q.evict_newest_below(priority=0) is None
-    # Any higher standing outranks the policy-free default of zero.
+    # Any higher standing outranks the default class's zero.
     assert q.evict_newest_below(priority=1).request_id == 0
     assert q.depth == 0

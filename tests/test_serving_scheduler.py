@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serving import PendingRequest, RequestQueue, VirtualBatchScheduler
+from repro.serving import PendingRequest, RequestQueue, SloPolicy, VirtualBatchScheduler
 
 
 def _push(queue, request_id, tenant="t0", t=0.0):
@@ -16,14 +16,13 @@ def _push(queue, request_id, tenant="t0", t=0.0):
             tenant=tenant,
             x=np.zeros(4),
             arrival_time=t,
-            enqueue_time=t,
         )
     )
 
 
 @pytest.fixture()
 def queue():
-    return RequestQueue(capacity=64)
+    return RequestQueue(SloPolicy())
 
 
 def test_size_triggered_flush_fills_batches(queue):

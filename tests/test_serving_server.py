@@ -213,7 +213,7 @@ class _TransientTamper:
 def test_window_abort_retries_batches_individually():
     """A transient fault aborting a shared window must not fail co-flushed
     batches: the pool re-dispatches per batch and all requests complete."""
-    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
+    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch, SloPolicy
     from repro.sharding import EnclaveShard
     from serving_units import make_membership
 
@@ -226,7 +226,7 @@ def test_window_abort_retries_batches_individually():
         field, dk.n_gpus_required, fault_injectors={0: _TransientTamper(field)}
     )
     shard = EnclaveShard.provision(0, net, dk, cluster=cluster)
-    pool = InferenceWorkerPool(make_membership([shard]))
+    pool = InferenceWorkerPool(make_membership([shard]), slo=SloPolicy())
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -237,7 +237,6 @@ def test_window_abort_retries_batches_individually():
                     tenant=f"tenant{i}",
                     x=rng.normal(size=16),
                     arrival_time=0.0,
-                    enqueue_time=0.0,
                 )
                 for i in range(2)
             ],
@@ -259,7 +258,7 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     """A multi-batch window aborted by an integrity fault still occupied
     the enclave: ``busy_time`` is the timeline's, so it covers the
     aborted attempt that no successful window's stats account for."""
-    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
+    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch, SloPolicy
     from repro.sharding import EnclaveShard
     from serving_units import make_membership
 
@@ -276,7 +275,7 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
     membership = make_membership([shard])
     # A flush policy that only records the window feedback it is fed.
     membership.units[0].scheduler.policy = SimpleNamespace(observe_window=windows.append)
-    pool = InferenceWorkerPool(membership)
+    pool = InferenceWorkerPool(membership, slo=SloPolicy())
     rng = np.random.default_rng(13)
     batches = [
         ScheduledBatch(
@@ -287,7 +286,6 @@ def test_aborted_window_occupancy_is_charged_to_busy_time():
                     tenant=f"tenant{i}",
                     x=rng.normal(size=16),
                     arrival_time=0.0,
-                    enqueue_time=0.0,
                 )
                 for i in range(2)
             ],
@@ -371,24 +369,28 @@ def test_premium_arrival_evicts_best_effort_backlog_end_to_end():
     assert [o.tenant for o in report.outcomes if o.status == STATUS_EVICTED] == ["tenant1"]
 
 
-def test_all_default_slo_policy_is_bit_identical_to_no_policy():
-    """An SloPolicy whose every class is the default must not change a
-    single bit, batch id, or completion time."""
-    from repro.serving import SloPolicy
+def test_an_unassigned_slo_class_is_bit_identical_to_the_default():
+    """Classes act only through assignments: a budgeted, higher-priority
+    class no tenant is assigned to must not change a single bit, batch id,
+    or completion time — at depth 1, and at depth 3 where the executor
+    ranks each window's jobs."""
+    from repro.serving import SloClass, SloPolicy
 
     net = _tiny_net()
     trace = synthetic_trace(24, (16,), n_tenants=3, seed=6)
-    baseline = PrivateInferenceServer(net, _config()).serve_trace(trace)
-    with_policy = PrivateInferenceServer(
-        net, _config(slo=SloPolicy())
-    ).serve_trace(trace)
-    a = {o.request_id: o for o in baseline.completed}
-    b = {o.request_id: o for o in with_policy.completed}
-    assert sorted(a) == sorted(b)
-    for rid in a:
-        assert np.array_equal(a[rid].logits, b[rid].logits)
-        assert a[rid].completion_time == b[rid].completion_time
-        assert a[rid].batch_id == b[rid].batch_id
+    premium = SloClass(name="premium", latency_budget=0.005, priority=1)
+    for depth in (1, 3):
+        dk = DarKnightConfig(virtual_batch_size=4, seed=0, pipeline_depth=depth)
+        reports = [
+            PrivateInferenceServer(net, _config(darknight=dk, slo=slo)).serve_trace(trace)
+            for slo in (SloPolicy(), SloPolicy(classes={"premium": premium}))
+        ]
+        a, b = ({o.request_id: o for o in r.completed} for r in reports)
+        assert sorted(a) == sorted(b) == list(range(24))
+        for rid in a:
+            assert np.array_equal(a[rid].logits, b[rid].logits)
+            assert a[rid].completion_time == b[rid].completion_time
+            assert a[rid].batch_id == b[rid].batch_id
 
 
 def test_malformed_samples_are_shed_and_the_rest_of_the_trace_is_untouched():

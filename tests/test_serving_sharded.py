@@ -18,7 +18,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.nn import Dense, PlainBackend, ReLU, Sequential
 from repro.runtime import DarKnightConfig
-from repro.serving import PrivateInferenceServer, ServingConfig, synthetic_trace
+from repro.serving import PrivateInferenceServer, ServingConfig, SloPolicy, synthetic_trace
 from repro.sharding import ShardRouter
 from serving_units import make_membership
 
@@ -217,12 +217,12 @@ def test_a_cascading_total_outage_still_ends_every_request_once(depth):
 def test_failed_batch_splits_across_tenants_new_shards():
     """A mixed-tenant batch whose shard dies retries each request on the
     shard its *migrated* session now lives on — one sub-batch per target."""
-    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
+    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch, SloPolicy
     from repro.sharding import EnclaveShard
 
     dk = DarKnightConfig(virtual_batch_size=4, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
-    router = ShardRouter(3)
+    router = ShardRouter(3, SloPolicy())
     membership = make_membership(shards, router)
     units = membership.units
     tenants = ["alice", "bob", "carol"]
@@ -231,7 +231,7 @@ def test_failed_batch_splits_across_tenants_new_shards():
     router._load = [3, 0, 0]
     for t in tenants:
         membership.connect(t)
-    pool = InferenceWorkerPool(membership)
+    pool = InferenceWorkerPool(membership, slo=SloPolicy())
 
     def failed_over():
         return [u.unit_id for u in units if u.shards[0].failed_at is not None]
@@ -243,7 +243,7 @@ def test_failed_batch_splits_across_tenants_new_shards():
         requests=[
             PendingRequest(
                 request_id=i, tenant=t, x=rng.normal(size=16),
-                arrival_time=0.0, enqueue_time=0.0,
+                arrival_time=0.0,
             )
             for i, t in enumerate(tenants)
         ],
@@ -278,7 +278,7 @@ def test_failed_batch_splits_across_tenants_new_shards():
         requests=[
             PendingRequest(
                 request_id=3, tenant="alice", x=rng.normal(size=16),
-                arrival_time=0.0, enqueue_time=0.0,
+                arrival_time=0.0,
             )
         ],
         flush_time=0.0,
@@ -322,12 +322,12 @@ def test_retries_release_after_the_failure_frontier():
     """A retried batch cannot start on the survivor before the dead
     shard's failure was observable — failover cost must reach the
     latency metrics instead of vanishing from the simulated clock."""
-    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
+    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch, SloPolicy
     from repro.sharding import EnclaveShard
 
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(make_membership(shards))
+    pool = InferenceWorkerPool(make_membership(shards), slo=SloPolicy())
     shards[0].fail_after(1)
     rng = np.random.default_rng(2)
     batches = [
@@ -336,7 +336,7 @@ def test_retries_release_after_the_failure_frontier():
             requests=[
                 PendingRequest(
                     request_id=2 * b + i, tenant=f"t{i}", x=rng.normal(size=16),
-                    arrival_time=0.0, enqueue_time=0.0,
+                    arrival_time=0.0,
                 )
                 for i in range(2)
             ],
@@ -375,7 +375,7 @@ def test_retry_cap_counts_surviving_shards_only():
             requests=[
                 PendingRequest(
                     request_id=0, tenant="t0", x=rng.normal(size=16),
-                    arrival_time=0.0, enqueue_time=0.0,
+                    arrival_time=0.0,
                 )
             ],
             flush_time=0.0,
@@ -388,7 +388,7 @@ def test_retry_cap_counts_surviving_shards_only():
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(3)]
     membership = make_membership(shards)
-    pool = InferenceWorkerPool(membership)
+    pool = InferenceWorkerPool(membership, slo=SloPolicy())
     shards[0].healthy = False
     shards[1].healthy = False
     # An earlier failover already took shard 1 out.
@@ -408,7 +408,7 @@ def test_retry_cap_counts_surviving_shards_only():
 def test_failover_repins_do_not_inflate_the_rebalance_counter():
     """A failover re-pins exactly the dead shard's tenants, onto survivors,
     and leaves every other pin where it was."""
-    router = ShardRouter(3)
+    router = ShardRouter(3, SloPolicy())
     for i in range(12):
         router.shard_for(f"tenant{i}")
     before = router.pins()
@@ -458,7 +458,7 @@ def test_budget_exhausted_retries_are_skipped_not_bounced():
     def _pending(rid, tenant):
         return PendingRequest(
             request_id=rid, tenant=tenant, x=rng.normal(size=16),
-            arrival_time=0.0, enqueue_time=0.0,
+            arrival_time=0.0,
         )
 
     batches = [
@@ -492,12 +492,12 @@ def test_budget_exhausted_retries_are_skipped_not_bounced():
 def test_infinite_budgets_never_skip_retries():
     """Without a policy (or with all-default classes) failover retries
     behave exactly as before: everything bounces, nothing is skipped."""
-    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch
+    from repro.serving import InferenceWorkerPool, PendingRequest, ScheduledBatch, SloPolicy
     from repro.sharding import EnclaveShard
 
     dk = DarKnightConfig(virtual_batch_size=2, seed=0)
     shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    pool = InferenceWorkerPool(make_membership(shards))
+    pool = InferenceWorkerPool(make_membership(shards), slo=SloPolicy())
     shards[0].fail_after(1)
     rng = np.random.default_rng(5)
     batches = [
@@ -506,7 +506,7 @@ def test_infinite_budgets_never_skip_retries():
             requests=[
                 PendingRequest(
                     request_id=2 * b + i, tenant=f"t{i}", x=rng.normal(size=16),
-                    arrival_time=0.0, enqueue_time=0.0,
+                    arrival_time=0.0,
                 )
                 for i in range(2)
             ],
@@ -548,7 +548,6 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
                 tenant="hurried" if i == 2 else "calm",
                 x=xs[i],
                 arrival_time=0.0,
-                enqueue_time=0.0,
             )
             for i in range(4)
         ]
@@ -566,7 +565,7 @@ def test_service_floor_sheds_retries_that_cannot_finish_in_time():
     # Probe run on identical shards: measure the failure frontier and the
     # per-batch service floor the real pool will have observed.
     probe_shards = [EnclaveShard.provision(i, _tiny_net(), dk) for i in range(2)]
-    probe = InferenceWorkerPool(make_membership(probe_shards))
+    probe = InferenceWorkerPool(make_membership(probe_shards), slo=SloPolicy())
     probe_shards[0].fail_after(1)
     probed = probe.dispatch_window(_batches())
     assert all(o.ok for o in probed)

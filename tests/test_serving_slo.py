@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_serving_model
-from repro.errors import BackpressureError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.runtime import DarKnightConfig
 from repro.serving import (
     FLUSH_BUDGET_FRACTION,
@@ -51,7 +51,6 @@ def _req(request_id, tenant="t0", t=0.0):
         tenant=tenant,
         x=np.zeros(4),
         arrival_time=t,
-        enqueue_time=t,
     )
 
 
@@ -115,14 +114,24 @@ def test_build_slo_policy_ranks_priority_by_budget_tightness():
 
 
 # ----------------------------------------------------------------------
-# admission: class-aware eviction
+# admission: class-aware eviction (the server asks the queues for a
+# victim once the deployment is full; tests/test_serving_admission.py
+# drives the whole path)
 # ----------------------------------------------------------------------
+def _make_room(q, arrival):
+    """What a full deployment does for ``arrival``: evict, then queue it."""
+    victim = q.evict_newest_below(q.slo.priority_for(arrival.tenant))
+    if victim is not None:
+        q.push(arrival)
+    return victim
+
+
 def test_premium_arrival_evicts_newest_lowest_priority_pending():
-    q = RequestQueue(capacity=3, slo=_policy())
+    q = RequestQueue(_policy())
     q.push(_req(0, tenant="b0", t=0.0))
     q.push(_req(1, tenant="b0", t=0.001))
     q.push(_req(2, tenant="stranger", t=0.002))
-    victim = q.push(_req(3, tenant="p0", t=0.003))
+    victim = _make_room(q, _req(3, tenant="p0", t=0.003))
     # The newest *lowest-priority* pending request goes — bulk (-1)
     # before the default-class stranger, newest bulk request first.
     assert victim is not None and victim.request_id == 1
@@ -133,47 +142,37 @@ def test_premium_arrival_evicts_newest_lowest_priority_pending():
 
 
 def test_equal_priority_sheds_the_arrival_exactly_as_before():
-    q = RequestQueue(capacity=2, slo=_policy())
+    q = RequestQueue(_policy())
     q.push(_req(0, tenant="stranger"))
     q.push(_req(1, tenant="other"))
-    with pytest.raises(BackpressureError):
-        q.push(_req(2, tenant="third"))  # default class cannot evict default
+    # The default class cannot evict the default class: the arrival sheds.
+    assert _make_room(q, _req(2, tenant="third")) is None
     assert q.depth == 2
 
 
 def test_full_queue_of_premium_sheds_bulk_arrival():
-    q = RequestQueue(capacity=1, slo=_policy())
+    q = RequestQueue(_policy())
     q.push(_req(0, tenant="p0"))
-    with pytest.raises(BackpressureError):
-        q.push(_req(1, tenant="b0"))
+    assert _make_room(q, _req(1, tenant="b0")) is None
     assert q.depth == 1
 
 
 def test_eviction_prunes_drained_tenant_from_rotation():
-    q = RequestQueue(capacity=2, slo=_policy())
+    q = RequestQueue(_policy())
     q.push(_req(0, tenant="b0"))
     q.push(_req(1, tenant="stranger"))
-    victim = q.push(_req(2, tenant="p0"))
+    victim = _make_room(q, _req(2, tenant="p0"))
     assert victim.request_id == 0  # b0's only request
     # b0 drained by eviction: rotation must not hold a phantom turn.
     assert [r.tenant for r in q.pop_fair(2)] == ["stranger", "p0"]
     assert q.depth == 0
 
 
-def test_queue_without_policy_is_unchanged():
-    q = RequestQueue(capacity=1)
-    q.push(_req(0))
-    with pytest.raises(BackpressureError):
-        q.push(_req(1))
-    assert q.depth == 1
-    assert q.earliest_deadline(0.01) == pytest.approx(0.01)
-
-
 # ----------------------------------------------------------------------
 # flush: minimum-remaining-budget deadlines
 # ----------------------------------------------------------------------
 def test_premium_budget_pulls_the_flush_deadline_forward():
-    q = RequestQueue(capacity=16, slo=_policy())
+    q = RequestQueue(_policy())
     sched = VirtualBatchScheduler(q, batch_size=4, max_wait=0.010)
     q.push(_req(0, tenant="stranger", t=0.0))
     q.push(_req(1, tenant="p0", t=0.001))
@@ -187,7 +186,7 @@ def test_premium_budget_pulls_the_flush_deadline_forward():
 
 
 def test_budgetless_queue_keeps_the_classic_deadline():
-    q = RequestQueue(capacity=16, slo=_policy())
+    q = RequestQueue(_policy())
     sched = VirtualBatchScheduler(q, batch_size=4, max_wait=0.010)
     q.push(_req(0, tenant="stranger", t=0.0))
     q.push(_req(1, tenant="b0", t=0.004))
@@ -202,7 +201,7 @@ def test_sharded_mixed_deadline_drain_interleaves_in_deadline_order():
     even when per-shard deadlines interleave (mixed budgets + enqueue
     times) — asserted nowhere before this test."""
     slo = _policy()
-    queues = [RequestQueue(16, slo=slo), RequestQueue(16, slo=slo)]
+    queues = [RequestQueue(slo), RequestQueue(slo)]
     ids = itertools.count()
     sched = ShardedBatchScheduler(
         [
@@ -294,7 +293,7 @@ def test_an_slo_policy_alone_encodes_the_premium_batch_first(monkeypatch):
 
     def batch(batch_id, tenant):
         requests = [
-            PendingRequest(4 * batch_id + i, tenant, rng.normal(size=input_shape), 0.0, 0.0)
+            PendingRequest(4 * batch_id + i, tenant, rng.normal(size=input_shape), 0.0)
             for i in range(4)
         ]
         return ScheduledBatch(batch_id, requests, flush_time=0.001, slots=4)
@@ -362,7 +361,7 @@ def test_shed_accounting_distinguishes_eviction_from_admission():
 def test_metrics_without_policy_keep_stable_snapshot_shape():
     import json
 
-    metrics = ServerMetrics([_ok(0, "a", 0.0, 0.01)])
+    metrics = ServerMetrics([_ok(0, "a", 0.0, 0.01)], slo=SloPolicy())
     snap = metrics.snapshot()
     assert snap["slo_attainment"] is None
     assert snap["slo_classes"] == {}

@@ -5,13 +5,14 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError, ShardError
+from repro.serving import SloPolicy
 from repro.sharding import ShardRouter
 from repro.sharding.router import REBALANCE_MARGIN
 
 
 def test_pins_are_sticky_and_deterministic():
-    a = ShardRouter(4)
-    b = ShardRouter(4)
+    a = ShardRouter(4, SloPolicy())
+    b = ShardRouter(4, SloPolicy())
     tenants = [f"tenant{i}" for i in range(20)]
     first = {t: a.shard_for(t) for t in tenants}
     # Same tenant, same router -> same shard on every later lookup.
@@ -23,13 +24,13 @@ def test_pins_are_sticky_and_deterministic():
 
 
 def test_single_shard_routes_everything_to_zero():
-    router = ShardRouter(1)
+    router = ShardRouter(1, SloPolicy())
     assert {router.shard_for(f"t{i}") for i in range(10)} == {0}
     assert router.loads() == [10]
 
 
 def test_load_aware_rebalancing_bounds_skew():
-    router = ShardRouter(4)
+    router = ShardRouter(4, SloPolicy())
     for i in range(40):
         router.shard_for(f"tenant{i}")
     loads = router.loads()
@@ -42,7 +43,7 @@ def test_load_aware_rebalancing_bounds_skew():
 
 
 def test_ring_candidate_ignores_pin_state():
-    router = ShardRouter(3)
+    router = ShardRouter(3, SloPolicy())
     candidate = router.ring_candidate("alice")
     assert candidate in (0, 1, 2)
     # ring_candidate is pure placement; it never pins.
@@ -50,7 +51,7 @@ def test_ring_candidate_ignores_pin_state():
 
 
 def test_remove_shard_remaps_displaced_tenants_to_survivors():
-    router = ShardRouter(3)
+    router = ShardRouter(3, SloPolicy())
     tenants = [f"tenant{i}" for i in range(12)]
     before = {t: router.shard_for(t) for t in tenants}
     victims = [t for t, s in before.items() if s == 1]
@@ -70,7 +71,7 @@ def test_remove_shard_remaps_displaced_tenants_to_survivors():
 
 
 def test_all_shards_failed_raises():
-    router = ShardRouter(2)
+    router = ShardRouter(2, SloPolicy())
     router.shard_for("alice")
     router.remove_shard(0)
     assert router.remove_shard(1) == {}  # nowhere left to re-pin onto
@@ -80,16 +81,16 @@ def test_all_shards_failed_raises():
 
 def test_invalid_parameters_are_rejected():
     with pytest.raises(ConfigurationError):
-        ShardRouter(0)
+        ShardRouter(0, SloPolicy())
     with pytest.raises(ConfigurationError):
-        ShardRouter(2).remove_shard(5)
+        ShardRouter(2, SloPolicy()).remove_shard(5)
 
 
 def test_a_grown_ring_places_like_a_constructed_one():
     """``ShardRouter(n)`` puts exactly the virtual nodes on the ring that
     adding shards one by one does, so both place every tenant alike."""
-    plain = ShardRouter(4)
-    grown = ShardRouter(1)
+    plain = ShardRouter(4, SloPolicy())
+    grown = ShardRouter(1, SloPolicy())
     for _ in range(3):
         assert grown.add_shard()[1] == {}  # nobody pinned yet, nobody moves
     assert grown._ring_keys == plain._ring_keys
@@ -101,7 +102,7 @@ def test_a_grown_ring_places_like_a_constructed_one():
 
 
 def test_add_shard_moves_at_most_a_fair_share_of_the_pins():
-    router = ShardRouter(3)
+    router = ShardRouter(3, SloPolicy())
     for i in range(30):
         router.shard_for(f"tenant{i}")
     new_id, remap = router.add_shard()
@@ -114,8 +115,8 @@ def test_add_shard_moves_at_most_a_fair_share_of_the_pins():
 def test_walking_past_a_removed_shard_places_like_a_ring_without_it():
     """A removed shard's virtual nodes stay on the ring; the walk steps
     past them, which is the walk a ring without them takes."""
-    walked = ShardRouter(4)
-    pruned = ShardRouter(4)
+    walked = ShardRouter(4, SloPolicy())
+    pruned = ShardRouter(4, SloPolicy())
     for router in (walked, pruned):
         router.remove_shard(1)
     keep = [(k, s) for k, s in zip(pruned._ring_keys, pruned._ring_shards) if s != 1]

@@ -65,7 +65,7 @@ def _records():
         "EncodeTicket": tickets[0],
         "GpuFuture": future,
         "_Job": _Job(0, (0,), 1, np.ones((1, 6)), {}),
-        "PendingRequest": PendingRequest(0, "t", np.ones(6), 0.0, 0.0),
+        "PendingRequest": PendingRequest(0, "t", np.ones(6), 0.0),
         "RequestOutcome": RequestOutcome(0, "t", "ok", 0.0),
         "ScheduledBatch": ScheduledBatch(0),
         "TraceRequest": synthetic_trace(3, (6,), seed=1)[0],
