@@ -206,20 +206,20 @@ def test_coefficient_material_speed(benchmark):
     assert coeffs.verify() and len(plan) == 2
 
 
-def _step_material(sets):
-    """Each set's verification plan and alternate-subset ``B`` — what a
-    training layer step reads off its coefficient sets."""
-    return [
-        (coeffs.verification_plan, coeffs.backward_matrices_for_subset(coeffs.verification_plan[1]))
-        for coeffs in sets
-    ]
+def _step_material(stack):
+    """What a training layer step reads off its coefficient stack: the
+    plans, ``Aᵀ`` and both plan subsets' decode operands (int64 and
+    float64), and the alternate subset's ``B`` rows."""
+    plans = stack.plans
+    decodes = [stack.decode_operands(subset) for subset in plans[0]]
+    return plans, stack.encode_operands, decodes, stack.b_stack([plan[1] for plan in plans])
 
 
 def test_coefficient_stack_speed(benchmark):
     """A layer step's coefficient material in one call: ``V = 4`` sets with
-    their noise, verification plans and alternate ``B``s from four block
-    draws (``A1``, MDS points, ``γ``, noise) and one stacked elimination.
-    The one-slice stack is bit for bit the single call."""
+    their noise from four block draws (``A1``, MDS points, ``γ``, noise)
+    and one stacked elimination, and everything the step then reads off
+    the stack.  The one-slice stack is bit for bit the single call."""
     spec = dict(k=4, m=1, extra_shares=1)
     noise_shape = (3, 8, 8)
 
@@ -230,19 +230,20 @@ def test_coefficient_stack_speed(benchmark):
         return sets, noise, _step_material(sets)
 
     rng, single_rng = FieldRng(FIELD, seed=5), FieldRng(FIELD, seed=5)
-    (only,), noise, ((plan, (b_alt, _)),) = stack(rng, count=1)
+    (only,), noise, (plans, _, _, b_alt) = stack(rng, count=1)
     single, single_noise = CoefficientSet.generate(single_rng, **spec, noise_shape=noise_shape)
     assert np.array_equal(noise[0], single_noise)
     for name in ("a", "gamma", "b"):
         assert np.array_equal(getattr(only, name), getattr(single, name)), name
-    ((single_plan, (single_b_alt, _)),) = _step_material([single])
-    assert plan == single_plan and np.array_equal(b_alt, single_b_alt)
+    assert plans == [single.verification_plan]
+    assert np.array_equal(b_alt[0], single.backward_matrices_for_subset(plans[0][1])[0])
     assert np.array_equal(rng.uniform((4,)), single_rng.uniform((4,)))
 
-    sets, noise, material = benchmark(stack)
-    assert all(coeffs.verify() for coeffs in sets) and len(material) == 4
-    assert noise.shape == (4, 1) + noise_shape
-    assert all(len(plan) == 2 for plan, _ in material)
+    sets, noise, (plans, (a_t, _), decodes, b_alt) = benchmark(stack)
+    assert all(coeffs.verify() for coeffs in sets) and len(plans) == 4
+    assert noise.shape == (4, 1) + noise_shape and a_t.shape == (4, 6, 5)
+    assert all(len(plan) == 2 for plan in plans) and len(decodes) == 2
+    assert b_alt.shape == (4, 6, 4)
 
 
 def test_quantize_speed(benchmark):

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import DecodingError, EncodingError
 from repro.masking.coefficients import as_stack
-from repro.masking.forward import stack_arrays, stack_matmul
+from repro.masking.forward import stack_matmul
 
 #: A bilinear operator ``(delta, x) -> grad_w`` in the field, e.g. the
 #: outer product for dense layers or a correlation for convolutions.
@@ -39,14 +39,14 @@ BilinearOp = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class BackwardDecoder:
     """Recovers the aggregate weight update from the GPUs' ``Eq_j`` values.
 
-    Built over a sequence of ``V`` coefficient sets it decodes a stack:
+    Built over a stack of ``V`` coefficient sets it decodes a stack:
     equations carry a leading ``V`` axis and virtual batch ``v``'s share
     axis is contracted against set ``v``'s own ``γ``, all in one stacked
     field GEMM.
     """
 
     def __init__(self, coefficients) -> None:
-        self._sets, self._stacked = as_stack(coefficients)
+        self._stack, self._stacked = as_stack(coefficients)
         self.coefficients = coefficients
 
     def decode(self, equations: np.ndarray) -> np.ndarray:
@@ -65,9 +65,7 @@ class BackwardDecoder:
         The field-encoded ``Σ_i <δ(i), x(i)>``; divide by ``K`` *after*
         dequantization (the ``1/K`` average lives outside the field).
         """
-        return self._weighted_sum(
-            equations, stack_arrays([coeffs.gamma for coeffs in self._sets])
-        )
+        return self._weighted_sum(equations, self._stack.gamma)
 
     def decode_many(self, equations: np.ndarray) -> np.ndarray:
         """Decode ``R`` independent equation sets under this one set.
@@ -87,7 +85,7 @@ class BackwardDecoder:
         """
         if self._stacked:
             raise DecodingError("decode_many repeats one set; a stack has its own sets")
-        (coeffs,) = self._sets
+        (coeffs,) = self._stack
         equations = np.asarray(equations, dtype=np.int64)
         if equations.ndim < 2 or equations.shape[1] != coeffs.n_shares:
             raise DecodingError(
@@ -114,20 +112,20 @@ class BackwardDecoder:
 
     def _weighted_sum(self, equations: np.ndarray, gammas: np.ndarray) -> np.ndarray:
         """``out[v] = Σ_j gammas[v, j]·equations[v, j]``, one stacked GEMM."""
-        first = self._sets[0]
+        stack = self._stack
+        n_sets, n_shares = len(stack), stack.n_shares
         equations = np.asarray(equations, dtype=np.int64)
         if not self._stacked:
             equations = equations[None]
-        n_sets = len(self._sets)
-        if equations.ndim < 2 or equations.shape[:2] != (n_sets, first.n_shares):
+        if equations.ndim < 2 or equations.shape[:2] != (n_sets, n_shares):
             raise DecodingError(
-                f"expected {first.n_shares} equations for each of {n_sets}"
+                f"expected {n_shares} equations for each of {n_sets}"
                 f" virtual batches, got shape {equations.shape}"
             )
         aggregate = stack_matmul(
-            first.field,
-            gammas.reshape(n_sets, 1, first.n_shares),
-            equations.reshape(n_sets, first.n_shares, -1),
+            stack.field,
+            gammas.reshape(n_sets, 1, n_shares),
+            equations.reshape(n_sets, n_shares, -1),
         ).reshape((n_sets,) + equations.shape[2:])
         return aggregate if self._stacked else aggregate[0]
 

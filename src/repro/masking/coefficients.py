@@ -22,55 +22,43 @@ where the property holds *by construction*.
 The enclave keeps ``A`` and ``Gamma`` secret; ``B`` is public (the paper:
 "we do not need to protect matrix B in the enclave").
 
-Everything derived from a share subset ``J`` — whether it decodes, its
-decode matrix ``A_J⁻¹`` (and the float64 copy of its transpose every
-decode GEMM reads, converted once like ``Aᵀ``'s), the ``B`` it supports —
-is read off one memoized
-Gauss–Jordan inverse per subset, and the set caches its *verification
-plan* (:attr:`CoefficientSet.verification_plan`): the primary subset plus
-the alternates covering the redundant shares, which is all integrity
-detection decodes from.
+Whether a share subset ``J`` decodes, its decode matrix ``A_J⁻¹`` and the
+``B`` it supports are read off one memoized inverse per subset; the set's
+*verification plan* (primary plus alternates covering every share) is all
+integrity detection decodes from.
 
-One elimination per layer step.  :meth:`CoefficientSet.generate` takes a
-stack axis: ``generate(count=V, noise_shape=...)`` returns the ``V`` sets of
-a layer step's virtual batches (and their noise), having inverted every
-set's primary subset **and** the verification plan's first alternate
-candidate — ``2V`` small matrices — in one stacked
-:func:`~repro.fieldmath.inverse` call, and derived ``Γ⁻¹``, ``B``, the
-alternate subset's ``B`` and the decode memo for the whole stack in
-vectorised passes.  Afterwards the plan (searched lazily, from the memo)
-and the forward and backward checks eliminate nothing; only a singular
-candidate or ``extra_shares > k + m`` makes the search invert one more
-subset.
-A single set is the one-slice stack of the same code.
+One elimination, one stack, per layer step.  ``generate(count=V, ...)``
+returns a :class:`CoefficientStack`, the ``V`` sets of a layer step as
+``(V, ...)`` arrays, having inverted every set's primary subset **and** the
+plan's first alternate candidate in one stacked
+:func:`~repro.fieldmath.inverse` call and solved both subsets' ``B`` for
+the whole stack.  Everything the masking classes read (``Aᵀ``, decode
+operands, ``γ``, ``B`` rows, the plan) is derived once for all ``V``.
 
 Draws by the block.  A stack's random material is four draws, whatever
-``V`` is: the ``V`` input blocks ``A1`` from one ``uniform((V, K, n))``, the
-MDS evaluation points of every ``A2`` from one ``distinct_nonzero(V·n)``
-(distinct across the whole stack — more than MDS needs — and per set only in
-a field too small to hold ``V·n`` distinct points), then, **after** the one
-stacked elimination has accepted every primary, ``γ`` from one
-``nonzero((V, n))`` and the noise from one ``uniform((V, M) + shape)``.  A
-singular primary (probability ``≈ V·(K+M)/p``, about ``6·10⁻⁷`` per layer
-step at the paper's prime) redraws the ``A`` block and nothing else, so
-nothing is ever drawn ahead of the check that decides whether it is used:
-the stream only moves forward.  At ``V = 1`` the four draws are exactly the
-single set's — ``A1``, points, ``γ``, noise — so a set generated on its own
-is byte for byte what it always was; for ``V > 1`` the order differs from
+``V`` is: every ``A1`` from one ``uniform((V, K, n))``, the MDS points of
+every ``A2`` from one ``distinct_nonzero(V·n)`` (distinct across the stack;
+per set only in a field too small to hold ``V·n``), then, **after** the
+elimination has accepted every primary, ``γ`` from one ``nonzero((V, n))``
+and the noise from one ``uniform((V, M) + shape)``.  A singular primary
+(≈ ``V·(K+M)/p``) redraws the ``A`` block and nothing else: nothing is
+drawn ahead of the check that decides whether it is used.  At ``V = 1`` the
+draws are exactly the single set's; for ``V > 1`` the order differs from
 generating the sets one after another (decoding is exact, so nothing
-decoded depends on it).  The sets of a stack are read-only slices of shared
-arrays.
+decoded depends on it).  Every array of a stack, and of its sets, is
+read-only.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
 
 import numpy as np
 
-from repro.errors import EncodingError, FieldError, SingularMatrixError
+from repro.errors import DecodingError, EncodingError, FieldError, SingularMatrixError
 from repro.fieldmath import (
     FieldRng,
     PrimeField,
@@ -99,29 +87,26 @@ def _alternate_candidates(covered, uncovered, size: int):
                 yield tuple(sorted(fill + fresh))
 
 
-def as_stack(coefficients) -> tuple[tuple["CoefficientSet", ...], bool]:
-    """``(sets, stacked)`` for what a masking class was constructed with.
+def stack_arrays(arrays) -> np.ndarray:
+    """``np.stack`` whose one-slice stack is a view, not a copy — what a
+    staged op's single virtual batch pays for riding the stacked code."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    The encoder, decoders and verifier all work on a *stack* of virtual
-    batches — one coefficient set each, tensors carrying a leading ``V``
-    axis.  Handing them a single :class:`CoefficientSet` means the
-    one-slice stack: ``stacked`` is ``False`` and their tensors come and
-    go without the axis.
+
+def as_stack(coefficients) -> tuple["CoefficientStack", bool]:
+    """``(stack, stacked)`` for what a masking class was constructed with.
+
+    The encoder, decoders and verifier all work on a
+    :class:`CoefficientStack` — tensors carrying a leading ``V`` axis.  A
+    single :class:`CoefficientSet` is the one-slice stack, and ``stacked``
+    is ``False``: its tensors come and go without the axis.  A sequence of
+    sets is stacked set by set.
     """
+    if isinstance(coefficients, CoefficientStack):
+        return coefficients, True
     if isinstance(coefficients, CoefficientSet):
-        return (coefficients,), False
-    sets = tuple(coefficients)
-    if not sets:
-        raise EncodingError("a coefficient stack needs at least one set")
-    first = sets[0]
-    for other in sets[1:]:
-        if (other.field.p, other.k, other.m, other.n_shares) != (
-            first.field.p, first.k, first.m, first.n_shares
-        ):
-            raise EncodingError(
-                "stacked coefficient sets must share one field and one (K, M, shares) shape"
-            )
-    return sets, True
+        return CoefficientStack.of([coefficients]), False
+    return CoefficientStack.of(coefficients), True
 
 
 def _scalar_inverses(field: PrimeField, values: np.ndarray) -> np.ndarray:
@@ -146,6 +131,25 @@ def _vandermonde_rows(field: PrimeField, points: np.ndarray, n_rows: int) -> np.
     return out
 
 
+class _ShareShape:
+    """``A``'s shape, read alike off a set ``(k + m, n)`` and a stack ``(V, k + m, n)``."""
+
+    @property
+    def n_shares(self) -> int:
+        """Total encoded shares (== GPUs receiving data), ``k + m + extra``."""
+        return self.a.shape[-1]
+
+    @property
+    def n_sources(self) -> int:
+        """Rows of ``A``: real inputs plus noise vectors, ``k + m``."""
+        return self.k + self.m
+
+    @property
+    def extra_shares(self) -> int:
+        """Redundant shares available for integrity checking."""
+        return self.n_shares - self.n_sources
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
     """Make ``array`` and the buffer it views read-only, for good: a slice
     of a read-only buffer cannot be made writable again."""
@@ -156,7 +160,7 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(_ShareShape):
     """Per-virtual-batch masking coefficients (enclave-secret unless noted).
 
     Attributes
@@ -225,9 +229,10 @@ class CoefficientSet:
             Exhaustively check the ``<= m``-column-subset rank condition
             (slow for wide matrices; tests use it, production trusts MDS).
         count:
-            ``None`` for one :class:`CoefficientSet`; ``V >= 1`` for a tuple
-            of ``V`` independent sets from four block draws (``A1``, MDS
-            points, ``γ``, noise) and one elimination, whatever ``V`` is.
+            ``None`` for one :class:`CoefficientSet`; ``V >= 1`` for a
+            :class:`CoefficientStack` of ``V`` independent sets from four
+            block draws (``A1``, MDS points, ``γ``, noise) and one
+            elimination, whatever ``V`` is.
             ``count=1`` draws exactly what ``count=None`` does; a larger
             stack's sets are as valid and as independent as ``V`` calls in
             a row would return, but not the same bytes.
@@ -239,8 +244,8 @@ class CoefficientSet:
             ``(V, m) + noise_shape`` — ``(m,) + noise_shape`` for the
             single set.
 
-        The arrays of the returned sets are read-only (the sets of a stack
-        are slices of shared arrays); the noise is the caller's to write.
+        The returned arrays are read-only (a stack's sets view slices of
+        shared arrays); the noise is the caller's to write.
         """
         if k < 1:
             raise EncodingError(f"virtual batch size must be >= 1, got {k}")
@@ -254,14 +259,14 @@ class CoefficientSet:
             raise EncodingError(f"a coefficient stack needs at least one set, got {count}")
         if k + m + extra_shares >= rng.field.p:
             raise EncodingError("share count exceeds field size")
-        sets, noise = cls._generate_stack(
+        stack, noise = cls._generate_stack(
             rng, k, m, extra_shares, mds_noise, certify_collusion,
             1 if count is None else count,
             None if noise_shape is None else tuple(noise_shape),
         )
         if count is None:  # the one-slice stack, handed back without the axis
-            sets, noise = sets[0], noise[0]
-        return sets if noise_shape is None else (sets, noise)
+            stack, noise = stack[0], noise[0]
+        return stack if noise_shape is None else (stack, noise)
 
     @classmethod
     def _generate_stack(
@@ -274,7 +279,7 @@ class CoefficientSet:
         certify_collusion: bool,
         count: int,
         noise_shape: tuple[int, ...] | None,
-    ) -> tuple[tuple["CoefficientSet", ...], np.ndarray]:
+    ) -> tuple["CoefficientStack", np.ndarray]:
         """``count`` sets (and their noise) from four block draws, inverted together."""
         field = rng.field
         s = k + m
@@ -330,25 +335,13 @@ class CoefficientSet:
             cls._solve_b(field, inverses[:, i], gamma_inv, k, subset)
             for i, subset in enumerate(subsets)
         ]
-        # The sets are slices of the stack's arrays: read-only, so that no
-        # caller's write can reach a neighbouring set through a shared base.
+        # Read-only, so that no caller's write through one set's view can
+        # reach a neighbouring set through the shared base.
         for array in (a, gamma, inverses, *b):
             _freeze(array)
-        sets = []
-        for v, lost in enumerate(singular.tolist()):
-            coeffs = cls(
-                field=field, k=k, m=m, a=a[v], gamma=gamma[v], b=b[0][v], primary_subset=primary
-            )
-            decode_cache, b_cache = {}, {}
-            for i, (subset, gone) in enumerate(zip(subsets, lost)):
-                decode_cache[subset] = None if gone else inverses[v, i]
-                if not gone:
-                    b_cache[subset] = b[i][v]
-            coeffs.__dict__.update(
-                _decode_cache=decode_cache, _b_cache=b_cache
-            )
-            sets.append(coeffs)
-        return tuple(sets), noise
+        stack = CoefficientStack(field, k, m, a, gamma, b[0], primary)
+        stack._solved = (subsets, inverses, singular, b)
+        return stack, noise
 
     @staticmethod
     def _solve_b(
@@ -376,36 +369,10 @@ class CoefficientSet:
         b[..., members, :] = field.mul(subset_inverse[..., :k], gamma_inv[..., members, None])
         return b
 
-    # ------------------------------------------------------------------
-    # derived properties
-    # ------------------------------------------------------------------
-    @property
-    def n_shares(self) -> int:
-        """Total encoded shares (== GPUs receiving data), ``k + m + extra``."""
-        return self.a.shape[1]
-
-    @property
-    def n_sources(self) -> int:
-        """Rows of ``A``: real inputs plus noise vectors, ``k + m``."""
-        return self.k + self.m
-
-    @property
-    def extra_shares(self) -> int:
-        """Redundant shares available for integrity checking."""
-        return self.n_shares - self.n_sources
-
     @property
     def a2(self) -> np.ndarray:
         """Noise-coefficient block (paper's ``A2``), shape ``(m, n_shares)``."""
         return self.a[self.k :]
-
-    @cached_property
-    def encode_operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """``Aᵀ`` and ``Aᵀ`` as float64 (read-only): the left operand of
-        every encode GEMM, converted once for the set rather than on every
-        encode (the integer form is what the oracle backend reads)."""
-        a_t = self.a.T
-        return a_t, _freeze(a_t.astype(np.float64))
 
     # ------------------------------------------------------------------
     # decode-subset management
@@ -445,18 +412,6 @@ class CoefficientSet:
         if matrix is None:
             raise EncodingError(f"share subset {subset} is not decodable")
         return matrix
-
-    def decode_operands(self, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """``decoding_matrix(subset)ᵀ`` and its float64 form (read-only),
-        memoized beside the decode matrices: the left operand of every
-        decode GEMM from that subset, converted once rather than on every
-        decode."""
-        operands = self.__dict__.setdefault("_decode_operands", {})
-        pair = operands.get(subset)
-        if pair is None:
-            decode_t = self.decoding_matrix(subset).T
-            pair = operands[subset] = (decode_t, _freeze(decode_t.astype(np.float64)))
-        return pair
 
     @cached_property
     def verification_plan(self) -> tuple[tuple[int, ...], ...]:
@@ -498,17 +453,12 @@ class CoefficientSet:
         share sets.
         """
         yielded = 0
-        seen_primary = False
         for subset in combinations(range(self.n_shares), self.n_sources):
-            if subset == self.primary_subset:
-                seen_primary = True
             if self._subset_inverse(subset) is not None:
                 yield subset
                 yielded += 1
                 if limit is not None and yielded >= limit:
                     return
-        if not seen_primary:  # pragma: no cover - primary is always a combination
-            raise EncodingError("primary subset missing from enumeration")
 
     def backward_matrices_for_subset(
         self, subset: tuple[int, ...]
@@ -539,3 +489,123 @@ class CoefficientSet:
             self.a.T,
         )
         return bool(np.array_equal(lhs, _recovery_target(self.field, self.k, self.m)))
+
+
+class CoefficientStack(_ShareShape):
+    """A layer step's ``V`` coefficient sets as one unit of work.
+
+    ``a`` ``(V, k + m, n_shares)``, ``gamma`` ``(V, n_shares)`` and ``b``
+    ``(V, n_shares, k)`` hold every set, and what the masking classes read
+    is derived for all ``V`` at once and kept: :attr:`encode_operands`,
+    :meth:`decode_operands`, :attr:`plans` / :attr:`plan` and
+    :meth:`b_stack`.  A stack from :meth:`CoefficientSet.generate` reads
+    them off its one elimination; one assembled by :meth:`of` (tickets of
+    several encodes, serving's cached set) off each set's own memo.
+    ``stack[v]`` is set ``v``, a :class:`CoefficientSet` viewing its
+    slices, made on first access.
+    """
+
+    def __init__(self, field, k, m, a, gamma, b, primary_subset, views=None) -> None:
+        self.field, self.k, self.m = field, k, m
+        self.a, self.gamma, self.b = a, gamma, b
+        #: The primary subset every set shares, ``None`` when they differ.
+        self.primary_subset = primary_subset
+        self._views = list(views) if views is not None else [None] * len(a)
+        #: ``(subsets, inverses, singular, bs)`` of the generating elimination.
+        self._solved = ((), None, None, ())
+        self._decode_operands: dict = {}
+
+    @classmethod
+    def of(cls, sets) -> "CoefficientStack":
+        """The stack of existing sets, which stay its members."""
+        sets = tuple(sets)
+        if not sets:
+            raise EncodingError("a coefficient stack needs at least one set")
+        first = sets[0]
+        shape = (first.field.p, first.k, first.m, first.n_shares)
+        if any((c.field.p, c.k, c.m, c.n_shares) != shape for c in sets[1:]):
+            raise EncodingError(
+                "stacked coefficient sets must share one field and one (K, M, shares) shape"
+            )
+        primary = first.primary_subset
+        return cls(
+            first.field, first.k, first.m,
+            *(stack_arrays([getattr(c, name) for c in sets]) for name in ("a", "gamma", "b")),
+            primary if all(c.primary_subset == primary for c in sets) else None,
+            views=sets,
+        )
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, v: int) -> CoefficientSet:
+        view = self._views[operator.index(v)]  # a set, never a slice of views
+        if view is None:
+            subsets, inverses, singular, bs = self._solved
+            view = self._views[v] = CoefficientSet(
+                self.field, self.k, self.m, self.a[v], self.gamma[v], self.b[v],
+                self.primary_subset,
+            )
+            view.__dict__.update(
+                _decode_cache={s: None if singular[v, i] else inverses[v, i]
+                               for i, s in enumerate(subsets)},
+                _b_cache={s: bs[i][v] for i, s in enumerate(subsets) if not singular[v, i]},
+            )
+        return view
+
+    def _solved_for(self, subset):
+        """``(inverses, B)`` the elimination solved for ``subset`` in every set, or ``None``."""
+        subsets, inverses, singular, bs = self._solved
+        i = subsets.index(subset) if subset in subsets else None
+        return None if i is None or singular[:, i].any() else (inverses[:, i], bs[i])
+
+    @cached_property
+    def encode_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """``Aᵀ`` ``(V, n_shares, k + m)`` and its float64 form (read-only):
+        the left operand of every encode GEMM, converted once."""
+        a_t = self.a.transpose(0, 2, 1)
+        return a_t, _freeze(a_t.astype(np.float64))
+
+    def decode_operands(self, subset: tuple[int, ...] | None) -> tuple:
+        """``(subset, decode_t, decode_float, run)`` of a decode from
+        ``subset`` (``None``: the primary every set shares), memoized:
+        every set's ``decoding_matrix(subset)ᵀ`` and its float64 form
+        (read-only), the left operand of each such decode GEMM, and whether
+        the subset is a run of consecutive shares."""
+        operands = self._decode_operands.get(subset)
+        if operands is None:
+            named, subset = subset, self.primary_subset if subset is None else subset
+            if subset is None:
+                raise DecodingError("stacked sets have different primary subsets; name one")
+            solved = self._solved_for(subset)
+            inverses = solved[0] if solved else stack_arrays(
+                [c.decoding_matrix(subset) for c in self]
+            )
+            decode_t = inverses.transpose(0, 2, 1)
+            run = subset == tuple(range(subset[0], subset[0] + len(subset)))
+            operands = (subset, decode_t, _freeze(decode_t.astype(np.float64)), run)
+            self._decode_operands[named] = operands
+        return operands
+
+    @cached_property
+    def plans(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Each set's :attr:`~CoefficientSet.verification_plan`: the
+        elimination's subsets when they cover every share and no set found
+        one singular, else each set's own search."""
+        subsets, _, singular, _ = self._solved
+        if subsets and self.extra_shares <= self.n_sources and not singular.any():
+            return [tuple(subsets)] * len(self)
+        return [c.verification_plan for c in self]
+
+    @cached_property
+    def plan(self) -> tuple[tuple[int, ...], ...] | None:
+        """The plan every set shares, or ``None`` when they differ."""
+        first, *rest = self.plans
+        return first if all(plan == first for plan in rest) else None
+
+    def b_stack(self, subsets) -> np.ndarray:
+        """``(V, n_shares, k)``: set ``v``'s ``B`` supported on ``subsets[v]``."""
+        solved = self._solved_for(subsets[0])  # any other subset: a singular candidate
+        if solved:
+            return solved[1]
+        return np.stack([c.backward_matrices_for_subset(s)[0] for c, s in zip(self, subsets)])

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import DecodingError, EncodingError
 from repro.fieldmath import FieldRng, PrimeField, field_matmul, field_matmul_stacked
-from repro.masking.coefficients import CoefficientSet, as_stack
+from repro.masking.coefficients import CoefficientSet, CoefficientStack, as_stack, stack_arrays
 from repro.precompute.scratch import active_scratch
 
 
@@ -37,28 +37,18 @@ def stack_matmul(
     Every masking product — encode, decode, ``γ``-decode — is this
     ``(V, m, n) @ (V, n, q)``; the one-slice stack (a staged op's single
     virtual batch) *is* the plain 2-D product and runs as one.  ``a_float``
-    is ``a`` as float64 — the coefficient sets' memoized operands — so the
+    is ``a`` as float64 — the coefficient stack's kept operands — so the
     GEMM does not convert the same coefficients again.  The result has
     ``b``'s kind: a float64 ``b`` (exact integers: the encode's source
     block, gathered GPU outputs) is multiplied as it stands and the
     product comes back as float64 (see :func:`~repro.fieldmath.field_matmul`),
     unless ``into`` (an array of the product's shape) takes it, cast.
-    A 2-D ``a`` (and ``a_float``) is the one-slice stack's matrix itself,
-    as :func:`stack_operands` hands a single set's.
     """
-    matrix, matrix_float = a, a_float
-    if a.ndim == 3:
-        if a.shape[0] > 1:
-            return field_matmul_stacked(field, a, b, a_float=a_float, into=into)
-        matrix, matrix_float = a[0], None if a_float is None else a_float[0]
+    if a.shape[0] > 1:
+        return field_matmul_stacked(field, a, b, a_float=a_float, into=into)
+    slice_float = None if a_float is None else a_float[0]
     into = None if into is None else into[0]
-    return field_matmul(field, matrix, b[0], a_float=matrix_float, into=into)[None]
-
-
-def stack_arrays(arrays) -> np.ndarray:
-    """``np.stack`` whose one-slice stack is a view, not a copy — what a
-    staged op's single virtual batch pays for riding the stacked code."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    return field_matmul(field, a[0], b[0], a_float=slice_float, into=into)[None]
 
 
 def source_block(n_sets: int, n_sources: int, feature_shape: tuple[int, ...]) -> np.ndarray:
@@ -87,15 +77,6 @@ def as_float(values: np.ndarray, tag: str) -> np.ndarray:
     return scratch.cast(tag, values, np.float64)
 
 
-def stack_operands(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The sets' ``(int64, float64)`` operand pairs as two ``(V, ...)``
-    stacks — :func:`stack_matmul`'s ``a`` and ``a_float``; a single set's
-    pair is handed back as it is, the one-slice stack's matrices."""
-    if len(pairs) == 1:
-        return pairs[0]
-    return np.stack([a for a, _ in pairs]), np.stack([a_float for _, a_float in pairs])
-
-
 @dataclass(slots=True)
 class EncodedBatch:
     """The masked shares for one virtual batch (or a stack of them).
@@ -110,41 +91,35 @@ class EncodedBatch:
         The ``M`` noise vectors (shape ``(m, *feature_shape)``).  Kept only
         inside the enclave; exposed here for tests and analysis.
     coefficients:
-        The secret coefficient set that produced the shares.
-
-    An encoder built over a sequence of ``V`` sets returns the stack:
-    ``shares`` and ``noise`` carry a leading ``V`` axis and
-    ``coefficients`` is that sequence.
+        What the encoder was built over: the secret set, or a stack of
+        ``V`` sets, and then ``shares`` and ``noise`` carry a ``V`` axis.
     """
 
     shares: np.ndarray
     noise: np.ndarray
-    coefficients: CoefficientSet | tuple[CoefficientSet, ...]
+    coefficients: CoefficientSet | CoefficientStack
 
 
 class ForwardEncoder:
     """Encodes virtual batches under a given coefficient set.
 
-    ``coefficients`` is one :class:`CoefficientSet`, or a sequence of ``V``
-    of them — one per virtual batch of a layer step, each with its own
-    secret ``A`` — in which case :meth:`encode` takes inputs with a leading
-    ``V`` axis and masks every virtual batch in one stacked field GEMM.
-    Everything the sets alone decide (their ``Aᵀ`` operand stacks) is
-    prepared here, once, so an encoder kept for a deployment's cached set
-    pays only for each encode's own numbers.
+    ``coefficients`` is one :class:`CoefficientSet`, or a
+    :class:`CoefficientStack` (or sequence) of ``V`` of them — one per
+    virtual batch of a layer step, each with its own secret ``A`` — in
+    which case :meth:`encode` takes inputs with a leading ``V`` axis and
+    masks every virtual batch in one stacked field GEMM against the
+    stack's ``Aᵀ``, so each encode pays only for its own numbers.
     """
 
     def __init__(self, coefficients, rng: FieldRng) -> None:
-        self._sets, self._stacked = as_stack(coefficients)
-        field = self._sets[0].field
-        if field is not rng.field and field.p != rng.field.p:
+        stack, self._stacked = as_stack(coefficients)
+        if stack.field is not rng.field and stack.field.p != rng.field.p:
             raise EncodingError("coefficient set and RNG use different fields")
         self.coefficients = coefficients
         self._rng = rng
-        self._operands = stack_operands([coeffs.encode_operands for coeffs in self._sets])
-        first = self._sets[0]
-        self._field = field
-        self._sizes = (first.k, first.m, first.n_sources, first.n_shares)
+        self._operands = stack.encode_operands
+        self._field = stack.field
+        self._sizes = (len(stack), stack.k, stack.m, stack.n_sources, stack.n_shares)
 
     def encode(
         self, inputs: np.ndarray, noise: np.ndarray | None = None, *, canonical: bool = False
@@ -171,14 +146,13 @@ class ForwardEncoder:
             block is.
         """
         field = self._field
-        k, m, n_sources, n_shares = self._sizes
+        n_sets, k, m, n_sources, n_shares = self._sizes
         inputs = np.asarray(inputs)
         if noise is not None:
             noise = np.asarray(noise, dtype=np.int64)
         if not self._stacked:
             inputs = inputs[None]
             noise = None if noise is None else noise[None]
-        n_sets = len(self._sets)
         rows = inputs.shape[1] if inputs.ndim >= 2 else None
         block = rows == n_sources and inputs.dtype == np.float64
         if rows is None or inputs.shape[0] != n_sets or not (block or rows == k):
@@ -190,9 +164,7 @@ class ForwardEncoder:
         noise_shape = (n_sets, m) + feature_shape
         drawn = noise is None
         if drawn:
-            noise = stack_arrays(
-                [self._rng.uniform(noise_shape[1:]) for _ in self._sets]
-            )
+            noise = stack_arrays([self._rng.uniform(noise_shape[1:]) for _ in range(n_sets)])
         elif noise.shape != noise_shape:
             raise EncodingError(
                 f"noise shape {noise.shape} does not match"
@@ -235,47 +207,17 @@ class ForwardEncoder:
 class ForwardDecoder:
     """Recovers true linear-op outputs from masked GPU results.
 
-    Built over a sequence of ``V`` coefficient sets it decodes a stack:
+    Built over a stack of ``V`` coefficient sets it decodes a stack:
     ``gpu_outputs`` carries a leading ``V`` axis and virtual batch ``v`` is
-    unmasked with set ``v``'s own ``A_J⁻¹``, all in one stacked field GEMM.
-    A subset's operand stack is built on its first decode and kept, so a
-    decoder kept for a deployment's cached set stacks nothing afterwards.
+    unmasked with set ``v``'s own ``A_J⁻¹``, all in one stacked field GEMM
+    against the stack's decode operands for ``J``.
     """
 
     def __init__(self, coefficients) -> None:
-        self._sets, self._stacked = as_stack(coefficients)
+        self._stack, self._stacked = as_stack(coefficients)
         self.coefficients = coefficients
-        #: Per decoded subset (``None``: the primary): the subset, its
-        #: ``(decode_t, decode_float)`` stacks and whether it is a run of
-        #: consecutive shares.
-        self._operands: dict = {}
-        first = self._sets[0]
-        self._sizes = (first.k, first.n_sources, first.n_shares)
-
-    def _subset_operands(self, subset) -> tuple:
-        """``(subset, decode_t, decode_float, run)`` for ``subset`` (the
-        stack's shared primary for ``None``), memoized."""
-        if subset is not None and type(subset) is not tuple:
-            subset = tuple(subset)
-        prepared = self._operands.get(subset)
-        if prepared is not None:
-            return prepared
-        named = subset
-        if subset is None:
-            subset = self._sets[0].primary_subset
-            if any(coeffs.primary_subset != subset for coeffs in self._sets[1:]):
-                raise DecodingError(
-                    "stacked sets have different primary subsets; name one"
-                )
-        prepared = self._operands.get(subset)
-        if prepared is None:
-            decode_t, decode_float = stack_operands(
-                [coeffs.decode_operands(subset) for coeffs in self._sets]
-            )
-            run = subset == tuple(range(subset[0], subset[0] + len(subset)))
-            prepared = self._operands[subset] = (subset, decode_t, decode_float, run)
-        self._operands[named] = prepared
-        return prepared
+        stack = self._stack
+        self._sizes = (stack.k, stack.n_sources, stack.n_shares, len(stack))
 
     def decode(
         self,
@@ -305,17 +247,18 @@ class ForwardDecoder:
         fresh array the caller may round in place
         (:meth:`~repro.quantization.QuantizationConfig.dequantize_product`).
         """
-        k, n_sources, n_shares = self._sizes
+        k, n_sources, n_shares, n_sets = self._sizes
         outputs = np.asarray(gpu_outputs)
         if not self._stacked:
             outputs = outputs[None]
-        n_sets = len(self._sets)
         if outputs.ndim < 2 or outputs.shape[:2] != (n_sets, n_shares):
             raise DecodingError(
                 f"expected outputs from all {n_shares} shares (indexed by"
                 f" share id) of {n_sets} virtual batches, got shape {outputs.shape}"
             )
-        subset, decode_t, decode_float, run = self._subset_operands(subset)
+        if subset is not None and type(subset) is not tuple:
+            subset = tuple(subset)
+        subset, decode_t, decode_float, run = self._stack.decode_operands(subset)
         out_shape = outputs.shape[2:]
         # Transposed decode [Y | WR] = D^T @ Ȳ_J: one stacked GEMM on
         # contiguous rows, no feature-major intermediate (bit-identical
@@ -335,7 +278,7 @@ class ForwardDecoder:
                     "dec_selected", (n_sets, len(subset), flat_outputs.shape[2]), np.float64
                 )
             selected = flat_outputs.take(subset, axis=1, out=selected)
-        recovered = stack_matmul(self._sets[0].field, decode_t, selected, decode_float)
+        recovered = stack_matmul(self._stack.field, decode_t, selected, decode_float)
         recovered = recovered.reshape((n_sets, n_sources) + out_shape)
         results, noise_product = recovered[:, :k], recovered[:, k:]
         if not self._stacked:

@@ -85,41 +85,34 @@ class IntegrityVerifier:
     """
 
     def __init__(self, coefficients, max_subsets: int = 8) -> None:
-        self._sets, self._stacked = as_stack(coefficients)
-        first = self._sets[0]
-        if first.extra_shares < 1:
+        self._stack, self._stacked = as_stack(coefficients)
+        stack = self._stack
+        if stack.extra_shares < 1:
             raise IntegrityError(
                 "integrity verification requires at least one redundant share"
-                f" (K+M+1 GPUs); got {first.n_shares} shares for"
-                f" {first.n_sources} sources"
+                f" (K+M+1 GPUs); got {stack.n_shares} shares for"
+                f" {stack.n_sources} sources"
             )
         if max_subsets < 2:
             raise IntegrityError(f"need at least 2 subsets to compare, got {max_subsets}")
         self.coefficients = coefficients
         self.max_subsets = max_subsets
         #: The stack's decoder, kept with its operand stacks for every check.
-        self._decoder = ForwardDecoder(self._sets)
-        self._plans: list | None = None
-        #: The plan every set shares, or ``None`` when they differ.
-        self._shared_plan: tuple | None = None
+        self._decoder = ForwardDecoder(stack)
 
     def verification_plans(self) -> list[tuple[tuple[int, ...], ...]]:
         """Each set's plan (primary subset first, alternates after), read
-        and checked on the first call and kept: the sets are frozen.
+        off the stack, which keeps them: the sets are frozen.
 
         Fails closed: a set whose alternates are all singular has nothing
         to cross-check against and cannot be verified, forward or backward.
         """
-        plans = self._plans
-        if plans is None:
-            plans = self._plans = [coeffs.verification_plan for coeffs in self._sets]
+        plans = self._stack.plans
         if any(len(plan) < 2 for plan in plans):
             raise IntegrityError(
                 "coefficient set admits fewer than two decode subsets;"
                 " cannot verify"
             )
-        if all(plan == plans[0] for plan in plans[1:]):
-            self._shared_plan = plans[0]
         return plans
 
     # ------------------------------------------------------------------
@@ -134,17 +127,15 @@ class IntegrityVerifier:
         the primary decode as ``decoded``.  A stack returns one report per
         virtual batch, each from that batch's own slices.
         """
-        plan = self._shared_plan
-        if plan is None:
-            self.verification_plans()  # fails closed; a shared plan is kept
-            plan = self._shared_plan
-        if plan is None:
+        plan = self._stack.plan
+        if plan is None or len(plan) < 2:
+            self.verification_plans()  # fails closed
             # A singular alternate candidate (probability ~ (K+M)/p per
             # set) sent some set to another plan: no subset is shared, so
             # each set is verified as its own one-slice stack.
             return [
                 IntegrityVerifier(coeffs, self.max_subsets).verify_forward(outputs)
-                for coeffs, outputs in zip(self._sets, gpu_outputs)
+                for coeffs, outputs in zip(self._stack, gpu_outputs)
             ]
         outputs = np.asarray(gpu_outputs)
         reports = self._verify_stack(outputs if self._stacked else outputs[None], plan)
@@ -168,7 +159,7 @@ class IntegrityVerifier:
         else:
             return [IntegrityReport(consistent=True, decoded=y) for y in primary[0]]
         reports = []  # somewhere in the stack: find which virtual batches
-        for v, coeffs in enumerate(self._sets):
+        for v, coeffs in enumerate(self._stack):
             mine = {subset: (y[v], wr[v]) for subset, (y, wr) in decoded.items()}
             if not all(_agree(mine[subset], mine[plan[0]]) for subset in plan[1:]):
                 reports.append(self._localise_mismatch(coeffs, gpu_outputs[v], mine))
@@ -207,7 +198,7 @@ class IntegrityVerifier:
         explains the corruption.
         """
         suspects: list[int] = []
-        for share in range(self._sets[0].n_shares):
+        for share in range(self._stack.n_shares):
             excluding = [s for s in decoded if share not in s]
             if len(excluding) < 2:
                 continue
@@ -247,22 +238,17 @@ class IntegrityVerifier:
             raise IntegrityError(
                 "backward verification needs decodes under >= 2 B-matrices"
             )
-        items = list(equations_by_bset.items())
-        _, reference = items[0]
+        subsets = list(equations_by_bset)
+        reference = equations_by_bset[subsets[0]]
         mismatch = [
-            subset for subset, agg in items[1:] if not np.array_equal(agg, reference)
+            s for s in subsets[1:] if not np.array_equal(equations_by_bset[s], reference)
         ]
         if not mismatch:
             return IntegrityReport(consistent=True)
-        all_subsets = [s for s, _ in items]
-        shared = set(all_subsets[0])
-        for s in all_subsets[1:]:
-            shared &= set(s)
         # Shares in every subset cannot be exonerated; shares in only the
         # mismatching subsets are prime suspects.
-        suspects = sorted(
-            set().union(*[set(s) for s in mismatch]) - shared
-            if mismatch and shared != set(mismatch[0])
-            else set().union(*[set(s) for s in mismatch])
-        )
-        return IntegrityReport(consistent=False, suspected_shares=tuple(suspects))
+        shared = set(subsets[0]).intersection(*subsets[1:])
+        suspects = set().union(*mismatch)
+        if shared != set(mismatch[0]):
+            suspects -= shared
+        return IntegrityReport(consistent=False, suspected_shares=tuple(sorted(suspects)))

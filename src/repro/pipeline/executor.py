@@ -432,7 +432,7 @@ class PipelineExecutor:
         spans.append(StageSpan(job.index, op.key, "encode", "enclave", start, end))
         future = self.backend.dispatch(tickets)
         gpu_start, ready_at = self.backend.cluster.reserve_shares(
-            ticket.coefficients.n_shares,
+            ticket.prepared.sets.n_shares,
             self.costs.gpu_time(future.macs_per_share),
             not_before=end,
         )

@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.gpu import ShareLaunch
-from repro.masking import CoefficientSet, ForwardDecoder, ForwardEncoder, IntegrityVerifier
+from repro.masking import ForwardDecoder, ForwardEncoder, IntegrityVerifier
+from repro.masking.coefficients import CoefficientStack, as_stack
 from repro.quantization import Normalization
 
 
@@ -64,19 +65,17 @@ class WindowItem:
 class PreparedStep:
     """What a layer step derives from its coefficient stack, built once.
 
-    The masking objects over the step's ``V`` sets — the encoder with its
-    ``Aᵀ`` operand stack, and the verifier (integrity on, its plan checked
-    once) or the decoder, each keeping the decode operand stacks of the
-    subsets it decodes — and the device line-up the launch runs on.  A
-    served layer keeps one on its :class:`StagedLinearOp` for the
-    deployment's cached set, so a window pays only for its own numbers:
-    normalize and quantize, the noise draw, the encode GEMM, the launch,
-    the plan's decodes and their compare, the dequantize.  A training step
-    builds one for its fresh sets, which its tickets carry until
-    ``end_batch`` drops them.  Nothing here views a thread's workspace.
+    The masking objects over the step's stack — the encoder, and the
+    verifier (integrity on) or the decoder, all reading the stack's own
+    ``Aᵀ``, decode operands and plan — and the devices the launch runs on.
+    A served layer keeps one on its :class:`StagedLinearOp` for the
+    deployment's cached set, so a window pays only for its own numbers.  A
+    training step builds one for its fresh stack, which its tickets carry
+    through the forward and the backward until ``end_batch`` drops them.
+    Nothing here views a thread's workspace.
     """
 
-    sets: tuple[CoefficientSet, ...]
+    sets: CoefficientStack
     encoder: ForwardEncoder
     #: ``IntegrityVerifier`` with integrity on, else ``ForwardDecoder``.
     check: IntegrityVerifier | ForwardDecoder
@@ -87,10 +86,10 @@ class PreparedStep:
 
     @classmethod
     def build(cls, sets, rng, integrity: bool) -> "PreparedStep":
-        """Prepare the masking of one stack of ``sets`` under ``rng``."""
-        sets = tuple(sets)
-        check = IntegrityVerifier(sets) if integrity else ForwardDecoder(sets)
-        return cls(sets, ForwardEncoder(sets, rng), check, range(sets[0].n_shares))
+        """Prepare the masking of one stack (or sequence) of ``sets`` under ``rng``."""
+        stack, _ = as_stack(sets)
+        check = IntegrityVerifier(stack) if integrity else ForwardDecoder(stack)
+        return cls(stack, ForwardEncoder(stack, rng), check, range(stack.n_shares))
 
 
 @dataclass
@@ -142,13 +141,13 @@ class EncodeTicket:
 
     op: StagedLinearOp
     share_key: str  #: Where the shares live on each device.
-    coefficients: CoefficientSet
+    prepared: PreparedStep  #: The step its stack was encoded by ...
+    slot: int  #: ... and its place in that stack: ``prepared.sets[slot]``.
     vb_index: int  #: Position of this virtual batch within the parent batch.
     indices: tuple[int, ...]  #: Real-row positions inside the parent batch.
     n_real: int  #: Leading rows that are real (the rest is padding).
     x_norm: Normalization
     encode_bytes: int  #: Bytes of masked shares produced (prices the encode).
-    prepared: PreparedStep  #: The step its stack was encoded by.
     #: Noise bytes drawn inline (pool miss or precompute off); priced on the
     #: encode when the cost model sets ``maskgen_bandwidth``.
     inline_noise_bytes: int = 0

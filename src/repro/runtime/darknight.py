@@ -20,7 +20,9 @@ them: one quantize and range check over ``(V, K, ...)``, one stacked encode
 GEMM, one cluster launch over the ``V·(K+M+1)`` resident shares per op, one
 stacked decode per verification-plan subset, one stacked ``γ``-decode — and,
 with fresh coefficients, one ``CoefficientSet.generate(count=V)``: the
-step's ``V`` sets and their noise from one call and one elimination.  What
+step's ``V`` sets and their noise from one call and one elimination, as one
+:class:`~repro.masking.coefficients.CoefficientStack` whose prepared step
+the layer's forward and backward both use.  What
 stays per virtual batch is what the protocol makes per virtual batch —
 normalisation factors, the coefficient set and noise themselves (drawn in
 virtual-batch order, ``coeff₀, noise₀, coeff₁, ...``, exactly the stream a
@@ -55,12 +57,7 @@ from repro.comm import LinkModel
 from repro.enclave import Enclave
 from repro.errors import ConfigurationError, DecodingError
 from repro.gpu import GpuCluster, ShareLaunch
-from repro.masking import (
-    BackwardDecoder,
-    CoefficientSet,
-    IntegrityVerifier,
-    iter_virtual_batches,
-)
+from repro.masking import BackwardDecoder, CoefficientSet, iter_virtual_batches
 from repro.masking.forward import source_block, stack_arrays
 from repro.masking.virtual_batch import VirtualBatch
 from repro.pipeline.stages import EncodeTicket, GpuFuture, PreparedStep, StagedLinearOp
@@ -241,9 +238,9 @@ class DarKnightBackend:
         """
         if not self.serving:
             drawn = self._generate_coefficients(count=n_batches, noise_shape=noise_shape)
-            sets, noise = (drawn, None) if noise_shape is None else drawn
-            self.enclave.record_compute("generate_coefficients", sets[0].a.nbytes, n_batches)
-            return PreparedStep.build(sets, self.enclave.rng, self.config.integrity), noise
+            stack, noise = (drawn, None) if noise_shape is None else drawn
+            self.enclave.record_compute("generate_coefficients", stack.a[0].nbytes, n_batches)
+            return PreparedStep.build(stack, self.enclave.rng, self.config.integrity), noise
         # Coefficient shapes depend only on the (frozen) config's
         # (K, M, extra, mds) — the batch's feature shape never enters
         # because A/B/Gamma weight whole sample slots — so one cached set
@@ -283,6 +280,20 @@ class DarKnightBackend:
         self.link.transfer_many(n_batches * n_shares, batch_bytes // n_shares)
         self.enclave.ecall("gather_outputs", batch_bytes, n_batches)
 
+    def _step_for(self, tickets: Sequence[EncodeTicket]) -> PreparedStep:
+        """The step that encoded ``tickets``: theirs when they are one
+        encode's whole stack in its order, else one built for their own
+        sets (part of a stack, a reordering, tickets of several encodes)."""
+        step = tickets[0].prepared
+        if len(step.sets) == len(tickets) and all(
+            ticket.prepared is step and ticket.slot == v for v, ticket in enumerate(tickets)
+        ):
+            return step
+        return PreparedStep.build(
+            [ticket.prepared.sets[ticket.slot] for ticket in tickets],
+            self.enclave.rng, self.config.integrity,
+        )
+
     def _verified_decode(
         self, tickets: Sequence[EncodeTicket], outputs: np.ndarray
     ) -> np.ndarray:
@@ -290,16 +301,7 @@ class DarKnightBackend:
         that encoded it; with integrity on, the verifier's own primary
         decode is the result (no further decode of checked outputs) and a
         failure names its virtual batch."""
-        step = tickets[0].prepared
-        if len(step.sets) != len(tickets) or any(
-            ticket.coefficients is not coeffs for ticket, coeffs in zip(tickets, step.sets)
-        ):
-            # Not the stack one encode made, in its order (part of it, or
-            # tickets of several encodes): a step for these tickets' sets.
-            step = PreparedStep.build(
-                [ticket.coefficients for ticket in tickets],
-                self.enclave.rng, self.config.integrity,
-            )
+        step = self._step_for(tickets)
         if not self.config.integrity:
             return step.check.decode(outputs)
         reports = step.check.verify_forward(outputs)
@@ -464,13 +466,13 @@ class DarKnightBackend:
             EncodeTicket(
                 op=op,
                 share_key=share_key,
-                coefficients=step.sets[v],
+                prepared=step,
+                slot=v,
                 vb_index=index,
                 indices=batch.indices,
                 n_real=batch.n_real,
                 x_norm=x_norms[v],
                 encode_bytes=share_bytes,
-                prepared=step,
                 inline_noise_bytes=inline_noise_bytes[v],
             )
             for v, (batch, index, share_key) in enumerate(zip(vbs, vb_indices, share_keys))
@@ -588,8 +590,9 @@ class DarKnightBackend:
         # Pipelined forwards may register tickets out of virtual-batch order;
         # sum in vb order so gradients are bit-identical to the sync path.
         tickets = sorted(tickets, key=lambda t: t.vb_index)
-        sets = [ticket.coefficients for ticket in tickets]
-        n_shares = sets[0].n_shares
+        # The forward's step: its stack's γ, B rows and plan, its verifier.
+        step = self._step_for(tickets)
+        stack = step.sets
         rows = np.zeros(
             (len(tickets), cfg.virtual_batch_size) + delta.shape[1:], dtype=delta.dtype
         )
@@ -602,35 +605,33 @@ class DarKnightBackend:
         # "δ(i)s are multiplied with the β_{j,i} in the GPUs").  With
         # integrity on, each device also combines under a second B,
         # supported on its set's alternate plan subset (solved with the
-        # set, so reading it costs nothing here), in the same launch:
+        # stack, so reading it costs nothing here), in the same launch:
         # both equations share the one pass over its share.
-        b_rows = [[coeffs.b] for coeffs in sets]
+        b_rows = [stack.b]
         if cfg.integrity:
-            verifier = IntegrityVerifier(sets)
-            plans = verifier.verification_plans()
-            for per_batch, coeffs, plan in zip(b_rows, sets, plans):
-                per_batch.append(coeffs.backward_matrices_for_subset(plan[1])[0])
+            plans = step.check.verification_plans()
+            b_rows.append(stack.b_stack([plan[1] for plan in plans]))
         # Every device receives every virtual batch's quantized δ.
         delta_bytes = int(d_q[0].nbytes)
         self.enclave.record_compute("quantize_deltas", delta_bytes, len(tickets))
-        self.link.transfer_many(len(tickets) * n_shares, delta_bytes)
+        self.link.transfer_many(len(tickets) * stack.n_shares, delta_bytes)
         launch = ShareLaunch(
             kind,
             tuple(ticket.share_key for ticket in tickets),
             deltas=d_q,
-            b_rows=np.array(b_rows).transpose(0, 2, 1, 3),  # (V, R, S, K) -> (V, S, R, K)
+            b_rows=np.stack(b_rows, axis=2),  # (V, S, R, K)
             **geometry,
         )
-        equations, _ = self.cluster.map_shares(launch, range(n_shares))  # (V, S, R, ...)
+        equations, _ = self.cluster.map_shares(launch, step.lineup)  # (V, S, R, ...)
         self._gather(equations[:, :, 0])
         # One γ-decode for the stack: each virtual batch under its own γ,
         # the alternate-B equations riding along its feature axis.
-        aggregates = BackwardDecoder(sets).decode(equations)  # (V, R, ...)
+        aggregates = BackwardDecoder(stack).decode(equations)  # (V, R, ...)
         if cfg.integrity:
-            reports = verifier.verify_backward(
+            reports = step.check.verify_backward(
                 [
-                    {coeffs.primary_subset: primary, plan[1]: alternate}
-                    for coeffs, plan, (primary, alternate) in zip(sets, plans, aggregates)
+                    {plan[0]: primary, plan[1]: alternate}
+                    for plan, (primary, alternate) in zip(plans, aggregates)
                 ]
             )
         grads = self.quantizer.dequantize_product(aggregates[:, 0])

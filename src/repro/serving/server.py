@@ -490,7 +490,8 @@ class PrivateInferenceServer:
         return len(self._inflight)
 
     def _admit(self, event: TraceRequest, now: float) -> None:
-        """Route, attest/decrypt one arrival and queue it (or shed it).
+        """Route one arrival, apply the admission bound, then decrypt and
+        queue it — a shed arrival never enters the enclave.
 
         A total outage (every shard failed) turns the arrival into a
         ``shard_failed`` outcome instead of crashing the trace replay, and
@@ -521,13 +522,9 @@ class PrivateInferenceServer:
             return
         unit = self.units[shard_id]
         session = unit.sessions.connect(event.tenant)
-        x = session.decrypt_request(session.encrypt_request(x))
-        request = PendingRequest(
-            request_id=request_id,
-            tenant=event.tenant,
-            x=x,
-            arrival_time=now,
-        )
+        # The tenant seals the request before the host can shed it; the
+        # enclave opens only what the deployment admits.
+        sealed = session.encrypt_request(x)
         # Admitted-but-incomplete = queued (all units) + in flight behind
         # busy workers; bounding their sum is the deployment's one
         # admission bound, and what keeps worst-case latency finite when
@@ -535,7 +532,7 @@ class PrivateInferenceServer:
         # first evicts the newest lowest-priority pending request (across
         # every unit queue) rather than shed a higher-priority arrival.
         if self._inflight_at(now) + self.scheduler.queued >= self.config.queue_capacity:
-            victim = self._evict_for(request)
+            victim = self._evict_for(event.tenant)
             if victim is None:
                 self._end_unserved(
                     request_id,
@@ -548,7 +545,20 @@ class PrivateInferenceServer:
                     f" {request_id} from {event.tenant!r}",
                 )
                 return
-            self._record_eviction(victim, request)
+            self._end_unserved(
+                victim.request_id,
+                victim.tenant,
+                victim.arrival_time,
+                STATUS_EVICTED,
+                f"evicted for higher-priority request {request_id}"
+                f" from {event.tenant!r}",
+            )
+        request = PendingRequest(
+            request_id=request_id,
+            tenant=event.tenant,
+            x=session.decrypt_request(sealed),
+            arrival_time=now,
+        )
         unit.queue.push(request)
         unit.scheduler.observe_arrival(now)
 
@@ -575,15 +585,15 @@ class PrivateInferenceServer:
             return "sample holds NaN or infinite values"
         return None
 
-    def _evict_for(self, request: PendingRequest) -> PendingRequest | None:
+    def _evict_for(self, tenant: str) -> PendingRequest | None:
         """Evict the best lower-priority victim across every shard queue.
 
         Candidates are compared with the queue's own ordering (lowest
         class priority, then newest), so the deployment
         sheds the globally least-defensible pending request.  ``None``
-        when no pending request ranks strictly below the arrival.
+        when no pending request ranks strictly below ``tenant``'s arrival.
         """
-        priority = self.config.slo.priority_for(request.tenant)
+        priority = self.config.slo.priority_for(tenant)
         best_queue = None
         best_key = None
         for unit in self.units:
@@ -595,19 +605,6 @@ class PrivateInferenceServer:
         if best_queue is None:
             return None
         return best_queue.evict_newest_below(priority)
-
-    def _record_eviction(
-        self, victim: PendingRequest, arrival: PendingRequest
-    ) -> None:
-        """Account one pending request evicted for a premium arrival."""
-        self._end_unserved(
-            victim.request_id,
-            victim.tenant,
-            victim.arrival_time,
-            STATUS_EVICTED,
-            f"evicted for higher-priority request {arrival.request_id}"
-            f" from {arrival.tenant!r}",
-        )
 
     def _run_batches(self, batches, now: float) -> None:
         """Dispatch a window of flushed batches and account their outcomes.

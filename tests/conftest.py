@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.fieldmath import FieldRng, PrimeField
+
+# Hypothesis imports this module lazily, in its report hook, once a property
+# is falsified.  That import warns (libcst: ``mypy_extensions.TypedDict is
+# deprecated``), and under the warnings-as-errors hook below the report then
+# ended in ``INTERNALERROR`` instead of the falsifying example.  Imported
+# here, once and quietly, the hook's own import finds it loaded.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 _TESTS = Path(__file__).parent
 

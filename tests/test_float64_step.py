@@ -187,7 +187,7 @@ def test_float64_masking_is_the_int64_chain(k, m, extra, kind, n_sets, stacked, 
     sets = CoefficientSet.generate(rng, k=k, m=m, extra_shares=extra, count=n_sets)
     CoefficientSet.generate(twin, k=k, m=m, extra_shares=extra, count=n_sets)
     if not stacked:
-        sets = sets[:1]
+        sets = [sets[0]]
     shape = FEATURES[kind]
     values = _rows(data, shape, len(sets) * k).reshape((len(sets), k) + shape)
     scaled, _, _ = DynamicNormalizer().normalize_rows(values, lead=lead)

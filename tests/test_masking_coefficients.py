@@ -14,7 +14,7 @@ from field_oracle import oracle_inverse, oracle_vandermonde
 from repro.errors import EncodingError, FieldError, IntegrityError
 from repro.fieldmath import FieldRng, PrimeField, all_column_subsets_full_rank, is_invertible
 from repro.masking import CoefficientSet, IntegrityVerifier
-from repro.masking.coefficients import _scalar_inverses
+from repro.masking.coefficients import CoefficientStack, _scalar_inverses
 
 #: Coefficient material recorded from the commit before generation moved to
 #: one stacked elimination per set (``recorded_at`` in the file).
@@ -393,7 +393,7 @@ def _assert_stack_is_valid(p, seed, count, noise_shape, **spec):
         assert noise.dtype == np.int64
         assert noise.shape == (count, spec["m"]) + tuple(noise_shape)
         assert (0 <= noise).all() and (noise < p).all()
-    assert isinstance(sets, tuple) and len(sets) == count
+    assert isinstance(sets, CoefficientStack) and len(sets) == count
     memos = [_memo(coeffs) for coeffs in sets]  # as seeded, before any lazy search
     if count == 1:  # the single set's stream, draw for draw
         _assert_same_material(sets[0], loop_sets[0])
@@ -566,6 +566,8 @@ def test_stacked_sets_cannot_be_written_through(frng):
         frng, k=2, m=1, extra_shares=1, count=3, noise_shape=(4,)
     )
     single = CoefficientSet.generate(frng, k=2, m=1, extra_shares=1)
+    with pytest.raises(TypeError):  # a stack hands out sets, not slices of itself
+        sets[:2]
     for coeffs in (*sets, single):
         plan = coeffs.verification_plan
         handed_out = [

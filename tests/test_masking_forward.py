@@ -116,18 +116,18 @@ def test_stack_matmul_is_one_product_per_slice(field, frng, v):
 
 
 def test_a_one_slice_stack_is_a_view_not_a_copy(frng):
-    from repro.masking.forward import stack_arrays, stack_operands
+    from repro.masking.coefficients import CoefficientStack
+    from repro.masking.forward import stack_arrays
 
     a = frng.uniform((2, 3))
     one = stack_arrays([a])
     assert one.shape == (1, 2, 3) and np.shares_memory(one, a)
     two = stack_arrays([a, a])
     assert two.shape == (2, 2, 3) and not np.shares_memory(two, a)
-    ints, floats = stack_operands([(a, a.astype(np.float64))])
-    assert np.shares_memory(ints, a) and floats.dtype == np.float64
-    ints, floats = stack_operands([(a, a + 0.0), (a + 1, a + 1.0)])
-    assert ints.shape == floats.shape == (2, 2, 3)
-    assert np.array_equal(ints[1], a + 1) and np.array_equal(floats[1], a + 1.0)
+    coeffs = CoefficientSet.generate(frng, k=2, m=1, extra_shares=1)
+    a_t, a_float = CoefficientStack.of([coeffs]).encode_operands
+    assert a_t.shape == (1, 4, 3) and np.shares_memory(a_t, coeffs.a)
+    assert a_float.dtype == np.float64 and np.array_equal(a_float[0], coeffs.a.T)
 
 
 def test_a_named_decode_leaves_a_mixed_stack_without_a_primary(frng):

@@ -136,7 +136,7 @@ def test_training_prepares_every_fresh_set_and_keeps_none():
         tickets = backend.encode(op, list(iter_virtual_batches(x, K)), range(2))
         step = tickets[0].prepared
         assert all(ticket.prepared is step for ticket in tickets)
-        assert step.sets == tuple(ticket.coefficients for ticket in tickets)
+        assert tuple(step.sets) == tuple(ticket.prepared.sets[ticket.slot] for ticket in tickets)
         assert op.prepared is None
         backend.decode(backend.dispatch(tickets))
         seen.append(step)
@@ -157,7 +157,7 @@ def test_part_or_a_reordering_of_one_encode_decodes_with_its_own_sets(serving, i
     x = np.random.default_rng(1).normal(size=(2 * K, 6))
     op = backend.stage_linear("dense", w, None, "L", reuse=serving)
     t0, t1 = backend.encode(op, list(iter_virtual_batches(x, K)), range(2))
-    assert (t0.coefficients is t1.coefficients) is serving
+    assert (t0.prepared.sets[t0.slot] is t1.prepared.sets[t1.slot]) is serving
     whole = backend.decode(backend.dispatch([t0, t1]))
     for part, want in (([t1, t0], whole[::-1]), ([t1], whole[1:]), ([t0], whole[:1])):
         got = backend.decode(backend.dispatch(part))
@@ -246,7 +246,7 @@ def test_no_prepared_state_views_the_threads_workspace():
     step = op.prepared
     workspace = linalg._ENCLAVE.backend._workspace
     held = [*step.encoder._operands]
-    for _subset, decode_t, decode_float, _run in step.check._decoder._operands.values():
+    for _subset, decode_t, decode_float, _run in step.sets._decode_operands.values():
         held += [decode_t, decode_float]
     assert len(held) > 2
     assert not any(np.shares_memory(array, workspace) for array in held)

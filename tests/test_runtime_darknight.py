@@ -7,6 +7,7 @@ from field_oracle import to_signed
 from repro.errors import ConfigurationError, DecodingError, IntegrityError
 from repro.gpu import GpuCluster, RandomTamper
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, PlainBackend, ReLU, Sequential
+from repro.pipeline.stages import PreparedStep
 from repro.runtime import DarKnightBackend, DarKnightConfig
 
 
@@ -380,8 +381,10 @@ def test_backward_verification_fails_closed_without_an_alternate(nprng):
     w = nprng.normal(size=(8, 3))
     backend.dense_forward(x, w, None, key="d")
     (record,) = backend._forward_store["d"]
-    a = record.coefficients.a.copy()
-    a[:, record.coefficients.n_sources :] = 0  # the redundant share decodes nothing
-    record.coefficients = dataclasses.replace(record.coefficients, a=a)
+    a = record.prepared.sets[record.slot].a.copy()
+    a[:, record.prepared.sets[record.slot].n_sources :] = 0  # the redundant share decodes nothing
+    record.prepared = PreparedStep.build(
+        [dataclasses.replace(record.prepared.sets[record.slot], a=a)], backend.enclave.rng, True
+    )
     with pytest.raises(IntegrityError, match="fewer than two"):
         backend.dense_grad_w(x, nprng.normal(size=(2, 3)) * 0.1, key="d")

@@ -34,9 +34,10 @@ from repro.comm import LinkModel
 from repro.data import cifar_like
 from repro.enclave import Enclave
 from repro.errors import IntegrityError
+from repro.fieldmath import FieldRng, PrimeField
 from repro.gpu import GpuCluster, RandomTamper, ShareLaunch, TargetedTamper
 from repro.gpu.faults import FaultInjector
-from repro.masking import BackwardDecoder, IntegrityVerifier, iter_virtual_batches
+from repro.masking import BackwardDecoder, CoefficientSet, IntegrityVerifier, iter_virtual_batches
 from repro.models import build_mini_vgg
 from repro.nn import functional as F
 from repro.runtime import DarKnightBackend, DarKnightConfig, Trainer
@@ -75,7 +76,7 @@ class LoopBackend(DarKnightBackend):
             d_scaled, d_norm = self._grad_normalizer.normalize(rows)
             d_q = self.quantizer.quantize(d_scaled)
             self.enclave.record_compute("quantize_deltas", int(d_q.nbytes))
-            coeffs = record.coefficients
+            coeffs = record.prepared.sets[record.slot]
             for j in range(coeffs.n_shares):
                 self.link.transfer("enclave", f"gpu{j}", int(d_q.nbytes))
             launch = ShareLaunch(
@@ -85,10 +86,10 @@ class LoopBackend(DarKnightBackend):
             self._gather(equations[None])
             staged.append((record, launch, d_norm, equations))
         for record, launch, d_norm, equations in staged:
-            aggregate = BackwardDecoder(record.coefficients).decode(equations)
+            aggregate = BackwardDecoder(record.prepared.sets[record.slot]).decode(equations)
             self.enclave.record_compute("decode_backward", int(aggregate.nbytes))
             if cfg.integrity:
-                self._loop_verify_backward(record.coefficients, aggregate, launch)
+                self._loop_verify_backward(record.prepared.sets[record.slot], aggregate, launch)
             grad = self.quantizer.dequantize_product(aggregate)
             contribution = grad * (record.x_norm.factor * d_norm.factor)
             total = contribution if total is None else total + contribution
@@ -378,7 +379,7 @@ def test_stack_of_one_backend_shares_cached_coefficients():
     backend = _backend(DarKnightBackend, case)
     _forward(backend, case, x, w, bias)
     records = backend._forward_store["layer"]
-    assert len(records) == 4 and len({id(r.coefficients) for r in records}) == 1
+    assert len(records) == 4 and len({id(r.prepared.sets[r.slot]) for r in records}) == 1
     counts = backend.enclave.ledger.op_counts
     assert (counts["generate_coefficients"], counts["reuse_coefficients"]) == (1, 3)
     backend.end_batch()
@@ -546,3 +547,97 @@ def test_shares_and_losses_match_the_pre_stack_golden(seed):
     (the losses did not move: decoding is exact whatever the randomness)."""
     golden = json.loads(GOLDEN.read_text())
     assert _observe(seed) == golden[str(seed)]
+
+
+# ----------------------------------------------------------------------
+# one stack per layer step, from draw to backward
+# ----------------------------------------------------------------------
+def test_a_training_step_prepares_each_layer_step_once(monkeypatch):
+    """Over one mini-vgg training step with integrity, every masked layer
+    step makes one ``generate``, one elimination and one verifier, and its
+    backward verifies with the verifier its forward built."""
+    import repro.masking.coefficients as coefficients
+
+    calls = {"encode": 0, "generate": 0, "inverse": 0}
+    built, forward, backward = [], [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DarKnightBackend, "encode", counted("encode", DarKnightBackend.encode))
+    monkeypatch.setattr(
+        coefficients.CoefficientSet, "generate",
+        counted("generate", coefficients.CoefficientSet.generate),
+    )
+    monkeypatch.setattr(coefficients, "inverse", counted("inverse", coefficients.inverse))
+    for name, seen in (("__init__", built), ("verify_forward", forward),
+                       ("verify_backward", backward)):
+        method = getattr(IntegrityVerifier, name)
+        monkeypatch.setattr(
+            IntegrityVerifier, name,
+            lambda self, *a, _m=method, _s=seen, **k: (_s.append(self), _m(self, *a, **k))[1],
+        )
+    seed, batch = 5, 16
+    data = cifar_like(n_train=batch, n_test=batch, seed=seed, size=8)
+    network = build_mini_vgg(
+        input_shape=(3, 8, 8), n_classes=10, rng=np.random.default_rng(seed), width=8
+    )
+    backend = DarKnightBackend(DarKnightConfig(virtual_batch_size=4, integrity=True, seed=seed))
+    Trainer(network, backend).train_step(data.x_train, data.y_train)
+    steps = calls["encode"]
+    assert steps == 5 and calls == {"encode": steps, "generate": steps, "inverse": steps}
+    assert len(built) == len(forward) == len(backward) == steps
+    assert {id(v) for v in built} == {id(v) for v in forward} == {id(v) for v in backward}
+
+
+def _singular_alternate_seed(p, k, m, n_batches):
+    """The first seed whose first stacked draw holds sets that follow
+    different plans: some set's first alternate subset is singular."""
+    for seed in range(500):
+        stack = CoefficientSet.generate(
+            FieldRng(PrimeField(p), seed), k, m, extra_shares=1, count=n_batches
+        )
+        if stack.plan is None:
+            return seed
+    raise AssertionError("no seed below 500 draws a singular alternate")
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv2d"])
+def test_a_stack_with_a_singular_alternate_trains_as_the_loop(kind):
+    """In ``F_11`` a set's first alternate subset is singular about one time
+    in eleven: the stack holding one verifies, decodes and solves its
+    backward ``B`` set by set, and the layer step still equals the loop."""
+    p, k, m, n_batches = 11, 2, 1, 3
+    seed = _singular_alternate_seed(p, k, m, n_batches)
+    geometry = (
+        {"n_in": 5, "n_out": 3} if kind == "dense"
+        else {"c": 2, "f": 2, "kh": 2, "kw": 2, "stride": 1, "pad": 1, "h": 4, "w": 4}
+    )
+    case = {
+        "kind": kind, "k": k, "m": m, "batch": n_batches * k, "geometry": geometry,
+        "integrity": True, "normalize": True, "serving": False, "staged_order": None,
+        "seed": seed,
+    }
+    x, w, bias, delta = _tensors(case)
+    config = DarKnightConfig(
+        virtual_batch_size=k, integrity=True, prime=p, fractional_bits=1, seed=seed
+    )
+    runs = []
+    for cls in (LoopBackend, DarKnightBackend):
+        backend = cls(config, enclave=Enclave(field=PrimeField(p), seed=seed))
+        out = _forward(backend, case, x, w, bias)
+        if cls is DarKnightBackend:
+            stack = backend._forward_store["layer"][0].prepared.sets
+            assert len(stack) == n_batches and stack.plan is None
+        grad = _grad_w(backend, case, x, delta)
+        books = _books(backend)
+        del books["next_draw"]  # the stack draws by the block, the loop set by set
+        backend.end_batch()
+        backend.assert_encodings_released()
+        runs.append((out, grad, books))
+    (out_l, grad_l, books_l), (out_s, grad_s, books_s) = runs
+    assert np.array_equal(out_s, out_l) and np.array_equal(grad_s, grad_l)
+    assert books_s == books_l
