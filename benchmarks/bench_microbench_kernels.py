@@ -212,7 +212,7 @@ def _step_material(stack):
     float64), and the alternate subset's ``B`` rows."""
     plans = stack.plans
     decodes = [stack.decode_operands(subset) for subset in plans[0]]
-    return plans, stack.encode_operands, decodes, stack.b_stack([plan[1] for plan in plans])
+    return plans, stack.encode_operands, decodes, stack.alternate_b
 
 
 def test_coefficient_stack_speed(benchmark):

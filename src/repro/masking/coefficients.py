@@ -498,7 +498,7 @@ class CoefficientStack(_ShareShape):
     ``(V, n_shares, k)`` hold every set, and what the masking classes read
     is derived for all ``V`` at once and kept: :attr:`encode_operands`,
     :meth:`decode_operands`, :attr:`plans` / :attr:`plan` and
-    :meth:`b_stack`.  A stack from :meth:`CoefficientSet.generate` reads
+    :attr:`alternate_b`.  A stack from :meth:`CoefficientSet.generate` reads
     them off its one elimination; one assembled by :meth:`of` (tickets of
     several encodes, serving's cached set) off each set's own memo.
     ``stack[v]`` is set ``v``, a :class:`CoefficientSet` viewing its
@@ -603,9 +603,11 @@ class CoefficientStack(_ShareShape):
         first, *rest = self.plans
         return first if all(plan == first for plan in rest) else None
 
-    def b_stack(self, subsets) -> np.ndarray:
-        """``(V, n_shares, k)``: set ``v``'s ``B`` supported on ``subsets[v]``."""
-        solved = self._solved_for(subsets[0])  # any other subset: a singular candidate
+    @cached_property
+    def alternate_b(self) -> np.ndarray:
+        """``(V, n_shares, k)``: each set's ``B`` on its plan's first alternate subset."""
+        solved = self.plan and self._solved_for(self.plan[1])
         if solved:
             return solved[1]
-        return np.stack([c.backward_matrices_for_subset(s)[0] for c, s in zip(self, subsets)])
+        return np.stack([c.backward_matrices_for_subset(plan[1])[0]
+                         for c, plan in zip(self, self.plans)])

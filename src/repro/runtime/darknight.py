@@ -610,7 +610,7 @@ class DarKnightBackend:
         b_rows = [stack.b]
         if cfg.integrity:
             plans = step.check.verification_plans()
-            b_rows.append(stack.b_stack([plan[1] for plan in plans]))
+            b_rows.append(stack.alternate_b)
         # Every device receives every virtual batch's quantized δ.
         delta_bytes = int(d_q[0].nbytes)
         self.enclave.record_compute("quantize_deltas", delta_bytes, len(tickets))

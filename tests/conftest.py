@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from pathlib import Path
 
@@ -14,8 +15,10 @@ from repro.fieldmath import FieldRng, PrimeField
 # is falsified.  That import warns (libcst: ``mypy_extensions.TypedDict is
 # deprecated``), and under the warnings-as-errors hook below the report then
 # ended in ``INTERNALERROR`` instead of the falsifying example.  Imported
-# here, once and quietly, the hook's own import finds it loaded.
-with warnings.catch_warnings():
+# here, once and quietly, the hook's own import finds it loaded.  Without
+# libcst (an optional hypothesis extra) the hook skips the import itself,
+# so there is nothing to preload.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 

@@ -136,7 +136,7 @@ def test_training_prepares_every_fresh_set_and_keeps_none():
         tickets = backend.encode(op, list(iter_virtual_batches(x, K)), range(2))
         step = tickets[0].prepared
         assert all(ticket.prepared is step for ticket in tickets)
-        assert tuple(step.sets) == tuple(ticket.prepared.sets[ticket.slot] for ticket in tickets)
+        assert [ticket.slot for ticket in tickets] == list(range(len(step.sets)))
         assert op.prepared is None
         backend.decode(backend.dispatch(tickets))
         seen.append(step)
